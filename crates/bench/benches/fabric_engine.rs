@@ -8,20 +8,25 @@ use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::resource::{BandwidthResource, LinkModel};
 use shmcaffe_simnet::{SimDuration, Simulation};
 
+/// 1024 one-microsecond sleeps split evenly over `procs` processes: the same
+/// number of scheduler switches at every count, so the per-switch host cost
+/// is flat in the process count exactly when a grant wakes one thread.
 fn bench_scheduler_switches(c: &mut Criterion) {
-    c.bench_function("sim_1000_sleeps_2_procs", |b| {
-        b.iter(|| {
-            let mut sim = Simulation::new();
-            for i in 0..2 {
-                sim.spawn(&format!("p{i}"), |ctx| {
-                    for _ in 0..500 {
-                        ctx.sleep(SimDuration::from_micros(1));
-                    }
-                });
-            }
-            sim.run()
+    for procs in [2u64, 8, 16, 32, 64] {
+        c.bench_function(&format!("sim_1024_sleeps_{procs}_procs"), |b| {
+            b.iter(|| {
+                let mut sim = Simulation::new();
+                for i in 0..procs {
+                    sim.spawn(&format!("p{i}"), move |ctx| {
+                        for _ in 0..1024 / procs {
+                            ctx.sleep(SimDuration::from_micros(1));
+                        }
+                    });
+                }
+                sim.run()
+            });
         });
-    });
+    }
 }
 
 fn bench_channel_pingpong(c: &mut Criterion) {

@@ -59,6 +59,6 @@ pub mod topology;
 pub mod trace;
 
 pub use explore::{ExploreBounds, ExploreReport, FootprintKind};
-pub use sched::{SimContext, Simulation};
+pub use sched::{SchedStats, SimContext, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use trace::ScheduleTrace;

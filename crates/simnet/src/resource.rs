@@ -248,20 +248,17 @@ pub fn transfer_path_stream(
 
     // Only one simulated process executes at a time, so locking resources
     // sequentially cannot deadlock or race. A shared (half-duplex) resource
-    // may appear twice in the path; dedup by state pointer so its
-    // occupancy is charged once.
+    // may appear twice in the path; its occupancy is charged once, at its
+    // first position (paths are a handful of hops, so the scan is free).
     let mut start = now;
     for r in path {
         start = start.max(r.state.lock().busy_until);
     }
     let end = start + service;
-    let mut seen: Vec<*const Mutex<ResourceState>> = Vec::with_capacity(path.len());
-    for r in path {
-        let ptr = Arc::as_ptr(&r.state);
-        if seen.contains(&ptr) {
+    for (i, r) in path.iter().enumerate() {
+        if path[..i].iter().any(|earlier| Arc::ptr_eq(&earlier.state, &r.state)) {
             continue;
         }
-        seen.push(ptr);
         let mut st = r.state.lock();
         st.busy_until = end;
         st.total_bytes += bytes;

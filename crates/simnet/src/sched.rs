@@ -6,8 +6,12 @@
 //! unique, resource reservations and message sends occur in non-decreasing
 //! virtual-time order, which makes the whole simulation deterministic for a
 //! given program — independent of OS thread scheduling.
+//!
+//! Each process parks its OS thread on a condvar of its own, and a grant
+//! wakes exactly the granted thread (DESIGN.md §5k); only an abort — a
+//! process panic or a detected deadlock — wakes everyone.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,6 +45,10 @@ struct ProcSlot {
     /// counts it as blocked) but an earlier [`Core::wake`] may pull the
     /// grant forward.
     timed_wait: bool,
+    /// Where this process's OS thread parks while it is not `Running`;
+    /// paired with the scheduler's state mutex and signalled only when this
+    /// process is granted (or the simulation aborts).
+    parked: Arc<Condvar>,
     /// This process's vector clock (one component per pid), advanced along
     /// synchronization edges for the happens-before race detector.
     #[cfg(feature = "race-detect")]
@@ -53,6 +61,22 @@ struct SchedState {
     /// True once `run()` has performed the initial dispatch.
     started: bool,
     panic_message: Option<String>,
+    stats: SchedStats,
+}
+
+/// Deterministic scheduler counters of one run (see
+/// [`Simulation::run_with_stats`]): pure functions of the schedule, so they
+/// repeat exactly for a seed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Scheduler grants: how often some process was handed the running slot.
+    pub grants: u64,
+    /// Grants that went straight back to the process that had just yielded
+    /// (it was itself the earliest runnable); these park no OS thread.
+    pub self_grants: u64,
+    /// OS-thread wake-ups issued: one per grant to another process, plus one
+    /// per process when a panic or deadlock aborts the run.
+    pub wakes_issued: u64,
 }
 
 /// Recording/forcing state for one explored run (see [`crate::explore`]).
@@ -79,7 +103,9 @@ struct ExploreState {
 
 pub(crate) struct Core {
     state: Mutex<SchedState>,
-    cv: Condvar,
+    /// Signalled when the last process finishes or the run aborts; only
+    /// [`Simulation::run_with_stats`] waits on it.
+    done: Condvar,
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Fast-path flag mirroring "explore state armed".
     exploring: AtomicBool,
@@ -97,8 +123,9 @@ impl Core {
                 unfinished: 0,
                 started: false,
                 panic_message: None,
+                stats: SchedStats::default(),
             }),
-            cv: Condvar::new(),
+            done: Condvar::new(),
             handles: Mutex::new(Vec::new()),
             exploring: AtomicBool::new(false),
             explore: Mutex::new(ExploreState::default()),
@@ -237,16 +264,21 @@ impl Core {
         }
     }
 
-    /// Picks the next process to run. Must be called with the state lock held
-    /// and no process currently `Running`.
+    /// Picks the next process to run and grants it the running slot. Must
+    /// be called with the state lock held and no process currently
+    /// `Running`; `from` is the process giving up the slot (`None` for the
+    /// initial dispatch by `run`).
     ///
-    /// Once a panic or deadlock is recorded, no further grants are made; all
-    /// parked threads are woken so they can unwind (their wait loops panic
-    /// when they observe the recorded failure).
-    fn dispatch(&self, state: &mut SchedState) {
+    /// The hand-off is directed: returns the one parked thread to wake, for
+    /// the caller to signal via [`Core::wake_parked`], or `None` when the
+    /// grant went straight back to `from` and no thread needs waking.
+    ///
+    /// Once a panic or deadlock is recorded (see [`Core::abort`]), no
+    /// further grants are made.
+    #[must_use]
+    fn dispatch(&self, state: &mut SchedState, from: Option<Pid>) -> Option<Arc<Condvar>> {
         if state.panic_message.is_some() {
-            self.cv.notify_all();
-            return;
+            return None;
         }
         let next = state
             .procs
@@ -279,53 +311,98 @@ impl Core {
                 slot.status = Status::Running;
                 slot.clock = slot.clock.max(at);
                 slot.timed_wait = false;
-                self.cv.notify_all();
-            }
-            None => {
-                if state.unfinished > 0 {
-                    let blocked: Vec<&str> = state
-                        .procs
-                        .iter()
-                        .filter(|p| p.status == Status::Blocked)
-                        .map(|p| p.name.as_str())
-                        .collect();
-                    state.panic_message.get_or_insert_with(|| {
-                        format!("simulation deadlock: blocked processes {blocked:?}")
-                    });
+                state.stats.grants += 1;
+                if from == Some(pid) {
+                    state.stats.self_grants += 1;
+                    None
+                } else {
+                    state.stats.wakes_issued += 1;
+                    Some(Arc::clone(&state.procs[pid].parked))
                 }
-                // All done (or deadlocked); wake `run()` and parked threads.
-                self.cv.notify_all();
+            }
+            None if state.unfinished > 0 => {
+                let blocked: Vec<&str> = state
+                    .procs
+                    .iter()
+                    .filter(|p| p.status == Status::Blocked)
+                    .map(|p| p.name.as_str())
+                    .collect();
+                let msg = format!("simulation deadlock: blocked processes {blocked:?}");
+                self.abort(state, msg);
+                None
+            }
+            // Every process finished.
+            None => {
+                self.done.notify_one();
+                None
             }
         }
     }
 
-    /// Blocks the calling OS thread until `pid` is granted `Running`.
+    /// Records the first panic or deadlock and broadcasts it: every parked
+    /// process (and `run`) is woken so each observes the failure and unwinds
+    /// — their wait loops panic on it, and a thread that parks later sees it
+    /// before it waits. The only place that wakes more than one thread.
+    fn abort(&self, state: &mut SchedState, msg: String) {
+        if state.panic_message.is_some() {
+            return;
+        }
+        state.panic_message = Some(msg);
+        for p in &state.procs {
+            p.parked.notify_one();
+        }
+        state.stats.wakes_issued += state.procs.len() as u64;
+        self.done.notify_one();
+    }
+
+    /// Releases the state lock, then signals the thread [`Core::dispatch`]
+    /// granted. Waking after the unlock means the woken thread never finds
+    /// the mutex still held by its waker (which would cost it a second
+    /// sleep), and a waker that is granted again before it got round to
+    /// parking never sleeps at all. No wake-up can be lost: the grant itself
+    /// was written under the lock, and [`Core::park`] re-checks it under the
+    /// lock before every wait.
+    fn wake_parked(state: MutexGuard<'_, SchedState>, granted: Option<Arc<Condvar>>) {
+        drop(state);
+        if let Some(parked) = granted {
+            parked.notify_one();
+        }
+    }
+
+    /// Parks the calling OS thread until `pid` is granted `Running`.
     ///
     /// # Panics
     ///
     /// Panics (to unwind the simulated process) if the simulation aborted.
-    fn wait_for_grant(&self, pid: Pid) {
+    fn park(&self, pid: Pid) {
         let mut state = self.state.lock();
+        let parked = Arc::clone(&state.procs[pid].parked);
         while state.procs[pid].status != Status::Running {
             if state.panic_message.is_some() {
                 panic!("simulation aborted");
             }
-            self.cv.wait(&mut state);
+            parked.wait(&mut state);
         }
     }
 
-    fn yield_until(&self, pid: Pid, wake_at: SimTime) {
-        let mut state = self.state.lock();
-        debug_assert_eq!(state.procs[pid].status, Status::Running);
-        let at = state.procs[pid].clock.max(wake_at);
-        state.procs[pid].status = Status::Runnable(at);
-        self.dispatch(&mut state);
-        while state.procs[pid].status != Status::Running {
-            if state.panic_message.is_some() {
-                panic!("simulation aborted");
-            }
-            self.cv.wait(&mut state);
+    /// Hands the running slot from `pid` (whose new status the caller has
+    /// just written) to the next process and parks until `pid` is granted
+    /// again. When `pid` is itself the earliest runnable this returns
+    /// without touching any wait primitive.
+    fn switch(&self, mut state: MutexGuard<'_, SchedState>, pid: Pid) {
+        let granted = self.dispatch(&mut state, Some(pid));
+        if state.procs[pid].status != Status::Running {
+            Self::wake_parked(state, granted);
+            self.park(pid);
         }
+    }
+
+    /// Makes `pid` runnable at `at` (never before its own clock) and yields.
+    fn yield_at(&self, mut state: MutexGuard<'_, SchedState>, pid: Pid, at: SimTime) {
+        debug_assert_eq!(state.procs[pid].status, Status::Running);
+        let slot = &mut state.procs[pid];
+        slot.status = Status::Runnable(slot.clock.max(at));
+        self.switch(state, pid);
     }
 
     /// Parks the process until another process calls [`Core::wake`].
@@ -333,13 +410,7 @@ impl Core {
         let mut state = self.state.lock();
         debug_assert_eq!(state.procs[pid].status, Status::Running);
         state.procs[pid].status = Status::Blocked;
-        self.dispatch(&mut state);
-        while state.procs[pid].status != Status::Running {
-            if state.panic_message.is_some() {
-                panic!("simulation aborted");
-            }
-            self.cv.wait(&mut state);
-        }
+        self.switch(state, pid);
     }
 
     /// Parks the process until another process calls [`Core::wake`] or the
@@ -350,17 +421,8 @@ impl Core {
     /// simulation always makes progress even if the wake never arrives.
     pub(crate) fn block_until(&self, pid: Pid, deadline: SimTime) {
         let mut state = self.state.lock();
-        debug_assert_eq!(state.procs[pid].status, Status::Running);
-        let slot = &mut state.procs[pid];
-        slot.status = Status::Runnable(slot.clock.max(deadline));
-        slot.timed_wait = true;
-        self.dispatch(&mut state);
-        while state.procs[pid].status != Status::Running {
-            if state.panic_message.is_some() {
-                panic!("simulation aborted");
-            }
-            self.cv.wait(&mut state);
-        }
+        state.procs[pid].timed_wait = true;
+        self.yield_at(state, pid, deadline);
     }
 
     /// Makes a blocked process runnable no earlier than `at`.
@@ -394,9 +456,10 @@ impl Core {
         state.procs[pid].status = Status::Finished;
         state.unfinished -= 1;
         if let Some(msg) = panic_msg {
-            state.panic_message.get_or_insert(msg);
+            self.abort(&mut state, msg);
         }
-        self.dispatch(&mut state);
+        let granted = self.dispatch(&mut state, Some(pid));
+        Self::wake_parked(state, granted);
     }
 
     fn register(&self, name: &str, initial_clock: SimTime) -> Pid {
@@ -407,6 +470,7 @@ impl Core {
             clock: initial_clock,
             status: Status::Runnable(initial_clock),
             timed_wait: false,
+            parked: Arc::new(Condvar::new()),
             #[cfg(feature = "race-detect")]
             vclock: Vec::new(),
         });
@@ -468,7 +532,7 @@ impl Core {
         let handle = std::thread::Builder::new()
             .name(format!("sim-{name}"))
             .spawn(move || {
-                core.wait_for_grant(pid);
+                core.park(pid);
                 let ctx = SimContext { core: Arc::clone(&core), pid };
                 let result = catch_unwind(AssertUnwindSafe(|| f(ctx)));
                 let panic_msg = result.err().map(|e| {
@@ -530,7 +594,12 @@ impl Simulation {
     /// an `Err` carrying the original message instead of panicking — the
     /// entry point used by the schedule explorer, which must survive
     /// counterexample runs.
-    pub fn run_result(mut self) -> Result<SimTime, String> {
+    pub fn run_result(self) -> Result<SimTime, String> {
+        self.run_with_stats().0
+    }
+
+    /// [`Simulation::run_result`] plus the run's [`SchedStats`].
+    pub fn run_with_stats(mut self) -> (Result<SimTime, String>, SchedStats) {
         for (pid, name, f) in self.pending.drain(..) {
             self.core.start_thread(pid, name, f);
         }
@@ -538,10 +607,12 @@ impl Simulation {
             let mut state = self.core.state.lock();
             if !state.started {
                 state.started = true;
-                self.core.dispatch(&mut state);
+                if let Some(parked) = self.core.dispatch(&mut state, None) {
+                    parked.notify_one();
+                }
             }
             while state.unfinished > 0 && state.panic_message.is_none() {
-                self.core.cv.wait(&mut state);
+                self.core.done.wait(&mut state);
             }
         }
         // Join every thread (they all exit once finished or poisoned).
@@ -550,10 +621,11 @@ impl Simulation {
             let _ = h.join();
         }
         let state = self.core.state.lock();
-        if let Some(msg) = &state.panic_message {
-            return Err(msg.clone());
-        }
-        Ok(state.procs.iter().map(|p| p.clock).max().unwrap_or(SimTime::ZERO))
+        let result = match &state.panic_message {
+            Some(msg) => Err(msg.clone()),
+            None => Ok(state.procs.iter().map(|p| p.clock).max().unwrap_or(SimTime::ZERO)),
+        };
+        (result, state.stats)
     }
 
     /// Registers a model-state fingerprint sampled by the schedule explorer
@@ -615,19 +687,20 @@ impl SimContext {
 
     /// Advances virtual time by `dur`, yielding to earlier processes.
     pub fn sleep(&self, dur: SimDuration) {
-        let until = self.now() + dur;
-        self.core.yield_until(self.pid, until);
+        let state = self.core.state.lock();
+        let until = state.procs[self.pid].clock + dur;
+        self.core.yield_at(state, self.pid, until);
     }
 
     /// Advances virtual time to `at` (no-op if already later), yielding.
     pub fn sleep_until(&self, at: SimTime) {
-        self.core.yield_until(self.pid, at);
+        self.core.yield_at(self.core.state.lock(), self.pid, at);
     }
 
     /// Yields without advancing time, letting same-time processes interleave
     /// deterministically.
     pub fn yield_now(&self) {
-        self.core.yield_until(self.pid, SimTime::ZERO);
+        self.sleep_until(SimTime::ZERO);
     }
 
     /// Spawns a new simulated process starting at the caller's current time.
