@@ -85,11 +85,13 @@ const BENCH_PREFIX: &str = "crates/bench/";
 
 /// Files allowed to contain `unsafe`: the packed-gemm micro-kernel, the
 /// worker pool's scoped-task transmute and `SliceParts` disjoint-range
-/// writer (documented and Miri-covered, scripts/miri.sh), and the counting
+/// writer (documented and Miri-covered, scripts/miri.sh), the
+/// runtime-detected call into the SSE4.2 CRC32C kernel, and the counting
 /// `#[global_allocator]` the allocation-free steady-state test installs.
 const UNSAFE_ALLOWED_FILES: &[&str] = &[
     "crates/tensor/src/gemm.rs",
     "crates/tensor/src/parallel.rs",
+    "crates/tensor/src/crc32c.rs",
     "crates/tensor/tests/alloc_free.rs",
 ];
 
@@ -349,6 +351,7 @@ mod tests {
         let src = "unsafe { core::hint::unreachable_unchecked() }\n";
         assert!(scan_file("crates/tensor/src/gemm.rs", src).is_empty());
         assert!(scan_file("crates/tensor/src/parallel.rs", src).is_empty());
+        assert!(scan_file("crates/tensor/src/crc32c.rs", src).is_empty());
         assert!(scan_file("crates/tensor/tests/alloc_free.rs", src).is_empty());
         let vs = scan_file("crates/tensor/src/ops.rs", src);
         assert_eq!(vs.len(), 1);

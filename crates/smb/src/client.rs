@@ -570,6 +570,66 @@ impl SmbClient {
         Ok(torn.unwrap_or(data.len()))
     }
 
+    /// Books a detected [`SmbError::Corrupted`] and repairs the poisoned
+    /// page from the pair's other member. `Ok(true)`: repaired.
+    /// `Ok(false)`: a wire fault interrupted the repair; the page is still
+    /// poisoned and the next attempt re-detects it. `Err`: the page is
+    /// permanently lost (no replica, or the repair source is bad too).
+    fn repair_corrupted(
+        &self,
+        ctx: &SimContext,
+        key: ShmKey,
+        node: NodeId,
+        page: usize,
+    ) -> Result<bool, SmbError> {
+        {
+            let mut stats = self.stats.lock();
+            stats.faults += 1;
+            stats.corruptions_detected += 1;
+        }
+        let outcome = match &self.route {
+            // No replica to repair from: retrying would hit the same
+            // poison forever.
+            Route::Single(_) => Err(SmbError::Unrepairable { key, node, page }),
+            Route::Replicated(pair) => pair.repair_page(ctx, key, page),
+        };
+        match outcome {
+            Ok(()) => {
+                self.stats.lock().corruptions_repaired += 1;
+                Ok(true)
+            }
+            Err(e) if e.is_transient() => Ok(false),
+            Err(e) => {
+                self.stats.lock().corruptions_unrepairable += 1;
+                Err(e)
+            }
+        }
+    }
+
+    /// Runs a plain (policy-less) `op`; if it lands on a poisoned page,
+    /// repairs that page from the pair's other member and runs `op` once
+    /// more. For small control-plane ops (the progress board) that must
+    /// survive a DRAM decay but have no retry budget to spend: the
+    /// fault-free path issues exactly the ops it always did, so virtual
+    /// time does not move. Counted like one round of
+    /// [`SmbClient::retrying`].
+    pub(crate) fn repairing_once<T>(
+        &self,
+        ctx: &SimContext,
+        mut op: impl FnMut() -> Result<T, SmbError>,
+    ) -> Result<T, SmbError> {
+        let first = op();
+        let Err(SmbError::Corrupted { key, node, page }) = &first else { return first };
+        if !self.repair_corrupted(ctx, *key, *node, *page)? {
+            return first;
+        }
+        let second = op();
+        if second.is_ok() {
+            self.stats.lock().retries += 1;
+        }
+        second
+    }
+
     /// Runs `op` under `policy`: transient failures are retried after a
     /// jittered exponential backoff (virtual-time sleep), re-arming the
     /// queue pair to the server before each retry. When an attempt
@@ -600,11 +660,10 @@ impl SmbClient {
                     }
                     return Ok(v);
                 }
+                Err(SmbError::Corrupted { key: ck, node, page }) => {
+                    self.repair_corrupted(ctx, ck, node, page)?;
+                }
                 Err(e) if e.is_transient() => {
-                    let corrupt_page = match &e {
-                        SmbError::Corrupted { key: ck, node, page } => Some((*ck, *node, *page)),
-                        _ => None,
-                    };
                     {
                         let mut stats = self.stats.lock();
                         stats.faults += 1;
@@ -612,31 +671,7 @@ impl SmbClient {
                             stats.corruptions_detected += 1;
                         }
                     }
-                    if let Some((ck, node, page)) = corrupt_page {
-                        match &self.route {
-                            Route::Single(_) => {
-                                // No replica to repair from: the poisoned
-                                // page is permanently lost. Retrying would
-                                // hit the same poison forever.
-                                self.stats.lock().corruptions_unrepairable += 1;
-                                return Err(SmbError::Unrepairable { key: ck, node, page });
-                            }
-                            Route::Replicated(pair) => match pair.repair_page(ctx, ck, page) {
-                                Ok(()) => {
-                                    self.stats.lock().corruptions_repaired += 1;
-                                }
-                                Err(re) if re.is_transient() => {
-                                    // A wire fault interrupted the repair;
-                                    // the next attempt re-detects the
-                                    // poison and retries the repair.
-                                }
-                                Err(re) => {
-                                    self.stats.lock().corruptions_unrepairable += 1;
-                                    return Err(re);
-                                }
-                            },
-                        }
-                    } else if let Route::Replicated(pair) = &self.route {
+                    if let Route::Replicated(pair) = &self.route {
                         // Fail over on: the primary's crash; a fencing
                         // rejection (a newer epoch is active — refresh and
                         // follow it); or a partition whose isolated primary

@@ -1,4 +1,4 @@
-//! Software CRC32C (Castagnoli) for the SMB integrity layer.
+//! CRC32C (Castagnoli) for the SMB integrity layer.
 //!
 //! The paper's RDS/verbs stack gets end-to-end payload protection for free
 //! from InfiniBand's hardware ICRC; the simulated fabric has no such layer,
@@ -10,80 +10,23 @@
 //!
 //! Checksums are computed over the f32 payload's `to_bits()` little-endian
 //! bytes, so they are bit-exact across platforms and independent of any
-//! float formatting.
+//! float formatting. The arithmetic lives in [`shmcaffe_tensor::crc32c`]
+//! (hardware `crc32` instruction where the CPU has one, slicing-by-8 tables
+//! elsewhere — one function either way); this module is the SMB-side name
+//! for it.
 
-/// CRC32C (Castagnoli) generator polynomial, reflected representation.
-const POLY: u32 = 0x82F6_3B78;
-
-/// 256-entry byte-at-a-time lookup table, built at compile time.
-const TABLE: [u32; 256] = build_table();
-
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
-            k += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-#[inline]
-fn step(crc: u32, byte: u8) -> u32 {
-    (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize]
-}
-
-/// CRC32C of a byte slice (init `!0`, final xor `!0` — the standard
-/// Castagnoli convention, so `crc32c(b"123456789") == 0xE306_9283`).
-pub fn crc32c(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = step(crc, b);
-    }
-    !crc
-}
-
-/// CRC32C of an f32 slice, streamed over each element's `to_bits()`
-/// little-endian bytes without intermediate allocation. This is the page
-/// checksum of the SMB integrity grid: defined on the *bit pattern*, so
-/// `-0.0` vs `0.0` and NaN payloads all checksum distinctly.
+/// CRC32C of an f32 slice over each element's `to_bits()` little-endian
+/// bytes (init `!0`, final xor `!0` — the standard Castagnoli convention).
+/// This is the page checksum of the SMB integrity grid: defined on the
+/// *bit pattern*, so `-0.0` vs `0.0` and NaN payloads all checksum
+/// distinctly.
 pub fn crc32c_f32(data: &[f32]) -> u32 {
-    let mut crc = !0u32;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            crc = step(crc, b);
-        }
-    }
-    !crc
+    shmcaffe_tensor::crc32c::crc32c(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn known_check_value() {
-        // The canonical CRC32C check vector (RFC 3720 appendix B.4 uses the
-        // same polynomial): "123456789" -> 0xE3069283.
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(b""), 0);
-    }
-
-    #[test]
-    fn f32_variant_matches_byte_variant() {
-        let data = [1.0f32, -2.5, 0.0, f32::MIN_POSITIVE, 1.0e20];
-        let mut bytes = Vec::new();
-        for v in &data {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        assert_eq!(crc32c_f32(&data), crc32c(&bytes));
-    }
 
     #[test]
     fn detects_single_bit_flips() {

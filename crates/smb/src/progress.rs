@@ -106,7 +106,9 @@ impl ProgressBoard {
         self.n_workers
     }
 
-    /// Publishes this worker's progress into its slot.
+    /// Publishes this worker's progress into its slot. A poisoned board
+    /// page is repaired from the replica (when there is one) and the write
+    /// retried once.
     ///
     /// # Errors
     ///
@@ -121,10 +123,11 @@ impl ProgressBoard {
     ) -> Result<(), SmbError> {
         assert!(rank < self.n_workers, "rank out of range");
         let slot = [iterations as f32, if done { 1.0 } else { 0.0 }];
-        client.write_range(ctx, &self.buf, rank * SLOT_FIELDS, &slot)
+        client.repairing_once(ctx, || client.write_range(ctx, &self.buf, rank * SLOT_FIELDS, &slot))
     }
 
-    /// Reads the whole board.
+    /// Reads the whole board, repairing a poisoned page from the replica
+    /// (when there is one) and retrying once.
     ///
     /// # Errors
     ///
@@ -135,7 +138,7 @@ impl ProgressBoard {
         ctx: &SimContext,
     ) -> Result<ProgressSnapshot, SmbError> {
         let mut raw = vec![0.0f32; self.n_workers * SLOT_FIELDS];
-        client.read_range(ctx, &self.buf, 0, &mut raw)?;
+        client.repairing_once(ctx, || client.read_range(ctx, &self.buf, 0, &mut raw))?;
         let workers = raw
             .chunks_exact(SLOT_FIELDS)
             .map(|slot| WorkerProgress { iterations: slot[0] as u64, done: slot[1] > 0.5 })

@@ -422,9 +422,9 @@ impl SmbPair {
             // scrubber — failing pages get poisoned here). A dirty segment
             // is skipped entirely; `replicated_versions` stays stale, so
             // the pass after its repair re-ships the clean contents.
-            if !primary.segment_clean(ctx, meta.key) {
+            let Some(verified) = primary.verified_page_crcs(ctx, meta.key) else {
                 continue;
-            }
+            };
             let behind =
                 self.inner.replicated_versions.lock().get(&meta.key) != Some(&meta.version);
             let is_new = standby.segment(meta.key).is_err();
@@ -437,11 +437,15 @@ impl SmbPair {
                 // mirrors the deletion.
                 continue;
             };
-            let data = rdma.with_region(&primary_mr, |buf| buf.to_vec())?;
-            rdma.with_region(&standby_mr, |buf| buf.copy_from_slice(&data))?;
-            // The copy is verified-clean, so it also heals whatever the
-            // standby's own grid held before (a fresh full-segment repair).
-            standby.refresh_segment_crcs(meta.key);
+            // Region to region, and the page CRCs ride along: nothing has
+            // yielded since `verified_page_crcs`, so the bytes being copied
+            // are the bytes that just hashed to `verified` — the standby
+            // does not hash them a second time. The copy is verified-clean,
+            // so it also heals whatever the standby's own grid held before
+            // (a fresh full-segment repair).
+            rdma.with_region(&primary_mr, |src| {
+                standby.install_contents(meta.key, src, Some(&verified))
+            })??;
             ctx.footprint(
                 standby_mr.rkey.0,
                 0,
@@ -653,13 +657,13 @@ impl SmbPair {
                 continue;
             }
             self.gate_from(ctx, fabric, source.node(), demoted.node())?;
-            let dst_mr = demoted.install_replica_segment(&meta)?;
+            demoted.install_replica_segment(&meta)?;
             let Ok((src_mr, _)) = source.segment(meta.key) else {
                 continue;
             };
-            let data = rdma.with_region(&src_mr, |buf| buf.to_vec())?;
-            rdma.with_region(&dst_mr, |buf| buf.copy_from_slice(&data))?;
-            demoted.refresh_segment_crcs(meta.key);
+            // The source was not verified here, so the demoted member
+            // hashes what it received.
+            rdma.with_region(&src_mr, |src| demoted.install_contents(meta.key, src, None))??;
             // Deliberately not race-recorded: the demoted primary is fenced
             // out of client service, so by construction nothing races with
             // the resync write (clients route to the promoted standby, and

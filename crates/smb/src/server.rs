@@ -10,6 +10,7 @@ use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::resource::{BandwidthResource, LinkModel};
 use shmcaffe_simnet::topology::NodeId;
 use shmcaffe_simnet::{SimContext, SimDuration, SimTime};
+use shmcaffe_tensor::crc32c::{crc32c_append, crc32c_finish, CRC32C_INIT};
 
 use crate::crc::crc32c_f32;
 use crate::SmbError;
@@ -103,11 +104,93 @@ impl Default for SmbServerConfig {
     }
 }
 
-/// Start offset and length (both in elements) of page `page` in a segment
-/// of `elems` elements under page size `pe`. The last page may be short.
-fn page_span(pe: usize, elems: usize, page: usize) -> (usize, usize) {
-    let start = page * pe;
-    (start, pe.min(elems - start))
+/// One segment's integrity grid resolved for a single walk: the page table
+/// and poison set (borrowed under the `segments` lock) beside the region's
+/// bytes (borrowed under the RDMA pool lock). Every grid operation takes
+/// that lock pair once, through [`SmbServer::with_grid`], and visits the
+/// pages it needs from here.
+struct Grid<'a> {
+    server: &'a ServerInner,
+    key: ShmKey,
+    mr: MemoryRegion,
+    /// Recorded CRC per page (empty when the grid is off).
+    crcs: &'a mut [u32],
+    poisoned: &'a mut BTreeSet<usize>,
+    bytes: &'a mut [f32],
+}
+
+impl Grid<'_> {
+    /// Element range of `page`. The last page may be short.
+    fn span(&self, page: usize) -> std::ops::Range<usize> {
+        let pe = self.server.config.page_elems;
+        page * pe..((page + 1) * pe).min(self.bytes.len())
+    }
+
+    /// [`Grid::span`] for a page index that arrived from outside the walk.
+    fn checked_span(&self, page: usize) -> Result<std::ops::Range<usize>, SmbError> {
+        if page >= self.crcs.len() {
+            return Err(SmbError::SizeMismatch {
+                key: self.key,
+                expected: self.crcs.len(),
+                got: page + 1,
+            });
+        }
+        Ok(self.span(page))
+    }
+
+    /// The page indices overlapping `[offset, offset + len)`. Empty when
+    /// the grid is off.
+    fn pages(&self, offset: usize, len: usize) -> std::ops::Range<usize> {
+        if len == 0 || self.crcs.is_empty() {
+            return 0..0;
+        }
+        let pe = self.server.config.page_elems;
+        offset / pe..((offset + len - 1) / pe + 1).min(self.crcs.len())
+    }
+
+    /// Checks one page against its recorded CRC, poisoning it on mismatch
+    /// (counted once per newly poisoned page).
+    fn verify(&mut self, ctx: &SimContext, page: usize) -> Result<(), SmbError> {
+        let corrupted = SmbError::Corrupted { key: self.key, node: self.server.node, page };
+        if self.poisoned.contains(&page) {
+            return Err(corrupted);
+        }
+        // Deliberately not race-recorded: the CRC walk is a zero-time
+        // atomic snapshot of the page — it observes either all of a
+        // write's bytes or none of them in the cooperative simulator, so
+        // it cannot witness a torn intermediate state.
+        if crc32c_f32(&self.bytes[self.span(page)]) == self.crcs[page] {
+            return Ok(());
+        }
+        ctx.footprint(
+            pseudo_region("smb.poison", self.key.0),
+            page,
+            1,
+            shmcaffe_simnet::FootprintKind::AtomicWrite,
+        );
+        self.poisoned.insert(page);
+        self.server.corruptions_detected.fetch_add(1, Ordering::Relaxed);
+        Err(corrupted)
+    }
+
+    /// Records the CRC of the page's actual bytes.
+    fn record_actual(&mut self, page: usize) {
+        self.crcs[page] = crc32c_f32(&self.bytes[self.span(page)]);
+    }
+
+    /// Records the CRC the page would have with `data` overlaid at
+    /// `[offset, offset + data.len())`, chaining the checksum over the
+    /// untouched prefix, the overlapping slice of `data` and the untouched
+    /// suffix — the overlay itself is never materialised.
+    fn record_overlay(&mut self, page: usize, offset: usize, data: &[f32]) {
+        let span = self.span(page);
+        let lo = offset.max(span.start);
+        let hi = (offset + data.len()).min(span.end);
+        let mut crc = crc32c_append(CRC32C_INIT, &self.bytes[span.start..lo]);
+        crc = crc32c_append(crc, &data[lo - offset..hi - offset]);
+        crc = crc32c_append(crc, &self.bytes[hi..span.end]);
+        self.crcs[page] = crc32c_finish(crc);
+    }
 }
 
 /// Memory-bus passes per byte of a server-side accumulate: read ΔW, read
@@ -306,6 +389,13 @@ impl SmbServer {
     /// for reads/writes plus the accumulate engine's passes).
     pub fn memory_bytes(&self) -> u64 {
         self.inner.memory.total_bytes()
+    }
+
+    /// Share of `[0, horizon]` the server's DRAM bus was busy — the memory
+    /// server's counterpart of `Fabric::hca_tx(node).utilization(horizon)`,
+    /// for telling a bus-bound exchange from a wire-bound one.
+    pub fn memory_utilization(&self, horizon: SimTime) -> f64 {
+        self.inner.memory.utilization(horizon)
     }
 
     /// The server's DRAM-bus resource (for clients to include in their
@@ -840,42 +930,47 @@ impl SmbServer {
         self.inner.config.page_elems
     }
 
-    /// Number of pages a segment of `elems` elements is divided into.
-    fn page_count(&self, elems: usize) -> usize {
-        let pe = self.paging();
-        if pe == 0 || elems == 0 {
-            0
-        } else {
-            elems.div_ceil(pe)
-        }
-    }
-
-    /// Page CRCs for a freshly allocated (all-zero) segment.
+    /// Page CRCs for a freshly allocated (all-zero) segment: every full
+    /// page shares one checksum and a short last page has its own, so two
+    /// hashes cover a segment of any size.
     fn initial_page_crcs(&self, elems: usize) -> Vec<u32> {
         let pe = self.paging();
-        let pages = self.page_count(elems);
-        if pages == 0 {
+        if pe == 0 {
             return Vec::new();
         }
         let zeros = vec![0.0f32; pe.min(elems)];
-        (0..pages)
-            .map(|page| {
-                let (_, len) = page_span(pe, elems, page);
-                crc32c_f32(&zeros[..len])
-            })
-            .collect()
+        let (full, tail) = (elems / pe, elems % pe);
+        let mut crcs = Vec::with_capacity(full + 1);
+        if full > 0 {
+            crcs.resize(full, crc32c_f32(&zeros));
+        }
+        if tail > 0 {
+            crcs.push(crc32c_f32(&zeros[..tail]));
+        }
+        crcs
     }
 
-    /// The page indices overlapping `[offset, offset + len)` in a segment
-    /// of `elems` elements. Empty when the grid is off.
-    fn pages_overlapping(&self, elems: usize, offset: usize, len: usize) -> std::ops::Range<usize> {
-        let pe = self.paging();
-        if pe == 0 || len == 0 || elems == 0 {
-            return 0..0;
-        }
-        let lo = offset / pe;
-        let hi = ((offset + len - 1) / pe + 1).min(elems.div_ceil(pe));
-        lo..hi
+    /// Runs `f` over one segment's [`Grid`], taking the `segments` lock and
+    /// the region's pool lock once for the whole walk.
+    fn with_grid<R>(&self, key: ShmKey, f: impl FnOnce(&mut Grid<'_>) -> R) -> Result<R, SmbError> {
+        let mut segments = self.inner.segments.lock();
+        let seg = segments.get_mut(&key).ok_or_else(|| self.missing(key))?;
+        self.grid_of(key, seg, f)
+    }
+
+    /// [`SmbServer::with_grid`] for a caller already holding the segment
+    /// table (the scrubber walks every segment under one lock).
+    fn grid_of<R>(
+        &self,
+        key: ShmKey,
+        seg: &mut Segment,
+        f: impl FnOnce(&mut Grid<'_>) -> R,
+    ) -> Result<R, SmbError> {
+        let mr = seg.mr;
+        let (crcs, poisoned) = (seg.page_crcs.as_mut_slice(), &mut seg.poisoned);
+        Ok(self.inner.rdma.with_region(&mr, |bytes| {
+            f(&mut Grid { server: &self.inner, key, mr, crcs, poisoned, bytes })
+        })?)
     }
 
     /// Applies any seeded DRAM-decay faults that have come due on this
@@ -935,67 +1030,22 @@ impl SmbServer {
             return Ok(());
         }
         self.apply_due_decays(ctx);
-        let (mr, _) = self.segment(key)?;
-        let pages = self.pages_overlapping(mr.len, offset, len);
-        if pages.is_empty() {
-            return Ok(());
-        }
-        ctx.footprint(
-            pseudo_region("smb.poison", key.0),
-            pages.start,
-            pages.len(),
-            shmcaffe_simnet::FootprintKind::AtomicRead,
-        );
-        for page in pages {
-            self.verify_page(ctx, key, &mr, page)?;
-        }
-        Ok(())
-    }
-
-    /// Checks one page against its recorded CRC, poisoning it on mismatch.
-    fn verify_page(
-        &self,
-        ctx: &SimContext,
-        key: ShmKey,
-        mr: &MemoryRegion,
-        page: usize,
-    ) -> Result<(), SmbError> {
-        let (off, len) = page_span(self.paging(), mr.len, page);
-        let (already_poisoned, expect) = {
-            let segments = self.inner.segments.lock();
-            let seg = segments.get(&key).ok_or_else(|| self.missing(key))?;
-            (seg.poisoned.contains(&page), seg.page_crcs.get(page).copied())
-        };
-        if already_poisoned {
-            return Err(SmbError::Corrupted { key, node: self.inner.node, page });
-        }
-        let Some(expect) = expect else { return Ok(()) };
-        // Deliberately not race-recorded: the CRC walk is a zero-time
-        // atomic snapshot of the page — it observes either all of a
-        // write's bytes or none of them in the cooperative simulator, so
-        // it cannot witness a torn intermediate state.
-        let actual = self.inner.rdma.with_region(mr, |b| crc32c_f32(&b[off..off + len]))?;
-        if actual != expect {
-            self.poison_page(ctx, key, page);
-            return Err(SmbError::Corrupted { key, node: self.inner.node, page });
-        }
-        Ok(())
-    }
-
-    /// Marks a page poisoned and counts the detection (once per page).
-    fn poison_page(&self, ctx: &SimContext, key: ShmKey, page: usize) {
-        ctx.footprint(
-            pseudo_region("smb.poison", key.0),
-            page,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicWrite,
-        );
-        let mut segments = self.inner.segments.lock();
-        if let Some(seg) = segments.get_mut(&key) {
-            if seg.poisoned.insert(page) {
-                self.inner.corruptions_detected.fetch_add(1, Ordering::Relaxed);
+        self.with_grid(key, |grid| {
+            let pages = grid.pages(offset, len);
+            if pages.is_empty() {
+                return Ok(());
             }
-        }
+            ctx.footprint(
+                pseudo_region("smb.poison", key.0),
+                pages.start,
+                pages.len(),
+                shmcaffe_simnet::FootprintKind::AtomicRead,
+            );
+            for page in pages {
+                grid.verify(ctx, page)?;
+            }
+            Ok(())
+        })?
     }
 
     /// Records the *intended* page CRCs after a client write landed:
@@ -1006,35 +1056,21 @@ impl SmbServer {
     /// verification of the page fails and poisons it. Never clears poison
     /// (repair is the only clearer).
     pub(crate) fn note_write(&self, ctx: &SimContext, key: ShmKey, offset: usize, data: &[f32]) {
-        let pe = self.paging();
-        if pe == 0 || data.is_empty() {
+        if self.paging() == 0 || data.is_empty() {
             return;
         }
-        let Ok((mr, _)) = self.segment(key) else { return };
-        let pages = self.pages_overlapping(mr.len, offset, data.len());
-        ctx.footprint(
-            pseudo_region("smb.poison", key.0),
-            pages.start,
-            pages.len(),
-            shmcaffe_simnet::FootprintKind::AtomicWrite,
-        );
-        for page in pages {
-            let (po, pl) = page_span(pe, mr.len, page);
-            let crc = match self.inner.rdma.with_region(&mr, |b| {
-                let mut intended: Vec<f32> = b[po..po + pl].to_vec();
-                let lo = offset.max(po);
-                let hi = (offset + data.len()).min(po + pl);
-                intended[lo - po..hi - po].copy_from_slice(&data[lo - offset..hi - offset]);
-                crc32c_f32(&intended)
-            }) {
-                Ok(crc) => crc,
-                Err(_) => return,
-            };
-            let mut segments = self.inner.segments.lock();
-            if let Some(slot) = segments.get_mut(&key).and_then(|s| s.page_crcs.get_mut(page)) {
-                *slot = crc;
+        let _ = self.with_grid(key, |grid| {
+            let pages = grid.pages(offset, data.len());
+            ctx.footprint(
+                pseudo_region("smb.poison", key.0),
+                pages.start,
+                pages.len(),
+                shmcaffe_simnet::FootprintKind::AtomicWrite,
+            );
+            for page in pages {
+                grid.record_overlay(page, offset, data);
             }
-        }
+        });
     }
 
     /// Recomputes the CRCs of the pages overlapping a range from the
@@ -1042,38 +1078,67 @@ impl SmbServer {
     /// that verified their operands first, so the actual bytes are the
     /// intended bytes. Never clears poison.
     pub(crate) fn refresh_page_range(&self, key: ShmKey, offset: usize, len: usize) {
-        let pe = self.paging();
-        if pe == 0 {
+        if self.paging() == 0 {
             return;
         }
-        let Ok((mr, _)) = self.segment(key) else { return };
-        for page in self.pages_overlapping(mr.len, offset, len) {
-            let (po, pl) = page_span(pe, mr.len, page);
-            let Ok(crc) = self.inner.rdma.with_region(&mr, |b| crc32c_f32(&b[po..po + pl])) else {
-                return;
-            };
-            let mut segments = self.inner.segments.lock();
-            if let Some(slot) = segments.get_mut(&key).and_then(|s| s.page_crcs.get_mut(page)) {
-                *slot = crc;
+        let _ = self.with_grid(key, |grid| {
+            for page in grid.pages(offset, len) {
+                grid.record_actual(page);
             }
-        }
+        });
     }
 
-    /// Recomputes every page CRC of a segment from its actual bytes and
-    /// clears its poison set — used by the replicator right after copying
-    /// verified-clean contents onto the standby (the copy *is* a repair of
-    /// whatever the standby held before).
-    pub(crate) fn refresh_segment_crcs(&self, key: ShmKey) {
-        let Ok((mr, _)) = self.segment(key) else { return };
-        self.refresh_page_range(key, 0, mr.len);
-        let mut segments = self.inner.segments.lock();
-        if let Some(seg) = segments.get_mut(&key) {
-            seg.poisoned.clear();
-        }
+    /// Overwrites a whole mirrored segment with `data` and resets its grid:
+    /// the copy *is* a repair of whatever this member held before, so every
+    /// poison mark clears. `verified` carries the source's page CRCs when
+    /// the caller checked `data` against them with no yield in between (the
+    /// replicator, via [`SmbServer::verified_page_crcs`]) — the bytes are
+    /// then known to hash to exactly those values and are not hashed again.
+    /// Without it the CRCs are recomputed from the copied bytes.
+    ///
+    /// # Errors
+    ///
+    /// Key-lookup errors and [`SmbError::SizeMismatch`] if `data` is not
+    /// exactly the segment's length or `verified` does not hold exactly one
+    /// CRC per page of this grid.
+    pub(crate) fn install_contents(
+        &self,
+        key: ShmKey,
+        data: &[f32],
+        verified: Option<&[u32]>,
+    ) -> Result<(), SmbError> {
+        self.with_grid(key, |grid| {
+            if grid.bytes.len() != data.len() {
+                return Err(SmbError::SizeMismatch {
+                    key,
+                    expected: grid.bytes.len(),
+                    got: data.len(),
+                });
+            }
+            if let Some(crcs) = verified {
+                // A carried vector of the wrong length means the two grids
+                // disagree on page size: refuse rather than re-hash quietly.
+                if crcs.len() != grid.crcs.len() {
+                    return Err(SmbError::SizeMismatch {
+                        key,
+                        expected: grid.crcs.len(),
+                        got: crcs.len(),
+                    });
+                }
+            }
+            grid.bytes.copy_from_slice(data);
+            match verified {
+                Some(crcs) => grid.crcs.copy_from_slice(crcs),
+                None => (0..grid.crcs.len()).for_each(|page| grid.record_actual(page)),
+            }
+            grid.poisoned.clear();
+            Ok(())
+        })?
     }
 
     /// Lands repaired bytes into one page: overwrites the page's contents,
-    /// records their CRC and clears the poison mark. This is the *only*
+    /// records their CRC and clears the poison mark. Besides the
+    /// full-segment [`SmbServer::install_contents`] this is the *only*
     /// operation that clears poison. The landing is an `AtomicRmw` on the
     /// page's range — it cannot race the accumulate engine, and the repair
     /// protocol ([`crate::SmbPair::repair_page`]) orders it against
@@ -1081,8 +1146,8 @@ impl SmbServer {
     ///
     /// # Errors
     ///
-    /// Key-lookup errors and [`SmbError::SizeMismatch`] if `data` is not
-    /// exactly one page.
+    /// Key-lookup errors and [`SmbError::SizeMismatch`] if `page` is not in
+    /// the grid or `data` is not exactly one page.
     pub(crate) fn install_page(
         &self,
         ctx: &SimContext,
@@ -1090,37 +1155,37 @@ impl SmbServer {
         page: usize,
         data: &[f32],
     ) -> Result<(), SmbError> {
-        let (mr, _) = self.segment(key)?;
-        let (off, len) = page_span(self.paging().max(1), mr.len, page);
-        if len != data.len() {
-            return Err(SmbError::SizeMismatch { key, expected: len, got: data.len() });
-        }
-        ctx.footprint(
-            pseudo_region("smb.poison", key.0),
-            page,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicRmw,
-        );
-        ctx.footprint(mr.rkey.0, off, len, shmcaffe_simnet::FootprintKind::AtomicRmw);
-        #[cfg(feature = "race-detect")]
-        self.inner.rdma.race_detector().record(
-            ctx,
-            mr.rkey.0,
-            off,
-            len,
-            shmcaffe_simnet::race::AccessKind::AtomicRmw,
-            "smb::replica::repair",
-        );
-        self.inner.rdma.with_region(&mr, |b| b[off..off + len].copy_from_slice(data))?;
-        let crc = crc32c_f32(data);
-        let mut segments = self.inner.segments.lock();
-        if let Some(seg) = segments.get_mut(&key) {
-            if let Some(slot) = seg.page_crcs.get_mut(page) {
-                *slot = crc;
+        self.with_grid(key, |grid| {
+            let span = grid.checked_span(page)?;
+            if span.len() != data.len() {
+                return Err(SmbError::SizeMismatch { key, expected: span.len(), got: data.len() });
             }
-            seg.poisoned.remove(&page);
-        }
-        Ok(())
+            ctx.footprint(
+                pseudo_region("smb.poison", key.0),
+                page,
+                1,
+                shmcaffe_simnet::FootprintKind::AtomicRmw,
+            );
+            ctx.footprint(
+                grid.mr.rkey.0,
+                span.start,
+                span.len(),
+                shmcaffe_simnet::FootprintKind::AtomicRmw,
+            );
+            #[cfg(feature = "race-detect")]
+            self.inner.rdma.race_detector().record(
+                ctx,
+                grid.mr.rkey.0,
+                span.start,
+                span.len(),
+                shmcaffe_simnet::race::AccessKind::AtomicRmw,
+                "smb::replica::repair",
+            );
+            grid.bytes[span].copy_from_slice(data);
+            grid.crcs[page] = crc32c_f32(data);
+            grid.poisoned.remove(&page);
+            Ok(())
+        })?
     }
 
     /// Whether a page is currently poisoned (footprinted so the explorer
@@ -1150,31 +1215,36 @@ impl SmbServer {
         page: usize,
     ) -> Result<Vec<f32>, SmbError> {
         self.apply_due_decays(ctx);
-        let (mr, _) = self.segment(key)?;
-        self.verify_page(ctx, key, &mr, page)?;
-        let (off, len) = page_span(self.paging().max(1), mr.len, page);
-        // Deliberately not race-recorded: zero-time snapshot taken after
-        // the repair protocol has waited out any in-flight replication
-        // pass, so it cannot observe a half-shipped segment.
-        Ok(self.inner.rdma.with_region(&mr, |b| b[off..off + len].to_vec())?)
+        self.with_grid(key, |grid| {
+            let span = grid.checked_span(page)?;
+            grid.verify(ctx, page)?;
+            // Deliberately not race-recorded: zero-time snapshot taken after
+            // the repair protocol has waited out any in-flight replication
+            // pass, so it cannot observe a half-shipped segment.
+            Ok(grid.bytes[span].to_vec())
+        })?
     }
 
-    /// Whether every page of a segment verifies clean. Failing pages are
-    /// poisoned as a side effect (the caller — the replicator — thereby
-    /// doubles as a scrubber). `true` when the grid is off.
-    pub(crate) fn segment_clean(&self, ctx: &SimContext, key: ShmKey) -> bool {
+    /// The segment's recorded page CRCs if and only if every page verifies
+    /// against them right now; `None` for a dirty or dead segment. Failing
+    /// pages are poisoned as a side effect (the caller — the replicator —
+    /// thereby doubles as a scrubber). Empty when the grid is off. Until
+    /// the caller next yields, the segment's bytes are known to hash to
+    /// the returned values (see [`SmbServer::install_contents`]).
+    pub(crate) fn verified_page_crcs(&self, ctx: &SimContext, key: ShmKey) -> Option<Vec<u32>> {
         if self.paging() == 0 {
-            return true;
+            return Some(Vec::new());
         }
         self.apply_due_decays(ctx);
-        let Ok((mr, _)) = self.segment(key) else { return false };
-        let mut clean = true;
-        for page in 0..self.page_count(mr.len) {
-            if self.verify_page(ctx, key, &mr, page).is_err() {
-                clean = false;
+        self.with_grid(key, |grid| {
+            let mut clean = true;
+            for page in 0..grid.crcs.len() {
+                clean &= grid.verify(ctx, page).is_ok();
             }
-        }
-        clean
+            clean.then(|| grid.crcs.to_vec())
+        })
+        .ok()
+        .flatten()
     }
 
     /// Deterministic corruption hook: flips one bit of one element without
@@ -1239,34 +1309,24 @@ impl SmbServer {
             return 0;
         }
         self.apply_due_decays(ctx);
-        let catalog: Vec<(ShmKey, MemoryRegion)> =
-            self.inner.segments.lock().iter().map(|(&k, s)| (k, s.mr)).collect();
         let mut newly = 0;
-        for (key, mr) in catalog {
-            let pages = self.page_count(mr.len);
-            if pages == 0 {
+        for (&key, seg) in self.inner.segments.lock().iter_mut() {
+            if seg.page_crcs.is_empty() {
                 continue;
             }
-            ctx.footprint(
-                pseudo_region("smb.poison", key.0),
-                0,
-                pages,
-                shmcaffe_simnet::FootprintKind::AtomicRead,
-            );
-            for page in 0..pages {
-                let poisoned_before = self
-                    .inner
-                    .segments
-                    .lock()
-                    .get(&key)
-                    .is_some_and(|s| s.poisoned.contains(&page));
-                if poisoned_before {
-                    continue;
+            let _ = self.grid_of(key, seg, |grid| {
+                ctx.footprint(
+                    pseudo_region("smb.poison", key.0),
+                    0,
+                    grid.crcs.len(),
+                    shmcaffe_simnet::FootprintKind::AtomicRead,
+                );
+                for page in 0..grid.crcs.len() {
+                    if !grid.poisoned.contains(&page) && grid.verify(ctx, page).is_err() {
+                        newly += 1;
+                    }
                 }
-                if self.verify_page(ctx, key, &mr, page).is_err() {
-                    newly += 1;
-                }
-            }
+            });
         }
         newly
     }
@@ -1353,8 +1413,8 @@ impl SmbServer {
                 wire_bytes: meta.wire_bytes,
                 name: meta.name.clone(),
                 version: meta.version,
-                // The replicator refreshes these from the copied contents
-                // right after the install (see `refresh_segment_crcs`).
+                // The replicator replaces these together with the contents
+                // right after the install (see `install_contents`).
                 page_crcs: self.initial_page_crcs(meta.len),
                 poisoned: BTreeSet::new(),
                 #[cfg(feature = "race-detect")]
@@ -1444,4 +1504,149 @@ pub(crate) struct LeaseMeta {
     pub(crate) last_heartbeat: SimTime,
     #[cfg(feature = "race-detect")]
     pub(crate) stamp: shmcaffe_simnet::race::VectorClock,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SmbClient;
+    use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
+    use shmcaffe_simnet::Simulation;
+
+    const PAGE: usize = 8;
+    /// Three full pages and a short last page of five elements.
+    const ELEMS: usize = 29;
+
+    fn paged_server() -> SmbServer {
+        let cfg = SmbServerConfig { page_elems: PAGE, ..SmbServerConfig::default() };
+        let rdma = RdmaFabric::new(Fabric::new(ClusterSpec::paper_testbed(1)));
+        SmbServer::with_config(rdma, cfg).unwrap()
+    }
+
+    /// Seeded payload: a fixed LCG mapped to modest magnitudes of both
+    /// signs, so accumulates stay finite.
+    fn payload(seed: u32, n: usize) -> Vec<f32> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (x >> 8) as f32 / 65_536.0 - 128.0
+            })
+            .collect()
+    }
+
+    fn page_crcs(server: &SmbServer, key: ShmKey) -> Vec<u32> {
+        server.inner.segments.lock()[&key].page_crcs.clone()
+    }
+
+    fn in_sim(f: impl FnOnce(&SimContext) + Send + 'static) {
+        let mut sim = Simulation::new();
+        sim.spawn("w", move |ctx| f(&ctx));
+        sim.run();
+    }
+
+    /// Nothing observable moved: the page-CRC vectors and the state hash of
+    /// a seeded write / accumulate / partial-page-overwrite / torn-write
+    /// sequence equal the literals captured on the commit before the kernel
+    /// and the page walker were replaced (f9968b2).
+    #[test]
+    fn grid_state_matches_the_golden_capture() {
+        let server = paged_server();
+        let s = server.clone();
+        in_sim(move |ctx| {
+            let client = SmbClient::new(s.clone(), NodeId(0));
+            let wg_key = client.create(ctx, "wg", ELEMS, None).unwrap();
+            let dw_key = client.create(ctx, "dw", ELEMS, None).unwrap();
+            let (wg, dw) = (client.alloc(ctx, wg_key).unwrap(), client.alloc(ctx, dw_key).unwrap());
+            client.write(ctx, &wg, &payload(7, ELEMS)).unwrap();
+            client.write(ctx, &dw, &payload(11, ELEMS)).unwrap();
+            client.accumulate(ctx, &dw, &wg).unwrap();
+            // Inside one page; across three pages from mid-page to mid-page;
+            // inside the short last page.
+            client.write_range(ctx, &wg, 3, &payload(13, 4)).unwrap();
+            client.write_range(ctx, &wg, 6, &payload(17, 12)).unwrap();
+            client.write_range(ctx, &wg, 26, &payload(19, 3)).unwrap();
+            s.accumulate_range(ctx, dw_key, wg_key, 5, 20).unwrap();
+            // A torn write records intent the bytes cannot match: the next
+            // verification poisons the pages past the delivered prefix.
+            s.inject_torn_write(ctx, dw_key, 10, &payload(23, 10), 4).unwrap();
+            assert!(s.verify_region(ctx, dw_key, 0, ELEMS).is_err());
+            assert_eq!(s.scrub_pass(ctx), 1);
+        });
+        let (wg_key, dw_key) = (server.lookup("wg").unwrap(), server.lookup("dw").unwrap());
+        assert_eq!(
+            page_crcs(&server, wg_key),
+            [0xfff0_b7e3, 0xc189_2724, 0x49ba_2529, 0x72e5_fb9f]
+        );
+        assert_eq!(
+            page_crcs(&server, dw_key),
+            [0x4bfe_b750, 0xb79d_8f8a, 0x7b39_d7d9, 0xb54c_ba57]
+        );
+        assert_eq!(server.poisoned_pages(dw_key), [1, 2]);
+        assert_eq!(server.state_hash(), 0x5db1_ffb6_4c9d_b5a2);
+    }
+
+    /// The chained overlay checksum equals the checksum of the materialised
+    /// overlay for ranges that start and end mid-page, cover whole pages,
+    /// and sit in the short last page.
+    #[test]
+    fn overlay_crc_equals_the_materialised_overlay() {
+        let cases: [(usize, usize); 8] =
+            [(0, ELEMS), (3, 2), (3, 5), (6, 12), (8, 8), (15, 14), (24, 5), (26, 2)];
+        for (offset, len) in cases {
+            let server = paged_server();
+            let s = server.clone();
+            in_sim(move |ctx| {
+                let client = SmbClient::new(s.clone(), NodeId(0));
+                let key = client.create(ctx, "seg", ELEMS, None).unwrap();
+                let buf = client.alloc(ctx, key).unwrap();
+                client.write(ctx, &buf, &payload(29, ELEMS)).unwrap();
+                // Record intent only: the bytes stay as they are.
+                s.note_write(ctx, key, offset, &payload(31, len));
+            });
+            let key = server.lookup("seg").unwrap();
+            // Untouched pages keep their recorded CRC, which is the CRC of
+            // their bytes, so one comparison covers every page.
+            let mut overlaid = payload(29, ELEMS);
+            overlaid[offset..offset + len].copy_from_slice(&payload(31, len));
+            let expect: Vec<u32> = overlaid.chunks(PAGE).map(crc32c_f32).collect();
+            assert_eq!(page_crcs(&server, key), expect, "range {offset}+{len}");
+        }
+    }
+
+    /// A fresh segment's grid is the checksum of zeros, page by page, for
+    /// aligned, short-tailed and smaller-than-a-page segments.
+    #[test]
+    fn initial_grid_hashes_zero_pages() {
+        let server = paged_server();
+        for elems in [0usize, 1, 5, 8, 9, 16, 29, 4100] {
+            let expect: Vec<u32> = vec![0.0f32; elems].chunks(PAGE).map(crc32c_f32).collect();
+            assert_eq!(server.initial_page_crcs(elems), expect, "elems {elems}");
+        }
+    }
+
+    /// Carried page CRCs must be exactly one per page: a vector of the
+    /// wrong length is refused before anything is overwritten, never
+    /// papered over by re-hashing.
+    #[test]
+    fn install_contents_refuses_a_miscounted_crc_vector() {
+        let server = paged_server();
+        let s = server.clone();
+        in_sim(move |ctx| {
+            let client = SmbClient::new(s.clone(), NodeId(0));
+            let key = client.create(ctx, "wg", ELEMS, None).unwrap();
+            let before = page_crcs(&s, key);
+            let data = payload(7, ELEMS);
+            let carried: Vec<u32> = data.chunks(PAGE).map(crc32c_f32).collect();
+            assert!(matches!(
+                s.install_contents(key, &data, Some(&carried[..3])),
+                Err(SmbError::SizeMismatch { expected: 4, got: 3, .. })
+            ));
+            assert_eq!(page_crcs(&s, key), before);
+            s.verify_region(ctx, key, 0, ELEMS).unwrap();
+            s.install_contents(key, &data, Some(&carried)).unwrap();
+            assert_eq!(page_crcs(&s, key), carried);
+            s.verify_region(ctx, key, 0, ELEMS).unwrap();
+        });
+    }
 }

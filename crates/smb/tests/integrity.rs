@@ -308,6 +308,72 @@ fn background_scrubber_finds_decay_between_reads() {
     sim.run();
 }
 
+/// A DRAM decay landing on the control-info segment no longer kills the
+/// run: the progress board repairs the poisoned page from the standby and
+/// retries once, for snapshots and for publishes alike, and the fault-free
+/// path costs the same virtual time as before.
+#[test]
+fn progress_board_survives_decay_on_its_segment() {
+    use shmcaffe_smb::progress::{ProgressBoard, WorkerProgress};
+    const WORKERS: usize = 6; // 12 elements: three pages
+    /// (snapshot after the decay, fault stats, virtual clock at the end).
+    fn run(decay: bool, publish_first: bool) -> (Vec<WorkerProgress>, [u64; 3], SimTime) {
+        let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(1) };
+        let memory_node = NodeId(spec.gpu_nodes);
+        // The board is the pair's only segment, so the seeded decay has
+        // nowhere else to land.
+        let plan = FaultPlan::new(21);
+        let plan = if decay { plan.decay_dram(memory_node, SimTime::from_millis(5)) } else { plan };
+        let pair =
+            SmbPair::new(RdmaFabric::new(Fabric::with_faults(spec, plan)), paged_config()).unwrap();
+        let p = pair.clone();
+        let out = Arc::new(Mutex::new((Vec::new(), [0u64; 3], SimTime::ZERO)));
+        let o2 = Arc::clone(&out);
+        let mut sim = Simulation::new();
+        sim.spawn("w", move |ctx| {
+            let client = SmbClient::with_failover(p.clone(), NodeId(0));
+            let (board, _key) = ProgressBoard::create(&client, &ctx, "ctrl", WORKERS).unwrap();
+            for rank in 0..WORKERS {
+                board.publish(&client, &ctx, rank, 10 + rank as u64, false).unwrap();
+            }
+            p.replicate(&ctx).unwrap();
+            ctx.sleep_until(SimTime::from_millis(6));
+            if publish_first {
+                // Re-publishing the replicated value keeps the repaired
+                // board equal to the undamaged one whichever page decayed.
+                for rank in 0..WORKERS {
+                    board.publish(&client, &ctx, rank, 10 + rank as u64, false).unwrap();
+                }
+            }
+            let snap = board.snapshot(&client, &ctx).unwrap();
+            let fs = client.fault_stats();
+            *o2.lock() = (
+                snap.workers,
+                [fs.corruptions_detected, fs.corruptions_repaired, fs.corruptions_unrepairable],
+                ctx.now(),
+            );
+            if decay {
+                assert_eq!(p.repairs_completed(), 1);
+                assert_eq!(p.primary().corruptions_detected(), 1);
+                let inj = p.primary().rdma().fabric().fault_injector().unwrap().stats();
+                assert_eq!(inj.dram_decays_applied, 1, "{inj:?}");
+            }
+        });
+        sim.run();
+        let guard = out.lock();
+        guard.clone()
+    }
+    for publish_first in [false, true] {
+        let (clean, clean_stats, _) = run(false, publish_first);
+        let (repaired, stats, _) = run(true, publish_first);
+        assert_eq!(repaired, clean, "repair restores the replicated board");
+        assert_eq!(clean_stats, [0, 0, 0]);
+        assert_eq!(stats, [1, 1, 0], "detected once, repaired once, nothing unrepairable");
+    }
+    // Same seed, same decay: the repaired run replays to the same clock.
+    assert_eq!(run(true, false).2, run(true, false).2);
+}
+
 /// The whole detect → repair pipeline is a pure function of the seed: two
 /// runs produce bit-identical repaired bytes, identical counters, and an
 /// identical virtual clock.

@@ -10,19 +10,22 @@
 //! * [`pool`] — max/average pooling forward/backward,
 //! * [`ops`] — element-wise and BLAS-1 style vector operations (`axpy`,
 //!   `scal`, `dot`, activations),
-//! * [`init`] — seeded weight initialisation (Gaussian, Xavier, MSRA).
+//! * [`init`] — seeded weight initialisation (Gaussian, Xavier, MSRA),
+//! * [`crc32c`] — streaming CRC32C over f32 bit patterns (the SMB integrity
+//!   grid's checksum), hardware `crc32` instruction or slicing-by-8 tables.
 //!
 //! Everything is deterministic given a seed and there is no external BLAS
 //! dependency. Hot kernels run on a persistent crate-level worker pool
 //! ([`parallel`], sized by `SHMCAFFE_THREADS`) with **fixed split points**,
 //! so results are bit-identical at any thread count, and draw scratch from
 //! reusable per-thread [`workspace`] arenas so steady-state forward/backward
-//! allocates nothing. The only unsafe code in the crate is three audited
-//! sites, all in `gemm.rs`/`parallel.rs`: the lifetime-erasure in the
-//! pool's dispatch path, the `SliceParts` disjoint-range writer the fixed
-//! tile grids borrow output through, and the feature-gated AVX2
+//! allocates nothing. The only unsafe code in the crate is four audited
+//! sites in `gemm.rs`/`parallel.rs`/`crc32c.rs`: the lifetime-erasure in
+//! the pool's dispatch path, the `SliceParts` disjoint-range writer the
+//! fixed tile grids borrow output through, the feature-gated AVX2
 //! recompilation of the gemm micro-kernel (guarded by runtime detection,
-//! same IEEE operation order).
+//! same IEEE operation order), and the runtime-detected call into the
+//! SSE4.2 CRC32C kernel (same checksum as the portable tables).
 //!
 //! # Example
 //!
@@ -43,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod conv;
+pub mod crc32c;
 mod error;
 pub mod gemm;
 pub mod init;

@@ -66,7 +66,8 @@ echo "== partition tolerance: split-brain chaos + fencing/replica suites =="
 cargo test -q -p shmcaffe --test partition
 cargo test -q -p shmcaffe-smb --lib -- promotion fenced partition reconcile
 
-echo "== data integrity: CRC-grid proptests + repair/scrub suites + corruption chaos =="
+echo "== data integrity: CRC kernel + CRC-grid proptests + repair/scrub suites + corruption chaos =="
+cargo test -q -p shmcaffe-tensor --lib crc32c
 cargo test -q -p shmcaffe-smb --test integrity_proptests
 cargo test -q -p shmcaffe-smb --test integrity
 cargo test -q -p shmcaffe --test chaos -- corrupt

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Miri pass over the shmcaffe-tensor worker pool.
+# Miri pass over the shmcaffe-tensor worker pool and the portable CRC32C
+# kernel.
 #
-# Scope: the workspace contains exactly three `unsafe` sites (enforced by
-# `cargo run -p shmcaffe-analysis`):
+# Scope: the workspace contains exactly four audited `unsafe` sites
+# (enforced by `cargo run -p shmcaffe-analysis`):
 #
 #   1. crates/tensor/src/gemm.rs — the AVX2 recompilation of the safe
 #      micro-kernel body behind `#[target_feature]`. Miri does not model
@@ -16,7 +17,14 @@
 #      report per enqueued job, so the erased borrows outlive every use.
 #      The pool tests drive real cross-thread enqueue/complete cycles under
 #      the borrow-tracking interpreter.
-#   3. crates/tensor/tests/alloc_free.rs — the counting
+#   3. crates/tensor/src/crc32c.rs — the call into the SSE4.2 `crc32`
+#      kernel behind `is_x86_feature_detected!("sse4.2")`. The kernel is a
+#      safe `#[target_feature]` function (the intrinsics are safe inside
+#      it); the one `unsafe` block is the call from dispatch. Like the AVX2
+#      path it is compiled out under `cfg(miri)`, so every checksum in a
+#      Miri run goes through the safe slicing-by-8 tables — the crc32c
+#      tests below check that kernel against the byte-at-a-time oracle.
+#   4. crates/tensor/tests/alloc_free.rs — the counting
 #      `#[global_allocator]` backing the zero-allocation gate; it delegates
 #      verbatim to `System` plus one relaxed counter increment. Test-only,
 #      never linked into library or bin targets.
@@ -39,5 +47,9 @@ fi
 echo "== miri: shmcaffe-tensor worker pool (baseline kernel, 2 threads) =="
 SHMCAFFE_THREADS=2 MIRIFLAGS="-Zmiri-disable-isolation" \
     "${MIRI[@]}" test -p shmcaffe-tensor parallel
+
+echo "== miri: shmcaffe-tensor CRC32C (portable slicing-by-8 kernel) =="
+MIRIFLAGS="-Zmiri-disable-isolation" \
+    "${MIRI[@]}" test -p shmcaffe-tensor --lib crc32c
 
 echo "miri.sh: passed"
