@@ -20,15 +20,22 @@
 //! runs it under `SHMCAFFE_THREADS=1` and `=4` and diffs the output to
 //! prove the backend's thread-count invariance end to end.
 //!
+//! `--layers` times every distinct layer geometry of the benchmark's
+//! `mini_inception(3, 32, 4)` at batch 16 through the `Layer` API (forward,
+//! backward, and the parameters-only backward the first layer gets), prints
+//! the table and replaces the `layers` section of `BENCH_kernels.json`,
+//! leaving the other sections as recorded.
+//!
 //! `--smoke` runs only the fused VGG layer at 1 and 4 threads and exits
 //! non-zero if the 4-thread schedule falls below a host-aware floor — the
 //! cheap CI regression gate for the column-parallel dispatch.
 
-use shmcaffe_bench::json::{write_bench_json, Json};
+use shmcaffe_bench::json::{repo_root, write_bench_json, Json};
 use shmcaffe_bench::table::Table;
 use shmcaffe_dnn::data::Dataset;
 use shmcaffe_dnn::data::SyntheticImages;
-use shmcaffe_dnn::{LrPolicy, Solver, SolverConfig};
+use shmcaffe_dnn::layers::{Conv2d, Inception, InceptionSpec, InnerProduct, Lrn, Pool2d, Relu};
+use shmcaffe_dnn::{Layer, LrPolicy, Phase, Solver, SolverConfig};
 use shmcaffe_models::proxies;
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
@@ -38,7 +45,9 @@ use shmcaffe_tensor::conv::{
     conv2d_backward, conv2d_backward_ref, conv2d_forward, conv2d_forward_ref, Conv2dGeometry,
 };
 use shmcaffe_tensor::gemm::{gemm, Transpose};
-use shmcaffe_tensor::parallel;
+use shmcaffe_tensor::init::Filler;
+use shmcaffe_tensor::pool::PoolKind;
+use shmcaffe_tensor::{parallel, Tensor};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -439,6 +448,153 @@ fn bench_smb_accumulate(table: &mut Table) -> Json {
     Json::obj(vec![("elems", Json::Int(ELEMS as i64)), ("threads", Json::Arr(entries))])
 }
 
+/// One layer of the real-training proxy, with the input it sees there.
+struct LayerCase {
+    label: String,
+    layer: Box<dyn Layer>,
+    in_dims: [usize; 4],
+}
+
+const LAYER_BATCH: usize = 16;
+const LAYER_REPS: usize = 100;
+
+/// Every distinct `(layer kind, geometry)` of `proxies::mini_inception(3,
+/// 32, 4)` — the `real_inception_a4` workload's net — plus its two
+/// Inception modules whole. Branch convolutions that share a geometry
+/// (`1x1` and `3x3_reduce` of 3a, `3x3` of 3a and 3b, …) appear once.
+fn layer_cases() -> Vec<LayerCase> {
+    let mut cases = Vec::new();
+    let mut push = |label: String, layer: Box<dyn Layer>, channels: usize, hw: usize| {
+        cases.push(LayerCase { label, layer, in_dims: [LAYER_BATCH, channels, hw, hw] });
+    };
+    let conv = |c_in: usize, c_out: usize, hw: usize, k: usize| -> Box<dyn Layer> {
+        let geom = Conv2dGeometry::square(c_in, hw, k, 1, k / 2);
+        Box::new(Conv2d::new("conv", geom, c_out, Filler::Msra, 1).expect("geometry fits"))
+    };
+    let max_pool = |c: usize, hw: usize, k: usize, stride: usize, pad: usize| -> Box<dyn Layer> {
+        let geom = Conv2dGeometry::square(c, hw, k, stride, pad);
+        Box::new(Pool2d::new("pool", PoolKind::Max, geom).expect("geometry fits"))
+    };
+    let spec_a = InceptionSpec { c1: 4, c3_reduce: 4, c3: 8, c5_reduce: 2, c5: 2, pool_proj: 2 };
+    let spec_b = InceptionSpec { c1: 6, c3_reduce: 4, c3: 8, c5_reduce: 2, c5: 4, pool_proj: 6 };
+
+    push("stem/conv 3->8 3x3 @32".into(), conv(3, 8, 32, 3), 3, 32);
+    push("stem/relu 8x32x32".into(), Box::new(Relu::new("relu")), 8, 32);
+    push("stem/lrn 8x32x32".into(), Box::new(Lrn::with_defaults("lrn")), 8, 32);
+    push("stem/pool 2x2 s2 8x32x32".into(), max_pool(8, 32, 2, 2, 0), 8, 32);
+    for (name, c_in, spec) in [("inception_3a", 8, spec_a), ("inception_3b", 16, spec_b)] {
+        let module = Inception::new(name, c_in, 16, spec, 1).expect("geometry fits");
+        push(
+            format!("{name} whole {c_in}->{} @16", spec.out_channels()),
+            Box::new(module),
+            c_in,
+            16,
+        );
+    }
+    for (c_in, c_out, k) in
+        [(8, 4, 1), (8, 2, 1), (16, 6, 1), (16, 4, 1), (16, 2, 1), (4, 8, 3), (2, 2, 5), (2, 4, 5)]
+    {
+        push(format!("conv {c_in}->{c_out} {k}x{k} @16"), conv(c_in, c_out, 16, k), c_in, 16);
+    }
+    for c in [8, 16] {
+        push(format!("pool 3x3 s1 p1 {c}x16x16"), max_pool(c, 16, 3, 1, 1), c, 16);
+    }
+    push("pool4 2x2 s2 24x16x16".into(), max_pool(24, 16, 2, 2, 0), 24, 16);
+    let classifier = InnerProduct::new("classifier", 24 * 8 * 8, 4, Filler::Xavier, 1);
+    push("classifier 1536->4".into(), Box::new(classifier), 24, 8);
+    cases
+}
+
+/// The `--layers` table: best-of-N forward / backward / parameters-only
+/// backward per layer geometry, at each thread count the host can really
+/// run. Thread counts above `host_threads` are listed as skipped rather
+/// than published as flat "speedups".
+fn bench_layers(host_threads: usize, table: &mut Table) -> Json {
+    let skipped: Vec<usize> = THREAD_COUNTS.iter().copied().filter(|&t| t > host_threads).collect();
+    if !skipped.is_empty() {
+        println!("threads {skipped:?} skipped: the host has {host_threads} cores\n");
+    }
+    let mut rows = Vec::new();
+    for case in &mut layer_cases() {
+        let x = Tensor::from_vec(filled(case.in_dims.iter().product(), 0.017), &case.in_dims)
+            .expect("dims match length");
+        let layer = &mut case.layer;
+        let out_dims = layer.forward(&x, Phase::Train).expect("shapes match").dims().to_vec();
+        let dy = Tensor::from_vec(filled(out_dims.iter().product(), 0.023), &out_dims)
+            .expect("dims match length");
+        let mut entries = Vec::new();
+        for &t in THREAD_COUNTS.iter().filter(|&&t| t <= host_threads) {
+            let us = |seconds: f64| seconds * 1e6;
+            let (fwd, bwd, bwd_params) = parallel::with_threads(t, || {
+                (
+                    us(time_per_rep(LAYER_REPS, || drop(layer.forward(&x, Phase::Train)))),
+                    us(time_per_rep(LAYER_REPS, || drop(layer.backward(&dy)))),
+                    us(time_per_rep(LAYER_REPS, || drop(layer.backward_params_only(&dy)))),
+                )
+            });
+            table.row_owned(vec![
+                case.label.clone(),
+                t.to_string(),
+                format!("{fwd:.0}"),
+                format!("{bwd:.0}"),
+                format!("{bwd_params:.0}"),
+            ]);
+            entries.push(Json::obj(vec![
+                ("threads", Json::Int(t as i64)),
+                ("fwd_us", Json::Num(fwd)),
+                ("bwd_us", Json::Num(bwd)),
+                ("bwd_params_only_us", Json::Num(bwd_params)),
+            ]));
+        }
+        rows.push(Json::obj(vec![
+            ("layer", Json::str(case.label.as_str())),
+            ("threads", Json::Arr(entries)),
+        ]));
+    }
+    Json::obj(vec![
+        ("net", Json::str("proxies::mini_inception(3, 32, 4)")),
+        ("batch", Json::Int(LAYER_BATCH as i64)),
+        ("reps", Json::Int(LAYER_REPS as i64)),
+        ("available_parallelism", Json::Int(host_threads as i64)),
+        ("skipped_threads", Json::Arr(skipped.iter().map(|&t| Json::Int(t as i64)).collect())),
+        ("rows", Json::Arr(rows)),
+    ])
+}
+
+/// `--layers`: prints the per-layer table and replaces only the `layers`
+/// section of the checked-in `BENCH_kernels.json`.
+fn layers_main(host_threads: usize) {
+    println!(
+        "Per-layer fwd/bwd of mini_inception(3, 32, 4), batch {LAYER_BATCH}, best of {LAYER_REPS}"
+    );
+    println!("host available_parallelism: {host_threads}\n");
+    let mut table =
+        Table::new("Layer time (us)", &["layer", "threads", "fwd", "bwd", "bwd params-only"]);
+    let layers = bench_layers(host_threads, &mut table);
+    table.print();
+    update_bench_file(vec![("layers", layers)]);
+}
+
+/// Sets `sections` in the checked-in `BENCH_kernels.json`, keeping every
+/// section this run did not measure as recorded.
+fn update_bench_file(sections: Vec<(&str, Json)>) {
+    let path = repo_root().join("BENCH_kernels.json");
+    let mut doc = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text))
+        .unwrap_or_else(|e| {
+            eprintln!("starting a fresh BENCH_kernels.json ({e})");
+            Json::Obj(Vec::new())
+        });
+    for (key, value) in sections {
+        doc.set(key, value);
+    }
+    match write_bench_json("kernels", &doc) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("failed to write BENCH_kernels.json: {e}"),
+    }
+}
+
 /// Trains the CNN proxy for a fixed seeded schedule and returns the FNV-1a
 /// hash of the final weight bits. Identical output at any thread count is
 /// the end-to-end determinism check wired into `scripts/check.sh`.
@@ -485,6 +641,10 @@ fn main() {
     if std::env::args().any(|a| a == "--smoke") {
         std::process::exit(smoke(host_threads));
     }
+    if std::env::args().any(|a| a == "--layers") {
+        layers_main(host_threads);
+        return;
+    }
     println!("Kernel throughput at 1/2/4/8 logical threads (deterministic backend)");
     println!("host available_parallelism: {host_threads}\n");
 
@@ -495,7 +655,7 @@ fn main() {
     let smb_json = bench_smb_accumulate(&mut table);
     table.print();
 
-    let doc = Json::obj(vec![
+    update_bench_file(vec![
         ("benchmark", Json::str("kernel_bench")),
         ("available_parallelism", Json::Int(host_threads as i64)),
         (
@@ -510,8 +670,4 @@ fn main() {
         ("smb_accumulate", smb_json),
         ("table", Json::from(&table)),
     ]);
-    match write_bench_json("kernels", &doc) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH_kernels.json: {e}"),
-    }
 }

@@ -55,6 +55,35 @@ impl Json {
         out
     }
 
+    /// Sets `key` of an object to `value`, in place if the key exists and
+    /// appended otherwise; a non-object becomes a one-key object.
+    pub fn set(&mut self, key: &str, value: Json) {
+        if !matches!(self, Json::Obj(_)) {
+            *self = Json::Obj(Vec::new());
+        }
+        let Json::Obj(pairs) = self else { unreachable!("just made an object") };
+        match pairs.iter_mut().find(|(k, _)| k == key) {
+            Some((_, slot)) => *slot = value,
+            None => pairs.push((key.to_string(), value)),
+        }
+    }
+
+    /// Parses a JSON document (what [`Json::render`] writes, and standard
+    /// JSON generally; `\u` escapes outside the BMP are not combined).
+    ///
+    /// # Errors
+    ///
+    /// Returns the byte offset and a reason if `text` is not one JSON value.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let value = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.fail("trailing characters"));
+        }
+        Ok(value)
+    }
+
     fn write(&self, out: &mut String, indent: usize) {
         match self {
             Json::Null => out.push_str("null"),
@@ -116,6 +145,136 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn fail(&self, why: &str) -> String {
+        format!("JSON parse error at byte {}: {why}", self.pos)
+    }
+
+    fn skip_ws(&mut self) {
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes `token` if it is next (after whitespace).
+    fn eat(&mut self, token: &str) -> bool {
+        self.skip_ws();
+        let hit = self.bytes[self.pos..].starts_with(token.as_bytes());
+        if hit {
+            self.pos += token.len();
+        }
+        hit
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        if self.eat("null") {
+            Ok(Json::Null)
+        } else if self.eat("true") {
+            Ok(Json::Bool(true))
+        } else if self.eat("false") {
+            Ok(Json::Bool(false))
+        } else if self.eat("[") {
+            let mut items = Vec::new();
+            if !self.eat("]") {
+                loop {
+                    items.push(self.value()?);
+                    if self.eat("]") {
+                        break;
+                    }
+                    if !self.eat(",") {
+                        return Err(self.fail("expected ',' or ']'"));
+                    }
+                }
+            }
+            Ok(Json::Arr(items))
+        } else if self.eat("{") {
+            let mut pairs = Vec::new();
+            if !self.eat("}") {
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    if !self.eat(":") {
+                        return Err(self.fail("expected ':'"));
+                    }
+                    pairs.push((key, self.value()?));
+                    if self.eat("}") {
+                        break;
+                    }
+                    if !self.eat(",") {
+                        return Err(self.fail("expected ',' or '}'"));
+                    }
+                }
+            }
+            Ok(Json::Obj(pairs))
+        } else if self.bytes.get(self.pos) == Some(&b'"') {
+            self.string().map(Json::Str)
+        } else {
+            self.number()
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while self.bytes.get(self.pos).is_some_and(|b| b"+-.eE0123456789".contains(b)) {
+            self.pos += 1;
+        }
+        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        if let Ok(v) = token.parse::<i64>() {
+            return Ok(Json::Int(v));
+        }
+        token.parse::<f64>().map(Json::Num).map_err(|_| self.fail("expected a value"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if self.bytes.get(self.pos) != Some(&b'"') {
+            return Err(self.fail("expected '\"'"));
+        }
+        self.pos += 1;
+        let mut out = Vec::new();
+        loop {
+            let Some(&b) = self.bytes.get(self.pos) else {
+                return Err(self.fail("unterminated string"));
+            };
+            self.pos += 1;
+            match b {
+                b'"' => break,
+                b'\\' => {
+                    let Some(&esc) = self.bytes.get(self.pos) else {
+                        return Err(self.fail("unterminated escape"));
+                    };
+                    self.pos += 1;
+                    let c = match esc {
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'u' => {
+                            let hex = self.bytes.get(self.pos..self.pos + 4);
+                            let code = hex
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| self.fail("bad \\u escape"))?;
+                            self.pos += 4;
+                            code
+                        }
+                        other => other as char, // '"', '\\', '/'
+                    };
+                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                b => out.push(b),
+            }
+        }
+        String::from_utf8(out).map_err(|_| self.fail("string is not UTF-8"))
     }
 }
 
@@ -205,6 +364,27 @@ mod tests {
         assert!(s.contains("\"x\\\"y\""));
         assert!(s.contains("1.5"));
         assert!(s.contains("null"));
+    }
+
+    #[test]
+    fn parse_round_trips_render_and_set_replaces_in_place() {
+        let mut v = Json::obj(vec![
+            ("n", Json::Int(-3)),
+            ("x", Json::Num(0.125)),
+            ("s", Json::str("a\"b\\c\n\u{1}é")),
+            ("arr", Json::Arr(vec![Json::Bool(false), Json::Null, Json::Arr(vec![])])),
+            ("o", Json::obj(vec![])),
+        ]);
+        assert_eq!(Json::parse(&v.render()).unwrap(), v);
+        v.set("x", Json::Int(7));
+        v.set("new", Json::Null);
+        let Json::Obj(pairs) = &v else { panic!("object") };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["n", "x", "s", "arr", "o", "new"]);
+        assert_eq!(pairs[1].1, Json::Int(7));
+        for bad in ["", "{", "[1,]", "{\"a\" 1}", "1 2", "\"open", "nul"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
     }
 
     #[test]

@@ -47,6 +47,19 @@ pub trait Layer: Send {
     /// produced by the last forward pass.
     fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError>;
 
+    /// [`Layer::backward`] for a layer whose input gradient has no consumer
+    /// (Caffe's `propagate_down = false`; [`crate::Net`] calls it on its
+    /// first layer): accumulates the same parameter gradients and returns
+    /// no input gradient. The default runs the full backward and drops the
+    /// result; layers that can skip that work override it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params_only(&mut self, d_output: &Tensor) -> Result<(), DnnError> {
+        self.backward(d_output).map(drop)
+    }
+
     /// Learnable parameter blobs paired with their gradient blobs
     /// (weights first, then bias). Parameter-free layers return an empty
     /// vector (the default).

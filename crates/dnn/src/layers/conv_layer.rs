@@ -133,6 +133,23 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
+        self.backprop(d_output, true)
+    }
+
+    fn backward_params_only(&mut self, d_output: &Tensor) -> Result<(), DnnError> {
+        self.backprop(d_output, false).map(drop)
+    }
+
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        vec![(&mut self.weights, &mut self.d_weights), (&mut self.bias, &mut self.d_bias)]
+    }
+}
+
+impl Conv2d {
+    /// Accumulates `dW`/`db`; also computes the input gradient if
+    /// `want_d_input`, else returns an empty tensor (the kernel skips the
+    /// `Wᵀ·dY` gemm and col2im for an empty `d_input`).
+    fn backprop(&mut self, d_output: &Tensor, want_d_input: bool) -> Result<Tensor, DnnError> {
         let input = self.cached_input.take().ok_or_else(|| DnnError::BadInput {
             layer: self.name.clone(),
             message: "backward called before forward".to_string(),
@@ -146,7 +163,7 @@ impl Layer for Conv2d {
                 message: format!("d_output length {} != {expected}", d_output.len()),
             });
         }
-        let mut d_input = Tensor::zeros(input.dims());
+        let mut d_input = Tensor::zeros(if want_d_input { input.dims() } else { &[0] });
         conv2d_backward(
             &self.geom,
             batch,
@@ -160,10 +177,6 @@ impl Layer for Conv2d {
         );
         self.cached_input = Some(input);
         Ok(d_input)
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        vec![(&mut self.weights, &mut self.d_weights), (&mut self.bias, &mut self.d_bias)]
     }
 }
 

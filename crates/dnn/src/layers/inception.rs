@@ -10,9 +10,10 @@
 use shmcaffe_tensor::conv::Conv2dGeometry;
 use shmcaffe_tensor::init::Filler;
 use shmcaffe_tensor::pool::PoolKind;
-use shmcaffe_tensor::Tensor;
+use shmcaffe_tensor::{ops, Tensor};
 
 use super::{Conv2d, Pool2d, Relu};
+use crate::net::forward_chain;
 use crate::{DnnError, Layer, Phase};
 
 /// Output channels of each branch of an [`Inception`] module.
@@ -47,11 +48,7 @@ struct Branch {
 
 impl Branch {
     fn forward(&mut self, input: &Tensor, phase: Phase) -> Result<Tensor, DnnError> {
-        let mut act = input.clone();
-        for layer in &mut self.layers {
-            act = layer.forward(&act, phase)?;
-        }
-        Ok(act)
+        forward_chain(&mut self.layers, input, phase)
     }
 
     fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
@@ -235,11 +232,7 @@ impl Layer for Inception {
             let g = branch.backward(&d_branch)?;
             match &mut d_input {
                 None => d_input = Some(g),
-                Some(acc) => {
-                    for (a, v) in acc.data_mut().iter_mut().zip(g.data().iter()) {
-                        *a += v;
-                    }
-                }
+                Some(acc) => ops::axpy(1.0, g.data(), acc.data_mut()),
             }
             c_off += bc;
         }

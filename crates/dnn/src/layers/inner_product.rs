@@ -122,6 +122,22 @@ impl Layer for InnerProduct {
     }
 
     fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
+        self.backprop(d_output, true)
+    }
+
+    fn backward_params_only(&mut self, d_output: &Tensor) -> Result<(), DnnError> {
+        self.backprop(d_output, false).map(drop)
+    }
+
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        vec![(&mut self.weights, &mut self.d_weights), (&mut self.bias, &mut self.d_bias)]
+    }
+}
+
+impl InnerProduct {
+    /// Accumulates `dW`/`db`; also computes `dX = dY·W` if `want_d_input`,
+    /// else returns an empty tensor.
+    fn backprop(&mut self, d_output: &Tensor, want_d_input: bool) -> Result<Tensor, DnnError> {
         let input = self.cached_input.as_ref().ok_or_else(|| DnnError::BadInput {
             layer: self.name.clone(),
             message: "backward called before forward".to_string(),
@@ -157,6 +173,9 @@ impl Layer for InnerProduct {
                 *g += d;
             }
         }
+        if !want_d_input {
+            return Ok(Tensor::zeros(&[0]));
+        }
         // dX = dY * W
         let mut d_input = Tensor::zeros(&[batch, self.in_features]);
         gemm(
@@ -172,10 +191,6 @@ impl Layer for InnerProduct {
             d_input.data_mut(),
         );
         Ok(d_input)
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        vec![(&mut self.weights, &mut self.d_weights), (&mut self.bias, &mut self.d_bias)]
     }
 }
 

@@ -1,10 +1,10 @@
 //! Local Response Normalisation (across channels), as used by AlexNet and
 //! GoogLeNet/Inception-v1 — the paper's headline model.
 //!
-//! Both directions are batch-parallel: LRN windows never cross images, so
-//! each image runs as an independent task on the tensor worker pool.
+//! The arithmetic lives in [`shmcaffe_tensor::lrn`]; this layer validates
+//! shapes and keeps what backward needs (the input and the scale map).
 
-use shmcaffe_tensor::parallel::{self, Task};
+use shmcaffe_tensor::lrn::{lrn_backward, lrn_forward, LrnParams};
 use shmcaffe_tensor::Tensor;
 
 use crate::{DnnError, Layer, Phase};
@@ -15,17 +15,10 @@ use crate::{DnnError, Layer, Phase};
 #[derive(Debug)]
 pub struct Lrn {
     name: String,
-    size: usize,
-    alpha: f32,
-    beta: f32,
-    k: f32,
-    cache: Option<LrnCache>,
-}
-
-#[derive(Debug)]
-struct LrnCache {
-    input: Tensor,
-    /// The `(k + α/n Σ x²)` term per element.
+    params: LrnParams,
+    cached_input: Option<Tensor>,
+    /// The `(k + α/n Σ x²)` term per element of the cached input; reused
+    /// across iterations.
     scale: Vec<f32>,
 }
 
@@ -39,23 +32,17 @@ impl Lrn {
     /// channel).
     pub fn new(name: &str, size: usize, alpha: f32, beta: f32, k: f32) -> Self {
         assert!(size % 2 == 1 && size > 0, "LRN window must be odd and positive");
-        Lrn { name: name.to_string(), size, alpha, beta, k, cache: None }
+        Lrn {
+            name: name.to_string(),
+            params: LrnParams { size, alpha, beta, k },
+            cached_input: None,
+            scale: Vec::new(),
+        }
     }
 
     /// Caffe's default parameters.
     pub fn with_defaults(name: &str) -> Self {
         Self::new(name, 5, 1e-4, 0.75, 1.0)
-    }
-
-    fn dims_of(&self, t: &Tensor) -> Result<(usize, usize, usize), DnnError> {
-        let dims = t.dims();
-        if dims.len() != 4 {
-            return Err(DnnError::BadInput {
-                layer: self.name.clone(),
-                message: format!("expected (N, C, H, W), got {dims:?}"),
-            });
-        }
-        Ok((dims[0], dims[1], dims[2] * dims[3]))
     }
 }
 
@@ -65,118 +52,51 @@ impl Layer for Lrn {
     }
 
     fn forward(&mut self, input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
-        let (batch, channels, spatial) = self.dims_of(input)?;
-        let x = input.data();
-        let mut out = Tensor::zeros(input.dims());
-        let mut scale = vec![0.0f32; x.len()];
-        let half = self.size / 2;
-        let alpha_n = self.alpha / self.size as f32;
-
-        let img_len = channels * spatial;
-        let k = self.k;
-        let beta = self.beta;
-        let forward_one = |x_image: &[f32], out_image: &mut [f32], scale_image: &mut [f32]| {
-            for c in 0..channels {
-                let lo = c.saturating_sub(half);
-                let hi = (c + half + 1).min(channels);
-                for s in 0..spatial {
-                    let mut acc = 0.0f32;
-                    for cc in lo..hi {
-                        let v = x_image[cc * spatial + s];
-                        acc += v * v;
-                    }
-                    let idx = c * spatial + s;
-                    let sc = k + alpha_n * acc;
-                    scale_image[idx] = sc;
-                    out_image[idx] = x_image[idx] * sc.powf(-beta);
-                }
-            }
-        };
-
-        if batch <= 1 || img_len == 0 || parallel::current_threads() <= 1 {
-            for ((x_image, out_image), scale_image) in x
-                .chunks(img_len.max(1))
-                .zip(out.data_mut().chunks_mut(img_len.max(1)))
-                .zip(scale.chunks_mut(img_len.max(1)))
-            {
-                forward_one(x_image, out_image, scale_image);
-            }
-        } else {
-            let forward_one = &forward_one;
-            let tasks: Vec<Task<'_>> = x
-                .chunks(img_len)
-                .zip(out.data_mut().chunks_mut(img_len))
-                .zip(scale.chunks_mut(img_len))
-                .map(|((x_image, out_image), scale_image)| -> Task<'_> {
-                    Box::new(move || forward_one(x_image, out_image, scale_image))
-                })
-                .collect();
-            parallel::run_tasks(tasks);
+        let dims = input.dims();
+        if dims.len() != 4 {
+            return Err(DnnError::BadInput {
+                layer: self.name.clone(),
+                message: format!("expected (N, C, H, W), got {dims:?}"),
+            });
         }
-        self.cache = Some(LrnCache { input: input.clone(), scale });
+        let mut out = Tensor::zeros(dims);
+        self.scale.resize(input.len(), 0.0);
+        lrn_forward(
+            &self.params,
+            dims[0],
+            dims[1],
+            dims[2] * dims[3],
+            input.data(),
+            out.data_mut(),
+            &mut self.scale,
+        );
+        self.cached_input = Some(input.clone());
         Ok(out)
     }
 
     fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
-        let cache = self.cache.as_ref().ok_or_else(|| DnnError::BadInput {
+        let input = self.cached_input.as_ref().ok_or_else(|| DnnError::BadInput {
             layer: self.name.clone(),
             message: "backward called before forward".to_string(),
         })?;
-        if d_output.len() != cache.input.len() {
+        if d_output.len() != input.len() {
             return Err(DnnError::BadInput {
                 layer: self.name.clone(),
                 message: "d_output length mismatch".to_string(),
             });
         }
-        let (batch, channels, spatial) = self.dims_of(&cache.input)?;
-        let x = cache.input.data();
-        let dy = d_output.data();
-        let scale = &cache.scale;
-        let half = self.size / 2;
-        let alpha_n = self.alpha / self.size as f32;
-        let mut d_input = Tensor::zeros(cache.input.dims());
-
-        // dx_i = dy_i * s_i^{-β} − 2αβ/n · x_i · Σ_{j: i∈win(j)} dy_j x_j s_j^{-β-1}
-        let img_len = channels * spatial;
-        let beta = self.beta;
-        let backward_one = |n: usize, d_image: &mut [f32]| {
-            let base = n * img_len;
-            for c in 0..channels {
-                let lo = c.saturating_sub(half);
-                let hi = (c + half + 1).min(channels);
-                for s in 0..spatial {
-                    let idx = base + c * spatial + s;
-                    let mut grad = dy[idx] * scale[idx].powf(-beta);
-                    // Channels j whose window contains c.
-                    for j in lo..hi {
-                        let jdx = base + j * spatial + s;
-                        grad -= 2.0
-                            * alpha_n
-                            * beta
-                            * x[idx]
-                            * dy[jdx]
-                            * x[jdx]
-                            * scale[jdx].powf(-beta - 1.0);
-                    }
-                    d_image[c * spatial + s] = grad;
-                }
-            }
-        };
-
-        if batch <= 1 || img_len == 0 || parallel::current_threads() <= 1 {
-            for (n, d_image) in d_input.data_mut().chunks_mut(img_len.max(1)).enumerate() {
-                backward_one(n, d_image);
-            }
-        } else {
-            let backward_one = &backward_one;
-            let tasks: Vec<Task<'_>> = d_input
-                .data_mut()
-                .chunks_mut(img_len)
-                .enumerate()
-                .map(|(n, d_image)| -> Task<'_> { Box::new(move || backward_one(n, d_image)) })
-                .collect();
-            parallel::run_tasks(tasks);
-        }
+        let dims = input.dims();
+        let mut d_input = Tensor::zeros(dims);
+        lrn_backward(
+            &self.params,
+            dims[0],
+            dims[1],
+            dims[2] * dims[3],
+            input.data(),
+            &self.scale,
+            d_output.data(),
+            d_input.data_mut(),
+        );
         Ok(d_input)
     }
 }

@@ -17,7 +17,7 @@ pub struct Pool2d {
     out_h: usize,
     out_w: usize,
     batch: usize,
-    argmax: Vec<usize>,
+    argmax: Vec<u32>,
 }
 
 impl Pool2d {

@@ -66,11 +66,7 @@ impl Net {
     ///
     /// Propagates the first layer error.
     pub fn forward(&mut self, input: &Tensor, phase: Phase) -> Result<Tensor, DnnError> {
-        let mut activation = input.clone();
-        for layer in &mut self.layers {
-            activation = layer.forward(&activation, phase)?;
-        }
-        Ok(activation)
+        forward_chain(&mut self.layers, input, phase)
     }
 
     /// Forward pass plus softmax cross-entropy loss against `labels`.
@@ -117,11 +113,15 @@ impl Net {
         let classes = probs.len() / rows;
         let mut d_logits = Tensor::zeros(&[rows, classes]);
         softmax_cross_entropy_backward(rows, classes, probs.data(), labels, d_logits.data_mut());
+        // Nothing consumes the first layer's input gradient.
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
         let mut grad = d_logits;
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             grad = layer.backward(&grad)?;
         }
-        Ok(())
+        first.backward_params_only(&grad)
     }
 
     /// Top-`k` accuracy of `logits` against `labels`.
@@ -242,6 +242,23 @@ impl Net {
             }
         }
     }
+}
+
+/// Runs `input` through `layers` in order, borrowing it for the first
+/// layer rather than cloning it. An empty chain is the identity.
+pub(crate) fn forward_chain(
+    layers: &mut [Box<dyn Layer>],
+    input: &Tensor,
+    phase: Phase,
+) -> Result<Tensor, DnnError> {
+    let Some((first, rest)) = layers.split_first_mut() else {
+        return Ok(input.clone());
+    };
+    let mut activation = first.forward(input, phase)?;
+    for layer in rest {
+        activation = layer.forward(&activation, phase)?;
+    }
+    Ok(activation)
 }
 
 impl std::fmt::Debug for Net {

@@ -8,6 +8,7 @@
 //!   inner-product and im2col-based convolution layers),
 //! * [`conv`] — im2col/col2im and 2-D convolution forward/backward,
 //! * [`pool`] — max/average pooling forward/backward,
+//! * [`lrn`] — across-channel local response normalisation forward/backward,
 //! * [`ops`] — element-wise and BLAS-1 style vector operations (`axpy`,
 //!   `scal`, `dot`, activations),
 //! * [`init`] — seeded weight initialisation (Gaussian, Xavier, MSRA),
@@ -50,6 +51,7 @@ pub mod crc32c;
 mod error;
 pub mod gemm;
 pub mod init;
+pub mod lrn;
 pub mod ops;
 pub mod parallel;
 pub mod pool;

@@ -227,6 +227,43 @@ where
     run_tasks(tasks);
 }
 
+/// Two-slice variant of [`par_chunks_mut`]: applies `f(chunk_index,
+/// a_chunk, b_chunk)` over the paired fixed chunks of two mutable slices
+/// that may differ in element type and chunk width (one image's output
+/// beside its argmax or scale map).
+///
+/// # Panics
+///
+/// Panics if a chunk width is zero or the two slices do not split into the
+/// same number of chunks.
+pub fn par_chunks_mut2<T, U, F>(a: &mut [T], a_chunk: usize, b: &mut [U], b_chunk: usize, f: F)
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, &mut [T], &mut [U]) + Sync,
+{
+    assert!(a_chunk > 0 && b_chunk > 0, "chunk size must be positive");
+    assert_eq!(
+        a.len().div_ceil(a_chunk),
+        b.len().div_ceil(b_chunk),
+        "par_chunks_mut2 chunk count mismatch"
+    );
+    if a.len() <= a_chunk || current_threads() <= 1 {
+        for (i, (ac, bc)) in a.chunks_mut(a_chunk).zip(b.chunks_mut(b_chunk)).enumerate() {
+            f(i, ac, bc);
+        }
+        return;
+    }
+    let f = &f;
+    let tasks: Vec<Task<'_>> = a
+        .chunks_mut(a_chunk)
+        .zip(b.chunks_mut(b_chunk))
+        .enumerate()
+        .map(|(i, (ac, bc))| -> Task<'_> { Box::new(move || f(i, ac, bc)) })
+        .collect();
+    run_tasks(tasks);
+}
+
 /// Like [`par_chunks_mut`] but walks a read-only slice in lockstep: applies
 /// `f(out_chunk, x_chunk)` over matching fixed chunks of `out` and `x`.
 ///

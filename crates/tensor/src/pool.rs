@@ -4,12 +4,20 @@
 //! ([`crate::conv::Conv2dGeometry`] with `in_channels` interpreted as the
 //! pooled channel count; pooling is applied per channel).
 //!
+//! A window is clipped to the image once — its row range per output row,
+//! its column range per output column — so the tap loops run over plain
+//! in-bounds sub-rows with no per-tap padding test. Taps are still visited
+//! in `(kh, kw)` order: max pooling keeps the first strictly-greater tap
+//! and average pooling sums in that order.
+//!
 //! Both directions are batch-parallel: every image's output (or input
 //! gradient) slice is disjoint, so images run as independent tasks on the
 //! crate worker pool with results identical at any thread count.
 
+use std::ops::Range;
+
 use crate::conv::Conv2dGeometry;
-use crate::parallel::{self, Task};
+use crate::parallel;
 
 /// Pooling operator variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,12 +28,66 @@ pub enum PoolKind {
     Average,
 }
 
+/// [`pool_forward`]'s argmax entry for a window with no selectable tap (it
+/// lies wholly in padding, or holds only NaN / `-inf`): output 0, no
+/// gradient.
+pub const NO_ARGMAX: u32 = u32::MAX;
+
+/// The in-bounds part of the window that starts at `o * stride - pad` and
+/// spans `kernel` cells of an axis `extent` long; empty if the window lies
+/// wholly in padding.
+fn clip(o: usize, stride: usize, pad: usize, kernel: usize, extent: usize) -> Range<usize> {
+    let start = o * stride;
+    start.saturating_sub(pad).min(extent)..(start + kernel).saturating_sub(pad).min(extent)
+}
+
+/// Output extents plus the per-image lengths, validated once per call.
+struct Extents {
+    out_h: usize,
+    out_w: usize,
+    in_len: usize,
+    out_len: usize,
+}
+
+impl Extents {
+    fn of(geom: &Conv2dGeometry) -> Self {
+        let out_h = geom.out_h().expect("invalid geometry");
+        let out_w = geom.out_w().expect("invalid geometry");
+        let in_len = geom.in_len();
+        assert!(in_len <= NO_ARGMAX as usize, "image too large for u32 argmax offsets");
+        Extents { out_h, out_w, in_len, out_len: geom.in_channels * out_h * out_w }
+    }
+}
+
+/// Calls `f(out_idx, chan_base, rows, cols)` for every output element of one
+/// image in `(c, oh, ow)` order, with the window's clipped input rows and
+/// columns and the offset of channel `c` within the image.
+#[inline(always)]
+fn for_each_window(
+    geom: &Conv2dGeometry,
+    ext: &Extents,
+    mut f: impl FnMut(usize, usize, Range<usize>, Range<usize>),
+) {
+    let mut out_idx = 0;
+    for c in 0..geom.in_channels {
+        let chan_base = c * geom.in_h * geom.in_w;
+        for oh in 0..ext.out_h {
+            let rows = clip(oh, geom.stride_h, geom.pad_h, geom.kernel_h, geom.in_h);
+            for ow in 0..ext.out_w {
+                let cols = clip(ow, geom.stride_w, geom.pad_w, geom.kernel_w, geom.in_w);
+                f(out_idx, chan_base, rows.clone(), cols);
+                out_idx += 1;
+            }
+        }
+    }
+}
+
 /// Pooling forward over a batch.
 ///
 /// * `input`: `(N, C, H, W)`, `output`: `(N, C, H_out, W_out)`.
-/// * `argmax`: for [`PoolKind::Max`], records the flat input offset of each
-///   selected element (same length as `output`); pass an empty slice for
-///   average pooling.
+/// * `argmax`: for [`PoolKind::Max`], records the offset *within its image*
+///   of each selected element, or [`NO_ARGMAX`] (same length as `output`);
+///   pass an empty slice for average pooling.
 ///
 /// # Panics
 ///
@@ -36,106 +98,59 @@ pub fn pool_forward(
     batch: usize,
     input: &[f32],
     output: &mut [f32],
-    argmax: &mut [usize],
+    argmax: &mut [u32],
 ) {
-    let out_h = geom.out_h().expect("invalid geometry");
-    let out_w = geom.out_w().expect("invalid geometry");
-    let channels = geom.in_channels;
-    let in_len = geom.in_len();
-    let out_len = channels * out_h * out_w;
-    assert_eq!(input.len(), batch * in_len, "input size mismatch");
-    assert_eq!(output.len(), batch * out_len, "output size mismatch");
-    if kind == PoolKind::Max {
-        assert_eq!(argmax.len(), output.len(), "argmax size mismatch");
+    let ext = Extents::of(geom);
+    assert_eq!(input.len(), batch * ext.in_len, "input size mismatch");
+    assert_eq!(output.len(), batch * ext.out_len, "output size mismatch");
+    if output.is_empty() {
+        return;
     }
-
-    // One image per task; `argmax` entries stay absolute offsets into the
-    // full batched input, so the per-image closure carries the image index.
-    let forward_one = |n: usize, out_image: &mut [f32], argmax_image: &mut [usize]| {
-        for c in 0..channels {
-            let chan_base = n * in_len + c * geom.in_h * geom.in_w;
-            let chan = &input[chan_base..chan_base + geom.in_h * geom.in_w];
-            for oh in 0..out_h {
-                for ow in 0..out_w {
-                    let out_idx = c * out_h * out_w + oh * out_w + ow;
-                    let h0 = (oh * geom.stride_h) as isize - geom.pad_h as isize;
-                    let w0 = (ow * geom.stride_w) as isize - geom.pad_w as isize;
-                    match kind {
-                        PoolKind::Max => {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_idx = 0usize;
-                            for kh in 0..geom.kernel_h {
-                                let ih = h0 + kh as isize;
-                                if ih < 0 || ih as usize >= geom.in_h {
-                                    continue;
-                                }
-                                for kw in 0..geom.kernel_w {
-                                    let iw = w0 + kw as isize;
-                                    if iw < 0 || iw as usize >= geom.in_w {
-                                        continue;
-                                    }
-                                    let idx = ih as usize * geom.in_w + iw as usize;
-                                    if chan[idx] > best {
-                                        best = chan[idx];
-                                        best_idx = chan_base + idx;
-                                    }
-                                }
+    let image_of = |n: usize| &input[n * ext.in_len..(n + 1) * ext.in_len];
+    match kind {
+        PoolKind::Max => {
+            assert_eq!(argmax.len(), output.len(), "argmax size mismatch");
+            parallel::par_chunks_mut2(
+                output,
+                ext.out_len,
+                argmax,
+                ext.out_len,
+                |n, out_image, argmax_image| {
+                    let image = image_of(n);
+                    for_each_window(geom, &ext, |out_idx, chan_base, rows, cols| {
+                        let mut best = f32::NEG_INFINITY;
+                        let mut best_idx = NO_ARGMAX;
+                        for ih in rows {
+                            let row_base = chan_base + ih * geom.in_w;
+                            let taps = &image[row_base + cols.start..row_base + cols.end];
+                            for (idx, &v) in (row_base + cols.start..).zip(taps) {
+                                let take = v > best;
+                                best = if take { v } else { best };
+                                best_idx = if take { idx as u32 } else { best_idx };
                             }
-                            // A window entirely in padding yields 0.
-                            if best == f32::NEG_INFINITY {
-                                best = 0.0;
-                                best_idx = usize::MAX;
-                            }
-                            out_image[out_idx] = best;
-                            argmax_image[out_idx] = best_idx;
                         }
-                        PoolKind::Average => {
-                            let mut sum = 0.0;
-                            let mut count = 0usize;
-                            for kh in 0..geom.kernel_h {
-                                let ih = h0 + kh as isize;
-                                if ih < 0 || ih as usize >= geom.in_h {
-                                    continue;
-                                }
-                                for kw in 0..geom.kernel_w {
-                                    let iw = w0 + kw as isize;
-                                    if iw < 0 || iw as usize >= geom.in_w {
-                                        continue;
-                                    }
-                                    sum += chan[ih as usize * geom.in_w + iw as usize];
-                                    count += 1;
-                                }
-                            }
-                            out_image[out_idx] = if count > 0 { sum / count as f32 } else { 0.0 };
+                        out_image[out_idx] = if best_idx == NO_ARGMAX { 0.0 } else { best };
+                        argmax_image[out_idx] = best_idx;
+                    });
+                },
+            );
+        }
+        PoolKind::Average => {
+            parallel::par_chunks_mut(output, ext.out_len, |n, out_image| {
+                let image = image_of(n);
+                for_each_window(geom, &ext, |out_idx, chan_base, rows, cols| {
+                    let count = rows.len() * cols.len();
+                    let mut sum = 0.0;
+                    for ih in rows {
+                        let row_base = chan_base + ih * geom.in_w;
+                        for &v in &image[row_base + cols.start..row_base + cols.end] {
+                            sum += v;
                         }
                     }
-                }
-            }
+                    out_image[out_idx] = if count > 0 { sum / count as f32 } else { 0.0 };
+                });
+            });
         }
-    };
-
-    let mut argmax_chunks: Vec<&mut [usize]> = if kind == PoolKind::Max {
-        argmax.chunks_mut(out_len).collect()
-    } else {
-        (0..batch).map(|_| &mut [][..]).collect()
-    };
-    if batch <= 1 || parallel::current_threads() <= 1 {
-        for (n, (out_image, am)) in
-            output.chunks_mut(out_len).zip(argmax_chunks.drain(..)).enumerate()
-        {
-            forward_one(n, out_image, am);
-        }
-    } else {
-        let forward_one = &forward_one;
-        let tasks: Vec<Task<'_>> = output
-            .chunks_mut(out_len)
-            .zip(argmax_chunks.drain(..))
-            .enumerate()
-            .map(|(n, (out_image, am))| -> Task<'_> {
-                Box::new(move || forward_one(n, out_image, am))
-            })
-            .collect();
-        parallel::run_tasks(tasks);
     }
 }
 
@@ -149,85 +164,50 @@ pub fn pool_backward(
     geom: &Conv2dGeometry,
     batch: usize,
     d_output: &[f32],
-    argmax: &[usize],
+    argmax: &[u32],
     d_input: &mut [f32],
 ) {
-    let out_h = geom.out_h().expect("invalid geometry");
-    let out_w = geom.out_w().expect("invalid geometry");
-    let channels = geom.in_channels;
-    let in_len = geom.in_len();
-    let out_len = channels * out_h * out_w;
-    assert_eq!(d_output.len(), batch * out_len, "d_output size mismatch");
-    assert_eq!(d_input.len(), batch * in_len, "d_input size mismatch");
+    let ext = Extents::of(geom);
+    assert_eq!(d_output.len(), batch * ext.out_len, "d_output size mismatch");
+    assert_eq!(d_input.len(), batch * ext.in_len, "d_input size mismatch");
     if kind == PoolKind::Max {
         assert_eq!(argmax.len(), d_output.len(), "argmax size mismatch");
     }
-
-    // Every scatter target of image `n` lies inside its own input slice
-    // (argmax offsets embed the `n * in_len` base), so images are
-    // independent tasks; each zeroes and fills its own gradient slice.
-    let backward_one = |n: usize, d_image: &mut [f32]| {
-        d_image.iter_mut().for_each(|v| *v = 0.0);
+    if d_input.is_empty() {
+        return;
+    }
+    // Every scatter target of image `n` lies inside its own input slice, so
+    // images are independent tasks; each zeroes and fills its own gradient.
+    parallel::par_chunks_mut(d_input, ext.in_len, |n, d_image| {
+        d_image.fill(0.0);
+        let image = n * ext.out_len..(n + 1) * ext.out_len;
+        let d_out_image = &d_output[image.clone()];
         match kind {
             PoolKind::Max => {
-                let base = n * in_len;
-                let d_out_image = &d_output[n * out_len..(n + 1) * out_len];
-                let argmax_image = &argmax[n * out_len..(n + 1) * out_len];
-                for (&src, &g) in argmax_image.iter().zip(d_out_image.iter()) {
-                    if src != usize::MAX {
-                        d_image[src - base] += g;
+                for (&src, &g) in argmax[image].iter().zip(d_out_image) {
+                    if src != NO_ARGMAX {
+                        d_image[src as usize] += g;
                     }
                 }
             }
             PoolKind::Average => {
-                for c in 0..channels {
-                    let chan_base = c * geom.in_h * geom.in_w;
-                    for oh in 0..out_h {
-                        for ow in 0..out_w {
-                            let out_idx = n * out_len + c * out_h * out_w + oh * out_w + ow;
-                            let h0 = (oh * geom.stride_h) as isize - geom.pad_h as isize;
-                            let w0 = (ow * geom.stride_w) as isize - geom.pad_w as isize;
-                            // Count valid cells to divide the gradient evenly.
-                            let mut cells = Vec::with_capacity(geom.kernel_h * geom.kernel_w);
-                            for kh in 0..geom.kernel_h {
-                                let ih = h0 + kh as isize;
-                                if ih < 0 || ih as usize >= geom.in_h {
-                                    continue;
-                                }
-                                for kw in 0..geom.kernel_w {
-                                    let iw = w0 + kw as isize;
-                                    if iw < 0 || iw as usize >= geom.in_w {
-                                        continue;
-                                    }
-                                    cells.push(chan_base + ih as usize * geom.in_w + iw as usize);
-                                }
-                            }
-                            if !cells.is_empty() {
-                                let share = d_output[out_idx] / cells.len() as f32;
-                                for idx in cells {
-                                    d_image[idx] += share;
-                                }
-                            }
+                for_each_window(geom, &ext, |out_idx, chan_base, rows, cols| {
+                    let count = rows.len() * cols.len();
+                    if count == 0 {
+                        return;
+                    }
+                    // The gradient divides evenly over the valid cells.
+                    let share = d_out_image[out_idx] / count as f32;
+                    for ih in rows {
+                        let row_base = chan_base + ih * geom.in_w;
+                        for d in &mut d_image[row_base + cols.start..row_base + cols.end] {
+                            *d += share;
                         }
                     }
-                }
+                });
             }
         }
-    };
-
-    if batch <= 1 || parallel::current_threads() <= 1 {
-        for (n, d_image) in d_input.chunks_mut(in_len).enumerate() {
-            backward_one(n, d_image);
-        }
-    } else {
-        let backward_one = &backward_one;
-        let tasks: Vec<Task<'_>> = d_input
-            .chunks_mut(in_len)
-            .enumerate()
-            .map(|(n, d_image)| -> Task<'_> { Box::new(move || backward_one(n, d_image)) })
-            .collect();
-        parallel::run_tasks(tasks);
-    }
+    });
 }
 
 #[cfg(test)]
@@ -243,7 +223,7 @@ mod tests {
         let g = geom_2x2_stride2(4);
         let input = vec![1., 2., 5., 6., 3., 4., 7., 8., 9., 10., 13., 14., 11., 12., 15., 16.];
         let mut output = vec![0.0; 4];
-        let mut argmax = vec![0usize; 4];
+        let mut argmax = vec![0u32; 4];
         pool_forward(PoolKind::Max, &g, 1, &input, &mut output, &mut argmax);
         assert_eq!(output, vec![4., 8., 12., 16.]);
     }
@@ -253,7 +233,7 @@ mod tests {
         let g = geom_2x2_stride2(4);
         let input: Vec<f32> = (1..=16).map(|v| v as f32).collect();
         let mut output = vec![0.0; 4];
-        let mut argmax = vec![0usize; 4];
+        let mut argmax = vec![0u32; 4];
         pool_forward(PoolKind::Max, &g, 1, &input, &mut output, &mut argmax);
         let d_output = vec![1.0, 2.0, 3.0, 4.0];
         let mut d_input = vec![0.0; 16];
@@ -300,7 +280,7 @@ mod tests {
             0., 0., 0., 9., // n1 c1
         ];
         let mut output = vec![0.0; 4];
-        let mut argmax = vec![0usize; 4];
+        let mut argmax = vec![0u32; 4];
         pool_forward(PoolKind::Max, &g, 2, &input, &mut output, &mut argmax);
         assert_eq!(output, vec![4., 8., -1., 9.]);
     }
@@ -313,12 +293,12 @@ mod tests {
         let d_output = vec![0.7, -0.3, 1.1, 0.4];
         let loss = |x: &[f32]| -> f32 {
             let mut out = vec![0.0; 4];
-            let mut am = vec![0usize; 4];
+            let mut am = vec![0u32; 4];
             pool_forward(PoolKind::Max, &g, 1, x, &mut out, &mut am);
             out.iter().zip(d_output.iter()).map(|(a, b)| a * b).sum()
         };
         let mut out = vec![0.0; 4];
-        let mut argmax = vec![0usize; 4];
+        let mut argmax = vec![0u32; 4];
         pool_forward(PoolKind::Max, &g, 1, &input, &mut out, &mut argmax);
         let mut d_input = vec![0.0; 16];
         pool_backward(PoolKind::Max, &g, 1, &d_output, &argmax, &mut d_input);

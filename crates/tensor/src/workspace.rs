@@ -55,9 +55,12 @@ pub enum Tag {
     ConvPackB,
     /// Fused convolution backward: the per-task `d_col` staging strip.
     ConvDcol,
+    /// LRN backward: one image's `dy·x·s^-β / s` ratio map plus the window
+    /// sum row.
+    LrnRatio,
 }
 
-const TAG_COUNT: usize = 5;
+const TAG_COUNT: usize = 6;
 
 thread_local! {
     static SLOTS: [RefCell<Vec<f32>>; TAG_COUNT] = Default::default();

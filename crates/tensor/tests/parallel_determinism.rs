@@ -15,6 +15,8 @@
 use proptest::prelude::*;
 use shmcaffe_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
 use shmcaffe_tensor::gemm::{gemm, Transpose};
+use shmcaffe_tensor::lrn::{lrn_backward, lrn_forward, LrnParams};
+use shmcaffe_tensor::pool::{pool_backward, pool_forward, PoolKind};
 use shmcaffe_tensor::{ops, parallel};
 
 /// The schedules under test: serial, even splits, and a count that does
@@ -75,6 +77,10 @@ fn transpose_flag() -> impl Strategy<Value = Transpose> {
 }
 
 fn pick(values: &'static [f32]) -> impl Strategy<Value = f32> {
+    (0usize..values.len()).prop_map(move |i| values[i])
+}
+
+fn pick_usize(values: &'static [usize]) -> impl Strategy<Value = usize> {
     (0usize..values.len()).prop_map(move |i| values[i])
 }
 
@@ -181,6 +187,86 @@ proptest! {
             prop_assert_eq!(bits(&serial.1), bits(&par.1), "conv dW diverged at threads={}", t);
             prop_assert_eq!(bits(&serial.2), bits(&par.2), "conv db diverged at threads={}", t);
             prop_assert_eq!(bits(&serial.3), bits(&par.3), "conv dX diverged at threads={}", t);
+        }
+    }
+
+    /// LRN forward (output and scale map) and backward are bit-identical
+    /// across thread counts: one task per image, nothing shared.
+    #[test]
+    fn lrn_bit_identical_across_thread_counts(
+        batch in 1usize..9,
+        channels in 1usize..9,
+        spatial in 1usize..50,
+        size in pick_usize(&[1, 3, 5]),
+        beta in pick(&[0.75, 0.5]),
+        seed in 0u32..1000,
+    ) {
+        let params = LrnParams { size, alpha: 0.3, beta, k: 1.0 };
+        let len = batch * channels * spatial;
+        let input = fill(len, seed);
+        let d_output = fill(len, seed ^ 0x0f0f);
+
+        let run = |threads: usize| {
+            let mut output = vec![0.0f32; len];
+            let mut scale = vec![0.0f32; len];
+            let mut d_input = vec![0.0f32; len];
+            parallel::with_threads(threads, || {
+                lrn_forward(&params, batch, channels, spatial, &input, &mut output, &mut scale);
+                lrn_backward(
+                    &params, batch, channels, spatial, &input, &scale, &d_output, &mut d_input,
+                );
+            });
+            (output, scale, d_input)
+        };
+
+        let serial = run(1);
+        for &t in &THREAD_COUNTS[1..] {
+            let par = run(t);
+            prop_assert_eq!(bits(&serial.0), bits(&par.0), "lrn fwd diverged at threads={}", t);
+            prop_assert_eq!(bits(&serial.1), bits(&par.1), "lrn scale diverged at threads={}", t);
+            prop_assert_eq!(bits(&serial.2), bits(&par.2), "lrn bwd diverged at threads={}", t);
+        }
+    }
+
+    /// Max and average pooling — outputs, argmax choices and input
+    /// gradients — are bit-identical across thread counts, padded and
+    /// overlapping windows included.
+    #[test]
+    fn pool_bit_identical_across_thread_counts(
+        max in 0usize..2,
+        batch in 1usize..9,
+        channels in 1usize..5,
+        hw in 2usize..12,
+        kernel in 1usize..4,
+        stride in 1usize..3,
+        pad in 0usize..2,
+        seed in 0u32..1000,
+    ) {
+        let kind = if max == 1 { PoolKind::Max } else { PoolKind::Average };
+        let geom = Conv2dGeometry::square(channels, hw, kernel, stride, pad);
+        prop_assume!(geom.out_h().is_ok());
+        let out_total = batch * channels * geom.out_h().unwrap() * geom.out_w().unwrap();
+        let in_total = batch * geom.in_len();
+        let input = fill(in_total, seed);
+        let d_output = fill(out_total, seed ^ 0x0f0f);
+
+        let run = |threads: usize| {
+            let mut output = vec![0.0f32; out_total];
+            let mut argmax = vec![0u32; if kind == PoolKind::Max { out_total } else { 0 }];
+            let mut d_input = vec![0.0f32; in_total];
+            parallel::with_threads(threads, || {
+                pool_forward(kind, &geom, batch, &input, &mut output, &mut argmax);
+                pool_backward(kind, &geom, batch, &d_output, &argmax, &mut d_input);
+            });
+            (output, argmax, d_input)
+        };
+
+        let serial = run(1);
+        for &t in &THREAD_COUNTS[1..] {
+            let par = run(t);
+            prop_assert_eq!(bits(&serial.0), bits(&par.0), "pool fwd diverged at threads={}", t);
+            prop_assert_eq!(&serial.1, &par.1, "pool argmax diverged at threads={}", t);
+            prop_assert_eq!(bits(&serial.2), bits(&par.2), "pool bwd diverged at threads={}", t);
         }
     }
 

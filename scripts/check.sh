@@ -43,6 +43,10 @@ echo "== fused conv: bit-identity proptests + zero-alloc steady state =="
 cargo test -q -p shmcaffe-tensor --test fused_conv
 cargo test -q -p shmcaffe-tensor --test alloc_free
 
+echo "== memory-bound layers: LRN vs per-element oracle, pooling goldens, propagate_down =="
+cargo test -q -p shmcaffe-tensor --test lrn_oracle --test pool_golden
+cargo test -q -p shmcaffe-models --test propagate_down
+
 echo "== kernel-bench smoke: fused conv must not regress (host-aware floor) =="
 ./target/release/kernel_bench --smoke
 
