@@ -5,12 +5,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shmcaffe_rdma::{MemoryRegion, RdmaError};
 use shmcaffe_simnet::fault::FaultError;
+use shmcaffe_simnet::resource::transfer_path_stream;
 use shmcaffe_simnet::topology::NodeId;
 use shmcaffe_simnet::SimContext;
 
 use crate::retry::RetryPolicy;
-use crate::server::{ShmKey, SmbServer};
-use crate::tag_access;
+use crate::server::{modelled_bytes, ShmKey, SmbServer};
 use crate::SmbError;
 
 /// Counters of fault effects one client has observed across its retrying
@@ -68,6 +68,83 @@ impl SmbBuffer {
 enum Route {
     Single(SmbServer),
     Replicated(crate::SmbPair),
+}
+
+/// Decision (1) of an op: how it reaches the server.
+#[derive(Clone, Copy)]
+enum Gate<'a> {
+    /// Plain ops *stall*: they route through [`SmbClient::active`] (which
+    /// fails over proactively), never consult the fault gate, admit with a
+    /// refreshed epoch, stream at the nominal rate and draw nothing from
+    /// the injector's corruption stream — their transfers ride faults out
+    /// inside the fabric, so they run exactly once.
+    Stall,
+    /// Retrying ops *fail fast*: each attempt routes by promotion state
+    /// alone, passes the fault gate in its direction, admits strictly,
+    /// streams under any degradation cap, takes the wire-flip/torn-write
+    /// draws, and is re-run under the policy.
+    FailFast(&'a RetryPolicy),
+}
+
+/// One row of the op table (DESIGN.md §5l): what the public data entry
+/// points differ in, evaluated by the one pipeline below.
+#[derive(Clone, Copy)]
+struct Op<'a> {
+    gate: Gate<'a>,
+    /// Decision (2), chosen by the entry point and never by inspecting the
+    /// span: a full-length `Share` is not bit-equal to `Whole`.
+    pricing: Pricing,
+    /// Decision (5): `None` spans the whole buffer, `Some(offset)` the
+    /// `offset..offset + len` range.
+    offset: Option<usize>,
+}
+
+impl<'a> Op<'a> {
+    fn plain(pricing: Pricing, offset: Option<usize>) -> Self {
+        Op { gate: Gate::Stall, pricing, offset }
+    }
+
+    fn retrying(policy: &'a RetryPolicy, pricing: Pricing, offset: Option<usize>) -> Self {
+        Op { gate: Gate::FailFast(policy), pricing, offset }
+    }
+}
+
+/// Decision (2): what moving a span costs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pricing {
+    /// The buffer's whole modelled size, whatever the span.
+    Whole,
+    /// The span's proportional share of the modelled size.
+    Share,
+    /// The span's physical size, `len·4` bytes: the control-info ops.
+    TrueSize,
+}
+
+/// Decision (3): the race-detector access kind a transfer's raw RDMA op is
+/// recorded as (with the entry point's site label). The detector's own
+/// enum when it is compiled in, a stand-in for the variants used here
+/// otherwise.
+#[cfg(feature = "race-detect")]
+use shmcaffe_simnet::race::AccessKind as Access;
+#[cfg(not(feature = "race-detect"))]
+#[derive(Clone, Copy)]
+enum Access {
+    AtomicRead,
+    Write,
+    AtomicWrite,
+}
+
+/// Runs `f` with the raw RDMA op inside it tagged `access` at `site`,
+/// overriding the generic classification the rdma crate would record.
+/// Just `f()` when race detection is compiled out.
+fn tagged<R>(access: Access, site: &'static str, f: impl FnOnce() -> R) -> R {
+    #[cfg(feature = "race-detect")]
+    return shmcaffe_simnet::race::with_access(access, site, f);
+    #[cfg(not(feature = "race-detect"))]
+    {
+        let _ = (access, site);
+        f()
+    }
 }
 
 /// A worker-side handle to the SMB server, bound to the worker's node.
@@ -234,35 +311,19 @@ impl SmbClient {
         }
     }
 
-    /// Epoch admission for a *plain* (infallible, non-retrying) mutation.
-    /// Plain ops have no retry loop to recover a rejection through, so
-    /// observing the promoted role via routing counts as their epoch
-    /// discovery: the carried epoch refreshes first, and admission then
-    /// rejects only genuinely illegal writes (a primary past its
-    /// authority lease — the split-brain window).
-    fn admit_plain(&self, ctx: &SimContext, key: ShmKey) -> Result<(), SmbError> {
+    /// Epoch admission for one mutation attempt. A *plain* op has no retry
+    /// loop to recover a rejection through, so observing the promoted role
+    /// via routing counts as its epoch discovery: the carried epoch
+    /// refreshes first, and admission then rejects only genuinely illegal
+    /// writes (a primary past its authority lease — the split-brain
+    /// window). A *retrying* attempt presents its carried epoch as-is; a
+    /// stale one is rejected [`SmbError::FencedEpoch`] and the retry loop
+    /// fails over and refreshes before the next attempt.
+    fn admit(&self, ctx: &SimContext, gate: Gate<'_>, key: ShmKey) -> Result<(), SmbError> {
         let Route::Replicated(pair) = &self.route else { return Ok(()) };
-        if pair.promoted() {
+        if matches!(gate, Gate::Stall) && pair.promoted() {
             self.refresh_epoch(ctx);
         }
-        self.check_admission(ctx, pair, key)
-    }
-
-    /// Strict epoch admission for one retrying attempt: the carried epoch
-    /// is presented as-is, and a stale one is rejected
-    /// [`SmbError::FencedEpoch`] — the retry loop fails over and
-    /// refreshes before the next attempt.
-    fn admit_attempt(&self, ctx: &SimContext, key: ShmKey) -> Result<(), SmbError> {
-        let Route::Replicated(pair) = &self.route else { return Ok(()) };
-        self.check_admission(ctx, pair, key)
-    }
-
-    fn check_admission(
-        &self,
-        ctx: &SimContext,
-        pair: &crate::SmbPair,
-        key: ShmKey,
-    ) -> Result<(), SmbError> {
         let r = pair.admit_mutation(ctx, key, self.carried.load(Ordering::Acquire));
         if r.is_err() {
             self.stats.lock().fenced += 1;
@@ -288,7 +349,7 @@ impl SmbClient {
     ) -> Result<ShmKey, SmbError> {
         let server = self.active(ctx);
         self.control_round_trip(ctx, &server);
-        self.admit_plain(ctx, ShmKey(0))?;
+        self.admit(ctx, Gate::Stall, ShmKey(0))?;
         server.create_segment(ctx, name, elems, wire_bytes)
     }
 
@@ -320,146 +381,8 @@ impl SmbClient {
     pub fn free(&self, ctx: &SimContext, buf: SmbBuffer) -> Result<(), SmbError> {
         let server = self.active(ctx);
         self.control_round_trip(ctx, &server);
-        self.admit_plain(ctx, buf.key)?;
+        self.admit(ctx, Gate::Stall, buf.key)?;
         server.destroy_segment(buf.key)
-    }
-
-    /// RDMA-reads the whole buffer into `out`, charging the wire time of
-    /// the buffer's logical size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmbError::SizeMismatch`] if `out.len() != buf.len()`.
-    pub fn read(&self, ctx: &SimContext, buf: &SmbBuffer, out: &mut [f32]) -> Result<(), SmbError> {
-        if out.len() != buf.len() {
-            return Err(SmbError::SizeMismatch {
-                key: buf.key,
-                expected: buf.len(),
-                got: out.len(),
-            });
-        }
-        let server = self.active(ctx);
-        let cfg = server.config();
-        let (mr, wire_bytes) = server.segment(buf.key)?;
-        server.verify_region(ctx, buf.key, 0, out.len())?;
-        let wire = (wire_bytes as f64 * (1.0 + cfg.protocol_overhead)) as u64;
-        // Functional copy, zero-time (the wire time is charged below along
-        // the full path: server DRAM bus -> server HCA -> client HCA).
-        // Stale-tolerant by SEASGD design, hence an atomic read.
-        tag_access!(AtomicRead, "smb::client::read", {
-            server.rdma().read_wire(ctx, self.local, &mr, 0, out, 0)
-        })?;
-        let fabric = server.rdma().fabric();
-        shmcaffe_simnet::resource::transfer_path_stream(
-            ctx,
-            &[server.memory_resource(), fabric.hca_tx(server.node()), fabric.hca_rx(self.local)],
-            wire,
-            Some(cfg.stream_bps),
-        );
-        Ok(())
-    }
-
-    /// RDMA-writes `data` over the whole buffer, charging the wire time of
-    /// the buffer's logical size, and bumps the segment version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmbError::SizeMismatch`] if `data.len() != buf.len()`.
-    pub fn write(&self, ctx: &SimContext, buf: &SmbBuffer, data: &[f32]) -> Result<(), SmbError> {
-        if data.len() != buf.len() {
-            return Err(SmbError::SizeMismatch {
-                key: buf.key,
-                expected: buf.len(),
-                got: data.len(),
-            });
-        }
-        let server = self.active(ctx);
-        self.admit_plain(ctx, buf.key)?;
-        let cfg = server.config();
-        let (mr, wire_bytes) = server.segment(buf.key)?;
-        // Verify-before-mutate: a poisoned page must be repaired (the only
-        // CRC-clearing path) before new data may land over it.
-        server.verify_region(ctx, buf.key, 0, data.len())?;
-        let wire = (wire_bytes as f64 * (1.0 + cfg.protocol_overhead)) as u64;
-        tag_access!(Write, "smb::client::write", {
-            server.rdma().write_wire(ctx, self.local, &mr, 0, data, 0)
-        })?;
-        server.note_write(ctx, buf.key, 0, data);
-        let fabric = server.rdma().fabric();
-        shmcaffe_simnet::resource::transfer_path_stream(
-            ctx,
-            &[fabric.hca_tx(self.local), fabric.hca_rx(server.node()), server.memory_resource()],
-            wire,
-            Some(cfg.stream_bps),
-        );
-        server.bump_version(ctx, buf.key);
-        Ok(())
-    }
-
-    /// Reads/writes a small sub-range at its true (unscaled) wire size —
-    /// used for the control-info region where workers share progress
-    /// counters (paper §III-E).
-    ///
-    /// # Errors
-    ///
-    /// Returns RDMA bounds errors.
-    pub fn read_range(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        offset: usize,
-        out: &mut [f32],
-    ) -> Result<(), SmbError> {
-        let server = self.active(ctx);
-        let (mr, _) = server.segment(buf.key)?;
-        server.verify_region(ctx, buf.key, offset, out.len())?;
-        // Progress counters are monotone and stale-tolerant: atomic.
-        tag_access!(AtomicRead, "smb::client::read_range", {
-            server.rdma().read(ctx, self.local, &mr, offset, out)
-        })?;
-        Ok(())
-    }
-
-    /// Writes a small sub-range at its true wire size (see
-    /// [`SmbClient::read_range`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns RDMA bounds errors.
-    pub fn write_range(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        offset: usize,
-        data: &[f32],
-    ) -> Result<(), SmbError> {
-        let server = self.active(ctx);
-        let (mr, _) = server.segment(buf.key)?;
-        server.verify_region(ctx, buf.key, offset, data.len())?;
-        tag_access!(AtomicWrite, "smb::client::write_range", {
-            server.rdma().write(ctx, self.local, &mr, offset, data)
-        })?;
-        server.note_write(ctx, buf.key, offset, data);
-        Ok(())
-    }
-
-    /// Sends an accumulate request: server-side `dst += src` (paper eq. 7,
-    /// steps T.A2–T.A4). Charges one control round trip plus the engine's
-    /// queueing and service time; returns the destination's new version.
-    ///
-    /// # Errors
-    ///
-    /// Returns key and length-mismatch errors.
-    pub fn accumulate(
-        &self,
-        ctx: &SimContext,
-        src: &SmbBuffer,
-        dst: &SmbBuffer,
-    ) -> Result<u64, SmbError> {
-        let server = self.active(ctx);
-        self.control_round_trip(ctx, &server);
-        self.admit_plain(ctx, dst.key)?;
-        server.accumulate(ctx, src.key, dst.key)
     }
 
     /// Like [`SmbClient::create`], but binds the segment to `owner`'s
@@ -480,7 +403,7 @@ impl SmbClient {
     ) -> Result<ShmKey, SmbError> {
         let server = self.active(ctx);
         self.control_round_trip(ctx, &server);
-        self.admit_plain(ctx, ShmKey(0))?;
+        self.admit(ctx, Gate::Stall, ShmKey(0))?;
         server.create_segment_owned(ctx, name, elems, wire_bytes, Some(owner))
     }
 
@@ -502,6 +425,441 @@ impl SmbClient {
         server.ack_eviction(ctx, owner)
     }
 
+    // ---- data ops: thirteen fronts over one pipeline ----------------------
+    //
+    // Every front below fills an `Op` (one row of the table in DESIGN.md
+    // §5l) and hands it to `read_op`, `write_op` or `accumulate_op`.
+
+    /// RDMA-reads the whole buffer into `out`, charging the wire time of
+    /// the buffer's logical size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] if `out.len() != buf.len()`.
+    pub fn read(&self, ctx: &SimContext, buf: &SmbBuffer, out: &mut [f32]) -> Result<(), SmbError> {
+        self.read_op(ctx, Op::plain(Pricing::Whole, None), "smb::client::read", buf, out)
+    }
+
+    /// RDMA-writes `data` over the whole buffer, charging the wire time of
+    /// the buffer's logical size, and bumps the segment version.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] if `data.len() != buf.len()`.
+    pub fn write(&self, ctx: &SimContext, buf: &SmbBuffer, data: &[f32]) -> Result<(), SmbError> {
+        let tag = (Access::Write, "smb::client::write");
+        self.write_op(ctx, Op::plain(Pricing::Whole, None), tag, buf, data)
+    }
+
+    /// Reads/writes a small sub-range at its true (unscaled) wire size —
+    /// used for the control-info region where workers share progress
+    /// counters (paper §III-E).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] if the range exceeds the buffer.
+    pub fn read_range(
+        &self,
+        ctx: &SimContext,
+        buf: &SmbBuffer,
+        offset: usize,
+        out: &mut [f32],
+    ) -> Result<(), SmbError> {
+        let op = Op::plain(Pricing::TrueSize, Some(offset));
+        self.read_op(ctx, op, "smb::client::read_range", buf, out)
+    }
+
+    /// Writes a small sub-range at its true wire size (see
+    /// [`SmbClient::read_range`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] if the range exceeds the buffer.
+    pub fn write_range(
+        &self,
+        ctx: &SimContext,
+        buf: &SmbBuffer,
+        offset: usize,
+        data: &[f32],
+    ) -> Result<(), SmbError> {
+        let tag = (Access::AtomicWrite, "smb::client::write_range");
+        self.write_op(ctx, Op::plain(Pricing::TrueSize, Some(offset)), tag, buf, data)
+    }
+
+    /// Sends an accumulate request: server-side `dst += src` (paper eq. 7,
+    /// steps T.A2–T.A4). Charges one control round trip plus the engine's
+    /// queueing and service time; returns the destination's new version.
+    ///
+    /// # Errors
+    ///
+    /// Returns key and length-mismatch errors.
+    pub fn accumulate(
+        &self,
+        ctx: &SimContext,
+        src: &SmbBuffer,
+        dst: &SmbBuffer,
+    ) -> Result<u64, SmbError> {
+        self.accumulate_op(ctx, Op::plain(Pricing::Whole, None), src, dst, dst.len())
+    }
+
+    /// Fault-tolerant [`SmbClient::read`]: each attempt can fail inside an
+    /// injected fault window; failures are retried under `policy`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] immediately for a bad slice;
+    /// [`SmbError::Timeout`] when the policy's attempts/deadline run out.
+    pub fn read_retrying(
+        &self,
+        ctx: &SimContext,
+        buf: &SmbBuffer,
+        out: &mut [f32],
+        policy: &RetryPolicy,
+    ) -> Result<(), SmbError> {
+        let op = Op::retrying(policy, Pricing::Whole, None);
+        self.read_op(ctx, op, "smb::client::read_retrying", buf, out)
+    }
+
+    /// Fault-tolerant [`SmbClient::write`] (see [`SmbClient::read_retrying`]).
+    /// Writes are idempotent full-buffer stores, so re-issuing after a
+    /// faulted attempt is safe.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] immediately for a bad slice;
+    /// [`SmbError::Timeout`] when the policy's attempts/deadline run out.
+    pub fn write_retrying(
+        &self,
+        ctx: &SimContext,
+        buf: &SmbBuffer,
+        data: &[f32],
+        policy: &RetryPolicy,
+    ) -> Result<(), SmbError> {
+        let tag = (Access::Write, "smb::client::write_retrying");
+        self.write_op(ctx, Op::retrying(policy, Pricing::Whole, None), tag, buf, data)
+    }
+
+    /// Fault-tolerant [`SmbClient::accumulate`]: the control message to the
+    /// server can fail inside a fault window and is retried under `policy`.
+    /// The server-side accumulate itself is local to the memory server, so
+    /// only the client→server control path is gated.
+    ///
+    /// # Errors
+    ///
+    /// Returns key/length errors immediately; [`SmbError::Timeout`] when
+    /// the policy's attempts/deadline run out.
+    pub fn accumulate_retrying(
+        &self,
+        ctx: &SimContext,
+        src: &SmbBuffer,
+        dst: &SmbBuffer,
+        policy: &RetryPolicy,
+    ) -> Result<u64, SmbError> {
+        self.accumulate_op(ctx, Op::retrying(policy, Pricing::Whole, None), src, dst, dst.len())
+    }
+
+    /// Fault-tolerant sub-range read at the range's *proportional* wire
+    /// cost — the streaming-read building block of the chunked exchange
+    /// (unlike [`SmbClient::read_range`], which moves control-info bytes at
+    /// their true size).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] immediately if the range exceeds
+    /// the buffer; [`SmbError::Timeout`] when the policy runs out.
+    pub fn read_range_retrying(
+        &self,
+        ctx: &SimContext,
+        buf: &SmbBuffer,
+        offset: usize,
+        out: &mut [f32],
+        policy: &RetryPolicy,
+    ) -> Result<(), SmbError> {
+        let op = Op::retrying(policy, Pricing::Share, Some(offset));
+        self.read_op(ctx, op, "smb::client::read_range_retrying", buf, out)
+    }
+
+    /// Fault-tolerant sub-range write at proportional wire cost (the T.A1
+    /// step of a chunked exchange). Idempotent per chunk: re-issuing a
+    /// faulted attempt overwrites the same range.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] immediately if the range exceeds
+    /// the buffer; [`SmbError::Timeout`] when the policy runs out.
+    pub fn write_range_retrying(
+        &self,
+        ctx: &SimContext,
+        buf: &SmbBuffer,
+        offset: usize,
+        data: &[f32],
+        policy: &RetryPolicy,
+    ) -> Result<(), SmbError> {
+        let tag = (Access::Write, "smb::client::write_range_retrying");
+        self.write_op(ctx, Op::retrying(policy, Pricing::Share, Some(offset)), tag, buf, data)
+    }
+
+    /// Fault-tolerant range accumulate: server-side `dst[range] +=
+    /// src[range]` (the T.A2–T.A3 step of a chunked exchange), engine time
+    /// charged proportionally to the range. Same gating as
+    /// [`SmbClient::accumulate_retrying`].
+    ///
+    /// # Errors
+    ///
+    /// Returns key/length/bounds errors immediately; [`SmbError::Timeout`]
+    /// when the policy runs out.
+    pub fn accumulate_range_retrying(
+        &self,
+        ctx: &SimContext,
+        src: &SmbBuffer,
+        dst: &SmbBuffer,
+        offset: usize,
+        len: usize,
+        policy: &RetryPolicy,
+    ) -> Result<u64, SmbError> {
+        self.accumulate_op(ctx, Op::retrying(policy, Pricing::Share, Some(offset)), src, dst, len)
+    }
+
+    /// Writes a checkpoint buffer under `policy`, tagged as an *atomic*
+    /// (seqlock-style versioned) publication. Unlike a SEASGD weight
+    /// write, a checkpoint write and a rejoining worker's checkpoint read
+    /// have **no** happens-before edge — the rejoiner discovers the
+    /// checkpoint through the replicated segment catalog, not through a
+    /// message from the writer — so both sides must use the versioned
+    /// (atomic) protocol to stay race-free by design.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] immediately for a bad slice;
+    /// [`SmbError::Timeout`] when the policy's attempts/deadline run out.
+    pub fn checkpoint_write(
+        &self,
+        ctx: &SimContext,
+        buf: &SmbBuffer,
+        data: &[f32],
+        policy: &RetryPolicy,
+    ) -> Result<(), SmbError> {
+        let tag = (Access::AtomicWrite, "smb::client::checkpoint_write");
+        self.write_op(ctx, Op::retrying(policy, Pricing::Whole, None), tag, buf, data)
+    }
+
+    /// Reads a checkpoint buffer under `policy` with the atomic
+    /// (versioned) protocol — the read side of
+    /// [`SmbClient::checkpoint_write`], used by rejoining workers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::SizeMismatch`] immediately for a bad slice;
+    /// [`SmbError::Timeout`] when the policy's attempts/deadline run out.
+    pub fn checkpoint_read(
+        &self,
+        ctx: &SimContext,
+        buf: &SmbBuffer,
+        out: &mut [f32],
+        policy: &RetryPolicy,
+    ) -> Result<(), SmbError> {
+        let op = Op::retrying(policy, Pricing::Whole, None);
+        self.read_op(ctx, op, "smb::client::checkpoint_read", buf, out)
+    }
+
+    // ---- the op pipeline ---------------------------------------------------
+
+    /// Runs `attempt` through [`SmbClient::retrying`] after the pipeline's
+    /// only span check: a whole-buffer op must cover the buffer exactly, a
+    /// range op must end inside it.
+    fn execute<T>(
+        &self,
+        ctx: &SimContext,
+        op: Op<'_>,
+        buf: &SmbBuffer,
+        len: usize,
+        mut attempt: impl FnMut(&SimContext, usize) -> Result<T, SmbError>,
+    ) -> Result<T, SmbError> {
+        let (offset, fits) = match op.offset {
+            None => (0, len == buf.len()),
+            Some(start) => (start, start.checked_add(len).is_some_and(|end| end <= buf.len())),
+        };
+        if !fits {
+            let got = offset.saturating_add(len);
+            return Err(SmbError::SizeMismatch { key: buf.key, expected: buf.len(), got });
+        }
+        self.retrying(ctx, buf.key, op.gate, |ctx| attempt(ctx, offset))
+    }
+
+    /// Decision (1), routing half: the server this attempt talks to and the
+    /// per-stream bandwidth its transfer may use. A plain op routes through
+    /// [`SmbClient::active`] and streams at the nominal rate without ever
+    /// consulting the fault gate (its transfer rides faults out inside the
+    /// fabric). A retrying op routes by promotion state alone and passes
+    /// the gate in its own direction first — failing fast with
+    /// [`SmbError::Unavailable`], or picking up a degradation-window cap.
+    fn enter(
+        &self,
+        ctx: &SimContext,
+        gate: Gate<'_>,
+        key: ShmKey,
+        inbound: bool,
+    ) -> Result<(SmbServer, f64), SmbError> {
+        let (server, cap) = match gate {
+            Gate::Stall => (self.active(ctx), None),
+            Gate::FailFast(_) => {
+                let server = self.active_raw(ctx);
+                let (from, to) = self.ends(&server, inbound);
+                match server.rdma().fabric().fault_check(ctx, from, to) {
+                    Ok(cap) => (server, cap),
+                    Err(fault) => return Err(self.unavailable(&server, key, fault)),
+                }
+            }
+        };
+        let nominal = server.config().stream_bps;
+        Ok((server, cap.map_or(nominal, |bw| nominal.min(bw))))
+    }
+
+    /// The `(sender, receiver)` nodes of a transfer in the given direction.
+    fn ends(&self, server: &SmbServer, inbound: bool) -> (NodeId, NodeId) {
+        if inbound {
+            (server.node(), self.local)
+        } else {
+            (self.local, server.node())
+        }
+    }
+
+    /// Streams `bytes` at `bps` along a priced op's full data path: the
+    /// server's DRAM bus plus the sender's and the receiver's HCA (one
+    /// pipelined stream — the order the hops are listed in is immaterial).
+    fn stream(&self, ctx: &SimContext, server: &SmbServer, inbound: bool, bytes: u64, bps: f64) {
+        let (from, to) = self.ends(server, inbound);
+        let fabric = server.rdma().fabric();
+        let path = [server.memory_resource(), fabric.hca_tx(from), fabric.hca_rx(to)];
+        transfer_path_stream(ctx, &path, bytes, Some(bps));
+    }
+
+    /// Decision (2): what the op pays, as `(bytes charged by the raw RDMA
+    /// verb, bytes streamed along the full DRAM-bus path)`. A priced op
+    /// copies at zero verb cost and streams its modelled size through
+    /// server DRAM and both HCAs; a true-size op pays the verb alone.
+    fn price(
+        op: Op<'_>,
+        server: &SmbServer,
+        wire_bytes: u64,
+        len: usize,
+        buf: &SmbBuffer,
+    ) -> (u64, Option<u64>) {
+        let share = match op.pricing {
+            Pricing::TrueSize => return ((len * 4) as u64, None),
+            Pricing::Whole => None,
+            Pricing::Share => Some((len, buf.len())),
+        };
+        (0, Some(modelled_bytes(wire_bytes, server.config().protocol_overhead, share)))
+    }
+
+    /// The inbound direction. Every read is stale-tolerant by SEASGD
+    /// design (weights, progress counters, versioned checkpoints), hence
+    /// always an atomic read: it coexists with concurrent accumulate RMWs
+    /// on other workers' behalf without being flagged as a race.
+    fn read_op(
+        &self,
+        ctx: &SimContext,
+        op: Op<'_>,
+        site: &'static str,
+        buf: &SmbBuffer,
+        out: &mut [f32],
+    ) -> Result<(), SmbError> {
+        self.execute(ctx, op, buf, out.len(), |ctx, offset| {
+            let (server, bps) = self.enter(ctx, op.gate, buf.key, true)?;
+            let (mr, wire_bytes) = server.segment(buf.key)?;
+            server.verify_region(ctx, buf.key, offset, out.len())?;
+            let (verb_bytes, path_bytes) = Self::price(op, &server, wire_bytes, out.len(), buf);
+            tagged(Access::AtomicRead, site, || {
+                server.rdma().read_wire(ctx, self.local, &mr, offset, out, verb_bytes)
+            })?;
+            if let Some(bytes) = path_bytes {
+                self.stream(ctx, &server, true, bytes, bps);
+            }
+            match op.gate {
+                Gate::Stall => Ok(()),
+                Gate::FailFast(_) => self.verify_inbound(&server, buf.key, out),
+            }
+        })
+    }
+
+    /// The outbound direction.
+    fn write_op(
+        &self,
+        ctx: &SimContext,
+        op: Op<'_>,
+        (access, site): (Access, &'static str),
+        buf: &SmbBuffer,
+        data: &[f32],
+    ) -> Result<(), SmbError> {
+        self.execute(ctx, op, buf, data.len(), |ctx, offset| {
+            let (server, bps) = self.enter(ctx, op.gate, buf.key, false)?;
+            // Control-info (true-size) writes are unversioned slot stores:
+            // no epoch admission and no version bump.
+            let versioned = op.pricing != Pricing::TrueSize;
+            if versioned {
+                self.admit(ctx, op.gate, buf.key)?;
+            }
+            let (mr, wire_bytes) = server.segment(buf.key)?;
+            // Verify-before-mutate: a poisoned page must be repaired (the
+            // only CRC-clearing path) before new data may land over it.
+            server.verify_region(ctx, buf.key, offset, data.len())?;
+            let (verb_bytes, path_bytes) = Self::price(op, &server, wire_bytes, data.len(), buf);
+            let delivery = match op.gate {
+                Gate::Stall => Ok(data.len()),
+                Gate::FailFast(_) => self.outbound_delivery(&server, buf.key, data),
+            };
+            if let Ok(delivered) = delivery {
+                if delivered > 0 {
+                    tagged(access, site, || {
+                        let landed = &data[..delivered];
+                        server.rdma().write_wire(ctx, self.local, &mr, offset, landed, verb_bytes)
+                    })?;
+                }
+                // Record the *intended* contents: a torn delivery leaves the
+                // page CRCs disagreeing with the actual bytes, so a later
+                // verification (read, scrub) detects the silent loss.
+                server.note_write(ctx, buf.key, offset, data);
+            }
+            // A flipped payload crossed the wire before the server's
+            // checksum rejected it: full wire time burns, nothing lands.
+            if let Some(bytes) = path_bytes {
+                self.stream(ctx, &server, false, bytes, bps);
+            }
+            delivery?;
+            if versioned {
+                server.bump_version(ctx, buf.key);
+            }
+            Ok(())
+        })
+    }
+
+    /// The accumulate request: gate, admission and one control round trip,
+    /// then the server's engine. Decision (4): a plain op pays the round
+    /// trip *before* admission, a retrying op gates and admits first —
+    /// admission reads the authority lease at that instant.
+    fn accumulate_op(
+        &self,
+        ctx: &SimContext,
+        op: Op<'_>,
+        src: &SmbBuffer,
+        dst: &SmbBuffer,
+        len: usize,
+    ) -> Result<u64, SmbError> {
+        self.retrying(ctx, src.key, op.gate, |ctx| {
+            let (server, _) = self.enter(ctx, op.gate, src.key, false)?;
+            let plain = matches!(op.gate, Gate::Stall);
+            if plain {
+                self.control_round_trip(ctx, &server);
+            }
+            self.admit(ctx, op.gate, dst.key)?;
+            if !plain {
+                self.control_round_trip(ctx, &server);
+            }
+            server.accumulate(ctx, src.key, dst.key, op.offset.map(|start| (start, len)))
+        })
+    }
+
     /// Wraps a fabric fault as [`SmbError::Unavailable`] with the failed
     /// queue pair identified, transitioning that QP to Error so plain RDMA
     /// ops on the pair fail fast until the retry loop re-arms it.
@@ -512,12 +870,6 @@ impl SmbClient {
             node: server.node(),
             cause: RdmaError::QpFault { local: self.local, remote: server.node(), fault },
         }
-    }
-
-    /// Per-stream bandwidth after applying a fault-window degradation cap.
-    fn effective_stream_bps(&self, server: &SmbServer, cap: Option<f64>) -> f64 {
-        let nominal = server.config().stream_bps;
-        cap.map_or(nominal, |bw| nominal.min(bw))
     }
 
     /// Applies any seeded wire bit-flip to an inbound (read) payload and
@@ -630,7 +982,8 @@ impl SmbClient {
         second
     }
 
-    /// Runs `op` under `policy`: transient failures are retried after a
+    /// Decision (1), retry half: a plain op runs exactly once. A retrying
+    /// `op` runs under its `policy`: transient failures are retried after a
     /// jittered exponential backoff (virtual-time sleep), re-arming the
     /// queue pair to the server before each retry. When an attempt
     /// observes the server's *crash* (not a transient link fault) and the
@@ -643,9 +996,10 @@ impl SmbClient {
         &self,
         ctx: &SimContext,
         key: ShmKey,
-        policy: &RetryPolicy,
+        gate: Gate<'_>,
         mut op: impl FnMut(&SimContext) -> Result<T, SmbError>,
     ) -> Result<T, SmbError> {
+        let Gate::FailFast(policy) = gate else { return op(ctx) };
         let started = ctx.now();
         let mut attempts = 0u32;
         loop {
@@ -706,468 +1060,6 @@ impl SmbClient {
             node: self.active_raw(ctx).node(),
             waited: ctx.now().since(started),
             attempts,
-        })
-    }
-
-    /// One fallible read attempt: consults the fabric's fault injector on
-    /// the server→client direction, then moves the data (possibly at
-    /// degraded bandwidth).
-    fn try_read_once(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        out: &mut [f32],
-    ) -> Result<(), SmbError> {
-        let server = self.active_raw(ctx);
-        let fabric = server.rdma().fabric();
-        let cap = fabric
-            .fault_check(ctx, server.node(), self.local)
-            .map_err(|fault| self.unavailable(&server, buf.key, fault))?;
-        let cfg = server.config();
-        let (mr, wire_bytes) = server.segment(buf.key)?;
-        server.verify_region(ctx, buf.key, 0, out.len())?;
-        let wire = (wire_bytes as f64 * (1.0 + cfg.protocol_overhead)) as u64;
-        tag_access!(AtomicRead, "smb::client::read_retrying", {
-            server.rdma().read_wire(ctx, self.local, &mr, 0, out, 0)
-        })?;
-        shmcaffe_simnet::resource::transfer_path_stream(
-            ctx,
-            &[server.memory_resource(), fabric.hca_tx(server.node()), fabric.hca_rx(self.local)],
-            wire,
-            Some(self.effective_stream_bps(&server, cap)),
-        );
-        self.verify_inbound(&server, buf.key, out)
-    }
-
-    /// One fallible write attempt (client→server direction).
-    fn try_write_once(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        data: &[f32],
-    ) -> Result<(), SmbError> {
-        let server = self.active_raw(ctx);
-        let fabric = server.rdma().fabric();
-        let cap = fabric
-            .fault_check(ctx, self.local, server.node())
-            .map_err(|fault| self.unavailable(&server, buf.key, fault))?;
-        self.admit_attempt(ctx, buf.key)?;
-        let cfg = server.config();
-        let (mr, wire_bytes) = server.segment(buf.key)?;
-        server.verify_region(ctx, buf.key, 0, data.len())?;
-        let wire = (wire_bytes as f64 * (1.0 + cfg.protocol_overhead)) as u64;
-        let delivered = match self.outbound_delivery(&server, buf.key, data) {
-            Ok(n) => n,
-            Err(e) => {
-                // The flipped payload crossed the wire before the server's
-                // checksum rejected it: full wire time burns, nothing lands.
-                shmcaffe_simnet::resource::transfer_path_stream(
-                    ctx,
-                    &[
-                        fabric.hca_tx(self.local),
-                        fabric.hca_rx(server.node()),
-                        server.memory_resource(),
-                    ],
-                    wire,
-                    Some(self.effective_stream_bps(&server, cap)),
-                );
-                return Err(e);
-            }
-        };
-        if delivered > 0 {
-            tag_access!(Write, "smb::client::write_retrying", {
-                server.rdma().write_wire(ctx, self.local, &mr, 0, &data[..delivered], 0)
-            })?;
-        }
-        // Record the *intended* contents: a torn delivery leaves the page
-        // CRCs disagreeing with the actual bytes, so a later verification
-        // (read, scrub) detects the silent loss.
-        server.note_write(ctx, buf.key, 0, data);
-        shmcaffe_simnet::resource::transfer_path_stream(
-            ctx,
-            &[fabric.hca_tx(self.local), fabric.hca_rx(server.node()), server.memory_resource()],
-            wire,
-            Some(self.effective_stream_bps(&server, cap)),
-        );
-        server.bump_version(ctx, buf.key);
-        Ok(())
-    }
-
-    /// Fault-tolerant [`SmbClient::read`]: each attempt can fail inside an
-    /// injected fault window; failures are retried under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmbError::SizeMismatch`] immediately for a bad slice;
-    /// [`SmbError::Timeout`] when the policy's attempts/deadline run out.
-    pub fn read_retrying(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        out: &mut [f32],
-        policy: &RetryPolicy,
-    ) -> Result<(), SmbError> {
-        if out.len() != buf.len() {
-            return Err(SmbError::SizeMismatch {
-                key: buf.key,
-                expected: buf.len(),
-                got: out.len(),
-            });
-        }
-        self.retrying(ctx, buf.key, policy, |ctx| self.try_read_once(ctx, buf, out))
-    }
-
-    /// Fault-tolerant [`SmbClient::write`] (see [`SmbClient::read_retrying`]).
-    /// Writes are idempotent full-buffer stores, so re-issuing after a
-    /// faulted attempt is safe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmbError::SizeMismatch`] immediately for a bad slice;
-    /// [`SmbError::Timeout`] when the policy's attempts/deadline run out.
-    pub fn write_retrying(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        data: &[f32],
-        policy: &RetryPolicy,
-    ) -> Result<(), SmbError> {
-        if data.len() != buf.len() {
-            return Err(SmbError::SizeMismatch {
-                key: buf.key,
-                expected: buf.len(),
-                got: data.len(),
-            });
-        }
-        self.retrying(ctx, buf.key, policy, |ctx| self.try_write_once(ctx, buf, data))
-    }
-
-    /// Fault-tolerant [`SmbClient::accumulate`]: the control message to the
-    /// server can fail inside a fault window and is retried under `policy`.
-    /// The server-side accumulate itself is local to the memory server, so
-    /// only the client→server control path is gated.
-    ///
-    /// # Errors
-    ///
-    /// Returns key/length errors immediately; [`SmbError::Timeout`] when
-    /// the policy's attempts/deadline run out.
-    pub fn accumulate_retrying(
-        &self,
-        ctx: &SimContext,
-        src: &SmbBuffer,
-        dst: &SmbBuffer,
-        policy: &RetryPolicy,
-    ) -> Result<u64, SmbError> {
-        self.retrying(ctx, src.key, policy, |ctx| {
-            let server = self.active_raw(ctx);
-            server
-                .rdma()
-                .fabric()
-                .fault_check(ctx, self.local, server.node())
-                .map_err(|fault| self.unavailable(&server, src.key, fault))?;
-            self.admit_attempt(ctx, dst.key)?;
-            self.control_round_trip(ctx, &server);
-            server.accumulate(ctx, src.key, dst.key)
-        })
-    }
-
-    /// Fraction of a buffer's modelled wire size that a `len`-element
-    /// sub-range transfer pays (rounded up to a whole byte so a stream of
-    /// chunks never undercuts the monolithic cost).
-    fn range_wire(buf: &SmbBuffer, overhead: f64, wire_bytes: u64, len: usize) -> u64 {
-        let frac = len as f64 / buf.len().max(1) as f64;
-        (wire_bytes as f64 * (1.0 + overhead) * frac).ceil() as u64
-    }
-
-    /// One fallible sub-range read attempt (see [`SmbClient::try_read_once`]):
-    /// wire time is the chunk's proportional share of the buffer's modelled
-    /// size, so streaming a whole buffer chunk-by-chunk costs the same wire
-    /// time as one monolithic read.
-    fn try_read_range_once(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        offset: usize,
-        out: &mut [f32],
-    ) -> Result<(), SmbError> {
-        let server = self.active_raw(ctx);
-        let fabric = server.rdma().fabric();
-        let cap = fabric
-            .fault_check(ctx, server.node(), self.local)
-            .map_err(|fault| self.unavailable(&server, buf.key, fault))?;
-        let cfg = server.config();
-        let (mr, wire_bytes) = server.segment(buf.key)?;
-        server.verify_region(ctx, buf.key, offset, out.len())?;
-        let wire = Self::range_wire(buf, cfg.protocol_overhead, wire_bytes, out.len());
-        // Stale-tolerant by SEASGD design (same contract as the full read):
-        // atomic, so it coexists with concurrent accumulate RMWs on other
-        // workers' behalf without being flagged as a race.
-        tag_access!(AtomicRead, "smb::client::read_range_retrying", {
-            server.rdma().read_wire(ctx, self.local, &mr, offset, out, 0)
-        })?;
-        shmcaffe_simnet::resource::transfer_path_stream(
-            ctx,
-            &[server.memory_resource(), fabric.hca_tx(server.node()), fabric.hca_rx(self.local)],
-            wire,
-            Some(self.effective_stream_bps(&server, cap)),
-        );
-        self.verify_inbound(&server, buf.key, out)
-    }
-
-    /// One fallible sub-range write attempt (client→server direction).
-    fn try_write_range_once(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        offset: usize,
-        data: &[f32],
-    ) -> Result<(), SmbError> {
-        let server = self.active_raw(ctx);
-        let fabric = server.rdma().fabric();
-        let cap = fabric
-            .fault_check(ctx, self.local, server.node())
-            .map_err(|fault| self.unavailable(&server, buf.key, fault))?;
-        self.admit_attempt(ctx, buf.key)?;
-        let cfg = server.config();
-        let (mr, wire_bytes) = server.segment(buf.key)?;
-        server.verify_region(ctx, buf.key, offset, data.len())?;
-        let wire = Self::range_wire(buf, cfg.protocol_overhead, wire_bytes, data.len());
-        let delivered = match self.outbound_delivery(&server, buf.key, data) {
-            Ok(n) => n,
-            Err(e) => {
-                shmcaffe_simnet::resource::transfer_path_stream(
-                    ctx,
-                    &[
-                        fabric.hca_tx(self.local),
-                        fabric.hca_rx(server.node()),
-                        server.memory_resource(),
-                    ],
-                    wire,
-                    Some(self.effective_stream_bps(&server, cap)),
-                );
-                return Err(e);
-            }
-        };
-        if delivered > 0 {
-            tag_access!(Write, "smb::client::write_range_retrying", {
-                server.rdma().write_wire(ctx, self.local, &mr, offset, &data[..delivered], 0)
-            })?;
-        }
-        server.note_write(ctx, buf.key, offset, data);
-        shmcaffe_simnet::resource::transfer_path_stream(
-            ctx,
-            &[fabric.hca_tx(self.local), fabric.hca_rx(server.node()), server.memory_resource()],
-            wire,
-            Some(self.effective_stream_bps(&server, cap)),
-        );
-        server.bump_version(ctx, buf.key);
-        Ok(())
-    }
-
-    /// Fault-tolerant sub-range read at the range's *proportional* wire
-    /// cost — the streaming-read building block of the chunked exchange
-    /// (unlike [`SmbClient::read_range`], which moves control-info bytes at
-    /// their true size).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmbError::SizeMismatch`] immediately if the range exceeds
-    /// the buffer; [`SmbError::Timeout`] when the policy runs out.
-    pub fn read_range_retrying(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        offset: usize,
-        out: &mut [f32],
-        policy: &RetryPolicy,
-    ) -> Result<(), SmbError> {
-        if offset + out.len() > buf.len() {
-            return Err(SmbError::SizeMismatch {
-                key: buf.key,
-                expected: buf.len(),
-                got: offset + out.len(),
-            });
-        }
-        self.retrying(ctx, buf.key, policy, |ctx| self.try_read_range_once(ctx, buf, offset, out))
-    }
-
-    /// Fault-tolerant sub-range write at proportional wire cost (the T.A1
-    /// step of a chunked exchange). Idempotent per chunk: re-issuing a
-    /// faulted attempt overwrites the same range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmbError::SizeMismatch`] immediately if the range exceeds
-    /// the buffer; [`SmbError::Timeout`] when the policy runs out.
-    pub fn write_range_retrying(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        offset: usize,
-        data: &[f32],
-        policy: &RetryPolicy,
-    ) -> Result<(), SmbError> {
-        if offset + data.len() > buf.len() {
-            return Err(SmbError::SizeMismatch {
-                key: buf.key,
-                expected: buf.len(),
-                got: offset + data.len(),
-            });
-        }
-        self.retrying(ctx, buf.key, policy, |ctx| self.try_write_range_once(ctx, buf, offset, data))
-    }
-
-    /// Fault-tolerant range accumulate: server-side `dst[range] +=
-    /// src[range]` (the T.A2–T.A3 step of a chunked exchange), engine time
-    /// charged proportionally to the range. Same gating as
-    /// [`SmbClient::accumulate_retrying`].
-    ///
-    /// # Errors
-    ///
-    /// Returns key/length/bounds errors immediately; [`SmbError::Timeout`]
-    /// when the policy runs out.
-    pub fn accumulate_range_retrying(
-        &self,
-        ctx: &SimContext,
-        src: &SmbBuffer,
-        dst: &SmbBuffer,
-        offset: usize,
-        len: usize,
-        policy: &RetryPolicy,
-    ) -> Result<u64, SmbError> {
-        self.retrying(ctx, src.key, policy, |ctx| {
-            let server = self.active_raw(ctx);
-            server
-                .rdma()
-                .fabric()
-                .fault_check(ctx, self.local, server.node())
-                .map_err(|fault| self.unavailable(&server, src.key, fault))?;
-            self.admit_attempt(ctx, dst.key)?;
-            self.control_round_trip(ctx, &server);
-            server.accumulate_range(ctx, src.key, dst.key, offset, len)
-        })
-    }
-
-    /// Writes a checkpoint buffer under `policy`, tagged as an *atomic*
-    /// (seqlock-style versioned) publication. Unlike a SEASGD weight
-    /// write, a checkpoint write and a rejoining worker's checkpoint read
-    /// have **no** happens-before edge — the rejoiner discovers the
-    /// checkpoint through the replicated segment catalog, not through a
-    /// message from the writer — so both sides must use the versioned
-    /// (atomic) protocol to stay race-free by design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmbError::SizeMismatch`] immediately for a bad slice;
-    /// [`SmbError::Timeout`] when the policy's attempts/deadline run out.
-    pub fn checkpoint_write(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        data: &[f32],
-        policy: &RetryPolicy,
-    ) -> Result<(), SmbError> {
-        if data.len() != buf.len() {
-            return Err(SmbError::SizeMismatch {
-                key: buf.key,
-                expected: buf.len(),
-                got: data.len(),
-            });
-        }
-        self.retrying(ctx, buf.key, policy, |ctx| {
-            let server = self.active_raw(ctx);
-            let fabric = server.rdma().fabric();
-            let cap = fabric
-                .fault_check(ctx, self.local, server.node())
-                .map_err(|fault| self.unavailable(&server, buf.key, fault))?;
-            self.admit_attempt(ctx, buf.key)?;
-            let cfg = server.config();
-            let (mr, wire_bytes) = server.segment(buf.key)?;
-            server.verify_region(ctx, buf.key, 0, data.len())?;
-            let wire = (wire_bytes as f64 * (1.0 + cfg.protocol_overhead)) as u64;
-            let delivered = match self.outbound_delivery(&server, buf.key, data) {
-                Ok(n) => n,
-                Err(e) => {
-                    shmcaffe_simnet::resource::transfer_path_stream(
-                        ctx,
-                        &[
-                            fabric.hca_tx(self.local),
-                            fabric.hca_rx(server.node()),
-                            server.memory_resource(),
-                        ],
-                        wire,
-                        Some(self.effective_stream_bps(&server, cap)),
-                    );
-                    return Err(e);
-                }
-            };
-            if delivered > 0 {
-                tag_access!(AtomicWrite, "smb::client::checkpoint_write", {
-                    server.rdma().write_wire(ctx, self.local, &mr, 0, &data[..delivered], 0)
-                })?;
-            }
-            server.note_write(ctx, buf.key, 0, data);
-            shmcaffe_simnet::resource::transfer_path_stream(
-                ctx,
-                &[
-                    fabric.hca_tx(self.local),
-                    fabric.hca_rx(server.node()),
-                    server.memory_resource(),
-                ],
-                wire,
-                Some(self.effective_stream_bps(&server, cap)),
-            );
-            server.bump_version(ctx, buf.key);
-            Ok(())
-        })
-    }
-
-    /// Reads a checkpoint buffer under `policy` with the atomic
-    /// (versioned) protocol — the read side of
-    /// [`SmbClient::checkpoint_write`], used by rejoining workers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmbError::SizeMismatch`] immediately for a bad slice;
-    /// [`SmbError::Timeout`] when the policy's attempts/deadline run out.
-    pub fn checkpoint_read(
-        &self,
-        ctx: &SimContext,
-        buf: &SmbBuffer,
-        out: &mut [f32],
-        policy: &RetryPolicy,
-    ) -> Result<(), SmbError> {
-        if out.len() != buf.len() {
-            return Err(SmbError::SizeMismatch {
-                key: buf.key,
-                expected: buf.len(),
-                got: out.len(),
-            });
-        }
-        self.retrying(ctx, buf.key, policy, |ctx| {
-            let server = self.active_raw(ctx);
-            let fabric = server.rdma().fabric();
-            let cap = fabric
-                .fault_check(ctx, server.node(), self.local)
-                .map_err(|fault| self.unavailable(&server, buf.key, fault))?;
-            let cfg = server.config();
-            let (mr, wire_bytes) = server.segment(buf.key)?;
-            server.verify_region(ctx, buf.key, 0, out.len())?;
-            let wire = (wire_bytes as f64 * (1.0 + cfg.protocol_overhead)) as u64;
-            tag_access!(AtomicRead, "smb::client::checkpoint_read", {
-                server.rdma().read_wire(ctx, self.local, &mr, 0, out, 0)
-            })?;
-            shmcaffe_simnet::resource::transfer_path_stream(
-                ctx,
-                &[
-                    server.memory_resource(),
-                    fabric.hca_tx(server.node()),
-                    fabric.hca_rx(self.local),
-                ],
-                wire,
-                Some(self.effective_stream_bps(&server, cap)),
-            );
-            self.verify_inbound(&server, buf.key, out)
         })
     }
 }
@@ -1664,6 +1556,54 @@ mod tests {
             ));
         });
         sim.run();
+    }
+
+    #[test]
+    fn every_range_op_names_the_segment_when_the_span_is_out_of_range() {
+        // One row per range entry point, each with an end past the buffer
+        // and with an offset so large that `offset + len` would wrap.
+        let server = setup(1);
+        let s = server.clone();
+        let mut sim = Simulation::new();
+        sim.spawn("w", move |ctx| {
+            let client = SmbClient::new(s, NodeId(0));
+            let policy = RetryPolicy::with_seed(9);
+            let dw = client.alloc(&ctx, client.create(&ctx, "dw", 6, None).unwrap()).unwrap();
+            let wg = client.alloc(&ctx, client.create(&ctx, "wg", 6, None).unwrap()).unwrap();
+            let mut out = [0.0f32; 2];
+            for (offset, got) in [(5usize, 7usize), (usize::MAX, usize::MAX)] {
+                let rows = [
+                    ("read_range", client.read_range(&ctx, &wg, offset, &mut out)),
+                    ("write_range", client.write_range(&ctx, &wg, offset, &[0.0; 2])),
+                    (
+                        "read_range_retrying",
+                        client.read_range_retrying(&ctx, &wg, offset, &mut out, &policy),
+                    ),
+                    (
+                        "write_range_retrying",
+                        client.write_range_retrying(&ctx, &wg, offset, &[0.0; 2], &policy),
+                    ),
+                    (
+                        "accumulate_range_retrying",
+                        client
+                            .accumulate_range_retrying(&ctx, &dw, &wg, offset, 2, &policy)
+                            .map(|_| ()),
+                    ),
+                ];
+                for (entry, result) in rows {
+                    match result {
+                        Err(SmbError::SizeMismatch { key, expected: 6, got: g }) => {
+                            assert_eq!((key, g), (wg.key, got), "{entry} at offset {offset}");
+                        }
+                        other => panic!("{entry} at offset {offset}: {other:?}"),
+                    }
+                }
+            }
+            // Nothing landed and no version moved.
+            client.read(&ctx, &wg, &mut [0.0f32; 6]).unwrap();
+        });
+        sim.run();
+        assert_eq!(server.version(ShmKey(2)).unwrap(), 0);
     }
 
     #[test]

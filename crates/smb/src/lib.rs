@@ -55,27 +55,6 @@ mod retry;
 mod server;
 pub mod sharded;
 
-/// Tags the raw RDMA op inside `$e` with a race-detector access kind and a
-/// client-level site name, overriding the generic classification the rdma
-/// crate would record. Compiles to `$e` when race detection is off.
-macro_rules! tag_access {
-    ($kind:ident, $site:literal, $e:expr) => {{
-        #[cfg(feature = "race-detect")]
-        {
-            shmcaffe_simnet::race::with_access(
-                shmcaffe_simnet::race::AccessKind::$kind,
-                $site,
-                || $e,
-            )
-        }
-        #[cfg(not(feature = "race-detect"))]
-        {
-            $e
-        }
-    }};
-}
-pub(crate) use tag_access;
-
 pub use client::{ClientFaultStats, SmbBuffer, SmbClient};
 pub use error::SmbError;
 pub use replica::{ServerRole, SmbPair};

@@ -39,7 +39,7 @@ use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::topology::NodeId;
 use shmcaffe_simnet::{SimContext, SimDuration, SimTime};
 
-use crate::server::{ShmKey, SmbServer, SmbServerConfig};
+use crate::server::{modelled_bytes, ShmKey, SmbServer, SmbServerConfig};
 use crate::SmbError;
 
 /// Which member of an [`SmbPair`] currently serves client operations.
@@ -135,6 +135,28 @@ impl fmt::Debug for SmbPair {
             .field("epoch", &self.epoch())
             .finish()
     }
+}
+
+/// Charges one member-to-member transfer of a segment modelled as
+/// `wire_bytes` — the whole of it, or the `share` (see
+/// [`modelled_bytes`]) — along `from`'s DRAM bus → `from`'s HCA → `to`'s
+/// HCA → `to`'s DRAM bus. Both members of a pair run one configuration.
+fn ship(
+    ctx: &SimContext,
+    from: &SmbServer,
+    to: &SmbServer,
+    wire_bytes: u64,
+    share: Option<(usize, usize)>,
+) {
+    let (cfg, fabric) = (from.config(), from.rdma().fabric());
+    let path = [
+        from.memory_resource(),
+        fabric.hca_tx(from.node()),
+        fabric.hca_rx(to.node()),
+        to.memory_resource(),
+    ];
+    let wire = modelled_bytes(wire_bytes, cfg.protocol_overhead, share);
+    shmcaffe_simnet::resource::transfer_path_stream(ctx, &path, wire, Some(cfg.stream_bps));
 }
 
 impl SmbPair {
@@ -404,7 +426,7 @@ impl SmbPair {
         for meta in catalog {
             // The crash cuts the replication stream mid-pass: segments
             // copied before the cut stay; the rest keep their old contents.
-            self.gate(ctx, fabric)?;
+            self.gate_from(ctx, fabric, primary.node(), standby.node())?;
             // A segment with an open chunked accumulate stream is skipped
             // *entirely* (not even installed): shipping it mid-stream would
             // hand the standby a torn, half-folded W_g that no worker ever
@@ -473,23 +495,12 @@ impl SmbPair {
                     "smb::replica::apply",
                 );
             }
-            let wire = (meta.wire_bytes as f64 * (1.0 + cfg.protocol_overhead)) as u64;
-            shmcaffe_simnet::resource::transfer_path_stream(
-                ctx,
-                &[
-                    primary.memory_resource(),
-                    fabric.hca_tx(primary.node()),
-                    fabric.hca_rx(standby.node()),
-                    standby.memory_resource(),
-                ],
-                wire,
-                Some(cfg.stream_bps),
-            );
+            ship(ctx, primary, standby, meta.wire_bytes, None);
             self.inner.replicated_versions.lock().insert(meta.key, meta.version);
         }
         // Control-plane mirror: lease table and tombstones ride one control
         // message once the data plane is consistent.
-        self.gate(ctx, fabric)?;
+        self.gate_from(ctx, fabric, primary.node(), standby.node())?;
         ctx.sleep(cfg.control_latency);
         standby.set_leases(primary.lease_catalog());
         standby.set_tombstones(primary.tombstone_catalog());
@@ -498,8 +509,8 @@ impl SmbPair {
         Ok(*epoch)
     }
 
-    /// Fault gate on an explicit `from`→`to` direction (reconciliation
-    /// flows standby→primary, the reverse of replication).
+    /// Fault gate on an explicit `from`→`to` direction (replication flows
+    /// primary→standby; reconciliation and repair flow the reverse way).
     fn gate_from(
         &self,
         ctx: &SimContext,
@@ -511,28 +522,6 @@ impl SmbPair {
             key: ShmKey(0),
             node: from,
             cause: shmcaffe_rdma::RdmaError::QpFault { local: to, remote: from, fault },
-        })?;
-        Ok(())
-    }
-
-    /// Fault gate on the primary→standby path.
-    fn gate(
-        &self,
-        ctx: &SimContext,
-        fabric: &shmcaffe_simnet::topology::Fabric,
-    ) -> Result<(), SmbError> {
-        let primary = &self.inner.primary;
-        let standby = &self.inner.standby;
-        fabric.fault_check(ctx, primary.node(), standby.node()).map_err(|fault| {
-            SmbError::Unavailable {
-                key: ShmKey(0),
-                node: primary.node(),
-                cause: shmcaffe_rdma::RdmaError::QpFault {
-                    local: standby.node(),
-                    remote: primary.node(),
-                    fault,
-                },
-            }
         })?;
         Ok(())
     }
@@ -668,18 +657,7 @@ impl SmbPair {
             // out of client service, so by construction nothing races with
             // the resync write (clients route to the promoted standby, and
             // any straggler mutation was already rejected FencedEpoch).
-            let wire = (meta.wire_bytes as f64 * (1.0 + cfg.protocol_overhead)) as u64;
-            shmcaffe_simnet::resource::transfer_path_stream(
-                ctx,
-                &[
-                    source.memory_resource(),
-                    fabric.hca_tx(source.node()),
-                    fabric.hca_rx(demoted.node()),
-                    demoted.memory_resource(),
-                ],
-                wire,
-                Some(cfg.stream_bps),
-            );
+            ship(ctx, source, demoted, meta.wire_bytes, None);
             self.inner.replicated_versions.lock().insert(meta.key, meta.version);
             resynced += 1;
             self.inner.reconcile_resynced.fetch_add(1, Ordering::Relaxed);
@@ -799,7 +777,7 @@ impl SmbPair {
         offset: usize,
         len: usize,
     ) -> Result<u64, SmbError> {
-        self.active_server(ctx).accumulate_range(ctx, src, dst, offset, len)
+        self.active_server(ctx).accumulate(ctx, src, dst, Some((offset, len)))
     }
 
     /// Repairs one poisoned page of the currently active member by
@@ -860,20 +838,7 @@ impl SmbPair {
         let fabric = dst.rdma().fabric();
         self.gate_from(ctx, fabric, src.node(), dst.node())?;
         let (dst_mr, wire_bytes) = dst.segment(key)?;
-        let cfg = dst.config();
-        let share = data.len() as f64 / dst_mr.len.max(1) as f64;
-        let wire = (wire_bytes as f64 * (1.0 + cfg.protocol_overhead) * share).ceil() as u64;
-        shmcaffe_simnet::resource::transfer_path_stream(
-            ctx,
-            &[
-                src.memory_resource(),
-                fabric.hca_tx(src.node()),
-                fabric.hca_rx(dst.node()),
-                dst.memory_resource(),
-            ],
-            wire,
-            Some(cfg.stream_bps),
-        );
+        ship(ctx, src, dst, wire_bytes, Some((data.len(), dst_mr.len)));
         if self.inner.repair_fence.load(Ordering::Acquire) && !dst.page_poisoned(ctx, key, page) {
             return Ok(());
         }

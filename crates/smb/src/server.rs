@@ -197,6 +197,25 @@ impl Grid<'_> {
 /// W_g, write W_g.
 const ACCUMULATE_MEM_PASSES: u64 = 3;
 
+/// The one pricing rule of the SMB data plane: how many modelled bytes a
+/// transfer on a buffer whose full size is modelled as `wire_bytes` costs
+/// — client ops, replication, repair and the accumulate engine all charge
+/// through here. `share` = `None` prices the whole buffer,
+/// `floor(wire_bytes·(1+overhead))`; `Some((len, total))` prices a
+/// `len`-of-`total`-element span at its proportional share,
+/// `ceil(wire_bytes·(1+overhead)·len/total)`, rounded up to a whole byte
+/// so a stream of chunks never undercuts the monolithic cost. The two are
+/// deliberately not interchangeable: a full-length share rounds the other
+/// way. `overhead` is the protocol's fractional framing cost (0 for the
+/// server-local engine traffic).
+pub(crate) fn modelled_bytes(wire_bytes: u64, overhead: f64, share: Option<(usize, usize)>) -> u64 {
+    let full = wire_bytes as f64 * (1.0 + overhead);
+    match share {
+        None => full as u64,
+        Some((len, total)) => (full * len as f64 / total.max(1) as f64).ceil() as u64,
+    }
+}
+
 /// Pseudo-region id for exploration footprints on control-plane state that
 /// has no backing memory region. High-bit tagged so it can never collide
 /// with an rkey (rkeys are small sequential integers). `salt` names the
@@ -639,113 +658,50 @@ impl SmbServer {
     }
 
     /// Server-side accumulate: `dst += src` between two segments (paper
-    /// eq. 7 and step T.A3). The caller is charged the engine's queueing +
-    /// service time for the destination's wire size, which serialises
-    /// concurrent accumulate requests exactly as the paper's server does.
-    ///
-    /// Returns the destination's new version number.
-    ///
-    /// # Errors
-    ///
-    /// Returns key/length errors; on error no engine time is charged.
-    pub(crate) fn accumulate(
-        &self,
-        ctx: &SimContext,
-        src: ShmKey,
-        dst: ShmKey,
-    ) -> Result<u64, SmbError> {
-        let (src_mr, _) = self.segment(src)?;
-        let (dst_mr, dst_wire) = self.segment(dst)?;
-        if src_mr.len != dst_mr.len {
-            return Err(SmbError::LengthMismatch { src: src_mr.len, dst: dst_mr.len, key: dst });
-        }
-        // Never fold corrupt operands: both sides verify before the engine
-        // touches them, so a poisoned ΔW or W_g page aborts the accumulate
-        // instead of spreading damage into the average.
-        self.verify_region(ctx, src, 0, src_mr.len)?;
-        self.verify_region(ctx, dst, 0, dst_mr.len)?;
-        // The engine serialises accumulates on the DRAM bus, so they are
-        // atomic read-modify-writes with respect to each other; concurrent
-        // plain writes to the destination still race.
-        {
-            use shmcaffe_simnet::FootprintKind;
-            ctx.footprint(src_mr.rkey.0, 0, src_mr.len, FootprintKind::AtomicRead);
-            ctx.footprint(dst_mr.rkey.0, 0, dst_mr.len, FootprintKind::AtomicRmw);
-        }
-        #[cfg(feature = "race-detect")]
-        {
-            use shmcaffe_simnet::race::AccessKind;
-            let det = self.inner.rdma.race_detector();
-            det.record(
-                ctx,
-                src_mr.rkey.0,
-                0,
-                src_mr.len,
-                AccessKind::AtomicRead,
-                "smb::server::accumulate(src)",
-            );
-            det.record(
-                ctx,
-                dst_mr.rkey.0,
-                0,
-                dst_mr.len,
-                AccessKind::AtomicRmw,
-                "smb::server::accumulate(dst)",
-            );
-        }
-        // The engine streams ΔW and W_g through server memory (three
-        // passes per byte), serialised on the shared DRAM bus (T.A3:
-        // requests are processed exclusively). The exclusivity is a
-        // sim-time property of the bus; the data-plane add below may use
-        // the tensor worker pool (fixed chunks, thread-count invariant)
-        // without changing the accounting.
-        self.inner.memory.transfer(ctx, dst_wire * ACCUMULATE_MEM_PASSES);
-        self.inner.rdma.with_two_regions(&src_mr, &dst_mr, |s, d| {
-            shmcaffe_tensor::ops::axpy(1.0, s, d);
-        })?;
-        self.refresh_page_range(dst, 0, dst_mr.len);
-        let version = self.bump_version(ctx, dst);
-        Ok(version)
-    }
-
-    /// Range variant of [`SmbServer::accumulate`]: `dst[offset..offset+len]
-    /// += src[offset..offset+len]`. The chunked exchange pushes one fixed
-    /// grid chunk at a time through this, so engine time is charged
-    /// proportionally to the chunk's share of the segment's wire size —
-    /// streaming a whole segment chunk-by-chunk costs the same bus time as
-    /// one monolithic accumulate (modulo per-chunk rounding up).
+    /// eq. 7 and step T.A3), over the whole segment (`span` = `None`) or
+    /// over `dst[offset..offset+len] += src[offset..offset+len]`
+    /// (`Some((offset, len))` — the chunked exchange pushes one fixed grid
+    /// chunk at a time through this). The caller is charged the engine's
+    /// queueing + service time, which serialises concurrent accumulate
+    /// requests exactly as the paper's server does: the destination's full
+    /// wire size for the whole segment, the chunk's proportional share for
+    /// a span — streaming a whole segment chunk-by-chunk costs the same
+    /// bus time as one monolithic accumulate (modulo per-chunk rounding
+    /// up).
     ///
     /// Returns the destination's new version number.
     ///
     /// # Errors
     ///
     /// Returns key/length/bounds errors; on error no engine time is charged.
-    pub(crate) fn accumulate_range(
+    pub(crate) fn accumulate(
         &self,
         ctx: &SimContext,
         src: ShmKey,
         dst: ShmKey,
-        offset: usize,
-        len: usize,
+        span: Option<(usize, usize)>,
     ) -> Result<u64, SmbError> {
         let (src_mr, _) = self.segment(src)?;
         let (dst_mr, dst_wire) = self.segment(dst)?;
         if src_mr.len != dst_mr.len {
             return Err(SmbError::LengthMismatch { src: src_mr.len, dst: dst_mr.len, key: dst });
         }
-        if offset + len > dst_mr.len {
-            return Err(SmbError::SizeMismatch {
-                key: dst,
-                expected: dst_mr.len,
-                got: offset + len,
-            });
-        }
-        // Verify only the pages this chunk touches (see `accumulate`).
+        let (offset, len) = span.unwrap_or((0, dst_mr.len));
+        let Some(end) = offset.checked_add(len).filter(|&end| end <= dst_mr.len) else {
+            let got = offset.saturating_add(len);
+            return Err(SmbError::SizeMismatch { key: dst, expected: dst_mr.len, got });
+        };
+        // Never fold corrupt operands: both sides verify (only the pages
+        // the span touches) before the engine reads them, so a poisoned ΔW
+        // or W_g page aborts the accumulate instead of spreading damage
+        // into the average.
         self.verify_region(ctx, src, offset, len)?;
         self.verify_region(ctx, dst, offset, len)?;
-        // Same atomicity model as the full accumulate, but the access
-        // footprint is the exact sub-range: disjoint chunks from different
-        // workers do not conflict, overlapping ones serialise as RMWs.
+        // The engine serialises accumulates on the DRAM bus, so they are
+        // atomic read-modify-writes with respect to each other; concurrent
+        // plain writes to the destination still race. The access footprint
+        // is the exact span: disjoint chunks from different workers do not
+        // conflict, overlapping ones serialise as RMWs.
         {
             use shmcaffe_simnet::FootprintKind;
             ctx.footprint(src_mr.rkey.0, offset, len, FootprintKind::AtomicRead);
@@ -755,27 +711,25 @@ impl SmbServer {
         {
             use shmcaffe_simnet::race::AccessKind;
             let det = self.inner.rdma.race_detector();
-            det.record(
-                ctx,
-                src_mr.rkey.0,
-                offset,
-                len,
-                AccessKind::AtomicRead,
-                "smb::server::accumulate_range(src)",
-            );
-            det.record(
-                ctx,
-                dst_mr.rkey.0,
-                offset,
-                len,
-                AccessKind::AtomicRmw,
-                "smb::server::accumulate_range(dst)",
-            );
+            let (src_site, dst_site) = match span {
+                None => ("smb::server::accumulate(src)", "smb::server::accumulate(dst)"),
+                Some(_) => {
+                    ("smb::server::accumulate_range(src)", "smb::server::accumulate_range(dst)")
+                }
+            };
+            det.record(ctx, src_mr.rkey.0, offset, len, AccessKind::AtomicRead, src_site);
+            det.record(ctx, dst_mr.rkey.0, offset, len, AccessKind::AtomicRmw, dst_site);
         }
-        let chunk_wire = ((dst_wire as f64 * len as f64 / dst_mr.len.max(1) as f64).ceil()) as u64;
-        self.inner.memory.transfer(ctx, chunk_wire * ACCUMULATE_MEM_PASSES);
+        // The engine streams ΔW and W_g through server memory (three
+        // passes per byte), serialised on the shared DRAM bus (T.A3:
+        // requests are processed exclusively). The exclusivity is a
+        // sim-time property of the bus; the data-plane add below may use
+        // the tensor worker pool (fixed chunks, thread-count invariant)
+        // without changing the accounting.
+        let wire = modelled_bytes(dst_wire, 0.0, span.map(|_| (len, dst_mr.len)));
+        self.inner.memory.transfer(ctx, wire * ACCUMULATE_MEM_PASSES);
         self.inner.rdma.with_two_regions(&src_mr, &dst_mr, |s, d| {
-            shmcaffe_tensor::ops::axpy(1.0, &s[offset..offset + len], &mut d[offset..offset + len]);
+            shmcaffe_tensor::ops::axpy(1.0, &s[offset..end], &mut d[offset..end]);
         })?;
         self.refresh_page_range(dst, offset, len);
         let version = self.bump_version(ctx, dst);
@@ -1566,7 +1520,7 @@ mod tests {
             client.write_range(ctx, &wg, 3, &payload(13, 4)).unwrap();
             client.write_range(ctx, &wg, 6, &payload(17, 12)).unwrap();
             client.write_range(ctx, &wg, 26, &payload(19, 3)).unwrap();
-            s.accumulate_range(ctx, dw_key, wg_key, 5, 20).unwrap();
+            s.accumulate(ctx, dw_key, wg_key, Some((5, 20))).unwrap();
             // A torn write records intent the bytes cannot match: the next
             // verification poisons the pages past the delivered prefix.
             s.inject_torn_write(ctx, dw_key, 10, &payload(23, 10), 4).unwrap();

@@ -8,7 +8,6 @@
 //! process), so both the single-stream pacing limit and the per-server
 //! memory-bus bottleneck divide by the server count.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use shmcaffe_rdma::RdmaFabric;
@@ -305,10 +304,6 @@ impl ShardedClient {
         Ok(())
     }
 }
-
-/// Collects results that need to outlive the simulation in tests.
-#[doc(hidden)]
-pub type SharedVec<T> = Arc<Mutex<Vec<T>>>;
 
 #[cfg(test)]
 mod tests {

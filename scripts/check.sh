@@ -85,11 +85,7 @@ timeout 300 cargo test -q -p shmcaffe-smb --test schedcheck
 timeout 300 cargo test -q -p shmcaffe --test schedcheck_seasgd
 
 echo "== race detector: SMB seeded-race/failover/fence-chain/repair + SEASGD chaos/failover/partition =="
-cargo test -q -p shmcaffe-smb --features race-detect
-cargo test -q -p shmcaffe --features race-detect
-cargo test -q -p shmcaffe-simnet --features race-detect
-cargo test -q -p shmcaffe --features race-detect --test partition
-cargo test -q -p shmcaffe-smb --features race-detect --test race_detect
+./scripts/race.sh
 
 echo "== miri (skips when not installed) =="
 ./scripts/miri.sh
