@@ -83,13 +83,16 @@ pub const ALL_RULES: &[&str] = &[
 /// hashed scratch maps are its business.
 const BENCH_PREFIX: &str = "crates/bench/";
 
-/// Files allowed to contain `unsafe`: the packed-gemm micro-kernel, the
-/// worker pool's scoped-task transmute and `SliceParts` disjoint-range
-/// writer (documented and Miri-covered, scripts/miri.sh), the
-/// runtime-detected call into the SSE4.2 CRC32C kernel, and the counting
-/// `#[global_allocator]` the allocation-free steady-state test installs.
+/// Files allowed to contain `unsafe`: the packed-gemm micro-kernel and the
+/// direct-convolution task bodies (runtime-detected calls into AVX2
+/// recompilations of safe code), the worker pool's scoped-task transmute
+/// and `SliceParts` disjoint-range writer (documented and Miri-covered,
+/// scripts/miri.sh), the runtime-detected call into the SSE4.2 CRC32C
+/// kernel, and the counting `#[global_allocator]` the allocation-free
+/// steady-state test installs.
 const UNSAFE_ALLOWED_FILES: &[&str] = &[
     "crates/tensor/src/gemm.rs",
+    "crates/tensor/src/conv.rs",
     "crates/tensor/src/parallel.rs",
     "crates/tensor/src/crc32c.rs",
     "crates/tensor/tests/alloc_free.rs",

@@ -1,4 +1,4 @@
-//! Microbenchmarks of the tensor substrate: gemm, im2col convolution,
+//! Microbenchmarks of the tensor substrate: gemm, direct convolution,
 //! softmax and the BLAS-1 kernels every SEASGD exchange runs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -34,8 +34,9 @@ fn bench_gemm(c: &mut Criterion) {
 }
 
 fn bench_conv(c: &mut Criterion) {
-    // Inception-style 1x1 bottleneck: GEMM-shaped, packing-bound — the
-    // fused path's worst case relative to materialised im2col.
+    // Inception-style 1x1 bottleneck: GEMM-shaped, one tap per input
+    // channel — staging the image is at its dearest relative to the
+    // arithmetic.
     let geom = Conv2dGeometry::square(192, 28, 1, 1, 0);
     let out_channels = 64;
     let batch = 8;

@@ -27,7 +27,7 @@ impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
         let mut out = Tensor::zeros(input.dims());
         ops::relu_forward(input.data(), out.data_mut());
-        self.cached_input = Some(input.clone());
+        super::cache_input(&mut self.cached_input, input);
         Ok(out)
     }
 

@@ -1,4 +1,5 @@
-//! 2-D convolution layer built on the fused im2col → packed-GEMM kernel.
+//! 2-D convolution layer built on the direct register-tiled kernels of
+//! `shmcaffe_tensor::conv`.
 
 use shmcaffe_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
 use shmcaffe_tensor::init::{seeded_rng, Filler};
@@ -57,8 +58,8 @@ impl Conv2d {
         let out_h = geom.out_h()?;
         let out_w = geom.out_w()?;
         let k = geom.col_rows();
-        // The fused conv kernels draw scratch from the shared per-thread
-        // workspace arena, so the layer itself carries no column buffer.
+        // The conv kernels draw scratch from the shared per-thread
+        // workspace arena, so the layer itself carries no staging buffer.
         let mut weights =
             Tensor::zeros(&[out_channels, geom.in_channels, geom.kernel_h, geom.kernel_w]);
         let mut rng = seeded_rng(seed ^ hash_name(name));
@@ -128,7 +129,7 @@ impl Layer for Conv2d {
             self.bias.data(),
             output.data_mut(),
         );
-        self.cached_input = Some(input.clone());
+        super::cache_input(&mut self.cached_input, input);
         Ok(output)
     }
 
@@ -147,8 +148,8 @@ impl Layer for Conv2d {
 
 impl Conv2d {
     /// Accumulates `dW`/`db`; also computes the input gradient if
-    /// `want_d_input`, else returns an empty tensor (the kernel skips the
-    /// `Wᵀ·dY` gemm and col2im for an empty `d_input`).
+    /// `want_d_input`, else returns an empty tensor (the kernel runs no
+    /// `d_input` tasks for an empty `d_input`).
     fn backprop(&mut self, d_output: &Tensor, want_d_input: bool) -> Result<Tensor, DnnError> {
         let input = self.cached_input.take().ok_or_else(|| DnnError::BadInput {
             layer: self.name.clone(),

@@ -13,7 +13,7 @@ use shmcaffe_tensor::pool::PoolKind;
 use shmcaffe_tensor::{ops, Tensor};
 
 use super::{Conv2d, Pool2d, Relu};
-use crate::net::forward_chain;
+use crate::net::{backward_chain, forward_chain};
 use crate::{DnnError, Layer, Phase};
 
 /// Output channels of each branch of an [`Inception`] module.
@@ -52,11 +52,7 @@ impl Branch {
     }
 
     fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
-        let mut grad = d_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
-        }
-        Ok(grad)
+        backward_chain(&mut self.layers, d_output)
     }
 }
 

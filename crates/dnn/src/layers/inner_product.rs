@@ -117,7 +117,7 @@ impl Layer for InnerProduct {
                 *v += b;
             }
         }
-        self.cached_input = Some(input.clone());
+        super::cache_input(&mut self.cached_input, input);
         Ok(output)
     }
 

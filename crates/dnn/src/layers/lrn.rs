@@ -70,7 +70,7 @@ impl Layer for Lrn {
             out.data_mut(),
             &mut self.scale,
         );
-        self.cached_input = Some(input.clone());
+        super::cache_input(&mut self.cached_input, input);
         Ok(out)
     }
 

@@ -9,6 +9,8 @@ mod inner_product;
 mod lrn;
 mod pool_layer;
 
+use shmcaffe_tensor::Tensor;
+
 pub use activations::{Relu, Sigmoid, Tanh};
 pub use batchnorm::BatchNorm;
 pub use conv_layer::Conv2d;
@@ -17,3 +19,13 @@ pub use inception::{Inception, InceptionSpec};
 pub use inner_product::InnerProduct;
 pub use lrn::Lrn;
 pub use pool_layer::Pool2d;
+
+/// Keeps a copy of a layer's `input` in `slot` for its backward pass,
+/// refilling the tensor already there when the shape is unchanged — the
+/// steady state of a training loop — and allocating only on first use or
+/// a shape change.
+fn cache_input(slot: &mut Option<Tensor>, input: &Tensor) {
+    if slot.as_mut().is_none_or(|cached| cached.copy_from(input).is_err()) {
+        *slot = Some(input.clone());
+    }
+}

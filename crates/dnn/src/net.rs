@@ -117,11 +117,7 @@ impl Net {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return Ok(());
         };
-        let mut grad = d_logits;
-        for layer in rest.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
-        }
-        first.backward_params_only(&grad)
+        first.backward_params_only(&backward_chain(rest, &d_logits)?)
     }
 
     /// Top-`k` accuracy of `logits` against `labels`.
@@ -259,6 +255,23 @@ pub(crate) fn forward_chain(
         activation = layer.forward(&activation, phase)?;
     }
     Ok(activation)
+}
+
+/// Runs `d_output` back through `layers` from last to first, borrowing it
+/// for the last layer rather than cloning it. An empty chain is the
+/// identity.
+pub(crate) fn backward_chain(
+    layers: &mut [Box<dyn Layer>],
+    d_output: &Tensor,
+) -> Result<Tensor, DnnError> {
+    let Some((last, rest)) = layers.split_last_mut() else {
+        return Ok(d_output.clone());
+    };
+    let mut grad = last.backward(d_output)?;
+    for layer in rest.iter_mut().rev() {
+        grad = layer.backward(&grad)?;
+    }
+    Ok(grad)
 }
 
 impl std::fmt::Debug for Net {

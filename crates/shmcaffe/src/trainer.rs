@@ -262,7 +262,6 @@ impl TrainerFactory for RealTrainerFactory {
             jitter: JitterSampler::new(self.jitter, self.data_seed ^ 0xA5A5 ^ rank as u64),
             comp_time: self.comp_time,
             eval_topk: self.eval_topk,
-            scratch: Vec::new(),
         }
     }
 }
@@ -277,7 +276,6 @@ pub struct RealTrainer {
     jitter: JitterSampler,
     comp_time: SimDuration,
     eval_topk: usize,
-    scratch: Vec<f32>,
 }
 
 impl std::fmt::Debug for RealTrainer {
@@ -314,7 +312,6 @@ impl Trainer for RealTrainer {
             self.solver.compute_gradients(&x, &labels).expect("dataset shapes match the network");
         let dur = self.jitter.sample(self.comp_time);
         ctx.sleep(dur);
-        let _ = &mut self.scratch;
         loss
     }
 

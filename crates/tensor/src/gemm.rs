@@ -2,7 +2,9 @@
 //!
 //! `C = alpha * op(A) * op(B) + beta * C`, row-major, with optional
 //! transposition of either operand — the same contract as `cblas_sgemm`,
-//! which Caffe calls for inner-product layers and im2col-based convolution.
+//! which Caffe calls for inner-product layers and im2col-based convolution
+//! (here: inner-product layers, and the convolution weight gradient, which
+//! borrows the packers and the micro-kernel).
 //!
 //! The implementation is a BLIS-style packed kernel: operands are copied
 //! into contiguous zero-padded panels (`MR`-row panels of `op(A)`, `NR`-
@@ -17,16 +19,17 @@
 //! and each task writes a disjoint tile of `C` (through
 //! [`parallel::SliceParts`], since column tiles are strided), so the result
 //! is **bit-identical** at any `SHMCAFFE_THREADS` setting. The column axis
-//! matters for the wide, short matrices convolution produces (`C_out x
-//! H_out*W_out`), where row panels alone cannot feed more than a couple of
+//! matters for wide, short matrices (a handful of rows, thousands of
+//! columns), where row panels alone cannot feed more than a couple of
 //! threads.
 //!
 //! Packed `op(A)`/`op(B)` panels live in the per-thread
 //! [`crate::workspace`] arena, so steady-state calls allocate nothing. The
 //! packing routines are generic over an element accessor
-//! ([`pack_rows_with`]/[`pack_cols_with`]); the fused convolution in
-//! [`crate::conv`] reuses them with an accessor that reads *through the
-//! conv geometry*, which is what fuses im2col into the packing step.
+//! ([`pack_rows_with`]/[`pack_cols_with`]); [`crate::conv`] reuses the row
+//! packer for its filter panels (the direct kernels read weights in the
+//! same `MR`-row layout) and, for `dW`, pairs it with a column packer that
+//! reads the transposed im2col matrix straight out of the image.
 
 use crate::parallel::{self, SliceParts, Task};
 use crate::workspace::{self, Tag};
@@ -143,8 +146,8 @@ pub fn gemm(
                         alpha,
                         beta,
                         first_block,
-                        packed_a,
-                        packed_b,
+                        &packed_a[ic * kcb..],
+                        &packed_b[jc * kcb..],
                         &c,
                     );
                 };
@@ -210,9 +213,7 @@ fn b_at(trans_b: Transpose, n: usize, k: usize, b: &[f32], p: usize, j: usize) -
 /// Packs logical columns `[j0, j0 + jn)` of one k-block (`[pc, pc + kcb)`)
 /// into NR-column panels: panel `jp` holds, for each `p`, the `NR`
 /// consecutive columns starting at `j0 + jp * NR` (zero-padded past
-/// `j0 + jn`). `src(p, j)` supplies the element at absolute indices — a
-/// plain matrix read for gemm, or a read through the convolution geometry
-/// for the fused im2col path in [`crate::conv`].
+/// `j0 + jn`). `src(p, j)` supplies the element at absolute indices.
 ///
 /// Packing copies elements exactly (no arithmetic), so the panel layout
 /// has no effect on computed bits.
@@ -260,16 +261,17 @@ pub(crate) fn pack_rows_with(
     }
 }
 
-/// One `MC x NC` tile of C for one k-block: sweeps the `MR x NR`
-/// micro-kernel over the tile's panel grid. Both operands are pre-packed
-/// for the *whole* matrix, so tiles index panels by their global position
-/// (`ic`/`jc` are multiples of `MC`/`NC`, which `MR`/`NR` divide).
+/// One tile of C for one k-block — rows `[ic, ic + mcb)` x columns
+/// `[jc, jc + ncb)` of the `n`-column matrix behind `c` — sweeping the
+/// `MR x NR` micro-kernel over the tile's panel grid. `packed_a` and
+/// `packed_b` start at the tile's first row and column panel (`ic`/`jc`
+/// are multiples of `MC`/`NC`, which `MR`/`NR` divide).
 ///
 /// Writes go through [`SliceParts`] because a column tile touches a
 /// strided range of C; tiles are pairwise disjoint by construction of the
 /// grid, which is what the `SliceParts` contract requires.
 #[allow(clippy::too_many_arguments)]
-fn gemm_tile(
+pub(crate) fn gemm_tile(
     ic: usize,
     mcb: usize,
     jc: usize,
@@ -287,13 +289,11 @@ fn gemm_tile(
     for jp in 0..ncb.div_ceil(NR) {
         let j0 = jc + jp * NR;
         let cols = NR.min(jc + ncb - j0);
-        let jpg = j0 / NR;
-        let b_panel = &packed_b[jpg * kcb * NR..(jpg + 1) * kcb * NR];
+        let b_panel = &packed_b[jp * kcb * NR..(jp + 1) * kcb * NR];
         for ip in 0..mcb.div_ceil(MR) {
             let i0 = ic + ip * MR;
             let rows = MR.min(ic + mcb - i0);
-            let ipg = i0 / MR;
-            let a_panel = &packed_a[ipg * kcb * MR..(ipg + 1) * kcb * MR];
+            let a_panel = &packed_a[ip * kcb * MR..(ip + 1) * kcb * MR];
             micro_kernel_dispatch(kcb, a_panel, b_panel, &mut acc);
             // Write-back with the alpha/beta update fused: the first k-block
             // applies beta exactly once (beta == 0 overwrites, so stale NaNs
@@ -363,14 +363,14 @@ unsafe fn micro_kernel_avx2(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR
 /// under Miri (scripts/miri.sh), which does not model `target_feature`
 /// recompilation — the baseline kernel is bit-identical anyway.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
-fn use_avx2() -> bool {
+pub(crate) fn use_avx2() -> bool {
     use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 #[inline(always)]
-pub(crate) fn micro_kernel_dispatch(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn micro_kernel_dispatch(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if use_avx2() {
         // SAFETY: guarded by the runtime AVX2 detection above.

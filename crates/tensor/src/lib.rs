@@ -5,8 +5,9 @@
 //!
 //! * [`Tensor`] — a row-major dense f32 tensor with shape metadata,
 //! * [`gemm`] — single-precision general matrix multiply (the workhorse of
-//!   inner-product and im2col-based convolution layers),
-//! * [`conv`] — im2col/col2im and 2-D convolution forward/backward,
+//!   inner-product layers and of the convolution weight gradient),
+//! * [`conv`] — 2-D convolution forward/backward: direct register-tiled
+//!   row kernels over a once-staged image, no im2col,
 //! * [`pool`] — max/average pooling forward/backward,
 //! * [`lrn`] — across-channel local response normalisation forward/backward,
 //! * [`ops`] — element-wise and BLAS-1 style vector operations (`axpy`,
@@ -20,13 +21,14 @@
 //! ([`parallel`], sized by `SHMCAFFE_THREADS`) with **fixed split points**,
 //! so results are bit-identical at any thread count, and draw scratch from
 //! reusable per-thread [`workspace`] arenas so steady-state forward/backward
-//! allocates nothing. The only unsafe code in the crate is four audited
-//! sites in `gemm.rs`/`parallel.rs`/`crc32c.rs`: the lifetime-erasure in
-//! the pool's dispatch path, the `SliceParts` disjoint-range writer the
-//! fixed tile grids borrow output through, the feature-gated AVX2
-//! recompilation of the gemm micro-kernel (guarded by runtime detection,
-//! same IEEE operation order), and the runtime-detected call into the
-//! SSE4.2 CRC32C kernel (same checksum as the portable tables).
+//! allocates nothing. The only unsafe code in the crate is four kinds of
+//! audited site in `gemm.rs`/`conv.rs`/`parallel.rs`/`crc32c.rs`: the
+//! lifetime-erasure in the pool's dispatch path, the `SliceParts`
+//! disjoint-range writer the fixed tile grids borrow output through, the
+//! feature-gated AVX2 recompilations of the gemm micro-kernel and of the
+//! direct convolution's task bodies (guarded by runtime detection, same
+//! IEEE operation order), and the runtime-detected call into the SSE4.2 CRC32C
+//! kernel (same checksum as the portable tables).
 //!
 //! # Example
 //!

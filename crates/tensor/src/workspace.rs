@@ -1,10 +1,10 @@
 //! Reusable per-thread scratch arenas for the packed compute kernels.
 //!
 //! Every hot kernel in this crate needs transient buffers — packed GEMM
-//! panels, the fused-convolution column tile, the backward `d_col` staging
-//! strip. Allocating them per call (let alone per task, as the pre-fusion
-//! conv path did) puts `malloc` and page-zeroing on the critical path and
-//! is why the batch-parallel conv *lost* throughput with more threads.
+//! panels, the convolution's filter panels and staged image bands, the LRN
+//! ratio map. Allocating them per call (let alone per task) puts `malloc`
+//! and page-zeroing on the critical path and is why an earlier
+//! batch-parallel conv *lost* throughput with more threads.
 //!
 //! This module replaces those allocations with **tagged thread-local
 //! buffers**:
@@ -24,15 +24,15 @@
 //! 1. A buffer is borrowed for the duration of one `with_f32` closure and
 //!    must not escape it (the API makes escape impossible).
 //! 2. Nested borrows of *different* tags are fine and are how the kernels
-//!    compose (e.g. `ConvDcol` → `ConvPackA` → `ConvPackB`). A nested
+//!    compose (e.g. `ConvPackA` → `ConvPackB`). A nested
 //!    borrow of the *same* tag does not alias — the slot is empty while
 //!    borrowed, so the inner borrow gets a fresh temporary and the larger
 //!    of the two buffers survives — but it allocates, so kernels are
 //!    written to never nest a tag inside itself.
 //! 3. Contents are **dirty**: a borrowed buffer holds whatever the last
 //!    user left. Every kernel fully overwrites the region it reads back
-//!    (packing routines write explicit zero padding; tile write-backs
-//!    overwrite on the first k-block).
+//!    (packing and staging routines write explicit zero padding; tile
+//!    write-backs overwrite on the first k-block).
 //!
 //! Determinism: arenas hold *scratch*, never results. Which thread's
 //! arena a task uses can vary with the schedule, but every buffer is
@@ -49,18 +49,17 @@ pub enum Tag {
     GemmPackA,
     /// Packed `op(B)` NR-column panels for the generic gemm.
     GemmPackB,
-    /// Fused convolution: packed weight / `dY` / `Wᵀ` row panels.
+    /// Convolution: packed weight / `dY` / `Wᵀ` row panels.
     ConvPackA,
-    /// Fused convolution: packed column panels (the fused im2col output).
+    /// Convolution: a task's staged zero-padded image or `dY` band, or the
+    /// `dW` gemm's packed transposed-column panels.
     ConvPackB,
-    /// Fused convolution backward: the per-task `d_col` staging strip.
-    ConvDcol,
     /// LRN backward: one image's `dy·x·s^-β / s` ratio map plus the window
     /// sum row.
     LrnRatio,
 }
 
-const TAG_COUNT: usize = 6;
+const TAG_COUNT: usize = 5;
 
 thread_local! {
     static SLOTS: [RefCell<Vec<f32>>; TAG_COUNT] = Default::default();
@@ -136,9 +135,9 @@ mod tests {
 
     #[test]
     fn nested_same_tag_falls_back_to_fresh_buffer() {
-        with_f32(Tag::ConvDcol, 4, |outer| {
+        with_f32(Tag::LrnRatio, 4, |outer| {
             outer.fill(3.0);
-            with_f32(Tag::ConvDcol, 4, |inner| {
+            with_f32(Tag::LrnRatio, 4, |inner| {
                 inner.fill(4.0);
             });
             assert_eq!(outer, &[3.0; 4][..], "outer borrow survives nesting");

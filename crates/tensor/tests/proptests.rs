@@ -1,8 +1,11 @@
 //! Property-based tests for the tensor algebra kernels.
 
+mod oracle;
+
+use oracle::{col2im, im2col};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use shmcaffe_tensor::conv::{col2im, im2col, Conv2dGeometry};
+use shmcaffe_tensor::conv::Conv2dGeometry;
 use shmcaffe_tensor::gemm::{gemm, Transpose};
 use shmcaffe_tensor::ops;
 use shmcaffe_tensor::softmax::{softmax, softmax_cross_entropy_backward};

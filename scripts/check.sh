@@ -39,7 +39,7 @@ if [ "$sum1" != "$sum4" ]; then
     exit 1
 fi
 
-echo "== fused conv: bit-identity proptests + zero-alloc steady state =="
+echo "== direct conv: bit-identity vs the im2col oracle (wide geometries, 1/2/4/7 threads) + zero-alloc steady state =="
 cargo test -q -p shmcaffe-tensor --test fused_conv
 cargo test -q -p shmcaffe-tensor --test alloc_free
 
@@ -47,7 +47,7 @@ echo "== memory-bound layers: LRN vs per-element oracle, pooling goldens, propag
 cargo test -q -p shmcaffe-tensor --test lrn_oracle --test pool_golden
 cargo test -q -p shmcaffe-models --test propagate_down
 
-echo "== kernel-bench smoke: fused conv must not regress (host-aware floor) =="
+echo "== kernel-bench smoke: in-image conv task grid must not regress (host-aware floor) =="
 ./target/release/kernel_bench --smoke
 
 echo "== chunked exchange bit-identity: mono vs chunked x 1 vs 4 threads =="
