@@ -54,7 +54,7 @@ fn unsafe_fixture_fires_outside_audited_files() {
     assert_eq!(vs[0].rule, rules::RULE_UNSAFE_CODE);
     // The same content inside an audited kernel file is accepted, but the
     // audit is per file: the SMB-side front of the CRC kernel gets none.
-    assert!(scan_fixture("crates/tensor/src/gemm.rs", src).is_empty());
+    assert!(scan_fixture("crates/tensor/src/simd.rs", src).is_empty());
     assert!(scan_fixture("crates/tensor/src/crc32c.rs", src).is_empty());
     assert_eq!(scan_fixture("crates/smb/src/crc.rs", src).len(), 1);
 }

@@ -14,16 +14,19 @@
 //! reported as the forward / backward split in ms and GFLOP/s per thread
 //! count.
 //!
-//! `--checksum` instead trains the small CNN proxy for a fixed number of
-//! seeded SGD steps and prints an FNV-1a hash of the final weights; CI
-//! runs it under `SHMCAFFE_THREADS=1` and `=4` and diffs the output to
-//! prove the backend's thread-count invariance end to end.
+//! `--checksum` instead trains two proxies — `small_cnn` (3x3 conv, 2x2
+//! pools, fc) and the benchmark's `mini_inception(3, 32, 4)` (1x1/3x3/5x5
+//! convs, padded stride-1 pools, LRN, Inception concat) — for a fixed
+//! number of seeded SGD steps and prints an FNV-1a hash of each net's final
+//! weights; CI runs it under `SHMCAFFE_THREADS=1` and `=4` and diffs the
+//! output to prove the backend's thread-count invariance end to end.
 //!
 //! `--layers` times every distinct layer geometry of the benchmark's
 //! `mini_inception(3, 32, 4)` at batch 16 through the `Layer` API (forward,
-//! backward, and the parameters-only backward the first layer gets), prints
-//! the table and replaces the `layers` section of `BENCH_kernels.json`,
-//! leaving the other sections as recorded.
+//! backward, and the parameters-only backward the first layer gets) plus one
+//! whole training step through the `Net` API, prints the table and replaces
+//! the `layers` section of `BENCH_kernels.json`, leaving the other sections
+//! as recorded.
 //!
 //! `--smoke` runs only the VGG layer at 1 and 4 threads and exits
 //! non-zero if the 4-thread schedule falls below a host-aware floor — the
@@ -35,7 +38,7 @@ use shmcaffe_bench::table::Table;
 use shmcaffe_dnn::data::Dataset;
 use shmcaffe_dnn::data::SyntheticImages;
 use shmcaffe_dnn::layers::{Conv2d, Inception, InceptionSpec, InnerProduct, Lrn, Pool2d, Relu};
-use shmcaffe_dnn::{Layer, LrPolicy, Phase, Solver, SolverConfig};
+use shmcaffe_dnn::{Layer, LrPolicy, Net, Phase, Solver, SolverConfig};
 use shmcaffe_models::proxies;
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
@@ -507,6 +510,7 @@ fn bench_layers(host_threads: usize, table: &mut Table) -> Json {
             ("threads", Json::Arr(entries)),
         ]));
     }
+    rows.push(bench_whole_step(host_threads, table));
     Json::obj(vec![
         ("net", Json::str("proxies::mini_inception(3, 32, 4)")),
         ("batch", Json::Int(LAYER_BATCH as i64)),
@@ -515,6 +519,45 @@ fn bench_layers(host_threads: usize, table: &mut Table) -> Json {
         ("skipped_threads", Json::Arr(skipped.iter().map(|&t| Json::Int(t as i64)).collect())),
         ("rows", Json::Arr(rows)),
     ])
+}
+
+/// The whole-step row of `--layers`: `forward_loss` and
+/// `backward_from_loss` of the proxy through the unmodified `Net` API — the
+/// number a kernel that is fast stand-alone but slow once inlined into the
+/// layer stack shows up in.
+fn bench_whole_step(host_threads: usize, table: &mut Table) -> Json {
+    const LABEL: &str = "whole step: forward_loss + backward_from_loss";
+    let mut net = proxies::mini_inception(3, 32, 4, 7).expect("geometry fits");
+    let dims = [LAYER_BATCH, 3, 32, 32];
+    let x = Tensor::from_vec(filled(dims.iter().product(), 0.017), &dims).expect("dims match");
+    let labels: Vec<usize> = (0..LAYER_BATCH).map(|i| i % 4).collect();
+    let mut entries = Vec::new();
+    for &t in THREAD_COUNTS.iter().filter(|&&t| t <= host_threads) {
+        let (mut fwd, mut bwd) = (f64::INFINITY, f64::INFINITY);
+        parallel::with_threads(t, || {
+            for _ in 0..=LAYER_REPS {
+                let t0 = Instant::now();
+                net.forward_loss(&x, &labels, Phase::Train).expect("shapes match");
+                let t1 = Instant::now();
+                net.backward_from_loss(&labels).expect("forward ran");
+                fwd = fwd.min((t1 - t0).as_secs_f64() * 1e6);
+                bwd = bwd.min(t1.elapsed().as_secs_f64() * 1e6);
+            }
+        });
+        table.row_owned(vec![
+            LABEL.to_string(),
+            t.to_string(),
+            format!("{fwd:.0}"),
+            format!("{bwd:.0}"),
+            "-".to_string(),
+        ]);
+        entries.push(Json::obj(vec![
+            ("threads", Json::Int(t as i64)),
+            ("fwd_us", Json::Num(fwd)),
+            ("bwd_us", Json::Num(bwd)),
+        ]));
+    }
+    Json::obj(vec![("layer", Json::str(LABEL)), ("threads", Json::Arr(entries))])
 }
 
 /// `--layers`: prints the per-layer table and replaces only the `layers`
@@ -551,11 +594,11 @@ fn update_bench_file(sections: Vec<(&str, Json)>) {
     }
 }
 
-/// Trains the CNN proxy for a fixed seeded schedule and returns the FNV-1a
-/// hash of the final weight bits. Identical output at any thread count is
-/// the end-to-end determinism check wired into `scripts/check.sh`.
-fn training_checksum() -> u64 {
-    let net = proxies::small_cnn(3, 16, 4, 7).expect("geometry fits");
+/// Trains `net` (4 classes of 3-channel `hw x hw` images) for a fixed seeded
+/// schedule and returns the FNV-1a hash of the final weight bits. Identical
+/// output at any thread count is the end-to-end determinism check wired
+/// into `scripts/check.sh`.
+fn training_checksum(net: Net, hw: usize) -> u64 {
     let mut solver = Solver::new(
         net,
         SolverConfig {
@@ -566,7 +609,7 @@ fn training_checksum() -> u64 {
             clip_gradients: Some(5.0),
         },
     );
-    let data = SyntheticImages::new(4, 3, 16, 64, 0.5, 20180707);
+    let data = SyntheticImages::new(4, 3, hw, 64, 0.5, 20180707);
     let batch = 16;
     for step in 0..30 {
         let indices: Vec<usize> = (0..batch).map(|j| (step * batch + j) % data.len()).collect();
@@ -589,7 +632,10 @@ fn training_checksum() -> u64 {
 
 fn main() {
     if std::env::args().any(|a| a == "--checksum") {
-        println!("weights_checksum=0x{:016x}", training_checksum());
+        let small_cnn = proxies::small_cnn(3, 16, 4, 7).expect("geometry fits");
+        println!("small_cnn weights_checksum=0x{:016x}", training_checksum(small_cnn, 16));
+        let inception = proxies::mini_inception(3, 32, 4, 7).expect("geometry fits");
+        println!("mini_inception weights_checksum=0x{:016x}", training_checksum(inception, 32));
         return;
     }
 

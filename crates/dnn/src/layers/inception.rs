@@ -187,20 +187,17 @@ impl Layer for Inception {
         let spatial = self.hw * self.hw;
         let outputs: Vec<Tensor> =
             self.branches.iter_mut().map(|b| b.forward(input, phase)).collect::<Result<_, _>>()?;
-        // Concatenate along the channel axis.
+        // Concatenate along the channel axis: image by image, each branch's
+        // channels in turn, every output element written once.
         let total_c: usize = self.branches.iter().map(|b| b.out_channels).sum();
-        let mut out = Tensor::zeros(&[batch, total_c, self.hw, self.hw]);
+        let mut out = Vec::with_capacity(batch * total_c * spatial);
         for n in 0..batch {
-            let mut c_off = 0;
             for (b, branch_out) in self.branches.iter().zip(outputs.iter()) {
                 let src_len = b.out_channels * spatial;
-                let src = &branch_out.data()[n * src_len..(n + 1) * src_len];
-                let dst_start = (n * total_c + c_off) * spatial;
-                out.data_mut()[dst_start..dst_start + src_len].copy_from_slice(src);
-                c_off += b.out_channels;
+                out.extend_from_slice(&branch_out.data()[n * src_len..(n + 1) * src_len]);
             }
         }
-        Ok(out)
+        Ok(Tensor::from_vec(out, &[batch, total_c, self.hw, self.hw])?)
     }
 
     fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
@@ -218,13 +215,12 @@ impl Layer for Inception {
         let mut c_off = 0;
         for branch in self.branches.iter_mut() {
             let bc = branch.out_channels;
-            let mut d_branch = Tensor::zeros(&[batch, bc, self.hw, self.hw]);
+            let mut d_branch = Vec::with_capacity(batch * bc * spatial);
             for n in 0..batch {
                 let src_start = (n * total_c + c_off) * spatial;
-                let dst_start = n * bc * spatial;
-                d_branch.data_mut()[dst_start..dst_start + bc * spatial]
-                    .copy_from_slice(&d_output.data()[src_start..src_start + bc * spatial]);
+                d_branch.extend_from_slice(&d_output.data()[src_start..src_start + bc * spatial]);
             }
+            let d_branch = Tensor::from_vec(d_branch, &[batch, bc, self.hw, self.hw])?;
             let g = branch.backward(&d_branch)?;
             match &mut d_input {
                 None => d_input = Some(g),

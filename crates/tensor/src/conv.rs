@@ -1,5 +1,5 @@
-//! 2-D convolution: direct register-tiled forward and input gradient,
-//! packed-GEMM weight gradient.
+//! 2-D convolution: direct register-tiled forward, input gradient and
+//! weight gradient.
 //!
 //! Layout conventions follow Caffe blobs:
 //!
@@ -35,11 +35,18 @@
 //! `-0.0`: it starts at `+0.0`, and an IEEE round-to-nearest sum is `-0.0`
 //! only when both addends are.
 //!
-//! **`dW`** keeps the packed path: `dW += dY · colᵀ` folds a single chain
-//! over spatial positions per `(co, tap)`, so there is no contiguous axis
-//! to vectorise without reassociating. [`pack_conv_cols_t`] packs the
-//! transposed column matrix straight from the image, one cache-resident
-//! panel at a time, for the gemm micro-kernel.
+//! **`dW`** reads the same staged band as forward, with the *output
+//! channels* on the vector lanes: `dW[co][r] += Σ_k dY[co][k] · x_r[k]` is
+//! one scalar chain over spatial positions `k` per `(co, r)`, and chains of
+//! different `co` are independent, so a tile of `NR` output channels x
+//! [`DW_TAPS`] taps advances one `k` per step — tap `r`'s staged value
+//! broadcast against the `NR`-lane row of a `[k][C_out]` transpose of `dY`.
+//! Each chain runs `k` ascending from `+0.0` inside a `KC` block of
+//! positions and is added to the caller's gradient once per block and
+//! image: the multiplies and adds `gemm(dY, im2col(x)ᵀ, beta = 1)` performs
+//! per element (multiplication commutes bitwise), padding taps again real
+//! `dy * 0.0` products. Lanes past `C_out` and taps past the task's last
+//! are computed and never stored.
 //!
 //! Parallelism is a fixed grid derived only from the geometry and batch
 //! size, never from the thread count:
@@ -54,20 +61,24 @@
 //!   serial order, so results are **bit-identical** at any
 //!   `SHMCAFFE_THREADS`.
 //!
-//! Scratch (filter panels, staged bands) comes from the per-thread
-//! [`crate::workspace`] arena, so steady-state forward/backward performs
-//! zero heap allocations (asserted by `tests/alloc_free.rs`).
+//! Scratch (filter panels, staged bands, the `dY` transpose) comes from the
+//! per-thread [`crate::workspace`] arena, so steady-state forward/backward
+//! performs zero heap allocations (asserted by `tests/alloc_free.rs`).
 
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-use crate::gemm::use_avx2;
-use crate::gemm::{blocks, gemm_tile, pack_rows_with, KC, MC, MR, NC, NR};
+use crate::gemm::{blocks, pack_rows_with, KC, MC, MR, NC, NR};
 use crate::parallel::{self, SliceParts, Task};
+use crate::simd::with_wide_lanes;
 use crate::workspace::{self, Tag};
 use crate::TensorError;
 
-/// Columns of the direct kernels' register tile: `MR` channels x `TW`
-/// consecutive columns of one row, two 256-bit lanes per channel.
-const TW: usize = 16;
+/// Columns of the forward / `d_input` register tile: `MR` channels x `TW`
+/// consecutive columns of one row, two 256-bit lanes per channel. Also the
+/// wide max-pool tile ([`crate::pool`]).
+pub(crate) const TW: usize = 16;
+
+/// Filter taps per `dW` register tile: `DW_TAPS` taps x `NR` output
+/// channels, one 256-bit accumulator per tap.
+const DW_TAPS: usize = 12;
 
 /// Geometry of a 2-D convolution or pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,44 +234,32 @@ fn tap_sum(
     tap
 }
 
-/// Runs `body` compiled with AVX2 enabled when the CPU has it, so a tile
-/// row is two 256-bit lanes instead of four 128-bit ones. Callers pass an
-/// `#[inline(always)]` closure over `#[inline(always)]` helpers: the whole
-/// body is then recompiled inside the `target_feature` function — the
-/// *identical* sequence of IEEE multiplies and adds (Rust never contracts
-/// `a * b + c` into an FMA), bit-identical to the baseline compilation.
-/// Compiled out under Miri like the gemm micro-kernel's dispatch.
-#[inline(always)]
-fn with_wide_lanes(body: impl FnOnce()) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if use_avx2() {
-        #[target_feature(enable = "avx2")]
-        #[allow(unsafe_code)]
-        unsafe fn avx2(body: impl FnOnce()) {
-            body();
-        }
-        // SAFETY: guarded by the runtime AVX2 detection above.
-        #[allow(unsafe_code)]
-        unsafe {
-            avx2(body);
-        }
-        return;
-    }
-    body();
+/// Elements of one column phase of a [`stage_image`] row; a staged row is
+/// `stride_w` phases.
+pub(crate) fn phase_len(g: &Conv2dGeometry) -> usize {
+    (g.in_w + 2 * g.pad_w).div_ceil(g.stride_w)
 }
 
-/// Stages a forward task's input band: `C_in` channels of `rows`
-/// zero-padded rows starting at padded row `p0`, each row split into
-/// `stride_w` column phases of `phase_len` elements (phase `f` holds padded
-/// columns `f, f + stride_w, …`; one phase is the plain padded row). Rows
-/// are packed back to back, then [`TW`] zeros: the lanes of a partial tile
-/// beyond `W_out` read into whatever follows their row, and their
-/// accumulators are never stored.
+/// Stages a band of image rows for the direct kernels: `C_in` channels (as
+/// many as `stage` holds) of `rows` padded rows starting at padded row
+/// `p0`, each row split into `stride_w` column phases of `phase_len`
+/// elements (phase `f` holds padded columns `f, f + stride_w, …`; one phase
+/// is the plain padded row). Padding holds `fill` — zero for convolution,
+/// `-inf` for max pooling. Rows are packed back to back, then [`TW`] more
+/// `fill`s: the lanes of a partial tile beyond `W_out` read into whatever
+/// follows their row, and their results are never stored.
 #[inline(always)]
-fn stage_image(g: &Conv2dGeometry, image: &[f32], p0: usize, rows: usize, stage: &mut [f32]) {
-    let (sw, phase_len) = (g.stride_w, (g.in_w + 2 * g.pad_w).div_ceil(g.stride_w));
+pub(crate) fn stage_image(
+    g: &Conv2dGeometry,
+    image: &[f32],
+    p0: usize,
+    rows: usize,
+    fill: f32,
+    stage: &mut [f32],
+) {
+    let (sw, phase_len) = (g.stride_w, phase_len(g));
     let (staged, slack) = stage.split_at_mut(stage.len() - TW);
-    slack.fill(0.0);
+    slack.fill(fill);
     for phase in 0..sw {
         // Element q of the phase is padded column `q * sw + phase`; real
         // for q in [lo, hi).
@@ -270,12 +269,12 @@ fn stage_image(g: &Conv2dGeometry, image: &[f32], p0: usize, rows: usize, stage:
             for (r, row) in chan.chunks_exact_mut(sw * phase_len).enumerate() {
                 let d = &mut row[phase * phase_len..][..phase_len];
                 if p0 + r < g.pad_h || p0 + r - g.pad_h >= g.in_h || lo >= hi {
-                    d.fill(0.0);
+                    d.fill(fill);
                     continue;
                 }
                 let src = &image[(c * g.in_h + p0 + r - g.pad_h) * g.in_w..][..g.in_w];
-                d[..lo].fill(0.0);
-                d[hi..].fill(0.0);
+                d[..lo].fill(fill);
+                d[hi..].fill(fill);
                 copy_strided(&mut d[lo..hi], 1, &src[lo * sw + phase - g.pad_w..], sw);
             }
         }
@@ -301,7 +300,7 @@ fn copy_strided(dst: &mut [f32], dst_step: usize, src: &[f32], src_step: usize) 
 /// division per tap.
 #[inline(always)]
 fn tap_offsets(g: &Conv2dGeometry, pc: usize, rows: usize, offs: &mut [usize]) {
-    let (sw, phase_len) = (g.stride_w, (g.in_w + 2 * g.pad_w).div_ceil(g.stride_w));
+    let (sw, phase_len) = (g.stride_w, phase_len(g));
     let khw = g.kernel_h * g.kernel_w;
     let (mut c, mut kh, mut kw) = (pc / khw, pc % khw / g.kernel_w, pc % g.kernel_w);
     let (mut phase, mut q) = (kw % sw, kw / sw);
@@ -365,81 +364,43 @@ fn run_grid<T: Send>(cells: impl Iterator<Item = T>, cell: impl Fn(T) + Sync) {
     }
 }
 
-/// Packs the *transposed* im2col matrix straight from the image, for the
-/// `dW` gemm (`dW += dY · colᵀ`): panel columns `[j0, j0 + jn)` run along
-/// the `C_in*KH*KW` axis, panel rows `[pc, pc + kcb)` along the spatial
-/// axis, in the `NR`-column panel layout of [`crate::gemm::pack_cols_with`].
-/// Bitwise equal to packing the unit tests' `col_value(…, j, p)` through
-/// that generic packer; the per-column `(channel, kh, kw)` decomposition
-/// is hoisted to once per panel and the spatial walk is incremental.
-#[allow(clippy::too_many_arguments)]
-fn pack_conv_cols_t(
-    geom: &Conv2dGeometry,
-    image: &[f32],
-    out_w: usize,
-    pc: usize,
-    kcb: usize,
-    j0: usize,
-    jn: usize,
-    out: &mut [f32],
-) {
-    let khw = geom.kernel_h * geom.kernel_w;
-    let chan_len = geom.in_h * geom.in_w;
-    let (in_h, in_w) = (geom.in_h as isize, geom.in_w as isize);
-    let (stride_h, stride_w) = (geom.stride_h as isize, geom.stride_w as isize);
-    for jp in 0..jn.div_ceil(NR) {
-        let jb = j0 + jp * NR;
-        let cols = NR.min(j0 + jn - jb);
-        let mut offs = [0isize; NR];
-        let mut khs = [0isize; NR];
-        let mut kws = [0isize; NR];
-        for jj in 0..cols {
-            let r = jb + jj;
-            let k = r % khw;
-            let kh = (k / geom.kernel_w) as isize - geom.pad_h as isize;
-            let kw = (k % geom.kernel_w) as isize - geom.pad_w as isize;
-            khs[jj] = kh;
-            kws[jj] = kw;
-            // Tap offset relative to `oy*in_w + ox`; only dereferenced
-            // once the (ih, iw) range tests pass.
-            offs[jj] = ((r / khw) * chan_len) as isize + kh * in_w + kw;
+/// One `dW` register tile for one k-block of spatial positions: returns
+/// `acc[t][l] = Σ_k x_t[k] · dy[k][l]`, `k` ascending from `+0.0`, for the
+/// `DW_TAPS` taps whose [`stage_image`] offsets are `offs` and the `NR`
+/// output channels of `dyt` (`[k][NR]`, the block's transposed `dY`). The
+/// block starts at output `(oh, ow)` and is walked as runs of consecutive
+/// positions of one output row; within a run every tap is one contiguous
+/// window of the staged band, sliced to the run length up front so the
+/// inner loop indexes without a bounds check.
+#[inline(always)]
+fn dw_tile(
+    stage: &[f32],
+    offs: &[usize; DW_TAPS],
+    mut dyt: &[f32],
+    (mut oh, mut ow): (usize, usize),
+    (out_w, row_step): (usize, usize),
+) -> [[f32; NR]; DW_TAPS] {
+    let mut acc = [[0.0f32; NR]; DW_TAPS];
+    while !dyt.is_empty() {
+        let run = (out_w - ow).min(dyt.len() / NR);
+        let base = oh * row_step + ow;
+        let mut xs = [&stage[..0]; DW_TAPS];
+        for (x, &off) in xs.iter_mut().zip(offs) {
+            *x = &stage[base + off..][..run];
         }
-        // A spatial position is "safe" when every tap of this panel lands
-        // in range; the whole interior then skips the per-tap tests.
-        let kh_lo = khs[..cols].iter().copied().min().unwrap_or(0);
-        let kh_hi = khs[..cols].iter().copied().max().unwrap_or(0);
-        let kw_lo = kws[..cols].iter().copied().min().unwrap_or(0);
-        let kw_hi = kws[..cols].iter().copied().max().unwrap_or(0);
-        let panel = &mut out[jp * kcb * NR..(jp + 1) * kcb * NR];
-        let mut ow = pc % out_w;
-        let mut oy = (pc / out_w) as isize * stride_h;
-        for dst in panel.chunks_exact_mut(NR) {
-            let ox = ow as isize * stride_w;
-            dst[cols..].iter_mut().for_each(|d| *d = 0.0);
-            if oy + kh_lo >= 0 && oy + kh_hi < in_h && ox + kw_lo >= 0 && ox + kw_hi < in_w {
-                let pos = oy * in_w + ox;
-                for (jj, d) in dst[..cols].iter_mut().enumerate() {
-                    *d = image[(offs[jj] + pos) as usize];
-                }
-            } else {
-                let pos = oy * in_w + ox;
-                for (jj, d) in dst[..cols].iter_mut().enumerate() {
-                    let ih = oy + khs[jj];
-                    let iw = ox + kws[jj];
-                    *d = if ih >= 0 && ih < in_h && iw >= 0 && iw < in_w {
-                        image[(offs[jj] + pos) as usize]
-                    } else {
-                        0.0
-                    };
+        let (dy, rest) = dyt.split_at(run * NR);
+        for (k, dv) in dy.chunks_exact(NR).enumerate() {
+            let dv: &[f32; NR] = dv.try_into().expect("NR chunk");
+            for (acc_t, x) in acc.iter_mut().zip(&xs) {
+                let xv = x[k];
+                for (a, &d) in acc_t.iter_mut().zip(dv) {
+                    *a += d * xv;
                 }
             }
-            ow += 1;
-            if ow == out_w {
-                ow = 0;
-                oy += stride_h;
-            }
         }
+        (dyt, oh, ow) = (rest, oh + 1, 0);
     }
+    acc
 }
 
 /// Tile-row write-back: overwrite `c_row` with the accumulator row (first
@@ -508,7 +469,7 @@ pub fn conv2d_forward(
         }
         let packed_w = &packed_w[..];
         let out = SliceParts::new(output);
-        let row_len = (geom.in_w + 2 * geom.pad_w).div_ceil(geom.stride_w) * geom.stride_w;
+        let row_len = phase_len(geom) * geom.stride_w;
 
         // One grid cell: output rows `[oh0, oh0 + ohn)` x filter panels
         // `[ip0, ip0 + ipn)` of image `n`.
@@ -521,7 +482,7 @@ pub fn conv2d_forward(
                     #[inline(always)]
                     || {
                         let image = &input[n * in_len..(n + 1) * in_len];
-                        stage_image(geom, image, oh0 * geom.stride_h, rows, stage);
+                        stage_image(geom, image, oh0 * geom.stride_h, rows, 0.0, stage);
                         let mut offs = [0usize; KC];
                         let mut a_off = 0;
                         for (pc, kcb) in blocks(kdim, KC) {
@@ -612,7 +573,6 @@ pub fn conv2d_backward(
     }
 
     let kc_sp = KC.min(spatial);
-    let m_panels = out_channels.div_ceil(MR);
     let db_len = d_bias.len();
     let dx_images = if d_input.is_empty() { 0 } else { batch };
     let dw = SliceParts::new(d_weights);
@@ -622,44 +582,61 @@ pub fn conv2d_backward(
     // One dW task: columns `[j0, j0 + jn)` of the `(C_out, C_in*KH*KW)`
     // weight gradient, whole batch, image order.
     //
-    // dW[:, j0..] += dY_n · col_nᵀ[:, j0..] for each n ascending, k-axis =
-    // spatial. Blocking this gemm along its *N* axis means each task
-    // packs only its own slice of the transposed column matrix — the
-    // expensive geometry pack is never repeated across tasks — while only
-    // the cheap contiguous dY row pack is. Write-back always accumulates
-    // (`gemm_tile` as a non-first k-block): `d_weights` carries the
-    // caller's running gradient, which equals a per-image
-    // `gemm(dY_n, im2col(x_n)ᵀ, beta = 1.0)` fold.
+    // dW[co][r] += Σ_k dY_n[co][k] · x_n[tap r at position k] for each n
+    // ascending, in KC blocks of spatial positions k: one chain per
+    // `(co, r)` from `+0.0`, added into `d_weights` (the caller's running
+    // gradient) once per block — a per-image `gemm(dY_n, im2col(x_n)ᵀ,
+    // beta = 1.0)` fold. The task stages only the channels its taps read;
+    // the `dY` transpose is the part repeated across tasks.
+    let khw = geom.kernel_h * geom.kernel_w;
+    let band_row = phase_len(geom) * geom.stride_w;
     let dw_cell = |j0: usize, jn: usize| {
-        let jn_panels = jn.div_ceil(NR);
-        workspace::with_f32(Tag::ConvPackA, kc_sp * m_panels * MR, |packed_a| {
-            workspace::with_f32(Tag::ConvPackB, kc_sp * jn_panels * NR, |packed_b| {
-                for n in 0..batch {
-                    let image = &input[n * in_len..(n + 1) * in_len];
-                    let dy = &d_output[n * out_len..(n + 1) * out_len];
-                    for (pc, kcb) in blocks(spatial, KC) {
-                        pack_rows_with(
-                            0,
-                            out_channels,
-                            pc,
-                            kcb,
-                            |i, p| dy[i * spatial + p],
-                            &mut packed_a[..kcb * m_panels * MR],
-                        );
-                        pack_conv_cols_t(
-                            geom,
-                            image,
-                            out_w,
-                            pc,
-                            kcb,
-                            j0,
-                            jn,
-                            &mut packed_b[..kcb * jn_panels * NR],
-                        );
-                        let (a, b) = (&packed_a[..], &packed_b[..]);
-                        gemm_tile(0, out_channels, j0, jn, kdim, kcb, 1.0, 1.0, false, a, b, &dw);
-                    }
-                }
+        let (c_lo, c_hi) = (j0 / khw, (j0 + jn).div_ceil(khw));
+        let rows = (out_h - 1) * geom.stride_h + geom.kernel_h;
+        let chan_len = rows * band_row;
+        let lane_blocks = out_channels.div_ceil(NR);
+        workspace::with_f32(Tag::ConvPackA, kc_sp * lane_blocks * NR, |dyt| {
+            workspace::with_f32(Tag::ConvPackB, (c_hi - c_lo) * chan_len + TW, |stage| {
+                with_wide_lanes(
+                    #[inline(always)]
+                    || {
+                        // The last tile's taps past `jn` keep offset 0: a
+                        // valid window, computed and never stored.
+                        let mut offs = [0usize; NC + DW_TAPS];
+                        tap_offsets(geom, j0, rows, &mut offs[..jn]);
+                        offs[..jn].iter_mut().for_each(|o| *o -= c_lo * chan_len);
+                        // `dyt[lane block][k][lane]`; lanes past `C_out`
+                        // stay zero for the whole task.
+                        dyt.fill(0.0);
+                        for n in 0..batch {
+                            let first_chan = n * in_len + c_lo * geom.in_h * geom.in_w;
+                            let dy = &d_output[n * out_len..(n + 1) * out_len];
+                            stage_image(geom, &input[first_chan..], 0, rows, 0.0, stage);
+                            for (pc, kcb) in blocks(spatial, KC) {
+                                for (co, dy_chan) in dy.chunks_exact(spatial).enumerate() {
+                                    let lane = &mut dyt[co / NR * kc_sp * NR + co % NR..];
+                                    copy_strided(lane, NR, &dy_chan[pc..pc + kcb], 1);
+                                }
+                                let first = (pc / out_w, pc % out_w);
+                                let steps = (out_w, geom.stride_h * band_row);
+                                for (lb, dyt) in dyt.chunks_exact(kc_sp * NR).enumerate() {
+                                    let dyt = &dyt[..kcb * NR];
+                                    let chans = (lb * NR..out_channels).take(NR);
+                                    for (t0, taps) in blocks(jn, DW_TAPS) {
+                                        let offs = offs[t0..][..DW_TAPS].try_into().expect("taps");
+                                        let acc = dw_tile(stage, offs, dyt, first, steps);
+                                        for (l, co) in chans.clone().enumerate() {
+                                            let dw_row = dw.part(co * kdim + j0 + t0, taps);
+                                            for (d, acc_t) in dw_row.iter_mut().zip(&acc) {
+                                                *d += acc_t[l];
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    },
+                );
             });
         });
     };
@@ -682,7 +659,6 @@ pub fn conv2d_backward(
 
     // One d_input task: image `n`, rows `[ih0, ih0 + ihn)`, input channels
     // `[c0, c0 + cl)`. See the module docs for the fold order.
-    let khw = geom.kernel_h * geom.kernel_w;
     let row_len = geom.in_w + geom.kernel_w - 1;
     let dx_cell = |n: usize, (ih0, ihn): (usize, usize), (c0, cl): (usize, usize)| {
         // The dY rows some tap of some band row reads:
@@ -775,7 +751,6 @@ pub fn conv2d_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::pack_cols_with;
 
     #[test]
     fn out_extent_formula() {
@@ -796,96 +771,6 @@ mod tests {
         assert!(g.out_h().is_err());
         let g = Conv2dGeometry { stride_h: 0, ..Conv2dGeometry::square(1, 5, 3, 1, 0) };
         assert!(g.out_h().is_err());
-    }
-
-    /// Element `(r, j)` of the logical im2col matrix of `image`, read
-    /// through the geometry: row `r` encodes `(channel, kh, kw)`, column
-    /// `j` encodes `(oh, ow)`, and out-of-bounds taps are the implicit
-    /// zero padding. The executable specification of
-    /// [`pack_conv_cols_t`].
-    fn col_value(geom: &Conv2dGeometry, image: &[f32], out_w: usize, r: usize, j: usize) -> f32 {
-        let khw = geom.kernel_h * geom.kernel_w;
-        let c = r / khw;
-        let k = r % khw;
-        let kh = k / geom.kernel_w;
-        let kw = k % geom.kernel_w;
-        let oh = j / out_w;
-        let ow = j % out_w;
-        let ih = (oh * geom.stride_h + kh) as isize - geom.pad_h as isize;
-        let iw = (ow * geom.stride_w + kw) as isize - geom.pad_w as isize;
-        if ih >= 0 && iw >= 0 && (ih as usize) < geom.in_h && (iw as usize) < geom.in_w {
-            image[(c * geom.in_h + ih as usize) * geom.in_w + iw as usize]
-        } else {
-            0.0
-        }
-    }
-
-    #[test]
-    fn col_value_identity_kernel() {
-        // 1x1 kernel, stride 1: the column matrix is the image.
-        let g = Conv2dGeometry::square(2, 3, 1, 1, 0);
-        let image: Vec<f32> = (0..18).map(|v| v as f32).collect();
-        for (idx, &v) in image.iter().enumerate() {
-            assert_eq!(col_value(&g, &image, 3, idx / 9, idx % 9), v);
-        }
-    }
-
-    #[test]
-    fn col_value_known_patch() {
-        // 3x3 image, 2x2 kernel, stride 1, no pad -> 2x2 output, 4 rows.
-        let g = Conv2dGeometry::square(1, 3, 2, 1, 0);
-        let image = vec![1., 2., 3., 4., 5., 6., 7., 8., 9.];
-        let row =
-            |r: usize| -> Vec<f32> { (0..4).map(|j| col_value(&g, &image, 2, r, j)).collect() };
-        // Row 0 = kernel offset (0,0) over outputs: 1,2,4,5
-        assert_eq!(row(0), [1., 2., 4., 5.]);
-        // Row 3 = kernel offset (1,1): 5,6,8,9
-        assert_eq!(row(3), [5., 6., 8., 9.]);
-    }
-
-    /// The hoisted transposed packer is bitwise the generic
-    /// `pack_cols_with` over `col_value`, across k-blocks and column
-    /// windows that end mid-panel.
-    #[test]
-    fn transposed_packer_matches_generic_accessor_pack() {
-        let g = Conv2dGeometry {
-            in_channels: 3,
-            in_h: 7,
-            in_w: 5,
-            kernel_h: 3,
-            kernel_w: 2,
-            stride_h: 2,
-            stride_w: 1,
-            pad_h: 1,
-            pad_w: 1,
-        };
-        let out_w = g.out_w().unwrap();
-        let spatial = g.col_cols().unwrap();
-        let kdim = g.col_rows();
-        let image: Vec<f32> = (0..g.in_len()).map(|i| (i as f32 * 0.43).sin()).collect();
-
-        // Rows = spatial, columns = kdim.
-        for &(pc, kcb) in &[(0, spatial.min(7)), (3, spatial - 3)] {
-            for &(j0, jn) in &[(0, kdim), (8, kdim - 8), (0, 5)] {
-                let len = kcb * jn.div_ceil(NR) * NR;
-                let mut want = vec![f32::NAN; len];
-                pack_cols_with(
-                    pc,
-                    kcb,
-                    j0,
-                    jn,
-                    |p, j| col_value(&g, &image, out_w, j, p),
-                    &mut want,
-                );
-                let mut got = vec![f32::NAN; len];
-                pack_conv_cols_t(&g, &image, out_w, pc, kcb, j0, jn, &mut got);
-                assert_eq!(
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "transposed pack diverged at pc={pc} kcb={kcb} j0={j0} jn={jn}"
-                );
-            }
-        }
     }
 
     #[test]

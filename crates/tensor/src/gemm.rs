@@ -3,8 +3,8 @@
 //! `C = alpha * op(A) * op(B) + beta * C`, row-major, with optional
 //! transposition of either operand — the same contract as `cblas_sgemm`,
 //! which Caffe calls for inner-product layers and im2col-based convolution
-//! (here: inner-product layers, and the convolution weight gradient, which
-//! borrows the packers and the micro-kernel).
+//! (here: inner-product layers; the convolution kernels are direct and
+//! borrow only the row packer and the block constants).
 //!
 //! The implementation is a BLIS-style packed kernel: operands are copied
 //! into contiguous zero-padded panels (`MR`-row panels of `op(A)`, `NR`-
@@ -27,11 +27,11 @@
 //! [`crate::workspace`] arena, so steady-state calls allocate nothing. The
 //! packing routines are generic over an element accessor
 //! ([`pack_rows_with`]/[`pack_cols_with`]); [`crate::conv`] reuses the row
-//! packer for its filter panels (the direct kernels read weights in the
-//! same `MR`-row layout) and, for `dW`, pairs it with a column packer that
-//! reads the transposed im2col matrix straight out of the image.
+//! packer for its filter panels (the direct forward and `d_input` kernels
+//! read weights in the same `MR`-row layout).
 
 use crate::parallel::{self, SliceParts, Task};
+use crate::simd::with_wide_lanes;
 use crate::workspace::{self, Tag};
 
 /// Whether an operand is transposed, matching BLAS `CblasTrans`/`NoTrans`.
@@ -217,7 +217,7 @@ fn b_at(trans_b: Transpose, n: usize, k: usize, b: &[f32], p: usize, j: usize) -
 ///
 /// Packing copies elements exactly (no arithmetic), so the panel layout
 /// has no effect on computed bits.
-pub(crate) fn pack_cols_with(
+fn pack_cols_with(
     pc: usize,
     kcb: usize,
     j0: usize,
@@ -271,7 +271,7 @@ pub(crate) fn pack_rows_with(
 /// strided range of C; tiles are pairwise disjoint by construction of the
 /// grid, which is what the `SliceParts` contract requires.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_tile(
+fn gemm_tile(
     ic: usize,
     mcb: usize,
     jc: usize,
@@ -285,7 +285,6 @@ pub(crate) fn gemm_tile(
     packed_b: &[f32],
     c: &SliceParts<'_, f32>,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
     for jp in 0..ncb.div_ceil(NR) {
         let j0 = jc + jp * NR;
         let cols = NR.min(jc + ncb - j0);
@@ -294,11 +293,14 @@ pub(crate) fn gemm_tile(
             let i0 = ic + ip * MR;
             let rows = MR.min(ic + mcb - i0);
             let a_panel = &packed_a[ip * kcb * MR..(ip + 1) * kcb * MR];
-            micro_kernel_dispatch(kcb, a_panel, b_panel, &mut acc);
+            let acc = with_wide_lanes(
+                #[inline(always)]
+                || micro_kernel_body(kcb, a_panel, b_panel),
+            );
             // Write-back with the alpha/beta update fused: the first k-block
             // applies beta exactly once (beta == 0 overwrites, so stale NaNs
             // never survive), later blocks accumulate.
-            for (ii, acc_row) in acc.iter_mut().enumerate().take(rows) {
+            for (ii, acc_row) in acc.iter().enumerate().take(rows) {
                 let c_row = c.part((i0 + ii) * n + j0, cols);
                 if first_block {
                     if beta == 0.0 {
@@ -316,19 +318,23 @@ pub(crate) fn gemm_tile(
                     }
                 }
             }
-            acc.iter_mut().for_each(|r| r.iter_mut().for_each(|v| *v = 0.0));
         }
     }
 }
 
-/// The register-blocked core: `acc += A_panel * B_panel` over `kc` steps.
+/// The register-blocked core: `A_panel * B_panel` over `kc` steps, from a
+/// `+0.0` tile.
 ///
 /// `a` is `kc` groups of `MR` values (one per micro-row), `b` is `kc`
 /// groups of `NR` values (one per micro-column). Fixed-size array views
-/// let the compiler keep the `MR x NR` accumulator in registers and
-/// vectorise the column loop.
+/// and a tile that is a local value (not a caller's `&mut`, which stops
+/// being provably unaliased once this is inlined into the dispatch
+/// closure) let the compiler keep the `MR x NR` accumulator in registers
+/// and vectorise the column loop. Called through [`with_wide_lanes`], so
+/// on an AVX2 host the `NR`-wide column loop is one 256-bit lane.
 #[inline(always)]
-fn micro_kernel_body(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn micro_kernel_body(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
     for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
         let av: &[f32; MR] = av.try_into().expect("MR chunk");
         let bv: &[f32; NR] = bv.try_into().expect("NR chunk");
@@ -339,48 +345,7 @@ fn micro_kernel_body(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR])
             }
         }
     }
-}
-
-/// Baseline-ISA compilation of the micro-kernel.
-fn micro_kernel(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    micro_kernel_body(kc, a, b, acc);
-}
-
-/// The same micro-kernel recompiled with AVX2 enabled, so the `NR`-wide
-/// column loop becomes one 256-bit lane instead of two 128-bit ones.
-///
-/// This performs the *identical* sequence of IEEE multiplies and adds as
-/// [`micro_kernel`] (Rust never contracts `a * b + c` into an FMA), just on
-/// wider registers — results stay bit-identical to the baseline path.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-#[allow(unsafe_code)]
-unsafe fn micro_kernel_avx2(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    micro_kernel_body(kc, a, b, acc);
-}
-
-/// Runtime micro-kernel selector, detected once per process. Compiled out
-/// under Miri (scripts/miri.sh), which does not model `target_feature`
-/// recompilation — the baseline kernel is bit-identical anyway.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-pub(crate) fn use_avx2() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-#[inline(always)]
-fn micro_kernel_dispatch(kc: usize, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if use_avx2() {
-        // SAFETY: guarded by the runtime AVX2 detection above.
-        #[allow(unsafe_code)]
-        unsafe {
-            micro_kernel_avx2(kc, a, b, acc);
-        }
-        return;
-    }
-    micro_kernel(kc, a, b, acc);
+    acc
 }
 
 /// Matrix-vector product `y = alpha * op(A) * x + beta * y` (row-major).

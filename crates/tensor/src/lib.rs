@@ -5,10 +5,11 @@
 //!
 //! * [`Tensor`] — a row-major dense f32 tensor with shape metadata,
 //! * [`gemm`] — single-precision general matrix multiply (the workhorse of
-//!   inner-product layers and of the convolution weight gradient),
+//!   inner-product layers),
 //! * [`conv`] — 2-D convolution forward/backward: direct register-tiled
-//!   row kernels over a once-staged image, no im2col,
-//! * [`pool`] — max/average pooling forward/backward,
+//!   kernels (forward, `d_input`, `dW`) over a once-staged image, no im2col,
+//! * [`pool`] — max/average pooling forward/backward (max forward on
+//!   register tiles over a `-inf`-padded staged band),
 //! * [`lrn`] — across-channel local response normalisation forward/backward,
 //! * [`ops`] — element-wise and BLAS-1 style vector operations (`axpy`,
 //!   `scal`, `dot`, activations),
@@ -22,13 +23,14 @@
 //! so results are bit-identical at any thread count, and draw scratch from
 //! reusable per-thread [`workspace`] arenas so steady-state forward/backward
 //! allocates nothing. The only unsafe code in the crate is four kinds of
-//! audited site in `gemm.rs`/`conv.rs`/`parallel.rs`/`crc32c.rs`: the
+//! audited site in `simd.rs`/`parallel.rs`/`crc32c.rs`: the
 //! lifetime-erasure in the pool's dispatch path, the `SliceParts`
-//! disjoint-range writer the fixed tile grids borrow output through, the
-//! feature-gated AVX2 recompilations of the gemm micro-kernel and of the
-//! direct convolution's task bodies (guarded by runtime detection, same
-//! IEEE operation order), and the runtime-detected call into the SSE4.2 CRC32C
-//! kernel (same checksum as the portable tables).
+//! disjoint-range writer the fixed tile grids borrow output through, the one
+//! wide-lane dispatch — the feature-gated AVX2 recompilation of the gemm
+//! micro-kernel, the direct convolution's task bodies and the max-pool tile
+//! (guarded by runtime detection, same IEEE operation order) — and the
+//! runtime-detected call into the SSE4.2 CRC32C kernel (same checksum as the
+//! portable tables).
 //!
 //! # Example
 //!
@@ -58,6 +60,7 @@ pub mod ops;
 pub mod parallel;
 pub mod pool;
 mod shape;
+mod simd;
 pub mod softmax;
 mod tensor;
 pub mod workspace;

@@ -6,9 +6,20 @@
 //!
 //! A window is clipped to the image once — its row range per output row,
 //! its column range per output column — so the tap loops run over plain
-//! in-bounds sub-rows with no per-tap padding test. Taps are still visited
-//! in `(kh, kw)` order: max pooling keeps the first strictly-greater tap
-//! and average pooling sums in that order.
+//! in-bounds sub-rows with no per-tap padding test. Taps are visited in
+//! `(kh, kw)` order: max pooling keeps the first strictly-greater tap and
+//! average pooling sums in that order.
+//!
+//! **Max forward** is register-tiled like the direct convolution: each
+//! channel is staged once ([`crate::conv::stage_image`]) into a band whose
+//! padding columns and slack hold `-inf`, rows are clipped per output row,
+//! and every tap `(kh, kw)` of a tile of consecutive outputs is then one
+//! contiguous window folded into a `best` / `idx` tile by a branch-free
+//! select. `v > best` is false for `v = -inf` (and for NaN) whatever
+//! `best` holds, so a padding tap is never selected: the winner, the
+//! first-strictly-greater tie rule, and the [`NO_ARGMAX`] / `0.0` result of
+//! a window with no selectable tap are those of the clipped per-window
+//! scan (kept as the oracle in `tests/oracle/`), bit for bit.
 //!
 //! Both directions are batch-parallel: every image's output (or input
 //! gradient) slice is disjoint, so images run as independent tasks on the
@@ -16,8 +27,10 @@
 
 use std::ops::Range;
 
-use crate::conv::Conv2dGeometry;
+use crate::conv::{phase_len, stage_image, Conv2dGeometry, TW};
 use crate::parallel;
+use crate::simd::with_wide_lanes;
+use crate::workspace::{self, Tag};
 
 /// Pooling operator variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,6 +95,85 @@ fn for_each_window(
     }
 }
 
+/// Folds one tap of `W` consecutive outputs into the running maximum:
+/// lane `j` holds input offset `first + ramp[j]` and takes over iff it is
+/// strictly greater.
+#[inline(always)]
+fn max_tap<const W: usize>(
+    taps: &[f32],
+    first: u32,
+    ramp: &[u32; W],
+    best: &mut [f32; W],
+    idx: &mut [u32; W],
+) {
+    let taps: &[f32; W] = taps.try_into().expect("W-wide window");
+    for j in 0..W {
+        let take = taps[j] > best[j];
+        best[j] = if take { taps[j] } else { best[j] };
+        idx[j] = if take { first.wrapping_add(ramp[j]) } else { idx[j] };
+    }
+}
+
+/// Max-pools one image on `W`-wide register tiles (`W <= out_w`) over
+/// `stage`, one channel's `-inf`-padded band at a time. See the module
+/// docs. The loops are shaped for the auto-vectoriser: one flat tap loop
+/// per tile and whole-tile stores only — the last tile of a row slides back
+/// to end at `out_w`, recomputing a few outputs rather than storing a part
+/// — because a nested `(kh, kw)` loop or a partial write-back compiled to
+/// scalar selects.
+#[inline(always)]
+fn max_image<const W: usize>(
+    geom: &Conv2dGeometry,
+    ext: &Extents,
+    image: &[f32],
+    stage: &mut [f32],
+    out_image: &mut [f32],
+    argmax_image: &mut [u32],
+) {
+    let (sw, phase_len) = (geom.stride_w, phase_len(geom));
+    let next_row = (geom.in_w as u32).wrapping_sub(geom.kernel_w as u32);
+    let mut ramp = [0u32; W];
+    for (j, r) in ramp.iter_mut().enumerate() {
+        *r = (j * sw) as u32;
+    }
+    let mut out_rows = out_image.chunks_exact_mut(ext.out_w);
+    let mut argmax_rows = argmax_image.chunks_exact_mut(ext.out_w);
+    for (c, chan) in image.chunks_exact(geom.in_h * geom.in_w).enumerate() {
+        stage_image(geom, chan, geom.pad_h, geom.in_h, f32::NEG_INFINITY, stage);
+        for oh in 0..ext.out_h {
+            let rows = clip(oh, geom.stride_h, geom.pad_h, geom.kernel_h, geom.in_h);
+            let out_row = out_rows.next().expect("one row per (c, oh)");
+            let argmax_row = argmax_rows.next().expect("one row per (c, oh)");
+            for ow0 in (0..ext.out_w).step_by(W).map(|ow| ow.min(ext.out_w - W)) {
+                let (mut best, mut idx) = ([f32::NEG_INFINITY; W], [NO_ARGMAX; W]);
+                // Band offset of the row's phase 0, and the input offset of
+                // tap `kw = 0` of output `ow0` (in the padding it wraps, on
+                // a lane that is never selected).
+                let mut row = rows.start * sw * phase_len + ow0;
+                let mut first = ((c * geom.in_h + rows.start) * geom.in_w + ow0 * sw) as u32;
+                first = first.wrapping_sub(geom.pad_w as u32);
+                let (mut kw, mut phase, mut q) = (0, 0, 0);
+                for _ in 0..rows.len() * geom.kernel_w {
+                    let taps = &stage[row + phase * phase_len + q..][..W];
+                    max_tap(taps, first, &ramp, &mut best, &mut idx);
+                    (kw, first) = (kw + 1, first.wrapping_add(1));
+                    (phase, q) = if phase + 1 == sw { (0, q + 1) } else { (phase + 1, q) };
+                    if kw == geom.kernel_w {
+                        (kw, phase, q, row) = (0, 0, 0, row + sw * phase_len);
+                        first = first.wrapping_add(next_row);
+                    }
+                }
+                *<&mut [f32; W]>::try_from(&mut out_row[ow0..][..W]).expect("whole tile") = best;
+                *<&mut [u32; W]>::try_from(&mut argmax_row[ow0..][..W]).expect("whole tile") = idx;
+            }
+        }
+    }
+    // A window with no selectable tap still holds the `-inf` seed.
+    for (out, &src) in out_image.iter_mut().zip(argmax_image.iter()) {
+        *out = if src == NO_ARGMAX { 0.0 } else { *out };
+    }
+}
+
 /// Pooling forward over a batch.
 ///
 /// * `input`: `(N, C, H, W)`, `output`: `(N, C, H_out, W_out)`.
@@ -110,27 +202,28 @@ pub fn pool_forward(
     match kind {
         PoolKind::Max => {
             assert_eq!(argmax.len(), output.len(), "argmax size mismatch");
+            let band = phase_len(geom) * geom.stride_w * geom.in_h;
             parallel::par_chunks_mut2(
                 output,
                 ext.out_len,
                 argmax,
                 ext.out_len,
                 |n, out_image, argmax_image| {
-                    let image = image_of(n);
-                    for_each_window(geom, &ext, |out_idx, chan_base, rows, cols| {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = NO_ARGMAX;
-                        for ih in rows {
-                            let row_base = chan_base + ih * geom.in_w;
-                            let taps = &image[row_base + cols.start..row_base + cols.end];
-                            for (idx, &v) in (row_base + cols.start..).zip(taps) {
-                                let take = v > best;
-                                best = if take { v } else { best };
-                                best_idx = if take { idx as u32 } else { best_idx };
-                            }
-                        }
-                        out_image[out_idx] = if best_idx == NO_ARGMAX { 0.0 } else { best };
-                        argmax_image[out_idx] = best_idx;
+                    workspace::with_f32(Tag::ConvPackB, band + TW, |stage| {
+                        with_wide_lanes(
+                            #[inline(always)]
+                            || {
+                                // The widest tile the output row fills.
+                                let (x, y, a) = (image_of(n), out_image, argmax_image);
+                                match ext.out_w {
+                                    TW.. => max_image::<TW>(geom, &ext, x, stage, y, a),
+                                    8.. => max_image::<8>(geom, &ext, x, stage, y, a),
+                                    4.. => max_image::<4>(geom, &ext, x, stage, y, a),
+                                    2.. => max_image::<2>(geom, &ext, x, stage, y, a),
+                                    _ => max_image::<1>(geom, &ext, x, stage, y, a),
+                                }
+                            },
+                        );
                     });
                 },
             );

@@ -1,8 +1,8 @@
 //! Reusable per-thread scratch arenas for the packed compute kernels.
 //!
 //! Every hot kernel in this crate needs transient buffers — packed GEMM
-//! panels, the convolution's filter panels and staged image bands, the LRN
-//! ratio map. Allocating them per call (let alone per task) puts `malloc`
+//! panels, the convolution's filter panels and staged image bands, the
+//! max-pool's staged channel band, the LRN ratio map. Allocating them per call (let alone per task) puts `malloc`
 //! and page-zeroing on the critical path and is why an earlier
 //! batch-parallel conv *lost* throughput with more threads.
 //!
@@ -31,8 +31,9 @@
 //!    written to never nest a tag inside itself.
 //! 3. Contents are **dirty**: a borrowed buffer holds whatever the last
 //!    user left. Every kernel fully overwrites the region it reads back
-//!    (packing and staging routines write explicit zero padding; tile
-//!    write-backs overwrite on the first k-block).
+//!    (packing and staging routines write their padding explicitly —
+//!    zeros, `-inf` for max pooling; tile write-backs overwrite on the
+//!    first k-block).
 //!
 //! Determinism: arenas hold *scratch*, never results. Which thread's
 //! arena a task uses can vary with the schedule, but every buffer is
@@ -49,10 +50,11 @@ pub enum Tag {
     GemmPackA,
     /// Packed `op(B)` NR-column panels for the generic gemm.
     GemmPackB,
-    /// Convolution: packed weight / `dY` / `Wᵀ` row panels.
+    /// Convolution: packed weight / `Wᵀ` row panels, or `dW`'s transposed
+    /// `dY` k-block.
     ConvPackA,
-    /// Convolution: a task's staged zero-padded image or `dY` band, or the
-    /// `dW` gemm's packed transposed-column panels.
+    /// A task's staged band: the convolution's zero-padded image or `dY`
+    /// rows, or max pooling's `-inf`-padded channel.
     ConvPackB,
     /// LRN backward: one image's `dy·x·s^-β / s` ratio map plus the window
     /// sum row.

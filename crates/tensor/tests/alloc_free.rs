@@ -13,12 +13,15 @@
 //! warm — no buffer growths — under a 4-thread schedule as well.)
 //!
 //! This is the regression gate for the tentpole perf claim: the fused
-//! conv path must never reintroduce a per-call or per-task `Vec`.
+//! conv path must never reintroduce a per-call or per-task `Vec`. Max-pool
+//! forward, whose staged band is a workspace slot too, is held to the same
+//! zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use shmcaffe_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
+use shmcaffe_tensor::pool::{pool_forward, PoolKind};
 use shmcaffe_tensor::{parallel, workspace};
 
 /// System allocator wrapper that counts each thread's allocation calls.
@@ -147,6 +150,32 @@ fn steady_state_conv_fwd_bwd_allocates_nothing() {
             "steady-state conv fwd+bwd performed {} heap allocations",
             after - before
         );
+    });
+}
+
+/// Max-pool forward stages every channel into the `-inf` band: the slot
+/// comes from the workspace, so once warm a call allocates nothing (an
+/// arena growth would be an allocation on this thread) — padded stride 1
+/// and de-interleaved stride 2 alike.
+#[test]
+fn steady_state_max_pool_forward_allocates_nothing() {
+    parallel::with_threads(1, || {
+        for geom in [Conv2dGeometry::square(8, 16, 3, 1, 1), Conv2dGeometry::square(8, 33, 3, 2, 0)]
+        {
+            let batch = 3;
+            let out_len = geom.in_channels * geom.out_h().unwrap() * geom.out_w().unwrap();
+            let input = fill(batch * geom.in_len(), 5);
+            let mut output = vec![0.0; batch * out_len];
+            let mut argmax = vec![0u32; batch * out_len];
+            let mut step =
+                || pool_forward(PoolKind::Max, &geom, batch, &input, &mut output, &mut argmax);
+            step();
+            let before = alloc_count();
+            for _ in 0..5 {
+                step();
+            }
+            assert_eq!(alloc_count() - before, 0, "steady-state max-pool forward allocated");
+        }
     });
 }
 

@@ -1,19 +1,21 @@
 //! Property-based proof that the direct register-tiled convolution
-//! (forward and `d_input`) and the packed `dW` gemm are **bit-identical**
-//! to the materialised im2col/col2im reference formulation
+//! (forward, `d_input` and `dW`) is **bit-identical** to the materialised
+//! im2col/col2im reference formulation
 //! (`oracle::conv2d_forward_ref`/`conv2d_backward_ref`), at every thread
 //! count.
 //!
 //! The direct kernels fold filter taps in the reference gemm's order —
 //! same KC k-block grid, same overwrite-then-accumulate write-back, the
-//! `d_input` taps completed over `C_out` before they are added — reading
-//! shifted windows of a staged zero-padded band instead of a column
-//! matrix. If any of that drifts — a different block grid, a
-//! reassociated fold, an off-by-one in the staging — these tests fail on
-//! raw `f32::to_bits` comparison, across random non-square geometries,
-//! per-axis strides and pads (including `pad >= kernel`), widths that
-//! straddle one and two register tiles, both k-block folds, signed zeros
-//! and denormals, batch sizes and thread counts.
+//! `d_input` taps completed over `C_out` before they are added, the `dW`
+//! chains folded over spatial positions per KC block and image and then
+//! added to the running gradient — reading shifted windows of a staged
+//! zero-padded band instead of a column matrix. If any of that drifts — a
+//! different block grid, a reassociated fold, an off-by-one in the staging
+//! — these tests fail on raw `f32::to_bits` comparison, across random
+//! non-square geometries, per-axis strides and pads (including
+//! `pad >= kernel`), widths that straddle one and two register tiles,
+//! every k-block fold, partial lane and tap blocks, signed zeros and
+//! denormals, batch sizes and thread counts.
 
 mod oracle;
 
@@ -141,6 +143,70 @@ fn forward_tap_fold_crosses_a_k_block() {
 fn input_grad_tap_fold_crosses_a_k_block() {
     let geom = Conv2dGeometry { stride_w: 2, ..Conv2dGeometry::square(2, 9, 3, 1, 1) };
     assert_matches_oracle(&geom, 1, 260, true, true, 12);
+}
+
+/// `dW` folds spatial positions in KC = 256 blocks: one short of a block,
+/// exactly one, one over (a 1-position second block, on a single 257-wide
+/// row), and four — each over three images, whose chains are added to the
+/// pre-loaded gradient in image order, with and without a `d_input`.
+#[test]
+fn weight_grad_position_fold_crosses_k_blocks() {
+    for (seed, (h, w)) in [(15, 17), (16, 16), (1, 257), (32, 32)].into_iter().enumerate() {
+        let geom = Conv2dGeometry { in_h: h, in_w: w, ..Conv2dGeometry::square(2, 0, 3, 1, 1) };
+        assert_matches_oracle(&geom, 3, 5, true, seed % 2 == 0, 20 + seed as u32);
+    }
+}
+
+/// `dW` tiles are 8 output channels x 12 taps: every partial first lane
+/// block, a partial second (9, 10) and third (17) one, against tap counts
+/// below, at and past whole tap blocks (3, 12, 24, 27, 50).
+#[test]
+fn weight_grad_partial_lane_and_tap_blocks() {
+    let geoms = [
+        Conv2dGeometry::square(3, 5, 1, 1, 0),
+        Conv2dGeometry { kernel_h: 3, kernel_w: 4, ..Conv2dGeometry::square(1, 6, 0, 1, 1) },
+        Conv2dGeometry { kernel_h: 3, kernel_w: 4, ..Conv2dGeometry::square(2, 6, 0, 1, 1) },
+        Conv2dGeometry::square(3, 6, 3, 1, 1),
+        Conv2dGeometry::square(2, 7, 5, 1, 2),
+    ];
+    for (g, geom) in geoms.iter().enumerate() {
+        for out_channels in (1..=10).chain([17]) {
+            assert_matches_oracle(
+                geom,
+                3,
+                out_channels,
+                true,
+                false,
+                (g * 32 + out_channels) as u32,
+            );
+        }
+    }
+}
+
+/// `C_in * KH * KW = 540 > NC`: the weight gradient splits into two column
+/// tasks, the second starting mid-channel (tap 512 = channel 56, tap 8) and
+/// staging only the channels it reads.
+#[test]
+fn weight_grad_column_tasks_stage_their_own_channels() {
+    let geom = Conv2dGeometry::square(60, 5, 3, 1, 1);
+    assert_matches_oracle(&geom, 2, 9, true, false, 40);
+}
+
+/// Strides 2 and 3 with `pad >= kernel`: column phases, rows and columns of
+/// windows wholly in padding, three images, parameters only.
+#[test]
+fn weight_grad_strided_with_padding_past_the_kernel() {
+    let geom = Conv2dGeometry {
+        stride_h: 2,
+        stride_w: 3,
+        pad_h: 3,
+        pad_w: 2,
+        ..Conv2dGeometry::square(3, 9, 2, 0, 0)
+    };
+    assert_matches_oracle(&geom, 3, 9, true, false, 41);
+    let geom =
+        Conv2dGeometry { stride_h: 3, stride_w: 2, ..Conv2dGeometry::square(2, 11, 3, 0, 3) };
+    assert_matches_oracle(&geom, 3, 4, false, false, 42);
 }
 
 /// A window that lies wholly in the padding (`pad >= kernel`) produces

@@ -1,14 +1,16 @@
-//! Test oracles for the convolution kernels: the materialised
-//! im2col/col2im formulation the library used to ship, kept here — out of
-//! the crate — as the specification `tests/fused_conv.rs` compares the
-//! direct kernels against bit for bit, and whose adjoint property
-//! `tests/proptests.rs` checks.
+//! Test oracles for the convolution and max-pooling kernels: the
+//! materialised im2col/col2im formulation and the per-window max scan the
+//! library used to ship, kept here — out of the crate — as the
+//! specifications `tests/fused_conv.rs` and `tests/pool_oracle.rs` compare
+//! the register-tiled kernels against bit for bit, and whose adjoint
+//! property `tests/proptests.rs` checks.
 //!
 //! Shared by several test crates (`mod oracle;`), each using a subset.
 #![allow(dead_code)]
 
 use shmcaffe_tensor::conv::Conv2dGeometry;
 use shmcaffe_tensor::gemm::{gemm, Transpose};
+use shmcaffe_tensor::pool::NO_ARGMAX;
 
 /// Unrolls one image `(C, H, W)` into the materialised column matrix.
 ///
@@ -212,6 +214,60 @@ pub fn conv2d_backward_ref(
                 col_buf,
             );
             col2im(geom, col_buf, &mut d_input[n * in_len..(n + 1) * in_len]);
+        }
+    }
+}
+
+/// Reference max pooling: every window clipped to the image and scanned tap
+/// by tap in `(kh, kw)` order, the first strictly-greater tap winning from
+/// a `-inf` seed — so NaN and `-inf` taps are never selected, and a window
+/// with no selectable tap (wholly in padding, or holding only such values)
+/// yields `0.0` / [`NO_ARGMAX`]. `argmax` holds offsets within the image.
+/// The bit-identity oracle for `pool_forward(PoolKind::Max, ..)`.
+///
+/// # Panics
+///
+/// Panics on buffer size mismatches.
+pub fn max_pool_ref(
+    geom: &Conv2dGeometry,
+    batch: usize,
+    input: &[f32],
+    output: &mut [f32],
+    argmax: &mut [u32],
+) {
+    let out_h = geom.out_h().expect("invalid geometry");
+    let out_w = geom.out_w().expect("invalid geometry");
+    let in_len = geom.in_len();
+    assert_eq!(input.len(), batch * in_len, "input size mismatch");
+    assert_eq!(output.len(), batch * geom.in_channels * out_h * out_w, "output size mismatch");
+    assert_eq!(argmax.len(), output.len(), "argmax size mismatch");
+    let clip = |o: usize, stride: usize, pad: usize, kernel: usize, extent: usize| {
+        let start = o * stride;
+        start.saturating_sub(pad).min(extent)..(start + kernel).saturating_sub(pad).min(extent)
+    };
+    let mut out_idx = 0;
+    for image in input.chunks(in_len.max(1)).take(batch) {
+        for c in 0..geom.in_channels {
+            for oh in 0..out_h {
+                let rows = clip(oh, geom.stride_h, geom.pad_h, geom.kernel_h, geom.in_h);
+                for ow in 0..out_w {
+                    let cols = clip(ow, geom.stride_w, geom.pad_w, geom.kernel_w, geom.in_w);
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = NO_ARGMAX;
+                    for ih in rows.clone() {
+                        for iw in cols.clone() {
+                            let idx = (c * geom.in_h + ih) * geom.in_w + iw;
+                            if image[idx] > best {
+                                best = image[idx];
+                                best_idx = idx as u32;
+                            }
+                        }
+                    }
+                    output[out_idx] = if best_idx == NO_ARGMAX { 0.0 } else { best };
+                    argmax[out_idx] = best_idx;
+                    out_idx += 1;
+                }
+            }
         }
     }
 }

@@ -8,8 +8,10 @@
 # The suite runs twice — once with SHMCAFFE_THREADS=1 and once with
 # SHMCAFFE_THREADS=4 — because the compute backend dispatches onto a
 # worker pool and every kernel promises bit-identical results at any
-# thread count. A seeded end-to-end training checksum is compared across
-# the two settings to catch any schedule-dependent reduction order.
+# thread count. Two seeded end-to-end training checksums (small_cnn, and
+# the benchmark's mini_inception: 1x1/3x3/5x5 convs, padded stride-1
+# pools, LRN, Inception concat) are compared across the two settings to
+# catch any schedule-dependent reduction order.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,23 +30,23 @@ SHMCAFFE_THREADS=1 cargo test -q --workspace
 echo "== tier-1 suite, SHMCAFFE_THREADS=4 =="
 SHMCAFFE_THREADS=4 cargo test -q --workspace
 
-echo "== seeded training checksum, 1 vs 4 threads =="
+echo "== seeded training checksums (small_cnn, mini_inception), 1 vs 4 threads =="
 cargo build -q --release -p shmcaffe-bench --bin kernel_bench
 sum1=$(SHMCAFFE_THREADS=1 ./target/release/kernel_bench --checksum)
 sum4=$(SHMCAFFE_THREADS=4 ./target/release/kernel_bench --checksum)
-echo "  1 thread : $sum1"
-echo "  4 threads: $sum4"
+sed 's/^/  1 thread : /' <<<"$sum1"
+sed 's/^/  4 threads: /' <<<"$sum4"
 if [ "$sum1" != "$sum4" ]; then
-    echo "FAIL: training checksum differs across thread counts" >&2
+    echo "FAIL: a training checksum differs across thread counts" >&2
     exit 1
 fi
 
-echo "== direct conv: bit-identity vs the im2col oracle (wide geometries, 1/2/4/7 threads) + zero-alloc steady state =="
+echo "== direct conv (fwd, dX, dW): bit-identity vs the im2col oracle (wide geometries, 1/2/4/7 threads) + zero-alloc steady state (conv fwd/bwd, max-pool fwd) =="
 cargo test -q -p shmcaffe-tensor --test fused_conv
 cargo test -q -p shmcaffe-tensor --test alloc_free
 
-echo "== memory-bound layers: LRN vs per-element oracle, pooling goldens, propagate_down =="
-cargo test -q -p shmcaffe-tensor --test lrn_oracle --test pool_golden
+echo "== memory-bound layers: LRN vs per-element oracle, tiled max-pool vs per-window oracle, pooling goldens, propagate_down =="
+cargo test -q -p shmcaffe-tensor --test lrn_oracle --test pool_oracle --test pool_golden
 cargo test -q -p shmcaffe-models --test propagate_down
 
 echo "== kernel-bench smoke: in-image conv task grid must not regress (host-aware floor) =="

@@ -5,13 +5,14 @@
 # Scope: the workspace contains exactly four kinds of audited `unsafe`
 # site (enforced by `cargo run -p shmcaffe-analysis`):
 #
-#   1. crates/tensor/src/gemm.rs, crates/tensor/src/conv.rs — the AVX2
-#      recompilations of safe kernel bodies (the gemm micro-kernel, the
-#      direct convolution's forward and d_input task bodies) behind
-#      `#[target_feature]`. Miri does not model `target_feature` dispatch,
-#      so the AVX2 paths are compiled out under `cfg(miri)` and the
-#      bit-identical baseline compilations run instead; the dispatch
-#      itself carries no pointer arithmetic to check.
+#   1. crates/tensor/src/simd.rs — `with_wide_lanes`, the one AVX2
+#      recompilation of safe kernel bodies (the gemm micro-kernel, the
+#      direct convolution's forward / d_input / dW task bodies, the
+#      max-pool tile) behind `#[target_feature]`. Miri does not model
+#      `target_feature` dispatch, so the AVX2 path is compiled out under
+#      `cfg(miri)` and the bit-identical baseline compilations run
+#      instead; the dispatch itself carries no pointer arithmetic to
+#      check.
 #   2. crates/tensor/src/parallel.rs:~180 — the `Task<'_>` -> `Job`
 #      lifetime-erasing transmute that enqueues scoped jobs on the worker
 #      pool. This is the site Miri validates: the soundness argument is
