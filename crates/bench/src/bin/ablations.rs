@@ -6,12 +6,16 @@
 //!    against,
 //! 4. straggler sensitivity — SSGD's max-of-N penalty vs SEASGD's
 //!    indifference as jitter grows,
-//! 5. multiple SMB servers — the paper's §V future work, implemented.
+//! 5. multiple SMB servers — the paper's §V future work, implemented,
+//! 6. the exchange protocol — the paper's (one tile, one SMB stream, read
+//!    after the update; what the `fig*`/`table*` binaries measure) against
+//!    the library default (striped read window, early start under the
+//!    group all-reduce).
 //!
 //! Run with `cargo run --release -p shmcaffe-bench --bin ablations`.
 
 use shmcaffe::config::ShmCaffeConfig;
-use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, SsgdConfig};
+use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, ShmCaffeH, SsgdConfig};
 use shmcaffe::trainer::ModeledTrainerFactory;
 use shmcaffe_bench::table::{ms, pct, Table};
 use shmcaffe_models::{CnnModel, WorkloadModel};
@@ -217,6 +221,48 @@ fn multi_smb_servers() {
     println!("per-server memory-bus load — the scalability relief §V anticipates\n");
 }
 
+fn exchange_protocol() {
+    let mut table = Table::new(
+        "Ablation 6: exchange protocol, paper vs striped window (comm ms/iter, comm ratio)",
+        &["model", "platform", "paper", "striped", "iter (ms) paper", "iter (ms) striped"],
+    );
+    for model in CnnModel::ALL {
+        for (label, gpus, hybrid) in
+            [("A @8", 8usize, false), ("A @16", 16, false), ("H @16 (S4xA4)", 16, true)]
+        {
+            let run = |pipelined: bool| {
+                let cfg = ShmCaffeConfig {
+                    max_iters: 200,
+                    progress_every: 25,
+                    jitter: JitterModel::NONE,
+                    pipelined_exchange: pipelined,
+                    ..Default::default()
+                };
+                let spec = ClusterSpec::paper_testbed(gpus / 4);
+                let trainers = factory(model, JitterModel::hpc_default());
+                if hybrid {
+                    ShmCaffeH::new(spec, gpus / 4, 4, cfg).run(trainers)
+                } else {
+                    ShmCaffeA::new(spec, gpus, cfg).run(trainers)
+                }
+                .expect("platform runs")
+            };
+            let (paper, striped) = (run(false), run(true));
+            table.row_owned(vec![
+                model.to_string(),
+                label.to_string(),
+                format!("{} ({})", ms(paper.mean_comm_ms()), pct(paper.comm_ratio())),
+                format!("{} ({})", ms(striped.mean_comm_ms()), pct(striped.comm_ratio())),
+                ms(paper.mean_iter_ms()),
+                ms(striped.mean_iter_ms()),
+            ]);
+        }
+    }
+    table.print();
+    println!("one SMB connection cannot fill the HCA (Fig. 7): four per worker read W_g");
+    println!("at line rate while the server has headroom; at 16 async workers it has none\n");
+}
+
 fn main() {
     println!("ShmCaffe ablations (DESIGN.md §5)\n");
     update_interval_sweep();
@@ -224,4 +270,5 @@ fn main() {
     hide_read_ablation();
     straggler_sensitivity();
     multi_smb_servers();
+    exchange_protocol();
 }

@@ -5,14 +5,21 @@
 //! paper Fig. 6) against a live SMB server on the simulated FDR fabric
 //! and measures what `ElasticExchanger::exchange` actually blocks on —
 //! the non-overlapped communication time. The monolithic mode
-//! (`pipelined_exchange = false`) serialises the whole-vector read before
-//! any mixing starts; the chunked mode streams the exchange over the
-//! fixed chunk grid so the `W_g` read of tile *k+1* rides the wire while
-//! tile *k* mixes; the sharded modes additionally stripe the grid over 2
-//! and 4 memory servers. Results land in `BENCH_comm.json` at the repo
+//! (`pipelined_exchange = false`) is the paper's protocol: one SMB
+//! stream reads the whole vector before any mixing starts; the chunked
+//! mode streams the exchange over the fixed chunk grid through the
+//! striped read window (four reader connections, reads issued as far
+//! ahead as the T.A5 gates allow) so `W_g` arrives at line rate while
+//! earlier tiles mix; the sharded modes additionally stripe the grid over
+//! 2 and 4 memory servers. Results land in `BENCH_comm.json` at the repo
 //! root.
 //!
 //! Run with `cargo run --release -p shmcaffe-bench --bin exchange_bench`.
+//!
+//! `--check` re-runs the table and, instead of writing, fails on any
+//! difference from the checked-in `BENCH_comm.json` — virtual time
+//! repeats exactly, so unlike the host-timing smokes this is an exact
+//! gate — and on a missed printed target.
 //!
 //! `--checksum mono|chunked` instead runs a short single-worker training
 //! loop and prints an FNV-1a hash of the final mixed weights; CI diffs
@@ -24,7 +31,7 @@ use parking_lot::Mutex;
 use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe::ShmCaffeConfig;
-use shmcaffe_bench::json::{write_bench_json, Json};
+use shmcaffe_bench::json::{repo_root, write_bench_json, Json};
 use shmcaffe_bench::table::Table;
 use shmcaffe_models::{CnnModel, WorkloadModel};
 use shmcaffe_rdma::RdmaFabric;
@@ -41,6 +48,12 @@ const WARMUP: usize = 2;
 const MEASURED: usize = 8;
 /// Training iterations of the `--checksum` probe.
 const CHECKSUM_ITERS: usize = 6;
+/// The printed target: on every compute-bound model (one whose compute
+/// phase outlasts its monolithic exchange, so the previous pushes are
+/// hidden and the exchange is the `W_g` read plus the mix) the chunked
+/// exchange blocks the worker for at most this share of the monolithic
+/// one. Four streams against one bound the read share at 1/4.
+const TARGET_RATIO: f64 = 0.30;
 
 /// Mean per-exchange timings of one configuration, in milliseconds.
 #[derive(Clone, Copy, Default)]
@@ -195,6 +208,7 @@ fn main() {
     let mut models = Vec::new();
     let mut largest_speedup = 0.0f64;
     let mut largest_wire = 0u64;
+    let mut worst_ratio = 0.0f64;
     for &cnn in &CnnModel::ALL {
         let workload = WorkloadModel::from_cnn(cnn);
         let mono = measure(&workload, 1, false);
@@ -206,6 +220,9 @@ fn main() {
         if workload.wire_bytes > largest_wire {
             largest_wire = workload.wire_bytes;
             largest_speedup = speedup;
+        }
+        if workload.comp_time.as_millis_f64() > mono.total_ms {
+            worst_ratio = worst_ratio.max(chunked.total_ms / mono.total_ms);
         }
         table.row_owned(vec![
             workload.name.clone(),
@@ -257,13 +274,43 @@ fn main() {
         ),
         ("models", Json::Arr(models)),
         ("largest_model_speedup", Json::Num(largest_speedup)),
+        ("compute_bound_worst_ratio", Json::Num(worst_ratio)),
         ("table", Json::from(&table)),
     ]);
-    match write_bench_json("comm", &doc) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH_comm.json: {e}"),
+    let check = args.iter().any(|a| a == "--check");
+    let mut reproduced = true;
+    if check {
+        let path = repo_root().join("BENCH_comm.json");
+        let recorded = std::fs::read_to_string(&path).unwrap_or_default();
+        let fresh = doc.render();
+        reproduced = fresh == recorded;
+        if reproduced {
+            println!("{} reproduces exactly", path.display());
+        } else {
+            // Name the first line that differs (or where the shorter ends).
+            let at = fresh.lines().zip(recorded.lines()).take_while(|(a, b)| a == b).count();
+            eprintln!(
+                "FAIL: {} differs from this run at line {}:\n  recorded: {}\n  measured: {}",
+                path.display(),
+                at + 1,
+                recorded.lines().nth(at).unwrap_or("<end of file>"),
+                fresh.lines().nth(at).unwrap_or("<end of file>"),
+            );
+        }
+    } else {
+        match write_bench_json("comm", &doc) {
+            Ok(path) => println!("wrote {}", path.display()),
+            Err(e) => eprintln!("failed to write BENCH_comm.json: {e}"),
+        }
     }
+    println!("\nlargest model chunked-vs-monolithic speedup: {largest_speedup:.2}x");
+    let met = worst_ratio <= TARGET_RATIO;
     println!(
-        "\nlargest model chunked-vs-monolithic speedup: {largest_speedup:.2}x (target >= 1.50x)"
+        "compute-bound models, worst chunked/monolithic: {worst_ratio:.3} \
+         (target <= {TARGET_RATIO:.2}: {})",
+        if met { "met" } else { "MISSED" }
     );
+    if check && !(reproduced && met) {
+        std::process::exit(1);
+    }
 }

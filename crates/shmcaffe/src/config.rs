@@ -62,13 +62,17 @@ pub struct ShmCaffeConfig {
     /// partition buffering — a failed push is simply dropped.
     #[serde(default = "default_partition_staleness_cap")]
     pub partition_staleness_cap: usize,
-    /// Run the exchange as a pipelined chunk stream: the `W_g` range-read
-    /// for chunk *k+1* is in flight while chunk *k* mixes, and each
-    /// finished ΔW chunk is pushed (range write + range accumulate)
-    /// immediately, overlapping with the remaining mixing and with
-    /// compute. Off = the original monolithic read→mix→push exchange.
-    /// Both paths produce bit-identical weights (the chunk grid is fixed
-    /// and the mixing is elementwise).
+    /// Run the exchange as a pipelined chunk stream: the `W_g` range-reads
+    /// ride a striped window — four reader connections per memory server,
+    /// issued as far ahead of the mixer as the previous exchange's pushes
+    /// allow (a chunk's own T.A5 gate blocks; a later chunk's gate is taken
+    /// only if already open), opened by the Hybrid-SGD root as soon as its
+    /// gradients are computed — and each finished ΔW chunk is pushed (range
+    /// write + range accumulate) immediately, overlapping with the
+    /// remaining mixing and with compute. Off = the paper's monolithic
+    /// read→mix→push exchange: one chunk, one SMB stream, `W_g` read after
+    /// the update. Both produce bit-identical weights (the chunk grid is
+    /// fixed and the mixing is elementwise).
     #[serde(default = "default_pipelined_exchange")]
     pub pipelined_exchange: bool,
     /// Chunk size of the pipelined exchange, in f32 elements. `0` = auto:

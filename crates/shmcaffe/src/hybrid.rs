@@ -111,10 +111,21 @@ pub fn run_group_member<T: Trainer>(
     let inv_group = 1.0 / group_size as f32;
 
     while !stop {
+        let exchanging = iter.is_multiple_of(cfg.update_interval as u64);
+
         // T4: every member trains its own minibatch.
         let comp_start = ctx.now();
         let loss = trainer.compute_gradients(ctx);
         let comp_grad = ctx.now() - comp_start;
+
+        // The root's W_g read depends on no gradient — only the mix does —
+        // so it goes on the wire now and rides under the all-reduce
+        // instead of queueing behind it and the update.
+        if exchanging {
+            if let Some(ex) = exchanger.as_mut() {
+                ex.start_window(ctx)?;
+            }
+        }
 
         // Intra-node SSGD: ncclAllReduce of the gradients (G_grp).
         let comm_start = ctx.now();
@@ -135,10 +146,14 @@ pub fn run_group_member<T: Trainer>(
 
         // Inter-node SEASGD by the root, then weight broadcast.
         let mut comm_total = comm_allreduce;
-        if iter.is_multiple_of(cfg.update_interval as u64) {
+        if exchanging {
             let bcast_start = ctx.now();
             if let Some(ex) = exchanger.as_mut() {
                 ex.exchange(ctx, trainer)?;
+                let phases = ex.phase_times();
+                report.wait_ms.record_duration_ms(phases.wait);
+                report.read_ms.record_duration_ms(phases.read);
+                report.mix_ms.record_duration_ms(phases.mix);
                 let mixed = ex.mixed_weights().to_vec();
                 harness.gpu.broadcast_wire(ctx, 0, Some(mixed), wire_bytes);
             } else {
@@ -206,7 +221,7 @@ mod tests {
     use crate::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
     use parking_lot::Mutex;
     use shmcaffe_collectives::IntraNodeGroup;
-    use shmcaffe_models::WorkloadModel;
+    use shmcaffe_models::{CnnModel, WorkloadModel};
     use shmcaffe_rdma::RdmaFabric;
     use shmcaffe_simnet::jitter::JitterModel;
     use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
@@ -223,6 +238,18 @@ mod tests {
         workload: WorkloadModel,
     ) -> Vec<Vec<HybridOutcome>> {
         let fabric = Fabric::new(ClusterSpec::paper_testbed(n_groups));
+        run_hybrid_on(&fabric, n_groups, group_size, cfg, workload)
+    }
+
+    /// [`run_hybrid`] on a caller-built fabric of `n_groups` GPU nodes, so
+    /// the caller can read its link counters afterwards.
+    fn run_hybrid_on(
+        fabric: &Fabric,
+        n_groups: usize,
+        group_size: usize,
+        cfg: ShmCaffeConfig,
+        workload: WorkloadModel,
+    ) -> Vec<Vec<HybridOutcome>> {
         let rdma = RdmaFabric::new(fabric.clone());
         let server = SmbServer::new(rdma).unwrap();
         let factory = ModeledTrainerFactory::new(workload.clone(), cfg.jitter, cfg.seed);
@@ -360,5 +387,53 @@ mod tests {
             comm(&sparse),
             comm(&dense)
         );
+    }
+
+    #[test]
+    fn root_read_rides_under_the_all_reduce_and_is_recorded() {
+        // The headline shape: groups of four on Inception_v1, where the
+        // ring all-reduce outlasts the striped W_g read several times over.
+        let wl = WorkloadModel::from_cnn(CnnModel::InceptionV1);
+        let cfg = ShmCaffeConfig { max_iters: 6, progress_every: 6, ..Default::default() };
+        let out = run_hybrid(2, 4, cfg, wl.clone());
+        for grp in &out {
+            let root = &grp[0].report;
+            assert_eq!(root.mix_ms.count(), 6, "one phase record per exchange");
+            assert!(root.mix_ms.mean() > 0.0);
+            assert!(root.read_ms.mean() < 1.0, "read stall {:.3} ms", root.read_ms.mean());
+            for member in &grp[1..] {
+                assert_eq!(member.report.mix_ms.count(), 0, "members do not exchange");
+            }
+        }
+        // Jitter is on: the early read must not make the timeline depend
+        // on anything but the seed.
+        let again = run_hybrid(2, 4, cfg, wl);
+        for (a, b) in out.iter().flatten().zip(again.iter().flatten()) {
+            assert_eq!(a.report.finished_at, b.report.finished_at);
+            assert_eq!(a.report.comm_ms, b.report.comm_ms);
+        }
+    }
+
+    #[test]
+    fn no_smb_traffic_between_exchanges() {
+        // With an exchange every fourth iteration, iterations 1-3 must not
+        // touch the memory server — in particular no early W_g read: a run
+        // that stops after iteration 0 moves exactly the same traffic.
+        let wl = WorkloadModel::custom("t", 20_000_000, SimDuration::from_millis(30));
+        let mem_transfers = |max_iters: usize| {
+            let fabric = Fabric::new(ClusterSpec::paper_testbed(1));
+            let cfg = ShmCaffeConfig {
+                update_interval: 4,
+                progress_every: max_iters,
+                ..quiet_cfg(max_iters)
+            };
+            run_hybrid_on(&fabric, 1, 2, cfg, wl.clone());
+            let mem = fabric.hca_tx(fabric.memory_server().expect("testbed has a memory server"));
+            (mem.transfer_count(), mem.total_bytes())
+        };
+        let one = mem_transfers(1);
+        assert!(one.1 > 2 * 20_000_000, "iteration 0 exchanges: {one:?}");
+        assert_eq!(mem_transfers(4), one);
+        assert!(mem_transfers(5).0 > one.0, "iteration 4 exchanges again");
     }
 }

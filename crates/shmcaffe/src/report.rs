@@ -81,8 +81,10 @@ pub struct WorkerReport {
     #[serde(default)]
     pub wait_ms: RunningStats,
     /// Per-exchange time blocked on `W_g` reads (T1/T.R3), ms. The
-    /// pipelined exchange double-buffers the chunk reads, so only the
-    /// first chunk's fill and any reader stall is visible here.
+    /// pipelined exchange reads through a striped window that runs ahead
+    /// of the mixer, so only the first chunks' fill at line rate and any
+    /// reader stall is visible here — nothing on a Hybrid-SGD root, whose
+    /// read rides under the group all-reduce.
     #[serde(default)]
     pub read_ms: RunningStats,
     /// Per-exchange time spent in the elastic mixing pass (T2), ms.

@@ -6,10 +6,14 @@
 //!
 //! 1. waits for the *previous* exchange's tile-*k* push to finish (the
 //!    per-tile T.A5 gate — mutual exclusion with the update thread),
-//! 2. **T1** has a reader process stream-read the `W_g` tile from the SMB
-//!    buffer — the read for tile *k+1* is issued before tile *k* is
-//!    consumed, so the next range-read is on the wire while this one mixes
-//!    (double buffering),
+//! 2. **T1** consumes the `W_g` tile from the **striped read window**: each
+//!    lane keeps [`READ_STREAMS`] reader connections (tile *j* of the lane
+//!    rides reader *j* mod `READ_STREAMS`; one SMB connection tops out at
+//!    a quarter of the HCA, paper Fig. 7), reads are issued as far ahead
+//!    as the gates allow — tile *k*'s own gate blocks, the gates of later
+//!    tiles are taken only if already open — and replies are consumed in
+//!    grid order, so the stream advances at line rate while earlier tiles
+//!    mix,
 //! 3. **T2** computes the tile's weight increment `ΔW_x = α (W_x − W_g)`
 //!    (eq. 5) and updates the local weights `W''_x = W'_x − ΔW_x` (eq. 6),
 //! 4. **T3** hands the finished ΔW tile to the update thread immediately,
@@ -24,11 +28,17 @@
 //! [`ShmCaffeConfig::exchange_chunk_elems`] knob — never from timing — and
 //! the mixing is elementwise, so the chunked stream produces **bit-identical
 //! weights** to the monolithic exchange (`pipelined_exchange: false`, which
-//! runs the same machinery with a single whole-vector tile per shard).
+//! runs the same loop with a single whole-vector tile per shard — hence
+//! one reader, one stream: the paper's protocol).
 //! When the buffers stripe across several memory servers
 //! ([`ElasticExchanger::spawn_sharded`]), the grid is additionally cut at
 //! shard boundaries and every tile streams down its own shard's lane, so
 //! tiles on different servers transfer in parallel.
+//!
+//! The `W_g` read depends on no gradient — only the mix does — so a caller
+//! with work to do between "gradients computed" and "weights updated" may
+//! open the window early with [`ElasticExchanger::start_window`]: the
+//! Hybrid-SGD root does, and its read rides under the group all-reduce.
 //!
 //! [`ElasticExchanger`] packages steps 1–4 so that both the pure
 //! asynchronous worker ([`run_worker`]) and the Hybrid-SGD group root
@@ -57,11 +67,20 @@ pub struct SeasgdBuffers {
     pub dw: SmbBuffer,
 }
 
+/// Reader connections per lane. One SMB connection is paced at a fraction
+/// of the HCA (`SmbServerConfig::stream_bps`); Fig. 7 has four processes at
+/// 6.51 of the 6.70 GB/s the server ever reaches, so four is where the
+/// `W_g` stream hits line rate and a fifth buys nothing but a thread.
+pub const READ_STREAMS: usize = 4;
+
 /// One tile of the fixed exchange chunk grid.
 #[derive(Debug, Clone, Copy)]
 struct GridChunk {
     /// Index of the shard lane the tile lives on.
     lane: usize,
+    /// Reader connection of the lane the tile's read rides: the tile's
+    /// index within its lane modulo [`READ_STREAMS`].
+    stream: usize,
     /// Offset within the lane's buffers, in elements.
     local_off: usize,
     /// Offset within the whole parameter vector, in elements.
@@ -88,12 +107,14 @@ fn exchange_grid(lane_lens: &[usize], cfg: &ShmCaffeConfig) -> Vec<GridChunk> {
     let mut lane_start = 0usize;
     for (lane, &lane_len) in lane_lens.iter().enumerate() {
         let mut off = 0usize;
+        let mut stream = 0usize;
         while off < lane_len {
             let global_off = lane_start + off;
             let next_line = (global_off / chunk_elems + 1) * chunk_elems;
             let len = (next_line - global_off).min(lane_len - off);
-            grid.push(GridChunk { lane, local_off: off, global_off, len });
+            grid.push(GridChunk { lane, stream, local_off: off, global_off, len });
             off += len;
+            stream = (stream + 1) % READ_STREAMS;
         }
         lane_start += lane_len;
     }
@@ -115,7 +136,7 @@ enum ReadReply {
     Fresh { chunk: usize, buf: Vec<f32> },
     /// A partition swallowed the read: keep the stale local `W_g` tile
     /// (degraded mode — same contract as the monolithic read).
-    Stale { buf: Vec<f32> },
+    Stale { chunk: usize, buf: Vec<f32> },
     /// A non-partition failure the worker must surface.
     Failed { error: SmbError },
 }
@@ -191,8 +212,12 @@ impl DegradedCounters {
 pub struct ExchangePhases {
     /// Time waiting for the previous exchange's ΔW pushes (T.A5 gates).
     pub wait: SimDuration,
-    /// Time blocked on `W_g` tile reads (T1) — with double buffering only
-    /// the first tile's fill and any reader stall shows up here.
+    /// Time blocked on `W_g` tile reads (T1): what the striped window
+    /// could not put on the wire ahead of the mixer — the first tiles'
+    /// fill at the line rate of [`READ_STREAMS`] connections, tiles whose
+    /// T.A5 gate was still closed when the window reached them, and
+    /// nothing at all when [`ElasticExchanger::start_window`] opened the
+    /// window early enough.
     pub read: SimDuration,
     /// Time in the elastic mixing pass (T2).
     pub mix: SimDuration,
@@ -204,14 +229,23 @@ impl Default for ExchangePhases {
     }
 }
 
+/// One reader connection of a lane: requests in, replies out, both FIFO —
+/// so the replies of one connection arrive in the grid order of its tiles.
+#[derive(Clone)]
+struct Reader {
+    req: SimChannel<ReadRequest>,
+    reply: SimChannel<ReadReply>,
+}
+
 /// One shard lane: the client, channels, and grid bookkeeping for a
 /// single memory server's slice of the parameter vector.
 struct Lane {
     /// Client handle kept for zero-cost partition probes; all actual SMB
     /// traffic goes through the lane's reader and update threads.
     client: SmbClient,
-    read_req: SimChannel<ReadRequest>,
-    read_reply: SimChannel<ReadReply>,
+    /// The lane's reader connections, indexed by [`GridChunk::stream`]
+    /// (`min(READ_STREAMS, n_chunks)` of them: a one-tile lane has one).
+    readers: Vec<Reader>,
     upd_req: SimChannel<UpdateRequest>,
     upd_done: SimChannel<UpdateDone>,
     /// Tiles of the grid on this lane.
@@ -258,6 +292,37 @@ fn push_full(
     client.accumulate_retrying(ctx, &bufs.dw, &bufs.wg, retry).map(|_| ())
 }
 
+/// The process behind one reader connection: T1, one tile at a time. The
+/// zero-cost partition probe runs *before* each read: with a whole window
+/// of reads queued behind the one a partition swallows, each would
+/// otherwise burn its own retry budget before the main thread saw the
+/// first `Stale` and stopped issuing.
+fn serve_reads(
+    rctx: &SimContext,
+    client: &SmbClient,
+    wg: &SmbBuffer,
+    conn: &Reader,
+    retry: &RetryPolicy,
+) {
+    while let ReadRequest::Read { chunk, local_off, mut buf } = conn.req.recv(rctx) {
+        let reply = if client.partitioned_from_server(rctx) {
+            ReadReply::Stale { chunk, buf }
+        } else {
+            match client.read_range_retrying(rctx, wg, local_off, &mut buf, retry) {
+                Ok(()) => ReadReply::Fresh { chunk, buf },
+                Err(_) if client.partitioned_from_server(rctx) => ReadReply::Stale { chunk, buf },
+                // A tile that stays corrupt through the retry/repair loop
+                // degrades exactly like a partition-stale tile: mix against
+                // the last-known W_g — poisoned bytes must never reach ΔW.
+                // The lane re-probes at the next exchange.
+                Err(error) if error.is_corruption() => ReadReply::Stale { chunk, buf },
+                Err(error) => ReadReply::Failed { error },
+            }
+        };
+        conn.reply.send(rctx, reply);
+    }
+}
+
 /// The worker-side half of the SEASGD exchange: owns the per-lane reader
 /// processes and update threads plus the elastic-mixing buffers.
 pub struct ElasticExchanger {
@@ -269,7 +334,17 @@ pub struct ElasticExchanger {
     local_mix_bps: f64,
     wire_bytes: u64,
     param_len: usize,
-    /// Recycled `W_g` tile buffers (at most two in flight: double buffer).
+    /// Whether [`ElasticExchanger::start_window`] may open the window
+    /// ahead of the exchange: not under `hide_global_read` (the prefetch
+    /// already replaced the read, and draining it blocks) and not under
+    /// the monolithic exchange (the paper reads after the update).
+    early_start: bool,
+    /// The read window of the coming exchange is open: its start-of-
+    /// exchange bookkeeping ran and tiles `..next_read` have been decided.
+    window_open: bool,
+    /// First tile of the grid whose read has not been decided yet.
+    next_read: usize,
+    /// Recycled `W_g` tile buffers (up to a whole grid in flight).
     read_pool: Vec<Vec<f32>>,
     /// Recycled ΔW tile buffers, ping-ponged through the done channel so
     /// steady-state exchanges are allocation-free.
@@ -285,8 +360,8 @@ pub struct ElasticExchanger {
     /// exchange and resumes reading once the partition heals, instead of
     /// re-paying the full read-retry budget every iteration of an outage.
     lane_stale: Vec<bool>,
-    /// Per-tile: a read was issued this exchange (reads are issued one
-    /// tile ahead, so a lane can go stale with one read still in flight).
+    /// Per-tile: a read was issued this exchange (the window runs ahead of
+    /// the mixer, so a lane can go stale with reads still in flight).
     read_issued: Vec<bool>,
     /// Per-lane: T.A5 gates still to consume from the previous exchange.
     gate_left: Vec<usize>,
@@ -334,10 +409,11 @@ impl ElasticExchanger {
 
     /// Spawns a striped exchanger over several memory-server shards: the
     /// chunk grid is additionally cut at shard boundaries and every tile's
-    /// read/push rides its own shard's lane (one reader process and one
-    /// update thread per shard), so tiles on different servers stream in
-    /// parallel. `parts` are `(client, buffers)` pairs in parameter order;
-    /// the shard slice lengths come from the buffers themselves.
+    /// read/push rides its own shard's lane (up to [`READ_STREAMS`] reader
+    /// processes and one update thread per shard), so tiles on different
+    /// servers stream in parallel. `parts` are `(client, buffers)` pairs in
+    /// parameter order; the shard slice lengths come from the buffers
+    /// themselves.
     pub fn spawn_sharded(
         ctx: &SimContext,
         parts: Vec<(SmbClient, SeasgdBuffers)>,
@@ -365,10 +441,6 @@ impl ElasticExchanger {
                     retry_seed.wrapping_add((lane_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 )
             };
-            let read_req: SimChannel<ReadRequest> =
-                SimChannel::new(&format!("seasgd_read_req_{label}_s{lane_idx}"));
-            let read_reply: SimChannel<ReadReply> =
-                SimChannel::new(&format!("seasgd_read_reply_{label}_s{lane_idx}"));
             let upd_req: SimChannel<UpdateRequest> =
                 SimChannel::new(&format!("seasgd_req_{label}_s{lane_idx}"));
             let upd_done: SimChannel<UpdateDone> =
@@ -382,40 +454,25 @@ impl ElasticExchanger {
                 .map(|(k, c)| (k, c.local_off, c.len))
                 .collect();
             let n_chunks = lane_chunks.len();
-            {
-                // T1 as a stream: the reader fetches W_g tiles on demand so
-                // the main thread can mix tile k while tile k+1 is on the
-                // wire.
-                let client = client.clone();
-                let retry = retry.clone();
-                let read_req = read_req.clone();
-                let read_reply = read_reply.clone();
-                let wg = buffers.wg;
-                ctx.spawn(&format!("reader_{label}_s{lane_idx}"), move |rctx| {
-                    while let ReadRequest::Read { chunk, local_off, mut buf } = read_req.recv(&rctx)
-                    {
-                        let reply = match client
-                            .read_range_retrying(&rctx, &wg, local_off, &mut buf, &retry)
-                        {
-                            Ok(()) => ReadReply::Fresh { chunk, buf },
-                            Err(_) if client.partitioned_from_server(&rctx) => {
-                                ReadReply::Stale { buf }
-                            }
-                            Err(error) if error.is_corruption() => {
-                                // A tile that stays corrupt through the
-                                // retry/repair loop degrades exactly like a
-                                // partition-stale tile: mix against the
-                                // last-known W_g — poisoned bytes must
-                                // never reach ΔW. The lane re-probes at
-                                // the next exchange.
-                                ReadReply::Stale { buf }
-                            }
-                            Err(error) => ReadReply::Failed { error },
-                        };
-                        read_reply.send(&rctx, reply);
-                    }
-                });
-            }
+            // T1 as a striped stream: each reader connection fetches its
+            // share of the W_g tiles on demand, so several range-reads are
+            // on the wire while the main thread mixes the tiles before them.
+            let readers: Vec<Reader> = (0..n_chunks.min(READ_STREAMS))
+                .map(|r| {
+                    let conn = Reader {
+                        req: SimChannel::new(&format!("seasgd_read_req_{label}_s{lane_idx}_r{r}")),
+                        reply: SimChannel::new(&format!(
+                            "seasgd_read_reply_{label}_s{lane_idx}_r{r}"
+                        )),
+                    };
+                    let (client, retry, wg, served) =
+                        (client.clone(), retry.clone(), buffers.wg, conn.clone());
+                    ctx.spawn(&format!("reader_{label}_s{lane_idx}_r{r}"), move |rctx| {
+                        serve_reads(&rctx, &client, &wg, &served, &retry);
+                    });
+                    conn
+                })
+                .collect();
             {
                 let client = client.clone();
                 let upd_req = upd_req.clone();
@@ -444,8 +501,7 @@ impl ElasticExchanger {
             }
             lanes.push(Lane {
                 client,
-                read_req,
-                read_reply,
+                readers,
                 upd_req,
                 upd_done,
                 n_chunks,
@@ -465,6 +521,9 @@ impl ElasticExchanger {
             local_mix_bps: cfg.local_mix_bps,
             wire_bytes,
             param_len,
+            early_start: cfg.pipelined_exchange && !cfg.hide_global_read,
+            window_open: false,
+            next_read: 0,
             read_pool: Vec::new(),
             dw_pool: Vec::new(),
             lane_prefetched: vec![false; n_lanes],
@@ -479,30 +538,40 @@ impl ElasticExchanger {
         }
     }
 
-    /// Consumes one T.A5 gate for tile `k` if its lane still has dones
-    /// outstanding from the previous exchange. Returns the time waited.
-    fn gate(&mut self, ctx: &SimContext, k: usize) -> Result<SimDuration, PlatformError> {
+    /// Consumes the T.A5 gate of tile `k` if its lane still has dones
+    /// outstanding from the previous exchange: blocking when `block`, else
+    /// only if the done is already there. Returns whether the gate is
+    /// passed.
+    fn gate(&mut self, ctx: &SimContext, k: usize, block: bool) -> Result<bool, PlatformError> {
         let lane = self.grid[k].lane;
         if self.gate_left[lane] == 0 {
-            return Ok(SimDuration::ZERO);
+            return Ok(true);
         }
-        let t0 = ctx.now();
-        match self.lanes[lane].upd_done.recv_timeout(ctx, EXCHANGE_TIMEOUT) {
-            Some(UpdateDone::Chunk { chunk, buf }) => {
-                // The grid is identical every exchange, so per-lane FIFO
-                // order means this done is the previous exchange's tile k.
-                debug_assert_eq!(chunk, k);
+        let done = if block {
+            Some(
+                self.lanes[lane]
+                    .upd_done
+                    .recv_timeout(ctx, EXCHANGE_TIMEOUT)
+                    .ok_or_else(stalled)?,
+            )
+        } else {
+            self.lanes[lane].upd_done.try_recv(ctx)
+        };
+        match done {
+            None => Ok(false),
+            // The grid is identical every exchange, so per-lane FIFO order
+            // means this done is the previous exchange's tile k.
+            Some(UpdateDone::Chunk { chunk, buf }) if chunk == k => {
                 self.dw_pool.push(buf);
                 self.gate_left[lane] -= 1;
-                Ok(ctx.now() - t0)
+                Ok(true)
             }
-            Some(UpdateDone::Prefetch(_)) => Err(out_of_sync()),
-            None => Err(stalled()),
+            Some(_) => Err(out_of_sync()),
         }
     }
 
-    /// Issues the stream-read for tile `k` to its lane's reader, unless
-    /// the lane's slice already arrived via prefetch or went stale.
+    /// Issues the stream-read for tile `k` to its reader connection,
+    /// unless the lane's slice already arrived via prefetch or went stale.
     fn issue_read(&mut self, ctx: &SimContext, k: usize) {
         let c = self.grid[k];
         if self.lane_prefetched[c.lane] || self.lane_stale[c.lane] {
@@ -511,10 +580,32 @@ impl ElasticExchanger {
         }
         let mut buf = self.read_pool.pop().unwrap_or_default();
         buf.resize(c.len, 0.0);
-        self.lanes[c.lane]
-            .read_req
+        self.lanes[c.lane].readers[c.stream]
+            .req
             .send(ctx, ReadRequest::Read { chunk: k, local_off: c.local_off, buf });
         self.read_issued[k] = true;
+    }
+
+    /// Advances the read window in grid order — the gate rule: the gate
+    /// of tile `needed` blocks (the mixer wants that tile now; every tile
+    /// before it is already issued), the gate of any other tile is taken
+    /// only if it is already open. So the window runs as far ahead as the
+    /// previous exchange's pushes allow and never waits for a tile nobody
+    /// is waiting for.
+    fn advance_window(
+        &mut self,
+        ctx: &SimContext,
+        needed: Option<usize>,
+    ) -> Result<(), PlatformError> {
+        while self.next_read < self.grid.len() {
+            let k = self.next_read;
+            if !self.gate(ctx, k, needed == Some(k))? {
+                break;
+            }
+            self.issue_read(ctx, k);
+            self.next_read += 1;
+        }
+        Ok(())
     }
 
     /// Receives tile `k`'s read reply and installs it into the local `W_g`
@@ -523,45 +614,40 @@ impl ElasticExchanger {
     fn recv_read(&mut self, ctx: &SimContext, k: usize) -> Result<SimDuration, PlatformError> {
         let c = self.grid[k];
         let t0 = ctx.now();
-        let reply = self.lanes[c.lane]
-            .read_reply
+        let reply = self.lanes[c.lane].readers[c.stream]
+            .reply
             .recv_timeout(ctx, EXCHANGE_TIMEOUT)
             .ok_or_else(stalled)?;
         let blocked = ctx.now() - t0;
-        match reply {
-            ReadReply::Fresh { chunk, buf } => {
-                debug_assert_eq!(chunk, k);
-                self.wg[c.global_off..c.global_off + c.len].copy_from_slice(&buf[..c.len]);
-                self.read_pool.push(buf);
-            }
-            ReadReply::Stale { buf } => {
-                self.lane_stale[c.lane] = true;
-                self.read_pool.push(buf);
-            }
+        let (chunk, fresh, buf) = match reply {
+            ReadReply::Fresh { chunk, buf } => (chunk, true, buf),
+            ReadReply::Stale { chunk, buf } => (chunk, false, buf),
             ReadReply::Failed { error } => return Err(error.into()),
+        };
+        // Each connection answers in request order, so this is tile k —
+        // unless the protocol slipped, and then the data must not land.
+        if chunk != k {
+            return Err(out_of_sync());
         }
+        if fresh {
+            self.wg[c.global_off..c.global_off + c.len].copy_from_slice(&buf[..c.len]);
+        } else {
+            self.lane_stale[c.lane] = true;
+        }
+        self.read_pool.push(buf);
         Ok(blocked)
     }
 
-    /// One exchange, streamed over the chunk grid: per tile, wait for the
-    /// previous exchange's push of that tile (T.A5), read `W_g` (T1, double
-    /// buffered), elastically mix the trainer's weights (T2, eqs. 5–6) and
-    /// hand the ΔW tile to the update thread (T3). Returns the time spent,
-    /// which is the non-overlapped communication cost of the exchange.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SMB failures.
-    pub fn exchange<T: Trainer + ?Sized>(
-        &mut self,
-        ctx: &SimContext,
-        trainer: &mut T,
-    ) -> Result<SimDuration, PlatformError> {
-        let start = ctx.now();
-        let mut wait = SimDuration::ZERO;
-        let mut read = SimDuration::ZERO;
-        let mut mix = SimDuration::ZERO;
-        let n = self.grid.len();
+    /// Start-of-exchange bookkeeping, once per exchange however it is
+    /// reached: re-probe stale lanes, arm the T.A5 gates of the previous
+    /// exchange's pushes (or, under `hide_global_read`, drain them
+    /// wholesale together with the prefetched `W_g`).
+    fn open_window(&mut self, ctx: &SimContext) -> Result<(), PlatformError> {
+        if self.window_open {
+            return Ok(());
+        }
+        self.window_open = true;
+        self.next_read = 0;
         for p in self.lane_prefetched.iter_mut() {
             *p = false;
         }
@@ -573,73 +659,101 @@ impl ElasticExchanger {
                 *s = false;
             }
         }
-        if self.pending {
-            if self.hide_global_read {
-                // Drain the previous exchange wholesale: all tile dones
-                // plus each lane's prefetched W_g slice. A fresh prefetch
-                // replaces the lane's read stream this exchange (the
-                // deliberately reproduced stale-parameter trade-off of
-                // §III-G); a failed one falls back to synchronous tile
-                // reads.
-                let t0 = ctx.now();
-                for li in 0..self.lanes.len() {
-                    for _ in 0..self.lanes[li].n_chunks {
-                        match self.lanes[li]
-                            .upd_done
-                            .recv_timeout(ctx, EXCHANGE_TIMEOUT)
-                            .ok_or_else(stalled)?
-                        {
-                            UpdateDone::Chunk { buf, .. } => self.dw_pool.push(buf),
-                            UpdateDone::Prefetch(_) => return Err(out_of_sync()),
-                        }
-                    }
-                    match self.lanes[li]
-                        .upd_done
-                        .recv_timeout(ctx, EXCHANGE_TIMEOUT)
-                        .ok_or_else(stalled)?
-                    {
-                        UpdateDone::Prefetch(Some(buf)) => {
-                            let (g0, l) = (self.lanes[li].global_off, self.lanes[li].len);
-                            self.wg[g0..g0 + l].copy_from_slice(&buf[..l]);
-                            self.lanes[li].upd_req.send(ctx, UpdateRequest::PrefetchReturn(buf));
-                            self.lane_prefetched[li] = true;
-                        }
-                        UpdateDone::Prefetch(None) => {}
-                        UpdateDone::Chunk { .. } => return Err(out_of_sync()),
-                    }
-                }
-                for g in self.gate_left.iter_mut() {
-                    *g = 0;
-                }
-                wait += ctx.now() - t0;
-            } else {
-                // Per-tile lazy gating: tile k's gate is consumed right
-                // before its read is issued, so this exchange's stream
-                // overlaps the previous exchange's tail instead of
-                // barriering on it.
-                for (li, g) in self.gate_left.iter_mut().enumerate() {
-                    *g = self.lanes[li].n_chunks;
+        for g in self.gate_left.iter_mut() {
+            *g = 0;
+        }
+        if !std::mem::take(&mut self.pending) {
+            return Ok(());
+        }
+        if !self.hide_global_read {
+            // Per-tile lazy gating: tile k's gate is consumed right before
+            // its read is issued, so this exchange's stream overlaps the
+            // previous exchange's tail instead of barriering on it.
+            for (g, lane) in self.gate_left.iter_mut().zip(&self.lanes) {
+                *g = lane.n_chunks;
+            }
+            return Ok(());
+        }
+        // Drain the previous exchange wholesale: all tile dones plus each
+        // lane's prefetched W_g slice. A fresh prefetch replaces the lane's
+        // read stream this exchange (the deliberately reproduced
+        // stale-parameter trade-off of §III-G); a failed one falls back to
+        // synchronous tile reads.
+        for li in 0..self.lanes.len() {
+            for _ in 0..self.lanes[li].n_chunks {
+                match self.lanes[li]
+                    .upd_done
+                    .recv_timeout(ctx, EXCHANGE_TIMEOUT)
+                    .ok_or_else(stalled)?
+                {
+                    UpdateDone::Chunk { buf, .. } => self.dw_pool.push(buf),
+                    UpdateDone::Prefetch(_) => return Err(out_of_sync()),
                 }
             }
-            self.pending = false;
-        } else {
-            for g in self.gate_left.iter_mut() {
-                *g = 0;
+            match self.lanes[li].upd_done.recv_timeout(ctx, EXCHANGE_TIMEOUT).ok_or_else(stalled)? {
+                UpdateDone::Prefetch(Some(buf)) => {
+                    let (g0, l) = (self.lanes[li].global_off, self.lanes[li].len);
+                    self.wg[g0..g0 + l].copy_from_slice(&buf[..l]);
+                    self.lanes[li].upd_req.send(ctx, UpdateRequest::PrefetchReturn(buf));
+                    self.lane_prefetched[li] = true;
+                }
+                UpdateDone::Prefetch(None) => {}
+                UpdateDone::Chunk { .. } => return Err(out_of_sync()),
             }
         }
+        Ok(())
+    }
+
+    /// Opens the read window of the coming [`ElasticExchanger::exchange`]
+    /// ahead of it: every `W_g` tile whose T.A5 gate is already open goes
+    /// on the wire now, without blocking the caller. The read needs no
+    /// gradient, so a caller that still has work between here and the
+    /// exchange (the Hybrid-SGD root's group all-reduce) hides the read
+    /// under it; the price is a `W_g` older by that span at mix time.
+    ///
+    /// Idempotent — a second call before the exchange does nothing — and a
+    /// no-op under `hide_global_read` and under the monolithic exchange.
+    /// Call it only on an iteration that exchanges.
+    ///
+    /// # Errors
+    ///
+    /// Reports a protocol slip on the update thread's done channel.
+    pub fn start_window(&mut self, ctx: &SimContext) -> Result<(), PlatformError> {
+        if self.window_open || !self.early_start {
+            return Ok(());
+        }
+        self.open_window(ctx)?;
+        self.advance_window(ctx, None)
+    }
+
+    /// One exchange, streamed over the chunk grid: per tile, wait for the
+    /// previous exchange's push of that tile (T.A5), consume `W_g` from the
+    /// striped read window (T1), elastically mix the trainer's weights (T2,
+    /// eqs. 5–6) and hand the ΔW tile to the update thread (T3). Returns
+    /// the time spent, which is the non-overlapped communication cost of
+    /// the exchange.
+    ///
+    /// # Errors
+    ///
+    /// Propagates SMB failures.
+    pub fn exchange<T: Trainer + ?Sized>(
+        &mut self,
+        ctx: &SimContext,
+        trainer: &mut T,
+    ) -> Result<SimDuration, PlatformError> {
+        let start = ctx.now();
+        let mut read = SimDuration::ZERO;
+        let mut mix = SimDuration::ZERO;
+        self.open_window(ctx)?;
+        // Issuing reads takes no virtual time: whatever the window costs
+        // the worker is time blocked on a T.A5 gate (or the drain above).
+        let mut wait = ctx.now() - start;
 
         trainer.read_weights(&mut self.wx);
-        if n > 0 {
-            wait += self.gate(ctx, 0)?;
-            self.issue_read(ctx, 0);
-        }
-        for k in 0..n {
-            if k + 1 < n {
-                // Double buffering: tile k+1's range-read goes on the wire
-                // before tile k is consumed and mixed.
-                wait += self.gate(ctx, k + 1)?;
-                self.issue_read(ctx, k + 1);
-            }
+        for k in 0..self.grid.len() {
+            let t0 = ctx.now();
+            self.advance_window(ctx, Some(k))?;
+            wait += ctx.now() - t0;
             if self.read_issued[k] {
                 read += self.recv_read(ctx, k)?;
             }
@@ -663,6 +777,7 @@ impl ElasticExchanger {
             self.lanes[c.lane].upd_req.send(ctx, UpdateRequest::Chunk { chunk: k, buf: dbuf });
         }
         trainer.write_weights(&self.wx);
+        self.window_open = false;
         self.pending = true;
         self.phases = ExchangePhases { wait, read, mix };
         Ok(ctx.now() - start)
@@ -704,7 +819,9 @@ impl ElasticExchanger {
     pub fn finish(self, ctx: &SimContext) {
         for lane in &self.lanes {
             lane.upd_req.send(ctx, UpdateRequest::Shutdown);
-            lane.read_req.send(ctx, ReadRequest::Shutdown);
+            for reader in &lane.readers {
+                reader.req.send(ctx, ReadRequest::Shutdown);
+            }
         }
     }
 }
@@ -1150,13 +1267,14 @@ pub fn run_worker<T: Trainer>(
 mod tests {
     use super::*;
     use crate::termination::TerminationPolicy;
-    use crate::trainer::{ModeledTrainerFactory, TrainerFactory};
+    use crate::trainer::{ModeledTrainer, ModeledTrainerFactory, TrainerFactory};
     use parking_lot::Mutex;
-    use shmcaffe_models::WorkloadModel;
+    use shmcaffe_models::{CnnModel, WorkloadModel};
     use shmcaffe_mpi::{MpiData, MpiWorld};
     use shmcaffe_rdma::RdmaFabric;
+    use shmcaffe_simnet::fault::FaultPlan;
     use shmcaffe_simnet::jitter::JitterModel;
-    use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
+    use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
     use shmcaffe_simnet::Simulation;
     use shmcaffe_smb::{ShmKey, SmbServer};
     use std::sync::Arc;
@@ -1432,5 +1550,202 @@ mod tests {
             t_hidden < t_visible,
             "hiding the read must shorten the run: {t_hidden} vs {t_visible}"
         );
+    }
+
+    /// Runs `body` as the only worker of a one-node cluster: `W_g` holds
+    /// the trainer's initial weights, the exchanger is spawned and torn
+    /// down around it. `body` also gets the fabric, for its link counters
+    /// and fault injector.
+    fn solo<R: Send + 'static>(
+        cfg: ShmCaffeConfig,
+        workload: WorkloadModel,
+        plan: FaultPlan,
+        body: impl FnOnce(&SimContext, &mut ElasticExchanger, &mut ModeledTrainer, &Fabric) -> R
+            + Send
+            + 'static,
+    ) -> R {
+        let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(1), plan);
+        let server = SmbServer::new(RdmaFabric::new(fabric.clone())).unwrap();
+        let factory = ModeledTrainerFactory::new(workload, JitterModel::NONE, cfg.seed);
+        let out = Arc::new(Mutex::new(None));
+        let mut sim = Simulation::new();
+        {
+            let out = Arc::clone(&out);
+            sim.spawn("solo", move |ctx| {
+                let mut trainer = factory.make(0, 1);
+                let (param_len, wire) = (trainer.param_len(), trainer.wire_bytes());
+                let client = SmbClient::new(server, NodeId(0));
+                let wg_key = client.create(&ctx, "W_g", param_len, Some(wire)).unwrap();
+                let wg = client.alloc(&ctx, wg_key).unwrap();
+                let mut w0 = vec![0.0f32; param_len];
+                trainer.read_weights(&mut w0);
+                client.write(&ctx, &wg, &w0).unwrap();
+                let dw_key = client.create(&ctx, "dW_0", param_len, Some(wire)).unwrap();
+                let dw = client.alloc(&ctx, dw_key).unwrap();
+                let buffers = SeasgdBuffers { wg, dw };
+                let mut ex =
+                    ElasticExchanger::spawn(&ctx, client, buffers, param_len, wire, &cfg, "solo");
+                let r = body(&ctx, &mut ex, &mut trainer, &fabric);
+                ex.finish(&ctx);
+                *out.lock() = Some(r);
+            });
+        }
+        sim.run();
+        let r = out.lock().take();
+        r.expect("the worker ran to completion")
+    }
+
+    fn inception() -> WorkloadModel {
+        WorkloadModel::from_cnn(CnnModel::InceptionV1)
+    }
+
+    /// The worker node's receive HCA: every `W_g` read of the solo worker
+    /// crosses it and nothing else does (the memory server's own HCA is
+    /// half-duplex, so its counters mix reads with pushes).
+    fn worker_rx(fabric: &Fabric) -> &shmcaffe_simnet::resource::BandwidthResource {
+        fabric.hca_rx(NodeId(0))
+    }
+
+    /// What crosses the memory server's HCA per steady-state Inception_v1
+    /// exchange — one `W_g` read plus one ΔW push, 53.5 MB each plus
+    /// protocol overhead, priced per tile of the default 16-tile grid —
+    /// measured with the single-reader double buffer this window replaced.
+    const INCEPTION_EXCHANGE_WIRE_BYTES: u64 = 111_815_008;
+
+    #[test]
+    fn striped_window_reads_at_line_rate_with_the_same_bytes() {
+        let cfg = quiet(ShmCaffeConfig::default());
+        let (phases, bytes) =
+            solo(cfg, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
+                let mem =
+                    fabric.hca_tx(fabric.memory_server().expect("testbed has a memory server"));
+                let mut iteration = || {
+                    ex.exchange(ctx, trainer).unwrap();
+                    trainer.compute_gradients(ctx);
+                    trainer.apply_update(ctx);
+                    mem.total_bytes()
+                };
+                // Two warm-ups (pipeline fill, then steady state), as
+                // `exchange_bench` measures; every push drains under compute.
+                iteration();
+                let before = iteration();
+                let bytes = iteration() - before;
+                (ex.phase_times(), bytes)
+            });
+        // 53.5 MB at the 6.7 GB/s the server ever reaches is 8 ms; the
+        // stall the worker sees is that minus the mixing it overlaps, plus
+        // the first tiles' fill. One paced connection took 33.8 ms.
+        assert!(phases.read < SimDuration::from_millis(10), "read stall {}", phases.read);
+        assert_eq!(phases.wait, SimDuration::ZERO, "pushes hide behind 257 ms of compute");
+        assert_eq!(bytes, INCEPTION_EXCHANGE_WIRE_BYTES, "same bytes, more streams");
+    }
+
+    #[test]
+    fn a_slipped_reply_is_an_error_not_an_installed_tile() {
+        let workload = WorkloadModel::custom("slip", 1_000_000, SimDuration::from_millis(1));
+        let cfg = quiet(ShmCaffeConfig::default());
+        // A reply for the wrong tile on tile 0's connection: the exchange
+        // must refuse it in a release build too, and leave W_g alone.
+        let (err, wg) = solo(cfg, workload.clone(), FaultPlan::new(1), |ctx, ex, trainer, _| {
+            let poison = vec![f32::NAN; ex.grid[0].len];
+            ex.lanes[0].readers[0].reply.send(ctx, ReadReply::Fresh { chunk: 5, buf: poison });
+            (ex.exchange(ctx, trainer).unwrap_err(), ex.global_weights().to_vec())
+        });
+        assert!(err.to_string().contains("out of sync"), "{err}");
+        assert!(wg.iter().all(|v| !v.is_nan()), "the mis-ordered tile must not be installed");
+
+        // Same for the T.A5 gate: a done for the wrong tile.
+        let err = solo(cfg, workload, FaultPlan::new(1), |ctx, ex, trainer, _| {
+            ex.exchange(ctx, trainer).unwrap();
+            ctx.sleep(SimDuration::from_millis(50));
+            // Swap the lane's first two dones.
+            let first = ex.lanes[0].upd_done.recv(ctx);
+            let second = ex.lanes[0].upd_done.recv(ctx);
+            ex.lanes[0].upd_done.send(ctx, second);
+            ex.lanes[0].upd_done.send(ctx, first);
+            ex.exchange(ctx, trainer).unwrap_err()
+        });
+        assert!(err.to_string().contains("out of sync"), "{err}");
+    }
+
+    #[test]
+    fn start_window_is_idempotent_and_off_where_the_protocol_reads_late() {
+        let n_tiles = DEFAULT_EXCHANGE_CHUNKS;
+        let cfg = quiet(ShmCaffeConfig::default());
+        let (first, second, bytes) =
+            solo(cfg, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
+                ex.exchange(ctx, trainer).unwrap();
+                // Pushes of the exchange above are still streaming: only
+                // the tiles whose gate is already open may go out.
+                ctx.sleep(SimDuration::from_millis(5));
+                ex.start_window(ctx).unwrap();
+                let first = ex.next_read;
+                // By now every gate is open, but the window was started.
+                ctx.sleep(SimDuration::from_millis(200));
+                ex.start_window(ctx).unwrap();
+                let second = ex.next_read;
+                let before = worker_rx(fabric).total_bytes();
+                ex.exchange(ctx, trainer).unwrap();
+                (first, second, worker_rx(fabric).total_bytes() - before)
+            });
+        assert!(0 < first && first < n_tiles, "window opened on the open gates only: {first}");
+        assert_eq!(second, first, "a second start before the exchange does nothing");
+        let tile = INCEPTION_EXCHANGE_WIRE_BYTES / 2 / n_tiles as u64;
+        assert_eq!(bytes, tile * (n_tiles - first) as u64, "the exchange reads the rest, once");
+
+        for late in [
+            ShmCaffeConfig { hide_global_read: true, ..cfg },
+            ShmCaffeConfig { pipelined_exchange: false, ..cfg },
+        ] {
+            let started = solo(late, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
+                ex.exchange(ctx, trainer).unwrap();
+                ctx.sleep(SimDuration::from_millis(300));
+                let before = worker_rx(fabric).transfer_count();
+                ex.start_window(ctx).unwrap();
+                ctx.sleep(SimDuration::from_millis(100));
+                ex.window_open || worker_rx(fabric).transfer_count() != before
+            });
+            assert!(!started, "no early start under {late:?}");
+        }
+    }
+
+    #[test]
+    fn partition_with_the_window_full_costs_no_retry_budget_and_heals() {
+        // The server->worker direction is severed 3 ms into an exchange
+        // that starts at t = 100 ms with all sixteen reads queued: eight
+        // are on the wire or done, eight wait behind them.
+        let mem = NodeId(1); // `paper_testbed(1)`: GPU node 0, memory server 1
+        let plan = FaultPlan::new(5).partition_one_way(
+            vec![vec![mem], vec![NodeId(0)]],
+            SimTime::from_millis(103),
+            Some(SimTime::from_millis(400)),
+        );
+        let cfg = quiet(ShmCaffeConfig::default());
+        let full = INCEPTION_EXCHANGE_WIRE_BYTES / 2;
+        solo(cfg, inception(), plan, move |ctx, ex, trainer, fabric| {
+            let injector = fabric.fault_injector().expect("plan installed");
+            let mut exchange_at = |ms: u64| {
+                ctx.sleep_until(SimTime::from_millis(ms));
+                let before = worker_rx(fabric).total_bytes();
+                let blocked = ex.exchange(ctx, trainer).unwrap();
+                (blocked, worker_rx(fabric).total_bytes() - before, ex.lane_stale[0])
+            };
+
+            let (blocked, bytes, stale) = exchange_at(100);
+            // 1.2 x the 500 ms retry deadline is the contract; the probe
+            // makes it far less: no queued read ever starts its retries.
+            assert!(blocked < SimDuration::from_millis(600), "blocked {blocked}");
+            assert!(stale, "the first Stale reply marks the lane");
+            assert!(0 < bytes && bytes < full, "reads in flight land, queued ones do not: {bytes}");
+            assert_eq!(injector.stats().partition_hits, 0, "Stale without touching the wire");
+
+            let (_, bytes, stale) = exchange_at(250);
+            assert!(stale && bytes == 0, "a stale lane issues no read: {bytes} bytes");
+            assert_eq!(injector.stats().partition_hits, 0);
+
+            let (_, bytes, stale) = exchange_at(450);
+            assert!(!stale, "the probe sees the heal");
+            assert_eq!(bytes, full, "reading resumes with the whole grid");
+        });
     }
 }

@@ -4,12 +4,14 @@
 //! `exchange_chunk_elems` knob — never from timing — and the elastic
 //! mixing is elementwise, so *any* chunking of the exchange must produce
 //! exactly the same weights as the monolithic read→mix→push path: same
-//! bits, for every chunk size and every thread count. These tests run a
-//! real single-worker SEASGD loop against a live SMB server and compare
-//! the final mixed weights `W_x` bit-for-bit.
+//! bits, for every chunk size and every thread count — and for every way
+//! the striped read window can be filled: fewer tiles than reader
+//! connections, one tile, one element per tile, several lanes. These tests
+//! run a real single-worker SEASGD loop against live SMB servers and
+//! compare the final mixed weights `W_x` bit-for-bit.
 
 use proptest::prelude::*;
-use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers};
+use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers, READ_STREAMS};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe::ShmCaffeConfig;
 use shmcaffe_models::WorkloadModel;
@@ -17,7 +19,7 @@ use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
 use shmcaffe_simnet::{SimDuration, Simulation};
-use shmcaffe_smb::SmbClient;
+use shmcaffe_smb::{SmbClient, SmbCluster};
 use shmcaffe_tensor::parallel;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -29,7 +31,15 @@ const PARAM_LEN: usize = WorkloadModel::DEFAULT_PARAM_ELEMS;
 /// the final mixed weights. `chunk_elems = None` selects the monolithic
 /// exchange; `Some(n)` the pipelined one with an `n`-element grid.
 fn final_weights(chunk_elems: Option<usize>) -> Vec<f32> {
-    let rdma = RdmaFabric::new(Fabric::new(ClusterSpec::paper_testbed(1)));
+    final_weights_sharded(1, chunk_elems)
+}
+
+/// [`final_weights`] with the buffers striped over `shards` memory servers
+/// (one exchanger lane each, split at `i * len / shards` like
+/// `SmbCluster`'s own).
+fn final_weights_sharded(shards: usize, chunk_elems: Option<usize>) -> Vec<f32> {
+    let spec = ClusterSpec { memory_servers: shards, ..ClusterSpec::paper_testbed(1) };
+    let cluster = SmbCluster::new(RdmaFabric::new(Fabric::new(spec))).expect("fresh fabric");
     let workload = WorkloadModel::custom("equiv", 4_000_000, SimDuration::from_millis(5));
     let factory = ModeledTrainerFactory::new(workload, JitterModel::NONE, 99);
     let cfg = ShmCaffeConfig {
@@ -42,31 +52,29 @@ fn final_weights(chunk_elems: Option<usize>) -> Vec<f32> {
 
     let mut sim = Simulation::new();
     {
-        let server =
-            shmcaffe_smb::SmbServer::new(rdma).expect("fresh fabric hosts a memory server");
+        let servers = cluster.servers().to_vec();
         let out = Arc::clone(&out);
         sim.spawn("worker", move |ctx| {
             let mut trainer = factory.make(0, 1);
             let param_len = trainer.param_len();
             let wire = trainer.wire_bytes();
-            let client = SmbClient::new(server, NodeId(0));
-            let wg_key = client.create(&ctx, "W_g", param_len, Some(wire)).expect("unique names");
-            let wg = client.alloc(&ctx, wg_key).expect("just created");
             let mut w0 = vec![0.0f32; param_len];
             trainer.read_weights(&mut w0);
-            client.write(&ctx, &wg, &w0).expect("sizes match");
-            let dw_key = client.create(&ctx, "dW_0", param_len, Some(wire)).expect("unique names");
-            let dw = client.alloc(&ctx, dw_key).expect("just created");
+            let mut parts = Vec::with_capacity(shards);
+            for (k, server) in servers.into_iter().enumerate() {
+                let (lo, hi) = (k * param_len / shards, (k + 1) * param_len / shards);
+                let lane_wire = wire * (hi - lo) as u64 / param_len as u64;
+                let client = SmbClient::new(server, NodeId(0));
+                let create = |name: &str| {
+                    let key = client.create(&ctx, name, hi - lo, Some(lane_wire));
+                    client.alloc(&ctx, key.expect("unique names")).expect("just created")
+                };
+                let (wg, dw) = (create("W_g"), create("dW_0"));
+                client.write(&ctx, &wg, &w0[lo..hi]).expect("sizes match");
+                parts.push((client, SeasgdBuffers { wg, dw }));
+            }
 
-            let mut ex = ElasticExchanger::spawn(
-                &ctx,
-                client,
-                SeasgdBuffers { wg, dw },
-                param_len,
-                wire,
-                &cfg,
-                "equiv",
-            );
+            let mut ex = ElasticExchanger::spawn_sharded(&ctx, parts, wire, &cfg, "equiv");
             for _ in 0..ITERS {
                 let _loss = trainer.compute_gradients(&ctx);
                 trainer.apply_update(&ctx);
@@ -97,20 +105,50 @@ fn assert_bit_identical(a: &[f32], b: &[f32], what: &str) {
 
 /// The paper-shaped grids: one element per tile, an odd size that
 /// misaligns with every boundary, the whole vector in one tile, and a
-/// tile larger than the vector (degenerate monolithic). All must match
-/// the monolithic exchange bit-for-bit, at 1 and 4 threads.
+/// tile larger than the vector (degenerate monolithic); then the grids
+/// that leave reader connections idle — two and three tiles for
+/// [`READ_STREAMS`] connections — and one with a tile more than a full
+/// round of them. All must match the monolithic exchange bit-for-bit, at
+/// 1 and 4 threads.
 #[test]
 fn boundary_chunk_sizes_match_monolithic_bitwise() {
+    let few = [PARAM_LEN.div_ceil(2), PARAM_LEN.div_ceil(READ_STREAMS - 1)];
+    let round_and_one = PARAM_LEN / (READ_STREAMS + 1);
     for threads in [1usize, 4] {
         parallel::with_threads(threads, || {
             let mono = final_weights(None);
-            for chunk in [1usize, 1023, PARAM_LEN, PARAM_LEN + 1000] {
+            for chunk in [1usize, 1023, PARAM_LEN, PARAM_LEN + 1000, few[0], few[1], round_and_one]
+            {
                 let chunked = final_weights(Some(chunk));
                 assert_bit_identical(
                     &mono,
                     &chunked,
                     &format!("chunk_elems={chunk} threads={threads}"),
                 );
+            }
+        });
+    }
+}
+
+/// Multi-lane grids (`spawn_sharded`): every lane runs its own striped
+/// window, the grid is additionally cut at the shard boundaries, and the
+/// weights still match the single-server monolithic exchange bit-for-bit —
+/// monolithic per lane, one element per tile, fewer tiles per lane than
+/// connections, and the default grid, at 1 and 4 threads.
+#[test]
+fn multi_lane_grids_match_monolithic_bitwise() {
+    for threads in [1usize, 4] {
+        parallel::with_threads(threads, || {
+            let mono = final_weights(None);
+            for shards in [2usize, 3] {
+                for chunk in [None, Some(1), Some(PARAM_LEN / 5), Some(0)] {
+                    let sharded = final_weights_sharded(shards, chunk);
+                    assert_bit_identical(
+                        &mono,
+                        &sharded,
+                        &format!("shards={shards} chunk_elems={chunk:?} threads={threads}"),
+                    );
+                }
             }
         });
     }
@@ -130,12 +168,15 @@ fn default_grid_is_thread_count_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any chunk size at all — aligned, prime, pathological — yields the
-    /// same bits as the monolithic exchange.
+    /// Any chunk size at all — aligned, prime, pathological — over one,
+    /// two or three lanes yields the same bits as the monolithic exchange.
     #[test]
-    fn any_chunk_size_matches_monolithic_bitwise(chunk in 1usize..PARAM_LEN + 65) {
+    fn any_chunk_size_matches_monolithic_bitwise(
+        chunk in 1usize..PARAM_LEN + 65,
+        shards in 1usize..4,
+    ) {
         let mono = final_weights(None);
-        let chunked = final_weights(Some(chunk));
-        assert_bit_identical(&mono, &chunked, &format!("chunk_elems={chunk}"));
+        let chunked = final_weights_sharded(shards, Some(chunk));
+        assert_bit_identical(&mono, &chunked, &format!("chunk_elems={chunk} shards={shards}"));
     }
 }

@@ -65,7 +65,10 @@ if [ "$ex_m1" != "$ex_c1" ] || [ "$ex_m1" != "$ex_m4" ] || [ "$ex_m1" != "$ex_c4
     exit 1
 fi
 
-echo "== chunked exchange equivalence (proptest over chunk sizes) =="
+echo "== exchange table: BENCH_comm.json reproduces exactly (virtual time) and meets its printed target =="
+./target/release/exchange_bench --check
+
+echo "== chunked exchange equivalence (proptest over chunk sizes and lanes) =="
 cargo test -q -p shmcaffe --test exchange_equivalence
 
 echo "== partition tolerance: split-brain chaos + fencing/replica suites =="
