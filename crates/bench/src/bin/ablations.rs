@@ -6,7 +6,8 @@
 //!    against,
 //! 4. straggler sensitivity — SSGD's max-of-N penalty vs SEASGD's
 //!    indifference as jitter grows,
-//! 5. multiple SMB servers — the paper's §V future work, implemented,
+//! 5. multiple SMB servers — the paper's §V future work: the production
+//!    exchanger with one lane per server,
 //! 6. the exchange protocol — the paper's (one tile, one SMB stream, read
 //!    after the update; what the `fig*`/`table*` binaries measure) against
 //!    the library default (striped read window, early start under the
@@ -16,7 +17,8 @@
 
 use shmcaffe::config::ShmCaffeConfig;
 use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, ShmCaffeH, SsgdConfig};
-use shmcaffe::trainer::ModeledTrainerFactory;
+use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers};
+use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe_bench::table::{ms, pct, Table};
 use shmcaffe_models::{CnnModel, WorkloadModel};
 use shmcaffe_rdma::RdmaFabric;
@@ -24,7 +26,7 @@ use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
 use shmcaffe_simnet::{SimDuration, Simulation};
-use shmcaffe_smb::{ShardedClient, SmbCluster};
+use shmcaffe_smb::{ShmKey, SmbClient, SmbCluster};
 
 const ITERS: usize = 100;
 
@@ -156,53 +158,84 @@ fn straggler_sensitivity() {
 }
 
 fn multi_smb_servers() {
-    // The §V future work: shard the ResNet_50 parameter buffer over K
-    // servers and run a 16-worker SEASGD-like exchange loop.
+    // The §V future work: stripe the ResNet_50 parameter buffer over K
+    // servers — one exchanger lane per server — and run the production
+    // SEASGD exchange of 16 workers against them.
     let mut table = Table::new(
-        "Ablation 5: multiple SMB servers (16 workers, ResNet_50-sized exchange)",
+        "Ablation 5: multiple SMB servers (16 workers, ResNet_50 exchange over K lanes)",
         &["servers", "mean exchange (ms)", "speedup vs 1"],
     );
     let exchange_ms = |servers: usize| -> f64 {
         let spec = ClusterSpec { memory_servers: servers, ..ClusterSpec::paper_testbed(4) };
-        let rdma = RdmaFabric::new(Fabric::new(spec));
-        let cluster = SmbCluster::new(rdma).expect("servers exist");
-        let elems = 1024usize;
-        let wire = CnnModel::ResNet50.param_bytes();
+        let cluster = SmbCluster::new(RdmaFabric::new(Fabric::new(spec))).expect("servers exist");
+        let trainers = factory(CnnModel::ResNet50, JitterModel::NONE);
+        let cfg = ShmCaffeConfig { jitter: JitterModel::NONE, ..Default::default() };
         let rounds = 20usize;
         let totals = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let key_ch: SimChannel<shmcaffe_smb::ShardedKey> = SimChannel::new("keys");
+        let key_ch: SimChannel<Vec<ShmKey>> = SimChannel::new("keys");
 
         let mut sim = Simulation::new();
         for rank in 0..16usize {
             let cluster = cluster.clone();
+            let trainers = trainers.clone();
             let totals = std::sync::Arc::clone(&totals);
             let key_ch = key_ch.clone();
             sim.spawn(&format!("w{rank}"), move |ctx| {
-                let client = ShardedClient::new(&cluster, NodeId(rank / 4));
-                let wg_key = if rank == 0 {
-                    let key = client.create(&ctx, "wg", elems, Some(wire)).expect("fresh");
+                let mut trainer = trainers.make(rank, 16);
+                let (param_len, wire) = (trainer.param_len(), trainer.wire_bytes());
+                let bounds = cluster.bounds(param_len);
+                let lane_wire =
+                    |k: usize| wire * (bounds[k + 1] - bounds[k]) as u64 / param_len as u64;
+                let clients: Vec<SmbClient> = cluster
+                    .servers()
+                    .iter()
+                    .map(|s| SmbClient::new(s.clone(), NodeId(rank / 4)))
+                    .collect();
+                // The Fig. 2 handshake, once per shard: rank 0 creates and
+                // seeds its slice of W_g, everyone else attaches by key.
+                let wg_keys = if rank == 0 {
+                    let mut w0 = vec![0.0f32; param_len];
+                    trainer.read_weights(&mut w0);
+                    let keys: Vec<ShmKey> = clients
+                        .iter()
+                        .enumerate()
+                        .map(|(k, c)| {
+                            let (lo, hi) = (bounds[k], bounds[k + 1]);
+                            let key =
+                                c.create(&ctx, "W_g", hi - lo, Some(lane_wire(k))).expect("fresh");
+                            let wg = c.alloc(&ctx, key).expect("created");
+                            c.write(&ctx, &wg, &w0[lo..hi]).expect("sizes match");
+                            key
+                        })
+                        .collect();
                     for _ in 1..16 {
-                        key_ch.send(&ctx, key.clone());
+                        key_ch.send(&ctx, keys.clone());
                     }
-                    key
+                    keys
                 } else {
                     key_ch.recv(&ctx)
                 };
-                let wg = client.alloc(&ctx, &wg_key).expect("created");
-                let dw_key =
-                    client.create(&ctx, &format!("dw{rank}"), elems, Some(wire)).expect("unique");
-                let dw = client.alloc(&ctx, &dw_key).expect("created");
-                let mut buf = vec![0.0f32; elems];
+                let lanes = clients
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, c)| {
+                        let wg = c.alloc(&ctx, wg_keys[k]).expect("created");
+                        let dw_key = c
+                            .create(&ctx, &format!("dW_{rank}"), wg.len(), Some(lane_wire(k)))
+                            .expect("unique");
+                        let dw = c.alloc(&ctx, dw_key).expect("created");
+                        (c, SeasgdBuffers { wg, dw })
+                    })
+                    .collect();
+                let mut ex =
+                    ElasticExchanger::spawn_sharded(&ctx, lanes, wire, &cfg, &format!("w{rank}"));
                 let mut total = SimDuration::ZERO;
                 for _ in 0..rounds {
-                    let t0 = ctx.now();
-                    client.read(&ctx, &wg, &mut buf).expect("live");
-                    client.write(&ctx, &dw, &buf).expect("live");
-                    client.accumulate(&ctx, &dw, &wg).expect("live");
-                    total += ctx.now() - t0;
-                    // Simulated compute between exchanges.
-                    ctx.sleep(SimDuration::from_millis(330));
+                    total += ex.exchange(&ctx, &mut trainer).expect("live servers");
+                    let _loss = trainer.compute_gradients(&ctx);
+                    trainer.apply_update(&ctx);
                 }
+                ex.finish(&ctx);
                 totals.lock().push(total.as_millis_f64() / rounds as f64);
             });
         }
@@ -217,7 +250,7 @@ fn multi_smb_servers() {
         table.row_owned(vec![servers.to_string(), ms(t), format!("{:.2}x", base / t)]);
     }
     table.print();
-    println!("sharding the buffer divides both the per-stream pacing and the");
+    println!("one lane per server divides both the per-stream pacing and the");
     println!("per-server memory-bus load — the scalability relief §V anticipates\n");
 }
 

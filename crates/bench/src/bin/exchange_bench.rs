@@ -66,8 +66,7 @@ struct Run {
 
 /// Runs one worker for `WARMUP + MEASURED` iterations against `shards`
 /// memory servers and returns the mean steady-state exchange timings.
-/// The weights vector is striped over the shards proportionally (same
-/// bounds as `SmbCluster`'s own `i * total / parts` split).
+/// The weights vector is striped over the shards at `SmbCluster::bounds`.
 fn measure(workload: &WorkloadModel, shards: usize, pipelined: bool) -> Run {
     let (run, _) = run_exchanges(workload, shards, pipelined, WARMUP + MEASURED);
     run
@@ -92,7 +91,6 @@ fn run_exchanges(
 
     let mut sim = Simulation::new();
     {
-        let servers = cluster.servers().to_vec();
         let out = Arc::clone(&out);
         sim.spawn("bench_worker", move |ctx| {
             let mut trainer = factory.make(0, 1);
@@ -102,13 +100,12 @@ fn run_exchanges(
             trainer.read_weights(&mut w0);
 
             // Per-shard clients and segments, in parameter order.
-            let n = servers.len();
-            let mut parts = Vec::with_capacity(n);
-            for (k, server) in servers.into_iter().enumerate() {
-                let lo = k * param_len / n;
-                let hi = (k + 1) * param_len / n;
+            let bounds = cluster.bounds(param_len);
+            let mut parts = Vec::with_capacity(cluster.len());
+            for (k, server) in cluster.servers().iter().enumerate() {
+                let (lo, hi) = (bounds[k], bounds[k + 1]);
                 let lane_wire = wire * (hi - lo) as u64 / param_len as u64;
-                let client = SmbClient::new(server, NodeId(0));
+                let client = SmbClient::new(server.clone(), NodeId(0));
                 let wg_key = client
                     .create(&ctx, &format!("W_g.s{k}"), hi - lo, Some(lane_wire))
                     .expect("unique names");

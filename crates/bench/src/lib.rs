@@ -7,8 +7,7 @@
 //! * [`json`] — dependency-free ordered JSON emission (`BENCH_*.json`
 //!   perf-trajectory files and per-figure machine-readable output),
 //! * [`experiments`] — the parameterised experiment runners (platform ×
-//!   model × worker-count sweeps) used by both the binaries and the
-//!   criterion benches,
+//!   model × worker-count sweeps) used by the binaries,
 //! * [`convergence`] — real-training convergence runs on proxy networks.
 //!
 //! See EXPERIMENTS.md for the paper-vs-measured record.

@@ -19,8 +19,9 @@ use shmcaffe_smb::progress::ProgressBoard;
 use shmcaffe_smb::SmbClient;
 
 use crate::config::ShmCaffeConfig;
+use crate::platforms::fleet::{average_gradients, StepLog};
 use crate::report::{EvalPoint, WorkerReport};
-use crate::seasgd::{ElasticExchanger, SeasgdBuffers};
+use crate::seasgd::{record_client_faults, ElasticExchanger, SeasgdBuffers};
 use crate::trainer::Trainer;
 use crate::PlatformError;
 
@@ -86,9 +87,8 @@ pub fn run_group_member<T: Trainer>(
     );
     let cfg = harness.cfg;
     let group_size = harness.gpu.size();
-    let global_rank = harness.group; // worker-report slot: one per member, filled by caller
-    let mut report = WorkerReport::new(global_rank * group_size + harness.member);
-    let mut evals = Vec::new();
+    // Worker-report slot: one per member, rank 0 (group 0's root) evaluates.
+    let mut log = StepLog::new(harness.group * group_size + harness.member, cfg.eval_every);
     let param_len = trainer.param_len();
     let wire_bytes = trainer.wire_bytes();
 
@@ -105,10 +105,8 @@ pub fn run_group_member<T: Trainer>(
     });
 
     let mut grads = vec![0.0f32; param_len];
-    let mut loss_ema = f32::NAN;
     let mut iter: u64 = 0;
     let mut stop = false;
-    let inv_group = 1.0 / group_size as f32;
 
     while !stop {
         let exchanging = iter.is_multiple_of(cfg.update_interval as u64);
@@ -129,20 +127,16 @@ pub fn run_group_member<T: Trainer>(
 
         // Intra-node SSGD: ncclAllReduce of the gradients (G_grp).
         let comm_start = ctx.now();
-        trainer.read_grads(&mut grads);
-        let mut summed = harness.gpu.all_reduce_wire(ctx, std::mem::take(&mut grads), wire_bytes);
-        for g in summed.iter_mut() {
-            *g *= inv_group;
-        }
-        trainer.write_grads(&summed);
-        grads = summed;
+        average_gradients(trainer, &mut grads, group_size, |g| {
+            harness.gpu.all_reduce_wire(ctx, g, wire_bytes)
+        });
         let comm_allreduce = ctx.now() - comm_start;
 
         // T5: every member applies the same aggregated update.
         let comp2_start = ctx.now();
         trainer.apply_update(ctx);
         let comp_update = ctx.now() - comp2_start;
-        report.comp_ms.record_duration_ms(comp_grad + comp_update);
+        log.report.comp_ms.record_duration_ms(comp_grad + comp_update);
 
         // Inter-node SEASGD by the root, then weight broadcast.
         let mut comm_total = comm_allreduce;
@@ -151,9 +145,9 @@ pub fn run_group_member<T: Trainer>(
             if let Some(ex) = exchanger.as_mut() {
                 ex.exchange(ctx, trainer)?;
                 let phases = ex.phase_times();
-                report.wait_ms.record_duration_ms(phases.wait);
-                report.read_ms.record_duration_ms(phases.read);
-                report.mix_ms.record_duration_ms(phases.mix);
+                log.report.wait_ms.record_duration_ms(phases.wait);
+                log.report.read_ms.record_duration_ms(phases.read);
+                log.report.mix_ms.record_duration_ms(phases.mix);
                 let mixed = ex.mixed_weights().to_vec();
                 harness.gpu.broadcast_wire(ctx, 0, Some(mixed), wire_bytes);
             } else {
@@ -162,27 +156,10 @@ pub fn run_group_member<T: Trainer>(
             }
             comm_total += ctx.now() - bcast_start;
         }
-        report.comm_ms.record_duration_ms(comm_total);
+        log.report.comm_ms.record_duration_ms(comm_total);
 
-        loss_ema = if loss_ema.is_nan() { loss } else { 0.9 * loss_ema + 0.1 * loss };
         iter += 1;
-
-        // Group-0 root evaluates.
-        if harness.group == 0
-            && harness.member == 0
-            && cfg.eval_every > 0
-            && iter.is_multiple_of(cfg.eval_every as u64)
-        {
-            if let Some(sample) = trainer.evaluate() {
-                evals.push(EvalPoint {
-                    iter,
-                    time: ctx.now(),
-                    loss: sample.loss,
-                    top1: sample.top1,
-                    topk: sample.topk,
-                });
-            }
-        }
+        log.close(ctx, trainer, iter, loss);
 
         // Progress/termination: root decides, group follows (a tiny flag
         // broadcast keeps the collective schedules aligned).
@@ -203,15 +180,14 @@ pub fn run_group_member<T: Trainer>(
     }
 
     if let Some(ex) = exchanger.take() {
-        ex.finish(ctx);
+        ex.retire(ctx, &mut log.report);
     }
     if let Some(root) = harness.root.as_ref() {
         root.board.publish(&root.client, ctx, harness.group, iter, true)?;
+        record_client_faults(&mut log.report, &root.client);
     }
 
-    report.iters = iter;
-    report.finished_at = ctx.now();
-    report.final_loss = loss_ema;
+    let (report, evals) = log.finish(ctx, iter);
     Ok(HybridOutcome { report, evals })
 }
 
@@ -223,6 +199,7 @@ mod tests {
     use shmcaffe_collectives::IntraNodeGroup;
     use shmcaffe_models::{CnnModel, WorkloadModel};
     use shmcaffe_rdma::RdmaFabric;
+    use shmcaffe_simnet::fault::FaultPlan;
     use shmcaffe_simnet::jitter::JitterModel;
     use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
     use shmcaffe_simnet::{SimDuration, Simulation};
@@ -435,5 +412,42 @@ mod tests {
         assert!(one.1 > 2 * 20_000_000, "iteration 0 exchanges: {one:?}");
         assert_eq!(mem_transfers(4), one);
         assert!(mem_transfers(5).0 > one.0, "iteration 4 exchanges again");
+    }
+
+    #[test]
+    fn root_reports_its_smb_trouble() {
+        // Injected op failures hit only SMB traffic, which only roots have:
+        // what their clients and update threads saw must reach the report,
+        // members must stay clean, and the account must depend on nothing
+        // but the seed.
+        let wl = WorkloadModel::custom("t", 4_000_000, SimDuration::from_millis(20));
+        let run = || {
+            let plan = FaultPlan::new(3).with_op_failure_prob(0.05);
+            let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(2), plan);
+            let out = run_hybrid_on(&fabric, 2, 2, quiet_cfg(20), wl.clone());
+            let injected = fabric.fault_injector().expect("plan installed").stats();
+            (out, injected.injected_op_failures)
+        };
+        let (out, injected) = run();
+        assert!(injected > 0, "the plan must have fired");
+        let seen: u64 = out.iter().map(|grp| grp[0].report.faults).sum();
+        // (Not all of them: the last exchange's pushes are still in flight
+        // when a root stamps its report.)
+        assert!(seen > 0 && seen <= injected, "roots saw {seen} of {injected}");
+        for grp in &out {
+            let (root, member) = (&grp[0].report, &grp[1].report);
+            assert!(root.faults > 0 && root.retries > 0, "root {root:?}");
+            assert_eq!(root.iters, 20);
+            assert_eq!((member.faults, member.retries, member.dropped_updates), (0, 0, 0));
+        }
+        let (again, _) = run();
+        for (a, b) in out.iter().flatten().zip(again.iter().flatten()) {
+            assert_eq!(a.report.finished_at, b.report.finished_at);
+            assert_eq!(
+                (a.report.faults, a.report.retries, a.report.dropped_updates),
+                (b.report.faults, b.report.retries, b.report.dropped_updates)
+            );
+            assert_eq!(a.report.recovery_ms, b.report.recovery_ms);
+        }
     }
 }

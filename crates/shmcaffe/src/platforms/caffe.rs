@@ -10,20 +10,19 @@
 //! service whose cost grows with the GPU count (see
 //! [`crate::config::BaselineConfig`]).
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use shmcaffe_collectives::IntraNodeGroup;
 use shmcaffe_simnet::resource::{BandwidthResource, LinkModel};
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
-use shmcaffe_simnet::{SimDuration, Simulation};
+use shmcaffe_simnet::SimDuration;
 
 use crate::config::BaselineConfig;
-use crate::report::{EvalPoint, TrainingReport, WorkerReport};
+use crate::report::TrainingReport;
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
 
-use super::run_sim;
+use super::fleet::{average_gradients, run_fleet, weights_of, StepLog};
 
 /// Shared configuration of the SSGD baseline platforms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,6 +38,16 @@ pub struct SsgdConfig {
 impl Default for SsgdConfig {
     fn default() -> Self {
         SsgdConfig { max_iters: 100, eval_every: 0, baseline: BaselineConfig::default() }
+    }
+}
+
+impl SsgdConfig {
+    /// Validates invariants.
+    pub(crate) fn validate(&self) -> Result<(), PlatformError> {
+        if self.max_iters == 0 {
+            return Err(PlatformError::BadConfig("max_iters must be positive".into()));
+        }
+        Ok(())
     }
 }
 
@@ -66,9 +75,7 @@ impl CaffeSsgd {
         if self.gpus == 0 {
             return Err(PlatformError::BadConfig("need at least one GPU".into()));
         }
-        if self.cfg.max_iters == 0 {
-            return Err(PlatformError::BadConfig("max_iters must be positive".into()));
-        }
+        self.cfg.validate()?;
         // A private single-node fabric: BVLC Caffe is a standalone process.
         let spec = ClusterSpec {
             gpu_nodes: 1,
@@ -91,87 +98,50 @@ impl CaffeSsgd {
         let factory = Arc::new(factory);
         let cfg = self.cfg;
         let gpus = self.gpus;
-        let report = Arc::new(Mutex::new(TrainingReport::new("Caffe", gpus)));
 
-        let mut sim = Simulation::new();
-        for gpu in 0..gpus {
-            let mut comm = clique.comm(gpu);
-            let host = host.clone();
-            let factory = Arc::clone(&factory);
-            let report = Arc::clone(&report);
-            sim.spawn(&format!("caffe_gpu{gpu}"), move |ctx| {
-                let ctx = &ctx;
-                let mut trainer = factory.make(gpu, gpus);
-                let param_len = trainer.param_len();
-                let wire = trainer.wire_bytes();
-                let mut grads = vec![0.0f32; param_len];
-                let mut wrep = WorkerReport::new(gpu);
-                let mut evals = Vec::new();
-                let mut loss_ema = f32::NAN;
-                let inv = 1.0 / gpus as f32;
+        run_fleet("Caffe", gpus, |sim, sink| {
+            for gpu in 0..gpus {
+                let mut comm = clique.comm(gpu);
+                let host = host.clone();
+                let factory = Arc::clone(&factory);
+                let sink = sink.clone();
+                sim.spawn(&format!("caffe_gpu{gpu}"), move |ctx| {
+                    let ctx = &ctx;
+                    let mut trainer = factory.make(gpu, gpus);
+                    let wire = trainer.wire_bytes();
+                    let mut grads = vec![0.0f32; trainer.param_len()];
+                    let mut log = StepLog::new(gpu, cfg.eval_every);
 
-                for iter in 1..=cfg.max_iters as u64 {
-                    let comp_start = ctx.now();
-                    let loss = trainer.compute_gradients(ctx);
-                    let comp_grad = ctx.now() - comp_start;
+                    for iter in 1..=cfg.max_iters as u64 {
+                        let comp_start = ctx.now();
+                        let loss = trainer.compute_gradients(ctx);
+                        let comp_grad = ctx.now() - comp_start;
 
-                    let comm_start = ctx.now();
-                    // Single-process host bottleneck (serialised per GPU).
-                    if gpus > 1 {
-                        host.occupy(ctx, host_service);
-                    }
-                    // NCCL allreduce over the shared PCIe bus.
-                    trainer.read_grads(&mut grads);
-                    let mut summed = if gpus > 1 {
-                        comm.all_reduce_wire(ctx, std::mem::take(&mut grads), wire)
-                    } else {
-                        std::mem::take(&mut grads)
-                    };
-                    for g in summed.iter_mut() {
-                        *g *= inv;
-                    }
-                    trainer.write_grads(&summed);
-                    grads = summed;
-                    let comm_time = ctx.now() - comm_start;
-
-                    let upd_start = ctx.now();
-                    trainer.apply_update(ctx);
-                    wrep.comp_ms.record_duration_ms(comp_grad + (ctx.now() - upd_start));
-                    wrep.comm_ms.record_duration_ms(comm_time);
-                    loss_ema = if loss_ema.is_nan() { loss } else { 0.9 * loss_ema + 0.1 * loss };
-
-                    if gpu == 0 && cfg.eval_every > 0 && iter % cfg.eval_every as u64 == 0 {
-                        if let Some(sample) = trainer.evaluate() {
-                            evals.push(EvalPoint {
-                                iter,
-                                time: ctx.now(),
-                                loss: sample.loss,
-                                top1: sample.top1,
-                                topk: sample.topk,
-                            });
+                        let comm_start = ctx.now();
+                        // Single-process host bottleneck (serialised per GPU).
+                        if gpus > 1 {
+                            host.occupy(ctx, host_service);
                         }
+                        // NCCL allreduce over the shared PCIe bus.
+                        average_gradients(&mut trainer, &mut grads, gpus, |g| {
+                            comm.all_reduce_wire(ctx, g, wire)
+                        });
+                        let comm_time = ctx.now() - comm_start;
+
+                        let upd_start = ctx.now();
+                        trainer.apply_update(ctx);
+                        log.report.comp_ms.record_duration_ms(comp_grad + (ctx.now() - upd_start));
+                        log.report.comm_ms.record_duration_ms(comm_time);
+                        log.close(ctx, &mut trainer, iter, loss);
                     }
-                }
 
-                wrep.iters = cfg.max_iters as u64;
-                wrep.finished_at = ctx.now();
-                wrep.final_loss = loss_ema;
-                let mut report = report.lock();
-                report.workers[gpu] = wrep;
-                if gpu == 0 {
-                    report.evals = evals;
-                    let mut final_w = vec![0.0f32; param_len];
-                    trainer.read_weights(&mut final_w);
-                    report.final_weights = Some(final_w);
-                }
-            });
-        }
-
-        let wall = run_sim(sim)?;
-        let mut final_report =
-            Arc::try_unwrap(report).map(Mutex::into_inner).unwrap_or_else(|arc| arc.lock().clone());
-        final_report.wall = wall;
-        Ok(final_report)
+                    sink.file(log.finish(ctx, cfg.max_iters as u64));
+                    if gpu == 0 {
+                        sink.final_weights(weights_of(&mut trainer));
+                    }
+                });
+            }
+        })
     }
 }
 

@@ -12,19 +12,18 @@
 //! [`crate::config::BaselineConfig::mpi_efficiency`] factor models it by
 //! inflating the wire size of MPI transfers.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use shmcaffe_mpi::{MpiData, MpiWorld};
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
-use shmcaffe_simnet::{SimDuration, Simulation};
+use shmcaffe_simnet::SimDuration;
 
-use crate::report::{EvalPoint, TrainingReport, WorkerReport};
+use crate::report::TrainingReport;
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
 
 use super::caffe::SsgdConfig;
-use super::run_sim;
+use super::fleet::{check_fit, run_fleet, weights_of, StepLog};
 
 const TAG_GRADS: u32 = 100;
 const TAG_WEIGHTS: u32 = 101;
@@ -53,127 +52,101 @@ impl CaffeMpi {
     ///
     /// Returns configuration errors or any propagated worker failure.
     pub fn run<F: TrainerFactory>(&self, factory: F) -> Result<TrainingReport, PlatformError> {
-        if self.workers == 0 || self.workers > self.spec.total_gpus() {
-            return Err(PlatformError::BadConfig(format!(
-                "{} workers do not fit {} GPU slots",
-                self.workers,
-                self.spec.total_gpus()
-            )));
-        }
-        if self.cfg.max_iters == 0 {
-            return Err(PlatformError::BadConfig("max_iters must be positive".into()));
-        }
+        check_fit(&self.spec, self.workers, 0)?;
+        self.cfg.validate()?;
         let spec = ClusterSpec { memory_servers: 0, ..self.spec };
         let fabric = Fabric::new(spec);
         let mpi = MpiWorld::new(fabric, self.workers);
         let factory = Arc::new(factory);
         let cfg = self.cfg;
         let n = self.workers;
-        let report = Arc::new(Mutex::new(TrainingReport::new("Caffe-MPI", n)));
 
-        let mut sim = Simulation::new();
-        for rank in 0..n {
-            let mut comm = mpi.comm(rank);
-            let factory = Arc::clone(&factory);
-            let report = Arc::clone(&report);
-            sim.spawn(&format!("caffempi_r{rank}"), move |ctx| {
-                let ctx = &ctx;
-                let mut trainer = factory.make(rank, n);
-                let param_len = trainer.param_len();
-                let wire_eff = (trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
-                let mut grads = vec![0.0f32; param_len];
-                let mut weights = vec![0.0f32; param_len];
-                let mut wrep = WorkerReport::new(rank);
-                let mut evals = Vec::new();
-                let mut loss_ema = f32::NAN;
+        run_fleet("Caffe-MPI", n, |sim, sink| {
+            for rank in 0..n {
+                let mut comm = mpi.comm(rank);
+                let factory = Arc::clone(&factory);
+                let sink = sink.clone();
+                sim.spawn(&format!("caffempi_r{rank}"), move |ctx| {
+                    let ctx = &ctx;
+                    let mut trainer = factory.make(rank, n);
+                    let param_len = trainer.param_len();
+                    let wire_eff =
+                        (trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
+                    let mut grads = vec![0.0f32; param_len];
+                    let mut weights = vec![0.0f32; param_len];
+                    let mut log = StepLog::new(rank, cfg.eval_every);
 
-                for iter in 1..=cfg.max_iters as u64 {
-                    let comp_start = ctx.now();
-                    let loss = trainer.compute_gradients(ctx);
-                    let mut comp = ctx.now() - comp_start;
+                    for iter in 1..=cfg.max_iters as u64 {
+                        let comp_start = ctx.now();
+                        let loss = trainer.compute_gradients(ctx);
+                        let mut comp = ctx.now() - comp_start;
 
-                    let comm_start = ctx.now();
-                    if rank == 0 {
-                        // Gather: sum slave gradients into the master's.
-                        trainer.read_grads(&mut grads);
-                        for _ in 1..n {
-                            let (_, slave_grads) = comm.recv_f32s(ctx, None, TAG_GRADS);
-                            for (g, s) in grads.iter_mut().zip(slave_grads.iter()) {
-                                *g += s;
+                        let comm_start = ctx.now();
+                        if rank == 0 {
+                            // Gather: sum slave gradients into the master's.
+                            trainer.read_grads(&mut grads);
+                            for _ in 1..n {
+                                let (_, slave_grads) = comm.recv_f32s(ctx, None, TAG_GRADS);
+                                for (g, s) in grads.iter_mut().zip(slave_grads.iter()) {
+                                    *g += s;
+                                }
                             }
-                        }
-                        // Average (memory-bound pass over (n-1) buffers).
-                        let inv = 1.0 / n as f32;
-                        for g in grads.iter_mut() {
-                            *g *= inv;
-                        }
-                        if n > 1 {
-                            let avg_bytes = trainer.wire_bytes() * (n as u64 - 1);
-                            ctx.sleep(SimDuration::from_secs_f64(avg_bytes as f64 / AVG_BPS));
-                        }
-                        trainer.write_grads(&grads);
-                        let comm_gather = ctx.now() - comm_start;
+                            // Average (memory-bound pass over (n-1) buffers).
+                            let inv = 1.0 / n as f32;
+                            for g in grads.iter_mut() {
+                                *g *= inv;
+                            }
+                            if n > 1 {
+                                let avg_bytes = trainer.wire_bytes() * (n as u64 - 1);
+                                ctx.sleep(SimDuration::from_secs_f64(avg_bytes as f64 / AVG_BPS));
+                            }
+                            trainer.write_grads(&grads);
+                            let comm_gather = ctx.now() - comm_start;
 
-                        // Master update (counts as computation).
-                        let upd_start = ctx.now();
-                        trainer.apply_update(ctx);
-                        comp += ctx.now() - upd_start;
+                            // Master update (counts as computation).
+                            let upd_start = ctx.now();
+                            trainer.apply_update(ctx);
+                            comp += ctx.now() - upd_start;
 
-                        // Scatter the updated weights.
-                        let scatter_start = ctx.now();
-                        trainer.read_weights(&mut weights);
-                        for dst in 1..n {
+                            // Scatter the updated weights.
+                            let scatter_start = ctx.now();
+                            trainer.read_weights(&mut weights);
+                            for dst in 1..n {
+                                comm.send_wire(
+                                    ctx,
+                                    dst,
+                                    TAG_WEIGHTS,
+                                    MpiData::F32s(weights.clone()),
+                                    wire_eff,
+                                );
+                            }
+                            log.report
+                                .comm_ms
+                                .record_duration_ms(comm_gather + (ctx.now() - scatter_start));
+                        } else {
+                            trainer.read_grads(&mut grads);
                             comm.send_wire(
                                 ctx,
-                                dst,
-                                TAG_WEIGHTS,
-                                MpiData::F32s(weights.clone()),
+                                0,
+                                TAG_GRADS,
+                                MpiData::F32s(grads.clone()),
                                 wire_eff,
                             );
+                            let (_, new_weights) = comm.recv_f32s(ctx, Some(0), TAG_WEIGHTS);
+                            trainer.write_weights(&new_weights);
+                            log.report.comm_ms.record_duration_ms(ctx.now() - comm_start);
                         }
-                        wrep.comm_ms.record_duration_ms(comm_gather + (ctx.now() - scatter_start));
-                    } else {
-                        trainer.read_grads(&mut grads);
-                        comm.send_wire(ctx, 0, TAG_GRADS, MpiData::F32s(grads.clone()), wire_eff);
-                        let (_, new_weights) = comm.recv_f32s(ctx, Some(0), TAG_WEIGHTS);
-                        trainer.write_weights(&new_weights);
-                        wrep.comm_ms.record_duration_ms(ctx.now() - comm_start);
+                        log.report.comp_ms.record_duration_ms(comp);
+                        log.close(ctx, &mut trainer, iter, loss);
                     }
-                    wrep.comp_ms.record_duration_ms(comp);
-                    loss_ema = if loss_ema.is_nan() { loss } else { 0.9 * loss_ema + 0.1 * loss };
 
-                    if rank == 0 && cfg.eval_every > 0 && iter % cfg.eval_every as u64 == 0 {
-                        if let Some(sample) = trainer.evaluate() {
-                            evals.push(EvalPoint {
-                                iter,
-                                time: ctx.now(),
-                                loss: sample.loss,
-                                top1: sample.top1,
-                                topk: sample.topk,
-                            });
-                        }
+                    sink.file(log.finish(ctx, cfg.max_iters as u64));
+                    if rank == 0 {
+                        sink.final_weights(weights_of(&mut trainer));
                     }
-                }
-
-                wrep.iters = cfg.max_iters as u64;
-                wrep.finished_at = ctx.now();
-                wrep.final_loss = loss_ema;
-                let mut report = report.lock();
-                report.workers[rank] = wrep;
-                if rank == 0 {
-                    report.evals = evals;
-                    let mut final_w = vec![0.0f32; param_len];
-                    trainer.read_weights(&mut final_w);
-                    report.final_weights = Some(final_w);
-                }
-            });
-        }
-
-        let wall = run_sim(sim)?;
-        let mut final_report =
-            Arc::try_unwrap(report).map(Mutex::into_inner).unwrap_or_else(|arc| arc.lock().clone());
-        final_report.wall = wall;
-        Ok(final_report)
+                });
+            }
+        })
     }
 }
 

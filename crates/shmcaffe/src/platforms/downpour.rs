@@ -11,19 +11,18 @@
 //! asynchrony). Traffic flows over MPI with the same copy-overhead factor
 //! as the other MPI baselines.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use shmcaffe_mpi::{MpiData, MpiWorld};
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
-use shmcaffe_simnet::{SimDuration, Simulation};
+use shmcaffe_simnet::SimDuration;
 
 use crate::config::BaselineConfig;
-use crate::report::{EvalPoint, TrainingReport, WorkerReport};
+use crate::report::TrainingReport;
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
 
-use super::run_sim;
+use super::fleet::{check_fit, run_fleet, weights_of, StepLog};
 
 const TAG_PULL: u32 = 200;
 const TAG_WEIGHTS: u32 = 201;
@@ -78,13 +77,7 @@ impl DownpourAsgd {
     ///
     /// Returns configuration errors or any propagated worker failure.
     pub fn run<F: TrainerFactory>(&self, factory: F) -> Result<TrainingReport, PlatformError> {
-        if self.workers == 0 || self.workers + 1 > self.spec.total_gpus() {
-            return Err(PlatformError::BadConfig(format!(
-                "{} workers + 1 server do not fit {} GPU slots",
-                self.workers,
-                self.spec.total_gpus()
-            )));
-        }
+        check_fit(&self.spec, self.workers, 1)?;
         if self.cfg.max_iters == 0 {
             return Err(PlatformError::BadConfig("max_iters must be positive".into()));
         }
@@ -94,125 +87,94 @@ impl DownpourAsgd {
         let factory = Arc::new(factory);
         let cfg = self.cfg;
         let n = self.workers;
-        let report = Arc::new(Mutex::new(TrainingReport::new("Downpour-ASGD", n)));
 
-        let mut sim = Simulation::new();
-
-        // The parameter server (rank 0).
-        {
-            let factory = Arc::clone(&factory);
-            let report = Arc::clone(&report);
-            let mut comm = mpi.comm(0);
-            sim.spawn("downpour_ps", move |ctx| {
-                let ctx = &ctx;
-                // The server seeds W from a replica's initial weights.
-                let mut seed_trainer = factory.make(0, n.max(1));
-                let param_len = seed_trainer.param_len();
-                let wire_eff =
-                    (seed_trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
-                let mut weights = vec![0.0f32; param_len];
-                seed_trainer.read_weights(&mut weights);
-                let mut done = 0usize;
-                // The server update is memory-bound; charge a light pass.
-                let update_time =
-                    SimDuration::from_secs_f64(seed_trainer.wire_bytes() as f64 / 20.0e9);
-                // Event loop: serve pulls, fold in pushes as they arrive,
-                // count completions. FIFO per sender guarantees a worker's
-                // final push is processed before its DONE.
-                while done < n {
-                    let (src, tag, data) = comm.recv_any(ctx, &[TAG_PULL, TAG_PUSH, TAG_DONE]);
-                    match tag {
-                        TAG_PULL => {
-                            comm.send_wire(
-                                ctx,
-                                src,
-                                TAG_WEIGHTS,
-                                MpiData::F32s(weights.clone()),
-                                wire_eff,
-                            );
-                        }
-                        TAG_PUSH => {
-                            let grads = data.into_f32s();
-                            for (w, g) in weights.iter_mut().zip(grads.iter()) {
-                                *w -= cfg.ps_lr * g;
+        run_fleet("Downpour-ASGD", n, |sim, sink| {
+            // The parameter server (rank 0).
+            {
+                let factory = Arc::clone(&factory);
+                let sink = sink.clone();
+                let mut comm = mpi.comm(0);
+                sim.spawn("downpour_ps", move |ctx| {
+                    let ctx = &ctx;
+                    // The server seeds W from a replica's initial weights.
+                    let mut seed_trainer = factory.make(0, n.max(1));
+                    let wire_eff =
+                        (seed_trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
+                    let mut weights = weights_of(&mut seed_trainer);
+                    let mut done = 0usize;
+                    // The server update is memory-bound; charge a light pass.
+                    let update_time =
+                        SimDuration::from_secs_f64(seed_trainer.wire_bytes() as f64 / 20.0e9);
+                    // Event loop: serve pulls, fold in pushes as they arrive,
+                    // count completions. FIFO per sender guarantees a worker's
+                    // final push is processed before its DONE.
+                    while done < n {
+                        let (src, tag, data) = comm.recv_any(ctx, &[TAG_PULL, TAG_PUSH, TAG_DONE]);
+                        match tag {
+                            TAG_PULL => {
+                                comm.send_wire(
+                                    ctx,
+                                    src,
+                                    TAG_WEIGHTS,
+                                    MpiData::F32s(weights.clone()),
+                                    wire_eff,
+                                );
                             }
-                            ctx.sleep(update_time);
-                        }
-                        TAG_DONE => done += 1,
-                        other => unreachable!("recv_any returned unknown tag {other}"),
-                    }
-                }
-                let mut report = report.lock();
-                report.final_weights = Some(weights);
-            });
-        }
-
-        // The computing workers (ranks 1..=n).
-        for worker in 0..n {
-            let rank = worker + 1;
-            let factory = Arc::clone(&factory);
-            let report = Arc::clone(&report);
-            let mut comm = mpi.comm(rank);
-            sim.spawn(&format!("downpour_w{worker}"), move |ctx| {
-                let ctx = &ctx;
-                let mut trainer = factory.make(worker, n);
-                let param_len = trainer.param_len();
-                let wire_eff = (trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
-                let mut grads = vec![0.0f32; param_len];
-                let mut wrep = WorkerReport::new(worker);
-                let mut evals = Vec::new();
-                let mut loss_ema = f32::NAN;
-
-                for iter in 1..=cfg.max_iters as u64 {
-                    // Pull the current global weights.
-                    let comm_start = ctx.now();
-                    comm.send(ctx, 0, TAG_PULL, MpiData::U64s(vec![iter]));
-                    let (_, weights) = comm.recv_f32s(ctx, Some(0), TAG_WEIGHTS);
-                    trainer.write_weights(&weights);
-                    let pull_time = ctx.now() - comm_start;
-
-                    // Compute a gradient on the local shard.
-                    let comp_start = ctx.now();
-                    let loss = trainer.compute_gradients(ctx);
-                    wrep.comp_ms.record_duration_ms(ctx.now() - comp_start);
-
-                    // Push it (asynchronously applied by the server).
-                    let push_start = ctx.now();
-                    trainer.read_grads(&mut grads);
-                    comm.send_wire(ctx, 0, TAG_PUSH, MpiData::F32s(grads.clone()), wire_eff);
-                    wrep.comm_ms.record_duration_ms(pull_time + (ctx.now() - push_start));
-                    loss_ema = if loss_ema.is_nan() { loss } else { 0.9 * loss_ema + 0.1 * loss };
-
-                    if worker == 0 && cfg.eval_every > 0 && iter % cfg.eval_every as u64 == 0 {
-                        if let Some(sample) = trainer.evaluate() {
-                            evals.push(EvalPoint {
-                                iter,
-                                time: ctx.now(),
-                                loss: sample.loss,
-                                top1: sample.top1,
-                                topk: sample.topk,
-                            });
+                            TAG_PUSH => {
+                                let grads = data.into_f32s();
+                                for (w, g) in weights.iter_mut().zip(grads.iter()) {
+                                    *w -= cfg.ps_lr * g;
+                                }
+                                ctx.sleep(update_time);
+                            }
+                            TAG_DONE => done += 1,
+                            other => unreachable!("recv_any returned unknown tag {other}"),
                         }
                     }
-                }
-                comm.send(ctx, 0, TAG_DONE, MpiData::U64s(vec![1]));
+                    sink.final_weights(weights);
+                });
+            }
 
-                wrep.iters = cfg.max_iters as u64;
-                wrep.finished_at = ctx.now();
-                wrep.final_loss = loss_ema;
-                let mut report = report.lock();
-                report.workers[worker] = wrep;
-                if worker == 0 {
-                    report.evals = evals;
-                }
-            });
-        }
+            // The computing workers (ranks 1..=n).
+            for worker in 0..n {
+                let rank = worker + 1;
+                let factory = Arc::clone(&factory);
+                let sink = sink.clone();
+                let mut comm = mpi.comm(rank);
+                sim.spawn(&format!("downpour_w{worker}"), move |ctx| {
+                    let ctx = &ctx;
+                    let mut trainer = factory.make(worker, n);
+                    let wire_eff =
+                        (trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
+                    let mut grads = vec![0.0f32; trainer.param_len()];
+                    let mut log = StepLog::new(worker, cfg.eval_every);
 
-        let wall = run_sim(sim)?;
-        let mut final_report =
-            Arc::try_unwrap(report).map(Mutex::into_inner).unwrap_or_else(|arc| arc.lock().clone());
-        final_report.wall = wall;
-        Ok(final_report)
+                    for iter in 1..=cfg.max_iters as u64 {
+                        // Pull the current global weights.
+                        let comm_start = ctx.now();
+                        comm.send(ctx, 0, TAG_PULL, MpiData::U64s(vec![iter]));
+                        let (_, weights) = comm.recv_f32s(ctx, Some(0), TAG_WEIGHTS);
+                        trainer.write_weights(&weights);
+                        let pull_time = ctx.now() - comm_start;
+
+                        // Compute a gradient on the local shard.
+                        let comp_start = ctx.now();
+                        let loss = trainer.compute_gradients(ctx);
+                        log.report.comp_ms.record_duration_ms(ctx.now() - comp_start);
+
+                        // Push it (asynchronously applied by the server).
+                        let push_start = ctx.now();
+                        trainer.read_grads(&mut grads);
+                        comm.send_wire(ctx, 0, TAG_PUSH, MpiData::F32s(grads.clone()), wire_eff);
+                        log.report.comm_ms.record_duration_ms(pull_time + (ctx.now() - push_start));
+                        log.close(ctx, &mut trainer, iter, loss);
+                    }
+                    comm.send(ctx, 0, TAG_DONE, MpiData::U64s(vec![1]));
+
+                    sink.file(log.finish(ctx, cfg.max_iters as u64));
+                });
+            }
+        })
     }
 }
 

@@ -9,11 +9,14 @@
 //! | [`MpiCaffe`] | baseline | the authors' MPI_Allreduce SSGD port |
 //!
 //! Every platform consumes a [`crate::trainer::TrainerFactory`] and returns
-//! a [`crate::report::TrainingReport`].
+//! a [`crate::report::TrainingReport`]. Each keeps its own per-rank loop —
+//! they differ in where the update sits and what counts as communication —
+//! over one shared set of books (the private `fleet` module).
 
 mod caffe;
 mod caffe_mpi;
 mod downpour;
+pub(crate) mod fleet;
 mod mpicaffe;
 mod shmcaffe_a;
 mod shmcaffe_h;

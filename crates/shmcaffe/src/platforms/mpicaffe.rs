@@ -6,20 +6,18 @@
 //! do SSGD" (paper §IV-C). Like Caffe-MPI it pays the MPI copy/protocol
 //! overhead, but the bandwidth-optimal ring avoids the star bottleneck.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use shmcaffe_mpi::MpiWorld;
 use shmcaffe_simnet::fault::FaultPlan;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
-use shmcaffe_simnet::Simulation;
 
-use crate::report::{EvalPoint, TrainingReport, WorkerReport};
+use crate::report::TrainingReport;
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
 
 use super::caffe::SsgdConfig;
-use super::run_sim;
+use super::fleet::{average_gradients, check_fit, run_fleet, weights_of, StepLog};
 
 /// MPICaffe: every rank computes gradients, an `MPI_Allreduce` aggregates
 /// them, and every rank applies the identical update.
@@ -53,16 +51,8 @@ impl MpiCaffe {
     ///
     /// Returns configuration errors or any propagated worker failure.
     pub fn run<F: TrainerFactory>(&self, factory: F) -> Result<TrainingReport, PlatformError> {
-        if self.workers == 0 || self.workers > self.spec.total_gpus() {
-            return Err(PlatformError::BadConfig(format!(
-                "{} workers do not fit {} GPU slots",
-                self.workers,
-                self.spec.total_gpus()
-            )));
-        }
-        if self.cfg.max_iters == 0 {
-            return Err(PlatformError::BadConfig("max_iters must be positive".into()));
-        }
+        check_fit(&self.spec, self.workers, 0)?;
+        self.cfg.validate()?;
         let spec = ClusterSpec { memory_servers: 0, ..self.spec };
         let fabric = match &self.fault_plan {
             Some(plan) => Fabric::with_faults(spec, plan.clone()),
@@ -72,89 +62,53 @@ impl MpiCaffe {
         let factory = Arc::new(factory);
         let cfg = self.cfg;
         let n = self.workers;
-        let report = Arc::new(Mutex::new(TrainingReport::new("MPICaffe", n)));
 
-        let mut sim = Simulation::new();
-        for rank in 0..n {
-            let mut comm = mpi.comm(rank);
-            let factory = Arc::clone(&factory);
-            let report = Arc::clone(&report);
-            let crash_at = fabric.fault_injector().and_then(|i| i.crash_time(rank));
-            sim.spawn(&format!("mpicaffe_r{rank}"), move |ctx| {
-                let ctx = &ctx;
-                let mut trainer = factory.make(rank, n);
-                let param_len = trainer.param_len();
-                let wire_eff = (trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
-                let mut grads = vec![0.0f32; param_len];
-                let mut wrep = WorkerReport::new(rank);
-                let mut evals = Vec::new();
-                let mut loss_ema = f32::NAN;
-                let inv = 1.0 / n as f32;
+        run_fleet("MPICaffe", n, |sim, sink| {
+            for rank in 0..n {
+                let mut comm = mpi.comm(rank);
+                let factory = Arc::clone(&factory);
+                let sink = sink.clone();
+                let crash_at = fabric.fault_injector().and_then(|i| i.crash_time(rank));
+                sim.spawn(&format!("mpicaffe_r{rank}"), move |ctx| {
+                    let ctx = &ctx;
+                    let mut trainer = factory.make(rank, n);
+                    let wire_eff =
+                        (trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
+                    let mut grads = vec![0.0f32; trainer.param_len()];
+                    let mut log = StepLog::new(rank, cfg.eval_every);
 
-                for iter in 1..=cfg.max_iters as u64 {
-                    // Injected worker death: the rank simply vanishes. The
-                    // surviving ranks block in the next allreduce forever;
-                    // the scheduler's deadlock detection turns that into a
-                    // WorkerFailed error for the whole platform.
-                    if crash_at.is_some_and(|t| ctx.now() >= t) {
-                        return;
-                    }
-                    let comp_start = ctx.now();
-                    let loss = trainer.compute_gradients(ctx);
-                    let comp_grad = ctx.now() - comp_start;
-
-                    let comm_start = ctx.now();
-                    trainer.read_grads(&mut grads);
-                    let mut summed = if n > 1 {
-                        comm.allreduce_wire(ctx, std::mem::take(&mut grads), wire_eff)
-                    } else {
-                        std::mem::take(&mut grads)
-                    };
-                    for g in summed.iter_mut() {
-                        *g *= inv;
-                    }
-                    trainer.write_grads(&summed);
-                    grads = summed;
-                    let comm_time = ctx.now() - comm_start;
-
-                    let upd_start = ctx.now();
-                    trainer.apply_update(ctx);
-                    wrep.comp_ms.record_duration_ms(comp_grad + (ctx.now() - upd_start));
-                    wrep.comm_ms.record_duration_ms(comm_time);
-                    loss_ema = if loss_ema.is_nan() { loss } else { 0.9 * loss_ema + 0.1 * loss };
-
-                    if rank == 0 && cfg.eval_every > 0 && iter % cfg.eval_every as u64 == 0 {
-                        if let Some(sample) = trainer.evaluate() {
-                            evals.push(EvalPoint {
-                                iter,
-                                time: ctx.now(),
-                                loss: sample.loss,
-                                top1: sample.top1,
-                                topk: sample.topk,
-                            });
+                    for iter in 1..=cfg.max_iters as u64 {
+                        // Injected worker death: the rank simply vanishes. The
+                        // surviving ranks block in the next allreduce forever;
+                        // the scheduler's deadlock detection turns that into a
+                        // WorkerFailed error for the whole platform.
+                        if crash_at.is_some_and(|t| ctx.now() >= t) {
+                            return;
                         }
+                        let comp_start = ctx.now();
+                        let loss = trainer.compute_gradients(ctx);
+                        let comp_grad = ctx.now() - comp_start;
+
+                        let comm_start = ctx.now();
+                        average_gradients(&mut trainer, &mut grads, n, |g| {
+                            comm.allreduce_wire(ctx, g, wire_eff)
+                        });
+                        let comm_time = ctx.now() - comm_start;
+
+                        let upd_start = ctx.now();
+                        trainer.apply_update(ctx);
+                        log.report.comp_ms.record_duration_ms(comp_grad + (ctx.now() - upd_start));
+                        log.report.comm_ms.record_duration_ms(comm_time);
+                        log.close(ctx, &mut trainer, iter, loss);
                     }
-                }
 
-                wrep.iters = cfg.max_iters as u64;
-                wrep.finished_at = ctx.now();
-                wrep.final_loss = loss_ema;
-                let mut report = report.lock();
-                report.workers[rank] = wrep;
-                if rank == 0 {
-                    report.evals = evals;
-                    let mut final_w = vec![0.0f32; param_len];
-                    trainer.read_weights(&mut final_w);
-                    report.final_weights = Some(final_w);
-                }
-            });
-        }
-
-        let wall = run_sim(sim)?;
-        let mut final_report =
-            Arc::try_unwrap(report).map(Mutex::into_inner).unwrap_or_else(|arc| arc.lock().clone());
-        final_report.wall = wall;
-        Ok(final_report)
+                    sink.file(log.finish(ctx, cfg.max_iters as u64));
+                    if rank == 0 {
+                        sink.final_weights(weights_of(&mut trainer));
+                    }
+                });
+            }
+        })
     }
 }
 

@@ -1,13 +1,12 @@
 //! ShmCaffe-A: the pure asynchronous platform (SEASGD on every worker).
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use shmcaffe_mpi::{MpiData, MpiWorld};
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::fault::FaultPlan;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
-use shmcaffe_simnet::{SimDuration, Simulation};
+use shmcaffe_simnet::SimDuration;
 use shmcaffe_smb::progress::ProgressBoard;
 use shmcaffe_smb::{ShmKey, SmbClient, SmbPair, SmbServer, SmbServerConfig};
 
@@ -19,7 +18,7 @@ use crate::seasgd::{
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
 
-use super::run_sim;
+use super::fleet::{check_fit, run_fleet, weights_of};
 
 /// The asynchronous ShmCaffe platform (paper "ShmCaffe-A").
 ///
@@ -85,13 +84,7 @@ impl ShmCaffeA {
     /// Returns configuration errors or any propagated worker failure.
     pub fn run<F: TrainerFactory>(&self, factory: F) -> Result<TrainingReport, PlatformError> {
         self.cfg.validate().map_err(PlatformError::BadConfig)?;
-        if self.workers == 0 || self.workers > self.spec.total_gpus() {
-            return Err(PlatformError::BadConfig(format!(
-                "{} workers do not fit {} GPU slots",
-                self.workers,
-                self.spec.total_gpus()
-            )));
-        }
+        check_fit(&self.spec, self.workers, 0)?;
         if self.spec.memory_servers == 0 {
             return Err(PlatformError::BadConfig(
                 "ShmCaffe requires a memory server on the fabric".to_string(),
@@ -128,206 +121,194 @@ impl ShmCaffeA {
         // reclamation to their own rejoin acknowledgements.
         let rejoin_mode = cfg.checkpoint_every > 0 && cfg.rejoin_delay.is_some();
         let n_workers = self.workers;
-        let report = Arc::new(Mutex::new(TrainingReport::new("ShmCaffe-A", n_workers)));
 
-        let mut sim = Simulation::new();
-        if let (Some(p), Some(interval)) = (&pair, self.standby_replication) {
-            let p = p.clone();
-            sim.spawn("smb_replicator", move |ctx| p.run_replicator(&ctx, interval));
-        }
-        // Background integrity scrubbers: when the server runs a CRC page
-        // grid with a scrub cadence, each pair member (or the lone server)
-        // sweeps its own DRAM so decayed pages are poisoned and repaired
-        // long before a client read would trip over them.
-        if self.server_config.page_elems > 0
-            && self.server_config.scrub_interval > SimDuration::ZERO
-        {
-            match &pair {
-                Some(p) => {
-                    let s = p.primary().clone();
-                    sim.spawn("smb_scrubber_primary", move |ctx| s.run_scrubber(&ctx));
-                    let s = p.standby().clone();
-                    sim.spawn("smb_scrubber_standby", move |ctx| s.run_scrubber(&ctx));
-                }
-                None => {
-                    let s = server.clone();
-                    sim.spawn("smb_scrubber", move |ctx| s.run_scrubber(&ctx));
-                }
+        let mut final_report = run_fleet("ShmCaffe-A", n_workers, |sim, sink| {
+            if let (Some(p), Some(interval)) = (&pair, self.standby_replication) {
+                let p = p.clone();
+                sim.spawn("smb_replicator", move |ctx| p.run_replicator(&ctx, interval));
             }
-        }
-        for rank in 0..n_workers {
-            let server = server.clone();
-            let pair = pair.clone();
-            let mut comm = mpi.comm(rank);
-            let node = mpi.node_of(rank);
-            let factory = Arc::clone(&factory);
-            let report = Arc::clone(&report);
-            let crashed_ranks = Arc::clone(&crashed_ranks);
-            let crash_at = fabric.fault_injector().and_then(|i| i.crash_time(rank));
-            sim.spawn(&format!("shmcaffe_a_w{rank}"), move |ctx| {
-                let mut trainer = factory.make(rank, n_workers);
-                let client = match &pair {
-                    Some(p) => SmbClient::with_failover(p.clone(), node),
-                    None => SmbClient::new(server, node),
-                };
-                let param_len = trainer.param_len();
-                let wire = trainer.wire_bytes();
-
-                // Fig. 2 handshake: master creates, broadcasts keys
-                // (ShmKey(0) = "no such segment" — real keys start at 1).
-                let (wg_key, board_key, ckpt_keys) = if rank == 0 {
-                    let wg_key = client
-                        .create(&ctx, "W_g", param_len, Some(wire))
-                        .expect("fresh server has no duplicate segments");
-                    let (board, board_key) =
-                        ProgressBoard::create(&client, &ctx, "control_info", n_workers)
-                            .expect("fresh server has no duplicate segments");
-                    // Checkpoint segments for the center variable. Unleased:
-                    // they must survive any worker's crash.
-                    let ckpt_keys = (cfg.checkpoint_every > 0).then(|| {
-                        let w = client
-                            .create(&ctx, "ckpt_W", param_len, Some(wire))
-                            .expect("fresh server has no duplicate segments");
-                        let meta = client
-                            .create(&ctx, "ckpt_meta", CHECKPOINT_META_LEN, None)
-                            .expect("fresh server has no duplicate segments");
-                        (w, meta)
-                    });
-                    // Seed the global weights with the master's parameters.
-                    let wg = client.alloc(&ctx, wg_key).expect("key just created");
-                    let mut w0 = vec![0.0f32; param_len];
-                    trainer.read_weights(&mut w0);
-                    client.write(&ctx, &wg, &w0).expect("sizes match");
-                    let _ = board;
-                    let (ck_w, ck_m) = ckpt_keys.map_or((0, 0), |(w, m)| (w.0, m.0));
-                    comm.broadcast(
-                        &ctx,
-                        0,
-                        Some(MpiData::U64s(vec![wg_key.0, board_key.0, ck_w, ck_m])),
-                    );
-                    (wg_key, board_key, ckpt_keys)
-                } else {
-                    let keys = comm.broadcast(&ctx, 0, None).into_u64s();
-                    let ckpt_keys = (keys[2] != 0).then(|| (ShmKey(keys[2]), ShmKey(keys[3])));
-                    (ShmKey(keys[0]), ShmKey(keys[1]), ckpt_keys)
-                };
-
-                let wg = client.alloc(&ctx, wg_key).expect("master created the segment");
-                // The private increment buffer is leased to this rank: if
-                // the rank crashes and stops heartbeating, the server's
-                // eviction reclaims it.
-                let dw_key = client
-                    .create_owned(&ctx, &format!("dW_{rank}"), param_len, Some(wire), rank)
-                    .expect("per-rank names are unique");
-                let dw = client.alloc(&ctx, dw_key).expect("key just created");
-                let board = ProgressBoard::attach(&client, &ctx, board_key, n_workers)
-                    .expect("board sized for n_workers");
-                let checkpoint = ckpt_keys.map(|(w_key, m_key)| CheckpointPlan {
-                    weights: client.alloc(&ctx, w_key).expect("master created the segment"),
-                    meta: client.alloc(&ctx, m_key).expect("master created the segment"),
-                });
-
-                // Slaves adopt the master's initial weights.
-                if rank != 0 {
-                    let mut w0 = vec![0.0f32; param_len];
-                    client.read(&ctx, &wg, &mut w0).expect("sizes match");
-                    trainer.write_weights(&w0);
-                }
-                comm.barrier(&ctx);
-
-                let harness = SeasgdHarness {
-                    client: client.clone(),
-                    buffers: SeasgdBuffers { wg, dw },
-                    board: board.clone(),
-                    cfg,
-                    rank,
-                    target_iters: cfg.max_iters as u64,
-                    crash_at,
-                    checkpoint,
-                };
-                let outcome = run_worker(&ctx, harness, &mut trainer)
-                    .expect("smb operations on live segments succeed");
-
-                // Collect the final averaged model after all workers are
-                // done. The SMB read happens *before* taking the report
-                // mutex: holding a real lock across a virtual-time block
-                // would deadlock the cooperative scheduler.
-                let final_w = if fault_mode {
-                    // No final MPI barrier: a crashed peer would never
-                    // arrive. The first surviving rank instead waits on the
-                    // progress board, reaps leases of dead workers, and
-                    // reads the final model.
-                    let collector = (0..n_workers).find(|r| !crashed_ranks.contains(r));
-                    (!outcome.report.crashed && collector == Some(rank)).then(|| {
-                        loop {
-                            let snap =
-                                board.snapshot(&client, &ctx).expect("board outlives workers");
-                            // In rejoin mode every rank eventually reaches
-                            // the board again (a rejoiner finishes its
-                            // second incarnation; an aborted rejoin
-                            // announces itself); otherwise only survivors.
-                            let awaited_done = (0..n_workers)
-                                .filter(|r| rejoin_mode || !crashed_ranks.contains(r))
-                                .all(|r| snap.is_done(r));
-                            if awaited_done {
-                                break;
-                            }
-                            ctx.sleep(SimDuration::from_millis(10));
-                        }
-                        // Evict the crashed ranks' leased buffers before the
-                        // final read; their heartbeats stopped at crash time,
-                        // so waiting out the lease timeout is enough. A
-                        // rejoining rank reclaims (frees + acks) its own
-                        // stale state and holds a live lease again, so its
-                        // eviction is skipped.
-                        let evict_expected = if rejoin_mode { 0 } else { crashed_ranks.len() };
-                        let mut evicted = 0usize;
-                        while evicted < evict_expected {
-                            evicted += client.server().evict_stale(&ctx).len();
-                            if evicted < evict_expected {
-                                ctx.sleep(SimDuration::from_millis(50));
-                            }
-                        }
-                        let mut w = vec![0.0f32; param_len];
-                        client.read(&ctx, &wg, &mut w).expect("sizes match");
-                        w
-                    })
-                } else {
-                    comm.barrier(&ctx);
-                    (rank == 0).then(|| {
-                        let mut w = vec![0.0f32; param_len];
-                        client.read(&ctx, &wg, &mut w).expect("sizes match");
-                        w
-                    })
-                };
-                // The run is over once the final model is read: let the
-                // replicator and scrubber loops exit at their next wakeup
-                // so the simulation can terminate.
-                if final_w.is_some() {
-                    match &pair {
-                        Some(p) => {
-                            p.stop_replicator();
-                            p.primary().stop_scrubber();
-                            p.standby().stop_scrubber();
-                        }
-                        None => client.server().stop_scrubber(),
+            // Background integrity scrubbers: when the server runs a CRC page
+            // grid with a scrub cadence, each pair member (or the lone server)
+            // sweeps its own DRAM so decayed pages are poisoned and repaired
+            // long before a client read would trip over them.
+            if self.server_config.page_elems > 0
+                && self.server_config.scrub_interval > SimDuration::ZERO
+            {
+                match &pair {
+                    Some(p) => {
+                        let s = p.primary().clone();
+                        sim.spawn("smb_scrubber_primary", move |ctx| s.run_scrubber(&ctx));
+                        let s = p.standby().clone();
+                        sim.spawn("smb_scrubber_standby", move |ctx| s.run_scrubber(&ctx));
+                    }
+                    None => {
+                        let s = server.clone();
+                        sim.spawn("smb_scrubber", move |ctx| s.run_scrubber(&ctx));
                     }
                 }
-                let mut report = report.lock();
-                report.workers[rank] = outcome.report;
-                if rank == 0 {
-                    report.evals = outcome.evals;
-                }
-                if final_w.is_some() {
-                    report.final_weights = final_w;
-                }
-            });
-        }
+            }
+            for rank in 0..n_workers {
+                let server = server.clone();
+                let pair = pair.clone();
+                let mut comm = mpi.comm(rank);
+                let node = mpi.node_of(rank);
+                let factory = Arc::clone(&factory);
+                let sink = sink.clone();
+                let crashed_ranks = Arc::clone(&crashed_ranks);
+                let crash_at = fabric.fault_injector().and_then(|i| i.crash_time(rank));
+                sim.spawn(&format!("shmcaffe_a_w{rank}"), move |ctx| {
+                    let mut trainer = factory.make(rank, n_workers);
+                    let client = match &pair {
+                        Some(p) => SmbClient::with_failover(p.clone(), node),
+                        None => SmbClient::new(server, node),
+                    };
+                    let param_len = trainer.param_len();
+                    let wire = trainer.wire_bytes();
 
-        let wall = run_sim(sim)?;
-        let mut final_report =
-            Arc::try_unwrap(report).map(Mutex::into_inner).unwrap_or_else(|arc| arc.lock().clone());
-        final_report.wall = wall;
+                    // Fig. 2 handshake: master creates, broadcasts keys
+                    // (ShmKey(0) = "no such segment" — real keys start at 1).
+                    let (wg_key, board_key, ckpt_keys) = if rank == 0 {
+                        let wg_key = client
+                            .create(&ctx, "W_g", param_len, Some(wire))
+                            .expect("fresh server has no duplicate segments");
+                        let (board, board_key) =
+                            ProgressBoard::create(&client, &ctx, "control_info", n_workers)
+                                .expect("fresh server has no duplicate segments");
+                        // Checkpoint segments for the center variable. Unleased:
+                        // they must survive any worker's crash.
+                        let ckpt_keys = (cfg.checkpoint_every > 0).then(|| {
+                            let w = client
+                                .create(&ctx, "ckpt_W", param_len, Some(wire))
+                                .expect("fresh server has no duplicate segments");
+                            let meta = client
+                                .create(&ctx, "ckpt_meta", CHECKPOINT_META_LEN, None)
+                                .expect("fresh server has no duplicate segments");
+                            (w, meta)
+                        });
+                        // Seed the global weights with the master's parameters.
+                        let wg = client.alloc(&ctx, wg_key).expect("key just created");
+                        let w0 = weights_of(&mut trainer);
+                        client.write(&ctx, &wg, &w0).expect("sizes match");
+                        let _ = board;
+                        let (ck_w, ck_m) = ckpt_keys.map_or((0, 0), |(w, m)| (w.0, m.0));
+                        comm.broadcast(
+                            &ctx,
+                            0,
+                            Some(MpiData::U64s(vec![wg_key.0, board_key.0, ck_w, ck_m])),
+                        );
+                        (wg_key, board_key, ckpt_keys)
+                    } else {
+                        let keys = comm.broadcast(&ctx, 0, None).into_u64s();
+                        let ckpt_keys = (keys[2] != 0).then(|| (ShmKey(keys[2]), ShmKey(keys[3])));
+                        (ShmKey(keys[0]), ShmKey(keys[1]), ckpt_keys)
+                    };
+
+                    let wg = client.alloc(&ctx, wg_key).expect("master created the segment");
+                    // The private increment buffer is leased to this rank: if
+                    // the rank crashes and stops heartbeating, the server's
+                    // eviction reclaims it.
+                    let dw_key = client
+                        .create_owned(&ctx, &format!("dW_{rank}"), param_len, Some(wire), rank)
+                        .expect("per-rank names are unique");
+                    let dw = client.alloc(&ctx, dw_key).expect("key just created");
+                    let board = ProgressBoard::attach(&client, &ctx, board_key, n_workers)
+                        .expect("board sized for n_workers");
+                    let checkpoint = ckpt_keys.map(|(w_key, m_key)| CheckpointPlan {
+                        weights: client.alloc(&ctx, w_key).expect("master created the segment"),
+                        meta: client.alloc(&ctx, m_key).expect("master created the segment"),
+                    });
+
+                    // Slaves adopt the master's initial weights.
+                    if rank != 0 {
+                        let mut w0 = vec![0.0f32; param_len];
+                        client.read(&ctx, &wg, &mut w0).expect("sizes match");
+                        trainer.write_weights(&w0);
+                    }
+                    comm.barrier(&ctx);
+
+                    let harness = SeasgdHarness {
+                        client: client.clone(),
+                        buffers: SeasgdBuffers { wg, dw },
+                        board: board.clone(),
+                        cfg,
+                        rank,
+                        target_iters: cfg.max_iters as u64,
+                        crash_at,
+                        checkpoint,
+                    };
+                    let outcome = run_worker(&ctx, harness, &mut trainer)
+                        .expect("smb operations on live segments succeed");
+
+                    // Collect the final averaged model after all workers are
+                    // done. The SMB read happens *before* taking the report
+                    // mutex: holding a real lock across a virtual-time block
+                    // would deadlock the cooperative scheduler.
+                    let final_w = if fault_mode {
+                        // No final MPI barrier: a crashed peer would never
+                        // arrive. The first surviving rank instead waits on the
+                        // progress board, reaps leases of dead workers, and
+                        // reads the final model.
+                        let collector = (0..n_workers).find(|r| !crashed_ranks.contains(r));
+                        (!outcome.report.crashed && collector == Some(rank)).then(|| {
+                            loop {
+                                let snap =
+                                    board.snapshot(&client, &ctx).expect("board outlives workers");
+                                // In rejoin mode every rank eventually reaches
+                                // the board again (a rejoiner finishes its
+                                // second incarnation; an aborted rejoin
+                                // announces itself); otherwise only survivors.
+                                let awaited_done = (0..n_workers)
+                                    .filter(|r| rejoin_mode || !crashed_ranks.contains(r))
+                                    .all(|r| snap.is_done(r));
+                                if awaited_done {
+                                    break;
+                                }
+                                ctx.sleep(SimDuration::from_millis(10));
+                            }
+                            // Evict the crashed ranks' leased buffers before the
+                            // final read; their heartbeats stopped at crash time,
+                            // so waiting out the lease timeout is enough. A
+                            // rejoining rank reclaims (frees + acks) its own
+                            // stale state and holds a live lease again, so its
+                            // eviction is skipped.
+                            let evict_expected = if rejoin_mode { 0 } else { crashed_ranks.len() };
+                            let mut evicted = 0usize;
+                            while evicted < evict_expected {
+                                evicted += client.server().evict_stale(&ctx).len();
+                                if evicted < evict_expected {
+                                    ctx.sleep(SimDuration::from_millis(50));
+                                }
+                            }
+                            let mut w = vec![0.0f32; param_len];
+                            client.read(&ctx, &wg, &mut w).expect("sizes match");
+                            w
+                        })
+                    } else {
+                        comm.barrier(&ctx);
+                        (rank == 0).then(|| {
+                            let mut w = vec![0.0f32; param_len];
+                            client.read(&ctx, &wg, &mut w).expect("sizes match");
+                            w
+                        })
+                    };
+                    // The run is over once the final model is read: let the
+                    // replicator and scrubber loops exit at their next wakeup
+                    // so the simulation can terminate.
+                    if let Some(w) = final_w {
+                        match &pair {
+                            Some(p) => {
+                                p.stop_replicator();
+                                p.primary().stop_scrubber();
+                                p.standby().stop_scrubber();
+                            }
+                            None => client.server().stop_scrubber(),
+                        }
+                        sink.final_weights(w);
+                    }
+                    sink.file((outcome.report, outcome.evals));
+                });
+            }
+        })?;
         // Server-side partition-tolerance counters: how many stale-epoch
         // writes the pair fenced off, and what the demoted primary
         // discarded/resynced when the partition healed.

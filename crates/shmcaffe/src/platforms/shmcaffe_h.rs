@@ -1,13 +1,11 @@
 //! ShmCaffe-H: the hybrid platform (paper §III-D, Fig. 4).
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use shmcaffe_collectives::IntraNodeGroup;
 use shmcaffe_mpi::{MpiData, MpiWorld};
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
-use shmcaffe_simnet::Simulation;
 use shmcaffe_smb::progress::ProgressBoard;
 use shmcaffe_smb::{ShmKey, SmbClient, SmbServer};
 
@@ -18,7 +16,7 @@ use crate::seasgd::SeasgdBuffers;
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
 
-use super::run_sim;
+use super::fleet::{run_fleet, weights_of};
 
 /// The hybrid ShmCaffe platform (paper "ShmCaffe-H"): `groups` worker
 /// groups of `group_size` GPUs, one group per node. Within a group, SSGD
@@ -83,88 +81,77 @@ impl ShmCaffeH {
         let cfg = self.cfg;
         let (groups, group_size) = (self.groups, self.group_size);
         let total = self.total_workers();
-        let report = Arc::new(Mutex::new(TrainingReport::new("ShmCaffe-H", total)));
 
-        let mut sim = Simulation::new();
-        for g in 0..groups {
-            let clique = IntraNodeGroup::new(fabric.clone(), NodeId(g), group_size);
-            for m in 0..group_size {
-                let gpu = clique.comm(m);
-                let server = server.clone();
-                let factory = Arc::clone(&factory);
-                let report = Arc::clone(&report);
-                let root_comm = (m == 0).then(|| root_world.comm(g));
-                sim.spawn(&format!("shmcaffe_h_g{g}m{m}"), move |ctx| {
-                    let global_rank = g * group_size + m;
-                    let mut trainer = factory.make(global_rank, total);
-                    let param_len = trainer.param_len();
-                    let wire = trainer.wire_bytes();
+        run_fleet("ShmCaffe-H", total, |sim, sink| {
+            for g in 0..groups {
+                let clique = IntraNodeGroup::new(fabric.clone(), NodeId(g), group_size);
+                for m in 0..group_size {
+                    let gpu = clique.comm(m);
+                    let server = server.clone();
+                    let factory = Arc::clone(&factory);
+                    let sink = sink.clone();
+                    let root_comm = (m == 0).then(|| root_world.comm(g));
+                    sim.spawn(&format!("shmcaffe_h_g{g}m{m}"), move |ctx| {
+                        let global_rank = g * group_size + m;
+                        let mut trainer = factory.make(global_rank, total);
+                        let param_len = trainer.param_len();
+                        let wire = trainer.wire_bytes();
 
-                    let root = root_comm.map(|mut comm| {
-                        let client = SmbClient::new(server, NodeId(g));
-                        // The master group's root creates the shared
-                        // segments and seeds the global weights (Fig. 4:
-                        // the master-worker role is played by the root of
-                        // Master Worker Group 1).
-                        let (wg_key, board_key) = if g == 0 {
-                            let wg_key = client
-                                .create(&ctx, "W_g", param_len, Some(wire))
-                                .expect("fresh server");
-                            let (_board, board_key) =
-                                ProgressBoard::create(&client, &ctx, "control_info", groups)
+                        let root = root_comm.map(|mut comm| {
+                            let client = SmbClient::new(server, NodeId(g));
+                            // The master group's root creates the shared
+                            // segments and seeds the global weights (Fig. 4:
+                            // the master-worker role is played by the root of
+                            // Master Worker Group 1).
+                            let (wg_key, board_key) = if g == 0 {
+                                let wg_key = client
+                                    .create(&ctx, "W_g", param_len, Some(wire))
                                     .expect("fresh server");
-                            let wg = client.alloc(&ctx, wg_key).expect("just created");
-                            let mut w0 = vec![0.0f32; param_len];
-                            trainer.read_weights(&mut w0);
-                            client.write(&ctx, &wg, &w0).expect("sizes match");
-                            comm.broadcast(
-                                &ctx,
-                                0,
-                                Some(MpiData::U64s(vec![wg_key.0, board_key.0])),
-                            );
-                            (wg_key, board_key)
-                        } else {
-                            let keys = comm.broadcast(&ctx, 0, None).into_u64s();
-                            (ShmKey(keys[0]), ShmKey(keys[1]))
+                                let (_board, board_key) =
+                                    ProgressBoard::create(&client, &ctx, "control_info", groups)
+                                        .expect("fresh server");
+                                let wg = client.alloc(&ctx, wg_key).expect("just created");
+                                let w0 = weights_of(&mut trainer);
+                                client.write(&ctx, &wg, &w0).expect("sizes match");
+                                comm.broadcast(
+                                    &ctx,
+                                    0,
+                                    Some(MpiData::U64s(vec![wg_key.0, board_key.0])),
+                                );
+                                (wg_key, board_key)
+                            } else {
+                                let keys = comm.broadcast(&ctx, 0, None).into_u64s();
+                                (ShmKey(keys[0]), ShmKey(keys[1]))
+                            };
+                            let wg = client.alloc(&ctx, wg_key).expect("created by master root");
+                            let dw_key = client
+                                .create(&ctx, &format!("dW_grp{g}"), param_len, Some(wire))
+                                .expect("per-group names are unique");
+                            let dw = client.alloc(&ctx, dw_key).expect("just created");
+                            let board = ProgressBoard::attach(&client, &ctx, board_key, groups)
+                                .expect("board sized for groups");
+                            RootHarness { client, buffers: SeasgdBuffers { wg, dw }, board }
+                        });
+
+                        let harness = HybridHarness {
+                            gpu,
+                            group: g,
+                            member: m,
+                            n_groups: groups,
+                            root,
+                            cfg,
+                            target_iters: cfg.max_iters as u64,
                         };
-                        let wg = client.alloc(&ctx, wg_key).expect("created by master root");
-                        let dw_key = client
-                            .create(&ctx, &format!("dW_grp{g}"), param_len, Some(wire))
-                            .expect("per-group names are unique");
-                        let dw = client.alloc(&ctx, dw_key).expect("just created");
-                        let board = ProgressBoard::attach(&client, &ctx, board_key, groups)
-                            .expect("board sized for groups");
-                        RootHarness { client, buffers: SeasgdBuffers { wg, dw }, board }
+                        let outcome = run_group_member(&ctx, harness, &mut trainer)
+                            .expect("smb operations on live segments succeed");
+                        sink.file((outcome.report, outcome.evals));
+                        if global_rank == 0 {
+                            sink.final_weights(weights_of(&mut trainer));
+                        }
                     });
-
-                    let harness = HybridHarness {
-                        gpu,
-                        group: g,
-                        member: m,
-                        n_groups: groups,
-                        root,
-                        cfg,
-                        target_iters: cfg.max_iters as u64,
-                    };
-                    let outcome = run_group_member(&ctx, harness, &mut trainer)
-                        .expect("smb operations on live segments succeed");
-                    let mut report = report.lock();
-                    report.workers[global_rank] = outcome.report;
-                    if global_rank == 0 {
-                        report.evals = outcome.evals;
-                        let mut final_w = vec![0.0f32; param_len];
-                        trainer.read_weights(&mut final_w);
-                        report.final_weights = Some(final_w);
-                    }
-                });
+                }
             }
-        }
-
-        let wall = run_sim(sim)?;
-        let mut final_report =
-            Arc::try_unwrap(report).map(Mutex::into_inner).unwrap_or_else(|arc| arc.lock().clone());
-        final_report.wall = wall;
-        Ok(final_report)
+        })
     }
 }
 

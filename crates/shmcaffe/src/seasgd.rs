@@ -53,6 +53,7 @@ use shmcaffe_smb::progress::ProgressBoard;
 use shmcaffe_smb::{RetryPolicy, SmbBuffer, SmbClient, SmbError, SmbServer};
 
 use crate::config::{ShmCaffeConfig, DEFAULT_EXCHANGE_CHUNKS};
+use crate::platforms::fleet::StepLog;
 use crate::report::{EvalPoint, WorkerReport};
 use crate::trainer::Trainer;
 use crate::PlatformError;
@@ -824,6 +825,31 @@ impl ElasticExchanger {
             }
         }
     }
+
+    /// Retires the exchanger into its owner's books: adds what the update
+    /// threads dropped, buffered and replayed to `report` (added, so the
+    /// incarnations of a rejoined worker sum), then [`Self::finish`]es.
+    pub(crate) fn retire(self, ctx: &SimContext, report: &mut WorkerReport) {
+        report.dropped_updates += self.dropped_updates();
+        let degraded = self.degraded_stats();
+        report.partition_buffered += degraded.partition_buffered;
+        report.partition_dropped += degraded.partition_dropped;
+        report.reconciled_updates += degraded.reconciled_updates;
+        self.finish(ctx);
+    }
+}
+
+/// Copies the SMB trouble `client` saw over its lifetime — faults, retries,
+/// fenced writes, corruptions — into its owner's `report`.
+pub(crate) fn record_client_faults(report: &mut WorkerReport, client: &SmbClient) {
+    let stats = client.fault_stats();
+    report.faults = stats.faults;
+    report.retries = stats.retries;
+    report.recovery_ms = stats.max_recovery_ms;
+    report.fenced_writes = stats.fenced;
+    report.corruptions_detected = stats.corruptions_detected;
+    report.corruptions_repaired = stats.corruptions_repaired;
+    report.corruptions_unrepairable = stats.corruptions_unrepairable;
 }
 
 /// One lane's update thread: receives mixed ΔW tiles in grid order and
@@ -1082,21 +1108,15 @@ pub fn run_worker<T: Trainer>(
 ) -> Result<SeasgdOutcome, PlatformError> {
     let SeasgdHarness { client, mut buffers, board, cfg, rank, target_iters, crash_at, checkpoint } =
         harness;
-    let mut report = WorkerReport::new(rank);
-    let mut evals = Vec::new();
+    let mut log = StepLog::new(rank, cfg.eval_every);
     let param_len = trainer.param_len();
     let wire_bytes = trainer.wire_bytes();
+    let spawn = |buffers, label: &str| {
+        ElasticExchanger::spawn(ctx, client.clone(), buffers, param_len, wire_bytes, &cfg, label)
+    };
 
     // `None` only between a crash and a successful rejoin.
-    let mut exchanger = Some(ElasticExchanger::spawn(
-        ctx,
-        client.clone(),
-        buffers,
-        param_len,
-        wire_bytes,
-        &cfg,
-        &format!("w{rank}"),
-    ));
+    let mut exchanger = Some(spawn(buffers, &format!("w{rank}")));
     // Retry policy for this worker's checkpoint traffic, seeded apart from
     // the exchanger's stream so both stay deterministic.
     let ckpt_retry = RetryPolicy {
@@ -1104,7 +1124,6 @@ pub fn run_worker<T: Trainer>(
         deadline: SimDuration::from_millis(500),
         ..RetryPolicy::with_seed(cfg.seed.wrapping_add(0xC4B7 + rank as u64))
     };
-    let mut loss_ema = f32::NAN;
     let mut iter: u64 = 0;
     let mut stop = false;
 
@@ -1114,15 +1133,10 @@ pub fn run_worker<T: Trainer>(
         // dead process's update thread. With a checkpoint plan and a
         // rejoin delay configured, the crashed rank later comes back and
         // resumes from the latest center-variable checkpoint.
-        if !report.crashed && crash_at.is_some_and(|t| ctx.now() >= t) {
-            report.crashed = true;
+        if !log.report.crashed && crash_at.is_some_and(|t| ctx.now() >= t) {
+            log.report.crashed = true;
             let dead = exchanger.take().expect("live incarnation has an exchanger");
-            report.dropped_updates += dead.dropped_updates();
-            let degraded = dead.degraded_stats();
-            report.partition_buffered += degraded.partition_buffered;
-            report.partition_dropped += degraded.partition_dropped;
-            report.reconciled_updates += degraded.reconciled_updates;
-            dead.finish(ctx);
+            dead.retire(ctx, &mut log.report);
             let (Some(ckpt), Some(delay)) = (checkpoint, cfg.rejoin_delay) else { break };
             ctx.sleep(delay);
             // Elastic rejoin: read the checkpoint metadata first (the
@@ -1160,37 +1174,28 @@ pub fn run_worker<T: Trainer>(
             // checkpoint this worker restarts from.
             let snap = board.snapshot(&client, ctx)?;
             let fleet_max = snap.workers.iter().map(|p| p.iterations).max().unwrap_or(0);
-            report.rejoin_staleness_iters = fleet_max.saturating_sub(ckpt_iter);
-            report.rejoined = true;
-            exchanger = Some(ElasticExchanger::spawn(
-                ctx,
-                client.clone(),
-                buffers,
-                param_len,
-                wire_bytes,
-                &cfg,
-                &format!("w{rank}_r"),
-            ));
-            loss_ema = f32::NAN;
+            log.report.rejoin_staleness_iters = fleet_max.saturating_sub(ckpt_iter);
+            log.report.rejoined = true;
+            exchanger = Some(spawn(buffers, &format!("w{rank}_r")));
+            log.reset_loss();
             iter = ckpt_iter;
             continue;
         }
         let exchanger = exchanger.as_mut().expect("only a crashed incarnation lacks one");
         if iter.is_multiple_of(cfg.update_interval as u64) {
             let comm = exchanger.exchange(ctx, trainer)?;
-            report.comm_ms.record_duration_ms(comm);
+            log.report.comm_ms.record_duration_ms(comm);
             let phases = exchanger.phase_times();
-            report.wait_ms.record_duration_ms(phases.wait);
-            report.read_ms.record_duration_ms(phases.read);
-            report.mix_ms.record_duration_ms(phases.mix);
+            log.report.wait_ms.record_duration_ms(phases.wait);
+            log.report.read_ms.record_duration_ms(phases.read);
+            log.report.mix_ms.record_duration_ms(phases.mix);
         }
 
         // T4 + T5: train one minibatch and apply the local update (eq. 2).
         let comp_start = ctx.now();
         let loss = trainer.compute_gradients(ctx);
         trainer.apply_update(ctx);
-        report.comp_ms.record_duration_ms(ctx.now() - comp_start);
-        loss_ema = if loss_ema.is_nan() { loss } else { 0.9 * loss_ema + 0.1 * loss };
+        log.report.comp_ms.record_duration_ms(ctx.now() - comp_start);
         iter += 1;
 
         // Center-variable checkpointing (rank 0 only): publish the W_g
@@ -1211,18 +1216,8 @@ pub fn run_worker<T: Trainer>(
             }
         }
 
-        // Convergence instrumentation (rank 0 only).
-        if rank == 0 && cfg.eval_every > 0 && iter.is_multiple_of(cfg.eval_every as u64) {
-            if let Some(sample) = trainer.evaluate() {
-                evals.push(EvalPoint {
-                    iter,
-                    time: ctx.now(),
-                    loss: sample.loss,
-                    top1: sample.top1,
-                    topk: sample.topk,
-                });
-            }
-        }
+        // Loss average and convergence instrumentation (rank 0 evaluates).
+        log.close(ctx, trainer, iter, loss);
 
         // Progress sharing and termination alignment (§III-E). The
         // heartbeat keeps this worker's SMB leases alive; a crashed worker
@@ -1236,30 +1231,16 @@ pub fn run_worker<T: Trainer>(
     }
 
     if let Some(live) = exchanger {
-        report.dropped_updates += live.dropped_updates();
-        let degraded = live.degraded_stats();
-        report.partition_buffered += degraded.partition_buffered;
-        report.partition_dropped += degraded.partition_dropped;
-        report.reconciled_updates += degraded.reconciled_updates;
-        live.finish(ctx);
+        live.retire(ctx, &mut log.report);
     }
     // A rejoined worker finished a full incarnation and must announce it;
     // a worker that died without rejoining never reaches the board again.
-    if !report.crashed || report.rejoined {
+    if !log.report.crashed || log.report.rejoined {
         board.publish(&client, ctx, rank, iter, true)?;
     }
 
-    let fault_stats = client.fault_stats();
-    report.faults = fault_stats.faults;
-    report.retries = fault_stats.retries;
-    report.recovery_ms = fault_stats.max_recovery_ms;
-    report.fenced_writes = fault_stats.fenced;
-    report.corruptions_detected = fault_stats.corruptions_detected;
-    report.corruptions_repaired = fault_stats.corruptions_repaired;
-    report.corruptions_unrepairable = fault_stats.corruptions_unrepairable;
-    report.iters = iter;
-    report.finished_at = ctx.now();
-    report.final_loss = loss_ema;
+    record_client_faults(&mut log.report, &client);
+    let (report, evals) = log.finish(ctx, iter);
     Ok(SeasgdOutcome { report, evals })
 }
 

@@ -16,10 +16,11 @@ use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe::ShmCaffeConfig;
 use shmcaffe_models::WorkloadModel;
 use shmcaffe_rdma::RdmaFabric;
+use shmcaffe_simnet::fault::FaultPlan;
 use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
-use shmcaffe_simnet::{SimDuration, Simulation};
-use shmcaffe_smb::{SmbClient, SmbCluster};
+use shmcaffe_simnet::{SimContext, SimDuration, SimTime, Simulation};
+use shmcaffe_smb::{RetryPolicy, SmbClient, SmbCluster, SmbPair, SmbServerConfig};
 use shmcaffe_tensor::parallel;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -34,9 +35,32 @@ fn final_weights(chunk_elems: Option<usize>) -> Vec<f32> {
     final_weights_sharded(1, chunk_elems)
 }
 
+/// One exchanger lane per client, in parameter order: lane `k` holds
+/// `bounds[k]..bounds[k + 1]` of the vector in its own `W_g`/`ΔW` segments,
+/// `W_g` seeded from `w0`.
+fn seeded_lanes(
+    ctx: &SimContext,
+    clients: Vec<SmbClient>,
+    bounds: &[usize],
+    wire: u64,
+    w0: &[f32],
+) -> Vec<(SmbClient, SeasgdBuffers)> {
+    let lane = |(k, client): (usize, SmbClient)| {
+        let (lo, hi) = (bounds[k], bounds[k + 1]);
+        let lane_wire = wire * (hi - lo) as u64 / w0.len() as u64;
+        let create = |name: &str| {
+            let key = client.create(ctx, name, hi - lo, Some(lane_wire));
+            client.alloc(ctx, key.expect("unique names")).expect("just created")
+        };
+        let (wg, dw) = (create("W_g"), create("dW_0"));
+        client.write(ctx, &wg, &w0[lo..hi]).expect("sizes match");
+        (client, SeasgdBuffers { wg, dw })
+    };
+    clients.into_iter().enumerate().map(lane).collect()
+}
+
 /// [`final_weights`] with the buffers striped over `shards` memory servers
-/// (one exchanger lane each, split at `i * len / shards` like
-/// `SmbCluster`'s own).
+/// (one exchanger lane each, split at [`SmbCluster::bounds`]).
 fn final_weights_sharded(shards: usize, chunk_elems: Option<usize>) -> Vec<f32> {
     let spec = ClusterSpec { memory_servers: shards, ..ClusterSpec::paper_testbed(1) };
     let cluster = SmbCluster::new(RdmaFabric::new(Fabric::new(spec))).expect("fresh fabric");
@@ -52,7 +76,6 @@ fn final_weights_sharded(shards: usize, chunk_elems: Option<usize>) -> Vec<f32> 
 
     let mut sim = Simulation::new();
     {
-        let servers = cluster.servers().to_vec();
         let out = Arc::clone(&out);
         sim.spawn("worker", move |ctx| {
             let mut trainer = factory.make(0, 1);
@@ -60,19 +83,9 @@ fn final_weights_sharded(shards: usize, chunk_elems: Option<usize>) -> Vec<f32> 
             let wire = trainer.wire_bytes();
             let mut w0 = vec![0.0f32; param_len];
             trainer.read_weights(&mut w0);
-            let mut parts = Vec::with_capacity(shards);
-            for (k, server) in servers.into_iter().enumerate() {
-                let (lo, hi) = (k * param_len / shards, (k + 1) * param_len / shards);
-                let lane_wire = wire * (hi - lo) as u64 / param_len as u64;
-                let client = SmbClient::new(server, NodeId(0));
-                let create = |name: &str| {
-                    let key = client.create(&ctx, name, hi - lo, Some(lane_wire));
-                    client.alloc(&ctx, key.expect("unique names")).expect("just created")
-                };
-                let (wg, dw) = (create("W_g"), create("dW_0"));
-                client.write(&ctx, &wg, &w0[lo..hi]).expect("sizes match");
-                parts.push((client, SeasgdBuffers { wg, dw }));
-            }
+            let clients =
+                cluster.servers().iter().map(|s| SmbClient::new(s.clone(), NodeId(0))).collect();
+            let parts = seeded_lanes(&ctx, clients, &cluster.bounds(param_len), wire, &w0);
 
             let mut ex = ElasticExchanger::spawn_sharded(&ctx, parts, wire, &cfg, "equiv");
             for _ in 0..ITERS {
@@ -152,6 +165,122 @@ fn multi_lane_grids_match_monolithic_bitwise() {
             }
         });
     }
+}
+
+/// What [`sharded_failover_run`] observed.
+#[derive(Debug, PartialEq)]
+struct ShardedRun {
+    /// The worker's mixed weights after the last exchange.
+    wx: Vec<f32>,
+    /// `W_g` as read back from both shards once the last pushes landed.
+    wg: Vec<f32>,
+    /// Per pair: whether its standby was promoted.
+    promoted: Vec<bool>,
+    /// Per lane: transport faults its client observed.
+    faults: Vec<u64>,
+    dropped: u64,
+    end_ns: u64,
+}
+
+/// One worker, twenty exchanges at 30 ms compute over two lanes, each lane
+/// a [`SmbClient::with_failover`] client of its own replicated pair (four
+/// memory servers, 10 ms replication); `crash_at` kills pair 0's primary.
+fn sharded_failover_run(crash_at: Option<SimTime>) -> ShardedRun {
+    const PAIRS: usize = 2;
+    let spec = ClusterSpec { memory_servers: 2 * PAIRS, ..ClusterSpec::paper_testbed(1) };
+    let fabric = match crash_at {
+        Some(at) => {
+            let plan = FaultPlan::new(5).crash_memory_server(NodeId(spec.gpu_nodes), at);
+            Fabric::with_faults(spec, plan)
+        }
+        None => Fabric::new(spec),
+    };
+    let rdma = RdmaFabric::new(fabric);
+    let pairs: Vec<SmbPair> = (0..PAIRS)
+        .map(|k| SmbPair::new_at(rdma.clone(), SmbServerConfig::default(), 2 * k))
+        .collect::<Result<_, _>>()
+        .expect("four memory servers host two pairs");
+    let workload = WorkloadModel::custom("shards", 4_000_000, SimDuration::from_millis(30));
+    let factory = ModeledTrainerFactory::new(workload, JitterModel::NONE, 99);
+    let cfg = ShmCaffeConfig { jitter: JitterModel::NONE, ..Default::default() };
+    let out = Arc::new(Mutex::new(None));
+
+    let mut sim = Simulation::new();
+    for (k, pair) in pairs.iter().cloned().enumerate() {
+        sim.spawn(&format!("replicator{k}"), move |ctx| {
+            pair.run_replicator(&ctx, SimDuration::from_millis(10));
+        });
+    }
+    {
+        let (pairs, out) = (pairs.clone(), Arc::clone(&out));
+        sim.spawn("worker", move |ctx| {
+            let mut trainer = factory.make(0, 1);
+            let param_len = trainer.param_len();
+            let wire = trainer.wire_bytes();
+            let mut w0 = vec![0.0f32; param_len];
+            trainer.read_weights(&mut w0);
+            let bounds: Vec<usize> = (0..=PAIRS).map(|k| k * param_len / PAIRS).collect();
+            let clients =
+                pairs.iter().map(|p| SmbClient::with_failover(p.clone(), NodeId(0))).collect();
+            let parts = seeded_lanes(&ctx, clients, &bounds, wire, &w0);
+
+            let mut ex = ElasticExchanger::spawn_sharded(&ctx, parts.clone(), wire, &cfg, "fo");
+            for _ in 0..20 {
+                let _loss = trainer.compute_gradients(&ctx);
+                trainer.apply_update(&ctx);
+                ex.exchange(&ctx, &mut trainer).expect("every shard fails over by itself");
+            }
+            let wx = ex.mixed_weights().to_vec();
+            let dropped = ex.dropped_updates();
+            ex.finish(&ctx);
+            // Let the last pushes land, then read W_g back shard by shard
+            // (shard 0 from whichever server is its primary by now).
+            ctx.sleep(SimDuration::from_millis(100));
+            let retry = RetryPolicy::with_seed(1);
+            let mut wg = vec![0.0f32; param_len];
+            for (k, (client, bufs)) in parts.iter().enumerate() {
+                client
+                    .read_retrying(&ctx, &bufs.wg, &mut wg[bounds[k]..bounds[k + 1]], &retry)
+                    .expect("the shard's current primary serves the read");
+            }
+            for pair in &pairs {
+                pair.stop_replicator();
+            }
+            *out.lock().expect("worker is the only writer") = Some(ShardedRun {
+                wx,
+                wg,
+                promoted: pairs.iter().map(SmbPair::promoted).collect(),
+                faults: parts.iter().map(|(c, _)| c.fault_stats().faults).collect(),
+                dropped,
+                end_ns: ctx.now().as_nanos(),
+            });
+        });
+    }
+    sim.run();
+    let run = out.lock().expect("simulation finished").take();
+    run.expect("worker finished")
+}
+
+/// Lanes subsume the deleted `ShardedClient`: a lane takes *any*
+/// `SmbClient`, so a sharded deployment of replicated pairs fails over
+/// shard by shard through the one op pipeline. Pair 0's primary dies at
+/// 200 ms: its lane retries, promotes its standby and refolds; pair 1
+/// never notices; nothing is dropped and both shards end bit-identical to
+/// the crash-free run.
+#[test]
+fn sharded_lanes_fail_over_per_shard() {
+    let clean = sharded_failover_run(None);
+    let crashed = sharded_failover_run(Some(SimTime::from_millis(200)));
+    assert_eq!(clean.promoted, [false, false]);
+    assert_eq!(clean.faults, [0, 0]);
+    assert_eq!(crashed.promoted, [true, false], "only the crashed shard's pair promotes");
+    assert!(crashed.faults[0] > 0, "lane 0 must have hit the dead primary");
+    assert_eq!(crashed.faults[1], 0, "lane 1 never sees the fault");
+    assert_eq!((clean.dropped, crashed.dropped), (0, 0));
+    assert_bit_identical(&clean.wx, &crashed.wx, "mixed weights across the fail-over");
+    assert_bit_identical(&clean.wg, &crashed.wg, "W_g in both shards across the fail-over");
+    assert!(clean.wg != vec![0.0; PARAM_LEN], "the exchanges moved W_g");
+    assert_eq!(crashed, sharded_failover_run(Some(SimTime::from_millis(200))), "rerun");
 }
 
 /// The default auto grid (`exchange_chunk_elems = 0`, sixteen tiles) is

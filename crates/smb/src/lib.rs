@@ -60,4 +60,4 @@ pub use error::SmbError;
 pub use replica::{ServerRole, SmbPair};
 pub use retry::RetryPolicy;
 pub use server::{ShmKey, SmbServer, SmbServerConfig};
-pub use sharded::{ShardedBuffer, ShardedClient, ShardedKey, SmbCluster};
+pub use sharded::SmbCluster;

@@ -167,8 +167,24 @@ impl SmbPair {
     /// Returns [`SmbError::NoMemoryServer`] unless the fabric has at least
     /// two memory servers (`ClusterSpec::memory_servers >= 2`).
     pub fn new(rdma: RdmaFabric, config: SmbServerConfig) -> Result<Self, SmbError> {
-        let primary = SmbServer::with_config_at(rdma.clone(), config, 0)?;
-        let standby = SmbServer::with_config_at(rdma, config, 1)?;
+        Self::new_at(rdma, config, 0)
+    }
+
+    /// Builds a pair over memory-server endpoints `first` (primary) and
+    /// `first + 1` (standby): a sharded deployment is one pair per shard,
+    /// at `first = 0, 2, 4, …`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmbError::NoMemoryServer`] if either endpoint does not
+    /// exist.
+    pub fn new_at(
+        rdma: RdmaFabric,
+        config: SmbServerConfig,
+        first: usize,
+    ) -> Result<Self, SmbError> {
+        let primary = SmbServer::with_config_at(rdma.clone(), config, first)?;
+        let standby = SmbServer::with_config_at(rdma, config, first + 1)?;
         let fence_region = crate::server::pseudo_region(
             "smb.fence",
             ((primary.node().0 as u64) << 32) | standby.node().0 as u64,

@@ -9,7 +9,7 @@ use shmcaffe_rdma::{MemoryRegion, RdmaFabric};
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::resource::{BandwidthResource, LinkModel};
 use shmcaffe_simnet::topology::NodeId;
-use shmcaffe_simnet::{SimContext, SimDuration, SimTime};
+use shmcaffe_simnet::{FootprintKind, SimContext, SimDuration, SimTime};
 use shmcaffe_tensor::crc32c::{crc32c_append, crc32c_finish, CRC32C_INIT};
 
 use crate::crc::crc32c_f32;
@@ -162,12 +162,7 @@ impl Grid<'_> {
         if crc32c_f32(&self.bytes[self.span(page)]) == self.crcs[page] {
             return Ok(());
         }
-        ctx.footprint(
-            pseudo_region("smb.poison", self.key.0),
-            page,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicWrite,
-        );
+        mark(ctx, "smb.poison", self.key.0, page..page + 1, FootprintKind::AtomicWrite);
         self.poisoned.insert(page);
         self.server.corruptions_detected.fetch_add(1, Ordering::Relaxed);
         Err(corrupted)
@@ -225,6 +220,18 @@ pub(crate) fn pseudo_region(salt: &str, key: u64) -> u64 {
     h.write_bytes(salt.as_bytes());
     h.write_u64(key);
     h.finish() | (1 << 63)
+}
+
+/// The one exploration-footprint guard of the control-plane tables: a
+/// `kind` access to `cells` of row `row` of table `table`.
+fn mark(
+    ctx: &SimContext,
+    table: &str,
+    row: u64,
+    cells: std::ops::Range<usize>,
+    kind: FootprintKind,
+) {
+    ctx.footprint(pseudo_region(table, row), cells.start, cells.len(), kind);
 }
 
 #[derive(Debug, Clone)]
@@ -551,12 +558,7 @@ impl SmbServer {
     /// holds. Workers call this (via [`crate::SmbClient::heartbeat`]) at
     /// least once per exchange round; a crashed worker stops.
     pub fn touch_owner(&self, ctx: &SimContext, owner: usize) {
-        ctx.footprint(
-            pseudo_region("smb.leases", self.inner.node.0 as u64),
-            0,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicWrite,
-        );
+        mark(ctx, "smb.leases", self.inner.node.0 as u64, 0..1, FootprintKind::AtomicWrite);
         let now = ctx.now();
         #[cfg(feature = "race-detect")]
         let stamp = ctx.vc_stamp();
@@ -584,18 +586,8 @@ impl SmbServer {
     pub fn evict_stale(&self, ctx: &SimContext) -> Vec<ShmKey> {
         // Eviction reads the lease table and mutates the tombstone table;
         // neither commutes with heartbeats or rejoin acknowledgements.
-        ctx.footprint(
-            pseudo_region("smb.leases", self.inner.node.0 as u64),
-            0,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicRead,
-        );
-        ctx.footprint(
-            pseudo_region("smb.tombstones", self.inner.node.0 as u64),
-            0,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicRmw,
-        );
+        mark(ctx, "smb.leases", self.inner.node.0 as u64, 0..1, FootprintKind::AtomicRead);
+        mark(ctx, "smb.tombstones", self.inner.node.0 as u64, 0..1, FootprintKind::AtomicRmw);
         let now = ctx.now();
         let timeout = self.inner.config.lease_timeout;
         let stale: Vec<(ShmKey, usize)> = {
@@ -639,12 +631,7 @@ impl SmbServer {
     /// (via [`crate::SmbClient::ack_eviction`]) before re-creating its
     /// buffers. Returns how many tombstones were reclaimed.
     pub fn ack_eviction(&self, ctx: &SimContext, owner: usize) -> usize {
-        ctx.footprint(
-            pseudo_region("smb.tombstones", self.inner.node.0 as u64),
-            0,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicRmw,
-        );
+        mark(ctx, "smb.tombstones", self.inner.node.0 as u64, 0..1, FootprintKind::AtomicRmw);
         let mut evicted = self.inner.evicted.lock();
         let before = evicted.len();
         evicted.retain(|_, t| t.owner != owner);
@@ -703,7 +690,6 @@ impl SmbServer {
         // is the exact span: disjoint chunks from different workers do not
         // conflict, overlapping ones serialise as RMWs.
         {
-            use shmcaffe_simnet::FootprintKind;
             ctx.footprint(src_mr.rkey.0, offset, len, FootprintKind::AtomicRead);
             ctx.footprint(dst_mr.rkey.0, offset, len, FootprintKind::AtomicRmw);
         }
@@ -746,24 +732,14 @@ impl SmbServer {
     /// caller's per-chunk control round trips already pay for the stream's
     /// signalling.
     pub fn begin_accumulate_stream(&self, ctx: &SimContext, key: ShmKey) {
-        ctx.footprint(
-            pseudo_region("smb.stream", key.0),
-            0,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicRmw,
-        );
+        mark(ctx, "smb.stream", key.0, 0..1, FootprintKind::AtomicRmw);
         *self.inner.streams.lock().entry(key).or_insert(0) += 1;
     }
 
     /// Closes one accumulate stream opened by
     /// [`SmbServer::begin_accumulate_stream`].
     pub fn end_accumulate_stream(&self, ctx: &SimContext, key: ShmKey) {
-        ctx.footprint(
-            pseudo_region("smb.stream", key.0),
-            0,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicRmw,
-        );
+        mark(ctx, "smb.stream", key.0, 0..1, FootprintKind::AtomicRmw);
         let mut streams = self.inner.streams.lock();
         if let Some(count) = streams.get_mut(&key) {
             *count = count.saturating_sub(1);
@@ -775,12 +751,7 @@ impl SmbServer {
 
     /// Whether any accumulate stream is currently open on `key`.
     pub(crate) fn stream_open(&self, ctx: &SimContext, key: ShmKey) -> bool {
-        ctx.footprint(
-            pseudo_region("smb.stream", key.0),
-            0,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicRead,
-        );
+        mark(ctx, "smb.stream", key.0, 0..1, FootprintKind::AtomicRead);
         self.inner.streams.lock().get(&key).is_some_and(|&c| c > 0)
     }
 
@@ -789,12 +760,7 @@ impl SmbServer {
     pub(crate) fn bump_version(&self, ctx: &SimContext, key: ShmKey) -> u64 {
         // Version bumps on the same key never commute for exploration
         // purposes: subscribers observe the intermediate values.
-        ctx.footprint(
-            pseudo_region("smb.version", key.0),
-            0,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicRmw,
-        );
+        mark(ctx, "smb.version", key.0, 0..1, FootprintKind::AtomicRmw);
         let version = {
             let mut segments = self.inner.segments.lock();
             match segments.get_mut(&key) {
@@ -989,12 +955,7 @@ impl SmbServer {
             if pages.is_empty() {
                 return Ok(());
             }
-            ctx.footprint(
-                pseudo_region("smb.poison", key.0),
-                pages.start,
-                pages.len(),
-                shmcaffe_simnet::FootprintKind::AtomicRead,
-            );
+            mark(ctx, "smb.poison", key.0, pages.clone(), FootprintKind::AtomicRead);
             for page in pages {
                 grid.verify(ctx, page)?;
             }
@@ -1015,12 +976,7 @@ impl SmbServer {
         }
         let _ = self.with_grid(key, |grid| {
             let pages = grid.pages(offset, data.len());
-            ctx.footprint(
-                pseudo_region("smb.poison", key.0),
-                pages.start,
-                pages.len(),
-                shmcaffe_simnet::FootprintKind::AtomicWrite,
-            );
+            mark(ctx, "smb.poison", key.0, pages.clone(), FootprintKind::AtomicWrite);
             for page in pages {
                 grid.record_overlay(page, offset, data);
             }
@@ -1114,18 +1070,8 @@ impl SmbServer {
             if span.len() != data.len() {
                 return Err(SmbError::SizeMismatch { key, expected: span.len(), got: data.len() });
             }
-            ctx.footprint(
-                pseudo_region("smb.poison", key.0),
-                page,
-                1,
-                shmcaffe_simnet::FootprintKind::AtomicRmw,
-            );
-            ctx.footprint(
-                grid.mr.rkey.0,
-                span.start,
-                span.len(),
-                shmcaffe_simnet::FootprintKind::AtomicRmw,
-            );
+            mark(ctx, "smb.poison", key.0, page..page + 1, FootprintKind::AtomicRmw);
+            ctx.footprint(grid.mr.rkey.0, span.start, span.len(), FootprintKind::AtomicRmw);
             #[cfg(feature = "race-detect")]
             self.inner.rdma.race_detector().record(
                 ctx,
@@ -1145,12 +1091,7 @@ impl SmbServer {
     /// Whether a page is currently poisoned (footprinted so the explorer
     /// orders this check against poisoning and repair).
     pub(crate) fn page_poisoned(&self, ctx: &SimContext, key: ShmKey, page: usize) -> bool {
-        ctx.footprint(
-            pseudo_region("smb.poison", key.0),
-            page,
-            1,
-            shmcaffe_simnet::FootprintKind::AtomicRead,
-        );
+        mark(ctx, "smb.poison", key.0, page..page + 1, FootprintKind::AtomicRead);
         self.inner.segments.lock().get(&key).is_some_and(|seg| seg.poisoned.contains(&page))
     }
 
@@ -1269,12 +1210,7 @@ impl SmbServer {
                 continue;
             }
             let _ = self.grid_of(key, seg, |grid| {
-                ctx.footprint(
-                    pseudo_region("smb.poison", key.0),
-                    0,
-                    grid.crcs.len(),
-                    shmcaffe_simnet::FootprintKind::AtomicRead,
-                );
+                mark(ctx, "smb.poison", key.0, 0..grid.crcs.len(), FootprintKind::AtomicRead);
                 for page in 0..grid.crcs.len() {
                     if !grid.poisoned.contains(&page) && grid.verify(ctx, page).is_err() {
                         newly += 1;

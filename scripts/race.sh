@@ -6,7 +6,10 @@
 # named suites the two callers used to spell out one by one are all
 # included: SMB seeded-race / failover / fence-chain / repair / chunk+tile
 # proofs (`crates/smb/tests/race_detect.rs`), the op-matrix golden, and the
-# SEASGD chaos / failover / partition scenarios (`crates/shmcaffe/tests/`).
+# SEASGD chaos / failover / partition scenarios, the per-shard fail-over
+# of sharded lanes (`exchange_equivalence.rs::
+# sharded_lanes_fail_over_per_shard`) and the platform goldens
+# (`crates/shmcaffe/tests/`).
 #
 #   scripts/race.sh            # quiet
 #   scripts/race.sh --verbose  # per-test output (CI logs)
