@@ -2,14 +2,15 @@
 //!
 //! 1. `update_interval` sweep — communication every k-th iteration,
 //! 2. `moving_rate` sweep — the elastic coefficient α,
-//! 3. hide-the-global-read — the §III-G trade-off the paper decides
-//!    against,
+//! 3. (hide-the-global-read, the §III-G trade-off the paper decides
+//!    against: the mode was deleted; its last numbers are in
+//!    EXPERIMENTS.md),
 //! 4. straggler sensitivity — SSGD's max-of-N penalty vs SEASGD's
 //!    indifference as jitter grows,
 //! 5. multiple SMB servers — the paper's §V future work: the production
 //!    exchanger with one lane per server,
 //! 6. the exchange protocol — the paper's (one tile, one SMB stream, read
-//!    after the update; what the `fig*`/`table*` binaries measure) against
+//!    after the update; what the `paper` driver measures) against
 //!    the library default (striped read window, early start under the
 //!    group all-reduce).
 //!
@@ -94,36 +95,6 @@ fn moving_rate_sweep() {
     println!("EASGD is only stable while N·α stays below ~2 (Zhang et al. scale");
     println!("α = β/N); with 4 workers, α ≥ 0.5 genuinely diverges — the paper's");
     println!("α = 0.2 at up to 16 workers sits near that boundary\n");
-}
-
-fn hide_read_ablation() {
-    let mut table = Table::new(
-        "Ablation 3: hiding the global-weight read (ShmCaffe-A, Inception_v1)",
-        &["GPUs", "read visible (ms/iter)", "read hidden (ms/iter)", "hidden is stale?"],
-    );
-    for gpus in [2usize, 8, 16] {
-        let run = |hide: bool| {
-            let cfg = ShmCaffeConfig {
-                max_iters: ITERS,
-                hide_global_read: hide,
-                progress_every: 25,
-                ..Default::default()
-            };
-            ShmCaffeA::new(ClusterSpec::paper_testbed(4), gpus, cfg)
-                .run(factory(CnnModel::InceptionV1, JitterModel::NONE))
-                .expect("platform runs")
-                .mean_iter_ms()
-        };
-        table.row_owned(vec![
-            gpus.to_string(),
-            ms(run(false)),
-            ms(run(true)),
-            "yes (one exchange old)".to_string(),
-        ]);
-    }
-    table.print();
-    println!("hiding the read buys little once the server saturates, and the");
-    println!("paper rejects it anyway: stale W_g worsens convergence (§III-G)\n");
 }
 
 fn straggler_sensitivity() {
@@ -300,7 +271,6 @@ fn main() {
     println!("ShmCaffe ablations (DESIGN.md §5)\n");
     update_interval_sweep();
     moving_rate_sweep();
-    hide_read_ablation();
     straggler_sensitivity();
     multi_smb_servers();
     exchange_protocol();

@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe::ShmCaffeConfig;
-use shmcaffe_bench::json::{repo_root, write_bench_json, Json};
+use shmcaffe_bench::json::{record_or_check, Json};
 use shmcaffe_bench::table::Table;
 use shmcaffe_models::{CnnModel, WorkloadModel};
 use shmcaffe_rdma::RdmaFabric;
@@ -275,31 +275,7 @@ fn main() {
         ("table", Json::from(&table)),
     ]);
     let check = args.iter().any(|a| a == "--check");
-    let mut reproduced = true;
-    if check {
-        let path = repo_root().join("BENCH_comm.json");
-        let recorded = std::fs::read_to_string(&path).unwrap_or_default();
-        let fresh = doc.render();
-        reproduced = fresh == recorded;
-        if reproduced {
-            println!("{} reproduces exactly", path.display());
-        } else {
-            // Name the first line that differs (or where the shorter ends).
-            let at = fresh.lines().zip(recorded.lines()).take_while(|(a, b)| a == b).count();
-            eprintln!(
-                "FAIL: {} differs from this run at line {}:\n  recorded: {}\n  measured: {}",
-                path.display(),
-                at + 1,
-                recorded.lines().nth(at).unwrap_or("<end of file>"),
-                fresh.lines().nth(at).unwrap_or("<end of file>"),
-            );
-        }
-    } else {
-        match write_bench_json("comm", &doc) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write BENCH_comm.json: {e}"),
-        }
-    }
+    let recorded = record_or_check("comm", &doc, check);
     println!("\nlargest model chunked-vs-monolithic speedup: {largest_speedup:.2}x");
     let met = worst_ratio <= TARGET_RATIO;
     println!(
@@ -307,7 +283,7 @@ fn main() {
          (target <= {TARGET_RATIO:.2}: {})",
         if met { "met" } else { "MISSED" }
     );
-    if check && !(reproduced && met) {
+    if !recorded || (check && !met) {
         std::process::exit(1);
     }
 }

@@ -1,7 +1,6 @@
 //! Robustness sweep: fault rate × platform.
 //!
-//! Three experiments, reported in the `fig09_table2_training_time` table
-//! format:
+//! Five experiments, one table each:
 //!
 //! 1. **Transient-fault sweep** — ShmCaffe-A under a per-operation failure
 //!    probability of 0/1/5/10% on the SMB transport. The retry layer rides
@@ -26,16 +25,18 @@
 //!    and the final-loss delta against a fault-free paged run.
 //!
 //! Everything is seeded: rerunning the binary reproduces identical tables.
-//! With `SHMCAFFE_BENCH_JSON` set the failover and partition sweeps (plus
-//! the other two tables) are written to `BENCH_fault.json` at the repo
-//! root.
+//! The five tables are recorded in `BENCH_fault.json` at the repo root;
+//! `--check` re-runs them and, instead of writing, fails on the first line
+//! that differs from the checked-in file. (MPICaffe's deliberate abort
+//! prints caught-panic backtraces on stderr; they are not part of the
+//! record.)
 //!
 //! Run with `cargo run --release -p shmcaffe-bench --bin fault_sweep`.
 
 use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, SsgdConfig};
 use shmcaffe::trainer::ModeledTrainerFactory;
 use shmcaffe::ShmCaffeConfig;
-use shmcaffe_bench::json::{emit_figure, Json};
+use shmcaffe_bench::json::{record_or_check, Json};
 use shmcaffe_bench::table::Table;
 use shmcaffe_models::{CnnModel, WorkloadModel};
 use shmcaffe_simnet::fault::FaultPlan;
@@ -103,29 +104,22 @@ fn main() {
             ..Default::default()
         })
         .run(factory());
+    let wall = |report: &shmcaffe::TrainingReport| format!("{:.3}", report.wall.as_secs_f64());
     match shm {
         Ok(report) => {
             let survivor_iters =
                 report.workers.iter().filter(|w| !w.crashed).map(|w| w.iters).min().unwrap_or(0);
-            crashes.row_owned(vec![
-                "ShmCaffe-A".to_string(),
-                "completed".to_string(),
-                survivor_iters.to_string(),
-                report.crashed_workers().to_string(),
-                format!("{:.3}", report.wall.as_secs_f64()),
-            ]);
+            let crashed = report.crashed_workers().to_string();
+            crashes.row(&[
+                "ShmCaffe-A",
+                "completed",
+                &survivor_iters.to_string(),
+                &crashed,
+                &wall(&report),
+            ])
         }
-        Err(e) => {
-            crashes.row_owned(vec![
-                "ShmCaffe-A".to_string(),
-                format!("FAILED: {e}"),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-            ]);
-        }
-    }
-    let mut abort_reason = None;
+        Err(e) => crashes.row(&["ShmCaffe-A", &format!("FAILED: {e}"), "-", "-", "-"]),
+    };
     let mpi = MpiCaffe::new(
         ClusterSpec::paper_testbed(NODES),
         GPUS,
@@ -133,29 +127,15 @@ fn main() {
     )
     .with_fault_plan(crash())
     .run(factory());
-    match mpi {
+    match &mpi {
         Ok(report) => {
-            crashes.row_owned(vec![
-                "MPICaffe".to_string(),
-                "completed (unexpected)".to_string(),
-                report.workers.iter().map(|w| w.iters).min().unwrap_or(0).to_string(),
-                "0".to_string(),
-                format!("{:.3}", report.wall.as_secs_f64()),
-            ]);
+            let iters = report.workers.iter().map(|w| w.iters).min().unwrap_or(0).to_string();
+            crashes.row(&["MPICaffe", "completed (unexpected)", &iters, "0", &wall(report)])
         }
-        Err(e) => {
-            crashes.row_owned(vec![
-                "MPICaffe".to_string(),
-                "aborted (no recovery path)".to_string(),
-                "-".to_string(),
-                "1".to_string(),
-                "-".to_string(),
-            ]);
-            abort_reason = Some(e);
-        }
-    }
+        Err(_) => crashes.row(&["MPICaffe", "aborted (no recovery path)", "-", "1", "-"]),
+    };
     crashes.print();
-    if let Some(e) = abort_reason {
+    if let Err(e) = mpi {
         println!("MPICaffe abort reason: {e}");
     }
     println!();
@@ -163,17 +143,20 @@ fn main() {
     // Failover sweep: replicated memory-server pair, primary crashed at
     // 25/50/75% of the fault-free wall clock. The first retrying client to
     // hit the dead primary promotes the standby for the whole fleet.
-    let replicated = || ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(NODES) };
-    let primary = NodeId(replicated().gpu_nodes);
-    let run_replicated = |plan: Option<FaultPlan>| {
-        let mut platform = ShmCaffeA::new(replicated(), GPUS, shm_cfg())
-            .with_standby(SimDuration::from_millis(20));
+    let replicated = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(NODES) };
+    let primary = NodeId(replicated.gpu_nodes);
+    // Every remaining experiment runs on the pair, 20 ms replication.
+    let run_pair = |server: SmbServerConfig, plan: Option<FaultPlan>| {
+        let mut platform = ShmCaffeA::new(replicated, GPUS, shm_cfg())
+            .with_standby(SimDuration::from_millis(20))
+            .with_server_config(server);
         if let Some(plan) = plan {
             platform = platform.with_fault_plan(plan);
         }
         platform.run(factory())
     };
-    let clean = run_replicated(None).expect("fault-free replicated run");
+    let plain = SmbServerConfig::default();
+    let clean = run_pair(plain, None).expect("fault-free replicated run");
     let mut failover = Table::new(
         "Primary memory-server crash with standby failover",
         &[
@@ -189,7 +172,7 @@ fn main() {
     for frac in [0.25f64, 0.50, 0.75] {
         let at = SimTime::from_nanos((clean.wall.as_nanos() as f64 * frac) as u64);
         let plan = FaultPlan::new(SEED).crash_memory_server(primary, at);
-        let report = run_replicated(Some(plan)).expect("standby absorbs the primary's crash");
+        let report = run_pair(plain, Some(plan)).expect("standby absorbs the primary's crash");
         failover.row_owned(vec![
             format!("{:.3}", at.as_secs_f64()),
             format!("{:.3}", report.wall.as_secs_f64()),
@@ -206,19 +189,10 @@ fn main() {
     // lapses inside every window, so the stale primary self-fences, the
     // majority side promotes the standby, and the minority rides the
     // outage in degraded mode until the heal.
-    let standby = NodeId(replicated().gpu_nodes + 1);
+    let standby = NodeId(replicated.gpu_nodes + 1);
     let fencing =
         SmbServerConfig { authority_timeout: SimDuration::from_millis(60), ..Default::default() };
-    let run_partitioned = |plan: Option<FaultPlan>| {
-        let mut platform = ShmCaffeA::new(replicated(), GPUS, shm_cfg())
-            .with_standby(SimDuration::from_millis(20))
-            .with_server_config(fencing);
-        if let Some(plan) = plan {
-            platform = platform.with_fault_plan(plan);
-        }
-        platform.run(factory())
-    };
-    let part_clean = run_partitioned(None).expect("fault-free fenced run");
+    let part_clean = run_pair(fencing, None).expect("fault-free fenced run");
     let mut partition = Table::new(
         "200 ms split-brain partition isolating the primary",
         &[
@@ -240,7 +214,7 @@ fn main() {
             at,
             Some(heal),
         );
-        let report = run_partitioned(Some(plan)).expect("fencing absorbs the split brain");
+        let report = run_pair(fencing, Some(plan)).expect("fencing absorbs the split brain");
         partition.row_owned(vec![
             format!("{:.3}", at.as_secs_f64()),
             format!("{:.3}", report.wall.as_secs_f64()),
@@ -278,18 +252,10 @@ fn main() {
         for &at in &decay_times {
             plan = plan.decay_dram(primary, at);
         }
-        ShmCaffeA::new(replicated(), GPUS, shm_cfg())
-            .with_standby(SimDuration::from_millis(20))
-            .with_server_config(paged(scrub_ms))
-            .with_fault_plan(plan)
-            .run(factory())
+        run_pair(paged(scrub_ms), Some(plan))
             .expect("the CRC grid + standby repair absorb seeded corruption")
     };
-    let paged_clean = ShmCaffeA::new(replicated(), GPUS, shm_cfg())
-        .with_standby(SimDuration::from_millis(20))
-        .with_server_config(paged(10))
-        .run(factory())
-        .expect("fault-free paged run");
+    let paged_clean = run_pair(paged(10), None).expect("fault-free paged run");
     let base_loss = clean_mean_loss(&paged_clean);
     let mut corruption = Table::new(
         "Wire flips + DRAM decay on a CRC-paged pair (repair from standby)",
@@ -319,22 +285,21 @@ fn main() {
     }
     corruption.print();
     println!();
-    emit_figure(
-        "fault",
-        &failover,
-        vec![
-            ("clean_wall_s", Json::Num(clean.wall.as_secs_f64())),
-            ("replication_interval_ms", Json::Int(20)),
-            ("authority_timeout_ms", Json::Int(60)),
-            ("transient", Json::from(&transient)),
-            ("worker_crash", Json::from(&crashes)),
-            ("partition", Json::from(&partition)),
-            ("corruption", Json::from(&corruption)),
-            ("corruption_page_elems", Json::Int(65_536)),
-            ("seed", Json::Int(SEED as i64)),
-            ("fault_seed", Json::Int(SEED as i64)),
-        ],
-    );
+    failover.print();
+    let doc = Json::obj(vec![
+        ("benchmark", Json::str("fault_sweep")),
+        ("transient", Json::from(&transient)),
+        ("worker_crash", Json::from(&crashes)),
+        ("failover", Json::from(&failover)),
+        ("clean_wall_s", Json::Num(clean.wall.as_secs_f64())),
+        ("replication_interval_ms", Json::Int(20)),
+        ("partition", Json::from(&partition)),
+        ("authority_timeout_ms", Json::Int(60)),
+        ("corruption", Json::from(&corruption)),
+        ("corruption_page_elems", Json::Int(65_536)),
+        ("seed", Json::Int(SEED as i64)),
+    ]);
+    let recorded = record_or_check("fault", &doc, std::env::args().any(|a| a == "--check"));
     println!();
     println!(
         "SEASGD's elastic averaging absorbs both transient transport faults \
@@ -344,4 +309,7 @@ fn main() {
          split-brain partition of the pair itself; synchronous allreduce \
          has no recovery path and aborts."
     );
+    if !recorded {
+        std::process::exit(1);
+    }
 }

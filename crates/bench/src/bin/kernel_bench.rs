@@ -3,9 +3,11 @@
 //! Measures the parallel compute backend at 1/2/4/8 logical threads (via
 //! `shmcaffe_tensor::parallel::with_threads`, so one process exercises all
 //! schedules) and records the results as `BENCH_kernels.json` at the repo
-//! root — the performance trajectory future PRs are held against. A copy
-//! of the original single-threaded blocked kernel serves as the GEMM
-//! baseline.
+//! root — the performance trajectory future PRs are held against. Thread
+//! counts above the host's `available_parallelism` are not measured in any
+//! table: the file lists them as `skipped_threads` instead of recording
+//! noise as a "speedup". A copy of the original single-threaded blocked
+//! kernel serves as the GEMM baseline.
 //!
 //! Run with `cargo run --release -p shmcaffe-bench --bin kernel_bench`.
 //!
@@ -33,7 +35,7 @@
 //! cheap CI regression gate for the in-image (row band x channel block)
 //! task grid.
 
-use shmcaffe_bench::json::{repo_root, write_bench_json, Json};
+use shmcaffe_bench::json::{record_or_check, repo_root, Json};
 use shmcaffe_bench::table::Table;
 use shmcaffe_dnn::data::Dataset;
 use shmcaffe_dnn::data::SyntheticImages;
@@ -105,7 +107,7 @@ fn seed_gemm_nn(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], 
     }
 }
 
-fn bench_gemm(table: &mut Table) -> Json {
+fn bench_gemm(threads: &[usize], table: &mut Table) -> Json {
     let (m, n, k) = (GEMM_N, GEMM_N, GEMM_N);
     let a = filled(m * k, 0.013);
     let b = filled(k * n, 0.029);
@@ -125,7 +127,7 @@ fn bench_gemm(table: &mut Table) -> Json {
 
     let mut entries = Vec::new();
     let mut one_thread_s = f64::NAN;
-    for &t in &THREAD_COUNTS {
+    for &t in threads {
         let s = parallel::with_threads(t, || {
             time_per_rep(reps, || {
                 gemm(Transpose::No, Transpose::No, m, n, k, 1.0, &a, &b, 0.0, &mut c);
@@ -224,7 +226,7 @@ impl ConvBuffers {
     }
 }
 
-fn bench_conv_case(case: &ConvCase, table: &mut Table) -> Json {
+fn bench_conv_case(case: &ConvCase, threads: &[usize], table: &mut Table) -> Json {
     let geom = case.geom;
     let (batch, out_channels, reps) = (case.batch, case.out_channels, case.reps);
     let spatial = geom.col_cols().expect("valid geometry");
@@ -236,7 +238,7 @@ fn bench_conv_case(case: &ConvCase, table: &mut Table) -> Json {
 
     let mut entries = Vec::new();
     let mut one_thread_s = f64::NAN;
-    for &t in &THREAD_COUNTS {
+    for &t in threads {
         let (fwd_s, bwd_s) = parallel::with_threads(t, || {
             let fwd = time_per_rep(reps, || {
                 conv2d_forward(
@@ -297,8 +299,8 @@ fn bench_conv_case(case: &ConvCase, table: &mut Table) -> Json {
     ])
 }
 
-fn bench_conv(table: &mut Table) -> Json {
-    let cases = conv_cases().iter().map(|c| bench_conv_case(c, table)).collect();
+fn bench_conv(threads: &[usize], table: &mut Table) -> Json {
+    let cases = conv_cases().iter().map(|c| bench_conv_case(c, threads, table)).collect();
     Json::obj(vec![("cases", Json::Arr(cases))])
 }
 
@@ -353,13 +355,13 @@ fn smoke(host_threads: usize) -> i32 {
     }
 }
 
-fn bench_smb_accumulate(table: &mut Table) -> Json {
+fn bench_smb_accumulate(threads: &[usize], table: &mut Table) -> Json {
     const ELEMS: usize = 1 << 20; // 4 MiB of f32 per accumulate
     const ROUNDS: usize = 8;
 
     let mut entries = Vec::new();
     let mut one_thread_s = f64::NAN;
-    for &t in &THREAD_COUNTS {
+    for &t in threads {
         let fabric = Fabric::new(ClusterSpec::paper_testbed(1));
         let server = SmbServer::new(RdmaFabric::new(fabric)).unwrap();
         let wall = Arc::new(Mutex::new(0.0f64));
@@ -465,14 +467,8 @@ fn layer_cases() -> Vec<LayerCase> {
 }
 
 /// The `--layers` table: best-of-N forward / backward / parameters-only
-/// backward per layer geometry, at each thread count the host can really
-/// run. Thread counts above `host_threads` are listed as skipped rather
-/// than published as flat "speedups".
-fn bench_layers(host_threads: usize, table: &mut Table) -> Json {
-    let skipped: Vec<usize> = THREAD_COUNTS.iter().copied().filter(|&t| t > host_threads).collect();
-    if !skipped.is_empty() {
-        println!("threads {skipped:?} skipped: the host has {host_threads} cores\n");
-    }
+/// backward per layer geometry, at each of `threads`.
+fn bench_layers(threads: &[usize], table: &mut Table) -> Json {
     let mut rows = Vec::new();
     for case in &mut layer_cases() {
         let x = Tensor::from_vec(filled(case.in_dims.iter().product(), 0.017), &case.in_dims)
@@ -482,7 +478,7 @@ fn bench_layers(host_threads: usize, table: &mut Table) -> Json {
         let dy = Tensor::from_vec(filled(out_dims.iter().product(), 0.023), &out_dims)
             .expect("dims match length");
         let mut entries = Vec::new();
-        for &t in THREAD_COUNTS.iter().filter(|&&t| t <= host_threads) {
+        for &t in threads {
             let us = |seconds: f64| seconds * 1e6;
             let (fwd, bwd, bwd_params) = parallel::with_threads(t, || {
                 (
@@ -510,13 +506,11 @@ fn bench_layers(host_threads: usize, table: &mut Table) -> Json {
             ("threads", Json::Arr(entries)),
         ]));
     }
-    rows.push(bench_whole_step(host_threads, table));
+    rows.push(bench_whole_step(threads, table));
     Json::obj(vec![
         ("net", Json::str("proxies::mini_inception(3, 32, 4)")),
         ("batch", Json::Int(LAYER_BATCH as i64)),
         ("reps", Json::Int(LAYER_REPS as i64)),
-        ("available_parallelism", Json::Int(host_threads as i64)),
-        ("skipped_threads", Json::Arr(skipped.iter().map(|&t| Json::Int(t as i64)).collect())),
         ("rows", Json::Arr(rows)),
     ])
 }
@@ -525,14 +519,14 @@ fn bench_layers(host_threads: usize, table: &mut Table) -> Json {
 /// `backward_from_loss` of the proxy through the unmodified `Net` API — the
 /// number a kernel that is fast stand-alone but slow once inlined into the
 /// layer stack shows up in.
-fn bench_whole_step(host_threads: usize, table: &mut Table) -> Json {
+fn bench_whole_step(threads: &[usize], table: &mut Table) -> Json {
     const LABEL: &str = "whole step: forward_loss + backward_from_loss";
     let mut net = proxies::mini_inception(3, 32, 4, 7).expect("geometry fits");
     let dims = [LAYER_BATCH, 3, 32, 32];
     let x = Tensor::from_vec(filled(dims.iter().product(), 0.017), &dims).expect("dims match");
     let labels: Vec<usize> = (0..LAYER_BATCH).map(|i| i % 4).collect();
     let mut entries = Vec::new();
-    for &t in THREAD_COUNTS.iter().filter(|&&t| t <= host_threads) {
+    for &t in threads {
         let (mut fwd, mut bwd) = (f64::INFINITY, f64::INFINITY);
         parallel::with_threads(t, || {
             for _ in 0..=LAYER_REPS {
@@ -561,16 +555,19 @@ fn bench_whole_step(host_threads: usize, table: &mut Table) -> Json {
 }
 
 /// `--layers`: prints the per-layer table and replaces only the `layers`
-/// section of the checked-in `BENCH_kernels.json`.
-fn layers_main(host_threads: usize) {
+/// section of the checked-in `BENCH_kernels.json`. The section carries its
+/// own `host` keys: it may be recorded on another host than the rest.
+fn layers_main(threads: &[usize], host: Vec<(&str, Json)>) {
     println!(
-        "Per-layer fwd/bwd of mini_inception(3, 32, 4), batch {LAYER_BATCH}, best of {LAYER_REPS}"
+        "Per-layer fwd/bwd of mini_inception(3, 32, 4), batch {LAYER_BATCH}, best of {LAYER_REPS}\n"
     );
-    println!("host available_parallelism: {host_threads}\n");
     let mut table =
         Table::new("Layer time (us)", &["layer", "threads", "fwd", "bwd", "bwd params-only"]);
-    let layers = bench_layers(host_threads, &mut table);
+    let mut layers = bench_layers(threads, &mut table);
     table.print();
+    for (key, value) in host {
+        layers.set(key, value);
+    }
     update_bench_file(vec![("layers", layers)]);
 }
 
@@ -588,10 +585,7 @@ fn update_bench_file(sections: Vec<(&str, Json)>) {
     for (key, value) in sections {
         doc.set(key, value);
     }
-    match write_bench_json("kernels", &doc) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH_kernels.json: {e}"),
-    }
+    record_or_check("kernels", &doc, false);
 }
 
 /// Trains `net` (4 classes of 3-channel `hw x hw` images) for a fixed seeded
@@ -643,33 +637,40 @@ fn main() {
     if std::env::args().any(|a| a == "--smoke") {
         std::process::exit(smoke(host_threads));
     }
+    // The one host rule, for every table: a thread count the host cannot
+    // really run is listed as skipped rather than published as a flat
+    // "speedup".
+    let (threads, skipped): (Vec<usize>, Vec<usize>) =
+        THREAD_COUNTS.iter().partition(|&&t| t <= host_threads);
+    println!("host available_parallelism: {host_threads}");
+    if !skipped.is_empty() {
+        println!("threads {skipped:?} skipped: the host has {host_threads} cores");
+    }
+    let host = vec![
+        ("available_parallelism", Json::Int(host_threads as i64)),
+        ("skipped_threads", Json::Arr(skipped.iter().map(|&t| Json::Int(t as i64)).collect())),
+    ];
     if std::env::args().any(|a| a == "--layers") {
-        layers_main(host_threads);
+        layers_main(&threads, host);
         return;
     }
-    println!("Kernel throughput at 1/2/4/8 logical threads (deterministic backend)");
-    println!("host available_parallelism: {host_threads}\n");
+    println!("Kernel throughput per logical thread count (deterministic backend)\n");
 
     let mut table =
         Table::new("Kernel throughput", &["kernel", "threads", "ms/rep", "throughput", "speedup"]);
-    let gemm_json = bench_gemm(&mut table);
-    let conv_json = bench_conv(&mut table);
-    let smb_json = bench_smb_accumulate(&mut table);
+    let gemm_json = bench_gemm(&threads, &mut table);
+    let conv_json = bench_conv(&threads, &mut table);
+    let smb_json = bench_smb_accumulate(&threads, &mut table);
     table.print();
 
-    update_bench_file(vec![
-        ("benchmark", Json::str("kernel_bench")),
-        ("available_parallelism", Json::Int(host_threads as i64)),
-        (
-            "note",
-            Json::str(
-                "thread sweeps use with_threads() overrides; wall-clock speedups above 1x \
-                 require the host to expose that many cores",
-            ),
-        ),
+    let mut sections = vec![("benchmark", Json::str("kernel_bench"))];
+    sections.extend(host);
+    sections.extend([
+        ("note", Json::str("thread sweeps use with_threads() overrides")),
         ("gemm", gemm_json),
         ("conv", conv_json),
         ("smb_accumulate", smb_json),
         ("table", Json::from(&table)),
     ]);
+    update_bench_file(sections);
 }

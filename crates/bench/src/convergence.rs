@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use shmcaffe::config::ShmCaffeConfig;
-use shmcaffe::platforms::{CaffeMpi, CaffeSsgd, MpiCaffe, ShmCaffeA, ShmCaffeH, SsgdConfig};
+use shmcaffe::platforms::SsgdConfig;
 use shmcaffe::report::TrainingReport;
 use shmcaffe::trainer::RealTrainerFactory;
 use shmcaffe::PlatformError;
@@ -17,10 +17,9 @@ use shmcaffe_dnn::data::{Dataset, SyntheticBlobs};
 use shmcaffe_dnn::{LrPolicy, SolverConfig};
 use shmcaffe_models::proxies;
 use shmcaffe_simnet::jitter::JitterModel;
-use shmcaffe_simnet::topology::ClusterSpec;
 use shmcaffe_simnet::SimDuration;
 
-use crate::experiments::{hybrid_shape, Platform};
+use crate::experiments::{run_platform, Platform};
 
 /// The synthetic classification task used by the convergence experiments.
 #[derive(Debug, Clone, Copy)]
@@ -73,9 +72,10 @@ impl ConvergenceTask {
         (self.train_samples * self.epochs).div_ceil(workers.max(1) * self.batch)
     }
 
-    /// Builds the trainer factory for `n_workers` with a given base
-    /// learning rate (the paper's step-decay schedule scaled to the run).
-    pub fn factory(&self, base_lr: f32, lr_step: usize, eval_topk: usize) -> RealTrainerFactory {
+    /// Builds the trainer factory for a run of `iters` iterations per
+    /// worker: base learning rate 0.1 with the paper's step-decay schedule
+    /// scaled to the run (one ×0.1 step at two thirds), top-2 evaluation.
+    pub fn factory(&self, iters: usize) -> RealTrainerFactory {
         let train = Arc::new(SyntheticBlobs::new(
             self.classes,
             self.dim,
@@ -96,17 +96,17 @@ impl ConvergenceTask {
             .eval_dataset(eval)
             .net_builder(move |s| proxies::mlp(dim, hidden, classes, s ^ seed))
             .solver(SolverConfig {
-                base_lr,
+                base_lr: 0.1,
                 momentum: 0.9,
                 weight_decay: 0.0005,
-                policy: LrPolicy::Step { gamma: 0.1, step_size: lr_step },
+                policy: LrPolicy::Step { gamma: 0.1, step_size: (iters * 2).div_ceil(3) },
                 clip_gradients: Some(5.0),
             })
             .batch(self.batch)
             .init_seed(self.seed ^ 0x5EED)
             .data_seed(self.seed ^ 0xDA7A)
             .comp_model(SimDuration::from_millis(5), JitterModel::hpc_default())
-            .eval_topk(eval_topk)
+            .eval_topk(2)
             .build()
     }
 
@@ -122,10 +122,7 @@ impl ConvergenceTask {
         workers: usize,
         eval_every: usize,
     ) -> Result<TrainingReport, PlatformError> {
-        let nodes = workers.div_ceil(4).max(1);
-        let base_lr = 0.1;
         let iters = self.iters_for(workers);
-        let factory = self.factory(base_lr, (iters * 2).div_ceil(3), 2);
         let shm_cfg = ShmCaffeConfig {
             max_iters: iters,
             progress_every: 25,
@@ -137,30 +134,7 @@ impl ConvergenceTask {
             ..Default::default()
         };
         let ssgd_cfg = SsgdConfig { max_iters: iters, eval_every, ..Default::default() };
-        match platform {
-            Platform::Caffe => {
-                CaffeSsgd::new(ClusterSpec::paper_testbed(1), workers, ssgd_cfg).run(factory)
-            }
-            Platform::CaffeMpi => {
-                CaffeMpi::new(ClusterSpec::paper_testbed(nodes), workers, ssgd_cfg).run(factory)
-            }
-            Platform::MpiCaffe => {
-                MpiCaffe::new(ClusterSpec::paper_testbed(nodes), workers, ssgd_cfg).run(factory)
-            }
-            Platform::ShmCaffeA => {
-                ShmCaffeA::new(ClusterSpec::paper_testbed(nodes), workers, shm_cfg).run(factory)
-            }
-            Platform::ShmCaffeH => {
-                let (groups, group_size) = hybrid_shape(workers);
-                ShmCaffeH::new(
-                    ClusterSpec::paper_testbed(groups.max(1)),
-                    groups,
-                    group_size,
-                    shm_cfg,
-                )
-                .run(factory)
-            }
-        }
+        run_platform(platform, platform.shape(workers), ssgd_cfg, shm_cfg, self.factory(iters))
     }
 }
 

@@ -7,7 +7,7 @@
 use shmcaffe::config::ShmCaffeConfig;
 use shmcaffe::platforms::{CaffeMpi, CaffeSsgd, MpiCaffe, ShmCaffeA, ShmCaffeH, SsgdConfig};
 use shmcaffe::report::TrainingReport;
-use shmcaffe::trainer::ModeledTrainerFactory;
+use shmcaffe::trainer::{ModeledTrainerFactory, TrainerFactory};
 use shmcaffe::PlatformError;
 use shmcaffe_models::{CnnModel, WorkloadModel};
 use shmcaffe_simnet::jitter::JitterModel;
@@ -59,11 +59,17 @@ impl Platform {
         Platform::ShmCaffeA,
         Platform::ShmCaffeH,
     ];
-}
 
-/// Nodes needed for `workers` at 4 GPUs per node.
-fn nodes_for(workers: usize) -> usize {
-    workers.div_ceil(4).max(1)
+    /// How this platform lays out `gpus` GPUs: ShmCaffe-H as `(groups,
+    /// group size)` in the paper's decomposition ([`hybrid_shape`]), every
+    /// other platform as `(gpus, 1)`.
+    pub fn shape(self, gpus: usize) -> (usize, usize) {
+        if self == Platform::ShmCaffeH {
+            hybrid_shape(gpus)
+        } else {
+            (gpus, 1)
+        }
+    }
 }
 
 fn modeled_factory(model: CnnModel, seed: u64) -> ModeledTrainerFactory {
@@ -88,68 +94,6 @@ fn shm_cfg(iters: usize) -> ShmCaffeConfig {
     }
 }
 
-/// Runs a steady-state timing measurement for one platform, model and GPU
-/// count; `measure_iters` iterations per worker.
-///
-/// A single GPU degenerates to standalone Caffe for every platform, as in
-/// the paper's 1-GPU baseline column (its communication time is zero).
-///
-/// # Errors
-///
-/// Propagates platform failures.
-pub fn measure(
-    platform: Platform,
-    model: CnnModel,
-    gpus: usize,
-    measure_iters: usize,
-    seed: u64,
-) -> Result<TrainingReport, PlatformError> {
-    if gpus == 1 {
-        return CaffeSsgd::new(
-            ClusterSpec::paper_testbed(1),
-            1,
-            SsgdConfig { max_iters: measure_iters, ..Default::default() },
-        )
-        .run(modeled_factory(model, seed));
-    }
-    match platform {
-        Platform::Caffe => CaffeSsgd::new(
-            ClusterSpec::paper_testbed(nodes_for(gpus)),
-            gpus,
-            SsgdConfig { max_iters: measure_iters, ..Default::default() },
-        )
-        .run(modeled_factory(model, seed)),
-        Platform::CaffeMpi => CaffeMpi::new(
-            ClusterSpec::paper_testbed(nodes_for(gpus)),
-            gpus,
-            SsgdConfig { max_iters: measure_iters, ..Default::default() },
-        )
-        .run(modeled_factory(model, seed)),
-        Platform::MpiCaffe => MpiCaffe::new(
-            ClusterSpec::paper_testbed(nodes_for(gpus)),
-            gpus,
-            SsgdConfig { max_iters: measure_iters, ..Default::default() },
-        )
-        .run(modeled_factory(model, seed)),
-        Platform::ShmCaffeA => ShmCaffeA::new(
-            ClusterSpec::paper_testbed(nodes_for(gpus)),
-            gpus,
-            shm_cfg(measure_iters),
-        )
-        .run(modeled_factory(model, seed)),
-        Platform::ShmCaffeH => {
-            let (groups, group_size) = hybrid_shape(gpus);
-            ShmCaffeH::new(
-                ClusterSpec::paper_testbed(groups.max(1)),
-                groups,
-                group_size,
-                shm_cfg(measure_iters),
-            )
-            .run(modeled_factory(model, seed))
-        }
-    }
-}
-
 /// The paper's hybrid decomposition for a GPU count: groups of 4 when
 /// possible (16 → S4×A4, 8 → S4×A2, 4 → S2×A2 per §IV-D).
 pub fn hybrid_shape(gpus: usize) -> (usize, usize) {
@@ -163,26 +107,106 @@ pub fn hybrid_shape(gpus: usize) -> (usize, usize) {
     }
 }
 
-/// Explicit hybrid measurement for a Table III configuration `S×A`
-/// (`group_size` synchronous GPUs per group, `groups` async groups).
+/// Builds `platform` in the given [`Platform::shape`] — `(workers, 1)`,
+/// or `(groups, group size)` for ShmCaffe-H — on the paper testbed (4 GPUs
+/// per node; ShmCaffe-H one group per node) and runs it with `factory`:
+/// the one platform → constructor dispatch behind both the timing
+/// measurements and the convergence runs. The SSGD baselines take `ssgd`,
+/// the two ShmCaffe platforms `shm`.
 ///
 /// # Errors
 ///
 /// Propagates platform failures.
-pub fn measure_hybrid(
-    model: CnnModel,
-    groups: usize,
-    group_size: usize,
-    measure_iters: usize,
-    seed: u64,
+pub fn run_platform<F: TrainerFactory>(
+    platform: Platform,
+    (n, group_size): (usize, usize),
+    ssgd: SsgdConfig,
+    shm: ShmCaffeConfig,
+    factory: F,
 ) -> Result<TrainingReport, PlatformError> {
-    ShmCaffeH::new(
-        ClusterSpec::paper_testbed(groups.max(1)),
-        groups,
-        group_size,
-        shm_cfg(measure_iters),
-    )
-    .run(modeled_factory(model, seed))
+    let testbed = |nodes: usize| ClusterSpec::paper_testbed(nodes.max(1));
+    let spec = testbed(n.div_ceil(4));
+    match platform {
+        Platform::Caffe => CaffeSsgd::new(spec, n, ssgd).run(factory),
+        Platform::CaffeMpi => CaffeMpi::new(spec, n, ssgd).run(factory),
+        Platform::MpiCaffe => MpiCaffe::new(spec, n, ssgd).run(factory),
+        Platform::ShmCaffeA => ShmCaffeA::new(spec, n, shm).run(factory),
+        Platform::ShmCaffeH => ShmCaffeH::new(testbed(n), n, group_size, shm).run(factory),
+    }
+}
+
+/// Steady-state timing measurements, memoised: a configuration asked for
+/// by several figures (Fig 10 re-reads Fig 9's runs, Fig 15 those of
+/// Figs 12 and 14) is simulated once.
+#[derive(Debug, Default)]
+pub struct Measurements {
+    /// One entry per simulation run: what was run — platform, model,
+    /// (workers, 1) or (groups, group size), iterations, seed — and its
+    /// report.
+    memo: Vec<(Key, TrainingReport)>,
+    /// Calls answered from the memo instead of a simulation.
+    pub served: usize,
+}
+
+type Key = (Platform, CnnModel, (usize, usize), usize, u64);
+
+impl Measurements {
+    /// Simulations run so far.
+    pub fn ran(&self) -> usize {
+        self.memo.len()
+    }
+
+    /// Measures one platform, model and GPU count over `measure_iters`
+    /// iterations per worker.
+    ///
+    /// A single GPU degenerates to standalone Caffe for every platform, as
+    /// in the paper's 1-GPU baseline column (its communication time is
+    /// zero).
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform failures.
+    pub fn measure(
+        &mut self,
+        platform: Platform,
+        model: CnnModel,
+        gpus: usize,
+        measure_iters: usize,
+        seed: u64,
+    ) -> Result<TrainingReport, PlatformError> {
+        let platform = if gpus == 1 { Platform::Caffe } else { platform };
+        self.run((platform, model, platform.shape(gpus), measure_iters, seed))
+    }
+
+    /// Explicit hybrid measurement for a Table III configuration `S×A`
+    /// (`group_size` synchronous GPUs per group, `groups` async groups).
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform failures.
+    pub fn measure_hybrid(
+        &mut self,
+        model: CnnModel,
+        groups: usize,
+        group_size: usize,
+        measure_iters: usize,
+        seed: u64,
+    ) -> Result<TrainingReport, PlatformError> {
+        self.run((Platform::ShmCaffeH, model, (groups, group_size), measure_iters, seed))
+    }
+
+    fn run(&mut self, key: Key) -> Result<TrainingReport, PlatformError> {
+        if let Some((_, report)) = self.memo.iter().find(|(k, _)| *k == key) {
+            self.served += 1;
+            return Ok(report.clone());
+        }
+        let (platform, model, shape, iters, seed) = key;
+        let ssgd = SsgdConfig { max_iters: iters, ..Default::default() };
+        let report =
+            run_platform(platform, shape, ssgd, shm_cfg(iters), modeled_factory(model, seed))?;
+        self.memo.push((key, report.clone()));
+        Ok(report)
+    }
 }
 
 /// Projects a steady-state report to the paper's 15-epoch training time in
@@ -200,38 +224,6 @@ pub fn epochs_hours(
     iters_per_worker * report.mean_iter_ms() / 3.6e6
 }
 
-/// One row of the Fig 12-15 style comp/comm breakdown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Breakdown {
-    /// Configuration label (e.g. `"8 (S4xA2)"`).
-    pub label: String,
-    /// Mean computation time per iteration (ms).
-    pub comp_ms: f64,
-    /// Mean non-overlapped communication time per iteration (ms).
-    pub comm_ms: f64,
-}
-
-impl Breakdown {
-    /// Extracts the breakdown from a report.
-    pub fn from_report(label: &str, report: &TrainingReport) -> Self {
-        Breakdown {
-            label: label.to_string(),
-            comp_ms: report.mean_comp_ms(),
-            comm_ms: report.mean_comm_ms(),
-        }
-    }
-
-    /// Communication share of the iteration.
-    pub fn comm_ratio(&self) -> f64 {
-        let total = self.comp_ms + self.comm_ms;
-        if total == 0.0 {
-            0.0
-        } else {
-            self.comm_ms / total
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,22 +239,48 @@ mod tests {
 
     #[test]
     fn one_gpu_baseline_has_zero_comm() {
-        let r = measure(Platform::ShmCaffeA, CnnModel::InceptionV1, 1, 20, 1).unwrap();
+        let r = Measurements::default()
+            .measure(Platform::ShmCaffeA, CnnModel::InceptionV1, 1, 20, 1)
+            .unwrap();
         assert!(r.mean_comm_ms() < 1.0);
         assert!((r.mean_comp_ms() - 257.0).abs() < 20.0);
     }
 
     #[test]
     fn epochs_projection_matches_caffe_single_gpu() {
-        let r = measure(Platform::Caffe, CnnModel::InceptionV1, 1, 20, 1).unwrap();
+        let r = Measurements::default()
+            .measure(Platform::Caffe, CnnModel::InceptionV1, 1, 20, 1)
+            .unwrap();
         let hours = epochs_hours(&r, CnnModel::InceptionV1, 1, PAPER_EPOCHS);
         // Paper: 22:59 for Caffe on one GPU.
         assert!((hours - 22.98).abs() < 1.5, "estimated {hours} h");
     }
 
     #[test]
-    fn breakdown_ratio() {
-        let b = Breakdown { label: "x".into(), comp_ms: 257.0, comm_ms: 90.0 };
-        assert!((b.comm_ratio() - 90.0 / 347.0).abs() < 1e-12);
+    fn memo_serves_equal_reports_and_keys_on_iterations_and_seed() {
+        let same = |a: &TrainingReport, b: &TrainingReport| format!("{a:?}") == format!("{b:?}");
+        let model = CnnModel::InceptionV1;
+        let mut lab = Measurements::default();
+        let first = lab.measure(Platform::ShmCaffeA, model, 4, 12, 42).unwrap();
+        let again = lab.measure(Platform::ShmCaffeA, model, 4, 12, 42).unwrap();
+        let fresh = Measurements::default().measure(Platform::ShmCaffeA, model, 4, 12, 42).unwrap();
+        assert_eq!((lab.ran(), lab.served), (1, 1));
+        assert!(same(&first, &again) && same(&first, &fresh), "the memo changes no report");
+
+        // Fig 9's 150-iteration runs must not be served to Fig 12's 200.
+        let longer = lab.measure(Platform::ShmCaffeA, model, 4, 16, 42).unwrap();
+        let reseeded = lab.measure(Platform::ShmCaffeA, model, 4, 12, 43).unwrap();
+        assert_eq!((lab.ran(), lab.served), (3, 1));
+        assert_eq!(longer.workers[0].iters, 16);
+        assert!(!same(&first, &reseeded));
+
+        // One configuration, however it is asked for: 8 hybrid GPUs are
+        // S4xA2, and one GPU is standalone Caffe on every platform.
+        let by_count = lab.measure(Platform::ShmCaffeH, model, 8, 12, 42).unwrap();
+        let by_shape = lab.measure_hybrid(model, 2, 4, 12, 42).unwrap();
+        lab.measure(Platform::Caffe, model, 1, 12, 42).unwrap();
+        lab.measure(Platform::MpiCaffe, model, 1, 12, 42).unwrap();
+        assert_eq!((lab.ran(), lab.served), (5, 3));
+        assert!(same(&by_count, &by_shape));
     }
 }

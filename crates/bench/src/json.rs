@@ -1,15 +1,12 @@
 //! Shared JSON emission for experiment binaries.
 //!
-//! Every `fig*` binary used to hand-roll its terminal output; this module
-//! centralises the machine-readable half: a tiny ordered JSON value type
-//! (no external dependency, insertion-ordered objects so diffs are stable),
-//! a [`crate::table::Table`] → JSON conversion, and the `BENCH_*.json`
-//! writer used to record the performance trajectory at the repo root.
-//!
-//! Figure binaries call [`emit_figure`]; it always prints the table and
-//! additionally writes `BENCH_<name>.json` when `SHMCAFFE_BENCH_JSON` is
-//! set (so casual runs do not touch the working tree). `kernel_bench`
-//! writes its file unconditionally via [`write_bench_json`].
+//! The machine-readable half of every bench binary: a tiny ordered JSON
+//! value type (no external dependency, insertion-ordered objects so diffs
+//! are stable), a [`crate::table::Table`] → JSON conversion, and
+//! [`record_or_check`], the one way a `BENCH_*.json` record at the repo
+//! root is written — or, for the records that are virtual time or seeded
+//! training and therefore repeat exactly (`paper`, `fault_sweep`,
+//! `exchange_bench`), re-run and compared line by line under `--check`.
 
 use crate::table::Table;
 use std::fmt::Write as _;
@@ -319,31 +316,41 @@ pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
 }
 
-/// Writes `BENCH_<name>.json` at the repo root and returns its path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_bench_json(name: &str, value: &Json) -> std::io::Result<PathBuf> {
-    let path = repo_root().join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, value.render())?;
-    Ok(path)
+/// Whether `fresh` reproduces `recorded`; the error names the first
+/// differing line (1-based, or where the shorter text ends) and shows both
+/// versions of it.
+fn reproduces(recorded: &str, fresh: &str) -> Result<(), String> {
+    if recorded == fresh {
+        return Ok(());
+    }
+    let at = fresh.lines().zip(recorded.lines()).take_while(|(a, b)| a == b).count();
+    let line = |text: &str| text.lines().nth(at).unwrap_or("<end of file>").to_string();
+    let (recorded, measured) = (line(recorded), line(fresh));
+    Err(format!(
+        "differs from this run at line {}:\n  recorded: {recorded}\n  measured: {measured}",
+        at + 1
+    ))
 }
 
-/// Standard tail of a figure binary: prints the table and, when
-/// `SHMCAFFE_BENCH_JSON` is set in the environment, writes the table plus
-/// `extras` as `BENCH_<name>.json` at the repo root.
-pub fn emit_figure(name: &str, table: &Table, extras: Vec<(&str, Json)>) {
-    table.print();
-    if std::env::var_os("SHMCAFFE_BENCH_JSON").is_none() {
-        return;
+/// Records `doc` as `BENCH_<name>.json` at the repo root or, with `check`,
+/// leaves the file alone and compares this run against it. Prints the
+/// outcome — a failed write or, under `check`, the first line at which the
+/// checked-in file differs from this run go to stderr — and returns
+/// whether it succeeded.
+pub fn record_or_check(name: &str, doc: &Json, check: bool) -> bool {
+    let path = repo_root().join(format!("BENCH_{name}.json"));
+    let fresh = doc.render();
+    let outcome = if check {
+        let recorded = std::fs::read_to_string(&path).unwrap_or_default();
+        reproduces(&recorded, &fresh).map(|()| "reproduces exactly")
+    } else {
+        std::fs::write(&path, fresh).map(|()| "written").map_err(|e| format!("not written: {e}"))
+    };
+    match &outcome {
+        Ok(how) => println!("{} {how}", path.display()),
+        Err(why) => eprintln!("FAIL: {} {why}", path.display()),
     }
-    let mut pairs = vec![("table", Json::from(table))];
-    pairs.extend(extras);
-    match write_bench_json(name, &Json::obj(pairs)) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH_{name}.json: {e}"),
-    }
+    outcome.is_ok()
 }
 
 #[cfg(test)]
@@ -403,6 +410,21 @@ mod tests {
         assert!(s.contains("\"title\": \"T\""));
         assert!(s.contains("\"headers\""));
         assert!(s.contains("\"rows\""));
+    }
+
+    #[test]
+    fn a_perturbed_record_fails_the_check_and_names_the_line() {
+        let doc = Json::obj(vec![("a", Json::Int(1)), ("ms", Json::Num(33.799))]);
+        let fresh = doc.render();
+        assert_eq!(reproduces(&fresh, &fresh), Ok(()));
+        let diff = reproduces(&fresh.replace("33.799", "33.798"), &fresh).unwrap_err();
+        assert!(diff.contains("at line 3:"), "{diff}");
+        assert!(diff.contains("recorded:   \"ms\": 33.798"), "{diff}");
+        assert!(diff.contains("measured:   \"ms\": 33.799"), "{diff}");
+        // A missing or truncated record differs where it ends.
+        let diff = reproduces("{\n", &fresh).unwrap_err();
+        assert!(diff.contains("at line 2:") && diff.contains("recorded: <end of file>"), "{diff}");
+        assert!(!record_or_check("no_such_record", &doc, true), "no record to reproduce");
     }
 
     #[test]

@@ -37,12 +37,6 @@ pub struct ShmCaffeConfig {
     /// Throughput of the worker-local weight-mixing pass (T2/T5 memory
     /// traffic over W_x, W_g, ΔW), in bytes/s. GDDR5X copy throughput.
     pub local_mix_bps: f64,
-    /// Ablation switch: overlap the global-weight read with computation.
-    /// The paper deliberately does **not** hide this read "because the
-    /// learning performance deteriorates due to the delayed (or stale)
-    /// parameter problem" (§III-G); enabling this reproduces that
-    /// trade-off.
-    pub hide_global_read: bool,
     /// Iterations between center-variable checkpoints written by the
     /// master into the replicated checkpoint segment (`0` disables
     /// checkpointing). A checkpoint is what a crashed worker rejoins from
@@ -108,7 +102,6 @@ impl Default for ShmCaffeConfig {
             jitter: JitterModel::hpc_default(),
             seed: 42,
             local_mix_bps: 25.0e9,
-            hide_global_read: false,
             checkpoint_every: 0,
             rejoin_delay: None,
             partition_staleness_cap: default_partition_staleness_cap(),

@@ -30,9 +30,13 @@ pub struct WorkerReport {
     /// Per-iteration computation time (ms): forward + backward + local
     /// update (paper `T_comp`).
     pub comp_ms: RunningStats,
-    /// Per-iteration non-overlapped communication time (ms): global-weight
-    /// read, local mixing, and any wait for the update thread (paper
-    /// `T_comm = max(T_comp, T_wwi+T_ugw) − T_comp + T_rgw + T_ulw`).
+    /// Non-overlapped communication time (ms), one sample per *exchange*:
+    /// global-weight read, local mixing, and any wait for the update
+    /// thread (paper `T_comm = max(T_comp, T_wwi+T_ugw) − T_comp + T_rgw +
+    /// T_ulw`). With `update_interval = 1` (every figure of the paper)
+    /// that is one sample per iteration; under a larger interval the mean
+    /// is per exchanging iteration, not amortised over the iterations in
+    /// between, and [`WorkerReport::iter_ms`] overstates accordingly.
     pub comm_ms: RunningStats,
     /// Virtual time at which this worker finished.
     pub finished_at: SimTime,

@@ -69,9 +69,10 @@ pub struct SeasgdBuffers {
 }
 
 /// Reader connections per lane. One SMB connection is paced at a fraction
-/// of the HCA (`SmbServerConfig::stream_bps`); Fig. 7 has four processes at
-/// 6.51 of the 6.70 GB/s the server ever reaches, so four is where the
-/// `W_g` stream hits line rate and a fifth buys nothing but a thread.
+/// of the HCA (`SmbServerConfig::stream_bps`); the Fig. 7 sweep
+/// (`BENCH_paper.json`) has four paced connections at 5.74 of the
+/// 6.41 GB/s that 32 reach, so four take the `W_g` stream to nine tenths
+/// of what the server ever delivers and a fifth buys little but a thread.
 pub const READ_STREAMS: usize = 4;
 
 /// One tile of the fixed exchange chunk grid.
@@ -147,21 +148,17 @@ enum UpdateRequest {
     /// Push ΔW tile `chunk` (grid order) and range-accumulate it into the
     /// global buffer.
     Chunk { chunk: usize, buf: Vec<f32> },
-    /// Return a prefetch buffer for reuse (`hide_global_read` mode).
-    PrefetchReturn(Vec<f32>),
     /// Terminate the update thread.
     Shutdown,
 }
 
-/// Reply from a lane's update thread.
-enum UpdateDone {
-    /// Tile `chunk` has been pushed (or definitively disposed of); `buf`
-    /// is the recycled ΔW tile buffer. The k-th done of a lane is the
-    /// T.A5 gate for the next exchange's k-th tile on that lane.
-    Chunk { chunk: usize, buf: Vec<f32> },
-    /// `hide_global_read` only: the freshly read (one exchange stale)
-    /// `W_g` slice of this lane, `None` if the read failed.
-    Prefetch(Option<Vec<f32>>),
+/// Reply from a lane's update thread: tile `chunk` has been pushed (or
+/// definitively disposed of); `buf` is the recycled ΔW tile buffer. The
+/// k-th done of a lane is the T.A5 gate for the next exchange's k-th tile
+/// on that lane.
+struct UpdateDone {
+    chunk: usize,
+    buf: Vec<f32>,
 }
 
 /// How long the main thread waits for the update thread before declaring
@@ -251,10 +248,6 @@ struct Lane {
     upd_done: SimChannel<UpdateDone>,
     /// Tiles of the grid on this lane.
     n_chunks: usize,
-    /// Global offset of this lane's slice.
-    global_off: usize,
-    /// Elements in this lane's slice.
-    len: usize,
 }
 
 /// The fencing epoch this client currently observes (0 on a single-server
@@ -331,14 +324,12 @@ pub struct ElasticExchanger {
     grid: Vec<GridChunk>,
     pending: bool,
     moving_rate: f32,
-    hide_global_read: bool,
     local_mix_bps: f64,
     wire_bytes: u64,
     param_len: usize,
     /// Whether [`ElasticExchanger::start_window`] may open the window
-    /// ahead of the exchange: not under `hide_global_read` (the prefetch
-    /// already replaced the read, and draining it blocks) and not under
-    /// the monolithic exchange (the paper reads after the update).
+    /// ahead of the exchange: not under the monolithic exchange (the
+    /// paper reads after the update).
     early_start: bool,
     /// The read window of the coming exchange is open: its start-of-
     /// exchange bookkeeping ran and tiles `..next_read` have been decided.
@@ -350,9 +341,6 @@ pub struct ElasticExchanger {
     /// Recycled ΔW tile buffers, ping-ponged through the done channel so
     /// steady-state exchanges are allocation-free.
     dw_pool: Vec<Vec<f32>>,
-    /// Per-lane: a fresh prefetched `W_g` slice replaced this exchange's
-    /// read stream (`hide_global_read` mode).
-    lane_prefetched: Vec<bool>,
     /// Per-lane: a partition swallowed a tile read — stop issuing reads on
     /// the lane and keep the whole stale `W_g` slice (same degraded
     /// contract as the monolithic read, and it keeps a partitioned
@@ -432,9 +420,7 @@ impl ElasticExchanger {
         let dropped = Arc::new(AtomicU64::new(0));
         let degraded = Arc::new(DegradedCounters::default());
         let mut lanes = Vec::with_capacity(parts.len());
-        let mut global_off = 0usize;
         for (lane_idx, (client, buffers)) in parts.into_iter().enumerate() {
-            let lane_len = buffers.wg.len();
             let retry = RetryPolicy {
                 max_attempts: 8,
                 deadline: SimDuration::from_millis(500),
@@ -478,7 +464,6 @@ impl ElasticExchanger {
                 let client = client.clone();
                 let upd_req = upd_req.clone();
                 let upd_done = upd_done.clone();
-                let hide_read = cfg.hide_global_read;
                 let staleness_cap = cfg.partition_staleness_cap;
                 let retry = retry.clone();
                 let dropped = Arc::clone(&dropped);
@@ -492,7 +477,6 @@ impl ElasticExchanger {
                         &lane_chunks,
                         &upd_req,
                         &upd_done,
-                        hide_read,
                         staleness_cap,
                         &retry,
                         &dropped,
@@ -500,16 +484,7 @@ impl ElasticExchanger {
                     );
                 });
             }
-            lanes.push(Lane {
-                client,
-                readers,
-                upd_req,
-                upd_done,
-                n_chunks,
-                global_off,
-                len: lane_len,
-            });
-            global_off += lane_len;
+            lanes.push(Lane { client, readers, upd_req, upd_done, n_chunks });
         }
         let n_lanes = lanes.len();
         let n_tiles = grid.len();
@@ -518,16 +493,14 @@ impl ElasticExchanger {
             grid,
             pending: false,
             moving_rate: cfg.moving_rate,
-            hide_global_read: cfg.hide_global_read,
             local_mix_bps: cfg.local_mix_bps,
             wire_bytes,
             param_len,
-            early_start: cfg.pipelined_exchange && !cfg.hide_global_read,
+            early_start: cfg.pipelined_exchange,
             window_open: false,
             next_read: 0,
             read_pool: Vec::new(),
             dw_pool: Vec::new(),
-            lane_prefetched: vec![false; n_lanes],
             lane_stale: vec![false; n_lanes],
             read_issued: vec![false; n_tiles],
             gate_left: vec![0; n_lanes],
@@ -562,7 +535,7 @@ impl ElasticExchanger {
             None => Ok(false),
             // The grid is identical every exchange, so per-lane FIFO order
             // means this done is the previous exchange's tile k.
-            Some(UpdateDone::Chunk { chunk, buf }) if chunk == k => {
+            Some(UpdateDone { chunk, buf }) if chunk == k => {
                 self.dw_pool.push(buf);
                 self.gate_left[lane] -= 1;
                 Ok(true)
@@ -572,10 +545,10 @@ impl ElasticExchanger {
     }
 
     /// Issues the stream-read for tile `k` to its reader connection,
-    /// unless the lane's slice already arrived via prefetch or went stale.
+    /// unless the lane went stale.
     fn issue_read(&mut self, ctx: &SimContext, k: usize) {
         let c = self.grid[k];
-        if self.lane_prefetched[c.lane] || self.lane_stale[c.lane] {
+        if self.lane_stale[c.lane] {
             self.read_issued[k] = false;
             return;
         }
@@ -640,18 +613,14 @@ impl ElasticExchanger {
     }
 
     /// Start-of-exchange bookkeeping, once per exchange however it is
-    /// reached: re-probe stale lanes, arm the T.A5 gates of the previous
-    /// exchange's pushes (or, under `hide_global_read`, drain them
-    /// wholesale together with the prefetched `W_g`).
-    fn open_window(&mut self, ctx: &SimContext) -> Result<(), PlatformError> {
+    /// reached: re-probe stale lanes and arm the T.A5 gates of the previous
+    /// exchange's pushes.
+    fn open_window(&mut self, ctx: &SimContext) {
         if self.window_open {
-            return Ok(());
+            return;
         }
         self.window_open = true;
         self.next_read = 0;
-        for p in self.lane_prefetched.iter_mut() {
-            *p = false;
-        }
         for (s, lane) in self.lane_stale.iter_mut().zip(&self.lanes) {
             // Sticky staleness: while the probe still sees the partition,
             // skip the lane's reads outright (mix against the stale W_g);
@@ -660,49 +629,13 @@ impl ElasticExchanger {
                 *s = false;
             }
         }
-        for g in self.gate_left.iter_mut() {
-            *g = 0;
+        // Per-tile lazy gating: tile k's gate is consumed right before its
+        // read is issued, so this exchange's stream overlaps the previous
+        // exchange's tail instead of barriering on it.
+        let pending = std::mem::take(&mut self.pending);
+        for (g, lane) in self.gate_left.iter_mut().zip(&self.lanes) {
+            *g = if pending { lane.n_chunks } else { 0 };
         }
-        if !std::mem::take(&mut self.pending) {
-            return Ok(());
-        }
-        if !self.hide_global_read {
-            // Per-tile lazy gating: tile k's gate is consumed right before
-            // its read is issued, so this exchange's stream overlaps the
-            // previous exchange's tail instead of barriering on it.
-            for (g, lane) in self.gate_left.iter_mut().zip(&self.lanes) {
-                *g = lane.n_chunks;
-            }
-            return Ok(());
-        }
-        // Drain the previous exchange wholesale: all tile dones plus each
-        // lane's prefetched W_g slice. A fresh prefetch replaces the lane's
-        // read stream this exchange (the deliberately reproduced
-        // stale-parameter trade-off of §III-G); a failed one falls back to
-        // synchronous tile reads.
-        for li in 0..self.lanes.len() {
-            for _ in 0..self.lanes[li].n_chunks {
-                match self.lanes[li]
-                    .upd_done
-                    .recv_timeout(ctx, EXCHANGE_TIMEOUT)
-                    .ok_or_else(stalled)?
-                {
-                    UpdateDone::Chunk { buf, .. } => self.dw_pool.push(buf),
-                    UpdateDone::Prefetch(_) => return Err(out_of_sync()),
-                }
-            }
-            match self.lanes[li].upd_done.recv_timeout(ctx, EXCHANGE_TIMEOUT).ok_or_else(stalled)? {
-                UpdateDone::Prefetch(Some(buf)) => {
-                    let (g0, l) = (self.lanes[li].global_off, self.lanes[li].len);
-                    self.wg[g0..g0 + l].copy_from_slice(&buf[..l]);
-                    self.lanes[li].upd_req.send(ctx, UpdateRequest::PrefetchReturn(buf));
-                    self.lane_prefetched[li] = true;
-                }
-                UpdateDone::Prefetch(None) => {}
-                UpdateDone::Chunk { .. } => return Err(out_of_sync()),
-            }
-        }
-        Ok(())
     }
 
     /// Opens the read window of the coming [`ElasticExchanger::exchange`]
@@ -713,8 +646,8 @@ impl ElasticExchanger {
     /// under it; the price is a `W_g` older by that span at mix time.
     ///
     /// Idempotent — a second call before the exchange does nothing — and a
-    /// no-op under `hide_global_read` and under the monolithic exchange.
-    /// Call it only on an iteration that exchanges.
+    /// no-op under the monolithic exchange. Call it only on an iteration
+    /// that exchanges.
     ///
     /// # Errors
     ///
@@ -723,7 +656,7 @@ impl ElasticExchanger {
         if self.window_open || !self.early_start {
             return Ok(());
         }
-        self.open_window(ctx)?;
+        self.open_window(ctx);
         self.advance_window(ctx, None)
     }
 
@@ -745,10 +678,10 @@ impl ElasticExchanger {
         let start = ctx.now();
         let mut read = SimDuration::ZERO;
         let mut mix = SimDuration::ZERO;
-        self.open_window(ctx)?;
+        self.open_window(ctx);
         // Issuing reads takes no virtual time: whatever the window costs
-        // the worker is time blocked on a T.A5 gate (or the drain above).
-        let mut wait = ctx.now() - start;
+        // the worker is time blocked on a T.A5 gate.
+        let mut wait = SimDuration::ZERO;
 
         trainer.read_weights(&mut self.wx);
         for k in 0..self.grid.len() {
@@ -873,7 +806,6 @@ fn update_thread(
     lane_chunks: &[(usize, usize, usize)],
     upd_req: &SimChannel<UpdateRequest>,
     upd_done: &SimChannel<UpdateDone>,
-    hide_read: bool,
     staleness_cap: usize,
     retry: &RetryPolicy,
     dropped: &AtomicU64,
@@ -886,7 +818,6 @@ fn update_thread(
     // back to the main thread for recycling.
     let mut staging = vec![0.0f32; lane_len];
     let mut scratch: Vec<f32> = Vec::new();
-    let mut readback: Option<Vec<f32>> = None;
     // Increments held back while a partition cuts this worker off from
     // the memory server, replayed once it heals. Already-folded tiles are
     // zeroed at capture, so a replayed entry folds exactly once.
@@ -900,7 +831,6 @@ fn update_thread(
     loop {
         match upd_req.recv(uctx) {
             UpdateRequest::Shutdown => break,
-            UpdateRequest::PrefetchReturn(buf) => readback = Some(buf),
             UpdateRequest::Chunk { chunk, buf } => {
                 let (gidx, off, len) = lane_chunks[pos];
                 debug_assert_eq!(gidx, chunk);
@@ -966,7 +896,7 @@ fn update_thread(
                 // The done is the next exchange's T.A5 gate for this tile
                 // and carries the buffer back for recycling — sent even on
                 // failure so the main thread never wedges.
-                upd_done.send(uctx, UpdateDone::Chunk { chunk, buf });
+                upd_done.send(uctx, UpdateDone { chunk, buf });
                 pos += 1;
                 if pos == n {
                     pos = 0;
@@ -1022,21 +952,6 @@ fn update_thread(
                             let _ = push_full(uctx, client, &buffers, &scratch, retry);
                         }
                         dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if hide_read {
-                        // On failure fall back to a synchronous read at
-                        // the next exchange instead of serving stale
-                        // weights.
-                        let mut rb = readback.take().unwrap_or_default();
-                        rb.resize(lane_len, 0.0);
-                        let reply = match client.read_retrying(uctx, &buffers.wg, &mut rb, retry) {
-                            Ok(()) => Some(rb),
-                            Err(_) => {
-                                readback = Some(rb);
-                                None
-                            }
-                        };
-                        upd_done.send(uctx, UpdateDone::Prefetch(reply));
                     }
                 }
             }
@@ -1505,34 +1420,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn hide_global_read_shifts_time_out_of_main_path() {
-        // Compute-dominated regime (the update thread's work fits inside
-        // T_comp): hiding the read removes T_rgw from the critical path.
-        // When the server is saturated instead, hiding buys nothing — the
-        // update thread just gets longer — which is part of why the paper
-        // keeps the read synchronous.
-        let wl = WorkloadModel::custom("w", 200_000_000, SimDuration::from_millis(300));
-        let visible = run_seasgd(
-            2,
-            1,
-            quiet(ShmCaffeConfig { max_iters: 15, hide_global_read: false, ..Default::default() }),
-            wl.clone(),
-        );
-        let hidden = run_seasgd(
-            2,
-            1,
-            quiet(ShmCaffeConfig { max_iters: 15, hide_global_read: true, ..Default::default() }),
-            wl,
-        );
-        let t_visible = visible.iter().map(|o| o.report.finished_at).max().unwrap();
-        let t_hidden = hidden.iter().map(|o| o.report.finished_at).max().unwrap();
-        assert!(
-            t_hidden < t_visible,
-            "hiding the read must shorten the run: {t_hidden} vs {t_visible}"
-        );
-    }
-
     /// Runs `body` as the only worker of a one-node cluster: `W_g` holds
     /// the trainer's initial weights, the exchanger is spawned and torn
     /// down around it. `body` also gets the fabric, for its link counters
@@ -1613,9 +1500,10 @@ mod tests {
                 let bytes = iteration() - before;
                 (ex.phase_times(), bytes)
             });
-        // 53.5 MB at the 6.7 GB/s the server ever reaches is 8 ms; the
-        // stall the worker sees is that minus the mixing it overlaps, plus
-        // the first tiles' fill. One paced connection took 33.8 ms.
+        // 53.5 MB over four paced connections (5.74 GB/s in the Fig. 7
+        // sweep) is 9.3 ms; the stall the worker sees is that minus the
+        // mixing it overlaps, plus the first tiles' fill. One paced
+        // connection took 33.8 ms.
         assert!(phases.read < SimDuration::from_millis(10), "read stall {}", phases.read);
         assert_eq!(phases.wait, SimDuration::ZERO, "pushes hide behind 257 ms of compute");
         assert_eq!(bytes, INCEPTION_EXCHANGE_WIRE_BYTES, "same bytes, more streams");
@@ -1674,20 +1562,16 @@ mod tests {
         let tile = INCEPTION_EXCHANGE_WIRE_BYTES / 2 / n_tiles as u64;
         assert_eq!(bytes, tile * (n_tiles - first) as u64, "the exchange reads the rest, once");
 
-        for late in [
-            ShmCaffeConfig { hide_global_read: true, ..cfg },
-            ShmCaffeConfig { pipelined_exchange: false, ..cfg },
-        ] {
-            let started = solo(late, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
-                ex.exchange(ctx, trainer).unwrap();
-                ctx.sleep(SimDuration::from_millis(300));
-                let before = worker_rx(fabric).transfer_count();
-                ex.start_window(ctx).unwrap();
-                ctx.sleep(SimDuration::from_millis(100));
-                ex.window_open || worker_rx(fabric).transfer_count() != before
-            });
-            assert!(!started, "no early start under {late:?}");
-        }
+        let late = ShmCaffeConfig { pipelined_exchange: false, ..cfg };
+        let started = solo(late, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
+            ex.exchange(ctx, trainer).unwrap();
+            ctx.sleep(SimDuration::from_millis(300));
+            let before = worker_rx(fabric).transfer_count();
+            ex.start_window(ctx).unwrap();
+            ctx.sleep(SimDuration::from_millis(100));
+            ex.window_open || worker_rx(fabric).transfer_count() != before
+        });
+        assert!(!started, "no early start under the monolithic exchange");
     }
 
     #[test]

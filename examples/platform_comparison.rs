@@ -52,5 +52,5 @@ fn main() {
     describe("ShmCaffe-A", &ShmCaffeA::new(spec, GPUS, shm).run(factory()).expect("runs"));
     describe("ShmCaffe-H", &ShmCaffeH::new(spec, 2, 4, shm).run(factory()).expect("runs"));
 
-    println!("\n(the full Table II / Fig 9 sweep lives in `cargo run -p shmcaffe-bench --bin fig09_table2_training_time`)");
+    println!("\n(the full Table II / Fig 9 sweep lives in `cargo run -p shmcaffe-bench --bin paper -- fig09`)");
 }

@@ -8,10 +8,15 @@
 # The suite runs twice — once with SHMCAFFE_THREADS=1 and once with
 # SHMCAFFE_THREADS=4 — because the compute backend dispatches onto a
 # worker pool and every kernel promises bit-identical results at any
-# thread count. Two seeded end-to-end training checksums (small_cnn, and
-# the benchmark's mini_inception: 1x1/3x3/5x5 convs, padded stride-1
-# pools, LRN, Inception concat) are compared across the two settings to
-# catch any schedule-dependent reduction order.
+# thread count. Each pass runs every test target of the workspace once
+# (the analysis fixtures, the conv/LRN/pool oracles, the exchange,
+# partition, integrity and schedcheck suites included); no target is
+# re-invoked afterwards. Two seeded end-to-end training checksums
+# (small_cnn, and the benchmark's mini_inception: 1x1/3x3/5x5 convs,
+# padded stride-1 pools, LRN, Inception concat) are compared across the
+# two settings to catch any schedule-dependent reduction order, and the
+# three records that are virtual time or seeded training (BENCH_comm,
+# BENCH_paper, BENCH_fault) are re-run and must reproduce exactly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,14 +26,14 @@ cargo fmt --all -- --check
 echo "== determinism lint + allowlist audit =="
 cargo run -q -p shmcaffe-analysis
 
-echo "== analysis self-check (lexer + rule fixtures, workspace clean) =="
-cargo test -q -p shmcaffe-analysis
-
+# Every schedcheck suite carries its own schedule budget (ExploreBounds);
+# the timeout is a wall-clock backstop so a pruning regression fails the
+# gate instead of hanging it.
 echo "== tier-1 suite, SHMCAFFE_THREADS=1 =="
-SHMCAFFE_THREADS=1 cargo test -q --workspace
+SHMCAFFE_THREADS=1 timeout 1800 cargo test -q --workspace
 
 echo "== tier-1 suite, SHMCAFFE_THREADS=4 =="
-SHMCAFFE_THREADS=4 cargo test -q --workspace
+SHMCAFFE_THREADS=4 timeout 1800 cargo test -q --workspace
 
 echo "== seeded training checksums (small_cnn, mini_inception), 1 vs 4 threads =="
 cargo build -q --release -p shmcaffe-bench --bin kernel_bench
@@ -40,14 +45,6 @@ if [ "$sum1" != "$sum4" ]; then
     echo "FAIL: a training checksum differs across thread counts" >&2
     exit 1
 fi
-
-echo "== direct conv (fwd, dX, dW): bit-identity vs the im2col oracle (wide geometries, 1/2/4/7 threads) + zero-alloc steady state (conv fwd/bwd, max-pool fwd) =="
-cargo test -q -p shmcaffe-tensor --test fused_conv
-cargo test -q -p shmcaffe-tensor --test alloc_free
-
-echo "== memory-bound layers: LRN vs per-element oracle, tiled max-pool vs per-window oracle, pooling goldens, propagate_down =="
-cargo test -q -p shmcaffe-tensor --test lrn_oracle --test pool_oracle --test pool_golden
-cargo test -q -p shmcaffe-models --test propagate_down
 
 echo "== kernel-bench smoke: in-image conv task grid must not regress (host-aware floor) =="
 ./target/release/kernel_bench --smoke
@@ -68,26 +65,12 @@ fi
 echo "== exchange table: BENCH_comm.json reproduces exactly (virtual time) and meets its printed target =="
 ./target/release/exchange_bench --check
 
-echo "== chunked exchange equivalence (proptest over chunk sizes and lanes) =="
-cargo test -q -p shmcaffe --test exchange_equivalence
+echo "== paper scoreboard: BENCH_paper.json reproduces exactly (virtual time + seeded training) =="
+cargo build -q --release -p shmcaffe-bench --bin paper --bin fault_sweep
+./target/release/paper --check | tail -n 3
 
-echo "== partition tolerance: split-brain chaos + fencing/replica suites =="
-cargo test -q -p shmcaffe --test partition
-cargo test -q -p shmcaffe-smb --lib -- promotion fenced partition reconcile
-
-echo "== data integrity: CRC kernel + CRC-grid proptests + repair/scrub suites + corruption chaos =="
-cargo test -q -p shmcaffe-tensor --lib crc32c
-cargo test -q -p shmcaffe-smb --test integrity_proptests
-cargo test -q -p shmcaffe-smb --test integrity
-cargo test -q -p shmcaffe --test chaos -- corrupt
-
-echo "== schedcheck: bounded DPOR exploration + seeded-mutation harness =="
-# Every suite carries its own schedule budget (ExploreBounds); the timeout
-# is a wall-clock backstop so a pruning regression fails the gate instead
-# of hanging it.
-timeout 300 cargo test -q -p shmcaffe-simnet --test schedcheck
-timeout 300 cargo test -q -p shmcaffe-smb --test schedcheck
-timeout 300 cargo test -q -p shmcaffe --test schedcheck_seasgd
+echo "== fault sweep: BENCH_fault.json reproduces exactly (the 'simulation aborted' panics on stderr are MPICaffe's deliberate abort) =="
+RUST_BACKTRACE=0 ./target/release/fault_sweep --check | tail -n 3
 
 echo "== race detector: SMB seeded-race/failover/fence-chain/repair + SEASGD chaos/failover/partition =="
 ./scripts/race.sh
