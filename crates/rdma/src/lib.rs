@@ -9,12 +9,16 @@
 //! * [`RdmaFabric`] — per-node registered memory pools on top of
 //!   [`shmcaffe_simnet::topology::Fabric`],
 //! * [`MemoryRegion`] — a registered buffer identified by `(node, rkey)`,
-//! * one-sided [`RdmaFabric::read`] / [`RdmaFabric::write`] that move real
-//!   data between address spaces while charging virtual time to the HCA and
-//!   switch resources,
-//! * `*_wire` variants that decouple the *modelled* wire size from the
-//!   physical payload, used by the timing experiments to simulate
-//!   multi-hundred-megabyte parameter buffers with small in-memory vectors.
+//! * the paper's two one-sided verbs, [`RdmaFabric::read`] and
+//!   [`RdmaFabric::write`], which move real data between address spaces
+//!   while charging virtual time to the HCA and switch resources and
+//!   announce the touched range once ([`SimContext::access`]),
+//! * their `*_wire` fronts, which decouple the *modelled* wire size from
+//!   the physical payload (the timing experiments simulate
+//!   multi-hundred-megabyte parameter buffers with small in-memory vectors)
+//!   and let a higher layer name the access's kind and site,
+//! * a miniature queue-pair state machine ([`QpState`]) for the fail-over
+//!   path, whose re-arm costs virtual time.
 //!
 //! Addressing is in f32 *elements* (the parameter word), the unit every
 //! layer of this system traffics in; wire sizes are element count × 4 bytes.
@@ -48,13 +52,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-#[cfg(feature = "race-detect")]
-use shmcaffe_simnet::race::{AccessKind, RaceDetector};
-
 use shmcaffe_simnet::fault::FaultError;
 use shmcaffe_simnet::resource::TransferReport;
 use shmcaffe_simnet::topology::{Fabric, NodeId};
-use shmcaffe_simnet::{SimContext, SimDuration};
+use shmcaffe_simnet::{AccessKind, SimContext, SimDuration};
 
 /// Remote access key for a registered memory region (the InfiniBand rkey).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -83,15 +84,16 @@ pub struct MemoryRegion {
 
 /// State of the queue pair between a local and a remote endpoint.
 ///
-/// Mirrors the InfiniBand QP state machine in miniature: a faulted work
-/// request transitions the QP to [`QpState::Error`], after which every
-/// operation on that peer pair fails fast (no wire time) until the caller
-/// re-arms it via [`RdmaFabric::rearm_qp`] (Reset → Ready).
+/// Mirrors the InfiniBand QP state machine in miniature: the layer that
+/// gates transfers on the fabric's fault plan (the SMB client) marks the
+/// pair [`QpState::Error`] when a work request faults
+/// ([`RdmaFabric::fault_qp`]) and re-arms it via [`RdmaFabric::rearm_qp`]
+/// (Reset → Ready) before its next attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum QpState {
     /// Operations are accepted.
     Ready,
-    /// A work request faulted; operations fail fast until re-armed.
+    /// A work request faulted; the pair must be re-armed.
     Error,
     /// Mid re-arm (transient).
     Reset,
@@ -131,16 +133,6 @@ pub enum RdmaError {
     },
     /// The node id does not exist on this fabric.
     BadNode(NodeId),
-    /// The queue pair to the peer is not in [`QpState::Ready`]; the
-    /// operation was rejected without charging wire time.
-    QpNotReady {
-        /// Local endpoint.
-        local: NodeId,
-        /// Remote endpoint.
-        remote: NodeId,
-        /// Observed QP state.
-        state: QpState,
-    },
     /// A fabric fault failed the work request; the QP is now in
     /// [`QpState::Error`].
     QpFault {
@@ -150,16 +142,6 @@ pub enum RdmaError {
         remote: NodeId,
         /// The underlying injected fault.
         fault: FaultError,
-    },
-    /// The operation completed later than the caller's deadline; the QP is
-    /// now in [`QpState::Error`].
-    Timeout {
-        /// Local endpoint.
-        local: NodeId,
-        /// Remote endpoint.
-        remote: NodeId,
-        /// How long the operation actually took.
-        after: SimDuration,
     },
 }
 
@@ -172,19 +154,13 @@ impl fmt::Display for RdmaError {
             RdmaError::OutOfBounds { node, offset, len, capacity } => {
                 write!(
                     f,
-                    "access [{offset}, {}) exceeds region capacity {capacity} on {node}",
-                    offset + len
+                    "access of {len} elements at offset {offset} exceeds region capacity \
+                     {capacity} on {node}"
                 )
             }
             RdmaError::BadNode(n) => write!(f, "no such fabric endpoint: {n}"),
-            RdmaError::QpNotReady { local, remote, state } => {
-                write!(f, "qp {local}->{remote} is {state}, not Ready")
-            }
             RdmaError::QpFault { local, remote, fault } => {
                 write!(f, "qp {local}->{remote} faulted: {fault}")
-            }
-            RdmaError::Timeout { local, remote, after } => {
-                write!(f, "op on qp {local}->{remote} exceeded deadline (took {after})")
             }
         }
     }
@@ -211,11 +187,13 @@ struct FabricInner {
     next_key: Mutex<u64>,
     /// QP state per (local, remote) endpoint pair; absent means Ready.
     qp_states: Mutex<BTreeMap<(NodeId, NodeId), QpState>>,
-    /// Happens-before race detector over this fabric's regions. Owned per
-    /// fabric (not global) so concurrently running simulations in one test
-    /// binary never observe each other's accesses.
-    #[cfg(feature = "race-detect")]
-    race: RaceDetector,
+}
+
+/// The payload side of a one-sided verb: where a read lands, or what a
+/// write carries.
+enum Payload<'a> {
+    Read(&'a mut [f32]),
+    Write(&'a [f32]),
 }
 
 /// The RDMA-capable fabric: registered memory pools on every endpoint.
@@ -244,19 +222,8 @@ impl RdmaFabric {
                 pools,
                 next_key: Mutex::new(1),
                 qp_states: Mutex::new(BTreeMap::new()),
-                #[cfg(feature = "race-detect")]
-                race: RaceDetector::new(),
             }),
         }
-    }
-
-    /// The fabric's happens-before race detector (only with the
-    /// `race-detect` feature). Higher layers record engine-serialized
-    /// accesses (e.g. the SMB accumulate) through this handle; tests that
-    /// deliberately seed a race disable halting and inspect its reports.
-    #[cfg(feature = "race-detect")]
-    pub fn race_detector(&self) -> &RaceDetector {
-        &self.inner.race
     }
 
     /// Current QP state between two endpoints (Ready unless faulted).
@@ -270,8 +237,8 @@ impl RdmaFabric {
 
     /// Marks a QP as faulted. Higher layers (e.g. the SMB client, whose
     /// data path charges wire time itself) call this when the fabric's
-    /// fault injector fails one of their transfers, so subsequent ops on
-    /// the pair fail fast until [`RdmaFabric::rearm_qp`].
+    /// fault injector fails one of their transfers; the pair stays in
+    /// [`QpState::Error`] until [`RdmaFabric::rearm_qp`].
     pub fn fault_qp(&self, local: NodeId, remote: NodeId) {
         self.set_qp(local, remote, QpState::Error);
     }
@@ -304,15 +271,6 @@ impl RdmaFabric {
         self.set_qp(local, new_remote, QpState::Reset);
         ctx.sleep(SimDuration::from_micros(10));
         self.set_qp(local, new_remote, QpState::Ready);
-    }
-
-    fn check_qp(&self, local: NodeId, remote: NodeId) -> Result<(), RdmaError> {
-        let state = self.qp_state(local, remote);
-        if state == QpState::Ready {
-            Ok(())
-        } else {
-            Err(RdmaError::QpNotReady { local, remote, state })
-        }
     }
 
     /// The underlying fabric.
@@ -357,17 +315,13 @@ impl RdmaFabric {
     ///
     /// Returns [`RdmaError::UnknownRegion`] if already deregistered.
     pub fn deregister(&self, mr: &MemoryRegion) -> Result<Vec<f32>, RdmaError> {
-        let data = self
-            .pool(mr.node)?
+        // Rkeys are never reused, so a later region cannot alias this one's
+        // recorded access history.
+        self.pool(mr.node)?
             .regions
             .lock()
             .remove(&mr.rkey.0)
-            .ok_or(RdmaError::UnknownRegion { rkey: mr.rkey, node: mr.node })?;
-        // Rkeys are never reused, so the access history cannot alias a
-        // later region.
-        #[cfg(feature = "race-detect")]
-        self.inner.race.forget_region(mr.rkey.0);
-        Ok(data)
+            .ok_or(RdmaError::UnknownRegion { rkey: mr.rkey, node: mr.node })
     }
 
     /// Runs `f` over the region's buffer on its host node (a *local* access:
@@ -420,16 +374,49 @@ impl RdmaFabric {
         result
     }
 
-    fn check_bounds(mr: &MemoryRegion, offset: usize, len: usize) -> Result<(), RdmaError> {
-        if offset + len > mr.len {
+    /// The one transfer behind both verbs: bounds, then the copy and the
+    /// wire charge in the direction's order, then one access record.
+    ///
+    /// A read snapshots the remote bytes when it is issued and pays the
+    /// wire (remote → local) afterwards. A write pays the wire first
+    /// (local → remote) and lands the bytes on arrival; they are visible
+    /// before this process yields control back to the caller, so no other
+    /// process can observe a torn state.
+    #[allow(clippy::too_many_arguments)]
+    fn transfer(
+        &self,
+        ctx: &SimContext,
+        local: NodeId,
+        mr: &MemoryRegion,
+        offset: usize,
+        payload: Payload<'_>,
+        wire_bytes: u64,
+        kind: AccessKind,
+        site: &'static str,
+    ) -> Result<TransferReport, RdmaError> {
+        let len = match &payload {
+            Payload::Read(out) => out.len(),
+            Payload::Write(data) => data.len(),
+        };
+        let Some(end) = offset.checked_add(len).filter(|&end| end <= mr.len) else {
             return Err(RdmaError::OutOfBounds { node: mr.node, offset, len, capacity: mr.len });
-        }
-        Ok(())
+        };
+        let wire = |from, to| self.inner.fabric.net_transfer(ctx, from, to, wire_bytes);
+        let sent = match payload {
+            Payload::Write(_) => Some(wire(local, mr.node)),
+            Payload::Read(_) => None,
+        };
+        self.with_region(mr, |buf| match payload {
+            Payload::Read(out) => out.copy_from_slice(&buf[offset..end]),
+            Payload::Write(data) => buf[offset..end].copy_from_slice(data),
+        })?;
+        ctx.access(mr.rkey.0, offset, len, kind, site);
+        Ok(sent.unwrap_or_else(|| wire(mr.node, local)))
     }
 
     /// One-sided RDMA read: copies `out.len()` elements starting at
     /// `offset` from the remote region into `out`, charging the wire time
-    /// for `out.len() * 4` bytes.
+    /// for `out.len() * 4` bytes. Recorded as a plain read.
     ///
     /// # Errors
     ///
@@ -442,14 +429,18 @@ impl RdmaFabric {
         offset: usize,
         out: &mut [f32],
     ) -> Result<TransferReport, RdmaError> {
-        self.read_wire(ctx, local, mr, offset, out, (out.len() * 4) as u64)
+        let wire_bytes = (out.len() * 4) as u64;
+        self.read_wire(ctx, local, mr, offset, out, wire_bytes, AccessKind::Read, "rdma::read")
     }
 
-    /// [`RdmaFabric::read`] with an explicit modelled wire size in bytes.
+    /// [`RdmaFabric::read`] with an explicit modelled wire size in bytes,
+    /// recorded as a `kind` access from `site` (the caller's own label: it
+    /// knows whether the read is stale-tolerant by protocol).
     ///
     /// # Errors
     ///
     /// Returns bounds/region errors; on error no time is charged.
+    #[allow(clippy::too_many_arguments)]
     pub fn read_wire(
         &self,
         ctx: &SimContext,
@@ -458,46 +449,15 @@ impl RdmaFabric {
         offset: usize,
         out: &mut [f32],
         wire_bytes: u64,
+        kind: AccessKind,
+        site: &'static str,
     ) -> Result<TransferReport, RdmaError> {
-        self.read_wire_paced(ctx, local, mr, offset, out, wire_bytes, None)
-    }
-
-    /// [`RdmaFabric::read_wire`] with an optional per-stream pacing limit
-    /// in bytes/s (see
-    /// [`shmcaffe_simnet::resource::BandwidthResource::transfer_stream`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns bounds/region errors; on error no time is charged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn read_wire_paced(
-        &self,
-        ctx: &SimContext,
-        local: NodeId,
-        mr: &MemoryRegion,
-        offset: usize,
-        out: &mut [f32],
-        wire_bytes: u64,
-        stream_bps: Option<f64>,
-    ) -> Result<TransferReport, RdmaError> {
-        Self::check_bounds(mr, offset, out.len())?;
-        self.with_region(mr, |buf| out.copy_from_slice(&buf[offset..offset + out.len()]))?;
-        ctx.footprint(mr.rkey.0, offset, out.len(), shmcaffe_simnet::FootprintKind::Read);
-        #[cfg(feature = "race-detect")]
-        self.inner.race.record(
-            ctx,
-            mr.rkey.0,
-            offset,
-            out.len(),
-            AccessKind::Read,
-            "rdma::read_wire_paced",
-        );
-        // Data flows remote -> local.
-        Ok(self.inner.fabric.net_transfer_stream(ctx, mr.node, local, wire_bytes, stream_bps))
+        self.transfer(ctx, local, mr, offset, Payload::Read(out), wire_bytes, kind, site)
     }
 
     /// One-sided RDMA write: copies `data` into the remote region at
     /// `offset`, charging the wire time for `data.len() * 4` bytes.
+    /// Recorded as a plain write.
     ///
     /// # Errors
     ///
@@ -510,14 +470,18 @@ impl RdmaFabric {
         offset: usize,
         data: &[f32],
     ) -> Result<TransferReport, RdmaError> {
-        self.write_wire(ctx, local, mr, offset, data, (data.len() * 4) as u64)
+        let wire_bytes = (data.len() * 4) as u64;
+        self.write_wire(ctx, local, mr, offset, data, wire_bytes, AccessKind::Write, "rdma::write")
     }
 
-    /// [`RdmaFabric::write`] with an explicit modelled wire size in bytes.
+    /// [`RdmaFabric::write`] with an explicit modelled wire size in bytes,
+    /// recorded as a `kind` access from `site` (see
+    /// [`RdmaFabric::read_wire`]).
     ///
     /// # Errors
     ///
     /// Returns bounds/region errors; on error no time is charged.
+    #[allow(clippy::too_many_arguments)]
     pub fn write_wire(
         &self,
         ctx: &SimContext,
@@ -526,158 +490,10 @@ impl RdmaFabric {
         offset: usize,
         data: &[f32],
         wire_bytes: u64,
+        kind: AccessKind,
+        site: &'static str,
     ) -> Result<TransferReport, RdmaError> {
-        self.write_wire_paced(ctx, local, mr, offset, data, wire_bytes, None)
-    }
-
-    /// [`RdmaFabric::write_wire`] with an optional per-stream pacing limit
-    /// in bytes/s.
-    ///
-    /// # Errors
-    ///
-    /// Returns bounds/region errors; on error no time is charged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn write_wire_paced(
-        &self,
-        ctx: &SimContext,
-        local: NodeId,
-        mr: &MemoryRegion,
-        offset: usize,
-        data: &[f32],
-        wire_bytes: u64,
-        stream_bps: Option<f64>,
-    ) -> Result<TransferReport, RdmaError> {
-        Self::check_bounds(mr, offset, data.len())?;
-        // Charge wire time first (data flows local -> remote), then land the
-        // bytes; the write is visible before this process yields control
-        // back to the caller, so no other process can observe a torn state.
-        let report =
-            self.inner.fabric.net_transfer_stream(ctx, local, mr.node, wire_bytes, stream_bps);
-        self.with_region(mr, |buf| buf[offset..offset + data.len()].copy_from_slice(data))?;
-        ctx.footprint(mr.rkey.0, offset, data.len(), shmcaffe_simnet::FootprintKind::Write);
-        #[cfg(feature = "race-detect")]
-        self.inner.race.record(
-            ctx,
-            mr.rkey.0,
-            offset,
-            data.len(),
-            AccessKind::Write,
-            "rdma::write_wire_paced",
-        );
-        Ok(report)
-    }
-
-    /// Fallible [`RdmaFabric::read_wire_paced`] with QP-state and timeout
-    /// semantics: the op is rejected without wire time when the QP to the
-    /// region's node is not Ready; an injected fabric fault or a completion
-    /// later than `timeout` transitions the QP to [`QpState::Error`] and
-    /// returns the corresponding error.
-    ///
-    /// # Errors
-    ///
-    /// Region/bounds errors, [`RdmaError::QpNotReady`],
-    /// [`RdmaError::QpFault`] or [`RdmaError::Timeout`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_read_wire_paced(
-        &self,
-        ctx: &SimContext,
-        local: NodeId,
-        mr: &MemoryRegion,
-        offset: usize,
-        out: &mut [f32],
-        wire_bytes: u64,
-        stream_bps: Option<f64>,
-        timeout: Option<SimDuration>,
-    ) -> Result<TransferReport, RdmaError> {
-        self.check_qp(local, mr.node)?;
-        Self::check_bounds(mr, offset, out.len())?;
-        let started = ctx.now();
-        let report = self
-            .inner
-            .fabric
-            .try_net_transfer_stream(ctx, mr.node, local, wire_bytes, stream_bps)
-            .map_err(|fault| {
-                self.set_qp(local, mr.node, QpState::Error);
-                RdmaError::QpFault { local, remote: mr.node, fault }
-            })?;
-        self.enforce_timeout(ctx, local, mr.node, started, timeout)?;
-        // Land the payload only once the wire op succeeded.
-        self.with_region(mr, |buf| out.copy_from_slice(&buf[offset..offset + out.len()]))?;
-        ctx.footprint(mr.rkey.0, offset, out.len(), shmcaffe_simnet::FootprintKind::Read);
-        #[cfg(feature = "race-detect")]
-        self.inner.race.record(
-            ctx,
-            mr.rkey.0,
-            offset,
-            out.len(),
-            AccessKind::Read,
-            "rdma::try_read_wire_paced",
-        );
-        Ok(report)
-    }
-
-    /// Fallible [`RdmaFabric::write_wire_paced`]; see
-    /// [`RdmaFabric::try_read_wire_paced`] for the QP/timeout semantics.
-    /// A faulted write does not modify the remote region.
-    ///
-    /// # Errors
-    ///
-    /// Region/bounds errors, [`RdmaError::QpNotReady`],
-    /// [`RdmaError::QpFault`] or [`RdmaError::Timeout`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_write_wire_paced(
-        &self,
-        ctx: &SimContext,
-        local: NodeId,
-        mr: &MemoryRegion,
-        offset: usize,
-        data: &[f32],
-        wire_bytes: u64,
-        stream_bps: Option<f64>,
-        timeout: Option<SimDuration>,
-    ) -> Result<TransferReport, RdmaError> {
-        self.check_qp(local, mr.node)?;
-        Self::check_bounds(mr, offset, data.len())?;
-        let started = ctx.now();
-        let report = self
-            .inner
-            .fabric
-            .try_net_transfer_stream(ctx, local, mr.node, wire_bytes, stream_bps)
-            .map_err(|fault| {
-                self.set_qp(local, mr.node, QpState::Error);
-                RdmaError::QpFault { local, remote: mr.node, fault }
-            })?;
-        self.enforce_timeout(ctx, local, mr.node, started, timeout)?;
-        self.with_region(mr, |buf| buf[offset..offset + data.len()].copy_from_slice(data))?;
-        ctx.footprint(mr.rkey.0, offset, data.len(), shmcaffe_simnet::FootprintKind::Write);
-        #[cfg(feature = "race-detect")]
-        self.inner.race.record(
-            ctx,
-            mr.rkey.0,
-            offset,
-            data.len(),
-            AccessKind::Write,
-            "rdma::try_write_wire_paced",
-        );
-        Ok(report)
-    }
-
-    fn enforce_timeout(
-        &self,
-        ctx: &SimContext,
-        local: NodeId,
-        remote: NodeId,
-        started: shmcaffe_simnet::SimTime,
-        timeout: Option<SimDuration>,
-    ) -> Result<(), RdmaError> {
-        if let Some(deadline) = timeout {
-            let elapsed = ctx.now() - started;
-            if elapsed > deadline {
-                self.set_qp(local, remote, QpState::Error);
-                return Err(RdmaError::Timeout { local, remote, after: elapsed });
-            }
-        }
-        Ok(())
+        self.transfer(ctx, local, mr, offset, Payload::Write(data), wire_bytes, kind, site)
     }
 }
 
@@ -763,7 +579,8 @@ mod tests {
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
             // Physical 16 bytes, modelled as 53.5 MB (Inception_v1 weights).
-            r.write_wire(&ctx, NodeId(0), &mr, 0, &[1.0; 4], 53_500_000).unwrap();
+            r.write_wire(&ctx, NodeId(0), &mr, 0, &[1.0; 4], 53_500_000, AccessKind::Write, "t")
+                .unwrap();
             let ms = ctx.now().as_millis_f64();
             // 53.5 MB / 7 GB/s = 7.64 ms.
             assert!((ms - 7.64).abs() < 0.1, "took {ms} ms");
@@ -797,39 +614,42 @@ mod tests {
 
     #[test]
     fn faulted_qp_fails_fast_until_rearmed() {
-        use shmcaffe_simnet::fault::FaultPlan;
-        use shmcaffe_simnet::SimTime;
-        // Link down for the first 10 ms: the first op faults the QP, the
-        // second is rejected with no wire time, and after re-arm (past the
-        // outage) ops succeed again.
-        let plan = FaultPlan::new(3).link_down(NodeId(1), SimTime::ZERO, SimTime::from_millis(10));
-        let rdma = RdmaFabric::new(Fabric::with_faults(ClusterSpec::paper_testbed(2), plan));
+        // Error -> Reset -> Ready pays the re-initialisation latency once;
+        // re-arming a Ready pair is free; ops flow again afterwards.
+        let rdma = test_fabric();
         let mr = rdma.register(NodeId(1), 4).unwrap();
         let r = rdma.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
-            let err = r
-                .try_write_wire_paced(&ctx, NodeId(0), &mr, 0, &[1.0; 4], 16, None, None)
-                .unwrap_err();
-            assert!(matches!(err, RdmaError::QpFault { remote: NodeId(1), .. }));
-            let dyn_err: &dyn std::error::Error = &err;
-            assert!(dyn_err.source().is_some(), "QpFault must chain the fabric fault");
+            assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Ready);
+            r.rearm_qp(&ctx, NodeId(0), NodeId(1));
+            assert_eq!(ctx.now().as_nanos(), 0, "re-arming a Ready pair must be free");
+
+            r.fault_qp(NodeId(0), NodeId(1));
             assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Error);
+            // State is per (local, remote) pair: the reverse pair is untouched.
+            assert_eq!(r.qp_state(NodeId(1), NodeId(0)), QpState::Ready);
+            assert_eq!(ctx.now().as_nanos(), 0, "faulting a pair must not charge time");
 
-            let t_before = ctx.now();
-            let err2 = r
-                .try_write_wire_paced(&ctx, NodeId(0), &mr, 0, &[1.0; 4], 16, None, None)
-                .unwrap_err();
-            assert!(matches!(err2, RdmaError::QpNotReady { state: QpState::Error, .. }));
-            assert_eq!(ctx.now(), t_before, "fail-fast must not charge time");
-
-            ctx.sleep_until(SimTime::from_millis(10));
             r.rearm_qp(&ctx, NodeId(0), NodeId(1));
             assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Ready);
-            r.try_write_wire_paced(&ctx, NodeId(0), &mr, 0, &[2.0; 4], 16, None, None).unwrap();
+            assert_eq!(ctx.now().as_nanos(), 10_000, "Error -> Reset -> Ready costs 10 us");
+            r.rearm_qp(&ctx, NodeId(0), NodeId(1));
+            assert_eq!(ctx.now().as_nanos(), 10_000, "the latency is paid once");
+
+            r.write(&ctx, NodeId(0), &mr, 0, &[2.0; 4]).unwrap();
         });
         sim.run();
         assert_eq!(rdma.deregister(&mr).unwrap(), vec![2.0; 4]);
+    }
+
+    #[test]
+    fn qp_fault_chains_the_fabric_fault() {
+        use shmcaffe_simnet::SimTime;
+        let fault = FaultError::LinkDown { node: NodeId(1), at: SimTime::ZERO };
+        let err = RdmaError::QpFault { local: NodeId(0), remote: NodeId(1), fault };
+        let dyn_err: &dyn std::error::Error = &err;
+        assert!(dyn_err.source().is_some(), "QpFault must chain the fabric fault");
     }
 
     #[test]
@@ -846,66 +666,28 @@ mod tests {
             // latency.
             assert_eq!(r.qp_state(NodeId(0), mem), QpState::Error);
             assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Ready);
-            assert!(ctx.now() > t0, "reconnect must pay re-initialisation time");
+            assert_eq!((ctx.now() - t0).as_nanos(), 10_000, "reconnect pays re-initialisation");
             let mr = r.register(NodeId(1), 2).unwrap();
-            r.try_write_wire_paced(&ctx, NodeId(0), &mr, 0, &[3.0; 2], 8, None, None).unwrap();
+            r.write(&ctx, NodeId(0), &mr, 0, &[3.0; 2]).unwrap();
         });
         sim.run();
     }
 
     #[test]
-    fn slow_op_times_out_and_faults_qp() {
-        use shmcaffe_simnet::fault::FaultPlan;
-        use shmcaffe_simnet::SimTime;
-        // 1% bandwidth: 7 MB takes ~100 ms, past a 10 ms deadline.
-        let plan =
-            FaultPlan::new(3).link_degraded(NodeId(1), SimTime::ZERO, SimTime::from_secs(10), 0.01);
-        let rdma = RdmaFabric::new(Fabric::with_faults(ClusterSpec::paper_testbed(2), plan));
-        let mr = rdma.register(NodeId(1), 4).unwrap();
-        let r = rdma.clone();
-        let mut sim = Simulation::new();
-        sim.spawn("w", move |ctx| {
-            let mut out = [0.0f32; 4];
-            let err = r
-                .try_read_wire_paced(
-                    &ctx,
-                    NodeId(0),
-                    &mr,
-                    0,
-                    &mut out,
-                    7_000_000,
-                    None,
-                    Some(SimDuration::from_millis(10)),
-                )
-                .unwrap_err();
-            assert!(matches!(err, RdmaError::Timeout { .. }));
-            assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Error);
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn fault_free_try_ops_match_infallible_ones() {
+    fn offset_overflow_is_out_of_bounds_not_a_panic() {
         let rdma = test_fabric();
         let mr = rdma.register(NodeId(1), 4).unwrap();
         let r = rdma.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
-            r.try_write_wire_paced(&ctx, NodeId(0), &mr, 0, &[5.0; 4], 16, None, None).unwrap();
-            let mut out = [0.0f32; 4];
-            r.try_read_wire_paced(
-                &ctx,
-                NodeId(0),
-                &mr,
-                0,
-                &mut out,
-                16,
-                None,
-                Some(SimDuration::from_secs(1)),
-            )
-            .unwrap();
-            assert_eq!(out, [5.0; 4]);
-            assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Ready);
+            // usize::MAX + 2 wraps to 1, which a plain `offset + len` would
+            // accept.
+            let err = r.read(&ctx, NodeId(0), &mr, usize::MAX, &mut [0.0; 2]).unwrap_err();
+            assert!(matches!(err, RdmaError::OutOfBounds { offset: usize::MAX, len: 2, .. }));
+            assert!(!err.to_string().is_empty());
+            let err = r.write(&ctx, NodeId(0), &mr, usize::MAX, &[0.0; 2]).unwrap_err();
+            assert!(matches!(err, RdmaError::OutOfBounds { .. }));
+            assert_eq!(ctx.now().as_nanos(), 0, "failed op must not charge time");
         });
         sim.run();
     }
@@ -919,7 +701,17 @@ mod tests {
             let r = rdma.clone();
             let mr = rdma.register(mem, 4).unwrap();
             sim.spawn(&format!("w{i}"), move |ctx| {
-                r.write_wire(&ctx, NodeId(i), &mr, 0, &[1.0; 4], 700_000_000).unwrap();
+                r.write_wire(
+                    &ctx,
+                    NodeId(i),
+                    &mr,
+                    0,
+                    &[1.0; 4],
+                    700_000_000,
+                    AccessKind::Write,
+                    "t",
+                )
+                .unwrap();
             });
         }
         // Each write is 0.1 s of service; the server rx serialises them.

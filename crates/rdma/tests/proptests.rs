@@ -75,6 +75,37 @@ proptest! {
         }
     }
 
+    /// A window starting within 64 elements of `usize::MAX` is out of
+    /// bounds in both directions — also when `offset + len` overflows and
+    /// would wrap back inside the region — and charges no time.
+    #[test]
+    fn windows_up_to_usize_max_are_rejected(
+        region_len in 1usize..32,
+        back in 0usize..64,
+        len in 1usize..80,
+    ) {
+        let rdma = fabric();
+        let mr = rdma.register(NodeId(0), region_len).unwrap();
+        let offset = usize::MAX - back;
+        let seen: Arc<Mutex<Vec<(RdmaError, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        let rd = rdma.clone();
+        let mut sim = Simulation::new();
+        sim.spawn("w", move |ctx| {
+            let mut buf = vec![1.0f32; len];
+            let w = rd.write(&ctx, NodeId(1), &mr, offset, &buf).unwrap_err();
+            let r = rd.read(&ctx, NodeId(1), &mr, offset, &mut buf).unwrap_err();
+            *seen2.lock() = vec![(w, ctx.now().as_nanos()), (r, ctx.now().as_nanos())];
+        });
+        sim.run();
+        for (err, at) in seen.lock().iter() {
+            let oob =
+                matches!(err, RdmaError::OutOfBounds { capacity, .. } if *capacity == region_len);
+            prop_assert!(oob, "{:?}", err);
+            prop_assert_eq!(*at, 0);
+        }
+    }
+
     /// Distinct regions never alias, whatever the allocation order.
     #[test]
     fn regions_do_not_alias(lens in pvec(1usize..16, 2..6), seed in 0u32..100) {

@@ -289,11 +289,6 @@ impl RealTrainer {
     pub fn epoch(&self) -> usize {
         self.sampler.epoch()
     }
-
-    /// Direct access to the wrapped solver (for tests and ablations).
-    pub fn solver_mut(&mut self) -> &mut Solver {
-        &mut self.solver
-    }
 }
 
 impl Trainer for RealTrainer {

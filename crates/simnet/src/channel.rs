@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use crate::explore::{ChoiceKind, SchedEvent};
 use crate::sched::Pid;
-use crate::{SimContext, SimDuration, SimTime};
+use crate::{HbEdge, SimContext, SimDuration, SimTime};
 
 /// Process-wide channel identity counter. The ids only serve the schedule
 /// explorer's within-run independence relation (same channel ⇒ dependent),
@@ -28,10 +28,9 @@ struct Envelope<T> {
     /// per-sender FIFO is a delivery guarantee, so only the *first*
     /// in-flight message of each distinct sender is a delivery candidate.
     from: Pid,
-    /// Sender's vector-clock stamp, joined into the receiver on delivery —
-    /// the channel send→recv happens-before edge of the race detector.
-    #[cfg(feature = "race-detect")]
-    stamp: crate::race::VectorClock,
+    /// Released by the sender, acquired by the receiver on delivery — the
+    /// channel send→recv happens-before edge of the race detector.
+    edge: HbEdge,
     msg: T,
 }
 
@@ -147,13 +146,9 @@ impl<T: Send + 'static> SimChannel<T> {
     /// deterministic schedule.
     pub fn send(&self, ctx: &SimContext, msg: T) {
         let now = ctx.now();
-        let env = Envelope {
-            sent_at: now,
-            from: ctx.pid(),
-            #[cfg(feature = "race-detect")]
-            stamp: ctx.vc_stamp(),
-            msg,
-        };
+        let mut edge = HbEdge::default();
+        edge.release(ctx);
+        let env = Envelope { sent_at: now, from: ctx.pid(), edge, msg };
         ctx.core.note_event(SchedEvent::Chan { chan: self.id });
         let waiter = {
             let mut st = self.state.lock();
@@ -189,8 +184,7 @@ impl<T: Send + 'static> SimChannel<T> {
                     if env.sent_at > ctx.now() {
                         ctx.sleep_until(env.sent_at);
                     }
-                    #[cfg(feature = "race-detect")]
-                    ctx.vc_join(&env.stamp);
+                    env.edge.acquire(ctx);
                     return env.msg;
                 }
                 st.waiters.push(ctx.pid());
@@ -220,8 +214,7 @@ impl<T: Send + 'static> SimChannel<T> {
                     if env.sent_at > ctx.now() {
                         ctx.sleep_until(env.sent_at);
                     }
-                    #[cfg(feature = "race-detect")]
-                    ctx.vc_join(&env.stamp);
+                    env.edge.acquire(ctx);
                     return Some(env.msg);
                 }
                 if ctx.now() >= deadline {
@@ -251,8 +244,7 @@ impl<T: Send + 'static> SimChannel<T> {
             }
         }?;
         ctx.core.note_event(SchedEvent::Chan { chan: self.id });
-        #[cfg(feature = "race-detect")]
-        ctx.vc_join(&env.stamp);
+        env.edge.acquire(ctx);
         Some(env.msg)
     }
 

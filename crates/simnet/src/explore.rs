@@ -21,13 +21,13 @@
 //! preemption bounds), prunes reorderings of provably-commuting steps using
 //! the same access-conflict relation as the vector-clock race detector
 //! (disjoint region ranges and read-read overlaps commute; see
-//! [`FootprintKind`]), dedups terminal states by FNV fingerprint, and
-//! greedily minimizes the first counterexample before writing it to a
-//! `.sched` file.
+//! [`AccessKind::commutes_with`]), dedups terminal states by FNV
+//! fingerprint, and greedily minimizes the first counterexample before
+//! writing it to a `.sched` file.
 //!
 //! Pruning soundness contract: independence is judged from *recorded*
 //! events — instrumented channel operations, RDMA region transfers, and
-//! explicit [`crate::SimContext::footprint`] annotations. Shared state a
+//! explicit [`crate::SimContext::access`] annotations. Shared state a
 //! model touches outside those (a bare `Arc<Mutex<_>>`, say) is invisible,
 //! so either annotate it or set [`ExploreBounds::prune_independent`] to
 //! `false`.
@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use crate::sched::Pid;
 use crate::trace::{ScheduleTrace, TraceEntry};
-use crate::{SimTime, Simulation};
+use crate::{AccessKind, SimTime, Simulation};
 
 /// The kind of a scheduling choice point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -70,45 +70,12 @@ impl ChoiceKind {
     }
 }
 
-/// Access kind of a recorded shared-state footprint.
-///
-/// Mirrors the race detector's access taxonomy, but with the stricter
-/// *independence* reading needed for schedule pruning: the race detector
-/// exempts `Atomic*`/`Atomic*` pairs (engine-serialized, so not a data
-/// race), while for exploration any write-class access orders state and
-/// therefore does **not** commute — only read/read overlaps do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FootprintKind {
-    /// Plain (unsynchronized) read.
-    Read,
-    /// Plain (unsynchronized) write.
-    Write,
-    /// Engine-serialized atomic read.
-    AtomicRead,
-    /// Engine-serialized atomic write.
-    AtomicWrite,
-    /// Engine-serialized read-modify-write (e.g. SMB accumulate).
-    AtomicRmw,
-}
-
-impl FootprintKind {
-    fn is_read_class(self) -> bool {
-        matches!(self, FootprintKind::Read | FootprintKind::AtomicRead)
-    }
-
-    /// Whether two overlapping accesses of these kinds commute (their
-    /// execution order cannot affect any state or observation).
-    pub fn commutes_with(self, other: FootprintKind) -> bool {
-        self.is_read_class() && other.is_read_class()
-    }
-}
-
 /// A shared-state event recorded against the step that performed it.
 #[derive(Debug, Clone)]
 pub(crate) enum SchedEvent {
     /// A region access (RDMA transfer, SMB accumulate, or an explicit
-    /// [`crate::SimContext::footprint`] annotation).
-    Access { region: u64, offset: usize, len: usize, kind: FootprintKind },
+    /// [`crate::SimContext::access`] annotation).
+    Access { region: u64, offset: usize, len: usize, kind: AccessKind },
     /// A channel operation (send or receive) on channel `chan`. Any two
     /// operations on the same channel are order-sensitive (queue contents,
     /// wake targets), so the relation needs no send/recv distinction.
@@ -505,5 +472,67 @@ impl Fnv {
 impl Default for Fnv {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One `ctx.access` is the whole announcement: the explorer finds it in
+    /// the step that made it and, when compiled in, the detector is handed
+    /// the same kind under the caller's site.
+    #[test]
+    fn one_access_reaches_the_trace_and_the_detector() {
+        #[cfg(feature = "race-detect")]
+        let detector = parking_lot::Mutex::new(None);
+        let rec = run_forced(
+            &|sim: &mut Simulation| {
+                #[cfg(feature = "race-detect")]
+                {
+                    let det = sim.race_detector();
+                    det.set_halt_on_race(false);
+                    *detector.lock() = Some(det);
+                }
+                for name in ["a", "b"] {
+                    sim.spawn(name, |ctx| {
+                        ctx.access(9, 4, 8, AccessKind::AtomicWrite, "test::slot")
+                    });
+                }
+                sim.spawn("c", |ctx| ctx.access(9, 8, 2, AccessKind::Read, "test::peek"));
+            },
+            &[],
+        );
+        assert_eq!(rec.result, Ok(SimTime::ZERO));
+        let seen: Vec<_> = rec
+            .steps
+            .iter()
+            .flat_map(|step| step.events.iter().map(move |ev| (step.pid, ev)))
+            .map(|(pid, ev)| match ev {
+                SchedEvent::Access { region, offset, len, kind } => {
+                    (pid, *region, *offset, *len, *kind)
+                }
+                SchedEvent::Chan { .. } => panic!("no channel in this model"),
+            })
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (0, 9, 4, 8, AccessKind::AtomicWrite),
+                (1, 9, 4, 8, AccessKind::AtomicWrite),
+                (2, 9, 8, 2, AccessKind::Read),
+            ]
+        );
+        #[cfg(feature = "race-detect")]
+        {
+            // Atomic/atomic is no race; the plain read against either
+            // atomic write is, reported once per site pair.
+            let reports = detector.lock().take().expect("setup ran").reports();
+            assert_eq!(reports.len(), 1, "{reports:?}");
+            let r = &reports[0];
+            assert_eq!((r.region, r.earlier_pid, r.later_pid), (9, 0, 2));
+            assert_eq!((r.earlier_kind, r.earlier_site), (AccessKind::AtomicWrite, "test::slot"));
+            assert_eq!((r.later_kind, r.later_site), (AccessKind::Read, "test::peek"));
+        }
     }
 }

@@ -21,6 +21,10 @@
 //!   ties, wake order and message delivery order become replayable choice
 //!   points, searched depth-first with DPOR-style independence pruning and
 //!   replayed bit-identically from `.sched` traces.
+//! * [`race`] — the one access record ([`AccessKind`], announced through
+//!   [`SimContext::access`] to the explorer and, under the `race-detect`
+//!   feature, to a vector-clock happens-before detector) and the one
+//!   release/acquire edge ([`HbEdge`]).
 //! * [`jitter::JitterModel`] — lognormal compute-time variation, modelling
 //!   the paper's observation (§III-E) that workers deviate because they share
 //!   the system bus, filesystem I/O and network bandwidth.
@@ -49,7 +53,6 @@ pub mod channel;
 pub mod explore;
 pub mod fault;
 pub mod jitter;
-#[cfg(feature = "race-detect")]
 pub mod race;
 pub mod resource;
 mod sched;
@@ -58,7 +61,8 @@ mod time;
 pub mod topology;
 pub mod trace;
 
-pub use explore::{ExploreBounds, ExploreReport, FootprintKind};
+pub use explore::{ExploreBounds, ExploreReport};
+pub use race::{AccessKind, HbEdge};
 pub use sched::{SchedStats, SimContext, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use trace::ScheduleTrace;

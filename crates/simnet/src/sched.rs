@@ -19,7 +19,7 @@ use std::thread::JoinHandle;
 
 use crate::explore::{ChoiceKind, ChoiceRecord, SchedEvent, StepRecord};
 use crate::trace::TraceEntry;
-use crate::{SimDuration, SimTime};
+use crate::{AccessKind, SimDuration, SimTime};
 
 /// Identifies a simulated process within one [`Simulation`].
 pub(crate) type Pid = usize;
@@ -113,6 +113,10 @@ pub(crate) struct Core {
     /// Model-state fingerprint hook, sampled by the explorer after a run
     /// completes (see [`Simulation::set_state_probe`]).
     probe: Mutex<Option<Box<dyn Fn() -> u64 + Send>>>,
+    /// The run's happens-before race detector (see
+    /// [`Simulation::race_detector`]).
+    #[cfg(feature = "race-detect")]
+    pub(crate) race: Arc<crate::race::RaceDetector>,
 }
 
 impl Core {
@@ -130,6 +134,8 @@ impl Core {
             exploring: AtomicBool::new(false),
             explore: Mutex::new(ExploreState::default()),
             probe: Mutex::new(None),
+            #[cfg(feature = "race-detect")]
+            race: Arc::new(crate::race::RaceDetector::new()),
         })
     }
 
@@ -479,7 +485,8 @@ impl Core {
     }
 
     /// Increments `pid`'s own clock component and returns a snapshot — the
-    /// stamp carried by a synchronization edge's source.
+    /// stamp carried by a synchronization edge's source
+    /// ([`crate::HbEdge::release`]) or taken at an instrumented access.
     #[cfg(feature = "race-detect")]
     pub(crate) fn vc_stamp(&self, pid: Pid) -> crate::race::VectorClock {
         let mut state = self.state.lock();
@@ -492,7 +499,8 @@ impl Core {
     }
 
     /// Joins `other` into `pid`'s clock (elementwise max) and then
-    /// increments `pid`'s own component — a message-receive edge.
+    /// increments `pid`'s own component — the sink of a synchronization
+    /// edge ([`crate::HbEdge::acquire`]).
     #[cfg(feature = "race-detect")]
     pub(crate) fn vc_join(&self, pid: Pid, other: &crate::race::VectorClock) {
         let mut state = self.state.lock();
@@ -639,6 +647,15 @@ impl Simulation {
     pub(crate) fn core(&self) -> &Arc<Core> {
         &self.core
     }
+
+    /// This simulation's happens-before race detector: every
+    /// [`SimContext::access`] of the run records into it. Take the handle
+    /// before [`Simulation::run`] to relax halting or read the reports
+    /// afterwards.
+    #[cfg(feature = "race-detect")]
+    pub fn race_detector(&self) -> Arc<crate::race::RaceDetector> {
+        Arc::clone(&self.core.race)
+    }
 }
 
 impl Default for Simulation {
@@ -714,36 +731,34 @@ impl SimContext {
         self.core.start_thread(pid, name.to_string(), f);
     }
 
-    /// Declares a shared-state access for the schedule explorer's
-    /// independence relation (see [`crate::explore`]): two steps whose
-    /// footprints touch disjoint `(region, offset..offset+len)` ranges — or
-    /// only read overlapping ones — commute, so the explorer never re-runs
-    /// their reorderings. A no-op outside exploration; models with shared
-    /// state not covered by instrumented channels/RDMA ops should call this
-    /// (or disable independence pruning).
-    pub fn footprint(
+    /// Announces one shared-state access — the single record both
+    /// verification tools read. The schedule explorer (see
+    /// [`crate::explore`]) takes it as the step's footprint: two steps
+    /// whose accesses touch disjoint `(region, offset..offset+len)` ranges
+    /// — or only read overlapping ones — commute, so it never re-runs
+    /// their reorderings. Under `race-detect` the simulation's
+    /// `race::RaceDetector` also checks it, labelled `site`, against the
+    /// region's history. Otherwise a no-op outside exploration;
+    /// models with shared state not covered by instrumented channels/RDMA
+    /// ops should call this (or disable independence pruning).
+    ///
+    /// # Panics
+    ///
+    /// Under `race-detect`, panics (failing the simulation with both sites
+    /// named) if the access races and the detector halts on races.
+    pub fn access(
         &self,
         region: u64,
         offset: usize,
         len: usize,
-        kind: crate::explore::FootprintKind,
+        kind: AccessKind,
+        site: &'static str,
     ) {
         self.core.note_event(SchedEvent::Access { region, offset, len, kind });
-    }
-
-    /// Ticks this process's vector clock and returns a snapshot — the
-    /// stamp attached at the source of a synchronization edge (channel
-    /// send, lease heartbeat) or taken at an instrumented data access.
-    #[cfg(feature = "race-detect")]
-    pub fn vc_stamp(&self) -> crate::race::VectorClock {
-        self.core.vc_stamp(self.pid)
-    }
-
-    /// Joins a received stamp into this process's vector clock — the sink
-    /// of a synchronization edge (channel recv, lease eviction).
-    #[cfg(feature = "race-detect")]
-    pub fn vc_join(&self, stamp: &crate::race::VectorClock) {
-        self.core.vc_join(self.pid, stamp)
+        #[cfg(feature = "race-detect")]
+        self.core.race.record(self, region, offset, len, kind, site);
+        #[cfg(not(feature = "race-detect"))]
+        let _ = site;
     }
 }
 

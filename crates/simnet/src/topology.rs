@@ -189,7 +189,8 @@ impl Fabric {
     }
 
     /// Moves `bytes` between endpoints, or over the local PCIe bus when
-    /// `from == to`. Blocks in virtual time.
+    /// `from == to`. Blocks in virtual time, waiting out any fault window
+    /// (callers that must fail fast consult [`Fabric::fault_check`] first).
     ///
     /// # Panics
     ///
@@ -201,23 +202,6 @@ impl Fabric {
         to: NodeId,
         bytes: u64,
     ) -> TransferReport {
-        self.net_transfer_stream(ctx, from, to, bytes, None)
-    }
-
-    /// [`Fabric::net_transfer`] with an optional per-stream pacing limit
-    /// (see [`crate::resource::BandwidthResource::transfer_stream`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint id is out of range.
-    pub fn net_transfer_stream(
-        &self,
-        ctx: &SimContext,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-        stream_bps: Option<f64>,
-    ) -> TransferReport {
         if from == to {
             return self.pcie_transfer(ctx, from, bytes);
         }
@@ -227,37 +211,7 @@ impl Fabric {
             .expect("infallible transfers wait out fault windows");
         let tx = &self.inner.hca_tx[from.0];
         let rx = &self.inner.hca_rx[to.0];
-        crate::resource::transfer_path_stream(ctx, &[tx, rx], bytes, min_bps(stream_bps, cap))
-    }
-
-    /// Fallible variant of [`Fabric::net_transfer_stream`]: a transfer
-    /// attempted during a link-down window — or failed by the plan's
-    /// per-operation probability — pays the detection latency and returns
-    /// a [`FaultError`] instead of waiting the fault out.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected fault. Without an attached plan this never
-    /// fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint id is out of range.
-    pub fn try_net_transfer_stream(
-        &self,
-        ctx: &SimContext,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-        stream_bps: Option<f64>,
-    ) -> Result<TransferReport, FaultError> {
-        if from == to {
-            return Ok(self.pcie_transfer(ctx, from, bytes));
-        }
-        let cap = self.fault_shape(ctx, from, to, true)?;
-        let tx = &self.inner.hca_tx[from.0];
-        let rx = &self.inner.hca_rx[to.0];
-        Ok(crate::resource::transfer_path_stream(ctx, &[tx, rx], bytes, min_bps(stream_bps, cap)))
+        crate::resource::transfer_path_stream(ctx, &[tx, rx], bytes, cap)
     }
 
     /// Runs the fallible fault gate for a transfer between two endpoints
@@ -373,17 +327,6 @@ impl Fabric {
         bus.transfer(ctx, bytes)
     }
 
-    /// Occupies an endpoint's receive side for a fixed service time
-    /// (server-side processing such as the SMB accumulate engine).
-    pub fn occupy_rx(
-        &self,
-        ctx: &SimContext,
-        node: NodeId,
-        service: SimDuration,
-    ) -> TransferReport {
-        self.inner.hca_rx[node.0].occupy(ctx, service)
-    }
-
     /// The transmit-side HCA resource of an endpoint (for stats inspection).
     pub fn hca_tx(&self, node: NodeId) -> &BandwidthResource {
         &self.inner.hca_tx[node.0]
@@ -397,15 +340,6 @@ impl Fabric {
     /// The PCIe bus resource of a GPU node (for stats inspection).
     pub fn pcie(&self, node: NodeId) -> &BandwidthResource {
         &self.inner.pcie[node.0]
-    }
-}
-
-/// The tighter of two optional per-stream bandwidth limits.
-fn min_bps(a: Option<f64>, b: Option<f64>) -> Option<f64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 
@@ -553,8 +487,7 @@ mod tests {
         let f = fabric.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
-            let err =
-                f.try_net_transfer_stream(&ctx, NodeId(0), NodeId(1), 7_000_000, None).unwrap_err();
+            let err = f.fault_check(&ctx, NodeId(0), NodeId(1)).unwrap_err();
             assert!(matches!(err, FaultError::LinkDown { node: NodeId(1), .. }));
             // Paid only detection latency, not the 1 s outage.
             assert_eq!(ctx.now(), SimTime::from_micros(500));
@@ -579,7 +512,7 @@ mod tests {
             // Before the crash the path is clean.
             assert!(f.fault_check(&ctx, NodeId(0), mem).is_ok());
             ctx.sleep_until(SimTime::from_millis(5));
-            let err = f.try_net_transfer_stream(&ctx, NodeId(0), mem, 7_000, None).unwrap_err();
+            let err = f.fault_check(&ctx, NodeId(0), mem).unwrap_err();
             assert!(matches!(err, FaultError::NodeCrashed { node, .. } if node == mem));
             // Paid only detection latency; the crash is permanent.
             assert_eq!(ctx.now(), SimTime::from_millis(5) + SimDuration::from_micros(500));
@@ -605,13 +538,12 @@ mod tests {
         let f = fabric.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
-            let err =
-                f.try_net_transfer_stream(&ctx, NodeId(0), NodeId(1), 7_000, None).unwrap_err();
+            let err = f.fault_check(&ctx, NodeId(0), NodeId(1)).unwrap_err();
             assert!(matches!(err, FaultError::Partitioned { from: NodeId(0), to: NodeId(1), .. }));
             // Paid only detection latency, not the 1 s outage.
             assert_eq!(ctx.now(), SimTime::from_micros(500));
             // The reverse direction of a one-way partition keeps flowing.
-            assert!(f.try_net_transfer_stream(&ctx, NodeId(1), NodeId(0), 7_000, None).is_ok());
+            assert_eq!(f.fault_check(&ctx, NodeId(1), NodeId(0)), Ok(None));
         });
         sim.run();
         assert_eq!(fabric.fault_injector().unwrap().stats().partition_hits, 1);
@@ -647,8 +579,12 @@ mod tests {
         let f = fabric.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
-            let rep = f.try_net_transfer_stream(&ctx, NodeId(0), NodeId(1), 7_000, None).unwrap();
-            assert!(rep.start >= SimTime::from_millis(40));
+            // The fail-fast gate waits a stall out just like an infallible
+            // transfer does: a stall is a delay, not a fault.
+            assert_eq!(f.fault_check(&ctx, NodeId(0), NodeId(1)), Ok(None));
+            assert_eq!(ctx.now(), SimTime::from_millis(40));
+            let rep = f.net_transfer(&ctx, NodeId(0), NodeId(1), 7_000);
+            assert_eq!(rep.start, SimTime::from_millis(40));
         });
         sim.run();
         assert_eq!(fabric.fault_injector().unwrap().stats().stall_delays, 1);
@@ -661,8 +597,8 @@ mod tests {
         let f = fabric.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
-            assert!(f.try_net_transfer_stream(&ctx, NodeId(0), NodeId(1), 7_000, None).is_ok());
             assert_eq!(f.fault_check(&ctx, NodeId(0), NodeId(1)), Ok(None));
+            assert_eq!(ctx.now(), crate::SimTime::ZERO, "a clean gate charges no time");
         });
         sim.run();
     }

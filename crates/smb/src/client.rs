@@ -7,7 +7,7 @@ use shmcaffe_rdma::{MemoryRegion, RdmaError};
 use shmcaffe_simnet::fault::FaultError;
 use shmcaffe_simnet::resource::transfer_path_stream;
 use shmcaffe_simnet::topology::NodeId;
-use shmcaffe_simnet::SimContext;
+use shmcaffe_simnet::{AccessKind, SimContext};
 
 use crate::retry::RetryPolicy;
 use crate::server::{modelled_bytes, ShmKey, SmbServer};
@@ -120,33 +120,6 @@ enum Pricing {
     TrueSize,
 }
 
-/// Decision (3): the race-detector access kind a transfer's raw RDMA op is
-/// recorded as (with the entry point's site label). The detector's own
-/// enum when it is compiled in, a stand-in for the variants used here
-/// otherwise.
-#[cfg(feature = "race-detect")]
-use shmcaffe_simnet::race::AccessKind as Access;
-#[cfg(not(feature = "race-detect"))]
-#[derive(Clone, Copy)]
-enum Access {
-    AtomicRead,
-    Write,
-    AtomicWrite,
-}
-
-/// Runs `f` with the raw RDMA op inside it tagged `access` at `site`,
-/// overriding the generic classification the rdma crate would record.
-/// Just `f()` when race detection is compiled out.
-fn tagged<R>(access: Access, site: &'static str, f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "race-detect")]
-    return shmcaffe_simnet::race::with_access(access, site, f);
-    #[cfg(not(feature = "race-detect"))]
-    {
-        let _ = (access, site);
-        f()
-    }
-}
-
 /// A worker-side handle to the SMB server, bound to the worker's node.
 ///
 /// All operations charge virtual time: control messages pay the configured
@@ -199,11 +172,6 @@ impl SmbClient {
     /// The fencing epoch this client currently carries with mutations.
     pub fn carried_epoch(&self) -> u64 {
         self.carried.load(Ordering::Acquire)
-    }
-
-    /// The node this client runs on.
-    pub fn local_node(&self) -> NodeId {
-        self.local
     }
 
     /// Fault counters accumulated by this client's retrying operations.
@@ -259,7 +227,7 @@ impl SmbClient {
     }
 
     /// The active server for an in-simulation operation. For a replicated
-    /// pair this also joins the promotion stamp (the promote→access
+    /// pair this also acquires the promotion edge (the promote→access
     /// happens-before edge) into the calling process's clock.
     ///
     /// If the primary has become unserviceable — crashed, or partitioned
@@ -302,7 +270,7 @@ impl SmbClient {
     }
 
     /// Re-reads the pair's active fencing epoch into this client's carried
-    /// epoch, joining the promotion winner's fence stamp (the
+    /// epoch, acquiring the promotion winner's fence edge (the
     /// fence-acquire→first-fenced-write happens-before edge). No-op for a
     /// single-server route.
     fn refresh_epoch(&self, ctx: &SimContext) {
@@ -362,13 +330,7 @@ impl SmbClient {
     pub fn alloc(&self, ctx: &SimContext, key: ShmKey) -> Result<SmbBuffer, SmbError> {
         let server = self.active(ctx);
         self.control_round_trip(ctx, &server);
-        let (mr, wire_bytes) = server.segment(key)?;
-        // The alloc reply carries the creator's stamp: creation
-        // happens-before every access through the returned handle.
-        #[cfg(feature = "race-detect")]
-        if let Some(stamp) = server.segment_created_stamp(key) {
-            ctx.vc_join(&stamp);
-        }
+        let (mr, wire_bytes) = server.alloc_segment(ctx, key)?;
         Ok(SmbBuffer { key, mr, wire_bytes })
     }
 
@@ -447,7 +409,7 @@ impl SmbClient {
     ///
     /// Returns [`SmbError::SizeMismatch`] if `data.len() != buf.len()`.
     pub fn write(&self, ctx: &SimContext, buf: &SmbBuffer, data: &[f32]) -> Result<(), SmbError> {
-        let tag = (Access::Write, "smb::client::write");
+        let tag = (AccessKind::Write, "smb::client::write");
         self.write_op(ctx, Op::plain(Pricing::Whole, None), tag, buf, data)
     }
 
@@ -482,7 +444,7 @@ impl SmbClient {
         offset: usize,
         data: &[f32],
     ) -> Result<(), SmbError> {
-        let tag = (Access::AtomicWrite, "smb::client::write_range");
+        let tag = (AccessKind::AtomicWrite, "smb::client::write_range");
         self.write_op(ctx, Op::plain(Pricing::TrueSize, Some(offset)), tag, buf, data)
     }
 
@@ -535,7 +497,7 @@ impl SmbClient {
         data: &[f32],
         policy: &RetryPolicy,
     ) -> Result<(), SmbError> {
-        let tag = (Access::Write, "smb::client::write_retrying");
+        let tag = (AccessKind::Write, "smb::client::write_retrying");
         self.write_op(ctx, Op::retrying(policy, Pricing::Whole, None), tag, buf, data)
     }
 
@@ -595,7 +557,7 @@ impl SmbClient {
         data: &[f32],
         policy: &RetryPolicy,
     ) -> Result<(), SmbError> {
-        let tag = (Access::Write, "smb::client::write_range_retrying");
+        let tag = (AccessKind::Write, "smb::client::write_range_retrying");
         self.write_op(ctx, Op::retrying(policy, Pricing::Share, Some(offset)), tag, buf, data)
     }
 
@@ -639,7 +601,7 @@ impl SmbClient {
         data: &[f32],
         policy: &RetryPolicy,
     ) -> Result<(), SmbError> {
-        let tag = (Access::AtomicWrite, "smb::client::checkpoint_write");
+        let tag = (AccessKind::AtomicWrite, "smb::client::checkpoint_write");
         self.write_op(ctx, Op::retrying(policy, Pricing::Whole, None), tag, buf, data)
     }
 
@@ -753,7 +715,8 @@ impl SmbClient {
         (0, Some(modelled_bytes(wire_bytes, server.config().protocol_overhead, share)))
     }
 
-    /// The inbound direction. Every read is stale-tolerant by SEASGD
+    /// The inbound direction. Decision (3), the kind and site the RDMA
+    /// verb announces the access as: every read is stale-tolerant by SEASGD
     /// design (weights, progress counters, versioned checkpoints), hence
     /// always an atomic read: it coexists with concurrent accumulate RMWs
     /// on other workers' behalf without being flagged as a race.
@@ -767,12 +730,10 @@ impl SmbClient {
     ) -> Result<(), SmbError> {
         self.execute(ctx, op, buf, out.len(), |ctx, offset| {
             let (server, bps) = self.enter(ctx, op.gate, buf.key, true)?;
-            let (mr, wire_bytes) = server.segment(buf.key)?;
-            server.verify_region(ctx, buf.key, offset, out.len())?;
+            let (mr, wire_bytes) = server.verified_segment(ctx, buf.key, offset, out.len())?;
             let (verb_bytes, path_bytes) = Self::price(op, &server, wire_bytes, out.len(), buf);
-            tagged(Access::AtomicRead, site, || {
-                server.rdma().read_wire(ctx, self.local, &mr, offset, out, verb_bytes)
-            })?;
+            let kind = AccessKind::AtomicRead;
+            server.rdma().read_wire(ctx, self.local, &mr, offset, out, verb_bytes, kind, site)?;
             if let Some(bytes) = path_bytes {
                 self.stream(ctx, &server, true, bytes, bps);
             }
@@ -783,12 +744,14 @@ impl SmbClient {
         })
     }
 
-    /// The outbound direction.
+    /// The outbound direction. Decision (3): the entry point's `(kind,
+    /// site)` is what the RDMA verb announces the landing as — a plain
+    /// write for weights, an atomic one for slot stores and checkpoints.
     fn write_op(
         &self,
         ctx: &SimContext,
         op: Op<'_>,
-        (access, site): (Access, &'static str),
+        (kind, site): (AccessKind, &'static str),
         buf: &SmbBuffer,
         data: &[f32],
     ) -> Result<(), SmbError> {
@@ -800,10 +763,9 @@ impl SmbClient {
             if versioned {
                 self.admit(ctx, op.gate, buf.key)?;
             }
-            let (mr, wire_bytes) = server.segment(buf.key)?;
             // Verify-before-mutate: a poisoned page must be repaired (the
             // only CRC-clearing path) before new data may land over it.
-            server.verify_region(ctx, buf.key, offset, data.len())?;
+            let (mr, wire_bytes) = server.verified_segment(ctx, buf.key, offset, data.len())?;
             let (verb_bytes, path_bytes) = Self::price(op, &server, wire_bytes, data.len(), buf);
             let delivery = match op.gate {
                 Gate::Stall => Ok(data.len()),
@@ -811,10 +773,10 @@ impl SmbClient {
             };
             if let Ok(delivered) = delivery {
                 if delivered > 0 {
-                    tagged(access, site, || {
-                        let landed = &data[..delivered];
-                        server.rdma().write_wire(ctx, self.local, &mr, offset, landed, verb_bytes)
-                    })?;
+                    let landed = &data[..delivered];
+                    server
+                        .rdma()
+                        .write_wire(ctx, self.local, &mr, offset, landed, verb_bytes, kind, site)?;
                 }
                 // Record the *intended* contents: a torn delivery leaves the
                 // page CRCs disagreeing with the actual bytes, so a later

@@ -195,12 +195,7 @@ impl SmbError {
             | SmbError::FencedEpoch { .. }
             | SmbError::Corrupted { .. }
             | SmbError::CorruptedWire { .. } => true,
-            SmbError::Rdma(e) => matches!(
-                e,
-                RdmaError::QpFault { .. }
-                    | RdmaError::QpNotReady { .. }
-                    | RdmaError::Timeout { .. }
-            ),
+            SmbError::Rdma(e) => matches!(e, RdmaError::QpFault { .. }),
             _ => false,
         }
     }

@@ -19,15 +19,18 @@
 //! segments keep their [`crate::ShmKey`]s across failover, so client
 //! handles stay valid. Promotion is permanent and idempotent.
 //!
-//! **Happens-before.** Under `--features race-detect` the replicator's
-//! writes into standby regions are plain `Write`s: they are safe only
-//! because *replicate happens-before promote happens-before every client
-//! access to the standby*. The replicator stamps its clock after each pass;
-//! promotion joins that stamp; and every post-promotion
-//! [`SmbPair::active_server`] call joins the promotion stamp (each worker
-//! and update thread is its own process, so the join must happen per
-//! access, not per client). Removing any of these edges is a detectable
-//! race — see `crates/smb/tests/race_detect.rs`.
+//! **Happens-before.** The replicator's writes into standby regions are
+//! announced as plain `Write`s: they are safe only because *replicate
+//! happens-before promote happens-before every client access to the
+//! standby*. Each link is one [`HbEdge`] of the pair: the replicator
+//! releases `repl_edge` after each pass and promotion acquires it;
+//! promotion releases `promote_edge`, which every post-promotion
+//! [`SmbPair::active_server`] call acquires (each worker and update thread
+//! is its own process, so the acquire must happen per access, not per
+//! client), and `fence_edge`, which every epoch refresh acquires. Under
+//! `--features race-detect` removing any of these edges is a detectable
+//! race — see `crates/smb/tests/race_detect.rs`; without the feature the
+//! edges are zero-sized no-ops.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -37,7 +40,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::topology::NodeId;
-use shmcaffe_simnet::{SimContext, SimDuration, SimTime};
+use shmcaffe_simnet::{AccessKind, HbEdge, SimContext, SimDuration, SimTime};
 
 use crate::server::{modelled_bytes, ShmKey, SmbServer, SmbServerConfig};
 use crate::SmbError;
@@ -103,19 +106,16 @@ struct PairInner {
     /// stomp a concurrent client write, which `Simulation::explore` then
     /// catches (see `tests/schedcheck.rs`).
     repair_fence: AtomicBool,
-    /// Clock stamp taken by the promotion winner right after it acquired
-    /// the fence (bumped the epoch): the fence-acquire→first-fenced-write
-    /// happens-before edge, joined by every client epoch refresh.
-    #[cfg(feature = "race-detect")]
-    fence_stamp: Mutex<Option<shmcaffe_simnet::race::VectorClock>>,
-    /// Clock stamp at the end of the last completed pass: the
+    /// Released by the promotion winner right after it acquired the fence
+    /// (bumped the epoch): the fence-acquire→first-fenced-write
+    /// happens-before edge, acquired by every client epoch refresh.
+    fence_edge: Mutex<HbEdge>,
+    /// Released at the end of every replication pass: the
     /// replicate→promote happens-before edge.
-    #[cfg(feature = "race-detect")]
-    repl_stamp: Mutex<Option<shmcaffe_simnet::race::VectorClock>>,
-    /// Clock stamp at promotion: the promote→client-access edge, joined by
+    repl_edge: Mutex<HbEdge>,
+    /// Released at promotion: the promote→client-access edge, acquired by
     /// every post-promotion [`SmbPair::active_server`] call.
-    #[cfg(feature = "race-detect")]
-    promote_stamp: Mutex<Option<shmcaffe_simnet::race::VectorClock>>,
+    promote_edge: Mutex<HbEdge>,
 }
 
 /// A replicated SMB deployment: primary plus standby with asynchronous
@@ -207,12 +207,9 @@ impl SmbPair {
                 reconcile_resynced: AtomicU64::new(0),
                 repairs: AtomicU64::new(0),
                 repair_fence: AtomicBool::new(true),
-                #[cfg(feature = "race-detect")]
-                fence_stamp: Mutex::new(None),
-                #[cfg(feature = "race-detect")]
-                repl_stamp: Mutex::new(None),
-                #[cfg(feature = "race-detect")]
-                promote_stamp: Mutex::new(None),
+                fence_edge: Mutex::default(),
+                repl_edge: Mutex::default(),
+                promote_edge: Mutex::default(),
             }),
         })
     }
@@ -272,28 +269,24 @@ impl SmbPair {
     /// [`SmbServerConfig::authority_timeout`]. An expired lease both
     /// self-fences the primary and makes standby promotion legal.
     pub fn authority_expired(&self, ctx: &SimContext) -> bool {
-        self.fence_footprint(ctx, shmcaffe_simnet::FootprintKind::AtomicRead);
+        self.fence_footprint(ctx, AccessKind::AtomicRead);
         ctx.now() >= *self.inner.authority_expiry.lock()
     }
 
-    /// Records an exploration footprint on the pair's fencing pseudo-region
-    /// (no-op outside [`shmcaffe_simnet::Simulation::explore`]).
-    fn fence_footprint(&self, ctx: &SimContext, kind: shmcaffe_simnet::FootprintKind) {
-        ctx.footprint(self.inner.fence_region, 0, 1, kind);
+    /// Announces an access to the pair's fencing pseudo-region (always an
+    /// engine-serialized kind: it orders schedules for the explorer and
+    /// never reads as a race).
+    fn fence_footprint(&self, ctx: &SimContext, kind: AccessKind) {
+        ctx.access(self.inner.fence_region, 0, 1, kind, "smb.fence");
     }
 
-    /// The current fencing epoch, with the promotion winner's fence stamp
-    /// joined into the calling process's clock — the
+    /// The current fencing epoch, with the promotion winner's fence edge
+    /// acquired by the calling process — the
     /// fence-acquire→first-fenced-write happens-before edge. Clients call
     /// this whenever they refresh their carried epoch.
     pub fn observe_fence(&self, ctx: &SimContext) -> u64 {
-        self.fence_footprint(ctx, shmcaffe_simnet::FootprintKind::AtomicRead);
-        #[cfg(feature = "race-detect")]
-        if let Some(stamp) = self.inner.fence_stamp.lock().as_ref() {
-            ctx.vc_join(stamp);
-        }
-        #[cfg(not(feature = "race-detect"))]
-        let _ = ctx;
+        self.fence_footprint(ctx, AccessKind::AtomicRead);
+        self.inner.fence_edge.lock().acquire(ctx);
         self.inner.fence_epoch.load(Ordering::Acquire)
     }
 
@@ -315,7 +308,7 @@ impl SmbPair {
         key: ShmKey,
         carried: u64,
     ) -> Result<(), SmbError> {
-        self.fence_footprint(ctx, shmcaffe_simnet::FootprintKind::AtomicRead);
+        self.fence_footprint(ctx, AccessKind::AtomicRead);
         let active = self.inner.fence_epoch.load(Ordering::Acquire);
         let (stale, node) = if self.promoted() {
             (carried != active, self.inner.standby.node())
@@ -333,7 +326,7 @@ impl SmbPair {
     /// successful replication pass (proof the primary can still reach the
     /// standby, so no promotion can be in progress on the other side).
     fn renew_authority(&self, ctx: &SimContext) {
-        self.fence_footprint(ctx, shmcaffe_simnet::FootprintKind::AtomicWrite);
+        self.fence_footprint(ctx, AccessKind::AtomicWrite);
         *self.inner.authority_expiry.lock() =
             ctx.now() + self.inner.primary.config().authority_timeout;
     }
@@ -372,20 +365,15 @@ impl SmbPair {
         })
     }
 
-    /// The currently serving server. After promotion this also joins the
-    /// promotion stamp into the calling process's clock, establishing the
+    /// The currently serving server. After promotion this also acquires
+    /// the promotion edge for the calling process, establishing the
     /// replicate→promote→access happens-before chain for *every* process
     /// that touches the standby (workers and their update threads each
-    /// have their own clock, so the join happens per call).
+    /// have their own clock, so the acquire happens per call).
     pub fn active_server(&self, ctx: &SimContext) -> SmbServer {
-        self.fence_footprint(ctx, shmcaffe_simnet::FootprintKind::AtomicRead);
+        self.fence_footprint(ctx, AccessKind::AtomicRead);
         if self.inner.promote_done.load(Ordering::Acquire) {
-            #[cfg(feature = "race-detect")]
-            if let Some(stamp) = self.inner.promote_stamp.lock().as_ref() {
-                ctx.vc_join(stamp);
-            }
-            #[cfg(not(feature = "race-detect"))]
-            let _ = ctx;
+            self.inner.promote_edge.lock().acquire(ctx);
             self.inner.standby.clone()
         } else {
             self.inner.primary.clone()
@@ -406,13 +394,10 @@ impl SmbPair {
     pub fn replicate(&self, ctx: &SimContext) -> Result<u64, SmbError> {
         self.inner.in_pass.store(true, Ordering::Release);
         let result = self.replicate_pass(ctx);
-        // Stamp the pass end even when it aborted part-way: promotion joins
-        // this stamp, so every standby write the pass did manage to apply
-        // happens-before the promotion.
-        #[cfg(feature = "race-detect")]
-        {
-            *self.inner.repl_stamp.lock() = Some(ctx.vc_stamp());
-        }
+        // Release the pass end even when it aborted part-way: promotion
+        // acquires this edge, so every standby write the pass did manage to
+        // apply happens-before the promotion.
+        self.inner.repl_edge.lock().release(ctx);
         self.inner.in_pass.store(false, Ordering::Release);
         if result.is_ok() {
             // The pass reached the standby and came back: the primary
@@ -484,33 +469,16 @@ impl SmbPair {
             rdma.with_region(&primary_mr, |src| {
                 standby.install_contents(meta.key, src, Some(&verified))
             })??;
-            ctx.footprint(
-                standby_mr.rkey.0,
-                0,
-                standby_mr.len,
-                shmcaffe_simnet::FootprintKind::Write,
-            );
-            #[cfg(feature = "race-detect")]
-            {
-                use shmcaffe_simnet::race::AccessKind;
-                // The source side is deliberately *not* recorded: async
-                // replication snapshots segments that clients keep
-                // mutating — that concurrency is the design, not a bug
-                // (a torn snapshot is healed by the next pass, and
-                // checkpoint segments use the versioned protocol for
-                // state whose integrity rejoin depends on). The standby
-                // side *is* recorded, as a plain write: only the
-                // replicate→promote→access edges make it safe, and any
-                // client that reaches the standby without them races here.
-                rdma.race_detector().record(
-                    ctx,
-                    standby_mr.rkey.0,
-                    0,
-                    standby_mr.len,
-                    AccessKind::Write,
-                    "smb::replica::apply",
-                );
-            }
+            // The source side is deliberately *not* announced: async
+            // replication snapshots segments that clients keep mutating —
+            // that concurrency is the design, not a bug (a torn snapshot is
+            // healed by the next pass, and checkpoint segments use the
+            // versioned protocol for state whose integrity rejoin depends
+            // on). The standby side *is*, as a plain write: only the
+            // replicate→promote→access edges make it safe, and any client
+            // that reaches the standby without them races here.
+            let (rkey, len) = (standby_mr.rkey.0, standby_mr.len);
+            ctx.access(rkey, 0, len, AccessKind::Write, "smb::replica::apply");
             ship(ctx, primary, standby, meta.wire_bytes, None);
             self.inner.replicated_versions.lock().insert(meta.key, meta.version);
         }
@@ -721,14 +689,13 @@ impl SmbPair {
     /// partitioned-but-alive case) — callers block until one of the two
     /// holds, so a healthy primary can never be usurped. The first caller
     /// then wins: it waits out any in-flight replication pass (so the
-    /// pass's standby writes are ordered before the role flip), joins the
-    /// replicator's last stamp, bumps the fencing epoch (acquiring the
-    /// fence and stamping the fence-acquire edge), and opens the standby
-    /// for routing. Later callers (and the winner) all leave with the
-    /// promotion stamp joined into their clock. Returns whether this call
-    /// performed the promotion.
+    /// pass's standby writes are ordered before the role flip), acquires
+    /// the replicator's edge, bumps the fencing epoch (acquiring the fence
+    /// and releasing the fence edge), and opens the standby for routing.
+    /// Later callers (and the winner) all leave with the promotion edge
+    /// acquired. Returns whether this call performed the promotion.
     pub fn promote(&self, ctx: &SimContext) -> bool {
-        self.fence_footprint(ctx, shmcaffe_simnet::FootprintKind::AtomicRead);
+        self.fence_footprint(ctx, AccessKind::AtomicRead);
         // Legality gate first: wait out the primary's authority. Renewals
         // can push the expiry while we sleep, so re-check on every wake —
         // the loop only exits once the lease is *currently* lapsed (or the
@@ -742,36 +709,25 @@ impl SmbPair {
         }
         if self.inner.promote_started.swap(true, Ordering::AcqRel) {
             // Someone else is promoting (or already has): wait until the
-            // flip is visible, then pick up the stamp.
+            // flip is visible, then acquire the promotion edge.
             while !self.inner.promote_done.load(Ordering::Acquire) {
                 ctx.sleep(SimDuration::from_micros(50));
             }
-            #[cfg(feature = "race-detect")]
-            if let Some(stamp) = self.inner.promote_stamp.lock().as_ref() {
-                ctx.vc_join(stamp);
-            }
+            self.inner.promote_edge.lock().acquire(ctx);
             return false;
         }
         while self.inner.in_pass.load(Ordering::Acquire) {
             ctx.sleep(SimDuration::from_micros(50));
         }
-        #[cfg(feature = "race-detect")]
-        {
-            if let Some(stamp) = self.inner.repl_stamp.lock().as_ref() {
-                ctx.vc_join(stamp);
-            }
-        }
+        self.inner.repl_edge.lock().acquire(ctx);
         // Acquire the fence: bump the epoch *before* opening the standby
         // for routing, so no client can reach the standby while the old
-        // epoch still admits. The fence stamp taken here is joined by every
-        // epoch refresh — the fence-acquire→first-fenced-write edge.
-        self.fence_footprint(ctx, shmcaffe_simnet::FootprintKind::AtomicWrite);
+        // epoch still admits. The fence edge released here is acquired by
+        // every epoch refresh — the fence-acquire→first-fenced-write edge.
+        self.fence_footprint(ctx, AccessKind::AtomicWrite);
         self.inner.fence_epoch.fetch_add(1, Ordering::AcqRel);
-        #[cfg(feature = "race-detect")]
-        {
-            *self.inner.fence_stamp.lock() = Some(ctx.vc_stamp());
-            *self.inner.promote_stamp.lock() = Some(ctx.vc_stamp());
-        }
+        self.inner.fence_edge.lock().release(ctx);
+        self.inner.promote_edge.lock().release(ctx);
         self.inner.promote_done.store(true, Ordering::Release);
         true
     }
@@ -779,7 +735,7 @@ impl SmbPair {
     /// Range accumulate on the pair's currently active member: server-side
     /// `dst[offset..offset+len] += src[offset..offset+len]` with engine
     /// time charged proportionally (see `SmbServer`'s range accumulate).
-    /// Joins the promotion stamp when routed at the standby, like every
+    /// Acquires the promotion edge when routed at the standby, like every
     /// other post-promotion access.
     ///
     /// # Errors
@@ -801,8 +757,8 @@ impl SmbPair {
     ///
     /// The protocol, in order:
     ///
-    /// 1. wait out any in-flight replication pass, then join the
-    ///    replicator's last stamp — every standby byte the passes wrote
+    /// 1. wait out any in-flight replication pass, then acquire the
+    ///    replicator's edge — every standby byte the passes wrote
     ///    happens-before the source read below;
     /// 2. skip out if the page is no longer poisoned (another client
     ///    already repaired it — repair must only ever touch poisoned
@@ -836,14 +792,11 @@ impl SmbPair {
         } else {
             (&self.inner.primary, &self.inner.standby)
         };
-        self.fence_footprint(ctx, shmcaffe_simnet::FootprintKind::AtomicRead);
+        self.fence_footprint(ctx, AccessKind::AtomicRead);
         while self.inner.in_pass.load(Ordering::Acquire) {
             ctx.sleep(SimDuration::from_micros(50));
         }
-        #[cfg(feature = "race-detect")]
-        if let Some(stamp) = self.inner.repl_stamp.lock().as_ref() {
-            ctx.vc_join(stamp);
-        }
+        self.inner.repl_edge.lock().acquire(ctx);
         if !dst.page_poisoned(ctx, key, page) {
             return Ok(());
         }

@@ -9,7 +9,7 @@ use shmcaffe_rdma::{MemoryRegion, RdmaFabric};
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::resource::{BandwidthResource, LinkModel};
 use shmcaffe_simnet::topology::NodeId;
-use shmcaffe_simnet::{FootprintKind, SimContext, SimDuration, SimTime};
+use shmcaffe_simnet::{AccessKind, HbEdge, SimContext, SimDuration, SimTime};
 use shmcaffe_tensor::crc32c::{crc32c_append, crc32c_finish, CRC32C_INIT};
 
 use crate::crc::crc32c_f32;
@@ -162,7 +162,7 @@ impl Grid<'_> {
         if crc32c_f32(&self.bytes[self.span(page)]) == self.crcs[page] {
             return Ok(());
         }
-        mark(ctx, "smb.poison", self.key.0, page..page + 1, FootprintKind::AtomicWrite);
+        mark(ctx, "smb.poison", self.key.0, page..page + 1, AccessKind::AtomicWrite);
         self.poisoned.insert(page);
         self.server.corruptions_detected.fetch_add(1, Ordering::Relaxed);
         Err(corrupted)
@@ -222,16 +222,18 @@ pub(crate) fn pseudo_region(salt: &str, key: u64) -> u64 {
     h.finish() | (1 << 63)
 }
 
-/// The one exploration-footprint guard of the control-plane tables: a
-/// `kind` access to `cells` of row `row` of table `table`.
+/// The one access guard of the control-plane tables: a `kind` access to
+/// `cells` of row `row` of table `table` (the table name doubles as the
+/// access site). Every kind used here is engine-serialized, so these
+/// order schedules for the explorer and never read as a race.
 fn mark(
     ctx: &SimContext,
-    table: &str,
+    table: &'static str,
     row: u64,
     cells: std::ops::Range<usize>,
-    kind: FootprintKind,
+    kind: AccessKind,
 ) {
-    ctx.footprint(pseudo_region(table, row), cells.start, cells.len(), kind);
+    ctx.access(pseudo_region(table, row), cells.start, cells.len(), kind, table);
 }
 
 #[derive(Debug, Clone)]
@@ -252,11 +254,10 @@ struct Segment {
     /// is the *only* way poison clears, so undetected damage can never be
     /// laundered back into a valid checksum by a later partial write.
     poisoned: BTreeSet<usize>,
-    /// Creator's vector-clock stamp, joined into every allocator — the
+    /// Released by the creator, acquired by every allocator — the
     /// creation→allocation happens-before edge (the SHM-key handshake of
     /// paper Fig. 2 is a control-plane round trip).
-    #[cfg(feature = "race-detect")]
-    created: shmcaffe_simnet::race::VectorClock,
+    created: HbEdge,
 }
 
 /// Heartbeat state for an owned segment.
@@ -264,10 +265,9 @@ struct Segment {
 struct Lease {
     owner: usize,
     last_heartbeat: SimTime,
-    /// The owner's stamp at its last heartbeat, joined into whoever evicts
-    /// the lease — the lease release/eviction happens-before edge.
-    #[cfg(feature = "race-detect")]
-    stamp: shmcaffe_simnet::race::VectorClock,
+    /// Released by the owner at its last heartbeat, acquired by whoever
+    /// evicts the lease — the lease release/eviction happens-before edge.
+    beat: HbEdge,
 }
 
 /// Marker left behind when a lease expires, so later lookups of the dead
@@ -466,8 +466,8 @@ impl SmbServer {
         owner: Option<usize>,
     ) -> Result<ShmKey, SmbError> {
         let now = ctx.now();
-        #[cfg(feature = "race-detect")]
-        let stamp = ctx.vc_stamp();
+        let mut created = HbEdge::default();
+        created.release(ctx);
         let mut names = self.inner.names.lock();
         if names.contains_key(name) {
             return Err(SmbError::DuplicateName { name: name.to_string(), node: self.inner.node });
@@ -488,34 +488,15 @@ impl SmbServer {
                 version: 0,
                 page_crcs: self.initial_page_crcs(elems),
                 poisoned: BTreeSet::new(),
-                #[cfg(feature = "race-detect")]
-                created: stamp.clone(),
+                created: created.clone(),
             },
         );
         names.insert(name.to_string(), key);
         if let Some(owner) = owner {
-            self.inner.leases.lock().insert(
-                key,
-                Lease {
-                    owner,
-                    last_heartbeat: now,
-                    #[cfg(feature = "race-detect")]
-                    stamp,
-                },
-            );
+            let lease = Lease { owner, last_heartbeat: now, beat: created };
+            self.inner.leases.lock().insert(key, lease);
         }
         Ok(key)
-    }
-
-    /// Vector-clock stamp taken when the segment was created, joined by
-    /// clients in [`crate::SmbClient::alloc`] so creation happens-before
-    /// every subsequent access through the returned handle.
-    #[cfg(feature = "race-detect")]
-    pub(crate) fn segment_created_stamp(
-        &self,
-        key: ShmKey,
-    ) -> Option<shmcaffe_simnet::race::VectorClock> {
-        self.inner.segments.lock().get(&key).map(|s| s.created.clone())
     }
 
     /// Looks up a segment's access info.
@@ -525,6 +506,36 @@ impl SmbServer {
             Some(seg) => Ok((seg.mr, seg.wire_bytes)),
             None => Err(self.missing(key)),
         }
+    }
+
+    /// [`SmbServer::segment`] for an allocator: the reply also acquires the
+    /// creator's edge, so creation happens-before every access through the
+    /// returned handle.
+    pub(crate) fn alloc_segment(
+        &self,
+        ctx: &SimContext,
+        key: ShmKey,
+    ) -> Result<(MemoryRegion, u64), SmbError> {
+        let segments = self.inner.segments.lock();
+        let Some(seg) = segments.get(&key) else { return Err(self.missing(key)) };
+        seg.created.acquire(ctx);
+        Ok((seg.mr, seg.wire_bytes))
+    }
+
+    /// [`SmbServer::segment`] for a data op on `[offset, offset + len)`:
+    /// the access info is handed out only once the pages the span touches
+    /// verify ([`SmbServer::verify_region`]), so no caller can move bytes
+    /// of a poisoned page.
+    pub(crate) fn verified_segment(
+        &self,
+        ctx: &SimContext,
+        key: ShmKey,
+        offset: usize,
+        len: usize,
+    ) -> Result<(MemoryRegion, u64), SmbError> {
+        let segment = self.segment(key)?;
+        self.verify_region(ctx, key, offset, len)?;
+        Ok(segment)
     }
 
     /// The error for a key with no live segment: [`SmbError::LeaseExpired`]
@@ -558,19 +569,14 @@ impl SmbServer {
     /// holds. Workers call this (via [`crate::SmbClient::heartbeat`]) at
     /// least once per exchange round; a crashed worker stops.
     pub fn touch_owner(&self, ctx: &SimContext, owner: usize) {
-        mark(ctx, "smb.leases", self.inner.node.0 as u64, 0..1, FootprintKind::AtomicWrite);
+        mark(ctx, "smb.leases", self.inner.node.0 as u64, 0..1, AccessKind::AtomicWrite);
         let now = ctx.now();
-        #[cfg(feature = "race-detect")]
-        let stamp = ctx.vc_stamp();
+        let mut beat = HbEdge::default();
+        beat.release(ctx);
         let mut leases = self.inner.leases.lock();
-        for lease in leases.values_mut() {
-            if lease.owner == owner {
-                lease.last_heartbeat = now;
-                #[cfg(feature = "race-detect")]
-                {
-                    lease.stamp = stamp.clone();
-                }
-            }
+        for lease in leases.values_mut().filter(|l| l.owner == owner) {
+            lease.last_heartbeat = now;
+            lease.beat = beat.clone();
         }
     }
 
@@ -586,27 +592,18 @@ impl SmbServer {
     pub fn evict_stale(&self, ctx: &SimContext) -> Vec<ShmKey> {
         // Eviction reads the lease table and mutates the tombstone table;
         // neither commutes with heartbeats or rejoin acknowledgements.
-        mark(ctx, "smb.leases", self.inner.node.0 as u64, 0..1, FootprintKind::AtomicRead);
-        mark(ctx, "smb.tombstones", self.inner.node.0 as u64, 0..1, FootprintKind::AtomicRmw);
+        mark(ctx, "smb.leases", self.inner.node.0 as u64, 0..1, AccessKind::AtomicRead);
+        mark(ctx, "smb.tombstones", self.inner.node.0 as u64, 0..1, AccessKind::AtomicRmw);
         let now = ctx.now();
         let timeout = self.inner.config.lease_timeout;
-        let stale: Vec<(ShmKey, usize)> = {
-            let leases = self.inner.leases.lock();
-            leases
-                .iter()
-                .filter(|(_, l)| now.since(l.last_heartbeat) > timeout)
-                .map(|(&k, l)| (k, l.owner))
-                .collect()
-        };
-        // The evictor observed the owner's last heartbeat, so every access
-        // that preceded that heartbeat happens-before the eviction.
-        #[cfg(feature = "race-detect")]
-        {
-            let leases = self.inner.leases.lock();
-            for (key, _) in &stale {
-                if let Some(lease) = leases.get(key) {
-                    ctx.vc_join(&lease.stamp);
-                }
+        let mut stale: Vec<(ShmKey, usize)> = Vec::new();
+        for (&key, lease) in self.inner.leases.lock().iter() {
+            if now.since(lease.last_heartbeat) > timeout {
+                // The evictor observed the owner's last heartbeat, so every
+                // access that preceded that heartbeat happens-before the
+                // eviction.
+                lease.beat.acquire(ctx);
+                stale.push((key, lease.owner));
             }
         }
         let mut evicted = Vec::new();
@@ -631,7 +628,7 @@ impl SmbServer {
     /// (via [`crate::SmbClient::ack_eviction`]) before re-creating its
     /// buffers. Returns how many tombstones were reclaimed.
     pub fn ack_eviction(&self, ctx: &SimContext, owner: usize) -> usize {
-        mark(ctx, "smb.tombstones", self.inner.node.0 as u64, 0..1, FootprintKind::AtomicRmw);
+        mark(ctx, "smb.tombstones", self.inner.node.0 as u64, 0..1, AccessKind::AtomicRmw);
         let mut evicted = self.inner.evicted.lock();
         let before = evicted.len();
         evicted.retain(|_, t| t.owner != owner);
@@ -689,23 +686,12 @@ impl SmbServer {
         // plain writes to the destination still race. The access footprint
         // is the exact span: disjoint chunks from different workers do not
         // conflict, overlapping ones serialise as RMWs.
-        {
-            ctx.footprint(src_mr.rkey.0, offset, len, FootprintKind::AtomicRead);
-            ctx.footprint(dst_mr.rkey.0, offset, len, FootprintKind::AtomicRmw);
-        }
-        #[cfg(feature = "race-detect")]
-        {
-            use shmcaffe_simnet::race::AccessKind;
-            let det = self.inner.rdma.race_detector();
-            let (src_site, dst_site) = match span {
-                None => ("smb::server::accumulate(src)", "smb::server::accumulate(dst)"),
-                Some(_) => {
-                    ("smb::server::accumulate_range(src)", "smb::server::accumulate_range(dst)")
-                }
-            };
-            det.record(ctx, src_mr.rkey.0, offset, len, AccessKind::AtomicRead, src_site);
-            det.record(ctx, dst_mr.rkey.0, offset, len, AccessKind::AtomicRmw, dst_site);
-        }
+        let (src_site, dst_site) = match span {
+            None => ("smb::server::accumulate(src)", "smb::server::accumulate(dst)"),
+            Some(_) => ("smb::server::accumulate_range(src)", "smb::server::accumulate_range(dst)"),
+        };
+        ctx.access(src_mr.rkey.0, offset, len, AccessKind::AtomicRead, src_site);
+        ctx.access(dst_mr.rkey.0, offset, len, AccessKind::AtomicRmw, dst_site);
         // The engine streams ΔW and W_g through server memory (three
         // passes per byte), serialised on the shared DRAM bus (T.A3:
         // requests are processed exclusively). The exclusivity is a
@@ -732,14 +718,14 @@ impl SmbServer {
     /// caller's per-chunk control round trips already pay for the stream's
     /// signalling.
     pub fn begin_accumulate_stream(&self, ctx: &SimContext, key: ShmKey) {
-        mark(ctx, "smb.stream", key.0, 0..1, FootprintKind::AtomicRmw);
+        mark(ctx, "smb.stream", key.0, 0..1, AccessKind::AtomicRmw);
         *self.inner.streams.lock().entry(key).or_insert(0) += 1;
     }
 
     /// Closes one accumulate stream opened by
     /// [`SmbServer::begin_accumulate_stream`].
     pub fn end_accumulate_stream(&self, ctx: &SimContext, key: ShmKey) {
-        mark(ctx, "smb.stream", key.0, 0..1, FootprintKind::AtomicRmw);
+        mark(ctx, "smb.stream", key.0, 0..1, AccessKind::AtomicRmw);
         let mut streams = self.inner.streams.lock();
         if let Some(count) = streams.get_mut(&key) {
             *count = count.saturating_sub(1);
@@ -751,7 +737,7 @@ impl SmbServer {
 
     /// Whether any accumulate stream is currently open on `key`.
     pub(crate) fn stream_open(&self, ctx: &SimContext, key: ShmKey) -> bool {
-        mark(ctx, "smb.stream", key.0, 0..1, FootprintKind::AtomicRead);
+        mark(ctx, "smb.stream", key.0, 0..1, AccessKind::AtomicRead);
         self.inner.streams.lock().get(&key).is_some_and(|&c| c > 0)
     }
 
@@ -760,7 +746,7 @@ impl SmbServer {
     pub(crate) fn bump_version(&self, ctx: &SimContext, key: ShmKey) -> u64 {
         // Version bumps on the same key never commute for exploration
         // purposes: subscribers observe the intermediate values.
-        mark(ctx, "smb.version", key.0, 0..1, FootprintKind::AtomicRmw);
+        mark(ctx, "smb.version", key.0, 0..1, AccessKind::AtomicRmw);
         let version = {
             let mut segments = self.inner.segments.lock();
             match segments.get_mut(&key) {
@@ -955,7 +941,7 @@ impl SmbServer {
             if pages.is_empty() {
                 return Ok(());
             }
-            mark(ctx, "smb.poison", key.0, pages.clone(), FootprintKind::AtomicRead);
+            mark(ctx, "smb.poison", key.0, pages.clone(), AccessKind::AtomicRead);
             for page in pages {
                 grid.verify(ctx, page)?;
             }
@@ -976,7 +962,7 @@ impl SmbServer {
         }
         let _ = self.with_grid(key, |grid| {
             let pages = grid.pages(offset, data.len());
-            mark(ctx, "smb.poison", key.0, pages.clone(), FootprintKind::AtomicWrite);
+            mark(ctx, "smb.poison", key.0, pages.clone(), AccessKind::AtomicWrite);
             for page in pages {
                 grid.record_overlay(page, offset, data);
             }
@@ -1052,7 +1038,7 @@ impl SmbServer {
     /// operation that clears poison. The landing is an `AtomicRmw` on the
     /// page's range — it cannot race the accumulate engine, and the repair
     /// protocol ([`crate::SmbPair::repair_page`]) orders it against
-    /// replication passes via the replicator's HB stamp.
+    /// replication passes via the replicator's `repl_edge`.
     ///
     /// # Errors
     ///
@@ -1070,15 +1056,12 @@ impl SmbServer {
             if span.len() != data.len() {
                 return Err(SmbError::SizeMismatch { key, expected: span.len(), got: data.len() });
             }
-            mark(ctx, "smb.poison", key.0, page..page + 1, FootprintKind::AtomicRmw);
-            ctx.footprint(grid.mr.rkey.0, span.start, span.len(), FootprintKind::AtomicRmw);
-            #[cfg(feature = "race-detect")]
-            self.inner.rdma.race_detector().record(
-                ctx,
+            mark(ctx, "smb.poison", key.0, page..page + 1, AccessKind::AtomicRmw);
+            ctx.access(
                 grid.mr.rkey.0,
                 span.start,
                 span.len(),
-                shmcaffe_simnet::race::AccessKind::AtomicRmw,
+                AccessKind::AtomicRmw,
                 "smb::replica::repair",
             );
             grid.bytes[span].copy_from_slice(data);
@@ -1091,7 +1074,7 @@ impl SmbServer {
     /// Whether a page is currently poisoned (footprinted so the explorer
     /// orders this check against poisoning and repair).
     pub(crate) fn page_poisoned(&self, ctx: &SimContext, key: ShmKey, page: usize) -> bool {
-        mark(ctx, "smb.poison", key.0, page..page + 1, FootprintKind::AtomicRead);
+        mark(ctx, "smb.poison", key.0, page..page + 1, AccessKind::AtomicRead);
         self.inner.segments.lock().get(&key).is_some_and(|seg| seg.poisoned.contains(&page))
     }
 
@@ -1210,7 +1193,7 @@ impl SmbServer {
                 continue;
             }
             let _ = self.grid_of(key, seg, |grid| {
-                mark(ctx, "smb.poison", key.0, 0..grid.crcs.len(), FootprintKind::AtomicRead);
+                mark(ctx, "smb.poison", key.0, 0..grid.crcs.len(), AccessKind::AtomicRead);
                 for page in 0..grid.crcs.len() {
                     if !grid.poisoned.contains(&page) && grid.verify(ctx, page).is_err() {
                         newly += 1;
@@ -1276,7 +1259,6 @@ impl SmbServer {
                 len: seg.mr.len,
                 wire_bytes: seg.wire_bytes,
                 version: seg.version,
-                #[cfg(feature = "race-detect")]
                 created: seg.created.clone(),
             })
             .collect()
@@ -1307,7 +1289,6 @@ impl SmbServer {
                 // right after the install (see `install_contents`).
                 page_crcs: self.initial_page_crcs(meta.len),
                 poisoned: BTreeSet::new(),
-                #[cfg(feature = "race-detect")]
                 created: meta.created.clone(),
             },
         );
@@ -1335,8 +1316,7 @@ impl SmbServer {
                 key,
                 owner: l.owner,
                 last_heartbeat: l.last_heartbeat,
-                #[cfg(feature = "race-detect")]
-                stamp: l.stamp.clone(),
+                beat: l.beat.clone(),
             })
             .collect()
     }
@@ -1346,15 +1326,8 @@ impl SmbServer {
         let mut table = self.inner.leases.lock();
         table.clear();
         for l in leases {
-            table.insert(
-                l.key,
-                Lease {
-                    owner: l.owner,
-                    last_heartbeat: l.last_heartbeat,
-                    #[cfg(feature = "race-detect")]
-                    stamp: l.stamp,
-                },
-            );
+            let lease = Lease { owner: l.owner, last_heartbeat: l.last_heartbeat, beat: l.beat };
+            table.insert(l.key, lease);
         }
     }
 
@@ -1382,8 +1355,7 @@ pub(crate) struct SegmentMeta {
     pub(crate) len: usize,
     pub(crate) wire_bytes: u64,
     pub(crate) version: u64,
-    #[cfg(feature = "race-detect")]
-    pub(crate) created: shmcaffe_simnet::race::VectorClock,
+    pub(crate) created: HbEdge,
 }
 
 /// One lease's replication metadata.
@@ -1392,8 +1364,7 @@ pub(crate) struct LeaseMeta {
     pub(crate) key: ShmKey,
     pub(crate) owner: usize,
     pub(crate) last_heartbeat: SimTime,
-    #[cfg(feature = "race-detect")]
-    pub(crate) stamp: shmcaffe_simnet::race::VectorClock,
+    pub(crate) beat: HbEdge,
 }
 
 #[cfg(test)]

@@ -25,13 +25,14 @@ fn setup(nodes: usize) -> SmbServer {
 #[test]
 fn seeded_unsynchronized_accumulate_races_with_write() {
     let server = setup(3);
-    // Collect reports instead of failing the simulation.
-    server.rdma().race_detector().set_halt_on_race(false);
 
     let to_a = SimChannel::<(ShmKey, ShmKey)>::new("keys_to_a");
     let to_b = SimChannel::<(ShmKey, ShmKey)>::new("keys_to_b");
 
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
+    // Collect reports instead of failing the simulation.
+    det.set_halt_on_race(false);
     {
         let s = server.clone();
         let (to_a, to_b) = (to_a.clone(), to_b.clone());
@@ -67,7 +68,7 @@ fn seeded_unsynchronized_accumulate_races_with_write() {
     }
     sim.run();
 
-    let reports = server.rdma().race_detector().reports();
+    let reports = det.reports();
     assert_eq!(reports.len(), 1, "exactly one race expected, got {reports:#?}");
     let r = &reports[0];
     let mut sites = [r.earlier_site, r.later_site];
@@ -91,6 +92,7 @@ fn synchronized_accumulate_after_write_is_race_free() {
     let a_done = SimChannel::<()>::new("a_done");
 
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
     {
         let s = server.clone();
         let (to_a, to_b) = (to_a.clone(), to_b.clone());
@@ -127,7 +129,7 @@ fn synchronized_accumulate_after_write_is_race_free() {
     }
     // halt_on_race defaults to true: any report would fail sim.run().
     sim.run();
-    assert!(server.rdma().race_detector().reports().is_empty());
+    assert!(det.reports().is_empty());
 }
 
 /// The full failover path under the halting detector: a worker keeps
@@ -150,6 +152,7 @@ fn failover_with_promotion_edges_is_race_free() {
 
     let to_worker = SimChannel::<ShmKey>::new("wg_key");
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
     {
         let p = pair.clone();
         let to_worker = to_worker.clone();
@@ -188,7 +191,7 @@ fn failover_with_promotion_edges_is_race_free() {
     }
     // halt_on_race defaults to true: any report would fail sim.run().
     sim.run();
-    assert!(pair.primary().rdma().race_detector().reports().is_empty());
+    assert!(det.reports().is_empty());
     assert!(pair.epoch() >= 1, "at least one pass replicated before the crash");
 }
 
@@ -203,11 +206,12 @@ fn seeded_standby_access_without_promotion_edge_is_caught() {
     let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
     let rdma = RdmaFabric::new(Fabric::new(spec));
     let pair = SmbPair::new(rdma.clone(), SmbServerConfig::default()).unwrap();
-    rdma.race_detector().set_halt_on_race(false);
 
     let to_repl = SimChannel::<ShmKey>::new("key_to_repl");
     let to_rogue = SimChannel::<ShmKey>::new("key_to_rogue");
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
+    det.set_halt_on_race(false);
     {
         let p = pair.clone();
         let (to_repl, to_rogue) = (to_repl.clone(), to_rogue.clone());
@@ -244,7 +248,7 @@ fn seeded_standby_access_without_promotion_edge_is_caught() {
     }
     sim.run();
 
-    let reports = rdma.race_detector().reports();
+    let reports = det.reports();
     assert_eq!(reports.len(), 1, "exactly one race expected, got {reports:#?}");
     let r = &reports[0];
     let mut sites = [r.earlier_site, r.later_site];
@@ -281,6 +285,7 @@ fn fence_acquire_chain_is_race_free() {
     let to_w0 = SimChannel::<ShmKey>::new("key_to_w0");
     let to_w1 = SimChannel::<ShmKey>::new("key_to_w1");
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
     {
         // Each worker owns its segment (the SEASGD ΔW layout): the fence
         // chain is exercised against the replicator's mirror writes, not
@@ -336,7 +341,7 @@ fn fence_acquire_chain_is_race_free() {
     }
     // halt_on_race defaults to true: any report would fail sim.run().
     sim.run();
-    assert!(rdma.race_detector().reports().is_empty());
+    assert!(det.reports().is_empty());
     assert!(pair.promoted());
 }
 
@@ -361,11 +366,12 @@ fn seeded_write_without_fence_join_is_caught() {
     let cfg =
         SmbServerConfig { authority_timeout: SimDuration::from_millis(40), ..Default::default() };
     let pair = SmbPair::new(rdma.clone(), cfg).unwrap();
-    rdma.race_detector().set_halt_on_race(false);
 
     let to_w1 = SimChannel::<ShmKey>::new("wg_to_w1");
     let to_rogue = SimChannel::<ShmKey>::new("ckpt_to_rogue");
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
+    det.set_halt_on_race(false);
     {
         let p = pair.clone();
         let (to_w1, to_rogue) = (to_w1.clone(), to_rogue.clone());
@@ -413,7 +419,7 @@ fn seeded_write_without_fence_join_is_caught() {
     }
     sim.run();
 
-    let reports = rdma.race_detector().reports();
+    let reports = det.reports();
     assert_eq!(reports.len(), 1, "exactly one race expected, got {reports:#?}");
     let r = &reports[0];
     let mut sites = [r.earlier_site, r.later_site];
@@ -441,6 +447,7 @@ fn per_chunk_channel_edges_make_the_tile_chain_race_free() {
     const TILE: usize = 2;
 
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
     {
         let s = server.clone();
         let (to_mixer, to_pusher) = (to_mixer.clone(), to_pusher.clone());
@@ -488,7 +495,7 @@ fn per_chunk_channel_edges_make_the_tile_chain_race_free() {
     }
     // halt_on_race defaults to true: any report would fail sim.run().
     sim.run();
-    assert!(server.rdma().race_detector().reports().is_empty());
+    assert!(det.reports().is_empty());
 }
 
 /// Seeded missing-edge companion: the pusher accumulates the tile after a
@@ -499,12 +506,13 @@ fn per_chunk_channel_edges_make_the_tile_chain_race_free() {
 #[test]
 fn seeded_missing_per_chunk_edge_is_caught() {
     let server = setup(3);
-    server.rdma().race_detector().set_halt_on_race(false);
 
     let to_mixer = SimChannel::<(ShmKey, ShmKey)>::new("keys_to_mixer");
     let to_pusher = SimChannel::<(ShmKey, ShmKey)>::new("keys_to_pusher");
 
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
+    det.set_halt_on_race(false);
     {
         let s = server.clone();
         let (to_mixer, to_pusher) = (to_mixer.clone(), to_pusher.clone());
@@ -543,7 +551,7 @@ fn seeded_missing_per_chunk_edge_is_caught() {
     }
     sim.run();
 
-    let reports = server.rdma().race_detector().reports();
+    let reports = det.reports();
     assert_eq!(reports.len(), 1, "exactly one race expected, got {reports:#?}");
     let r = &reports[0];
     let mut sites = [r.earlier_site, r.later_site];
@@ -563,6 +571,7 @@ fn disjoint_tiles_without_edges_are_race_free() {
     let to_pusher = SimChannel::<(ShmKey, ShmKey)>::new("keys_to_pusher");
 
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
     {
         let s = server.clone();
         let (to_mixer, to_pusher) = (to_mixer.clone(), to_pusher.clone());
@@ -598,7 +607,7 @@ fn disjoint_tiles_without_edges_are_race_free() {
     }
     // halt_on_race defaults to true: any report would fail sim.run().
     sim.run();
-    assert!(server.rdma().race_detector().reports().is_empty());
+    assert!(det.reports().is_empty());
 }
 
 /// The corruption-repair chain (DESIGN.md §5j) under the halting
@@ -620,6 +629,7 @@ fn repair_chain_with_client_edges_is_race_free() {
     let to_writer = SimChannel::<ShmKey>::new("key_to_writer");
     let repaired = SimChannel::<()>::new("repaired");
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
     {
         let p = pair.clone();
         let (to_worker, to_writer) = (to_worker.clone(), to_writer.clone());
@@ -669,7 +679,7 @@ fn repair_chain_with_client_edges_is_race_free() {
     }
     // halt_on_race defaults to true: any report would fail sim.run().
     sim.run();
-    assert!(rdma.race_detector().reports().is_empty());
+    assert!(det.reports().is_empty());
     assert_eq!(pair.repairs_completed(), 1);
 }
 
@@ -685,11 +695,12 @@ fn seeded_plain_write_concurrent_with_repair_is_caught() {
     let rdma = RdmaFabric::new(Fabric::new(spec));
     let cfg = SmbServerConfig { page_elems: 4, ..SmbServerConfig::default() };
     let pair = SmbPair::new(rdma.clone(), cfg).unwrap();
-    rdma.race_detector().set_halt_on_race(false);
 
     let to_daemon = SimChannel::<ShmKey>::new("key_to_daemon");
     let to_rogue = SimChannel::<ShmKey>::new("key_to_rogue");
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
+    det.set_halt_on_race(false);
     {
         let p = pair.clone();
         let (to_daemon, to_rogue) = (to_daemon.clone(), to_rogue.clone());
@@ -727,7 +738,7 @@ fn seeded_plain_write_concurrent_with_repair_is_caught() {
     }
     sim.run();
 
-    let reports = rdma.race_detector().reports();
+    let reports = det.reports();
     assert_eq!(reports.len(), 1, "exactly one race expected, got {reports:#?}");
     let r = &reports[0];
     let mut sites = [r.earlier_site, r.later_site];
@@ -747,6 +758,7 @@ fn concurrent_accumulates_are_not_reported() {
     let to_b = SimChannel::<(ShmKey, ShmKey)>::new("keys_to_b");
 
     let mut sim = Simulation::new();
+    let det = sim.race_detector();
     {
         let s = server.clone();
         let (to_a, to_b) = (to_a.clone(), to_b.clone());
@@ -771,5 +783,5 @@ fn concurrent_accumulates_are_not_reported() {
         });
     }
     sim.run();
-    assert!(server.rdma().race_detector().reports().is_empty());
+    assert!(det.reports().is_empty());
 }

@@ -29,22 +29,26 @@ fn sched_dir() -> PathBuf {
 
 /// The models below *deliberately* put conflicting unsynchronized accesses
 /// at tied wake times — that is the schedule space being explored. Under
-/// `--features race-detect` the vector-clock detector would (correctly)
-/// halt on them, so it collects reports instead of aborting here; the
-/// race-detection contract has its own suite in `tests/race_detect.rs`.
-fn tolerant(rdma: RdmaFabric) -> RdmaFabric {
+/// `--features race-detect` the simulation's vector-clock detector would
+/// (correctly) halt on them, so it collects reports instead of aborting
+/// here; the race-detection contract has its own suite in
+/// `tests/race_detect.rs`.
+fn tolerant(sim: &Simulation) {
     #[cfg(feature = "race-detect")]
-    rdma.race_detector().set_halt_on_race(false);
-    rdma
+    sim.race_detector().set_halt_on_race(false);
+    #[cfg(not(feature = "race-detect"))]
+    let _ = sim;
 }
 
-fn pair_fabric() -> RdmaFabric {
+fn pair_fabric(sim: &Simulation) -> RdmaFabric {
+    tolerant(sim);
     let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
-    tolerant(RdmaFabric::new(Fabric::new(spec)))
+    RdmaFabric::new(Fabric::new(spec))
 }
 
-fn single_fabric() -> RdmaFabric {
-    tolerant(RdmaFabric::new(Fabric::new(ClusterSpec::paper_testbed(2))))
+fn single_fabric(sim: &Simulation) -> RdmaFabric {
+    tolerant(sim);
+    RdmaFabric::new(Fabric::new(ClusterSpec::paper_testbed(2)))
 }
 
 /// Fence-epoch admission handshake: epoch-1 writers (two on disjoint
@@ -61,7 +65,7 @@ fn fence_admission_handshake_certifies_clean() {
             authority_timeout: SimDuration::from_millis(10),
             ..Default::default()
         };
-        let pair = SmbPair::new(pair_fabric(), cfg).unwrap();
+        let pair = SmbPair::new(pair_fabric(sim), cfg).unwrap();
         {
             let p = pair.clone();
             sim.spawn("boot", move |ctx| {
@@ -146,7 +150,7 @@ fn promote_vs_late_primary_write_certifies() {
             authority_timeout: SimDuration::from_millis(10),
             ..Default::default()
         };
-        let pair = SmbPair::new(pair_fabric(), cfg).unwrap();
+        let pair = SmbPair::new(pair_fabric(sim), cfg).unwrap();
         {
             let p = pair.clone();
             sim.spawn("boot", move |ctx| {
@@ -210,7 +214,7 @@ fn tombstone_gc_vs_rejoin_certifies() {
             tombstone_horizon: SimDuration::from_millis(5),
             ..Default::default()
         };
-        let server = SmbServer::with_config(single_fabric(), cfg).unwrap();
+        let server = SmbServer::with_config(single_fabric(sim), cfg).unwrap();
         {
             let s = server.clone();
             sim.spawn("boot", move |ctx| {
@@ -272,7 +276,7 @@ fn tombstone_gc_vs_rejoin_certifies() {
 #[test]
 fn accumulate_stream_guard_certifies_untorn_standby() {
     let setup = |sim: &mut Simulation| {
-        let pair = SmbPair::new(pair_fabric(), SmbServerConfig::default()).unwrap();
+        let pair = SmbPair::new(pair_fabric(sim), SmbServerConfig::default()).unwrap();
         {
             let p = pair.clone();
             sim.spawn("boot", move |ctx| {
@@ -346,7 +350,7 @@ fn accumulate_stream_guard_certifies_untorn_standby() {
 fn repair_vs_concurrent_accumulate_certifies() {
     let setup = |sim: &mut Simulation| {
         let cfg = SmbServerConfig { page_elems: 2, ..Default::default() };
-        let pair = SmbPair::new(pair_fabric(), cfg).unwrap();
+        let pair = SmbPair::new(pair_fabric(sim), cfg).unwrap();
         {
             let p = pair.clone();
             sim.spawn("boot", move |ctx| {
@@ -430,7 +434,7 @@ fn mutated_heartbeat_without_hb_edge_is_caught() {
                 lease_timeout: SimDuration::from_millis(5),
                 ..Default::default()
             };
-            let server = SmbServer::with_config(single_fabric(), cfg).unwrap();
+            let server = SmbServer::with_config(single_fabric(sim), cfg).unwrap();
             {
                 let s = server.clone();
                 sim.spawn("boot", move |ctx| {
@@ -507,7 +511,7 @@ fn mutated_fence_check_skip_is_caught() {
                 authority_timeout: SimDuration::from_millis(10),
                 ..Default::default()
             };
-            let pair = SmbPair::new(pair_fabric(), cfg).unwrap();
+            let pair = SmbPair::new(pair_fabric(sim), cfg).unwrap();
             {
                 let p = pair.clone();
                 sim.spawn("boot", move |ctx| {
@@ -590,7 +594,7 @@ fn mutated_repair_without_fence_is_caught() {
     let model = |mutated: bool| {
         move |sim: &mut Simulation| {
             let cfg = SmbServerConfig { page_elems: PE, ..Default::default() };
-            let pair = SmbPair::new(pair_fabric(), cfg).unwrap();
+            let pair = SmbPair::new(pair_fabric(sim), cfg).unwrap();
             if mutated {
                 pair.set_repair_fence(false);
             }

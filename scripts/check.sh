@@ -26,6 +26,10 @@ cargo fmt --all -- --check
 echo "== determinism lint + allowlist audit =="
 cargo run -q -p shmcaffe-analysis
 
+echo "== cfg(race-detect) stays behind the simnet seam (SimContext::access, HbEdge) =="
+grep -rn 'feature = "race-detect"' crates/*/src | grep -v '^crates/simnet/src/' &&
+    { echo "FAIL: cfg(feature = \"race-detect\") outside crates/simnet/src" >&2; exit 1; }
+
 # Every schedcheck suite carries its own schedule budget (ExploreBounds);
 # the timeout is a wall-clock backstop so a pruning regression fails the
 # gate instead of hanging it.
