@@ -6,10 +6,9 @@
 //! [`Prefetcher`] is the background thread that keeps a bounded queue of
 //! decoded minibatches ahead of the consumer.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use crossbeam::channel::{bounded, Receiver};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -36,18 +35,18 @@ pub struct Record {
 
 impl Record {
     /// Serialises the record.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.dims.len() * 4 + self.data.len() * 4);
-        buf.put_u32_le(RECORD_MAGIC);
-        buf.put_u32_le(self.label);
-        buf.put_u32_le(self.dims.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(12 + self.dims.len() * 4 + self.data.len() * 4);
+        buf.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&self.label.to_le_bytes());
+        buf.extend_from_slice(&(self.dims.len() as u32).to_le_bytes());
         for &d in &self.dims {
-            buf.put_u32_le(d);
+            buf.extend_from_slice(&d.to_le_bytes());
         }
         for &v in &self.data {
-            buf.put_f32_le(v);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserialises a record.
@@ -56,29 +55,33 @@ impl Record {
     ///
     /// Returns [`DnnError::CorruptRecord`] on truncation, a bad magic number
     /// or a length mismatch.
-    pub fn decode(mut bytes: Bytes) -> Result<Self, DnnError> {
-        if bytes.remaining() < 12 {
+    pub fn decode(bytes: &[u8]) -> Result<Self, DnnError> {
+        let word = |w: &[u8]| [w[0], w[1], w[2], w[3]];
+        if bytes.len() < 12 {
             return Err(DnnError::CorruptRecord("header truncated".to_string()));
         }
-        let magic = bytes.get_u32_le();
+        let (header, rest) = bytes.split_at(12);
+        let magic = u32::from_le_bytes(word(&header[0..4]));
         if magic != RECORD_MAGIC {
             return Err(DnnError::CorruptRecord(format!("bad magic 0x{magic:08x}")));
         }
-        let label = bytes.get_u32_le();
-        let dim_count = bytes.get_u32_le() as usize;
-        if bytes.remaining() < dim_count * 4 {
+        let label = u32::from_le_bytes(word(&header[4..8]));
+        let dim_count = u32::from_le_bytes(word(&header[8..12])) as usize;
+        if rest.len() / 4 < dim_count {
             return Err(DnnError::CorruptRecord("dims truncated".to_string()));
         }
-        let dims: Vec<u32> = (0..dim_count).map(|_| bytes.get_u32_le()).collect();
+        let (dim_bytes, payload) = rest.split_at(dim_count * 4);
+        let dims: Vec<u32> =
+            dim_bytes.chunks_exact(4).map(|w| u32::from_le_bytes(word(w))).collect();
         let elems: usize = dims.iter().map(|&d| d as usize).product();
-        if bytes.remaining() != elems * 4 {
+        if payload.len() != elems * 4 {
             return Err(DnnError::CorruptRecord(format!(
                 "expected {} data bytes, found {}",
                 elems * 4,
-                bytes.remaining()
+                payload.len()
             )));
         }
-        let data: Vec<f32> = (0..elems).map(|_| bytes.get_f32_le()).collect();
+        let data = payload.chunks_exact(4).map(|w| f32::from_le_bytes(word(w))).collect();
         Ok(Record { dims, label, data })
     }
 }
@@ -100,7 +103,7 @@ impl Record {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct RecordDb {
-    inner: Arc<RwLock<BTreeMap<String, Bytes>>>,
+    inner: Arc<RwLock<BTreeMap<String, Vec<u8>>>>,
 }
 
 impl RecordDb {
@@ -136,12 +139,8 @@ impl RecordDb {
     ///
     /// Returns [`DnnError::MissingRecord`] or [`DnnError::CorruptRecord`].
     pub fn get(&self, key: &str) -> Result<Record, DnnError> {
-        let bytes = self
-            .inner
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| DnnError::MissingRecord(key.to_string()))?;
+        let inner = self.inner.read();
+        let bytes = inner.get(key).ok_or_else(|| DnnError::MissingRecord(key.to_string()))?;
         Record::decode(bytes)
     }
 
@@ -265,7 +264,7 @@ impl Prefetcher {
     ) -> Self {
         assert!(!keys.is_empty(), "prefetcher needs at least one key");
         assert!(batch_size > 0, "batch_size must be positive");
-        let (tx, rx) = bounded(depth.max(1));
+        let (tx, rx) = sync_channel(depth.max(1));
         let handle = std::thread::Builder::new()
             .name("prefetcher".to_string())
             .spawn(move || {
@@ -309,18 +308,12 @@ impl Prefetcher {
     pub fn next_batch(&self) -> Option<Minibatch> {
         self.rx.recv().ok()
     }
-
-    /// Batches currently sitting in the queue.
-    pub fn queued(&self) -> usize {
-        self.rx.len()
-    }
 }
 
 impl Drop for Prefetcher {
     fn drop(&mut self) {
-        // Drain so the producer unblocks, then join.
-        while self.rx.try_recv().is_ok() {}
-        drop(std::mem::replace(&mut self.rx, bounded(1).1));
+        // Hang up so a producer blocked on a full queue unblocks, then join.
+        drop(std::mem::replace(&mut self.rx, sync_channel(0).1));
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -335,19 +328,19 @@ mod tests {
     #[test]
     fn record_roundtrip() {
         let rec = Record { dims: vec![2, 3], label: 7, data: (0..6).map(|v| v as f32).collect() };
-        let decoded = Record::decode(rec.encode()).unwrap();
+        let decoded = Record::decode(&rec.encode()).unwrap();
         assert_eq!(decoded, rec);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Record::decode(Bytes::from_static(b"xx")).is_err());
-        assert!(Record::decode(Bytes::from_static(&[0u8; 16])).is_err());
+        assert!(Record::decode(b"xx").is_err());
+        assert!(Record::decode(&[0u8; 16]).is_err());
         // Valid header but truncated payload.
         let rec = Record { dims: vec![4], label: 0, data: vec![1.0; 4] };
-        let mut bytes = rec.encode().to_vec();
+        let mut bytes = rec.encode();
         bytes.truncate(bytes.len() - 4);
-        assert!(Record::decode(Bytes::from(bytes)).is_err());
+        assert!(Record::decode(&bytes).is_err());
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The SGD solver with Caffe's hyper-parameters and learning-rate policies.
 
-use serde::{Deserialize, Serialize};
 use shmcaffe_tensor::Tensor;
 
 use crate::{DnnError, Net, Phase};
 
 /// Learning-rate schedule, mirroring Caffe's `lr_policy`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrPolicy {
     /// Constant learning rate.
     Fixed,
@@ -53,7 +52,7 @@ impl LrPolicy {
 
 /// Solver hyper-parameters (the paper: base_lr 0.1, γ 0.1, momentum 0.9,
 /// step size 4 epochs, 15-epoch max).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Base learning rate η.
     pub base_lr: f32,
@@ -243,8 +242,8 @@ impl Solver {
     }
 }
 
-/// A serialisable training checkpoint (weights + momentum + iteration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A training checkpoint (weights + momentum + iteration).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Iteration count at capture time.
     pub iter: usize,

@@ -20,11 +20,10 @@
 
 pub mod proxies;
 
-use serde::{Deserialize, Serialize};
 use shmcaffe_simnet::SimDuration;
 
 /// The four CNN models of the paper's evaluation (Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CnnModel {
     /// GoogLeNet / Inception-v1 (the headline model, Figs 8–11).
     InceptionV1,
@@ -127,7 +126,7 @@ impl std::fmt::Display for CnnModel {
 /// The physical vector (default 4096 elements) keeps the SEASGD algebra
 /// real — reads, increments and accumulates actually happen — while the
 /// `wire_bytes` drive the fabric model at the model's true size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadModel {
     /// Workload name (for reports).
     pub name: String,

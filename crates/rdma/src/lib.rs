@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -58,7 +57,7 @@ use shmcaffe_simnet::topology::{Fabric, NodeId};
 use shmcaffe_simnet::{AccessKind, SimContext, SimDuration};
 
 /// Remote access key for a registered memory region (the InfiniBand rkey).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RemoteKey(pub u64);
 
 impl fmt::Display for RemoteKey {
@@ -72,7 +71,7 @@ impl fmt::Display for RemoteKey {
 /// Possession of a `MemoryRegion` value is the capability to access the
 /// buffer, mirroring how an rkey "enables remote machine to access directly
 /// the shared memory with RDMA" (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryRegion {
     /// Endpoint that hosts the physical buffer.
     pub node: NodeId,
@@ -89,7 +88,7 @@ pub struct MemoryRegion {
 /// pair [`QpState::Error`] when a work request faults
 /// ([`RdmaFabric::fault_qp`]) and re-arms it via [`RdmaFabric::rearm_qp`]
 /// (Reset → Ready) before its next attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QpState {
     /// Operations are accepted.
     Ready,

@@ -1,7 +1,6 @@
 //! Platform configuration: ShmCaffe's two extra hyper-parameters plus
 //! simulation knobs.
 
-use serde::{Deserialize, Serialize};
 use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::SimDuration;
 
@@ -13,7 +12,7 @@ use crate::termination::TerminationPolicy;
 /// additionally supports two hyper-parameters: `update_interval` and
 /// `moving_rate`" (paper §III-A). The solver hyper-parameters live in
 /// [`shmcaffe_dnn::SolverConfig`]; this struct carries the distributed ones.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShmCaffeConfig {
     /// Moving averaging rate α used in the elastic updates (eqs. 3–7).
     /// The paper's experiments use 0.2.
@@ -41,12 +40,10 @@ pub struct ShmCaffeConfig {
     /// master into the replicated checkpoint segment (`0` disables
     /// checkpointing). A checkpoint is what a crashed worker rejoins from
     /// and what survives a memory-server failover.
-    #[serde(default)]
     pub checkpoint_every: usize,
     /// How long after its crash a dead worker attempts to rejoin from the
     /// latest checkpoint (`None` = crashed workers stay dead). Rejoin
     /// also requires `checkpoint_every > 0`.
-    #[serde(default)]
     pub rejoin_delay: Option<SimDuration>,
     /// Degraded-mode staleness cap: how many weight increments a worker
     /// cut off from the memory server by a network partition may buffer
@@ -54,7 +51,6 @@ pub struct ShmCaffeConfig {
     /// are dropped with accounting (elastic averaging re-derives the lost
     /// force from the next `W_x − W_g` difference). `0` disables
     /// partition buffering — a failed push is simply dropped.
-    #[serde(default = "default_partition_staleness_cap")]
     pub partition_staleness_cap: usize,
     /// Run the exchange as a pipelined chunk stream: the `W_g` range-reads
     /// ride a striped window — four reader connections per memory server,
@@ -67,22 +63,12 @@ pub struct ShmCaffeConfig {
     /// read→mix→push exchange: one chunk, one SMB stream, `W_g` read after
     /// the update. Both produce bit-identical weights (the chunk grid is
     /// fixed and the mixing is elementwise).
-    #[serde(default = "default_pipelined_exchange")]
     pub pipelined_exchange: bool,
     /// Chunk size of the pipelined exchange, in f32 elements. `0` = auto:
     /// size the grid so [`DEFAULT_EXCHANGE_CHUNKS`] chunks cover the
     /// model. The grid is derived only from `param_len` and this knob —
     /// never from timing — so it is part of the deterministic contract.
-    #[serde(default)]
     pub exchange_chunk_elems: usize,
-}
-
-fn default_partition_staleness_cap() -> usize {
-    16
-}
-
-fn default_pipelined_exchange() -> bool {
-    true
 }
 
 /// Number of chunks the auto grid (`exchange_chunk_elems == 0`) targets —
@@ -104,8 +90,8 @@ impl Default for ShmCaffeConfig {
             local_mix_bps: 25.0e9,
             checkpoint_every: 0,
             rejoin_delay: None,
-            partition_staleness_cap: default_partition_staleness_cap(),
-            pipelined_exchange: default_pipelined_exchange(),
+            partition_staleness_cap: 16,
+            pipelined_exchange: true,
             exchange_chunk_elems: 0,
         }
     }
@@ -142,7 +128,7 @@ impl ShmCaffeConfig {
 
 /// Baseline-platform calibration constants (see DESIGN.md §1 and
 /// EXPERIMENTS.md for provenance).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineConfig {
     /// Effective MPI point-to-point bandwidth as a fraction of the RDMA
     /// wire rate. Models the "additional memory copying and protocol

@@ -1,12 +1,11 @@
 //! Training run reports: per-worker iteration timing and convergence
 //! trajectories, the raw material of every table and figure in §IV.
 
-use serde::{Deserialize, Serialize};
 use shmcaffe_simnet::stats::RunningStats;
 use shmcaffe_simnet::SimTime;
 
 /// One convergence evaluation point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalPoint {
     /// Local iteration of the evaluating worker.
     pub iter: u64,
@@ -21,7 +20,7 @@ pub struct EvalPoint {
 }
 
 /// Timing and progress of one worker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkerReport {
     /// Worker rank.
     pub rank: usize,
@@ -46,12 +45,10 @@ pub struct WorkerReport {
     pub crashed: bool,
     /// Whether this worker crashed and later rejoined from a checkpoint
     /// (`crashed` stays true: the crash happened).
-    #[serde(default)]
     pub rejoined: bool,
     /// How many iterations behind the fleet's fastest member the rejoin
     /// checkpoint was at rejoin time — the staleness the rejoined worker
     /// re-entered training with.
-    #[serde(default)]
     pub rejoin_staleness_iters: u64,
     /// Transient transport faults this worker's SMB client observed.
     pub faults: u64,
@@ -64,45 +61,35 @@ pub struct WorkerReport {
     /// Weight increments buffered while a network partition cut this
     /// worker off from the memory server (degraded mode, bounded by
     /// [`crate::ShmCaffeConfig::partition_staleness_cap`]).
-    #[serde(default)]
     pub partition_buffered: u64,
     /// Weight increments dropped because the partition buffer was full
     /// (or still held entries when the run ended).
-    #[serde(default)]
     pub partition_dropped: u64,
     /// Buffered increments successfully replayed into the global buffer
     /// after the partition healed.
-    #[serde(default)]
     pub reconciled_updates: u64,
     /// Mutations rejected with a stale fencing epoch before this worker's
     /// client refreshed against the promoted primary.
-    #[serde(default)]
     pub fenced_writes: u64,
     /// Per-exchange time spent waiting for the previous exchange's ΔW
     /// pushes to drain (T.A5 gate), ms. Under the pipelined exchange this
     /// wait is per-chunk and overlaps with compute, so it shrinks toward
     /// zero; under the monolithic path it is the full push drain.
-    #[serde(default)]
     pub wait_ms: RunningStats,
     /// Per-exchange time blocked on `W_g` reads (T1/T.R3), ms. The
     /// pipelined exchange reads through a striped window that runs ahead
     /// of the mixer, so only the first chunks' fill at line rate and any
     /// reader stall is visible here — nothing on a Hybrid-SGD root, whose
     /// read rides under the group all-reduce.
-    #[serde(default)]
     pub read_ms: RunningStats,
     /// Per-exchange time spent in the elastic mixing pass (T2), ms.
-    #[serde(default)]
     pub mix_ms: RunningStats,
     /// Corruption events this worker's SMB client detected end-to-end
     /// (poisoned CRC pages plus wire checksum mismatches).
-    #[serde(default)]
     pub corruptions_detected: u64,
     /// Poisoned pages this worker repaired from the replicated standby.
-    #[serde(default)]
     pub corruptions_repaired: u64,
     /// Detected corruptions with no clean copy left to repair from.
-    #[serde(default)]
     pub corruptions_unrepairable: u64,
 }
 
@@ -154,7 +141,7 @@ impl WorkerReport {
 }
 
 /// The result of one platform run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingReport {
     /// Platform name ("ShmCaffe-A", "Caffe-MPI", ...).
     pub platform: String,
@@ -165,20 +152,16 @@ pub struct TrainingReport {
     /// Convergence trajectory (evaluated on rank 0 when enabled).
     pub evals: Vec<EvalPoint>,
     /// Final globally averaged weights (convergence runs), if collected.
-    #[serde(skip)]
     pub final_weights: Option<Vec<f32>>,
     /// Stale-epoch mutations the replicated server pair rejected
     /// (server-side fencing count — every split-brain write attempt that
     /// was refused instead of applied).
-    #[serde(default)]
     pub fenced_rejections: u64,
     /// Divergent unreplicated segments the demoted primary discarded
     /// during partition-heal reconciliation.
-    #[serde(default)]
     pub reconcile_discarded: u64,
     /// Segments the demoted primary resynced from the promoted standby
     /// during partition-heal reconciliation.
-    #[serde(default)]
     pub reconcile_resynced: u64,
 }
 

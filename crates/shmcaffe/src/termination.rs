@@ -11,11 +11,10 @@
 //! 3. all workers finish when the **average** iteration count reaches the
 //!    specified number of iterations.
 
-use serde::{Deserialize, Serialize};
 use shmcaffe_smb::progress::ProgressSnapshot;
 
 /// When a worker should stop relative to the fleet's shared progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TerminationPolicy {
     /// No alignment: every worker runs its full iteration budget (the BVLC
     /// Caffe behaviour the paper criticises — finished workers idle-wait).

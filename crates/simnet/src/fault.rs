@@ -22,7 +22,6 @@
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ use crate::topology::NodeId;
 use crate::{SimDuration, SimTime};
 
 /// How a link misbehaves during a [`LinkFault`] window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkFaultKind {
     /// The link is unusable: fallible transfers error out, infallible ones
     /// wait for the window to close.
@@ -41,7 +40,7 @@ pub enum LinkFaultKind {
 }
 
 /// One scheduled link fault on a node's HCA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFault {
     /// Endpoint whose HCA is affected (either direction).
     pub node: NodeId,
@@ -56,7 +55,7 @@ pub struct LinkFault {
 /// A window during which a node makes no progress on transfers (e.g. an
 /// OS-level pause or SMB server GC stall). Transfers touching the node
 /// wait out the stall and then proceed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeStall {
     /// The stalled endpoint.
     pub node: NodeId,
@@ -68,7 +67,7 @@ pub struct NodeStall {
 
 /// A scheduled worker death: the worker with this rank stops training at
 /// the given virtual time and never comes back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerCrash {
     /// Global worker rank.
     pub rank: usize,
@@ -81,7 +80,7 @@ pub struct WorkerCrash {
 /// given virtual time and never comes back. Fallible transfers touching it
 /// fail fast with [`FaultError::NodeCrashed`] so clients can fail over to
 /// a standby (see `shmcaffe-smb`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryServerCrash {
     /// The memory-server endpoint that dies.
     pub node: NodeId,
@@ -96,7 +95,7 @@ pub struct MemoryServerCrash {
 /// so two runs with the same plan corrupt the same bit. The corruption is
 /// silent by construction: only an integrity layer (CRC-guarded pages and
 /// a scrubber, see `shmcaffe-smb`) can detect it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramDecay {
     /// The memory-server endpoint whose DRAM decays.
     pub node: NodeId,
@@ -114,7 +113,7 @@ pub struct DramDecay {
 /// earlier-indexed group toward a later-indexed group — the asymmetric
 /// case where, say, the old primary can still be reached by some clients
 /// while its own replication traffic toward the standby black-holes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionFault {
     /// Disjoint, non-empty node groups. Traffic *between* groups is
     /// severed; nodes absent from every group are unaffected.
@@ -164,7 +163,7 @@ impl PartitionFault {
 ///     .crash_worker(2, SimTime::from_millis(50));
 /// assert!(plan.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the per-operation failure draw stream.
     pub seed: u64,
@@ -180,24 +179,19 @@ pub struct FaultPlan {
     /// Scheduled worker deaths.
     pub worker_crashes: Vec<WorkerCrash>,
     /// Scheduled memory-server deaths (permanent; clients must fail over).
-    #[serde(default)]
     pub memory_server_crashes: Vec<MemoryServerCrash>,
     /// Scheduled network partitions (symmetric or one-way, with optional
     /// heal events).
-    #[serde(default)]
     pub partitions: Vec<PartitionFault>,
     /// Probability that a fallible data transfer is corrupted by a wire
     /// bit flip (one seeded bit of the payload inverted in flight). The
     /// flip itself is silent at the transport level; detection is up to
     /// the end-to-end checksum layer.
-    #[serde(default)]
     pub wire_flip_prob: f64,
     /// Probability that a fallible write is torn: only a seeded prefix of
     /// the payload is delivered, and no error is reported to the writer.
-    #[serde(default)]
     pub torn_write_prob: f64,
     /// Scheduled silent DRAM decay events on memory-server nodes.
-    #[serde(default)]
     pub dram_decays: Vec<DramDecay>,
 }
 

@@ -9,12 +9,11 @@
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::SimDuration;
 
 /// Parameters of the per-iteration compute-time distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterModel {
     /// Standard deviation of the lognormal factor's underlying normal.
     /// `0.0` disables jitter entirely.

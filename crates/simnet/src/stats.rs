@@ -5,7 +5,6 @@
 //! Tables V and VI. [`RunningStats`] provides numerically stable streaming
 //! mean/variance (Welford's algorithm) plus min/max.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::SimDuration;
@@ -25,7 +24,7 @@ use crate::SimDuration;
 /// assert_eq!(s.count(), 3);
 /// assert_eq!(s.min(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,

@@ -4,7 +4,6 @@
 //! 56 Gbps FDR HCA each (≈7 GB/s), a non-blocking Mellanox switch, and a
 //! dedicated SMB memory server on the same fabric.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -13,7 +12,7 @@ use crate::resource::{BandwidthResource, LinkModel, TransferReport};
 use crate::{SimContext, SimDuration};
 
 /// Identifies an endpoint (GPU node or memory server) on the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {

@@ -1,5 +1,4 @@
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -16,7 +15,7 @@ use crate::crc::crc32c_f32;
 use crate::SmbError;
 
 /// The shared-memory generation key the master broadcasts (paper Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShmKey(pub u64);
 
 impl fmt::Display for ShmKey {

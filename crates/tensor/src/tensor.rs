@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{Shape, TensorError};
@@ -22,7 +21,7 @@ use crate::{Shape, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -289,8 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_via_debug_clone() {
-        // serde works structurally; spot-check Clone/PartialEq semantics here.
+    fn clone_compares_equal() {
         let t = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
         let u = t.clone();
         assert_eq!(t, u);

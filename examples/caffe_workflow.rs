@@ -48,7 +48,7 @@ fn main() {
         let mb = pf.next_batch().expect("prefetcher delivers all batches");
         let loss = solver.step(&mb.features, &mb.labels).expect("shapes match");
         if i % 30 == 0 {
-            println!("iter {i:>3}: loss {loss:.3} (queue depth {})", pf.queued());
+            println!("iter {i:>3}: loss {loss:.3}");
         }
         if i == 74 {
             snapshot = Some(solver.snapshot().expect("snapshot"));

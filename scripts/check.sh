@@ -30,6 +30,15 @@ echo "== cfg(race-detect) stays behind the simnet seam (SimContext::access, HbEd
 grep -rn 'feature = "race-detect"' crates/*/src | grep -v '^crates/simnet/src/' &&
     { echo "FAIL: cfg(feature = \"race-detect\") outside crates/simnet/src" >&2; exit 1; }
 
+echo "== every dependency resolves inside the checkout ([patch.crates-io] stand-ins, no registry source) =="
+# Resolved package ids, not the `"source"` of a dependency declaration
+# (that names crates.io for every patched crate).
+meta=$(cargo metadata --format-version 1)
+if grep -q '"id":"[^"]*registry+' <<<"$meta"; then
+    echo "FAIL: a dependency resolves to a registry; add it to [patch.crates-io] or drop it" >&2
+    exit 1
+fi
+
 # Every schedcheck suite carries its own schedule budget (ExploreBounds);
 # the timeout is a wall-clock backstop so a pruning regression fails the
 # gate instead of hanging it.

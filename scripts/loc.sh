@@ -12,9 +12,15 @@ count() {
     awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1" | grep -v '^\s*//' | grep -vc '^\s*$' || true
 }
 
+# The whole-stack benchmark package (its own manifest, vendored stand-ins)
+# lives under crates/bench/src/bin/benchmark/ and is not the bench crate's code.
+files() {
+    find "$1" -name '*.rs' -not -path '*/bin/benchmark/*' | sort
+}
+
 total=0
 if [ $# -gt 0 ]; then
-    for f in $(find "$1/src" -name '*.rs' | sort); do
+    for f in $(files "$1/src"); do
         n=$(count "$f")
         total=$((total + n))
         printf '%6d  %s\n' "$n" "$f"
@@ -22,7 +28,7 @@ if [ $# -gt 0 ]; then
 else
     for crate in crates/*/; do
         n=0
-        for f in $(find "${crate}src" -name '*.rs' -not -path '*/bin/benchmark/*'); do
+        for f in $(files "${crate}src"); do
             n=$((n + $(count "$f")))
         done
         total=$((total + n))
