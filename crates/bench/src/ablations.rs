@@ -1,26 +1,29 @@
-//! Ablation studies for the design choices called out in DESIGN.md §5:
+//! `paper ablations` — the design choices called out in DESIGN.md §5:
 //!
-//! 1. `update_interval` sweep — communication every k-th iteration,
+//! 1. `update_interval` sweep — communication every k-th iteration:
+//!    larger intervals amortise the exchange but increase staleness,
 //! 2. `moving_rate` sweep — the elastic coefficient α,
 //! 3. (hide-the-global-read, the §III-G trade-off the paper decides
 //!    against: the mode was deleted; its last numbers are in
 //!    EXPERIMENTS.md),
-//! 4. straggler sensitivity — SSGD's max-of-N penalty vs SEASGD's
-//!    indifference as jitter grows,
+//! 4. straggler sensitivity — SSGD waits for the slowest of 16 draws every
+//!    iteration, SEASGD does not,
 //! 5. multiple SMB servers — the paper's §V future work: the production
 //!    exchanger with one lane per server,
 //! 6. the exchange protocol — the paper's (one tile, one SMB stream, read
-//!    after the update; what the `paper` driver measures) against
-//!    the library default (striped read window, early start under the
-//!    group all-reduce).
-//!
-//! Run with `cargo run --release -p shmcaffe-bench --bin ablations`.
+//!    after the update; the runs Tables V/VI already made, served from
+//!    the memo) against the library default (striped read window, early
+//!    start under the group all-reduce).
 
+use crate::anchor::Figure;
+use crate::experiments::{
+    modeled_factory, run_platform, shm_cfg, Measurements, Platform, DEFAULT_MEASURE_ITERS, SEED,
+};
+use crate::table::{ms, pct, Table};
 use shmcaffe::config::ShmCaffeConfig;
-use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, ShmCaffeH, SsgdConfig};
+use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, SsgdConfig};
 use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
-use shmcaffe_bench::table::{ms, pct, Table};
 use shmcaffe_models::{CnnModel, WorkloadModel};
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::channel::SimChannel;
@@ -32,23 +35,18 @@ use shmcaffe_smb::{ShmKey, SmbClient, SmbCluster};
 const ITERS: usize = 100;
 
 fn factory(model: CnnModel, jitter: JitterModel) -> ModeledTrainerFactory {
-    ModeledTrainerFactory::new(WorkloadModel::from_cnn(model), jitter, 42)
+    ModeledTrainerFactory::new(WorkloadModel::from_cnn(model), jitter, SEED)
 }
 
-fn update_interval_sweep() {
+fn update_interval_sweep() -> Table {
     let mut table = Table::new(
         "Ablation 1: update_interval (ShmCaffe-A, ResNet_50, 16 GPUs)",
         &["interval", "comm (ms)", "iter (ms)", "comm ratio"],
     );
     for interval in [1usize, 2, 4, 8] {
-        let cfg = ShmCaffeConfig {
-            max_iters: ITERS,
-            update_interval: interval,
-            progress_every: 25,
-            ..Default::default()
-        };
+        let cfg = ShmCaffeConfig { update_interval: interval, ..shm_cfg(ITERS, true) };
         let report = ShmCaffeA::new(ClusterSpec::paper_testbed(4), 16, cfg)
-            .run(factory(CnnModel::ResNet50, JitterModel::hpc_default()))
+            .run(modeled_factory(CnnModel::ResNet50, SEED))
             .expect("platform runs");
         table.row_owned(vec![
             interval.to_string(),
@@ -57,14 +55,14 @@ fn update_interval_sweep() {
             pct(report.comm_ratio()),
         ]);
     }
-    table.print();
-    println!("larger intervals amortise the exchange but increase staleness\n");
+    table
 }
 
-fn moving_rate_sweep() {
-    // Timing is α-independent; what α changes is the elastic coupling.
-    // Measure the consensus speed: how fast 4 drifting replicas collapse
-    // onto the global buffer (smaller residual spread = stronger pull).
+/// Timing is α-independent; what α changes is the elastic coupling. EASGD
+/// is only stable while N·α stays below ~2 (Zhang et al. scale α = β/N):
+/// the verdict column is the statement — with 4 workers the sweep is stable
+/// through α = 0.5, the N·α = 2 boundary itself, and diverges at 0.9.
+fn moving_rate_sweep() -> Table {
     let mut table = Table::new(
         "Ablation 2: moving_rate α (4 modeled workers, |W_g| RMS after 50 iters)",
         &["alpha", "global RMS", "verdict"],
@@ -80,7 +78,7 @@ fn moving_rate_sweep() {
             .run(ModeledTrainerFactory::new(
                 WorkloadModel::custom("drift", 1_000_000, SimDuration::from_millis(5)),
                 JitterModel::NONE,
-                42,
+                SEED,
             ))
             .expect("platform runs");
         // Proxy for the residual: the global buffer norm (workers inject
@@ -91,13 +89,10 @@ fn moving_rate_sweep() {
         let verdict = if norm.is_finite() && norm < 1.0 { "stable" } else { "DIVERGES" };
         table.row_owned(vec![format!("{alpha:.2}"), format!("{norm:.5}"), verdict.to_string()]);
     }
-    table.print();
-    println!("EASGD is only stable while N·α stays below ~2 (Zhang et al. scale");
-    println!("α = β/N); with 4 workers, α ≥ 0.5 genuinely diverges — the paper's");
-    println!("α = 0.2 at up to 16 workers sits near that boundary\n");
+    table
 }
 
-fn straggler_sensitivity() {
+fn straggler_sensitivity() -> Table {
     let mut table = Table::new(
         "Ablation 4: straggler sensitivity (16 GPUs, Inception_v1)",
         &["jitter sigma", "SSGD iter (ms)", "SEASGD iter (ms)", "SSGD penalty"],
@@ -112,8 +107,7 @@ fn straggler_sensitivity() {
         .run(factory(CnnModel::InceptionV1, jitter))
         .expect("platform runs")
         .mean_iter_ms();
-        let cfg = ShmCaffeConfig { max_iters: ITERS, progress_every: 25, ..Default::default() };
-        let async_ = ShmCaffeA::new(ClusterSpec::paper_testbed(4), 16, cfg)
+        let async_ = ShmCaffeA::new(ClusterSpec::paper_testbed(4), 16, shm_cfg(ITERS, true))
             .run(factory(CnnModel::InceptionV1, jitter))
             .expect("platform runs")
             .mean_iter_ms();
@@ -124,14 +118,14 @@ fn straggler_sensitivity() {
             format!("{:+.1}%", (ssgd / async_ - 1.0) * 100.0),
         ]);
     }
-    table.print();
-    println!("SSGD waits for the slowest of 16 draws every iteration; SEASGD does not\n");
+    table
 }
 
-fn multi_smb_servers() {
-    // The §V future work: stripe the ResNet_50 parameter buffer over K
-    // servers — one exchanger lane per server — and run the production
-    // SEASGD exchange of 16 workers against them.
+/// The §V future work: stripe the ResNet_50 parameter buffer over K
+/// servers — one exchanger lane per server — and run the production
+/// SEASGD exchange of 16 workers against them. One lane per server divides
+/// both the per-stream pacing and the per-server memory-bus load.
+fn multi_smb_servers() -> Table {
     let mut table = Table::new(
         "Ablation 5: multiple SMB servers (16 workers, ResNet_50 exchange over K lanes)",
         &["servers", "mean exchange (ms)", "speedup vs 1"],
@@ -220,38 +214,34 @@ fn multi_smb_servers() {
         let t = if servers == 1 { base } else { exchange_ms(servers) };
         table.row_owned(vec![servers.to_string(), ms(t), format!("{:.2}x", base / t)]);
     }
-    table.print();
-    println!("one lane per server divides both the per-stream pacing and the");
-    println!("per-server memory-bus load — the scalability relief §V anticipates\n");
+    table
 }
 
-fn exchange_protocol() {
+/// One SMB connection cannot fill the HCA (Fig. 7): four per worker read
+/// `W_g` at line rate while the server has headroom. The "paper" cells are
+/// Table V/VI's runs, so after those figures they are memo hits.
+fn exchange_protocol(lab: &mut Measurements) -> Table {
     let mut table = Table::new(
         "Ablation 6: exchange protocol, paper vs striped window (comm ms/iter, comm ratio)",
         &["model", "platform", "paper", "striped", "iter (ms) paper", "iter (ms) striped"],
     );
     for model in CnnModel::ALL {
-        for (label, gpus, hybrid) in
-            [("A @8", 8usize, false), ("A @16", 16, false), ("H @16 (S4xA4)", 16, true)]
-        {
-            let run = |pipelined: bool| {
-                let cfg = ShmCaffeConfig {
-                    max_iters: 200,
-                    progress_every: 25,
-                    jitter: JitterModel::NONE,
-                    pipelined_exchange: pipelined,
-                    ..Default::default()
-                };
-                let spec = ClusterSpec::paper_testbed(gpus / 4);
-                let trainers = factory(model, JitterModel::hpc_default());
-                if hybrid {
-                    ShmCaffeH::new(spec, gpus / 4, 4, cfg).run(trainers)
-                } else {
-                    ShmCaffeA::new(spec, gpus, cfg).run(trainers)
-                }
-                .expect("platform runs")
-            };
-            let (paper, striped) = (run(false), run(true));
+        for (label, platform, gpus) in [
+            ("A @8", Platform::ShmCaffeA, 8usize),
+            ("A @16", Platform::ShmCaffeA, 16),
+            ("H @16 (S4xA4)", Platform::ShmCaffeH, 16),
+        ] {
+            let paper = lab
+                .measure(platform, model, gpus, DEFAULT_MEASURE_ITERS, SEED)
+                .expect("platform runs");
+            let striped = run_platform(
+                platform,
+                platform.shape(gpus),
+                SsgdConfig::default(),
+                shm_cfg(DEFAULT_MEASURE_ITERS, true),
+                modeled_factory(model, SEED),
+            )
+            .expect("platform runs");
             table.row_owned(vec![
                 model.to_string(),
                 label.to_string(),
@@ -262,16 +252,17 @@ fn exchange_protocol() {
             ]);
         }
     }
-    table.print();
-    println!("one SMB connection cannot fill the HCA (Fig. 7): four per worker read W_g");
-    println!("at line rate while the server has headroom; at 16 async workers it has none\n");
+    table
 }
 
-fn main() {
-    println!("ShmCaffe ablations (DESIGN.md §5)\n");
-    update_interval_sweep();
-    moving_rate_sweep();
-    straggler_sensitivity();
-    multi_smb_servers();
-    exchange_protocol();
+/// The five tables. No anchors: the paper states none of these numbers.
+pub fn figure(lab: &mut Measurements) -> Figure {
+    let tables = vec![
+        update_interval_sweep(),
+        moving_rate_sweep(),
+        straggler_sensitivity(),
+        multi_smb_servers(),
+        exchange_protocol(lab),
+    ];
+    (tables, Vec::new())
 }

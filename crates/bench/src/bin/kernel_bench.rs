@@ -2,12 +2,13 @@
 //!
 //! Measures the parallel compute backend at 1/2/4/8 logical threads (via
 //! `shmcaffe_tensor::parallel::with_threads`, so one process exercises all
-//! schedules) and records the results as `BENCH_kernels.json` at the repo
-//! root — the performance trajectory future PRs are held against. Thread
-//! counts above the host's `available_parallelism` are not measured in any
-//! table: the file lists them as `skipped_threads` instead of recording
-//! noise as a "speedup". A copy of the original single-threaded blocked
-//! kernel serves as the GEMM baseline.
+//! schedules) and records the printed table as `BENCH_kernels.json` at the
+//! repo root — the performance trajectory future PRs are held against.
+//! Thread counts above the host's `available_parallelism` are not measured
+//! in any table: the file lists them as `skipped_threads` instead of
+//! recording noise as a "speedup". A copy of the original single-threaded
+//! blocked kernel serves as the GEMM baseline. These are host-clock
+//! numbers, so unlike `paper`'s record nothing re-checks them.
 //!
 //! Run with `cargo run --release -p shmcaffe-bench --bin kernel_bench`.
 //!
@@ -16,31 +17,21 @@
 //! reported as the forward / backward split in ms and GFLOP/s per thread
 //! count.
 //!
-//! `--checksum` instead trains two proxies — `small_cnn` (3x3 conv, 2x2
-//! pools, fc) and the benchmark's `mini_inception(3, 32, 4)` (1x1/3x3/5x5
-//! convs, padded stride-1 pools, LRN, Inception concat) — for a fixed
-//! number of seeded SGD steps and prints an FNV-1a hash of each net's final
-//! weights; CI runs it under `SHMCAFFE_THREADS=1` and `=4` and diffs the
-//! output to prove the backend's thread-count invariance end to end.
-//!
 //! `--layers` times every distinct layer geometry of the benchmark's
 //! `mini_inception(3, 32, 4)` at batch 16 through the `Layer` API (forward,
 //! backward, and the parameters-only backward the first layer gets) plus one
-//! whole training step through the `Net` API, prints the table and replaces
-//! the `layers` section of `BENCH_kernels.json`, leaving the other sections
-//! as recorded.
+//! whole training step through the `Net` API, prints the table and records
+//! it as `BENCH_layers.json`.
 //!
 //! `--smoke` runs only the VGG layer at 1 and 4 threads and exits
 //! non-zero if the 4-thread schedule falls below a host-aware floor — the
 //! cheap CI regression gate for the in-image (row band x channel block)
 //! task grid.
 
-use shmcaffe_bench::json::{record_or_check, repo_root, Json};
+use shmcaffe_bench::json::{record_or_check, Json};
 use shmcaffe_bench::table::Table;
-use shmcaffe_dnn::data::Dataset;
-use shmcaffe_dnn::data::SyntheticImages;
 use shmcaffe_dnn::layers::{Conv2d, Inception, InceptionSpec, InnerProduct, Lrn, Pool2d, Relu};
-use shmcaffe_dnn::{Layer, LrPolicy, Net, Phase, Solver, SolverConfig};
+use shmcaffe_dnn::{Layer, Phase};
 use shmcaffe_models::proxies;
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
@@ -107,7 +98,7 @@ fn seed_gemm_nn(m: usize, n: usize, k: usize, alpha: f32, a: &[f32], b: &[f32], 
     }
 }
 
-fn bench_gemm(threads: &[usize], table: &mut Table) -> Json {
+fn bench_gemm(threads: &[usize], table: &mut Table) {
     let (m, n, k) = (GEMM_N, GEMM_N, GEMM_N);
     let a = filled(m * k, 0.013);
     let b = filled(k * n, 0.029);
@@ -125,7 +116,6 @@ fn bench_gemm(threads: &[usize], table: &mut Table) -> Json {
         String::new(),
     ]);
 
-    let mut entries = Vec::new();
     let mut one_thread_s = f64::NAN;
     for &t in threads {
         let s = parallel::with_threads(t, || {
@@ -144,27 +134,12 @@ fn bench_gemm(threads: &[usize], table: &mut Table) -> Json {
             format!("{gflops:.2} GFLOP/s"),
             format!("{:.2}x vs 1T", one_thread_s / s),
         ]);
-        entries.push(Json::obj(vec![
-            ("threads", Json::Int(t as i64)),
-            ("ms", Json::Num(s * 1e3)),
-            ("gflops", Json::Num(gflops)),
-            ("speedup_vs_1t", Json::Num(one_thread_s / s)),
-        ]));
     }
-    let new_1t_gflops = flops / one_thread_s / 1e9;
-    Json::obj(vec![
-        ("size", Json::Int(GEMM_N as i64)),
-        ("seed_kernel_gflops", Json::Num(seed_gflops)),
-        ("packed_1t_gflops", Json::Num(new_1t_gflops)),
-        ("packed_vs_seed_1t", Json::Num(new_1t_gflops / seed_gflops)),
-        ("threads", Json::Arr(entries)),
-    ])
 }
 
 /// A convolution shape of the kernel table.
 struct ConvCase {
     label: &'static str,
-    note: &'static str,
     geom: Conv2dGeometry,
     out_channels: usize,
     batch: usize,
@@ -177,16 +152,16 @@ struct ConvCase {
 fn conv_cases() -> Vec<ConvCase> {
     vec![
         ConvCase {
+            // in 256x56x56, kernel 3x3 s1 p1, out 256ch, batch 1
             label: "conv vgg16 conv3-256",
-            note: "in 256x56x56, kernel 3x3 s1 p1, out 256ch, batch 1",
             geom: Conv2dGeometry::square(256, 56, 3, 1, 1),
             out_channels: 256,
             batch: 1,
             reps: 2,
         },
         ConvCase {
+            // in 192x28x28, kernel 1x1 s1 p0, out 64ch, batch 8
             label: "conv inception 1x1-64",
-            note: "in 192x28x28, kernel 1x1 s1 p0, out 64ch, batch 8",
             geom: Conv2dGeometry::square(192, 28, 1, 1, 0),
             out_channels: 64,
             batch: 8,
@@ -226,7 +201,7 @@ impl ConvBuffers {
     }
 }
 
-fn bench_conv_case(case: &ConvCase, threads: &[usize], table: &mut Table) -> Json {
+fn bench_conv_case(case: &ConvCase, threads: &[usize], table: &mut Table) {
     let geom = case.geom;
     let (batch, out_channels, reps) = (case.batch, case.out_channels, case.reps);
     let spatial = geom.col_cols().expect("valid geometry");
@@ -236,7 +211,6 @@ fn bench_conv_case(case: &ConvCase, threads: &[usize], table: &mut Table) -> Jso
     let fwd_flops = 2.0 * (batch * out_channels * spatial * geom.col_rows()) as f64;
     let gflops = |flops: f64, seconds: f64| flops / seconds / 1e9;
 
-    let mut entries = Vec::new();
     let mut one_thread_s = f64::NAN;
     for &t in threads {
         let (fwd_s, bwd_s) = parallel::with_threads(t, || {
@@ -281,27 +255,7 @@ fn bench_conv_case(case: &ConvCase, threads: &[usize], table: &mut Table) -> Jso
                 one_thread_s / total
             ),
         ]);
-        entries.push(Json::obj(vec![
-            ("threads", Json::Int(t as i64)),
-            ("fwd_ms", Json::Num(fwd_s * 1e3)),
-            ("bwd_ms", Json::Num(bwd_s * 1e3)),
-            ("total_ms", Json::Num(total * 1e3)),
-            ("fwd_gflops", Json::Num(fwd_gflops)),
-            ("bwd_gflops", Json::Num(bwd_gflops)),
-            ("gflops", Json::Num(gflops(3.0 * fwd_flops, total))),
-            ("speedup_vs_1t", Json::Num(one_thread_s / total)),
-        ]));
     }
-    Json::obj(vec![
-        ("name", Json::str(case.label)),
-        ("geometry", Json::str(case.note)),
-        ("threads", Json::Arr(entries)),
-    ])
-}
-
-fn bench_conv(threads: &[usize], table: &mut Table) -> Json {
-    let cases = conv_cases().iter().map(|c| bench_conv_case(c, threads, table)).collect();
-    Json::obj(vec![("cases", Json::Arr(cases))])
 }
 
 /// CI smoke gate: times the VGG16 conv3-256 layer (fwd + bwd) at one
@@ -355,11 +309,10 @@ fn smoke(host_threads: usize) -> i32 {
     }
 }
 
-fn bench_smb_accumulate(threads: &[usize], table: &mut Table) -> Json {
+fn bench_smb_accumulate(threads: &[usize], table: &mut Table) {
     const ELEMS: usize = 1 << 20; // 4 MiB of f32 per accumulate
     const ROUNDS: usize = 8;
 
-    let mut entries = Vec::new();
     let mut one_thread_s = f64::NAN;
     for &t in threads {
         let fabric = Fabric::new(ClusterSpec::paper_testbed(1));
@@ -399,14 +352,7 @@ fn bench_smb_accumulate(threads: &[usize], table: &mut Table) -> Json {
             format!("{gbps:.2} GB/s"),
             format!("{:.2}x vs 1T", one_thread_s / s),
         ]);
-        entries.push(Json::obj(vec![
-            ("threads", Json::Int(t as i64)),
-            ("ms", Json::Num(s * 1e3)),
-            ("gbps", Json::Num(gbps)),
-            ("speedup_vs_1t", Json::Num(one_thread_s / s)),
-        ]));
     }
-    Json::obj(vec![("elems", Json::Int(ELEMS as i64)), ("threads", Json::Arr(entries))])
 }
 
 /// One layer of the real-training proxy, with the input it sees there.
@@ -468,8 +414,7 @@ fn layer_cases() -> Vec<LayerCase> {
 
 /// The `--layers` table: best-of-N forward / backward / parameters-only
 /// backward per layer geometry, at each of `threads`.
-fn bench_layers(threads: &[usize], table: &mut Table) -> Json {
-    let mut rows = Vec::new();
+fn bench_layers(threads: &[usize], table: &mut Table) {
     for case in &mut layer_cases() {
         let x = Tensor::from_vec(filled(case.in_dims.iter().product(), 0.017), &case.in_dims)
             .expect("dims match length");
@@ -477,7 +422,6 @@ fn bench_layers(threads: &[usize], table: &mut Table) -> Json {
         let out_dims = layer.forward(&x, Phase::Train).expect("shapes match").dims().to_vec();
         let dy = Tensor::from_vec(filled(out_dims.iter().product(), 0.023), &out_dims)
             .expect("dims match length");
-        let mut entries = Vec::new();
         for &t in threads {
             let us = |seconds: f64| seconds * 1e6;
             let (fwd, bwd, bwd_params) = parallel::with_threads(t, || {
@@ -494,38 +438,21 @@ fn bench_layers(threads: &[usize], table: &mut Table) -> Json {
                 format!("{bwd:.0}"),
                 format!("{bwd_params:.0}"),
             ]);
-            entries.push(Json::obj(vec![
-                ("threads", Json::Int(t as i64)),
-                ("fwd_us", Json::Num(fwd)),
-                ("bwd_us", Json::Num(bwd)),
-                ("bwd_params_only_us", Json::Num(bwd_params)),
-            ]));
         }
-        rows.push(Json::obj(vec![
-            ("layer", Json::str(case.label.as_str())),
-            ("threads", Json::Arr(entries)),
-        ]));
     }
-    rows.push(bench_whole_step(threads, table));
-    Json::obj(vec![
-        ("net", Json::str("proxies::mini_inception(3, 32, 4)")),
-        ("batch", Json::Int(LAYER_BATCH as i64)),
-        ("reps", Json::Int(LAYER_REPS as i64)),
-        ("rows", Json::Arr(rows)),
-    ])
+    bench_whole_step(threads, table);
 }
 
 /// The whole-step row of `--layers`: `forward_loss` and
 /// `backward_from_loss` of the proxy through the unmodified `Net` API — the
 /// number a kernel that is fast stand-alone but slow once inlined into the
 /// layer stack shows up in.
-fn bench_whole_step(threads: &[usize], table: &mut Table) -> Json {
+fn bench_whole_step(threads: &[usize], table: &mut Table) {
     const LABEL: &str = "whole step: forward_loss + backward_from_loss";
     let mut net = proxies::mini_inception(3, 32, 4, 7).expect("geometry fits");
     let dims = [LAYER_BATCH, 3, 32, 32];
     let x = Tensor::from_vec(filled(dims.iter().product(), 0.017), &dims).expect("dims match");
     let labels: Vec<usize> = (0..LAYER_BATCH).map(|i| i % 4).collect();
-    let mut entries = Vec::new();
     for &t in threads {
         let (mut fwd, mut bwd) = (f64::INFINITY, f64::INFINITY);
         parallel::with_threads(t, || {
@@ -545,94 +472,23 @@ fn bench_whole_step(threads: &[usize], table: &mut Table) -> Json {
             format!("{bwd:.0}"),
             "-".to_string(),
         ]);
-        entries.push(Json::obj(vec![
-            ("threads", Json::Int(t as i64)),
-            ("fwd_us", Json::Num(fwd)),
-            ("bwd_us", Json::Num(bwd)),
-        ]));
     }
-    Json::obj(vec![("layer", Json::str(LABEL)), ("threads", Json::Arr(entries))])
 }
 
-/// `--layers`: prints the per-layer table and replaces only the `layers`
-/// section of the checked-in `BENCH_kernels.json`. The section carries its
-/// own `host` keys: it may be recorded on another host than the rest.
-fn layers_main(threads: &[usize], host: Vec<(&str, Json)>) {
-    println!(
-        "Per-layer fwd/bwd of mini_inception(3, 32, 4), batch {LAYER_BATCH}, best of {LAYER_REPS}\n"
-    );
-    let mut table =
-        Table::new("Layer time (us)", &["layer", "threads", "fwd", "bwd", "bwd params-only"]);
-    let mut layers = bench_layers(threads, &mut table);
+/// Prints `table` and records it, with the host it was measured on, as
+/// `BENCH_<name>.json`: a record is its table.
+fn record(name: &str, note: &str, host: Vec<(&str, Json)>, table: &Table) {
     table.print();
-    for (key, value) in host {
-        layers.set(key, value);
+    let mut doc =
+        vec![("benchmark", Json::str(format!("kernel_bench ({name})"))), ("note", Json::str(note))];
+    doc.extend(host);
+    doc.push(("tables", Json::Arr(vec![Json::from(table)])));
+    if !record_or_check(name, &Json::obj(doc), false) {
+        std::process::exit(1);
     }
-    update_bench_file(vec![("layers", layers)]);
-}
-
-/// Sets `sections` in the checked-in `BENCH_kernels.json`, keeping every
-/// section this run did not measure as recorded.
-fn update_bench_file(sections: Vec<(&str, Json)>) {
-    let path = repo_root().join("BENCH_kernels.json");
-    let mut doc = std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| Json::parse(&text))
-        .unwrap_or_else(|e| {
-            eprintln!("starting a fresh BENCH_kernels.json ({e})");
-            Json::Obj(Vec::new())
-        });
-    for (key, value) in sections {
-        doc.set(key, value);
-    }
-    record_or_check("kernels", &doc, false);
-}
-
-/// Trains `net` (4 classes of 3-channel `hw x hw` images) for a fixed seeded
-/// schedule and returns the FNV-1a hash of the final weight bits. Identical
-/// output at any thread count is the end-to-end determinism check wired
-/// into `scripts/check.sh`.
-fn training_checksum(net: Net, hw: usize) -> u64 {
-    let mut solver = Solver::new(
-        net,
-        SolverConfig {
-            base_lr: 0.05,
-            momentum: 0.9,
-            weight_decay: 0.0005,
-            policy: LrPolicy::Step { gamma: 0.1, step_size: 20 },
-            clip_gradients: Some(5.0),
-        },
-    );
-    let data = SyntheticImages::new(4, 3, hw, 64, 0.5, 20180707);
-    let batch = 16;
-    for step in 0..30 {
-        let indices: Vec<usize> = (0..batch).map(|j| (step * batch + j) % data.len()).collect();
-        let (x, labels) = data.minibatch(&indices).expect("indices in range");
-        solver.step(&x, &labels).expect("shapes match");
-    }
-    let mut net = solver.into_net();
-    let mut weights = vec![0.0f32; net.param_len()];
-    net.copy_weights_to(&mut weights).expect("sized to param_len");
-
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in weights {
-        for byte in w.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--checksum") {
-        let small_cnn = proxies::small_cnn(3, 16, 4, 7).expect("geometry fits");
-        println!("small_cnn weights_checksum=0x{:016x}", training_checksum(small_cnn, 16));
-        let inception = proxies::mini_inception(3, 32, 4, 7).expect("geometry fits");
-        println!("mini_inception weights_checksum=0x{:016x}", training_checksum(inception, 32));
-        return;
-    }
-
     let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     if std::env::args().any(|a| a == "--smoke") {
         std::process::exit(smoke(host_threads));
@@ -651,26 +507,25 @@ fn main() {
         ("skipped_threads", Json::Arr(skipped.iter().map(|&t| Json::Int(t as i64)).collect())),
     ];
     if std::env::args().any(|a| a == "--layers") {
-        layers_main(&threads, host);
+        println!(
+            "Per-layer fwd/bwd of mini_inception(3, 32, 4), batch {LAYER_BATCH}, best of {LAYER_REPS}\n"
+        );
+        let mut table =
+            Table::new("Layer time (us)", &["layer", "threads", "fwd", "bwd", "bwd params-only"]);
+        bench_layers(&threads, &mut table);
+        let note = format!(
+            "proxies::mini_inception(3, 32, 4), batch {LAYER_BATCH}, best of {LAYER_REPS} reps; \
+             thread sweeps use with_threads() overrides"
+        );
+        record("layers", &note, host, &table);
         return;
     }
     println!("Kernel throughput per logical thread count (deterministic backend)\n");
 
     let mut table =
         Table::new("Kernel throughput", &["kernel", "threads", "ms/rep", "throughput", "speedup"]);
-    let gemm_json = bench_gemm(&threads, &mut table);
-    let conv_json = bench_conv(&threads, &mut table);
-    let smb_json = bench_smb_accumulate(&threads, &mut table);
-    table.print();
-
-    let mut sections = vec![("benchmark", Json::str("kernel_bench"))];
-    sections.extend(host);
-    sections.extend([
-        ("note", Json::str("thread sweeps use with_threads() overrides")),
-        ("gemm", gemm_json),
-        ("conv", conv_json),
-        ("smb_accumulate", smb_json),
-        ("table", Json::from(&table)),
-    ]);
-    update_bench_file(sections);
+    bench_gemm(&threads, &mut table);
+    conv_cases().iter().for_each(|case| bench_conv_case(case, &threads, &mut table));
+    bench_smb_accumulate(&threads, &mut table);
+    record("kernels", "best of N reps; thread sweeps use with_threads() overrides", host, &table);
 }

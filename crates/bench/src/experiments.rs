@@ -72,24 +72,29 @@ impl Platform {
     }
 }
 
-fn modeled_factory(model: CnnModel, seed: u64) -> ModeledTrainerFactory {
+/// Seed of every timing measurement.
+pub const SEED: u64 = 42;
+
+/// The modeled trainers of a timing run: `model`'s calibrated compute time
+/// under the HPC jitter model.
+pub fn modeled_factory(model: CnnModel, seed: u64) -> ModeledTrainerFactory {
     ModeledTrainerFactory::new(WorkloadModel::from_cnn(model), JitterModel::hpc_default(), seed)
 }
 
-fn shm_cfg(iters: usize) -> ShmCaffeConfig {
+/// The ShmCaffe configuration of a timing run. The figures and tables of
+/// the paper reproduce the *paper's* exchange (`striped = false`: one
+/// tile, one SMB stream, `W_g` read after the update), so the
+/// paper-vs-measured rows stay anchored to what the paper measured; the
+/// library default (the striped read window) is what `paper comm`,
+/// `paper fault` and `paper ablations` report.
+pub fn shm_cfg(iters: usize, striped: bool) -> ShmCaffeConfig {
     ShmCaffeConfig {
         max_iters: iters,
         progress_every: 25,
         // Jitter lives in the trainer; the platform's own jitter field is
         // unused by modeled runs.
         jitter: JitterModel::NONE,
-        // The figures and tables reproduce the *paper's* exchange — one
-        // tile, one SMB stream, W_g read after the update — so the
-        // paper-vs-measured rows of EXPERIMENTS.md stay anchored to what
-        // the paper measured. The library default (the striped read
-        // window) is reported on its own by `ablations` and
-        // `exchange_bench`.
-        pipelined_exchange: false,
+        pipelined_exchange: striped,
         ..Default::default()
     }
 }
@@ -202,8 +207,13 @@ impl Measurements {
         }
         let (platform, model, shape, iters, seed) = key;
         let ssgd = SsgdConfig { max_iters: iters, ..Default::default() };
-        let report =
-            run_platform(platform, shape, ssgd, shm_cfg(iters), modeled_factory(model, seed))?;
+        let report = run_platform(
+            platform,
+            shape,
+            ssgd,
+            shm_cfg(iters, false),
+            modeled_factory(model, seed),
+        )?;
         self.memo.push((key, report.clone()));
         Ok(report)
     }

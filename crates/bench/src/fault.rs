@@ -1,4 +1,5 @@
-//! Robustness sweep: fault rate × platform.
+//! `paper fault` — robustness sweep: fault rate × platform
+//! (Inception_v1, 8 GPUs, 100 iterations, seed 42).
 //!
 //! Five experiments, one table each:
 //!
@@ -8,7 +9,8 @@
 //!    counts, dropped elastic updates, and worst recovery latency.
 //! 2. **Worker-crash matrix** — one rank of eight killed mid-run on every
 //!    platform that accepts a fault plan. SEASGD survives with its
-//!    remaining workers; synchronous allreduce aborts.
+//!    remaining workers (lease eviction + survivor completion);
+//!    synchronous allreduce has no recovery path and aborts.
 //! 3. **Failover sweep** — a replicated memory-server pair whose primary
 //!    is crashed at varying points of the run. Clients fail over to the
 //!    standby; the table records the recovery cost in virtual time and
@@ -23,24 +25,15 @@
 //!    CRC-paged replicated pair with DRAM decays at 25/50/75% of the run.
 //!    The table records detected/repaired/unrepairable corruption counts
 //!    and the final-loss delta against a fault-free paged run.
-//!
-//! Everything is seeded: rerunning the binary reproduces identical tables.
-//! The five tables are recorded in `BENCH_fault.json` at the repo root;
-//! `--check` re-runs them and, instead of writing, fails on the first line
-//! that differs from the checked-in file. (MPICaffe's deliberate abort
-//! prints caught-panic backtraces on stderr; they are not part of the
-//! record.)
-//!
-//! Run with `cargo run --release -p shmcaffe-bench --bin fault_sweep`.
 
+use crate::anchor::Figure;
+use crate::experiments::{modeled_factory, shm_cfg, Measurements, SEED};
+use crate::table::Table;
 use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, SsgdConfig};
 use shmcaffe::trainer::ModeledTrainerFactory;
 use shmcaffe::ShmCaffeConfig;
-use shmcaffe_bench::json::{record_or_check, Json};
-use shmcaffe_bench::table::Table;
-use shmcaffe_models::{CnnModel, WorkloadModel};
+use shmcaffe_models::CnnModel;
 use shmcaffe_simnet::fault::FaultPlan;
-use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::{ClusterSpec, NodeId};
 use shmcaffe_simnet::{SimDuration, SimTime};
 use shmcaffe_smb::SmbServerConfig;
@@ -48,35 +41,26 @@ use shmcaffe_smb::SmbServerConfig;
 const GPUS: usize = 8;
 const NODES: usize = 2;
 const ITERS: usize = 100;
-const SEED: u64 = 42;
 
 fn factory() -> ModeledTrainerFactory {
-    ModeledTrainerFactory::new(
-        WorkloadModel::from_cnn(CnnModel::InceptionV1),
-        JitterModel::hpc_default(),
-        SEED,
-    )
+    modeled_factory(CnnModel::InceptionV1, SEED)
 }
 
-fn shm_cfg() -> ShmCaffeConfig {
-    ShmCaffeConfig {
-        max_iters: ITERS,
-        progress_every: 25,
-        jitter: JitterModel::NONE,
-        ..Default::default()
-    }
+/// The library's default exchange (the striped read window).
+fn cfg() -> ShmCaffeConfig {
+    shm_cfg(ITERS, true)
 }
 
-fn main() {
-    println!("Fault sweep: Inception_v1, {GPUS} GPUs, {ITERS} iterations, seed {SEED}\n");
-
+/// The five tables, in the order above. No anchors: the paper states no
+/// fault numbers.
+pub fn figure(_: &mut Measurements) -> Figure {
     let mut transient = Table::new(
         "ShmCaffe-A under transient SMB op failures",
         &["op fail", "wall (s)", "faults", "retries", "dropped", "max recovery (ms)"],
     );
     for rate in [0.0f64, 0.01, 0.05, 0.10] {
         let plan = FaultPlan::new(SEED).with_op_failure_prob(rate);
-        let report = ShmCaffeA::new(ClusterSpec::paper_testbed(NODES), GPUS, shm_cfg())
+        let report = ShmCaffeA::new(ClusterSpec::paper_testbed(NODES), GPUS, cfg())
             .with_fault_plan(plan)
             .run(factory())
             .expect("retry layer absorbs transient faults");
@@ -89,15 +73,13 @@ fn main() {
             format!("{:.2}", report.max_recovery_ms()),
         ]);
     }
-    transient.print();
-    println!();
 
     let crash = || FaultPlan::new(SEED).crash_worker(1, SimTime::from_millis(500));
     let mut crashes = Table::new(
         "One of 8 workers killed at t = 500 ms",
         &["platform", "outcome", "survivor iters", "crashed", "wall (s)"],
     );
-    let shm = ShmCaffeA::new(ClusterSpec::paper_testbed(NODES), GPUS, shm_cfg())
+    let shm = ShmCaffeA::new(ClusterSpec::paper_testbed(NODES), GPUS, cfg())
         .with_fault_plan(crash())
         .with_server_config(SmbServerConfig {
             lease_timeout: SimDuration::from_millis(200),
@@ -120,6 +102,11 @@ fn main() {
         }
         Err(e) => crashes.row(&["ShmCaffe-A", &format!("FAILED: {e}"), "-", "-", "-"]),
     };
+    // MPICaffe's ranks abort by panicking ("simulation aborted"), which
+    // `run` catches and reports; the hook only keeps the expected
+    // backtraces off stderr.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
     let mpi = MpiCaffe::new(
         ClusterSpec::paper_testbed(NODES),
         GPUS,
@@ -127,18 +114,14 @@ fn main() {
     )
     .with_fault_plan(crash())
     .run(factory());
-    match &mpi {
+    std::panic::set_hook(hook);
+    match mpi {
         Ok(report) => {
             let iters = report.workers.iter().map(|w| w.iters).min().unwrap_or(0).to_string();
-            crashes.row(&["MPICaffe", "completed (unexpected)", &iters, "0", &wall(report)])
+            crashes.row(&["MPICaffe", "completed (unexpected)", &iters, "0", &wall(&report)])
         }
         Err(_) => crashes.row(&["MPICaffe", "aborted (no recovery path)", "-", "1", "-"]),
     };
-    crashes.print();
-    if let Err(e) = mpi {
-        println!("MPICaffe abort reason: {e}");
-    }
-    println!();
 
     // Failover sweep: replicated memory-server pair, primary crashed at
     // 25/50/75% of the fault-free wall clock. The first retrying client to
@@ -147,7 +130,7 @@ fn main() {
     let primary = NodeId(replicated.gpu_nodes);
     // Every remaining experiment runs on the pair, 20 ms replication.
     let run_pair = |server: SmbServerConfig, plan: Option<FaultPlan>| {
-        let mut platform = ShmCaffeA::new(replicated, GPUS, shm_cfg())
+        let mut platform = ShmCaffeA::new(replicated, GPUS, cfg())
             .with_standby(SimDuration::from_millis(20))
             .with_server_config(server);
         if let Some(plan) = plan {
@@ -226,8 +209,6 @@ fn main() {
             format!("{}/{}", report.reconcile_discarded, report.reconcile_resynced),
         ]);
     }
-    partition.print();
-    println!();
 
     // Corruption sweep: wire bit-flip rate × scrub cadence on a CRC-paged
     // replicated pair, with three DRAM decays scheduled at 25/50/75% of
@@ -283,33 +264,5 @@ fn main() {
             ]);
         }
     }
-    corruption.print();
-    println!();
-    failover.print();
-    let doc = Json::obj(vec![
-        ("benchmark", Json::str("fault_sweep")),
-        ("transient", Json::from(&transient)),
-        ("worker_crash", Json::from(&crashes)),
-        ("failover", Json::from(&failover)),
-        ("clean_wall_s", Json::Num(clean.wall.as_secs_f64())),
-        ("replication_interval_ms", Json::Int(20)),
-        ("partition", Json::from(&partition)),
-        ("authority_timeout_ms", Json::Int(60)),
-        ("corruption", Json::from(&corruption)),
-        ("corruption_page_elems", Json::Int(65_536)),
-        ("seed", Json::Int(SEED as i64)),
-    ]);
-    let recorded = record_or_check("fault", &doc, std::env::args().any(|a| a == "--check"));
-    println!();
-    println!(
-        "SEASGD's elastic averaging absorbs both transient transport faults \
-         (bounded retries) and worker death (lease eviction + survivor \
-         completion); a replicated SMB pair additionally survives the loss \
-         of the primary memory server and — with epoch fencing — a \
-         split-brain partition of the pair itself; synchronous allreduce \
-         has no recovery path and aborts."
-    );
-    if !recorded {
-        std::process::exit(1);
-    }
+    (vec![transient, crashes, failover, partition, corruption], Vec::new())
 }

@@ -1494,7 +1494,7 @@ mod tests {
                     mem.total_bytes()
                 };
                 // Two warm-ups (pipeline fill, then steady state), as
-                // `exchange_bench` measures; every push drains under compute.
+                // `paper comm` measures; every push drains under compute.
                 iteration();
                 let before = iteration();
                 let bytes = iteration() - before;

@@ -8,13 +8,15 @@
 //! the striped read window can be filled: fewer tiles than reader
 //! connections, one tile, one element per tile, several lanes. These tests
 //! run a real single-worker SEASGD loop against live SMB servers and
-//! compare the final mixed weights `W_x` bit-for-bit.
+//! compare the final mixed weights `W_x` bit-for-bit — and, for one
+//! paper-sized input, against a pinned hash, so a change that moves the
+//! monolithic and the chunked exchange together is caught too.
 
 use proptest::prelude::*;
 use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers, READ_STREAMS};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe::ShmCaffeConfig;
-use shmcaffe_models::WorkloadModel;
+use shmcaffe_models::{CnnModel, WorkloadModel};
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::fault::FaultPlan;
 use shmcaffe_simnet::jitter::JitterModel;
@@ -62,10 +64,25 @@ fn seeded_lanes(
 /// [`final_weights`] with the buffers striped over `shards` memory servers
 /// (one exchanger lane each, split at [`SmbCluster::bounds`]).
 fn final_weights_sharded(shards: usize, chunk_elems: Option<usize>) -> Vec<f32> {
+    let workload = WorkloadModel::custom("equiv", 4_000_000, SimDuration::from_millis(5));
+    run_worker(
+        ModeledTrainerFactory::new(workload, JitterModel::NONE, 99),
+        ITERS,
+        shards,
+        chunk_elems,
+    )
+}
+
+/// The runner behind every case: one worker of `factory` does `iters`
+/// compute/exchange rounds over `shards` lanes and hands back `W_x`.
+fn run_worker(
+    factory: ModeledTrainerFactory,
+    iters: usize,
+    shards: usize,
+    chunk_elems: Option<usize>,
+) -> Vec<f32> {
     let spec = ClusterSpec { memory_servers: shards, ..ClusterSpec::paper_testbed(1) };
     let cluster = SmbCluster::new(RdmaFabric::new(Fabric::new(spec))).expect("fresh fabric");
-    let workload = WorkloadModel::custom("equiv", 4_000_000, SimDuration::from_millis(5));
-    let factory = ModeledTrainerFactory::new(workload, JitterModel::NONE, 99);
     let cfg = ShmCaffeConfig {
         pipelined_exchange: chunk_elems.is_some(),
         exchange_chunk_elems: chunk_elems.unwrap_or(0),
@@ -88,7 +105,7 @@ fn final_weights_sharded(shards: usize, chunk_elems: Option<usize>) -> Vec<f32> 
             let parts = seeded_lanes(&ctx, clients, &cluster.bounds(param_len), wire, &w0);
 
             let mut ex = ElasticExchanger::spawn_sharded(&ctx, parts, wire, &cfg, "equiv");
-            for _ in 0..ITERS {
+            for _ in 0..iters {
                 let _loss = trainer.compute_gradients(&ctx);
                 trainer.apply_update(&ctx);
                 ex.exchange(&ctx, &mut trainer).expect("fault-free fabric");
@@ -113,6 +130,36 @@ fn assert_bit_identical(a: &[f32], b: &[f32], what: &str) {
             x.to_bits(),
             y.to_bits()
         );
+    }
+}
+
+/// The oracle PRs used to quote from a CLI: six exchanges of the
+/// Inception_v1 workload (53.5 MB on the wire, 257 ms compute, factory seed
+/// 20180707) on one server end on these exact weights — monolithic and on
+/// the default chunk grid, at 1 and 4 threads. The other tests compare the
+/// modes with each other; this one pins them, so a change to the mixing
+/// arithmetic or the chunk grid that moves both alike still fails.
+#[test]
+fn inception_exchange_ends_on_the_pinned_weights() {
+    let fnv1a = |weights: &[f32]| {
+        weights
+            .iter()
+            .flat_map(|w| w.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    };
+    let workload = WorkloadModel::from_cnn(CnnModel::InceptionV1);
+    for threads in [1usize, 4] {
+        for chunk in [None, Some(0)] {
+            let factory = ModeledTrainerFactory::new(workload.clone(), JitterModel::NONE, 20180707);
+            let weights = parallel::with_threads(threads, || run_worker(factory, 6, 1, chunk));
+            assert_eq!(
+                fnv1a(&weights),
+                0x961c2cb69b5e3e0d,
+                "chunk_elems={chunk:?} threads={threads}"
+            );
+        }
     }
 }
 

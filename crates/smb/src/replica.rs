@@ -486,8 +486,7 @@ impl SmbPair {
         // message once the data plane is consistent.
         self.gate_from(ctx, fabric, primary.node(), standby.node())?;
         ctx.sleep(cfg.control_latency);
-        standby.set_leases(primary.lease_catalog());
-        standby.set_tombstones(primary.tombstone_catalog());
+        standby.replace_control_tables(primary.control_tables());
         let mut epoch = self.inner.epoch.lock();
         *epoch += 1;
         Ok(*epoch)
@@ -649,8 +648,7 @@ impl SmbPair {
         // Control-plane resync: lease table and tombstones follow the data.
         self.gate_from(ctx, fabric, source.node(), demoted.node())?;
         ctx.sleep(cfg.control_latency);
-        demoted.set_leases(source.lease_catalog());
-        demoted.set_tombstones(source.tombstone_catalog());
+        demoted.replace_control_tables(source.control_tables());
         Ok((discarded, resynced))
     }
 

@@ -261,7 +261,7 @@ struct Segment {
 
 /// Heartbeat state for an owned segment.
 #[derive(Debug, Clone)]
-struct Lease {
+pub(crate) struct Lease {
     owner: usize,
     last_heartbeat: SimTime,
     /// Released by the owner at its last heartbeat, acquired by whoever
@@ -274,7 +274,7 @@ struct Lease {
 /// [`SmbServer::ack_eviction`] or after
 /// [`SmbServerConfig::tombstone_horizon`].
 #[derive(Debug, Clone, Copy)]
-struct Tombstone {
+pub(crate) struct Tombstone {
     owner: usize,
     /// When the eviction happened (starts the GC horizon).
     at: SimTime,
@@ -1305,45 +1305,22 @@ impl SmbServer {
         let _ = self.destroy_segment(key);
     }
 
-    /// Snapshot of the lease table for mirroring.
-    pub(crate) fn lease_catalog(&self) -> Vec<LeaseMeta> {
-        self.inner
-            .leases
-            .lock()
-            .iter()
-            .map(|(&key, l)| LeaseMeta {
-                key,
-                owner: l.owner,
-                last_heartbeat: l.last_heartbeat,
-                beat: l.beat.clone(),
-            })
-            .collect()
+    /// Both control tables — leases and eviction tombstones — cloned out
+    /// for mirroring.
+    pub(crate) fn control_tables(&self) -> ControlTables {
+        let leases = self.inner.leases.lock().clone();
+        (leases, self.inner.evicted.lock().clone())
     }
 
-    /// Replaces this server's lease table with a mirrored snapshot.
-    pub(crate) fn set_leases(&self, leases: Vec<LeaseMeta>) {
-        let mut table = self.inner.leases.lock();
-        table.clear();
-        for l in leases {
-            let lease = Lease { owner: l.owner, last_heartbeat: l.last_heartbeat, beat: l.beat };
-            table.insert(l.key, lease);
-        }
-    }
-
-    /// Snapshot of the eviction tombstones for mirroring.
-    pub(crate) fn tombstone_catalog(&self) -> Vec<(ShmKey, usize, SimTime)> {
-        self.inner.evicted.lock().iter().map(|(&k, t)| (k, t.owner, t.at)).collect()
-    }
-
-    /// Replaces this server's tombstone table with a mirrored snapshot.
-    pub(crate) fn set_tombstones(&self, tombstones: Vec<(ShmKey, usize, SimTime)>) {
-        let mut table = self.inner.evicted.lock();
-        table.clear();
-        for (key, owner, at) in tombstones {
-            table.insert(key, Tombstone { owner, at });
-        }
+    /// Replaces this server's control tables with a mirrored snapshot.
+    pub(crate) fn replace_control_tables(&self, (leases, evicted): ControlTables) {
+        *self.inner.leases.lock() = leases;
+        *self.inner.evicted.lock() = evicted;
     }
 }
+
+/// A server's lease and tombstone tables, as shipped to its mirror.
+pub(crate) type ControlTables = (BTreeMap<ShmKey, Lease>, BTreeMap<ShmKey, Tombstone>);
 
 /// One segment's replication metadata (the "journal entry" shipped to the
 /// standby ahead of the contents).
@@ -1355,15 +1332,6 @@ pub(crate) struct SegmentMeta {
     pub(crate) wire_bytes: u64,
     pub(crate) version: u64,
     pub(crate) created: HbEdge,
-}
-
-/// One lease's replication metadata.
-#[derive(Debug, Clone)]
-pub(crate) struct LeaseMeta {
-    pub(crate) key: ShmKey,
-    pub(crate) owner: usize,
-    pub(crate) last_heartbeat: SimTime,
-    pub(crate) beat: HbEdge,
 }
 
 #[cfg(test)]
