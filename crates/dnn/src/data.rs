@@ -123,58 +123,6 @@ impl Dataset for SyntheticBlobs {
     }
 }
 
-/// Interleaved 2-D spirals — a classic non-linearly-separable task.
-#[derive(Debug, Clone)]
-pub struct Spirals {
-    features: Vec<[f32; 2]>,
-    labels: Vec<usize>,
-    classes: usize,
-}
-
-impl Spirals {
-    /// Creates `samples` points over `classes` interleaved spiral arms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes == 0`.
-    pub fn new(classes: usize, samples: usize, noise: f32, seed: u64) -> Self {
-        assert!(classes > 0, "classes must be positive");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut features = Vec::with_capacity(samples);
-        let mut labels = Vec::with_capacity(samples);
-        for i in 0..samples {
-            let c = i % classes;
-            let t: f32 = rng.gen_range(0.15f32..1.0);
-            let angle = t * 3.5 * std::f32::consts::PI
-                + (c as f32) * 2.0 * std::f32::consts::PI / classes as f32;
-            let r = t * 2.0;
-            let nx: f32 = rng.gen_range(-noise..noise.max(1e-6));
-            let ny: f32 = rng.gen_range(-noise..noise.max(1e-6));
-            features.push([r * angle.cos() + nx, r * angle.sin() + ny]);
-            labels.push(c);
-        }
-        Spirals { features, labels, classes }
-    }
-}
-
-impl Dataset for Spirals {
-    fn len(&self) -> usize {
-        self.features.len()
-    }
-    fn feature_dims(&self) -> Vec<usize> {
-        vec![2]
-    }
-    fn num_classes(&self) -> usize {
-        self.classes
-    }
-    fn sample(&self, index: usize) -> Result<(Vec<f32>, usize), DnnError> {
-        if index >= self.len() {
-            return Err(DnnError::IndexOutOfRange { index, len: self.len() });
-        }
-        Ok((self.features[index].to_vec(), self.labels[index]))
-    }
-}
-
 /// Procedurally generated `C×H×W` "images" with class-dependent structure
 /// (oriented gratings plus noise) — an ImageNet stand-in exercising the
 /// convolutional path.
@@ -373,10 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn spirals_and_images_have_correct_shapes() {
-        let s = Spirals::new(3, 33, 0.05, 2);
-        assert_eq!(s.feature_dims(), vec![2]);
-        assert_eq!(s.sample(32).unwrap().0.len(), 2);
+    fn images_have_correct_shapes() {
         let im = SyntheticImages::new(4, 3, 8, 12, 0.1, 3);
         assert_eq!(im.feature_dims(), vec![3, 8, 8]);
         let (x, y) = im.minibatch(&[0, 5]).unwrap();

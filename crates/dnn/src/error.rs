@@ -28,10 +28,6 @@ pub enum DnnError {
         /// Provided length.
         got: usize,
     },
-    /// A record store lookup missed.
-    MissingRecord(String),
-    /// A record could not be decoded.
-    CorruptRecord(String),
 }
 
 impl fmt::Display for DnnError {
@@ -47,8 +43,6 @@ impl fmt::Display for DnnError {
             DnnError::ParamLengthMismatch { expected, got } => {
                 write!(f, "parameter vector length {got} does not match net size {expected}")
             }
-            DnnError::MissingRecord(key) => write!(f, "missing record: {key}"),
-            DnnError::CorruptRecord(msg) => write!(f, "corrupt record: {msg}"),
         }
     }
 }
@@ -78,7 +72,7 @@ mod tests {
         let e = DnnError::Tensor(TensorError::ReshapeMismatch { have: 1, want: 2 });
         assert!(!e.to_string().is_empty());
         assert!(e.source().is_some());
-        let e2 = DnnError::MissingRecord("k".into());
+        let e2 = DnnError::BadInput { layer: "k".into(), message: "m".into() };
         assert!(e2.source().is_none());
         assert!(e2.to_string().contains('k'));
     }

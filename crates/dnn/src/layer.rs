@@ -4,20 +4,21 @@ use crate::DnnError;
 
 /// Whether a forward pass is part of training or evaluation.
 ///
-/// Mirrors Caffe's `Phase`: layers such as dropout and batch-norm behave
-/// differently between the two.
+/// Mirrors Caffe's `Phase`. No in-tree layer branches on it; it stays in
+/// [`Layer::forward`]'s signature because implementations outside this
+/// crate (the whole-stack benchmark's traced layer) implement that method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Training: stochastic layers active, batch statistics updated.
+    /// Training.
     Train,
-    /// Evaluation: deterministic behaviour, running statistics used.
+    /// Evaluation.
     Test,
 }
 
 /// A network layer.
 ///
 /// Layers are stateful: `forward` caches whatever the subsequent `backward`
-/// needs (inputs, masks, argmax indices), and `backward` *accumulates*
+/// needs (inputs, argmax indices), and `backward` *accumulates*
 /// parameter gradients so that multiple backward passes sum (Caffe
 /// `iter_size` semantics). Gradients are cleared with
 /// [`Layer::zero_grads`].

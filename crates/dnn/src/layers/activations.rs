@@ -1,4 +1,4 @@
-//! Element-wise activation layers: ReLU, Sigmoid, Tanh.
+//! The element-wise activation layer: ReLU.
 
 use shmcaffe_tensor::ops;
 use shmcaffe_tensor::Tensor;
@@ -48,92 +48,6 @@ impl Layer for Relu {
     }
 }
 
-/// Logistic sigmoid activation.
-#[derive(Debug, Default)]
-pub struct Sigmoid {
-    name: String,
-    cached_output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid layer.
-    pub fn new(name: &str) -> Self {
-        Sigmoid { name: name.to_string(), cached_output: None }
-    }
-}
-
-impl Layer for Sigmoid {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn forward(&mut self, input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
-        let mut out = Tensor::zeros(input.dims());
-        ops::sigmoid_forward(input.data(), out.data_mut());
-        self.cached_output = Some(out.clone());
-        Ok(out)
-    }
-
-    fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
-        let output = self.cached_output.as_ref().ok_or_else(|| DnnError::BadInput {
-            layer: self.name.clone(),
-            message: "backward called before forward".to_string(),
-        })?;
-        if d_output.len() != output.len() {
-            return Err(DnnError::BadInput {
-                layer: self.name.clone(),
-                message: "d_output length mismatch".to_string(),
-            });
-        }
-        let mut d_input = Tensor::zeros(output.dims());
-        ops::sigmoid_backward(output.data(), d_output.data(), d_input.data_mut());
-        Ok(d_input)
-    }
-}
-
-/// Hyperbolic tangent activation.
-#[derive(Debug, Default)]
-pub struct Tanh {
-    name: String,
-    cached_output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    pub fn new(name: &str) -> Self {
-        Tanh { name: name.to_string(), cached_output: None }
-    }
-}
-
-impl Layer for Tanh {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn forward(&mut self, input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
-        let mut out = Tensor::zeros(input.dims());
-        ops::tanh_forward(input.data(), out.data_mut());
-        self.cached_output = Some(out.clone());
-        Ok(out)
-    }
-
-    fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
-        let output = self.cached_output.as_ref().ok_or_else(|| DnnError::BadInput {
-            layer: self.name.clone(),
-            message: "backward called before forward".to_string(),
-        })?;
-        if d_output.len() != output.len() {
-            return Err(DnnError::BadInput {
-                layer: self.name.clone(),
-                message: "d_output length mismatch".to_string(),
-            });
-        }
-        let mut d_input = Tensor::zeros(output.dims());
-        ops::tanh_backward(output.data(), d_output.data(), d_input.data_mut());
-        Ok(d_input)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,30 +63,8 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_output_range() {
-        let mut l = Sigmoid::new("s");
-        let x = Tensor::from_slice(&[-10.0, 0.0, 10.0]);
-        let y = l.forward(&x, Phase::Test).unwrap();
-        assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-        assert!((y.data()[1] - 0.5).abs() < 1e-6);
-        let dx = l.backward(&Tensor::from_slice(&[1.0, 1.0, 1.0])).unwrap();
-        // Derivative maximal at 0.
-        assert!(dx.data()[1] > dx.data()[0] && dx.data()[1] > dx.data()[2]);
-    }
-
-    #[test]
-    fn tanh_is_odd() {
-        let mut l = Tanh::new("t");
-        let x = Tensor::from_slice(&[-1.0, 1.0]);
-        let y = l.forward(&x, Phase::Test).unwrap();
-        assert!((y.data()[0] + y.data()[1]).abs() < 1e-6);
-    }
-
-    #[test]
     fn backward_without_forward_errors() {
         assert!(Relu::new("r").backward(&Tensor::from_slice(&[1.0])).is_err());
-        assert!(Sigmoid::new("s").backward(&Tensor::from_slice(&[1.0])).is_err());
-        assert!(Tanh::new("t").backward(&Tensor::from_slice(&[1.0])).is_err());
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! The layer library: Caffe's building blocks for the evaluated CNNs.
+//! The layer library: the Caffe building blocks the proxy nets are made of.
 
 mod activations;
-mod batchnorm;
 mod conv_layer;
-mod dropout;
 mod inception;
 mod inner_product;
 mod lrn;
@@ -11,10 +9,8 @@ mod pool_layer;
 
 use shmcaffe_tensor::Tensor;
 
-pub use activations::{Relu, Sigmoid, Tanh};
-pub use batchnorm::BatchNorm;
+pub use activations::Relu;
 pub use conv_layer::Conv2d;
-pub use dropout::Dropout;
 pub use inception::{Inception, InceptionSpec};
 pub use inner_product::InnerProduct;
 pub use lrn::Lrn;

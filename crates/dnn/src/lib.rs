@@ -2,10 +2,11 @@
 //!
 //! ShmCaffe "uses Caffe as a deep learning computation library with very
 //! small modifications" (paper §III-A). This crate is that computation
-//! library: layers, sequential nets, the SGD solver with Caffe's
-//! hyper-parameters (`base_lr`, `momentum`, `weight_decay`, `gamma`,
-//! `step size`), datasets and an in-memory LMDB-like record store with a
-//! background prefetch thread (the paper prefetches 10 minibatches).
+//! library, cut to what the platforms train: the layers of the three proxy
+//! nets, sequential nets, the SGD solver with Caffe's hyper-parameters
+//! (`base_lr`, `momentum`, `weight_decay`, `gamma`, `step size`) and two
+//! in-memory synthetic datasets. Data loading is not modelled: a trainer
+//! samples in memory and charges a modelled compute time (DESIGN.md §1).
 //!
 //! The crucial property for distributed training is the split between
 //! gradient computation and weight update:
@@ -51,11 +52,9 @@ mod layer;
 pub mod layers;
 pub mod metrics;
 mod net;
-pub mod netspec;
-pub mod recorddb;
 mod solver;
 
 pub use error::DnnError;
 pub use layer::{Layer, Phase};
 pub use net::Net;
-pub use solver::{LrPolicy, Snapshot, Solver, SolverConfig};
+pub use solver::{LrPolicy, Solver, SolverConfig};

@@ -37,7 +37,7 @@ impl std::fmt::Display for EvalResult {
 
 /// Evaluates `net` over the whole dataset in minibatches of `batch`.
 ///
-/// Uses [`Phase::Test`] so dropout/batch-norm behave deterministically.
+/// Runs the forward pass in [`Phase::Test`], as Caffe's test net does.
 ///
 /// # Errors
 ///

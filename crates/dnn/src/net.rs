@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use shmcaffe_tensor::softmax::{
     cross_entropy_loss, softmax, softmax_cross_entropy_backward, top_k_accuracy,
 };
@@ -76,13 +78,16 @@ impl Net {
     ///
     /// # Errors
     ///
-    /// Propagates layer errors; panics are avoided by validating shapes.
+    /// Propagates layer errors, and returns [`DnnError::BadInput`] for
+    /// labels that do not fit the logits (count or class range) instead of
+    /// letting the loss kernel panic.
     pub fn forward_loss(
         &mut self,
         input: &Tensor,
         labels: &[usize],
         phase: Phase,
     ) -> Result<(f32, Tensor), DnnError> {
+        self.last_probs = None;
         let logits = self.forward(input, phase)?;
         let rows = labels.len();
         if rows == 0 || logits.len() % rows != 0 {
@@ -92,6 +97,7 @@ impl Net {
             });
         }
         let classes = logits.len() / rows;
+        self.check_labels(labels, rows, classes)?;
         let mut probs = Tensor::zeros(&[rows, classes]);
         softmax(rows, classes, logits.data(), probs.data_mut());
         let loss = cross_entropy_loss(rows, classes, probs.data(), labels);
@@ -103,14 +109,16 @@ impl Net {
     ///
     /// # Errors
     ///
-    /// Returns an error if called before [`Net::forward_loss`].
+    /// Returns [`DnnError::BadInput`] if called before [`Net::forward_loss`]
+    /// or with labels that do not fit that pass's rows and classes; no
+    /// gradient is touched then.
     pub fn backward_from_loss(&mut self, labels: &[usize]) -> Result<(), DnnError> {
         let probs = self.last_probs.take().ok_or_else(|| DnnError::BadInput {
             layer: self.name.clone(),
             message: "backward_from_loss called before forward_loss".to_string(),
         })?;
-        let rows = labels.len();
-        let classes = probs.len() / rows;
+        let (rows, classes) = (probs.dims()[0], probs.dims()[1]);
+        self.check_labels(labels, rows, classes)?;
         let mut d_logits = Tensor::zeros(&[rows, classes]);
         softmax_cross_entropy_backward(rows, classes, probs.data(), labels, d_logits.data_mut());
         // Nothing consumes the first layer's input gradient.
@@ -118,6 +126,20 @@ impl Net {
             return Ok(());
         };
         first.backward_params_only(&backward_chain(rest, &d_logits)?)
+    }
+
+    /// Rejects labels that do not fit a `rows × classes` probability
+    /// matrix: the softmax kernels would panic on them or, for a wrong
+    /// count, silently mis-scale the gradient.
+    fn check_labels(&self, labels: &[usize], rows: usize, classes: usize) -> Result<(), DnnError> {
+        let message = if labels.len() != rows {
+            format!("{} labels for the {rows} rows of forward_loss", labels.len())
+        } else if let Some(label) = labels.iter().find(|&&label| label >= classes) {
+            format!("label {label} out of range for {classes} classes")
+        } else {
+            return Ok(());
+        };
+        Err(DnnError::BadInput { layer: self.name.clone(), message })
     }
 
     /// Top-`k` accuracy of `logits` against `labels`.
@@ -141,7 +163,7 @@ impl Net {
     ///
     /// Returns [`DnnError::ParamLengthMismatch`] if `out` has the wrong size.
     pub fn copy_weights_to(&mut self, out: &mut [f32]) -> Result<(), DnnError> {
-        self.visit_params(out, |p, _g, chunk| chunk.copy_from_slice(p.data()))
+        self.walk_flat(out.len(), |p, _, span| out[span].copy_from_slice(p.data()))
     }
 
     /// Loads the flattened parameter vector from `src`.
@@ -150,21 +172,7 @@ impl Net {
     ///
     /// Returns [`DnnError::ParamLengthMismatch`] if `src` has the wrong size.
     pub fn load_weights_from(&mut self, src: &[f32]) -> Result<(), DnnError> {
-        // `visit_params` only passes `&mut [f32]` chunks, so route through a
-        // mutable copy-free closure over an immutable source via indices.
-        let expected = self.param_len();
-        if src.len() != expected {
-            return Err(DnnError::ParamLengthMismatch { expected, got: src.len() });
-        }
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            for (p, _) in layer.params_and_grads() {
-                let n = p.len();
-                p.data_mut().copy_from_slice(&src[offset..offset + n]);
-                offset += n;
-            }
-        }
-        Ok(())
+        self.walk_flat(src.len(), |p, _, span| p.data_mut().copy_from_slice(&src[span]))
     }
 
     /// Copies the flattened gradient vector into `out`.
@@ -173,7 +181,7 @@ impl Net {
     ///
     /// Returns [`DnnError::ParamLengthMismatch`] if `out` has the wrong size.
     pub fn copy_grads_to(&mut self, out: &mut [f32]) -> Result<(), DnnError> {
-        self.visit_params(out, |_p, g, chunk| chunk.copy_from_slice(g.data()))
+        self.walk_flat(out.len(), |_, g, span| out[span].copy_from_slice(g.data()))
     }
 
     /// Loads the flattened gradient vector from `src` (overwriting existing
@@ -184,19 +192,7 @@ impl Net {
     ///
     /// Returns [`DnnError::ParamLengthMismatch`] if `src` has the wrong size.
     pub fn load_grads_from(&mut self, src: &[f32]) -> Result<(), DnnError> {
-        let expected = self.param_len();
-        if src.len() != expected {
-            return Err(DnnError::ParamLengthMismatch { expected, got: src.len() });
-        }
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            for (_, g) in layer.params_and_grads() {
-                let n = g.len();
-                g.data_mut().copy_from_slice(&src[offset..offset + n]);
-                offset += n;
-            }
-        }
-        Ok(())
+        self.walk_flat(src.len(), |_, g, span| g.data_mut().copy_from_slice(&src[span]))
     }
 
     /// Zeroes every parameter gradient.
@@ -206,23 +202,23 @@ impl Net {
         }
     }
 
-    /// Applies `f(param, grad, chunk)` over the flattened layout.
-    fn visit_params<F>(&mut self, buf: &mut [f32], mut f: F) -> Result<(), DnnError>
+    /// The one walk behind the four flat-vector accessors: checks a flat
+    /// vector of `len` scalars against [`Net::param_len`], then hands
+    /// `f(param, grad, span)` each blob with its range of that vector.
+    fn walk_flat<F>(&mut self, len: usize, mut f: F) -> Result<(), DnnError>
     where
-        F: FnMut(&Tensor, &Tensor, &mut [f32]),
+        F: FnMut(&mut Tensor, &mut Tensor, Range<usize>),
     {
         let expected = self.param_len();
-        if buf.len() != expected {
-            return Err(DnnError::ParamLengthMismatch { expected, got: buf.len() });
+        if len != expected {
+            return Err(DnnError::ParamLengthMismatch { expected, got: len });
         }
         let mut offset = 0;
-        for layer in &mut self.layers {
-            for (p, g) in layer.params_and_grads() {
-                let n = p.len();
-                f(p, g, &mut buf[offset..offset + n]);
-                offset += n;
-            }
-        }
+        self.for_each_param(|p, g| {
+            let n = p.len();
+            f(p, g, offset..offset + n);
+            offset += n;
+        });
         Ok(())
     }
 
@@ -352,6 +348,46 @@ mod tests {
     fn backward_requires_forward_loss() {
         let mut net = tiny_net(0);
         assert!(net.backward_from_loss(&[0]).is_err());
+    }
+
+    /// FNV-1a over the bits of the flattened gradient.
+    fn grad_hash(net: &mut Net) -> u64 {
+        let mut g = vec![0.0f32; net.param_len()];
+        net.copy_grads_to(&mut g).unwrap();
+        g.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn backward_rejects_labels_that_do_not_match_the_forward_rows() {
+        let mut net = tiny_net(3);
+        let x =
+            Tensor::from_vec(vec![0.5, -0.5, 1.0, 0.25, -1.0, 0.75, 0.0, -0.25], &[4, 2]).unwrap();
+        let labels = [0usize, 1, 2, 1];
+        // No labels used to divide by zero; two labels for four rows used
+        // to double `classes` and scale dW by 1/2 instead of 1/4.
+        for wrong in [&labels[..0], &labels[..2]] {
+            net.forward_loss(&x, &labels, Phase::Train).unwrap();
+            let err = net.backward_from_loss(wrong).unwrap_err();
+            assert!(matches!(err, DnnError::BadInput { .. }), "{err}");
+        }
+        // The rejected calls touched no gradient, and the matching call
+        // yields the bits it yielded before the check (pinned at the parent).
+        net.forward_loss(&x, &labels, Phase::Train).unwrap();
+        net.backward_from_loss(&labels).unwrap();
+        assert_eq!(grad_hash(&mut net), 0x05e9_8ae7_1dcf_cebf);
+    }
+
+    #[test]
+    fn forward_loss_rejects_a_label_outside_the_classes() {
+        let mut net = tiny_net(0);
+        let x = Tensor::zeros(&[2, 2]);
+        net.forward_loss(&x, &[1, 2], Phase::Train).unwrap();
+        let err = net.forward_loss(&x, &[1, 3], Phase::Train).unwrap_err();
+        assert!(matches!(err, DnnError::BadInput { .. }) && err.to_string().contains("label 3"));
+        // The rejected pass leaves no stale probabilities for a backward pass.
+        assert!(net.backward_from_loss(&[1, 2]).is_err());
     }
 
     #[test]

@@ -17,20 +17,6 @@ pub enum LrPolicy {
         /// Iterations between decays.
         step_size: usize,
     },
-    /// `base_lr * (1 + gamma * iter)^(-power)`.
-    Inv {
-        /// Decay rate.
-        gamma: f32,
-        /// Decay exponent.
-        power: f32,
-    },
-    /// `base_lr * (1 - iter/max_iter)^power`.
-    Poly {
-        /// Decay exponent.
-        power: f32,
-        /// Total iterations of the schedule.
-        max_iter: usize,
-    },
 }
 
 impl LrPolicy {
@@ -40,11 +26,6 @@ impl LrPolicy {
             LrPolicy::Fixed => base_lr,
             LrPolicy::Step { gamma, step_size } => {
                 base_lr * gamma.powi((iter / step_size.max(1)) as i32)
-            }
-            LrPolicy::Inv { gamma, power } => base_lr * (1.0 + gamma * iter as f32).powf(-power),
-            LrPolicy::Poly { power, max_iter } => {
-                let frac = 1.0 - (iter.min(max_iter) as f32 / max_iter.max(1) as f32);
-                base_lr * frac.powf(power)
             }
         }
     }
@@ -187,70 +168,6 @@ impl Solver {
     pub fn into_net(self) -> Net {
         self.net
     }
-
-    /// Captures the full training state (Caffe's `snapshot`): weights,
-    /// momentum history and the iteration counter.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a well-formed solver; the `Result` covers internal
-    /// length bookkeeping.
-    pub fn snapshot(&mut self) -> Result<Snapshot, DnnError> {
-        let n = self.net.param_len();
-        let mut weights = vec![0.0f32; n];
-        self.net.copy_weights_to(&mut weights)?;
-        let momentum: Vec<f32> =
-            self.momentum_buf.iter().flat_map(|t| t.data().iter().copied()).collect();
-        Ok(Snapshot { iter: self.iter, weights, momentum })
-    }
-
-    /// Restores a previously captured [`Snapshot`] (Caffe's
-    /// `--snapshot` resume): training continues bit-identically from the
-    /// captured point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnnError::ParamLengthMismatch`] if the snapshot does not
-    /// fit this network.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), DnnError> {
-        let n = self.net.param_len();
-        if snap.weights.len() != n {
-            return Err(DnnError::ParamLengthMismatch { expected: n, got: snap.weights.len() });
-        }
-        if !snap.momentum.is_empty() && snap.momentum.len() != n {
-            return Err(DnnError::ParamLengthMismatch { expected: n, got: snap.momentum.len() });
-        }
-        self.net.load_weights_from(&snap.weights)?;
-        if snap.momentum.is_empty() {
-            self.momentum_buf.clear();
-        } else {
-            // Rebuild momentum buffers with the layer shapes.
-            if self.momentum_buf.is_empty() {
-                let mut shapes = Vec::new();
-                self.net.for_each_param(|p, _| shapes.push(p.dims().to_vec()));
-                self.momentum_buf = shapes.iter().map(|s| Tensor::zeros(s)).collect();
-            }
-            let mut offset = 0;
-            for buf in &mut self.momentum_buf {
-                let len = buf.len();
-                buf.data_mut().copy_from_slice(&snap.momentum[offset..offset + len]);
-                offset += len;
-            }
-        }
-        self.iter = snap.iter;
-        Ok(())
-    }
-}
-
-/// A training checkpoint (weights + momentum + iteration).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    /// Iteration count at capture time.
-    pub iter: usize,
-    /// Flattened network weights.
-    pub weights: Vec<f32>,
-    /// Flattened momentum buffers (empty if no update has run yet).
-    pub momentum: Vec<f32>,
 }
 
 impl std::fmt::Debug for Solver {
@@ -293,11 +210,6 @@ mod tests {
         assert!((step.lr_at(1.0, 9) - 1.0).abs() < 1e-7);
         assert!((step.lr_at(1.0, 10) - 0.1).abs() < 1e-7);
         assert!((step.lr_at(1.0, 25) - 0.01).abs() < 1e-7);
-        let inv = LrPolicy::Inv { gamma: 1.0, power: 1.0 };
-        assert!((inv.lr_at(1.0, 1) - 0.5).abs() < 1e-7);
-        let poly = LrPolicy::Poly { power: 1.0, max_iter: 10 };
-        assert!((poly.lr_at(1.0, 5) - 0.5).abs() < 1e-7);
-        assert_eq!(poly.lr_at(1.0, 20), 0.0);
     }
 
     #[test]
@@ -380,55 +292,6 @@ mod tests {
         solver.net_mut().copy_weights_to(&mut w).unwrap();
         assert!((w[0] + 0.1).abs() < 1e-6);
         assert!((w[1] - 0.1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_bit_identically() {
-        let mut solver = make_solver(LrPolicy::Step { gamma: 0.5, step_size: 7 });
-        let x = Tensor::from_vec(vec![0.4, -0.6], &[1, 2]).unwrap();
-        let labels = vec![1usize];
-        for _ in 0..5 {
-            solver.step(&x, &labels).unwrap();
-        }
-        let snap = solver.snapshot().unwrap();
-        assert_eq!(snap.iter, 5);
-
-        // Path A: continue directly.
-        for _ in 0..5 {
-            solver.step(&x, &labels).unwrap();
-        }
-        let n = solver.net_mut().param_len();
-        let mut direct = vec![0.0f32; n];
-        solver.net_mut().copy_weights_to(&mut direct).unwrap();
-
-        // Path B: fresh solver restored from the snapshot, same steps.
-        let mut resumed = make_solver(LrPolicy::Step { gamma: 0.5, step_size: 7 });
-        resumed.restore(&snap).unwrap();
-        assert_eq!(resumed.iter(), 5);
-        for _ in 0..5 {
-            resumed.step(&x, &labels).unwrap();
-        }
-        let mut restored = vec![0.0f32; n];
-        resumed.net_mut().copy_weights_to(&mut restored).unwrap();
-        assert_eq!(direct, restored, "resume must be bit-identical");
-    }
-
-    #[test]
-    fn restore_rejects_wrong_size() {
-        let mut solver = make_solver(LrPolicy::Fixed);
-        let bad = Snapshot { iter: 0, weights: vec![0.0; 3], momentum: vec![] };
-        assert!(solver.restore(&bad).is_err());
-    }
-
-    #[test]
-    fn snapshot_before_any_update_has_empty_momentum() {
-        let mut solver = make_solver(LrPolicy::Fixed);
-        let snap = solver.snapshot().unwrap();
-        assert!(snap.momentum.is_empty());
-        assert_eq!(snap.iter, 0);
-        // And restoring it works.
-        let mut other = make_solver(LrPolicy::Fixed);
-        other.restore(&snap).unwrap();
     }
 
     #[test]

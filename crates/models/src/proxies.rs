@@ -5,14 +5,12 @@
 //! so the convergence harness trains these small real networks built from
 //! the same layer library.
 
-use shmcaffe_dnn::layers::{
-    BatchNorm, Conv2d, Dropout, Inception, InceptionSpec, InnerProduct, Lrn, Pool2d, Relu,
-};
+use shmcaffe_dnn::layers::{Conv2d, Inception, InceptionSpec, InnerProduct, Lrn, Pool2d, Relu};
 use shmcaffe_dnn::{DnnError, Net};
 use shmcaffe_tensor::conv::Conv2dGeometry;
 use shmcaffe_tensor::init::Filler;
 
-/// A two-hidden-layer MLP classifier for vector datasets (blobs, spirals).
+/// A two-hidden-layer MLP classifier for vector datasets (blobs).
 ///
 /// `seed` controls weight initialisation; replicas built from the same seed
 /// are bitwise identical, which the distributed platforms rely on.
@@ -23,16 +21,6 @@ pub fn mlp(input_dim: usize, hidden: usize, classes: usize, seed: u64) -> Net {
     net.add(InnerProduct::new("fc2", hidden, hidden, Filler::Msra, seed));
     net.add(Relu::new("relu2"));
     net.add(InnerProduct::new("fc3", hidden, classes, Filler::Xavier, seed));
-    net
-}
-
-/// An MLP with dropout regularisation (for the larger synthetic tasks).
-pub fn mlp_dropout(input_dim: usize, hidden: usize, classes: usize, ratio: f32, seed: u64) -> Net {
-    let mut net = Net::new("mlp_dropout_proxy");
-    net.add(InnerProduct::new("fc1", input_dim, hidden, Filler::Msra, seed));
-    net.add(Relu::new("relu1"));
-    net.add(Dropout::new("drop1", ratio, seed));
-    net.add(InnerProduct::new("fc2", hidden, classes, Filler::Xavier, seed));
     net
 }
 
@@ -58,26 +46,6 @@ pub fn small_cnn(channels: usize, hw: usize, classes: usize, seed: u64) -> Resul
     net.add(InnerProduct::new("fc1", 16 * hw4 * hw4, 64, Filler::Msra, seed));
     net.add(Relu::new("relu3"));
     net.add(InnerProduct::new("fc2", 64, classes, Filler::Xavier, seed));
-    Ok(net)
-}
-
-/// A batch-normalised CNN variant (exercises running-statistics layers in
-/// the distributed setting).
-///
-/// # Errors
-///
-/// Returns an error if `hw` is too small for the geometry (minimum 8).
-pub fn bn_cnn(channels: usize, hw: usize, classes: usize, seed: u64) -> Result<Net, DnnError> {
-    let mut net = Net::new("bn_cnn_proxy");
-    let g1 = Conv2dGeometry::square(channels, hw, 3, 1, 1);
-    net.add(Conv2d::new("conv1", g1, 8, Filler::Msra, seed)?);
-    net.add(BatchNorm::new("bn1", 8));
-    net.add(Relu::new("relu1"));
-    net.add(Pool2d::max_square("pool1", 8, hw, 2, 2)?);
-    let hw2 = hw / 2;
-    net.add(InnerProduct::new("fc1", 8 * hw2 * hw2, 32, Filler::Msra, seed));
-    net.add(Relu::new("relu2"));
-    net.add(InnerProduct::new("fc2", 32, classes, Filler::Xavier, seed));
     Ok(net)
 }
 
@@ -125,7 +93,7 @@ pub fn mini_inception(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmcaffe_dnn::data::{Dataset, SyntheticBlobs, SyntheticImages};
+    use shmcaffe_dnn::data::{Dataset, SyntheticImages};
     use shmcaffe_dnn::metrics::evaluate;
     use shmcaffe_dnn::{LrPolicy, Phase, Solver, SolverConfig};
     use shmcaffe_tensor::Tensor;
@@ -178,32 +146,6 @@ mod tests {
         let mut net = solver.into_net();
         let res = evaluate(&mut net, &ds, 40, 2).unwrap();
         assert!(res.top1 > 0.8, "cnn should learn oriented gratings: {}", res.top1);
-    }
-
-    #[test]
-    fn mlp_dropout_still_learns() {
-        let ds = SyntheticBlobs::new(3, 6, 150, 0.3, 9);
-        let net = mlp_dropout(6, 32, 3, 0.2, 7);
-        let mut solver = Solver::new(net, SolverConfig { base_lr: 0.05, ..Default::default() });
-        for _ in 0..40 {
-            for start in (0..150).step_by(30) {
-                let idx: Vec<usize> = (start..start + 30).collect();
-                let (x, y) = ds.minibatch(&idx).unwrap();
-                solver.step(&x, &y).unwrap();
-            }
-        }
-        let mut net = solver.into_net();
-        let res = evaluate(&mut net, &ds, 50, 2).unwrap();
-        assert!(res.top1 > 0.85, "{}", res.top1);
-    }
-
-    #[test]
-    fn bn_cnn_builds_and_runs() {
-        let mut net = bn_cnn(1, 8, 4, 2).unwrap();
-        let x = Tensor::zeros(&[3, 1, 8, 8]);
-        let (loss, _) = net.forward_loss(&x, &[0, 1, 2], Phase::Train).unwrap();
-        assert!(loss.is_finite());
-        net.backward_from_loss(&[0, 1, 2]).unwrap();
     }
 
     #[test]

@@ -186,88 +186,6 @@ pub fn relu_backward(x: &[f32], dy: &[f32], dx: &mut [f32]) {
     });
 }
 
-/// Numerically stable sigmoid.
-pub fn sigmoid(v: f32) -> f32 {
-    if v >= 0.0 {
-        1.0 / (1.0 + (-v).exp())
-    } else {
-        let e = v.exp();
-        e / (1.0 + e)
-    }
-}
-
-/// Sigmoid forward over a slice.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn sigmoid_forward(x: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), out.len(), "sigmoid length mismatch");
-    parallel::par_zip_mut(out, x, elemwise_chunk(out.len()), |oc, xc| {
-        for (o, &v) in oc.iter_mut().zip(xc.iter()) {
-            *o = sigmoid(v);
-        }
-    });
-}
-
-/// Sigmoid backward given the forward *output* `y`: `dx = dy * y * (1 - y)`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn sigmoid_backward(y: &[f32], dy: &[f32], dx: &mut [f32]) {
-    assert_eq!(y.len(), dy.len(), "sigmoid_backward length mismatch");
-    assert_eq!(y.len(), dx.len(), "sigmoid_backward output length mismatch");
-    parallel::par_zip2_mut(dx, y, dy, elemwise_chunk(dx.len()), |dc, yc, gc| {
-        for ((d, &yv), &g) in dc.iter_mut().zip(yc.iter()).zip(gc.iter()) {
-            *d = g * yv * (1.0 - yv);
-        }
-    });
-}
-
-/// Hyperbolic tangent forward over a slice.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn tanh_forward(x: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), out.len(), "tanh length mismatch");
-    parallel::par_zip_mut(out, x, elemwise_chunk(out.len()), |oc, xc| {
-        for (o, &v) in oc.iter_mut().zip(xc.iter()) {
-            *o = v.tanh();
-        }
-    });
-}
-
-/// Tanh backward given the forward output `y`: `dx = dy * (1 - y^2)`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn tanh_backward(y: &[f32], dy: &[f32], dx: &mut [f32]) {
-    assert_eq!(y.len(), dy.len(), "tanh_backward length mismatch");
-    assert_eq!(y.len(), dx.len(), "tanh_backward output length mismatch");
-    parallel::par_zip2_mut(dx, y, dy, elemwise_chunk(dx.len()), |dc, yc, gc| {
-        for ((d, &yv), &g) in dc.iter_mut().zip(yc.iter()).zip(gc.iter()) {
-            *d = g * (1.0 - yv * yv);
-        }
-    });
-}
-
-/// Clips every element into `[-bound, bound]` (gradient clipping).
-///
-/// # Panics
-///
-/// Panics if `bound` is negative or NaN.
-pub fn clip(bound: f32, x: &mut [f32]) {
-    assert!(bound >= 0.0, "clip bound must be non-negative");
-    parallel::par_chunks_mut(x, elemwise_chunk(x.len()), |_, c| {
-        for v in c.iter_mut() {
-            *v = v.clamp(-bound, bound);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,47 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_is_stable_at_extremes() {
-        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
-        assert!(sigmoid(-100.0).abs() < 1e-6);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
-        assert!(sigmoid(-100.0).is_finite());
-    }
-
-    #[test]
-    fn sigmoid_backward_matches_finite_difference() {
-        let xs = [-2.0f32, -0.5, 0.0, 0.7, 3.0];
-        for &x in &xs {
-            let eps = 1e-3;
-            let numeric = (sigmoid(x + eps) - sigmoid(x - eps)) / (2.0 * eps);
-            let y = sigmoid(x);
-            let mut dx = [0.0];
-            sigmoid_backward(&[y], &[1.0], &mut dx);
-            assert!((dx[0] - numeric).abs() < 1e-3, "x={x}: {} vs {numeric}", dx[0]);
-        }
-    }
-
-    #[test]
-    fn tanh_backward_matches_finite_difference() {
-        let xs = [-1.5f32, 0.0, 0.9];
-        for &x in &xs {
-            let eps = 1e-3;
-            let numeric = ((x + eps).tanh() - (x - eps).tanh()) / (2.0 * eps);
-            let y = x.tanh();
-            let mut dx = [0.0];
-            tanh_backward(&[y], &[1.0], &mut dx);
-            assert!((dx[0] - numeric).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn clip_bounds_values() {
-        let mut x = [-5.0, 0.5, 7.0];
-        clip(1.0, &mut x);
-        assert_eq!(x, [-1.0, 0.5, 1.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn axpy_panics_on_mismatch() {
         let mut y = [0.0; 2];
@@ -423,7 +300,6 @@ mod tests {
                 axpby(1.25, &x, -0.5, &mut y);
                 let mut out = vec![0.0f32; n];
                 relu_backward(&x, &y, &mut out);
-                sigmoid_forward(&y, &mut out);
                 let d = dot(&x, &y);
                 (y, out, d)
             })

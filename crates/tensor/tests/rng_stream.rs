@@ -4,7 +4,7 @@
 //! Every checked-in record — `BENCH_paper.json`, the pinned training and
 //! exchange checksums, `platform_golden.rs` — was produced by these exact
 //! streams through the calls below (`tensor::init`, `dnn::data`,
-//! `dnn::layers::dropout`, `simnet::fault`, `simnet::jitter`). The stand-ins do not promise the
+//! `simnet::fault`, `simnet::jitter`). The stand-ins do not promise the
 //! upstream crates' streams (`StdRng` is SplitMix64 here, ChaCha12
 //! upstream), and their own `#[cfg(test)]` modules never run because they
 //! are not workspace members, so the contract is pinned here: if this test
