@@ -19,9 +19,10 @@
 //!
 //! `--layers` times every distinct layer geometry of the benchmark's
 //! `mini_inception(3, 32, 4)` at batch 16 through the `Layer` API (forward,
-//! backward, and the parameters-only backward the first layer gets) plus one
-//! whole training step through the `Net` API, prints the table and records
-//! it as `BENCH_layers.json`.
+//! backward, and the parameters-only backward the first layer gets), each
+//! Inception module's sibling 1x1 convolutions as the one multi-bank
+//! convolution the module runs, plus one whole training step through the
+//! `Net` API, prints the table and records it as `BENCH_layers.json`.
 //!
 //! `--smoke` runs only the VGG layer at 1 and 4 threads and exits
 //! non-zero if the 4-thread schedule falls below a host-aware floor — the
@@ -37,7 +38,10 @@ use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
 use shmcaffe_simnet::Simulation;
 use shmcaffe_smb::{SmbClient, SmbServer};
-use shmcaffe_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
+use shmcaffe_tensor::conv::{
+    conv2d_backward, conv2d_backward_banks, conv2d_forward, conv2d_forward_banks, Bank, BankGrad,
+    Conv2dGeometry,
+};
 use shmcaffe_tensor::gemm::{gemm, Transpose};
 use shmcaffe_tensor::init::Filler;
 use shmcaffe_tensor::pool::PoolKind;
@@ -355,84 +359,173 @@ fn bench_smb_accumulate(threads: &[usize], table: &mut Table) {
     }
 }
 
-/// One layer of the real-training proxy, with the input it sees there.
-struct LayerCase {
-    label: String,
-    layer: Box<dyn Layer>,
-    in_dims: [usize; 4],
-}
-
 const LAYER_BATCH: usize = 16;
 const LAYER_REPS: usize = 100;
 
-/// Every distinct `(layer kind, geometry)` of `proxies::mini_inception(3,
-/// 32, 4)` — the `real_inception_a4` workload's net — plus its two
-/// Inception modules whole. Branch convolutions that share a geometry
-/// (`1x1` and `3x3_reduce` of 3a, `3x3` of 3a and 3b, …) appear once.
-fn layer_cases() -> Vec<LayerCase> {
-    let mut cases = Vec::new();
-    let mut push = |label: String, layer: Box<dyn Layer>, channels: usize, hw: usize| {
-        cases.push(LayerCase { label, layer, in_dims: [LAYER_BATCH, channels, hw, hw] });
-    };
-    let conv = |c_in: usize, c_out: usize, hw: usize, k: usize| -> Box<dyn Layer> {
+/// What one `--layers` row times: a forward pass, a backward pass, and the
+/// parameters-only backward the first layer gets.
+trait Unit {
+    fn forward(&mut self);
+    fn backward(&mut self, params_only: bool);
+}
+
+/// A layer of the real-training proxy, on the input it sees there.
+struct LayerUnit {
+    layer: Box<dyn Layer>,
+    x: Tensor,
+    dy: Tensor,
+}
+
+impl LayerUnit {
+    fn boxed(layer: Box<dyn Layer>, channels: usize, hw: usize) -> Box<dyn Unit> {
+        let dims = [LAYER_BATCH, channels, hw, hw];
+        let x = Tensor::from_vec(filled(dims.iter().product(), 0.017), &dims).expect("dims match");
+        let mut unit = LayerUnit { layer, x, dy: Tensor::zeros(&[0]) };
+        let out = unit.layer.forward(&unit.x, Phase::Train).expect("shapes match");
+        unit.dy = Tensor::from_vec(filled(out.len(), 0.023), out.dims()).expect("dims match");
+        Box::new(unit)
+    }
+}
+
+impl Unit for LayerUnit {
+    fn forward(&mut self) {
+        drop(self.layer.forward(&self.x, Phase::Train));
+    }
+
+    fn backward(&mut self, params_only: bool) {
+        if params_only {
+            drop(self.layer.backward_params_only(&self.dy));
+        } else {
+            drop(self.layer.backward(&self.dy));
+        }
+    }
+}
+
+/// An Inception module's three sibling 1x1 convolutions (`1x1`,
+/// `3x3_reduce`, `5x5_reduce`) as the one multi-bank convolution the module
+/// runs them as.
+struct Siblings {
+    geom: Conv2dGeometry,
+    c_outs: [usize; 3],
+    input: Vec<f32>,
+    weights: [Vec<f32>; 3],
+    bias: [Vec<f32>; 3],
+    out: [Vec<f32>; 3],
+    d_out: [Vec<f32>; 3],
+    d_weights: [Vec<f32>; 3],
+    d_bias: [Vec<f32>; 3],
+    d_input: Vec<f32>,
+}
+
+impl Siblings {
+    fn boxed(c_in: usize, c_outs: [usize; 3], hw: usize) -> Box<dyn Unit> {
+        let geom = Conv2dGeometry::square(c_in, hw, 1, 1, 0);
+        let planes = c_outs.map(|c| LAYER_BATCH * c * hw * hw);
+        Box::new(Siblings {
+            geom,
+            c_outs,
+            input: filled(LAYER_BATCH * geom.in_len(), 0.017),
+            weights: c_outs.map(|c| filled(c * c_in, 0.031)),
+            bias: c_outs.map(|c| filled(c, 0.11)),
+            out: planes.map(|len| vec![0.0; len]),
+            d_out: planes.map(|len| filled(len, 0.023)),
+            d_weights: c_outs.map(|c| vec![0.0; c * c_in]),
+            d_bias: c_outs.map(|c| vec![0.0; c]),
+            d_input: vec![0.0; LAYER_BATCH * geom.in_len()],
+        })
+    }
+}
+
+impl Unit for Siblings {
+    fn forward(&mut self) {
+        let plane = self.geom.in_h * self.geom.in_w;
+        let mut out = self.out.iter_mut();
+        let banks: [Bank; 3] = std::array::from_fn(|b| Bank {
+            weights: &self.weights[b],
+            bias: &self.bias[b],
+            output: out.next().expect("one output per bank"),
+            image_len: self.c_outs[b] * plane,
+        });
+        conv2d_forward_banks(&self.geom, LAYER_BATCH, &self.input, banks);
+    }
+
+    fn backward(&mut self, params_only: bool) {
+        let plane = self.geom.in_h * self.geom.in_w;
+        let mut grads = self.d_weights.iter_mut().zip(self.d_bias.iter_mut());
+        let banks: [BankGrad; 3] = std::array::from_fn(|b| {
+            let (d_weights, d_bias) = grads.next().expect("one gradient per bank");
+            let (weights, d_output) = (&self.weights[b], &self.d_out[b]);
+            BankGrad { weights, d_output, image_len: self.c_outs[b] * plane, d_weights, d_bias }
+        });
+        // The module adds the siblings' input gradient onto the pool branch's.
+        let d_input = if params_only { &mut [][..] } else { &mut self.d_input[..] };
+        conv2d_backward_banks(&self.geom, LAYER_BATCH, &self.input, banks, d_input);
+    }
+}
+
+/// Every distinct unit of `proxies::mini_inception(3, 32, 4)` — the
+/// `real_inception_a4` workload's net: its layers, its two Inception
+/// modules whole, and the kernels inside them, each sibling triple of 1x1
+/// convolutions as the one multi-bank convolution the module runs.
+/// Branch convolutions that share a geometry (`3x3` of 3a and 3b, …)
+/// appear once.
+fn layer_cases() -> Vec<(String, Box<dyn Unit>)> {
+    let conv = |c_in: usize, c_out: usize, hw: usize, k: usize| {
         let geom = Conv2dGeometry::square(c_in, hw, k, 1, k / 2);
-        Box::new(Conv2d::new("conv", geom, c_out, Filler::Msra, 1).expect("geometry fits"))
+        let layer = Conv2d::new("conv", geom, c_out, Filler::Msra, 1).expect("geometry fits");
+        LayerUnit::boxed(Box::new(layer), c_in, hw)
     };
-    let max_pool = |c: usize, hw: usize, k: usize, stride: usize, pad: usize| -> Box<dyn Layer> {
+    let max_pool = |c: usize, hw: usize, k: usize, stride: usize, pad: usize| {
         let geom = Conv2dGeometry::square(c, hw, k, stride, pad);
-        Box::new(Pool2d::new("pool", PoolKind::Max, geom).expect("geometry fits"))
+        let layer = Pool2d::new("pool", PoolKind::Max, geom).expect("geometry fits");
+        LayerUnit::boxed(Box::new(layer), c, hw)
     };
     let spec_a = InceptionSpec { c1: 4, c3_reduce: 4, c3: 8, c5_reduce: 2, c5: 2, pool_proj: 2 };
     let spec_b = InceptionSpec { c1: 6, c3_reduce: 4, c3: 8, c5_reduce: 2, c5: 4, pool_proj: 6 };
 
-    push("stem/conv 3->8 3x3 @32".into(), conv(3, 8, 32, 3), 3, 32);
-    push("stem/relu 8x32x32".into(), Box::new(Relu::new("relu")), 8, 32);
-    push("stem/lrn 8x32x32".into(), Box::new(Lrn::with_defaults("lrn")), 8, 32);
-    push("stem/pool 2x2 s2 8x32x32".into(), max_pool(8, 32, 2, 2, 0), 8, 32);
+    let mut cases = vec![
+        ("stem/conv 3->8 3x3 @32".into(), conv(3, 8, 32, 3)),
+        ("stem/relu 8x32x32".into(), LayerUnit::boxed(Box::new(Relu::new("relu")), 8, 32)),
+        ("stem/lrn 8x32x32".into(), LayerUnit::boxed(Box::new(Lrn::with_defaults("lrn")), 8, 32)),
+        ("stem/pool 2x2 s2 8x32x32".into(), max_pool(8, 32, 2, 2, 0)),
+    ];
     for (name, c_in, spec) in [("inception_3a", 8, spec_a), ("inception_3b", 16, spec_b)] {
         let module = Inception::new(name, c_in, 16, spec, 1).expect("geometry fits");
-        push(
-            format!("{name} whole {c_in}->{} @16", spec.out_channels()),
-            Box::new(module),
-            c_in,
-            16,
-        );
+        let label = format!("{name} whole {c_in}->{} @16", spec.out_channels());
+        cases.push((label, LayerUnit::boxed(Box::new(module), c_in, 16)));
     }
-    for (c_in, c_out, k) in
-        [(8, 4, 1), (8, 2, 1), (16, 6, 1), (16, 4, 1), (16, 2, 1), (4, 8, 3), (2, 2, 5), (2, 4, 5)]
-    {
-        push(format!("conv {c_in}->{c_out} {k}x{k} @16"), conv(c_in, c_out, 16, k), c_in, 16);
+    for (c_in, spec) in [(8, spec_a), (16, spec_b)] {
+        let c_outs = [spec.c1, spec.c3_reduce, spec.c5_reduce];
+        let label = format!("siblings {c_in}->{}+{}+{} 1x1 @16", c_outs[0], c_outs[1], c_outs[2]);
+        cases.push((label, Siblings::boxed(c_in, c_outs, 16)));
+    }
+    for (c_in, c_out, k) in [(8, 2, 1), (16, 6, 1), (4, 8, 3), (2, 2, 5), (2, 4, 5)] {
+        cases.push((format!("conv {c_in}->{c_out} {k}x{k} @16"), conv(c_in, c_out, 16, k)));
     }
     for c in [8, 16] {
-        push(format!("pool 3x3 s1 p1 {c}x16x16"), max_pool(c, 16, 3, 1, 1), c, 16);
+        cases.push((format!("pool 3x3 s1 p1 {c}x16x16"), max_pool(c, 16, 3, 1, 1)));
     }
-    push("pool4 2x2 s2 24x16x16".into(), max_pool(24, 16, 2, 2, 0), 24, 16);
+    cases.push(("pool4 2x2 s2 24x16x16".into(), max_pool(24, 16, 2, 2, 0)));
     let classifier = InnerProduct::new("classifier", 24 * 8 * 8, 4, Filler::Xavier, 1);
-    push("classifier 1536->4".into(), Box::new(classifier), 24, 8);
+    cases.push(("classifier 1536->4".into(), LayerUnit::boxed(Box::new(classifier), 24, 8)));
     cases
 }
 
 /// The `--layers` table: best-of-N forward / backward / parameters-only
-/// backward per layer geometry, at each of `threads`.
+/// backward per unit, at each of `threads`.
 fn bench_layers(threads: &[usize], table: &mut Table) {
-    for case in &mut layer_cases() {
-        let x = Tensor::from_vec(filled(case.in_dims.iter().product(), 0.017), &case.in_dims)
-            .expect("dims match length");
-        let layer = &mut case.layer;
-        let out_dims = layer.forward(&x, Phase::Train).expect("shapes match").dims().to_vec();
-        let dy = Tensor::from_vec(filled(out_dims.iter().product(), 0.023), &out_dims)
-            .expect("dims match length");
+    for (label, unit) in &mut layer_cases() {
         for &t in threads {
             let us = |seconds: f64| seconds * 1e6;
             let (fwd, bwd, bwd_params) = parallel::with_threads(t, || {
                 (
-                    us(time_per_rep(LAYER_REPS, || drop(layer.forward(&x, Phase::Train)))),
-                    us(time_per_rep(LAYER_REPS, || drop(layer.backward(&dy)))),
-                    us(time_per_rep(LAYER_REPS, || drop(layer.backward_params_only(&dy)))),
+                    us(time_per_rep(LAYER_REPS, || unit.forward())),
+                    us(time_per_rep(LAYER_REPS, || unit.backward(false))),
+                    us(time_per_rep(LAYER_REPS, || unit.backward(true))),
                 )
             });
             table.row_owned(vec![
-                case.label.clone(),
+                label.clone(),
                 t.to_string(),
                 format!("{fwd:.0}"),
                 format!("{bwd:.0}"),

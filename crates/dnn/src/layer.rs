@@ -4,9 +4,12 @@ use crate::DnnError;
 
 /// Whether a forward pass is part of training or evaluation.
 ///
-/// Mirrors Caffe's `Phase`. No in-tree layer branches on it; it stays in
-/// [`Layer::forward`]'s signature because implementations outside this
-/// crate (the whole-stack benchmark's traced layer) implement that method.
+/// Mirrors Caffe's `Phase`. Only a [`Phase::Train`] forward keeps what the
+/// layer's backward pass needs (its input, argmax map, or ReLU masks): a
+/// [`Phase::Test`] forward computes the same output, keeps nothing, and
+/// drops what an earlier training forward kept, so a `backward` after it
+/// returns [`DnnError::BadInput`] instead of running on the evaluation
+/// batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Training.
@@ -17,10 +20,10 @@ pub enum Phase {
 
 /// A network layer.
 ///
-/// Layers are stateful: `forward` caches whatever the subsequent `backward`
-/// needs (inputs, argmax indices), and `backward` *accumulates*
-/// parameter gradients so that multiple backward passes sum (Caffe
-/// `iter_size` semantics). Gradients are cleared with
+/// Layers are stateful: a training-phase `forward` caches whatever the
+/// subsequent `backward` needs (inputs, argmax indices), and `backward`
+/// *accumulates* parameter gradients so that multiple backward passes sum
+/// (Caffe `iter_size` semantics). Gradients are cleared with
 /// [`Layer::zero_grads`].
 ///
 /// The parameter accessors return one entry per learnable blob (weights,

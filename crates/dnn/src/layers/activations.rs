@@ -24,10 +24,10 @@ impl Layer for Relu {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
+    fn forward(&mut self, input: &Tensor, phase: Phase) -> Result<Tensor, DnnError> {
         let mut out = Tensor::zeros(input.dims());
         ops::relu_forward(input.data(), out.data_mut());
-        super::cache_input(&mut self.cached_input, input);
+        super::cache_input(&mut self.cached_input, input, phase);
         Ok(out)
     }
 
@@ -72,5 +72,16 @@ mod tests {
         let mut l = Relu::new("r");
         l.forward(&Tensor::from_slice(&[1.0, 2.0]), Phase::Train).unwrap();
         assert!(l.backward(&Tensor::from_slice(&[1.0])).is_err());
+    }
+
+    #[test]
+    fn test_phase_forward_leaves_no_backward_state() {
+        let mut l = Relu::new("r");
+        let x = Tensor::from_slice(&[-1.0, 2.0]);
+        l.forward(&x, Phase::Train).unwrap();
+        assert_eq!(l.forward(&x, Phase::Test).unwrap().data(), &[0.0, 2.0]);
+        assert!(matches!(l.backward(&x), Err(DnnError::BadInput { .. })));
+        l.forward(&x, Phase::Train).unwrap();
+        assert_eq!(l.backward(&x).unwrap().data(), &[0.0, 2.0]);
     }
 }

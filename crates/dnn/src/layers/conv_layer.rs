@@ -1,7 +1,7 @@
 //! 2-D convolution layer built on the direct register-tiled kernels of
 //! `shmcaffe_tensor::conv`.
 
-use shmcaffe_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
+use shmcaffe_tensor::conv::{conv2d_backward, conv2d_forward, Bank, BankGrad, Conv2dGeometry};
 use shmcaffe_tensor::init::{seeded_rng, Filler};
 use shmcaffe_tensor::Tensor;
 
@@ -93,6 +93,29 @@ impl Conv2d {
         self.out_channels
     }
 
+    /// The filters as one bank of a multi-bank convolution, writing
+    /// `output` planes `image_len` apart (the composite [`super::Inception`]
+    /// runs its convolutions through these, on buffers it owns).
+    pub(super) fn bank<'a>(&'a self, output: &'a mut [f32], image_len: usize) -> Bank<'a> {
+        Bank { weights: self.weights.data(), bias: self.bias.data(), output, image_len }
+    }
+
+    /// The backward bank of [`Conv2d::bank`] for `d_output` planes
+    /// `image_len` apart, accumulating into this layer's gradients.
+    pub(super) fn bank_grad<'a>(
+        &'a mut self,
+        d_output: &'a [f32],
+        image_len: usize,
+    ) -> BankGrad<'a> {
+        BankGrad {
+            weights: self.weights.data(),
+            d_output,
+            image_len,
+            d_weights: self.d_weights.data_mut(),
+            d_bias: self.d_bias.data_mut(),
+        }
+    }
+
     fn check_input(&self, input: &Tensor) -> Result<usize, DnnError> {
         let dims = input.dims();
         if dims.len() != 4
@@ -117,7 +140,7 @@ impl Layer for Conv2d {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
+    fn forward(&mut self, input: &Tensor, phase: Phase) -> Result<Tensor, DnnError> {
         let batch = self.check_input(input)?;
         let mut output = Tensor::zeros(&[batch, self.out_channels, self.out_h, self.out_w]);
         conv2d_forward(
@@ -129,7 +152,7 @@ impl Layer for Conv2d {
             self.bias.data(),
             output.data_mut(),
         );
-        super::cache_input(&mut self.cached_input, input);
+        super::cache_input(&mut self.cached_input, input, phase);
         Ok(output)
     }
 
@@ -234,5 +257,16 @@ mod tests {
         let geom = Conv2dGeometry::square(3, 8, 3, 1, 1);
         let mut conv = Conv2d::new("c", geom, 16, Filler::Msra, 0).unwrap();
         assert_eq!(conv.param_len(), 16 * 3 * 3 * 3 + 16);
+    }
+
+    #[test]
+    fn test_phase_forward_leaves_no_backward_state() {
+        let mut conv = ones_conv(Conv2dGeometry::square(1, 3, 3, 1, 0), 1);
+        let (x, d) = (Tensor::ones(&[1, 1, 3, 3]), Tensor::ones(&[1, 1, 1, 1]));
+        conv.forward(&x, Phase::Train).unwrap();
+        conv.forward(&x, Phase::Test).unwrap();
+        assert!(matches!(conv.backward(&d), Err(DnnError::BadInput { .. })));
+        assert!(matches!(conv.backward_params_only(&d), Err(DnnError::BadInput { .. })));
+        assert_eq!(conv.d_weights.sum(), 0.0);
     }
 }

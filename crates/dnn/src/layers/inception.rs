@@ -2,18 +2,34 @@
 //! architecture of the paper's headline model.
 //!
 //! Four parallel branches over the same input — 1×1 conv, 1×1→3×3 conv,
-//! 1×1→5×5 conv, and 3×3 max-pool→1×1 conv — concatenated along the
-//! channel axis. The sequential [`crate::Net`] cannot express branching,
-//! so the whole module is one composite [`Layer`] that routes data through
-//! its internal sub-layers and splits gradients back to them.
+//! 1×1→5×5 conv, and 3×3 max-pool→1×1 conv, every convolution followed by a
+//! ReLU — concatenated along the channel axis. The sequential
+//! [`crate::Net`] cannot express branching, so the whole module is one
+//! composite [`Layer`], which runs the kernels itself on buffers it owns:
+//!
+//! * the three sibling 1×1 convolutions (`1x1`, `3x3_reduce`, `5x5_reduce`:
+//!   same input, same geometry) are one multi-bank convolution over one
+//!   staged copy of the input ([`conv2d_forward_banks`]);
+//! * every branch writes its output into its channel slice of the
+//!   concatenated output, where one in-place ReLU serves all four; backward
+//!   masks `d_output` once and every branch reads its slice of that in
+//!   place;
+//! * the input gradient needs no per-branch temporary: the pool branch's
+//!   scatter writes `g_pool` into it and the siblings' backward adds
+//!   `(g_1x1 + g_3x3) + g_5x5` on top. IEEE addition commutes, so that is
+//!   the branch-order sum `((g_1x1 + g_3x3) + g_5x5) + g_pool` bit for bit.
+//!
+//! Only the computation is fused: the six convolutions keep their own
+//! [`Conv2d`] parameter blobs — names, seeds, shapes and flattened order —
+//! and every result is bit-identical to the module built from separate
+//! layers (`tests/inception_golden.rs`).
 
-use shmcaffe_tensor::conv::Conv2dGeometry;
+use shmcaffe_tensor::conv::{conv2d_backward_banks, conv2d_forward_banks, Conv2dGeometry};
 use shmcaffe_tensor::init::Filler;
-use shmcaffe_tensor::pool::PoolKind;
+use shmcaffe_tensor::pool::{pool_backward, pool_forward, PoolKind};
 use shmcaffe_tensor::{ops, Tensor};
 
-use super::{Conv2d, Pool2d, Relu};
-use crate::net::{backward_chain, forward_chain};
+use super::Conv2d;
 use crate::{DnnError, Layer, Phase};
 
 /// Output channels of each branch of an [`Inception`] module.
@@ -40,22 +56,6 @@ impl InceptionSpec {
     }
 }
 
-/// One branch: a chain of layers applied in sequence.
-struct Branch {
-    layers: Vec<Box<dyn Layer>>,
-    out_channels: usize,
-}
-
-impl Branch {
-    fn forward(&mut self, input: &Tensor, phase: Phase) -> Result<Tensor, DnnError> {
-        forward_chain(&mut self.layers, input, phase)
-    }
-
-    fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
-        backward_chain(&mut self.layers, d_output)
-    }
-}
-
 /// An Inception-v1 module as a composite layer.
 ///
 /// Input `(N, C, H, W)` → output `(N, spec.out_channels(), H, W)`.
@@ -78,9 +78,30 @@ impl Branch {
 /// ```
 pub struct Inception {
     name: String,
-    branches: Vec<Branch>,
+    spec: InceptionSpec,
     hw: usize,
     in_channels: usize,
+    /// `1x1`, `3x3_reduce`, `3x3`, `5x5_reduce`, `5x5`, `pool_proj`: the
+    /// parameter blobs, in flattened order.
+    convs: [Conv2d; 6],
+    /// The pool branch's 3×3 stride-1 pad-1 max-pool window.
+    pool: Conv2dGeometry,
+    /// Activations inside the branches: the two reductions after their
+    /// ReLU, and the pooled input with its argmax map.
+    r3: Vec<f32>,
+    r5: Vec<f32>,
+    pooled: Vec<f32>,
+    argmax: Vec<u32>,
+    /// Kept by a training forward only: the input (the siblings' `dW`) and
+    /// the output (every branch's last ReLU mask).
+    input: Option<Tensor>,
+    output: Option<Tensor>,
+    /// Backward scratch: the masked output gradient and the gradients of
+    /// the two reductions and of the pooled input.
+    d_out: Vec<f32>,
+    d_r3: Vec<f32>,
+    d_r5: Vec<f32>,
+    d_pooled: Vec<f32>,
 }
 
 impl Inception {
@@ -96,71 +117,54 @@ impl Inception {
         spec: InceptionSpec,
         seed: u64,
     ) -> Result<Self, DnnError> {
-        let conv = |suffix: &str,
-                    geom: Conv2dGeometry,
-                    out: usize|
-         -> Result<Box<dyn Layer>, DnnError> {
-            Ok(Box::new(Conv2d::new(&format!("{name}/{suffix}"), geom, out, Filler::Msra, seed)?))
+        let conv = |suffix: &str, c_in: usize, kernel: usize, out: usize| {
+            let geom = Conv2dGeometry::square(c_in, hw, kernel, 1, kernel / 2);
+            Conv2d::new(&format!("{name}/{suffix}"), geom, out, Filler::Msra, seed)
         };
-        let relu =
-            |suffix: &str| -> Box<dyn Layer> { Box::new(Relu::new(&format!("{name}/{suffix}"))) };
-
-        // Branch 1: 1x1 conv.
-        let b1 = Branch {
-            layers: vec![
-                conv("1x1", Conv2dGeometry::square(in_channels, hw, 1, 1, 0), spec.c1)?,
-                relu("relu_1x1"),
-            ],
-            out_channels: spec.c1,
-        };
-        // Branch 2: 1x1 reduce -> 3x3.
-        let b2 = Branch {
-            layers: vec![
-                conv(
-                    "3x3_reduce",
-                    Conv2dGeometry::square(in_channels, hw, 1, 1, 0),
-                    spec.c3_reduce,
-                )?,
-                relu("relu_3x3_reduce"),
-                conv("3x3", Conv2dGeometry::square(spec.c3_reduce, hw, 3, 1, 1), spec.c3)?,
-                relu("relu_3x3"),
-            ],
-            out_channels: spec.c3,
-        };
-        // Branch 3: 1x1 reduce -> 5x5.
-        let b3 = Branch {
-            layers: vec![
-                conv(
-                    "5x5_reduce",
-                    Conv2dGeometry::square(in_channels, hw, 1, 1, 0),
-                    spec.c5_reduce,
-                )?,
-                relu("relu_5x5_reduce"),
-                conv("5x5", Conv2dGeometry::square(spec.c5_reduce, hw, 5, 1, 2), spec.c5)?,
-                relu("relu_5x5"),
-            ],
-            out_channels: spec.c5,
-        };
-        // Branch 4: 3x3 max pool (stride 1, pad 1) -> 1x1 projection.
-        let b4 = Branch {
-            layers: vec![
-                Box::new(Pool2d::new(
-                    &format!("{name}/pool"),
-                    PoolKind::Max,
-                    Conv2dGeometry::square(in_channels, hw, 3, 1, 1),
-                )?),
-                conv(
-                    "pool_proj",
-                    Conv2dGeometry::square(in_channels, hw, 1, 1, 0),
-                    spec.pool_proj,
-                )?,
-                relu("relu_pool_proj"),
-            ],
-            out_channels: spec.pool_proj,
-        };
-
-        Ok(Inception { name: name.to_string(), branches: vec![b1, b2, b3, b4], hw, in_channels })
+        let convs = [
+            conv("1x1", in_channels, 1, spec.c1)?,
+            conv("3x3_reduce", in_channels, 1, spec.c3_reduce)?,
+            conv("3x3", spec.c3_reduce, 3, spec.c3)?,
+            conv("5x5_reduce", in_channels, 1, spec.c5_reduce)?,
+            conv("5x5", spec.c5_reduce, 5, spec.c5)?,
+            conv("pool_proj", in_channels, 1, spec.pool_proj)?,
+        ];
+        Ok(Inception {
+            name: name.to_string(),
+            spec,
+            hw,
+            in_channels,
+            convs,
+            pool: Conv2dGeometry::square(in_channels, hw, 3, 1, 1),
+            r3: Vec::new(),
+            r5: Vec::new(),
+            pooled: Vec::new(),
+            argmax: Vec::new(),
+            input: None,
+            output: None,
+            d_out: Vec::new(),
+            d_r3: Vec::new(),
+            d_r5: Vec::new(),
+            d_pooled: Vec::new(),
+        })
     }
+
+    /// Offsets of the 3×3, 5×5 and pool branches' channel slices within one
+    /// image of the output, and the elements of one output image.
+    fn slices(&self) -> (usize, usize, usize, usize) {
+        let (s, plane) = (self.spec, self.hw * self.hw);
+        let o3 = s.c1 * plane;
+        let o5 = o3 + s.c3 * plane;
+        let op = o5 + s.c5 * plane;
+        (o3, o5, op, s.out_channels() * plane)
+    }
+}
+
+/// `buf` as `len` zeros, reusing its allocation.
+fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
 }
 
 impl Layer for Inception {
@@ -183,68 +187,93 @@ impl Layer for Inception {
                 ),
             });
         }
-        let batch = dims[0];
-        let spatial = self.hw * self.hw;
-        let outputs: Vec<Tensor> =
-            self.branches.iter_mut().map(|b| b.forward(input, phase)).collect::<Result<_, _>>()?;
-        // Concatenate along the channel axis: image by image, each branch's
-        // channels in turn, every output element written once.
-        let total_c: usize = self.branches.iter().map(|b| b.out_channels).sum();
-        let mut out = Vec::with_capacity(batch * total_c * spatial);
-        for n in 0..batch {
-            for (b, branch_out) in self.branches.iter().zip(outputs.iter()) {
-                let src_len = b.out_channels * spatial;
-                out.extend_from_slice(&branch_out.data()[n * src_len..(n + 1) * src_len]);
-            }
-        }
-        Ok(Tensor::from_vec(out, &[batch, total_c, self.hw, self.hw])?)
+        let (batch, plane, s) = (dims[0], self.hw * self.hw, self.spec);
+        let (o3, o5, op, image) = self.slices();
+        let mut out = Tensor::zeros(&[batch, s.out_channels(), self.hw, self.hw]);
+        let y = out.data_mut();
+        self.r3.resize(batch * s.c3_reduce * plane, 0.0);
+        self.r5.resize(batch * s.c5_reduce * plane, 0.0);
+        self.pooled.resize(input.len(), 0.0);
+        self.argmax.resize(input.len(), 0);
+        let [c1, c3r, c3, c5r, c5, cpp] = &self.convs;
+        // The branch heads: the three sibling 1x1 convolutions in one pass.
+        let heads = [
+            c1.bank(y, image),
+            c3r.bank(&mut self.r3, s.c3_reduce * plane),
+            c5r.bank(&mut self.r5, s.c5_reduce * plane),
+        ];
+        conv2d_forward_banks(c1.geometry(), batch, input.data(), heads);
+        ops::relu_in_place(&mut self.r3);
+        ops::relu_in_place(&mut self.r5);
+        // The branch tails, each into its channel slice.
+        conv2d_forward_banks(c3.geometry(), batch, &self.r3, [c3.bank(&mut y[o3..], image)]);
+        conv2d_forward_banks(c5.geometry(), batch, &self.r5, [c5.bank(&mut y[o5..], image)]);
+        let (pooled, argmax) = (&mut self.pooled, &mut self.argmax);
+        pool_forward(PoolKind::Max, &self.pool, batch, input.data(), pooled, argmax);
+        conv2d_forward_banks(cpp.geometry(), batch, pooled, [cpp.bank(&mut y[op..], image)]);
+        // Every branch ends in a ReLU.
+        ops::relu_in_place(y);
+        super::cache_input(&mut self.input, input, phase);
+        super::cache_input(&mut self.output, &out, phase);
+        Ok(out)
     }
 
     fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
-        let total_c: usize = self.branches.iter().map(|b| b.out_channels).sum();
-        let spatial = self.hw * self.hw;
-        if !d_output.len().is_multiple_of(total_c * spatial) {
+        let (Some(input), Some(output)) = (&self.input, &self.output) else {
+            return Err(DnnError::BadInput {
+                layer: self.name.clone(),
+                message: "backward called before forward".to_string(),
+            });
+        };
+        if d_output.len() != output.len() {
             return Err(DnnError::BadInput {
                 layer: self.name.clone(),
                 message: "d_output shape mismatch".to_string(),
             });
         }
-        let batch = d_output.len() / (total_c * spatial);
-        // Split the gradient per branch, backprop, and sum input grads.
-        let mut d_input: Option<Tensor> = None;
-        let mut c_off = 0;
-        for branch in self.branches.iter_mut() {
-            let bc = branch.out_channels;
-            let mut d_branch = Vec::with_capacity(batch * bc * spatial);
-            for n in 0..batch {
-                let src_start = (n * total_c + c_off) * spatial;
-                d_branch.extend_from_slice(&d_output.data()[src_start..src_start + bc * spatial]);
-            }
-            let d_branch = Tensor::from_vec(d_branch, &[batch, bc, self.hw, self.hw])?;
-            let g = branch.backward(&d_branch)?;
-            match &mut d_input {
-                None => d_input = Some(g),
-                Some(acc) => ops::axpy(1.0, g.data(), acc.data_mut()),
-            }
-            c_off += bc;
+        let (batch, plane, s) = (input.dims()[0], self.hw * self.hw, self.spec);
+        let (o3, o5, op, image) = self.slices();
+        // One mask for the four branches' last ReLUs; every branch reads its
+        // slice of it.
+        self.d_out.resize(output.len(), 0.0);
+        ops::relu_backward(output.data(), d_output.data(), &mut self.d_out);
+        let d_out = &self.d_out;
+        let [c1, c3r, c3, c5r, c5, cpp] = &mut self.convs;
+        // The 3x3 and 5x5 tails, back through their reductions' ReLUs.
+        for (conv, r, d_r, at) in
+            [(c3, &self.r3, &mut self.d_r3, o3), (c5, &self.r5, &mut self.d_r5, o5)]
+        {
+            let d_r = zeroed(d_r, r.len());
+            let geom = *conv.geometry();
+            conv2d_backward_banks(&geom, batch, r, [conv.bank_grad(&d_out[at..], image)], d_r);
+            ops::relu_backward_in_place(r, d_r);
         }
-        Ok(d_input.expect("at least one branch"))
+        // The pool branch writes `g_pool` into the input gradient ...
+        let d_pooled = zeroed(&mut self.d_pooled, self.pooled.len());
+        let geom = *cpp.geometry();
+        let bank = cpp.bank_grad(&d_out[op..], image);
+        conv2d_backward_banks(&geom, batch, &self.pooled, [bank], d_pooled);
+        let mut d_input = Tensor::zeros(input.dims());
+        pool_backward(PoolKind::Max, &self.pool, batch, d_pooled, &self.argmax, d_input.data_mut());
+        // ... and the sibling heads add theirs on top.
+        let geom = *c1.geometry();
+        let heads = [
+            c1.bank_grad(d_out, image),
+            c3r.bank_grad(&self.d_r3, s.c3_reduce * plane),
+            c5r.bank_grad(&self.d_r5, s.c5_reduce * plane),
+        ];
+        conv2d_backward_banks(&geom, batch, input.data(), heads, d_input.data_mut());
+        Ok(d_input)
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        self.branches
-            .iter_mut()
-            .flat_map(|b| b.layers.iter_mut().flat_map(|l| l.params_and_grads()))
-            .collect()
+        self.convs.iter_mut().flat_map(Layer::params_and_grads).collect()
     }
 }
 
 impl std::fmt::Debug for Inception {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Inception")
-            .field("name", &self.name)
-            .field("branches", &self.branches.len())
-            .finish()
+        f.debug_struct("Inception").field("name", &self.name).field("spec", &self.spec).finish()
     }
 }
 
@@ -350,5 +379,15 @@ mod tests {
         m.zero_grads();
         let all_zero = m.params_and_grads().iter().all(|(_, g)| g.abs_max() == 0.0);
         assert!(all_zero);
+    }
+
+    #[test]
+    fn test_phase_forward_leaves_no_backward_state() {
+        let mut m = Inception::new("i", 2, 4, spec(), 1).unwrap();
+        let x = Tensor::ones(&[1, 2, 4, 4]);
+        let y = m.forward(&x, Phase::Train).unwrap();
+        assert_eq!(m.forward(&x, Phase::Test).unwrap(), y);
+        assert!(matches!(m.backward(&Tensor::ones(y.dims())), Err(DnnError::BadInput { .. })));
+        assert!(m.params_and_grads().iter().all(|(_, g)| g.abs_max() == 0.0));
     }
 }

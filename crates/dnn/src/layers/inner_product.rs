@@ -85,7 +85,7 @@ impl Layer for InnerProduct {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
+    fn forward(&mut self, input: &Tensor, phase: Phase) -> Result<Tensor, DnnError> {
         let batch = input.dims().first().copied().unwrap_or(0);
         if batch == 0 || input.len() != batch * self.in_features {
             return Err(DnnError::BadInput {
@@ -117,7 +117,7 @@ impl Layer for InnerProduct {
                 *v += b;
             }
         }
-        super::cache_input(&mut self.cached_input, input);
+        super::cache_input(&mut self.cached_input, input, phase);
         Ok(output)
     }
 
@@ -302,5 +302,15 @@ mod tests {
         let c = InnerProduct::new("other", 4, 4, Filler::Xavier, 9);
         assert_eq!(a.weights.data(), b.weights.data());
         assert_ne!(a.weights.data(), c.weights.data());
+    }
+
+    #[test]
+    fn test_phase_forward_leaves_no_backward_state() {
+        let mut fc = InnerProduct::new("fc", 2, 2, Filler::Xavier, 0);
+        fc.forward(&Tensor::ones(&[1, 2]), Phase::Train).unwrap();
+        fc.forward(&Tensor::ones(&[1, 2]), Phase::Test).unwrap();
+        let err = fc.backward(&Tensor::ones(&[1, 2])).unwrap_err();
+        assert!(matches!(err, DnnError::BadInput { .. }));
+        assert_eq!(fc.d_weights.sum(), 0.0);
     }
 }

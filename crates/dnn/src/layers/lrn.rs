@@ -51,7 +51,7 @@ impl Layer for Lrn {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
+    fn forward(&mut self, input: &Tensor, phase: Phase) -> Result<Tensor, DnnError> {
         let dims = input.dims();
         if dims.len() != 4 {
             return Err(DnnError::BadInput {
@@ -70,7 +70,7 @@ impl Layer for Lrn {
             out.data_mut(),
             &mut self.scale,
         );
-        super::cache_input(&mut self.cached_input, input);
+        super::cache_input(&mut self.cached_input, input, phase);
         Ok(out)
     }
 
@@ -174,5 +174,14 @@ mod tests {
     #[should_panic(expected = "odd")]
     fn even_window_rejected() {
         Lrn::new("lrn", 4, 1e-4, 0.75, 1.0);
+    }
+
+    #[test]
+    fn test_phase_forward_leaves_no_backward_state() {
+        let mut lrn = Lrn::with_defaults("lrn");
+        let x = Tensor::ones(&[1, 3, 2, 2]);
+        lrn.forward(&x, Phase::Train).unwrap();
+        lrn.forward(&x, Phase::Test).unwrap();
+        assert!(matches!(lrn.backward(&x), Err(DnnError::BadInput { .. })));
     }
 }

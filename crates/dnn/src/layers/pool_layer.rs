@@ -61,7 +61,7 @@ impl Layer for Pool2d {
         &self.name
     }
 
-    fn forward(&mut self, input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
+    fn forward(&mut self, input: &Tensor, phase: Phase) -> Result<Tensor, DnnError> {
         let dims = input.dims();
         if dims.len() != 4
             || dims[1] != self.geom.in_channels
@@ -77,7 +77,9 @@ impl Layer for Pool2d {
             });
         }
         let batch = dims[0];
-        self.batch = batch;
+        // Only a training forward leaves backward state: after a test-phase
+        // one the argmax map is scratch and `batch` says there is none.
+        self.batch = if phase == Phase::Train { batch } else { 0 };
         let mut output = Tensor::zeros(&[batch, self.geom.in_channels, self.out_h, self.out_w]);
         if self.kind == PoolKind::Max {
             // Reuse the argmax buffer across iterations; steady-state
@@ -147,7 +149,7 @@ mod tests {
         let geom = Conv2dGeometry::square(1, 2, 2, 2, 0);
         let mut p = Pool2d::new("p", PoolKind::Average, geom).unwrap();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let y = p.forward(&x, Phase::Test).unwrap();
+        let y = p.forward(&x, Phase::Train).unwrap();
         assert_eq!(y.data(), &[2.5]);
         let dx = p.backward(&Tensor::from_vec(vec![4.0], &[1, 1, 1, 1]).unwrap()).unwrap();
         assert_eq!(dx.data(), &[1.0, 1.0, 1.0, 1.0]);
@@ -158,5 +160,19 @@ mod tests {
         let mut p = Pool2d::max_square("p", 2, 4, 2, 2).unwrap();
         assert!(p.forward(&Tensor::zeros(&[1, 1, 4, 4]), Phase::Train).is_err());
         assert!(p.backward(&Tensor::zeros(&[1, 2, 2, 2])).is_err());
+    }
+
+    #[test]
+    fn test_phase_forward_leaves_no_backward_state() {
+        for kind in [PoolKind::Max, PoolKind::Average] {
+            let mut p = Pool2d::new("p", kind, Conv2dGeometry::square(1, 4, 2, 2, 0)).unwrap();
+            let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
+            let y = p.forward(&x, Phase::Train).unwrap();
+            assert_eq!(p.forward(&x, Phase::Test).unwrap(), y);
+            let d = Tensor::ones(&[1, 1, 2, 2]);
+            assert!(matches!(p.backward(&d), Err(DnnError::BadInput { .. })), "{kind:?}");
+            p.forward(&x, Phase::Train).unwrap();
+            assert_eq!(p.backward(&d).unwrap().sum(), 4.0, "{kind:?}");
+        }
     }
 }

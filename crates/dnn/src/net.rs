@@ -390,6 +390,49 @@ mod tests {
         assert!(net.backward_from_loss(&[1, 2]).is_err());
     }
 
+    /// Every layer kind with backward state, on 2x8x8 inputs.
+    fn conv_net() -> Net {
+        use crate::layers::{Conv2d, Inception, InceptionSpec, Lrn, Pool2d};
+        use shmcaffe_tensor::conv::Conv2dGeometry;
+        let mut net = Net::new("conv");
+        let conv = Conv2dGeometry::square(2, 8, 3, 1, 1);
+        net.add(Conv2d::new("conv", conv, 4, Filler::Msra, 5).unwrap());
+        net.add(Relu::new("relu"));
+        net.add(Lrn::with_defaults("lrn"));
+        net.add(Pool2d::max_square("pool", 4, 8, 2, 2).unwrap());
+        let spec = InceptionSpec { c1: 2, c3_reduce: 2, c3: 2, c5_reduce: 1, c5: 2, pool_proj: 2 };
+        net.add(Inception::new("incept", 4, 4, spec, 5).unwrap());
+        net.add(InnerProduct::new("fc", 8 * 16, 3, Filler::Xavier, 5));
+        net
+    }
+
+    fn images(n: usize, seed: f32) -> Tensor {
+        let data = (0..n * 128).map(|i| ((i as f32) * seed).sin()).collect();
+        Tensor::from_vec(data, &[n, 2, 8, 8]).unwrap()
+    }
+
+    /// An evaluation between two training steps changes no gradient bit:
+    /// the test-phase forward keeps no backward state, so the training step
+    /// after it caches its own batch exactly as one without it would.
+    #[test]
+    fn training_step_after_an_evaluation_has_the_same_gradient_bits() {
+        let (x, labels) = (images(3, 0.37), [0usize, 2, 1]);
+        let step = |net: &mut Net| {
+            net.forward_loss(&x, &labels, Phase::Train).unwrap();
+            net.backward_from_loss(&labels).unwrap();
+            grad_hash(net)
+        };
+        let mut plain = conv_net();
+        let mut evaluated = conv_net();
+        evaluated.forward(&images(5, 0.11), Phase::Test).unwrap();
+        assert_eq!(step(&mut evaluated), step(&mut plain));
+        // And a backward right after an evaluation fails instead of running
+        // on the evaluation batch.
+        evaluated.forward_loss(&images(5, 0.11), &[0, 1, 2, 0, 1], Phase::Test).unwrap();
+        let err = evaluated.backward_from_loss(&[0, 1, 2, 0, 1]).unwrap_err();
+        assert!(matches!(err, DnnError::BadInput { .. }), "{err}");
+    }
+
     #[test]
     fn grads_roundtrip() {
         let mut net = tiny_net(3);

@@ -188,6 +188,9 @@ fn scale_c(m: usize, n: usize, beta: f32, c: &mut [f32]) {
 }
 
 /// Fixed block decomposition: `(start, len)` pairs covering `0..total`.
+/// Inlined even into another crate's instance of a generic kernel (the
+/// multi-bank convolution is one), where a call per tap otherwise stays.
+#[inline(always)]
 pub(crate) fn blocks(total: usize, step: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..total).step_by(step).map(move |s| (s, step.min(total - s)))
 }

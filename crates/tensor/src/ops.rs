@@ -171,6 +171,30 @@ pub fn relu_forward(x: &[f32], out: &mut [f32]) {
     });
 }
 
+/// In-place ReLU: `x[i] = max(0, x[i])`, the values of [`relu_forward`].
+pub fn relu_in_place(x: &mut [f32]) {
+    parallel::par_chunks_mut(x, elemwise_chunk(x.len()), |_, c| {
+        for v in c.iter_mut() {
+            *v = v.max(0.0);
+        }
+    });
+}
+
+/// In-place ReLU backward from the ReLU's *output* `y`: `d[i] = 0` where
+/// `y[i] > 0` fails — the values of [`relu_backward`], since
+/// `max(0, x) > 0` exactly when `x > 0`.
+///
+/// # Panics
+///
+/// Panics if lengths differ.
+pub fn relu_backward_in_place(y: &[f32], d: &mut [f32]) {
+    parallel::par_zip_mut(d, y, elemwise_chunk(d.len()), |dc, yc| {
+        for (d, &yv) in dc.iter_mut().zip(yc.iter()) {
+            *d = if yv > 0.0 { *d } else { 0.0 };
+        }
+    });
+}
+
 /// ReLU backward: `dx[i] = dy[i] * (x[i] > 0)`.
 ///
 /// # Panics

@@ -139,7 +139,7 @@ fn max_image<const W: usize>(
     let mut out_rows = out_image.chunks_exact_mut(ext.out_w);
     let mut argmax_rows = argmax_image.chunks_exact_mut(ext.out_w);
     for (c, chan) in image.chunks_exact(geom.in_h * geom.in_w).enumerate() {
-        stage_image(geom, chan, geom.pad_h, geom.in_h, f32::NEG_INFINITY, stage);
+        stage_image(geom, [chan], geom.pad_h, geom.in_h, f32::NEG_INFINITY, stage);
         for oh in 0..ext.out_h {
             let rows = clip(oh, geom.stride_h, geom.pad_h, geom.kernel_h, geom.in_h);
             let out_row = out_rows.next().expect("one row per (c, oh)");

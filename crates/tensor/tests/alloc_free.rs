@@ -20,7 +20,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use shmcaffe_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
+use shmcaffe_tensor::conv::{
+    conv2d_backward, conv2d_backward_banks, conv2d_forward, conv2d_forward_banks, Bank, BankGrad,
+    Conv2dGeometry,
+};
 use shmcaffe_tensor::pool::{pool_forward, PoolKind};
 use shmcaffe_tensor::{parallel, workspace};
 
@@ -150,6 +153,97 @@ fn steady_state_conv_fwd_bwd_allocates_nothing() {
             "steady-state conv fwd+bwd performed {} heap allocations",
             after - before
         );
+    });
+}
+
+/// The multi-bank kernels run on the same arenas: the Inception siblings'
+/// three 1x1 banks (one writing into a wider concatenation), forward plus
+/// backward with an input gradient, allocate nothing once warm — two image
+/// groups of lane-packed `dW` included (a 2-channel bank alone packs 4).
+#[test]
+fn steady_state_multi_bank_fwd_bwd_allocates_nothing() {
+    parallel::with_threads(1, || {
+        let (geom, batch, spatial) = (Conv2dGeometry::square(16, 16, 1, 1, 0), 8, 256);
+        let c_outs = [6, 4, 2];
+        let input = fill(batch * geom.in_len(), 6);
+        let weights = c_outs.map(|c| fill(c * 16, 7 + c as u32));
+        let bias = c_outs.map(|c| fill(c, 8));
+        let (wide, image_len) = (24 * spatial, c_outs.map(|c| c * spatial));
+        let d_output =
+            [fill(batch * wide, 9), fill(batch * image_len[1], 10), fill(batch * image_len[2], 11)];
+        let mut concat = vec![0.0; batch * wide];
+        let [mut r3, mut r5] = [1, 2].map(|b| vec![0.0; batch * image_len[b]]);
+        let mut d_weights = weights.clone();
+        let mut d_bias = bias.clone();
+        let mut d_input = vec![0.0; input.len()];
+        let mut step = || {
+            conv2d_forward_banks(
+                &geom,
+                batch,
+                &input,
+                [
+                    Bank {
+                        weights: &weights[0],
+                        bias: &bias[0],
+                        output: &mut concat,
+                        image_len: wide,
+                    },
+                    Bank {
+                        weights: &weights[1],
+                        bias: &bias[1],
+                        output: &mut r3,
+                        image_len: image_len[1],
+                    },
+                    Bank {
+                        weights: &weights[2],
+                        bias: &bias[2],
+                        output: &mut r5,
+                        image_len: image_len[2],
+                    },
+                ],
+            );
+            let [dw0, dw1, dw2] = &mut d_weights;
+            let [db0, db1, db2] = &mut d_bias;
+            let banks = [
+                BankGrad {
+                    weights: &weights[0],
+                    d_output: &d_output[0],
+                    image_len: wide,
+                    d_weights: dw0,
+                    d_bias: db0,
+                },
+                BankGrad {
+                    weights: &weights[1],
+                    d_output: &d_output[1],
+                    image_len: image_len[1],
+                    d_weights: dw1,
+                    d_bias: db1,
+                },
+                BankGrad {
+                    weights: &weights[2],
+                    d_output: &d_output[2],
+                    image_len: image_len[2],
+                    d_weights: dw2,
+                    d_bias: db2,
+                },
+            ];
+            conv2d_backward_banks(&geom, batch, &input, banks, &mut d_input);
+            let bank = [BankGrad {
+                weights: &weights[2],
+                d_output: &d_output[2],
+                image_len: image_len[2],
+                d_weights: &mut d_weights[2],
+                d_bias: &mut [],
+            }];
+            conv2d_backward_banks(&geom, batch, &input, bank, &mut d_input);
+        };
+        step();
+        step();
+        let before = alloc_count();
+        for _ in 0..5 {
+            step();
+        }
+        assert_eq!(alloc_count() - before, 0, "steady-state multi-bank fwd+bwd allocated");
     });
 }
 

@@ -21,7 +21,10 @@ mod oracle;
 
 use oracle::{col2im, conv2d_backward_ref, conv2d_forward_ref, im2col};
 use proptest::prelude::*;
-use shmcaffe_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
+use shmcaffe_tensor::conv::{
+    conv2d_backward, conv2d_backward_banks, conv2d_forward, conv2d_forward_banks, Bank, BankGrad,
+    Conv2dGeometry,
+};
 use shmcaffe_tensor::parallel;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -148,12 +151,17 @@ fn input_grad_tap_fold_crosses_a_k_block() {
 /// `dW` folds spatial positions in KC = 256 blocks: one short of a block,
 /// exactly one, one over (a 1-position second block, on a single 257-wide
 /// row), and four — each over three images, whose chains are added to the
-/// pre-loaded gradient in image order, with and without a `d_input`.
+/// pre-loaded gradient in image order, with and without a `d_input`; with
+/// 5 output channels one image per lane block, with 2 the three images side
+/// by side, every k-block of the first added before the second's. Each
+/// channel count runs every other geometry with a `d_input`, the two counts
+/// on opposite ones.
 #[test]
 fn weight_grad_position_fold_crosses_k_blocks() {
-    for (seed, (h, w)) in [(15, 17), (16, 16), (1, 257), (32, 32)].into_iter().enumerate() {
+    for (i, (h, w)) in [(15, 17), (16, 16), (1, 257), (32, 32)].into_iter().enumerate() {
         let geom = Conv2dGeometry { in_h: h, in_w: w, ..Conv2dGeometry::square(2, 0, 3, 1, 1) };
-        assert_matches_oracle(&geom, 3, 5, true, seed % 2 == 0, 20 + seed as u32);
+        assert_matches_oracle(&geom, 3, 5, true, i % 2 == 0, 20 + i as u32);
+        assert_matches_oracle(&geom, 3, 2, true, i % 2 == 1, 30 + i as u32);
     }
 }
 
@@ -226,6 +234,166 @@ fn windows_wholly_in_padding() {
 #[test]
 fn fused_conv_parallel_matches_reference_bitwise() {
     assert_matches_oracle(&Conv2dGeometry::square(3, 6, 3, 1, 1), 2, 5, true, true, 1);
+}
+
+/// One multi-bank forward + backward against `B` separate oracle
+/// convolutions, at every thread count. Bank `b` writes its planes inside a
+/// buffer one sentinel channel wider than the bank (so `image_len` exceeds
+/// its planes) and reads its `dY` the same way; every other bank has no
+/// bias. `dW`/`db` fold into pre-loaded gradients, and `d_input` must equal
+/// its pre-loaded values plus the banks' oracle input gradients summed in
+/// bank order.
+fn assert_banks_match_oracle<const B: usize>(
+    geom: &Conv2dGeometry,
+    batch: usize,
+    c_outs: [usize; B],
+    with_dx: bool,
+    seed: u32,
+) {
+    let spatial = geom.col_cols().unwrap();
+    let (kdim, in_len) = (geom.col_rows(), geom.in_len());
+    let input = fill_edgy(batch * in_len, seed);
+    let salt = |b: usize, k: u32| seed ^ k ^ (b as u32 + 1).wrapping_mul(0x2545_f491);
+    let weights: Vec<Vec<f32>> =
+        (0..B).map(|b| fill_edgy(c_outs[b] * kdim, salt(b, 0x5555))).collect();
+    let bias: Vec<Vec<f32>> = (0..B)
+        .map(|b| if b % 2 == 0 { fill_edgy(c_outs[b], salt(b, 0xaaaa)) } else { Vec::new() })
+        .collect();
+    let image_len: Vec<usize> = c_outs.iter().map(|c| (c + 1) * spatial).collect();
+    let d_output: Vec<Vec<f32>> =
+        (0..B).map(|b| fill_edgy(batch * image_len[b], salt(b, 0x0f0f))).collect();
+    let dw0: Vec<Vec<f32>> = (0..B).map(|b| fill(c_outs[b] * kdim, salt(b, 0x7777))).collect();
+    let db0: Vec<Vec<f32>> = (0..B).map(|b| fill(bias[b].len(), salt(b, 0x8888))).collect();
+    // Never `-0.0`, like the zeros or the pooled gradient a caller adds to.
+    let dx0 = if with_dx { fill(input.len(), seed ^ 0x3333) } else { Vec::new() };
+
+    // The oracle, bank by bank, on contiguous copies of each bank's dY.
+    let mut col = vec![0.0f32; kdim * spatial];
+    let mut out_ref = Vec::new();
+    let (mut dw_ref, mut db_ref) = (dw0.clone(), db0.clone());
+    let mut dx_ref = vec![0.0f32; dx0.len()];
+    for b in 0..B {
+        let planes = c_outs[b] * spatial;
+        let mut out = vec![0.0f32; batch * planes];
+        let (w, bs) = (&weights[b], &bias[b]);
+        conv2d_forward_ref(geom, batch, c_outs[b], &input, w, bs, &mut out, &mut col);
+        out_ref.push(out);
+        let dy: Vec<f32> =
+            d_output[b].chunks(image_len[b]).flat_map(|img| &img[..planes]).copied().collect();
+        let mut dx = vec![f32::NAN; dx0.len()];
+        let (dw, db) = (&mut dw_ref[b], &mut db_ref[b]);
+        conv2d_backward_ref(geom, batch, c_outs[b], &input, w, &dy, dw, db, &mut dx, &mut col);
+        for (acc, g) in dx_ref.iter_mut().zip(&dx) {
+            *acc = if b == 0 { *g } else { *acc + g };
+        }
+    }
+    for (acc, base) in dx_ref.iter_mut().zip(&dx0) {
+        *acc += base;
+    }
+
+    for &t in &THREAD_COUNTS {
+        let mut out: Vec<Vec<f32>> = image_len.iter().map(|l| vec![f32::NAN; batch * l]).collect();
+        let (mut dw, mut db, mut dx) = (dw0.clone(), db0.clone(), dx0.clone());
+        parallel::with_threads(t, || {
+            let mut outs = out.iter_mut();
+            let banks: [Bank; B] = std::array::from_fn(|b| Bank {
+                weights: &weights[b],
+                bias: &bias[b],
+                output: outs.next().expect("one output per bank"),
+                image_len: image_len[b],
+            });
+            conv2d_forward_banks(geom, batch, &input, banks);
+            let mut grads = dw.iter_mut().zip(db.iter_mut());
+            let banks: [BankGrad; B] = std::array::from_fn(|b| {
+                let (d_weights, d_bias) = grads.next().expect("one gradient per bank");
+                let d_output = &d_output[b][..];
+                BankGrad {
+                    weights: &weights[b],
+                    d_output,
+                    image_len: image_len[b],
+                    d_weights,
+                    d_bias,
+                }
+            });
+            conv2d_backward_banks(geom, batch, &input, banks, &mut dx);
+        });
+        for b in 0..B {
+            let planes = c_outs[b] * spatial;
+            let what = format!("bank {b} of {c_outs:?} at threads={t} batch={batch} geom={geom:?}");
+            for (img, want) in out[b].chunks(image_len[b]).zip(out_ref[b].chunks(planes)) {
+                assert_eq!(bits(&img[..planes]), bits(want), "forward diverged: {what}");
+                assert!(img[planes..].iter().all(|v| v.is_nan()), "wrote past its planes: {what}");
+            }
+            assert_eq!(bits(&dw_ref[b]), bits(&dw[b]), "dW diverged: {what}");
+            assert_eq!(bits(&db_ref[b]), bits(&db[b]), "db diverged: {what}");
+        }
+        assert_eq!(bits(&dx_ref), bits(&dx), "dX diverged at threads={t} {c_outs:?} geom={geom:?}");
+    }
+}
+
+/// [`assert_banks_match_oracle`] for 1 to 4 banks of `c_outs`.
+fn assert_stack_matches_oracle(
+    geom: &Conv2dGeometry,
+    batch: usize,
+    c_outs: &[usize],
+    with_dx: bool,
+    seed: u32,
+) {
+    let c = c_outs;
+    match c.len() {
+        1 => assert_banks_match_oracle(geom, batch, [c[0]], with_dx, seed),
+        2 => assert_banks_match_oracle(geom, batch, [c[0], c[1]], with_dx, seed),
+        3 => assert_banks_match_oracle(geom, batch, [c[0], c[1], c[2]], with_dx, seed),
+        _ => assert_banks_match_oracle(geom, batch, [c[0], c[1], c[2], c[3]], with_dx, seed),
+    }
+}
+
+/// The Inception siblings (three 1x1 banks over one input) of both proxy
+/// modules, and stacks of 1 to 4 banks whose channels fill one lane block,
+/// straddle two, or leave spare lanes for image slots — over 1x1, 3x3 and
+/// 5x5 windows, widths from 1 to 35, 1 to 20 input channels and batches
+/// whose image groups end part-way.
+#[test]
+fn multi_bank_conv_parallel_matches_separate_oracles() {
+    let g = |c_in: usize, h: usize, w: usize, k: usize| Conv2dGeometry {
+        in_h: h,
+        in_w: w,
+        ..Conv2dGeometry::square(c_in, 0, k, 1, k / 2)
+    };
+    let cases: [(Conv2dGeometry, usize, &[usize]); 13] = [
+        (g(8, 16, 16, 1), 3, &[4, 4, 2]),
+        (g(16, 6, 16, 1), 16, &[6, 4, 2]),
+        (g(20, 1, 35, 1), 11, &[2, 1, 1]),
+        (g(3, 2, 33, 1), 2, &[8, 8]),
+        (g(1, 2, 35, 3), 17, &[1, 2, 1, 1]),
+        (g(20, 3, 7, 3), 9, &[1, 1, 1, 1]),
+        (g(2, 3, 15, 3), 17, &[3, 1]),
+        (g(4, 3, 17, 5), 1, &[8, 7, 5, 3]),
+        (g(2, 5, 1, 5), 5, &[2, 2]),
+        (g(1, 4, 19, 5), 13, &[1]),
+        (g(5, 2, 16, 3), 7, &[8]),
+        (g(1, 3, 9, 3), 2, &[2, 3]),
+        (g(2, 2, 5, 5), 2, &[1, 3, 2]),
+    ];
+    // Under Miri only the last two stacks, which are the smallest.
+    let first = if cfg!(miri) { cases.len() - 2 } else { 0 };
+    for (i, (geom, batch, c_outs)) in cases.iter().enumerate().skip(first) {
+        assert_stack_matches_oracle(geom, *batch, c_outs, true, 60 + i as u32);
+    }
+}
+
+/// `dW` alone for stacks of 1 to 4 output channels, whose spare lanes hold
+/// 4 images side by side (1 or 2 channels; slot counts stop at 4, so one
+/// channel leaves lanes idle) or 2 (3 or 4), at every batch from 1 to 17 — image
+/// groups full and cut short, folded into a pre-loaded gradient in image
+/// order.
+#[test]
+fn weight_grad_lane_slots_parallel_match_reference() {
+    for batch in 1..=if cfg!(miri) { 3 } else { 17 } {
+        let out_channels = 1 + batch % 4;
+        let geom = Conv2dGeometry::square(1 + batch % 3, 5, [1, 3, 5][batch % 3], 1, batch % 3);
+        assert_matches_oracle(&geom, batch, out_channels, batch % 2 == 0, false, 80 + batch as u32);
+    }
 }
 
 #[test]
@@ -458,5 +626,29 @@ proptest! {
         };
         prop_assume!(geom.out_h().is_ok() && geom.out_w().is_ok());
         assert_matches_oracle(&geom, batch, out_channels, with_bias == 1, with_dx != 0, seed);
+    }
+}
+
+proptest! {
+    // Miri (scripts/miri.sh runs the `parallel` tests) interprets every
+    // float operation: one stack there, the full sweep natively.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 1 } else { 20 }))]
+
+    /// Multi-bank stacks over random "same" windows, widths, channel
+    /// counts and batches: every bank's output, `dW` and `db`, and the
+    /// bank-order input-gradient sum, against separate oracle convolutions.
+    #[test]
+    fn multi_bank_conv_parallel_matches_over_random_stacks(
+        (banks, c_a, c_b) in (1usize..5, 1usize..9, 1usize..9),
+        (c_in, h, w) in (1usize..21, 1usize..4, pick(&[1, 2, 5, 15, 16, 17, 31, 33, 35])),
+        (kernel, batch, with_dx, seed) in (0usize..3, 1usize..18, 0u32..4, 0u32..1000),
+    ) {
+        let geom = Conv2dGeometry {
+            in_h: h,
+            in_w: w,
+            ..Conv2dGeometry::square(c_in, 0, 2 * kernel + 1, 1, kernel)
+        };
+        let c_outs = [c_a, c_b, 1 + (c_a + c_b) % 8, 1 + c_a * c_b % 8];
+        assert_stack_matches_oracle(&geom, batch, &c_outs[..banks], with_dx != 0, seed);
     }
 }
