@@ -1,4 +1,5 @@
-//! Kernel-level throughput benchmark: GEMM, convolution, SMB accumulate.
+//! Kernel-level throughput benchmark: GEMM, convolution, SMB accumulate,
+//! CRC32C.
 //!
 //! Measures the parallel compute backend at 1/2/4/8 logical threads (via
 //! `shmcaffe_tensor::parallel::with_threads`, so one process exercises all
@@ -42,6 +43,7 @@ use shmcaffe_tensor::conv::{
     conv2d_backward, conv2d_backward_banks, conv2d_forward, conv2d_forward_banks, Bank, BankGrad,
     Conv2dGeometry,
 };
+use shmcaffe_tensor::crc32c::{append_portable, crc32c_append, CRC32C_INIT};
 use shmcaffe_tensor::gemm::{gemm, Transpose};
 use shmcaffe_tensor::init::Filler;
 use shmcaffe_tensor::pool::PoolKind;
@@ -359,6 +361,41 @@ fn bench_smb_accumulate(threads: &[usize], table: &mut Table) {
     }
 }
 
+/// CRC32C over 1 MiB hashed page by page, as the SMB integrity grid does,
+/// at the 4 and 16 KiB pages of the fault and SMB-mix workloads and as one
+/// piece: the dispatched kernel (what the host runs) beside the portable
+/// one (what a host without SSE4.2 runs). Single-threaded: the checksum
+/// runs inside one simulated process.
+fn bench_crc32c(table: &mut Table) {
+    const ELEMS: usize = 1 << 18;
+    const REPS: usize = 40;
+    let data = filled(ELEMS, 0.019);
+    for page in [1024, 4096, ELEMS] {
+        let label =
+            if page == ELEMS { "1 MiB".to_string() } else { format!("{} KiB pages", page / 256) };
+        let time = |kernel: fn(u32, &[f32]) -> u32| {
+            time_per_rep(REPS, || {
+                for chunk in data.chunks(page) {
+                    std::hint::black_box(kernel(CRC32C_INIT, std::hint::black_box(chunk)));
+                }
+            })
+        };
+        let (dispatched, portable) = (time(crc32c_append), time(append_portable));
+        for (kernel, s, speedup) in [
+            ("dispatched", dispatched, format!("{:.2}x vs portable", portable / dispatched)),
+            ("portable", portable, String::new()),
+        ] {
+            table.row_owned(vec![
+                format!("crc32c {label} ({kernel})"),
+                "1".to_string(),
+                format!("{:.3}", s * 1e3),
+                format!("{:.2} GB/s", (ELEMS * 4) as f64 / s / 1e9),
+                speedup,
+            ]);
+        }
+    }
+}
+
 const LAYER_BATCH: usize = 16;
 const LAYER_REPS: usize = 100;
 
@@ -620,5 +657,6 @@ fn main() {
     bench_gemm(&threads, &mut table);
     conv_cases().iter().for_each(|case| bench_conv_case(case, &threads, &mut table));
     bench_smb_accumulate(&threads, &mut table);
+    bench_crc32c(&mut table);
     record("kernels", "best of N reps; thread sweeps use with_threads() overrides", host, &table);
 }

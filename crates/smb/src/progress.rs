@@ -112,7 +112,9 @@ impl ProgressBoard {
     ///
     /// # Errors
     ///
-    /// Propagates SMB errors.
+    /// Returns [`SmbError::SizeMismatch`] for a rank without a slot (the
+    /// range check of [`SmbClient::write_range`]); propagates other SMB
+    /// errors.
     pub fn publish(
         &self,
         client: &SmbClient,
@@ -121,9 +123,9 @@ impl ProgressBoard {
         iterations: u64,
         done: bool,
     ) -> Result<(), SmbError> {
-        assert!(rank < self.n_workers, "rank out of range");
         let slot = [iterations as f32, if done { 1.0 } else { 0.0 }];
-        client.repairing_once(ctx, || client.write_range(ctx, &self.buf, rank * SLOT_FIELDS, &slot))
+        let offset = rank.saturating_mul(SLOT_FIELDS);
+        client.repairing_once(ctx, || client.write_range(ctx, &self.buf, offset, &slot))
     }
 
     /// Reads the whole board, repairing a poisoned page from the replica
@@ -190,6 +192,29 @@ mod tests {
                 ProgressBoard::attach(&client, &ctx, key, 5),
                 Err(SmbError::SizeMismatch { .. })
             ));
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn publish_rejects_a_rank_without_a_slot() {
+        let rdma = RdmaFabric::new(Fabric::new(ClusterSpec::paper_testbed(1)));
+        let server = SmbServer::new(rdma).unwrap();
+        let mut sim = Simulation::new();
+        sim.spawn("w", move |ctx| {
+            let client = SmbClient::new(server, NodeId(0));
+            let (board, key) = ProgressBoard::create(&client, &ctx, "ctrl", 3).unwrap();
+            for rank in 0..3 {
+                board.publish(&client, &ctx, rank, 10 + rank as u64, rank == 1).unwrap();
+            }
+            let before = board.snapshot(&client, &ctx).unwrap();
+            for rank in [3, usize::MAX] {
+                match board.publish(&client, &ctx, rank, 99, true) {
+                    Err(SmbError::SizeMismatch { key: k, expected: 6, .. }) => assert_eq!(k, key),
+                    other => panic!("rank {rank}: {other:?}"),
+                }
+            }
+            assert_eq!(board.snapshot(&client, &ctx).unwrap(), before);
         });
         sim.run();
     }

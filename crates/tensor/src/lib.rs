@@ -15,7 +15,8 @@
 //!   `scal`, `dot`, activations),
 //! * [`init`] — seeded weight initialisation (Gaussian, Xavier, MSRA),
 //! * [`crc32c`] — streaming CRC32C over f32 bit patterns (the SMB integrity
-//!   grid's checksum), hardware `crc32` instruction or slicing-by-8 tables.
+//!   grid's checksum), hardware `crc32` instruction or slicing-by-8 tables,
+//!   either in three interleaved chains.
 //!
 //! Everything is deterministic given a seed and there is no external BLAS
 //! dependency. Hot kernels run on a persistent crate-level worker pool

@@ -25,8 +25,11 @@
 #      safe `#[target_feature]` function (the intrinsics are safe inside
 #      it); the one `unsafe` block is the call from dispatch. Like the AVX2
 #      path it is compiled out under `cfg(miri)`, so every checksum in a
-#      Miri run goes through the safe slicing-by-8 tables — the crc32c
-#      tests below check that kernel against the byte-at-a-time oracle.
+#      Miri run goes through the safe slicing-by-8 tables under the same
+#      three-lane split and compile-time shift-table join the instruction uses
+#      — the crc32c tests below check that kernel, and a sample of each
+#      join table, against the byte-at-a-time oracle. The two exhaustive
+#      lane-edge sweeps are ignored under Miri (millions of words each).
 #   4. crates/tensor/tests/alloc_free.rs — the counting
 #      `#[global_allocator]` backing the zero-allocation gate; it delegates
 #      verbatim to `System` plus one relaxed counter increment. Test-only,
