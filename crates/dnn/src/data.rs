@@ -280,11 +280,6 @@ impl EpochSampler {
     pub fn epoch(&self) -> usize {
         self.epoch
     }
-
-    /// Iterations per epoch for this shard (ceiling division).
-    pub fn iters_per_epoch(&self) -> usize {
-        self.shard.len().div_ceil(self.batch)
-    }
 }
 
 #[cfg(test)]
@@ -350,7 +345,6 @@ mod tests {
     #[test]
     fn sampler_covers_shard_each_epoch() {
         let mut s = EpochSampler::new(20, 0, 2, 3, 7);
-        assert_eq!(s.iters_per_epoch(), 4);
         let mut seen = Vec::new();
         for _ in 0..4 {
             seen.extend(s.next_batch());

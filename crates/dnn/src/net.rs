@@ -57,11 +57,6 @@ impl Net {
         self
     }
 
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Runs the network forward, producing logits.
     ///
     /// # Errors

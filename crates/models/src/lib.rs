@@ -165,14 +165,6 @@ impl WorkloadModel {
             minibatch: 60,
         }
     }
-
-    /// Iterations for `epochs` epochs of a dataset of `dataset_size`
-    /// samples split across `n_workers` (data parallelism without
-    /// duplication: each worker sees `1/n` of the data per epoch).
-    pub fn iters_for_epochs(&self, dataset_size: usize, epochs: usize, n_workers: usize) -> usize {
-        let per_worker = dataset_size / n_workers.max(1);
-        (per_worker * epochs).div_ceil(self.minibatch)
-    }
 }
 
 #[cfg(test)]
@@ -215,14 +207,6 @@ mod tests {
         assert_eq!(w.wire_bytes, 528_000_000);
         assert_eq!(w.param_elems, WorkloadModel::DEFAULT_PARAM_ELEMS);
         assert_eq!(w.minibatch, 32);
-    }
-
-    #[test]
-    fn iters_for_epochs_scales_inversely_with_workers() {
-        let w = WorkloadModel::from_cnn(CnnModel::InceptionV1);
-        let one = w.iters_for_epochs(1_281_167, 15, 1);
-        let sixteen = w.iters_for_epochs(1_281_167, 15, 16);
-        assert!((one as f64 / sixteen as f64 - 16.0).abs() < 0.1);
     }
 
     #[test]

@@ -277,22 +277,6 @@ impl Comm {
             self.stash.push_back(env);
         }
     }
-
-    /// Non-blocking receive of a message with `tag` that has already
-    /// arrived (stashed or queued with a send time ≤ now).
-    pub fn try_recv_tag(&mut self, ctx: &SimContext, tag: Tag) -> Option<(usize, MpiData)> {
-        if let Some(pos) = self.stash.iter().position(|e| e.tag == tag) {
-            let env = self.stash.remove(pos).expect("position is valid");
-            return Some((env.src, env.data));
-        }
-        while let Some(env) = self.world.mailboxes[self.rank].try_recv(ctx) {
-            if env.tag == tag {
-                return Some((env.src, env.data));
-            }
-            self.stash.push_back(env);
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -434,28 +418,6 @@ mod tests {
             // The stashed tag-5 message is still retrievable.
             let (_, d) = c1.recv(&ctx, Some(0), 5);
             assert_eq!(d, MpiData::U64s(vec![5]));
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn try_recv_tag_is_nonblocking() {
-        let w = world(2, 1);
-        let mut sim = Simulation::new();
-        let c0 = w.comm(0);
-        let mut c1 = w.comm(1);
-        sim.spawn("r0", move |ctx| {
-            ctx.sleep(SimDuration::from_millis(5));
-            c0.send(&ctx, 1, 3, MpiData::U64s(vec![3]));
-        });
-        sim.spawn("r1", move |ctx| {
-            // Nothing has arrived yet.
-            assert!(c1.try_recv_tag(&ctx, 3).is_none());
-            ctx.sleep(SimDuration::from_millis(10));
-            let (src, d) = c1.try_recv_tag(&ctx, 3).expect("message arrived");
-            assert_eq!(src, 0);
-            assert_eq!(d, MpiData::U64s(vec![3]));
-            assert!(c1.try_recv_tag(&ctx, 3).is_none());
         });
         sim.run();
     }

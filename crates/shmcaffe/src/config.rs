@@ -29,13 +29,11 @@ pub struct ShmCaffeConfig {
     /// Evaluate (convergence runs) every this many iterations on rank 0;
     /// `0` disables evaluation.
     pub eval_every: usize,
-    /// Compute-time jitter model (stragglers).
+    /// Compute-time jitter model. Every platform ignores it: the trainer
+    /// factory's own `JitterModel` governs compute jitter (stragglers).
     pub jitter: JitterModel,
     /// Base RNG seed; every worker derives its own stream from it.
     pub seed: u64,
-    /// Throughput of the worker-local weight-mixing pass (T2/T5 memory
-    /// traffic over W_x, W_g, ΔW), in bytes/s. GDDR5X copy throughput.
-    pub local_mix_bps: f64,
     /// Iterations between center-variable checkpoints written by the
     /// master into the replicated checkpoint segment (`0` disables
     /// checkpointing). A checkpoint is what a crashed worker rejoins from
@@ -87,7 +85,6 @@ impl Default for ShmCaffeConfig {
             eval_every: 0,
             jitter: JitterModel::hpc_default(),
             seed: 42,
-            local_mix_bps: 25.0e9,
             checkpoint_every: 0,
             rejoin_delay: None,
             partition_staleness_cap: 16,
@@ -116,9 +113,6 @@ impl ShmCaffeConfig {
         if self.progress_every == 0 {
             return Err("progress_every must be at least 1".to_string());
         }
-        if self.local_mix_bps <= 0.0 || self.local_mix_bps.is_nan() {
-            return Err("local_mix_bps must be positive".to_string());
-        }
         if self.rejoin_delay.is_some() && self.checkpoint_every == 0 {
             return Err("rejoin_delay requires checkpoint_every > 0".to_string());
         }
@@ -126,8 +120,9 @@ impl ShmCaffeConfig {
     }
 }
 
-/// Baseline-platform calibration constants (see DESIGN.md §1 and
-/// EXPERIMENTS.md for provenance).
+/// Baseline-platform calibration (see DESIGN.md §1 and EXPERIMENTS.md for
+/// provenance; BVLC Caffe's host-overhead constants live in
+/// `platforms/caffe.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineConfig {
     /// Effective MPI point-to-point bandwidth as a fraction of the RDMA
@@ -138,22 +133,11 @@ pub struct BaselineConfig {
     /// send/recv exchanges (and with the paper's 2.8× end-to-end and 5.3×
     /// communication-time gaps at 16 GPUs).
     pub mpi_efficiency: f64,
-    /// BVLC Caffe single-process host overhead per GPU per iteration,
-    /// base milliseconds. Fitted to the paper's Caffe scalability
-    /// (2.7× at 8 GPUs, 2.3× at 16 — scaling *degrades*).
-    pub caffe_host_ms_base: f64,
-    /// BVLC Caffe host overhead slope: extra milliseconds per GPU of
-    /// fan-out (the quadratic term of the single-process bottleneck).
-    pub caffe_host_ms_per_gpu: f64,
 }
 
 impl Default for BaselineConfig {
     fn default() -> Self {
-        BaselineConfig {
-            mpi_efficiency: 0.25,
-            caffe_host_ms_base: 28.0,
-            caffe_host_ms_per_gpu: 4.0,
-        }
+        BaselineConfig { mpi_efficiency: 0.25 }
     }
 }
 
@@ -178,7 +162,6 @@ mod tests {
         assert!(ShmCaffeConfig { update_interval: 0, ..base }.validate().is_err());
         assert!(ShmCaffeConfig { max_iters: 0, ..base }.validate().is_err());
         assert!(ShmCaffeConfig { progress_every: 0, ..base }.validate().is_err());
-        assert!(ShmCaffeConfig { local_mix_bps: 0.0, ..base }.validate().is_err());
         assert!(ShmCaffeConfig {
             rejoin_delay: Some(SimDuration::from_millis(1)),
             checkpoint_every: 0,

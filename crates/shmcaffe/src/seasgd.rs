@@ -69,7 +69,7 @@ pub struct SeasgdBuffers {
 }
 
 /// Reader connections per lane. One SMB connection is paced at a fraction
-/// of the HCA (`SmbServerConfig::stream_bps`); the Fig. 7 sweep
+/// of the HCA (`STREAM_BPS` in `smb/src/server.rs`); the Fig. 7 sweep
 /// (`BENCH_paper.json`) has four paced connections at 5.74 of the
 /// 6.41 GB/s that 32 reach, so four take the `W_g` stream to nine tenths
 /// of what the server ever delivers and a fifth buys little but a thread.
@@ -165,6 +165,10 @@ struct UpdateDone {
 /// it dead. Generous: the update thread's own retry deadlines are in the
 /// hundreds of milliseconds, so only a genuinely wedged thread trips this.
 const EXCHANGE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
+
+/// Throughput of the worker-local weight-mixing pass (T2/T5 memory traffic
+/// over W_x, W_g, ΔW), in bytes/s: GDDR5X copy throughput.
+const LOCAL_MIX_BPS: f64 = 25.0e9;
 
 /// Degraded-mode accounting of one exchanger's update thread: what
 /// happened to increments pushed while a network partition cut the worker
@@ -324,7 +328,6 @@ pub struct ElasticExchanger {
     grid: Vec<GridChunk>,
     pending: bool,
     moving_rate: f32,
-    local_mix_bps: f64,
     wire_bytes: u64,
     param_len: usize,
     /// Whether [`ElasticExchanger::start_window`] may open the window
@@ -493,7 +496,6 @@ impl ElasticExchanger {
             grid,
             pending: false,
             moving_rate: cfg.moving_rate,
-            local_mix_bps: cfg.local_mix_bps,
             wire_bytes,
             param_len,
             early_start: cfg.pipelined_exchange,
@@ -704,7 +706,7 @@ impl ElasticExchanger {
                 &self.wg[r],
             );
             let tile_wire = self.wire_bytes as f64 * c.len as f64 / self.param_len.max(1) as f64;
-            let mix_step = SimDuration::from_secs_f64(tile_wire * 2.0 / self.local_mix_bps);
+            let mix_step = SimDuration::from_secs_f64(tile_wire * 2.0 / LOCAL_MIX_BPS);
             ctx.sleep(mix_step);
             mix += mix_step;
             // T3: hand the finished tile to its lane's update thread.

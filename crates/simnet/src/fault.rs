@@ -28,6 +28,10 @@ use std::sync::Arc;
 use crate::topology::NodeId;
 use crate::{SimDuration, SimTime};
 
+/// Virtual time a fallible operation spends detecting a fault before
+/// returning an error (models the RDMA completion-queue timeout).
+pub(crate) const DETECTION_LATENCY: SimDuration = SimDuration::from_micros(500);
+
 /// How a link misbehaves during a [`LinkFault`] window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkFaultKind {
@@ -169,9 +173,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability that any single fallible fabric operation fails.
     pub op_failure_prob: f64,
-    /// Virtual time a fallible operation spends detecting a fault before
-    /// returning an error (models RDMA completion-queue timeout).
-    pub detection_latency: SimDuration,
     /// Scheduled link outages and degradations.
     pub link_faults: Vec<LinkFault>,
     /// Scheduled node stalls.
@@ -201,7 +202,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             op_failure_prob: 0.0,
-            detection_latency: SimDuration::from_micros(500),
             link_faults: Vec::new(),
             node_stalls: Vec::new(),
             worker_crashes: Vec::new(),
@@ -216,12 +216,6 @@ impl FaultPlan {
     /// Sets the per-operation failure probability (`0.0..=1.0`).
     pub fn with_op_failure_prob(mut self, p: f64) -> Self {
         self.op_failure_prob = p;
-        self
-    }
-
-    /// Sets the fault-detection latency charged before an error returns.
-    pub fn with_detection_latency(mut self, d: SimDuration) -> Self {
-        self.detection_latency = d;
         self
     }
 

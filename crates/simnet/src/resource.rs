@@ -31,11 +31,6 @@ impl LinkModel {
         assert!(bandwidth_bps.is_finite() && bandwidth_bps > 0.0, "bandwidth must be positive");
         LinkModel { bandwidth_bps, latency }
     }
-
-    /// Pure service time of `bytes` at this link's bandwidth (no latency).
-    pub fn service_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
-    }
 }
 
 #[derive(Debug, Default)]
@@ -121,55 +116,10 @@ impl BandwidthResource {
     }
 
     /// Moves `bytes` through the resource, blocking in virtual time for
-    /// queueing, service and propagation latency.
+    /// queueing, service and propagation latency: [`transfer_path_stream`]
+    /// over a one-hop path.
     pub fn transfer(&self, ctx: &SimContext, bytes: u64) -> TransferReport {
-        self.transfer_stream(ctx, bytes, None)
-    }
-
-    /// [`BandwidthResource::transfer`] with an optional per-stream pacing
-    /// limit in bytes/s.
-    ///
-    /// The *link* is occupied for `bytes / link_bw` (so concurrent streams
-    /// still aggregate to the link rate), but the requester does not
-    /// complete before `start + bytes / stream_bps`. This models protocol
-    /// stacks whose single connection cannot saturate the wire — e.g. the
-    /// SMB server's RDS-derived transport, whose aggregate bandwidth grows
-    /// with the process count (paper Fig. 7).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stream_bps` is non-positive.
-    pub fn transfer_stream(
-        &self,
-        ctx: &SimContext,
-        bytes: u64,
-        stream_bps: Option<f64>,
-    ) -> TransferReport {
-        let now = ctx.now();
-        let (start, end) = {
-            let mut st = self.state.lock();
-            let start = now.max(st.busy_until);
-            let service = self.model.service_time(bytes);
-            let end = start + service;
-            st.busy_until = end;
-            st.total_bytes += bytes;
-            st.total_busy += service;
-            st.transfers += 1;
-            (start, end)
-        };
-        let complete = match stream_bps {
-            Some(bps) => {
-                assert!(bps > 0.0, "stream_bps must be positive");
-                // Paced streams flow concurrently: completion is governed by
-                // the stream's own rate from *arrival*, or by aggregate link
-                // saturation (the accumulated service backlog), whichever is
-                // later.
-                end.max(now + SimDuration::from_secs_f64(bytes as f64 / bps))
-            }
-            None => end,
-        };
-        ctx.sleep_until(complete + self.model.latency);
-        TransferReport { start, end: complete }
+        transfer_path_stream(ctx, &[self], bytes, None)
     }
 
     /// Reserves the resource without transferring bytes (control messages,
@@ -213,7 +163,8 @@ impl BandwidthResource {
     }
 }
 
-/// Moves `bytes` through a chain of resources as one cut-through transfer.
+/// Moves `bytes` through a chain of resources as one cut-through transfer,
+/// with an optional per-stream pacing limit in bytes/s.
 ///
 /// The transfer starts when every resource is free, proceeds at the minimum
 /// bandwidth along the chain, and occupies all resources until it completes.
@@ -221,15 +172,12 @@ impl BandwidthResource {
 /// (source HCA → switch → destination HCA) without simulating per-packet
 /// pipelining.
 ///
-/// # Panics
-///
-/// Panics if `path` is empty.
-pub fn transfer_path(ctx: &SimContext, path: &[&BandwidthResource], bytes: u64) -> TransferReport {
-    transfer_path_stream(ctx, path, bytes, None)
-}
-
-/// [`transfer_path`] with an optional per-stream pacing limit in bytes/s
-/// (see [`BandwidthResource::transfer_stream`]).
+/// With `stream_bps` the *links* are still occupied for `bytes / link_bw`
+/// (so concurrent streams aggregate to the link rate), but the requester
+/// does not complete before `arrival + bytes / stream_bps`. This models
+/// protocol stacks whose single connection cannot saturate the wire — e.g.
+/// the SMB server's RDS-derived transport, whose aggregate bandwidth grows
+/// with the process count (paper Fig. 7).
 ///
 /// # Panics
 ///
@@ -268,8 +216,10 @@ pub fn transfer_path_stream(
     let complete = match stream_bps {
         Some(bps) => {
             assert!(bps > 0.0, "stream_bps must be positive");
-            // See `BandwidthResource::transfer_stream`: paced streams flow
-            // concurrently, bounded by arrival-relative pacing or backlog.
+            // Paced streams flow concurrently: completion is governed by
+            // the stream's own rate from *arrival*, or by aggregate link
+            // saturation (the accumulated service backlog), whichever is
+            // later.
             end.max(now + SimDuration::from_secs_f64(bytes as f64 / bps))
         }
         None => end,
@@ -365,7 +315,7 @@ mod tests {
         let slow = BandwidthResource::new("slow", gbps(1.0));
         let (f, s) = (fast.clone(), slow.clone());
         sim.spawn("p", move |ctx| {
-            let rep = transfer_path(&ctx, &[&f, &s], 1_000_000_000);
+            let rep = transfer_path_stream(&ctx, &[&f, &s], 1_000_000_000, None);
             assert_eq!(rep.duration().as_secs_f64(), 1.0);
         });
         sim.run();
@@ -403,7 +353,7 @@ mod tests {
         let link = BandwidthResource::new("l", gbps(7.0));
         let l = link.clone();
         sim.spawn("p", move |ctx| {
-            l.transfer_stream(&ctx, 1_000_000_000, Some(1.75e9));
+            transfer_path_stream(&ctx, &[&l], 1_000_000_000, Some(1.75e9));
             assert!((ctx.now().as_secs_f64() - 1.0 / 1.75).abs() < 1e-3);
         });
         sim.run();
@@ -421,7 +371,7 @@ mod tests {
             for i in 0..procs {
                 let l = link.clone();
                 sim.spawn(&format!("p{i}"), move |ctx| {
-                    l.transfer_stream(&ctx, per_proc, Some(1.75e9));
+                    transfer_path_stream(&ctx, &[&l], per_proc, Some(1.75e9));
                 });
             }
             let end = sim.run();
@@ -444,7 +394,7 @@ mod tests {
         let s1 = shared.clone();
         let s2 = shared.clone();
         sim.spawn("p", move |ctx| {
-            transfer_path(&ctx, &[&s1, &s2], 1_000_000_000);
+            transfer_path_stream(&ctx, &[&s1, &s2], 1_000_000_000, None);
         });
         let end = sim.run();
         assert_eq!(end.as_secs_f64(), 1.0);

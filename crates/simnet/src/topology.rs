@@ -7,7 +7,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::fault::{FaultError, FaultInjector, FaultPlan};
+use crate::fault::{FaultError, FaultInjector, FaultPlan, DETECTION_LATENCY};
 use crate::resource::{BandwidthResource, LinkModel, TransferReport};
 use crate::{SimContext, SimDuration};
 
@@ -21,27 +21,19 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Static description of a cluster.
+/// Static description of a cluster. Every endpoint has one
+/// [`ClusterSpec::fdr_hca`] per direction and every GPU node one shared
+/// [`ClusterSpec::pcie3_bus`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Number of GPU servers.
     pub gpu_nodes: usize,
     /// GPUs per server (the paper's servers have 4).
     pub gpus_per_node: usize,
-    /// Per-node HCA model, applied to each direction independently.
-    pub hca: LinkModel,
-    /// Per-node shared PCIe bus model (intra-node GPU↔GPU traffic).
-    pub pcie: LinkModel,
     /// Number of dedicated memory servers (SMB hosts) attached. The paper
     /// evaluates a single server and names "multiple SMB servers" as future
     /// work (§V); this reproduction implements both.
     pub memory_servers: usize,
-    /// Whether the memory servers' HCAs behave half-duplex (reads and
-    /// writes share one 7 GB/s pipe). The paper's SMB transport is derived
-    /// from the kernel RDS module and saturates at 6.7 GB/s *aggregate*
-    /// for a 50/50 read/write mix (Fig. 7), i.e. the two directions are
-    /// not independent.
-    pub half_duplex_memory_server: bool,
 }
 
 impl ClusterSpec {
@@ -58,14 +50,7 @@ impl ClusterSpec {
     /// The paper's testbed: `gpu_nodes` servers of 4 GPUs plus the memory
     /// server, all on FDR InfiniBand.
     pub fn paper_testbed(gpu_nodes: usize) -> Self {
-        ClusterSpec {
-            gpu_nodes,
-            gpus_per_node: 4,
-            hca: Self::fdr_hca(),
-            pcie: Self::pcie3_bus(),
-            memory_servers: 1,
-            half_duplex_memory_server: true,
-        }
+        ClusterSpec { gpu_nodes, gpus_per_node: 4, memory_servers: 1 }
     }
 
     /// Total worker slots (GPUs) in the cluster.
@@ -134,19 +119,25 @@ impl Fabric {
 
     fn build(spec: ClusterSpec, injector: Option<FaultInjector>) -> Self {
         let endpoints = spec.gpu_nodes + spec.memory_servers;
-        let hca_tx: Vec<BandwidthResource> = (0..endpoints)
-            .map(|n| BandwidthResource::new(&format!("hca_tx[{n}]"), spec.hca))
+        let hca = ClusterSpec::fdr_hca();
+        let hca_tx: Vec<BandwidthResource> =
+            (0..endpoints).map(|n| BandwidthResource::new(&format!("hca_tx[{n}]"), hca)).collect();
+        // A memory server's HCA is half-duplex: its rx is its tx pipe, one
+        // queue for both directions. The SMB transport derives from the
+        // kernel RDS module and saturates at 6.7 GB/s *aggregate* for a
+        // 50/50 read/write mix (Fig. 7), so the two directions are not
+        // independent.
+        let hca_rx: Vec<BandwidthResource> = (0..endpoints)
+            .map(|n| {
+                if n < spec.gpu_nodes {
+                    BandwidthResource::new(&format!("hca_rx[{n}]"), hca)
+                } else {
+                    hca_tx[n].clone()
+                }
+            })
             .collect();
-        let mut hca_rx: Vec<BandwidthResource> = (0..endpoints)
-            .map(|n| BandwidthResource::new(&format!("hca_rx[{n}]"), spec.hca))
-            .collect();
-        if spec.half_duplex_memory_server {
-            // Each memory server's rx shares its tx pipe: one queue for
-            // both directions.
-            hca_rx[spec.gpu_nodes..endpoints].clone_from_slice(&hca_tx[spec.gpu_nodes..endpoints]);
-        }
         let pcie = (0..spec.gpu_nodes)
-            .map(|n| BandwidthResource::new(&format!("pcie[{n}]"), spec.pcie))
+            .map(|n| BandwidthResource::new(&format!("pcie[{n}]"), ClusterSpec::pcie3_bus()))
             .collect();
         Fabric { inner: Arc::new(FabricInner { spec, hca_tx, hca_rx, pcie, injector }) }
     }
@@ -261,7 +252,7 @@ impl Fabric {
                     now.as_nanos()
                 );
                 inj.record_memory_server_crash_hit();
-                ctx.sleep(inj.plan().detection_latency);
+                ctx.sleep(DETECTION_LATENCY);
                 return Err(FaultError::NodeCrashed { node, at: ctx.now() });
             }
             // A stalled endpoint delays the transfer for both semantics.
@@ -275,7 +266,7 @@ impl Fabric {
             if let Some((node, until)) = down {
                 if fallible {
                     inj.record_link_down_hit();
-                    ctx.sleep(inj.plan().detection_latency);
+                    ctx.sleep(DETECTION_LATENCY);
                     return Err(FaultError::LinkDown { node, at: ctx.now() });
                 }
                 ctx.sleep_until(until);
@@ -287,7 +278,7 @@ impl Fabric {
             if let Some(heal) = inj.partitioned_until(from, to, now) {
                 if fallible {
                     inj.record_partition_hit();
-                    ctx.sleep(inj.plan().detection_latency);
+                    ctx.sleep(DETECTION_LATENCY);
                     return Err(FaultError::Partitioned { from, to, at: ctx.now() });
                 }
                 let until = heal.unwrap_or_else(|| {
@@ -303,7 +294,7 @@ impl Fabric {
             break;
         }
         if fallible && inj.draw_op_failure() {
-            ctx.sleep(inj.plan().detection_latency);
+            ctx.sleep(DETECTION_LATENCY);
             return Err(FaultError::Injected { from, to, at: ctx.now() });
         }
         let factor = [from, to]
@@ -312,7 +303,7 @@ impl Fabric {
             .fold(None, |acc: Option<f64>, f| Some(acc.map_or(f, |a| a.min(f))));
         Ok(factor.map(|f| {
             inj.record_degraded();
-            self.inner.spec.hca.bandwidth_bps * f
+            ClusterSpec::fdr_hca().bandwidth_bps * f
         }))
     }
 
@@ -397,7 +388,34 @@ mod tests {
     }
 
     #[test]
-    fn memory_server_is_half_duplex_by_default() {
+    fn memory_servers_are_half_duplex_on_every_fabric() {
+        // Every memory server's rx is its tx pipe: bytes it receives land
+        // on its tx counter, while a GPU node's rx stays a pipe of its own.
+        for (nodes, servers) in [(1, 0), (1, 1), (2, 1), (2, 2), (4, 3)] {
+            let fabric = Fabric::new(ClusterSpec {
+                memory_servers: servers,
+                ..ClusterSpec::paper_testbed(nodes)
+            });
+            let f = fabric.clone();
+            let mut sim = Simulation::new();
+            sim.spawn("w", move |ctx| {
+                for i in 0..servers {
+                    f.net_transfer(&ctx, NodeId(0), f.memory_server_at(i).unwrap(), 1_000);
+                }
+                if nodes > 1 {
+                    f.net_transfer(&ctx, NodeId(0), NodeId(1), 1_000);
+                }
+            });
+            sim.run();
+            for i in 0..servers {
+                let mem = fabric.memory_server_at(i).unwrap();
+                assert_eq!(fabric.hca_tx(mem).total_bytes(), 1_000, "{nodes} nodes, server {i}");
+            }
+            if nodes > 1 {
+                assert_eq!(fabric.hca_tx(NodeId(1)).total_bytes(), 0);
+                assert_eq!(fabric.hca_rx(NodeId(1)).total_bytes(), 1_000);
+            }
+        }
         // One reader and one writer of the memory server share its pipe:
         // 7 GB in each direction takes 2 s, not 1 s.
         let fabric = Fabric::new(ClusterSpec::paper_testbed(2));
@@ -479,9 +497,7 @@ mod tests {
     fn fallible_transfer_fails_fast_during_link_down() {
         use crate::fault::{FaultError, FaultPlan};
         use crate::SimTime;
-        let plan = FaultPlan::new(1)
-            .link_down(NodeId(1), SimTime::ZERO, SimTime::from_secs(1))
-            .with_detection_latency(SimDuration::from_micros(500));
+        let plan = FaultPlan::new(1).link_down(NodeId(1), SimTime::ZERO, SimTime::from_secs(1));
         let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(2), plan);
         let f = fabric.clone();
         let mut sim = Simulation::new();
@@ -501,9 +517,7 @@ mod tests {
         use crate::SimTime;
         let spec = ClusterSpec::paper_testbed(2);
         let mem = NodeId(spec.gpu_nodes);
-        let plan = FaultPlan::new(1)
-            .crash_memory_server(mem, SimTime::from_millis(5))
-            .with_detection_latency(SimDuration::from_micros(500));
+        let plan = FaultPlan::new(1).crash_memory_server(mem, SimTime::from_millis(5));
         let fabric = Fabric::with_faults(spec, plan);
         let f = fabric.clone();
         let mut sim = Simulation::new();
@@ -526,13 +540,11 @@ mod tests {
     fn fallible_transfer_fails_fast_across_partition() {
         use crate::fault::{FaultError, FaultPlan};
         use crate::SimTime;
-        let plan = FaultPlan::new(1)
-            .partition_one_way(
-                vec![vec![NodeId(0)], vec![NodeId(1)]],
-                SimTime::ZERO,
-                Some(SimTime::from_secs(1)),
-            )
-            .with_detection_latency(SimDuration::from_micros(500));
+        let plan = FaultPlan::new(1).partition_one_way(
+            vec![vec![NodeId(0)], vec![NodeId(1)]],
+            SimTime::ZERO,
+            Some(SimTime::from_secs(1)),
+        );
         let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(2), plan);
         let f = fabric.clone();
         let mut sim = Simulation::new();

@@ -10,8 +10,15 @@ use shmcaffe_simnet::topology::NodeId;
 use shmcaffe_simnet::{AccessKind, SimContext};
 
 use crate::retry::RetryPolicy;
-use crate::server::{modelled_bytes, ShmKey, SmbServer};
+use crate::server::{
+    modelled_bytes, ShmKey, SmbServer, CONTROL_LATENCY, PROTOCOL_OVERHEAD, STREAM_BPS,
+};
 use crate::SmbError;
+
+/// One control-message request and its reply.
+fn control_round_trip(ctx: &SimContext) {
+    ctx.sleep(CONTROL_LATENCY + CONTROL_LATENCY);
+}
 
 /// Counters of fault effects one client has observed across its retrying
 /// operations (shared between clones of the same client).
@@ -264,11 +271,6 @@ impl SmbClient {
         }
     }
 
-    fn control_round_trip(&self, ctx: &SimContext, server: &SmbServer) {
-        let lat = server.control_latency();
-        ctx.sleep(lat + lat);
-    }
-
     /// Re-reads the pair's active fencing epoch into this client's carried
     /// epoch, acquiring the promotion winner's fence edge (the
     /// fence-acquire→first-fenced-write happens-before edge). No-op for a
@@ -316,7 +318,7 @@ impl SmbClient {
         wire_bytes: Option<u64>,
     ) -> Result<ShmKey, SmbError> {
         let server = self.active(ctx);
-        self.control_round_trip(ctx, &server);
+        control_round_trip(ctx);
         self.admit(ctx, Gate::Stall, ShmKey(0))?;
         server.create_segment(ctx, name, elems, wire_bytes)
     }
@@ -329,7 +331,7 @@ impl SmbClient {
     /// Returns [`SmbError::UnknownKey`] for a dead key.
     pub fn alloc(&self, ctx: &SimContext, key: ShmKey) -> Result<SmbBuffer, SmbError> {
         let server = self.active(ctx);
-        self.control_round_trip(ctx, &server);
+        control_round_trip(ctx);
         let (mr, wire_bytes) = server.alloc_segment(ctx, key)?;
         Ok(SmbBuffer { key, mr, wire_bytes })
     }
@@ -342,7 +344,7 @@ impl SmbClient {
     /// Returns [`SmbError::UnknownKey`] if already freed.
     pub fn free(&self, ctx: &SimContext, buf: SmbBuffer) -> Result<(), SmbError> {
         let server = self.active(ctx);
-        self.control_round_trip(ctx, &server);
+        control_round_trip(ctx);
         self.admit(ctx, Gate::Stall, buf.key)?;
         server.destroy_segment(buf.key)
     }
@@ -364,7 +366,7 @@ impl SmbClient {
         owner: usize,
     ) -> Result<ShmKey, SmbError> {
         let server = self.active(ctx);
-        self.control_round_trip(ctx, &server);
+        control_round_trip(ctx);
         self.admit(ctx, Gate::Stall, ShmKey(0))?;
         server.create_segment_owned(ctx, name, elems, wire_bytes, Some(owner))
     }
@@ -373,7 +375,7 @@ impl SmbClient {
     /// holds. One-way control message (no reply needed).
     pub fn heartbeat(&self, ctx: &SimContext, owner: usize) {
         let server = self.active(ctx);
-        ctx.sleep(server.control_latency());
+        ctx.sleep(CONTROL_LATENCY);
         server.touch_owner(ctx, owner);
     }
 
@@ -383,7 +385,7 @@ impl SmbClient {
     /// before re-creating its buffers. Returns the tombstones reclaimed.
     pub fn ack_eviction(&self, ctx: &SimContext, owner: usize) -> usize {
         let server = self.active(ctx);
-        self.control_round_trip(ctx, &server);
+        control_round_trip(ctx);
         server.ack_eviction(ctx, owner)
     }
 
@@ -673,8 +675,7 @@ impl SmbClient {
                 }
             }
         };
-        let nominal = server.config().stream_bps;
-        Ok((server, cap.map_or(nominal, |bw| nominal.min(bw))))
+        Ok((server, cap.map_or(STREAM_BPS, |bw| STREAM_BPS.min(bw))))
     }
 
     /// The `(sender, receiver)` nodes of a transfer in the given direction.
@@ -700,19 +701,13 @@ impl SmbClient {
     /// verb, bytes streamed along the full DRAM-bus path)`. A priced op
     /// copies at zero verb cost and streams its modelled size through
     /// server DRAM and both HCAs; a true-size op pays the verb alone.
-    fn price(
-        op: Op<'_>,
-        server: &SmbServer,
-        wire_bytes: u64,
-        len: usize,
-        buf: &SmbBuffer,
-    ) -> (u64, Option<u64>) {
+    fn price(op: Op<'_>, wire_bytes: u64, len: usize, buf: &SmbBuffer) -> (u64, Option<u64>) {
         let share = match op.pricing {
             Pricing::TrueSize => return ((len * 4) as u64, None),
             Pricing::Whole => None,
             Pricing::Share => Some((len, buf.len())),
         };
-        (0, Some(modelled_bytes(wire_bytes, server.config().protocol_overhead, share)))
+        (0, Some(modelled_bytes(wire_bytes, PROTOCOL_OVERHEAD, share)))
     }
 
     /// The inbound direction. Decision (3), the kind and site the RDMA
@@ -731,7 +726,7 @@ impl SmbClient {
         self.execute(ctx, op, buf, out.len(), |ctx, offset| {
             let (server, bps) = self.enter(ctx, op.gate, buf.key, true)?;
             let (mr, wire_bytes) = server.verified_segment(ctx, buf.key, offset, out.len())?;
-            let (verb_bytes, path_bytes) = Self::price(op, &server, wire_bytes, out.len(), buf);
+            let (verb_bytes, path_bytes) = Self::price(op, wire_bytes, out.len(), buf);
             let kind = AccessKind::AtomicRead;
             server.rdma().read_wire(ctx, self.local, &mr, offset, out, verb_bytes, kind, site)?;
             if let Some(bytes) = path_bytes {
@@ -766,7 +761,7 @@ impl SmbClient {
             // Verify-before-mutate: a poisoned page must be repaired (the
             // only CRC-clearing path) before new data may land over it.
             let (mr, wire_bytes) = server.verified_segment(ctx, buf.key, offset, data.len())?;
-            let (verb_bytes, path_bytes) = Self::price(op, &server, wire_bytes, data.len(), buf);
+            let (verb_bytes, path_bytes) = Self::price(op, wire_bytes, data.len(), buf);
             let delivery = match op.gate {
                 Gate::Stall => Ok(data.len()),
                 Gate::FailFast(_) => self.outbound_delivery(&server, buf.key, data),
@@ -812,11 +807,11 @@ impl SmbClient {
             let (server, _) = self.enter(ctx, op.gate, src.key, false)?;
             let plain = matches!(op.gate, Gate::Stall);
             if plain {
-                self.control_round_trip(ctx, &server);
+                control_round_trip(ctx);
             }
             self.admit(ctx, op.gate, dst.key)?;
             if !plain {
-                self.control_round_trip(ctx, &server);
+                control_round_trip(ctx);
             }
             server.accumulate(ctx, src.key, dst.key, op.offset.map(|start| (start, len)))
         })
@@ -1029,6 +1024,7 @@ impl SmbClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TOMBSTONE_HORIZON;
     use shmcaffe_rdma::RdmaFabric;
     use shmcaffe_simnet::channel::SimChannel;
     use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
@@ -1190,7 +1186,7 @@ mod tests {
     }
 
     #[test]
-    fn notifications_carry_versions() {
+    fn writes_and_accumulates_bump_the_version() {
         let server = setup(1);
         let s = server.clone();
         let mut sim = Simulation::new();
@@ -1198,10 +1194,12 @@ mod tests {
             let client = SmbClient::new(s.clone(), NodeId(0));
             let key = client.create(&ctx, "n", 2, None).unwrap();
             let buf = client.alloc(&ctx, key).unwrap();
-            let sub = s.subscribe(key);
+            assert_eq!(s.version(key).unwrap(), 0);
             client.write(&ctx, &buf, &[1.0, 1.0]).unwrap();
-            assert_eq!(sub.try_recv(&ctx), Some(1));
             assert_eq!(s.version(key).unwrap(), 1);
+            let dw = client.alloc(&ctx, client.create(&ctx, "dw", 2, None).unwrap()).unwrap();
+            assert_eq!(client.accumulate(&ctx, &dw, &buf).unwrap(), 2);
+            assert_eq!(s.version(key).unwrap(), 2);
         });
         sim.run();
     }
@@ -1243,7 +1241,6 @@ mod tests {
         let rdma = RdmaFabric::new(Fabric::new(ClusterSpec::paper_testbed(1)));
         let cfg = crate::SmbServerConfig {
             lease_timeout: SimDuration::from_millis(50),
-            tombstone_horizon: SimDuration::from_millis(300),
             ..Default::default()
         };
         let server = SmbServer::with_config(rdma, cfg).unwrap();
@@ -1262,7 +1259,7 @@ mod tests {
             assert_eq!(client.ack_eviction(&ctx, 1), 0, "ack is idempotent");
             // Rank 2 never acks; the horizon reclaims its tombstone on a
             // later sweep instead of letting it grow without bound.
-            ctx.sleep(SimDuration::from_millis(400));
+            ctx.sleep(TOMBSTONE_HORIZON + SimDuration::from_millis(100));
             s.evict_stale(&ctx);
             assert_eq!(s.tombstone_count(), 0);
         });
@@ -1275,7 +1272,6 @@ mod tests {
         let rdma = RdmaFabric::new(Fabric::new(ClusterSpec::paper_testbed(1)));
         let cfg = crate::SmbServerConfig {
             lease_timeout: SimDuration::from_millis(50),
-            tombstone_horizon: SimDuration::from_millis(300),
             ..Default::default()
         };
         let server = SmbServer::with_config(rdma, cfg).unwrap();
@@ -1285,14 +1281,15 @@ mod tests {
             let client = SmbClient::new(s.clone(), NodeId(0));
             client.create_owned(&ctx, "dw", 4, None, 1).unwrap();
             // Lease (50 ms) lapses; the eviction at t = 100 ms stamps the
-            // tombstone, starting the 300 ms GC horizon.
-            ctx.sleep_until(SimTime::from_millis(100));
+            // tombstone, starting the GC horizon.
+            let evicted_at = SimTime::from_millis(100);
+            ctx.sleep_until(evicted_at);
             assert_eq!(s.evict_stale(&ctx).len(), 1);
             assert_eq!(s.tombstone_count(), 1);
-            // GC keeps `age <= horizon`: at exactly t = 400 ms the tombstone
-            // is aged precisely the horizon and must survive the sweep, so a
-            // rejoiner arriving on the boundary still learns of its eviction.
-            ctx.sleep_until(SimTime::from_millis(400));
+            // GC keeps `age <= horizon`: a tombstone aged precisely the
+            // horizon must survive the sweep, so a rejoiner arriving on the
+            // boundary still learns of its eviction.
+            ctx.sleep_until(evicted_at + TOMBSTONE_HORIZON);
             s.evict_stale(&ctx);
             assert_eq!(s.tombstone_count(), 1, "boundary entry must be kept");
             // One nanosecond past the horizon it is reclaimed.

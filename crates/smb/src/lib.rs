@@ -4,8 +4,10 @@
 //! buffers in a memory server's RAM and access them over RDMA. It provides
 //! exactly the API surface the paper lists: control messages for remote
 //! shared memory **allocation/deallocation**, **RDMA read/write** to an
-//! assigned buffer, **accumulation between shared memory segments** and
-//! **update notification**.
+//! assigned buffer and **accumulation between shared memory segments**.
+//! The paper's fourth capability, **update notification**, is not
+//! implemented: no ShmCaffe platform listens for one, so segments keep
+//! only the version number every write and accumulate bumps.
 //!
 //! The sharing handshake follows Fig. 2 of the paper:
 //!
@@ -58,6 +60,6 @@ pub mod sharded;
 pub use client::{ClientFaultStats, SmbBuffer, SmbClient};
 pub use error::SmbError;
 pub use replica::{ServerRole, SmbPair};
-pub use retry::RetryPolicy;
-pub use server::{ShmKey, SmbServer, SmbServerConfig};
+pub use retry::{RetryPolicy, BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_JITTER, MAX_BACKOFF};
+pub use server::{ShmKey, SmbServer, SmbServerConfig, TOMBSTONE_HORIZON};
 pub use sharded::SmbCluster;

@@ -42,7 +42,10 @@ use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::topology::NodeId;
 use shmcaffe_simnet::{AccessKind, HbEdge, SimContext, SimDuration, SimTime};
 
-use crate::server::{modelled_bytes, ShmKey, SmbServer, SmbServerConfig};
+use crate::server::{
+    modelled_bytes, ShmKey, SmbServer, SmbServerConfig, CONTROL_LATENCY, PROTOCOL_OVERHEAD,
+    STREAM_BPS,
+};
 use crate::SmbError;
 
 /// Which member of an [`SmbPair`] currently serves client operations.
@@ -140,7 +143,7 @@ impl fmt::Debug for SmbPair {
 /// Charges one member-to-member transfer of a segment modelled as
 /// `wire_bytes` — the whole of it, or the `share` (see
 /// [`modelled_bytes`]) — along `from`'s DRAM bus → `from`'s HCA → `to`'s
-/// HCA → `to`'s DRAM bus. Both members of a pair run one configuration.
+/// HCA → `to`'s DRAM bus, as one SMB stream.
 fn ship(
     ctx: &SimContext,
     from: &SmbServer,
@@ -148,15 +151,15 @@ fn ship(
     wire_bytes: u64,
     share: Option<(usize, usize)>,
 ) {
-    let (cfg, fabric) = (from.config(), from.rdma().fabric());
+    let fabric = from.rdma().fabric();
     let path = [
         from.memory_resource(),
         fabric.hca_tx(from.node()),
         fabric.hca_rx(to.node()),
         to.memory_resource(),
     ];
-    let wire = modelled_bytes(wire_bytes, cfg.protocol_overhead, share);
-    shmcaffe_simnet::resource::transfer_path_stream(ctx, &path, wire, Some(cfg.stream_bps));
+    let wire = modelled_bytes(wire_bytes, PROTOCOL_OVERHEAD, share);
+    shmcaffe_simnet::resource::transfer_path_stream(ctx, &path, wire, Some(STREAM_BPS));
 }
 
 impl SmbPair {
@@ -412,7 +415,6 @@ impl SmbPair {
         let standby = &self.inner.standby;
         let rdma = primary.rdma();
         let fabric = rdma.fabric();
-        let cfg = primary.config();
 
         let catalog = primary.segment_catalog();
         // Mirror deletions first: segments evicted on the primary since the
@@ -485,7 +487,7 @@ impl SmbPair {
         // Control-plane mirror: lease table and tombstones ride one control
         // message once the data plane is consistent.
         self.gate_from(ctx, fabric, primary.node(), standby.node())?;
-        ctx.sleep(cfg.control_latency);
+        ctx.sleep(CONTROL_LATENCY);
         standby.replace_control_tables(primary.control_tables());
         let mut epoch = self.inner.epoch.lock();
         *epoch += 1;
@@ -609,7 +611,6 @@ impl SmbPair {
         let source = &self.inner.standby;
         let rdma = demoted.rdma();
         let fabric = rdma.fabric();
-        let cfg = demoted.config();
         let shipped = self.inner.replicated_versions.lock().clone();
         let live: BTreeMap<ShmKey, ()> =
             source.segment_catalog().iter().map(|m| (m.key, ())).collect();
@@ -647,7 +648,7 @@ impl SmbPair {
         }
         // Control-plane resync: lease table and tombstones follow the data.
         self.gate_from(ctx, fabric, source.node(), demoted.node())?;
-        ctx.sleep(cfg.control_latency);
+        ctx.sleep(CONTROL_LATENCY);
         demoted.replace_control_tables(source.control_tables());
         Ok((discarded, resynced))
     }

@@ -9,12 +9,27 @@
 
 use shmcaffe_simnet::SimDuration;
 
+/// Backoff before the first retry.
+pub const BACKOFF_BASE: SimDuration = SimDuration::from_micros(200);
+
+/// Multiplier applied to the backoff per additional failure.
+pub const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Cap on any single backoff.
+pub const MAX_BACKOFF: SimDuration = SimDuration::from_millis(20);
+
+/// Jitter fraction: each backoff is scaled by a deterministic draw from
+/// `[1 - BACKOFF_JITTER, 1]`.
+pub const BACKOFF_JITTER: f64 = 0.2;
+
 /// Bounded exponential backoff policy for SMB client operations.
 ///
 /// The first attempt happens immediately; after the `k`-th failure the
 /// client sleeps [`RetryPolicy::backoff`]`(k)` in virtual time and tries
 /// again, up to `max_attempts` total attempts or until the cumulative
-/// backoff would exceed `deadline`, whichever comes first.
+/// backoff would exceed `deadline`, whichever comes first. The backoff
+/// curve itself is fixed: [`BACKOFF_BASE`] growing by [`BACKOFF_FACTOR`],
+/// capped at [`MAX_BACKOFF`], shortened by up to [`BACKOFF_JITTER`].
 ///
 /// # Example
 ///
@@ -34,33 +49,16 @@ pub struct RetryPolicy {
     /// Maximum total attempts, including the first (so `max_attempts - 1`
     /// retries at most).
     pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base: SimDuration,
-    /// Multiplier applied to the backoff per additional failure.
-    pub factor: f64,
-    /// Cap on any single backoff.
-    pub max_backoff: SimDuration,
     /// Cap on the *cumulative* backoff; a retry whose sleep would push the
     /// total past this is not taken.
     pub deadline: SimDuration,
-    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a
-    /// deterministic draw from `[1 - jitter, 1]`.
-    pub jitter: f64,
     /// Seed for the jitter draws.
     pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            base: SimDuration::from_micros(200),
-            factor: 2.0,
-            max_backoff: SimDuration::from_millis(20),
-            deadline: SimDuration::from_millis(100),
-            jitter: 0.2,
-            seed: 0,
-        }
+        RetryPolicy { max_attempts: 6, deadline: SimDuration::from_millis(100), seed: 0 }
     }
 }
 
@@ -72,13 +70,10 @@ impl RetryPolicy {
 
     /// Backoff to sleep after the `attempt`-th failure (1-based).
     ///
-    /// Pure in `(self, attempt)`: exponential growth from `base` by
-    /// `factor`, capped at `max_backoff`, scaled by a deterministic jitter
-    /// draw in `[1 - jitter, 1]`.
+    /// Pure in `(self, attempt)`: the nominal curve's backoff, scaled by a
+    /// deterministic jitter draw in `[1 - BACKOFF_JITTER, 1]`.
     pub fn backoff(&self, attempt: u32) -> SimDuration {
-        let exp = self.base.mul_f64(self.factor.powi(attempt.saturating_sub(1) as i32));
-        let capped = exp.min(self.max_backoff);
-        capped.mul_f64(1.0 - self.jitter * unit_draw(self.seed, attempt))
+        nominal(attempt).mul_f64(1.0 - BACKOFF_JITTER * unit_draw(self.seed, attempt))
     }
 
     /// The full backoff schedule this policy would follow: one entry per
@@ -98,6 +93,13 @@ impl RetryPolicy {
     }
 }
 
+/// The un-jittered backoff after the `attempt`-th failure: exponential
+/// growth from [`BACKOFF_BASE`] by [`BACKOFF_FACTOR`], capped at
+/// [`MAX_BACKOFF`].
+fn nominal(attempt: u32) -> SimDuration {
+    BACKOFF_BASE.mul_f64(BACKOFF_FACTOR.powi(attempt.saturating_sub(1) as i32)).min(MAX_BACKOFF)
+}
+
 /// One uniform draw in `[0, 1)` as a pure function of `(seed, attempt)`
 /// (splitmix64 finalizer — deterministic across platforms and runs).
 fn unit_draw(seed: u64, attempt: u32) -> f64 {
@@ -115,23 +117,20 @@ mod tests {
 
     #[test]
     fn backoff_grows_then_caps() {
-        let p = RetryPolicy { jitter: 0.0, ..RetryPolicy::default() };
-        assert_eq!(p.backoff(1), SimDuration::from_micros(200));
-        assert_eq!(p.backoff(2), SimDuration::from_micros(400));
-        assert_eq!(p.backoff(3), SimDuration::from_micros(800));
+        assert_eq!(nominal(1), SimDuration::from_micros(200));
+        assert_eq!(nominal(2), SimDuration::from_micros(400));
+        assert_eq!(nominal(3), SimDuration::from_micros(800));
         // factor 2^9 * 200us = 102.4ms, capped at 20ms.
-        assert_eq!(p.backoff(10), p.max_backoff);
+        assert_eq!(nominal(10), MAX_BACKOFF);
     }
 
     #[test]
     fn jitter_shrinks_but_never_inflates() {
         let p = RetryPolicy::with_seed(7);
-        let flat = RetryPolicy { jitter: 0.0, ..RetryPolicy::with_seed(7) };
         for attempt in 1..6 {
             let jittered = p.backoff(attempt);
-            let nominal = flat.backoff(attempt);
-            assert!(jittered <= nominal, "jitter must only shorten backoffs");
-            assert!(jittered >= nominal.mul_f64(1.0 - p.jitter));
+            assert!(jittered <= nominal(attempt), "jitter must only shorten backoffs");
+            assert!(jittered >= nominal(attempt).mul_f64(1.0 - BACKOFF_JITTER));
         }
     }
 

@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use shmcaffe_rdma::{MemoryRegion, RdmaFabric};
-use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::resource::{BandwidthResource, LinkModel};
 use shmcaffe_simnet::topology::NodeId;
 use shmcaffe_simnet::{AccessKind, HbEdge, SimContext, SimDuration, SimTime};
@@ -24,43 +23,48 @@ impl fmt::Display for ShmKey {
     }
 }
 
+/// Effective bandwidth of the memory server's DRAM bus in bytes/s
+/// (E5-2609 v2 + DDR3-1866: ~15 GB/s practical). Every byte RDMA'd in or
+/// out of a shared segment crosses this bus once (DMA), and the accumulate
+/// engine crosses it three times per byte (read ΔW, read W_g, write W_g).
+/// At scale this bus — not the 7 GB/s HCA — is the contended resource,
+/// which is what drives the paper's communication ratios (Table V:
+/// ResNet_50 56% at 16 workers).
+const MEMORY_BPS: f64 = 15.0e9;
+
+/// One-way latency of a control message (allocation and accumulate
+/// requests, heartbeats, replication handshakes).
+pub(crate) const CONTROL_LATENCY: SimDuration = SimDuration::from_micros(5);
+
+/// Per-stream bandwidth of one client's RDMA read/write to the server, in
+/// bytes/s. The SMB transport (derived from the kernel RDS module) cannot
+/// saturate the 7 GB/s HCA from a single connection; aggregate bandwidth
+/// therefore *grows* with the process count until the HCA saturates,
+/// reproducing the shape of Fig. 7. Calibrated so ~4-8 concurrent
+/// processes reach the ~6.7 GB/s aggregate ceiling.
+pub(crate) const STREAM_BPS: f64 = 1.5e9;
+
+/// Wire overhead fraction of the SMB transport (RDS headers, control
+/// traffic). The paper measures 6.7 GB/s of *payload* through the 7 GB/s
+/// HCA — 96% efficiency — so 4.5% of the wire carries protocol.
+pub(crate) const PROTOCOL_OVERHEAD: f64 = 0.045;
+
+/// How long an eviction tombstone is kept after the lease expired.
+/// Tombstones let lookups of a reclaimed key report
+/// [`SmbError::LeaseExpired`] instead of a bare unknown key; they are
+/// garbage-collected once the lapsed owner acknowledges the eviction
+/// ([`SmbServer::ack_eviction`]) or after this horizon, whichever comes
+/// first, so the table stays bounded over long runs.
+pub const TOMBSTONE_HORIZON: SimDuration = SimDuration::from_secs(10);
+
 /// Tunable parameters of the SMB server.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmbServerConfig {
-    /// Effective bandwidth of the memory server's DRAM bus in bytes/s
-    /// (E5-2609 v2 + DDR3-1866: ~15 GB/s practical). Every byte RDMA'd in
-    /// or out of a shared segment crosses this bus once (DMA), and the
-    /// accumulate engine crosses it three times per byte (read ΔW, read
-    /// W_g, write W_g). At scale this bus — not the 7 GB/s HCA — is the
-    /// contended resource, which is what drives the paper's communication
-    /// ratios (Table V: ResNet_50 56% at 16 workers).
-    pub memory_bps: f64,
-    /// One-way latency of a control message (allocation requests,
-    /// accumulate requests, notifications).
-    pub control_latency: SimDuration,
-    /// Per-stream bandwidth of one client's RDMA read/write to the server,
-    /// in bytes/s. The SMB transport (derived from the kernel RDS module)
-    /// cannot saturate the 7 GB/s HCA from a single connection; aggregate
-    /// bandwidth therefore *grows* with the process count until the HCA
-    /// saturates, reproducing the shape of Fig. 7. Calibrated so ~4-8
-    /// concurrent processes reach the ~6.7 GB/s aggregate ceiling.
-    pub stream_bps: f64,
-    /// Wire overhead fraction of the SMB transport (RDS headers, control
-    /// traffic). The paper measures 6.7 GB/s of *payload* through the
-    /// 7 GB/s HCA — 96% efficiency — so 4.5% of the wire carries protocol.
-    pub protocol_overhead: f64,
     /// How long an owned segment survives without a heartbeat from its
     /// owner before [`SmbServer::evict_stale`] reclaims it. Crashed workers
     /// stop heartbeating, so their ΔW segments are evicted and survivors
     /// keep training (crash-tolerant SEASGD).
     pub lease_timeout: SimDuration,
-    /// How long an eviction tombstone is kept after the lease expired.
-    /// Tombstones let lookups of a reclaimed key report
-    /// [`SmbError::LeaseExpired`] instead of a bare unknown key; they are
-    /// garbage-collected once the lapsed owner acknowledges the eviction
-    /// ([`SmbServer::ack_eviction`]) or after this horizon, whichever comes
-    /// first, so the table stays bounded over long runs.
-    pub tombstone_horizon: SimDuration,
     /// How long the primary's write authority lasts without a successful
     /// replication pass renewing it. While the lease is live, promotion of
     /// the standby is illegal (the primary may still be accepting writes
@@ -90,12 +94,7 @@ pub struct SmbServerConfig {
 impl Default for SmbServerConfig {
     fn default() -> Self {
         SmbServerConfig {
-            memory_bps: 15.0e9,
-            control_latency: SimDuration::from_micros(5),
-            stream_bps: 1.5e9,
-            protocol_overhead: 0.045,
             lease_timeout: SimDuration::from_millis(500),
-            tombstone_horizon: SimDuration::from_secs(10),
             authority_timeout: SimDuration::from_millis(500),
             page_elems: 0,
             scrub_interval: SimDuration::ZERO,
@@ -272,7 +271,7 @@ pub(crate) struct Lease {
 /// Marker left behind when a lease expires, so later lookups of the dead
 /// key can report *why* it vanished. Bounded: reaped by
 /// [`SmbServer::ack_eviction`] or after
-/// [`SmbServerConfig::tombstone_horizon`].
+/// [`TOMBSTONE_HORIZON`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Tombstone {
     owner: usize,
@@ -280,9 +279,9 @@ pub(crate) struct Tombstone {
     at: SimTime,
 }
 
-// All five tables are BTreeMaps, not HashMaps: eviction scans iterate
-// `leases`, notification fan-out iterates `subscribers`, and Debug/teardown
-// paths iterate the rest, so iteration order must be deterministic.
+// All the tables are BTreeMaps, not HashMaps: eviction scans iterate
+// `leases`, and the state hash, replication and teardown paths iterate the
+// rest, so iteration order must be deterministic.
 struct ServerInner {
     node: NodeId,
     rdma: RdmaFabric,
@@ -292,7 +291,6 @@ struct ServerInner {
     segments: Mutex<BTreeMap<ShmKey, Segment>>,
     names: Mutex<BTreeMap<String, ShmKey>>,
     next_key: Mutex<u64>,
-    subscribers: Mutex<BTreeMap<ShmKey, Vec<SimChannel<u64>>>>,
     /// Heartbeat leases for owned segments.
     leases: Mutex<BTreeMap<ShmKey, Lease>>,
     /// Keys reclaimed by lease expiry, with the lapsed owner — lookups of
@@ -375,12 +373,11 @@ impl SmbServer {
                 config,
                 memory: BandwidthResource::new(
                     "smb_server_memory",
-                    LinkModel::new(config.memory_bps, config.control_latency),
+                    LinkModel::new(MEMORY_BPS, CONTROL_LATENCY),
                 ),
                 segments: Mutex::new(BTreeMap::new()),
                 names: Mutex::new(BTreeMap::new()),
                 next_key: Mutex::new(1),
-                subscribers: Mutex::new(BTreeMap::new()),
                 leases: Mutex::new(BTreeMap::new()),
                 evicted: Mutex::new(BTreeMap::new()),
                 streams: Mutex::new(BTreeMap::new()),
@@ -403,11 +400,6 @@ impl SmbServer {
     /// The RDMA fabric this server allocates from.
     pub fn rdma(&self) -> &RdmaFabric {
         &self.inner.rdma
-    }
-
-    /// One-way control-message latency.
-    pub(crate) fn control_latency(&self) -> SimDuration {
-        self.inner.config.control_latency
     }
 
     /// Total bytes that have crossed the server's memory bus so far (DMA
@@ -558,7 +550,6 @@ impl SmbServer {
             None => return Err(self.missing(key)),
         };
         self.inner.names.lock().remove(&seg.name);
-        self.inner.subscribers.lock().remove(&key);
         self.inner.leases.lock().remove(&key);
         self.inner.rdma.deregister(&seg.mr)?;
         Ok(())
@@ -615,8 +606,7 @@ impl SmbServer {
         // Bounded tombstone GC: anything older than the horizon no longer
         // needs a LeaseExpired explanation — every interested party has had
         // ample time to observe it.
-        let horizon = self.inner.config.tombstone_horizon;
-        self.inner.evicted.lock().retain(|_, t| now.since(t.at) <= horizon);
+        self.inner.evicted.lock().retain(|_, t| now.since(t.at) <= TOMBSTONE_HORIZON);
         evicted.sort();
         evicted
     }
@@ -740,29 +730,16 @@ impl SmbServer {
         self.inner.streams.lock().get(&key).is_some_and(|&c| c > 0)
     }
 
-    /// Bumps a segment's version and notifies subscribers; returns the new
-    /// version.
+    /// Bumps a segment's version; returns the new version (0 for a dead
+    /// segment).
     pub(crate) fn bump_version(&self, ctx: &SimContext, key: ShmKey) -> u64 {
         // Version bumps on the same key never commute for exploration
-        // purposes: subscribers observe the intermediate values.
+        // purposes: callers observe the intermediate values.
         mark(ctx, "smb.version", key.0, 0..1, AccessKind::AtomicRmw);
-        let version = {
-            let mut segments = self.inner.segments.lock();
-            match segments.get_mut(&key) {
-                Some(seg) => {
-                    seg.version += 1;
-                    seg.version
-                }
-                None => return 0,
-            }
-        };
-        let subscribers = self.inner.subscribers.lock();
-        if let Some(subs) = subscribers.get(&key) {
-            for ch in subs {
-                ch.send(ctx, version);
-            }
-        }
-        version
+        self.inner.segments.lock().get_mut(&key).map_or(0, |seg| {
+            seg.version += 1;
+            seg.version
+        })
     }
 
     /// Current version of a segment (0 if never updated).
@@ -776,14 +753,6 @@ impl SmbServer {
             Some(s) => Ok(s.version),
             None => Err(self.missing(key)),
         }
-    }
-
-    /// Subscribes to update notifications for a segment. Each accumulate or
-    /// client write sends the new version on the returned channel.
-    pub fn subscribe(&self, key: ShmKey) -> SimChannel<u64> {
-        let ch = SimChannel::new(&format!("smb_notify_{}", key.0));
-        self.inner.subscribers.lock().entry(key).or_default().push(ch.clone());
-        ch
     }
 
     /// FNV fingerprint of the server's observable state: the segment table
@@ -1136,7 +1105,8 @@ impl SmbServer {
     pub fn inject_bit_flip(&self, key: ShmKey, elem: usize, bit: u32) -> Result<(), SmbError> {
         let (mr, _) = self.segment(key)?;
         if elem >= mr.len {
-            return Err(SmbError::SizeMismatch { key, expected: mr.len, got: elem + 1 });
+            let got = elem.saturating_add(1);
+            return Err(SmbError::SizeMismatch { key, expected: mr.len, got });
         }
         self.inner.rdma.with_region(&mr, |b| {
             b[elem] = f32::from_bits(b[elem].to_bits() ^ (1u32 << (bit % 32)));
@@ -1163,8 +1133,10 @@ impl SmbServer {
         prefix: usize,
     ) -> Result<(), SmbError> {
         let (mr, _) = self.segment(key)?;
-        if offset + data.len() > mr.len || prefix > data.len() {
-            return Err(SmbError::SizeMismatch { key, expected: mr.len, got: offset + data.len() });
+        let end = offset.checked_add(data.len()).filter(|&end| end <= mr.len);
+        if end.is_none() || prefix > data.len() {
+            let got = offset.saturating_add(data.len());
+            return Err(SmbError::SizeMismatch { key, expected: mr.len, got });
         }
         if prefix > 0 {
             self.inner.rdma.with_region(&mr, |b| {
@@ -1451,6 +1423,30 @@ mod tests {
             let expect: Vec<u32> = vec![0.0f32; elems].chunks(PAGE).map(crc32c_f32).collect();
             assert_eq!(server.initial_page_crcs(elems), expect, "elems {elems}");
         }
+    }
+
+    /// The corruption hooks take their offsets from outside: one near
+    /// `usize::MAX` is refused as a size mismatch (saturated, not wrapped)
+    /// and leaves the segment intact, rather than overflowing.
+    #[test]
+    fn corruption_hooks_refuse_offsets_near_usize_max() {
+        let server = paged_server();
+        let s = server.clone();
+        in_sim(move |ctx| {
+            let client = SmbClient::new(s.clone(), NodeId(0));
+            let key = client.create(ctx, "seg", ELEMS, None).unwrap();
+            let before = page_crcs(&s, key);
+            assert!(matches!(
+                s.inject_bit_flip(key, usize::MAX, 0),
+                Err(SmbError::SizeMismatch { expected: ELEMS, got: usize::MAX, .. })
+            ));
+            assert!(matches!(
+                s.inject_torn_write(ctx, key, usize::MAX - 1, &payload(3, 4), 2),
+                Err(SmbError::SizeMismatch { expected: ELEMS, got: usize::MAX, .. })
+            ));
+            assert_eq!(page_crcs(&s, key), before);
+            s.verify_region(ctx, key, 0, ELEMS).unwrap();
+        });
     }
 
     /// Carried page CRCs must be exactly one per page: a vector of the

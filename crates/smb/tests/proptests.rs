@@ -10,7 +10,10 @@ use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
 use shmcaffe_simnet::{SimDuration, Simulation};
-use shmcaffe_smb::{RetryPolicy, ShmKey, SmbClient, SmbServer};
+use shmcaffe_smb::{
+    RetryPolicy, ShmKey, SmbClient, SmbServer, BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_JITTER,
+    MAX_BACKOFF,
+};
 use std::sync::Arc;
 
 fn server(nodes: usize) -> SmbServer {
@@ -109,54 +112,39 @@ proptest! {
     fn retry_schedule_is_bounded_by_deadline(
         seed in 0u64..1_000_000_000,
         max_attempts in 1u32..20,
-        base_us in 1u64..5_000,
-        factor in 1.0f64..4.0,
         deadline_us in 1u64..200_000,
-        jitter in 0.0f64..1.0,
     ) {
-        let policy = RetryPolicy {
-            max_attempts,
-            base: SimDuration::from_micros(base_us),
-            factor,
-            max_backoff: SimDuration::from_millis(20),
-            deadline: SimDuration::from_micros(deadline_us),
-            jitter,
-            seed,
-        };
-        let schedule = policy.schedule();
+        let deadline = SimDuration::from_micros(deadline_us);
+        let schedule = RetryPolicy { max_attempts, deadline, seed }.schedule();
         prop_assert!(schedule.len() < max_attempts.max(1) as usize);
         let total: SimDuration = schedule.iter().copied().sum();
-        prop_assert!(total <= policy.deadline, "{} > {}", total, policy.deadline);
+        prop_assert!(total <= deadline, "{} > {}", total, deadline);
         for b in &schedule {
-            prop_assert!(*b <= policy.max_backoff);
+            prop_assert!(*b <= MAX_BACKOFF);
         }
     }
 
     /// Jitter only ever shrinks a backoff, and by a bounded amount: every
-    /// jittered backoff lands in `[nominal * (1 - jitter), nominal]` of the
-    /// zero-jitter exponential, so de-synchronising the fleet can never
-    /// push a retry *later* than the nominal schedule, and never earlier
-    /// than the advertised lower bound.
+    /// jittered backoff lands in `[nominal * (1 - BACKOFF_JITTER), nominal]`
+    /// of the un-jittered exponential curve, so de-synchronising the fleet
+    /// can never push a retry *later* than the nominal schedule, and never
+    /// earlier than the advertised lower bound — whatever the policy's
+    /// attempt budget and deadline.
     #[test]
     fn retry_jitter_is_bounded_below(
         seed in 0u64..1_000_000_000,
         attempt in 1u32..24,
-        base_us in 1u64..5_000,
-        factor in 1.0f64..4.0,
-        jitter in 0.0f64..1.0,
+        max_attempts in 1u32..20,
+        deadline_us in 1u64..200_000,
     ) {
-        let policy = RetryPolicy {
-            base: SimDuration::from_micros(base_us),
-            factor,
-            jitter,
-            seed,
-            ..RetryPolicy::default()
-        };
-        let nominal = RetryPolicy { jitter: 0.0, ..policy }.backoff(attempt);
+        let deadline = SimDuration::from_micros(deadline_us);
+        let policy = RetryPolicy { max_attempts, deadline, seed };
+        let growth = BACKOFF_FACTOR.powi(attempt as i32 - 1);
+        let nominal = BACKOFF_BASE.mul_f64(growth).min(MAX_BACKOFF);
         let b = policy.backoff(attempt);
         prop_assert!(b <= nominal, "{} inflated past nominal {}", b, nominal);
-        let floor = nominal.mul_f64(1.0 - jitter);
-        prop_assert!(b >= floor, "{} under floor {} (jitter {})", b, floor, jitter);
+        let floor = nominal.mul_f64(1.0 - BACKOFF_JITTER);
+        prop_assert!(b >= floor, "{} under floor {}", b, floor);
     }
 
     /// Identical seeds yield bit-identical retry schedules; the jitter is

@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
 use shmcaffe_simnet::{ExploreBounds, ScheduleTrace, SimDuration, SimTime, Simulation};
-use shmcaffe_smb::{SmbClient, SmbPair, SmbServer, SmbServerConfig};
+use shmcaffe_smb::{SmbClient, SmbPair, SmbServer, SmbServerConfig, TOMBSTONE_HORIZON};
 
 fn sched_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -208,12 +208,12 @@ fn promote_vs_late_primary_write_certifies() {
 /// probe confirms the schedules collapse to one distinct terminal state.
 #[test]
 fn tombstone_gc_vs_rejoin_certifies() {
-    let setup = |sim: &mut Simulation| {
-        let cfg = SmbServerConfig {
-            lease_timeout: SimDuration::from_millis(2),
-            tombstone_horizon: SimDuration::from_millis(5),
-            ..Default::default()
-        };
+    // The first scan plants the tombstone at 5 ms; the tie falls 2 ms after
+    // it has aged past the horizon.
+    let gc_at = SimTime::from_millis(7) + TOMBSTONE_HORIZON;
+    let setup = move |sim: &mut Simulation| {
+        let cfg =
+            SmbServerConfig { lease_timeout: SimDuration::from_millis(2), ..Default::default() };
         let server = SmbServer::with_config(single_fabric(sim), cfg).unwrap();
         {
             let s = server.clone();
@@ -230,14 +230,14 @@ fn tombstone_gc_vs_rejoin_certifies() {
                 assert_eq!(s.evict_stale(&ctx).len(), 1);
                 // Second scan ties with the rejoin: it GCs the now-expired
                 // tombstone if the ack has not already reaped it.
-                ctx.sleep_until(SimTime::from_millis(12));
+                ctx.sleep_until(gc_at);
                 s.evict_stale(&ctx);
             });
         }
         {
             let s = server.clone();
             sim.spawn("rejoiner", move |ctx| {
-                ctx.sleep_until(SimTime::from_millis(12));
+                ctx.sleep_until(gc_at);
                 // The ack *arrives at the server* exactly when the GC scan
                 // wakes — the interesting tie. (Going through the client
                 // would add a control round trip and break the tie.)
@@ -249,7 +249,7 @@ fn tombstone_gc_vs_rejoin_certifies() {
         {
             let s = server.clone();
             sim.spawn("check", move |ctx| {
-                ctx.sleep_until(SimTime::from_millis(20));
+                ctx.sleep_until(gc_at + SimDuration::from_millis(8));
                 assert_eq!(s.tombstone_count(), 0, "the tombstone must be reclaimed either way");
                 assert!(s.lookup("dw").is_some(), "the rejoined segment must exist");
             });

@@ -24,13 +24,6 @@ pub enum TensorError {
         /// Element count of the requested shape.
         want: usize,
     },
-    /// An axis index was out of range for the tensor's rank.
-    AxisOutOfRange {
-        /// The offending axis.
-        axis: usize,
-        /// The tensor's rank.
-        rank: usize,
-    },
     /// Convolution/pooling geometry does not produce a positive output size.
     BadGeometry(String),
 }
@@ -46,9 +39,6 @@ impl fmt::Display for TensorError {
             }
             TensorError::ReshapeMismatch { have, want } => {
                 write!(f, "cannot reshape {have} elements into {want} elements")
-            }
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank {rank}")
             }
             TensorError::BadGeometry(msg) => write!(f, "bad geometry: {msg}"),
         }
@@ -67,7 +57,6 @@ mod tests {
             TensorError::LengthMismatch { data_len: 1, shape_len: 2 },
             TensorError::ShapeMismatch { left: vec![1], right: vec![2] },
             TensorError::ReshapeMismatch { have: 3, want: 4 },
-            TensorError::AxisOutOfRange { axis: 5, rank: 2 },
             TensorError::BadGeometry("x".into()),
         ];
         for v in variants {

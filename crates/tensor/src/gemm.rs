@@ -351,27 +351,6 @@ fn micro_kernel_body(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
     acc
 }
 
-/// Matrix-vector product `y = alpha * op(A) * x + beta * y` (row-major).
-///
-/// `op(A)` is `m x n`; `x` has length `n`, `y` has length `m`.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than the implied size.
-#[allow(clippy::too_many_arguments)] // BLAS-compatible signature
-pub fn gemv(
-    trans: Transpose,
-    m: usize,
-    n: usize,
-    alpha: f32,
-    a: &[f32],
-    x: &[f32],
-    beta: f32,
-    y: &mut [f32],
-) {
-    gemm(trans, Transpose::No, m, 1, n, alpha, a, x, beta, y);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,20 +529,5 @@ mod tests {
                 "threads={t} diverged"
             );
         }
-    }
-
-    #[test]
-    fn gemv_matches_manual() {
-        // A = [[1,2],[3,4],[5,6]] (3x2), x = [1, -1]
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let x = [1.0, -1.0];
-        let mut y = [0.0; 3];
-        gemv(Transpose::No, 3, 2, 1.0, &a, &x, 0.0, &mut y);
-        assert_eq!(y, [-1.0, -1.0, -1.0]);
-        // A^T * v for v of length 3.
-        let v = [1.0, 1.0, 1.0];
-        let mut z = [0.0; 2];
-        gemv(Transpose::Yes, 2, 3, 1.0, &a, &v, 0.0, &mut z);
-        assert_eq!(z, [9.0, 12.0]);
     }
 }

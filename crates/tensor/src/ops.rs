@@ -48,20 +48,6 @@ pub fn axpy_serial(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// `y = alpha * x + beta * y`.
-///
-/// # Panics
-///
-/// Panics if `x.len() != y.len()`.
-pub fn axpby(alpha: f32, x: &[f32], beta: f32, y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpby length mismatch");
-    parallel::par_zip_mut(y, x, elemwise_chunk(y.len()), |yc, xc| {
-        for (yv, &xv) in yc.iter_mut().zip(xc.iter()) {
-            *yv = alpha * xv + beta * *yv;
-        }
-    });
-}
-
 /// `x *= alpha`.
 pub fn scal(alpha: f32, x: &mut [f32]) {
     parallel::par_chunks_mut(x, elemwise_chunk(x.len()), |_, c| {
@@ -216,13 +202,11 @@ mod tests {
     use crate::parallel::ELEMWISE_CHUNK;
 
     #[test]
-    fn axpy_and_axpby() {
+    fn axpy_adds_scaled_x() {
         let x = [1.0, -2.0, 3.0];
         let mut y = [1.0, 1.0, 1.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [3.0, -3.0, 7.0]);
-        axpby(1.0, &x, 0.0, &mut y);
-        assert_eq!(y, x);
     }
 
     #[test]
@@ -321,7 +305,6 @@ mod tests {
             with_threads(threads, || {
                 let mut y = y0.clone();
                 axpy(0.37, &x, &mut y);
-                axpby(1.25, &x, -0.5, &mut y);
                 let mut out = vec![0.0f32; n];
                 relu_backward(&x, &y, &mut out);
                 let d = dot(&x, &y);
@@ -331,7 +314,7 @@ mod tests {
         let (y1, o1, d1) = run(1);
         for t in [2, 4, 7] {
             let (yt, ot, dt) = run(t);
-            assert_eq!(y1, yt, "axpy/axpby threads={t}");
+            assert_eq!(y1, yt, "axpy threads={t}");
             assert_eq!(o1, ot, "activations threads={t}");
             assert_eq!(d1.to_bits(), dt.to_bits(), "dot threads={t}");
         }

@@ -460,36 +460,6 @@ impl<'a, T> SliceParts<'a, T> {
     }
 }
 
-/// Maps fixed chunks of `x` through `f` and combines the per-chunk partials
-/// **in chunk order** with `combine` — the deterministic reduction used by
-/// `dot` and friends. Chunk boundaries depend only on `x.len()`.
-pub fn par_reduce<T, A, F, C>(x: &[T], chunk: usize, init: A, f: F, combine: C) -> A
-where
-    T: Sync,
-    A: Send,
-    F: Fn(&[T]) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    if x.len() <= chunk || current_threads() <= 1 {
-        return x.chunks(chunk).fold(init, |acc, c| combine(acc, f(c)));
-    }
-    let n_chunks = x.len().div_ceil(chunk);
-    let mut partials: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
-    {
-        let tasks: Vec<Task<'_>> = partials
-            .iter_mut()
-            .zip(x.chunks(chunk))
-            .map(|(slot, c)| -> Task<'_> {
-                let f = &f;
-                Box::new(move || *slot = Some(f(c)))
-            })
-            .collect();
-        run_tasks(tasks);
-    }
-    partials.into_iter().fold(init, |acc, p| combine(acc, p.expect("chunk partial computed")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,20 +499,6 @@ mod tests {
         let serial = run(1);
         for t in [2, 4, 7] {
             assert_eq!(serial, run(t), "threads={t}");
-        }
-    }
-
-    #[test]
-    fn par_reduce_combines_in_fixed_order() {
-        let x: Vec<f32> = (0..40_000).map(|i| (i as f32 * 0.11).cos()).collect();
-        let sum = |threads: usize| {
-            with_threads(threads, || {
-                par_reduce(&x, ELEMWISE_CHUNK, 0.0f32, |c| c.iter().sum::<f32>(), |a, b| a + b)
-            })
-        };
-        let serial = sum(1);
-        for t in [2, 4, 7] {
-            assert_eq!(serial.to_bits(), sum(t).to_bits(), "threads={t}");
         }
     }
 

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use crate::TensorError;
-
 /// The shape of a tensor: an ordered list of dimension extents.
 ///
 /// Shapes are row-major: the last axis is contiguous in memory. Caffe's
@@ -62,15 +60,6 @@ impl Shape {
         &self.dims
     }
 
-    /// Checked accessor for an axis extent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis` is out of range.
-    pub fn try_dim(&self, axis: usize) -> Result<usize, TensorError> {
-        self.dims.get(axis).copied().ok_or(TensorError::AxisOutOfRange { axis, rank: self.rank() })
-    }
-
     /// Row-major strides for this shape.
     ///
     /// ```rust
@@ -99,13 +88,6 @@ impl Shape {
             off += i * s;
         }
         off
-    }
-
-    /// Caffe blob convenience: number of elements from `axis` to the end.
-    ///
-    /// `count_from(0)` equals [`Shape::len`].
-    pub fn count_from(&self, axis: usize) -> usize {
-        self.dims[axis.min(self.dims.len())..].iter().product()
     }
 }
 
@@ -153,22 +135,6 @@ mod tests {
         assert_eq!(s.offset(&[0, 0, 0]), 0);
         assert_eq!(s.offset(&[1, 2, 3]), 12 + 8 + 3);
         assert_eq!(s.offset(&[1, 0, 1]), 13);
-    }
-
-    #[test]
-    fn count_from_matches_caffe_blob_semantics() {
-        let s = Shape::new(&[8, 3, 32, 32]);
-        assert_eq!(s.count_from(0), 8 * 3 * 32 * 32);
-        assert_eq!(s.count_from(1), 3 * 32 * 32);
-        assert_eq!(s.count_from(4), 1);
-        assert_eq!(s.count_from(9), 1);
-    }
-
-    #[test]
-    fn try_dim_reports_out_of_range() {
-        let s = Shape::new(&[2, 3]);
-        assert_eq!(s.try_dim(1), Ok(3));
-        assert_eq!(s.try_dim(2), Err(TensorError::AxisOutOfRange { axis: 2, rank: 2 }));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::{Shape, TensorError};
 /// # fn main() -> Result<(), shmcaffe_tensor::TensorError> {
 /// let mut t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
 /// assert_eq!(t.at(&[1, 2]), 6.0);
-/// *t.at_mut(&[0, 0]) = -1.0;
+/// t.data_mut()[0] = -1.0;
 /// assert_eq!(t.sum(), 19.0);
 /// # Ok(())
 /// # }
@@ -106,16 +106,6 @@ impl Tensor {
     /// Panics if the index rank or any coordinate is out of range.
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]
-    }
-
-    /// Mutable element at a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index rank or any coordinate is out of range.
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let off = self.shape.offset(index);
-        &mut self.data[off]
     }
 
     /// Reinterprets the tensor with a new shape of equal element count.
