@@ -18,7 +18,6 @@
 //!
 //! See EXPERIMENTS.md for the paper-vs-measured record.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;

@@ -34,7 +34,6 @@
 //! sim.run();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use shmcaffe_mpi::{Comm, MpiData, MpiWorld};

@@ -15,7 +15,6 @@
 //! * [`proxies`] — small *real* networks built on `shmcaffe-dnn` used by the
 //!   convergence experiments (Figs 8 and 11).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod proxies;

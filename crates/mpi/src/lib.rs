@@ -37,7 +37,6 @@
 //! sim.run();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod collective;

@@ -43,7 +43,10 @@
 //! sim.run();
 //! ```
 
-#![forbid(unsafe_code)]
+// The fault injector aims at this data plane: a fault must surface as an
+// `RdmaError` the retry/fail-over machinery sees, never as a panic.
+// `#[cfg(test)]` modules are exempt (`clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;

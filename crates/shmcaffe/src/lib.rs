@@ -45,7 +45,6 @@
 //! assert_eq!(report.workers.len(), 4);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

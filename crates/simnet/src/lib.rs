@@ -46,7 +46,6 @@
 //! sim.run();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod channel;

@@ -24,7 +24,7 @@
 //! uses (see DESIGN.md § Enforced invariants):
 //!
 //! * **channel send → recv** ([`crate::channel::SimChannel`]) — covers the
-//!   MPI substrate, SMB doorbell/update notifications, and all
+//!   MPI substrate, the SEASGD exchanger's request/reply lanes, and all
 //!   rendezvous-style fan-out helpers;
 //! * **process spawn** ([`crate::SimContext::spawn`]) — parent to child;
 //! * **segment creation → allocation**, **lease heartbeat → eviction** and

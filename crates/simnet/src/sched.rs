@@ -11,6 +11,11 @@
 //! wakes exactly the granted thread (DESIGN.md §5k); only an abort — a
 //! process panic or a detected deadlock — wakes everyone.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the scheduler is what parks and wakes every process thread; this is its condvar"
+)]
+
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};

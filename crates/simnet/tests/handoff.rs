@@ -13,6 +13,10 @@ use std::time::Duration;
 
 /// Runs `f` on a helper thread under a wall-clock watchdog, so a lost wake
 /// is a red test rather than a hung suite.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a wall-clock watchdog around the simulation, not a process inside it"
+)]
 fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = std::sync::mpsc::channel();
     let helper = std::thread::spawn(move || {

@@ -38,7 +38,7 @@ proptest! {
         // sorted (the scheduler always runs the earliest process).
         let trace = log.lock().clone();
         let mut last_global = 0u64;
-        let mut last_per: std::collections::HashMap<usize, u64> = Default::default();
+        let mut last_per: std::collections::BTreeMap<usize, u64> = Default::default();
         for (pid, t) in trace {
             prop_assert!(t >= last_global, "global order violated");
             last_global = t;

@@ -48,7 +48,6 @@
 //! # }
 //! ```
 
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conv;

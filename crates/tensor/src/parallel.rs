@@ -24,6 +24,11 @@
 //! avoids queue deadlock and keeps the decomposition identical to the
 //! non-nested case.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "pool threads are host workers, never simulated processes; they wait on a channel"
+)]
+
 use crossbeam::channel::{bounded, Sender};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};

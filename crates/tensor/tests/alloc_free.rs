@@ -17,6 +17,10 @@
 //! forward, whose staged band is a workspace slot too, is held to the same
 //! zero.
 
+// The crate denies `unsafe_code`; a `GlobalAlloc` impl is `unsafe` by
+// definition, and this one only delegates to `System`.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

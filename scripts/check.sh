@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the full workspace test suite plus a zero-warning clippy
-# pass. The chaos/fault/failover tests are part of the default profile and
-# are sized to keep the whole run fast (the chaos and memory-server
-# failover integration tests each complete in well under a second of real
-# time).
+# Tier-1 gate: a zero-warning clippy pass, then the full workspace test
+# suite. Clippy runs first because it carries the determinism rules
+# (clippy.toml, the [workspace.lints] table and the data-plane crate roots;
+# DESIGN.md §5d), so a violation fails in seconds, not after two suites.
+# The chaos/fault/failover tests are part of the default profile and are
+# sized to keep the whole run fast (the chaos and memory-server failover
+# integration tests each complete in well under a second of real time).
 #
 # The suite runs twice — once with SHMCAFFE_THREADS=1 and once with
 # SHMCAFFE_THREADS=4 — because the compute backend dispatches onto a
 # worker pool and every kernel promises bit-identical results at any
 # thread count. Each pass runs every test target of the workspace once
-# (the analysis fixtures, the conv/LRN/pool oracles, the exchange,
-# partition, integrity and schedcheck suites included); no target is
-# re-invoked afterwards. The three end-to-end oracles are tests of that
+# (the conv/LRN/pool oracles, the exchange, partition, integrity and
+# schedcheck suites included); no target is re-invoked afterwards. The three end-to-end oracles are tests of that
 # suite, pinned as literals at 1 and 4 threads: the seeded training
 # checksums of small_cnn and mini_inception
 # (crates/models/tests/training_checksum.rs) and the exchange checksum,
@@ -27,12 +28,24 @@ cd "$(dirname "$0")/.."
 echo "== rustfmt (workspace, check only) =="
 cargo fmt --all -- --check
 
-echo "== determinism lint + allowlist audit =="
-cargo run -q -p shmcaffe-analysis
+echo "== clippy (workspace, every target, deny warnings): determinism + unsafe + data-plane lints =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cfg(race-detect) stays behind the simnet seam (SimContext::access, HbEdge) =="
 grep -rn 'feature = "race-detect"' crates/*/src | grep -v '^crates/simnet/src/' &&
     { echo "FAIL: cfg(feature = \"race-detect\") outside crates/simnet/src" >&2; exit 1; }
+
+echo "== unsafe stays in the four audited shmcaffe-tensor files (scripts/miri.sh lists them) =="
+# Every other crate forbids unsafe_code; shmcaffe-tensor denies it, so a
+# new site needs an allow, and this list is what review must see change.
+unsafe_files=$(grep -rlE '(allow|expect|warn)\(unsafe_code' crates/tensor | sort)
+expected=$(printf '%s\n' crates/tensor/src/crc32c.rs crates/tensor/src/parallel.rs \
+    crates/tensor/src/simd.rs crates/tensor/tests/alloc_free.rs)
+if [ "$unsafe_files" != "$expected" ]; then
+    printf 'FAIL: unsafe_code opt-outs in shmcaffe-tensor:\n%s\nexpected:\n%s\n' \
+        "$unsafe_files" "$expected" >&2
+    exit 1
+fi
 
 echo "== every dependency resolves inside the checkout ([patch.crates-io] stand-ins, no registry source) =="
 # Resolved package ids, not the `"source"` of a dependency declaration
@@ -65,8 +78,5 @@ echo "== race detector: SMB seeded-race/failover/fence-chain/repair + SEASGD cha
 
 echo "== miri (skips when not installed) =="
 ./scripts/miri.sh
-
-echo "== clippy (workspace, every target, deny warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
 
 echo "check.sh: all gates passed"

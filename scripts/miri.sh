@@ -3,7 +3,9 @@
 # kernel.
 #
 # Scope: the workspace contains exactly four kinds of audited `unsafe`
-# site (enforced by `cargo run -p shmcaffe-analysis`):
+# site. Every other crate forbids `unsafe_code` ([workspace.lints]);
+# shmcaffe-tensor denies it, and `scripts/check.sh` pins the four files
+# that opt back in:
 #
 #   1. crates/tensor/src/simd.rs — `with_wide_lanes`, the one AVX2
 #      recompilation of safe kernel bodies (the gemm micro-kernel, the

@@ -16,8 +16,6 @@
 //! * [`models`] — CNN model zoo descriptors and trainable proxy networks
 //! * [`platform`] — the ShmCaffe platform itself (SEASGD, HSGD, baselines)
 
-#![forbid(unsafe_code)]
-
 pub use shmcaffe as platform;
 pub use shmcaffe_collectives as collectives;
 pub use shmcaffe_dnn as dnn;
