@@ -7,7 +7,10 @@
 //! repo root — the performance trajectory future PRs are held against.
 //! Thread counts above the host's `available_parallelism` are not measured
 //! in any table: the file lists them as `skipped_threads` instead of
-//! recording noise as a "speedup". A copy of the original single-threaded
+//! recording noise as a "speedup". Both records also name the wide-lane
+//! tier the kernels dispatched to (`wide_lanes`: `avx512f`, `avx2` or
+//! `baseline`), since a host without AVX-512 runs other tile shapes. A
+//! copy of the original single-threaded
 //! blocked kernel serves as the GEMM baseline. These are host-clock
 //! numbers, so unlike `paper`'s record nothing re-checks them.
 //!
@@ -628,12 +631,14 @@ fn main() {
     // "speedup".
     let (threads, skipped): (Vec<usize>, Vec<usize>) =
         THREAD_COUNTS.iter().partition(|&&t| t <= host_threads);
-    println!("host available_parallelism: {host_threads}");
+    let wide_lanes = shmcaffe_tensor::wide_lanes();
+    println!("host available_parallelism: {host_threads}, wide lanes: {wide_lanes}");
     if !skipped.is_empty() {
         println!("threads {skipped:?} skipped: the host has {host_threads} cores");
     }
     let host = vec![
         ("available_parallelism", Json::Int(host_threads as i64)),
+        ("wide_lanes", Json::str(wide_lanes)),
         ("skipped_threads", Json::Arr(skipped.iter().map(|&t| Json::Int(t as i64)).collect())),
     ];
     if std::env::args().any(|a| a == "--layers") {

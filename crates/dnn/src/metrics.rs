@@ -41,7 +41,9 @@ impl std::fmt::Display for EvalResult {
 ///
 /// # Errors
 ///
-/// Propagates dataset and layer errors.
+/// Propagates dataset and layer errors, and returns [`DnnError::BadInput`]
+/// for `k == 0` or for labels that do not fit the logits (count or class
+/// range) instead of letting the loss and accuracy kernels panic.
 ///
 /// # Panics
 ///
@@ -53,6 +55,12 @@ pub fn evaluate<D: Dataset + ?Sized>(
     k: usize,
 ) -> Result<EvalResult, DnnError> {
     assert!(batch > 0, "batch must be positive");
+    if k == 0 {
+        return Err(DnnError::BadInput {
+            layer: net.name().to_string(),
+            message: "top-k accuracy needs k > 0".to_string(),
+        });
+    }
     let total = dataset.len();
     let mut loss_sum = 0.0f64;
     let mut top1_hits = 0.0f64;
@@ -64,8 +72,7 @@ pub fn evaluate<D: Dataset + ?Sized>(
         let indices: Vec<usize> = (start..end).collect();
         let (x, labels) = dataset.minibatch(&indices)?;
         let logits = net.forward(&x, Phase::Test)?;
-        let rows = labels.len();
-        let classes = logits.len() / rows;
+        let (rows, classes) = net.label_shape(&logits, &labels)?;
         let mut probs = Tensor::zeros(&[rows, classes]);
         softmax(rows, classes, logits.data(), probs.data_mut());
         loss_sum += cross_entropy_loss(rows, classes, probs.data(), &labels) as f64 * rows as f64;
@@ -136,6 +143,44 @@ mod tests {
         net.add(InnerProduct::new("fc", 4, 2, Filler::Xavier, 0));
         let res = evaluate(&mut net, &ds, 16, 1).unwrap();
         assert_eq!(res.samples, 33);
+    }
+
+    #[test]
+    fn labels_that_do_not_fit_the_net_are_bad_input() {
+        // Three classes of data against a two-class net: label 2 is out of
+        // range for its logits.
+        let ds = SyntheticBlobs::new(3, 4, 12, 0.2, 5);
+        let mut net = Net::new("m");
+        net.add(InnerProduct::new("fc", 4, 2, Filler::Xavier, 0));
+        let err = evaluate(&mut net, &ds, 12, 1).unwrap_err();
+        assert!(matches!(err, DnnError::BadInput { .. }) && err.to_string().contains("label 2"));
+        // k == 0 is rejected before any forward pass.
+        let mut net = blob_net(3);
+        let err = evaluate(&mut net, &ds, 12, 0).unwrap_err();
+        assert!(matches!(err, DnnError::BadInput { .. }), "{err}");
+    }
+
+    /// A layer whose output is five values whatever the batch.
+    struct FiveOut;
+    impl crate::Layer for FiveOut {
+        fn name(&self) -> &str {
+            "five"
+        }
+        fn forward(&mut self, _input: &Tensor, _phase: Phase) -> Result<Tensor, DnnError> {
+            Ok(Tensor::zeros(&[5]))
+        }
+        fn backward(&mut self, d_output: &Tensor) -> Result<Tensor, DnnError> {
+            Ok(d_output.clone())
+        }
+    }
+
+    #[test]
+    fn logits_that_do_not_divide_by_the_rows_are_bad_input() {
+        let ds = SyntheticBlobs::new(2, 4, 4, 0.2, 6);
+        let mut net = Net::new("m");
+        net.add(FiveOut);
+        let err = evaluate(&mut net, &ds, 4, 1).unwrap_err();
+        assert!(matches!(err, DnnError::BadInput { .. }) && err.to_string().contains("labels (4)"));
     }
 
     #[test]

@@ -84,15 +84,7 @@ impl Net {
     ) -> Result<(f32, Tensor), DnnError> {
         self.last_probs = None;
         let logits = self.forward(input, phase)?;
-        let rows = labels.len();
-        if rows == 0 || logits.len() % rows != 0 {
-            return Err(DnnError::BadInput {
-                layer: self.name.clone(),
-                message: format!("labels ({rows}) incompatible with logits {:?}", logits.dims()),
-            });
-        }
-        let classes = logits.len() / rows;
-        self.check_labels(labels, rows, classes)?;
+        let (rows, classes) = self.label_shape(&logits, labels)?;
         let mut probs = Tensor::zeros(&[rows, classes]);
         softmax(rows, classes, logits.data(), probs.data_mut());
         let loss = cross_entropy_loss(rows, classes, probs.data(), labels);
@@ -121,6 +113,26 @@ impl Net {
             return Ok(());
         };
         first.backward_params_only(&backward_chain(rest, &d_logits)?)
+    }
+
+    /// The `(rows, classes)` of `logits` scored against one label per row,
+    /// or [`DnnError::BadInput`] for labels that do not fit them (count or
+    /// class range).
+    pub(crate) fn label_shape(
+        &self,
+        logits: &Tensor,
+        labels: &[usize],
+    ) -> Result<(usize, usize), DnnError> {
+        let rows = labels.len();
+        if rows == 0 || !logits.len().is_multiple_of(rows) {
+            return Err(DnnError::BadInput {
+                layer: self.name.clone(),
+                message: format!("labels ({rows}) incompatible with logits {:?}", logits.dims()),
+            });
+        }
+        let classes = logits.len() / rows;
+        self.check_labels(labels, rows, classes)?;
+        Ok((rows, classes))
     }
 
     /// Rejects labels that do not fit a `rows × classes` probability

@@ -66,6 +66,8 @@
 //! when `C_out < NR` a lane block holds `G` images side by side
 //! ([`image_slots`]) over a band that interleaves their staged values, and
 //! the chains are kept per k-block until they are added image by image.
+//! On the AVX-512F tier a lane block is `2 * NR` lanes: the channels of two
+//! `NR`-lane blocks, or, when one block holds every channel, `2G` images.
 //! Lanes past the channels and taps past the task's last are computed and
 //! never stored.
 //!
@@ -88,17 +90,18 @@
 
 use crate::gemm::{blocks, pack_rows_with, KC, MC, MR, NC, NR};
 use crate::parallel::{self, SliceParts, Task};
-use crate::simd::with_wide_lanes;
+use crate::simd::{with_wide_lanes, Tier};
 use crate::workspace::{self, Tag};
 use crate::TensorError;
 
 /// Columns of the forward / `d_input` register tile: `MR` channels x `TW`
-/// consecutive columns of one row, two 256-bit lanes per channel. Also the
-/// wide max-pool tile ([`crate::pool`]).
+/// consecutive columns of one row, one 512-bit lane per channel on the
+/// AVX-512F tier, two 256-bit lanes on AVX2. Also the wide max-pool tile
+/// ([`crate::pool`]) and the LRN strip ([`crate::lrn`]).
 pub(crate) const TW: usize = 16;
 
-/// Filter taps per `dW` register tile: `DW_TAPS` taps x `NR` output
-/// channels, one 256-bit accumulator per tap.
+/// Filter taps per `dW` register tile: `DW_TAPS` taps x `NR` lanes (`2 *
+/// NR` on the AVX-512F tier), one 256-bit (512-bit) accumulator per tap.
 const DW_TAPS: usize = 12;
 
 /// Geometry of a 2-D convolution or pooling window.
@@ -486,39 +489,40 @@ fn image_slots(width: usize, channels: usize, batch: usize, max: usize) -> usize
 }
 
 /// One `dW` register tile for one k-block of spatial positions: returns
-/// `acc[t][l] = Σ_k x_t[k][l % G] · dy[k][l]`, `k` ascending from `+0.0`,
+/// `acc[t][l] = Σ_k x_t[k][l % S] · dy[k][l]`, `k` ascending from `+0.0`,
 /// for the `DW_TAPS` taps whose [`stage_image`] offsets are `offs` over a
-/// band of `G` image slots, and the `NR` lanes of `dyt` (`[k][NR]`, the
+/// band of `S` image slots, and the `L` lanes of `dyt` (`[k][L]`, the
 /// block's transposed `dY`). The block starts at output `(oh, ow)` and is
 /// walked as runs of consecutive positions of one output row; within a run
 /// every tap is one contiguous window of the staged band, sliced to the
 /// run length up front so the inner loop indexes without a bounds check.
-/// At `G = 1` a tap's value is broadcast to every lane; at `G > 1` the
-/// `G` slots of one element are repeated across the lanes.
+/// At `S = 1` a tap's value is broadcast to every lane; at `S > 1` the `S`
+/// slots of one element are repeated across the lanes (one 64-, 128- or
+/// 256-bit broadcast).
 #[inline(always)]
-fn dw_tile<const G: usize>(
+fn dw_tile<const L: usize, const S: usize>(
     stage: &[f32],
     offs: &[usize; DW_TAPS],
     mut dyt: &[f32],
     (mut oh, mut ow): (usize, usize),
     (out_w, row_step): (usize, usize),
-) -> [[f32; NR]; DW_TAPS] {
-    let (band, _) = stage.as_chunks::<G>();
-    let mut acc = [[0.0f32; NR]; DW_TAPS];
+) -> [[f32; L]; DW_TAPS] {
+    let (band, _) = stage.as_chunks::<S>();
+    let mut acc = [[0.0f32; L]; DW_TAPS];
     while !dyt.is_empty() {
-        let run = (out_w - ow).min(dyt.len() / NR);
+        let run = (out_w - ow).min(dyt.len() / L);
         let base = oh * row_step + ow;
         let mut xs = [&band[..0]; DW_TAPS];
         for (x, &off) in xs.iter_mut().zip(offs) {
             *x = &band[base + off..][..run];
         }
-        let (dy, rest) = dyt.split_at(run * NR);
-        for (k, dv) in dy.chunks_exact(NR).enumerate() {
-            let dv: &[f32; NR] = dv.try_into().expect("NR chunk");
+        let (dy, rest) = dyt.split_at(run * L);
+        for (k, dv) in dy.chunks_exact(L).enumerate() {
+            let dv: &[f32; L] = dv.try_into().expect("L chunk");
             for (acc_t, x) in acc.iter_mut().zip(&xs) {
                 let xv = &x[k];
                 for (l, (a, &d)) in acc_t.iter_mut().zip(dv).enumerate() {
-                    *a += d * xv[l % G];
+                    *a += d * xv[l % S];
                 }
             }
         }
@@ -712,6 +716,7 @@ fn forward_banks(geom: &Conv2dGeometry, batch: usize, input: &[f32], banks: [Ban
         }
         let packed_w = &packed_w[..];
         let row_len = phase_len(geom) * geom.stride_w;
+        let tier = Tier::host();
 
         // One grid cell: output rows `[oh0, oh0 + ohn)` x filter panels
         // `[ip0, ip0 + ipn)` of image `n`.
@@ -721,8 +726,9 @@ fn forward_banks(geom: &Conv2dGeometry, batch: usize, input: &[f32], banks: [Ban
             let stage_len = geom.in_channels * rows * row_len + TW;
             workspace::with_f32(Tag::ConvPackB, stage_len, |stage| {
                 with_wide_lanes(
+                    tier,
                     #[inline(always)]
-                    || {
+                    |_| {
                         let image = &input[n * in_len..(n + 1) * in_len];
                         stage_image(geom, [image], oh0 * geom.stride_h, rows, 0.0, stage);
                         let mut offs = [0usize; KC];
@@ -897,6 +903,7 @@ fn backward_banks(
             d_input: SliceParts::new(d_input),
             packed_wt,
             wt_panels,
+            tier: Tier::host(),
         };
 
         enum Cell {
@@ -916,11 +923,7 @@ fn backward_banks(
                 })
             }));
         run_grid(cells, |cell| match cell {
-            Cell::Dw(j0, jn) => match slots {
-                1 => ctx.dw_cell::<1>(j0, jn),
-                2 => ctx.dw_cell::<2>(j0, jn),
-                _ => ctx.dw_cell::<4>(j0, jn),
-            },
+            Cell::Dw(j0, jn) => ctx.dw_cell(slots, j0, jn),
             Cell::Db(i0, il) => ctx.db_cell(i0, il),
             Cell::Dx(images, rows, chans) => match dx_slots {
                 1 => ctx.dx_cell::<1>(images, rows, chans),
@@ -948,6 +951,8 @@ struct Backward<'a> {
     /// stacked `C_out` x `MR` (see [`Backward::dx_cell`] for the rows).
     packed_wt: &'a [f32],
     wt_panels: usize,
+    /// The call's wide-lane tier, read once so every task runs one shape.
+    tier: Tier,
 }
 
 impl Backward<'_> {
@@ -960,95 +965,125 @@ impl Backward<'_> {
     }
 
     /// One `dW` task: columns `[j0, j0 + jn)` of every bank's weight
-    /// gradient, whole batch, image order, with `G` images per lane block
-    /// ([`image_slots`]).
+    /// gradient, whole batch, image order, with `slots` images per `NR`-lane
+    /// block ([`image_slots`]). The wide tier's 16-lane register holds two
+    /// such blocks: the next channels of the same images, or — when one
+    /// block holds every channel — the same channels of the next `slots`
+    /// images, interleaved with the first ones as `2 * slots` slots.
     ///
     /// `dW[co][r] += Σ_k dY_n[co][k] · x_n[tap r at position k]` for each
     /// `n` ascending, in KC blocks of spatial positions `k`: one chain per
     /// `(n, co, r)` and block from `+0.0`, added into `d_weights` (the
     /// caller's running gradient) image by image, block by block — a
-    /// per-image `gemm(dY_n, im2col(x_n)ᵀ, beta = 1.0)` fold. A group of
-    /// `G` images is staged side by side and runs on one tile, each image's
-    /// chains on its own lanes, kept per k-block until they are added in
-    /// that order. The task stages only the channels its taps read; the
-    /// `dY` transpose is the part repeated across tasks.
-    fn dw_cell<const G: usize>(&self, j0: usize, jn: usize) {
+    /// per-image `gemm(dY_n, im2col(x_n)ᵀ, beta = 1.0)` fold. The images a
+    /// register holds are staged side by side and run on one tile, each
+    /// image's chains on its own lanes, kept per k-block until they are
+    /// added in that order. The task stages only the channels its taps
+    /// read; the `dY` transpose is the part repeated across tasks.
+    fn dw_cell(&self, slots: usize, j0: usize, jn: usize) {
         let (g, (out_h, out_w)) = (self.geom, self.out);
-        let (spatial, kdim, khw) = (out_h * out_w, g.col_rows(), g.kernel_h * g.kernel_w);
+        let spatial = out_h * out_w;
+        let khw = g.kernel_h * g.kernel_w;
         let (c_lo, c_hi) = (j0 / khw, (j0 + jn).div_ceil(khw));
-        let rows = (out_h - 1) * g.stride_h + g.kernel_h;
-        let row_step = phase_len(g) * g.stride_w;
-        let chan_len = rows * row_step;
-        let k_blocks = spatial.div_ceil(KC);
-        let lane_blocks = (self.stack.total * G).div_ceil(NR);
-        workspace::with_f32(Tag::ConvGrad, (spatial + k_blocks * DW_TAPS) * NR, |scratch| {
-            let stage_len = G * ((c_hi - c_lo) * chan_len + TW);
+        let chan_len = ((out_h - 1) * g.stride_h + g.kernel_h) * phase_len(g) * g.stride_w;
+        // `slots > 1` only when one lane block holds every channel.
+        let image_pairs = self.tier.wide() && self.stack.total * slots <= NR;
+        let groups = if image_pairs { 2 } else { 1 };
+        let lanes = if self.tier.wide() { 2 * NR } else { NR };
+        let scratch_len = (spatial + spatial.div_ceil(KC) * DW_TAPS) * lanes;
+        workspace::with_f32(Tag::ConvGrad, scratch_len, |scratch| {
+            let stage_len = groups * slots * ((c_hi - c_lo) * chan_len + TW);
             workspace::with_f32(Tag::ConvPackB, stage_len, |stage| {
                 with_wide_lanes(
+                    self.tier,
                     #[inline(always)]
-                    || {
-                        // `dyt[k][lane]` over all positions, then one
-                        // `[t][lane]` tile per k-block.
-                        let (dyt, chains) = scratch.split_at_mut(spatial * NR);
-                        // The last tile's taps past `jn` keep offset 0: a
-                        // valid window, computed and never stored.
-                        let mut offs = [0usize; NC + DW_TAPS];
-                        tap_offsets(g, j0, rows, &mut offs[..jn]);
-                        offs[..jn].iter_mut().for_each(|o| *o -= c_lo * chan_len);
-                        let first_chan = c_lo * g.in_h * g.in_w;
-                        for (n0, gn) in blocks(self.batch, G) {
-                            // A short last group repeats its last image.
-                            let images: [&[f32]; G] = std::array::from_fn(|s| {
-                                &self.input[(n0 + s.min(gn - 1)) * g.in_len() + first_chan..]
-                            });
-                            stage_image(g, images, 0, rows, 0.0, stage);
-                            for lb in 0..lane_blocks {
-                                // Lane `l` of block `lb` is stacked channel
-                                // `co` of slot `s`: `lb * NR + l = co * G + s`.
-                                // A lane past the channels or the group reads
-                                // a plane that is there: computed, never
-                                // stored.
-                                let planes = std::array::from_fn(|l| {
-                                    let co = ((lb * NR + l) / G).min(self.stack.total - 1);
-                                    self.dy_plane(n0 + (l % G).min(gn - 1), co)
-                                });
-                                copy_row(dyt.as_chunks_mut::<NR>().0, planes, 1);
-                                for (t0, taps) in blocks(jn, DW_TAPS) {
-                                    let offs = offs[t0..][..DW_TAPS].try_into().expect("taps");
-                                    let steps = (out_w, g.stride_h * row_step);
-                                    let tiles = chains.chunks_exact_mut(DW_TAPS * NR);
-                                    for ((pc, kcb), tile) in blocks(spatial, KC).zip(tiles) {
-                                        let dyt = &dyt[pc * NR..][..kcb * NR];
-                                        let first = (pc / out_w, pc % out_w);
-                                        let acc = dw_tile::<G>(stage, offs, dyt, first, steps);
-                                        tile.copy_from_slice(acc.as_flattened());
-                                    }
-                                    // Image by image, then k-block by k-block.
-                                    for s in 0..gn {
-                                        for l in (s..NR).step_by(G) {
-                                            let co = (lb * NR + l) / G;
-                                            if co >= self.stack.total {
-                                                break;
-                                            }
-                                            let (b, c) = self.stack.locate(co);
-                                            let at = c * kdim + j0 + t0;
-                                            let dw_row = self.d_weights[b].0.part(at, taps);
-                                            for tile in chains.chunks_exact(DW_TAPS * NR) {
-                                                for (d, acc_t) in
-                                                    dw_row.iter_mut().zip(tile.chunks_exact(NR))
-                                                {
-                                                    *d += acc_t[l];
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
+                    |tier| {
+                        let cols = (j0, jn, c_lo);
+                        const W: usize = 2 * NR;
+                        match (tier.wide(), groups * slots) {
+                            (false, 1) => self.dw_body::<NR, 1>(cols, scratch, stage),
+                            (false, 2) => self.dw_body::<NR, 2>(cols, scratch, stage),
+                            (false, _) => self.dw_body::<NR, 4>(cols, scratch, stage),
+                            (true, 1) => self.dw_body::<W, 1>(cols, scratch, stage),
+                            (true, 2) => self.dw_body::<W, 2>(cols, scratch, stage),
+                            (true, 4) => self.dw_body::<W, 4>(cols, scratch, stage),
+                            (true, _) => self.dw_body::<W, 8>(cols, scratch, stage),
                         }
                     },
                 );
             });
         });
+    }
+
+    /// [`Backward::dw_cell`]'s body on `L`-lane registers holding `S`
+    /// images.
+    #[inline(always)]
+    fn dw_body<const L: usize, const S: usize>(
+        &self,
+        (j0, jn, c_lo): (usize, usize, usize),
+        scratch: &mut [f32],
+        stage: &mut [f32],
+    ) {
+        let (g, (out_h, out_w), total) = (self.geom, self.out, self.stack.total);
+        let (spatial, kdim) = (out_h * out_w, g.col_rows());
+        let rows = (out_h - 1) * g.stride_h + g.kernel_h;
+        let row_step = phase_len(g) * g.stride_w;
+        let chan_len = rows * row_step;
+        let lane_blocks = (total * S).div_ceil(L);
+        // `dyt[k][lane]` over all positions, then one `[t][lane]` tile per
+        // k-block.
+        let (dyt, chains) = scratch.split_at_mut(spatial * L);
+        // The last tile's taps past `jn` keep offset 0: a valid window,
+        // computed and never stored.
+        let mut offs = [0usize; NC + DW_TAPS];
+        tap_offsets(g, j0, rows, &mut offs[..jn]);
+        offs[..jn].iter_mut().for_each(|o| *o -= c_lo * chan_len);
+        let first_chan = c_lo * g.in_h * g.in_w;
+        for (n0, gn) in blocks(self.batch, S) {
+            // A short last group repeats its last image.
+            let images: [&[f32]; S] = std::array::from_fn(|s| {
+                &self.input[(n0 + s.min(gn - 1)) * g.in_len() + first_chan..]
+            });
+            stage_image(g, images, 0, rows, 0.0, stage);
+            for lb in 0..lane_blocks {
+                // Lane `l` of block `lb` is stacked channel `co` of slot `s`:
+                // `lb * L + l = co * S + s`. A lane past the channels or the
+                // group reads a plane that is there: computed, never stored.
+                let planes = std::array::from_fn(|l| {
+                    let co = ((lb * L + l) / S).min(total - 1);
+                    self.dy_plane(n0 + (l % S).min(gn - 1), co)
+                });
+                copy_row(dyt.as_chunks_mut::<L>().0, planes, 1);
+                for (t0, taps) in blocks(jn, DW_TAPS) {
+                    let offs = offs[t0..][..DW_TAPS].try_into().expect("taps");
+                    let steps = (out_w, g.stride_h * row_step);
+                    let tiles = chains.chunks_exact_mut(DW_TAPS * L);
+                    for ((pc, kcb), tile) in blocks(spatial, KC).zip(tiles) {
+                        let dyt = &dyt[pc * L..][..kcb * L];
+                        let first = (pc / out_w, pc % out_w);
+                        let acc = dw_tile::<L, S>(stage, offs, dyt, first, steps);
+                        tile.copy_from_slice(acc.as_flattened());
+                    }
+                    // Image by image, then k-block by k-block.
+                    for s in 0..gn {
+                        for l in (s..L).step_by(S) {
+                            let co = (lb * L + l) / S;
+                            if co >= total {
+                                break;
+                            }
+                            let (b, c) = self.stack.locate(co);
+                            let at = c * kdim + j0 + t0;
+                            let dw_row = self.d_weights[b].0.part(at, taps);
+                            for tile in chains.chunks_exact(DW_TAPS * L) {
+                                for (d, acc_t) in dw_row.iter_mut().zip(tile.chunks_exact(L)) {
+                                    *d += acc_t[l];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// One db task: stacked channels `[i0, i0 + il)`;
@@ -1096,8 +1131,9 @@ impl Backward<'_> {
         let rows = if S == 1 { cl } else { MR };
         workspace::with_f32(Tag::ConvPackB, S * slot_len + TW, |stage| {
             with_wide_lanes(
+                self.tier,
                 #[inline(always)]
-                || {
+                |_| {
                     let (staged, slack) = stage.split_at_mut(S * slot_len);
                     slack.fill(0.0);
                     // With no dY row in reach nothing is staged: every tap

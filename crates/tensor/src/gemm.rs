@@ -8,10 +8,11 @@
 //!
 //! The implementation is a BLIS-style packed kernel: operands are copied
 //! into contiguous zero-padded panels (`MR`-row panels of `op(A)`, `NR`-
-//! column panels of `op(B)`), and a register-blocked `MR x NR` micro-kernel
-//! accumulates along `k`. Packing makes all four transpose combinations hit
-//! the same inner loop with unit-stride reads, so transposed layers run as
-//! fast as plain ones.
+//! column panels of `op(B)`, `2 * NR` on the AVX-512F tier of
+//! [`crate::simd`]), and a register-blocked `MR x NR` (`MR x 2NR`)
+//! micro-kernel accumulates along `k`. Packing makes all four transpose
+//! combinations hit the same inner loop with unit-stride reads, so
+//! transposed layers run as fast as plain ones.
 //!
 //! `C` is distributed over the crate worker pool ([`crate::parallel`]) as a
 //! fixed two-axis tile grid: `MC`-row by `NC`-column tiles whose boundaries
@@ -31,7 +32,7 @@
 //! read weights in the same `MR`-row layout).
 
 use crate::parallel::{self, SliceParts, Task};
-use crate::simd::with_wide_lanes;
+use crate::simd::{with_wide_lanes, Tier};
 use crate::workspace::{self, Tag};
 
 /// Whether an operand is transposed, matching BLAS `CblasTrans`/`NoTrans`.
@@ -45,13 +46,15 @@ pub enum Transpose {
 
 /// Rows per micro-tile (accumulator rows held in registers).
 pub(crate) const MR: usize = 4;
-/// Columns per micro-tile.
+/// Columns per micro-tile on the 8-lane tiers (also the `dW` lane block of
+/// [`crate::conv`]); the AVX-512F tier's micro-tile is `2 * NR` columns,
+/// one 512-bit lane per row ([`crate::simd`]'s tile rule).
 pub(crate) const NR: usize = 8;
 /// Rows of `op(A)` per cache block — also the row-axis task granularity.
 pub(crate) const MC: usize = 64;
 /// Depth of one packed `k` block.
 pub(crate) const KC: usize = 256;
-/// Columns of `op(B)` per task tile (a multiple of `NR`). Together with
+/// Columns of `op(B)` per task tile (a multiple of `2 * NR`). Together with
 /// `MC` this defines the fixed two-axis grid parallel work is fanned over.
 pub(crate) const NC: usize = 512;
 
@@ -110,20 +113,25 @@ pub fn gemm(
     // the computed bits — only the KC block grid and the write-back order
     // do, and both are fixed.
     let kc0 = KC.min(k);
-    let n_panels = n.div_ceil(NR);
+    // The wide tier's 16-column micro-tile, unless the matrix is too
+    // narrow to fill it or is one row panel tall (an inner product's
+    // weight gradient: there the 16-column tile measured 1.4x slower).
+    let tier = Tier::host();
+    let wide = tier.wide() && n > NR && m > MR;
+    let nr = if wide { 2 * NR } else { NR };
+    let n_panels = n.div_ceil(nr);
     let m_panels = m.div_ceil(MR);
-    workspace::with_f32(Tag::GemmPackB, kc0 * n_panels * NR, |packed_b| {
+    workspace::with_f32(Tag::GemmPackB, kc0 * n_panels * nr, |packed_b| {
         workspace::with_f32(Tag::GemmPackA, kc0 * m_panels * MR, |packed_a| {
             let c = SliceParts::new(&mut c[..m * n]);
             for (pc, kcb) in blocks(k, KC) {
-                pack_cols_with(
-                    pc,
-                    kcb,
-                    0,
-                    n,
-                    |p, j| b_at(trans_b, n, k, b, p, j),
-                    &mut packed_b[..kcb * n_panels * NR],
-                );
+                let src = |p, j| b_at(trans_b, n, k, b, p, j);
+                let panels = &mut packed_b[..kcb * n_panels * nr];
+                if wide {
+                    pack_cols_with::<{ 2 * NR }>(pc, kcb, n, src, panels);
+                } else {
+                    pack_cols_with::<NR>(pc, kcb, n, src, panels);
+                }
                 pack_rows_with(
                     0,
                     m,
@@ -133,22 +141,22 @@ pub fn gemm(
                     &mut packed_a[..kcb * m_panels * MR],
                 );
                 let packed_a = &packed_a[..kcb * m_panels * MR];
-                let packed_b = &packed_b[..kcb * n_panels * NR];
+                let packed_b = &packed_b[..kcb * n_panels * nr];
                 let first_block = pc == 0;
                 let tile = |ic: usize, mcb: usize, jc: usize, ncb: usize| {
-                    gemm_tile(
-                        ic,
-                        mcb,
-                        jc,
-                        ncb,
-                        n,
-                        kcb,
-                        alpha,
-                        beta,
-                        first_block,
-                        &packed_a[ic * kcb..],
-                        &packed_b[jc * kcb..],
-                        &c,
+                    let (a, b) = (&packed_a[ic * kcb..], &packed_b[jc * kcb..]);
+                    let scale = (alpha, beta, first_block);
+                    with_wide_lanes(
+                        tier,
+                        #[inline(always)]
+                        |tier| {
+                            let tile = ((ic, mcb), (jc, ncb), n, kcb);
+                            if tier.wide() && wide {
+                                gemm_tile::<{ 2 * NR }>(tile, scale, a, b, &c);
+                            } else {
+                                gemm_tile::<NR>(tile, scale, a, b, &c);
+                            }
+                        },
                     );
                 };
                 if parallel::current_threads() <= 1 {
@@ -213,26 +221,25 @@ fn b_at(trans_b: Transpose, n: usize, k: usize, b: &[f32], p: usize, j: usize) -
     }
 }
 
-/// Packs logical columns `[j0, j0 + jn)` of one k-block (`[pc, pc + kcb)`)
-/// into NR-column panels: panel `jp` holds, for each `p`, the `NR`
-/// consecutive columns starting at `j0 + jp * NR` (zero-padded past
-/// `j0 + jn`). `src(p, j)` supplies the element at absolute indices.
+/// Packs the `n` logical columns of one k-block (`[pc, pc + kcb)`) into
+/// `W`-column panels: panel `jp` holds, for each `p`, the `W` consecutive
+/// columns starting at `jp * W` (zero-padded past `n`). `src(p, j)`
+/// supplies the element at absolute indices.
 ///
 /// Packing copies elements exactly (no arithmetic), so the panel layout
 /// has no effect on computed bits.
-fn pack_cols_with(
+fn pack_cols_with<const W: usize>(
     pc: usize,
     kcb: usize,
-    j0: usize,
-    jn: usize,
+    n: usize,
     src: impl Fn(usize, usize) -> f32,
     out: &mut [f32],
 ) {
-    for jp in 0..jn.div_ceil(NR) {
-        let jb = j0 + jp * NR;
-        let cols = NR.min(j0 + jn - jb);
-        let panel = &mut out[jp * kcb * NR..(jp + 1) * kcb * NR];
-        for (pp, dst) in panel.chunks_exact_mut(NR).enumerate() {
+    for jp in 0..n.div_ceil(W) {
+        let jb = jp * W;
+        let cols = W.min(n - jb);
+        let panel = &mut out[jp * kcb * W..(jp + 1) * kcb * W];
+        for (pp, dst) in panel.chunks_exact_mut(W).enumerate() {
             for (jj, d) in dst.iter_mut().enumerate() {
                 *d = if jj < cols { src(pc + pp, jb + jj) } else { 0.0 };
             }
@@ -266,40 +273,31 @@ pub(crate) fn pack_rows_with(
 
 /// One tile of C for one k-block — rows `[ic, ic + mcb)` x columns
 /// `[jc, jc + ncb)` of the `n`-column matrix behind `c` — sweeping the
-/// `MR x NR` micro-kernel over the tile's panel grid. `packed_a` and
-/// `packed_b` start at the tile's first row and column panel (`ic`/`jc`
-/// are multiples of `MC`/`NC`, which `MR`/`NR` divide).
+/// `MR x W` micro-kernel over the tile's panel grid (`W` is the packed
+/// panel width). `packed_a` and `packed_b` start at the tile's first row
+/// and column panel (`ic`/`jc` are multiples of `MC`/`NC`, which `MR`/`W`
+/// divide).
 ///
 /// Writes go through [`SliceParts`] because a column tile touches a
 /// strided range of C; tiles are pairwise disjoint by construction of the
 /// grid, which is what the `SliceParts` contract requires.
-#[allow(clippy::too_many_arguments)]
-fn gemm_tile(
-    ic: usize,
-    mcb: usize,
-    jc: usize,
-    ncb: usize,
-    n: usize,
-    kcb: usize,
-    alpha: f32,
-    beta: f32,
-    first_block: bool,
+#[inline(always)]
+fn gemm_tile<const W: usize>(
+    ((ic, mcb), (jc, ncb), n, kcb): ((usize, usize), (usize, usize), usize, usize),
+    (alpha, beta, first_block): (f32, f32, bool),
     packed_a: &[f32],
     packed_b: &[f32],
     c: &SliceParts<'_, f32>,
 ) {
-    for jp in 0..ncb.div_ceil(NR) {
-        let j0 = jc + jp * NR;
-        let cols = NR.min(jc + ncb - j0);
-        let b_panel = &packed_b[jp * kcb * NR..(jp + 1) * kcb * NR];
+    for jp in 0..ncb.div_ceil(W) {
+        let j0 = jc + jp * W;
+        let cols = W.min(jc + ncb - j0);
+        let b_panel = &packed_b[jp * kcb * W..(jp + 1) * kcb * W];
         for ip in 0..mcb.div_ceil(MR) {
             let i0 = ic + ip * MR;
             let rows = MR.min(ic + mcb - i0);
             let a_panel = &packed_a[ip * kcb * MR..(ip + 1) * kcb * MR];
-            let acc = with_wide_lanes(
-                #[inline(always)]
-                || micro_kernel_body(kcb, a_panel, b_panel),
-            );
+            let acc = micro_kernel_body::<W>(kcb, a_panel, b_panel);
             // Write-back with the alpha/beta update fused: the first k-block
             // applies beta exactly once (beta == 0 overwrites, so stale NaNs
             // never survive), later blocks accumulate.
@@ -329,18 +327,20 @@ fn gemm_tile(
 /// `+0.0` tile.
 ///
 /// `a` is `kc` groups of `MR` values (one per micro-row), `b` is `kc`
-/// groups of `NR` values (one per micro-column). Fixed-size array views
+/// groups of `W` values (one per micro-column). Fixed-size array views
 /// and a tile that is a local value (not a caller's `&mut`, which stops
 /// being provably unaliased once this is inlined into the dispatch
-/// closure) let the compiler keep the `MR x NR` accumulator in registers
-/// and vectorise the column loop. Called through [`with_wide_lanes`], so
-/// on an AVX2 host the `NR`-wide column loop is one 256-bit lane.
+/// closure) let the compiler keep the `MR x W` accumulator in registers
+/// and vectorise the column loop. Run inside [`with_wide_lanes`], so the
+/// `W`-wide column loop is one 256-bit lane at `W = NR` on an AVX2 host
+/// and one 512-bit lane at `W = 2 * NR` on an AVX-512F host. Each element
+/// is the same `k`-ascending chain at either width.
 #[inline(always)]
-fn micro_kernel_body(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
+fn micro_kernel_body<const W: usize>(kc: usize, a: &[f32], b: &[f32]) -> [[f32; W]; MR] {
+    let mut acc = [[0.0f32; W]; MR];
+    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(W)).take(kc) {
         let av: &[f32; MR] = av.try_into().expect("MR chunk");
-        let bv: &[f32; NR] = bv.try_into().expect("NR chunk");
+        let bv: &[f32; W] = bv.try_into().expect("W chunk");
         for (ii, acc_row) in acc.iter_mut().enumerate() {
             let ai = av[ii];
             for (jj, accv) in acc_row.iter_mut().enumerate() {

@@ -27,9 +27,10 @@
 //! audited site in `simd.rs`/`parallel.rs`/`crc32c.rs`: the
 //! lifetime-erasure in the pool's dispatch path, the `SliceParts`
 //! disjoint-range writer the fixed tile grids borrow output through, the one
-//! wide-lane dispatch — the feature-gated AVX2 recompilation of the gemm
-//! micro-kernel, the direct convolution's task bodies and the max-pool tile
-//! (guarded by runtime detection, same IEEE operation order) — and the
+//! wide-lane dispatch — the feature-gated AVX-512F and AVX2 recompilations
+//! of the gemm micro-kernel, the direct convolution's task bodies, the
+//! max-pool tile and the LRN strips (guarded by runtime detection, same
+//! IEEE operation order; [`wide_lanes`] names the host's tier) — and the
 //! runtime-detected call into the SSE4.2 CRC32C kernel (same checksum as the
 //! portable tables).
 //!
@@ -67,4 +68,5 @@ pub mod workspace;
 
 pub use error::TensorError;
 pub use shape::Shape;
+pub use simd::wide_lanes;
 pub use tensor::Tensor;

@@ -4,27 +4,38 @@
 //! channels (Caffe's `LRNLayer`, `ACROSS_CHANNELS`).
 //!
 //! LRN does almost no arithmetic per byte, so the kernels are organised
-//! around memory order rather than around the formula: every pass walks one
-//! channel's contiguous `spatial`-long row (channel-outer, spatial-inner),
-//! which the compiler vectorises, instead of gathering a channel-strided
-//! window per element. The window sum still folds neighbours in ascending
-//! channel order per element, so `scale` is bit-identical to the
-//! per-element formulation.
+//! around memory order rather than around the formula: they walk channels'
+//! contiguous `spatial`-long rows (channel-outer, spatial-inner), which
+//! vectorise, instead of gathering a channel-strided window per element.
+//! Forward is one register-resident pass per [`STRIP`]-element strip of a
+//! channel row, run through the wide-lane dispatch ([`crate::simd`]): the
+//! window's sum of squares, then `k + α/n · s`, then `s^-β · x`, with one
+//! store each of `scale` and the output. The window sum still folds
+//! neighbours in ascending channel order per element, so `scale` is
+//! bit-identical to the per-element formulation.
 //!
 //! `s^-β` is evaluated once per element. For β = 0.75 — Caffe's default —
 //! it is `1 / (√s · √√s)`: three correctly-rounded IEEE operations, so the
 //! result is the same on every platform, which libm's `powf` does not
 //! promise. Any other β falls back to `powf`. Backward is Caffe's ratio
 //! form `dx = dy·s^-β − (2αβ/n) · x · Σ_win(dy·x·s^-β / s)`: no further
-//! power evaluations, whatever the window size.
+//! power evaluations, whatever the window size. It runs strip by strip
+//! too: the direct term and ratio of every channel of a strip, then each
+//! channel's window of ratios, folded in ascending order from `+0.0`.
 //!
 //! Both directions are batch-parallel: windows never cross images, so each
 //! image is an independent task with results identical at any thread count.
 
 use std::ops::Range;
 
+use crate::conv::TW;
+use crate::gemm::blocks;
 use crate::parallel;
+use crate::simd::{with_wide_lanes, Tier};
 use crate::workspace::{self, Tag};
+
+/// Elements per strip: one 512-bit lane, two 256-bit ones.
+const STRIP: usize = TW;
 
 /// Parameters of an across-channel LRN window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,30 +69,138 @@ fn inv_pow_three_quarters(s: f32) -> f32 {
     1.0 / (root * root.sqrt())
 }
 
-/// `out[i] = f(s[i]) * x[i]` over one row, monomorphised per `f` so the
-/// loop vectorises.
+/// One forward strip: `scale` and `s^-β · x` over [`STRIP`] consecutive
+/// positions of channel `centre`, the window's rows read through `load`.
+/// `inv_pow` is `s ↦ s^-β`.
 #[inline(always)]
-fn scaled_row(out: &mut [f32], s: &[f32], x: &[f32], f: impl Fn(f32) -> f32) {
-    for ((o, &sv), &xv) in out.iter_mut().zip(s).zip(x) {
-        *o = f(sv) * xv;
+fn forward_strip(
+    (k, alpha_n): (f32, f32),
+    window: Range<usize>,
+    centre: usize,
+    load: impl Fn(usize) -> [f32; STRIP],
+    inv_pow: impl Fn(f32) -> f32,
+) -> ([f32; STRIP], [f32; STRIP]) {
+    let mut s = [0.0f32; STRIP];
+    for w in window {
+        let xv = load(w);
+        for j in 0..STRIP {
+            s[j] += xv[j] * xv[j];
+        }
+    }
+    for sv in &mut s {
+        *sv = k + alpha_n * *sv;
+    }
+    let p = s.map(inv_pow);
+    let xc = load(centre);
+    (s, std::array::from_fn(|j| p[j] * xc[j]))
+}
+
+/// LRN forward over one `(channels, spatial)` image, strip by strip; the
+/// last strip of a row is zero-padded past its end and stored in part.
+#[inline(always)]
+fn forward_image(
+    params: &LrnParams,
+    spatial: usize,
+    x: &[f32],
+    out: &mut [f32],
+    scale: &mut [f32],
+    inv_pow: impl Fn(f32) -> f32 + Copy,
+) {
+    let channels = x.len() / spatial;
+    let coef = (params.k, params.alpha_over_n());
+    for c in 0..channels {
+        let window = params.window(c, channels);
+        for (j0, len) in blocks(spatial, STRIP) {
+            let at = c * spatial + j0;
+            if len == STRIP {
+                let load = |w: usize| -> [f32; STRIP] {
+                    *x[w * spatial + j0..][..STRIP].first_chunk().expect("a whole strip")
+                };
+                let (s, y) = forward_strip(coef, window.clone(), c, load, inv_pow);
+                scale[at..][..STRIP].copy_from_slice(&s);
+                out[at..][..STRIP].copy_from_slice(&y);
+            } else {
+                let load = |w: usize| {
+                    let mut v = [0.0f32; STRIP];
+                    v[..len].copy_from_slice(&x[w * spatial + j0..][..len]);
+                    v
+                };
+                let (s, y) = forward_strip(coef, window.clone(), c, load, inv_pow);
+                scale[at..][..len].copy_from_slice(&s[..len]);
+                out[at..][..len].copy_from_slice(&y[..len]);
+            }
+        }
     }
 }
 
-/// `out = s^-β · x` over one row.
-fn inv_pow_times(beta: f32, out: &mut [f32], s: &[f32], x: &[f32]) {
-    if beta == 0.75 {
-        scaled_row(out, s, x, inv_pow_three_quarters);
-    } else {
-        scaled_row(out, s, x, |sv| sv.powf(-beta));
+/// One backward strip of [`STRIP`] positions, every channel read through
+/// `load(buffer, c)` from `(x, scale, dy)`: first per channel the direct
+/// term `d = s^-β · dy` and `ratio = d · x / s` into `direct` / `ratio`
+/// (`[channels][STRIP]`), then per channel `d − coef · x · Σ_win ratio`,
+/// the window folded in ascending channel order from `+0.0`, handed to
+/// `store(c, ·)`.
+#[inline(always)]
+fn backward_strip(
+    params: &LrnParams,
+    load: impl Fn(&[f32], usize) -> [f32; STRIP],
+    (x, s, dy): (&[f32], &[f32], &[f32]),
+    (direct, ratio): (&mut [[f32; STRIP]], &mut [[f32; STRIP]]),
+    inv_pow: impl Fn(f32) -> f32,
+    mut store: impl FnMut(usize, [f32; STRIP]),
+) {
+    let coef = 2.0 * params.alpha_over_n() * params.beta;
+    let channels = ratio.len();
+    for (c, (d, r)) in direct.iter_mut().zip(ratio.iter_mut()).enumerate() {
+        let (xv, sv, dv) = (load(x, c), load(s, c), load(dy, c));
+        let p = sv.map(&inv_pow);
+        *d = std::array::from_fn(|j| p[j] * dv[j]);
+        *r = std::array::from_fn(|j| d[j] * xv[j] / sv[j]);
+    }
+    for (c, d) in direct.iter().enumerate() {
+        let mut w = [0.0f32; STRIP];
+        for row in &ratio[params.window(c, channels)] {
+            for j in 0..STRIP {
+                w[j] += row[j];
+            }
+        }
+        let xv = load(x, c);
+        store(c, std::array::from_fn(|j| d[j] - coef * xv[j] * w[j]));
     }
 }
 
-/// `acc += f(rows[w])` element-wise for each row `w` of `window`, ascending.
-fn add_rows(acc: &mut [f32], rows: &[f32], window: Range<usize>, f: impl Fn(f32) -> f32) {
-    let spatial = acc.len();
-    for row in rows[window.start * spatial..window.end * spatial].chunks_exact(spatial) {
-        for (a, &v) in acc.iter_mut().zip(row) {
-            *a += f(v);
+/// LRN backward over one image, strip by strip (`scratch` holds
+/// `2 · channels · STRIP` floats); the last strip is zero-padded past the
+/// row's end and stored in part.
+#[inline(always)]
+fn backward_image(
+    params: &LrnParams,
+    spatial: usize,
+    bufs: (&[f32], &[f32], &[f32]),
+    d_image: &mut [f32],
+    scratch: &mut [f32],
+    inv_pow: impl Fn(f32) -> f32 + Copy,
+) {
+    let channels = d_image.len() / spatial;
+    let (direct, ratio) = scratch.as_chunks_mut::<STRIP>().0.split_at_mut(channels);
+    for (j0, len) in blocks(spatial, STRIP) {
+        if len == STRIP {
+            let load = |buf: &[f32], c: usize| -> [f32; STRIP] {
+                *buf[c * spatial + j0..][..STRIP].first_chunk().expect("a whole strip")
+            };
+            let store = |c: usize, v: [f32; STRIP]| {
+                d_image[c * spatial + j0..][..STRIP].copy_from_slice(&v);
+            };
+            backward_strip(params, load, bufs, (&mut *direct, &mut *ratio), inv_pow, store);
+        } else {
+            let load = |buf: &[f32], c: usize| {
+                let mut v = [0.0f32; STRIP];
+                v[..len].copy_from_slice(&buf[c * spatial + j0..][..len]);
+                v
+            };
+            let store = |c: usize, v: [f32; STRIP]| {
+                d_image[c * spatial + j0..][..len].copy_from_slice(&v[..len]);
+            };
+            backward_strip(params, load, bufs, (&mut *direct, &mut *ratio), inv_pow, store);
         }
     }
 }
@@ -114,19 +233,21 @@ pub fn lrn_forward(
     if batch * img_len == 0 {
         return;
     }
-    let alpha_n = params.alpha_over_n();
+    let tier = Tier::host();
     parallel::par_chunks_mut2(output, img_len, scale, img_len, |n, out_image, scale_image| {
         let x_image = &input[n * img_len..(n + 1) * img_len];
-        for c in 0..channels {
-            let row = c * spatial..(c + 1) * spatial;
-            let scale_row = &mut scale_image[row.clone()];
-            scale_row.fill(0.0);
-            add_rows(scale_row, x_image, params.window(c, channels), |v| v * v);
-            for s in scale_row.iter_mut() {
-                *s = params.k + alpha_n * *s;
-            }
-            inv_pow_times(params.beta, &mut out_image[row.clone()], scale_row, &x_image[row]);
-        }
+        with_wide_lanes(
+            tier,
+            #[inline(always)]
+            |_| {
+                let (x, y, s) = (x_image, out_image, scale_image);
+                if params.beta == 0.75 {
+                    forward_image(params, spatial, x, y, s, inv_pow_three_quarters);
+                } else {
+                    forward_image(params, spatial, x, y, s, |sv| sv.powf(-params.beta));
+                }
+            },
+        );
     });
 }
 
@@ -157,26 +278,30 @@ pub fn lrn_backward(
     if batch * img_len == 0 {
         return;
     }
-    let coef = 2.0 * params.alpha_over_n() * params.beta;
+    let tier = Tier::host();
     parallel::par_chunks_mut(d_input, img_len, |n, d_image| {
         let image = n * img_len..(n + 1) * img_len;
-        let (x, s, dy) = (&input[image.clone()], &scale[image.clone()], &d_output[image]);
-        workspace::with_f32(Tag::LrnRatio, img_len + spatial, |scratch| {
-            let (ratio, window_sum) = scratch.split_at_mut(img_len);
-            // d = dy·s^-β (the direct term); ratio = d·x / s.
-            inv_pow_times(params.beta, d_image, s, dy);
-            for (((r, &d), &xv), &sv) in ratio.iter_mut().zip(d_image.iter()).zip(x).zip(s) {
-                *r = d * xv / sv;
-            }
-            for c in 0..channels {
-                let row = c * spatial..(c + 1) * spatial;
-                window_sum.fill(0.0);
-                add_rows(window_sum, ratio, params.window(c, channels), |v| v);
-                for ((d, &xv), &w) in d_image[row.clone()].iter_mut().zip(&x[row]).zip(&*window_sum)
-                {
-                    *d -= coef * xv * w;
-                }
-            }
+        let bufs = (&input[image.clone()], &scale[image.clone()], &d_output[image]);
+        workspace::with_f32(Tag::LrnRatio, 2 * channels * STRIP, |scratch| {
+            with_wide_lanes(
+                tier,
+                #[inline(always)]
+                |_| {
+                    if params.beta == 0.75 {
+                        backward_image(
+                            params,
+                            spatial,
+                            bufs,
+                            d_image,
+                            scratch,
+                            inv_pow_three_quarters,
+                        );
+                    } else {
+                        let inv_pow = |sv: f32| sv.powf(-params.beta);
+                        backward_image(params, spatial, bufs, d_image, scratch, inv_pow);
+                    }
+                },
+            );
         });
     });
 }

@@ -29,7 +29,7 @@ use std::ops::Range;
 
 use crate::conv::{phase_len, stage_image, Conv2dGeometry, TW};
 use crate::parallel;
-use crate::simd::with_wide_lanes;
+use crate::simd::{with_wide_lanes, Tier};
 use crate::workspace::{self, Tag};
 
 /// Pooling operator variant.
@@ -203,6 +203,7 @@ pub fn pool_forward(
         PoolKind::Max => {
             assert_eq!(argmax.len(), output.len(), "argmax size mismatch");
             let band = phase_len(geom) * geom.stride_w * geom.in_h;
+            let tier = Tier::host();
             parallel::par_chunks_mut2(
                 output,
                 ext.out_len,
@@ -211,8 +212,9 @@ pub fn pool_forward(
                 |n, out_image, argmax_image| {
                     workspace::with_f32(Tag::ConvPackB, band + TW, |stage| {
                         with_wide_lanes(
+                            tier,
                             #[inline(always)]
-                            || {
+                            |_| {
                                 // The widest tile the output row fills.
                                 let (x, y, a) = (image_of(n), out_image, argmax_image);
                                 match ext.out_w {

@@ -94,7 +94,7 @@ pub fn softmax_cross_entropy_backward(
 ///
 /// # Panics
 ///
-/// Panics on size mismatches or `k == 0`.
+/// Panics on size mismatches, `k == 0` or a label out of range.
 pub fn top_k_accuracy(
     rows: usize,
     classes: usize,

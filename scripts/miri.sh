@@ -7,14 +7,16 @@
 # shmcaffe-tensor denies it, and `scripts/check.sh` pins the four files
 # that opt back in:
 #
-#   1. crates/tensor/src/simd.rs — `with_wide_lanes`, the one AVX2
-#      recompilation of safe kernel bodies (the gemm micro-kernel, the
-#      direct convolution's forward / d_input / dW task bodies, the
-#      max-pool tile) behind `#[target_feature]`. Miri does not model
-#      `target_feature` dispatch, so the AVX2 path is compiled out under
-#      `cfg(miri)` and the bit-identical baseline compilations run
-#      instead; the dispatch itself carries no pointer arithmetic to
-#      check.
+#   1. crates/tensor/src/simd.rs — `with_wide_lanes`, the one wide-lane
+#      dispatch: the AVX-512F and AVX2 recompilations of safe kernel
+#      bodies (the gemm micro-kernel, the direct convolution's forward /
+#      d_input / dW task bodies, the max-pool tile, the LRN strips)
+#      behind `#[target_feature]`, called only with a `Tier` that runtime
+#      detection produced. Miri does not model `target_feature` dispatch,
+#      so both wide tiers are compiled out under `cfg(miri)` and the
+#      bit-identical baseline compilations run instead (the tier-parity
+#      tests in simd.rs compare all three on a native host); the dispatch
+#      itself carries no pointer arithmetic to check.
 #   2. crates/tensor/src/parallel.rs:~180 — the `Task<'_>` -> `Job`
 #      lifetime-erasing transmute that enqueues scoped jobs on the worker
 #      pool. This is the site Miri validates: the soundness argument is
@@ -25,8 +27,8 @@
 #   3. crates/tensor/src/crc32c.rs — the call into the SSE4.2 `crc32`
 #      kernel behind `is_x86_feature_detected!("sse4.2")`. The kernel is a
 #      safe `#[target_feature]` function (the intrinsics are safe inside
-#      it); the one `unsafe` block is the call from dispatch. Like the AVX2
-#      path it is compiled out under `cfg(miri)`, so every checksum in a
+#      it); the one `unsafe` block is the call from dispatch. Like the
+#      wide-lane tiers it is compiled out under `cfg(miri)`, so every checksum in a
 #      Miri run goes through the safe slicing-by-8 tables under the same
 #      three-lane split and compile-time shift-table join the instruction uses
 #      — the crc32c tests below check that kernel, and a sample of each

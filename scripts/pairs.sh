@@ -10,10 +10,13 @@
 # is even. For every metric of the runs' JSON line it prints each side's
 # median and quartiles (q1-q3, linear interpolation), the change/parent
 # ratio of the medians, and the pairs the change won (ties count for
-# neither side), then the failed/attempted totals. Every metric the
-# benchmark reports is lower-is-better. A gain is claimed when the change
-# wins at least 9 of 10 pairs and the medians differ by more than the
-# parent's q3 - q1.
+# neither side), then the failed/attempted totals. Above the table it
+# names the host's wide-lane tier (the widest of avx512f / avx2 in the
+# /proc/cpuinfo flags, else baseline): the kernels run other tile shapes
+# on each tier, so a host_s pair only compares builds on the same tier.
+# Every metric the benchmark reports is lower-is-better. A gain is claimed
+# when the change wins at least 9 of 10 pairs and the medians differ by
+# more than the parent's q3 - q1.
 #
 # Both binaries write their trace and result files under
 # $CARGO_TARGET_DIR/benchmark (./target/benchmark when it is unset).
@@ -67,6 +70,13 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
+flags=" $(grep -m 1 '^flags' /proc/cpuinfo 2>/dev/null || true) "
+case $flags in
+*" avx512f "*) tier=avx512f ;;
+*" avx2 "*) tier=avx2 ;;
+*) tier=baseline ;;
+esac
+echo "host wide-lane tier: $tier"
 echo "$workload, seed $seed, $pairs pairs at --seconds $seconds"
 sort -k3,3 -k1,1 -k4,4g "$runs" | awk '
     function q(side, name, p,   n, h, lo) {
