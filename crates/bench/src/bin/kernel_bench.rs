@@ -49,7 +49,6 @@ use shmcaffe_tensor::conv::{
 use shmcaffe_tensor::crc32c::{append_portable, crc32c_append, CRC32C_INIT};
 use shmcaffe_tensor::gemm::{gemm, Transpose};
 use shmcaffe_tensor::init::Filler;
-use shmcaffe_tensor::pool::PoolKind;
 use shmcaffe_tensor::{parallel, Tensor};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -517,7 +516,7 @@ fn layer_cases() -> Vec<(String, Box<dyn Unit>)> {
     };
     let max_pool = |c: usize, hw: usize, k: usize, stride: usize, pad: usize| {
         let geom = Conv2dGeometry::square(c, hw, k, stride, pad);
-        let layer = Pool2d::new("pool", PoolKind::Max, geom).expect("geometry fits");
+        let layer = Pool2d::new("pool", geom).expect("geometry fits");
         LayerUnit::boxed(Box::new(layer), c, hw)
     };
     let spec_a = InceptionSpec { c1: 4, c3_reduce: 4, c3: 8, c5_reduce: 2, c5: 2, pool_proj: 2 };

@@ -3,12 +3,13 @@
 //! ShmCaffe's Hybrid SGD "aggregates gradients using ncclAllReduce provided
 //! by the NVIDIA NCCL library" among the GPUs of one node, and the BVLC
 //! Caffe baseline uses the same library for its multi-GPU SSGD (paper
-//! §III-D, §IV-C). This crate provides that collective layer:
+//! §III-D, §IV-C). This crate provides that collective layer, the two
+//! operations Hybrid SGD and the Caffe baseline run:
 //!
 //! * [`IntraNodeGroup`] — a clique of GPU ranks pinned to one node,
-//! * [`GpuComm`] — the per-GPU handle with [`GpuComm::all_reduce`]
-//!   (ring reduce-scatter + allgather, NCCL's algorithm),
-//!   [`GpuComm::broadcast`] and [`GpuComm::reduce`].
+//! * [`GpuComm`] — the per-GPU handle with [`GpuComm::all_reduce_wire`]
+//!   (ring reduce-scatter + allgather, NCCL's algorithm) and
+//!   [`GpuComm::broadcast`] (a binomial tree from the root).
 //!
 //! Every hop of the ring is charged to the node's shared PCIe bus resource,
 //! so the familiar `2·(N−1)·P / BW_bus` cost of a shared-bus ring emerges
@@ -27,7 +28,7 @@
 //! for gpu in 0..4 {
 //!     let mut comm = group.comm(gpu);
 //!     sim.spawn(&format!("gpu{gpu}"), move |ctx| {
-//!         let summed = comm.all_reduce(&ctx, vec![1.0, 2.0]);
+//!         let summed = comm.all_reduce_wire(&ctx, vec![1.0, 2.0], 8);
 //!         assert_eq!(summed, vec![4.0, 8.0]);
 //!     });
 //! }
@@ -47,7 +48,6 @@ use shmcaffe_simnet::SimContext;
 #[derive(Debug, Clone)]
 pub struct IntraNodeGroup {
     world: MpiWorld,
-    node: NodeId,
 }
 
 impl IntraNodeGroup {
@@ -59,17 +59,7 @@ impl IntraNodeGroup {
     pub fn new(fabric: Fabric, node: NodeId, n_gpus: usize) -> Self {
         assert!(n_gpus > 0, "group needs at least one GPU");
         let world = MpiWorld::with_layout(fabric, vec![node; n_gpus]);
-        IntraNodeGroup { world, node }
-    }
-
-    /// Number of GPUs in the group.
-    pub fn size(&self) -> usize {
-        self.world.size()
-    }
-
-    /// The node hosting this group.
-    pub fn node(&self) -> NodeId {
-        self.node
+        IntraNodeGroup { world }
     }
 
     /// The per-GPU communicator handle.
@@ -99,12 +89,8 @@ impl GpuComm {
         self.comm.size()
     }
 
-    /// ncclAllReduce (sum): every GPU returns the element-wise sum.
-    pub fn all_reduce(&mut self, ctx: &SimContext, data: Vec<f32>) -> Vec<f32> {
-        self.comm.allreduce(ctx, data)
-    }
-
-    /// [`GpuComm::all_reduce`] with an explicit logical wire size.
+    /// ncclAllReduce (sum) of `wire_bytes` logical bytes: every GPU returns
+    /// the element-wise sum of `data`.
     pub fn all_reduce_wire(
         &mut self,
         ctx: &SimContext,
@@ -136,16 +122,6 @@ impl GpuComm {
         wire_bytes: u64,
     ) -> Vec<f32> {
         self.comm.broadcast_wire(ctx, root, data.map(MpiData::F32s), wire_bytes).into_f32s()
-    }
-
-    /// ncclReduce (sum) to `root`; the root returns `Some(sum)`.
-    pub fn reduce(&mut self, ctx: &SimContext, root: usize, data: Vec<f32>) -> Option<Vec<f32>> {
-        self.comm.reduce(ctx, root, data)
-    }
-
-    /// Group barrier.
-    pub fn barrier(&mut self, ctx: &SimContext) {
-        self.comm.barrier(ctx)
     }
 }
 
@@ -185,7 +161,7 @@ mod tests {
         for n in [1, 2, 3, 4] {
             let (got, _, _) = run_group(n, |ctx, comm| {
                 let mine = vec![comm.rank() as f32; 7];
-                comm.all_reduce(ctx, mine)
+                comm.all_reduce_wire(ctx, mine, 28)
             });
             let expected: f32 = (0..n).map(|r| r as f32).sum();
             for r in got {
@@ -217,29 +193,26 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_and_reduce() {
+    fn broadcast_reaches_every_gpu() {
         let (got, _, _) = run_group(4, |ctx, comm| {
             let data = (comm.rank() == 1).then(|| vec![5.0, 6.0]);
-            let b = comm.broadcast(ctx, 1, data);
-            let r = comm.reduce(ctx, 0, b.clone());
-            if comm.rank() == 0 {
-                r.unwrap()
-            } else {
-                b
-            }
+            comm.broadcast(ctx, 1, data)
         });
-        assert_eq!(got[0], vec![20.0, 24.0]);
-        assert_eq!(got[2], vec![5.0, 6.0]);
+        assert_eq!(got, vec![vec![5.0, 6.0]; 4]);
     }
 
     #[test]
-    fn barrier_holds_stragglers() {
-        let (_, _, end) = run_group(3, |ctx, comm| {
-            ctx.sleep(shmcaffe_simnet::SimDuration::from_millis(10 * (comm.rank() as u64 + 1)));
-            comm.barrier(ctx);
-            assert!(ctx.now().as_millis_f64() >= 30.0);
-            vec![]
+    fn broadcast_wire_puts_one_copy_per_receiver_on_the_bus() {
+        // The hybrid root's per-exchange broadcast: the binomial tree sends
+        // P logical bytes to each of the N-1 = 3 other GPUs, all over the
+        // node's PCIe bus and none over its HCA.
+        const P: u64 = 40_000_000;
+        let (got, fabric, _) = run_group(4, |ctx, comm| {
+            let data = (comm.rank() == 0).then(|| vec![1.5; 4]);
+            comm.broadcast_wire(ctx, 0, data, P)
         });
-        assert!(end.as_millis_f64() >= 30.0);
+        assert_eq!(got, vec![vec![1.5; 4]; 4]);
+        assert_eq!(fabric.pcie(NodeId(0)).total_bytes(), 3 * P);
+        assert_eq!(fabric.hca_tx(NodeId(0)).total_bytes(), 0);
     }
 }

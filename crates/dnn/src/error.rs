@@ -69,7 +69,7 @@ mod tests {
     #[test]
     fn display_nonempty_and_source_wired() {
         use std::error::Error;
-        let e = DnnError::Tensor(TensorError::ReshapeMismatch { have: 1, want: 2 });
+        let e = DnnError::Tensor(TensorError::LengthMismatch { data_len: 1, shape_len: 2 });
         assert!(!e.to_string().is_empty());
         assert!(e.source().is_some());
         let e2 = DnnError::BadInput { layer: "k".into(), message: "m".into() };

@@ -26,7 +26,7 @@
 
 use shmcaffe_tensor::conv::{conv2d_backward_banks, conv2d_forward_banks, Conv2dGeometry};
 use shmcaffe_tensor::init::Filler;
-use shmcaffe_tensor::pool::{pool_backward, pool_forward, PoolKind};
+use shmcaffe_tensor::pool::{pool_backward, pool_forward};
 use shmcaffe_tensor::{ops, Tensor};
 
 use super::Conv2d;
@@ -209,7 +209,7 @@ impl Layer for Inception {
         conv2d_forward_banks(c3.geometry(), batch, &self.r3, [c3.bank(&mut y[o3..], image)]);
         conv2d_forward_banks(c5.geometry(), batch, &self.r5, [c5.bank(&mut y[o5..], image)]);
         let (pooled, argmax) = (&mut self.pooled, &mut self.argmax);
-        pool_forward(PoolKind::Max, &self.pool, batch, input.data(), pooled, argmax);
+        pool_forward(&self.pool, batch, input.data(), pooled, argmax);
         conv2d_forward_banks(cpp.geometry(), batch, pooled, [cpp.bank(&mut y[op..], image)]);
         // Every branch ends in a ReLU.
         ops::relu_in_place(y);
@@ -254,7 +254,7 @@ impl Layer for Inception {
         let bank = cpp.bank_grad(&d_out[op..], image);
         conv2d_backward_banks(&geom, batch, &self.pooled, [bank], d_pooled);
         let mut d_input = Tensor::zeros(input.dims());
-        pool_backward(PoolKind::Max, &self.pool, batch, d_pooled, &self.argmax, d_input.data_mut());
+        pool_backward(&self.pool, batch, d_pooled, &self.argmax, d_input.data_mut());
         // ... and the sibling heads add theirs on top.
         let geom = *c1.geometry();
         let heads = [

@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn gradient_check() {
-        let mut fc = InnerProduct::new("fc", 3, 2, Filler::Gaussian { mean: 0.0, std: 0.5 }, 42);
+        let mut fc = InnerProduct::new("fc", 3, 2, Filler::Xavier, 42);
         let x = Tensor::from_vec(vec![0.3, -0.7, 1.1, 0.2, 0.9, -0.4], &[2, 3]).unwrap();
         let d_out = Tensor::from_vec(vec![1.0, -0.5, 0.25, 0.75], &[2, 2]).unwrap();
 

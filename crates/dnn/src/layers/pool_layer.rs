@@ -1,18 +1,17 @@
-//! Max/average pooling layer.
+//! Max pooling layer.
 
 use shmcaffe_tensor::conv::Conv2dGeometry;
-use shmcaffe_tensor::pool::{pool_backward, pool_forward, PoolKind};
+use shmcaffe_tensor::pool::{pool_backward, pool_forward};
 use shmcaffe_tensor::Tensor;
 
 use crate::{DnnError, Layer, Phase};
 
-/// A 2-D pooling layer (max or average), applied per channel.
+/// A 2-D max-pooling layer, applied per channel.
 ///
 /// Input `(N, C, H, W)` → output `(N, C, H_out, W_out)`.
 #[derive(Debug)]
 pub struct Pool2d {
     name: String,
-    kind: PoolKind,
     geom: Conv2dGeometry,
     out_h: usize,
     out_w: usize,
@@ -21,23 +20,15 @@ pub struct Pool2d {
 }
 
 impl Pool2d {
-    /// Creates a pooling layer. `geom.in_channels` is the channel count.
+    /// Creates a max-pooling layer. `geom.in_channels` is the channel count.
     ///
     /// # Errors
     ///
     /// Returns an error if the geometry does not produce a valid output.
-    pub fn new(name: &str, kind: PoolKind, geom: Conv2dGeometry) -> Result<Self, DnnError> {
+    pub fn new(name: &str, geom: Conv2dGeometry) -> Result<Self, DnnError> {
         let out_h = geom.out_h()?;
         let out_w = geom.out_w()?;
-        Ok(Pool2d {
-            name: name.to_string(),
-            kind,
-            geom,
-            out_h,
-            out_w,
-            batch: 0,
-            argmax: Vec::new(),
-        })
+        Ok(Pool2d { name: name.to_string(), geom, out_h, out_w, batch: 0, argmax: Vec::new() })
     }
 
     /// Convenience constructor for the common `max(kernel, stride)` pattern.
@@ -52,7 +43,7 @@ impl Pool2d {
         kernel: usize,
         stride: usize,
     ) -> Result<Self, DnnError> {
-        Self::new(name, PoolKind::Max, Conv2dGeometry::square(channels, in_hw, kernel, stride, 0))
+        Self::new(name, Conv2dGeometry::square(channels, in_hw, kernel, stride, 0))
     }
 }
 
@@ -81,23 +72,12 @@ impl Layer for Pool2d {
         // one the argmax map is scratch and `batch` says there is none.
         self.batch = if phase == Phase::Train { batch } else { 0 };
         let mut output = Tensor::zeros(&[batch, self.geom.in_channels, self.out_h, self.out_w]);
-        if self.kind == PoolKind::Max {
-            // Reuse the argmax buffer across iterations; steady-state
-            // forward passes with a stable batch size allocate nothing.
-            if self.argmax.len() != output.len() {
-                self.argmax.resize(output.len(), 0);
-            }
-            pool_forward(
-                self.kind,
-                &self.geom,
-                batch,
-                input.data(),
-                output.data_mut(),
-                &mut self.argmax,
-            );
-        } else {
-            pool_forward(self.kind, &self.geom, batch, input.data(), output.data_mut(), &mut []);
+        // Reuse the argmax buffer across iterations; steady-state forward
+        // passes with a stable batch size allocate nothing.
+        if self.argmax.len() != output.len() {
+            self.argmax.resize(output.len(), 0);
         }
+        pool_forward(&self.geom, batch, input.data(), output.data_mut(), &mut self.argmax);
         Ok(output)
     }
 
@@ -117,14 +97,7 @@ impl Layer for Pool2d {
         }
         let mut d_input =
             Tensor::zeros(&[self.batch, self.geom.in_channels, self.geom.in_h, self.geom.in_w]);
-        pool_backward(
-            self.kind,
-            &self.geom,
-            self.batch,
-            d_output.data(),
-            &self.argmax,
-            d_input.data_mut(),
-        );
+        pool_backward(&self.geom, self.batch, d_output.data(), &self.argmax, d_input.data_mut());
         Ok(d_input)
     }
 }
@@ -145,17 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn average_pool() {
-        let geom = Conv2dGeometry::square(1, 2, 2, 2, 0);
-        let mut p = Pool2d::new("p", PoolKind::Average, geom).unwrap();
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let y = p.forward(&x, Phase::Train).unwrap();
-        assert_eq!(y.data(), &[2.5]);
-        let dx = p.backward(&Tensor::from_vec(vec![4.0], &[1, 1, 1, 1]).unwrap()).unwrap();
-        assert_eq!(dx.data(), &[1.0, 1.0, 1.0, 1.0]);
-    }
-
-    #[test]
     fn shape_validation() {
         let mut p = Pool2d::max_square("p", 2, 4, 2, 2).unwrap();
         assert!(p.forward(&Tensor::zeros(&[1, 1, 4, 4]), Phase::Train).is_err());
@@ -164,15 +126,13 @@ mod tests {
 
     #[test]
     fn test_phase_forward_leaves_no_backward_state() {
-        for kind in [PoolKind::Max, PoolKind::Average] {
-            let mut p = Pool2d::new("p", kind, Conv2dGeometry::square(1, 4, 2, 2, 0)).unwrap();
-            let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
-            let y = p.forward(&x, Phase::Train).unwrap();
-            assert_eq!(p.forward(&x, Phase::Test).unwrap(), y);
-            let d = Tensor::ones(&[1, 1, 2, 2]);
-            assert!(matches!(p.backward(&d), Err(DnnError::BadInput { .. })), "{kind:?}");
-            p.forward(&x, Phase::Train).unwrap();
-            assert_eq!(p.backward(&d).unwrap().sum(), 4.0, "{kind:?}");
-        }
+        let mut p = Pool2d::new("p", Conv2dGeometry::square(1, 4, 2, 2, 0)).unwrap();
+        let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
+        let y = p.forward(&x, Phase::Train).unwrap();
+        assert_eq!(p.forward(&x, Phase::Test).unwrap(), y);
+        let d = Tensor::ones(&[1, 1, 2, 2]);
+        assert!(matches!(p.backward(&d), Err(DnnError::BadInput { .. })));
+        p.forward(&x, Phase::Train).unwrap();
+        assert_eq!(p.backward(&d).unwrap().sum(), 4.0);
     }
 }

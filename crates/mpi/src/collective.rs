@@ -1,7 +1,7 @@
 //! Collective operations over the point-to-point substrate.
 //!
-//! * `barrier`, `broadcast`, `reduce`, `gather` use binomial trees rooted at
-//!   the designated root (MVAPICH's small-message algorithms).
+//! * `barrier` gathers to rank 0 and releases; `broadcast` uses a binomial
+//!   tree rooted at the designated root (MVAPICH's small-message algorithm).
 //! * `allreduce` uses the ring reduce-scatter + allgather algorithm MVAPICH
 //!   selects for large messages — the cost model behind MPICaffe's
 //!   `MPI_Allreduce` gradient aggregation: `2·(N−1)/N · P` bytes on every
@@ -16,10 +16,8 @@ const TAG_BASE: Tag = 0xFFFF_0000;
 const TAG_BARRIER_UP: Tag = TAG_BASE;
 const TAG_BARRIER_DOWN: Tag = TAG_BASE + 1;
 const TAG_BCAST: Tag = TAG_BASE + 2;
-const TAG_REDUCE: Tag = TAG_BASE + 3;
-const TAG_GATHER: Tag = TAG_BASE + 4;
-const TAG_RING_RS: Tag = TAG_BASE + 5;
-const TAG_RING_AG: Tag = TAG_BASE + 6;
+const TAG_RING_RS: Tag = TAG_BASE + 3;
+const TAG_RING_AG: Tag = TAG_BASE + 4;
 
 impl Comm {
     /// Blocks until every rank has entered the barrier (gather-to-0 then
@@ -84,73 +82,6 @@ impl Comm {
             mask <<= 1;
         }
         value
-    }
-
-    /// Element-wise sum reduction to `root` over a binomial tree. The root
-    /// returns `Some(sum)`, other ranks `None`.
-    pub fn reduce(
-        &mut self,
-        ctx: &SimContext,
-        root: usize,
-        mut data: Vec<f32>,
-    ) -> Option<Vec<f32>> {
-        let bytes = (data.len() * 4) as u64;
-        self.reduce_wire(ctx, root, std::mem::take(&mut data), bytes)
-    }
-
-    /// [`Comm::reduce`] with an explicit wire size per hop.
-    pub fn reduce_wire(
-        &mut self,
-        ctx: &SimContext,
-        root: usize,
-        mut acc: Vec<f32>,
-        wire_bytes: u64,
-    ) -> Option<Vec<f32>> {
-        let size = self.size();
-        let vrank = (self.rank() + size - root) % size;
-        let mut mask = 1usize;
-        while mask < size {
-            if vrank & mask != 0 {
-                // Send partial sum to parent and exit.
-                let dst = ((vrank & !mask) + root) % size;
-                self.send_wire(ctx, dst, TAG_REDUCE, MpiData::F32s(acc), wire_bytes);
-                return None;
-            }
-            let child = vrank | mask;
-            if child < size {
-                let src = (child + root) % size;
-                let (_, contribution) = self.recv_f32s(ctx, Some(src), TAG_REDUCE);
-                assert_eq!(contribution.len(), acc.len(), "reduce length mismatch");
-                for (a, c) in acc.iter_mut().zip(contribution.iter()) {
-                    *a += c;
-                }
-            }
-            mask <<= 1;
-        }
-        Some(acc)
-    }
-
-    /// Gathers every rank's vector at `root` (indexed by rank). The root
-    /// returns `Some(vec_of_vecs)`, other ranks `None`.
-    pub fn gather(
-        &mut self,
-        ctx: &SimContext,
-        root: usize,
-        data: Vec<f32>,
-    ) -> Option<Vec<Vec<f32>>> {
-        let size = self.size();
-        if self.rank() == root {
-            let mut out: Vec<Vec<f32>> = vec![Vec::new(); size];
-            out[root] = data;
-            for _ in 0..size - 1 {
-                let (src, d) = self.recv_f32s(ctx, None, TAG_GATHER);
-                out[src] = d;
-            }
-            Some(out)
-        } else {
-            self.send(ctx, root, TAG_GATHER, MpiData::F32s(data));
-            None
-        }
     }
 
     /// Ring allreduce: returns the element-wise sum across all ranks.
@@ -266,33 +197,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reduce_sums_at_root() {
-        for ranks in [1, 2, 6, 8] {
-            let got = run_collective(ranks, 2, move |ctx, comm| {
-                let mine = vec![comm.rank() as f32, 1.0];
-                comm.reduce(ctx, 0, mine).unwrap_or_default()
-            });
-            let expected_sum: f32 = (0..ranks).map(|r| r as f32).sum();
-            assert_eq!(got[0], vec![expected_sum, ranks as f32]);
-            for r in got.iter().skip(1) {
-                assert!(r.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_by_rank() {
-        let got = run_collective(4, 1, |ctx, comm| {
-            let mine = vec![comm.rank() as f32 * 10.0];
-            match comm.gather(ctx, 2, mine) {
-                Some(all) => all.into_iter().flatten().collect(),
-                None => vec![],
-            }
-        });
-        assert_eq!(got[2], vec![0.0, 10.0, 20.0, 30.0]);
     }
 
     #[test]

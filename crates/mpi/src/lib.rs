@@ -2,16 +2,17 @@
 //!
 //! ShmCaffe "exchanges initialization messages between the distributed
 //! processes using MPI" (§III-A) — rank 0 is the master worker that creates
-//! the SMB buffers and broadcasts the SHM key. The Caffe-MPI and MPICaffe
-//! baselines additionally exchange gradients through MPI point-to-point and
-//! `MPI_Allreduce` operations. This crate provides that substrate:
+//! the SMB buffers and broadcasts the SHM key, then every rank meets at a
+//! barrier. The Caffe-MPI and MPICaffe baselines additionally exchange
+//! gradients through MPI point-to-point and `MPI_Allreduce` operations.
+//! This crate provides exactly that substrate:
 //!
 //! * [`MpiWorld`] — a communicator of `n` ranks mapped onto fabric nodes,
 //! * [`Comm`] — a per-rank handle with `send`/`recv` (selective by source
 //!   and tag, like `MPI_Recv`),
-//! * collectives: [`Comm::barrier`], [`Comm::broadcast`], [`Comm::reduce`],
-//!   [`Comm::gather`] and a ring [`Comm::allreduce`] (reduce-scatter +
-//!   allgather, the algorithm MVAPICH uses for large messages),
+//! * collectives: [`Comm::barrier`], [`Comm::broadcast`] and a ring
+//!   [`Comm::allreduce`] (reduce-scatter + allgather, the algorithm MVAPICH
+//!   uses for large messages),
 //! * `*_wire` variants that model large logical payloads with small
 //!   physical vectors, consistent with the rest of the stack.
 //!
@@ -42,4 +43,4 @@
 mod collective;
 mod world;
 
-pub use world::{Comm, MpiData, MpiError, MpiWorld, Tag};
+pub use world::{Comm, MpiData, MpiWorld, Tag};

@@ -52,30 +52,6 @@ impl MpiData {
     }
 }
 
-/// Errors produced by MPI-substrate operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MpiError {
-    /// A rank id was out of range for the world size.
-    BadRank {
-        /// The offending rank.
-        rank: usize,
-        /// World size.
-        size: usize,
-    },
-}
-
-impl fmt::Display for MpiError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MpiError::BadRank { rank, size } => {
-                write!(f, "rank {rank} out of range for world size {size}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MpiError {}
-
 #[derive(Debug, Clone)]
 pub(crate) struct Envelope {
     pub src: usize,

@@ -78,41 +78,6 @@ proptest! {
         }
     }
 
-    /// Reduce to any root equals the sum; non-roots return nothing.
-    #[test]
-    fn reduce_to_any_root(ranks in 1usize..9, root in 0usize..9, len in 1usize..20, seed in 0u32..100) {
-        let root = root % ranks;
-        let got = run_all_ranks(ranks, move |ctx, comm| {
-            let mine: Vec<f32> = (0..len).map(|i| value(comm.rank(), i, seed)).collect();
-            comm.reduce(ctx, root, mine).unwrap_or_default()
-        });
-        for (rank, r) in got.iter().enumerate() {
-            if rank == root {
-                for (i, v) in r.iter().enumerate() {
-                    let expected: f32 = (0..ranks).map(|w| value(w, i, seed)).sum();
-                    prop_assert!((v - expected).abs() < 1e-3);
-                }
-            } else {
-                prop_assert!(r.is_empty());
-            }
-        }
-    }
-
-    /// gather collects each rank's contribution at the right slot.
-    #[test]
-    fn gather_is_indexed_by_rank(ranks in 1usize..9, root in 0usize..9) {
-        let root = root % ranks;
-        let got = run_all_ranks(ranks, move |ctx, comm| {
-            let mine = vec![comm.rank() as f32 * 3.0];
-            match comm.gather(ctx, root, mine) {
-                Some(all) => all.into_iter().flatten().collect(),
-                None => vec![],
-            }
-        });
-        let expected: Vec<f32> = (0..ranks).map(|r| r as f32 * 3.0).collect();
-        prop_assert_eq!(&got[root], &expected);
-    }
-
     /// Barrier: nobody leaves before the last arrival.
     #[test]
     fn barrier_waits_for_last(ranks in 2usize..8, stagger_ms in 1u64..20) {

@@ -1,5 +1,6 @@
 //! ShmCaffe-A: the pure asynchronous platform (SEASGD on every worker).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use shmcaffe_mpi::{MpiData, MpiWorld};
@@ -121,6 +122,12 @@ impl ShmCaffeA {
         // reclamation to their own rejoin acknowledgements.
         let rejoin_mode = cfg.checkpoint_every > 0 && cfg.rejoin_delay.is_some();
         let n_workers = self.workers;
+        // In fault mode the first crash-free rank collects the final model
+        // (without faults no rank crashes, so that is rank 0).
+        let collector = (0..n_workers).find(|r| !crashed_ranks.contains(r));
+        // Ranks yet to file their report; the last one stops the background
+        // processes when no rank collects.
+        let unfiled = Arc::new(AtomicUsize::new(n_workers));
 
         let mut final_report = run_fleet("ShmCaffe-A", n_workers, |sim, sink| {
             if let (Some(p), Some(interval)) = (&pair, self.standby_replication) {
@@ -155,6 +162,7 @@ impl ShmCaffeA {
                 let factory = Arc::clone(&factory);
                 let sink = sink.clone();
                 let crashed_ranks = Arc::clone(&crashed_ranks);
+                let unfiled = Arc::clone(&unfiled);
                 let crash_at = fabric.fault_injector().and_then(|i| i.crash_time(rank));
                 sim.spawn(&format!("shmcaffe_a_w{rank}"), move |ctx| {
                     let mut trainer = factory.make(rank, n_workers);
@@ -248,7 +256,6 @@ impl ShmCaffeA {
                         // arrive. The first surviving rank instead waits on the
                         // progress board, reaps leases of dead workers, and
                         // reads the final model.
-                        let collector = (0..n_workers).find(|r| !crashed_ranks.contains(r));
                         (!outcome.report.crashed && collector == Some(rank)).then(|| {
                             loop {
                                 let snap =
@@ -291,10 +298,12 @@ impl ShmCaffeA {
                             w
                         })
                     };
-                    // The run is over once the final model is read: let the
+                    // The run is over once the final model is read — or, when
+                    // every rank crashed, once the last rank is done: let the
                     // replicator and scrubber loops exit at their next wakeup
                     // so the simulation can terminate.
-                    if let Some(w) = final_w {
+                    let last = unfiled.fetch_sub(1, Ordering::Relaxed) == 1;
+                    if final_w.is_some() || (collector.is_none() && last) {
                         match &pair {
                             Some(p) => {
                                 p.stop_replicator();
@@ -303,6 +312,8 @@ impl ShmCaffeA {
                             }
                             None => client.server().stop_scrubber(),
                         }
+                    }
+                    if let Some(w) = final_w {
                         sink.final_weights(w);
                     }
                     sink.file((outcome.report, outcome.evals));

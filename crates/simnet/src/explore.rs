@@ -21,7 +21,7 @@
 //! preemption bounds), prunes reorderings of provably-commuting steps using
 //! the same access-conflict relation as the vector-clock race detector
 //! (disjoint region ranges and read-read overlaps commute; see
-//! [`AccessKind::commutes_with`]), dedups terminal states by FNV
+//! [`AccessKind::commutes_with`]), counts distinct terminal states by FNV
 //! fingerprint, and greedily minimizes the first counterexample before
 //! writing it to a `.sched` file.
 //!
@@ -138,11 +138,6 @@ pub struct ExploreBounds {
     /// Skip alternatives whose reordering provably commutes with the
     /// explored schedule (sleep-set/DPOR pruning over recorded footprints).
     pub prune_independent: bool,
-    /// Skip sibling expansion of runs whose terminal state fingerprint was
-    /// already certified. Heuristic — a pruned sibling could in principle
-    /// fail *mid-run* through states the certified run never visited — so
-    /// it is off by default and meant for state-convergence sweeps.
-    pub state_dedup: bool,
     /// Where to write the minimized `.sched` counterexample, if any.
     pub trace_path: Option<PathBuf>,
 }
@@ -154,7 +149,6 @@ impl Default for ExploreBounds {
             max_depth: 64,
             max_preemptions: 4,
             prune_independent: true,
-            state_dedup: false,
             trace_path: None,
         }
     }
@@ -202,8 +196,6 @@ pub struct ExploreReport {
     pub max_depth_seen: usize,
     /// Alternatives skipped because their reordering provably commutes.
     pub pruned_independent: usize,
-    /// Alternatives skipped by terminal-state dedup.
-    pub pruned_state: usize,
     /// Alternatives skipped by the depth/preemption bounds.
     pub bounded_out: usize,
     /// Distinct terminal-state fingerprints observed.
@@ -217,7 +209,7 @@ impl ExploreReport {
     /// How many schedules a naive enumeration (same bounds, no pruning)
     /// would have run: every pruned alternative is at least one schedule.
     pub fn naive_schedules(&self) -> usize {
-        self.schedules + self.pruned_independent + self.pruned_state
+        self.schedules + self.pruned_independent
     }
 
     /// `true` when the search covered its whole bounded space cleanly.
@@ -370,17 +362,11 @@ impl Simulation {
                 });
                 return report;
             }
-            let fresh = seen.insert(rec.state_hash);
+            seen.insert(rec.state_hash);
             report.distinct_states = seen.len();
             let depth = rec.choices.len().min(bounds.max_depth);
             if rec.choices[depth..].iter().any(|c| c.arity > 1) {
                 truncated = true;
-            }
-            if bounds.state_dedup && !fresh {
-                for c in &rec.choices[prefix.len().min(depth)..depth] {
-                    report.pruned_state += c.arity as usize - 1;
-                }
-                continue;
             }
             for i in prefix.len()..depth {
                 let ch = &rec.choices[i];
@@ -432,8 +418,9 @@ impl Simulation {
     }
 }
 
-/// Incremental FNV-1a hasher — the fingerprint primitive used for schedule
-/// state dedup (also reusable by models implementing state probes).
+/// Incremental FNV-1a hasher — the fingerprint primitive behind terminal
+/// states and replay checks (also reusable by models implementing state
+/// probes).
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 

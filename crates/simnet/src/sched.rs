@@ -173,7 +173,8 @@ impl Core {
     }
 
     /// FNV-1a fingerprint of the terminal scheduler state (per-process
-    /// clocks); combined with the model probe for state-space dedup.
+    /// clocks); combined with the model probe into the terminal-state
+    /// fingerprint.
     pub(crate) fn sched_hash(&self) -> u64 {
         let state = self.state.lock();
         let mut h = crate::explore::Fnv::new();
@@ -644,7 +645,8 @@ impl Simulation {
     /// Registers a model-state fingerprint sampled by the schedule explorer
     /// after each run (FNV hash of whatever shared state the model cares
     /// about, e.g. an SMB server's `state_hash`); together with the scheduler
-    /// fingerprint it powers state-space dedup. Unused outside exploration.
+    /// fingerprint it forms the terminal state the explorer counts and
+    /// replay compares. Unused outside exploration.
     pub fn set_state_probe<F: Fn() -> u64 + Send + 'static>(&mut self, f: F) {
         self.core.set_probe(Box::new(f));
     }

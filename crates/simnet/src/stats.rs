@@ -99,28 +99,6 @@ impl RunningStats {
     pub fn sum(&self) -> f64 {
         self.mean() * self.count as f64
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl Default for RunningStats {
@@ -169,41 +147,6 @@ mod tests {
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert_eq!(s.sum(), 40.0);
-    }
-
-    #[test]
-    fn merge_equals_combined_stream() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        for &v in &data {
-            all.record(v);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &v in &data[..37] {
-            a.record(v);
-        }
-        for &v in &data[37..] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.std_dev() - all.std_dev()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.record(3.0);
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-        let mut e = RunningStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::resource::{BandwidthResource, LinkModel};
-use shmcaffe_simnet::stats::RunningStats;
 use shmcaffe_simnet::{SimDuration, Simulation};
 use std::sync::Arc;
 
@@ -111,29 +110,6 @@ proptest! {
             let seq: Vec<usize> = msgs.iter().filter(|(x, _)| *x == s).map(|(_, i)| *i).collect();
             prop_assert_eq!(seq.clone(), (0..seq.len()).collect::<Vec<_>>());
         }
-    }
-
-    /// RunningStats::merge is associative-enough: merging any split of a
-    /// stream matches the whole stream.
-    #[test]
-    fn stats_merge_any_split(data in pvec(-1e3f64..1e3, 2..60), split in 1usize..59) {
-        let split = split.min(data.len() - 1);
-        let mut whole = RunningStats::new();
-        for &v in &data {
-            whole.record(v);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &v in &data[..split] {
-            a.record(v);
-        }
-        for &v in &data[split..] {
-            b.record(v);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.std_dev() - whole.std_dev()).abs() < 1e-6 * (1.0 + whole.std_dev()));
     }
 
     /// The whole engine is deterministic: identical programs produce

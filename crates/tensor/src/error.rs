@@ -17,13 +17,6 @@ pub enum TensorError {
         /// Shape of the right-hand operand.
         right: Vec<usize>,
     },
-    /// A reshape was requested to a shape with a different element count.
-    ReshapeMismatch {
-        /// Element count of the tensor.
-        have: usize,
-        /// Element count of the requested shape.
-        want: usize,
-    },
     /// Convolution/pooling geometry does not produce a positive output size.
     BadGeometry(String),
 }
@@ -36,9 +29,6 @@ impl fmt::Display for TensorError {
             }
             TensorError::ShapeMismatch { left, right } => {
                 write!(f, "shape mismatch: {left:?} vs {right:?}")
-            }
-            TensorError::ReshapeMismatch { have, want } => {
-                write!(f, "cannot reshape {have} elements into {want} elements")
             }
             TensorError::BadGeometry(msg) => write!(f, "bad geometry: {msg}"),
         }
@@ -56,7 +46,6 @@ mod tests {
         let variants = [
             TensorError::LengthMismatch { data_len: 1, shape_len: 2 },
             TensorError::ShapeMismatch { left: vec![1], right: vec![2] },
-            TensorError::ReshapeMismatch { have: 3, want: 4 },
             TensorError::BadGeometry("x".into()),
         ];
         for v in variants {

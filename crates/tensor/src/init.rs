@@ -1,10 +1,10 @@
 //! Seeded weight initialisation.
 //!
 //! Matches the fillers Caffe uses for the evaluated networks: constant,
-//! Gaussian, uniform, Xavier (Glorot) and MSRA (He). All fillers draw from a
-//! caller-supplied [`rand::Rng`] so distributed workers can reproduce the
-//! master's initial weights from a broadcast seed, exactly as ShmCaffe's
-//! rank-0 master broadcasts the initial parameters.
+//! Xavier (Glorot, a uniform draw) and MSRA (He, a Gaussian draw). All
+//! fillers draw from a caller-supplied [`rand::Rng`] so distributed workers
+//! can reproduce the master's initial weights from a broadcast seed, exactly
+//! as ShmCaffe's rank-0 master broadcasts the initial parameters.
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -85,20 +85,6 @@ pub fn msra<R: Rng>(rng: &mut R, fan_in: usize, out: &mut [f32]) {
 pub enum Filler {
     /// Every weight set to the given constant.
     Constant(f32),
-    /// Gaussian with the given mean and standard deviation.
-    Gaussian {
-        /// Mean of the distribution.
-        mean: f32,
-        /// Standard deviation of the distribution.
-        std: f32,
-    },
-    /// Uniform on `[low, high)`.
-    Uniform {
-        /// Inclusive lower bound.
-        low: f32,
-        /// Exclusive upper bound.
-        high: f32,
-    },
     /// Xavier/Glorot fan-in filler.
     Xavier,
     /// MSRA/He fan-in filler.
@@ -110,8 +96,6 @@ impl Filler {
     pub fn fill<R: Rng>(&self, rng: &mut R, fan_in: usize, out: &mut [f32]) {
         match *self {
             Filler::Constant(c) => out.iter_mut().for_each(|v| *v = c),
-            Filler::Gaussian { mean, std } => gaussian(rng, mean, std, out),
-            Filler::Uniform { low, high } => uniform(rng, low, high, out),
             Filler::Xavier => xavier(rng, fan_in.max(1), out),
             Filler::Msra => msra(rng, fan_in.max(1), out),
         }

@@ -1,4 +1,5 @@
-//! Max and average 2-D pooling, forward and backward.
+//! 2-D max pooling, forward and backward: the one pooling operator every
+//! network here runs.
 //!
 //! Pooling shares the window geometry type with convolution
 //! ([`crate::conv::Conv2dGeometry`] with `in_channels` interpreted as the
@@ -7,10 +8,9 @@
 //! A window is clipped to the image once — its row range per output row,
 //! its column range per output column — so the tap loops run over plain
 //! in-bounds sub-rows with no per-tap padding test. Taps are visited in
-//! `(kh, kw)` order: max pooling keeps the first strictly-greater tap and
-//! average pooling sums in that order.
+//! `(kh, kw)` order and the first strictly-greater tap wins.
 //!
-//! **Max forward** is register-tiled like the direct convolution: each
+//! **Forward** is register-tiled like the direct convolution: each
 //! channel is staged once ([`crate::conv::stage_image`]) into a band whose
 //! padding columns and slack hold `-inf`, rows are clipped per output row,
 //! and every tap `(kh, kw)` of a tile of consecutive outputs is then one
@@ -31,15 +31,6 @@ use crate::conv::{phase_len, stage_image, Conv2dGeometry, TW};
 use crate::parallel;
 use crate::simd::{with_wide_lanes, Tier};
 use crate::workspace::{self, Tag};
-
-/// Pooling operator variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PoolKind {
-    /// Maximum over the window (records argmax indices for backward).
-    Max,
-    /// Arithmetic mean over the window.
-    Average,
-}
 
 /// [`pool_forward`]'s argmax entry for a window with no selectable tap (it
 /// lies wholly in padding, or holds only NaN / `-inf`): output 0, no
@@ -69,29 +60,6 @@ impl Extents {
         let in_len = geom.in_len();
         assert!(in_len <= NO_ARGMAX as usize, "image too large for u32 argmax offsets");
         Extents { out_h, out_w, in_len, out_len: geom.in_channels * out_h * out_w }
-    }
-}
-
-/// Calls `f(out_idx, chan_base, rows, cols)` for every output element of one
-/// image in `(c, oh, ow)` order, with the window's clipped input rows and
-/// columns and the offset of channel `c` within the image.
-#[inline(always)]
-fn for_each_window(
-    geom: &Conv2dGeometry,
-    ext: &Extents,
-    mut f: impl FnMut(usize, usize, Range<usize>, Range<usize>),
-) {
-    let mut out_idx = 0;
-    for c in 0..geom.in_channels {
-        let chan_base = c * geom.in_h * geom.in_w;
-        for oh in 0..ext.out_h {
-            let rows = clip(oh, geom.stride_h, geom.pad_h, geom.kernel_h, geom.in_h);
-            for ow in 0..ext.out_w {
-                let cols = clip(ow, geom.stride_w, geom.pad_w, geom.kernel_w, geom.in_w);
-                f(out_idx, chan_base, rows.clone(), cols);
-                out_idx += 1;
-            }
-        }
     }
 }
 
@@ -174,18 +142,16 @@ fn max_image<const W: usize>(
     }
 }
 
-/// Pooling forward over a batch.
+/// Max pooling forward over a batch.
 ///
 /// * `input`: `(N, C, H, W)`, `output`: `(N, C, H_out, W_out)`.
-/// * `argmax`: for [`PoolKind::Max`], records the offset *within its image*
-///   of each selected element, or [`NO_ARGMAX`] (same length as `output`);
-///   pass an empty slice for average pooling.
+/// * `argmax`: records the offset *within its image* of each selected
+///   element, or [`NO_ARGMAX`] (same length as `output`).
 ///
 /// # Panics
 ///
 /// Panics on size mismatches or invalid geometry.
 pub fn pool_forward(
-    kind: PoolKind,
     geom: &Conv2dGeometry,
     batch: usize,
     input: &[f32],
@@ -198,64 +164,45 @@ pub fn pool_forward(
     if output.is_empty() {
         return;
     }
+    assert_eq!(argmax.len(), output.len(), "argmax size mismatch");
     let image_of = |n: usize| &input[n * ext.in_len..(n + 1) * ext.in_len];
-    match kind {
-        PoolKind::Max => {
-            assert_eq!(argmax.len(), output.len(), "argmax size mismatch");
-            let band = phase_len(geom) * geom.stride_w * geom.in_h;
-            let tier = Tier::host();
-            parallel::par_chunks_mut2(
-                output,
-                ext.out_len,
-                argmax,
-                ext.out_len,
-                |n, out_image, argmax_image| {
-                    workspace::with_f32(Tag::ConvPackB, band + TW, |stage| {
-                        with_wide_lanes(
-                            tier,
-                            #[inline(always)]
-                            |_| {
-                                // The widest tile the output row fills.
-                                let (x, y, a) = (image_of(n), out_image, argmax_image);
-                                match ext.out_w {
-                                    TW.. => max_image::<TW>(geom, &ext, x, stage, y, a),
-                                    8.. => max_image::<8>(geom, &ext, x, stage, y, a),
-                                    4.. => max_image::<4>(geom, &ext, x, stage, y, a),
-                                    2.. => max_image::<2>(geom, &ext, x, stage, y, a),
-                                    _ => max_image::<1>(geom, &ext, x, stage, y, a),
-                                }
-                            },
-                        );
-                    });
-                },
-            );
-        }
-        PoolKind::Average => {
-            parallel::par_chunks_mut(output, ext.out_len, |n, out_image| {
-                let image = image_of(n);
-                for_each_window(geom, &ext, |out_idx, chan_base, rows, cols| {
-                    let count = rows.len() * cols.len();
-                    let mut sum = 0.0;
-                    for ih in rows {
-                        let row_base = chan_base + ih * geom.in_w;
-                        for &v in &image[row_base + cols.start..row_base + cols.end] {
-                            sum += v;
+    let band = phase_len(geom) * geom.stride_w * geom.in_h;
+    let tier = Tier::host();
+    parallel::par_chunks_mut2(
+        output,
+        ext.out_len,
+        argmax,
+        ext.out_len,
+        |n, out_image, argmax_image| {
+            workspace::with_f32(Tag::ConvPackB, band + TW, |stage| {
+                with_wide_lanes(
+                    tier,
+                    #[inline(always)]
+                    |_| {
+                        // The widest tile the output row fills.
+                        let (x, y, a) = (image_of(n), out_image, argmax_image);
+                        match ext.out_w {
+                            TW.. => max_image::<TW>(geom, &ext, x, stage, y, a),
+                            8.. => max_image::<8>(geom, &ext, x, stage, y, a),
+                            4.. => max_image::<4>(geom, &ext, x, stage, y, a),
+                            2.. => max_image::<2>(geom, &ext, x, stage, y, a),
+                            _ => max_image::<1>(geom, &ext, x, stage, y, a),
                         }
-                    }
-                    out_image[out_idx] = if count > 0 { sum / count as f32 } else { 0.0 };
-                });
+                    },
+                );
             });
-        }
-    }
+        },
+    );
 }
 
-/// Pooling backward over a batch. `d_input` is overwritten.
+/// Max pooling backward over a batch: each output gradient goes to the
+/// input its window selected (`argmax`, from [`pool_forward`]). `d_input` is
+/// overwritten.
 ///
 /// # Panics
 ///
 /// Panics on size mismatches or invalid geometry.
 pub fn pool_backward(
-    kind: PoolKind,
     geom: &Conv2dGeometry,
     batch: usize,
     d_output: &[f32],
@@ -265,9 +212,7 @@ pub fn pool_backward(
     let ext = Extents::of(geom);
     assert_eq!(d_output.len(), batch * ext.out_len, "d_output size mismatch");
     assert_eq!(d_input.len(), batch * ext.in_len, "d_input size mismatch");
-    if kind == PoolKind::Max {
-        assert_eq!(argmax.len(), d_output.len(), "argmax size mismatch");
-    }
+    assert_eq!(argmax.len(), d_output.len(), "argmax size mismatch");
     if d_input.is_empty() {
         return;
     }
@@ -276,30 +221,9 @@ pub fn pool_backward(
     parallel::par_chunks_mut(d_input, ext.in_len, |n, d_image| {
         d_image.fill(0.0);
         let image = n * ext.out_len..(n + 1) * ext.out_len;
-        let d_out_image = &d_output[image.clone()];
-        match kind {
-            PoolKind::Max => {
-                for (&src, &g) in argmax[image].iter().zip(d_out_image) {
-                    if src != NO_ARGMAX {
-                        d_image[src as usize] += g;
-                    }
-                }
-            }
-            PoolKind::Average => {
-                for_each_window(geom, &ext, |out_idx, chan_base, rows, cols| {
-                    let count = rows.len() * cols.len();
-                    if count == 0 {
-                        return;
-                    }
-                    // The gradient divides evenly over the valid cells.
-                    let share = d_out_image[out_idx] / count as f32;
-                    for ih in rows {
-                        let row_base = chan_base + ih * geom.in_w;
-                        for d in &mut d_image[row_base + cols.start..row_base + cols.end] {
-                            *d += share;
-                        }
-                    }
-                });
+        for (&src, &g) in argmax[image.clone()].iter().zip(&d_output[image]) {
+            if src != NO_ARGMAX {
+                d_image[src as usize] += g;
             }
         }
     });
@@ -319,7 +243,7 @@ mod tests {
         let input = vec![1., 2., 5., 6., 3., 4., 7., 8., 9., 10., 13., 14., 11., 12., 15., 16.];
         let mut output = vec![0.0; 4];
         let mut argmax = vec![0u32; 4];
-        pool_forward(PoolKind::Max, &g, 1, &input, &mut output, &mut argmax);
+        pool_forward(&g, 1, &input, &mut output, &mut argmax);
         assert_eq!(output, vec![4., 8., 12., 16.]);
     }
 
@@ -329,39 +253,16 @@ mod tests {
         let input: Vec<f32> = (1..=16).map(|v| v as f32).collect();
         let mut output = vec![0.0; 4];
         let mut argmax = vec![0u32; 4];
-        pool_forward(PoolKind::Max, &g, 1, &input, &mut output, &mut argmax);
+        pool_forward(&g, 1, &input, &mut output, &mut argmax);
         let d_output = vec![1.0, 2.0, 3.0, 4.0];
         let mut d_input = vec![0.0; 16];
-        pool_backward(PoolKind::Max, &g, 1, &d_output, &argmax, &mut d_input);
+        pool_backward(&g, 1, &d_output, &argmax, &mut d_input);
         assert_eq!(d_input.iter().sum::<f32>(), 10.0);
         // Maxima are at positions 5, 7, 13, 15 of the row-major input.
         assert_eq!(d_input[5], 1.0);
         assert_eq!(d_input[7], 2.0);
         assert_eq!(d_input[13], 3.0);
         assert_eq!(d_input[15], 4.0);
-    }
-
-    #[test]
-    fn avg_pool_forward_and_backward() {
-        let g = geom_2x2_stride2(2);
-        let input = vec![1., 2., 3., 4.];
-        let mut output = vec![0.0; 1];
-        pool_forward(PoolKind::Average, &g, 1, &input, &mut output, &mut []);
-        assert_eq!(output, vec![2.5]);
-        let mut d_input = vec![0.0; 4];
-        pool_backward(PoolKind::Average, &g, 1, &[4.0], &[], &mut d_input);
-        assert_eq!(d_input, vec![1.0; 4]);
-    }
-
-    #[test]
-    fn avg_pool_with_padding_divides_by_valid_count() {
-        // 2x2 input, 2x2 kernel, stride 2, pad 1 -> 2x2 output; corner windows
-        // see exactly one valid cell.
-        let g = Conv2dGeometry::square(1, 2, 2, 2, 1);
-        let input = vec![4.0, 8.0, 12.0, 16.0];
-        let mut output = vec![0.0; 4];
-        pool_forward(PoolKind::Average, &g, 1, &input, &mut output, &mut []);
-        assert_eq!(output, vec![4.0, 8.0, 12.0, 16.0]);
     }
 
     #[test]
@@ -376,7 +277,7 @@ mod tests {
         ];
         let mut output = vec![0.0; 4];
         let mut argmax = vec![0u32; 4];
-        pool_forward(PoolKind::Max, &g, 2, &input, &mut output, &mut argmax);
+        pool_forward(&g, 2, &input, &mut output, &mut argmax);
         assert_eq!(output, vec![4., 8., -1., 9.]);
     }
 
@@ -389,14 +290,14 @@ mod tests {
         let loss = |x: &[f32]| -> f32 {
             let mut out = vec![0.0; 4];
             let mut am = vec![0u32; 4];
-            pool_forward(PoolKind::Max, &g, 1, x, &mut out, &mut am);
+            pool_forward(&g, 1, x, &mut out, &mut am);
             out.iter().zip(d_output.iter()).map(|(a, b)| a * b).sum()
         };
         let mut out = vec![0.0; 4];
         let mut argmax = vec![0u32; 4];
-        pool_forward(PoolKind::Max, &g, 1, &input, &mut out, &mut argmax);
+        pool_forward(&g, 1, &input, &mut out, &mut argmax);
         let mut d_input = vec![0.0; 16];
-        pool_backward(PoolKind::Max, &g, 1, &d_output, &argmax, &mut d_input);
+        pool_backward(&g, 1, &d_output, &argmax, &mut d_input);
 
         let eps = 1e-3;
         let mut x = input.clone();

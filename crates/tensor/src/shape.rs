@@ -26,11 +26,6 @@ impl Shape {
         Shape { dims: dims.to_vec() }
     }
 
-    /// A rank-0 (scalar) shape with one element.
-    pub fn scalar() -> Self {
-        Shape { dims: Vec::new() }
-    }
-
     /// Number of axes.
     pub fn rank(&self) -> usize {
         self.dims.len()
@@ -58,36 +53,6 @@ impl Shape {
     /// The extents as a slice.
     pub fn dims(&self) -> &[usize] {
         &self.dims
-    }
-
-    /// Row-major strides for this shape.
-    ///
-    /// ```rust
-    /// use shmcaffe_tensor::Shape;
-    /// assert_eq!(Shape::new(&[2, 3, 4]).strides(), vec![12, 4, 1]);
-    /// ```
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
-    /// Flat row-major offset of a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` has the wrong rank or any coordinate is out of range.
-    pub fn offset(&self, index: &[usize]) -> usize {
-        assert_eq!(index.len(), self.rank(), "index rank mismatch");
-        let mut off = 0;
-        let strides = self.strides();
-        for (axis, (&i, &s)) in index.iter().zip(strides.iter()).enumerate() {
-            assert!(i < self.dims[axis], "index {i} out of range on axis {axis}");
-            off += i * s;
-        }
-        off
     }
 }
 
@@ -121,32 +86,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_has_one_element() {
-        let s = Shape::scalar();
-        assert_eq!(s.rank(), 0);
-        assert_eq!(s.len(), 1);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn strides_and_offsets_agree_with_manual_layout() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-        assert_eq!(s.offset(&[0, 0, 0]), 0);
-        assert_eq!(s.offset(&[1, 2, 3]), 12 + 8 + 3);
-        assert_eq!(s.offset(&[1, 0, 1]), 13);
-    }
-
-    #[test]
     fn display_formats_dims() {
         assert_eq!(Shape::new(&[2, 3]).to_string(), "(2x3)");
-        assert_eq!(Shape::scalar().to_string(), "()");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn offset_panics_out_of_range() {
-        Shape::new(&[2, 2]).offset(&[2, 0]);
+        assert_eq!(Shape::new(&[]).to_string(), "()");
     }
 
     #[test]

@@ -148,7 +148,7 @@ mod tests {
     };
     use crate::gemm::{gemm, Transpose};
     use crate::lrn::{lrn_backward, lrn_forward, LrnParams};
-    use crate::pool::{pool_forward, PoolKind};
+    use crate::pool::pool_forward;
 
     fn values(len: usize, seed: u32) -> Vec<f32> {
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(12345);
@@ -286,7 +286,7 @@ mod tests {
             let input = values(2 * g.in_len(), 11);
             assert_tier_parity(&format!("max pool {hw}x{hw} k{k} s{s} p{p}"), || {
                 let (mut out, mut argmax) = (vec![0.0f32; out_len], vec![0u32; out_len]);
-                pool_forward(PoolKind::Max, &g, 2, &input, &mut out, &mut argmax);
+                pool_forward(&g, 2, &input, &mut out, &mut argmax);
                 out.extend(argmax.into_iter().map(f32::from_bits));
                 out
             });

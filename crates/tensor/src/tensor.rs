@@ -15,7 +15,7 @@ use crate::{Shape, TensorError};
 ///
 /// # fn main() -> Result<(), shmcaffe_tensor::TensorError> {
 /// let mut t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
-/// assert_eq!(t.at(&[1, 2]), 6.0);
+/// assert_eq!(t.data()[5], 6.0);
 /// t.data_mut()[0] = -1.0;
 /// assert_eq!(t.sum(), 19.0);
 /// # Ok(())
@@ -99,29 +99,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Element at a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index rank or any coordinate is out of range.
-    pub fn at(&self, index: &[usize]) -> f32 {
-        self.data[self.shape.offset(index)]
-    }
-
-    /// Reinterprets the tensor with a new shape of equal element count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ReshapeMismatch`] if the element counts differ.
-    pub fn reshape(&mut self, dims: &[usize]) -> Result<(), TensorError> {
-        let new_shape = Shape::new(dims);
-        if new_shape.len() != self.len() {
-            return Err(TensorError::ReshapeMismatch { have: self.len(), want: new_shape.len() });
-        }
-        self.shape = new_shape;
-        Ok(())
-    }
-
     /// Sets every element to zero (gradient reset between iterations).
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
@@ -162,24 +139,6 @@ impl Tensor {
         }
     }
 
-    /// Index of the maximum element (first occurrence). `None` when empty.
-    pub fn argmax(&self) -> Option<usize> {
-        self.data
-            .iter()
-            .enumerate()
-            .fold(None, |best, (i, &v)| match best {
-                None => Some((i, v)),
-                Some((_, bv)) if v > bv => Some((i, v)),
-                some => some,
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// L2 norm of the flattened tensor.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Maximum absolute element (0 when empty).
     pub fn abs_max(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
@@ -217,9 +176,10 @@ mod tests {
     #[test]
     fn construction_and_indexing() {
         let t = Tensor::from_vec((0..24).map(|i| i as f32).collect(), &[2, 3, 4]).unwrap();
-        assert_eq!(t.at(&[0, 0, 0]), 0.0);
-        assert_eq!(t.at(&[1, 2, 3]), 23.0);
-        assert_eq!(t.at(&[1, 0, 2]), 14.0);
+        assert_eq!(t.dims(), &[2, 3, 4]);
+        assert_eq!(t.data()[0], 0.0);
+        assert_eq!(t.data()[23], 23.0);
+        assert_eq!(t.data()[14], 14.0);
     }
 
     #[test]
@@ -229,28 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let mut t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]).unwrap();
-        t.reshape(&[2, 2]).unwrap();
-        assert_eq!(t.at(&[1, 1]), 4.0);
-        assert!(t.reshape(&[3, 3]).is_err());
-    }
-
-    #[test]
     fn reductions() {
         let t = Tensor::from_vec(vec![-3.0, 1.0, 2.0], &[3]).unwrap();
         assert_eq!(t.sum(), 0.0);
         assert_eq!(t.mean(), 0.0);
-        assert_eq!(t.argmax(), Some(2));
         assert_eq!(t.abs_max(), 3.0);
-        assert!((t.norm() - (14.0f32).sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn argmax_takes_first_of_ties_and_handles_empty() {
-        let t = Tensor::from_vec(vec![5.0, 5.0, 1.0], &[3]).unwrap();
-        assert_eq!(t.argmax(), Some(0));
-        assert_eq!(Tensor::zeros(&[0]).argmax(), None);
     }
 
     #[test]

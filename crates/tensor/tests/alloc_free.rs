@@ -28,7 +28,7 @@ use shmcaffe_tensor::conv::{
     conv2d_backward, conv2d_backward_banks, conv2d_forward, conv2d_forward_banks, Bank, BankGrad,
     Conv2dGeometry,
 };
-use shmcaffe_tensor::pool::{pool_forward, PoolKind};
+use shmcaffe_tensor::pool::pool_forward;
 use shmcaffe_tensor::{parallel, workspace};
 
 /// System allocator wrapper that counts each thread's allocation calls.
@@ -265,8 +265,7 @@ fn steady_state_max_pool_forward_allocates_nothing() {
             let input = fill(batch * geom.in_len(), 5);
             let mut output = vec![0.0; batch * out_len];
             let mut argmax = vec![0u32; batch * out_len];
-            let mut step =
-                || pool_forward(PoolKind::Max, &geom, batch, &input, &mut output, &mut argmax);
+            let mut step = || pool_forward(&geom, batch, &input, &mut output, &mut argmax);
             step();
             let before = alloc_count();
             for _ in 0..5 {

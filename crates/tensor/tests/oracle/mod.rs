@@ -223,7 +223,7 @@ pub fn conv2d_backward_ref(
 /// a `-inf` seed — so NaN and `-inf` taps are never selected, and a window
 /// with no selectable tap (wholly in padding, or holding only such values)
 /// yields `0.0` / [`NO_ARGMAX`]. `argmax` holds offsets within the image.
-/// The bit-identity oracle for `pool_forward(PoolKind::Max, ..)`.
+/// The bit-identity oracle for `pool_forward(..)`.
 ///
 /// # Panics
 ///

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use shmcaffe_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
 use shmcaffe_tensor::gemm::{gemm, Transpose};
 use shmcaffe_tensor::lrn::{lrn_backward, lrn_forward, LrnParams};
-use shmcaffe_tensor::pool::{pool_backward, pool_forward, PoolKind};
+use shmcaffe_tensor::pool::{pool_backward, pool_forward};
 use shmcaffe_tensor::{ops, parallel};
 
 /// The schedules under test: serial, even splits, and a count that does
@@ -228,12 +228,11 @@ proptest! {
         }
     }
 
-    /// Max and average pooling — outputs, argmax choices and input
-    /// gradients — are bit-identical across thread counts, padded and
+    /// Max pooling — outputs, argmax choices and input gradients — is
+    /// bit-identical across thread counts, padded and
     /// overlapping windows included.
     #[test]
     fn pool_bit_identical_across_thread_counts(
-        max in 0usize..2,
         batch in 1usize..9,
         channels in 1usize..5,
         hw in 2usize..12,
@@ -242,7 +241,6 @@ proptest! {
         pad in 0usize..2,
         seed in 0u32..1000,
     ) {
-        let kind = if max == 1 { PoolKind::Max } else { PoolKind::Average };
         let geom = Conv2dGeometry::square(channels, hw, kernel, stride, pad);
         prop_assume!(geom.out_h().is_ok());
         let out_total = batch * channels * geom.out_h().unwrap() * geom.out_w().unwrap();
@@ -252,11 +250,11 @@ proptest! {
 
         let run = |threads: usize| {
             let mut output = vec![0.0f32; out_total];
-            let mut argmax = vec![0u32; if kind == PoolKind::Max { out_total } else { 0 }];
+            let mut argmax = vec![0u32; out_total];
             let mut d_input = vec![0.0f32; in_total];
             parallel::with_threads(threads, || {
-                pool_forward(kind, &geom, batch, &input, &mut output, &mut argmax);
-                pool_backward(kind, &geom, batch, &d_output, &argmax, &mut d_input);
+                pool_forward(&geom, batch, &input, &mut output, &mut argmax);
+                pool_backward(&geom, batch, &d_output, &argmax, &mut d_input);
             });
             (output, argmax, d_input)
         };

@@ -19,7 +19,7 @@ use oracle::max_pool_ref;
 use proptest::prelude::*;
 use shmcaffe_tensor::conv::Conv2dGeometry;
 use shmcaffe_tensor::parallel;
-use shmcaffe_tensor::pool::{pool_forward, PoolKind, NO_ARGMAX};
+use shmcaffe_tensor::pool::{pool_forward, NO_ARGMAX};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
@@ -62,7 +62,7 @@ fn assert_matches_oracle(geom: &Conv2dGeometry, batch: usize, flavour: u32, seed
         let mut got = vec![f32::NAN; batch * out_len];
         let mut got_argmax = vec![7u32; batch * out_len];
         parallel::with_threads(t, || {
-            pool_forward(PoolKind::Max, geom, batch, &x, &mut got, &mut got_argmax);
+            pool_forward(geom, batch, &x, &mut got, &mut got_argmax);
         });
         let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
         assert_eq!(want, got, "output diverged at threads={t} geom={geom:?} flavour={flavour}");
@@ -108,7 +108,7 @@ fn unselectable_windows_yield_zero_and_no_argmax() {
     let x = input(geom.in_len(), 3, 5);
     let mut out = vec![f32::NAN; geom.in_len()];
     let mut argmax = vec![0u32; geom.in_len()];
-    pool_forward(PoolKind::Max, &geom, 1, &x, &mut out, &mut argmax);
+    pool_forward(&geom, 1, &x, &mut out, &mut argmax);
     assert!(out.iter().all(|v| v.to_bits() == 0) && argmax.iter().all(|&a| a == NO_ARGMAX));
     // pad >= kernel: the border windows never touch the image.
     let geom = Conv2dGeometry { pad_h: 3, pad_w: 3, ..Conv2dGeometry::square(1, 9, 2, 2, 0) };

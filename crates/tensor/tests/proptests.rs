@@ -9,7 +9,6 @@ use shmcaffe_tensor::conv::Conv2dGeometry;
 use shmcaffe_tensor::gemm::{gemm, Transpose};
 use shmcaffe_tensor::ops;
 use shmcaffe_tensor::softmax::{softmax, softmax_cross_entropy_backward};
-use shmcaffe_tensor::Tensor;
 
 fn small_f32() -> impl Strategy<Value = f32> {
     (-100i32..100).prop_map(|v| v as f32 / 10.0)
@@ -144,17 +143,5 @@ proptest! {
         col2im(&geom, &c, &mut img);
         let rhs = ops::dot(&x, &img);
         prop_assert!((lhs - rhs).abs() < 1e-2, "{lhs} vs {rhs}");
-    }
-
-    /// Tensor reshape round-trips and preserves data.
-    #[test]
-    fn reshape_roundtrip(data in pvec(small_f32(), 1..48)) {
-        let n = data.len();
-        let mut t = Tensor::from_vec(data.clone(), &[n]).unwrap();
-        if n % 2 == 0 {
-            t.reshape(&[2, n / 2]).unwrap();
-            t.reshape(&[n]).unwrap();
-        }
-        prop_assert_eq!(t.data(), &data[..]);
     }
 }

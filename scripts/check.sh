@@ -21,7 +21,8 @@
 # (BENCH_paper.json: the paper's figures, the scoreboard, the exchange
 # table, the fault sweep and the ablations) is re-run by its one driver and
 # must reproduce exactly, and kernel_bench --smoke bounds the conv task
-# grid on the host clock.
+# grid on the host clock. The whole-stack benchmark package is also built
+# from its own manifest, as the benchmark pipeline builds it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +56,13 @@ if grep -q '"id":"[^"]*registry+' <<<"$meta"; then
     echo "FAIL: a dependency resolves to a registry; add it to [patch.crates-io] or drop it" >&2
     exit 1
 fi
+
+# The whole-stack benchmark is a package of its own (its manifest, its
+# vendored stand-ins) and is built exactly as the benchmark pipeline builds
+# it, so a library change that breaks the standalone package fails here.
+echo "== whole-stack benchmark: standalone release build from its own manifest =="
+CARGO_TARGET_DIR=target/benchmark cargo build -q --release --offline \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
 # Every schedcheck suite carries its own schedule budget (ExploreBounds);
 # the timeout is a wall-clock backstop so a pruning regression fails the
