@@ -38,8 +38,8 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Renders the value as pretty-printed JSON (2-space indent, trailing
-    /// newline at the top level only via [`render`]).
+    /// Renders the value as pretty-printed JSON (2-space indent) with one
+    /// trailing newline, added here at the top level only.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);

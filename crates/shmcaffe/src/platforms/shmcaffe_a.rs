@@ -52,7 +52,8 @@ impl ShmCaffeA {
 
     /// Deploys a standby memory server mirroring the primary's segments,
     /// leases, and tombstones every `interval` of virtual time. Requires
-    /// `ClusterSpec::memory_servers >= 2`. Clients are bound to the
+    /// `ClusterSpec::memory_servers >= 2` and an `interval` shorter than
+    /// the server config's `authority_timeout`. Clients are bound to the
     /// replicated pair: when a retrying operation observes the primary's
     /// crash (seeded via [`FaultPlan::crash_memory_server`]), the standby
     /// is promoted and the whole fleet fails over to it.
@@ -61,11 +62,12 @@ impl ShmCaffeA {
         self
     }
 
-    /// Injects a deterministic fault plan into the fabric: link outages and
-    /// degradations hit the SMB transport, stalls freeze nodes, and worker
-    /// crashes kill SEASGD ranks mid-run. In fault mode the platform
-    /// replaces its final MPI barrier with progress-board polling so that
-    /// survivors complete even when a peer never arrives.
+    /// Injects a deterministic fault plan into the fabric: link outages,
+    /// partitions and corruption hit the SMB transport, memory-server
+    /// crashes force fail-over, and worker crashes kill SEASGD ranks
+    /// mid-run. In fault mode the platform replaces its final MPI barrier
+    /// with progress-board polling so that survivors complete even when a
+    /// peer never arrives.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -92,10 +94,20 @@ impl ShmCaffeA {
             ));
         }
 
-        if self.standby_replication.is_some() && self.spec.memory_servers < 2 {
-            return Err(PlatformError::BadConfig(
-                "standby replication requires at least two memory servers".to_string(),
-            ));
+        if let Some(interval) = self.standby_replication {
+            if self.spec.memory_servers < 2 {
+                return Err(PlatformError::BadConfig(
+                    "standby replication requires at least two memory servers".to_string(),
+                ));
+            }
+            // Each replication pass renews the primary's authority lease;
+            // a longer interval lets it lapse before the first pass.
+            let lease = self.server_config.authority_timeout;
+            if interval >= lease {
+                return Err(PlatformError::BadConfig(format!(
+                    "standby interval {interval} must be shorter than the authority lease {lease}"
+                )));
+            }
         }
 
         let fabric = match &self.fault_plan {

@@ -147,3 +147,22 @@ fn standby_requires_two_memory_servers() {
         .expect_err("one memory server cannot host a replicated pair");
     assert!(matches!(err, shmcaffe::PlatformError::BadConfig(_)), "{err:?}");
 }
+
+/// A replication pass is what renews the primary's authority lease, so an
+/// interval at or past `authority_timeout` lets the lease lapse before the
+/// first pass: the pair would fail over to a standby that never received
+/// `W_g`. The platform rejects it; one millisecond shorter runs.
+#[test]
+fn standby_interval_must_be_shorter_than_the_authority_lease() {
+    let lease = SmbServerConfig::default().authority_timeout;
+    let short_run = || ShmCaffeA::new(spec(), N_WORKERS, ShmCaffeConfig { max_iters: 5, ..cfg() });
+    let err = short_run()
+        .with_standby(lease)
+        .run(factory())
+        .expect_err("the lease lapses before the first replication pass");
+    assert!(matches!(err, shmcaffe::PlatformError::BadConfig(_)), "{err:?}");
+    short_run()
+        .with_standby(lease - SimDuration::from_millis(1))
+        .run(factory())
+        .expect("an interval inside the lease runs");
+}

@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the simulated fabric.
 //!
 //! A [`FaultPlan`] is a declarative, seeded schedule of link outages,
-//! bandwidth degradations, node stalls, per-operation failure probability
-//! and worker crashes. The plan is attached to a
+//! per-operation failure probability, worker and memory-server crashes,
+//! partitions and corruption. The plan is attached to a
 //! [`Fabric`](crate::topology::Fabric) via
 //! [`Fabric::with_faults`](crate::topology::Fabric::with_faults); every
 //! transfer then consults the shared [`FaultInjector`], so two runs with
@@ -32,36 +32,11 @@ use crate::{SimDuration, SimTime};
 /// returning an error (models the RDMA completion-queue timeout).
 pub(crate) const DETECTION_LATENCY: SimDuration = SimDuration::from_micros(500);
 
-/// How a link misbehaves during a [`LinkFault`] window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkFaultKind {
-    /// The link is unusable: fallible transfers error out, infallible ones
-    /// wait for the window to close.
-    Down,
-    /// The link runs at the contained fraction of nominal bandwidth
-    /// (`0.0 < factor < 1.0`).
-    Degraded(f64),
-}
-
-/// One scheduled link fault on a node's HCA.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One scheduled link outage on a node's HCA: fallible transfers error
+/// out, infallible ones wait for the window to close.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkFault {
     /// Endpoint whose HCA is affected (either direction).
-    pub node: NodeId,
-    /// Window start (inclusive).
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-    /// Down or degraded.
-    pub kind: LinkFaultKind,
-}
-
-/// A window during which a node makes no progress on transfers (e.g. an
-/// OS-level pause or SMB server GC stall). Transfers touching the node
-/// wait out the stall and then proceed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeStall {
-    /// The stalled endpoint.
     pub node: NodeId,
     /// Window start (inclusive).
     pub from: SimTime,
@@ -173,10 +148,8 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability that any single fallible fabric operation fails.
     pub op_failure_prob: f64,
-    /// Scheduled link outages and degradations.
+    /// Scheduled link outages.
     pub link_faults: Vec<LinkFault>,
-    /// Scheduled node stalls.
-    pub node_stalls: Vec<NodeStall>,
     /// Scheduled worker deaths.
     pub worker_crashes: Vec<WorkerCrash>,
     /// Scheduled memory-server deaths (permanent; clients must fail over).
@@ -203,7 +176,6 @@ impl FaultPlan {
             seed,
             op_failure_prob: 0.0,
             link_faults: Vec::new(),
-            node_stalls: Vec::new(),
             worker_crashes: Vec::new(),
             memory_server_crashes: Vec::new(),
             partitions: Vec::new(),
@@ -221,30 +193,7 @@ impl FaultPlan {
 
     /// Schedules a link-down window on a node's HCA.
     pub fn link_down(mut self, node: NodeId, from: SimTime, until: SimTime) -> Self {
-        self.link_faults.push(LinkFault { node, from, until, kind: LinkFaultKind::Down });
-        self
-    }
-
-    /// Schedules a degraded-bandwidth window (`factor` of nominal).
-    pub fn link_degraded(
-        mut self,
-        node: NodeId,
-        from: SimTime,
-        until: SimTime,
-        factor: f64,
-    ) -> Self {
-        self.link_faults.push(LinkFault {
-            node,
-            from,
-            until,
-            kind: LinkFaultKind::Degraded(factor),
-        });
-        self
-    }
-
-    /// Schedules a node stall window.
-    pub fn stall(mut self, node: NodeId, from: SimTime, until: SimTime) -> Self {
-        self.node_stalls.push(NodeStall { node, from, until });
+        self.link_faults.push(LinkFault { node, from, until });
         self
     }
 
@@ -312,8 +261,8 @@ impl FaultPlan {
         self.wire_flip_prob > 0.0 || self.torn_write_prob > 0.0 || !self.dram_decays.is_empty()
     }
 
-    /// Checks internal consistency (window ordering, probability and
-    /// degradation factors in range).
+    /// Checks internal consistency (window ordering, probabilities in
+    /// range, partition groups).
     ///
     /// # Errors
     ///
@@ -331,16 +280,6 @@ impl FaultPlan {
         for lf in &self.link_faults {
             if lf.from >= lf.until {
                 return Err(format!("link fault on {} has empty window", lf.node));
-            }
-            if let LinkFaultKind::Degraded(f) = lf.kind {
-                if !(f > 0.0 && f < 1.0) {
-                    return Err(format!("degrade factor {f} out of (0, 1)"));
-                }
-            }
-        }
-        for st in &self.node_stalls {
-            if st.from >= st.until {
-                return Err(format!("stall on {} has empty window", st.node));
             }
         }
         for p in &self.partitions {
@@ -378,10 +317,6 @@ pub struct FaultStats {
     pub injected_op_failures: u64,
     /// Fallible operations that hit a link-down window.
     pub link_down_hits: u64,
-    /// Transfers that ran at degraded bandwidth.
-    pub degraded_transfers: u64,
-    /// Transfers delayed by a node stall window.
-    pub stall_delays: u64,
     /// Fallible operations that touched a crashed memory server.
     pub memory_server_crash_hits: u64,
     /// Fallible operations severed by an active network partition.
@@ -474,44 +409,15 @@ impl FaultInjector {
         *self.inner.stats.lock()
     }
 
-    /// If `node` is inside a stall window at `now`, the window's end.
-    pub fn stall_until(&self, node: NodeId, now: SimTime) -> Option<SimTime> {
-        self.inner
-            .plan
-            .node_stalls
-            .iter()
-            .filter(|s| s.node == node && s.from <= now && now < s.until)
-            .map(|s| s.until)
-            .max()
-    }
-
     /// If `node`'s link is down at `now`, the outage's end.
     pub fn down_until(&self, node: NodeId, now: SimTime) -> Option<SimTime> {
         self.inner
             .plan
             .link_faults
             .iter()
-            .filter(|l| {
-                l.kind == LinkFaultKind::Down && l.node == node && l.from <= now && now < l.until
-            })
+            .filter(|l| l.node == node && l.from <= now && now < l.until)
             .map(|l| l.until)
             .max()
-    }
-
-    /// The strongest (smallest) degradation factor active on `node` at
-    /// `now`, if any.
-    pub fn degrade_factor(&self, node: NodeId, now: SimTime) -> Option<f64> {
-        self.inner
-            .plan
-            .link_faults
-            .iter()
-            .filter_map(|l| match l.kind {
-                LinkFaultKind::Degraded(f) if l.node == node && l.from <= now && now < l.until => {
-                    Some(f)
-                }
-                _ => None,
-            })
-            .fold(None, |acc, f| Some(acc.map_or(f, |a: f64| a.min(f))))
     }
 
     /// Draws the per-operation failure coin. Always consumes exactly one
@@ -639,14 +545,6 @@ impl FaultInjector {
         self.inner.stats.lock().link_down_hits += 1;
     }
 
-    pub(crate) fn record_degraded(&self) {
-        self.inner.stats.lock().degraded_transfers += 1;
-    }
-
-    pub(crate) fn record_stall(&self) {
-        self.inner.stats.lock().stall_delays += 1;
-    }
-
     pub(crate) fn record_memory_server_crash_hit(&self) {
         self.inner.stats.lock().memory_server_crash_hits += 1;
     }
@@ -728,8 +626,6 @@ mod tests {
         let plan = FaultPlan::new(7)
             .with_op_failure_prob(0.25)
             .link_down(NodeId(0), SimTime::from_millis(1), SimTime::from_millis(2))
-            .link_degraded(NodeId(1), SimTime::from_millis(3), SimTime::from_millis(9), 0.5)
-            .stall(NodeId(2), SimTime::from_millis(4), SimTime::from_millis(5))
             .crash_worker(3, SimTime::from_millis(6));
         assert!(plan.validate().is_ok());
         assert_eq!(plan.crashed_ranks(), vec![3]);
@@ -742,22 +638,15 @@ mod tests {
             SimTime::from_millis(2),
         );
         assert!(empty_window.validate().is_err());
-        let bad_factor = FaultPlan::new(0).link_degraded(
-            NodeId(0),
-            SimTime::from_millis(1),
-            SimTime::from_millis(2),
-            1.5,
-        );
-        assert!(bad_factor.validate().is_err());
     }
 
     #[test]
     fn windows_are_half_open() {
-        let inj = FaultInjector::new(
-            FaultPlan::new(1)
-                .link_down(NodeId(0), SimTime::from_millis(10), SimTime::from_millis(20))
-                .stall(NodeId(1), SimTime::from_millis(5), SimTime::from_millis(6)),
-        );
+        let inj = FaultInjector::new(FaultPlan::new(1).link_down(
+            NodeId(0),
+            SimTime::from_millis(10),
+            SimTime::from_millis(20),
+        ));
         assert_eq!(inj.down_until(NodeId(0), SimTime::from_millis(9)), None);
         assert_eq!(
             inj.down_until(NodeId(0), SimTime::from_millis(10)),
@@ -765,21 +654,6 @@ mod tests {
         );
         assert_eq!(inj.down_until(NodeId(0), SimTime::from_millis(20)), None);
         assert_eq!(inj.down_until(NodeId(1), SimTime::from_millis(15)), None);
-        assert_eq!(
-            inj.stall_until(NodeId(1), SimTime::from_millis(5)),
-            Some(SimTime::from_millis(6))
-        );
-    }
-
-    #[test]
-    fn strongest_degradation_wins() {
-        let inj = FaultInjector::new(
-            FaultPlan::new(1)
-                .link_degraded(NodeId(0), SimTime::ZERO, SimTime::from_millis(10), 0.5)
-                .link_degraded(NodeId(0), SimTime::ZERO, SimTime::from_millis(10), 0.25),
-        );
-        assert_eq!(inj.degrade_factor(NodeId(0), SimTime::from_millis(1)), Some(0.25));
-        assert_eq!(inj.degrade_factor(NodeId(0), SimTime::from_millis(11)), None);
     }
 
     #[test]

@@ -196,19 +196,17 @@ impl Fabric {
             return self.pcie_transfer(ctx, from, bytes);
         }
         // The reliable substrate rides out faults, so shaping cannot fail.
-        let cap = self
-            .fault_shape(ctx, from, to, false)
+        self.fault_shape(ctx, from, to, false)
             .expect("infallible transfers wait out fault windows");
         let tx = &self.inner.hca_tx[from.0];
         let rx = &self.inner.hca_rx[to.0];
-        crate::resource::transfer_path_stream(ctx, &[tx, rx], bytes, cap)
+        crate::resource::transfer_path_stream(ctx, &[tx, rx], bytes, None)
     }
 
     /// Runs the fallible fault gate for a transfer between two endpoints
     /// without moving any bytes. Callers that charge wire time through
     /// their own resource path (the SMB transport) use this to subject
-    /// that path to the fabric's fault plan; the returned value is a
-    /// per-stream bandwidth cap to apply while degraded.
+    /// that path to the fabric's fault plan.
     ///
     /// # Errors
     ///
@@ -218,13 +216,12 @@ impl Fabric {
         ctx: &SimContext,
         from: NodeId,
         to: NodeId,
-    ) -> Result<Option<f64>, FaultError> {
+    ) -> Result<(), FaultError> {
         self.fault_shape(ctx, from, to, true)
     }
 
-    /// Sleeps through stall/outage windows and draws the failure coin.
+    /// Sleeps through outage windows and draws the failure coin.
     ///
-    /// Returns a bandwidth cap when a degradation window is active.
     /// `fallible` selects fail-fast (RDMA-style) versus ride-it-out
     /// (reliable-stream-style) semantics for outages.
     fn fault_shape(
@@ -233,9 +230,9 @@ impl Fabric {
         from: NodeId,
         to: NodeId,
         fallible: bool,
-    ) -> Result<Option<f64>, FaultError> {
+    ) -> Result<(), FaultError> {
         let Some(inj) = &self.inner.injector else {
-            return Ok(None);
+            return Ok(());
         };
         loop {
             let now = ctx.now();
@@ -254,13 +251,6 @@ impl Fabric {
                 inj.record_memory_server_crash_hit();
                 ctx.sleep(DETECTION_LATENCY);
                 return Err(FaultError::NodeCrashed { node, at: ctx.now() });
-            }
-            // A stalled endpoint delays the transfer for both semantics.
-            let stalled = [from, to].iter().filter_map(|&n| inj.stall_until(n, now)).max();
-            if let Some(until) = stalled {
-                inj.record_stall();
-                ctx.sleep_until(until);
-                continue;
             }
             let down = [from, to].iter().find_map(|&n| inj.down_until(n, now).map(|u| (n, u)));
             if let Some((node, until)) = down {
@@ -297,14 +287,7 @@ impl Fabric {
             ctx.sleep(DETECTION_LATENCY);
             return Err(FaultError::Injected { from, to, at: ctx.now() });
         }
-        let factor = [from, to]
-            .iter()
-            .filter_map(|&n| inj.degrade_factor(n, ctx.now()))
-            .fold(None, |acc: Option<f64>, f| Some(acc.map_or(f, |a| a.min(f))));
-        Ok(factor.map(|f| {
-            inj.record_degraded();
-            ClusterSpec::fdr_hca().bandwidth_bps * f
-        }))
+        Ok(())
     }
 
     /// Moves `bytes` over a node's shared PCIe bus.
@@ -459,24 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_window_halves_throughput() {
-        use crate::fault::FaultPlan;
-        use crate::SimTime;
-        // 50% degradation active for the whole transfer: 7 GB takes 2 s.
-        let plan =
-            FaultPlan::new(1).link_degraded(NodeId(0), SimTime::ZERO, SimTime::from_secs(100), 0.5);
-        let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(2), plan);
-        let f = fabric.clone();
-        let mut sim = Simulation::new();
-        sim.spawn("w", move |ctx| {
-            f.net_transfer(&ctx, NodeId(0), NodeId(1), 7_000_000_000);
-        });
-        let end = sim.run();
-        assert!((end.as_secs_f64() - 2.0).abs() < 0.01, "{}", end.as_secs_f64());
-        assert_eq!(fabric.fault_injector().unwrap().stats().degraded_transfers, 1);
-    }
-
-    #[test]
     fn infallible_transfer_rides_out_link_down() {
         use crate::fault::FaultPlan;
         use crate::SimTime;
@@ -554,7 +519,7 @@ mod tests {
             // Paid only detection latency, not the 1 s outage.
             assert_eq!(ctx.now(), SimTime::from_micros(500));
             // The reverse direction of a one-way partition keeps flowing.
-            assert_eq!(f.fault_check(&ctx, NodeId(1), NodeId(0)), Ok(None));
+            assert_eq!(f.fault_check(&ctx, NodeId(1), NodeId(0)), Ok(()));
         });
         sim.run();
         assert_eq!(fabric.fault_injector().unwrap().stats().partition_hits, 1);
@@ -582,33 +547,13 @@ mod tests {
     }
 
     #[test]
-    fn stall_window_delays_both_semantics() {
-        use crate::fault::FaultPlan;
-        use crate::SimTime;
-        let plan = FaultPlan::new(1).stall(NodeId(0), SimTime::ZERO, SimTime::from_millis(40));
-        let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(2), plan);
-        let f = fabric.clone();
-        let mut sim = Simulation::new();
-        sim.spawn("w", move |ctx| {
-            // The fail-fast gate waits a stall out just like an infallible
-            // transfer does: a stall is a delay, not a fault.
-            assert_eq!(f.fault_check(&ctx, NodeId(0), NodeId(1)), Ok(None));
-            assert_eq!(ctx.now(), SimTime::from_millis(40));
-            let rep = f.net_transfer(&ctx, NodeId(0), NodeId(1), 7_000);
-            assert_eq!(rep.start, SimTime::from_millis(40));
-        });
-        sim.run();
-        assert_eq!(fabric.fault_injector().unwrap().stats().stall_delays, 1);
-    }
-
-    #[test]
     fn fabric_without_plan_never_faults() {
         let fabric = Fabric::new(ClusterSpec::paper_testbed(2));
         assert!(fabric.fault_injector().is_none());
         let f = fabric.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
-            assert_eq!(f.fault_check(&ctx, NodeId(0), NodeId(1)), Ok(None));
+            assert_eq!(f.fault_check(&ctx, NodeId(0), NodeId(1)), Ok(()));
             assert_eq!(ctx.now(), crate::SimTime::ZERO, "a clean gate charges no time");
         });
         sim.run();

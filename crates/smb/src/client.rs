@@ -88,8 +88,8 @@ enum Gate<'a> {
     Stall,
     /// Retrying ops *fail fast*: each attempt routes by promotion state
     /// alone, passes the fault gate in its direction, admits strictly,
-    /// streams under any degradation cap, takes the wire-flip/torn-write
-    /// draws, and is re-run under the policy.
+    /// streams at the nominal rate, takes the wire-flip/torn-write draws,
+    /// and is re-run under the policy.
     FailFast(&'a RetryPolicy),
 }
 
@@ -650,32 +650,30 @@ impl SmbClient {
         self.retrying(ctx, buf.key, op.gate, |ctx| attempt(ctx, offset))
     }
 
-    /// Decision (1), routing half: the server this attempt talks to and the
-    /// per-stream bandwidth its transfer may use. A plain op routes through
-    /// [`SmbClient::active`] and streams at the nominal rate without ever
+    /// Decision (1), routing half: the server this attempt talks to. A
+    /// plain op routes through [`SmbClient::active`] without ever
     /// consulting the fault gate (its transfer rides faults out inside the
     /// fabric). A retrying op routes by promotion state alone and passes
-    /// the gate in its own direction first — failing fast with
-    /// [`SmbError::Unavailable`], or picking up a degradation-window cap.
+    /// the gate in its own direction first, failing fast with
+    /// [`SmbError::Unavailable`].
     fn enter(
         &self,
         ctx: &SimContext,
         gate: Gate<'_>,
         key: ShmKey,
         inbound: bool,
-    ) -> Result<(SmbServer, f64), SmbError> {
-        let (server, cap) = match gate {
-            Gate::Stall => (self.active(ctx), None),
+    ) -> Result<SmbServer, SmbError> {
+        match gate {
+            Gate::Stall => Ok(self.active(ctx)),
             Gate::FailFast(_) => {
                 let server = self.active_raw(ctx);
                 let (from, to) = self.ends(&server, inbound);
                 match server.rdma().fabric().fault_check(ctx, from, to) {
-                    Ok(cap) => (server, cap),
-                    Err(fault) => return Err(self.unavailable(&server, key, fault)),
+                    Ok(()) => Ok(server),
+                    Err(fault) => Err(self.unavailable(&server, key, fault)),
                 }
             }
-        };
-        Ok((server, cap.map_or(STREAM_BPS, |bw| STREAM_BPS.min(bw))))
+        }
     }
 
     /// The `(sender, receiver)` nodes of a transfer in the given direction.
@@ -687,14 +685,14 @@ impl SmbClient {
         }
     }
 
-    /// Streams `bytes` at `bps` along a priced op's full data path: the
-    /// server's DRAM bus plus the sender's and the receiver's HCA (one
+    /// Streams `bytes` at [`STREAM_BPS`] along a priced op's full data path:
+    /// the server's DRAM bus plus the sender's and the receiver's HCA (one
     /// pipelined stream — the order the hops are listed in is immaterial).
-    fn stream(&self, ctx: &SimContext, server: &SmbServer, inbound: bool, bytes: u64, bps: f64) {
+    fn stream(&self, ctx: &SimContext, server: &SmbServer, inbound: bool, bytes: u64) {
         let (from, to) = self.ends(server, inbound);
         let fabric = server.rdma().fabric();
         let path = [server.memory_resource(), fabric.hca_tx(from), fabric.hca_rx(to)];
-        transfer_path_stream(ctx, &path, bytes, Some(bps));
+        transfer_path_stream(ctx, &path, bytes, Some(STREAM_BPS));
     }
 
     /// Decision (2): what the op pays, as `(bytes charged by the raw RDMA
@@ -724,13 +722,13 @@ impl SmbClient {
         out: &mut [f32],
     ) -> Result<(), SmbError> {
         self.execute(ctx, op, buf, out.len(), |ctx, offset| {
-            let (server, bps) = self.enter(ctx, op.gate, buf.key, true)?;
+            let server = self.enter(ctx, op.gate, buf.key, true)?;
             let (mr, wire_bytes) = server.verified_segment(ctx, buf.key, offset, out.len())?;
             let (verb_bytes, path_bytes) = Self::price(op, wire_bytes, out.len(), buf);
             let kind = AccessKind::AtomicRead;
             server.rdma().read_wire(ctx, self.local, &mr, offset, out, verb_bytes, kind, site)?;
             if let Some(bytes) = path_bytes {
-                self.stream(ctx, &server, true, bytes, bps);
+                self.stream(ctx, &server, true, bytes);
             }
             match op.gate {
                 Gate::Stall => Ok(()),
@@ -751,7 +749,7 @@ impl SmbClient {
         data: &[f32],
     ) -> Result<(), SmbError> {
         self.execute(ctx, op, buf, data.len(), |ctx, offset| {
-            let (server, bps) = self.enter(ctx, op.gate, buf.key, false)?;
+            let server = self.enter(ctx, op.gate, buf.key, false)?;
             // Control-info (true-size) writes are unversioned slot stores:
             // no epoch admission and no version bump.
             let versioned = op.pricing != Pricing::TrueSize;
@@ -781,7 +779,7 @@ impl SmbClient {
             // A flipped payload crossed the wire before the server's
             // checksum rejected it: full wire time burns, nothing lands.
             if let Some(bytes) = path_bytes {
-                self.stream(ctx, &server, false, bytes, bps);
+                self.stream(ctx, &server, false, bytes);
             }
             delivery?;
             if versioned {
@@ -804,7 +802,7 @@ impl SmbClient {
         len: usize,
     ) -> Result<u64, SmbError> {
         self.retrying(ctx, src.key, op.gate, |ctx| {
-            let (server, _) = self.enter(ctx, op.gate, src.key, false)?;
+            let server = self.enter(ctx, op.gate, src.key, false)?;
             let plain = matches!(op.gate, Gate::Stall);
             if plain {
                 control_round_trip(ctx);

@@ -89,7 +89,7 @@
 //! performs zero heap allocations (asserted by `tests/alloc_free.rs`).
 
 use crate::gemm::{blocks, pack_rows_with, KC, MC, MR, NC, NR};
-use crate::parallel::{self, SliceParts, Task};
+use crate::parallel::{self, SliceParts};
 use crate::simd::{with_wide_lanes, Tier};
 use crate::workspace::{self, Tag};
 use crate::TensorError;
@@ -463,17 +463,6 @@ fn stage_grad(
     }
 }
 
-/// Runs `cell` over every grid cell: in order on this thread, or as one
-/// pool task per cell. The grid never depends on the thread count.
-fn run_grid<T: Send>(cells: impl Iterator<Item = T>, cell: impl Fn(T) + Sync) {
-    if parallel::current_threads() <= 1 {
-        cells.for_each(cell);
-    } else {
-        let cell = &cell;
-        parallel::run_tasks(cells.map(|c| -> Task<'_> { Box::new(move || cell(c)) }).collect());
-    }
-}
-
 /// Images side by side in one register tile `width` channels wide (the
 /// `NR` lanes of a `dW` tile, the `MR` rows of a `d_input` tile) for
 /// `channels` channels: the largest power of two `G` with
@@ -769,7 +758,7 @@ fn forward_banks(geom: &Conv2dGeometry, batch: usize, input: &[f32], banks: [Ban
             });
         };
         let band_rows = (NC / out_w).max(1);
-        run_grid(
+        parallel::for_each(
             (0..batch).flat_map(|n| {
                 blocks(out_h, band_rows).flat_map(move |rows| {
                     blocks(m_panels, MC / MR).map(move |panels| (n, rows, panels))
@@ -922,7 +911,7 @@ fn backward_banks(
                     blocks(geom.in_channels, MC).map(move |chans| Cell::Dx(images, rows, chans))
                 })
             }));
-        run_grid(cells, |cell| match cell {
+        parallel::for_each(cells, |cell| match cell {
             Cell::Dw(j0, jn) => ctx.dw_cell(slots, j0, jn),
             Cell::Db(i0, il) => ctx.db_cell(i0, il),
             Cell::Dx(images, rows, chans) => match dx_slots {

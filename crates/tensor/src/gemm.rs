@@ -31,7 +31,7 @@
 //! packer for its filter panels (the direct forward and `d_input` kernels
 //! read weights in the same `MR`-row layout).
 
-use crate::parallel::{self, SliceParts, Task};
+use crate::parallel::{self, SliceParts};
 use crate::simd::{with_wide_lanes, Tier};
 use crate::workspace::{self, Tag};
 
@@ -159,23 +159,10 @@ pub fn gemm(
                         },
                     );
                 };
-                if parallel::current_threads() <= 1 {
-                    for (ic, mcb) in blocks(m, MC) {
-                        for (jc, ncb) in blocks(n, NC) {
-                            tile(ic, mcb, jc, ncb);
-                        }
-                    }
-                } else {
-                    let tile = &tile;
-                    let tasks: Vec<Task<'_>> = blocks(m, MC)
-                        .flat_map(|(ic, mcb)| {
-                            blocks(n, NC).map(move |(jc, ncb)| -> Task<'_> {
-                                Box::new(move || tile(ic, mcb, jc, ncb))
-                            })
-                        })
-                        .collect();
-                    parallel::run_tasks(tasks);
-                }
+                parallel::for_each(
+                    blocks(m, MC).flat_map(|rows| blocks(n, NC).map(move |cols| (rows, cols))),
+                    |((ic, mcb), (jc, ncb))| tile(ic, mcb, jc, ncb),
+                );
             }
         });
     });
@@ -186,7 +173,7 @@ fn scale_c(m: usize, n: usize, beta: f32, c: &mut [f32]) {
     if beta == 1.0 {
         return;
     }
-    parallel::par_chunks_mut(&mut c[..m * n], parallel::elemwise_chunk(m * n), |_, chunk| {
+    parallel::for_each(c[..m * n].chunks_mut(parallel::elemwise_chunk(m * n)), |chunk| {
         if beta == 0.0 {
             chunk.iter_mut().for_each(|v| *v = 0.0);
         } else {

@@ -8,11 +8,11 @@
 //!   inner-product layers),
 //! * [`conv`] — 2-D convolution forward/backward: direct register-tiled
 //!   kernels (forward, `d_input`, `dW`) over a once-staged image, no im2col,
-//! * [`pool`] — max/average pooling forward/backward (max forward on
-//!   register tiles over a `-inf`-padded staged band),
+//! * [`pool`] — max pooling forward/backward (forward on register tiles
+//!   over a `-inf`-padded staged band),
 //! * [`lrn`] — across-channel local response normalisation forward/backward,
 //! * [`ops`] — element-wise and BLAS-1 style vector operations (`axpy`,
-//!   `scal`, `dot`, activations),
+//!   `scal`, the fused elastic mix, activations),
 //! * [`init`] — seeded weight initialisation (Gaussian, Xavier, MSRA),
 //! * [`crc32c`] — streaming CRC32C over f32 bit patterns (the SMB integrity
 //!   grid's checksum), hardware `crc32` instruction or slicing-by-8 tables,

@@ -234,7 +234,8 @@ pub fn lrn_forward(
         return;
     }
     let tier = Tier::host();
-    parallel::par_chunks_mut2(output, img_len, scale, img_len, |n, out_image, scale_image| {
+    let images = output.chunks_mut(img_len).zip(scale.chunks_mut(img_len)).enumerate();
+    parallel::for_each(images, |(n, (out_image, scale_image))| {
         let x_image = &input[n * img_len..(n + 1) * img_len];
         with_wide_lanes(
             tier,
@@ -279,7 +280,7 @@ pub fn lrn_backward(
         return;
     }
     let tier = Tier::host();
-    parallel::par_chunks_mut(d_input, img_len, |n, d_image| {
+    parallel::for_each(d_input.chunks_mut(img_len).enumerate(), |(n, d_image)| {
         let image = n * img_len..(n + 1) * img_len;
         let bufs = (&input[image.clone()], &scale[image.clone()], &d_output[image]);
         workspace::with_f32(Tag::LrnRatio, 2 * channels * STRIP, |scratch| {

@@ -7,13 +7,13 @@
 //!
 //! Slices are processed in fixed chunks sized by
 //! [`parallel::elemwise_chunk`] — a pure function of the element count, so
-//! the grid (and therefore every result, including the chunk-ordered `dot`
-//! reduction) is bit-identical at any thread count. Vectors at or below
-//! [`parallel::ELEMWISE_PAR_MIN`] stay on the calling thread entirely:
-//! dispatching them cost more than it saved (the 2-thread SMB-accumulate
-//! regression in BENCH_kernels.json).
+//! the grid (and therefore every result) is bit-identical at any thread
+//! count, and each chunk is one [`parallel::for_each`] item. Vectors at or
+//! below [`parallel::ELEMWISE_PAR_MIN`] are one chunk and stay on the
+//! calling thread: dispatching them cost more than it saved (the 2-thread
+//! SMB-accumulate regression in BENCH_kernels.json).
 
-use crate::parallel::{self, elemwise_chunk, Task};
+use crate::parallel::{self, elemwise_chunk};
 
 /// `y += alpha * x` (the SGD update kernel and the SMB accumulate kernel).
 ///
@@ -32,89 +32,20 @@ use crate::parallel::{self, elemwise_chunk, Task};
 /// ```
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    parallel::par_zip_mut(y, x, elemwise_chunk(y.len()), |yc, xc| axpy_serial(alpha, xc, yc));
-}
-
-/// Single-threaded `y += alpha * x`, for callers that are already inside a
-/// parallel region or that combine per-task partials in a fixed order.
-///
-/// # Panics
-///
-/// Panics if `x.len() != y.len()`.
-pub fn axpy_serial(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yv, &xv) in y.iter_mut().zip(x.iter()) {
-        *yv += alpha * xv;
-    }
+    let chunk = elemwise_chunk(y.len());
+    parallel::for_each(y.chunks_mut(chunk).zip(x.chunks(chunk)), |(yc, xc)| {
+        for (yv, &xv) in yc.iter_mut().zip(xc.iter()) {
+            *yv += alpha * xv;
+        }
+    });
 }
 
 /// `x *= alpha`.
 pub fn scal(alpha: f32, x: &mut [f32]) {
-    parallel::par_chunks_mut(x, elemwise_chunk(x.len()), |_, c| {
+    let chunk = elemwise_chunk(x.len());
+    parallel::for_each(x.chunks_mut(chunk), |c| {
         for v in c.iter_mut() {
             *v *= alpha;
-        }
-    });
-}
-
-/// Dot product of two equal-length slices.
-///
-/// Per-chunk partial sums are combined in chunk order, so the result does
-/// not depend on the thread count.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    let chunk = elemwise_chunk(x.len());
-    let chunk_dot =
-        |xc: &[f32], yc: &[f32]| xc.iter().zip(yc.iter()).map(|(a, b)| a * b).sum::<f32>();
-    if x.len() <= chunk || parallel::current_threads() <= 1 {
-        return x.chunks(chunk).zip(y.chunks(chunk)).map(|(xc, yc)| chunk_dot(xc, yc)).sum();
-    }
-    let n_chunks = x.len().div_ceil(chunk);
-    let mut partials = vec![0.0f32; n_chunks];
-    {
-        let chunk_dot = &chunk_dot;
-        let tasks: Vec<Task<'_>> = partials
-            .iter_mut()
-            .zip(x.chunks(chunk).zip(y.chunks(chunk)))
-            .map(|(slot, (xc, yc))| -> Task<'_> { Box::new(move || *slot = chunk_dot(xc, yc)) })
-            .collect();
-        parallel::run_tasks(tasks);
-    }
-    partials.iter().sum()
-}
-
-/// Element-wise `out = a - b`.
-///
-/// Used by EASGD to form the elastic difference `W_x - W_g` (paper eq. 5).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn sub(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), b.len(), "sub length mismatch");
-    assert_eq!(a.len(), out.len(), "sub output length mismatch");
-    parallel::par_zip2_mut(out, a, b, elemwise_chunk(out.len()), |oc, ac, bc| {
-        for ((o, &av), &bv) in oc.iter_mut().zip(ac.iter()).zip(bc.iter()) {
-            *o = av - bv;
-        }
-    });
-}
-
-/// Element-wise `out = a + b`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), b.len(), "add length mismatch");
-    assert_eq!(a.len(), out.len(), "add output length mismatch");
-    parallel::par_zip2_mut(out, a, b, elemwise_chunk(out.len()), |oc, ac, bc| {
-        for ((o, &av), &bv) in oc.iter_mut().zip(ac.iter()).zip(bc.iter()) {
-            *o = av + bv;
         }
     });
 }
@@ -135,7 +66,9 @@ pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
 pub fn elastic_mix(alpha: f32, wx: &mut [f32], dw: &mut [f32], wg: &[f32]) {
     assert_eq!(wx.len(), dw.len(), "elastic_mix length mismatch");
     assert_eq!(wx.len(), wg.len(), "elastic_mix length mismatch");
-    parallel::par_zip_mut2(wx, dw, wg, elemwise_chunk(wx.len()), |xc, dc, gc| {
+    let chunk = elemwise_chunk(wx.len());
+    let chunks = wx.chunks_mut(chunk).zip(dw.chunks_mut(chunk)).zip(wg.chunks(chunk));
+    parallel::for_each(chunks, |((xc, dc), gc)| {
         for ((x, d), &g) in xc.iter_mut().zip(dc.iter_mut()).zip(gc.iter()) {
             *d = alpha * (*x - g);
             *x -= *d;
@@ -150,7 +83,8 @@ pub fn elastic_mix(alpha: f32, wx: &mut [f32], dw: &mut [f32], wg: &[f32]) {
 /// Panics if lengths differ.
 pub fn relu_forward(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "relu length mismatch");
-    parallel::par_zip_mut(out, x, elemwise_chunk(out.len()), |oc, xc| {
+    let chunk = elemwise_chunk(out.len());
+    parallel::for_each(out.chunks_mut(chunk).zip(x.chunks(chunk)), |(oc, xc)| {
         for (o, &v) in oc.iter_mut().zip(xc.iter()) {
             *o = v.max(0.0);
         }
@@ -159,7 +93,8 @@ pub fn relu_forward(x: &[f32], out: &mut [f32]) {
 
 /// In-place ReLU: `x[i] = max(0, x[i])`, the values of [`relu_forward`].
 pub fn relu_in_place(x: &mut [f32]) {
-    parallel::par_chunks_mut(x, elemwise_chunk(x.len()), |_, c| {
+    let chunk = elemwise_chunk(x.len());
+    parallel::for_each(x.chunks_mut(chunk), |c| {
         for v in c.iter_mut() {
             *v = v.max(0.0);
         }
@@ -174,7 +109,9 @@ pub fn relu_in_place(x: &mut [f32]) {
 ///
 /// Panics if lengths differ.
 pub fn relu_backward_in_place(y: &[f32], d: &mut [f32]) {
-    parallel::par_zip_mut(d, y, elemwise_chunk(d.len()), |dc, yc| {
+    assert_eq!(y.len(), d.len(), "relu_backward length mismatch");
+    let chunk = elemwise_chunk(d.len());
+    parallel::for_each(d.chunks_mut(chunk).zip(y.chunks(chunk)), |(dc, yc)| {
         for (d, &yv) in dc.iter_mut().zip(yc.iter()) {
             *d = if yv > 0.0 { *d } else { 0.0 };
         }
@@ -189,7 +126,9 @@ pub fn relu_backward_in_place(y: &[f32], d: &mut [f32]) {
 pub fn relu_backward(x: &[f32], dy: &[f32], dx: &mut [f32]) {
     assert_eq!(x.len(), dy.len(), "relu_backward length mismatch");
     assert_eq!(x.len(), dx.len(), "relu_backward output length mismatch");
-    parallel::par_zip2_mut(dx, x, dy, elemwise_chunk(dx.len()), |dc, xc, gc| {
+    let chunk = elemwise_chunk(dx.len());
+    let chunks = dx.chunks_mut(chunk).zip(x.chunks(chunk)).zip(dy.chunks(chunk));
+    parallel::for_each(chunks, |((dc, xc), gc)| {
         for ((d, &xv), &g) in dc.iter_mut().zip(xc.iter()).zip(gc.iter()) {
             *d = if xv > 0.0 { g } else { 0.0 };
         }
@@ -210,23 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn scal_dot() {
+    fn scal_scales_every_element() {
         let mut x = [1.0, 2.0, 3.0];
         scal(3.0, &mut x);
         assert_eq!(x, [3.0, 6.0, 9.0]);
-        assert_eq!(dot(&x, &[1.0, 1.0, 1.0]), 18.0);
-    }
-
-    #[test]
-    fn sub_add_roundtrip() {
-        let a = [5.0, 6.0];
-        let b = [2.0, 9.0];
-        let mut d = [0.0; 2];
-        sub(&a, &b, &mut d);
-        assert_eq!(d, [3.0, -3.0]);
-        let mut s = [0.0; 2];
-        add(&d, &b, &mut s);
-        assert_eq!(s, a);
     }
 
     #[test]
@@ -307,16 +233,14 @@ mod tests {
                 axpy(0.37, &x, &mut y);
                 let mut out = vec![0.0f32; n];
                 relu_backward(&x, &y, &mut out);
-                let d = dot(&x, &y);
-                (y, out, d)
+                (y, out)
             })
         };
-        let (y1, o1, d1) = run(1);
+        let (y1, o1) = run(1);
         for t in [2, 4, 7] {
-            let (yt, ot, dt) = run(t);
+            let (yt, ot) = run(t);
             assert_eq!(y1, yt, "axpy threads={t}");
             assert_eq!(o1, ot, "activations threads={t}");
-            assert_eq!(d1.to_bits(), dt.to_bits(), "dot threads={t}");
         }
     }
 }

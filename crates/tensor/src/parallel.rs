@@ -1,17 +1,18 @@
 //! Crate-level worker pool with deterministic work decomposition.
 //!
-//! Every parallel kernel in this workspace (gemm row panels, batch-parallel
-//! convolution, elementwise ops, the SMB accumulate engine) dispatches
-//! through this module. Two properties are load-bearing:
+//! Every parallel kernel in this workspace (gemm tiles, convolution grid
+//! cells, pooling and LRN images, elementwise ops, the SMB accumulate
+//! engine) dispatches through [`for_each`]. Two properties are
+//! load-bearing:
 //!
 //! 1. **Determinism.** Work is split at *fixed* points derived only from the
-//!    problem size — never from the thread count — and every reduction
-//!    combines per-chunk partials in fixed chunk order on the calling
-//!    thread. The thread count therefore only decides *who* executes a
-//!    chunk, never *what* a chunk computes or in which order partials are
-//!    summed, so results are bit-identical at any `SHMCAFFE_THREADS`. This
-//!    is what keeps the chaos test's bit-identical-rerun guarantee and the
-//!    seeded convergence experiments valid under parallel execution.
+//!    problem size — never from the thread count — and every item writes
+//!    disjoint output with a fixed serial sequence of operations. The
+//!    thread count therefore only decides *who* executes an item, never
+//!    *what* it computes, so results are bit-identical at any
+//!    `SHMCAFFE_THREADS`. This is what keeps the chaos test's
+//!    bit-identical-rerun guarantee and the seeded convergence experiments
+//!    valid under parallel execution.
 //!
 //! 2. **Persistence.** Workers are spawned once per process (first parallel
 //!    call) and park on a crossbeam channel, so hot training loops pay no
@@ -35,7 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 /// A unit of borrowed work executed by [`run_tasks`].
-pub type Task<'scope> = Box<dyn FnOnce() + Send + 'scope>;
+type Task<'scope> = Box<dyn FnOnce() + Send + 'scope>;
 
 /// A `'static` job as stored in the worker channel.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -123,19 +124,43 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     })
 }
 
-/// Executes a batch of independent borrowed tasks, distributing them over
-/// the pool, and returns once every task has finished.
+/// Runs `f` on every item of `items` and returns once all have finished.
 ///
-/// Tasks must write disjoint data (the usual pattern is one task per
-/// `chunks_mut` chunk). Scheduling order is unspecified; callers must not
-/// rely on it — determinism comes from tasks being independent and from
-/// reductions combining per-task outputs in fixed order *after* this
-/// returns.
+/// This is the one dispatch every parallel kernel goes through. Items must
+/// write disjoint data; the usual shapes are
+/// `a.chunks_mut(c).zip(b.chunks(c))`, `.enumerate()` for kernels that
+/// index images, or the cells of a conv or gemm tile grid. They run in
+/// order on the calling thread when there is one thread
+/// ([`current_threads`]) or when the iterator's exact size says at most one
+/// item, so a one-chunk vector neither boxes nor dispatches. Otherwise each
+/// item is one pool task, in unspecified order; determinism comes from a
+/// grid that depends only on the problem size.
+///
+/// # Panics
+///
+/// Panics if `f` panicked on any item.
+pub fn for_each<I>(items: I, f: impl Fn(I::Item) + Sync)
+where
+    I: IntoIterator,
+    I::Item: Send,
+{
+    let items = items.into_iter();
+    // The size test comes first: a one-item call never starts the pool.
+    if matches!(items.size_hint(), (_, Some(n)) if n <= 1) || current_threads() <= 1 {
+        items.for_each(f);
+    } else {
+        let f = &f;
+        run_tasks(items.map(|item| -> Task<'_> { Box::new(move || f(item)) }).collect());
+    }
+}
+
+/// Distributes independent borrowed tasks over the pool and returns once
+/// every task has finished.
 ///
 /// # Panics
 ///
 /// Propagates (as a fresh panic) if any task panicked.
-pub fn run_tasks(tasks: Vec<Task<'_>>) {
+fn run_tasks(tasks: Vec<Task<'_>>) {
     let n = tasks.len();
     if n == 0 {
         return;
@@ -199,169 +224,6 @@ pub fn run_tasks(tasks: Vec<Task<'_>>) {
         std::panic::resume_unwind(p);
     }
     assert!(remote_ok, "a shmcaffe worker task panicked");
-}
-
-/// Splits `data` into fixed chunks of `chunk` elements (the last may be
-/// short) and applies `f(chunk_index, chunk)` to every chunk in parallel.
-///
-/// The chunk grid depends only on `data.len()` and `chunk`, so the
-/// decomposition — and therefore the result of any per-chunk computation —
-/// is independent of the thread count.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    if data.len() <= chunk || current_threads() <= 1 {
-        for (i, c) in data.chunks_mut(chunk).enumerate() {
-            f(i, c);
-        }
-        return;
-    }
-    let f = &f;
-    let tasks: Vec<Task<'_>> = data
-        .chunks_mut(chunk)
-        .enumerate()
-        .map(|(i, c)| -> Task<'_> { Box::new(move || f(i, c)) })
-        .collect();
-    run_tasks(tasks);
-}
-
-/// Two-slice variant of [`par_chunks_mut`]: applies `f(chunk_index,
-/// a_chunk, b_chunk)` over the paired fixed chunks of two mutable slices
-/// that may differ in element type and chunk width (one image's output
-/// beside its argmax or scale map).
-///
-/// # Panics
-///
-/// Panics if a chunk width is zero or the two slices do not split into the
-/// same number of chunks.
-pub fn par_chunks_mut2<T, U, F>(a: &mut [T], a_chunk: usize, b: &mut [U], b_chunk: usize, f: F)
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut [T], &mut [U]) + Sync,
-{
-    assert!(a_chunk > 0 && b_chunk > 0, "chunk size must be positive");
-    assert_eq!(
-        a.len().div_ceil(a_chunk),
-        b.len().div_ceil(b_chunk),
-        "par_chunks_mut2 chunk count mismatch"
-    );
-    if a.len() <= a_chunk || current_threads() <= 1 {
-        for (i, (ac, bc)) in a.chunks_mut(a_chunk).zip(b.chunks_mut(b_chunk)).enumerate() {
-            f(i, ac, bc);
-        }
-        return;
-    }
-    let f = &f;
-    let tasks: Vec<Task<'_>> = a
-        .chunks_mut(a_chunk)
-        .zip(b.chunks_mut(b_chunk))
-        .enumerate()
-        .map(|(i, (ac, bc))| -> Task<'_> { Box::new(move || f(i, ac, bc)) })
-        .collect();
-    run_tasks(tasks);
-}
-
-/// Like [`par_chunks_mut`] but walks a read-only slice in lockstep: applies
-/// `f(out_chunk, x_chunk)` over matching fixed chunks of `out` and `x`.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0` or the slice lengths differ.
-pub fn par_zip_mut<T, U, F>(out: &mut [T], x: &[U], chunk: usize, f: F)
-where
-    T: Send,
-    U: Sync,
-    F: Fn(&mut [T], &[U]) + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    assert_eq!(out.len(), x.len(), "par_zip_mut length mismatch");
-    if out.len() <= chunk || current_threads() <= 1 {
-        for (oc, xc) in out.chunks_mut(chunk).zip(x.chunks(chunk)) {
-            f(oc, xc);
-        }
-        return;
-    }
-    let f = &f;
-    let tasks: Vec<Task<'_>> = out
-        .chunks_mut(chunk)
-        .zip(x.chunks(chunk))
-        .map(|(oc, xc)| -> Task<'_> { Box::new(move || f(oc, xc)) })
-        .collect();
-    run_tasks(tasks);
-}
-
-/// Three-slice variant of [`par_zip_mut`]: `f(out_chunk, a_chunk, b_chunk)`
-/// over matching fixed chunks.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0` or the slice lengths differ.
-pub fn par_zip2_mut<T, U, V, F>(out: &mut [T], a: &[U], b: &[V], chunk: usize, f: F)
-where
-    T: Send,
-    U: Sync,
-    V: Sync,
-    F: Fn(&mut [T], &[U], &[V]) + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    assert_eq!(out.len(), a.len(), "par_zip2_mut length mismatch");
-    assert_eq!(out.len(), b.len(), "par_zip2_mut length mismatch");
-    if out.len() <= chunk || current_threads() <= 1 {
-        for ((oc, ac), bc) in out.chunks_mut(chunk).zip(a.chunks(chunk)).zip(b.chunks(chunk)) {
-            f(oc, ac, bc);
-        }
-        return;
-    }
-    let f = &f;
-    let tasks: Vec<Task<'_>> = out
-        .chunks_mut(chunk)
-        .zip(a.chunks(chunk))
-        .zip(b.chunks(chunk))
-        .map(|((oc, ac), bc)| -> Task<'_> { Box::new(move || f(oc, ac, bc)) })
-        .collect();
-    run_tasks(tasks);
-}
-
-/// Two-mutable-slice variant of [`par_zip_mut`]: `f(a_chunk, b_chunk,
-/// x_chunk)` over matching fixed chunks of two mutable slices and one
-/// read-only slice. Used by the fused elastic-mixing kernel, which updates
-/// `W_x` and produces `ΔW` in one pass over `W_g`.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0` or the slice lengths differ.
-pub fn par_zip_mut2<T, U, V, F>(a: &mut [T], b: &mut [U], x: &[V], chunk: usize, f: F)
-where
-    T: Send,
-    U: Send,
-    V: Sync,
-    F: Fn(&mut [T], &mut [U], &[V]) + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    assert_eq!(a.len(), b.len(), "par_zip_mut2 length mismatch");
-    assert_eq!(a.len(), x.len(), "par_zip_mut2 length mismatch");
-    if a.len() <= chunk || current_threads() <= 1 {
-        for ((ac, bc), xc) in a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).zip(x.chunks(chunk)) {
-            f(ac, bc, xc);
-        }
-        return;
-    }
-    let f = &f;
-    let tasks: Vec<Task<'_>> = a
-        .chunks_mut(chunk)
-        .zip(b.chunks_mut(chunk))
-        .zip(x.chunks(chunk))
-        .map(|((ac, bc), xc)| -> Task<'_> { Box::new(move || f(ac, bc, xc)) })
-        .collect();
-    run_tasks(tasks);
 }
 
 /// Fixed chunk width (in f32 elements) for parallel elementwise kernels.
@@ -488,23 +350,39 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_is_thread_count_invariant() {
-        let base: Vec<f32> = (0..50_000).map(|i| (i as f32 * 0.37).sin()).collect();
+    fn for_each_is_thread_count_invariant() {
+        let a0: Vec<f32> = (0..50_000).map(|i| (i as f32 * 0.37).sin()).collect();
+        let b0: Vec<u32> = (0..50_000).map(|i| i * 7).collect();
         let run = |threads: usize| {
-            let mut data = base.clone();
+            let (mut a, mut b) = (a0.clone(), b0.clone());
             with_threads(threads, || {
-                par_chunks_mut(&mut data, ELEMWISE_CHUNK, |i, c| {
-                    for v in c.iter_mut() {
+                let c = ELEMWISE_CHUNK;
+                for_each(a.chunks_mut(c).zip(b.chunks_mut(c)).enumerate(), |(i, (ac, bc))| {
+                    for (v, w) in ac.iter_mut().zip(bc.iter_mut()) {
                         *v = v.mul_add(1.5, i as f32 * 1e-6);
+                        *w ^= v.to_bits();
                     }
                 });
             });
-            data
+            (a, b)
         };
         let serial = run(1);
         for t in [2, 4, 7] {
             assert_eq!(serial, run(t), "threads={t}");
         }
+    }
+
+    #[test]
+    fn for_each_runs_inline_on_one_item_or_one_thread() {
+        let caller = std::thread::current().id();
+        let mut ran = vec![None; 8];
+        with_threads(4, || {
+            for_each(ran[..1].iter_mut(), |slot| *slot = Some(std::thread::current().id()));
+        });
+        with_threads(1, || {
+            for_each(ran[1..].iter_mut(), |slot| *slot = Some(std::thread::current().id()));
+        });
+        assert!(ran.iter().all(|&id| id == Some(caller)), "{ran:?}");
     }
 
     #[test]
@@ -544,17 +422,13 @@ mod tests {
         let mut data = vec![0usize; rows * cols];
         {
             let parts = SliceParts::new(&mut data);
-            let parts = &parts;
-            let tasks: Vec<Task<'_>> = (0..cols)
-                .map(|j| -> Task<'_> {
-                    Box::new(move || {
-                        for i in 0..rows {
-                            parts.part(i * cols + j, 1)[0] = i * cols + j + 1;
-                        }
-                    })
-                })
-                .collect();
-            run_tasks(tasks);
+            with_threads(4, || {
+                for_each(0..cols, |j| {
+                    for i in 0..rows {
+                        parts.part(i * cols + j, 1)[0] = i * cols + j + 1;
+                    }
+                });
+            });
         }
         for (k, v) in data.iter().enumerate() {
             assert_eq!(*v, k + 1);
@@ -573,16 +447,11 @@ mod tests {
     fn task_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
             with_threads(4, || {
-                let tasks: Vec<Task<'_>> = (0..8)
-                    .map(|i| -> Task<'_> {
-                        Box::new(move || {
-                            if i == 5 {
-                                panic!("boom");
-                            }
-                        })
-                    })
-                    .collect();
-                run_tasks(tasks);
+                for_each(0..8, |i| {
+                    if i == 5 {
+                        panic!("boom");
+                    }
+                });
             });
         });
         assert!(result.is_err());

@@ -168,31 +168,26 @@ pub fn pool_forward(
     let image_of = |n: usize| &input[n * ext.in_len..(n + 1) * ext.in_len];
     let band = phase_len(geom) * geom.stride_w * geom.in_h;
     let tier = Tier::host();
-    parallel::par_chunks_mut2(
-        output,
-        ext.out_len,
-        argmax,
-        ext.out_len,
-        |n, out_image, argmax_image| {
-            workspace::with_f32(Tag::ConvPackB, band + TW, |stage| {
-                with_wide_lanes(
-                    tier,
-                    #[inline(always)]
-                    |_| {
-                        // The widest tile the output row fills.
-                        let (x, y, a) = (image_of(n), out_image, argmax_image);
-                        match ext.out_w {
-                            TW.. => max_image::<TW>(geom, &ext, x, stage, y, a),
-                            8.. => max_image::<8>(geom, &ext, x, stage, y, a),
-                            4.. => max_image::<4>(geom, &ext, x, stage, y, a),
-                            2.. => max_image::<2>(geom, &ext, x, stage, y, a),
-                            _ => max_image::<1>(geom, &ext, x, stage, y, a),
-                        }
-                    },
-                );
-            });
-        },
-    );
+    let images = output.chunks_mut(ext.out_len).zip(argmax.chunks_mut(ext.out_len)).enumerate();
+    parallel::for_each(images, |(n, (out_image, argmax_image))| {
+        workspace::with_f32(Tag::ConvPackB, band + TW, |stage| {
+            with_wide_lanes(
+                tier,
+                #[inline(always)]
+                |_| {
+                    // The widest tile the output row fills.
+                    let (x, y, a) = (image_of(n), out_image, argmax_image);
+                    match ext.out_w {
+                        TW.. => max_image::<TW>(geom, &ext, x, stage, y, a),
+                        8.. => max_image::<8>(geom, &ext, x, stage, y, a),
+                        4.. => max_image::<4>(geom, &ext, x, stage, y, a),
+                        2.. => max_image::<2>(geom, &ext, x, stage, y, a),
+                        _ => max_image::<1>(geom, &ext, x, stage, y, a),
+                    }
+                },
+            );
+        });
+    });
 }
 
 /// Max pooling backward over a batch: each output gradient goes to the
@@ -218,7 +213,7 @@ pub fn pool_backward(
     }
     // Every scatter target of image `n` lies inside its own input slice, so
     // images are independent tasks; each zeroes and fills its own gradient.
-    parallel::par_chunks_mut(d_input, ext.in_len, |n, d_image| {
+    parallel::for_each(d_input.chunks_mut(ext.in_len).enumerate(), |(n, d_image)| {
         d_image.fill(0.0);
         let image = n * ext.out_len..(n + 1) * ext.out_len;
         for (&src, &g) in argmax[image.clone()].iter().zip(&d_output[image]) {

@@ -23,8 +23,8 @@ pub fn softmax(rows: usize, classes: usize, x: &[f32], out: &mut [f32]) {
         return;
     }
     // Whole rows per task, roughly ELEMWISE_CHUNK elements each.
-    let rows_per_chunk = (ELEMWISE_CHUNK / classes).max(1);
-    parallel::par_zip_mut(out, x, rows_per_chunk * classes, |oc, xc| {
+    let chunk = (ELEMWISE_CHUNK / classes).max(1) * classes;
+    parallel::for_each(out.chunks_mut(chunk).zip(x.chunks(chunk)), |(oc, xc)| {
         for (out_row, row) in oc.chunks_mut(classes).zip(xc.chunks(classes)) {
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: a zero-warning clippy pass, then the full workspace test
-# suite. Clippy runs first because it carries the determinism rules
+# Tier-1 gate: a zero-warning clippy pass and a broken-doc-link pass, then
+# the full workspace test suite. Clippy runs first because it carries the determinism rules
 # (clippy.toml, the [workspace.lints] table and the data-plane crate roots;
 # DESIGN.md §5d), so a violation fails in seconds, not after two suites.
 # The chaos/fault/failover tests are part of the default profile and are
@@ -31,6 +31,11 @@ cargo fmt --all -- --check
 
 echo "== clippy (workspace, every target, deny warnings): determinism + unsafe + data-plane lints =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (workspace, no deps): every intra-doc link resolves =="
+# Deleting an item that a doc comment links to fails here; links from public
+# docs to private items stay warnings.
+RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' cargo doc -q --workspace --no-deps
 
 echo "== cfg(race-detect) stays behind the simnet seam (SimContext::access, HbEdge) =="
 grep -rn 'feature = "race-detect"' crates/*/src | grep -v '^crates/simnet/src/' &&

@@ -17,11 +17,12 @@
 #      bit-identical baseline compilations run instead (the tier-parity
 #      tests in simd.rs compare all three on a native host); the dispatch
 #      itself carries no pointer arithmetic to check.
-#   2. crates/tensor/src/parallel.rs:~180 — the `Task<'_>` -> `Job`
-#      lifetime-erasing transmute that enqueues scoped jobs on the worker
-#      pool. This is the site Miri validates: the soundness argument is
-#      that `with_threads` never returns before `done_rx` has received one
-#      report per enqueued job, so the erased borrows outlive every use.
+#   2. crates/tensor/src/parallel.rs, `run_tasks` (behind
+#      `parallel::for_each`) — the `Task<'_>` -> `Job` lifetime-erasing
+#      transmute that enqueues scoped jobs on the worker pool. This is the
+#      site Miri validates: the soundness argument is that `run_tasks`
+#      never returns before `done_rx` has received one report per
+#      enqueued job, so the erased borrows outlive every use.
 #      The pool tests drive real cross-thread enqueue/complete cycles under
 #      the borrow-tracking interpreter.
 #   3. crates/tensor/src/crc32c.rs — the call into the SSE4.2 `crc32`
