@@ -46,7 +46,7 @@ use shmcaffe_tensor::conv::{
     conv2d_backward, conv2d_backward_banks, conv2d_forward, conv2d_forward_banks, Bank, BankGrad,
     Conv2dGeometry,
 };
-use shmcaffe_tensor::crc32c::{append_portable, crc32c_append, CRC32C_INIT};
+use shmcaffe_tensor::crc32c::{kernels, CRC32C_INIT};
 use shmcaffe_tensor::gemm::{gemm, Transpose};
 use shmcaffe_tensor::init::Filler;
 use shmcaffe_tensor::{parallel, Tensor};
@@ -365,8 +365,8 @@ fn bench_smb_accumulate(threads: &[usize], table: &mut Table) {
 
 /// CRC32C over 1 MiB hashed page by page, as the SMB integrity grid does,
 /// at the 4 and 16 KiB pages of the fault and SMB-mix workloads and as one
-/// piece: the dispatched kernel (what the host runs) beside the portable
-/// one (what a host without SSE4.2 runs). Single-threaded: the checksum
+/// piece, on every kernel the host runs (`portable`, `crc32`, `fold`; the
+/// last is the one the grid dispatches to). Single-threaded: the checksum
 /// runs inside one simulated process.
 fn bench_crc32c(table: &mut Table) {
     const ELEMS: usize = 1 << 18;
@@ -375,24 +375,28 @@ fn bench_crc32c(table: &mut Table) {
     for page in [1024, 4096, ELEMS] {
         let label =
             if page == ELEMS { "1 MiB".to_string() } else { format!("{} KiB pages", page / 256) };
-        let time = |kernel: fn(u32, &[f32]) -> u32| {
-            time_per_rep(REPS, || {
-                for chunk in data.chunks(page) {
-                    std::hint::black_box(kernel(CRC32C_INIT, std::hint::black_box(chunk)));
-                }
+        let times: Vec<_> = kernels()
+            .into_iter()
+            .map(|kernel| {
+                let s = time_per_rep(REPS, || {
+                    for chunk in data.chunks(page) {
+                        std::hint::black_box(
+                            kernel.append(CRC32C_INIT, std::hint::black_box(chunk)),
+                        );
+                    }
+                });
+                (kernel, s)
             })
-        };
-        let (dispatched, portable) = (time(crc32c_append), time(append_portable));
-        for (kernel, s, speedup) in [
-            ("dispatched", dispatched, format!("{:.2}x vs portable", portable / dispatched)),
-            ("portable", portable, String::new()),
-        ] {
+            .collect();
+        // `kernels()` lists the portable kernel first.
+        let portable_s = times[0].1;
+        for (i, (kernel, s)) in times.into_iter().enumerate() {
             table.row_owned(vec![
-                format!("crc32c {label} ({kernel})"),
+                format!("crc32c {label} ({})", kernel.name()),
                 "1".to_string(),
                 format!("{:.3}", s * 1e3),
                 format!("{:.2} GB/s", (ELEMS * 4) as f64 / s / 1e9),
-                speedup,
+                if i == 0 { String::new() } else { format!("{:.2}x vs portable", portable_s / s) },
             ]);
         }
     }

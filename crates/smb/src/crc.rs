@@ -11,9 +11,9 @@
 //! Checksums are computed over the f32 payload's `to_bits()` little-endian
 //! bytes, so they are bit-exact across platforms and independent of any
 //! float formatting. The arithmetic lives in [`shmcaffe_tensor::crc32c`]
-//! (hardware `crc32` instruction where the CPU has one, slicing-by-8 tables
-//! elsewhere — one function either way); this module is the SMB-side name
-//! for it.
+//! (carry-less-multiplication folding or the `crc32` instruction where the
+//! CPU has them, slicing-by-8 tables elsewhere — one function either way);
+//! this module is the SMB-side name for it.
 
 /// CRC32C of an f32 slice over each element's `to_bits()` little-endian
 /// bytes (init `!0`, final xor `!0` — the standard Castagnoli convention).

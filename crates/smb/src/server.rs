@@ -892,7 +892,8 @@ impl SmbServer {
     /// # Errors
     ///
     /// [`SmbError::Corrupted`] for the first poisoned or freshly failing
-    /// page; key-lookup errors if the segment died.
+    /// page; [`SmbError::SizeMismatch`] for a span that ends past the
+    /// segment (grid on only); key-lookup errors if the segment died.
     pub fn verify_region(
         &self,
         ctx: &SimContext,
@@ -905,6 +906,14 @@ impl SmbServer {
         }
         self.apply_due_decays(ctx);
         self.with_grid(key, |grid| {
+            let expected = grid.bytes.len();
+            if offset.checked_add(len).is_none_or(|end| end > expected) {
+                return Err(SmbError::SizeMismatch {
+                    key,
+                    expected,
+                    got: offset.saturating_add(len),
+                });
+            }
             let pages = grid.pages(offset, len);
             if pages.is_empty() {
                 return Ok(());
@@ -1446,6 +1455,34 @@ mod tests {
             ));
             assert_eq!(page_crcs(&s, key), before);
             s.verify_region(ctx, key, 0, ELEMS).unwrap();
+        });
+    }
+
+    /// A span ending past the segment is refused, not clipped to the pages
+    /// that exist: wholly past the end, straddling it, and with an end
+    /// that overflows `usize`.
+    #[test]
+    fn verify_region_refuses_a_span_past_the_end() {
+        let server = paged_server();
+        let s = server.clone();
+        in_sim(move |ctx| {
+            let client = SmbClient::new(s.clone(), NodeId(0));
+            let key = client.create(ctx, "seg", ELEMS, None).unwrap();
+            for (offset, len, got) in [
+                (ELEMS + 3, 4, ELEMS + 7),
+                (ELEMS - 2, 3, ELEMS + 1),
+                (usize::MAX - 1, 4, usize::MAX),
+            ] {
+                assert!(
+                    matches!(
+                        s.verify_region(ctx, key, offset, len),
+                        Err(SmbError::SizeMismatch { expected: ELEMS, got: g, .. }) if g == got
+                    ),
+                    "[{offset}, +{len})"
+                );
+            }
+            s.verify_region(ctx, key, 0, ELEMS).unwrap();
+            s.verify_region(ctx, key, ELEMS, 0).unwrap();
         });
     }
 

@@ -9,18 +9,29 @@
 //! Castagnoli CRC (init `!0`, final xor `!0`, reflected polynomial
 //! `0x82F63B78`; the nine bytes `"123456789"` give `0xE3069283`).
 //!
-//! Two step kernels produce that one function, selected once per process
-//! like the gemm micro-kernel: the SSE4.2 `crc32` instruction on x86_64
-//! (eight bytes per instruction) and a safe slicing-by-8 table step
-//! everywhere else and under Miri. Nothing configures the choice.
+//! Three [`Kernel`]s produce that one function, the widest the CPU runs
+//! selected once per process like the gemm micro-kernel: `fold`
+//! (carry-less multiplication, 256 bytes per step) where x86_64 has
+//! AVX-512F and VPCLMULQDQ, `crc32` (the SSE4.2 instruction, eight bytes
+//! per instruction) where it has SSE4.2, and `portable` (a safe
+//! slicing-by-8 table step) everywhere else and under Miri. Nothing
+//! configures the choice.
 //!
 //! One serial chain of either step waits on its own latency (three cycles
-//! per `crc32`), so both run under one lane split: three consecutive equal
-//! lanes are hashed as three independent chains — the first from the
-//! running state, the others from zero — and joined by linearity,
-//! `shift(shift(a) ^ b) ^ c`, where `shift` appends one lane of zero bytes
-//! to a raw state through a compile-time table. Long lanes take the bulk,
-//! short lanes what is left of a page, and one chain the last few words.
+//! per `crc32`), so `crc32` and `portable` run under one lane split: three
+//! consecutive equal lanes are hashed as three independent chains — the
+//! first from the running state, the others from zero — and joined by
+//! linearity, `shift(shift(a) ^ b) ^ c`, where `shift` appends one lane of
+//! zero bytes to a raw state through a compile-time table. Long lanes take
+//! the bulk, short lanes what is left of a page, and one chain the last
+//! few words.
+//!
+//! `fold` keeps four 512-bit accumulators of stream bytes and carries each
+//! 128-bit lane 256 bytes down the stream per step by multiplying it with
+//! a power of `x` modulo the polynomial (a `const fn` of `POLY`), then
+//! folds everything into one 128-bit remainder that two `crc32` reduce to
+//! the state. Inputs shorter than two steps and the tail after the last
+//! step go to `crc32`.
 
 /// State of an empty stream.
 pub const CRC32C_INIT: u32 = !0;
@@ -212,17 +223,14 @@ fn append_lanes(
     state
 }
 
-/// The portable kernel alone: the table steps under the three-lane split.
-/// [`crc32c_append`] runs it where the `crc32` instruction is missing and
-/// under Miri; it is public so `kernel_bench` can record what such a host
-/// gets. Callers want [`crc32c_append`].
-pub fn append_portable(state: u32, data: &[f32]) -> u32 {
+/// The portable kernel: the table steps under the three-lane split.
+fn append_portable(state: u32, data: &[f32]) -> u32 {
     append_lanes(state, data, fold_pair, fold_word)
 }
 
-/// The hardware kernel: one `crc32` instruction per two words under the
-/// three-lane split. The instruction implements exactly the reflected
-/// Castagnoli step, so the state it carries is interchangeable with
+/// The `crc32` kernel: one instruction per two words under the three-lane
+/// split. The instruction implements exactly the reflected Castagnoli
+/// step, so the state it carries is interchangeable with
 /// [`append_portable`]'s.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "sse4.2")]
@@ -237,28 +245,178 @@ fn append_sse42(state: u32, data: &[f32]) -> u32 {
     )
 }
 
-/// Runtime kernel selector, detected once per process. Compiled out under
-/// Miri (scripts/miri.sh), which does not model `target_feature` dispatch —
-/// the portable kernel computes the same function.
+/// The fold kernel: carry-less multiplication on AVX-512F + VPCLMULQDQ.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
-fn use_sse42() -> bool {
-    use std::sync::OnceLock;
-    static SSE42: OnceLock<bool> = OnceLock::new();
-    *SSE42.get_or_init(|| std::arch::is_x86_feature_detected!("sse4.2"))
+mod fold {
+    use super::{append_sse42, POLY};
+    use std::arch::x86_64::*;
+
+    /// Words per step: four 64-byte accumulators, 256 bytes.
+    const STEP_WORDS: usize = 64;
+
+    /// `x^n mod P`, reflected like a state (the coefficient of `x^d` in bit
+    /// `31 - d`): `n` steps of the shift-and-reduce a zero bit takes.
+    const fn x_pow_mod(n: u32) -> u32 {
+        let mut r = 1 << 31;
+        let mut i = 0;
+        while i < n {
+            r = if r & 1 != 0 { (r >> 1) ^ POLY } else { r >> 1 };
+            i += 1;
+        }
+        r
+    }
+
+    /// The two multipliers that carry a 128-bit lane `bits` further down
+    /// the stream. A lane holds the polynomial whose `x^127` coefficient is
+    /// its first bit; its first qword is worth `x^(bits + 64)` there and
+    /// its second `x^bits`. Each multiplier is reflected into a qword
+    /// (`x^d` in bit `63 - d`), which makes the carry-less product land one
+    /// degree high, hence `x^(bits + 63)` and `x^(bits - 1)`.
+    const fn fold_keys(bits: u32) -> [u64; 2] {
+        [(x_pow_mod(bits + 63) as u64) << 32, (x_pow_mod(bits - 1) as u64) << 32]
+    }
+
+    /// Keys for one step on, for each accumulator onto the last, and for
+    /// each lane onto the last (whose own keys are zero). Constants, so no
+    /// kernel call computes a power.
+    const STEP_KEYS: [u64; 2] = fold_keys(8 * 4 * STEP_WORDS as u32);
+    const ACC_KEYS: [[u64; 2]; 3] = [fold_keys(1536), fold_keys(1024), fold_keys(512)];
+    const LANE_KEYS: [[u64; 2]; 4] = [fold_keys(384), fold_keys(256), fold_keys(128), [0; 2]];
+
+    /// Four 512-bit accumulators take 256 bytes per step, each 64 bytes
+    /// costing two `vpclmulqdq` and one three-way xor. At the end the
+    /// accumulators, then their lanes, fold into one 128-bit remainder
+    /// congruent to the stream so far; two `crc32` over it give the state.
+    /// Inputs shorter than two steps and the tail after the last whole
+    /// step run on the `crc32` kernel.
+    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.2")]
+    pub(super) fn append(state: u32, data: &[f32]) -> u32 {
+        if data.len() < 2 * STEP_WORDS {
+            return append_sse42(state, data);
+        }
+        let (steps, _) = data.as_chunks::<16>().0.as_chunks::<4>();
+        let load = |step: &[[f32; 16]; 4]| {
+            step.each_ref().map(|quarter| {
+                // SAFETY: `quarter` is a `[f32; 16]`, 64 readable bytes,
+                // and `loadu` has no alignment requirement. On x86_64 the
+                // bytes in memory are each word's `to_bits()` little-endian
+                // bytes, the stream the checksum is defined on.
+                #[allow(unsafe_code)]
+                unsafe {
+                    _mm512_loadu_si512(quarter.as_ptr().cast())
+                }
+            })
+        };
+        // The carry-less products of both qwords of every lane of `a` with
+        // their keys, xored with `c`.
+        let fold = |a, keys, c| {
+            let lo = _mm512_clmulepi64_epi128::<0x00>(a, keys);
+            let hi = _mm512_clmulepi64_epi128::<0x11>(a, keys);
+            _mm512_ternarylogic_epi64::<0x96>(lo, hi, c)
+        };
+        let lanes = |keys: [[u64; 2]; 4]| {
+            let k = |lane: usize, qword: usize| keys[lane][qword] as i64;
+            _mm512_set_epi64(k(3, 1), k(3, 0), k(2, 1), k(2, 0), k(1, 1), k(1, 0), k(0, 1), k(0, 0))
+        };
+        let mut acc = load(&steps[0]);
+        // The running state enters as an xor over the stream's first bytes.
+        acc[0] = _mm512_xor_si512(acc[0], _mm512_zextsi128_si512(_mm_cvtsi32_si128(state as i32)));
+        let step_keys = lanes([STEP_KEYS; 4]);
+        for step in &steps[1..] {
+            for (a, next) in acc.iter_mut().zip(load(step)) {
+                *a = fold(*a, step_keys, next);
+            }
+        }
+        let mut x = acc[3];
+        for (a, keys) in acc[..3].iter().zip(ACC_KEYS) {
+            x = fold(*a, lanes([keys; 4]), x);
+        }
+        let y = fold(x, lanes(LANE_KEYS), _mm512_setzero_si512());
+        let r = _mm_xor_si128(
+            _mm_xor_si128(_mm512_castsi512_si128(y), _mm512_extracti32x4_epi32::<1>(y)),
+            _mm_xor_si128(_mm512_extracti32x4_epi32::<2>(y), _mm512_extracti32x4_epi32::<3>(x)),
+        );
+        let (lo, hi) = (_mm_cvtsi128_si64(r) as u64, _mm_extract_epi64::<1>(r) as u64);
+        let state = _mm_crc32_u64(_mm_crc32_u64(0, lo), hi) as u32;
+        append_sse42(state, &data[steps.len() * STEP_WORDS..])
+    }
+}
+
+/// A CRC32C kernel the running CPU executes. Only this module makes one,
+/// from runtime detection, which is what makes [`Kernel::append`]'s calls
+/// into the instruction kernels sound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kernel(Isa);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Isa {
+    Portable,
+    Crc32,
+    Fold,
+}
+
+impl Isa {
+    /// Narrowest first; each kernel's instructions include the previous'.
+    const ALL: [Isa; 3] = [Isa::Portable, Isa::Crc32, Isa::Fold];
+}
+
+/// The widest kernel this CPU runs, detected once per process. Always the
+/// portable kernel under Miri (scripts/miri.sh), which does not model
+/// `target_feature` dispatch.
+fn detect() -> Isa {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        use std::sync::OnceLock;
+        static HOST: OnceLock<Isa> = OnceLock::new();
+        *HOST.get_or_init(|| match has!("sse4.2") {
+            false => Isa::Portable,
+            true if has!("avx512f") && has!("vpclmulqdq") && has!("pclmulqdq") => Isa::Fold,
+            true => Isa::Crc32,
+        })
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    Isa::Portable
+}
+
+/// Every kernel this host runs, narrowest first; [`crc32c_append`] runs
+/// the last. All of them compute the same function.
+pub fn kernels() -> Vec<Kernel> {
+    let host = detect();
+    Isa::ALL.into_iter().filter(|&isa| isa <= host).map(Kernel).collect()
+}
+
+impl Kernel {
+    /// The kernel's name: `"portable"`, `"crc32"` or `"fold"`.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Isa::Portable => "portable",
+            Isa::Crc32 => "crc32",
+            Isa::Fold => "fold",
+        }
+    }
+
+    /// [`crc32c_append`] on this kernel.
+    pub fn append(self, state: u32, data: &[f32]) -> u32 {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        // SAFETY: a `Kernel` is only made from `detect`, which found every
+        // feature the callee enables on this CPU; the callees are safe
+        // functions that only need the instructions to exist.
+        #[allow(unsafe_code)]
+        match self.0 {
+            Isa::Fold => return unsafe { fold::append(state, data) },
+            Isa::Crc32 => return unsafe { append_sse42(state, data) },
+            Isa::Portable => {}
+        }
+        append_portable(state, data)
+    }
 }
 
 /// Feeds `data` into a running checksum and returns the new state. Any
 /// split of a stream into consecutive `crc32c_append` calls yields the same
 /// final state as one call over the whole stream.
 pub fn crc32c_append(state: u32, data: &[f32]) -> u32 {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if use_sse42() {
-        // SAFETY: guarded by the runtime SSE4.2 detection above; the callee
-        // is a safe function that only needs the instruction to exist.
-        #[allow(unsafe_code)]
-        return unsafe { append_sse42(state, data) };
-    }
-    append_portable(state, data)
+    Kernel(detect()).append(state, data)
 }
 
 /// Finishes a stream: the standard final inversion.
@@ -290,8 +448,23 @@ mod tests {
         !oracle_bytes(CRC32C_INIT, &bytes)
     }
 
-    fn portable(data: &[f32]) -> u32 {
-        crc32c_finish(append_portable(CRC32C_INIT, data))
+    /// Every kernel this host runs. The ones it lacks are named on stderr:
+    /// their cases are skipped, not passed.
+    fn host_kernels() -> Vec<Kernel> {
+        let kernels = kernels();
+        for isa in Isa::ALL {
+            if !kernels.contains(&Kernel(isa)) {
+                eprintln!(
+                    "crc32c: host lacks the {} kernel; skipping its cases",
+                    Kernel(isa).name()
+                );
+            }
+        }
+        kernels
+    }
+
+    fn one_shot(kernel: Kernel, data: &[f32]) -> u32 {
+        crc32c_finish(kernel.append(CRC32C_INIT, data))
     }
 
     fn words(bytes: &[u8]) -> Vec<f32> {
@@ -314,6 +487,13 @@ mod tests {
                 _ => raw,
             })
         })
+    }
+
+    #[test]
+    fn the_host_dispatches_its_widest_kernel() {
+        let kernels = host_kernels();
+        assert_eq!(kernels[0].name(), "portable");
+        assert_eq!(Kernel(detect()), *kernels.last().expect("the portable kernel"));
     }
 
     #[test]
@@ -344,8 +524,10 @@ mod tests {
         for (bytes, expect) in vectors {
             let data = words(bytes);
             assert_eq!(!oracle_bytes(CRC32C_INIT, bytes), expect);
-            assert_eq!(portable(&data), expect);
             assert_eq!(crc32c(&data), expect);
+            for kernel in host_kernels() {
+                assert_eq!(one_shot(kernel, &data), expect, "{}", kernel.name());
+            }
         }
     }
 
@@ -355,7 +537,9 @@ mod tests {
         assert_eq!(crc32c_append(0x1234_5678, &[]), 0x1234_5678);
         for v in [0.0f32, -0.0, 1.0, f32::from_bits(0x7FC0_0001)] {
             assert_eq!(crc32c(&[v]), oracle(&[v]));
-            assert_eq!(portable(&[v]), oracle(&[v]));
+            for kernel in host_kernels() {
+                assert_eq!(one_shot(kernel, &[v]), oracle(&[v]), "{}", kernel.name());
+            }
         }
         assert_ne!(crc32c(&[0.0]), crc32c(&[-0.0]));
     }
@@ -366,40 +550,54 @@ mod tests {
         (0..len as u32).map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9) ^ 0x5A5A_A5A5)).collect()
     }
 
-    /// Two long blocks (each ends on a short-block edge too) plus three words.
+    /// Two long blocks (each ends on a short-block edge too) plus three
+    /// words: 48 fold steps and a tail.
     fn two_blocks() -> Vec<f32> {
         scrambled(2 * 3 * LONG.words + 3)
     }
 
-    /// Each block edge of both lane lengths and every tail length: the
-    /// oracle state of each prefix is carried forward one word at a time.
+    /// Incoming states: the initial one, zero, and an arbitrary mid-stream
+    /// value.
+    const STATES: [u32; 3] = [CRC32C_INIT, 0, 0x9E37_79B9];
+
+    /// Each block edge of both lane lengths, each fold step edge below and
+    /// above the fold's two-step minimum, and every tail length, from every
+    /// incoming state: the oracle state of each prefix is carried forward
+    /// one word at a time.
     #[test]
     #[cfg_attr(miri, ignore = "~5M words through each kernel; the proptests cover Miri")]
     fn every_length_across_two_blocks() {
         let data = two_blocks();
-        let mut expect = CRC32C_INIT;
-        for n in 0..=data.len() {
-            if n > 0 {
-                expect = oracle_bytes(expect, &data[n - 1].to_bits().to_le_bytes());
+        for kernel in host_kernels() {
+            for start in STATES {
+                let mut expect = start;
+                for n in 0..=data.len() {
+                    if n > 0 {
+                        expect = oracle_bytes(expect, &data[n - 1].to_bits().to_le_bytes());
+                    }
+                    let got = kernel.append(start, &data[..n]);
+                    assert_eq!(got, expect, "{}, {n} words from {start:#x}", kernel.name());
+                }
             }
-            assert_eq!(append_portable(CRC32C_INIT, &data[..n]), expect, "portable, {n} words");
-            assert_eq!(crc32c_append(CRC32C_INIT, &data[..n]), expect, "dispatched, {n} words");
         }
     }
 
-    /// A split anywhere in the first two blocks — mid-lane, on a lane or
-    /// block edge, mid-pair — chains to the one-shot value.
+    /// A split anywhere in the first two blocks — mid-lane, on a lane,
+    /// block or fold-step edge, mid-pair — chains to the one-shot value,
+    /// from each incoming state in turn.
     #[test]
     #[cfg_attr(miri, ignore = "~9M words through each kernel; the proptests cover Miri")]
     fn split_at_every_offset_in_two_blocks_chains() {
         let data = two_blocks();
-        let expect = oracle(&data);
-        for cut in 0..=2 * 3 * LONG.words {
-            let (head, tail) = data.split_at(cut);
-            let portable = append_portable(append_portable(CRC32C_INIT, head), tail);
-            assert_eq!(crc32c_finish(portable), expect, "portable, cut at {cut}");
-            let dispatched = crc32c_append(crc32c_append(CRC32C_INIT, head), tail);
-            assert_eq!(crc32c_finish(dispatched), expect, "dispatched, cut at {cut}");
+        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        let expect = STATES.map(|start| oracle_bytes(start, &bytes));
+        for kernel in host_kernels() {
+            for cut in 0..=2 * 3 * LONG.words {
+                let start = cut % STATES.len();
+                let (head, tail) = data.split_at(cut);
+                let chained = kernel.append(kernel.append(STATES[start], head), tail);
+                assert_eq!(chained, expect[start], "{}, cut at {cut}", kernel.name());
+            }
         }
     }
 
@@ -424,15 +622,17 @@ mod tests {
         // loop and tail there.
         #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 24 }))]
 
-        /// Dispatched kernel == slicing-by-8 == byte-at-a-time oracle.
+        /// Every host kernel == dispatched kernel == byte-at-a-time oracle.
         #[test]
         fn kernels_agree_with_the_oracle(data in pvec(bit_pattern(), 0usize..70_001)) {
             let expect = oracle(&data);
-            prop_assert_eq!(portable(&data), expect);
             prop_assert_eq!(crc32c(&data), expect);
+            for kernel in host_kernels() {
+                prop_assert_eq!(one_shot(kernel, &data), expect, "{}", kernel.name());
+            }
         }
 
-        /// Any three-way split chains to the one-shot value in both kernels
+        /// Any three-way split chains to the one-shot value in every kernel
         /// (odd cut points exercise the single-word tail mid-stream).
         #[test]
         fn append_over_any_split_equals_one_shot(
@@ -443,10 +643,13 @@ mod tests {
             let a = cut_a.min(data.len());
             let b = cut_b.min(data.len()).max(a);
             let parts = [&data[..a], &data[a..b], &data[b..]];
+            let expect = oracle(&data);
             let chained = parts.iter().fold(CRC32C_INIT, |s, p| crc32c_append(s, p));
-            prop_assert_eq!(crc32c_finish(chained), crc32c(&data));
-            let chained = parts.iter().fold(CRC32C_INIT, |s, p| append_portable(s, p));
-            prop_assert_eq!(crc32c_finish(chained), portable(&data));
+            prop_assert_eq!(crc32c_finish(chained), expect);
+            for kernel in host_kernels() {
+                let chained = parts.iter().fold(CRC32C_INIT, |s, p| kernel.append(s, p));
+                prop_assert_eq!(crc32c_finish(chained), expect, "{}", kernel.name());
+            }
         }
     }
 }

@@ -15,8 +15,9 @@
 //!   `scal`, the fused elastic mix, activations),
 //! * [`init`] — seeded weight initialisation (Gaussian, Xavier, MSRA),
 //! * [`crc32c`] — streaming CRC32C over f32 bit patterns (the SMB integrity
-//!   grid's checksum), hardware `crc32` instruction or slicing-by-8 tables,
-//!   either in three interleaved chains.
+//!   grid's checksum): carry-less-multiplication folding on VPCLMULQDQ
+//!   hosts, else the `crc32` instruction or slicing-by-8 tables in three
+//!   interleaved chains.
 //!
 //! Everything is deterministic given a seed and there is no external BLAS
 //! dependency. Hot kernels run on a persistent crate-level worker pool
@@ -30,9 +31,11 @@
 //! wide-lane dispatch — the feature-gated AVX-512F and AVX2 recompilations
 //! of the gemm micro-kernel, the direct convolution's task bodies, the
 //! max-pool tile and the LRN strips (guarded by runtime detection, same
-//! IEEE operation order; [`wide_lanes`] names the host's tier) — and the
-//! runtime-detected call into the SSE4.2 CRC32C kernel (same checksum as the
-//! portable tables).
+//! IEEE operation order; [`wide_lanes`] names the host's tier) — and, in
+//! the CRC32C kernels, the runtime-detected calls into the SSE4.2 `crc32`
+//! and the AVX-512 VPCLMULQDQ fold kernels (same checksum as the portable
+//! tables) plus the fold kernel's unaligned 64-byte loads, each from a
+//! `[f32; 16]` piece of the input slice.
 //!
 //! # Example
 //!

@@ -25,16 +25,23 @@
 #      enqueued job, so the erased borrows outlive every use.
 #      The pool tests drive real cross-thread enqueue/complete cycles under
 #      the borrow-tracking interpreter.
-#   3. crates/tensor/src/crc32c.rs — the call into the SSE4.2 `crc32`
-#      kernel behind `is_x86_feature_detected!("sse4.2")`. The kernel is a
-#      safe `#[target_feature]` function (the intrinsics are safe inside
-#      it); the one `unsafe` block is the call from dispatch. Like the
-#      wide-lane tiers it is compiled out under `cfg(miri)`, so every checksum in a
+#   3. crates/tensor/src/crc32c.rs — two kinds of block. (a) The calls from
+#      `Kernel::append` into the SSE4.2 `crc32` kernel and the fold kernel
+#      (AVX-512F + VPCLMULQDQ + PCLMULQDQ + SSE4.2), made only with a
+#      `Kernel` that runtime detection (`is_x86_feature_detected!`) built.
+#      Both kernels are safe `#[target_feature]` functions (the intrinsics
+#      are safe inside them). (b) The fold kernel's unaligned
+#      `_mm512_loadu_si512` loads: each reads one `[f32; 16]` (64 bytes)
+#      of the input, obtained with `as_chunks`, so every read is in bounds,
+#      and `loadu` needs no alignment. Like the wide-lane tiers both
+#      kernels are compiled out under `cfg(miri)`, so every checksum in a
 #      Miri run goes through the safe slicing-by-8 tables under the same
-#      three-lane split and compile-time shift-table join the instruction uses
-#      — the crc32c tests below check that kernel, and a sample of each
-#      join table, against the byte-at-a-time oracle. The two exhaustive
-#      lane-edge sweeps are ignored under Miri (millions of words each).
+#      three-lane split and compile-time shift-table join the `crc32`
+#      kernel uses — the crc32c tests below check that kernel, and a sample
+#      of each join table, against the byte-at-a-time oracle. The two
+#      exhaustive lane-edge sweeps are ignored under Miri (millions of
+#      words each); on a native host they and the proptests run every
+#      kernel the CPU has against the oracle.
 #   4. crates/tensor/tests/alloc_free.rs — the counting
 #      `#[global_allocator]` backing the zero-allocation gate; it delegates
 #      verbatim to `System` plus one relaxed counter increment. Test-only,

@@ -12,8 +12,11 @@
 # ratio of the medians, and the pairs the change won (ties count for
 # neither side), then the failed/attempted totals. Above the table it
 # names the host's wide-lane tier (the widest of avx512f / avx2 in the
-# /proc/cpuinfo flags, else baseline): the kernels run other tile shapes
-# on each tier, so a host_s pair only compares builds on the same tier.
+# /proc/cpuinfo flags, else baseline) and its CRC32C kernel (fold with
+# vpclmulqdq and avx512f, crc32 with sse4_2, else portable): the kernels
+# run other tile shapes on each tier and the SMB integrity grid hashes at
+# each kernel's speed, so a host_s pair only compares builds that ran the
+# same tier and, on smb_mix and fault_a8, the same CRC kernel.
 # Every metric the benchmark reports is lower-is-better. A gain is claimed
 # when the change wins at least 9 of 10 pairs and the medians differ by
 # more than the parent's q3 - q1.
@@ -76,7 +79,14 @@ case $flags in
 *" avx2 "*) tier=avx2 ;;
 *) tier=baseline ;;
 esac
-echo "host wide-lane tier: $tier"
+if [[ $flags == *" vpclmulqdq "* && $flags == *" avx512f "* ]]; then
+    crc=fold
+elif [[ $flags == *" sse4_2 "* ]]; then
+    crc=crc32
+else
+    crc=portable
+fi
+echo "host wide-lane tier: $tier, CRC32C kernel: $crc"
 echo "$workload, seed $seed, $pairs pairs at --seconds $seconds"
 sort -k3,3 -k1,1 -k4,4g "$runs" | awk '
     function q(side, name, p,   n, h, lo) {
