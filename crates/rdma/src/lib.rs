@@ -17,8 +17,10 @@
 //!   the physical payload (the timing experiments simulate
 //!   multi-hundred-megabyte parameter buffers with small in-memory vectors)
 //!   and let a higher layer name the access's kind and site,
-//! * a miniature queue-pair state machine ([`QpState`]) for the fail-over
-//!   path, whose re-arm costs virtual time.
+//! * the set of faulted queue pairs ([`RdmaFabric::qp_faulted`]) for the
+//!   fail-over path, whose re-arm costs virtual time. The set gates no
+//!   verb: a transfer on a faulted pair still proceeds (the SMB client
+//!   gates its transfers on the fabric's fault plan itself).
 //!
 //! Addressing is in f32 *elements* (the parameter word), the unit every
 //! layer of this system traffics in; wire sizes are element count × 4 bytes.
@@ -50,7 +52,7 @@
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -84,33 +86,6 @@ pub struct MemoryRegion {
     pub len: usize,
 }
 
-/// State of the queue pair between a local and a remote endpoint.
-///
-/// Mirrors the InfiniBand QP state machine in miniature: the layer that
-/// gates transfers on the fabric's fault plan (the SMB client) marks the
-/// pair [`QpState::Error`] when a work request faults
-/// ([`RdmaFabric::fault_qp`]) and re-arms it via [`RdmaFabric::rearm_qp`]
-/// (Reset → Ready) before its next attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QpState {
-    /// Operations are accepted.
-    Ready,
-    /// A work request faulted; the pair must be re-armed.
-    Error,
-    /// Mid re-arm (transient).
-    Reset,
-}
-
-impl fmt::Display for QpState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QpState::Ready => write!(f, "Ready"),
-            QpState::Error => write!(f, "Error"),
-            QpState::Reset => write!(f, "Reset"),
-        }
-    }
-}
-
 /// Errors produced by RDMA operations. Every variant names the endpoint(s)
 /// involved so callers can report which node failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,8 +110,9 @@ pub enum RdmaError {
     },
     /// The node id does not exist on this fabric.
     BadNode(NodeId),
-    /// A fabric fault failed the work request; the QP is now in
-    /// [`QpState::Error`].
+    /// A fabric fault failed the work request. The layer that gates its
+    /// transfers on the fault plan marks the pair faulted
+    /// ([`RdmaFabric::fault_qp`]) and re-arms it before its next attempt.
     QpFault {
         /// Local endpoint.
         local: NodeId,
@@ -187,8 +163,9 @@ struct FabricInner {
     fabric: Fabric,
     pools: Vec<NodePool>,
     next_key: Mutex<u64>,
-    /// QP state per (local, remote) endpoint pair; absent means Ready.
-    qp_states: Mutex<BTreeMap<(NodeId, NodeId), QpState>>,
+    /// The faulted (local, remote) queue pairs; a pair stays here through
+    /// its re-arm.
+    faulted_qps: Mutex<BTreeSet<(NodeId, NodeId)>>,
 }
 
 /// The payload side of a one-sided verb: where a read lands, or what a
@@ -223,45 +200,39 @@ impl RdmaFabric {
                 fabric,
                 pools,
                 next_key: Mutex::new(1),
-                qp_states: Mutex::new(BTreeMap::new()),
+                faulted_qps: Mutex::new(BTreeSet::new()),
             }),
         }
     }
 
-    /// Current QP state between two endpoints (Ready unless faulted).
-    pub fn qp_state(&self, local: NodeId, remote: NodeId) -> QpState {
-        self.inner.qp_states.lock().get(&(local, remote)).copied().unwrap_or(QpState::Ready)
-    }
-
-    fn set_qp(&self, local: NodeId, remote: NodeId, state: QpState) {
-        self.inner.qp_states.lock().insert((local, remote), state);
+    /// Whether the queue pair from `local` to `remote` is faulted (or
+    /// mid re-arm).
+    pub fn qp_faulted(&self, local: NodeId, remote: NodeId) -> bool {
+        self.inner.faulted_qps.lock().contains(&(local, remote))
     }
 
     /// Marks a QP as faulted. Higher layers (e.g. the SMB client, whose
     /// data path charges wire time itself) call this when the fabric's
-    /// fault injector fails one of their transfers; the pair stays in
-    /// [`QpState::Error`] until [`RdmaFabric::rearm_qp`].
+    /// fault injector fails one of their transfers; the pair stays faulted
+    /// until [`RdmaFabric::rearm_qp`].
     pub fn fault_qp(&self, local: NodeId, remote: NodeId) {
-        self.set_qp(local, remote, QpState::Error);
+        self.inner.faulted_qps.lock().insert((local, remote));
     }
 
-    /// Re-arms a faulted QP: transitions Error → Reset, pays a small
-    /// re-initialisation latency in virtual time, then lands in Ready.
-    /// A no-op on an already-Ready pair.
+    /// Re-arms a faulted QP: pays a small re-initialisation latency in
+    /// virtual time, through which the pair stays faulted, then clears it.
+    /// A no-op on a pair that is not faulted.
     pub fn rearm_qp(&self, ctx: &SimContext, local: NodeId, remote: NodeId) {
-        if self.qp_state(local, remote) == QpState::Ready {
-            return;
+        if self.qp_faulted(local, remote) {
+            self.reinit_qp(ctx, local, remote);
         }
-        self.set_qp(local, remote, QpState::Reset);
-        ctx.sleep(SimDuration::from_micros(10));
-        self.set_qp(local, remote, QpState::Ready);
     }
 
     /// Fails over a client's QP from a dead peer to a new one: the old pair
-    /// is torn down ([`QpState::Error`], where it stays — the peer is gone),
-    /// and a fresh pair to `new_remote` is brought up through the usual
-    /// Reset → Ready transition, paying the re-initialisation latency.
-    /// The SMB failover path calls this after promoting a standby server.
+    /// is marked faulted (where it stays — the peer is gone), and a fresh
+    /// pair to `new_remote` is brought up like a re-arm, paying the
+    /// re-initialisation latency. The SMB failover path calls this after
+    /// promoting a standby server.
     pub fn reconnect_qp(
         &self,
         ctx: &SimContext,
@@ -269,10 +240,15 @@ impl RdmaFabric {
         old_remote: NodeId,
         new_remote: NodeId,
     ) {
-        self.set_qp(local, old_remote, QpState::Error);
-        self.set_qp(local, new_remote, QpState::Reset);
+        self.fault_qp(local, old_remote);
+        self.fault_qp(local, new_remote);
+        self.reinit_qp(ctx, local, new_remote);
+    }
+
+    /// The re-initialisation of a faulted pair: 10 µs, then it is cleared.
+    fn reinit_qp(&self, ctx: &SimContext, local: NodeId, remote: NodeId) {
         ctx.sleep(SimDuration::from_micros(10));
-        self.set_qp(local, new_remote, QpState::Ready);
+        self.inner.faulted_qps.lock().remove(&(local, remote));
     }
 
     /// The underlying fabric.
@@ -615,27 +591,27 @@ mod tests {
     }
 
     #[test]
-    fn faulted_qp_fails_fast_until_rearmed() {
-        // Error -> Reset -> Ready pays the re-initialisation latency once;
-        // re-arming a Ready pair is free; ops flow again afterwards.
+    fn rearming_a_faulted_qp_costs_latency_once() {
+        // Re-arming a faulted pair pays the re-initialisation latency once;
+        // re-arming a healthy pair is free; ops flow afterwards.
         let rdma = test_fabric();
         let mr = rdma.register(NodeId(1), 4).unwrap();
         let r = rdma.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
-            assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Ready);
+            assert!(!r.qp_faulted(NodeId(0), NodeId(1)));
             r.rearm_qp(&ctx, NodeId(0), NodeId(1));
-            assert_eq!(ctx.now().as_nanos(), 0, "re-arming a Ready pair must be free");
+            assert_eq!(ctx.now().as_nanos(), 0, "re-arming a healthy pair must be free");
 
             r.fault_qp(NodeId(0), NodeId(1));
-            assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Error);
-            // State is per (local, remote) pair: the reverse pair is untouched.
-            assert_eq!(r.qp_state(NodeId(1), NodeId(0)), QpState::Ready);
+            assert!(r.qp_faulted(NodeId(0), NodeId(1)));
+            // Faults are per (local, remote) pair: the reverse pair is untouched.
+            assert!(!r.qp_faulted(NodeId(1), NodeId(0)));
             assert_eq!(ctx.now().as_nanos(), 0, "faulting a pair must not charge time");
 
             r.rearm_qp(&ctx, NodeId(0), NodeId(1));
-            assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Ready);
-            assert_eq!(ctx.now().as_nanos(), 10_000, "Error -> Reset -> Ready costs 10 us");
+            assert!(!r.qp_faulted(NodeId(0), NodeId(1)));
+            assert_eq!(ctx.now().as_nanos(), 10_000, "the re-arm costs 10 us");
             r.rearm_qp(&ctx, NodeId(0), NodeId(1));
             assert_eq!(ctx.now().as_nanos(), 10_000, "the latency is paid once");
 
@@ -666,8 +642,8 @@ mod tests {
             r.reconnect_qp(&ctx, NodeId(0), mem, NodeId(1));
             // Old pair stays torn down; new pair is up after the re-init
             // latency.
-            assert_eq!(r.qp_state(NodeId(0), mem), QpState::Error);
-            assert_eq!(r.qp_state(NodeId(0), NodeId(1)), QpState::Ready);
+            assert!(r.qp_faulted(NodeId(0), mem));
+            assert!(!r.qp_faulted(NodeId(0), NodeId(1)));
             assert_eq!((ctx.now() - t0).as_nanos(), 10_000, "reconnect pays re-initialisation");
             let mr = r.register(NodeId(1), 2).unwrap();
             r.write(&ctx, NodeId(0), &mr, 0, &[3.0; 2]).unwrap();

@@ -20,8 +20,8 @@ use shmcaffe_smb::SmbClient;
 
 use crate::config::ShmCaffeConfig;
 use crate::platforms::fleet::{average_gradients, StepLog};
-use crate::report::{EvalPoint, WorkerReport};
-use crate::seasgd::{record_client_faults, ElasticExchanger, SeasgdBuffers};
+use crate::report::RankOutcome;
+use crate::seasgd::{ElasticExchanger, SeasgdBuffers};
 use crate::trainer::Trainer;
 use crate::PlatformError;
 
@@ -53,15 +53,6 @@ pub struct RootHarness {
     pub board: ProgressBoard,
 }
 
-/// Outcome of one group member.
-#[derive(Debug)]
-pub struct HybridOutcome {
-    /// Timing report for this member.
-    pub report: WorkerReport,
-    /// Evaluations (group 0's root only).
-    pub evals: Vec<EvalPoint>,
-}
-
 /// Control flags broadcast by the root alongside progress checks.
 const FLAG_CONTINUE: f32 = 0.0;
 const FLAG_STOP: f32 = 1.0;
@@ -79,7 +70,7 @@ pub fn run_group_member<T: Trainer>(
     ctx: &SimContext,
     mut harness: HybridHarness,
     trainer: &mut T,
-) -> Result<HybridOutcome, PlatformError> {
+) -> Result<RankOutcome, PlatformError> {
     assert_eq!(
         harness.root.is_some(),
         harness.member == 0,
@@ -144,10 +135,7 @@ pub fn run_group_member<T: Trainer>(
             let bcast_start = ctx.now();
             if let Some(ex) = exchanger.as_mut() {
                 ex.exchange(ctx, trainer)?;
-                let phases = ex.phase_times();
-                log.report.wait_ms.record_duration_ms(phases.wait);
-                log.report.read_ms.record_duration_ms(phases.read);
-                log.report.mix_ms.record_duration_ms(phases.mix);
+                ex.record_phases(&mut log.report);
                 let mixed = ex.mixed_weights().to_vec();
                 harness.gpu.broadcast_wire(ctx, 0, Some(mixed), wire_bytes);
             } else {
@@ -184,16 +172,16 @@ pub fn run_group_member<T: Trainer>(
     }
     if let Some(root) = harness.root.as_ref() {
         root.board.publish(&root.client, ctx, harness.group, iter, true)?;
-        record_client_faults(&mut log.report, &root.client);
+        log.report.smb = root.client.fault_stats();
     }
 
-    let (report, evals) = log.finish(ctx, iter);
-    Ok(HybridOutcome { report, evals })
+    Ok(log.finish(ctx, iter))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seasgd::PushStats;
     use crate::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
     use parking_lot::Mutex;
     use shmcaffe_collectives::IntraNodeGroup;
@@ -203,7 +191,7 @@ mod tests {
     use shmcaffe_simnet::jitter::JitterModel;
     use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
     use shmcaffe_simnet::{SimDuration, Simulation};
-    use shmcaffe_smb::SmbServer;
+    use shmcaffe_smb::{ClientFaultStats, SmbServer};
     use std::sync::Arc;
 
     /// Runs `n_groups` x `group_size` hybrid workers; returns outcomes
@@ -213,7 +201,7 @@ mod tests {
         group_size: usize,
         cfg: ShmCaffeConfig,
         workload: WorkloadModel,
-    ) -> Vec<Vec<HybridOutcome>> {
+    ) -> Vec<Vec<RankOutcome>> {
         let fabric = Fabric::new(ClusterSpec::paper_testbed(n_groups));
         run_hybrid_on(&fabric, n_groups, group_size, cfg, workload)
     }
@@ -226,11 +214,11 @@ mod tests {
         group_size: usize,
         cfg: ShmCaffeConfig,
         workload: WorkloadModel,
-    ) -> Vec<Vec<HybridOutcome>> {
+    ) -> Vec<Vec<RankOutcome>> {
         let rdma = RdmaFabric::new(fabric.clone());
         let server = SmbServer::new(rdma).unwrap();
         let factory = ModeledTrainerFactory::new(workload.clone(), cfg.jitter, cfg.seed);
-        let outcomes: Arc<Mutex<Vec<Vec<Option<HybridOutcome>>>>> = Arc::new(Mutex::new(
+        let outcomes: Arc<Mutex<Vec<Vec<Option<RankOutcome>>>>> = Arc::new(Mutex::new(
             (0..n_groups).map(|_| (0..group_size).map(|_| None).collect()).collect(),
         ));
 
@@ -355,7 +343,7 @@ mod tests {
         let wl = WorkloadModel::custom("t", 20_000_000, SimDuration::from_millis(30));
         let dense = run_hybrid(2, 2, quiet_cfg(8), wl.clone());
         let sparse = run_hybrid(2, 2, ShmCaffeConfig { update_interval: 4, ..quiet_cfg(8) }, wl);
-        let comm = |out: &Vec<Vec<HybridOutcome>>| -> f64 {
+        let comm = |out: &Vec<Vec<RankOutcome>>| -> f64 {
             out.iter().flatten().map(|o| o.report.comm_ms.sum()).sum()
         };
         assert!(
@@ -430,24 +418,22 @@ mod tests {
         };
         let (out, injected) = run();
         assert!(injected > 0, "the plan must have fired");
-        let seen: u64 = out.iter().map(|grp| grp[0].report.faults).sum();
+        let seen: u64 = out.iter().map(|grp| grp[0].report.smb.faults).sum();
         // (Not all of them: the last exchange's pushes are still in flight
         // when a root stamps its report.)
         assert!(seen > 0 && seen <= injected, "roots saw {seen} of {injected}");
         for grp in &out {
             let (root, member) = (&grp[0].report, &grp[1].report);
-            assert!(root.faults > 0 && root.retries > 0, "root {root:?}");
+            assert!(root.smb.faults > 0 && root.smb.retries > 0, "root {root:?}");
             assert_eq!(root.iters, 20);
-            assert_eq!((member.faults, member.retries, member.dropped_updates), (0, 0, 0));
+            assert_eq!(member.smb, ClientFaultStats::default());
+            assert_eq!(member.pushes, PushStats::default());
         }
         let (again, _) = run();
         for (a, b) in out.iter().flatten().zip(again.iter().flatten()) {
             assert_eq!(a.report.finished_at, b.report.finished_at);
-            assert_eq!(
-                (a.report.faults, a.report.retries, a.report.dropped_updates),
-                (b.report.faults, b.report.retries, b.report.dropped_updates)
-            );
-            assert_eq!(a.report.recovery_ms, b.report.recovery_ms);
+            assert_eq!(a.report.smb, b.report.smb);
+            assert_eq!(a.report.pushes, b.report.pushes);
         }
     }
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use shmcaffe_simnet::topology::ClusterSpec;
 use shmcaffe_simnet::{SimContext, Simulation};
 
-use crate::report::{EvalPoint, TrainingReport, WorkerReport};
+use crate::report::{EvalPoint, RankOutcome, TrainingReport, WorkerReport};
 use crate::trainer::Trainer;
 use crate::PlatformError;
 
@@ -31,7 +31,7 @@ impl Sink {
     /// Files a finished rank's books ([`StepLog::finish`]); rank 0's
     /// evaluations are the fleet's trajectory. Takes a real lock, so call
     /// it only once every virtual-time block of the rank is behind it.
-    pub(crate) fn file(&self, (report, evals): (WorkerReport, Vec<EvalPoint>)) {
+    pub(crate) fn file(&self, RankOutcome { report, evals }: RankOutcome) {
         let mut fleet = self.0.lock();
         if report.rank == 0 {
             fleet.evals = evals;
@@ -124,11 +124,11 @@ impl StepLog {
 
     /// Stamps the report with the rank's outcome and hands the books over,
     /// ready for [`Sink::file`].
-    pub(crate) fn finish(mut self, ctx: &SimContext, iters: u64) -> (WorkerReport, Vec<EvalPoint>) {
+    pub(crate) fn finish(mut self, ctx: &SimContext, iters: u64) -> RankOutcome {
         self.report.iters = iters;
         self.report.finished_at = ctx.now();
         self.report.final_loss = self.loss_ema;
-        (self.report, self.evals)
+        RankOutcome { report: self.report, evals: self.evals }
     }
 }
 

@@ -28,22 +28,14 @@ pub use mpicaffe::MpiCaffe;
 pub use shmcaffe_a::ShmCaffeA;
 pub use shmcaffe_h::ShmCaffeH;
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use shmcaffe_simnet::{SimTime, Simulation};
 
 use crate::PlatformError;
 
-/// Runs a simulation, converting any worker panic into a platform error.
+/// Runs a simulation, converting any worker panic (or deadlock) into a
+/// platform error.
 pub(crate) fn run_sim(sim: Simulation) -> Result<SimTime, PlatformError> {
-    catch_unwind(AssertUnwindSafe(move || sim.run())).map_err(|e| {
-        let msg = e
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "unknown worker panic".to_string());
-        PlatformError::WorkerFailed(msg)
-    })
+    sim.run_result().map_err(PlatformError::WorkerFailed)
 }
 
 #[cfg(test)]

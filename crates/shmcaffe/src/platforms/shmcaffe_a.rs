@@ -328,7 +328,7 @@ impl ShmCaffeA {
                     if let Some(w) = final_w {
                         sink.final_weights(w);
                     }
-                    sink.file((outcome.report, outcome.evals));
+                    sink.file(outcome);
                 });
             }
         })?;

@@ -144,7 +144,7 @@ impl ShmCaffeH {
                         };
                         let outcome = run_group_member(&ctx, harness, &mut trainer)
                             .expect("smb operations on live segments succeed");
-                        sink.file((outcome.report, outcome.evals));
+                        sink.file(outcome);
                         if global_rank == 0 {
                             sink.final_weights(weights_of(&mut trainer));
                         }

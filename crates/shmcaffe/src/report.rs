@@ -3,6 +3,9 @@
 
 use shmcaffe_simnet::stats::RunningStats;
 use shmcaffe_simnet::SimTime;
+use shmcaffe_smb::ClientFaultStats;
+
+use crate::seasgd::PushStats;
 
 /// One convergence evaluation point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,27 +53,15 @@ pub struct WorkerReport {
     /// checkpoint was at rejoin time — the staleness the rejoined worker
     /// re-entered training with.
     pub rejoin_staleness_iters: u64,
-    /// Transient transport faults this worker's SMB client observed.
-    pub faults: u64,
-    /// Failed attempts later recovered by a retry.
-    pub retries: u64,
-    /// Worst-case recovery latency of a retried op (ms).
-    pub recovery_ms: f64,
-    /// Weight increments dropped because pushing them kept failing.
-    pub dropped_updates: u64,
-    /// Weight increments buffered while a network partition cut this
-    /// worker off from the memory server (degraded mode, bounded by
-    /// [`crate::ShmCaffeConfig::partition_staleness_cap`]).
-    pub partition_buffered: u64,
-    /// Weight increments dropped because the partition buffer was full
-    /// (or still held entries when the run ended).
-    pub partition_dropped: u64,
-    /// Buffered increments successfully replayed into the global buffer
-    /// after the partition healed.
-    pub reconciled_updates: u64,
-    /// Mutations rejected with a stale fencing epoch before this worker's
-    /// client refreshed against the promoted primary.
-    pub fenced_writes: u64,
+    /// What this worker's SMB client saw over its lifetime: transient
+    /// faults, recovered retries, worst recovery latency, fenced writes and
+    /// end-to-end corruptions.
+    pub smb: ClientFaultStats,
+    /// What the exchanger's update threads did with this worker's weight
+    /// increments (dropped, buffered while partitioned, dropped past
+    /// [`crate::ShmCaffeConfig::partition_staleness_cap`], replayed),
+    /// summed over the incarnations of a rejoined worker.
+    pub pushes: PushStats,
     /// Per-exchange time spent waiting for the previous exchange's ΔW
     /// pushes to drain (T.A5 gate), ms. Under the pipelined exchange this
     /// wait is per-chunk and overlaps with compute, so it shrinks toward
@@ -84,13 +75,6 @@ pub struct WorkerReport {
     pub read_ms: RunningStats,
     /// Per-exchange time spent in the elastic mixing pass (T2), ms.
     pub mix_ms: RunningStats,
-    /// Corruption events this worker's SMB client detected end-to-end
-    /// (poisoned CRC pages plus wire checksum mismatches).
-    pub corruptions_detected: u64,
-    /// Poisoned pages this worker repaired from the replicated standby.
-    pub corruptions_repaired: u64,
-    /// Detected corruptions with no clean copy left to repair from.
-    pub corruptions_unrepairable: u64,
 }
 
 impl WorkerReport {
@@ -106,20 +90,11 @@ impl WorkerReport {
             crashed: false,
             rejoined: false,
             rejoin_staleness_iters: 0,
-            faults: 0,
-            retries: 0,
-            recovery_ms: 0.0,
-            dropped_updates: 0,
-            partition_buffered: 0,
-            partition_dropped: 0,
-            reconciled_updates: 0,
-            fenced_writes: 0,
+            smb: ClientFaultStats::default(),
+            pushes: PushStats::default(),
             wait_ms: RunningStats::new(),
             read_ms: RunningStats::new(),
             mix_ms: RunningStats::new(),
-            corruptions_detected: 0,
-            corruptions_repaired: 0,
-            corruptions_unrepairable: 0,
         }
     }
 
@@ -138,6 +113,17 @@ impl WorkerReport {
             self.comm_ms.mean() / total
         }
     }
+}
+
+/// What one rank hands its platform when it finishes: its books plus its
+/// evaluations (non-empty only on the fleet's evaluator, rank 0, when
+/// `eval_every > 0` and the trainer supports evaluation).
+#[derive(Debug)]
+pub struct RankOutcome {
+    /// The rank's timing and fault report.
+    pub report: WorkerReport,
+    /// The rank's evaluation trajectory.
+    pub evals: Vec<EvalPoint>,
 }
 
 /// The result of one platform run.
@@ -235,57 +221,57 @@ impl TrainingReport {
 
     /// Total transient transport faults observed across the fleet.
     pub fn total_faults(&self) -> u64 {
-        self.workers.iter().map(|w| w.faults).sum()
+        self.workers.iter().map(|w| w.smb.faults).sum()
     }
 
     /// Total recovered retries across the fleet.
     pub fn total_retries(&self) -> u64 {
-        self.workers.iter().map(|w| w.retries).sum()
+        self.workers.iter().map(|w| w.smb.retries).sum()
     }
 
     /// Worst-case recovery latency across the fleet (ms).
     pub fn max_recovery_ms(&self) -> f64 {
-        self.workers.iter().map(|w| w.recovery_ms).fold(0.0, f64::max)
+        self.workers.iter().map(|w| w.smb.max_recovery_ms).fold(0.0, f64::max)
     }
 
     /// Total dropped weight increments across the fleet.
     pub fn total_dropped_updates(&self) -> u64 {
-        self.workers.iter().map(|w| w.dropped_updates).sum()
+        self.workers.iter().map(|w| w.pushes.dropped_updates).sum()
     }
 
     /// Total increments buffered while partitioned, across the fleet.
     pub fn total_partition_buffered(&self) -> u64 {
-        self.workers.iter().map(|w| w.partition_buffered).sum()
+        self.workers.iter().map(|w| w.pushes.partition_buffered).sum()
     }
 
     /// Total increments dropped past the partition staleness cap.
     pub fn total_partition_dropped(&self) -> u64 {
-        self.workers.iter().map(|w| w.partition_dropped).sum()
+        self.workers.iter().map(|w| w.pushes.partition_dropped).sum()
     }
 
     /// Total buffered increments replayed after partitions healed.
     pub fn total_reconciled_updates(&self) -> u64 {
-        self.workers.iter().map(|w| w.reconciled_updates).sum()
+        self.workers.iter().map(|w| w.pushes.reconciled_updates).sum()
     }
 
     /// Total stale-epoch rejections observed by worker clients.
     pub fn total_fenced_writes(&self) -> u64 {
-        self.workers.iter().map(|w| w.fenced_writes).sum()
+        self.workers.iter().map(|w| w.smb.fenced).sum()
     }
 
     /// Total corruption events detected end-to-end across the fleet.
     pub fn total_corruptions_detected(&self) -> u64 {
-        self.workers.iter().map(|w| w.corruptions_detected).sum()
+        self.workers.iter().map(|w| w.smb.corruptions_detected).sum()
     }
 
     /// Total poisoned pages repaired from the standby across the fleet.
     pub fn total_corruptions_repaired(&self) -> u64 {
-        self.workers.iter().map(|w| w.corruptions_repaired).sum()
+        self.workers.iter().map(|w| w.smb.corruptions_repaired).sum()
     }
 
     /// Total unrepairable corruptions across the fleet.
     pub fn total_corruptions_unrepairable(&self) -> u64 {
-        self.workers.iter().map(|w| w.corruptions_unrepairable).sum()
+        self.workers.iter().map(|w| w.smb.corruptions_unrepairable).sum()
     }
 }
 

@@ -44,8 +44,10 @@
 //! asynchronous worker ([`run_worker`]) and the Hybrid-SGD group root
 //! ([`crate::hybrid`]) share one implementation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::AddAssign;
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::{SimContext, SimDuration, SimTime};
@@ -54,7 +56,7 @@ use shmcaffe_smb::{RetryPolicy, SmbBuffer, SmbClient, SmbError, SmbServer};
 
 use crate::config::{ShmCaffeConfig, DEFAULT_EXCHANGE_CHUNKS};
 use crate::platforms::fleet::StepLog;
-use crate::report::{EvalPoint, WorkerReport};
+use crate::report::{RankOutcome, WorkerReport};
 use crate::trainer::Trainer;
 use crate::PlatformError;
 
@@ -170,41 +172,44 @@ const EXCHANGE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 /// over W_x, W_g, ΔW), in bytes/s: GDDR5X copy throughput.
 const LOCAL_MIX_BPS: f64 = 25.0e9;
 
-/// Degraded-mode accounting of one exchanger's update thread: what
-/// happened to increments pushed while a network partition cut the worker
-/// off from the memory server (paper-style minority-side behaviour).
+/// What one exchanger's update threads did with the weight increments
+/// they were handed: dropped after failed pushes, or — while a network
+/// partition cut the worker off from the memory server (paper-style
+/// minority-side behaviour) — buffered, dropped past the staleness cap,
+/// and replayed after the heal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DegradedStats {
-    /// Increments buffered for replay after the partition heals.
+pub struct PushStats {
+    /// Exchanges dropped because pushing them kept failing.
+    pub dropped_updates: u64,
+    /// Increments buffered for replay after the partition heals (bounded
+    /// by [`ShmCaffeConfig::partition_staleness_cap`]).
     pub partition_buffered: u64,
     /// Increments dropped because the staleness-capped buffer was full
-    /// (or still held entries at shutdown).
+    /// (or still held entries when the books were read).
     pub partition_dropped: u64,
     /// Buffered increments successfully replayed into `W_g`.
     pub reconciled_updates: u64,
 }
 
-#[derive(Debug, Default)]
-struct DegradedCounters {
-    buffered: AtomicU64,
-    dropped: AtomicU64,
-    reconciled: AtomicU64,
-    /// Entries currently sitting in the update thread's backlog. A
-    /// snapshot folds them into `partition_dropped`: they are only ever
-    /// replayed by a *later* successful push, so at any observation point
-    /// they have not reached the global buffer.
-    pending: AtomicU64,
+impl AddAssign for PushStats {
+    fn add_assign(&mut self, other: PushStats) {
+        self.dropped_updates += other.dropped_updates;
+        self.partition_buffered += other.partition_buffered;
+        self.partition_dropped += other.partition_dropped;
+        self.reconciled_updates += other.reconciled_updates;
+    }
 }
 
-impl DegradedCounters {
-    fn snapshot(&self) -> DegradedStats {
-        DegradedStats {
-            partition_buffered: self.buffered.load(Ordering::Relaxed),
-            partition_dropped: self.dropped.load(Ordering::Relaxed)
-                + self.pending.load(Ordering::Relaxed),
-            reconciled_updates: self.reconciled.load(Ordering::Relaxed),
-        }
-    }
+/// The books an exchanger's update threads keep together.
+#[derive(Debug, Default)]
+struct PushBooks {
+    stats: PushStats,
+    /// Entries currently sitting in the update threads' backlogs.
+    /// [`ElasticExchanger::push_stats`] folds them into
+    /// `partition_dropped`: they are only ever replayed by a *later*
+    /// successful push, so at any observation point they have not reached
+    /// the global buffer.
+    pending: u64,
 }
 
 /// Per-phase breakdown of the last [`ElasticExchanger::exchange`]: how
@@ -357,8 +362,7 @@ pub struct ElasticExchanger {
     read_issued: Vec<bool>,
     /// Per-lane: T.A5 gates still to consume from the previous exchange.
     gate_left: Vec<usize>,
-    dropped: Arc<AtomicU64>,
-    degraded: Arc<DegradedCounters>,
+    books: Arc<Mutex<PushBooks>>,
     wg: Vec<f32>,
     wx: Vec<f32>,
     phases: ExchangePhases,
@@ -420,8 +424,7 @@ impl ElasticExchanger {
         // deadlines are sized to outlast short fault windows.
         let retry_seed =
             label.bytes().fold(cfg.seed, |acc, b| acc.wrapping_mul(31).wrapping_add(u64::from(b)));
-        let dropped = Arc::new(AtomicU64::new(0));
-        let degraded = Arc::new(DegradedCounters::default());
+        let books = Arc::new(Mutex::new(PushBooks::default()));
         let mut lanes = Vec::with_capacity(parts.len());
         for (lane_idx, (client, buffers)) in parts.into_iter().enumerate() {
             let retry = RetryPolicy {
@@ -469,8 +472,7 @@ impl ElasticExchanger {
                 let upd_done = upd_done.clone();
                 let staleness_cap = cfg.partition_staleness_cap;
                 let retry = retry.clone();
-                let dropped = Arc::clone(&dropped);
-                let degraded = Arc::clone(&degraded);
+                let books = Arc::clone(&books);
                 let lane_chunks = lane_chunks.clone();
                 ctx.spawn(&format!("update_thread_{label}_s{lane_idx}"), move |uctx| {
                     update_thread(
@@ -482,8 +484,7 @@ impl ElasticExchanger {
                         &upd_done,
                         staleness_cap,
                         &retry,
-                        &dropped,
-                        &degraded,
+                        &books,
                     );
                 });
             }
@@ -506,8 +507,7 @@ impl ElasticExchanger {
             lane_stale: vec![false; n_lanes],
             read_issued: vec![false; n_tiles],
             gate_left: vec![0; n_lanes],
-            dropped,
-            degraded,
+            books,
             wg: vec![0.0; param_len],
             wx: vec![0.0; param_len],
             phases: ExchangePhases::default(),
@@ -736,17 +736,24 @@ impl ElasticExchanger {
         self.phases
     }
 
-    /// Number of weight increments dropped because pushing them kept
-    /// failing (fault injection).
-    pub fn dropped_updates(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+    /// Files the last exchange's phase times (wait/read/mix) into
+    /// `report`.
+    pub fn record_phases(&self, report: &mut WorkerReport) {
+        report.wait_ms.record_duration_ms(self.phases.wait);
+        report.read_ms.record_duration_ms(self.phases.read);
+        report.mix_ms.record_duration_ms(self.phases.mix);
     }
 
-    /// Degraded-mode accounting: increments buffered, dropped, and
-    /// replayed across partition windows (see
+    /// What the update threads did with the increments so far: dropped,
+    /// buffered, dropped past the staleness cap (backlog entries not yet
+    /// replayed included) and replayed across partition windows (see
     /// [`crate::ShmCaffeConfig::partition_staleness_cap`]).
-    pub fn degraded_stats(&self) -> DegradedStats {
-        self.degraded.snapshot()
+    pub fn push_stats(&self) -> PushStats {
+        let books = self.books.lock();
+        PushStats {
+            partition_dropped: books.stats.partition_dropped + books.pending,
+            ..books.stats
+        }
     }
 
     /// Stops the reader processes and update threads. Queued tiles drain
@@ -761,30 +768,13 @@ impl ElasticExchanger {
         }
     }
 
-    /// Retires the exchanger into its owner's books: adds what the update
-    /// threads dropped, buffered and replayed to `report` (added, so the
-    /// incarnations of a rejoined worker sum), then [`Self::finish`]es.
+    /// Retires the exchanger into its owner's books: adds its
+    /// [`Self::push_stats`] to `report` (added, so the incarnations of a
+    /// rejoined worker sum), then [`Self::finish`]es.
     pub(crate) fn retire(self, ctx: &SimContext, report: &mut WorkerReport) {
-        report.dropped_updates += self.dropped_updates();
-        let degraded = self.degraded_stats();
-        report.partition_buffered += degraded.partition_buffered;
-        report.partition_dropped += degraded.partition_dropped;
-        report.reconciled_updates += degraded.reconciled_updates;
+        report.pushes += self.push_stats();
         self.finish(ctx);
     }
-}
-
-/// Copies the SMB trouble `client` saw over its lifetime — faults, retries,
-/// fenced writes, corruptions — into its owner's `report`.
-pub(crate) fn record_client_faults(report: &mut WorkerReport, client: &SmbClient) {
-    let stats = client.fault_stats();
-    report.faults = stats.faults;
-    report.retries = stats.retries;
-    report.recovery_ms = stats.max_recovery_ms;
-    report.fenced_writes = stats.fenced;
-    report.corruptions_detected = stats.corruptions_detected;
-    report.corruptions_repaired = stats.corruptions_repaired;
-    report.corruptions_unrepairable = stats.corruptions_unrepairable;
 }
 
 /// One lane's update thread: receives mixed ΔW tiles in grid order and
@@ -810,8 +800,7 @@ fn update_thread(
     upd_done: &SimChannel<UpdateDone>,
     staleness_cap: usize,
     retry: &RetryPolicy,
-    dropped: &AtomicU64,
-    degraded: &DegradedCounters,
+    books: &Mutex<PushBooks>,
 ) {
     let lane_len = buffers.wg.len();
     let n = lane_chunks.len();
@@ -912,9 +901,10 @@ fn update_thread(
                             if push_full(uctx, client, &buffers, entry, retry).is_err() {
                                 break;
                             }
-                            degraded.reconciled.fetch_add(1, Ordering::Relaxed);
-                            degraded.pending.fetch_sub(1, Ordering::Relaxed);
                             backlog.pop();
+                            let mut b = books.lock();
+                            b.stats.reconciled_updates += 1;
+                            b.pending -= 1;
                         }
                     } else if partition_fail {
                         if backlog.len() < staleness_cap {
@@ -925,10 +915,11 @@ fn update_thread(
                                 }
                             }
                             backlog.push(entry);
-                            degraded.buffered.fetch_add(1, Ordering::Relaxed);
-                            degraded.pending.fetch_add(1, Ordering::Relaxed);
+                            let mut b = books.lock();
+                            b.stats.partition_buffered += 1;
+                            b.pending += 1;
                         } else {
-                            degraded.dropped.fetch_add(1, Ordering::Relaxed);
+                            books.lock().stats.partition_dropped += 1;
                         }
                     } else {
                         // A push that cannot go through within the retry
@@ -953,7 +944,7 @@ fn update_thread(
                             }
                             let _ = push_full(uctx, client, &buffers, &scratch, retry);
                         }
-                        dropped.fetch_add(1, Ordering::Relaxed);
+                        books.lock().stats.dropped_updates += 1;
                     }
                 }
             }
@@ -1002,18 +993,8 @@ pub struct SeasgdHarness {
     pub checkpoint: Option<CheckpointPlan>,
 }
 
-/// Outcome of [`run_worker`]: the filled report plus rank-0 evaluations.
-#[derive(Debug)]
-pub struct SeasgdOutcome {
-    /// The worker's timing report.
-    pub report: WorkerReport,
-    /// Evaluation trajectory (non-empty only when `eval_every > 0`, on
-    /// rank 0, and the trainer supports evaluation).
-    pub evals: Vec<EvalPoint>,
-}
-
 /// Runs the SEASGD protocol for one worker until its budget or the
-/// termination policy stops it. Returns the timing report and evaluations.
+/// termination policy stops it. Returns its books and evaluations.
 ///
 /// # Errors
 ///
@@ -1022,7 +1003,7 @@ pub fn run_worker<T: Trainer>(
     ctx: &SimContext,
     harness: SeasgdHarness,
     trainer: &mut T,
-) -> Result<SeasgdOutcome, PlatformError> {
+) -> Result<RankOutcome, PlatformError> {
     let SeasgdHarness { client, mut buffers, board, cfg, rank, target_iters, crash_at, checkpoint } =
         harness;
     let mut log = StepLog::new(rank, cfg.eval_every);
@@ -1102,10 +1083,7 @@ pub fn run_worker<T: Trainer>(
         if iter.is_multiple_of(cfg.update_interval as u64) {
             let comm = exchanger.exchange(ctx, trainer)?;
             log.report.comm_ms.record_duration_ms(comm);
-            let phases = exchanger.phase_times();
-            log.report.wait_ms.record_duration_ms(phases.wait);
-            log.report.read_ms.record_duration_ms(phases.read);
-            log.report.mix_ms.record_duration_ms(phases.mix);
+            exchanger.record_phases(&mut log.report);
         }
 
         // T4 + T5: train one minibatch and apply the local update (eq. 2).
@@ -1156,9 +1134,8 @@ pub fn run_worker<T: Trainer>(
         board.publish(&client, ctx, rank, iter, true)?;
     }
 
-    record_client_faults(&mut log.report, &client);
-    let (report, evals) = log.finish(ctx, iter);
-    Ok(SeasgdOutcome { report, evals })
+    log.report.smb = client.fault_stats();
+    Ok(log.finish(ctx, iter))
 }
 
 #[cfg(test)]
@@ -1237,13 +1214,13 @@ mod tests {
         nodes: usize,
         cfg: ShmCaffeConfig,
         workload: WorkloadModel,
-    ) -> Vec<SeasgdOutcome> {
+    ) -> Vec<RankOutcome> {
         let fabric = Fabric::new(ClusterSpec::paper_testbed(nodes));
         let rdma = RdmaFabric::new(fabric.clone());
         let server = SmbServer::new(rdma).unwrap();
         let mpi = MpiWorld::new(fabric, n_workers);
         let factory = ModeledTrainerFactory::new(workload, cfg.jitter, cfg.seed);
-        let outcomes: Arc<Mutex<Vec<Option<SeasgdOutcome>>>> =
+        let outcomes: Arc<Mutex<Vec<Option<RankOutcome>>>> =
             Arc::new(Mutex::new((0..n_workers).map(|_| None).collect()));
 
         let mut sim = Simulation::new();

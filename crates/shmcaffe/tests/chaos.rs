@@ -104,8 +104,8 @@ fn faulted_runs_are_bit_identical_given_the_seed() {
         assert_eq!(x.iters, y.iters);
         assert_eq!(x.finished_at, y.finished_at);
         assert_eq!(x.final_loss, y.final_loss);
-        assert_eq!(x.faults, y.faults);
-        assert_eq!(x.retries, y.retries);
+        assert_eq!(x.smb, y.smb);
+        assert_eq!(x.pushes, y.pushes);
     }
 }
 
@@ -208,10 +208,8 @@ fn corrupted_runs_are_bit_identical_given_the_seed() {
         assert_eq!(x.iters, y.iters);
         assert_eq!(x.finished_at, y.finished_at);
         assert_eq!(x.final_loss, y.final_loss);
-        assert_eq!(x.faults, y.faults);
-        assert_eq!(x.retries, y.retries);
-        assert_eq!(x.corruptions_detected, y.corruptions_detected);
-        assert_eq!(x.corruptions_repaired, y.corruptions_repaired);
+        assert_eq!(x.smb, y.smb);
+        assert_eq!(x.pushes, y.pushes);
     }
 }
 

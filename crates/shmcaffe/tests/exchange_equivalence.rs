@@ -278,7 +278,7 @@ fn sharded_failover_run(crash_at: Option<SimTime>) -> ShardedRun {
                 ex.exchange(&ctx, &mut trainer).expect("every shard fails over by itself");
             }
             let wx = ex.mixed_weights().to_vec();
-            let dropped = ex.dropped_updates();
+            let dropped = ex.push_stats().dropped_updates;
             ex.finish(&ctx);
             // Let the last pushes land, then read W_g back shard by shard
             // (shard 0 from whichever server is its primary by now).

@@ -132,9 +132,8 @@ fn failover_runs_are_bit_identical_given_the_seed() {
         assert_eq!(x.iters, y.iters);
         assert_eq!(x.finished_at, y.finished_at);
         assert_eq!(x.final_loss, y.final_loss);
-        assert_eq!(x.faults, y.faults);
-        assert_eq!(x.retries, y.retries);
-        assert_eq!(x.dropped_updates, y.dropped_updates);
+        assert_eq!(x.smb, y.smb);
+        assert_eq!(x.pushes, y.pushes);
     }
 }
 

@@ -168,12 +168,7 @@ fn partition_runs_are_bit_identical_given_the_seed() {
         assert_eq!(x.iters, y.iters);
         assert_eq!(x.finished_at, y.finished_at);
         assert_eq!(x.final_loss, y.final_loss);
-        assert_eq!(x.faults, y.faults);
-        assert_eq!(x.retries, y.retries);
-        assert_eq!(x.fenced_writes, y.fenced_writes);
-        assert_eq!(x.partition_buffered, y.partition_buffered);
-        assert_eq!(x.partition_dropped, y.partition_dropped);
-        assert_eq!(x.reconciled_updates, y.reconciled_updates);
-        assert_eq!(x.dropped_updates, y.dropped_updates);
+        assert_eq!(x.smb, y.smb);
+        assert_eq!(x.pushes, y.pushes);
     }
 }

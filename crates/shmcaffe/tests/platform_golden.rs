@@ -62,17 +62,17 @@ fn fingerprint(r: &TrainingReport) -> u64 {
         h.write_u8(u8::from(w.rejoined));
         for v in [
             w.rejoin_staleness_iters,
-            w.faults,
-            w.retries,
-            w.recovery_ms.to_bits(),
-            w.dropped_updates,
-            w.partition_buffered,
-            w.partition_dropped,
-            w.reconciled_updates,
-            w.fenced_writes,
-            w.corruptions_detected,
-            w.corruptions_repaired,
-            w.corruptions_unrepairable,
+            w.smb.faults,
+            w.smb.retries,
+            w.smb.max_recovery_ms.to_bits(),
+            w.pushes.dropped_updates,
+            w.pushes.partition_buffered,
+            w.pushes.partition_dropped,
+            w.pushes.reconciled_updates,
+            w.smb.fenced,
+            w.smb.corruptions_detected,
+            w.smb.corruptions_repaired,
+            w.smb.corruptions_unrepairable,
         ] {
             h.write_u64(v);
         }

@@ -174,25 +174,7 @@ impl<T: Send + 'static> SimChannel<T> {
     /// Panics if the simulation deadlocks while waiting (no live process can
     /// ever send).
     pub fn recv(&self, ctx: &SimContext) -> T {
-        loop {
-            {
-                let mut st = self.state.lock();
-                if let Some(i) = self.pick_index(ctx, &st, None) {
-                    let env = st.queue.remove(i).expect("candidate index in range");
-                    drop(st);
-                    ctx.core.note_event(SchedEvent::Chan { chan: self.id });
-                    if env.sent_at > ctx.now() {
-                        ctx.sleep_until(env.sent_at);
-                    }
-                    env.edge.acquire(ctx);
-                    return env.msg;
-                }
-                st.waiters.push(ctx.pid());
-            }
-            // Park until a sender wakes us; loop in case another receiver
-            // stole the message first.
-            ctx.core.block(ctx.pid());
-        }
+        self.take(ctx, None).expect("a receive without deadline waits for a message")
     }
 
     /// Receives the oldest message, blocking in virtual time for at most
@@ -203,11 +185,23 @@ impl<T: Send + 'static> SimChannel<T> {
     /// as blocked by the deadlock detector, so waiting on a dead peer times
     /// out instead of aborting the simulation.
     pub fn recv_timeout(&self, ctx: &SimContext, timeout: SimDuration) -> Option<T> {
-        let deadline = ctx.now() + timeout;
+        self.take(ctx, Some(ctx.now() + timeout))
+    }
+
+    /// Non-blocking receive of a message already sent at or before `now`.
+    pub fn try_recv(&self, ctx: &SimContext) -> Option<T> {
+        self.take(ctx, Some(ctx.now()))
+    }
+
+    /// The one receive loop: takes a message sent no later than `deadline`
+    /// (any message when `None`), parking in between. Without a deadline
+    /// the receiver parks as blocked, so the deadlock detector sees it;
+    /// with one it parks as a timed wait and gives up at the deadline.
+    fn take(&self, ctx: &SimContext, deadline: Option<SimTime>) -> Option<T> {
         loop {
             {
                 let mut st = self.state.lock();
-                if let Some(i) = self.pick_index(ctx, &st, Some(deadline)) {
+                if let Some(i) = self.pick_index(ctx, &st, deadline) {
                     let env = st.queue.remove(i).expect("candidate index in range");
                     drop(st);
                     ctx.core.note_event(SchedEvent::Chan { chan: self.id });
@@ -217,11 +211,17 @@ impl<T: Send + 'static> SimChannel<T> {
                     env.edge.acquire(ctx);
                     return Some(env.msg);
                 }
-                if ctx.now() >= deadline {
+                if deadline.is_some_and(|d| ctx.now() >= d) {
                     return None;
                 }
                 st.waiters.push(ctx.pid());
             }
+            // Park until a sender wakes us (or the deadline passes); loop in
+            // case another receiver stole the message first.
+            let Some(deadline) = deadline else {
+                ctx.core.block(ctx.pid());
+                continue;
+            };
             ctx.core.block_until(ctx.pid(), deadline);
             // Scrub our waiter registration: if we were woken by the
             // deadline (not a sender), a stale entry would soak up a
@@ -231,21 +231,6 @@ impl<T: Send + 'static> SimChannel<T> {
                 st.waiters.remove(i);
             }
         }
-    }
-
-    /// Non-blocking receive of a message already sent at or before `now`.
-    pub fn try_recv(&self, ctx: &SimContext) -> Option<T> {
-        let env = {
-            let mut st = self.state.lock();
-            let now = ctx.now();
-            match self.pick_index(ctx, &st, Some(now)) {
-                Some(i) => st.queue.remove(i),
-                None => None,
-            }
-        }?;
-        ctx.core.note_event(SchedEvent::Chan { chan: self.id });
-        env.edge.acquire(ctx);
-        Some(env.msg)
     }
 
     /// Number of queued messages (for diagnostics).

@@ -816,8 +816,8 @@ impl SmbClient {
     }
 
     /// Wraps a fabric fault as [`SmbError::Unavailable`] with the failed
-    /// queue pair identified, transitioning that QP to Error so plain RDMA
-    /// ops on the pair fail fast until the retry loop re-arms it.
+    /// queue pair identified, marking that pair faulted so the retry loop's
+    /// next attempt pays its re-arm.
     fn unavailable(&self, server: &SmbServer, key: ShmKey, fault: FaultError) -> SmbError {
         server.rdma().fault_qp(self.local, server.node());
         SmbError::Unavailable {
@@ -827,11 +827,12 @@ impl SmbClient {
         }
     }
 
-    /// Applies any seeded wire bit-flip to an inbound (read) payload and
-    /// verifies it end-to-end against the pre-flight checksum — the
+    /// Applies any seeded wire bit-flip to an inbound (read) payload — the
     /// software stand-in for InfiniBand's hardware ICRC on the fallible
-    /// transfer paths. On mismatch the buffer's contents are garbage and
-    /// the caller must discard them (its retry loop re-reads).
+    /// transfer paths: CRC32C detects every single-bit error, so a drawn
+    /// flip is `Err(CorruptedWire)`. The flipped element stays in `out`:
+    /// its contents are garbage and the caller must discard them (its
+    /// retry loop re-reads).
     fn verify_inbound(
         &self,
         server: &SmbServer,
@@ -843,12 +844,8 @@ impl SmbClient {
             return Ok(());
         }
         let Some((elem, bit)) = inj.draw_wire_flip(out.len()) else { return Ok(()) };
-        let sent = crate::crc::crc32c_f32(out);
         out[elem] = f32::from_bits(out[elem].to_bits() ^ (1 << bit));
-        if crate::crc::crc32c_f32(out) != sent {
-            return Err(SmbError::CorruptedWire { key, node: server.node() });
-        }
-        Ok(())
+        Err(SmbError::CorruptedWire { key, node: server.node() })
     }
 
     /// Draws seeded wire corruption for an outbound (write) payload:
@@ -999,13 +996,9 @@ impl SmbClient {
                 }
                 Err(e) => return Err(e),
             }
-            if attempts >= policy.max_attempts {
+            let Some(backoff) = policy.next_backoff(attempts, ctx.now().since(started)) else {
                 break;
-            }
-            let backoff = policy.backoff(attempts);
-            if ctx.now().since(started) + backoff > policy.deadline {
-                break;
-            }
+            };
             ctx.sleep(backoff);
             let server = self.active_raw(ctx);
             server.rdma().rearm_qp(ctx, self.local, server.node());
@@ -1330,8 +1323,8 @@ mod tests {
             assert_eq!(client.server().node(), p.standby().node());
             // The QP was reconnected to the standby.
             let rdma = p.primary().rdma();
-            assert_eq!(rdma.qp_state(NodeId(0), p.standby().node()), shmcaffe_rdma::QpState::Ready);
-            assert_eq!(rdma.qp_state(NodeId(0), p.primary().node()), shmcaffe_rdma::QpState::Error);
+            assert!(!rdma.qp_faulted(NodeId(0), p.standby().node()));
+            assert!(rdma.qp_faulted(NodeId(0), p.primary().node()));
             let fs = client.fault_stats();
             assert!(fs.faults >= 1 && fs.retries >= 1, "{fs:?}");
         });
@@ -1389,7 +1382,7 @@ mod tests {
             assert_eq!(out, [1.0, 2.0, 3.0, 4.0]);
             assert!(ctx.now() > SimTime::from_millis(3), "recovered only after the window");
             // The retry loop re-armed the QP on its way to success.
-            assert_eq!(s.rdma().qp_state(NodeId(1), s.node()), shmcaffe_rdma::QpState::Ready);
+            assert!(!s.rdma().qp_faulted(NodeId(1), s.node()));
             // ... and the client accounted for the recovery.
             let fs = client.fault_stats();
             assert!(fs.faults >= 1 && fs.retries >= 1, "{fs:?}");
@@ -1438,7 +1431,54 @@ mod tests {
                 other => panic!("expected Timeout, got {other:?}"),
             }
             // The pair is left faulted for the caller to observe.
-            assert_eq!(s.rdma().qp_state(NodeId(1), s.node()), shmcaffe_rdma::QpState::Error);
+            assert!(s.rdma().qp_faulted(NodeId(1), s.node()));
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn retrying_write_stops_at_the_deadline_next_backoff_predicts() {
+        use shmcaffe_simnet::fault::FaultPlan;
+        use shmcaffe_simnet::{SimDuration, SimTime};
+        let plan = FaultPlan::new(5).link_down(NodeId(1), SimTime::ZERO, SimTime::from_secs(10));
+        let server = setup_faulty(2, plan);
+        let s = server.clone();
+        let mut sim = Simulation::new();
+        sim.spawn("w", move |ctx| {
+            let client = SmbClient::new(s.clone(), NodeId(1));
+            let key = client.create(&ctx, "buf", 4, None).unwrap();
+            let buf = client.alloc(&ctx, key).unwrap();
+            // One attempt alone: what a failed attempt costs on this link.
+            let once = RetryPolicy { max_attempts: 1, ..RetryPolicy::with_seed(1) };
+            let Err(SmbError::Timeout { waited: attempt, .. }) =
+                client.write_retrying(&ctx, &buf, &[0.0; 4], &once)
+            else {
+                panic!("a single attempt against a dead link times out");
+            };
+            // Deadline-bound: the attempt budget is never the limit.
+            let policy = RetryPolicy {
+                max_attempts: 1000,
+                deadline: SimDuration::from_millis(3),
+                ..RetryPolicy::with_seed(1)
+            };
+            // Every retry pays its backoff, the pair's 10 us re-arm and
+            // the attempt itself.
+            let rearm = SimDuration::from_micros(10);
+            let (mut expect_attempts, mut expect_waited) = (1u32, attempt);
+            while let Some(b) = policy.next_backoff(expect_attempts, expect_waited) {
+                expect_attempts += 1;
+                expect_waited += b + rearm + attempt;
+            }
+            assert!(expect_attempts < policy.max_attempts);
+            match client.write_retrying(&ctx, &buf, &[0.0; 4], &policy).unwrap_err() {
+                SmbError::Timeout { attempts, waited, .. } => {
+                    assert_eq!((attempts, waited), (expect_attempts, expect_waited));
+                    // The last sleep ends inside the deadline; its
+                    // re-arm and attempt may run past it.
+                    assert!(waited <= policy.deadline + rearm + attempt);
+                }
+                other => panic!("expected Timeout, got {other:?}"),
+            }
         });
         sim.run();
     }

@@ -62,7 +62,7 @@ pub mod sharded;
 
 pub use client::{ClientFaultStats, SmbBuffer, SmbClient};
 pub use error::SmbError;
-pub use replica::{ServerRole, SmbPair};
+pub use replica::SmbPair;
 pub use retry::{RetryPolicy, BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_JITTER, MAX_BACKOFF};
 pub use server::{ShmKey, SmbServer, SmbServerConfig, TOMBSTONE_HORIZON};
 pub use sharded::SmbCluster;

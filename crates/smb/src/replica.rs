@@ -48,15 +48,6 @@ use crate::server::{
 };
 use crate::SmbError;
 
-/// Which member of an [`SmbPair`] currently serves client operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerRole {
-    /// The original server on the first memory endpoint.
-    Primary,
-    /// The mirror on the second memory endpoint (after promotion).
-    Standby,
-}
-
 struct PairInner {
     primary: SmbServer,
     standby: SmbServer,
@@ -134,7 +125,7 @@ impl fmt::Debug for SmbPair {
         f.debug_struct("SmbPair")
             .field("primary", &self.inner.primary.node())
             .field("standby", &self.inner.standby.node())
-            .field("role", &self.role())
+            .field("promoted", &self.promoted())
             .field("epoch", &self.epoch())
             .finish()
     }
@@ -225,15 +216,6 @@ impl SmbPair {
     /// The standby server (serving after promotion).
     pub fn standby(&self) -> &SmbServer {
         &self.inner.standby
-    }
-
-    /// Which member currently serves clients.
-    pub fn role(&self) -> ServerRole {
-        if self.inner.promote_done.load(Ordering::Acquire) {
-            ServerRole::Standby
-        } else {
-            ServerRole::Primary
-        }
     }
 
     /// Completed replication passes.
@@ -978,11 +960,11 @@ mod tests {
         let p = pair.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
-            assert_eq!(p.role(), ServerRole::Primary);
+            assert!(!p.promoted());
             assert_eq!(p.active_server(&ctx).node(), p.primary().node());
             assert!(p.promote(&ctx));
             assert!(!p.promote(&ctx), "second promote is a no-op");
-            assert_eq!(p.role(), ServerRole::Standby);
+            assert!(p.promoted());
             assert_eq!(p.active_server(&ctx).node(), p.standby().node());
         });
         sim.run();

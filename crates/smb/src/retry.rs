@@ -26,8 +26,9 @@ pub const BACKOFF_JITTER: f64 = 0.2;
 ///
 /// The first attempt happens immediately; after the `k`-th failure the
 /// client sleeps [`RetryPolicy::backoff`]`(k)` in virtual time and tries
-/// again, up to `max_attempts` total attempts or until the cumulative
-/// backoff would exceed `deadline`, whichever comes first. The backoff
+/// again, up to `max_attempts` total attempts or until the sleep would end
+/// more than `deadline` after the first attempt started, whichever comes
+/// first ([`RetryPolicy::next_backoff`]). The backoff
 /// curve itself is fixed: [`BACKOFF_BASE`] growing by [`BACKOFF_FACTOR`],
 /// capped at [`MAX_BACKOFF`], shortened by up to [`BACKOFF_JITTER`].
 ///
@@ -49,8 +50,9 @@ pub struct RetryPolicy {
     /// Maximum total attempts, including the first (so `max_attempts - 1`
     /// retries at most).
     pub max_attempts: u32,
-    /// Cap on the *cumulative* backoff; a retry whose sleep would push the
-    /// total past this is not taken.
+    /// Cap on the time waited since the first attempt started, attempts
+    /// and backoffs alike; a retry whose sleep would end past this is not
+    /// taken.
     pub deadline: SimDuration,
     /// Seed for the jitter draws.
     pub seed: u64,
@@ -76,17 +78,22 @@ impl RetryPolicy {
         nominal(attempt).mul_f64(1.0 - BACKOFF_JITTER * unit_draw(self.seed, attempt))
     }
 
-    /// The full backoff schedule this policy would follow: one entry per
-    /// retry, truncated so the cumulative sum never exceeds `deadline`.
+    /// The stop rule: the backoff to sleep after the `attempts`-th
+    /// failure, `waited` after the first attempt started, or `None` when
+    /// the attempts are spent or the sleep would end past `deadline`.
+    pub fn next_backoff(&self, attempts: u32, waited: SimDuration) -> Option<SimDuration> {
+        let b = self.backoff(attempts);
+        (attempts < self.max_attempts && waited + b <= self.deadline).then_some(b)
+    }
+
+    /// The full backoff schedule this policy would follow if attempts took
+    /// no time: one entry per retry, truncated so the cumulative sum never
+    /// exceeds `deadline`.
     pub fn schedule(&self) -> Vec<SimDuration> {
         let mut out = Vec::new();
-        let mut total = SimDuration::ZERO;
-        for attempt in 1..self.max_attempts {
-            let b = self.backoff(attempt);
-            if total + b > self.deadline {
-                break;
-            }
-            total += b;
+        let mut waited = SimDuration::ZERO;
+        while let Some(b) = self.next_backoff(out.len() as u32 + 1, waited) {
+            waited += b;
             out.push(b);
         }
         out

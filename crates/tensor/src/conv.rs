@@ -20,7 +20,7 @@
 //!
 //! There is no im2col, materialised or fused. **Forward** copies each
 //! image once into a zero-padded scratch band and walks output rows with
-//! an `MR`-channel x [`TW`]-column accumulator tile in registers: filter
+//! an `MR`-channel x `TW`-column accumulator tile in registers: filter
 //! tap `r` contributes `w[r] * x[kw .. kw + TW]`, one broadcast weight per
 //! channel against one contiguous window of the staged row (for
 //! `stride_w > 1` the staging de-interleaves each row into `stride_w`
@@ -49,14 +49,14 @@
 //! chain over its own `co` on its own tile, and the bank tiles are summed
 //! in bank order, `((g_0 + g_1) + g_2) + …`, before the sum is added to
 //! the caller's `d_input`. When `C_in < MR` the tile's spare rows hold the
-//! channels of more images ([`image_slots`]), each reading its own staged
+//! channels of more images (`image_slots`), each reading its own staged
 //! `dY`.
 //!
 //! **`dW`** reads the same staged band as forward, with the *output
 //! channels* on the vector lanes: `dW[co][r] += Σ_k dY[co][k] · x_r[k]` is
 //! one scalar chain over spatial positions `k` per `(co, r)`, and chains of
 //! different `co` are independent, so a tile of `NR` output channels x
-//! [`DW_TAPS`] taps advances one `k` per step — tap `r`'s staged value
+//! `DW_TAPS` taps advances one `k` per step — tap `r`'s staged value
 //! broadcast against the `NR`-lane row of a `[k][C_out]` transpose of `dY`.
 //! Each chain runs `k` ascending from `+0.0` inside a `KC` block of
 //! positions and is added to the caller's gradient once per block and
@@ -64,7 +64,7 @@
 //! per element (multiplication commutes bitwise), padding taps again real
 //! `dy * 0.0` products. Chains of different images are independent too:
 //! when `C_out < NR` a lane block holds `G` images side by side
-//! ([`image_slots`]) over a band that interleaves their staged values, and
+//! (`image_slots`) over a band that interleaves their staged values, and
 //! the chains are kept per k-block until they are added image by image.
 //! On the AVX-512F tier a lane block is `2 * NR` lanes: the channels of two
 //! `NR`-lane blocks, or, when one block holds every channel, `2G` images.
@@ -80,7 +80,7 @@
 //!   gradient (each folds the whole batch in image order), `db` tasks are
 //!   `MC`-row filter blocks, and `d_input` tasks are `(image group,
 //!   input-row band, MC-channel block)` cells. Every task writes a disjoint
-//!   region (through [`parallel::SliceParts`]) and folds its own data in a
+//!   region (through `parallel::SliceParts`) and folds its own data in a
 //!   fixed serial order, so results are **bit-identical** at any
 //!   `SHMCAFFE_THREADS`.
 //!

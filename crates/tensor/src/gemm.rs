@@ -9,7 +9,7 @@
 //! The implementation is a BLIS-style packed kernel: operands are copied
 //! into contiguous zero-padded panels (`MR`-row panels of `op(A)`, `NR`-
 //! column panels of `op(B)`, `2 * NR` on the AVX-512F tier of
-//! [`crate::simd`]), and a register-blocked `MR x NR` (`MR x 2NR`)
+//! `crate::simd`), and a register-blocked `MR x NR` (`MR x 2NR`)
 //! micro-kernel accumulates along `k`. Packing makes all four transpose
 //! combinations hit the same inner loop with unit-stride reads, so
 //! transposed layers run as fast as plain ones.
@@ -18,7 +18,7 @@
 //! fixed two-axis tile grid: `MC`-row by `NC`-column tiles whose boundaries
 //! are derived only from the matrix shape — never from the thread count —
 //! and each task writes a disjoint tile of `C` (through
-//! [`parallel::SliceParts`], since column tiles are strided), so the result
+//! `parallel::SliceParts`, since column tiles are strided), so the result
 //! is **bit-identical** at any `SHMCAFFE_THREADS` setting. The column axis
 //! matters for wide, short matrices (a handful of rows, thousands of
 //! columns), where row panels alone cannot feed more than a couple of
@@ -27,7 +27,7 @@
 //! Packed `op(A)`/`op(B)` panels live in the per-thread
 //! [`crate::workspace`] arena, so steady-state calls allocate nothing. The
 //! packing routines are generic over an element accessor
-//! ([`pack_rows_with`]/[`pack_cols_with`]); [`crate::conv`] reuses the row
+//! (`pack_rows_with`/`pack_cols_with`); [`crate::conv`] reuses the row
 //! packer for its filter panels (the direct forward and `d_input` kernels
 //! read weights in the same `MR`-row layout).
 

@@ -7,8 +7,8 @@
 //! around memory order rather than around the formula: they walk channels'
 //! contiguous `spatial`-long rows (channel-outer, spatial-inner), which
 //! vectorise, instead of gathering a channel-strided window per element.
-//! Forward is one register-resident pass per [`STRIP`]-element strip of a
-//! channel row, run through the wide-lane dispatch ([`crate::simd`]): the
+//! Forward is one register-resident pass per `STRIP`-element strip of a
+//! channel row, run through the wide-lane dispatch (`crate::simd`): the
 //! window's sum of squares, then `k + α/n · s`, then `s^-β · x`, with one
 //! store each of `scale` and the output. The window sum still folds
 //! neighbours in ascending channel order per element, so `scale` is

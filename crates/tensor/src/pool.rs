@@ -11,7 +11,7 @@
 //! `(kh, kw)` order and the first strictly-greater tap wins.
 //!
 //! **Forward** is register-tiled like the direct convolution: each
-//! channel is staged once ([`crate::conv::stage_image`]) into a band whose
+//! channel is staged once (`crate::conv::stage_image`) into a band whose
 //! padding columns and slack hold `-inf`, rows are clipped per output row,
 //! and every tap `(kh, kw)` of a tile of consecutive outputs is then one
 //! contiguous window folded into a `best` / `idx` tile by a branch-free

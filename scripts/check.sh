@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: a zero-warning clippy pass and a broken-doc-link pass, then
+# Tier-1 gate: a zero-warning clippy pass and a zero-warning rustdoc pass, then
 # the full workspace test suite. Clippy runs first because it carries the determinism rules
 # (clippy.toml, the [workspace.lints] table and the data-plane crate roots;
 # DESIGN.md §5d), so a violation fails in seconds, not after two suites.
@@ -32,10 +32,10 @@ cargo fmt --all -- --check
 echo "== clippy (workspace, every target, deny warnings): determinism + unsafe + data-plane lints =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rustdoc (workspace, no deps): every intra-doc link resolves =="
-# Deleting an item that a doc comment links to fails here; links from public
-# docs to private items stay warnings.
-RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' cargo doc -q --workspace --no-deps
+echo "== rustdoc (workspace, no deps, deny warnings): every intra-doc link resolves =="
+# Deleting an item that a doc comment links to fails here, and so does a
+# link from a public doc to a private item (name those as code spans).
+RUSTDOCFLAGS='-D warnings' cargo doc -q --workspace --no-deps
 
 echo "== cfg(race-detect) stays behind the simnet seam (SimContext::access, HbEdge) =="
 grep -rn 'feature = "race-detect"' crates/*/src | grep -v '^crates/simnet/src/' &&
