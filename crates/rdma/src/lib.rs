@@ -20,7 +20,9 @@
 //! * the set of faulted queue pairs ([`RdmaFabric::qp_faulted`]) for the
 //!   fail-over path, whose re-arm costs virtual time. The set gates no
 //!   verb: a transfer on a faulted pair still proceeds (the SMB client
-//!   gates its transfers on the fabric's fault plan itself).
+//!   gates its transfers on the fabric's fault plan itself and hands the
+//!   fabric's `FaultError` to its retry loop as it is). [`RdmaError`] holds
+//!   the verb errors only.
 //!
 //! Addressing is in f32 *elements* (the parameter word), the unit every
 //! layer of this system traffics in; wire sizes are element count × 4 bytes.
@@ -45,8 +47,8 @@
 //! sim.run();
 //! ```
 
-// The fault injector aims at this data plane: a fault must surface as an
-// `RdmaError` the retry/fail-over machinery sees, never as a panic.
+// A bad verb (stale rkey, out-of-bounds window, unknown node) must surface
+// as an `RdmaError` the caller sees, never as a panic.
 // `#[cfg(test)]` modules are exempt (`clippy.toml`).
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
@@ -56,7 +58,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use shmcaffe_simnet::fault::FaultError;
 use shmcaffe_simnet::resource::TransferReport;
 use shmcaffe_simnet::topology::{Fabric, NodeId};
 use shmcaffe_simnet::{AccessKind, SimContext, SimDuration};
@@ -110,17 +111,6 @@ pub enum RdmaError {
     },
     /// The node id does not exist on this fabric.
     BadNode(NodeId),
-    /// A fabric fault failed the work request. The layer that gates its
-    /// transfers on the fault plan marks the pair faulted
-    /// ([`RdmaFabric::fault_qp`]) and re-arms it before its next attempt.
-    QpFault {
-        /// Local endpoint.
-        local: NodeId,
-        /// Remote endpoint.
-        remote: NodeId,
-        /// The underlying injected fault.
-        fault: FaultError,
-    },
 }
 
 impl fmt::Display for RdmaError {
@@ -137,21 +127,11 @@ impl fmt::Display for RdmaError {
                 )
             }
             RdmaError::BadNode(n) => write!(f, "no such fabric endpoint: {n}"),
-            RdmaError::QpFault { local, remote, fault } => {
-                write!(f, "qp {local}->{remote} faulted: {fault}")
-            }
         }
     }
 }
 
-impl std::error::Error for RdmaError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RdmaError::QpFault { fault, .. } => Some(fault),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for RdmaError {}
 
 struct NodePool {
     // BTreeMap, not HashMap: diagnostics and teardown paths iterate the
@@ -619,15 +599,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(rdma.deregister(&mr).unwrap(), vec![2.0; 4]);
-    }
-
-    #[test]
-    fn qp_fault_chains_the_fabric_fault() {
-        use shmcaffe_simnet::SimTime;
-        let fault = FaultError::LinkDown { node: NodeId(1), at: SimTime::ZERO };
-        let err = RdmaError::QpFault { local: NodeId(0), remote: NodeId(1), fault };
-        let dyn_err: &dyn std::error::Error = &err;
-        assert!(dyn_err.source().is_some(), "QpFault must chain the fabric fault");
     }
 
     #[test]

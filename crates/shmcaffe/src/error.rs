@@ -1,7 +1,5 @@
 use std::fmt;
 
-use shmcaffe_dnn::DnnError;
-use shmcaffe_rdma::RdmaError;
 use shmcaffe_smb::SmbError;
 
 /// Errors surfaced by the platform layer.
@@ -9,10 +7,6 @@ use shmcaffe_smb::SmbError;
 pub enum PlatformError {
     /// A Soft-Memory-Box failure.
     Smb(SmbError),
-    /// A DNN substrate failure.
-    Dnn(DnnError),
-    /// A raw RDMA failure.
-    Rdma(RdmaError),
     /// Invalid platform configuration.
     BadConfig(String),
     /// A worker process failed; carries the propagated message.
@@ -25,8 +19,6 @@ impl fmt::Display for PlatformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlatformError::Smb(e) => write!(f, "smb error: {e}"),
-            PlatformError::Dnn(e) => write!(f, "dnn error: {e}"),
-            PlatformError::Rdma(e) => write!(f, "rdma error: {e}"),
             PlatformError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
             PlatformError::WorkerFailed(msg) => write!(f, "worker failed: {msg}"),
             PlatformError::Timeout(msg) => write!(f, "timed out: {msg}"),
@@ -38,8 +30,6 @@ impl std::error::Error for PlatformError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PlatformError::Smb(e) => Some(e),
-            PlatformError::Dnn(e) => Some(e),
-            PlatformError::Rdma(e) => Some(e),
             _ => None,
         }
     }
@@ -48,18 +38,6 @@ impl std::error::Error for PlatformError {
 impl From<SmbError> for PlatformError {
     fn from(e: SmbError) -> Self {
         PlatformError::Smb(e)
-    }
-}
-
-impl From<DnnError> for PlatformError {
-    fn from(e: DnnError) -> Self {
-        PlatformError::Dnn(e)
-    }
-}
-
-impl From<RdmaError> for PlatformError {
-    fn from(e: RdmaError) -> Self {
-        PlatformError::Rdma(e)
     }
 }
 

@@ -55,7 +55,10 @@ impl MpiCaffe {
         self.cfg.validate()?;
         let spec = ClusterSpec { memory_servers: 0, ..self.spec };
         let fabric = match &self.fault_plan {
-            Some(plan) => Fabric::with_faults(spec, plan.clone()),
+            Some(plan) => {
+                plan.validate().map_err(PlatformError::BadConfig)?;
+                Fabric::with_faults(spec, plan.clone())
+            }
             None => Fabric::new(spec),
         };
         let mpi = MpiWorld::new(fabric.clone(), self.workers);
@@ -140,6 +143,17 @@ mod tests {
             ring.mean_comm_ms(),
             star.mean_comm_ms()
         );
+    }
+
+    #[test]
+    fn invalid_fault_plan_is_a_bad_config() {
+        let plan = FaultPlan::new(1).with_op_failure_prob(1.5);
+        let cfg = SsgdConfig { max_iters: 2, ..Default::default() };
+        let platform = MpiCaffe::new(ClusterSpec::paper_testbed(1), 2, cfg);
+        assert!(matches!(
+            platform.with_fault_plan(plan).run(factory()),
+            Err(PlatformError::BadConfig(msg)) if msg.contains("op_failure_prob")
+        ));
     }
 
     #[test]

@@ -62,12 +62,12 @@ impl ShmCaffeA {
         self
     }
 
-    /// Injects a deterministic fault plan into the fabric: link outages,
-    /// partitions and corruption hit the SMB transport, memory-server
-    /// crashes force fail-over, and worker crashes kill SEASGD ranks
-    /// mid-run. In fault mode the platform replaces its final MPI barrier
-    /// with progress-board polling so that survivors complete even when a
-    /// peer never arrives.
+    /// Injects a deterministic fault plan into the fabric: partitions (a
+    /// node cut off for a window is one) and corruption hit the SMB
+    /// transport, memory-server crashes force fail-over, and worker
+    /// crashes kill SEASGD ranks mid-run. In fault mode the platform
+    /// replaces its final MPI barrier with progress-board polling so that
+    /// survivors complete even when a peer never arrives.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -111,7 +111,10 @@ impl ShmCaffeA {
         }
 
         let fabric = match &self.fault_plan {
-            Some(plan) => Fabric::with_faults(self.spec, plan.clone()),
+            Some(plan) => {
+                plan.validate().map_err(PlatformError::BadConfig)?;
+                Fabric::with_faults(self.spec, plan.clone())
+            }
             None => Fabric::new(self.spec),
         };
         let fault_mode = self.fault_plan.is_some();
@@ -403,6 +406,16 @@ mod tests {
         assert!(matches!(
             ShmCaffeA::new(spec, 2, bad_cfg).run(quick_factory()),
             Err(PlatformError::BadConfig(_))
+        ));
+    }
+
+    #[test]
+    fn invalid_fault_plan_is_a_bad_config() {
+        let plan = FaultPlan::new(1).with_op_failure_prob(1.5);
+        let platform = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 2, quick_cfg(5));
+        assert!(matches!(
+            platform.with_fault_plan(plan).run(quick_factory()),
+            Err(PlatformError::BadConfig(msg)) if msg.contains("op_failure_prob")
         ));
     }
 

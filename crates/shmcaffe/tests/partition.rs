@@ -172,3 +172,35 @@ fn partition_runs_are_bit_identical_given_the_seed() {
         assert_eq!(x.pushes, y.pushes);
     }
 }
+
+/// A node cut off for a window is a partition of that node from the rest:
+/// a one-second isolation of the only memory server is ridden out in
+/// degraded mode, not turned into a failed run. `progress_every` at the
+/// budget keeps plain board ops out of the window, so the exchange meets it.
+#[test]
+fn isolated_memory_server_is_ridden_out_in_degraded_mode() {
+    const ITERS: usize = 60;
+    let spec = ClusterSpec::paper_testbed(1);
+    let server = NodeId(spec.gpu_nodes);
+    let plan = FaultPlan::new(3).partition(
+        vec![vec![server], vec![NodeId(0)]],
+        SimTime::from_millis(100),
+        Some(SimTime::from_millis(1100)),
+    );
+    let cfg = ShmCaffeConfig {
+        max_iters: ITERS,
+        progress_every: ITERS,
+        jitter: JitterModel::NONE,
+        ..Default::default()
+    };
+    let report = ShmCaffeA::new(spec, 4, cfg)
+        .with_fault_plan(plan)
+        .run(factory())
+        .expect("an isolated memory server is ridden out");
+    for w in &report.workers {
+        assert_eq!(w.iters, ITERS as u64, "rank {} shortchanged", w.rank);
+    }
+    assert!(report.total_faults() > 0, "the exchange must meet the isolation");
+    assert!(report.total_partition_buffered() > 0, "increments buffered while cut off");
+    assert!(report.total_reconciled_updates() > 0, "the backlog replays after the heal");
+}

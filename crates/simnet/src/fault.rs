@@ -1,8 +1,9 @@
 //! Deterministic fault injection for the simulated fabric.
 //!
-//! A [`FaultPlan`] is a declarative, seeded schedule of link outages,
-//! per-operation failure probability, worker and memory-server crashes,
-//! partitions and corruption. The plan is attached to a
+//! A [`FaultPlan`] is a declarative, seeded schedule of per-operation
+//! failure probability, worker and memory-server crashes, partitions and
+//! corruption. A node cut off for a window (a flapping link) is a partition
+//! of that node from the rest. The plan is attached to a
 //! [`Fabric`](crate::topology::Fabric) via
 //! [`Fabric::with_faults`](crate::topology::Fabric::with_faults); every
 //! transfer then consults the shared [`FaultInjector`], so two runs with
@@ -11,9 +12,10 @@
 //! Fault semantics follow the platform split the paper implies:
 //!
 //! * **Fallible paths** (RDMA verbs / SMB transport) *fail fast*: a
-//!   transfer attempted inside a link-down window, or unlucky under the
-//!   per-op failure probability, pays a detection latency and returns a
-//!   [`FaultError`] for the caller's retry policy to handle.
+//!   transfer across an active partition, to a crashed memory server, or
+//!   unlucky under the per-op failure probability, pays a detection
+//!   latency and returns a [`FaultError`] for the caller's retry policy to
+//!   handle.
 //! * **Infallible paths** (the MPI/TCP substrate of the synchronous
 //!   baselines) *ride out* outages: the transfer silently waits for the
 //!   window to close, which is exactly how a reliable byte stream behaves
@@ -31,18 +33,6 @@ use crate::{SimDuration, SimTime};
 /// Virtual time a fallible operation spends detecting a fault before
 /// returning an error (models the RDMA completion-queue timeout).
 pub(crate) const DETECTION_LATENCY: SimDuration = SimDuration::from_micros(500);
-
-/// One scheduled link outage on a node's HCA: fallible transfers error
-/// out, infallible ones wait for the window to close.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFault {
-    /// Endpoint whose HCA is affected (either direction).
-    pub node: NodeId,
-    /// Window start (inclusive).
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-}
 
 /// A scheduled worker death: the worker with this rank stops training at
 /// the given virtual time and never comes back.
@@ -138,7 +128,11 @@ impl PartitionFault {
 ///
 /// let plan = FaultPlan::new(42)
 ///     .with_op_failure_prob(0.01)
-///     .link_down(NodeId(1), SimTime::from_millis(10), SimTime::from_millis(12))
+///     .partition(
+///         vec![vec![NodeId(1)], vec![NodeId(0)]],
+///         SimTime::from_millis(10),
+///         Some(SimTime::from_millis(12)),
+///     )
 ///     .crash_worker(2, SimTime::from_millis(50));
 /// assert!(plan.validate().is_ok());
 /// ```
@@ -148,8 +142,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability that any single fallible fabric operation fails.
     pub op_failure_prob: f64,
-    /// Scheduled link outages.
-    pub link_faults: Vec<LinkFault>,
     /// Scheduled worker deaths.
     pub worker_crashes: Vec<WorkerCrash>,
     /// Scheduled memory-server deaths (permanent; clients must fail over).
@@ -175,7 +167,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             op_failure_prob: 0.0,
-            link_faults: Vec::new(),
             worker_crashes: Vec::new(),
             memory_server_crashes: Vec::new(),
             partitions: Vec::new(),
@@ -188,12 +179,6 @@ impl FaultPlan {
     /// Sets the per-operation failure probability (`0.0..=1.0`).
     pub fn with_op_failure_prob(mut self, p: f64) -> Self {
         self.op_failure_prob = p;
-        self
-    }
-
-    /// Schedules a link-down window on a node's HCA.
-    pub fn link_down(mut self, node: NodeId, from: SimTime, until: SimTime) -> Self {
-        self.link_faults.push(LinkFault { node, from, until });
         self
     }
 
@@ -277,11 +262,6 @@ impl FaultPlan {
         if !(0.0..=1.0).contains(&self.torn_write_prob) {
             return Err(format!("torn_write_prob {} out of [0, 1]", self.torn_write_prob));
         }
-        for lf in &self.link_faults {
-            if lf.from >= lf.until {
-                return Err(format!("link fault on {} has empty window", lf.node));
-            }
-        }
         for p in &self.partitions {
             if p.groups.len() < 2 {
                 return Err("partition needs at least two groups".to_string());
@@ -315,8 +295,6 @@ impl FaultPlan {
 pub struct FaultStats {
     /// Fallible operations failed by the per-op probability draw.
     pub injected_op_failures: u64,
-    /// Fallible operations that hit a link-down window.
-    pub link_down_hits: u64,
     /// Fallible operations that touched a crashed memory server.
     pub memory_server_crash_hits: u64,
     /// Fallible operations severed by an active network partition.
@@ -407,17 +385,6 @@ impl FaultInjector {
     /// Injection counters so far.
     pub fn stats(&self) -> FaultStats {
         *self.inner.stats.lock()
-    }
-
-    /// If `node`'s link is down at `now`, the outage's end.
-    pub fn down_until(&self, node: NodeId, now: SimTime) -> Option<SimTime> {
-        self.inner
-            .plan
-            .link_faults
-            .iter()
-            .filter(|l| l.node == node && l.from <= now && now < l.until)
-            .map(|l| l.until)
-            .max()
     }
 
     /// Draws the per-operation failure coin. Always consumes exactly one
@@ -541,10 +508,6 @@ impl FaultInjector {
         self.partitioned_until(from, to, now).is_some()
     }
 
-    pub(crate) fn record_link_down_hit(&self) {
-        self.inner.stats.lock().link_down_hits += 1;
-    }
-
     pub(crate) fn record_memory_server_crash_hit(&self) {
         self.inner.stats.lock().memory_server_crash_hits += 1;
     }
@@ -557,13 +520,6 @@ impl FaultInjector {
 /// Why a fallible fabric operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultError {
-    /// The transfer touched a node whose link was down.
-    LinkDown {
-        /// The node whose HCA was down.
-        node: NodeId,
-        /// Virtual time the failure was detected.
-        at: SimTime,
-    },
     /// The per-operation failure draw fired for this transfer.
     Injected {
         /// Transfer source.
@@ -574,8 +530,8 @@ pub enum FaultError {
         at: SimTime,
     },
     /// The transfer touched a permanently crashed endpoint (a memory
-    /// server). Unlike [`FaultError::LinkDown`], retrying against the same
-    /// endpoint can never succeed — the caller should fail over.
+    /// server). Retrying against the same endpoint can never succeed — the
+    /// caller should fail over.
     NodeCrashed {
         /// The crashed endpoint.
         node: NodeId,
@@ -599,9 +555,6 @@ pub enum FaultError {
 impl fmt::Display for FaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultError::LinkDown { node, at } => {
-                write!(f, "link down at {} (t={} ns)", node, at.as_nanos())
-            }
             FaultError::Injected { from, to, at } => {
                 write!(f, "injected fault on {from}->{to} (t={} ns)", at.as_nanos())
             }
@@ -625,35 +578,34 @@ mod tests {
     fn plan_builder_and_validation() {
         let plan = FaultPlan::new(7)
             .with_op_failure_prob(0.25)
-            .link_down(NodeId(0), SimTime::from_millis(1), SimTime::from_millis(2))
+            .partition(vec![vec![NodeId(0)], vec![NodeId(1)]], SimTime::from_millis(1), None)
             .crash_worker(3, SimTime::from_millis(6));
         assert!(plan.validate().is_ok());
         assert_eq!(plan.crashed_ranks(), vec![3]);
 
         let bad = FaultPlan::new(0).with_op_failure_prob(1.5);
         assert!(bad.validate().is_err());
-        let empty_window = FaultPlan::new(0).link_down(
-            NodeId(0),
+        let empty_window = FaultPlan::new(0).partition(
+            vec![vec![NodeId(0)], vec![NodeId(1)]],
             SimTime::from_millis(2),
-            SimTime::from_millis(2),
+            Some(SimTime::from_millis(2)),
         );
         assert!(empty_window.validate().is_err());
     }
 
     #[test]
     fn windows_are_half_open() {
-        let inj = FaultInjector::new(FaultPlan::new(1).link_down(
-            NodeId(0),
+        let inj = FaultInjector::new(FaultPlan::new(1).partition(
+            vec![vec![NodeId(0)], vec![NodeId(1)]],
             SimTime::from_millis(10),
-            SimTime::from_millis(20),
+            Some(SimTime::from_millis(20)),
         ));
-        assert_eq!(inj.down_until(NodeId(0), SimTime::from_millis(9)), None);
-        assert_eq!(
-            inj.down_until(NodeId(0), SimTime::from_millis(10)),
-            Some(SimTime::from_millis(20))
-        );
-        assert_eq!(inj.down_until(NodeId(0), SimTime::from_millis(20)), None);
-        assert_eq!(inj.down_until(NodeId(1), SimTime::from_millis(15)), None);
+        let until = |from, to, ms| inj.partitioned_until(from, to, SimTime::from_millis(ms));
+        assert_eq!(until(NodeId(0), NodeId(1), 9), None);
+        assert_eq!(until(NodeId(0), NodeId(1), 10), Some(Some(SimTime::from_millis(20))));
+        assert_eq!(until(NodeId(1), NodeId(0), 19), Some(Some(SimTime::from_millis(20))));
+        assert_eq!(until(NodeId(0), NodeId(1), 20), None);
+        assert_eq!(until(NodeId(0), NodeId(2), 15), None);
     }
 
     #[test]
@@ -907,10 +859,8 @@ mod tests {
 
     #[test]
     fn fault_error_display_and_source() {
-        let e = FaultError::LinkDown { node: NodeId(3), at: SimTime::from_millis(1) };
-        assert!(e.to_string().contains("node3"));
-        let e2 = FaultError::Injected { from: NodeId(0), to: NodeId(4), at: SimTime::ZERO };
-        assert!(e2.to_string().contains("node0->node4"));
+        let e = FaultError::Injected { from: NodeId(0), to: NodeId(4), at: SimTime::ZERO };
+        assert!(e.to_string().contains("node0->node4"));
         let e3 = FaultError::NodeCrashed { node: NodeId(8), at: SimTime::from_millis(2) };
         assert!(e3.to_string().contains("node8 crashed"));
         let e4 = FaultError::Partitioned { from: NodeId(1), to: NodeId(8), at: SimTime::ZERO };

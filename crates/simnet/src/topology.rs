@@ -252,16 +252,6 @@ impl Fabric {
                 ctx.sleep(DETECTION_LATENCY);
                 return Err(FaultError::NodeCrashed { node, at: ctx.now() });
             }
-            let down = [from, to].iter().find_map(|&n| inj.down_until(n, now).map(|u| (n, u)));
-            if let Some((node, until)) = down {
-                if fallible {
-                    inj.record_link_down_hit();
-                    ctx.sleep(DETECTION_LATENCY);
-                    return Err(FaultError::LinkDown { node, at: ctx.now() });
-                }
-                ctx.sleep_until(until);
-                continue;
-            }
             // A severed partition is directional: only the from->to path is
             // consulted, so an asymmetric plan can black-hole one side while
             // the reverse direction keeps flowing.
@@ -439,41 +429,6 @@ mod tests {
         // Node 0 sends and receives concurrently: 1 s total.
         let end = sim.run();
         assert!((end.as_secs_f64() - 1.0).abs() < 0.01, "{}", end.as_secs_f64());
-    }
-
-    #[test]
-    fn infallible_transfer_rides_out_link_down() {
-        use crate::fault::FaultPlan;
-        use crate::SimTime;
-        let plan = FaultPlan::new(1).link_down(NodeId(1), SimTime::ZERO, SimTime::from_millis(250));
-        let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(2), plan);
-        let f = fabric.clone();
-        let mut sim = Simulation::new();
-        sim.spawn("w", move |ctx| {
-            let rep = f.net_transfer(&ctx, NodeId(0), NodeId(1), 7_000_000);
-            // Started only after the outage cleared at 250 ms.
-            assert!(rep.start >= SimTime::from_millis(250));
-        });
-        let end = sim.run();
-        assert!(end.as_millis_f64() >= 250.0, "{}", end.as_millis_f64());
-    }
-
-    #[test]
-    fn fallible_transfer_fails_fast_during_link_down() {
-        use crate::fault::{FaultError, FaultPlan};
-        use crate::SimTime;
-        let plan = FaultPlan::new(1).link_down(NodeId(1), SimTime::ZERO, SimTime::from_secs(1));
-        let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(2), plan);
-        let f = fabric.clone();
-        let mut sim = Simulation::new();
-        sim.spawn("w", move |ctx| {
-            let err = f.fault_check(&ctx, NodeId(0), NodeId(1)).unwrap_err();
-            assert!(matches!(err, FaultError::LinkDown { node: NodeId(1), .. }));
-            // Paid only detection latency, not the 1 s outage.
-            assert_eq!(ctx.now(), SimTime::from_micros(500));
-        });
-        sim.run();
-        assert_eq!(fabric.fault_injector().unwrap().stats().link_down_hits, 1);
     }
 
     #[test]

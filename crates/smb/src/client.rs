@@ -3,7 +3,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shmcaffe_rdma::{MemoryRegion, RdmaError};
+use shmcaffe_rdma::MemoryRegion;
 use shmcaffe_simnet::fault::FaultError;
 use shmcaffe_simnet::resource::transfer_path_stream;
 use shmcaffe_simnet::topology::NodeId;
@@ -815,16 +815,12 @@ impl SmbClient {
         })
     }
 
-    /// Wraps a fabric fault as [`SmbError::Unavailable`] with the failed
-    /// queue pair identified, marking that pair faulted so the retry loop's
-    /// next attempt pays its re-arm.
+    /// Hands a fabric fault to the retry loop as [`SmbError::Unavailable`],
+    /// marking the queue pair to `server` faulted so the loop's next
+    /// attempt pays its re-arm.
     fn unavailable(&self, server: &SmbServer, key: ShmKey, fault: FaultError) -> SmbError {
         server.rdma().fault_qp(self.local, server.node());
-        SmbError::Unavailable {
-            key,
-            node: server.node(),
-            cause: RdmaError::QpFault { local: self.local, remote: server.node(), fault },
-        }
+        SmbError::Unavailable { key, node: server.node(), fault }
     }
 
     /// Applies any seeded wire bit-flip to an inbound (read) payload — the
@@ -1353,20 +1349,23 @@ mod tests {
         sim.run();
     }
 
-    fn setup_faulty(nodes: usize, plan: shmcaffe_simnet::fault::FaultPlan) -> SmbServer {
-        let rdma = RdmaFabric::new(Fabric::with_faults(ClusterSpec::paper_testbed(nodes), plan));
+    /// A two-GPU-node testbed (memory server `NodeId(2)`) whose node 1 is
+    /// cut off from the rest over `[from, until)`.
+    fn setup_isolated(
+        seed: u64,
+        from: shmcaffe_simnet::SimTime,
+        until: shmcaffe_simnet::SimTime,
+    ) -> SmbServer {
+        use shmcaffe_simnet::fault::FaultPlan;
+        let groups = vec![vec![NodeId(1)], vec![NodeId(0), NodeId(2)]];
+        let plan = FaultPlan::new(seed).partition(groups, from, Some(until));
+        let rdma = RdmaFabric::new(Fabric::with_faults(ClusterSpec::paper_testbed(2), plan));
         SmbServer::new(rdma).unwrap()
     }
 
     fn read_through_outage(seed: u64) -> shmcaffe_simnet::SimTime {
-        use shmcaffe_simnet::fault::FaultPlan;
         use shmcaffe_simnet::SimTime;
-        let plan = FaultPlan::new(seed).link_down(
-            NodeId(1),
-            SimTime::from_millis(1),
-            SimTime::from_millis(3),
-        );
-        let server = setup_faulty(2, plan);
+        let server = setup_isolated(seed, SimTime::from_millis(1), SimTime::from_millis(3));
         let s = server.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
@@ -1390,12 +1389,12 @@ mod tests {
         });
         let end = sim.run();
         let stats = server.rdma().fabric().fault_injector().unwrap().stats();
-        assert!(stats.link_down_hits >= 1, "at least one failed attempt");
+        assert!(stats.partition_hits >= 1, "at least one failed attempt");
         end
     }
 
     #[test]
-    fn retrying_read_rides_out_link_down_window() {
+    fn retrying_read_rides_out_isolation_window() {
         read_through_outage(11);
     }
 
@@ -1405,11 +1404,9 @@ mod tests {
     }
 
     #[test]
-    fn retrying_write_times_out_against_dead_link() {
-        use shmcaffe_simnet::fault::FaultPlan;
+    fn retrying_write_times_out_against_cut_off_node() {
         use shmcaffe_simnet::{SimDuration, SimTime};
-        let plan = FaultPlan::new(5).link_down(NodeId(1), SimTime::ZERO, SimTime::from_secs(10));
-        let server = setup_faulty(2, plan);
+        let server = setup_isolated(5, SimTime::ZERO, SimTime::from_secs(10));
         let s = server.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
@@ -1438,22 +1435,20 @@ mod tests {
 
     #[test]
     fn retrying_write_stops_at_the_deadline_next_backoff_predicts() {
-        use shmcaffe_simnet::fault::FaultPlan;
         use shmcaffe_simnet::{SimDuration, SimTime};
-        let plan = FaultPlan::new(5).link_down(NodeId(1), SimTime::ZERO, SimTime::from_secs(10));
-        let server = setup_faulty(2, plan);
+        let server = setup_isolated(5, SimTime::ZERO, SimTime::from_secs(10));
         let s = server.clone();
         let mut sim = Simulation::new();
         sim.spawn("w", move |ctx| {
             let client = SmbClient::new(s.clone(), NodeId(1));
             let key = client.create(&ctx, "buf", 4, None).unwrap();
             let buf = client.alloc(&ctx, key).unwrap();
-            // One attempt alone: what a failed attempt costs on this link.
+            // One attempt alone: what a failed attempt costs across the cut.
             let once = RetryPolicy { max_attempts: 1, ..RetryPolicy::with_seed(1) };
             let Err(SmbError::Timeout { waited: attempt, .. }) =
                 client.write_retrying(&ctx, &buf, &[0.0; 4], &once)
             else {
-                panic!("a single attempt against a dead link times out");
+                panic!("a single attempt against a cut-off node times out");
             };
             // Deadline-bound: the attempt budget is never the limit.
             let policy = RetryPolicy {

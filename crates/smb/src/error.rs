@@ -1,6 +1,7 @@
 use std::fmt;
 
 use shmcaffe_rdma::RdmaError;
+use shmcaffe_simnet::fault::FaultError;
 use shmcaffe_simnet::topology::NodeId;
 use shmcaffe_simnet::SimDuration;
 
@@ -65,15 +66,15 @@ pub enum SmbError {
         /// Attempts made before giving up.
         attempts: u32,
     },
-    /// A single attempt failed with a transient transport error (the retry
-    /// layer surfaces this when it judges the error non-retriable).
+    /// A single attempt failed with a fabric fault (the retry layer
+    /// surfaces this when it judges the error non-retriable).
     Unavailable {
         /// The segment being accessed.
         key: ShmKey,
         /// The server node being reached.
         node: NodeId,
-        /// The transport failure.
-        cause: RdmaError,
+        /// The fabric's fault, as the fault plan raised it.
+        fault: FaultError,
     },
     /// The mutation carried a stale fencing epoch: a newer primary has
     /// been promoted since this client last refreshed its epoch, so the
@@ -146,8 +147,8 @@ impl fmt::Display for SmbError {
             SmbError::Timeout { key, node, waited, attempts } => {
                 write!(f, "op on {key} at {node} timed out after {attempts} attempts ({waited})")
             }
-            SmbError::Unavailable { key, node, cause } => {
-                write!(f, "{node} unavailable for {key}: {cause}")
+            SmbError::Unavailable { key, node, fault } => {
+                write!(f, "{node} unavailable for {key}: {fault}")
             }
             SmbError::FencedEpoch { key, node, carried, active } => {
                 write!(
@@ -173,7 +174,7 @@ impl std::error::Error for SmbError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SmbError::Rdma(e) => Some(e),
-            SmbError::Unavailable { cause, .. } => Some(cause),
+            SmbError::Unavailable { fault, .. } => Some(fault),
             _ => None,
         }
     }
@@ -189,34 +190,22 @@ impl SmbError {
     /// Whether the retry layer should try the operation again: transport
     /// faults and timeouts are transient, protocol errors are not.
     pub fn is_transient(&self) -> bool {
-        match self {
+        matches!(
+            self,
             SmbError::Timeout { .. }
-            | SmbError::Unavailable { .. }
-            | SmbError::FencedEpoch { .. }
-            | SmbError::Corrupted { .. }
-            | SmbError::CorruptedWire { .. } => true,
-            SmbError::Rdma(e) => matches!(e, RdmaError::QpFault { .. }),
-            _ => false,
-        }
+                | SmbError::Unavailable { .. }
+                | SmbError::FencedEpoch { .. }
+                | SmbError::Corrupted { .. }
+                | SmbError::CorruptedWire { .. }
+        )
     }
 
     /// Whether this error means the server endpoint itself has permanently
-    /// crashed (as opposed to a transient link fault). Retrying against
-    /// the same endpoint can never succeed; a replicated client fails over
-    /// to the standby instead (see [`crate::SmbPair`]).
+    /// crashed (as opposed to a transient fault). Retrying against the
+    /// same endpoint can never succeed; a replicated client fails over to
+    /// the standby instead (see [`crate::SmbPair`]).
     pub fn is_server_crash(&self) -> bool {
-        let cause = match self {
-            SmbError::Unavailable { cause, .. } => cause,
-            SmbError::Rdma(e) => e,
-            _ => return false,
-        };
-        matches!(
-            cause,
-            RdmaError::QpFault {
-                fault: shmcaffe_simnet::fault::FaultError::NodeCrashed { .. },
-                ..
-            }
-        )
+        matches!(self, SmbError::Unavailable { fault: FaultError::NodeCrashed { .. }, .. })
     }
 
     /// Whether this error is a fencing rejection: the client's epoch is
@@ -239,24 +228,13 @@ impl SmbError {
         )
     }
 
-    /// Whether the underlying transport cause is a seeded network
-    /// partition ([`shmcaffe_simnet::fault::FaultError::Partitioned`]).
-    /// The retry layer combines this with the pair's authority state:
-    /// a partition alone is ridden out, but a partition *plus* an expired
-    /// primary lease triggers failover to the standby.
+    /// Whether the fabric's fault is a seeded network partition
+    /// ([`FaultError::Partitioned`]). The retry layer combines this with
+    /// the pair's authority state: a partition alone is ridden out, but a
+    /// partition *plus* an expired primary lease triggers failover to the
+    /// standby.
     pub fn is_partitioned(&self) -> bool {
-        let cause = match self {
-            SmbError::Unavailable { cause, .. } => cause,
-            SmbError::Rdma(e) => e,
-            _ => return false,
-        };
-        matches!(
-            cause,
-            RdmaError::QpFault {
-                fault: shmcaffe_simnet::fault::FaultError::Partitioned { .. },
-                ..
-            }
-        )
+        matches!(self, SmbError::Unavailable { fault: FaultError::Partitioned { .. }, .. })
     }
 }
 
@@ -277,34 +255,29 @@ mod tests {
     }
 
     #[test]
-    fn unavailable_chains_to_the_rdma_cause() {
+    fn unavailable_chains_to_the_fabric_fault() {
+        use shmcaffe_simnet::SimTime;
         use std::error::Error;
-        let cause = RdmaError::BadNode(NodeId(9));
-        let e = SmbError::Unavailable { key: ShmKey(2), node: NodeId(4), cause };
+        let fault = FaultError::Injected { from: NodeId(9), to: NodeId(4), at: SimTime::ZERO };
+        let e = SmbError::Unavailable { key: ShmKey(2), node: NodeId(4), fault };
         let src = e.source().expect("source chained");
-        assert!(src.to_string().contains("node9"));
+        assert_eq!(src.downcast_ref::<FaultError>(), Some(&fault));
+        assert!(src.to_string().contains("node9->node4"));
         assert!(e.to_string().contains("shm:2"));
     }
 
     #[test]
     fn server_crash_classification() {
-        use shmcaffe_simnet::fault::FaultError;
         use shmcaffe_simnet::SimTime;
-        let crash = FaultError::NodeCrashed { node: NodeId(4), at: SimTime::ZERO };
-        let e = SmbError::Unavailable {
-            key: ShmKey(1),
-            node: NodeId(4),
-            cause: RdmaError::QpFault { local: NodeId(0), remote: NodeId(4), fault: crash },
-        };
+        let unavailable = |fault| SmbError::Unavailable { key: ShmKey(1), node: NodeId(4), fault };
+        let e = unavailable(FaultError::NodeCrashed { node: NodeId(4), at: SimTime::ZERO });
         assert!(e.is_server_crash());
+        assert!(!e.is_partitioned());
         assert!(e.is_transient(), "crash is still retried — the retry loop fails over");
-        let link = FaultError::LinkDown { node: NodeId(4), at: SimTime::ZERO };
-        let e2 = SmbError::Unavailable {
-            key: ShmKey(1),
-            node: NodeId(4),
-            cause: RdmaError::QpFault { local: NodeId(0), remote: NodeId(4), fault: link },
-        };
+        let cut = FaultError::Partitioned { from: NodeId(0), to: NodeId(4), at: SimTime::ZERO };
+        let e2 = unavailable(cut);
         assert!(!e2.is_server_crash());
+        assert!(e2.is_partitioned());
         assert!(!SmbError::NoMemoryServer.is_server_crash());
     }
 

@@ -488,9 +488,8 @@ impl SmbPair {
         fabric.fault_check(ctx, from, to).map_err(|fault| SmbError::Unavailable {
             key: ShmKey(0),
             node: from,
-            cause: shmcaffe_rdma::RdmaError::QpFault { local: to, remote: from, fault },
-        })?;
-        Ok(())
+            fault,
+        })
     }
 
     /// Runs the replication loop: one pass every `interval` of virtual

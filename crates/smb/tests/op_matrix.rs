@@ -1,6 +1,6 @@
 //! Behavioural oracle for the SMB client's data plane: one seeded scenario
 //! that drives every public data entry point of [`SmbClient`] through
-//! link-down windows, wire flips, torn writes, a DRAM decay and a primary
+//! an isolation window, wire flips, torn writes, a DRAM decay and a primary
 //! crash, fingerprinted call by call. The fingerprint was captured on the
 //! commit *before* the op pipeline was collapsed to one executor (PR 15),
 //! so any change to pricing, gating, admission order or the injector's
@@ -167,7 +167,11 @@ fn run_matrix() -> Observed {
     let primary_node = NodeId(spec.gpu_nodes);
     let ms = SimTime::from_millis;
     let plan = FaultPlan::new(0x0915)
-        .link_down(NodeId(1), ms(40), ms(55))
+        .partition(
+            vec![vec![NodeId(1)], vec![NodeId(0), primary_node, NodeId(spec.gpu_nodes + 1)]],
+            ms(40),
+            Some(ms(55)),
+        )
         .with_wire_flip_prob(0.12)
         .with_torn_write_prob(0.10)
         .decay_dram(primary_node, ms(100))
@@ -211,7 +215,7 @@ fn run_matrix() -> Observed {
                     step += 1;
                 }
             };
-            // Healthy rounds up to client 1's link-down window: its round in
+            // Healthy rounds up to client 1's isolation window: its round in
             // flight at 40 ms runs the rest of its ops in-window (retrying
             // ops fail fast and back off, plain ops stall), client 0's run
             // out-of-window beside it.
@@ -294,7 +298,7 @@ fn op_matrix_fingerprint_matches_the_parent_capture() {
     .collect();
     assert_eq!(seen.entries, want);
     assert!(seen.promoted, "the crash must force a fail-over");
-    assert!(seen.injected.link_down_hits > 0, "{:?}", seen.injected);
+    assert!(seen.injected.partition_hits > 0, "{:?}", seen.injected);
     assert!(seen.injected.wire_flips > 0 && seen.injected.torn_writes > 0, "{:?}", seen.injected);
     assert_eq!(seen.injected.dram_decays_applied, 1, "{:?}", seen.injected);
     assert!(seen.injected.memory_server_crash_hits > 0, "{:?}", seen.injected);

@@ -7,7 +7,10 @@
 # op-matrix golden, and the SEASGD chaos / failover / partition scenarios,
 # the per-shard fail-over of sharded lanes (`exchange_equivalence.rs::
 # sharded_lanes_fail_over_per_shard`) and the platform goldens
-# (`crates/shmcaffe/tests/`).
+# (`crates/shmcaffe/tests/`). The last line runs the root integration
+# suite (`tests/{smb_protocol,seasgd_algebra,distributed_training,
+# inception_hybrid}.rs`) with the detector compiled into the shmcaffe
+# stack it drives.
 #
 #   scripts/race.sh
 set -euo pipefail
@@ -17,3 +20,5 @@ for crate in shmcaffe-simnet shmcaffe-smb shmcaffe; do
     echo "-- race-detect: $crate"
     cargo test -q -p "$crate" --features race-detect
 done
+echo "-- race-detect: shmcaffe-repro (root integration suite)"
+cargo test -q -p shmcaffe-repro --features shmcaffe/race-detect
