@@ -10,6 +10,11 @@
 //! Each process parks its OS thread on a condvar of its own, and a grant
 //! wakes exactly the granted thread (DESIGN.md §5k); only an abort — a
 //! process panic or a detected deadlock — wakes everyone.
+//!
+//! A process may also leave one message with the scheduler for delivery at
+//! a later instant ([`crate::channel::SimChannel::send_at`]); the scheduler
+//! performs that send where the sender's own grant at that instant would
+//! fall, so the sender need not be woken just to post it.
 
 #![allow(
     clippy::disallowed_types,
@@ -54,15 +59,28 @@ struct ProcSlot {
     /// paired with the scheduler's state mutex and signalled only when this
     /// process is granted (or the simulation aborts).
     parked: Arc<Condvar>,
+    /// The send this process left with the scheduler, if any (see
+    /// [`Core::post`]).
+    delivery: Option<Delivery>,
     /// This process's vector clock (one component per pid), advanced along
     /// synchronization edges for the happens-before race detector.
     #[cfg(feature = "race-detect")]
     vclock: Vec<u64>,
 }
 
+/// A send the scheduler performs on its sender's behalf, due at `at`.
+pub(crate) struct Delivery {
+    pub(crate) at: SimTime,
+    /// Enqueues the message and returns the parked receiver to wake, if any.
+    pub(crate) post: Box<dyn FnOnce() -> Option<Pid> + Send>,
+}
+
 struct SchedState {
     procs: Vec<ProcSlot>,
     unfinished: usize,
+    /// How many slots hold a delivery: while zero, dispatch skips the scan
+    /// for due deliveries altogether.
+    deliveries_pending: usize,
     /// True once `run()` has performed the initial dispatch.
     started: bool,
     panic_message: Option<String>,
@@ -82,6 +100,9 @@ pub struct SchedStats {
     /// OS-thread wake-ups issued: one per grant to another process, plus one
     /// per process when a panic or deadlock aborts the run.
     pub wakes_issued: u64,
+    /// Sends the scheduler performed for a sender (see
+    /// [`crate::channel::SimChannel::send_at`]); none of them is a grant.
+    pub deliveries: u64,
 }
 
 /// Recording/forcing state for one explored run (see [`crate::explore`]).
@@ -130,6 +151,7 @@ impl Core {
             state: Mutex::new(SchedState {
                 procs: Vec::new(),
                 unfinished: 0,
+                deliveries_pending: 0,
                 started: false,
                 panic_message: None,
                 stats: SchedStats::default(),
@@ -287,20 +309,41 @@ impl Core {
     ///
     /// Once a panic or deadlock is recorded (see [`Core::abort`]), no
     /// further grants are made.
+    ///
+    /// A pending delivery keyed `(at, sender)` runs at its sender's grant
+    /// when that grant is at `at`, before the sender runs; otherwise it runs
+    /// on its own where that grant would have fallen in `(time, pid)` order.
+    /// Either way every grant keeps its place in the order it would have had
+    /// if the sender had slept until `at` and sent the message itself.
     #[must_use]
     fn dispatch(&self, state: &mut SchedState, from: Option<Pid>) -> Option<Arc<Condvar>> {
         if state.panic_message.is_some() {
             return None;
         }
-        let next = state
-            .procs
-            .iter()
-            .enumerate()
-            .filter_map(|(pid, p)| match p.status {
-                Status::Runnable(at) => Some((at, pid)),
-                _ => None,
-            })
-            .min();
+        let next = loop {
+            let next = state
+                .procs
+                .iter()
+                .enumerate()
+                .filter_map(|(pid, p)| match p.status {
+                    Status::Runnable(at) => Some((at, pid)),
+                    _ => None,
+                })
+                .min();
+            if state.deliveries_pending == 0 {
+                break next;
+            }
+            let due = state
+                .procs
+                .iter()
+                .enumerate()
+                .filter_map(|(pid, p)| p.delivery.as_ref().map(|d| (d.at, pid)))
+                .min();
+            match due {
+                Some(key) if next.is_none_or(|grant| key < grant) => Self::deliver(state, key.1),
+                _ => break next,
+            }
+        };
         match next {
             Some((at, pid)) => {
                 // Equal-time ties are a schedule choice point: under
@@ -319,6 +362,9 @@ impl Core {
                 } else {
                     pid
                 };
+                if state.procs[pid].delivery.as_ref().is_some_and(|d| d.at <= at) {
+                    Self::deliver(state, pid);
+                }
                 let slot = &mut state.procs[pid];
                 slot.status = Status::Running;
                 slot.clock = slot.clock.max(at);
@@ -348,6 +394,21 @@ impl Core {
                 self.done.notify_one();
                 None
             }
+        }
+    }
+
+    /// Performs `pid`'s pending delivery: the message joins its channel at
+    /// the delivery instant and the receiver it names is woken then.
+    fn deliver(state: &mut SchedState, pid: Pid) {
+        let Delivery { at, post } =
+            state.procs[pid].delivery.take().expect("deliver is called on a pending delivery");
+        state.deliveries_pending -= 1;
+        state.stats.deliveries += 1;
+        // The channel lock nests inside the state lock only here, and only
+        // the one running process ever dispatches, so no thread can hold
+        // them the other way round.
+        if let Some(receiver) = post() {
+            Self::wake_slot(&mut state.procs[receiver], at);
         }
     }
 
@@ -417,12 +478,32 @@ impl Core {
         self.switch(state, pid);
     }
 
-    /// Parks the process until another process calls [`Core::wake`].
-    pub(crate) fn block(&self, pid: Pid) {
+    /// Parks the process until another process calls [`Core::wake`], and
+    /// in any case until `not_before`: the process first sleeps to that
+    /// instant in effect (its clock moves there), so no wake can grant it
+    /// earlier.
+    pub(crate) fn block(&self, pid: Pid, not_before: SimTime) {
         let mut state = self.state.lock();
-        debug_assert_eq!(state.procs[pid].status, Status::Running);
-        state.procs[pid].status = Status::Blocked;
+        let slot = &mut state.procs[pid];
+        debug_assert_eq!(slot.status, Status::Running);
+        slot.clock = slot.clock.max(not_before);
+        slot.status = Status::Blocked;
         self.switch(state, pid);
+    }
+
+    /// Leaves `pid`'s one send with the scheduler, which performs it at
+    /// `delivery.at` (see [`Core::dispatch`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` already has a delivery pending.
+    pub(crate) fn post(&self, pid: Pid, delivery: Delivery) {
+        let mut state = self.state.lock();
+        let slot = &mut state.procs[pid];
+        assert!(slot.delivery.is_none(), "{} already has a delivery pending", slot.name);
+        debug_assert!(delivery.at >= slot.clock, "a delivery cannot be in the past");
+        slot.delivery = Some(delivery);
+        state.deliveries_pending += 1;
     }
 
     /// Parks the process until another process calls [`Core::wake`] or the
@@ -442,8 +523,10 @@ impl Core {
     /// Called by the (unique) running process, so `at >=` every other
     /// process's grantable time and ordering is preserved.
     pub(crate) fn wake(&self, pid: Pid, at: SimTime) {
-        let mut state = self.state.lock();
-        let slot = &mut state.procs[pid];
+        Self::wake_slot(&mut self.state.lock().procs[pid], at);
+    }
+
+    fn wake_slot(slot: &mut ProcSlot, at: SimTime) {
         match slot.status {
             Status::Blocked => {
                 slot.status = Status::Runnable(slot.clock.max(at));
@@ -483,6 +566,7 @@ impl Core {
             status: Status::Runnable(initial_clock),
             timed_wait: false,
             parked: Arc::new(Condvar::new()),
+            delivery: None,
             #[cfg(feature = "race-detect")]
             vclock: Vec::new(),
         });

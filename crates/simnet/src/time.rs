@@ -131,16 +131,18 @@ impl SimDuration {
     }
 }
 
+// Additions saturate at `u64::MAX` ns (≈ 584 years), so "forever" — a
+// `u64::MAX` timeout, say — stays forever instead of wrapping to the past.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -154,13 +156,13 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -208,6 +210,21 @@ mod tests {
         assert_eq!(t2.since(t).as_nanos(), 500_000);
         // Saturating subtraction.
         assert_eq!((t - t2).as_nanos(), 0);
+    }
+
+    #[test]
+    fn additions_saturate_instead_of_wrapping() {
+        let max = SimDuration::from_nanos(u64::MAX);
+        let mut t = SimTime::from_millis(1) + max;
+        assert_eq!(t.as_nanos(), u64::MAX);
+        t += SimDuration::from_nanos(1);
+        assert_eq!(t.as_nanos(), u64::MAX);
+        let mut d = max + SimDuration::from_nanos(1);
+        assert_eq!(d, max);
+        d += max;
+        assert_eq!(d, max);
+        let total: SimDuration = [max, max].into_iter().sum();
+        assert_eq!(total, max);
     }
 
     #[test]

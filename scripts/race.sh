@@ -7,10 +7,12 @@
 # op-matrix golden, and the SEASGD chaos / failover / partition scenarios,
 # the per-shard fail-over of sharded lanes (`exchange_equivalence.rs::
 # sharded_lanes_fail_over_per_shard`) and the platform goldens
-# (`crates/shmcaffe/tests/`). The last line runs the root integration
-# suite (`tests/{smb_protocol,seasgd_algebra,distributed_training,
-# inception_hybrid}.rs`) with the detector compiled into the shmcaffe
-# stack it drives.
+# (`crates/shmcaffe/tests/`). Then the MPI substrate's suite runs with
+# the detector compiled into simnet, so the send→receive edge of every
+# scheduler-delivered ring step (`SimChannel::send_at`) is checked. The
+# last line runs the root integration suite (`tests/{smb_protocol,
+# seasgd_algebra,distributed_training,inception_hybrid}.rs`) with the
+# detector compiled into the shmcaffe stack it drives.
 #
 #   scripts/race.sh
 set -euo pipefail
@@ -20,5 +22,7 @@ for crate in shmcaffe-simnet shmcaffe-smb shmcaffe; do
     echo "-- race-detect: $crate"
     cargo test -q -p "$crate" --features race-detect
 done
+echo "-- race-detect: shmcaffe-mpi (collectives over scheduler-delivered sends)"
+cargo test -q -p shmcaffe-mpi --features shmcaffe-simnet/race-detect
 echo "-- race-detect: shmcaffe-repro (root integration suite)"
 cargo test -q -p shmcaffe-repro --features shmcaffe/race-detect
