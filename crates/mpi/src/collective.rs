@@ -35,9 +35,8 @@ impl Comm {
                 self.send(ctx, dst, TAG_BARRIER_DOWN, MpiData::U64s(vec![0]));
             }
         } else {
-            let up = MpiData::U64s(vec![0]);
-            let bytes = up.byte_len();
-            let _ = self.sendrecv_wire(ctx, (0, TAG_BARRIER_UP), up, bytes, (0, TAG_BARRIER_DOWN));
+            self.send(ctx, 0, TAG_BARRIER_UP, MpiData::U64s(vec![0]));
+            let _ = self.recv(ctx, Some(0), TAG_BARRIER_DOWN);
         }
     }
 
@@ -117,10 +116,9 @@ impl Comm {
         for step in 0..size - 1 {
             let send_chunk = (rank + size - step) % size;
             let recv_chunk = (rank + size - step - 1) % size;
-            let payload = MpiData::F32s(data[starts[send_chunk]..starts[send_chunk + 1]].to_vec());
-            let incoming = self
-                .sendrecv_wire(ctx, (next, TAG_RING_RS), payload, chunk_wire, (prev, TAG_RING_RS))
-                .into_f32s();
+            let payload = data[starts[send_chunk]..starts[send_chunk + 1]].to_vec();
+            self.send_wire(ctx, next, TAG_RING_RS, MpiData::F32s(payload), chunk_wire);
+            let (_, incoming) = self.recv_f32s(ctx, Some(prev), TAG_RING_RS);
             let dst = &mut data[starts[recv_chunk]..starts[recv_chunk + 1]];
             assert_eq!(incoming.len(), dst.len(), "ring chunk mismatch");
             for (d, v) in dst.iter_mut().zip(incoming.iter()) {
@@ -131,10 +129,9 @@ impl Comm {
         for step in 0..size - 1 {
             let send_chunk = (rank + 1 + size - step) % size;
             let recv_chunk = (rank + size - step) % size;
-            let payload = MpiData::F32s(data[starts[send_chunk]..starts[send_chunk + 1]].to_vec());
-            let incoming = self
-                .sendrecv_wire(ctx, (next, TAG_RING_AG), payload, chunk_wire, (prev, TAG_RING_AG))
-                .into_f32s();
+            let payload = data[starts[send_chunk]..starts[send_chunk + 1]].to_vec();
+            self.send_wire(ctx, next, TAG_RING_AG, MpiData::F32s(payload), chunk_wire);
+            let (_, incoming) = self.recv_f32s(ctx, Some(prev), TAG_RING_AG);
             let dst = &mut data[starts[recv_chunk]..starts[recv_chunk + 1]];
             dst.copy_from_slice(&incoming);
         }

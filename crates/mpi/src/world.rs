@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::topology::{Fabric, NodeId};
-use shmcaffe_simnet::{SimContext, SimTime};
+use shmcaffe_simnet::SimContext;
 
 /// Message tag, matching MPI's integer tags.
 pub type Tag = u32;
@@ -194,60 +194,18 @@ impl Comm {
         data: MpiData,
         wire_bytes: u64,
     ) {
-        if let Some(lands) = self.reserve(ctx, dst, wire_bytes) {
-            ctx.sleep_until(lands);
+        let dst_node = self.world.node_of[dst];
+        let src_node = self.node();
+        if wire_bytes > 0 && dst != self.rank {
+            self.world.fabric.net_transfer(ctx, src_node, dst_node, wire_bytes);
         }
         self.world.mailboxes[dst].send(ctx, Envelope { src: self.rank, tag, data });
-    }
-
-    /// `MPI_Sendrecv`: sends `data` to `to = (dst, tag)`, charging
-    /// `wire_bytes`, and returns the oldest message matching
-    /// `from = (src, tag)`, as [`Comm::send_wire`] then [`Comm::recv`]
-    /// would — the same virtual times, in the same order — but in one wait:
-    /// the scheduler posts the message when its last byte lands, so the
-    /// caller is woken once, for the reply, instead of also for its own
-    /// send.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range.
-    pub fn sendrecv_wire(
-        &mut self,
-        ctx: &SimContext,
-        to: (usize, Tag),
-        data: MpiData,
-        wire_bytes: u64,
-        from: (usize, Tag),
-    ) -> MpiData {
-        let (dst, tag) = to;
-        let env = Envelope { src: self.rank, tag, data };
-        let floor = match self.reserve(ctx, dst, wire_bytes) {
-            Some(lands) => {
-                self.world.mailboxes[dst].send_at(ctx, env, lands);
-                Some(lands)
-            }
-            None => {
-                self.world.mailboxes[dst].send(ctx, env);
-                None
-            }
-        };
-        let (src, tag) = from;
-        self.take(ctx, floor, |e| e.tag == tag && e.src == src).data
-    }
-
-    /// Waits out any fault window and reserves the wire for `wire_bytes`
-    /// from this rank to `dst`, returning the instant the last byte lands;
-    /// `None` when nothing crosses a wire (a self-send or no bytes).
-    fn reserve(&self, ctx: &SimContext, dst: usize, wire_bytes: u64) -> Option<SimTime> {
-        let to = self.world.node_of[dst];
-        (wire_bytes > 0 && dst != self.rank)
-            .then(|| self.world.fabric.net_reserve(ctx, self.node(), to, wire_bytes).1)
     }
 
     /// Receives the oldest message matching `src` (or any source when
     /// `None`) and `tag`, blocking in virtual time.
     pub fn recv(&mut self, ctx: &SimContext, src: Option<usize>, tag: Tag) -> (usize, MpiData) {
-        let env = self.take(ctx, None, |e| e.tag == tag && src.is_none_or(|s| s == e.src));
+        let env = self.take(ctx, |e| e.tag == tag && src.is_none_or(|s| s == e.src));
         (env.src, env.data)
     }
 
@@ -271,32 +229,18 @@ impl Comm {
     /// Panics if `tags` is empty.
     pub fn recv_any(&mut self, ctx: &SimContext, tags: &[Tag]) -> (usize, Tag, MpiData) {
         assert!(!tags.is_empty(), "recv_any needs at least one tag");
-        let env = self.take(ctx, None, |e| tags.contains(&e.tag));
+        let env = self.take(ctx, |e| tags.contains(&e.tag));
         (env.src, env.tag, env.data)
     }
 
     /// The one receive loop: the oldest stashed message that `matches`,
     /// else mailbox messages in order, stashing those that do not match.
-    /// With a `floor` it first sleeps until then, as a receive after
-    /// [`SimContext::sleep_until`] would.
-    fn take(
-        &mut self,
-        ctx: &SimContext,
-        mut floor: Option<SimTime>,
-        matches: impl Fn(&Envelope) -> bool,
-    ) -> Envelope {
+    fn take(&mut self, ctx: &SimContext, matches: impl Fn(&Envelope) -> bool) -> Envelope {
         if let Some(pos) = self.stash.iter().position(&matches) {
-            if let Some(floor) = floor {
-                ctx.sleep_until(floor);
-            }
             return self.stash.remove(pos).expect("position is valid");
         }
         loop {
-            let mailbox = &self.world.mailboxes[self.rank];
-            let env = match floor.take() {
-                Some(floor) => mailbox.recv_not_before(ctx, floor),
-                None => mailbox.recv(ctx),
-            };
+            let env = self.world.mailboxes[self.rank].recv(ctx);
             if matches(&env) {
                 return env;
             }

@@ -1,10 +1,8 @@
 //! Timing oracle for the collectives: the virtual instant, in ns, at which
 //! every rank returns from each `allreduce_wire` and `barrier` of one
 //! seeded sequence, for 2, 3, 5 and 8 ranks in three layouts (all ranks on
-//! one node, four per node, one per node). The table was captured on the
-//! commit before a ring step became one scheduler-delivered
-//! `sendrecv_wire`, so any change to wire pricing, send order or the order
-//! of same-instant grants moves it.
+//! one node, four per node, one per node). Any change to wire pricing,
+//! send order or the order of same-instant grants moves it.
 
 use parking_lot::Mutex;
 use shmcaffe_mpi::MpiWorld;

@@ -11,6 +11,12 @@
 //! compare the final mixed weights `W_x` bit-for-bit — and, for one
 //! paper-sized input, against a pinned hash, so a change that moves the
 //! monolithic and the chunked exchange together is caught too.
+//!
+//! The thread count is the pool's configured one: every exchange runs in
+//! simulated processes, on the simulation's own thread, where a caller's
+//! `parallel::with_threads` override does not reach
+//! (`a_process_ignores_the_callers_thread_override`). `scripts/check.sh`
+//! runs the suite at `SHMCAFFE_THREADS=1` and `=4`.
 
 use proptest::prelude::*;
 use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers, READ_STREAMS};
@@ -136,7 +142,7 @@ fn assert_bit_identical(a: &[f32], b: &[f32], what: &str) {
 /// The oracle PRs used to quote from a CLI: six exchanges of the
 /// Inception_v1 workload (53.5 MB on the wire, 257 ms compute, factory seed
 /// 20180707) on one server end on these exact weights — monolithic and on
-/// the default chunk grid, at 1 and 4 threads. The other tests compare the
+/// the default chunk grid, at any thread count. The other tests compare the
 /// modes with each other; this one pins them, so a change to the mixing
 /// arithmetic or the chunk grid that moves both alike still fails.
 #[test]
@@ -150,16 +156,10 @@ fn inception_exchange_ends_on_the_pinned_weights() {
             })
     };
     let workload = WorkloadModel::from_cnn(CnnModel::InceptionV1);
-    for threads in [1usize, 4] {
-        for chunk in [None, Some(0)] {
-            let factory = ModeledTrainerFactory::new(workload.clone(), JitterModel::NONE, 20180707);
-            let weights = parallel::with_threads(threads, || run_worker(factory, 6, 1, chunk));
-            assert_eq!(
-                fnv1a(&weights),
-                0x961c2cb69b5e3e0d,
-                "chunk_elems={chunk:?} threads={threads}"
-            );
-        }
+    for chunk in [None, Some(0)] {
+        let factory = ModeledTrainerFactory::new(workload.clone(), JitterModel::NONE, 20180707);
+        let weights = run_worker(factory, 6, 1, chunk);
+        assert_eq!(fnv1a(&weights), 0x961c2cb69b5e3e0d, "chunk_elems={chunk:?}");
     }
 }
 
@@ -168,25 +168,15 @@ fn inception_exchange_ends_on_the_pinned_weights() {
 /// tile larger than the vector (degenerate monolithic); then the grids
 /// that leave reader connections idle — two and three tiles for
 /// [`READ_STREAMS`] connections — and one with a tile more than a full
-/// round of them. All must match the monolithic exchange bit-for-bit, at
-/// 1 and 4 threads.
+/// round of them. All must match the monolithic exchange bit-for-bit.
 #[test]
 fn boundary_chunk_sizes_match_monolithic_bitwise() {
     let few = [PARAM_LEN.div_ceil(2), PARAM_LEN.div_ceil(READ_STREAMS - 1)];
     let round_and_one = PARAM_LEN / (READ_STREAMS + 1);
-    for threads in [1usize, 4] {
-        parallel::with_threads(threads, || {
-            let mono = final_weights(None);
-            for chunk in [1usize, 1023, PARAM_LEN, PARAM_LEN + 1000, few[0], few[1], round_and_one]
-            {
-                let chunked = final_weights(Some(chunk));
-                assert_bit_identical(
-                    &mono,
-                    &chunked,
-                    &format!("chunk_elems={chunk} threads={threads}"),
-                );
-            }
-        });
+    let mono = final_weights(None);
+    for chunk in [1usize, 1023, PARAM_LEN, PARAM_LEN + 1000, few[0], few[1], round_and_one] {
+        let chunked = final_weights(Some(chunk));
+        assert_bit_identical(&mono, &chunked, &format!("chunk_elems={chunk}"));
     }
 }
 
@@ -194,23 +184,19 @@ fn boundary_chunk_sizes_match_monolithic_bitwise() {
 /// window, the grid is additionally cut at the shard boundaries, and the
 /// weights still match the single-server monolithic exchange bit-for-bit —
 /// monolithic per lane, one element per tile, fewer tiles per lane than
-/// connections, and the default grid, at 1 and 4 threads.
+/// connections, and the default grid.
 #[test]
 fn multi_lane_grids_match_monolithic_bitwise() {
-    for threads in [1usize, 4] {
-        parallel::with_threads(threads, || {
-            let mono = final_weights(None);
-            for shards in [2usize, 3] {
-                for chunk in [None, Some(1), Some(PARAM_LEN / 5), Some(0)] {
-                    let sharded = final_weights_sharded(shards, chunk);
-                    assert_bit_identical(
-                        &mono,
-                        &sharded,
-                        &format!("shards={shards} chunk_elems={chunk:?} threads={threads}"),
-                    );
-                }
-            }
-        });
+    let mono = final_weights(None);
+    for shards in [2usize, 3] {
+        for chunk in [None, Some(1), Some(PARAM_LEN / 5), Some(0)] {
+            let sharded = final_weights_sharded(shards, chunk);
+            assert_bit_identical(
+                &mono,
+                &sharded,
+                &format!("shards={shards} chunk_elems={chunk:?}"),
+            );
+        }
     }
 }
 
@@ -330,15 +316,26 @@ fn sharded_lanes_fail_over_per_shard() {
     assert_eq!(crashed, sharded_failover_run(Some(SimTime::from_millis(200))), "rerun");
 }
 
-/// The default auto grid (`exchange_chunk_elems = 0`, sixteen tiles) is
-/// invariant across thread counts: same bits at 1, 2 and 4 threads.
+/// `parallel::with_threads` is a thread-local override of the caller's
+/// thread; a simulated process runs on its run's own thread, so it sees
+/// the pool's configured count whatever the caller set. Thread-count
+/// coverage of the exchange therefore comes from running the suite under
+/// different `SHMCAFFE_THREADS`, not from wrapping a run in an override.
 #[test]
-fn default_grid_is_thread_count_invariant() {
-    let one = parallel::with_threads(1, || final_weights(Some(0)));
-    for threads in [2usize, 4] {
-        let more = parallel::with_threads(threads, || final_weights(Some(0)));
-        assert_bit_identical(&one, &more, &format!("threads={threads}"));
-    }
+fn a_process_ignores_the_callers_thread_override() {
+    let configured = parallel::configured_threads();
+    let override_to = configured + 3;
+    let seen = Arc::new(Mutex::new(None));
+    let inside = Arc::clone(&seen);
+    parallel::with_threads(override_to, || {
+        assert_eq!(parallel::current_threads(), override_to);
+        let mut sim = Simulation::new();
+        sim.spawn("p", move |_| {
+            *inside.lock().expect("not poisoned") = Some(parallel::current_threads());
+        });
+        sim.run();
+    });
+    assert_eq!(*seen.lock().expect("not poisoned"), Some(configured));
 }
 
 proptest! {

@@ -6,12 +6,6 @@
 //! virtual time (the receiver resumes no earlier than the send time);
 //! transmission *cost* is modelled separately by
 //! [`crate::resource::BandwidthResource`] reservations.
-//!
-//! A sender that has reserved a transfer ending at `at` and will only wait
-//! for a reply can hand its message to the scheduler with
-//! [`SimChannel::send_at`] and wait with [`SimChannel::recv_not_before`]:
-//! one grant instead of a grant to send and another to receive, with the
-//! same schedule (DESIGN.md §5k).
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -19,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::explore::{ChoiceKind, SchedEvent};
-use crate::sched::{Delivery, Pid};
+use crate::sched::Pid;
 use crate::{HbEdge, SimContext, SimDuration, SimTime};
 
 /// Process-wide channel identity counter. The ids only serve the schedule
@@ -172,41 +166,6 @@ impl<T: Send + 'static> SimChannel<T> {
         }
     }
 
-    /// Sends `msg` at `at` as if the caller slept until `at` and sent it
-    /// then, without waking the caller to do so: the scheduler performs the
-    /// send where the caller's grant at `at` would fall (at that grant,
-    /// before the caller runs, if the caller is granted then). The caller
-    /// should next wait — typically [`SimChannel::recv_not_before`]`(at)` —
-    /// since anything it does meanwhile happens before the send. An `at` in
-    /// the caller's past means now.
-    ///
-    /// Under schedule exploration the caller sleeps and sends itself, so an
-    /// explored schedule has exactly the choice points it always had.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the caller already has a send pending with the scheduler
-    /// (one per process).
-    pub fn send_at(&self, ctx: &SimContext, msg: T, at: SimTime) {
-        if ctx.core.is_exploring() {
-            ctx.sleep_until(at);
-            self.send(ctx, msg);
-            return;
-        }
-        let at = at.max(ctx.now());
-        let mut edge = HbEdge::default();
-        edge.release(ctx);
-        let env = Envelope { sent_at: at, from: ctx.pid(), edge, msg };
-        let state = Arc::clone(&self.state);
-        let post = Box::new(move || {
-            let mut st = state.lock();
-            st.queue.push_back(env);
-            // The most recently parked receiver: `send`'s default choice.
-            st.waiters.pop()
-        });
-        ctx.core.post(ctx.pid(), Delivery { at, post });
-    }
-
     /// Receives the oldest message, blocking in virtual time until one is
     /// available. The receiver's clock advances to at least the send time.
     ///
@@ -215,23 +174,7 @@ impl<T: Send + 'static> SimChannel<T> {
     /// Panics if the simulation deadlocks while waiting (no live process can
     /// ever send).
     pub fn recv(&self, ctx: &SimContext) -> T {
-        self.take(ctx, None, None).expect("a receive without deadline waits for a message")
-    }
-
-    /// [`SimContext::sleep_until`]`(floor)` followed by
-    /// [`SimChannel::recv`], in one wait: the caller is parked until a
-    /// message has arrived and `floor` has passed, and is granted once, not
-    /// once at `floor` and again at the message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation deadlocks while waiting.
-    pub fn recv_not_before(&self, ctx: &SimContext, floor: SimTime) -> T {
-        if ctx.core.is_exploring() {
-            ctx.sleep_until(floor);
-            return self.recv(ctx);
-        }
-        self.take(ctx, None, Some(floor)).expect("a receive without deadline waits for a message")
+        self.take(ctx, None).expect("a receive without deadline waits for a message")
     }
 
     /// Receives the oldest message, blocking in virtual time for at most
@@ -242,28 +185,19 @@ impl<T: Send + 'static> SimChannel<T> {
     /// as blocked by the deadlock detector, so waiting on a dead peer times
     /// out instead of aborting the simulation.
     pub fn recv_timeout(&self, ctx: &SimContext, timeout: SimDuration) -> Option<T> {
-        self.take(ctx, Some(ctx.now() + timeout), None)
+        self.take(ctx, Some(ctx.now() + timeout))
     }
 
     /// Non-blocking receive of a message already sent at or before `now`.
     pub fn try_recv(&self, ctx: &SimContext) -> Option<T> {
-        self.take(ctx, Some(ctx.now()), None)
+        self.take(ctx, Some(ctx.now()))
     }
 
     /// The one receive loop: takes a message sent no later than `deadline`
     /// (any message when `None`), parking in between. Without a deadline
     /// the receiver parks as blocked, so the deadlock detector sees it;
     /// with one it parks as a timed wait and gives up at the deadline.
-    /// A `floor` (deadline-free receives only) is slept to first: with a
-    /// message already queued the caller yields until `floor` as
-    /// `sleep_until` would, and without one it parks unable to be granted
-    /// before `floor`.
-    fn take(
-        &self,
-        ctx: &SimContext,
-        deadline: Option<SimTime>,
-        mut floor: Option<SimTime>,
-    ) -> Option<T> {
+    fn take(&self, ctx: &SimContext, deadline: Option<SimTime>) -> Option<T> {
         loop {
             {
                 let mut st = self.state.lock();
@@ -271,10 +205,8 @@ impl<T: Send + 'static> SimChannel<T> {
                     let env = st.queue.remove(i).expect("candidate index in range");
                     drop(st);
                     ctx.core.note_event(SchedEvent::Chan { chan: self.id });
-                    match floor {
-                        Some(floor) => ctx.sleep_until(floor.max(env.sent_at)),
-                        None if env.sent_at > ctx.now() => ctx.sleep_until(env.sent_at),
-                        None => {}
+                    if env.sent_at > ctx.now() {
+                        ctx.sleep_until(env.sent_at);
                     }
                     env.edge.acquire(ctx);
                     return Some(env.msg);
@@ -287,7 +219,7 @@ impl<T: Send + 'static> SimChannel<T> {
             // Park until a sender wakes us (or the deadline passes); loop in
             // case another receiver stole the message first.
             let Some(deadline) = deadline else {
-                ctx.core.block(ctx.pid(), floor.take().unwrap_or(SimTime::ZERO));
+                ctx.core.block(ctx.pid());
                 continue;
             };
             ctx.core.block_until(ctx.pid(), deadline);
@@ -490,30 +422,6 @@ mod tests {
             assert_eq!(ctx.now().as_millis_f64(), 5.0);
         });
         sim.run();
-    }
-
-    #[test]
-    fn send_at_delivers_at_its_instant_and_the_receiver_waits_for_its_floor() {
-        let mut sim = Simulation::new();
-        let (a, b): (SimChannel<u32>, SimChannel<u32>) =
-            (SimChannel::new("a"), SimChannel::new("b"));
-        let (a2, b2) = (a.clone(), b.clone());
-        sim.spawn("early", move |ctx| {
-            // Posts for 9 ms; the reply is sent at 2 ms, but the floor holds.
-            b.send_at(&ctx, 1, SimTime::from_millis(9));
-            assert_eq!(a.recv_not_before(&ctx, SimTime::from_millis(9)), 2);
-            assert_eq!(ctx.now().as_millis_f64(), 9.0);
-        });
-        sim.spawn("late", move |ctx| {
-            ctx.sleep(SimDuration::from_millis(2));
-            a2.send(&ctx, 2);
-            // Woken by the scheduler's delivery, at its instant.
-            assert_eq!(b2.recv(&ctx), 1);
-            assert_eq!(ctx.now().as_millis_f64(), 9.0);
-        });
-        let (result, stats) = sim.run_with_stats();
-        assert_eq!(result.map(|t| t.as_millis_f64()), Ok(9.0));
-        assert_eq!(stats.deliveries, 1, "{stats:?}");
     }
 
     #[test]

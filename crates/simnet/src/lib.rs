@@ -6,8 +6,9 @@
 //!
 //! * [`Simulation`] / [`SimContext`] — a cooperative scheduler that runs one
 //!   simulated process at a time, always the one with the globally minimal
-//!   wake-up time. Processes are ordinary closures on OS threads written in
-//!   straight-line style (`ctx.sleep(..)`, `link.transfer(..)`), yet the
+//!   wake-up time. Processes are ordinary closures written in straight-line
+//!   style (`ctx.sleep(..)`, `link.transfer(..)`), each run as a fiber on
+//!   the run's one OS thread, so a hand-off is a stack switch; the
 //!   execution is fully deterministic for a given program.
 //! * [`resource::BandwidthResource`] — a FIFO store-and-forward link model
 //!   with bandwidth, latency and utilisation accounting. Contention between
@@ -51,6 +52,7 @@
 pub mod channel;
 pub mod explore;
 pub mod fault;
+mod fiber;
 pub mod jitter;
 pub mod race;
 pub mod resource;

@@ -164,22 +164,7 @@ impl BandwidthResource {
 }
 
 /// Moves `bytes` through a chain of resources as one cut-through transfer,
-/// with an optional per-stream pacing limit in bytes/s:
-/// [`reserve_path_stream`], then a sleep until the instant it returns.
-pub fn transfer_path_stream(
-    ctx: &SimContext,
-    path: &[&BandwidthResource],
-    bytes: u64,
-    stream_bps: Option<f64>,
-) -> TransferReport {
-    let (report, wake) = reserve_path_stream(ctx, path, bytes, stream_bps);
-    ctx.sleep_until(wake);
-    report
-}
-
-/// Reserves a chain of resources for a cut-through transfer of `bytes`
-/// from now, without blocking, and returns its timing together with the
-/// instant the requester may resume: completion plus the path's latency.
+/// with an optional per-stream pacing limit in bytes/s.
 ///
 /// The transfer starts when every resource is free, proceeds at the minimum
 /// bandwidth along the chain, and occupies all resources until it completes.
@@ -197,12 +182,12 @@ pub fn transfer_path_stream(
 /// # Panics
 ///
 /// Panics if `path` is empty or `stream_bps` is non-positive.
-pub fn reserve_path_stream(
+pub fn transfer_path_stream(
     ctx: &SimContext,
     path: &[&BandwidthResource],
     bytes: u64,
     stream_bps: Option<f64>,
-) -> (TransferReport, SimTime) {
+) -> TransferReport {
     assert!(!path.is_empty(), "transfer path must contain at least one resource");
     let now = ctx.now();
     let min_bw = path.iter().map(|r| r.model.bandwidth_bps).fold(f64::INFINITY, f64::min);
@@ -239,7 +224,8 @@ pub fn reserve_path_stream(
         }
         None => end,
     };
-    (TransferReport { start, end: complete }, complete + max_latency)
+    ctx.sleep_until(complete + max_latency);
+    TransferReport { start, end: complete }
 }
 
 #[cfg(test)]

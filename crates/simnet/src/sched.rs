@@ -7,27 +7,18 @@
 //! virtual-time order, which makes the whole simulation deterministic for a
 //! given program — independent of OS thread scheduling.
 //!
-//! Each process parks its OS thread on a condvar of its own, and a grant
-//! wakes exactly the granted thread (DESIGN.md §5k); only an abort — a
-//! process panic or a detected deadlock — wakes everyone.
-//!
-//! A process may also leave one message with the scheduler for delivery at
-//! a later instant ([`crate::channel::SimChannel::send_at`]); the scheduler
-//! performs that send where the sender's own grant at that instant would
-//! fall, so the sender need not be woken just to post it.
+//! A run takes one fresh OS thread, and every process is a fiber on it
+//! (DESIGN.md §5k): the run loop resumes whichever process [`Core::dispatch`]
+//! granted, and a process that yields to another switches back to the run
+//! loop. A switch is the only hand-off — no OS wait, no wake-up.
 
-#![allow(
-    clippy::disallowed_types,
-    reason = "the scheduler is what parks and wakes every process thread; this is its condvar"
-)]
-
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use crate::explore::{ChoiceKind, ChoiceRecord, SchedEvent, StepRecord};
+use crate::fiber::Fiber;
 use crate::trace::TraceEntry;
 use crate::{AccessKind, SimDuration, SimTime};
 
@@ -38,7 +29,7 @@ pub(crate) type Pid = usize;
 enum Status {
     /// Ready to run at the contained virtual time.
     Runnable(SimTime),
-    /// Currently executing on its OS thread.
+    /// Currently executing (on its fiber).
     Running,
     /// Waiting for an external wake (channel message).
     Blocked,
@@ -55,34 +46,25 @@ struct ProcSlot {
     /// counts it as blocked) but an earlier [`Core::wake`] may pull the
     /// grant forward.
     timed_wait: bool,
-    /// Where this process's OS thread parks while it is not `Running`;
-    /// paired with the scheduler's state mutex and signalled only when this
-    /// process is granted (or the simulation aborts).
-    parked: Arc<Condvar>,
-    /// The send this process left with the scheduler, if any (see
-    /// [`Core::post`]).
-    delivery: Option<Delivery>,
+    /// The process's closure until its first grant, when the run loop puts
+    /// it on a fiber (dropped unrun if the run ends first).
+    body: Option<Body>,
     /// This process's vector clock (one component per pid), advanced along
     /// synchronization edges for the happens-before race detector.
     #[cfg(feature = "race-detect")]
     vclock: Vec<u64>,
 }
 
-/// A send the scheduler performs on its sender's behalf, due at `at`.
-pub(crate) struct Delivery {
-    pub(crate) at: SimTime,
-    /// Enqueues the message and returns the parked receiver to wake, if any.
-    pub(crate) post: Box<dyn FnOnce() -> Option<Pid> + Send>,
-}
+/// A process's closure, as [`Simulation::spawn`] and [`SimContext::spawn`]
+/// take it.
+type Body = Box<dyn FnOnce(SimContext) + Send + 'static>;
 
 struct SchedState {
     procs: Vec<ProcSlot>,
     unfinished: usize,
-    /// How many slots hold a delivery: while zero, dispatch skips the scan
-    /// for due deliveries altogether.
-    deliveries_pending: usize,
-    /// True once `run()` has performed the initial dispatch.
-    started: bool,
+    /// The process [`Core::dispatch`] last granted the running slot, if it
+    /// made a grant: the one the run loop resumes.
+    running: Option<Pid>,
     panic_message: Option<String>,
     stats: SchedStats,
 }
@@ -95,14 +77,12 @@ pub struct SchedStats {
     /// Scheduler grants: how often some process was handed the running slot.
     pub grants: u64,
     /// Grants that went straight back to the process that had just yielded
-    /// (it was itself the earliest runnable); these park no OS thread.
+    /// (it was itself the earliest runnable); these switch no stack.
     pub self_grants: u64,
-    /// OS-thread wake-ups issued: one per grant to another process, plus one
-    /// per process when a panic or deadlock aborts the run.
-    pub wakes_issued: u64,
-    /// Sends the scheduler performed for a sender (see
-    /// [`crate::channel::SimChannel::send_at`]); none of them is a grant.
-    pub deliveries: u64,
+    /// Fiber resumes by the run loop: one per grant to another process,
+    /// plus one per suspended process when a panic or deadlock aborts the
+    /// run and it is resumed to unwind.
+    pub switches: u64,
 }
 
 /// Recording/forcing state for one explored run (see [`crate::explore`]).
@@ -129,10 +109,6 @@ struct ExploreState {
 
 pub(crate) struct Core {
     state: Mutex<SchedState>,
-    /// Signalled when the last process finishes or the run aborts; only
-    /// [`Simulation::run_with_stats`] waits on it.
-    done: Condvar,
-    handles: Mutex<Vec<JoinHandle<()>>>,
     /// Fast-path flag mirroring "explore state armed".
     exploring: AtomicBool,
     explore: Mutex<ExploreState>,
@@ -151,13 +127,10 @@ impl Core {
             state: Mutex::new(SchedState {
                 procs: Vec::new(),
                 unfinished: 0,
-                deliveries_pending: 0,
-                started: false,
+                running: None,
                 panic_message: None,
                 stats: SchedStats::default(),
             }),
-            done: Condvar::new(),
-            handles: Mutex::new(Vec::new()),
             exploring: AtomicBool::new(false),
             explore: Mutex::new(ExploreState::default()),
             probe: Mutex::new(None),
@@ -298,52 +271,28 @@ impl Core {
         }
     }
 
-    /// Picks the next process to run and grants it the running slot. Must
-    /// be called with the state lock held and no process currently
-    /// `Running`; `from` is the process giving up the slot (`None` for the
-    /// initial dispatch by `run`).
-    ///
-    /// The hand-off is directed: returns the one parked thread to wake, for
-    /// the caller to signal via [`Core::wake_parked`], or `None` when the
-    /// grant went straight back to `from` and no thread needs waking.
+    /// Picks the next process to run and grants it the running slot
+    /// (recording it as [`SchedState::running`], the fiber the run loop
+    /// resumes next). Must be called with the state lock held and no
+    /// process currently `Running`; `from` is the process giving up the
+    /// slot (`None` for the initial dispatch by the run loop).
     ///
     /// Once a panic or deadlock is recorded (see [`Core::abort`]), no
     /// further grants are made.
-    ///
-    /// A pending delivery keyed `(at, sender)` runs at its sender's grant
-    /// when that grant is at `at`, before the sender runs; otherwise it runs
-    /// on its own where that grant would have fallen in `(time, pid)` order.
-    /// Either way every grant keeps its place in the order it would have had
-    /// if the sender had slept until `at` and sent the message itself.
-    #[must_use]
-    fn dispatch(&self, state: &mut SchedState, from: Option<Pid>) -> Option<Arc<Condvar>> {
+    fn dispatch(&self, state: &mut SchedState, from: Option<Pid>) {
+        state.running = None;
         if state.panic_message.is_some() {
-            return None;
+            return;
         }
-        let next = loop {
-            let next = state
-                .procs
-                .iter()
-                .enumerate()
-                .filter_map(|(pid, p)| match p.status {
-                    Status::Runnable(at) => Some((at, pid)),
-                    _ => None,
-                })
-                .min();
-            if state.deliveries_pending == 0 {
-                break next;
-            }
-            let due = state
-                .procs
-                .iter()
-                .enumerate()
-                .filter_map(|(pid, p)| p.delivery.as_ref().map(|d| (d.at, pid)))
-                .min();
-            match due {
-                Some(key) if next.is_none_or(|grant| key < grant) => Self::deliver(state, key.1),
-                _ => break next,
-            }
-        };
+        let next = state
+            .procs
+            .iter()
+            .enumerate()
+            .filter_map(|(pid, p)| match p.status {
+                Status::Runnable(at) => Some((at, pid)),
+                _ => None,
+            })
+            .min();
         match next {
             Some((at, pid)) => {
                 // Equal-time ties are a schedule choice point: under
@@ -362,20 +311,14 @@ impl Core {
                 } else {
                     pid
                 };
-                if state.procs[pid].delivery.as_ref().is_some_and(|d| d.at <= at) {
-                    Self::deliver(state, pid);
-                }
                 let slot = &mut state.procs[pid];
                 slot.status = Status::Running;
                 slot.clock = slot.clock.max(at);
                 slot.timed_wait = false;
+                state.running = Some(pid);
                 state.stats.grants += 1;
                 if from == Some(pid) {
                     state.stats.self_grants += 1;
-                    None
-                } else {
-                    state.stats.wakes_issued += 1;
-                    Some(Arc::clone(&state.procs[pid].parked))
                 }
             }
             None if state.unfinished > 0 => {
@@ -386,87 +329,41 @@ impl Core {
                     .map(|p| p.name.as_str())
                     .collect();
                 let msg = format!("simulation deadlock: blocked processes {blocked:?}");
-                self.abort(state, msg);
-                None
+                Self::abort(state, msg);
             }
             // Every process finished.
-            None => {
-                self.done.notify_one();
-                None
-            }
+            None => {}
         }
     }
 
-    /// Performs `pid`'s pending delivery: the message joins its channel at
-    /// the delivery instant and the receiver it names is woken then.
-    fn deliver(state: &mut SchedState, pid: Pid) {
-        let Delivery { at, post } =
-            state.procs[pid].delivery.take().expect("deliver is called on a pending delivery");
-        state.deliveries_pending -= 1;
-        state.stats.deliveries += 1;
-        // The channel lock nests inside the state lock only here, and only
-        // the one running process ever dispatches, so no thread can hold
-        // them the other way round.
-        if let Some(receiver) = post() {
-            Self::wake_slot(&mut state.procs[receiver], at);
-        }
+    /// Records the first panic or deadlock. No grant follows it: the run
+    /// loop stops and resumes every suspended process once more, and each
+    /// unwinds from its yield ("simulation aborted").
+    fn abort(state: &mut SchedState, msg: String) {
+        state.panic_message.get_or_insert(msg);
     }
 
-    /// Records the first panic or deadlock and broadcasts it: every parked
-    /// process (and `run`) is woken so each observes the failure and unwinds
-    /// — their wait loops panic on it, and a thread that parks later sees it
-    /// before it waits. The only place that wakes more than one thread.
-    fn abort(&self, state: &mut SchedState, msg: String) {
-        if state.panic_message.is_some() {
-            return;
-        }
-        state.panic_message = Some(msg);
-        for p in &state.procs {
-            p.parked.notify_one();
-        }
-        state.stats.wakes_issued += state.procs.len() as u64;
-        self.done.notify_one();
-    }
-
-    /// Releases the state lock, then signals the thread [`Core::dispatch`]
-    /// granted. Waking after the unlock means the woken thread never finds
-    /// the mutex still held by its waker (which would cost it a second
-    /// sleep), and a waker that is granted again before it got round to
-    /// parking never sleeps at all. No wake-up can be lost: the grant itself
-    /// was written under the lock, and [`Core::park`] re-checks it under the
-    /// lock before every wait.
-    fn wake_parked(state: MutexGuard<'_, SchedState>, granted: Option<Arc<Condvar>>) {
-        drop(state);
-        if let Some(parked) = granted {
-            parked.notify_one();
-        }
-    }
-
-    /// Parks the calling OS thread until `pid` is granted `Running`.
+    /// Hands the running slot from `pid` (whose new status the caller has
+    /// just written) to the next process and suspends `pid`'s fiber until
+    /// it is granted again. When `pid` is itself the earliest runnable
+    /// this returns without switching.
     ///
     /// # Panics
     ///
     /// Panics (to unwind the simulated process) if the simulation aborted.
-    fn park(&self, pid: Pid) {
-        let mut state = self.state.lock();
-        let parked = Arc::clone(&state.procs[pid].parked);
-        while state.procs[pid].status != Status::Running {
-            if state.panic_message.is_some() {
-                panic!("simulation aborted");
-            }
-            parked.wait(&mut state);
-        }
-    }
-
-    /// Hands the running slot from `pid` (whose new status the caller has
-    /// just written) to the next process and parks until `pid` is granted
-    /// again. When `pid` is itself the earliest runnable this returns
-    /// without touching any wait primitive.
     fn switch(&self, mut state: MutexGuard<'_, SchedState>, pid: Pid) {
-        let granted = self.dispatch(&mut state, Some(pid));
-        if state.procs[pid].status != Status::Running {
-            Self::wake_parked(state, granted);
-            self.park(pid);
+        self.dispatch(&mut state, Some(pid));
+        if state.running == Some(pid) {
+            return;
+        }
+        let mut aborted = state.panic_message.is_some();
+        drop(state);
+        if !aborted {
+            crate::fiber::suspend();
+            aborted = self.state.lock().panic_message.is_some();
+        }
+        if aborted {
+            panic!("simulation aborted");
         }
     }
 
@@ -478,32 +375,12 @@ impl Core {
         self.switch(state, pid);
     }
 
-    /// Parks the process until another process calls [`Core::wake`], and
-    /// in any case until `not_before`: the process first sleeps to that
-    /// instant in effect (its clock moves there), so no wake can grant it
-    /// earlier.
-    pub(crate) fn block(&self, pid: Pid, not_before: SimTime) {
+    /// Parks the process until another process calls [`Core::wake`].
+    pub(crate) fn block(&self, pid: Pid) {
         let mut state = self.state.lock();
-        let slot = &mut state.procs[pid];
-        debug_assert_eq!(slot.status, Status::Running);
-        slot.clock = slot.clock.max(not_before);
-        slot.status = Status::Blocked;
+        debug_assert_eq!(state.procs[pid].status, Status::Running);
+        state.procs[pid].status = Status::Blocked;
         self.switch(state, pid);
-    }
-
-    /// Leaves `pid`'s one send with the scheduler, which performs it at
-    /// `delivery.at` (see [`Core::dispatch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` already has a delivery pending.
-    pub(crate) fn post(&self, pid: Pid, delivery: Delivery) {
-        let mut state = self.state.lock();
-        let slot = &mut state.procs[pid];
-        assert!(slot.delivery.is_none(), "{} already has a delivery pending", slot.name);
-        debug_assert!(delivery.at >= slot.clock, "a delivery cannot be in the past");
-        slot.delivery = Some(delivery);
-        state.deliveries_pending += 1;
     }
 
     /// Parks the process until another process calls [`Core::wake`] or the
@@ -523,10 +400,7 @@ impl Core {
     /// Called by the (unique) running process, so `at >=` every other
     /// process's grantable time and ordering is preserved.
     pub(crate) fn wake(&self, pid: Pid, at: SimTime) {
-        Self::wake_slot(&mut self.state.lock().procs[pid], at);
-    }
-
-    fn wake_slot(slot: &mut ProcSlot, at: SimTime) {
+        let slot = &mut self.state.lock().procs[pid];
         match slot.status {
             Status::Blocked => {
                 slot.status = Status::Runnable(slot.clock.max(at));
@@ -546,18 +420,27 @@ impl Core {
         }
     }
 
-    fn finish(&self, pid: Pid, panic_msg: Option<String>) {
-        let mut state = self.state.lock();
+    /// A process's whole life on its fiber: runs `body`, catching a panic
+    /// (which aborts the run), then hands the running slot on.
+    fn run_process(body: Body, ctx: SimContext) {
+        let (core, pid) = (Arc::clone(&ctx.core), ctx.pid);
+        let result = catch_unwind(AssertUnwindSafe(|| body(ctx)));
+        let panic_msg = result.err().map(|e| {
+            e.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "process panicked".to_string())
+        });
+        let mut state = core.state.lock();
         state.procs[pid].status = Status::Finished;
         state.unfinished -= 1;
         if let Some(msg) = panic_msg {
-            self.abort(&mut state, msg);
+            Self::abort(&mut state, msg);
         }
-        let granted = self.dispatch(&mut state, Some(pid));
-        Self::wake_parked(state, granted);
+        core.dispatch(&mut state, Some(pid));
     }
 
-    fn register(&self, name: &str, initial_clock: SimTime) -> Pid {
+    fn register(&self, name: &str, initial_clock: SimTime, body: Body) -> Pid {
         let mut state = self.state.lock();
         let pid = state.procs.len();
         state.procs.push(ProcSlot {
@@ -565,8 +448,7 @@ impl Core {
             clock: initial_clock,
             status: Status::Runnable(initial_clock),
             timed_wait: false,
-            parked: Arc::new(Condvar::new()),
-            delivery: None,
+            body: Some(body),
             #[cfg(feature = "race-detect")]
             vclock: Vec::new(),
         });
@@ -622,27 +504,47 @@ impl Core {
         state.procs[child].vclock = parent_clock;
     }
 
-    fn start_thread<F>(self: &Arc<Self>, pid: Pid, name: String, f: F)
-    where
-        F: FnOnce(SimContext) + Send + 'static,
-    {
-        let core = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                core.park(pid);
-                let ctx = SimContext { core: Arc::clone(&core), pid };
-                let result = catch_unwind(AssertUnwindSafe(|| f(ctx)));
-                let panic_msg = result.err().map(|e| {
-                    e.downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "process panicked".to_string())
-                });
-                core.finish(pid, panic_msg);
-            })
-            .expect("failed to spawn simulation thread");
-        self.handles.lock().push(handle);
+    /// The run loop, on the run's own thread: resumes the granted process
+    /// until no grant is left, then — after a panic or deadlock — resumes
+    /// every suspended process once more so that it unwinds, and drops the
+    /// closures of processes that never started. A fiber's stack is
+    /// unmapped as soon as its process finishes.
+    fn run_loop(self: &Arc<Self>) {
+        let mut fibers: Vec<Option<Fiber>> = Vec::new();
+        let mut switches = 0;
+        self.dispatch(&mut self.state.lock(), None);
+        loop {
+            let (pid, body) = {
+                let mut state = self.state.lock();
+                let Some(pid) = state.running else { break };
+                (pid, state.procs[pid].body.take())
+            };
+            if fibers.len() <= pid {
+                fibers.resize_with(pid + 1, || None);
+            }
+            if let Some(body) = body {
+                let ctx = SimContext { core: Arc::clone(self), pid };
+                fibers[pid] = Some(Fiber::new(Box::new(move || Self::run_process(body, ctx))));
+            }
+            let fiber = fibers[pid].as_mut().expect("a granted process is on a fiber");
+            switches += 1;
+            if fiber.resume() {
+                fibers[pid] = None;
+            }
+        }
+        for slot in &mut fibers {
+            if let Some(fiber) = slot {
+                switches += 1;
+                let finished = fiber.resume();
+                debug_assert!(finished, "an aborted process unwinds without yielding");
+                *slot = None;
+            }
+        }
+        let mut state = self.state.lock();
+        state.stats.switches = switches;
+        let unstarted: Vec<Body> = state.procs.iter_mut().filter_map(|p| p.body.take()).collect();
+        drop(state);
+        drop(unstarted);
     }
 }
 
@@ -652,26 +554,27 @@ impl Core {
 /// completion with [`Simulation::run`]. See the crate docs for an example.
 pub struct Simulation {
     core: Arc<Core>,
-    #[allow(clippy::type_complexity)]
-    pending: Vec<(Pid, String, Box<dyn FnOnce(SimContext) + Send + 'static>)>,
 }
 
 impl Simulation {
     /// Creates an empty simulation.
     pub fn new() -> Self {
-        Simulation { core: Core::new(), pending: Vec::new() }
+        Simulation { core: Core::new() }
     }
 
     /// Registers a simulated process starting at virtual time zero.
     ///
-    /// The closure runs on its own OS thread but executes only while the
-    /// scheduler grants it the (unique) running slot.
+    /// The closure runs on a fiber of its own — a 2 MiB stack, mapped as
+    /// it is touched, with a guard page below it — on the run's one OS
+    /// thread, and executes only while the scheduler grants it the
+    /// (unique) running slot. `RUST_MIN_STACK` does not size it. A process
+    /// that starts a nested [`Simulation::run`] blocks until that run,
+    /// on a thread of its own, completes.
     pub fn spawn<F>(&mut self, name: &str, f: F)
     where
         F: FnOnce(SimContext) + Send + 'static,
     {
-        let pid = self.core.register(name, SimTime::ZERO);
-        self.pending.push((pid, name.to_string(), Box::new(f)));
+        self.core.register(name, SimTime::ZERO, Box::new(f));
     }
 
     /// Runs all processes to completion and returns the final virtual time
@@ -697,26 +600,18 @@ impl Simulation {
     }
 
     /// [`Simulation::run_result`] plus the run's [`SchedStats`].
-    pub fn run_with_stats(mut self) -> (Result<SimTime, String>, SchedStats) {
-        for (pid, name, f) in self.pending.drain(..) {
-            self.core.start_thread(pid, name, f);
-        }
-        {
-            let mut state = self.core.state.lock();
-            if !state.started {
-                state.started = true;
-                if let Some(parked) = self.core.dispatch(&mut state, None) {
-                    parked.notify_one();
-                }
-            }
-            while state.unfinished > 0 && state.panic_message.is_none() {
-                self.core.done.wait(&mut state);
-            }
-        }
-        // Join every thread (they all exit once finished or poisoned).
-        let handles = std::mem::take(&mut *self.core.handles.lock());
-        for h in handles {
-            let _ = h.join();
+    ///
+    /// The run takes a fresh OS thread, never the caller's, so a
+    /// `thread_local!` a process writes is gone when the run ends: the
+    /// next run on the same caller thread reads its default.
+    pub fn run_with_stats(self) -> (Result<SimTime, String>, SchedStats) {
+        let core = Arc::clone(&self.core);
+        let run = std::thread::Builder::new()
+            .name("simnet-run".to_string())
+            .spawn(move || core.run_loop())
+            .expect("failed to spawn the simulation thread");
+        if let Err(payload) = run.join() {
+            std::panic::resume_unwind(payload);
         }
         let state = self.core.state.lock();
         let result = match &state.panic_message {
@@ -757,7 +652,7 @@ impl Default for Simulation {
 
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulation").field("pending", &self.pending.len()).finish()
+        f.debug_struct("Simulation").field("procs", &self.core.state.lock().procs.len()).finish()
     }
 }
 
@@ -768,9 +663,17 @@ impl std::fmt::Debug for Simulation {
 /// **Do not hold an OS lock across a virtual-time block.** Only one
 /// process runs at a time, so a process that parks (via `sleep`, a channel
 /// `recv`, or a resource transfer) while holding a real `Mutex` guard will
-/// deadlock the scheduler as soon as another process contends on that
-/// mutex. Acquire real locks only for short critical sections that contain
-/// no virtual-time operations.
+/// deadlock the run as soon as another process contends on that mutex.
+/// Acquire real locks only for short critical sections that contain no
+/// virtual-time operations.
+///
+/// **Never yield while borrowing a thread-local.** Every process of a run
+/// is a fiber on the run's one OS thread, so they all see the same
+/// `thread_local!` values: a `RefCell` borrow held across a block is
+/// still held when the next process touches it, and a value set before a
+/// block may be another process's afterwards. Take a thread-local, use
+/// it and let go without a virtual-time operation in between
+/// (`tensor::workspace`, `tensor::parallel` and `tensor::simd` do).
 #[derive(Clone)]
 pub struct SimContext {
     pub(crate) core: Arc<Core>,
@@ -816,10 +719,11 @@ impl SimContext {
     where
         F: FnOnce(SimContext) + Send + 'static,
     {
-        let pid = self.core.register(name, self.now());
+        let pid = self.core.register(name, self.now(), Box::new(f));
         #[cfg(feature = "race-detect")]
         self.core.vc_seed_child(self.pid, pid);
-        self.core.start_thread(pid, name.to_string(), f);
+        #[cfg(not(feature = "race-detect"))]
+        let _ = pid;
     }
 
     /// Announces one shared-state access — the single record both

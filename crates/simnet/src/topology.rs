@@ -8,8 +8,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::fault::{FaultError, FaultInjector, FaultPlan, DETECTION_LATENCY};
-use crate::resource::{reserve_path_stream, BandwidthResource, LinkModel, TransferReport};
-use crate::{SimContext, SimDuration, SimTime};
+use crate::resource::{BandwidthResource, LinkModel, TransferReport};
+use crate::{SimContext, SimDuration};
 
 /// Identifies an endpoint (GPU node or memory server) on the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -192,35 +192,15 @@ impl Fabric {
         to: NodeId,
         bytes: u64,
     ) -> TransferReport {
-        let (report, wake) = self.net_reserve(ctx, from, to, bytes);
-        ctx.sleep_until(wake);
-        report
-    }
-
-    /// [`Fabric::net_transfer`] up to its final sleep: waits out any fault
-    /// window, reserves the path, and returns the transfer's timing with
-    /// the instant the last byte lands (completion plus latency), for a
-    /// caller that has something to do before then.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint id is out of range.
-    pub fn net_reserve(
-        &self,
-        ctx: &SimContext,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-    ) -> (TransferReport, SimTime) {
         if from == to {
-            return reserve_path_stream(ctx, &[&self.inner.pcie[from.0]], bytes, None);
+            return self.pcie_transfer(ctx, from, bytes);
         }
         // The reliable substrate rides out faults, so shaping cannot fail.
         self.fault_shape(ctx, from, to, false)
             .expect("infallible transfers wait out fault windows");
         let tx = &self.inner.hca_tx[from.0];
         let rx = &self.inner.hca_rx[to.0];
-        reserve_path_stream(ctx, &[tx, rx], bytes, None)
+        crate::resource::transfer_path_stream(ctx, &[tx, rx], bytes, None)
     }
 
     /// Runs the fallible fault gate for a transfer between two endpoints

@@ -1,21 +1,18 @@
-//! The scheduler's directed hand-off: grant order is untouched (golden
-//! schedule fingerprint), exactly one OS wake per grant (`SchedStats`), a
-//! send the scheduler delivers leaves the schedule as the sender's own send
-//! would, and the abort paths — the only broadcasts left — still reach
-//! every parked thread.
+//! The scheduler's fiber hand-off: grant order is untouched (golden
+//! schedule fingerprint), exactly one fiber switch per grant to another
+//! process (`SchedStats`), and the abort paths still unwind every
+//! suspended process.
 
 use parking_lot::Mutex;
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::explore::Fnv;
-use shmcaffe_simnet::resource::{
-    reserve_path_stream, transfer_path_stream, BandwidthResource, LinkModel,
-};
-use shmcaffe_simnet::{SchedStats, SimContext, SimDuration, SimTime, Simulation};
+use shmcaffe_simnet::resource::{BandwidthResource, LinkModel};
+use shmcaffe_simnet::{SimContext, SimDuration, Simulation};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Runs `f` on a helper thread under a wall-clock watchdog, so a lost wake
-/// is a red test rather than a hung suite.
+/// Runs `f` on a helper thread under a wall-clock watchdog, so a process
+/// that is never resumed is a red test rather than a hung suite.
 #[allow(
     clippy::disallowed_methods,
     reason = "a wall-clock watchdog around the simulation, not a process inside it"
@@ -27,7 +24,7 @@ fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) ->
     });
     let out = rx
         .recv_timeout(Duration::from_secs(60))
-        .expect("simulation hung: a parked thread was never woken");
+        .expect("simulation hung: a suspended process was never resumed");
     helper.join().expect("helper thread exits once it has reported");
     out
 }
@@ -166,10 +163,10 @@ fn schedule_fingerprint_matches_the_pre_handoff_scheduler() {
 const GOLDEN_FINGERPRINT_SEED_7: u64 = 0x7f51_a726_25e2_4506;
 
 /// 32 processes mixing sleeps and channel traffic: every grant that is not
-/// a self-grant issues exactly one OS wake (never a broadcast), and the
-/// counters are a pure function of the schedule.
+/// a self-grant costs exactly one fiber switch, and the counters are a
+/// pure function of the schedule.
 #[test]
-fn one_wake_per_grant_and_stats_repeat() {
+fn one_switch_per_grant_and_stats_repeat() {
     let run = || {
         let mut sim = Simulation::new();
         for i in 0..16usize {
@@ -202,84 +199,9 @@ fn one_wake_per_grant_and_stats_repeat() {
     let a = within_watchdog(run);
     let b = within_watchdog(run);
     assert_eq!(a, b, "scheduler counters must repeat exactly");
-    assert_eq!(a.wakes_issued, a.grants - a.self_grants, "{a:?}");
+    assert_eq!(a.switches, a.grants - a.self_grants, "{a:?}");
     assert!(a.self_grants > 0, "scenario should exercise the self-grant fast path: {a:?}");
     assert!(a.grants > 32 * 20, "{a:?}");
-}
-
-/// What one process saw in [`ring_exchange`]: per round, the link start of
-/// its transfer and the instant its receive returned.
-type RingLog = Vec<Vec<(u64, u64)>>;
-
-/// A seeded ring of `procs` processes over one contended link. Each round
-/// every process may sleep, moves a chunk over the link to its successor
-/// and receives its predecessor's chunk — one `MPI_Sendrecv` step. With
-/// `delivered` the step is `reserve_path_stream` + `send_at` +
-/// `recv_not_before` (the scheduler posts the chunk); without, it is the
-/// sender's own `sleep_until` (inside `transfer_path_stream`) + `send` +
-/// `recv`. Every third round all processes start together and move zero
-/// bytes, so every chunk lands at one instant and the last pid's chunk
-/// wakes pid 0 then.
-fn ring_exchange(seed: u64, procs: usize, delivered: bool) -> (RingLog, SchedStats) {
-    const ROUNDS: u64 = 24;
-    let link = BandwidthResource::new("link", LinkModel::new(1e9, SimDuration::from_micros(2)));
-    let inbox: Vec<SimChannel<u64>> =
-        (0..procs).map(|i| SimChannel::new(&format!("ring{i}"))).collect();
-    let log = Arc::new(Mutex::new(vec![Vec::new(); procs]));
-    let mut sim = Simulation::new();
-    for i in 0..procs {
-        let (link, log) = (link.clone(), Arc::clone(&log));
-        let (mine, next) = (inbox[i].clone(), inbox[(i + 1) % procs].clone());
-        sim.spawn(&format!("p{i}"), move |ctx| {
-            let mut rng = Rng(seed ^ (i as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-            for round in 0..ROUNDS {
-                let bytes = if round % 3 == 0 {
-                    ctx.sleep_until(SimTime::from_millis(round + 1));
-                    0
-                } else {
-                    if rng.below(2) == 0 {
-                        ctx.sleep(SimDuration::from_nanos(rng.below(5_000)));
-                    }
-                    rng.below(8_000)
-                };
-                let (start, got) = if delivered {
-                    let (rep, lands) = reserve_path_stream(&ctx, &[&link], bytes, None);
-                    next.send_at(&ctx, round, lands);
-                    (rep.start, mine.recv_not_before(&ctx, lands))
-                } else {
-                    let rep = transfer_path_stream(&ctx, &[&link], bytes, None);
-                    next.send(&ctx, round);
-                    (rep.start, mine.recv(&ctx))
-                };
-                assert_eq!(got, round, "ring chunks arrive in order");
-                log.lock()[i].push((start.as_nanos(), ctx.now().as_nanos()));
-            }
-        });
-    }
-    let (result, stats) = sim.run_with_stats();
-    result.expect("clean run");
-    let log = log.lock().clone();
-    (log, stats)
-}
-
-/// A scheduler-delivered send is the sender's own send, minus its wake:
-/// the same receive instants and link starts for every process, a grant
-/// fewer for each send the scheduler performs while its sender still
-/// waits for its chunk, and still one OS wake per grant.
-#[test]
-fn delivered_sends_keep_the_schedule_and_save_wakes() {
-    for (seed, procs) in [(3, 5), (7, 6), (11, 9)] {
-        let (own, own_stats) = within_watchdog(move || ring_exchange(seed, procs, false));
-        let (delivered, stats) = within_watchdog(move || ring_exchange(seed, procs, true));
-        assert_eq!(delivered, own, "seed {seed}, {procs} processes");
-        assert_eq!(within_watchdog(move || ring_exchange(seed, procs, true)).1, stats);
-        for s in [own_stats, stats] {
-            assert_eq!(s.wakes_issued, s.grants - s.self_grants, "{s:?}");
-        }
-        assert_eq!(own_stats.deliveries, 0, "{own_stats:?}");
-        assert!(stats.deliveries > 0, "{stats:?}");
-        assert!(stats.wakes_issued < own_stats.wakes_issued, "{stats:?} vs {own_stats:?}");
-    }
 }
 
 /// Spawns `n` processes parked three different ways — a plain `recv` on a
@@ -304,8 +226,9 @@ fn spawn_parked(sim: &mut Simulation, n: usize, token: &Arc<()>) {
     }
 }
 
-/// A panic must reach every parked thread: with a directed wake that forgot
-/// the abort broadcast, `run_result` would hang in `join` forever.
+/// A panic must reach every suspended process: each is resumed once more
+/// and unwinds, so every closure (and its token) is dropped before
+/// `run_result` returns.
 #[test]
 fn panic_with_many_parked_processes_aborts_and_joins_everyone() {
     let token = Arc::new(());
@@ -322,13 +245,14 @@ fn panic_with_many_parked_processes_aborts_and_joins_everyone() {
         sim.run_result()
     });
     assert_eq!(result, Err("boom".to_string()));
-    // Every process closure (and its token) is gone: all threads unwound
-    // and were joined before `run_result` returned.
+    // Every process closure (and its token) is gone: all fibers unwound
+    // before `run_result` returned.
     assert_eq!(Arc::strong_count(&token), 1);
 }
 
 /// A true deadlock (every process blocked on a channel nobody will send
-/// to) is detected by the last process to park and must likewise wake all.
+/// to) is detected by the last process to park and must likewise unwind
+/// all.
 #[test]
 fn deadlock_with_many_processes_aborts_and_joins_everyone() {
     let token = Arc::new(());

@@ -17,7 +17,10 @@
 //!   allocations (asserted by `tests/alloc_free.rs`).
 //! * Buffers are per OS thread. Pool workers are persistent
 //!   ([`crate::parallel`]), so their arenas are warm for the whole
-//!   process lifetime; the calling thread has its own arena.
+//!   process lifetime; the calling thread has its own arena (every
+//!   simulated process of one run calls from the run's thread, so they
+//!   share it: no borrow is held while a kernel runs, so none is held
+//!   across a process switch).
 //!
 //! Lifetime and tagging rules (see DESIGN.md §5h):
 //!

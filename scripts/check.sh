@@ -41,14 +41,15 @@ echo "== cfg(race-detect) stays behind the simnet seam (SimContext::access, HbEd
 grep -rn 'feature = "race-detect"' crates/*/src | grep -v '^crates/simnet/src/' &&
     { echo "FAIL: cfg(feature = \"race-detect\") outside crates/simnet/src" >&2; exit 1; }
 
-echo "== unsafe stays in the four audited shmcaffe-tensor files (scripts/miri.sh lists them) =="
-# Every other crate forbids unsafe_code; shmcaffe-tensor denies it, so a
-# new site needs an allow, and this list is what review must see change.
-unsafe_files=$(grep -rlE '(allow|expect|warn)\(unsafe_code' crates/tensor | sort)
-expected=$(printf '%s\n' crates/tensor/src/crc32c.rs crates/tensor/src/parallel.rs \
-    crates/tensor/src/simd.rs crates/tensor/tests/alloc_free.rs)
+echo "== unsafe stays in the four audited shmcaffe-tensor files and simnet's fiber switch (scripts/miri.sh lists them) =="
+# Every other crate forbids unsafe_code; shmcaffe-tensor and
+# shmcaffe-simnet deny it, so a new site needs an allow, and this list is
+# what review must see change.
+unsafe_files=$(grep -rlE '(allow|expect|warn)\(unsafe_code' crates/tensor crates/simnet | sort)
+expected=$(printf '%s\n' crates/simnet/src/fiber.rs crates/tensor/src/crc32c.rs \
+    crates/tensor/src/parallel.rs crates/tensor/src/simd.rs crates/tensor/tests/alloc_free.rs)
 if [ "$unsafe_files" != "$expected" ]; then
-    printf 'FAIL: unsafe_code opt-outs in shmcaffe-tensor:\n%s\nexpected:\n%s\n' \
+    printf 'FAIL: unsafe_code opt-outs in shmcaffe-tensor / shmcaffe-simnet:\n%s\nexpected:\n%s\n' \
         "$unsafe_files" "$expected" >&2
     exit 1
 fi

@@ -2,10 +2,10 @@
 # Miri pass over the shmcaffe-tensor worker pool and the portable CRC32C
 # kernel.
 #
-# Scope: the workspace contains exactly four kinds of audited `unsafe`
+# Scope: the workspace contains exactly five kinds of audited `unsafe`
 # site. Every other crate forbids `unsafe_code` ([workspace.lints]);
-# shmcaffe-tensor denies it, and `scripts/check.sh` pins the four files
-# that opt back in:
+# shmcaffe-tensor and shmcaffe-simnet deny it, and `scripts/check.sh`
+# pins the five files that opt back in:
 #
 #   1. crates/tensor/src/simd.rs — `with_wide_lanes`, the one wide-lane
 #      dispatch: the AVX-512F and AVX2 recompilations of safe kernel
@@ -46,6 +46,19 @@
 #      `#[global_allocator]` backing the zero-allocation gate; it delegates
 #      verbatim to `System` plus one relaxed counter increment. Test-only,
 #      never linked into library or bin targets.
+#   5. crates/simnet/src/fiber.rs — the fibers every simulated process
+#      runs on (DESIGN.md §5k): the x86-64 `global_asm!` context switch
+#      and process trampoline, and the `mmap` / `mprotect` / `munmap`
+#      calls that map each 2 MiB stack above its guard page. Miri cannot
+#      run the assembly (or a foreign mmap), so it is not run here.
+#      What covers it instead: every simulation of the tier-1 suite runs
+#      on it, at SHMCAFFE_THREADS=1 and =4 — the golden grant-order
+#      fingerprint and the abort / deadlock unwinding tests
+#      (crates/simnet/tests/handoff.rs), the guard-page, thread-local and
+#      nested-run tests (crates/simnet/tests/fibers.rs), the pinned
+#      training, exchange and timing checksums — and so do the
+#      race-detector suites (scripts/race.sh) and the schedcheck
+#      explorer suites, which run thousands of short simulations.
 #
 # Miri needs a nightly toolchain component; this gate degrades to a skip
 # (exit 0) when it is not installed so offline/stable environments still

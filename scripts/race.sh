@@ -9,7 +9,7 @@
 # sharded_lanes_fail_over_per_shard`) and the platform goldens
 # (`crates/shmcaffe/tests/`). Then the MPI substrate's suite runs with
 # the detector compiled into simnet, so the send→receive edge of every
-# scheduler-delivered ring step (`SimChannel::send_at`) is checked. The
+# collective's ring step and barrier leg is checked. The
 # last line runs the root integration suite (`tests/{smb_protocol,
 # seasgd_algebra,distributed_training,inception_hybrid}.rs`) with the
 # detector compiled into the shmcaffe stack it drives.
@@ -22,7 +22,7 @@ for crate in shmcaffe-simnet shmcaffe-smb shmcaffe; do
     echo "-- race-detect: $crate"
     cargo test -q -p "$crate" --features race-detect
 done
-echo "-- race-detect: shmcaffe-mpi (collectives over scheduler-delivered sends)"
+echo "-- race-detect: shmcaffe-mpi (collectives: ring steps and barrier legs)"
 cargo test -q -p shmcaffe-mpi --features shmcaffe-simnet/race-detect
 echo "-- race-detect: shmcaffe-repro (root integration suite)"
 cargo test -q -p shmcaffe-repro --features shmcaffe/race-detect
