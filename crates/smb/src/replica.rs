@@ -153,6 +153,16 @@ fn ship(
     shmcaffe_simnet::resource::transfer_path_stream(ctx, &path, wire, Some(STREAM_BPS));
 }
 
+/// Whether `member` has crashed by now, whichever role it holds (the
+/// demoted primary keeps its own crash status after promotion).
+fn crashed(ctx: &SimContext, member: &SmbServer) -> bool {
+    member
+        .rdma()
+        .fabric()
+        .fault_injector()
+        .is_some_and(|inj| inj.memory_server_crashed(member.node(), ctx.now()))
+}
+
 impl SmbPair {
     /// Builds a pair over the fabric's first two memory-server endpoints.
     ///
@@ -323,7 +333,7 @@ impl SmbPair {
     /// endpoint. Always `false` once promoted (the primary no longer
     /// serves) or when the fabric has no fault plan.
     pub fn primary_crashed(&self, ctx: &SimContext) -> bool {
-        !self.promoted() && self.primary_crashed_raw(ctx)
+        !self.promoted() && crashed(ctx, &self.inner.primary)
     }
 
     /// Whether the still-serving primary cannot serve `local`'s plain
@@ -338,7 +348,7 @@ impl SmbPair {
         if self.promoted() {
             return false;
         }
-        if self.primary_crashed_raw(ctx) {
+        if crashed(ctx, &self.inner.primary) {
             return true;
         }
         if !self.authority_expired(ctx) {
@@ -535,7 +545,7 @@ impl SmbPair {
         let primary = self.inner.primary.node();
         let standby = self.inner.standby.node();
         loop {
-            if self.inner.stop.load(Ordering::Acquire) || self.primary_crashed_raw(ctx) {
+            if self.inner.stop.load(Ordering::Acquire) || crashed(ctx, &self.inner.primary) {
                 return;
             }
             let rdma = self.inner.primary.rdma();
@@ -561,17 +571,6 @@ impl SmbPair {
             }
         }
         let _ = self.reconcile_demoted(ctx);
-    }
-
-    /// [`SmbPair::primary_crashed`] without the promotion short-circuit —
-    /// the demoted primary needs its own crash status after promotion.
-    fn primary_crashed_raw(&self, ctx: &SimContext) -> bool {
-        self.inner
-            .primary
-            .rdma()
-            .fabric()
-            .fault_injector()
-            .is_some_and(|inj| inj.memory_server_crashed(self.inner.primary.node(), ctx.now()))
     }
 
     /// One partition-heal reconciliation pass on the demoted primary:
@@ -737,6 +736,10 @@ impl SmbPair {
     ///
     /// The protocol, in order:
     ///
+    /// 0. a crashed source member has no copy to give: the page is
+    ///    [`SmbError::Unrepairable`] at once (the dead member's fault gate
+    ///    is transient, so each retry would re-detect the same poison
+    ///    until the budget ran out);
     /// 1. wait out any in-flight replication pass, then acquire the
     ///    replicator's edge — every standby byte the passes wrote
     ///    happens-before the source read below;
@@ -772,6 +775,9 @@ impl SmbPair {
         } else {
             (&self.inner.primary, &self.inner.standby)
         };
+        if crashed(ctx, src) {
+            return Err(SmbError::Unrepairable { key, node: dst.node(), page });
+        }
         self.fence_footprint(ctx, AccessKind::AtomicRead);
         while self.inner.in_pass.load(Ordering::Acquire) {
             ctx.sleep(SimDuration::from_micros(50));

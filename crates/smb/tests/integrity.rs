@@ -135,6 +135,47 @@ fn corruption_on_both_replicas_is_unrepairable() {
     sim.run();
 }
 
+/// After a fail-over the only other copy of a page is on the crashed
+/// primary. A page that rots on the promoted standby is then permanently
+/// lost, and the retrying read says so on its first attempt, instead of
+/// re-detecting the same poison against the dead member until its budget
+/// runs out.
+#[test]
+fn repair_from_a_crashed_member_is_unrepairable() {
+    let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(1) };
+    let plan =
+        FaultPlan::new(1).crash_memory_server(NodeId(spec.gpu_nodes), SimTime::from_millis(5));
+    let pair = paged_pair(Some(plan));
+    let p = pair.clone();
+    let mut sim = Simulation::new();
+    sim.spawn("w", move |ctx| {
+        let client = SmbClient::with_failover(p.clone(), NodeId(0));
+        let policy = RetryPolicy::with_seed(21);
+        let key = client.create(&ctx, "wg", ELEMS, None).unwrap();
+        let buf = client.alloc(&ctx, key).unwrap();
+        let payload = [4.0f32; ELEMS];
+        client.write(&ctx, &buf, &payload).unwrap();
+        p.replicate(&ctx).unwrap();
+        ctx.sleep_until(SimTime::from_millis(6));
+        // The first retrying op meets the crash and fails over.
+        client.write_retrying(&ctx, &buf, &payload, &policy).unwrap();
+        assert!(p.promoted(), "the crash must force a fail-over");
+        p.standby().inject_bit_flip(key, 1, 3).unwrap();
+        let before = client.fault_stats();
+        let mut out = vec![0.0f32; ELEMS];
+        match client.read_retrying(&ctx, &buf, &mut out, &policy) {
+            Err(SmbError::Unrepairable { page: 0, .. }) => {}
+            other => panic!("want Unrepairable page 0, got {other:?}"),
+        }
+        let fs = client.fault_stats();
+        assert_eq!(fs.corruptions_detected - before.corruptions_detected, 1, "{fs:?}");
+        assert_eq!(fs.corruptions_unrepairable - before.corruptions_unrepairable, 1, "{fs:?}");
+        assert_eq!(fs.corruptions_repaired, 0, "{fs:?}");
+        assert_eq!(p.repairs_completed(), 0);
+    });
+    sim.run();
+}
+
 /// Seeded wire bit-flips fail the end-to-end checksum on delivery; the
 /// retrying read keeps the fault out of the caller's buffer and lands a
 /// clean copy within its attempt budget.

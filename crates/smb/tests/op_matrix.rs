@@ -4,7 +4,8 @@
 //! crash, fingerprinted call by call. The fingerprint was captured on the
 //! commit *before* the op pipeline was collapsed to one executor (PR 15),
 //! so any change to pricing, gating, admission order or the injector's
-//! draw sequence moves it.
+//! draw sequence moves it; one deliberate behaviour change re-captured it
+//! since (see [`GOLDEN`]).
 
 use parking_lot::Mutex;
 use shmcaffe_rdma::RdmaFabric;
@@ -304,7 +305,7 @@ fn op_matrix_fingerprint_matches_the_parent_capture() {
     assert!(seen.injected.memory_server_crash_hits > 0, "{:?}", seen.injected);
     assert!(seen.stats.iter().all(|s| s.retries > 0), "{:?}", seen.stats);
     assert!(seen.stats.iter().any(|s| s.corruptions_repaired > 0), "{:?}", seen.stats);
-    // Replays bit-identically, and equals the capture taken on a29d70c.
+    // Replays bit-identically, and equals the capture.
     assert_eq!(run_matrix().fingerprint, seen.fingerprint);
     assert_eq!(
         seen.fingerprint, GOLDEN,
@@ -313,8 +314,12 @@ fn op_matrix_fingerprint_matches_the_parent_capture() {
     );
 }
 
-/// Captured on `a29d70c` (the parent of the op-pipeline refactor).
-const GOLDEN: u64 = 0x5e47_bf80_1882_8120;
+/// Captured on `a29d70c` (the parent of the op-pipeline refactor) as
+/// `0x5e47_bf80_1882_8120`; re-captured when a repair whose source member
+/// has crashed became `Unrepairable` at once: after the 400 ms crash the
+/// retrying calls that used to time out re-detecting a poisoned page
+/// against the dead primary now fail on their first attempt.
+const GOLDEN: u64 = 0x8e62_6eab_b19e_4d2f;
 
 /// Decision (1) of the op descriptor, pinned: plain ops never consult the
 /// fault gate or the corruption stream. Under a probability-only plan the
