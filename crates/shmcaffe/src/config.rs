@@ -43,13 +43,6 @@ pub struct ShmCaffeConfig {
     /// latest checkpoint (`None` = crashed workers stay dead). Rejoin
     /// also requires `checkpoint_every > 0`.
     pub rejoin_delay: Option<SimDuration>,
-    /// Degraded-mode staleness cap: how many weight increments a worker
-    /// cut off from the memory server by a network partition may buffer
-    /// for replay after the partition heals. Increments beyond the cap
-    /// are dropped with accounting (elastic averaging re-derives the lost
-    /// force from the next `W_x − W_g` difference). `0` disables
-    /// partition buffering — a failed push is simply dropped.
-    pub partition_staleness_cap: usize,
     /// Run the exchange as a pipelined chunk stream: the `W_g` range-reads
     /// ride a striped window — four reader connections per memory server,
     /// issued as far ahead of the mixer as the previous exchange's pushes
@@ -87,7 +80,6 @@ impl Default for ShmCaffeConfig {
             seed: 42,
             checkpoint_every: 0,
             rejoin_delay: None,
-            partition_staleness_cap: 16,
             pipelined_exchange: true,
             exchange_chunk_elems: 0,
         }
@@ -130,8 +122,9 @@ pub struct BaselineConfig {
     /// processing in the existing communication methods" that ShmCaffe
     /// eliminates (paper §V). 0.25 ≈ 1.75 GB/s effective on the 7 GB/s
     /// FDR HCA, consistent with Caffe-MPI v1.0's per-layer blocking
-    /// send/recv exchanges (and with the paper's 2.8× end-to-end and 5.3×
-    /// communication-time gaps at 16 GPUs).
+    /// send/recv exchanges. It was fitted to the paper's 2.8× end-to-end
+    /// and 5.3× communication-time gaps at 16 GPUs and misses both
+    /// (2.33× and 6.05× in `BENCH_paper.json`).
     pub mpi_efficiency: f64,
 }
 

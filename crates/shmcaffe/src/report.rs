@@ -59,7 +59,7 @@ pub struct WorkerReport {
     pub smb: ClientFaultStats,
     /// What the exchanger's update threads did with this worker's weight
     /// increments (dropped, buffered while partitioned, dropped past
-    /// [`crate::ShmCaffeConfig::partition_staleness_cap`], replayed),
+    /// [`crate::seasgd::PARTITION_STALENESS_CAP`], replayed),
     /// summed over the incarnations of a rejoined worker.
     pub pushes: PushStats,
     /// Per-exchange time spent waiting for the previous exchange's ΔW

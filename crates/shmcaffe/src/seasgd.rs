@@ -40,11 +40,18 @@
 //! open the window early with [`ElasticExchanger::start_window`]: the
 //! Hybrid-SGD root does, and its read rides under the group all-reduce.
 //!
+//! A push that fails never leaves half an exchange in `W_g`: each lane's
+//! update thread settles the whole exchange once its last tile is in —
+//! cut off by a partition, it buffers the exchange for replay after the
+//! heal (at most [`PARTITION_STALENESS_CAP`] per lane, the rest dropped
+//! with accounting); on any other failure it takes back the tiles that
+//! landed and drops the exchange ([`PushStats`] keeps the books).
+//!
 //! [`ElasticExchanger`] packages steps 1–4 so that both the pure
 //! asynchronous worker ([`run_worker`]) and the Hybrid-SGD group root
 //! ([`crate::hybrid`]) share one implementation.
 
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Range};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -52,7 +59,7 @@ use parking_lot::Mutex;
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::{SimContext, SimDuration, SimTime};
 use shmcaffe_smb::progress::ProgressBoard;
-use shmcaffe_smb::{RetryPolicy, SmbBuffer, SmbClient, SmbError, SmbServer};
+use shmcaffe_smb::{RetryPolicy, SmbBuffer, SmbClient, SmbError};
 
 use crate::config::{ShmCaffeConfig, DEFAULT_EXCHANGE_CHUNKS};
 use crate::platforms::fleet::StepLog;
@@ -91,6 +98,13 @@ struct GridChunk {
     global_off: usize,
     /// Tile length in elements.
     len: usize,
+}
+
+impl GridChunk {
+    /// The tile's elements within its lane's buffers.
+    fn span(&self) -> Range<usize> {
+        self.local_off..self.local_off + self.len
+    }
 }
 
 /// Builds the deterministic chunk grid: cut the parameter vector at every
@@ -168,6 +182,13 @@ struct UpdateDone {
 /// hundreds of milliseconds, so only a genuinely wedged thread trips this.
 const EXCHANGE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 
+/// Degraded-mode staleness cap: how many exchanges an update thread cut
+/// off from the memory server by a network partition buffers for replay
+/// after the heal. Exchanges beyond it are dropped with accounting
+/// (elastic averaging re-derives the lost force from the next `W_x − W_g`
+/// difference).
+pub const PARTITION_STALENESS_CAP: usize = 16;
+
 /// Throughput of the worker-local weight-mixing pass (T2/T5 memory traffic
 /// over W_x, W_g, ΔW), in bytes/s: GDDR5X copy throughput.
 const LOCAL_MIX_BPS: f64 = 25.0e9;
@@ -175,14 +196,14 @@ const LOCAL_MIX_BPS: f64 = 25.0e9;
 /// What one exchanger's update threads did with the weight increments
 /// they were handed: dropped after failed pushes, or — while a network
 /// partition cut the worker off from the memory server (paper-style
-/// minority-side behaviour) — buffered, dropped past the staleness cap,
-/// and replayed after the heal.
+/// minority-side behaviour) — buffered, dropped past
+/// [`PARTITION_STALENESS_CAP`], and replayed after the heal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PushStats {
     /// Exchanges dropped because pushing them kept failing.
     pub dropped_updates: u64,
-    /// Increments buffered for replay after the partition heals (bounded
-    /// by [`ShmCaffeConfig::partition_staleness_cap`]).
+    /// Increments buffered for replay after the partition heals (at most
+    /// [`PARTITION_STALENESS_CAP`] held at once per lane).
     pub partition_buffered: u64,
     /// Increments dropped because the staleness-capped buffer was full
     /// (or still held entries when the books were read).
@@ -438,15 +459,10 @@ impl ElasticExchanger {
                 SimChannel::new(&format!("seasgd_req_{label}_s{lane_idx}"));
             let upd_done: SimChannel<UpdateDone> =
                 SimChannel::new(&format!("seasgd_done_{label}_s{lane_idx}"));
-            // Tiles of this lane, in grid order: (global index, local
-            // offset, length).
-            let lane_chunks: Vec<(usize, usize, usize)> = grid
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.lane == lane_idx)
-                .map(|(k, c)| (k, c.local_off, c.len))
-                .collect();
-            let n_chunks = lane_chunks.len();
+            // Tiles of this lane, in grid order.
+            let tiles: Vec<GridChunk> =
+                grid.iter().filter(|c| c.lane == lane_idx).copied().collect();
+            let n_chunks = tiles.len();
             // T1 as a striped stream: each reader connection fetches its
             // share of the W_g tiles on demand, so several range-reads are
             // on the wire while the main thread mixes the tiles before them.
@@ -470,21 +486,11 @@ impl ElasticExchanger {
                 let client = client.clone();
                 let upd_req = upd_req.clone();
                 let upd_done = upd_done.clone();
-                let staleness_cap = cfg.partition_staleness_cap;
                 let retry = retry.clone();
                 let books = Arc::clone(&books);
-                let lane_chunks = lane_chunks.clone();
                 ctx.spawn(&format!("update_thread_{label}_s{lane_idx}"), move |uctx| {
                     update_thread(
-                        &uctx,
-                        &client,
-                        buffers,
-                        &lane_chunks,
-                        &upd_req,
-                        &upd_done,
-                        staleness_cap,
-                        &retry,
-                        &books,
+                        &uctx, &client, buffers, &tiles, &upd_req, &upd_done, &retry, &books,
                     );
                 });
             }
@@ -747,7 +753,7 @@ impl ElasticExchanger {
     /// What the update threads did with the increments so far: dropped,
     /// buffered, dropped past the staleness cap (backlog entries not yet
     /// replayed included) and replayed across partition windows (see
-    /// [`crate::ShmCaffeConfig::partition_staleness_cap`]).
+    /// [`PARTITION_STALENESS_CAP`]).
     pub fn push_stats(&self) -> PushStats {
         let books = self.books.lock();
         PushStats {
@@ -781,172 +787,136 @@ impl ElasticExchanger {
 /// pushes each immediately (T.A1–T.A3), overlapping with the main thread's
 /// remaining reads/mixing and with T4/T5 compute.
 ///
-/// Failure semantics are exchange-grained — never a torn half-exchange:
+/// One record settles an exchange — never a torn half-exchange:
+/// `landed[j]` says tile *j* is folded into the `W_g` of the member that
+/// serves now, and `failure` is set once a push failed (`Some(true)`: a
+/// partition cuts the client off). The fencing epoch is checked after
+/// every push, landed or not: on a *failover* the folds of the earlier
+/// tiles died with the old primary (the accumulate-stream guard kept them
+/// off the standby), so they are unmarked, and if this push landed on the
+/// promoted member they are re-folded there. After the last tile:
 ///
-/// * a mid-stream *failover* (fencing epoch change) refolds the tiles
-///   whose folds died with the old primary onto the promoted server (the
-///   accumulate-stream guard kept half-folded state off the standby);
-/// * a mid-stream *partition* failure backlogs the whole exchange with
-///   already-folded tiles zeroed, replayed as one atomic push after heal;
-/// * any other persistent failure compensates the folded tiles with one
-///   atomic negated push and drops the exchange.
+/// * no failure: replay the partition backlog;
+/// * a *partition*: backlog the exchange with its landed tiles zeroed,
+///   replayed as one atomic push after the heal (past
+///   [`PARTITION_STALENESS_CAP`] entries it is dropped instead);
+/// * any other failure: compensate the landed tiles with one atomic
+///   negated push and drop the exchange.
 #[allow(clippy::too_many_arguments)]
 fn update_thread(
     uctx: &SimContext,
     client: &SmbClient,
     buffers: SeasgdBuffers,
-    lane_chunks: &[(usize, usize, usize)],
+    tiles: &[GridChunk],
     upd_req: &SimChannel<UpdateRequest>,
     upd_done: &SimChannel<UpdateDone>,
-    staleness_cap: usize,
     retry: &RetryPolicy,
     books: &Mutex<PushBooks>,
 ) {
-    let lane_len = buffers.wg.len();
-    let n = lane_chunks.len();
+    let push = |t: &GridChunk, data: &[f32]| {
+        push_range(uctx, client, &buffers, t.local_off, data, retry).is_ok()
+    };
+    let key = buffers.wg.key;
     // The exchange's full ΔW slice, staged tile by tile: the backlog,
-    // refold, and compensation paths all need tiles that already went
+    // re-fold, and compensation paths all need tiles that already went
     // back to the main thread for recycling.
-    let mut staging = vec![0.0f32; lane_len];
-    let mut scratch: Vec<f32> = Vec::new();
+    let mut staging = vec![0.0f32; buffers.wg.len()];
     // Increments held back while a partition cuts this worker off from
-    // the memory server, replayed once it heals. Already-folded tiles are
-    // zeroed at capture, so a replayed entry folds exactly once.
+    // the memory server, replayed once it heals. Landed tiles are zeroed
+    // at capture, so a replayed entry folds exactly once.
     let mut backlog: Vec<Vec<f32>> = Vec::new();
-    let mut pos = 0usize;
-    let mut folded = vec![false; n];
-    let mut exchange_failed = false;
-    let mut partition_fail = false;
-    let mut guard: Option<SmbServer> = None;
+    let mut landed = vec![false; tiles.len()];
+    let mut failure: Option<bool> = None;
+    // Torn-replication guard: while an exchange's tiles stream into W_g,
+    // the replicator must not ship a half-folded snapshot to the standby.
+    let mut guard = client.server();
     let mut epoch = 0u64;
-    loop {
-        match upd_req.recv(uctx) {
-            UpdateRequest::Shutdown => break,
-            UpdateRequest::Chunk { chunk, buf } => {
-                let (gidx, off, len) = lane_chunks[pos];
-                debug_assert_eq!(gidx, chunk);
-                staging[off..off + len].copy_from_slice(&buf[..len]);
-                if pos == 0 {
-                    for f in folded.iter_mut() {
-                        *f = false;
+    let mut pos = 0usize;
+    while let UpdateRequest::Chunk { chunk, buf } = upd_req.recv(uctx) {
+        let c = &tiles[pos];
+        staging[c.span()].copy_from_slice(&buf);
+        if pos == 0 {
+            landed.fill(false);
+            failure = None;
+            guard = client.server();
+            guard.begin_accumulate_stream(uctx, key);
+            epoch = fence_epoch_of(client);
+        }
+        if failure.is_none() {
+            let mut ok = push(c, &buf);
+            landed[pos] = ok;
+            if fence_epoch_of(client) != epoch {
+                // Failover mid-stream: move the guard to the promoted
+                // member and, if this tile landed there, re-fold the
+                // tiles before it so the whole exchange lands once.
+                guard.end_accumulate_stream(uctx, key);
+                guard = client.server();
+                guard.begin_accumulate_stream(uctx, key);
+                epoch = fence_epoch_of(client);
+                landed[..pos].fill(false);
+                ok = ok
+                    && tiles[..pos].iter().zip(&mut landed).all(|(t, l)| {
+                        *l = push(t, &staging[t.span()]);
+                        *l
+                    });
+            }
+            if !ok {
+                failure = Some(client.partitioned_from_server(uctx));
+            }
+        }
+        // The done is the next exchange's T.A5 gate for this tile and
+        // carries the buffer back for recycling — sent even on failure so
+        // the main thread never wedges.
+        upd_done.send(uctx, UpdateDone { chunk, buf });
+        pos += 1;
+        if pos < tiles.len() {
+            continue;
+        }
+        pos = 0;
+        guard.end_accumulate_stream(uctx, key);
+        let landed_spans = || tiles.iter().zip(&landed).filter(|(_, &l)| l).map(|(t, _)| t.span());
+        match failure {
+            // Replay the partition backlog newest-first: accumulation is
+            // commutative, so order is free.
+            None => {
+                while let Some(entry) = backlog.last() {
+                    if push_full(uctx, client, &buffers, entry, retry).is_err() {
+                        break;
                     }
-                    exchange_failed = false;
-                    partition_fail = false;
-                    // Torn-replication guard: while this exchange's tiles
-                    // stream into W_g, the replicator must not ship a
-                    // half-folded snapshot to the standby.
-                    let server = client.server();
-                    server.begin_accumulate_stream(uctx, buffers.wg.key);
-                    guard = Some(server);
-                    epoch = fence_epoch_of(client);
+                    backlog.pop();
+                    let mut b = books.lock();
+                    b.stats.reconciled_updates += 1;
+                    b.pending -= 1;
                 }
-                if !exchange_failed {
-                    match push_range(uctx, client, &buffers, off, &buf[..len], retry) {
-                        Ok(()) => {
-                            folded[pos] = true;
-                            let now_epoch = fence_epoch_of(client);
-                            if now_epoch != epoch {
-                                // Failover mid-stream: the earlier tiles'
-                                // folds died with the old primary (the
-                                // stream guard kept them off the standby)
-                                // while this tile just landed on the
-                                // promoted server. Refold the lost tiles
-                                // there so exactly one full exchange lands.
-                                if let Some(g) = guard.take() {
-                                    g.end_accumulate_stream(uctx, buffers.wg.key);
-                                }
-                                let server = client.server();
-                                server.begin_accumulate_stream(uctx, buffers.wg.key);
-                                guard = Some(server);
-                                epoch = now_epoch;
-                                for j in 0..pos {
-                                    if !folded[j] {
-                                        continue;
-                                    }
-                                    let (_, joff, jlen) = lane_chunks[j];
-                                    let data = &staging[joff..joff + jlen];
-                                    if push_range(uctx, client, &buffers, joff, data, retry)
-                                        .is_err()
-                                    {
-                                        folded[j] = false;
-                                        exchange_failed = true;
-                                        partition_fail = staleness_cap > 0
-                                            && client.partitioned_from_server(uctx);
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            exchange_failed = true;
-                            partition_fail =
-                                staleness_cap > 0 && client.partitioned_from_server(uctx);
-                        }
-                    }
+            }
+            Some(true) if backlog.len() < PARTITION_STALENESS_CAP => {
+                let mut entry = staging.clone();
+                for span in landed_spans() {
+                    entry[span].fill(0.0);
                 }
-                // The done is the next exchange's T.A5 gate for this tile
-                // and carries the buffer back for recycling — sent even on
-                // failure so the main thread never wedges.
-                upd_done.send(uctx, UpdateDone { chunk, buf });
-                pos += 1;
-                if pos == n {
-                    pos = 0;
-                    if let Some(g) = guard.take() {
-                        g.end_accumulate_stream(uctx, buffers.wg.key);
+                backlog.push(entry);
+                let mut b = books.lock();
+                b.stats.partition_buffered += 1;
+                b.pending += 1;
+            }
+            Some(true) => books.lock().stats.partition_dropped += 1,
+            // A push that cannot go through within the retry budget drops
+            // the exchange: elastic averaging re-derives the lost force
+            // from the next W_x − W_g difference, whereas dying here would
+            // take the whole worker down. Landed tiles are compensated
+            // with one atomic negated push so W_g never keeps half an
+            // exchange.
+            Some(false) => {
+                if landed.contains(&true) {
+                    let mut negated = vec![0.0f32; staging.len()];
+                    for span in landed_spans() {
+                        for (n, &v) in negated[span.clone()].iter_mut().zip(&staging[span]) {
+                            *n = -v;
+                        }
                     }
-                    if !exchange_failed {
-                        // Replay partition backlog newest-first:
-                        // accumulation is commutative, so order is free.
-                        while let Some(entry) = backlog.last() {
-                            if push_full(uctx, client, &buffers, entry, retry).is_err() {
-                                break;
-                            }
-                            backlog.pop();
-                            let mut b = books.lock();
-                            b.stats.reconciled_updates += 1;
-                            b.pending -= 1;
-                        }
-                    } else if partition_fail {
-                        if backlog.len() < staleness_cap {
-                            let mut entry = staging.clone();
-                            for (j, &(_, joff, jlen)) in lane_chunks.iter().enumerate() {
-                                if folded[j] {
-                                    entry[joff..joff + jlen].fill(0.0);
-                                }
-                            }
-                            backlog.push(entry);
-                            let mut b = books.lock();
-                            b.stats.partition_buffered += 1;
-                            b.pending += 1;
-                        } else {
-                            books.lock().stats.partition_dropped += 1;
-                        }
-                    } else {
-                        // A push that cannot go through within the retry
-                        // budget drops the exchange: elastic averaging
-                        // re-derives the lost force from the next
-                        // W_x − W_g difference, whereas dying here would
-                        // take the whole worker down. Tiles already folded
-                        // are compensated with one atomic negated push so
-                        // W_g never keeps half an exchange.
-                        if folded.iter().any(|&f| f) {
-                            scratch.clear();
-                            scratch.resize(lane_len, 0.0);
-                            for (j, &(_, joff, jlen)) in lane_chunks.iter().enumerate() {
-                                if folded[j] {
-                                    for (s, &v) in scratch[joff..joff + jlen]
-                                        .iter_mut()
-                                        .zip(&staging[joff..joff + jlen])
-                                    {
-                                        *s = -v;
-                                    }
-                                }
-                            }
-                            let _ = push_full(uctx, client, &buffers, &scratch, retry);
-                        }
-                        books.lock().stats.dropped_updates += 1;
-                    }
+                    let _ = push_full(uctx, client, &buffers, &negated, retry);
                 }
+                books.lock().stats.dropped_updates += 1;
             }
         }
     }

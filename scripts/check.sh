@@ -87,7 +87,7 @@ echo "== paper record: BENCH_paper.json reproduces exactly (virtual time + seede
 cargo build -q --release -p shmcaffe-bench --bin paper
 ./target/release/paper --check | tail -n 3
 
-echo "== race detector: SMB seeded-race/failover/fence-chain/repair + SEASGD chaos/failover/partition + MPI collectives + root integration suite =="
+echo "== race detector: SMB seeded-race/failover/fence-chain/repair + SEASGD chaos/failover/partition + MPI collectives + intra-node collectives + root integration suite =="
 ./scripts/race.sh
 
 echo "== miri (skips when not installed) =="

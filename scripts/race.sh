@@ -9,8 +9,9 @@
 # sharded_lanes_fail_over_per_shard`) and the platform goldens
 # (`crates/shmcaffe/tests/`). Then the MPI substrate's suite runs with
 # the detector compiled into simnet, so the send→receive edge of every
-# collective's ring step and barrier leg is checked. The
-# last line runs the root integration suite (`tests/{smb_protocol,
+# collective's ring step and barrier leg is checked, and so does the
+# collectives crate's: the intra-node ring all-reduce and broadcast that
+# ShmCaffe-H and Caffe run. The last line runs the root integration suite (`tests/{smb_protocol,
 # seasgd_algebra,distributed_training,inception_hybrid}.rs`) with the
 # detector compiled into the shmcaffe stack it drives.
 #
@@ -24,5 +25,7 @@ for crate in shmcaffe-simnet shmcaffe-smb shmcaffe; do
 done
 echo "-- race-detect: shmcaffe-mpi (collectives: ring steps and barrier legs)"
 cargo test -q -p shmcaffe-mpi --features shmcaffe-simnet/race-detect
+echo "-- race-detect: shmcaffe-collectives (intra-node ring all-reduce and broadcast)"
+cargo test -q -p shmcaffe-collectives --features shmcaffe-simnet/race-detect
 echo "-- race-detect: shmcaffe-repro (root integration suite)"
 cargo test -q -p shmcaffe-repro --features shmcaffe/race-detect

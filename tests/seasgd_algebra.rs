@@ -7,10 +7,13 @@ use std::sync::Arc;
 use shmcaffe_repro::models::WorkloadModel;
 use shmcaffe_repro::platform::config::ShmCaffeConfig;
 use shmcaffe_repro::platform::platforms::ShmCaffeA;
-use shmcaffe_repro::platform::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
+use shmcaffe_repro::platform::trainer::{
+    EvalSample, ModeledTrainerFactory, Trainer, TrainerFactory,
+};
+use shmcaffe_repro::simnet::fault::FaultPlan;
 use shmcaffe_repro::simnet::jitter::JitterModel;
-use shmcaffe_repro::simnet::topology::ClusterSpec;
-use shmcaffe_repro::simnet::{SimDuration, Simulation};
+use shmcaffe_repro::simnet::topology::{ClusterSpec, NodeId};
+use shmcaffe_repro::simnet::{SimContext, SimDuration, SimTime, Simulation};
 
 fn workload() -> WorkloadModel {
     WorkloadModel::custom("algebra", 1_000_000, SimDuration::from_millis(5))
@@ -82,6 +85,92 @@ fn platform_single_worker_matches_hand_computed_elastic_updates() {
     assert!(got_wg.iter().any(|&v| v != 0.0));
 }
 
+/// A trainer whose "gradient step" adds a constant drift per rank
+/// (`rank − 1.5`) after `base_ms + rank` ms of compute, and which deposits
+/// its final weights in `sink` when dropped: the SEASGD exchange moves
+/// mass between `W_x` and `W_g` but never creates or destroys it.
+struct Drifter {
+    w: Vec<f32>,
+    drift: f32,
+    compute: SimDuration,
+    sink: Arc<Mutex<Vec<Vec<f32>>>>,
+    rank: usize,
+}
+
+impl Trainer for Drifter {
+    fn param_len(&self) -> usize {
+        self.w.len()
+    }
+    fn wire_bytes(&self) -> u64 {
+        (self.w.len() * 4) as u64
+    }
+    fn compute_gradients(&mut self, ctx: &SimContext) -> f32 {
+        ctx.sleep(self.compute);
+        0.0
+    }
+    fn apply_update(&mut self, _ctx: &SimContext) {
+        for v in self.w.iter_mut() {
+            *v += self.drift;
+        }
+    }
+    fn read_weights(&mut self, out: &mut [f32]) {
+        out.copy_from_slice(&self.w);
+    }
+    fn write_weights(&mut self, w: &[f32]) {
+        self.w.copy_from_slice(w);
+    }
+    fn read_grads(&mut self, out: &mut [f32]) {
+        out.fill(0.0);
+    }
+    fn write_grads(&mut self, _g: &[f32]) {}
+    fn evaluate(&mut self) -> Option<EvalSample> {
+        None
+    }
+}
+
+impl Drop for Drifter {
+    fn drop(&mut self) {
+        self.sink.lock()[self.rank] = self.w.clone();
+    }
+}
+
+/// Makes [`Drifter`]s of `len` weights, all starting at 1. Clones share
+/// the sink, so a test keeps one to read the finals after the run.
+#[derive(Clone)]
+struct DrifterFactory {
+    len: usize,
+    base_ms: u64,
+    sink: Arc<Mutex<Vec<Vec<f32>>>>,
+}
+
+impl DrifterFactory {
+    fn new(len: usize, base_ms: u64, workers: usize) -> Self {
+        DrifterFactory { len, base_ms, sink: Arc::new(Mutex::new(vec![Vec::new(); workers])) }
+    }
+
+    /// Every worker's final weights.
+    fn finals(&self) -> Vec<Vec<f32>> {
+        let finals = self.sink.lock().clone();
+        for w in &finals {
+            assert_eq!(w.len(), self.len, "every worker deposited its final weights");
+        }
+        finals
+    }
+}
+
+impl TrainerFactory for DrifterFactory {
+    type Output = Drifter;
+    fn make(&self, rank: usize, _n: usize) -> Drifter {
+        Drifter {
+            w: vec![1.0; self.len],
+            drift: rank as f32 - 1.5,
+            compute: SimDuration::from_millis(self.base_ms + rank as u64),
+            sink: Arc::clone(&self.sink),
+            rank,
+        }
+    }
+}
+
 #[test]
 fn elastic_exchange_conserves_total_mass() {
     // EASGD's exchange moves ΔW from the worker to the global buffer:
@@ -91,63 +180,7 @@ fn elastic_exchange_conserves_total_mass() {
     // drift per rank (−1.5, −0.5, +0.5, +1.5); S must stay at its initial
     // value up to f32 rounding, no matter how exchanges interleave — and
     // despite W_g staleness between read and accumulate.
-    struct Drifter {
-        w: Vec<f32>,
-        drift: f32,
-        sink: Arc<Mutex<Vec<Vec<f32>>>>,
-        rank: usize,
-    }
-    impl Trainer for Drifter {
-        fn param_len(&self) -> usize {
-            self.w.len()
-        }
-        fn wire_bytes(&self) -> u64 {
-            (self.w.len() * 4) as u64
-        }
-        fn compute_gradients(&mut self, ctx: &shmcaffe_repro::simnet::SimContext) -> f32 {
-            ctx.sleep(SimDuration::from_millis(1 + self.rank as u64));
-            0.0
-        }
-        fn apply_update(&mut self, _ctx: &shmcaffe_repro::simnet::SimContext) {
-            for v in self.w.iter_mut() {
-                *v += self.drift;
-            }
-        }
-        fn read_weights(&mut self, out: &mut [f32]) {
-            out.copy_from_slice(&self.w);
-        }
-        fn write_weights(&mut self, w: &[f32]) {
-            self.w.copy_from_slice(w);
-        }
-        fn read_grads(&mut self, out: &mut [f32]) {
-            out.fill(0.0);
-        }
-        fn write_grads(&mut self, _g: &[f32]) {}
-        fn evaluate(&mut self) -> Option<shmcaffe_repro::platform::trainer::EvalSample> {
-            None
-        }
-    }
-    impl Drop for Drifter {
-        fn drop(&mut self) {
-            self.sink.lock()[self.rank] = self.w.clone();
-        }
-    }
-    struct DrifterFactory {
-        sink: Arc<Mutex<Vec<Vec<f32>>>>,
-    }
-    impl TrainerFactory for DrifterFactory {
-        type Output = Drifter;
-        fn make(&self, rank: usize, _n: usize) -> Drifter {
-            Drifter {
-                w: vec![1.0; 64],
-                drift: rank as f32 - 1.5,
-                sink: Arc::clone(&self.sink),
-                rank,
-            }
-        }
-    }
-
-    let sink: Arc<Mutex<Vec<Vec<f32>>>> = Arc::new(Mutex::new(vec![Vec::new(); 4]));
+    let drifters = DrifterFactory::new(64, 1, 4);
     let cfg = ShmCaffeConfig {
         max_iters: 50,
         moving_rate: 0.25,
@@ -158,13 +191,10 @@ fn elastic_exchange_conserves_total_mass() {
         ..Default::default()
     };
     let report = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 4, cfg)
-        .run(DrifterFactory { sink: Arc::clone(&sink) })
+        .run(drifters.clone())
         .expect("platform runs");
     let wg = report.final_weights.expect("master reads W_g");
-    let finals = sink.lock().clone();
-    for w in &finals {
-        assert_eq!(w.len(), 64, "every worker deposited its final weights");
-    }
+    let finals = drifters.finals();
     // S(0) = 1 (W_g) + 4 x 1 (workers) = 5 per component; drift sums to 0.
     for i in 0..64 {
         let s: f32 = wg[i] + finals.iter().map(|w| w[i]).sum::<f32>();
@@ -172,6 +202,57 @@ fn elastic_exchange_conserves_total_mass() {
     }
     // And the exchange did real work: W_g moved off its seed.
     assert!(wg.iter().any(|&v| (v - 1.0).abs() > 1e-3));
+}
+
+/// Two fault classes at once: the primary memory server crashes at
+/// 255 ms while the worker's node is cut off from the standby over
+/// [254 ms, 655 ms]. The push that observes the fail-over fails (the
+/// promoted member is behind the partition), so the exchange goes to the
+/// partition backlog — and the tiles folded into the dead primary before
+/// it must be in that backlog too: they died with the old primary, which
+/// the accumulate-stream guard kept them from replicating. Run well past
+/// the heal, every backlog entry replays and the mass identity holds
+/// exactly: `W_g + W_x` is its start value plus the injected drift.
+#[test]
+fn failover_into_a_partition_loses_no_increment() {
+    const ITERS: usize = 30;
+    let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
+    let primary = NodeId(spec.gpu_nodes);
+    let standby = NodeId(spec.gpu_nodes + 1);
+    let plan =
+        FaultPlan::new(11).crash_memory_server(primary, SimTime::from_millis(255)).partition(
+            vec![vec![NodeId(0)], vec![standby]],
+            SimTime::from_millis(254),
+            Some(SimTime::from_millis(655)),
+        );
+    let cfg = ShmCaffeConfig {
+        max_iters: ITERS,
+        progress_every: 10,
+        jitter: JitterModel::NONE,
+        ..Default::default()
+    };
+    let drifters = DrifterFactory::new(1_000_000, 20, 1);
+    let report = ShmCaffeA::new(spec, 1, cfg)
+        .with_standby(SimDuration::from_millis(20))
+        .with_fault_plan(plan)
+        .run(drifters.clone())
+        .expect("a fail-over into a partition is ridden out");
+    let worker = &report.workers[0];
+    assert_eq!(worker.iters, ITERS as u64);
+    assert!(report.wall > SimTime::from_millis(655), "the run outlasts the heal");
+    let pushes = worker.pushes;
+    assert!(pushes.partition_buffered > 0, "the partition backlogs exchanges");
+    assert_eq!(pushes.dropped_updates, 0);
+    assert_eq!(pushes.partition_dropped, 0);
+    assert_eq!(pushes.reconciled_updates, pushes.partition_buffered, "the backlog replays whole");
+
+    // S(0) = 1 (W_g) + 1 (W_x); rank 0 drifts by −1.5 per iteration.
+    let wg = report.final_weights.expect("the standby serves W_g");
+    let wx = &drifters.finals()[0];
+    let expected = 2.0 - 1.5 * ITERS as f32;
+    for (i, (g, x)) in wg.iter().zip(wx).enumerate() {
+        assert!((g + x - expected).abs() < 1e-3, "component {i}: mass {} != {expected}", g + x);
+    }
 }
 
 #[test]
