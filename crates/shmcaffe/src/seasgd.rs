@@ -45,13 +45,16 @@
 //! cut off by a partition, it buffers the exchange for replay after the
 //! heal (at most [`PARTITION_STALENESS_CAP`] per lane, the rest dropped
 //! with accounting); on any other failure it takes back the tiles that
-//! landed and drops the exchange ([`PushStats`] keeps the books).
+//! landed and drops the exchange ([`PushStats`] keeps the books). Across a
+//! memory-server fail-over it re-pushes, in fold order, every fold the
+//! promoted standby's copy of `W_g` does not hold yet.
 //!
 //! [`ElasticExchanger`] packages steps 1–4 so that both the pure
 //! asynchronous worker ([`run_worker`]) and the Hybrid-SGD group root
 //! ([`crate::hybrid`]) share one implementation.
 
 use std::ops::{AddAssign, Range};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -164,7 +167,11 @@ enum UpdateRequest {
     /// Push ΔW tile `chunk` (grid order) and range-accumulate it into the
     /// global buffer.
     Chunk { chunk: usize, buf: Vec<f32> },
-    /// Terminate the update thread.
+    /// A reader's read began before the lane's fail-over redo and ended
+    /// after the fail-over: run the redo, then answer on the channel
+    /// whether it re-pushed anything (if not, the read saw every fold).
+    Redo(SimChannel<bool>),
+    /// Run any fail-over redo still due, then terminate.
     Shutdown,
 }
 
@@ -263,6 +270,8 @@ impl Default for ExchangePhases {
 struct Reader {
     req: SimChannel<ReadRequest>,
     reply: SimChannel<ReadReply>,
+    /// The update thread's answer to this reader's [`UpdateRequest::Redo`].
+    redo_reply: SimChannel<bool>,
 }
 
 /// One shard lane: the client, channels, and grid bookkeeping for a
@@ -280,59 +289,36 @@ struct Lane {
     n_chunks: usize,
 }
 
-/// The fencing epoch this client currently observes (0 on a single-server
-/// route, where there is no failover and hence no epoch).
-fn fence_epoch_of(client: &SmbClient) -> u64 {
-    client.pair().map_or(0, |p| p.fence_epoch())
-}
-
-/// T.A1 + T.A2–T.A3 for one tile: range-write the increment into the
-/// worker's private buffer, then server-side range-accumulate it into the
-/// global buffer.
-fn push_range(
-    ctx: &SimContext,
-    client: &SmbClient,
-    bufs: &SeasgdBuffers,
-    local_off: usize,
-    data: &[f32],
-    retry: &RetryPolicy,
-) -> Result<(), SmbError> {
-    client.write_range_retrying(ctx, &bufs.dw, local_off, data, retry)?;
-    client
-        .accumulate_range_retrying(ctx, &bufs.dw, &bufs.wg, local_off, data.len(), retry)
-        .map(|_| ())
-}
-
-/// Whole-lane push (backlog replay and compensation paths): one atomic
-/// write + accumulate, so a replayed increment can never land torn.
-fn push_full(
-    ctx: &SimContext,
-    client: &SmbClient,
-    bufs: &SeasgdBuffers,
-    data: &[f32],
-    retry: &RetryPolicy,
-) -> Result<(), SmbError> {
-    client.write_retrying(ctx, &bufs.dw, data, retry)?;
-    client.accumulate_retrying(ctx, &bufs.dw, &bufs.wg, retry).map(|_| ())
-}
-
 /// The process behind one reader connection: T1, one tile at a time. The
 /// zero-cost partition probe runs *before* each read: with a whole window
 /// of reads queued behind the one a partition swallows, each would
 /// otherwise burn its own retry budget before the main thread saw the
-/// first `Stale` and stopped issuing.
+/// first `Stale` and stopped issuing. A read that began before the lane's
+/// update thread ran its fail-over redo (`redone`) and ended with the pair
+/// promoted may miss folds that died with the old primary: the reader asks
+/// the update thread to redo them and, if it re-pushed any, reads again.
 fn serve_reads(
     rctx: &SimContext,
     client: &SmbClient,
     wg: &SmbBuffer,
     conn: &Reader,
     retry: &RetryPolicy,
+    upd_req: &SimChannel<UpdateRequest>,
+    redone: &AtomicBool,
 ) {
     while let ReadRequest::Read { chunk, local_off, mut buf } = conn.req.recv(rctx) {
         let reply = if client.partitioned_from_server(rctx) {
             ReadReply::Stale { chunk, buf }
         } else {
-            match client.read_range_retrying(rctx, wg, local_off, &mut buf, retry) {
+            let settled = redone.load(Ordering::Acquire);
+            let mut read = client.read_range_retrying(rctx, wg, local_off, &mut buf, retry);
+            if read.is_ok() && !settled && client.pair().is_some_and(|p| p.promoted()) {
+                upd_req.send(rctx, UpdateRequest::Redo(conn.redo_reply.clone()));
+                if conn.redo_reply.recv_timeout(rctx, EXCHANGE_TIMEOUT) == Some(true) {
+                    read = client.read_range_retrying(rctx, wg, local_off, &mut buf, retry);
+                }
+            }
+            match read {
                 Ok(()) => ReadReply::Fresh { chunk, buf },
                 Err(_) if client.partitioned_from_server(rctx) => ReadReply::Stale { chunk, buf },
                 // A tile that stays corrupt through the retry/repair loop
@@ -463,35 +449,46 @@ impl ElasticExchanger {
             let tiles: Vec<GridChunk> =
                 grid.iter().filter(|c| c.lane == lane_idx).copied().collect();
             let n_chunks = tiles.len();
+            // The update thread's fold log, kept until the pair fails over
+            // (a lone server or a pair promoted already has none to redo),
+            // and whether its redo has run, for the readers.
+            let log = client.pair().filter(|p| !p.promoted()).map(|_| Vec::new());
+            let redone = Arc::new(AtomicBool::new(log.is_none()));
             // T1 as a striped stream: each reader connection fetches its
             // share of the W_g tiles on demand, so several range-reads are
             // on the wire while the main thread mixes the tiles before them.
             let readers: Vec<Reader> = (0..n_chunks.min(READ_STREAMS))
                 .map(|r| {
+                    let name = |what: &str| format!("seasgd_{what}_{label}_s{lane_idx}_r{r}");
                     let conn = Reader {
-                        req: SimChannel::new(&format!("seasgd_read_req_{label}_s{lane_idx}_r{r}")),
-                        reply: SimChannel::new(&format!(
-                            "seasgd_read_reply_{label}_s{lane_idx}_r{r}"
-                        )),
+                        req: SimChannel::new(&name("read_req")),
+                        reply: SimChannel::new(&name("read_reply")),
+                        redo_reply: SimChannel::new(&name("redo_reply")),
                     };
                     let (client, retry, wg, served) =
                         (client.clone(), retry.clone(), buffers.wg, conn.clone());
+                    let (upd_req, redone) = (upd_req.clone(), Arc::clone(&redone));
                     ctx.spawn(&format!("reader_{label}_s{lane_idx}_r{r}"), move |rctx| {
-                        serve_reads(&rctx, &client, &wg, &served, &retry);
+                        serve_reads(&rctx, &client, &wg, &served, &retry, &upd_req, &redone);
                     });
                     conn
                 })
                 .collect();
             {
-                let client = client.clone();
-                let upd_req = upd_req.clone();
-                let upd_done = upd_done.clone();
-                let retry = retry.clone();
-                let books = Arc::clone(&books);
+                let mut pusher = Pusher {
+                    log,
+                    client: client.clone(),
+                    bufs: buffers,
+                    retry: retry.clone(),
+                    books: Arc::clone(&books),
+                    redone,
+                    repushed: false,
+                    backlog: Vec::new(),
+                    free: Vec::new(),
+                };
+                let (upd_req, upd_done) = (upd_req.clone(), upd_done.clone());
                 ctx.spawn(&format!("update_thread_{label}_s{lane_idx}"), move |uctx| {
-                    update_thread(
-                        &uctx, &client, buffers, &tiles, &upd_req, &upd_done, &retry, &books,
-                    );
+                    update_thread(&uctx, &mut pusher, &tiles, &upd_req, &upd_done);
                 });
             }
             lanes.push(Lane { client, readers, upd_req, upd_done, n_chunks });
@@ -764,7 +761,7 @@ impl ElasticExchanger {
 
     /// Stops the reader processes and update threads. Queued tiles drain
     /// in FIFO order before the shutdown is seen, so a pending exchange
-    /// still completes its pushes.
+    /// still completes its pushes, and a fail-over redo still due runs.
     pub fn finish(self, ctx: &SimContext) {
         for lane in &self.lanes {
             lane.upd_req.send(ctx, UpdateRequest::Shutdown);
@@ -783,85 +780,210 @@ impl ElasticExchanger {
     }
 }
 
+/// One fold into the primary's `W_g` that the standby may not hold yet:
+/// the `W_g` version it produced, where it landed and what it added.
+struct Fold {
+    version: u64,
+    off: usize,
+    data: Vec<f32>,
+}
+
+/// The pushes of one lane's update thread and the books they keep across
+/// partitions and a memory-server fail-over.
+///
+/// The fail-over rule: the standby's copy of `W_g` holds exactly the folds
+/// up to [`shmcaffe_smb::SmbPair::replicated_version`], frozen at
+/// promotion. So while the pair is unpromoted every fold is logged with
+/// its version, and each new fold first prunes the log down to the
+/// versions above the replicated one. Once the lane sees the pair
+/// promoted, before anything else of its lands on the promoted member, the
+/// folds above the frozen version are re-pushed there in log order —
+/// those died with the old primary. Folds the redo cannot push are
+/// backlogged like a partitioned exchange, or dropped with accounting.
+struct Pusher {
+    client: SmbClient,
+    bufs: SeasgdBuffers,
+    retry: RetryPolicy,
+    books: Arc<Mutex<PushBooks>>,
+    /// No fail-over redo is due: it has run, or there is none to run.
+    /// Shared with the lane's readers.
+    redone: Arc<AtomicBool>,
+    /// The redo re-pushed at least one fold.
+    repushed: bool,
+    /// Folds into the primary's `W_g`, in fold order, above the replicated
+    /// version as of the last fold; `None` when no fail-over is left to
+    /// redo for (a lone server, or a pair promoted already).
+    log: Option<Vec<Fold>>,
+    /// Recycled [`Fold::data`] buffers, so steady-state logging does not
+    /// allocate.
+    free: Vec<Vec<f32>>,
+    /// Whole-lane increments held back while a partition cuts this worker
+    /// off from the memory server, replayed once it heals. Landed tiles
+    /// are zeroed at capture, so a replayed entry folds exactly once.
+    backlog: Vec<Vec<f32>>,
+}
+
+impl Pusher {
+    /// T.A1 + T.A2–T.A3 for one increment — a tile, a backlog entry or a
+    /// compensation: range-write it into the worker's private buffer, then
+    /// server-side range-accumulate it into the global buffer. Returns the
+    /// `W_g` version of the fold. Runs the fail-over redo first when one is
+    /// due, and re-writes and re-folds an increment whose write or
+    /// accumulate straddled a fail-over (the promoted member's ΔW range is
+    /// the standby's stale copy — [`SmbError::SourceMoved`] — and a budget
+    /// spent against the old member says nothing about the new one).
+    fn push(&mut self, ctx: &SimContext, off: usize, data: &[f32]) -> Result<u64, SmbError> {
+        loop {
+            self.redo(ctx);
+            let epoch = self.client.carried_epoch();
+            let (dw, wg) = (&self.bufs.dw, &self.bufs.wg);
+            let folded = match self.client.write_range_retrying(ctx, dw, off, data, &self.retry) {
+                Ok(()) if self.client.carried_epoch() == epoch => {
+                    self.client.accumulate_range_retrying(ctx, dw, wg, off, data.len(), &self.retry)
+                }
+                Ok(()) => continue,
+                Err(e) => Err(e),
+            };
+            match folded {
+                // The push straddled a fail-over — the accumulate's source
+                // moved, or the retry budget ran out against the old
+                // member: redo, then push again on the member that serves
+                // now.
+                Err(_) if self.client.carried_epoch() != epoch => {}
+                Ok(version) => {
+                    if let (Some(log), Some(pair)) = (&mut self.log, self.client.pair()) {
+                        // The standby's copy already holds the folds up to
+                        // the replicated version: recycle their buffers.
+                        let held = pair.replicated_version(wg.key);
+                        let held = log.partition_point(|f| f.version <= held);
+                        self.free.extend(log.drain(..held).map(|f| f.data));
+                        let mut copy = self.free.pop().unwrap_or_default();
+                        copy.clear();
+                        copy.extend_from_slice(data);
+                        log.push(Fold { version, off, data: copy });
+                    }
+                    return Ok(version);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The fail-over redo, once the pair has promoted its standby:
+    /// re-pushes the logged folds above the frozen replicated version in
+    /// log order (the pushes find the log taken and do not recurse). Past
+    /// the first failed push the rest are not tried: they and the failed
+    /// one are filed as one increment (see [`Pusher::shelve`]).
+    fn redo(&mut self, ctx: &SimContext) {
+        let Some(pair) = self.client.pair().filter(|p| p.promoted()) else { return };
+        let Some(log) = self.log.take() else { return };
+        let floor = pair.replicated_version(self.bufs.wg.key);
+        let mut lost: Option<(bool, Vec<f32>)> = None;
+        for fold in log.iter().filter(|f| f.version > floor) {
+            self.repushed = true;
+            if lost.is_none() && self.push(ctx, fold.off, &fold.data).is_ok() {
+                continue;
+            }
+            let (_, entry) = lost.get_or_insert_with(|| {
+                (self.client.partitioned_from_server(ctx), vec![0.0; self.bufs.wg.len()])
+            });
+            let span = fold.off..fold.off + fold.data.len();
+            for (e, &v) in entry[span].iter_mut().zip(&fold.data) {
+                *e += v;
+            }
+        }
+        self.free = Vec::new();
+        if let Some((partitioned, entry)) = lost {
+            self.shelve(partitioned, entry);
+        }
+        self.redone.store(true, Ordering::Release);
+    }
+
+    /// Files a whole-lane increment that could not be pushed: cut off by a
+    /// partition, into the backlog for replay after the heal (past
+    /// [`PARTITION_STALENESS_CAP`] entries it is dropped instead); after
+    /// any other failure, dropped.
+    fn shelve(&mut self, partitioned: bool, entry: Vec<f32>) {
+        let mut b = self.books.lock();
+        if !partitioned {
+            b.stats.dropped_updates += 1;
+        } else if self.backlog.len() < PARTITION_STALENESS_CAP {
+            self.backlog.push(entry);
+            b.stats.partition_buffered += 1;
+            b.pending += 1;
+        } else {
+            b.stats.partition_dropped += 1;
+        }
+    }
+
+    /// Replays the partition backlog newest-first (accumulation is
+    /// commutative, so order is free), stopping at the first failure.
+    fn replay(&mut self, ctx: &SimContext) {
+        while let Some(entry) = self.backlog.pop() {
+            if self.push(ctx, 0, &entry).is_err() {
+                self.backlog.push(entry);
+                return;
+            }
+            let mut b = self.books.lock();
+            b.stats.reconciled_updates += 1;
+            b.pending -= 1;
+        }
+    }
+}
+
 /// One lane's update thread: receives mixed ΔW tiles in grid order and
 /// pushes each immediately (T.A1–T.A3), overlapping with the main thread's
 /// remaining reads/mixing and with T4/T5 compute.
 ///
 /// One record settles an exchange — never a torn half-exchange:
-/// `landed[j]` says tile *j* is folded into the `W_g` of the member that
-/// serves now, and `failure` is set once a push failed (`Some(true)`: a
-/// partition cuts the client off). The fencing epoch is checked after
-/// every push, landed or not: on a *failover* the folds of the earlier
-/// tiles died with the old primary (the accumulate-stream guard kept them
-/// off the standby), so they are unmarked, and if this push landed on the
-/// promoted member they are re-folded there. After the last tile:
+/// `landed[j]` says tile *j*'s push returned a fold (on the member that
+/// serves now, or on the old primary and then in the fail-over redo's
+/// hands — see [`Pusher`]), and `failure` is set once a push failed
+/// (`Some(true)`: a partition cuts the client off). After the last tile:
 ///
 /// * no failure: replay the partition backlog;
 /// * a *partition*: backlog the exchange with its landed tiles zeroed,
-///   replayed as one atomic push after the heal (past
-///   [`PARTITION_STALENESS_CAP`] entries it is dropped instead);
-/// * any other failure: compensate the landed tiles with one atomic
-///   negated push and drop the exchange.
-#[allow(clippy::too_many_arguments)]
+///   replayed as one push after the heal (past [`PARTITION_STALENESS_CAP`]
+///   entries it is dropped instead);
+/// * any other failure: compensate the landed tiles with one negated push
+///   and drop the exchange.
 fn update_thread(
     uctx: &SimContext,
-    client: &SmbClient,
-    buffers: SeasgdBuffers,
+    p: &mut Pusher,
     tiles: &[GridChunk],
     upd_req: &SimChannel<UpdateRequest>,
     upd_done: &SimChannel<UpdateDone>,
-    retry: &RetryPolicy,
-    books: &Mutex<PushBooks>,
 ) {
-    let push = |t: &GridChunk, data: &[f32]| {
-        push_range(uctx, client, &buffers, t.local_off, data, retry).is_ok()
-    };
-    let key = buffers.wg.key;
-    // The exchange's full ΔW slice, staged tile by tile: the backlog,
-    // re-fold, and compensation paths all need tiles that already went
-    // back to the main thread for recycling.
-    let mut staging = vec![0.0f32; buffers.wg.len()];
-    // Increments held back while a partition cuts this worker off from
-    // the memory server, replayed once it heals. Landed tiles are zeroed
-    // at capture, so a replayed entry folds exactly once.
-    let mut backlog: Vec<Vec<f32>> = Vec::new();
+    // The exchange's full ΔW slice, staged tile by tile: the backlog and
+    // compensation paths need tiles that already went back to the main
+    // thread for recycling.
+    let mut staging = vec![0.0f32; p.bufs.wg.len()];
     let mut landed = vec![false; tiles.len()];
     let mut failure: Option<bool> = None;
-    // Torn-replication guard: while an exchange's tiles stream into W_g,
-    // the replicator must not ship a half-folded snapshot to the standby.
-    let mut guard = client.server();
-    let mut epoch = 0u64;
     let mut pos = 0usize;
-    while let UpdateRequest::Chunk { chunk, buf } = upd_req.recv(uctx) {
+    loop {
+        let (chunk, buf) = match upd_req.recv(uctx) {
+            UpdateRequest::Chunk { chunk, buf } => (chunk, buf),
+            UpdateRequest::Redo(done) => {
+                p.redo(uctx);
+                done.send(uctx, p.repushed);
+                continue;
+            }
+            UpdateRequest::Shutdown => {
+                p.redo(uctx);
+                return;
+            }
+        };
         let c = &tiles[pos];
         staging[c.span()].copy_from_slice(&buf);
         if pos == 0 {
             landed.fill(false);
             failure = None;
-            guard = client.server();
-            guard.begin_accumulate_stream(uctx, key);
-            epoch = fence_epoch_of(client);
         }
         if failure.is_none() {
-            let mut ok = push(c, &buf);
-            landed[pos] = ok;
-            if fence_epoch_of(client) != epoch {
-                // Failover mid-stream: move the guard to the promoted
-                // member and, if this tile landed there, re-fold the
-                // tiles before it so the whole exchange lands once.
-                guard.end_accumulate_stream(uctx, key);
-                guard = client.server();
-                guard.begin_accumulate_stream(uctx, key);
-                epoch = fence_epoch_of(client);
-                landed[..pos].fill(false);
-                ok = ok
-                    && tiles[..pos].iter().zip(&mut landed).all(|(t, l)| {
-                        *l = push(t, &staging[t.span()]);
-                        *l
-                    });
-            }
-            if !ok {
-                failure = Some(client.partitioned_from_server(uctx));
+            landed[pos] = p.push(uctx, c.local_off, &buf).is_ok();
+            if !landed[pos] {
+                failure = Some(p.client.partitioned_from_server(uctx));
             }
         }
         // The done is the next exchange's T.A5 gate for this tile and
@@ -873,39 +995,21 @@ fn update_thread(
             continue;
         }
         pos = 0;
-        guard.end_accumulate_stream(uctx, key);
         let landed_spans = || tiles.iter().zip(&landed).filter(|(_, &l)| l).map(|(t, _)| t.span());
         match failure {
-            // Replay the partition backlog newest-first: accumulation is
-            // commutative, so order is free.
-            None => {
-                while let Some(entry) = backlog.last() {
-                    if push_full(uctx, client, &buffers, entry, retry).is_err() {
-                        break;
-                    }
-                    backlog.pop();
-                    let mut b = books.lock();
-                    b.stats.reconciled_updates += 1;
-                    b.pending -= 1;
-                }
-            }
-            Some(true) if backlog.len() < PARTITION_STALENESS_CAP => {
+            None => p.replay(uctx),
+            Some(true) => {
                 let mut entry = staging.clone();
                 for span in landed_spans() {
                     entry[span].fill(0.0);
                 }
-                backlog.push(entry);
-                let mut b = books.lock();
-                b.stats.partition_buffered += 1;
-                b.pending += 1;
+                p.shelve(true, entry);
             }
-            Some(true) => books.lock().stats.partition_dropped += 1,
             // A push that cannot go through within the retry budget drops
             // the exchange: elastic averaging re-derives the lost force
             // from the next W_x − W_g difference, whereas dying here would
             // take the whole worker down. Landed tiles are compensated
-            // with one atomic negated push so W_g never keeps half an
-            // exchange.
+            // with one negated push so W_g never keeps half an exchange.
             Some(false) => {
                 if landed.contains(&true) {
                     let mut negated = vec![0.0f32; staging.len()];
@@ -914,9 +1018,9 @@ fn update_thread(
                             *n = -v;
                         }
                     }
-                    let _ = push_full(uctx, client, &buffers, &negated, retry);
+                    let _ = p.push(uctx, 0, &negated);
                 }
-                books.lock().stats.dropped_updates += 1;
+                p.shelve(false, Vec::new());
             }
         }
     }

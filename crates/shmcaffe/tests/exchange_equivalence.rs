@@ -215,10 +215,11 @@ struct ShardedRun {
     end_ns: u64,
 }
 
-/// One worker, twenty exchanges at 30 ms compute over two lanes, each lane
-/// a [`SmbClient::with_failover`] client of its own replicated pair (four
-/// memory servers, 10 ms replication); `crash_at` kills pair 0's primary.
-fn sharded_failover_run(crash_at: Option<SimTime>) -> ShardedRun {
+/// One worker, twenty exchanges at `compute_ms` of compute over two lanes,
+/// each lane a [`SmbClient::with_failover`] client of its own replicated
+/// pair (four memory servers, 10 ms replication); `crash_at` kills pair
+/// 0's primary.
+fn sharded_failover_run(compute_ms: u64, crash_at: Option<SimTime>) -> ShardedRun {
     const PAIRS: usize = 2;
     let spec = ClusterSpec { memory_servers: 2 * PAIRS, ..ClusterSpec::paper_testbed(1) };
     let fabric = match crash_at {
@@ -233,7 +234,7 @@ fn sharded_failover_run(crash_at: Option<SimTime>) -> ShardedRun {
         .map(|k| SmbPair::new_at(rdma.clone(), SmbServerConfig::default(), 2 * k))
         .collect::<Result<_, _>>()
         .expect("four memory servers host two pairs");
-    let workload = WorkloadModel::custom("shards", 4_000_000, SimDuration::from_millis(30));
+    let workload = WorkloadModel::custom("shards", 4_000_000, SimDuration::from_millis(compute_ms));
     let factory = ModeledTrainerFactory::new(workload, JitterModel::NONE, 99);
     let cfg = ShmCaffeConfig { jitter: JitterModel::NONE, ..Default::default() };
     let out = Arc::new(Mutex::new(None));
@@ -302,8 +303,8 @@ fn sharded_failover_run(crash_at: Option<SimTime>) -> ShardedRun {
 /// the crash-free run.
 #[test]
 fn sharded_lanes_fail_over_per_shard() {
-    let clean = sharded_failover_run(None);
-    let crashed = sharded_failover_run(Some(SimTime::from_millis(200)));
+    let clean = sharded_failover_run(30, None);
+    let crashed = sharded_failover_run(30, Some(SimTime::from_millis(200)));
     assert_eq!(clean.promoted, [false, false]);
     assert_eq!(clean.faults, [0, 0]);
     assert_eq!(crashed.promoted, [true, false], "only the crashed shard's pair promotes");
@@ -313,7 +314,23 @@ fn sharded_lanes_fail_over_per_shard() {
     assert_bit_identical(&clean.wx, &crashed.wx, "mixed weights across the fail-over");
     assert_bit_identical(&clean.wg, &crashed.wg, "W_g in both shards across the fail-over");
     assert!(clean.wg != vec![0.0; PARAM_LEN], "the exchanges moved W_g");
-    assert_eq!(crashed, sharded_failover_run(Some(SimTime::from_millis(200))), "rerun");
+    assert_eq!(crashed, sharded_failover_run(30, Some(SimTime::from_millis(200))), "rerun");
+}
+
+/// Back-to-back exchanges: at 5 ms compute `W_g` is mid-exchange through
+/// most replication passes. The pass copies it as it stands and the lane
+/// re-pushes whatever the copy misses, so a crash of pair 0's primary at
+/// 60 ms or at 100 ms still ends bit-identical to the crash-free run.
+#[test]
+fn sharded_lanes_fail_over_between_back_to_back_exchanges() {
+    let clean = sharded_failover_run(5, None);
+    for at in [60, 100] {
+        let crashed = sharded_failover_run(5, Some(SimTime::from_millis(at)));
+        assert_eq!(crashed.promoted, [true, false], "crash at {at} ms");
+        assert_eq!(crashed.dropped, 0, "crash at {at} ms");
+        assert_bit_identical(&clean.wx, &crashed.wx, &format!("mixed weights, crash at {at} ms"));
+        assert_bit_identical(&clean.wg, &crashed.wg, &format!("W_g, crash at {at} ms"));
+    }
 }
 
 /// `parallel::with_threads` is a thread-local override of the caller's

@@ -165,3 +165,25 @@ fn standby_interval_must_be_shorter_than_the_authority_lease() {
         .run(factory())
         .expect("an interval inside the lease runs");
 }
+
+/// A healthy pair never fences its own primary. VGG16's four 528 MB ΔW
+/// buffers plus `W_g` make one replication pass outlast the authority
+/// lease; the lease renews per segment that reaches the standby, not per
+/// pass, so with no fault at all nothing is fenced, dropped or reconciled.
+#[test]
+fn a_long_replication_pass_does_not_fence_a_healthy_primary() {
+    let workload = WorkloadModel::from_cnn(shmcaffe_models::CnnModel::Vgg16);
+    let cfg =
+        ShmCaffeConfig { max_iters: MAX_ITERS, jitter: JitterModel::NONE, ..Default::default() };
+    let report = ShmCaffeA::new(spec(), N_WORKERS, cfg)
+        .with_standby(SimDuration::from_millis(20))
+        .run(ModeledTrainerFactory::new(workload, JitterModel::NONE, 7))
+        .expect("a healthy replicated run");
+    assert_eq!(report.fenced_rejections, 0);
+    assert_eq!((report.reconcile_discarded, report.reconcile_resynced), (0, 0));
+    for w in &report.workers {
+        assert_eq!(w.iters, MAX_ITERS as u64);
+        assert_eq!(w.pushes.dropped_updates, 0, "rank {}", w.rank);
+        assert_eq!(w.smb.fenced, 0, "rank {}", w.rank);
+    }
+}

@@ -158,7 +158,11 @@ fn shmcaffe_h_two_groups_of_two() {
 
 /// The `failover.rs` scenario: standby mirroring every 20 ms, worker 1
 /// dies at 100 ms and rejoins from the checkpoint, the primary memory
-/// server crashes at 250 ms.
+/// server crashes at 250 ms. Re-captured (from `0x1584_1e8b_42aa_99c5`)
+/// when the update threads started re-pushing the folds the standby's
+/// copy of `W_g` missed: the redo's pushes and the readers' re-reads after
+/// the fail-over move every finish time by ~2 ms and `W_g` by the folds
+/// that used to be lost. Without the crash the run is unchanged.
 #[test]
 fn shmcaffe_a_standby_rejoin_and_primary_crash() {
     let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(1) };
@@ -185,5 +189,5 @@ fn shmcaffe_a_standby_rejoin_and_primary_crash() {
         .unwrap();
     assert_eq!((report.crashed_workers(), report.rejoined_workers()), (1, 1));
     assert!(report.total_faults() > 0 && report.total_retries() > 0);
-    check(&report, 0, 0x1584_1e8b_42aa_99c5);
+    check(&report, 0, 0x95cb_f831_9854_dca7);
 }

@@ -792,7 +792,10 @@ impl SmbClient {
     /// The accumulate request: gate, admission and one control round trip,
     /// then the server's engine. Decision (4): a plain op pays the round
     /// trip *before* admission, a retrying op gates and admits first —
-    /// admission reads the authority lease at that instant.
+    /// admission reads the authority lease at that instant. An attempt
+    /// under another fencing epoch than the op started with would fold the
+    /// promoted member's replicated source range, not the one the caller
+    /// wrote: it fails [`SmbError::SourceMoved`] instead.
     fn accumulate_op(
         &self,
         ctx: &SimContext,
@@ -801,7 +804,11 @@ impl SmbClient {
         dst: &SmbBuffer,
         len: usize,
     ) -> Result<u64, SmbError> {
+        let epoch = self.carried_epoch();
         self.retrying(ctx, src.key, op.gate, |ctx| {
+            if self.carried_epoch() != epoch {
+                return Err(SmbError::SourceMoved { key: src.key });
+            }
             let server = self.enter(ctx, op.gate, src.key, false)?;
             let plain = matches!(op.gate, Gate::Stall);
             if plain {
@@ -1323,6 +1330,38 @@ mod tests {
             assert!(rdma.qp_faulted(NodeId(0), p.primary().node()));
             let fs = client.fault_stats();
             assert!(fs.faults >= 1 && fs.retries >= 1, "{fs:?}");
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn an_accumulate_that_fails_over_refuses_the_stale_source() {
+        use shmcaffe_simnet::fault::FaultPlan;
+        use shmcaffe_simnet::SimTime;
+        let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(1) };
+        let primary_node = NodeId(spec.gpu_nodes);
+        let plan = FaultPlan::new(23).crash_memory_server(primary_node, SimTime::from_millis(5));
+        let rdma = RdmaFabric::new(Fabric::with_faults(spec, plan));
+        let pair = crate::SmbPair::new(rdma, crate::SmbServerConfig::default()).unwrap();
+        let p = pair.clone();
+        let mut sim = Simulation::new();
+        sim.spawn("w", move |ctx| {
+            let client = SmbClient::with_failover(p.clone(), NodeId(0));
+            let policy = RetryPolicy::with_seed(23);
+            let wg = client.alloc(&ctx, client.create(&ctx, "wg", 4, None).unwrap()).unwrap();
+            let dw = client.alloc(&ctx, client.create(&ctx, "dw", 4, None).unwrap()).unwrap();
+            client.write_retrying(&ctx, &wg, &[1.0; 4], &policy).unwrap();
+            client.write_retrying(&ctx, &dw, &[10.0; 4], &policy).unwrap();
+            p.replicate(&ctx).unwrap();
+            // A new ΔW range the standby never receives, then the crash.
+            client.write_range_retrying(&ctx, &dw, 0, &[20.0, 20.0], &policy).unwrap();
+            ctx.sleep_until(SimTime::from_millis(6));
+            let moved = client.accumulate_range_retrying(&ctx, &dw, &wg, 0, 2, &policy);
+            assert_eq!(moved, Err(SmbError::SourceMoved { key: dw.key }));
+            assert!(p.promoted(), "the first attempt observed the crash and failed over");
+            let mut out = [0.0f32; 4];
+            client.read_retrying(&ctx, &wg, &mut out, &policy).unwrap();
+            assert_eq!(out, [1.0; 4], "the stale replicated ΔW range must not fold");
         });
         sim.run();
     }

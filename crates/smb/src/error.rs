@@ -121,6 +121,15 @@ pub enum SmbError {
         /// Index of the lost page in the segment's page grid.
         page: usize,
     },
+    /// A retrying accumulate failed over to the promoted member part-way:
+    /// the source range there is the standby's replicated copy, not the
+    /// one this client wrote, so the fold is refused before it lands.
+    /// Permanent for this op — the caller re-writes the source on the
+    /// member that serves now and folds again.
+    SourceMoved {
+        /// The accumulate's source segment.
+        key: ShmKey,
+    },
     /// An underlying RDMA failure outside any retry context.
     Rdma(RdmaError),
 }
@@ -164,6 +173,9 @@ impl fmt::Display for SmbError {
             }
             SmbError::Unrepairable { key, node, page } => {
                 write!(f, "page {page} of {key} on {node} is unrepairable: no clean replica")
+            }
+            SmbError::SourceMoved { key } => {
+                write!(f, "accumulate source {key} was written before a fail-over")
             }
             SmbError::Rdma(e) => write!(f, "rdma error: {e}"),
         }
@@ -302,6 +314,7 @@ mod tests {
         .is_transient());
         assert!(!SmbError::NoMemoryServer.is_transient());
         assert!(!SmbError::UnknownKey { key: ShmKey(1), node: NodeId(0) }.is_transient());
+        assert!(!SmbError::SourceMoved { key: ShmKey(1) }.is_transient(), "re-write, not retry");
     }
 
     #[test]

@@ -43,8 +43,8 @@ use shmcaffe_simnet::topology::NodeId;
 use shmcaffe_simnet::{AccessKind, HbEdge, SimContext, SimDuration, SimTime};
 
 use crate::server::{
-    modelled_bytes, ShmKey, SmbServer, SmbServerConfig, CONTROL_LATENCY, PROTOCOL_OVERHEAD,
-    STREAM_BPS,
+    modelled_bytes, SegmentMeta, ShmKey, SmbServer, SmbServerConfig, CONTROL_LATENCY,
+    PROTOCOL_OVERHEAD, STREAM_BPS,
 };
 use crate::SmbError;
 
@@ -59,8 +59,11 @@ struct PairInner {
     fence_region: u64,
     /// Completed replication passes (the replication epoch).
     epoch: Mutex<u64>,
-    /// Standby's view of each segment's version at its last copy, for
-    /// delta replication (only changed segments move bytes).
+    /// Each segment's version at its last copy to the standby, read at the
+    /// instant of the copy: the standby holds exactly the writes and folds
+    /// up to it. Drives delta replication (only changed segments move
+    /// bytes) and, frozen at promotion (the replicator stops there and
+    /// reconciliation only reads it), [`SmbPair::replicated_version`].
     replicated_versions: Mutex<BTreeMap<ShmKey, u64>>,
     /// A replication pass is currently in flight (the promoter waits for
     /// it to drain so no pass straddles the role flip).
@@ -233,6 +236,15 @@ impl SmbPair {
         *self.inner.epoch.lock()
     }
 
+    /// The version of `key` the standby holds (0 if never copied): every
+    /// mutation of the segment that produced a version at or below it is
+    /// in the standby's copy, and none above it. Frozen once the standby
+    /// is promoted, so an update thread that observes the fail-over late
+    /// still learns which of its folds died with the old primary.
+    pub fn replicated_version(&self, key: ShmKey) -> u64 {
+        self.inner.replicated_versions.lock().get(&key).copied().unwrap_or(0)
+    }
+
     /// Whether the standby has been promoted.
     pub fn promoted(&self) -> bool {
         self.inner.promote_done.load(Ordering::Acquire)
@@ -387,6 +399,9 @@ impl SmbPair {
     /// faulted (in particular once the primary has crashed) — the pass
     /// aborts and whatever the standby already holds is what failover gets.
     pub fn replicate(&self, ctx: &SimContext) -> Result<u64, SmbError> {
+        // Opening a pass does not commute with a promotion's claim: the
+        // promoter waits out the pass or the pass runs after the flip.
+        self.fence_footprint(ctx, AccessKind::AtomicWrite);
         self.inner.in_pass.store(true, Ordering::Release);
         let result = self.replicate_pass(ctx);
         // Release the pass end even when it aborted part-way: promotion
@@ -408,7 +423,15 @@ impl SmbPair {
         let rdma = primary.rdma();
         let fabric = rdma.fabric();
 
-        let catalog = primary.segment_catalog();
+        let mut catalog = primary.segment_catalog();
+        // Segments the standby has never received ship first, in key order:
+        // a pass cut short (a crash, a faulted gate) must not leave a
+        // worker's buffer missing on the standby for pass after pass while
+        // the segments before it in key order re-ship.
+        {
+            let copied = self.inner.replicated_versions.lock();
+            catalog.sort_by_key(|m| copied.contains_key(&m.key));
+        }
         // Mirror deletions first: segments evicted on the primary since the
         // last pass must not survive on the standby.
         let live: BTreeMap<ShmKey, ()> = catalog.iter().map(|m| (m.key, ())).collect();
@@ -422,17 +445,16 @@ impl SmbPair {
             // The crash cuts the replication stream mid-pass: segments
             // copied before the cut stay; the rest keep their old contents.
             self.gate_from(ctx, fabric, primary.node(), standby.node())?;
-            // A segment with an open chunked accumulate stream is skipped
-            // *entirely* (not even installed): shipping it mid-stream would
-            // hand the standby a torn, half-folded W_g that no worker ever
-            // produced. The standby keeps its previous consistent copy, and
-            // because `replicated_versions` is left stale, the next pass
-            // after the stream closes re-ships the whole segment. A stream
-            // that never closes starves that segment's replication — the
-            // client side bounds streams to one exchange, so the window is
-            // a few chunk round trips.
-            if primary.stream_open(ctx, meta.key) {
-                continue;
+            // Every key no versioned write has touched yet — created since
+            // the pass began, too — is installed zero-filled at once, like
+            // the fresh region it is, so a pass cut before its turn still
+            // leaves it on the standby (a worker's ΔW buffer is re-written
+            // before every fold; a true-size control segment ships its
+            // bytes in turn).
+            for fresh in primary.segment_catalog().iter().filter(|m| m.version == 0) {
+                if standby.segment(fresh.key).is_err() {
+                    standby.install_replica_segment(fresh)?;
+                }
             }
             // Never launder corruption onto the standby: the pass verifies
             // each segment before shipping it (the replicator doubles as a
@@ -442,39 +464,48 @@ impl SmbPair {
             let Some(verified) = primary.verified_page_crcs(ctx, meta.key) else {
                 continue;
             };
-            let behind =
-                self.inner.replicated_versions.lock().get(&meta.key) != Some(&meta.version);
-            let is_new = standby.segment(meta.key).is_err();
-            let standby_mr = standby.install_replica_segment(&meta)?;
-            if !behind && !is_new {
-                continue;
-            }
-            let Ok((primary_mr, _)) = primary.segment(meta.key) else {
-                // Evicted while this pass slept on the wire; the next pass
-                // mirrors the deletion.
+            // The version of the bytes copied below, read with no yield
+            // before the copy (the catalog's can be older: this pass has
+            // slept on the wire since). A segment evicted meanwhile is
+            // skipped; the next pass mirrors the deletion.
+            let Some((primary_mr, version)) = primary.copy_source(ctx, meta.key) else {
                 continue;
             };
+            let behind = self.inner.replicated_versions.lock().get(&meta.key) != Some(&version);
+            if !behind && standby.segment(meta.key).is_ok() {
+                continue;
+            }
+            let meta = SegmentMeta { version, ..meta };
+            let standby_mr = standby.install_replica_segment(&meta)?;
             // Region to region, and the page CRCs ride along: nothing has
             // yielded since `verified_page_crcs`, so the bytes being copied
             // are the bytes that just hashed to `verified` — the standby
             // does not hash them a second time. The copy is verified-clean,
             // so it also heals whatever the standby's own grid held before
-            // (a fresh full-segment repair).
+            // (a fresh full-segment repair). A segment mid-exchange is
+            // copied as it stands: the standby holds exactly the folds up
+            // to `version`, and each update thread re-pushes its later ones
+            // after a fail-over (DESIGN.md §5e).
             rdma.with_region(&primary_mr, |src| {
                 standby.install_contents(meta.key, src, Some(&verified))
             })??;
+            self.inner.replicated_versions.lock().insert(meta.key, version);
             // The source side is deliberately *not* announced: async
             // replication snapshots segments that clients keep mutating —
-            // that concurrency is the design, not a bug (a torn snapshot is
-            // healed by the next pass, and checkpoint segments use the
-            // versioned protocol for state whose integrity rejoin depends
-            // on). The standby side *is*, as a plain write: only the
-            // replicate→promote→access edges make it safe, and any client
-            // that reaches the standby without them races here.
+            // that concurrency is the design, not a bug (the version read
+            // above orders the copy against them, and checkpoint segments
+            // use the versioned protocol for state whose integrity rejoin
+            // depends on). The standby side *is*, as a plain write: only
+            // the replicate→promote→access edges make it safe, and any
+            // client that reaches the standby without them races here.
             let (rkey, len) = (standby_mr.rkey.0, standby_mr.len);
             ctx.access(rkey, 0, len, AccessKind::Write, "smb::replica::apply");
             ship(ctx, primary, standby, meta.wire_bytes, None);
-            self.inner.replicated_versions.lock().insert(meta.key, meta.version);
+            // The segment reached the standby: the primary still owns the
+            // pair. Renewing per segment, not per pass, keeps a pass that
+            // ships more than one lease's worth of bytes from fencing a
+            // healthy primary.
+            self.renew_authority(ctx);
         }
         // Control-plane mirror: lease table and tombstones ride one control
         // message once the data plane is consistent.
@@ -599,7 +630,6 @@ impl SmbPair {
             let diverged = shipped.get(&meta.key) != Some(&meta.version);
             if diverged || !live.contains_key(&meta.key) {
                 demoted.drop_replica_segment(meta.key);
-                self.inner.replicated_versions.lock().remove(&meta.key);
                 discarded += 1;
                 self.inner.reconcile_discarded.fetch_add(1, Ordering::Relaxed);
             }
@@ -622,7 +652,6 @@ impl SmbPair {
             // the resync write (clients route to the promoted standby, and
             // any straggler mutation was already rejected FencedEpoch).
             ship(ctx, source, demoted, meta.wire_bytes, None);
-            self.inner.replicated_versions.lock().insert(meta.key, meta.version);
             resynced += 1;
             self.inner.reconcile_resynced.fetch_add(1, Ordering::Relaxed);
         }
@@ -686,6 +715,7 @@ impl SmbPair {
             }
             ctx.sleep_until(expiry);
         }
+        self.fence_footprint(ctx, AccessKind::AtomicRmw);
         if self.inner.promote_started.swap(true, Ordering::AcqRel) {
             // Someone else is promoting (or already has): wait until the
             // flip is visible, then acquire the promotion edge.
@@ -924,36 +954,45 @@ mod tests {
     }
 
     #[test]
-    fn open_accumulate_stream_defers_replication_until_closed() {
+    fn a_pass_records_the_version_it_copied_not_the_catalogs() {
+        use shmcaffe_simnet::SimTime;
         let rdma = replicated_fabric(1);
         let pair = SmbPair::new(rdma, SmbServerConfig::default()).unwrap();
-        let p = pair.clone();
         let mut sim = Simulation::new();
+        // The folder starts once the segments are seeded (the channel is
+        // the seed→fold happens-before edge).
+        let seeded = shmcaffe_simnet::channel::SimChannel::<()>::new("seeded");
+        // `a` sorts before `wg` in the catalog, so the pass ships it first;
+        // a 100 MB `wg` keeps the fold on the primary's DRAM bus for 20 ms.
+        let (p, go) = (pair.clone(), seeded.clone());
         sim.spawn("repl", move |ctx| {
             let client = crate::SmbClient::new(p.primary().clone(), NodeId(0));
-            let policy = crate::RetryPolicy::with_seed(4);
-            let wg = client.alloc(&ctx, client.create(&ctx, "wg", 4, None).unwrap()).unwrap();
-            let dw = client.alloc(&ctx, client.create(&ctx, "dw", 4, None).unwrap()).unwrap();
-            client.write(&ctx, &wg, &[1.0; 4]).unwrap();
+            let a = client.alloc(&ctx, client.create(&ctx, "a", 4, Some(10_000_000)).unwrap());
+            let wg = client.create(&ctx, "wg", 4, Some(100_000_000)).unwrap();
+            let dw = client.create(&ctx, "dw", 4, None).unwrap();
+            client.write(&ctx, &client.alloc(&ctx, wg).unwrap(), &[1.0; 4]).unwrap();
+            client.write(&ctx, &client.alloc(&ctx, dw).unwrap(), &[10.0; 4]).unwrap();
             p.replicate(&ctx).unwrap();
-            // Open a chunk stream and fold only the first half: W_g on the
-            // primary is now torn (half old, half new).
-            p.primary().begin_accumulate_stream(&ctx, wg.key);
-            client.write_range_retrying(&ctx, &dw, 0, &[10.0, 10.0], &policy).unwrap();
-            client.accumulate_range_retrying(&ctx, &dw, &wg, 0, 2, &policy).unwrap();
-            // A pass during the stream must NOT ship the torn state.
+            client.write(&ctx, &a.unwrap(), &[2.0; 4]).unwrap();
+            go.send(&ctx, ());
+            // The fold below starts at 1 s; this pass reads the catalog
+            // 1 ms into it and reaches `wg` only after the fold landed.
+            ctx.sleep_until(SimTime::from_millis(1001));
+            let before = p.primary().version(wg).unwrap();
             p.replicate(&ctx).unwrap();
-            let (mr, _) = p.standby().segment(wg.key).unwrap();
+            let folded = p.primary().version(wg).unwrap();
+            assert_eq!(folded, before + 1, "the fold landed during the pass");
+            assert_eq!(p.replicated_version(wg), folded, "the copied version is recorded");
+            let (mr, _) = p.standby().segment(wg).unwrap();
             let copy = p.standby().rdma().with_region(&mr, |b| b.to_vec()).unwrap();
-            assert_eq!(copy, vec![1.0; 4], "standby must keep the pre-stream W_g");
-            // Close the stream after the second half lands; the next pass
-            // ships the now-consistent contents.
-            client.write_range_retrying(&ctx, &dw, 2, &[10.0, 10.0], &policy).unwrap();
-            client.accumulate_range_retrying(&ctx, &dw, &wg, 2, 2, &policy).unwrap();
-            p.primary().end_accumulate_stream(&ctx, wg.key);
-            p.replicate(&ctx).unwrap();
-            let copy = p.standby().rdma().with_region(&mr, |b| b.to_vec()).unwrap();
-            assert_eq!(copy, vec![11.0; 4], "post-stream pass ships the folded W_g");
+            assert_eq!(copy, vec![11.0; 4], "the copy holds the fold it is recorded with");
+        });
+        let p = pair.clone();
+        sim.spawn("fold", move |ctx| {
+            seeded.recv(&ctx);
+            ctx.sleep_until(SimTime::from_secs(1));
+            let (wg, dw) = (p.primary().lookup("wg").unwrap(), p.primary().lookup("dw").unwrap());
+            p.accumulate_range(&ctx, dw, wg, 0, 4).unwrap();
         });
         sim.run();
     }
@@ -1143,6 +1182,50 @@ mod tests {
         sim.run();
         let stats = pair.primary().rdma().fabric().fault_injector().unwrap().stats();
         assert!(stats.partition_hits >= 1);
+    }
+
+    #[test]
+    fn a_cut_pass_still_installs_every_unwritten_key() {
+        use shmcaffe_simnet::fault::FaultPlan;
+        use shmcaffe_simnet::SimTime;
+        let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(1) };
+        let plan = FaultPlan::new(3)
+            .crash_memory_server(NodeId(spec.gpu_nodes), SimTime::from_millis(250));
+        let pair = SmbPair::new(
+            RdmaFabric::new(Fabric::with_faults(spec, plan)),
+            SmbServerConfig::default(),
+        )
+        .unwrap();
+        let mut sim = Simulation::new();
+        let p = pair.clone();
+        sim.spawn("repl", move |ctx| {
+            let client = crate::SmbClient::new(p.primary().clone(), NodeId(0));
+            // Two written 100 MB segments take ~70 ms each to write and to
+            // ship: the pass starts at ~140 ms and the crash at 250 ms cuts
+            // it before the third key's turn.
+            for name in ["a", "b"] {
+                let key = client.create(&ctx, name, 4, Some(100_000_000)).unwrap();
+                client.write(&ctx, &client.alloc(&ctx, key).unwrap(), &[1.0; 4]).unwrap();
+            }
+            client.create(&ctx, "dw", 4, None).unwrap();
+            assert!(p.replicate(&ctx).is_err(), "the crash cuts the pass");
+        });
+        let p = pair.clone();
+        sim.spawn("late", move |ctx| {
+            // Created while the pass ships `a`, after its catalog read.
+            ctx.sleep_until(SimTime::from_millis(150));
+            crate::SmbClient::new(p.primary().clone(), NodeId(0))
+                .create(&ctx, "dw2", 4, None)
+                .unwrap();
+        });
+        sim.run();
+        for name in ["dw", "dw2"] {
+            let key = pair.standby().lookup(name).expect("the unwritten key is on the standby");
+            let (mr, _) = pair.standby().segment(key).unwrap();
+            let copy = pair.standby().rdma().with_region(&mr, |b| b.to_vec()).unwrap();
+            assert_eq!(copy, vec![0.0; 4], "{name} is installed zero-filled");
+            assert_eq!(pair.replicated_version(key), 0);
+        }
     }
 
     #[test]

@@ -212,7 +212,7 @@ pub(crate) fn modelled_bytes(wire_bytes: u64, overhead: f64, share: Option<(usiz
 /// Pseudo-region id for exploration footprints on control-plane state that
 /// has no backing memory region. High-bit tagged so it can never collide
 /// with an rkey (rkeys are small sequential integers). `salt` names the
-/// table ("smb.stream", "smb.version", …), `key` the row.
+/// table ("smb.version", "smb.poison", …), `key` the row.
 pub(crate) fn pseudo_region(salt: &str, key: u64) -> u64 {
     let mut h = shmcaffe_simnet::explore::Fnv::new();
     h.write_bytes(salt.as_bytes());
@@ -298,12 +298,6 @@ struct ServerInner {
     /// key, so survivors learn *why* a peer's buffer vanished. Bounded by
     /// acknowledgement and the tombstone horizon (see [`Tombstone`]).
     evicted: Mutex<BTreeMap<ShmKey, Tombstone>>,
-    /// Open accumulate-stream counts per segment. While a chunked exchange
-    /// is mid-stream on a segment, the replicator must not ship it: a
-    /// half-applied chunk sequence on the standby would be a torn W_g that
-    /// no worker ever produced. Counted (not boolean) because several
-    /// workers may stream into the same global segment concurrently.
-    streams: Mutex<BTreeMap<ShmKey, u64>>,
     /// Pages poisoned so far: every verification failure observed by a
     /// read, a mutation's pre-check or a scrub pass, counted once per
     /// newly poisoned page.
@@ -380,7 +374,6 @@ impl SmbServer {
                 next_key: Mutex::new(1),
                 leases: Mutex::new(BTreeMap::new()),
                 evicted: Mutex::new(BTreeMap::new()),
-                streams: Mutex::new(BTreeMap::new()),
                 corruptions_detected: AtomicU64::new(0),
                 scrub_stop: AtomicBool::new(false),
             }),
@@ -697,39 +690,6 @@ impl SmbServer {
         Ok(version)
     }
 
-    // ---- accumulate-stream guard ------------------------------------------
-
-    /// Marks the start of a chunked accumulate stream into `key`. Until the
-    /// matching [`SmbServer::end_accumulate_stream`], replication passes
-    /// skip this segment so the standby never observes a torn half-applied
-    /// chunk sequence (it keeps the previous consistent contents instead).
-    /// Pure control-plane bookkeeping: no sim time is charged here — the
-    /// caller's per-chunk control round trips already pay for the stream's
-    /// signalling.
-    pub fn begin_accumulate_stream(&self, ctx: &SimContext, key: ShmKey) {
-        mark(ctx, "smb.stream", key.0, 0..1, AccessKind::AtomicRmw);
-        *self.inner.streams.lock().entry(key).or_insert(0) += 1;
-    }
-
-    /// Closes one accumulate stream opened by
-    /// [`SmbServer::begin_accumulate_stream`].
-    pub fn end_accumulate_stream(&self, ctx: &SimContext, key: ShmKey) {
-        mark(ctx, "smb.stream", key.0, 0..1, AccessKind::AtomicRmw);
-        let mut streams = self.inner.streams.lock();
-        if let Some(count) = streams.get_mut(&key) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                streams.remove(&key);
-            }
-        }
-    }
-
-    /// Whether any accumulate stream is currently open on `key`.
-    pub(crate) fn stream_open(&self, ctx: &SimContext, key: ShmKey) -> bool {
-        mark(ctx, "smb.stream", key.0, 0..1, AccessKind::AtomicRead);
-        self.inner.streams.lock().get(&key).is_some_and(|&c| c > 0)
-    }
-
     /// Bumps a segment's version; returns the new version (0 for a dead
     /// segment).
     pub(crate) fn bump_version(&self, ctx: &SimContext, key: ShmKey) -> u64 {
@@ -756,7 +716,7 @@ impl SmbServer {
     }
 
     /// FNV fingerprint of the server's observable state: the segment table
-    /// (names, versions, contents), leases, tombstones and open streams.
+    /// (names, versions, contents), leases and tombstones.
     /// Fed to [`shmcaffe_simnet::Simulation::set_state_probe`] so the
     /// schedule explorer can fingerprint terminal states and collapse
     /// schedules that converge to the same server state. Iterates BTreeMaps,
@@ -789,10 +749,6 @@ impl SmbServer {
         for (key, t) in self.inner.evicted.lock().iter() {
             h.write_u64(key.0 ^ 0x70b5);
             h.write_u64(t.owner as u64);
-        }
-        for (key, count) in self.inner.streams.lock().iter() {
-            h.write_u64(key.0 ^ 0x57e3);
-            h.write_u64(*count);
         }
         h.finish()
     }
@@ -1242,6 +1198,15 @@ impl SmbServer {
                 created: seg.created.clone(),
             })
             .collect()
+    }
+
+    /// A live segment's region and its version *now*, for a copy taken
+    /// before the caller next yields: the version read is footprinted like
+    /// a version bump's, so the explorer orders the copy against every
+    /// fold and write of the segment. `None` for a dead segment.
+    pub(crate) fn copy_source(&self, ctx: &SimContext, key: ShmKey) -> Option<(MemoryRegion, u64)> {
+        mark(ctx, "smb.version", key.0, 0..1, AccessKind::AtomicRead);
+        self.inner.segments.lock().get(&key).map(|seg| (seg.mr, seg.version))
     }
 
     /// Installs (or refreshes) a mirrored segment under the *same* key it

@@ -4,7 +4,7 @@
 //! crash, fingerprinted call by call. The fingerprint was captured on the
 //! commit *before* the op pipeline was collapsed to one executor (PR 15),
 //! so any change to pricing, gating, admission order or the injector's
-//! draw sequence moves it; one deliberate behaviour change re-captured it
+//! draw sequence moves it; two deliberate behaviour changes re-captured it
 //! since (see [`GOLDEN`]).
 
 use parking_lot::Mutex;
@@ -318,8 +318,13 @@ fn op_matrix_fingerprint_matches_the_parent_capture() {
 /// `0x5e47_bf80_1882_8120`; re-captured when a repair whose source member
 /// has crashed became `Unrepairable` at once: after the 400 ms crash the
 /// retrying calls that used to time out re-detecting a poisoned page
-/// against the dead primary now fail on their first attempt.
-const GOLDEN: u64 = 0x8e62_6eab_b19e_4d2f;
+/// against the dead primary now fail on their first attempt (`0x8e62_6eab_
+/// b19e_4d2f`); re-captured again when a replication pass started recording
+/// the version of the bytes it copies instead of the one its catalog read
+/// saw: client 1's writes to `dw1` and `ck1` land while the pass ships the
+/// segments before them, so the standby now holds both one version higher.
+/// Every call's timing and result is unchanged.
+const GOLDEN: u64 = 0xb923_9ad8_f8ef_dd48;
 
 /// Decision (1) of the op descriptor, pinned: plain ops never consult the
 /// fault gate or the corruption stream. Under a probability-only plan the

@@ -3,7 +3,7 @@
 //!
 //! Certification models: the fence-epoch admission handshake, the
 //! promote-vs-late-primary-write interaction, tombstone GC racing a worker
-//! rejoin, and the accumulate-stream guard against torn replication. Each
+//! rejoin, and the replicated-version rule a fail-over redo rests on. Each
 //! explores every tie/wake/delivery ordering within bounds and must come
 //! back clean, with DPOR pruning reducing the explored count below the
 //! naive one (printed, per the acceptance criteria).
@@ -269,73 +269,117 @@ fn tombstone_gc_vs_rejoin_certifies() {
     );
 }
 
-/// Accumulate-stream guard: two workers stream disjoint tiles into W_g
-/// under begin/end guards while the replicator runs a pass at the same
-/// virtual time. In every ordering the standby holds either the pre-stream
-/// snapshot or a fully folded W_g — never a torn half-applied one.
+/// The fail-over version rule: the standby's `W_g` at promotion holds
+/// exactly the folds whose version is at or below
+/// `SmbPair::replicated_version` — the invariant an update thread's redo
+/// after a fail-over rests on. One fold lands at the lease expiry `E`
+/// itself, tied with the replication pass and the promoter (which the
+/// pass's renewals may or may not beat); another lands 1 ms before. In
+/// every ordering the standby holds the seed plus exactly the folds at or
+/// below the recorded version, whether the pass copied `W_g` before the
+/// tied fold, after it, or never ran.
 #[test]
-fn accumulate_stream_guard_certifies_untorn_standby() {
+fn replicated_version_names_exactly_the_folds_the_standby_holds() {
+    use shmcaffe_simnet::channel::SimChannel;
+    use shmcaffe_smb::RetryPolicy;
+    use std::sync::{Arc, Mutex};
+    const DW: [f32; 4] = [0.5, 0.25, 0.125, 0.0625];
     let setup = |sim: &mut Simulation| {
-        let pair = SmbPair::new(pair_fabric(sim), SmbServerConfig::default()).unwrap();
+        let cfg = SmbServerConfig {
+            authority_timeout: SimDuration::from_millis(10),
+            ..Default::default()
+        };
+        let pair = SmbPair::new(pair_fabric(sim), cfg).unwrap();
+        // Every fold on the primary, as (version, offset, len).
+        let folds: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::default();
+        let starts: Vec<SimChannel<SimTime>> =
+            (0..2).map(|i| SimChannel::new(&format!("start{i}"))).collect();
+        let fold = |ctx: &shmcaffe_simnet::SimContext, p: &SmbPair, off: usize, len: usize| {
+            let client = SmbClient::new(p.primary().clone(), NodeId(0));
+            let wg = client.alloc(ctx, p.primary().lookup("wg").unwrap()).unwrap();
+            let dw = client.alloc(ctx, p.primary().lookup("dw").unwrap()).unwrap();
+            let policy = RetryPolicy::with_seed(3);
+            client.accumulate_range_retrying(ctx, &dw, &wg, off, len, &policy).unwrap()
+        };
         {
-            let p = pair.clone();
+            let (p, folds, starts) = (pair.clone(), Arc::clone(&folds), starts.clone());
             sim.spawn("boot", move |ctx| {
                 let client = SmbClient::new(p.primary().clone(), NodeId(0));
-                let wg = client.create(&ctx, "wg", 4, None).unwrap();
-                let buf = client.alloc(&ctx, wg).unwrap();
-                client.write(&ctx, &buf, &[1.0; 4]).unwrap();
-                let dw = client.create(&ctx, "dw", 4, None).unwrap();
-                let dbuf = client.alloc(&ctx, dw).unwrap();
-                client.write(&ctx, &dbuf, &[10.0; 4]).unwrap();
+                let wg = client.alloc(&ctx, client.create(&ctx, "wg", 4, None).unwrap()).unwrap();
+                let dw = client.alloc(&ctx, client.create(&ctx, "dw", 4, None).unwrap()).unwrap();
+                client.write(&ctx, &wg, &[1.0; 4]).unwrap();
+                client.write(&ctx, &dw, &DW).unwrap();
+                // A fold of the same length on the idle server measures how long
+                // one takes.
+                ctx.sleep(SimDuration::from_millis(1));
+                let t0 = ctx.now();
+                let v = fold(&ctx, &p, 2, 2);
+                let took = ctx.now() - t0;
+                folds.lock().unwrap().push((v, 2, 2));
                 p.replicate(&ctx).unwrap();
+                // This pass renewed the lease: it lapses at `expiry`, when
+                // fold0 lands; fold1 lands 1 ms before.
+                let lease = SimDuration::from_millis(10);
+                let expiry = ctx.now() + lease;
+                starts[0].send(&ctx, ctx.now() + (lease - took));
+                starts[1].send(&ctx, ctx.now() + (lease - took - SimDuration::from_millis(1)));
+                ctx.sleep_until(expiry);
+                // The replicator loop's own rule: no pass once promoted.
+                if !p.promoted() {
+                    p.replicate(&ctx).unwrap();
+                }
             });
         }
-        // Each worker folds one 2-element tile, guarded as its own stream
-        // (the guard is counted, so concurrent streams nest).
-        for (i, offset) in [0usize, 2].iter().enumerate() {
-            let p = pair.clone();
-            let offset = *offset;
+        for (i, (off, len)) in [(1usize, 2usize), (0, 2)].into_iter().enumerate() {
+            let (p, folds, start) = (pair.clone(), Arc::clone(&folds), starts[i].clone());
             sim.spawn(&format!("fold{i}"), move |ctx| {
-                ctx.sleep_until(SimTime::from_millis(5));
-                let server = p.primary().clone();
-                let wg = server.lookup("wg").unwrap();
-                let dw = server.lookup("dw").unwrap();
-                server.begin_accumulate_stream(&ctx, wg);
-                p.accumulate_range(&ctx, dw, wg, offset, 2).unwrap();
-                server.end_accumulate_stream(&ctx, wg);
+                ctx.sleep_until(start.recv(&ctx));
+                let v = fold(&ctx, &p, off, len);
+                folds.lock().unwrap().push((v, off, len));
             });
         }
         {
             let p = pair.clone();
-            sim.spawn("replicator", move |ctx| {
-                ctx.sleep_until(SimTime::from_millis(5));
-                p.replicate(&ctx).unwrap();
+            sim.spawn("promoter", move |ctx| {
+                // Blocks until the lease demonstrably lapsed.
+                p.promote(&ctx);
+            });
+        }
+        {
+            let (p, folds) = (pair.clone(), Arc::clone(&folds));
+            sim.spawn("check", move |ctx| {
+                ctx.sleep_until(SimTime::from_millis(100));
+                assert!(p.promoted());
                 let wg = p.standby().lookup("wg").unwrap();
+                let replicated = p.replicated_version(wg);
+                let mut expected = [1.0f32; 4];
+                let folds = folds.lock().unwrap();
+                assert_eq!(folds.len(), 3, "every fold landed on the primary");
+                for &(_, off, len) in folds.iter().filter(|f| f.0 <= replicated) {
+                    for i in off..off + len {
+                        expected[i] += DW[i];
+                    }
+                }
                 let sc = SmbClient::new(p.standby().clone(), NodeId(0));
                 let sbuf = sc.alloc(&ctx, wg).unwrap();
                 let mut copy = [0.0f32; 4];
                 sc.read(&ctx, &sbuf, &mut copy).unwrap();
-                let torn = copy.contains(&1.0) && copy.contains(&11.0);
-                assert!(!torn, "standby observed a torn half-folded W_g: {copy:?}");
-                // A pass after the streams close ships the folded contents.
-                ctx.sleep_until(SimTime::from_millis(50));
-                p.replicate(&ctx).unwrap();
-                sc.read(&ctx, &sbuf, &mut copy).unwrap();
-                assert_eq!(copy, [11.0; 4], "post-stream pass must ship the folded W_g");
+                assert_eq!(copy, expected, "standby vs folds <= v{replicated}: {folds:?}");
             });
         }
         let p = pair;
         sim.set_state_probe(move || p.state_hash());
     };
-    let report = Simulation::explore(&ExploreBounds::exhaustive(128), setup);
-    assert!(report.certified(), "stream guard must certify: {report:?}");
-    assert!(report.schedules >= 2, "guard/replicate ties must be explored: {report:?}");
-    assert!(report.schedules < report.naive_schedules(), "report: {report:?}");
+    let report = Simulation::explore(&ExploreBounds::exhaustive(256), setup);
+    assert!(report.certified(), "the version rule must certify: {report:?}");
+    assert!(report.schedules >= 2, "the fold/pass/promote ties must be explored: {report:?}");
+    assert!(report.distinct_states >= 2, "the orders must reach different states: {report:?}");
     println!(
-        "schedcheck accumulate-stream guard: {} explored / {} naive ({} pruned independent)",
+        "schedcheck replicated version: {} explored / {} naive ({} pruned independent, {} states)",
         report.schedules,
         report.naive_schedules(),
-        report.pruned_independent
+        report.pruned_independent,
+        report.distinct_states
     );
 }
 

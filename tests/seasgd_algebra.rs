@@ -14,6 +14,7 @@ use shmcaffe_repro::simnet::fault::FaultPlan;
 use shmcaffe_repro::simnet::jitter::JitterModel;
 use shmcaffe_repro::simnet::topology::{ClusterSpec, NodeId};
 use shmcaffe_repro::simnet::{SimContext, SimDuration, SimTime, Simulation};
+use shmcaffe_repro::smb::SmbServerConfig;
 
 fn workload() -> WorkloadModel {
     WorkloadModel::custom("algebra", 1_000_000, SimDuration::from_millis(5))
@@ -208,11 +209,11 @@ fn elastic_exchange_conserves_total_mass() {
 /// 255 ms while the worker's node is cut off from the standby over
 /// [254 ms, 655 ms]. The push that observes the fail-over fails (the
 /// promoted member is behind the partition), so the exchange goes to the
-/// partition backlog — and the tiles folded into the dead primary before
-/// it must be in that backlog too: they died with the old primary, which
-/// the accumulate-stream guard kept them from replicating. Run well past
-/// the heal, every backlog entry replays and the mass identity holds
-/// exactly: `W_g + W_x` is its start value plus the injected drift.
+/// partition backlog — and the folds into the dead primary that the
+/// standby's copy of `W_g` misses must be backlogged too: the fail-over
+/// redo cannot push them either. Run well past the heal, every backlog
+/// entry replays and the mass identity holds exactly: `W_g + W_x` is its
+/// start value plus the injected drift.
 #[test]
 fn failover_into_a_partition_loses_no_increment() {
     const ITERS: usize = 30;
@@ -252,6 +253,114 @@ fn failover_into_a_partition_loses_no_increment() {
     let expected = 2.0 - 1.5 * ITERS as f32;
     for (i, (g, x)) in wg.iter().zip(wx).enumerate() {
         assert!((g + x - expected).abs() < 1e-3, "component {i}: mass {} != {expected}", g + x);
+    }
+}
+
+/// The fail-over rule across crash instants: a replicated pair (20 ms
+/// replication) whose primary dies at each instant of the grid, at one and
+/// at four workers. With one worker, a crash at 201.6 ms fails over a
+/// tile's accumulate after its write landed on the old primary, and one at
+/// 202.3 ms follows a whole exchange that landed after the last pass
+/// copied `W_g`. Every fold lands in the promoted `W_g` exactly once:
+/// `W_g + ΣW_x` is its start value plus the injected drift, with nothing
+/// dropped.
+#[test]
+fn a_primary_crash_at_any_instant_loses_no_increment() {
+    const ITERS: usize = 30;
+    let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
+    let primary = NodeId(spec.gpu_nodes);
+    let cfg = ShmCaffeConfig {
+        max_iters: ITERS,
+        progress_every: 10,
+        jitter: JitterModel::NONE,
+        ..Default::default()
+    };
+    for workers in [1usize, 4] {
+        for crash_us in [200_000u64, 201_600, 202_000, 202_300, 203_400, 210_000, 218_350, 245_000]
+        {
+            let plan =
+                FaultPlan::new(3).crash_memory_server(primary, SimTime::from_micros(crash_us));
+            let drifters = DrifterFactory::new(100_000, 20, workers);
+            let report = ShmCaffeA::new(spec, workers, cfg)
+                .with_standby(SimDuration::from_millis(20))
+                .with_fault_plan(plan)
+                .run(drifters.clone())
+                .expect("the fleet rides out the fail-over");
+            let at = format!("{workers} worker(s), crash at {crash_us} µs");
+            for w in &report.workers {
+                assert_eq!(w.iters, ITERS as u64, "{at}");
+                assert_eq!((w.pushes.dropped_updates, w.pushes.partition_dropped), (0, 0), "{at}");
+            }
+            // S(0) = 1 (W_g) + 1 per worker; rank r drifts by r − 1.5 per
+            // iteration.
+            let drift: f32 = (0..workers).map(|r| r as f32 - 1.5).sum::<f32>() * ITERS as f32;
+            let expected = 1.0 + workers as f32 + drift;
+            let wg = report.final_weights.expect("the standby serves W_g");
+            let finals = drifters.finals();
+            for (i, g) in wg.iter().enumerate() {
+                let mass = g + finals.iter().map(|w| w[i]).sum::<f32>();
+                assert!(
+                    (mass - expected).abs() < 1e-3,
+                    "{at}: component {i}: {mass} != {expected}"
+                );
+            }
+        }
+    }
+}
+
+/// A split brain: a 200 ms partition cuts the primary and the workers of
+/// node 0 off from the standby and the workers of node 1 (60 ms authority
+/// lease, 20 ms replication). The majority promotes the standby; folds
+/// the isolated primary accepted inside the lease's grace window are
+/// re-pushed by the update threads that made them once they see the new
+/// epoch, and the minority backlogs until the heal. Nothing is dropped and
+/// `W_g + ΣW_x` is its start value plus the injected drift, at two and at
+/// eight workers.
+#[test]
+fn a_split_brain_partition_loses_no_increment() {
+    const ITERS: usize = 30;
+    let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
+    let (primary, standby) = (NodeId(spec.gpu_nodes), NodeId(spec.gpu_nodes + 1));
+    let cfg = ShmCaffeConfig {
+        max_iters: ITERS,
+        progress_every: 10,
+        jitter: JitterModel::NONE,
+        ..Default::default()
+    };
+    let lease =
+        SmbServerConfig { authority_timeout: SimDuration::from_millis(60), ..Default::default() };
+    for workers in [2usize, 8] {
+        for at_ms in [150u64, 250, 350] {
+            let plan = FaultPlan::new(5).partition(
+                vec![vec![NodeId(0), primary], vec![NodeId(1), standby]],
+                SimTime::from_millis(at_ms),
+                Some(SimTime::from_millis(at_ms + 200)),
+            );
+            let drifters = DrifterFactory::new(100_000, 20, workers);
+            let report = ShmCaffeA::new(spec, workers, cfg)
+                .with_standby(SimDuration::from_millis(20))
+                .with_server_config(lease)
+                .with_fault_plan(plan)
+                .run(drifters.clone())
+                .expect("fencing and degraded mode ride out the split brain");
+            let at = format!("{workers} workers, partition at {at_ms} ms");
+            assert!(report.fenced_rejections > 0, "{at}: the stale primary fenced itself");
+            for w in &report.workers {
+                assert_eq!(w.iters, ITERS as u64, "{at}");
+                assert_eq!((w.pushes.dropped_updates, w.pushes.partition_dropped), (0, 0), "{at}");
+            }
+            let drift: f32 = (0..workers).map(|r| r as f32 - 1.5).sum::<f32>() * ITERS as f32;
+            let expected = 1.0 + workers as f32 + drift;
+            let wg = report.final_weights.expect("the promoted standby serves W_g");
+            let finals = drifters.finals();
+            for (i, g) in wg.iter().enumerate() {
+                let mass = g + finals.iter().map(|w| w[i]).sum::<f32>();
+                assert!(
+                    (mass - expected).abs() < 1e-3,
+                    "{at}: component {i}: {mass} != {expected}"
+                );
+            }
+        }
     }
 }
 
