@@ -8,7 +8,7 @@
 //! behind a wall-clock watchdog so a regression fails here instead of
 //! hanging the suite.
 
-use std::time::Duration;
+mod watchdog;
 
 use shmcaffe::platforms::ShmCaffeA;
 use shmcaffe::trainer::ModeledTrainerFactory;
@@ -19,24 +19,7 @@ use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::ClusterSpec;
 use shmcaffe_simnet::{SimDuration, SimTime};
 use shmcaffe_smb::SmbServerConfig;
-
-/// Runs `f` on a helper thread and fails if it has not returned within
-/// 20 s of wall time (a hung simulation never returns).
-#[allow(
-    clippy::disallowed_methods,
-    reason = "a wall-clock watchdog around the simulation, not a process inside it"
-)]
-fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let helper = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    let out = rx
-        .recv_timeout(Duration::from_secs(20))
-        .expect("run did not terminate: a background process outlived every rank");
-    helper.join().expect("helper thread exits once it has reported");
-    out
-}
+use watchdog::within_watchdog;
 
 /// Two workers on one GPU node beside a pair of memory servers; both
 /// workers crash (rank 0 at 50 ms, rank 1 at 60 ms) and neither rejoins.
