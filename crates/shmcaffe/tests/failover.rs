@@ -11,8 +11,10 @@
 //! whole timeline must be bit-identical across reruns (and thread counts —
 //! `scripts/check.sh` runs this suite under `SHMCAFFE_THREADS=1` and `4`).
 
+mod watchdog;
+
 use shmcaffe::platforms::ShmCaffeA;
-use shmcaffe::trainer::ModeledTrainerFactory;
+use shmcaffe::trainer::{ModeledTrainer, ModeledTrainerFactory, TrainerFactory};
 use shmcaffe::{ShmCaffeConfig, TrainingReport};
 use shmcaffe_models::WorkloadModel;
 use shmcaffe_simnet::fault::FaultPlan;
@@ -20,6 +22,7 @@ use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::{ClusterSpec, NodeId};
 use shmcaffe_simnet::{SimDuration, SimTime};
 use shmcaffe_smb::SmbServerConfig;
+use watchdog::within_watchdog;
 
 const N_WORKERS: usize = 4;
 const MAX_ITERS: usize = 30;
@@ -186,4 +189,48 @@ fn a_long_replication_pass_does_not_fence_a_healthy_primary() {
         assert_eq!(w.pushes.dropped_updates, 0, "rank {}", w.rank);
         assert_eq!(w.smb.fenced, 0, "rank {}", w.rank);
     }
+}
+
+/// Rank 0 computes for 20 ms an iteration, every other rank for 5 ms, so
+/// rank 1 finishes long before rank 0.
+struct Uneven;
+
+impl TrainerFactory for Uneven {
+    type Output = ModeledTrainer;
+
+    fn make(&self, rank: usize, n_workers: usize) -> ModeledTrainer {
+        let ms = if rank == 0 { 20 } else { 5 };
+        let workload = WorkloadModel::custom("uneven", 400_000, SimDuration::from_millis(ms));
+        ModeledTrainerFactory::new(workload, JitterModel::NONE, 7).make(rank, n_workers)
+    }
+}
+
+/// The standby's copy of the progress board follows every replication
+/// pass. Rank 1 has published its done flag by the time the primary
+/// crashes at 400 ms; the collector, rank 0, then polls the promoted
+/// standby's board until every rank reads done. Were the board's slot
+/// stores left unversioned, replication would ship the board once, and
+/// the standby would show rank 1 unfinished forever.
+#[test]
+fn a_board_written_after_the_first_pass_survives_the_fail_over() {
+    let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
+    let cfg = ShmCaffeConfig {
+        max_iters: 40,
+        progress_every: 4,
+        jitter: JitterModel::NONE,
+        ..Default::default()
+    };
+    let plan =
+        FaultPlan::new(7).crash_memory_server(NodeId(spec.gpu_nodes), SimTime::from_millis(400));
+    let report = within_watchdog(move || {
+        ShmCaffeA::new(spec, 2, cfg)
+            .with_standby(SimDuration::from_millis(20))
+            .with_fault_plan(plan)
+            .run(Uneven)
+    })
+    .expect("the pair fails over and the run completes");
+    for w in &report.workers {
+        assert_eq!(w.iters, 40, "rank {}", w.rank);
+    }
+    assert!(report.final_weights.is_some());
 }

@@ -434,7 +434,8 @@ impl SmbClient {
     }
 
     /// Writes a small sub-range at its true wire size (see
-    /// [`SmbClient::read_range`]).
+    /// [`SmbClient::read_range`]) and bumps the segment version. A slot
+    /// store is the one unfenced write: it skips epoch admission.
     ///
     /// # Errors
     ///
@@ -750,10 +751,10 @@ impl SmbClient {
     ) -> Result<(), SmbError> {
         self.execute(ctx, op, buf, data.len(), |ctx, offset| {
             let server = self.enter(ctx, op.gate, buf.key, false)?;
-            // Control-info (true-size) writes are unversioned slot stores:
-            // no epoch admission and no version bump.
-            let versioned = op.pricing != Pricing::TrueSize;
-            if versioned {
+            // Control-info (true-size) writes are unfenced slot stores:
+            // no epoch admission.
+            let fenced = op.pricing != Pricing::TrueSize;
+            if fenced {
                 self.admit(ctx, op.gate, buf.key)?;
             }
             // Verify-before-mutate: a poisoned page must be repaired (the
@@ -782,9 +783,7 @@ impl SmbClient {
                 self.stream(ctx, &server, false, bytes);
             }
             delivery?;
-            if versioned {
-                server.bump_version(ctx, buf.key);
-            }
+            server.bump_version(ctx, buf.key);
             Ok(())
         })
     }

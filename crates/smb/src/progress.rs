@@ -219,6 +219,32 @@ mod tests {
         sim.run();
     }
 
+    /// Slot stores version the board like every write, so each
+    /// replication pass re-ships it: the promoted standby holds the board
+    /// as of the last pass, not the first.
+    #[test]
+    fn the_promoted_standby_holds_the_last_passs_board() {
+        let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(1) };
+        let rdma = RdmaFabric::new(Fabric::new(spec));
+        let pair = crate::SmbPair::new(rdma, crate::SmbServerConfig::default()).unwrap();
+        let mut sim = Simulation::new();
+        sim.spawn("w", move |ctx| {
+            let client = SmbClient::with_failover(pair.clone(), NodeId(0));
+            let (board, _key) = ProgressBoard::create(&client, &ctx, "ctrl", 2).unwrap();
+            board.publish(&client, &ctx, 0, 4, false).unwrap();
+            board.publish(&client, &ctx, 1, 4, false).unwrap();
+            pair.replicate(&ctx).unwrap();
+            board.publish(&client, &ctx, 0, 8, true).unwrap();
+            board.publish(&client, &ctx, 1, 6, false).unwrap();
+            pair.replicate(&ctx).unwrap();
+            let second_pass = board.snapshot(&client, &ctx).unwrap();
+            assert!(pair.promote(&ctx));
+            assert_eq!(board.snapshot(&client, &ctx).unwrap(), second_pass);
+            assert!(second_pass.is_done(0) && second_pass.workers[1].iterations == 6);
+        });
+        sim.run();
+    }
+
     #[test]
     fn two_workers_see_each_other() {
         let rdma = RdmaFabric::new(Fabric::new(ClusterSpec::paper_testbed(2)));

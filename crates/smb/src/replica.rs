@@ -445,12 +445,12 @@ impl SmbPair {
             // The crash cuts the replication stream mid-pass: segments
             // copied before the cut stay; the rest keep their old contents.
             self.gate_from(ctx, fabric, primary.node(), standby.node())?;
-            // Every key no versioned write has touched yet — created since
-            // the pass began, too — is installed zero-filled at once, like
-            // the fresh region it is, so a pass cut before its turn still
-            // leaves it on the standby (a worker's ΔW buffer is re-written
-            // before every fold; a true-size control segment ships its
-            // bytes in turn).
+            // Every key no write has touched yet — created since the pass
+            // began, too — is installed zero-filled at once, like the fresh
+            // region it is, so a pass cut before its turn still leaves it
+            // on the standby (a worker's ΔW buffer is re-written before
+            // every fold; the progress board ships its bytes in turn once
+            // a slot store has versioned it).
             for fresh in primary.segment_catalog().iter().filter(|m| m.version == 0) {
                 if standby.segment(fresh.key).is_err() {
                     standby.install_replica_segment(fresh)?;

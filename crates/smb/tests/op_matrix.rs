@@ -323,8 +323,12 @@ fn op_matrix_fingerprint_matches_the_parent_capture() {
 /// the version of the bytes it copies instead of the one its catalog read
 /// saw: client 1's writes to `dw1` and `ck1` land while the pass ships the
 /// segments before them, so the standby now holds both one version higher.
-/// Every call's timing and result is unchanged.
-const GOLDEN: u64 = 0xb923_9ad8_f8ef_dd48;
+/// Every call's timing and result is unchanged. Re-captured (from
+/// `0xb923_9ad8_f8ef_dd48`) when true-size slot stores started bumping their
+/// segment's version like every write: the control-info segment's
+/// version, which read 0 on both members, now moves with every
+/// `write_range` and replicates to the standby.
+const GOLDEN: u64 = 0x46f4_52be_ca83_3398;
 
 /// Decision (1) of the op descriptor, pinned: plain ops never consult the
 /// fault gate or the corruption stream. Under a probability-only plan the
