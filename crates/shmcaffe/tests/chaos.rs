@@ -5,15 +5,18 @@
 //! full budget, and the final loss matches a fault-free run — while the
 //! synchronous SSGD platform must abort with an error rather than hang.
 
+mod watchdog;
+
 use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, SsgdConfig};
 use shmcaffe::trainer::ModeledTrainerFactory;
 use shmcaffe::{PlatformError, ShmCaffeConfig, TrainingReport};
-use shmcaffe_models::WorkloadModel;
+use shmcaffe_models::{CnnModel, WorkloadModel};
 use shmcaffe_simnet::fault::FaultPlan;
 use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::{ClusterSpec, NodeId};
 use shmcaffe_simnet::{SimDuration, SimTime};
 use shmcaffe_smb::SmbServerConfig;
+use watchdog::within_watchdog;
 
 const N_WORKERS: usize = 4;
 const MAX_ITERS: usize = 30;
@@ -210,6 +213,43 @@ fn corrupted_runs_are_bit_identical_given_the_seed() {
         assert_eq!(x.final_loss, y.final_loss);
         assert_eq!(x.smb, y.smb);
         assert_eq!(x.pushes, y.pushes);
+    }
+}
+
+/// A DRAM decay late in the run, when rank 0 is the collector. On seed 9 at
+/// 3000 ms it poisons a page of `W_g`, and the collector's final plain
+/// read of `W_g` hits it. A plain op repairs a poisoned page once, so the
+/// run ends with the final weights. (It used to end in
+/// `WorkerFailed(.. Corrupted { key: ShmKey(1) ..})`.)
+#[test]
+fn late_dram_decay_on_w_g_is_repaired_by_the_final_read() {
+    let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
+    let plan = FaultPlan::new(9).decay_dram(NodeId(spec.gpu_nodes), SimTime::from_millis(3000));
+    let cfg = ShmCaffeConfig {
+        max_iters: 10,
+        progress_every: 2,
+        checkpoint_every: 2,
+        jitter: JitterModel::NONE,
+        seed: 9,
+        ..Default::default()
+    };
+    let scrubbed = SmbServerConfig {
+        page_elems: 1024,
+        scrub_interval: SimDuration::from_millis(25),
+        ..Default::default()
+    };
+    let workload = WorkloadModel::from_cnn(CnnModel::InceptionV1);
+    let report = within_watchdog(move || {
+        ShmCaffeA::new(spec, N_WORKERS, cfg)
+            .with_server_config(scrubbed)
+            .with_standby(SimDuration::from_millis(20))
+            .with_fault_plan(plan)
+            .run(ModeledTrainerFactory::new(workload, JitterModel::NONE, 9))
+    })
+    .expect("the poisoned page is repaired from the standby");
+    assert!(report.final_weights.is_some());
+    for w in &report.workers {
+        assert_eq!(w.iters, 10, "rank {}", w.rank);
     }
 }
 

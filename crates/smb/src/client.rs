@@ -912,14 +912,14 @@ impl SmbClient {
         }
     }
 
-    /// Runs a plain (policy-less) `op`; if it lands on a poisoned page,
-    /// repairs that page from the pair's other member and runs `op` once
-    /// more. For small control-plane ops (the progress board) that must
-    /// survive a DRAM decay but have no retry budget to spend: the
-    /// fault-free path issues exactly the ops it always did, so virtual
-    /// time does not move. Counted like one round of
+    /// Decision (1), repair half of a plain op: runs `op`; if it lands on a
+    /// poisoned page, repairs that page from the pair's other member and
+    /// runs `op` once more. A plain op has no retry budget to spend, and
+    /// the fault-free path issues exactly the ops it always did, so
+    /// virtual time does not move. On a lone server the page is
+    /// [`SmbError::Unrepairable`]. Counted like one round of
     /// [`SmbClient::retrying`].
-    pub(crate) fn repairing_once<T>(
+    fn repairing_once<T>(
         &self,
         ctx: &SimContext,
         mut op: impl FnMut() -> Result<T, SmbError>,
@@ -936,7 +936,8 @@ impl SmbClient {
         second
     }
 
-    /// Decision (1), retry half: a plain op runs exactly once. A retrying
+    /// Decision (1), retry half: a plain op runs once, and once more after
+    /// repairing a poisoned page ([`SmbClient::repairing_once`]). A retrying
     /// `op` runs under its `policy`: transient failures are retried after a
     /// jittered exponential backoff (virtual-time sleep), re-arming the
     /// queue pair to the server before each retry. When an attempt
@@ -953,7 +954,7 @@ impl SmbClient {
         gate: Gate<'_>,
         mut op: impl FnMut(&SimContext) -> Result<T, SmbError>,
     ) -> Result<T, SmbError> {
-        let Gate::FailFast(policy) = gate else { return op(ctx) };
+        let Gate::FailFast(policy) = gate else { return self.repairing_once(ctx, || op(ctx)) };
         let started = ctx.now();
         let mut attempts = 0u32;
         loop {

@@ -106,9 +106,7 @@ impl ProgressBoard {
         self.n_workers
     }
 
-    /// Publishes this worker's progress into its slot. A poisoned board
-    /// page is repaired from the replica (when there is one) and the write
-    /// retried once.
+    /// Publishes this worker's progress into its slot.
     ///
     /// # Errors
     ///
@@ -125,11 +123,10 @@ impl ProgressBoard {
     ) -> Result<(), SmbError> {
         let slot = [iterations as f32, if done { 1.0 } else { 0.0 }];
         let offset = rank.saturating_mul(SLOT_FIELDS);
-        client.repairing_once(ctx, || client.write_range(ctx, &self.buf, offset, &slot))
+        client.write_range(ctx, &self.buf, offset, &slot)
     }
 
-    /// Reads the whole board, repairing a poisoned page from the replica
-    /// (when there is one) and retrying once.
+    /// Reads the whole board.
     ///
     /// # Errors
     ///
@@ -140,7 +137,7 @@ impl ProgressBoard {
         ctx: &SimContext,
     ) -> Result<ProgressSnapshot, SmbError> {
         let mut raw = vec![0.0f32; self.n_workers * SLOT_FIELDS];
-        client.repairing_once(ctx, || client.read_range(ctx, &self.buf, 0, &mut raw))?;
+        client.read_range(ctx, &self.buf, 0, &mut raw)?;
         let workers = raw
             .chunks_exact(SLOT_FIELDS)
             .map(|slot| WorkerProgress { iterations: slot[0] as u64, done: slot[1] > 0.5 })

@@ -1,6 +1,7 @@
 //! Deterministic end-to-end integrity flows: detection poisons the exact
-//! page, retrying clients repair poisoned pages from the pair's other
-//! member, single-route corruption is permanent, wire faults from a seeded
+//! page, clients repair poisoned pages from the pair's other member
+//! (retrying ones under their policy, plain ones once), single-route
+//! corruption is permanent, wire faults from a seeded
 //! plan are detected and retried through, and the whole pipeline replays
 //! bit-identically under the same seed.
 
@@ -100,6 +101,52 @@ fn single_route_corruption_is_unrepairable() {
         // than serving bad bytes.
         assert!(client.read(&ctx, &buf, &mut out).is_err());
         assert_eq!(s.poisoned_pages(key), vec![0]);
+    });
+    sim.run();
+}
+
+/// A plain read has no retry budget, but it repairs a poisoned page once:
+/// on a pair it returns the replicated bytes after one repair; on a lone
+/// server the page is permanently lost and the read says so.
+#[test]
+fn plain_read_repairs_a_poisoned_page_once() {
+    let payload: Vec<f32> = (0..ELEMS).map(|i| i as f32 - 2.5).collect();
+    let pair = paged_pair(None);
+    let (p, want) = (pair.clone(), payload.clone());
+    let mut sim = Simulation::new();
+    sim.spawn("w", move |ctx| {
+        let client = SmbClient::with_failover(p.clone(), NodeId(0));
+        let key = client.create(&ctx, "wg", ELEMS, None).unwrap();
+        let buf = client.alloc(&ctx, key).unwrap();
+        client.write(&ctx, &buf, &want).unwrap();
+        p.replicate(&ctx).unwrap();
+        p.primary().inject_bit_flip(key, 5, 7).unwrap();
+        let mut out = vec![0.0f32; ELEMS];
+        client.read(&ctx, &buf, &mut out).unwrap();
+        assert_eq!(out, want, "repair must restore the replicated bytes");
+        assert!(p.primary().poisoned_pages(key).is_empty(), "poison must clear");
+        assert_eq!(p.repairs_completed(), 1);
+        let fs = client.fault_stats();
+        assert_eq!((fs.corruptions_detected, fs.corruptions_repaired, fs.retries), (1, 1, 1));
+    });
+    sim.run();
+
+    let server = paged_single(None);
+    let s = server.clone();
+    let mut sim = Simulation::new();
+    sim.spawn("w", move |ctx| {
+        let client = SmbClient::new(s.clone(), NodeId(0));
+        let key = client.create(&ctx, "wg", ELEMS, None).unwrap();
+        let buf = client.alloc(&ctx, key).unwrap();
+        client.write(&ctx, &buf, &payload).unwrap();
+        s.inject_bit_flip(key, 5, 7).unwrap();
+        let mut out = vec![0.0f32; ELEMS];
+        match client.read(&ctx, &buf, &mut out) {
+            Err(SmbError::Unrepairable { key: k, page: 1, .. }) => assert_eq!(k, key),
+            other => panic!("want Unrepairable page 1, got {other:?}"),
+        }
+        let fs = client.fault_stats();
+        assert_eq!((fs.corruptions_detected, fs.corruptions_unrepairable), (1, 1), "{fs:?}");
     });
     sim.run();
 }
@@ -307,8 +354,12 @@ fn scrub_pass_finds_scheduled_dram_decay() {
         let inj = s.rdma().fabric().fault_injector().unwrap().stats();
         assert_eq!(inj.dram_decays_applied, 1, "{inj:?}");
         let mut out = vec![0.0f32; ELEMS];
+        // A plain read repairs a poisoned page once; a lone server has no
+        // replica to repair from.
         match client.read(&ctx, &buf, &mut out) {
-            Err(SmbError::Corrupted { .. }) => {}
+            Err(SmbError::Unrepairable { key: k, node, page }) => {
+                assert_eq!((k, node, vec![page]), (key, s.node(), s.poisoned_pages(key)));
+            }
             other => panic!("decayed page must fail the read, got {other:?}"),
         }
         // A second pass reports nothing new: poison is counted once.

@@ -30,7 +30,8 @@ fn pages_in(pe: usize, n: usize, offset: usize, len: usize) -> Vec<usize> {
 const SHAPES: [(usize, usize); 5] = [(4, 13), (8, 8), (3, 10), (16, 5), (1, 6)];
 
 /// Exhaustive: every single-bit flip of every element is detected by the
-/// next read, which names the exact page, and only that page is poisoned.
+/// next read, which names the exact page (as `Unrepairable`: a lone
+/// server has no replica), and only that page is poisoned.
 #[test]
 fn every_single_bit_flip_is_detected() {
     for (pe, n) in SHAPES {
@@ -52,7 +53,7 @@ fn every_single_bit_flip_is_detected() {
                     s.inject_bit_flip(key, elem, bit).unwrap();
                     let mut out = vec![0.0f32; n];
                     match client.read(&ctx, &buf, &mut out) {
-                        Err(SmbError::Corrupted { page, .. }) if page == elem / pe => {}
+                        Err(SmbError::Unrepairable { page, .. }) if page == elem / pe => {}
                         other => f2
                             .lock()
                             .push(format!("pe={pe} n={n} elem={elem} bit={bit}: {other:?}")),

@@ -327,8 +327,12 @@ fn op_matrix_fingerprint_matches_the_parent_capture() {
 /// `0xb923_9ad8_f8ef_dd48`) when true-size slot stores started bumping their
 /// segment's version like every write: the control-info segment's
 /// version, which read 0 on both members, now moves with every
-/// `write_range` and replicates to the standby.
-const GOLDEN: u64 = 0x46f4_52be_ca83_3398;
+/// `write_range` and replicates to the standby (`0x46f4_52be_ca83_3398`).
+/// Re-captured when every plain op started repairing a poisoned page
+/// once: after the crash, the 24 plain calls that hit the promoted
+/// member's poisoned page with only the dead primary to repair from
+/// return `Unrepairable` instead of `Corrupted`, at the same instants.
+const GOLDEN: u64 = 0xf31f_dd05_37ba_748b;
 
 /// Decision (1) of the op descriptor, pinned: plain ops never consult the
 /// fault gate or the corruption stream. Under a probability-only plan the
