@@ -101,7 +101,7 @@ struct Op<'a> {
     /// Decision (2), chosen by the entry point and never by inspecting the
     /// span: a full-length `Share` is not bit-equal to `Whole`.
     pricing: Pricing,
-    /// Decision (5): `None` spans the whole buffer, `Some(offset)` the
+    /// Decision (4): `None` spans the whole buffer, `Some(offset)` the
     /// `offset..offset + len` range.
     offset: Option<usize>,
 }
@@ -789,12 +789,11 @@ impl SmbClient {
     }
 
     /// The accumulate request: gate, admission and one control round trip,
-    /// then the server's engine. Decision (4): a plain op pays the round
-    /// trip *before* admission, a retrying op gates and admits first —
-    /// admission reads the authority lease at that instant. An attempt
-    /// under another fencing epoch than the op started with would fold the
-    /// promoted member's replicated source range, not the one the caller
-    /// wrote: it fails [`SmbError::SourceMoved`] instead.
+    /// then the server's engine — admission reads the authority lease
+    /// before the round trip, for every op. An attempt under another
+    /// fencing epoch than the op started with would fold the promoted
+    /// member's replicated source range, not the one the caller wrote: it
+    /// fails [`SmbError::SourceMoved`] instead.
     fn accumulate_op(
         &self,
         ctx: &SimContext,
@@ -809,14 +808,8 @@ impl SmbClient {
                 return Err(SmbError::SourceMoved { key: src.key });
             }
             let server = self.enter(ctx, op.gate, src.key, false)?;
-            let plain = matches!(op.gate, Gate::Stall);
-            if plain {
-                control_round_trip(ctx);
-            }
             self.admit(ctx, op.gate, dst.key)?;
-            if !plain {
-                control_round_trip(ctx);
-            }
+            control_round_trip(ctx);
             server.accumulate(ctx, src.key, dst.key, op.offset.map(|start| (start, len)))
         })
     }
