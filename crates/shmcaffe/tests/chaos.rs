@@ -219,8 +219,8 @@ fn corrupted_runs_are_bit_identical_given_the_seed() {
 /// A DRAM decay late in the run, when rank 0 is the collector. On seed 9 at
 /// 3000 ms it poisons a page of `W_g`, and the collector's final plain
 /// read of `W_g` hits it. A plain op repairs a poisoned page once, so the
-/// run ends with the final weights. (It used to end in
-/// `WorkerFailed(.. Corrupted { key: ShmKey(1) ..})`.)
+/// run ends with the final weights instead of
+/// `WorkerFailed(.. Corrupted { key: ShmKey(1) ..})`.
 #[test]
 fn late_dram_decay_on_w_g_is_repaired_by_the_final_read() {
     let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };

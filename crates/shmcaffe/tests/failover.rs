@@ -234,3 +234,52 @@ fn a_board_written_after_the_first_pass_survives_the_fail_over() {
     }
     assert!(report.final_weights.is_some());
 }
+
+/// ROADMAP item 5(i)'s repro: `fault_a8`'s plan without the primary
+/// crash — 8 workers, 3 % wire flips on a CRC-paged pair, worker 3 dies
+/// at 60 % of the run and rejoins from the checkpoint 400 ms later — with
+/// and without 2 % random op failures. It was recorded as never
+/// terminating; every rank must finish its budget.
+#[test]
+fn rejoin_without_a_primary_crash_terminates() {
+    const ITERS: usize = 24;
+    for op_failures in [0.0, 0.02] {
+        let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
+        let crash_at = SimTime::from_millis(ITERS as u64 * 300 * 6 / 10);
+        let plan = FaultPlan::new(1)
+            .with_wire_flip_prob(0.03)
+            .with_op_failure_prob(op_failures)
+            .crash_worker(3, crash_at);
+        let cfg = ShmCaffeConfig {
+            max_iters: ITERS,
+            update_interval: 2,
+            progress_every: 4,
+            checkpoint_every: 2,
+            rejoin_delay: Some(SimDuration::from_millis(400)),
+            jitter: JitterModel::NONE,
+            seed: 1,
+            ..Default::default()
+        };
+        let server = SmbServerConfig {
+            page_elems: 1024,
+            scrub_interval: SimDuration::from_millis(25),
+            lease_timeout: SimDuration::from_millis(200),
+            ..Default::default()
+        };
+        let workload = WorkloadModel::from_cnn(shmcaffe_models::CnnModel::InceptionV1);
+        let report = within_watchdog(move || {
+            ShmCaffeA::new(spec, 8, cfg)
+                .with_server_config(server)
+                .with_standby(SimDuration::from_millis(20))
+                .with_fault_plan(plan)
+                .run(ModeledTrainerFactory::new(workload, JitterModel::hpc_default(), 1))
+        })
+        .expect("a worker crash and rejoin is recoverable");
+        assert_eq!((report.crashed_workers(), report.rejoined_workers()), (1, 1));
+        for w in &report.workers {
+            assert_eq!(w.iters, ITERS as u64, "op failures {op_failures}: rank {}", w.rank);
+            assert_eq!(w.pushes.dropped_updates, 0, "op failures {op_failures}: rank {}", w.rank);
+        }
+        assert!(report.final_weights.is_some());
+    }
+}

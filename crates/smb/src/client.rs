@@ -84,7 +84,8 @@ enum Gate<'a> {
     /// fails over proactively), never consult the fault gate, admit with a
     /// refreshed epoch, stream at the nominal rate and draw nothing from
     /// the injector's corruption stream — their transfers ride faults out
-    /// inside the fabric, so they run exactly once.
+    /// inside the fabric, so they run once (and once more after repairing
+    /// a poisoned page).
     Stall,
     /// Retrying ops *fail fast*: each attempt routes by promotion state
     /// alone, passes the fault gate in its direction, admits strictly,
@@ -753,8 +754,7 @@ impl SmbClient {
             let server = self.enter(ctx, op.gate, buf.key, false)?;
             // Control-info (true-size) writes are unfenced slot stores:
             // no epoch admission.
-            let fenced = op.pricing != Pricing::TrueSize;
-            if fenced {
+            if op.pricing != Pricing::TrueSize {
                 self.admit(ctx, op.gate, buf.key)?;
             }
             // Verify-before-mutate: a poisoned page must be repaired (the

@@ -5,6 +5,13 @@
 //! one slot of the control-info segment holding its completed-iteration
 //! count and a done flag; any worker can snapshot the whole board to apply
 //! a termination-alignment policy.
+//!
+//! The board is an ordinary segment written and read by the plain range
+//! ops: each slot store bumps its version, so a standby's replication
+//! passes mirror it like any other segment, and a publish or snapshot
+//! that lands on a poisoned page repairs it once like every plain op.
+//! Slot stores skip epoch admission, so a rank's progress still lands on
+//! a primary isolated by a partition.
 
 use shmcaffe_simnet::SimContext;
 
