@@ -831,8 +831,11 @@ impl Pusher {
     /// due, and re-writes and re-folds an increment whose write or
     /// accumulate straddled a fail-over (the promoted member's ΔW range is
     /// the standby's stale copy — [`SmbError::SourceMoved`] — and a budget
-    /// spent against the old member says nothing about the new one).
+    /// spent against the old member says nothing about the new one). A
+    /// [`SmbError::SourceMoved`] without a fail-over (a poisoned ΔW page)
+    /// is re-written and re-folded once; a second one fails the push.
     fn push(&mut self, ctx: &SimContext, off: usize, data: &[f32]) -> Result<u64, SmbError> {
+        let mut rewritten = false;
         loop {
             self.redo(ctx);
             let epoch = self.client.carried_epoch();
@@ -850,6 +853,7 @@ impl Pusher {
                 // member: redo, then push again on the member that serves
                 // now.
                 Err(_) if self.client.carried_epoch() != epoch => {}
+                Err(SmbError::SourceMoved { .. }) if !rewritten => rewritten = true,
                 Ok(version) => {
                     if let (Some(log), Some(pair)) = (&mut self.log, self.client.pair()) {
                         // The standby's copy already holds the folds up to

@@ -793,7 +793,10 @@ impl SmbClient {
     /// before the round trip, for every op. An attempt under another
     /// fencing epoch than the op started with would fold the promoted
     /// member's replicated source range, not the one the caller wrote: it
-    /// fails [`SmbError::SourceMoved`] instead.
+    /// fails [`SmbError::SourceMoved`] instead. So does a poisoned source
+    /// page: repaired from the other member, it would hold that member's
+    /// older copy, so the caller re-writes the source rather than the
+    /// engine folding the repaired tile.
     fn accumulate_op(
         &self,
         ctx: &SimContext,
@@ -810,7 +813,12 @@ impl SmbClient {
             let server = self.enter(ctx, op.gate, src.key, false)?;
             self.admit(ctx, op.gate, dst.key)?;
             control_round_trip(ctx);
-            server.accumulate(ctx, src.key, dst.key, op.offset.map(|start| (start, len)))
+            match server.accumulate(ctx, src.key, dst.key, op.offset.map(|start| (start, len))) {
+                Err(SmbError::Corrupted { key, .. }) if key == src.key => {
+                    Err(SmbError::SourceMoved { key })
+                }
+                folded => folded,
+            }
         })
     }
 

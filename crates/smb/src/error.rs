@@ -121,11 +121,13 @@ pub enum SmbError {
         /// Index of the lost page in the segment's page grid.
         page: usize,
     },
-    /// A retrying accumulate failed over to the promoted member part-way:
-    /// the source range there is the standby's replicated copy, not the
-    /// one this client wrote, so the fold is refused before it lands.
-    /// Permanent for this op — the caller re-writes the source on the
-    /// member that serves now and folds again.
+    /// The accumulate's source range is not the one this client wrote, so
+    /// the fold is refused before it lands: a retrying accumulate failed
+    /// over to the promoted member part-way (the range there is the
+    /// standby's replicated copy), or a source page was poisoned (its
+    /// repair would install the other member's older copy). Permanent for
+    /// this op — the caller re-writes the source on the member that serves
+    /// now and folds again.
     SourceMoved {
         /// The accumulate's source segment.
         key: ShmKey,

@@ -288,6 +288,41 @@ fn torn_write_tail_is_repaired_from_standby() {
     sim.run();
 }
 
+/// An accumulate never folds a repaired source: a torn ΔW write poisons
+/// both source pages, whose repair would install the standby's older copy
+/// of the *previous* increment. The accumulate refuses with `SourceMoved`
+/// and leaves `W_g` alone; the caller's re-write repairs the pages and
+/// lands the increment whole, and the re-fold adds exactly it.
+#[test]
+fn an_accumulate_never_folds_a_repaired_source() {
+    let pair = paged_pair(None);
+    let p = pair.clone();
+    let mut sim = Simulation::new();
+    sim.spawn("w", move |ctx| {
+        let client = SmbClient::with_failover(p.clone(), NodeId(0));
+        let policy = RetryPolicy { max_attempts: 8, ..RetryPolicy::with_seed(3) };
+        let wg = client.alloc(&ctx, client.create(&ctx, "wg", ELEMS, None).unwrap()).unwrap();
+        let dw = client.alloc(&ctx, client.create(&ctx, "dw", ELEMS, None).unwrap()).unwrap();
+        client.write_range_retrying(&ctx, &dw, 0, &[1.0; ELEMS], &policy).unwrap();
+        client.accumulate_range_retrying(&ctx, &dw, &wg, 0, ELEMS, &policy).unwrap();
+        p.replicate(&ctx).unwrap();
+        p.primary().inject_torn_write(&ctx, dw.key, 0, &[2.0; ELEMS], 2).unwrap();
+        let folded = client.accumulate_range_retrying(&ctx, &dw, &wg, 0, ELEMS, &policy);
+        assert_eq!(folded, Err(SmbError::SourceMoved { key: dw.key }));
+        let mut out = [0.0f32; ELEMS];
+        client.read_retrying(&ctx, &wg, &mut out, &policy).unwrap();
+        assert_eq!(out, [1.0; ELEMS], "the repaired (older) source must not fold");
+
+        client.write_range_retrying(&ctx, &dw, 0, &[2.0; ELEMS], &policy).unwrap();
+        client.accumulate_range_retrying(&ctx, &dw, &wg, 0, ELEMS, &policy).unwrap();
+        client.read_retrying(&ctx, &wg, &mut out, &policy).unwrap();
+        assert_eq!(out, [3.0; ELEMS], "the re-written increment folds exactly once");
+        let fs = client.fault_stats();
+        assert_eq!((fs.corruptions_detected, fs.corruptions_repaired), (2, 2), "{fs:?}");
+    });
+    sim.run();
+}
+
 /// Plan-driven torn writes through the retrying path degrade to page
 /// atomicity: after repair, every page reads back as either the old or the
 /// new generation in full — the delivered prefix keeps what landed whole,

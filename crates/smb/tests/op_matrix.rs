@@ -332,7 +332,11 @@ fn op_matrix_fingerprint_matches_the_parent_capture() {
 /// once: after the crash, the 24 plain calls that hit the promoted
 /// member's poisoned page with only the dead primary to repair from
 /// return `Unrepairable` instead of `Corrupted`, at the same instants.
-const GOLDEN: u64 = 0xf31f_dd05_37ba_748b;
+/// Re-captured (from `0xf31f_dd05_37ba_748b`) when an accumulate stopped
+/// folding a repaired source: an accumulate whose ΔW page a torn write
+/// poisoned returns `SourceMoved` instead of repairing the page from the
+/// standby's older copy and folding it.
+const GOLDEN: u64 = 0xbb39_e089_869c_d2af;
 
 /// Decision (1) of the op descriptor, pinned: plain ops never consult the
 /// fault gate or the corruption stream. Under a probability-only plan the
