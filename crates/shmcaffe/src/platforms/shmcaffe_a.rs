@@ -259,7 +259,7 @@ impl ShmCaffeA {
                         crash_at,
                         checkpoint,
                     };
-                    let outcome = run_worker(&ctx, harness, &mut trainer)
+                    let mut outcome = run_worker(&ctx, harness, &mut trainer)
                         .expect("smb operations on live segments succeed");
 
                     // Collect the final averaged model after all workers are
@@ -328,6 +328,9 @@ impl ShmCaffeA {
                             None => client.server().stop_scrubber(),
                         }
                     }
+                    // The client's ledger is shared by its clones: take it
+                    // again, so the final phase's faults and repairs count.
+                    outcome.report.smb = client.fault_stats();
                     if let Some(w) = final_w {
                         sink.final_weights(w);
                     }

@@ -40,20 +40,22 @@
 //! open the window early with [`ElasticExchanger::start_window`]: the
 //! Hybrid-SGD root does, and its read rides under the group all-reduce.
 //!
-//! A push that fails never leaves half an exchange in `W_g`: each lane's
-//! update thread settles the whole exchange once its last tile is in —
-//! cut off by a partition, it buffers the exchange for replay after the
-//! heal (at most [`PARTITION_STALENESS_CAP`] per lane, the rest dropped
-//! with accounting); on any other failure it takes back the tiles that
-//! landed and drops the exchange ([`PushStats`] keeps the books). Across a
-//! memory-server fail-over it re-pushes, in fold order, every fold the
-//! promoted standby's copy of `W_g` does not hold yet.
+//! Mixing and folding are elementwise, so a tile that landed in `W_g` is a
+//! valid increment on its own and stays there when a later push of its
+//! exchange fails. The first failed push decides what becomes of the
+//! exchange's other tiles: cut off by a partition, the lane owes them to
+//! `W_g` in one lane-sized sum that it pushes once after the heal (for at
+//! most [`PARTITION_STALENESS_CAP`] exchanges; past that they are dropped
+//! with accounting); on any other failure they are dropped
+//! ([`PushStats`] keeps the books). Across a memory-server fail-over the
+//! lane re-pushes, in fold order, every fold the promoted standby's copy
+//! of `W_g` does not hold yet.
 //!
 //! [`ElasticExchanger`] packages steps 1–4 so that both the pure
 //! asynchronous worker ([`run_worker`]) and the Hybrid-SGD group root
 //! ([`crate::hybrid`]) share one implementation.
 
-use std::ops::{AddAssign, Range};
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -101,13 +103,6 @@ struct GridChunk {
     global_off: usize,
     /// Tile length in elements.
     len: usize,
-}
-
-impl GridChunk {
-    /// The tile's elements within its lane's buffers.
-    fn span(&self) -> Range<usize> {
-        self.local_off..self.local_off + self.len
-    }
 }
 
 /// Builds the deterministic chunk grid: cut the parameter vector at every
@@ -189,33 +184,36 @@ struct UpdateDone {
 /// hundreds of milliseconds, so only a genuinely wedged thread trips this.
 const EXCHANGE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 
-/// Degraded-mode staleness cap: how many exchanges an update thread cut
-/// off from the memory server by a network partition buffers for replay
-/// after the heal. Exchanges beyond it are dropped with accounting
-/// (elastic averaging re-derives the lost force from the next `W_x − W_g`
-/// difference).
+/// Degraded-mode staleness cap: for how many exchanges an update thread
+/// cut off from the memory server by a network partition owes the tiles
+/// that did not land, to replay after the heal. Beyond it they are dropped
+/// with accounting (elastic averaging re-derives the lost force from the
+/// next `W_x − W_g` difference).
 pub const PARTITION_STALENESS_CAP: usize = 16;
 
 /// Throughput of the worker-local weight-mixing pass (T2/T5 memory traffic
 /// over W_x, W_g, ΔW), in bytes/s: GDDR5X copy throughput.
 const LOCAL_MIX_BPS: f64 = 25.0e9;
 
-/// What one exchanger's update threads did with the weight increments
-/// they were handed: dropped after failed pushes, or — while a network
-/// partition cut the worker off from the memory server (paper-style
-/// minority-side behaviour) — buffered, dropped past
-/// [`PARTITION_STALENESS_CAP`], and replayed after the heal.
+/// What one exchanger's update threads did with the exchanges whose
+/// pushes failed, counted once per exchange and lane (the tiles that
+/// landed before the failure stay in `W_g` in every case): the rest
+/// dropped, or — while a network partition cut the worker off from the
+/// memory server (paper-style minority-side behaviour) — owed, dropped
+/// past [`PARTITION_STALENESS_CAP`], and replayed after the heal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PushStats {
-    /// Exchanges dropped because pushing them kept failing.
+    /// Exchanges whose unlanded tiles were dropped after a push that kept
+    /// failing without a partition.
     pub dropped_updates: u64,
-    /// Increments buffered for replay after the partition heals (at most
-    /// [`PARTITION_STALENESS_CAP`] held at once per lane).
+    /// Exchanges whose unlanded tiles were owed for replay after the
+    /// partition heals (at most [`PARTITION_STALENESS_CAP`] at once per
+    /// lane).
     pub partition_buffered: u64,
-    /// Increments dropped because the staleness-capped buffer was full
-    /// (or still held entries when the books were read).
+    /// Exchanges whose unlanded tiles were dropped because the cap was
+    /// reached (or were still owed when the books were read).
     pub partition_dropped: u64,
-    /// Buffered increments successfully replayed into `W_g`.
+    /// Owed exchanges replayed into `W_g`.
     pub reconciled_updates: u64,
 }
 
@@ -232,11 +230,11 @@ impl AddAssign for PushStats {
 #[derive(Debug, Default)]
 struct PushBooks {
     stats: PushStats,
-    /// Entries currently sitting in the update threads' backlogs.
+    /// Exchanges the update threads owe `W_g` right now.
     /// [`ElasticExchanger::push_stats`] folds them into
-    /// `partition_dropped`: they are only ever replayed by a *later*
-    /// successful push, so at any observation point they have not reached
-    /// the global buffer.
+    /// `partition_dropped`: they are only ever replayed after a *later*
+    /// exchange's pushes, so at any observation point they have not
+    /// reached the global buffer.
     pending: u64,
 }
 
@@ -483,7 +481,8 @@ impl ElasticExchanger {
                     books: Arc::clone(&books),
                     redone,
                     repushed: false,
-                    backlog: Vec::new(),
+                    owed: Vec::new(),
+                    owed_exchanges: 0,
                     free: Vec::new(),
                 };
                 let (upd_req, upd_done) = (upd_req.clone(), upd_done.clone());
@@ -747,9 +746,9 @@ impl ElasticExchanger {
         report.mix_ms.record_duration_ms(self.phases.mix);
     }
 
-    /// What the update threads did with the increments so far: dropped,
-    /// buffered, dropped past the staleness cap (backlog entries not yet
-    /// replayed included) and replayed across partition windows (see
+    /// What the update threads did with failed exchanges so far: dropped,
+    /// owed, dropped past the staleness cap (exchanges still owed
+    /// included) and replayed across partition windows (see
     /// [`PARTITION_STALENESS_CAP`]).
     pub fn push_stats(&self) -> PushStats {
         let books = self.books.lock();
@@ -791,6 +790,15 @@ struct Fold {
 /// The pushes of one lane's update thread and the books they keep across
 /// partitions and a memory-server fail-over.
 ///
+/// The settling rule: eqs. 5–7 fold ΔW element by element, so every tile
+/// that landed is a valid increment on its own and stays in `W_g`. The
+/// first failed push of an exchange ([`Pusher::fail`]) decides what
+/// becomes of the tiles that did not land: cut off by a partition, they
+/// are owed — added to one lane-sized sum ([`Pusher::owe`]) that
+/// [`Pusher::replay`] pushes once after the heal — while fewer than
+/// [`PARTITION_STALENESS_CAP`] exchanges are owed; past the cap, or after
+/// any other failure, they are dropped with accounting.
+///
 /// The fail-over rule: the standby's copy of `W_g` holds exactly the folds
 /// up to [`shmcaffe_smb::SmbPair::replicated_version`], frozen at
 /// promotion. So while the pair is unpromoted every fold is logged with
@@ -799,7 +807,7 @@ struct Fold {
 /// promoted, before anything else of its lands on the promoted member, the
 /// folds above the frozen version are re-pushed there in log order —
 /// those died with the old primary. Folds the redo cannot push are
-/// backlogged like a partitioned exchange, or dropped with accounting.
+/// settled by the same rule, as one exchange.
 struct Pusher {
     client: SmbClient,
     bufs: SeasgdBuffers,
@@ -817,15 +825,17 @@ struct Pusher {
     /// Recycled [`Fold::data`] buffers, so steady-state logging does not
     /// allocate.
     free: Vec<Vec<f32>>,
-    /// Whole-lane increments held back while a partition cuts this worker
-    /// off from the memory server, replayed once it heals. Landed tiles
-    /// are zeroed at capture, so a replayed entry folds exactly once.
-    backlog: Vec<Vec<f32>>,
+    /// The sum of the increments owed to `W_g` while a partition cuts this
+    /// worker off from the memory server, replayed as one push once it
+    /// heals. Lane-sized, allocated at the first partition.
+    owed: Vec<f32>,
+    /// Exchanges whose unlanded tiles are in [`Pusher::owed`].
+    owed_exchanges: u64,
 }
 
 impl Pusher {
-    /// T.A1 + T.A2–T.A3 for one increment — a tile, a backlog entry or a
-    /// compensation: range-write it into the worker's private buffer, then
+    /// T.A1 + T.A2–T.A3 for one increment — a tile, a re-pushed fold or
+    /// the owed sum: range-write it into the worker's private buffer, then
     /// server-side range-accumulate it into the global buffer. Returns the
     /// `W_g` version of the fold. Runs the fail-over redo first when one is
     /// due, and re-writes and re-folds an increment whose write or
@@ -877,60 +887,73 @@ impl Pusher {
     /// re-pushes the logged folds above the frozen replicated version in
     /// log order (the pushes find the log taken and do not recurse). Past
     /// the first failed push the rest are not tried: they and the failed
-    /// one are filed as one increment (see [`Pusher::shelve`]).
+    /// one are settled as one exchange ([`Pusher::fail`]).
     fn redo(&mut self, ctx: &SimContext) {
         let Some(pair) = self.client.pair().filter(|p| p.promoted()) else { return };
         let Some(log) = self.log.take() else { return };
         let floor = pair.replicated_version(self.bufs.wg.key);
-        let mut lost: Option<(bool, Vec<f32>)> = None;
+        let mut owing: Option<bool> = None;
         for fold in log.iter().filter(|f| f.version > floor) {
             self.repushed = true;
-            if lost.is_none() && self.push(ctx, fold.off, &fold.data).is_ok() {
+            if owing.is_none() && self.push(ctx, fold.off, &fold.data).is_ok() {
                 continue;
             }
-            let (_, entry) = lost.get_or_insert_with(|| {
-                (self.client.partitioned_from_server(ctx), vec![0.0; self.bufs.wg.len()])
-            });
-            let span = fold.off..fold.off + fold.data.len();
-            for (e, &v) in entry[span].iter_mut().zip(&fold.data) {
-                *e += v;
+            if *owing.get_or_insert_with(|| self.fail(ctx)) {
+                self.owe(fold.off, &fold.data);
             }
         }
         self.free = Vec::new();
-        if let Some((partitioned, entry)) = lost {
-            self.shelve(partitioned, entry);
-        }
         self.redone.store(true, Ordering::Release);
     }
 
-    /// Files a whole-lane increment that could not be pushed: cut off by a
-    /// partition, into the backlog for replay after the heal (past
-    /// [`PARTITION_STALENESS_CAP`] entries it is dropped instead); after
-    /// any other failure, dropped.
-    fn shelve(&mut self, partitioned: bool, entry: Vec<f32>) {
+    /// Books an exchange at its first failed push and says whether its
+    /// unlanded tiles are owed: cut off by a partition with fewer than
+    /// [`PARTITION_STALENESS_CAP`] exchanges owed, yes; past the cap, or
+    /// after any other failure, they are dropped.
+    fn fail(&mut self, ctx: &SimContext) -> bool {
+        let partitioned = self.client.partitioned_from_server(ctx);
         let mut b = self.books.lock();
         if !partitioned {
             b.stats.dropped_updates += 1;
-        } else if self.backlog.len() < PARTITION_STALENESS_CAP {
-            self.backlog.push(entry);
+            false
+        } else if self.owed_exchanges < PARTITION_STALENESS_CAP as u64 {
+            self.owed_exchanges += 1;
             b.stats.partition_buffered += 1;
             b.pending += 1;
+            true
         } else {
             b.stats.partition_dropped += 1;
+            false
         }
     }
 
-    /// Replays the partition backlog newest-first (accumulation is
-    /// commutative, so order is free), stopping at the first failure.
+    /// Adds an unlanded increment at lane offset `off` to the owed sum.
+    fn owe(&mut self, off: usize, data: &[f32]) {
+        if self.owed.is_empty() {
+            self.owed = vec![0.0; self.bufs.wg.len()];
+        }
+        for (o, &v) in self.owed[off..off + data.len()].iter_mut().zip(data) {
+            *o += v;
+        }
+    }
+
+    /// Pushes the owed sum into `W_g` as one fold. The sum is taken and its
+    /// count read before the push: the push may run the fail-over redo,
+    /// whose own owed folds must outlive this replay. A failed push puts
+    /// the sum back.
     fn replay(&mut self, ctx: &SimContext) {
-        while let Some(entry) = self.backlog.pop() {
-            if self.push(ctx, 0, &entry).is_err() {
-                self.backlog.push(entry);
-                return;
-            }
+        let exchanges = self.owed_exchanges;
+        if exchanges == 0 {
+            return;
+        }
+        let owed = std::mem::take(&mut self.owed);
+        if self.push(ctx, 0, &owed).is_ok() {
+            self.owed_exchanges -= exchanges;
             let mut b = self.books.lock();
-            b.stats.reconciled_updates += 1;
-            b.pending -= 1;
+            b.stats.reconciled_updates += exchanges;
+            b.pending -= exchanges;
+        } else {
+            self.owe(0, &owed);
         }
     }
 }
@@ -939,18 +962,11 @@ impl Pusher {
 /// pushes each immediately (T.A1–T.A3), overlapping with the main thread's
 /// remaining reads/mixing and with T4/T5 compute.
 ///
-/// One record settles an exchange — never a torn half-exchange:
-/// `landed[j]` says tile *j*'s push returned a fold (on the member that
-/// serves now, or on the old primary and then in the fail-over redo's
-/// hands — see [`Pusher`]), and `failure` is set once a push failed
-/// (`Some(true)`: a partition cuts the client off). After the last tile:
-///
-/// * no failure: replay the partition backlog;
-/// * a *partition*: backlog the exchange with its landed tiles zeroed,
-///   replayed as one push after the heal (past [`PARTITION_STALENESS_CAP`]
-///   entries it is dropped instead);
-/// * any other failure: compensate the landed tiles with one negated push
-///   and drop the exchange.
+/// One rule settles an exchange (see [`Pusher`]): tiles that landed stay
+/// in `W_g`; at the first failed push, [`Pusher::fail`] decides whether the
+/// rest are owed (a partition, under the staleness cap) or dropped, and no
+/// later tile of the exchange is tried. An exchange with no failed push
+/// replays the owed sum.
 fn update_thread(
     uctx: &SimContext,
     p: &mut Pusher,
@@ -958,12 +974,9 @@ fn update_thread(
     upd_req: &SimChannel<UpdateRequest>,
     upd_done: &SimChannel<UpdateDone>,
 ) {
-    // The exchange's full ΔW slice, staged tile by tile: the backlog and
-    // compensation paths need tiles that already went back to the main
-    // thread for recycling.
-    let mut staging = vec![0.0f32; p.bufs.wg.len()];
-    let mut landed = vec![false; tiles.len()];
-    let mut failure: Option<bool> = None;
+    // `None` until a push of this exchange fails; then whether its
+    // unlanded tiles are owed.
+    let mut owing: Option<bool> = None;
     let mut pos = 0usize;
     loop {
         let (chunk, buf) = match upd_req.recv(uctx) {
@@ -978,53 +991,26 @@ fn update_thread(
                 return;
             }
         };
-        let c = &tiles[pos];
-        staging[c.span()].copy_from_slice(&buf);
-        if pos == 0 {
-            landed.fill(false);
-            failure = None;
+        let off = tiles[pos].local_off;
+        if owing.is_none() && p.push(uctx, off, &buf).is_err() {
+            // A push that cannot go through within the retry budget is
+            // settled, not fatal: elastic averaging re-derives a dropped
+            // force from the next W_x − W_g difference, whereas dying here
+            // would take the whole worker down.
+            owing = Some(p.fail(uctx));
         }
-        if failure.is_none() {
-            landed[pos] = p.push(uctx, c.local_off, &buf).is_ok();
-            if !landed[pos] {
-                failure = Some(p.client.partitioned_from_server(uctx));
-            }
+        if owing == Some(true) {
+            p.owe(off, &buf);
         }
         // The done is the next exchange's T.A5 gate for this tile and
         // carries the buffer back for recycling — sent even on failure so
         // the main thread never wedges.
         upd_done.send(uctx, UpdateDone { chunk, buf });
         pos += 1;
-        if pos < tiles.len() {
-            continue;
-        }
-        pos = 0;
-        let landed_spans = || tiles.iter().zip(&landed).filter(|(_, &l)| l).map(|(t, _)| t.span());
-        match failure {
-            None => p.replay(uctx),
-            Some(true) => {
-                let mut entry = staging.clone();
-                for span in landed_spans() {
-                    entry[span].fill(0.0);
-                }
-                p.shelve(true, entry);
-            }
-            // A push that cannot go through within the retry budget drops
-            // the exchange: elastic averaging re-derives the lost force
-            // from the next W_x − W_g difference, whereas dying here would
-            // take the whole worker down. Landed tiles are compensated
-            // with one negated push so W_g never keeps half an exchange.
-            Some(false) => {
-                if landed.contains(&true) {
-                    let mut negated = vec![0.0f32; staging.len()];
-                    for span in landed_spans() {
-                        for (n, &v) in negated[span.clone()].iter_mut().zip(&staging[span]) {
-                            *n = -v;
-                        }
-                    }
-                    let _ = p.push(uctx, 0, &negated);
-                }
-                p.shelve(false, Vec::new());
+        if pos == tiles.len() {
+            pos = 0;
+            if owing.take().is_none() {
+                p.replay(uctx);
             }
         }
     }
@@ -1629,6 +1615,44 @@ mod tests {
             ex.window_open || worker_rx(fabric).transfer_count() != before
         });
         assert!(!started, "no early start under the monolithic exchange");
+    }
+
+    #[test]
+    fn a_partition_owes_w_g_one_fold_per_lane() {
+        // The worker is cut off from the memory server over [500, 3700] ms:
+        // the exchanges at 1, 2 and 3 s each fail their first push and owe
+        // their tiles. The first exchange after the heal lands its tiles,
+        // then pays everything owed as one more fold.
+        let mem = NodeId(1); // `paper_testbed(1)`: GPU node 0, memory server 1
+        let plan = FaultPlan::new(5).partition(
+            vec![vec![mem], vec![NodeId(0)]],
+            SimTime::from_millis(500),
+            Some(SimTime::from_millis(3700)),
+        );
+        let cfg = quiet(ShmCaffeConfig::default());
+        let workload = WorkloadModel::custom("owed", 1_000_000, SimDuration::from_millis(1));
+        let (stats, folds, tiles) = solo(cfg, workload, plan, |ctx, ex, trainer, _| {
+            let server = ex.lanes[0].client.server();
+            let wg = server.lookup("W_g").expect("solo creates W_g");
+            // W_g's version counts folds; every push of an exchange is
+            // settled well within the second before the next one.
+            let mut folds_at = |ms: u64| {
+                ctx.sleep_until(SimTime::from_millis(ms));
+                let before = server.version(wg).unwrap();
+                ex.exchange(ctx, trainer).unwrap();
+                ctx.sleep(SimDuration::from_millis(900));
+                server.version(wg).unwrap() - before
+            };
+            for ms in [100, 1000, 2000, 3000] {
+                folds_at(ms);
+            }
+            let folds = folds_at(4000);
+            (ex.push_stats(), folds, ex.grid.len() as u64)
+        });
+        assert_eq!(stats.partition_buffered, 3, "{stats:?}");
+        assert_eq!(stats.reconciled_updates, stats.partition_buffered, "{stats:?}");
+        assert_eq!((stats.dropped_updates, stats.partition_dropped), (0, 0), "{stats:?}");
+        assert_eq!(folds, tiles + 1, "the heal exchange's tiles plus one fold of the owed sum");
     }
 
     #[test]

@@ -220,7 +220,8 @@ fn corrupted_runs_are_bit_identical_given_the_seed() {
 /// 3000 ms it poisons a page of `W_g`, and the collector's final plain
 /// read of `W_g` hits it. A plain op repairs a poisoned page once, so the
 /// run ends with the final weights instead of
-/// `WorkerFailed(.. Corrupted { key: ShmKey(1) ..})`.
+/// `WorkerFailed(.. Corrupted { key: ShmKey(1) ..})`, and the collector's
+/// ledger, taken after that read, books the detection and the repair.
 #[test]
 fn late_dram_decay_on_w_g_is_repaired_by_the_final_read() {
     let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
@@ -251,6 +252,9 @@ fn late_dram_decay_on_w_g_is_repaired_by_the_final_read() {
     for w in &report.workers {
         assert_eq!(w.iters, 10, "rank {}", w.rank);
     }
+    // The repair happens in the collector's final read: its ledger counts.
+    assert!(report.total_corruptions_detected() >= 1, "the poisoned page is booked");
+    assert!(report.total_corruptions_repaired() >= 1, "and so is its repair");
 }
 
 #[test]

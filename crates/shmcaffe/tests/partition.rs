@@ -9,9 +9,9 @@
 //! rejected with `FencedEpoch` — zero mutations are accepted at a stale
 //! epoch. The majority side promotes the standby once the lease has
 //! demonstrably expired and finishes its budget there. The minority
-//! workers ride the outage in degraded mode — buffering increments up to
-//! the staleness cap — and replay the backlog after the heal, while the
-//! demoted primary reconciles by discarding its divergent unreplicated
+//! workers ride the outage in degraded mode — owing the unlanded tiles
+//! of up to the staleness cap of exchanges — and replay the owed sum
+//! after the heal, while the demoted primary reconciles by discarding its divergent unreplicated
 //! segments and resyncing from the promoted standby's journal. Final loss must stay within 10% of a
 //! fault-free run and the whole timeline must be bit-identical across
 //! reruns (`scripts/check.sh` runs this suite under `SHMCAFFE_THREADS=1`
@@ -114,9 +114,9 @@ fn split_brain_partition_fences_stale_primary_and_reconciles() {
         "every fencing rejection must surface at exactly one client"
     );
 
-    // Degraded mode on the isolated side: increments were buffered while
-    // the server was unreachable and the backlog was replayed after the
-    // heal (the staleness cap's drops are met by the isolation test below).
+    // Degraded mode on the isolated side: increments were owed while the
+    // server was unreachable and the owed sum was replayed after the heal
+    // (the staleness cap's drops are met by the isolation test below).
     assert!(faulted.total_partition_buffered() >= 1, "minority must buffer increments");
     assert!(faulted.total_reconciled_updates() >= 1, "healed workers must replay the backlog");
     assert!(
@@ -175,9 +175,9 @@ fn partition_runs_are_bit_identical_given_the_seed() {
 /// a one-second isolation of the only memory server is ridden out in
 /// degraded mode, not turned into a failed run. `progress_every` at the
 /// budget keeps plain board ops out of the window, so the exchange meets it.
-/// The outage outlasts the staleness cap: every worker fills its backlog,
-/// drops the exchanges past it with accounting, and replays the backlog
-/// after the heal.
+/// The outage outlasts the staleness cap: every worker owes the cap's
+/// worth of exchanges, drops the exchanges past it with accounting, and
+/// replays the owed sum after the heal.
 #[test]
 fn isolated_memory_server_is_ridden_out_in_degraded_mode() {
     const ITERS: usize = 60;

@@ -22,7 +22,8 @@
 # table, the fault sweep and the ablations) is re-run by its one driver and
 # must reproduce exactly, and kernel_bench --smoke bounds the conv task
 # grid on the host clock. The whole-stack benchmark package is also built
-# from its own manifest, as the benchmark pipeline builds it.
+# from its own manifest, as the benchmark pipeline builds it, and its own
+# tests run from there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,6 +69,13 @@ fi
 # it, so a library change that breaks the standalone package fails here.
 echo "== whole-stack benchmark: standalone release build from its own manifest =="
 CARGO_TARGET_DIR=target/benchmark cargo build -q --release --offline \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
+# The package's own tests: quick_smoke_of_every_workload runs each workload
+# briefly and checks that the traced replay reproduces the platform run's
+# checksum and virt_iter_ms.
+echo "== whole-stack benchmark: its own tests (every workload, traced replay reproduces the run) =="
+CARGO_TARGET_DIR=target/benchmark cargo test -q --release --offline \
     --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
 # Every schedcheck suite carries its own schedule budget (ExploreBounds);

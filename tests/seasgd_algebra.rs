@@ -208,12 +208,12 @@ fn elastic_exchange_conserves_total_mass() {
 /// Two fault classes at once: the primary memory server crashes at
 /// 255 ms while the worker's node is cut off from the standby over
 /// [254 ms, 655 ms]. The push that observes the fail-over fails (the
-/// promoted member is behind the partition), so the exchange goes to the
-/// partition backlog — and the folds into the dead primary that the
-/// standby's copy of `W_g` misses must be backlogged too: the fail-over
-/// redo cannot push them either. Run well past the heal, every backlog
-/// entry replays and the mass identity holds exactly: `W_g + W_x` is its
-/// start value plus the injected drift.
+/// promoted member is behind the partition), so the exchange's unlanded
+/// tiles are owed — and so must be the folds into the dead primary that
+/// the standby's copy of `W_g` misses: the fail-over redo cannot push them
+/// either. Run well past the heal, everything owed replays and the mass
+/// identity holds exactly: `W_g + W_x` is its start value plus the
+/// injected drift.
 #[test]
 fn failover_into_a_partition_loses_no_increment() {
     const ITERS: usize = 30;
@@ -254,6 +254,41 @@ fn failover_into_a_partition_loses_no_increment() {
     for (i, (g, x)) in wg.iter().zip(wx).enumerate() {
         assert!((g + x - expected).abs() < 1e-3, "component {i}: mass {} != {expected}", g + x);
     }
+}
+
+/// A push that fails for any reason but a partition settles its exchange
+/// by one rule: the tiles that landed stay in `W_g` — eqs. 5–7 fold ΔW
+/// element by element, so each is a valid increment alone — and the rest
+/// are dropped and booked. Under seed 25 of a 42 % op-failure plan one
+/// push runs out of attempts after 8 of the 16 tiles landed: those
+/// components keep the mass identity exactly, the other half are short by
+/// the one dropped increment. 100 ms of compute lets every push settle
+/// before the next exchange, so the final read sees every fold.
+#[test]
+fn a_dropped_exchange_keeps_the_tiles_that_landed() {
+    const ITERS: usize = 30;
+    let plan = FaultPlan::new(25).with_op_failure_prob(0.42);
+    let cfg = ShmCaffeConfig {
+        max_iters: ITERS,
+        progress_every: 10,
+        jitter: JitterModel::NONE,
+        ..Default::default()
+    };
+    let drifters = DrifterFactory::new(100_000, 100, 1);
+    let report = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 1, cfg)
+        .with_fault_plan(plan)
+        .run(drifters.clone())
+        .expect("retried op failures are ridden out");
+    let pushes = report.workers[0].pushes;
+    assert_eq!(pushes.dropped_updates, 1, "{pushes:?}");
+    assert_eq!((pushes.partition_buffered, pushes.partition_dropped), (0, 0), "{pushes:?}");
+
+    // S(0) = 1 (W_g) + 1 (W_x); rank 0 drifts by −1.5 per iteration.
+    let wg = report.final_weights.expect("the collector reads W_g");
+    let wx = &drifters.finals()[0];
+    let expected = 2.0 - 1.5 * ITERS as f32;
+    let kept = wg.iter().zip(wx).filter(|(g, x)| (*g + *x - expected).abs() < 1e-3).count();
+    assert_eq!(kept, wg.len() / 2, "the 8 tiles that landed keep their increment");
 }
 
 /// The fail-over rule across crash instants: a replicated pair (20 ms
@@ -313,9 +348,9 @@ fn a_primary_crash_at_any_instant_loses_no_increment() {
 /// lease, 20 ms replication). The majority promotes the standby; folds
 /// the isolated primary accepted inside the lease's grace window are
 /// re-pushed by the update threads that made them once they see the new
-/// epoch, and the minority backlogs until the heal. Nothing is dropped and
-/// `W_g + ΣW_x` is its start value plus the injected drift, at two and at
-/// eight workers.
+/// epoch, and the minority owes its increments until the heal. Nothing is
+/// dropped and `W_g + ΣW_x` is its start value plus the injected drift,
+/// at two and at eight workers.
 #[test]
 fn a_split_brain_partition_loses_no_increment() {
     const ITERS: usize = 30;
