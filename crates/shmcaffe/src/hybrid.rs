@@ -168,7 +168,7 @@ pub fn run_group_member<T: Trainer>(
     }
 
     if let Some(ex) = exchanger.take() {
-        ex.retire(ctx, &mut log.report);
+        log.report.pushes += ex.finish(ctx);
     }
     if let Some(root) = harness.root.as_ref() {
         root.board.publish(&root.client, ctx, harness.group, iter, true)?;
@@ -419,9 +419,9 @@ mod tests {
         let (out, injected) = run();
         assert!(injected > 0, "the plan must have fired");
         let seen: u64 = out.iter().map(|grp| grp[0].report.smb.faults).sum();
-        // (Not all of them: the last exchange's pushes are still in flight
-        // when a root stamps its report.)
-        assert!(seen > 0 && seen <= injected, "roots saw {seen} of {injected}");
+        // Every one of them: a root stamps its report after `finish` has
+        // settled its last exchange's pushes.
+        assert_eq!(seen, injected, "roots saw {seen} of {injected}");
         for grp in &out {
             let (root, member) = (&grp[0].report, &grp[1].report);
             assert!(root.smb.faults > 0 && root.smb.retries > 0, "root {root:?}");

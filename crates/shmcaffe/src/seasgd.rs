@@ -40,16 +40,28 @@
 //! open the window early with [`ElasticExchanger::start_window`]: the
 //! Hybrid-SGD root does, and its read rides under the group all-reduce.
 //!
-//! Mixing and folding are elementwise, so a tile that landed in `W_g` is a
-//! valid increment on its own and stays there when a later push of its
-//! exchange fails. The first failed push decides what becomes of the
-//! exchange's other tiles: cut off by a partition, the lane owes them to
-//! `W_g` in one lane-sized sum that it pushes once after the heal (for at
-//! most [`PARTITION_STALENESS_CAP`] exchanges; past that they are dropped
-//! with accounting); on any other failure they are dropped
-//! ([`PushStats`] keeps the books). Across a memory-server fail-over the
-//! lane re-pushes, in fold order, every fold the promoted standby's copy
-//! of `W_g` does not hold yet.
+//! One settling rule covers both halves of an exchange, because mixing
+//! conserves `W_g + ΣW_x` whatever `W_g` value it mixed against and
+//! folding is elementwise:
+//!
+//! - **Read.** A `W_g` tile read that fails — a partition, a corruption,
+//!   a spent retry budget — degrades its lane like a stale one: the tiles
+//!   mix against the last-known `W_g`, and the lane reads again at the
+//!   next exchange. A failed read never ends the worker.
+//! - **Push.** A tile that landed in `W_g` is a valid increment on its
+//!   own and stays there when a later push of its exchange fails. The
+//!   first failed push decides what becomes of the exchange's other tiles:
+//!   cut off by a partition, the lane owes them to `W_g` in one lane-sized
+//!   sum that it pushes once after the heal (for at most
+//!   [`PARTITION_STALENESS_CAP`] exchanges; past that they are dropped);
+//!   on any other failure they are dropped. Across a memory-server
+//!   fail-over the lane re-pushes, in fold order, every fold the promoted
+//!   standby's copy of `W_g` does not hold yet.
+//!
+//! [`ElasticExchanger::finish`] settles before it returns the books
+//! ([`PushStats`]): every push handed over has landed or been booked, and
+//! a fail-over redo still due has run, so a `W_g` read after it sees every
+//! fold the books do not count as dropped.
 //!
 //! [`ElasticExchanger`] packages steps 1–4 so that both the pure
 //! asynchronous worker ([`run_worker`]) and the Hybrid-SGD group root
@@ -58,8 +70,6 @@
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::{SimContext, SimDuration, SimTime};
@@ -150,11 +160,10 @@ enum ReadRequest {
 enum ReadReply {
     /// The tile was read; `buf` holds fresh `W_g` data.
     Fresh { chunk: usize, buf: Vec<f32> },
-    /// A partition swallowed the read: keep the stale local `W_g` tile
-    /// (degraded mode — same contract as the monolithic read).
+    /// The read failed — a partition, a corruption or a spent retry
+    /// budget: keep the stale local `W_g` tile (degraded mode — same
+    /// contract as the monolithic read). Poisoned bytes never reach ΔW.
     Stale { chunk: usize, buf: Vec<f32> },
-    /// A non-partition failure the worker must surface.
-    Failed { error: SmbError },
 }
 
 /// Request to a lane's update thread.
@@ -166,8 +175,9 @@ enum UpdateRequest {
     /// after the fail-over: run the redo, then answer on the channel
     /// whether it re-pushed anything (if not, the read saw every fold).
     Redo(SimChannel<bool>),
-    /// Run any fail-over redo still due, then terminate.
-    Shutdown,
+    /// Run any fail-over redo still due, close the lane's books (what is
+    /// still owed is dropped), answer them on the channel, then terminate.
+    Shutdown(SimChannel<PushStats>),
 }
 
 /// Reply from a lane's update thread: tile `chunk` has been pushed (or
@@ -200,7 +210,10 @@ const LOCAL_MIX_BPS: f64 = 25.0e9;
 /// landed before the failure stay in `W_g` in every case): the rest
 /// dropped, or — while a network partition cut the worker off from the
 /// memory server (paper-style minority-side behaviour) — owed, dropped
-/// past [`PARTITION_STALENESS_CAP`], and replayed after the heal.
+/// past [`PARTITION_STALENESS_CAP`], and replayed after the heal. The
+/// books close when [`ElasticExchanger::finish`] returns them. Failed
+/// `W_g` reads are not booked here: they move no mass, and the client's
+/// fault counters count their attempts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PushStats {
     /// Exchanges whose unlanded tiles were dropped after a push that kept
@@ -211,10 +224,15 @@ pub struct PushStats {
     /// lane).
     pub partition_buffered: u64,
     /// Exchanges whose unlanded tiles were dropped because the cap was
-    /// reached (or were still owed when the books were read).
+    /// reached or were still owed when the exchanger finished.
     pub partition_dropped: u64,
     /// Owed exchanges replayed into `W_g`.
     pub reconciled_updates: u64,
+    /// Elements of the unlanded tiles that never reached `W_g`, summed
+    /// over the exchanges booked in `dropped_updates` and
+    /// `partition_dropped`: the most components of `W_g + ΣW_x` the drops
+    /// can leave short.
+    pub dropped_elems: u64,
 }
 
 impl AddAssign for PushStats {
@@ -223,19 +241,8 @@ impl AddAssign for PushStats {
         self.partition_buffered += other.partition_buffered;
         self.partition_dropped += other.partition_dropped;
         self.reconciled_updates += other.reconciled_updates;
+        self.dropped_elems += other.dropped_elems;
     }
-}
-
-/// The books an exchanger's update threads keep together.
-#[derive(Debug, Default)]
-struct PushBooks {
-    stats: PushStats,
-    /// Exchanges the update threads owe `W_g` right now.
-    /// [`ElasticExchanger::push_stats`] folds them into
-    /// `partition_dropped`: they are only ever replayed after a *later*
-    /// exchange's pushes, so at any observation point they have not
-    /// reached the global buffer.
-    pending: u64,
 }
 
 /// Per-phase breakdown of the last [`ElasticExchanger::exchange`]: how
@@ -295,6 +302,9 @@ struct Lane {
 /// update thread ran its fail-over redo (`redone`) and ended with the pair
 /// promoted may miss folds that died with the old primary: the reader asks
 /// the update thread to redo them and, if it re-pushed any, reads again.
+/// Every read error answers `Stale`: the tile mixes against the last-known
+/// `W_g`, which conserves mass as well as a fresh one, and the lane
+/// re-probes at the next exchange.
 fn serve_reads(
     rctx: &SimContext,
     client: &SmbClient,
@@ -318,13 +328,7 @@ fn serve_reads(
             }
             match read {
                 Ok(()) => ReadReply::Fresh { chunk, buf },
-                Err(_) if client.partitioned_from_server(rctx) => ReadReply::Stale { chunk, buf },
-                // A tile that stays corrupt through the retry/repair loop
-                // degrades exactly like a partition-stale tile: mix against
-                // the last-known W_g — poisoned bytes must never reach ΔW.
-                // The lane re-probes at the next exchange.
-                Err(error) if error.is_corruption() => ReadReply::Stale { chunk, buf },
-                Err(error) => ReadReply::Failed { error },
+                Err(_) => ReadReply::Stale { chunk, buf },
             }
         };
         conn.reply.send(rctx, reply);
@@ -367,7 +371,6 @@ pub struct ElasticExchanger {
     read_issued: Vec<bool>,
     /// Per-lane: T.A5 gates still to consume from the previous exchange.
     gate_left: Vec<usize>,
-    books: Arc<Mutex<PushBooks>>,
     wg: Vec<f32>,
     wx: Vec<f32>,
     phases: ExchangePhases,
@@ -429,7 +432,6 @@ impl ElasticExchanger {
         // deadlines are sized to outlast short fault windows.
         let retry_seed =
             label.bytes().fold(cfg.seed, |acc, b| acc.wrapping_mul(31).wrapping_add(u64::from(b)));
-        let books = Arc::new(Mutex::new(PushBooks::default()));
         let mut lanes = Vec::with_capacity(parts.len());
         for (lane_idx, (client, buffers)) in parts.into_iter().enumerate() {
             let retry = RetryPolicy {
@@ -478,11 +480,12 @@ impl ElasticExchanger {
                     client: client.clone(),
                     bufs: buffers,
                     retry: retry.clone(),
-                    books: Arc::clone(&books),
+                    stats: PushStats::default(),
                     redone,
                     repushed: false,
                     owed: Vec::new(),
                     owed_exchanges: 0,
+                    owed_elems: 0,
                     free: Vec::new(),
                 };
                 let (upd_req, upd_done) = (upd_req.clone(), upd_done.clone());
@@ -509,7 +512,6 @@ impl ElasticExchanger {
             lane_stale: vec![false; n_lanes],
             read_issued: vec![false; n_tiles],
             gate_left: vec![0; n_lanes],
-            books,
             wg: vec![0.0; param_len],
             wx: vec![0.0; param_len],
             phases: ExchangePhases::default(),
@@ -587,8 +589,8 @@ impl ElasticExchanger {
     }
 
     /// Receives tile `k`'s read reply and installs it into the local `W_g`
-    /// copy (a partition-stale tile keeps the last-known data). Returns
-    /// the time blocked.
+    /// copy (a stale tile keeps the last-known data and marks its lane).
+    /// Returns the time blocked.
     fn recv_read(&mut self, ctx: &SimContext, k: usize) -> Result<SimDuration, PlatformError> {
         let c = self.grid[k];
         let t0 = ctx.now();
@@ -600,7 +602,6 @@ impl ElasticExchanger {
         let (chunk, fresh, buf) = match reply {
             ReadReply::Fresh { chunk, buf } => (chunk, true, buf),
             ReadReply::Stale { chunk, buf } => (chunk, false, buf),
-            ReadReply::Failed { error } => return Err(error.into()),
         };
         // Each connection answers in request order, so this is tile k —
         // unless the protocol slipped, and then the data must not land.
@@ -673,7 +674,9 @@ impl ElasticExchanger {
     ///
     /// # Errors
     ///
-    /// Propagates SMB failures.
+    /// Reports an update thread or reader that stopped answering, or a
+    /// protocol slip on their channels. SMB failures are settled, not
+    /// returned: a failed read degrades its lane, a failed push is booked.
     pub fn exchange<T: Trainer + ?Sized>(
         &mut self,
         ctx: &SimContext,
@@ -746,36 +749,34 @@ impl ElasticExchanger {
         report.mix_ms.record_duration_ms(self.phases.mix);
     }
 
-    /// What the update threads did with failed exchanges so far: dropped,
-    /// owed, dropped past the staleness cap (exchanges still owed
-    /// included) and replayed across partition windows (see
-    /// [`PARTITION_STALENESS_CAP`]).
-    pub fn push_stats(&self) -> PushStats {
-        let books = self.books.lock();
-        PushStats {
-            partition_dropped: books.stats.partition_dropped + books.pending,
-            ..books.stats
+    /// Settles, stops and closes the books: first the T.A5 gates of the
+    /// last exchange (every tile it handed over has landed or been
+    /// booked), then each update thread runs any fail-over redo still due,
+    /// books what it still owes as dropped and answers its books; the
+    /// readers and update threads stop. So when this returns, `W_g` holds
+    /// every fold the returned [`PushStats`] does not count as dropped. An
+    /// update thread that does not answer within `EXCHANGE_TIMEOUT` is
+    /// left out of the books.
+    pub fn finish(mut self, ctx: &SimContext) -> PushStats {
+        self.open_window(ctx);
+        for k in self.next_read..self.grid.len() {
+            if self.gate(ctx, k, true).is_err() {
+                break;
+            }
         }
-    }
-
-    /// Stops the reader processes and update threads. Queued tiles drain
-    /// in FIFO order before the shutdown is seen, so a pending exchange
-    /// still completes its pushes, and a fail-over redo still due runs.
-    pub fn finish(self, ctx: &SimContext) {
+        let books = SimChannel::new("seasgd_books");
         for lane in &self.lanes {
-            lane.upd_req.send(ctx, UpdateRequest::Shutdown);
+            lane.upd_req.send(ctx, UpdateRequest::Shutdown(books.clone()));
             for reader in &lane.readers {
                 reader.req.send(ctx, ReadRequest::Shutdown);
             }
         }
-    }
-
-    /// Retires the exchanger into its owner's books: adds its
-    /// [`Self::push_stats`] to `report` (added, so the incarnations of a
-    /// rejoined worker sum), then [`Self::finish`]es.
-    pub(crate) fn retire(self, ctx: &SimContext, report: &mut WorkerReport) {
-        report.pushes += self.push_stats();
-        self.finish(ctx);
+        let mut stats = PushStats::default();
+        for _ in &self.lanes {
+            let Some(lane) = books.recv_timeout(ctx, EXCHANGE_TIMEOUT) else { break };
+            stats += lane;
+        }
+        stats
     }
 }
 
@@ -794,10 +795,11 @@ struct Fold {
 /// that landed is a valid increment on its own and stays in `W_g`. The
 /// first failed push of an exchange ([`Pusher::fail`]) decides what
 /// becomes of the tiles that did not land: cut off by a partition, they
-/// are owed — added to one lane-sized sum ([`Pusher::owe`]) that
+/// are owed — added to one lane-sized sum ([`Pusher::settle`]) that
 /// [`Pusher::replay`] pushes once after the heal — while fewer than
 /// [`PARTITION_STALENESS_CAP`] exchanges are owed; past the cap, or after
-/// any other failure, they are dropped with accounting.
+/// any other failure, they are dropped with accounting. What is still
+/// owed when the lane shuts down is dropped too.
 ///
 /// The fail-over rule: the standby's copy of `W_g` holds exactly the folds
 /// up to [`shmcaffe_smb::SmbPair::replicated_version`], frozen at
@@ -812,7 +814,8 @@ struct Pusher {
     client: SmbClient,
     bufs: SeasgdBuffers,
     retry: RetryPolicy,
-    books: Arc<Mutex<PushBooks>>,
+    /// The lane's books, answered at shutdown.
+    stats: PushStats,
     /// No fail-over redo is due: it has run, or there is none to run.
     /// Shared with the lane's readers.
     redone: Arc<AtomicBool>,
@@ -831,6 +834,8 @@ struct Pusher {
     owed: Vec<f32>,
     /// Exchanges whose unlanded tiles are in [`Pusher::owed`].
     owed_exchanges: u64,
+    /// Elements of those unlanded tiles.
+    owed_elems: u64,
 }
 
 impl Pusher {
@@ -898,9 +903,8 @@ impl Pusher {
             if owing.is_none() && self.push(ctx, fold.off, &fold.data).is_ok() {
                 continue;
             }
-            if *owing.get_or_insert_with(|| self.fail(ctx)) {
-                self.owe(fold.off, &fold.data);
-            }
+            let owed = *owing.get_or_insert_with(|| self.fail(ctx));
+            self.settle(owed, fold.off, &fold.data);
         }
         self.free = Vec::new();
         self.redone.store(true, Ordering::Release);
@@ -911,23 +915,31 @@ impl Pusher {
     /// [`PARTITION_STALENESS_CAP`] exchanges owed, yes; past the cap, or
     /// after any other failure, they are dropped.
     fn fail(&mut self, ctx: &SimContext) -> bool {
-        let partitioned = self.client.partitioned_from_server(ctx);
-        let mut b = self.books.lock();
-        if !partitioned {
-            b.stats.dropped_updates += 1;
+        if !self.client.partitioned_from_server(ctx) {
+            self.stats.dropped_updates += 1;
             false
         } else if self.owed_exchanges < PARTITION_STALENESS_CAP as u64 {
             self.owed_exchanges += 1;
-            b.stats.partition_buffered += 1;
-            b.pending += 1;
+            self.stats.partition_buffered += 1;
             true
         } else {
-            b.stats.partition_dropped += 1;
+            self.stats.partition_dropped += 1;
             false
         }
     }
 
-    /// Adds an unlanded increment at lane offset `off` to the owed sum.
+    /// Settles an unlanded increment at lane offset `off` as its exchange's
+    /// [`Pusher::fail`] decided: owed, or dropped with its elements booked.
+    fn settle(&mut self, owed: bool, off: usize, data: &[f32]) {
+        if owed {
+            self.owe(off, data);
+            self.owed_elems += data.len() as u64;
+        } else {
+            self.stats.dropped_elems += data.len() as u64;
+        }
+    }
+
+    /// Adds an increment at lane offset `off` to the owed sum.
     fn owe(&mut self, off: usize, data: &[f32]) {
         if self.owed.is_empty() {
             self.owed = vec![0.0; self.bufs.wg.len()];
@@ -938,20 +950,19 @@ impl Pusher {
     }
 
     /// Pushes the owed sum into `W_g` as one fold. The sum is taken and its
-    /// count read before the push: the push may run the fail-over redo,
+    /// counts read before the push: the push may run the fail-over redo,
     /// whose own owed folds must outlive this replay. A failed push puts
     /// the sum back.
     fn replay(&mut self, ctx: &SimContext) {
-        let exchanges = self.owed_exchanges;
+        let (exchanges, elems) = (self.owed_exchanges, self.owed_elems);
         if exchanges == 0 {
             return;
         }
         let owed = std::mem::take(&mut self.owed);
         if self.push(ctx, 0, &owed).is_ok() {
             self.owed_exchanges -= exchanges;
-            let mut b = self.books.lock();
-            b.stats.reconciled_updates += exchanges;
-            b.pending -= exchanges;
+            self.owed_elems -= elems;
+            self.stats.reconciled_updates += exchanges;
         } else {
             self.owe(0, &owed);
         }
@@ -966,7 +977,8 @@ impl Pusher {
 /// in `W_g`; at the first failed push, [`Pusher::fail`] decides whether the
 /// rest are owed (a partition, under the staleness cap) or dropped, and no
 /// later tile of the exchange is tried. An exchange with no failed push
-/// replays the owed sum.
+/// replays the owed sum. At shutdown the lane closes its books and
+/// answers them.
 fn update_thread(
     uctx: &SimContext,
     p: &mut Pusher,
@@ -986,8 +998,13 @@ fn update_thread(
                 done.send(uctx, p.repushed);
                 continue;
             }
-            UpdateRequest::Shutdown => {
+            UpdateRequest::Shutdown(books) => {
+                // Close the books: after any redo still due, what is still
+                // owed never reaches W_g and is dropped.
                 p.redo(uctx);
+                p.stats.partition_dropped += p.owed_exchanges;
+                p.stats.dropped_elems += p.owed_elems;
+                books.send(uctx, p.stats);
                 return;
             }
         };
@@ -999,8 +1016,8 @@ fn update_thread(
             // would take the whole worker down.
             owing = Some(p.fail(uctx));
         }
-        if owing == Some(true) {
-            p.owe(off, &buf);
+        if let Some(owed) = owing {
+            p.settle(owed, off, &buf);
         }
         // The done is the next exchange's T.A5 gate for this tile and
         // carries the buffer back for recycling — sent even on failure so
@@ -1091,14 +1108,16 @@ pub fn run_worker<T: Trainer>(
 
     while !stop {
         // Injected worker death: stop publishing, heartbeating, and
-        // exchanging. The exchanger teardown models the OS reaping the
-        // dead process's update thread. With a checkpoint plan and a
+        // exchanging. The exchanger teardown settles the tiles the update
+        // thread was already handed, so the books close, then models the
+        // OS reaping the dead process's threads. With a checkpoint plan and a
         // rejoin delay configured, the crashed rank later comes back and
         // resumes from the latest center-variable checkpoint.
         if !log.report.crashed && crash_at.is_some_and(|t| ctx.now() >= t) {
             log.report.crashed = true;
             let dead = exchanger.take().expect("live incarnation has an exchanger");
-            dead.retire(ctx, &mut log.report);
+            // Added, so the incarnations of a rejoined worker sum.
+            log.report.pushes += dead.finish(ctx);
             let (Some(ckpt), Some(delay)) = (checkpoint, cfg.rejoin_delay) else { break };
             ctx.sleep(delay);
             // Elastic rejoin: read the checkpoint metadata first (the
@@ -1190,7 +1209,7 @@ pub fn run_worker<T: Trainer>(
     }
 
     if let Some(live) = exchanger {
-        live.retire(ctx, &mut log.report);
+        log.report.pushes += live.finish(ctx);
     }
     // A rejoined worker finished a full incarnation and must announce it;
     // a worker that died without rejoining never reaches the board again.
@@ -1466,7 +1485,8 @@ mod tests {
     /// Runs `body` as the only worker of a one-node cluster: `W_g` holds
     /// the trainer's initial weights, the exchanger is spawned and torn
     /// down around it. `body` also gets the fabric, for its link counters
-    /// and fault injector.
+    /// and fault injector. Returns what `body` returned and the books
+    /// [`ElasticExchanger::finish`] closed.
     fn solo<R: Send + 'static>(
         cfg: ShmCaffeConfig,
         workload: WorkloadModel,
@@ -1474,7 +1494,7 @@ mod tests {
         body: impl FnOnce(&SimContext, &mut ElasticExchanger, &mut ModeledTrainer, &Fabric) -> R
             + Send
             + 'static,
-    ) -> R {
+    ) -> (R, PushStats) {
         let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(1), plan);
         let server = SmbServer::new(RdmaFabric::new(fabric.clone())).unwrap();
         let factory = ModeledTrainerFactory::new(workload, JitterModel::NONE, cfg.seed);
@@ -1497,8 +1517,7 @@ mod tests {
                 let mut ex =
                     ElasticExchanger::spawn(&ctx, client, buffers, param_len, wire, &cfg, "solo");
                 let r = body(&ctx, &mut ex, &mut trainer, &fabric);
-                ex.finish(&ctx);
-                *out.lock() = Some(r);
+                *out.lock() = Some((r, ex.finish(&ctx)));
             });
         }
         sim.run();
@@ -1526,7 +1545,7 @@ mod tests {
     #[test]
     fn striped_window_reads_at_line_rate_with_the_same_bytes() {
         let cfg = quiet(ShmCaffeConfig::default());
-        let (phases, bytes) =
+        let ((phases, bytes), _) =
             solo(cfg, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
                 let mem =
                     fabric.hca_tx(fabric.memory_server().expect("testbed has a memory server"));
@@ -1558,16 +1577,17 @@ mod tests {
         let cfg = quiet(ShmCaffeConfig::default());
         // A reply for the wrong tile on tile 0's connection: the exchange
         // must refuse it in a release build too, and leave W_g alone.
-        let (err, wg) = solo(cfg, workload.clone(), FaultPlan::new(1), |ctx, ex, trainer, _| {
-            let poison = vec![f32::NAN; ex.grid[0].len];
-            ex.lanes[0].readers[0].reply.send(ctx, ReadReply::Fresh { chunk: 5, buf: poison });
-            (ex.exchange(ctx, trainer).unwrap_err(), ex.global_weights().to_vec())
-        });
+        let ((err, wg), _) =
+            solo(cfg, workload.clone(), FaultPlan::new(1), |ctx, ex, trainer, _| {
+                let poison = vec![f32::NAN; ex.grid[0].len];
+                ex.lanes[0].readers[0].reply.send(ctx, ReadReply::Fresh { chunk: 5, buf: poison });
+                (ex.exchange(ctx, trainer).unwrap_err(), ex.global_weights().to_vec())
+            });
         assert!(err.to_string().contains("out of sync"), "{err}");
         assert!(wg.iter().all(|v| !v.is_nan()), "the mis-ordered tile must not be installed");
 
         // Same for the T.A5 gate: a done for the wrong tile.
-        let err = solo(cfg, workload, FaultPlan::new(1), |ctx, ex, trainer, _| {
+        let (err, _) = solo(cfg, workload, FaultPlan::new(1), |ctx, ex, trainer, _| {
             ex.exchange(ctx, trainer).unwrap();
             ctx.sleep(SimDuration::from_millis(50));
             // Swap the lane's first two dones.
@@ -1584,7 +1604,7 @@ mod tests {
     fn start_window_is_idempotent_and_off_where_the_protocol_reads_late() {
         let n_tiles = DEFAULT_EXCHANGE_CHUNKS;
         let cfg = quiet(ShmCaffeConfig::default());
-        let (first, second, bytes) =
+        let ((first, second, bytes), _) =
             solo(cfg, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
                 ex.exchange(ctx, trainer).unwrap();
                 // Pushes of the exchange above are still streaming: only
@@ -1606,14 +1626,15 @@ mod tests {
         assert_eq!(bytes, tile * (n_tiles - first) as u64, "the exchange reads the rest, once");
 
         let late = ShmCaffeConfig { pipelined_exchange: false, ..cfg };
-        let started = solo(late, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
-            ex.exchange(ctx, trainer).unwrap();
-            ctx.sleep(SimDuration::from_millis(300));
-            let before = worker_rx(fabric).transfer_count();
-            ex.start_window(ctx).unwrap();
-            ctx.sleep(SimDuration::from_millis(100));
-            ex.window_open || worker_rx(fabric).transfer_count() != before
-        });
+        let (started, _) =
+            solo(late, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
+                ex.exchange(ctx, trainer).unwrap();
+                ctx.sleep(SimDuration::from_millis(300));
+                let before = worker_rx(fabric).transfer_count();
+                ex.start_window(ctx).unwrap();
+                ctx.sleep(SimDuration::from_millis(100));
+                ex.window_open || worker_rx(fabric).transfer_count() != before
+            });
         assert!(!started, "no early start under the monolithic exchange");
     }
 
@@ -1631,7 +1652,7 @@ mod tests {
         );
         let cfg = quiet(ShmCaffeConfig::default());
         let workload = WorkloadModel::custom("owed", 1_000_000, SimDuration::from_millis(1));
-        let (stats, folds, tiles) = solo(cfg, workload, plan, |ctx, ex, trainer, _| {
+        let ((folds, tiles), stats) = solo(cfg, workload, plan, |ctx, ex, trainer, _| {
             let server = ex.lanes[0].client.server();
             let wg = server.lookup("W_g").expect("solo creates W_g");
             // W_g's version counts folds; every push of an exchange is
@@ -1647,11 +1668,12 @@ mod tests {
                 folds_at(ms);
             }
             let folds = folds_at(4000);
-            (ex.push_stats(), folds, ex.grid.len() as u64)
+            (folds, ex.grid.len() as u64)
         });
         assert_eq!(stats.partition_buffered, 3, "{stats:?}");
         assert_eq!(stats.reconciled_updates, stats.partition_buffered, "{stats:?}");
         assert_eq!((stats.dropped_updates, stats.partition_dropped), (0, 0), "{stats:?}");
+        assert_eq!(stats.dropped_elems, 0, "{stats:?}");
         assert_eq!(folds, tiles + 1, "the heal exchange's tiles plus one fold of the owed sum");
     }
 

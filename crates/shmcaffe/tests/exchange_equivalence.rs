@@ -265,11 +265,10 @@ fn sharded_failover_run(compute_ms: u64, crash_at: Option<SimTime>) -> ShardedRu
                 ex.exchange(&ctx, &mut trainer).expect("every shard fails over by itself");
             }
             let wx = ex.mixed_weights().to_vec();
-            let dropped = ex.push_stats().dropped_updates;
-            ex.finish(&ctx);
-            // Let the last pushes land, then read W_g back shard by shard
-            // (shard 0 from whichever server is its primary by now).
-            ctx.sleep(SimDuration::from_millis(100));
+            // Every push has landed once `finish` returns: read W_g back
+            // shard by shard (shard 0 from whichever server is its primary
+            // by now).
+            let dropped = ex.finish(&ctx).dropped_updates;
             let retry = RetryPolicy::with_seed(1);
             let mut wg = vec![0.0f32; param_len];
             for (k, (client, bufs)) in parts.iter().enumerate() {

@@ -41,10 +41,13 @@ fn setup(sim: &mut Simulation) {
     // Worker 0 creates W_g and hands the key to worker 1 over a channel —
     // the same creation→use happens-before edge production startup has.
     let wg_handoff = SimChannel::<ShmKey>::new("wg_key");
+    // Each worker signals here once its `finish` has returned.
+    let finished = SimChannel::<usize>::new("finished");
     for rank in 0..WORKERS {
         let server = server.clone();
         let factory = factory.clone();
         let handoff = wg_handoff.clone();
+        let finished = finished.clone();
         sim.spawn(&format!("worker{rank}"), move |ctx| {
             let mut trainer = factory.make(rank, WORKERS);
             let param_len = trainer.param_len();
@@ -83,16 +86,22 @@ fn setup(sim: &mut Simulation) {
                 "worker {rank}: mixed weights must stay finite"
             );
             ex.finish(&ctx);
+            finished.send(&ctx, rank);
         });
     }
-    // The center variable must have absorbed both workers' folds by the
-    // time the simulation drains, whatever the interleaving.
+    // `finish` settles the pushes: the center variable must have absorbed
+    // every fold of both workers as soon as both have finished, whatever
+    // the interleaving.
     let server_check = server.clone();
     sim.spawn("check", move |ctx| {
-        ctx.sleep(SimDuration::from_millis(500));
+        for _ in 0..WORKERS {
+            finished.recv(&ctx);
+        }
         let key = server_check.lookup("W_g").expect("W_g exists");
         let version = server_check.version(key).expect("W_g is live");
-        assert!(version >= WORKERS as u64, "both folds must reach W_g, version {version}");
+        // Worker 0's seeding write, then two tile folds per worker.
+        let folds = 1 + 2 * WORKERS as u64;
+        assert_eq!(version, folds, "every fold must reach W_g once both workers finished");
     });
     sim.set_state_probe(move || server.state_hash());
 }

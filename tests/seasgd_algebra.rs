@@ -16,6 +16,10 @@ use shmcaffe_repro::simnet::topology::{ClusterSpec, NodeId};
 use shmcaffe_repro::simnet::{SimContext, SimDuration, SimTime, Simulation};
 use shmcaffe_repro::smb::SmbServerConfig;
 
+#[path = "../crates/shmcaffe/tests/watchdog/mod.rs"]
+mod watchdog;
+use watchdog::within_watchdog;
+
 fn workload() -> WorkloadModel {
     WorkloadModel::custom("algebra", 1_000_000, SimDuration::from_millis(5))
 }
@@ -262,8 +266,7 @@ fn failover_into_a_partition_loses_no_increment() {
 /// are dropped and booked. Under seed 25 of a 42 % op-failure plan one
 /// push runs out of attempts after 8 of the 16 tiles landed: those
 /// components keep the mass identity exactly, the other half are short by
-/// the one dropped increment. 100 ms of compute lets every push settle
-/// before the next exchange, so the final read sees every fold.
+/// the one dropped increment, and the books count those elements.
 #[test]
 fn a_dropped_exchange_keeps_the_tiles_that_landed() {
     const ITERS: usize = 30;
@@ -289,6 +292,51 @@ fn a_dropped_exchange_keeps_the_tiles_that_landed() {
     let expected = 2.0 - 1.5 * ITERS as f32;
     let kept = wg.iter().zip(wx).filter(|(g, x)| (*g + *x - expected).abs() < 1e-3).count();
     assert_eq!(kept, wg.len() / 2, "the 8 tiles that landed keep their increment");
+    assert_eq!(kept as u64, wg.len() as u64 - pushes.dropped_elems, "{pushes:?}");
+}
+
+/// One settling rule for both halves of an exchange, and books that close
+/// before the run ends. Under a 42 % op-failure plan a `W_g` read may spend
+/// its retry budget: the tile mixes against the last-known `W_g` (mass is
+/// conserved whatever `W_g` a tile mixed against) and the run goes on. And
+/// a push still retrying when the worker stops settles before the final
+/// read: every component off the mass identity is one the books count as
+/// dropped. These seeds failed (a read's spent budget ended the run) or
+/// ended short with nothing booked (the final read raced the last pushes)
+/// before both rules held.
+#[test]
+fn failed_reads_degrade_and_the_books_close_before_the_final_read() {
+    const ITERS: usize = 30;
+    const SEEDS: [(u64, &[u64]); 2] = [(20, &[2, 3, 5, 12, 14, 36]), (100, &[1, 2])];
+    for (compute_ms, seeds) in SEEDS {
+        for &seed in seeds {
+            let drifters = DrifterFactory::new(100_000, compute_ms, 1);
+            let run = drifters.clone();
+            let report = within_watchdog(move || {
+                let cfg = ShmCaffeConfig {
+                    max_iters: ITERS,
+                    progress_every: 10,
+                    jitter: JitterModel::NONE,
+                    ..Default::default()
+                };
+                ShmCaffeA::new(ClusterSpec::paper_testbed(1), 1, cfg)
+                    .with_fault_plan(FaultPlan::new(seed).with_op_failure_prob(0.42))
+                    .run(run)
+            });
+            let at = format!("{compute_ms} ms compute, seed {seed}");
+            let report = report.unwrap_or_else(|e| panic!("{at}: {e}"));
+            let pushes = report.workers[0].pushes;
+            assert_eq!(report.workers[0].iters, ITERS as u64, "{at}");
+
+            // S(0) = 1 (W_g) + 1 (W_x); rank 0 drifts by −1.5 per iteration.
+            let wg = report.final_weights.expect("the collector reads W_g");
+            let wx = &drifters.finals()[0];
+            let expected = 2.0 - 1.5 * ITERS as f32;
+            // At most the dropped elements are off: none when none dropped.
+            let off = wg.iter().zip(wx).filter(|(g, x)| (*g + *x - expected).abs() >= 1e-3).count();
+            assert!(off as u64 <= pushes.dropped_elems, "{at}: {off} off, {pushes:?}");
+        }
+    }
 }
 
 /// The fail-over rule across crash instants: a replicated pair (20 ms
