@@ -373,6 +373,62 @@ impl TrainerFactory for ModeledTrainerFactory {
     }
 }
 
+/// Multiplier and increment of the modelled gradient's 64-bit LCG,
+/// `s ← A·s + C`, one step per element.
+const LCG: (u64, u64) = (6364136223846793005, 1442695040888963407);
+
+/// Interleaved LCG streams [`fill_gradient`] steps side by side.
+const LANES: usize = 8;
+
+/// `n` LCG steps as one: `(Aⁿ, C·(Aⁿ⁻¹ + … + 1))`.
+const fn lcg_jump(n: usize) -> (u64, u64) {
+    let (mut a, mut c, mut i) = (1u64, 0u64, 0);
+    while i < n {
+        a = a.wrapping_mul(LCG.0);
+        c = c.wrapping_mul(LCG.0).wrapping_add(LCG.1);
+        i += 1;
+    }
+    (a, c)
+}
+
+/// The LCG's seed for `(rank, iter)`.
+fn gradient_seed(rank: usize, iter: u64) -> u64 {
+    (rank as u64)
+        .wrapping_mul(0x9E3779B97F4A7C15)
+        .wrapping_add(iter.wrapping_mul(0xD1B54A32D192ED03))
+}
+
+/// One gradient element from an LCG state: the state's top 31 bits as a
+/// uniform draw in `[-0.005, 0.005)`. They fit an `i32`, whose conversion
+/// rounds exactly as the `u64` one and vectorises.
+fn gradient_of(state: u64) -> f32 {
+    ((((state >> 33) as i32) as f32 / (1u64 << 31) as f32) - 0.5) * 0.01
+}
+
+/// Fills `out[i]` from the `(i + 1)`-th LCG state after `seed`. Lane `j`
+/// carries the states of elements `j, j + LANES, …`, each jumping `LANES`
+/// steps at once, so the lanes run side by side instead of as one serial
+/// chain of multiplies.
+fn fill_gradient(seed: u64, out: &mut [f32]) {
+    const STRIDE: (u64, u64) = lcg_jump(LANES);
+    let mut lanes = [0u64; LANES];
+    let mut state = seed;
+    for lane in &mut lanes {
+        state = state.wrapping_mul(LCG.0).wrapping_add(LCG.1);
+        *lane = state;
+    }
+    let (chunks, tail) = out.as_chunks_mut::<LANES>();
+    for chunk in chunks {
+        for (g, lane) in chunk.iter_mut().zip(&mut lanes) {
+            *g = gradient_of(*lane);
+            *lane = lane.wrapping_mul(STRIDE.0).wrapping_add(STRIDE.1);
+        }
+    }
+    for (g, lane) in tail.iter_mut().zip(&lanes) {
+        *g = gradient_of(*lane);
+    }
+}
+
 /// A calibrated compute-time model carrying a decimated parameter vector.
 ///
 /// The synthetic "gradient" is a deterministic function of `(rank, iter)`
@@ -399,13 +455,7 @@ impl Trainer for ModeledTrainer {
 
     fn compute_gradients(&mut self, ctx: &SimContext) -> f32 {
         // Deterministic pseudo-gradient keyed on (rank, iter, index).
-        let mut state = (self.rank as u64)
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(self.iter.wrapping_mul(0xD1B54A32D192ED03));
-        for g in self.grads.iter_mut() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *g = (((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5) * 0.01;
-        }
+        fill_gradient(gradient_seed(self.rank, self.iter), &mut self.grads);
         self.iter += 1;
         let dur = self.jitter.sample(self.comp_time);
         ctx.sleep(dur);
@@ -545,6 +595,32 @@ mod tests {
         };
         assert_eq!(grads_of(0), grads_of(0));
         assert_ne!(grads_of(0), grads_of(1));
+    }
+
+    /// The serial generator [`fill_gradient`] reproduces: one LCG chain,
+    /// element `i` from its `(i + 1)`-th state.
+    fn serial_gradient(seed: u64, len: usize) -> Vec<f32> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5) * 0.01
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_generator_matches_the_serial_lcg_bit_for_bit() {
+        for (rank, iter) in [(0, 0), (1, 0), (0, 1), (3, 17), (15, 9_999), (usize::MAX, u64::MAX)] {
+            let seed = gradient_seed(rank, iter);
+            for len in [0, 1, 7, 8, 9, 4095, 4096, 4097] {
+                let want = serial_gradient(seed, len);
+                let mut got = vec![f32::NAN; len];
+                fill_gradient(seed, &mut got);
+                let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "rank {rank}, iter {iter}, len {len}");
+            }
+        }
     }
 
     #[test]

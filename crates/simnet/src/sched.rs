@@ -14,7 +14,7 @@
 
 use parking_lot::{Mutex, MutexGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::explore::{ChoiceKind, ChoiceRecord, SchedEvent, StepRecord};
@@ -39,7 +39,11 @@ enum Status {
 
 struct ProcSlot {
     name: String,
-    clock: SimTime,
+    /// The process's virtual time in nanoseconds, shared with its
+    /// [`SimContext`]s. Only a grant moves it (see [`Core::dispatch`]).
+    /// `Relaxed` suffices: it publishes no other data, and every access is
+    /// on the run's one thread or after that thread is joined.
+    clock: Arc<AtomicU64>,
     status: Status,
     /// True while the process is parked in [`Core::block_until`]: it is
     /// recorded as `Runnable(deadline)` (so the deadlock detector never
@@ -61,12 +65,48 @@ type Body = Box<dyn FnOnce(SimContext) + Send + 'static>;
 
 struct SchedState {
     procs: Vec<ProcSlot>,
+    /// Per pid, the wake time in nanoseconds of a `Runnable` process and
+    /// `u64::MAX` otherwise: the dense array [`Core::dispatch`] scans.
+    /// [`SchedState::set_status`] keeps it in step with `procs`.
+    wake_keys: Vec<u64>,
     unfinished: usize,
     /// The process [`Core::dispatch`] last granted the running slot, if it
     /// made a grant: the one the run loop resumes.
     running: Option<Pid>,
     panic_message: Option<String>,
     stats: SchedStats,
+}
+
+impl SchedState {
+    /// Writes `pid`'s status and keeps its dispatch key in step.
+    fn set_status(&mut self, pid: Pid, status: Status) {
+        self.procs[pid].status = status;
+        self.wake_keys[pid] = match status {
+            Status::Runnable(at) => at.as_nanos(),
+            _ => u64::MAX,
+        };
+    }
+
+    /// The earliest `(wake time, pid)` over runnable processes, ties to
+    /// the lowest pid.
+    fn earliest(&self) -> Option<(SimTime, Pid)> {
+        let mut best = (u64::MAX, 0);
+        for (pid, &key) in self.wake_keys.iter().enumerate() {
+            if key < best.0 {
+                best = (key, pid);
+            }
+        }
+        if best.0 < u64::MAX {
+            return Some((SimTime::from_nanos(best.0), best.1));
+        }
+        // A process runnable at the very end of time shares its key with
+        // the parked ones: only then ask the statuses.
+        self.procs
+            .iter()
+            .enumerate()
+            .find(|(_, p)| matches!(p.status, Status::Runnable(_)))
+            .map(|(pid, _)| (SimTime::from_nanos(u64::MAX), pid))
+    }
 }
 
 /// Deterministic scheduler counters of one run (see
@@ -126,6 +166,7 @@ impl Core {
         Arc::new(Core {
             state: Mutex::new(SchedState {
                 procs: Vec::new(),
+                wake_keys: Vec::new(),
                 unfinished: 0,
                 running: None,
                 panic_message: None,
@@ -174,7 +215,7 @@ impl Core {
         let state = self.state.lock();
         let mut h = crate::explore::Fnv::new();
         for p in &state.procs {
-            h.write_u64(p.clock.as_nanos());
+            h.write_u64(p.clock.load(Ordering::Relaxed));
             h.write_u64(match p.status {
                 Status::Runnable(at) => 1 ^ at.as_nanos().rotate_left(8),
                 Status::Running => 2,
@@ -277,6 +318,10 @@ impl Core {
     /// process currently `Running`; `from` is the process giving up the
     /// slot (`None` for the initial dispatch by the run loop).
     ///
+    /// The pick is the minimum `(wake time, pid)` of the dense key array
+    /// (DESIGN.md §5k). The grant is the one place a process clock moves:
+    /// it is published to the clock the process's [`SimContext`] reads.
+    ///
     /// Once a panic or deadlock is recorded (see [`Core::abort`]), no
     /// further grants are made.
     fn dispatch(&self, state: &mut SchedState, from: Option<Pid>) {
@@ -284,16 +329,7 @@ impl Core {
         if state.panic_message.is_some() {
             return;
         }
-        let next = state
-            .procs
-            .iter()
-            .enumerate()
-            .filter_map(|(pid, p)| match p.status {
-                Status::Runnable(at) => Some((at, pid)),
-                _ => None,
-            })
-            .min();
-        match next {
+        match state.earliest() {
             Some((at, pid)) => {
                 // Equal-time ties are a schedule choice point: under
                 // exploration the chooser may pick any process runnable at
@@ -311,9 +347,10 @@ impl Core {
                 } else {
                     pid
                 };
+                state.set_status(pid, Status::Running);
                 let slot = &mut state.procs[pid];
-                slot.status = Status::Running;
-                slot.clock = slot.clock.max(at);
+                let clock = slot.clock.load(Ordering::Relaxed).max(at.as_nanos());
+                slot.clock.store(clock, Ordering::Relaxed);
                 slot.timed_wait = false;
                 state.running = Some(pid);
                 state.stats.grants += 1;
@@ -370,8 +407,8 @@ impl Core {
     /// Makes `pid` runnable at `at` (never before its own clock) and yields.
     fn yield_at(&self, mut state: MutexGuard<'_, SchedState>, pid: Pid, at: SimTime) {
         debug_assert_eq!(state.procs[pid].status, Status::Running);
-        let slot = &mut state.procs[pid];
-        slot.status = Status::Runnable(slot.clock.max(at));
+        let clock = SimTime::from_nanos(state.procs[pid].clock.load(Ordering::Relaxed));
+        state.set_status(pid, Status::Runnable(clock.max(at)));
         self.switch(state, pid);
     }
 
@@ -379,7 +416,7 @@ impl Core {
     pub(crate) fn block(&self, pid: Pid) {
         let mut state = self.state.lock();
         debug_assert_eq!(state.procs[pid].status, Status::Running);
-        state.procs[pid].status = Status::Blocked;
+        state.set_status(pid, Status::Blocked);
         self.switch(state, pid);
     }
 
@@ -400,22 +437,19 @@ impl Core {
     /// Called by the (unique) running process, so `at >=` every other
     /// process's grantable time and ordering is preserved.
     pub(crate) fn wake(&self, pid: Pid, at: SimTime) {
-        let slot = &mut self.state.lock().procs[pid];
+        let mut state = self.state.lock();
+        let slot = &state.procs[pid];
+        let woken = SimTime::from_nanos(slot.clock.load(Ordering::Relaxed)).max(at);
         match slot.status {
-            Status::Blocked => {
-                slot.status = Status::Runnable(slot.clock.max(at));
-            }
+            Status::Blocked => state.set_status(pid, Status::Runnable(woken)),
             // A timed waiter parked at its deadline may be pulled earlier by
             // a wake (but never pushed later).
-            Status::Runnable(deadline) if slot.timed_wait => {
-                let woken = slot.clock.max(at);
-                if woken < deadline {
-                    slot.status = Status::Runnable(woken);
-                }
+            Status::Runnable(deadline) if slot.timed_wait && woken < deadline => {
+                state.set_status(pid, Status::Runnable(woken));
             }
-            Status::Finished => {}
             // The waker runs exclusively, so the target cannot be Running;
-            // an already-Runnable target keeps its earlier wake time.
+            // an already-Runnable target keeps its earlier wake time, and a
+            // finished one stays finished.
             _ => {}
         }
     }
@@ -432,7 +466,7 @@ impl Core {
                 .unwrap_or_else(|| "process panicked".to_string())
         });
         let mut state = core.state.lock();
-        state.procs[pid].status = Status::Finished;
+        state.set_status(pid, Status::Finished);
         state.unfinished -= 1;
         if let Some(msg) = panic_msg {
             Self::abort(&mut state, msg);
@@ -445,13 +479,14 @@ impl Core {
         let pid = state.procs.len();
         state.procs.push(ProcSlot {
             name: name.to_string(),
-            clock: initial_clock,
+            clock: Arc::new(AtomicU64::new(initial_clock.as_nanos())),
             status: Status::Runnable(initial_clock),
             timed_wait: false,
             body: Some(body),
             #[cfg(feature = "race-detect")]
             vclock: Vec::new(),
         });
+        state.wake_keys.push(initial_clock.as_nanos());
         state.unfinished += 1;
         pid
     }
@@ -514,16 +549,17 @@ impl Core {
         let mut switches = 0;
         self.dispatch(&mut self.state.lock(), None);
         loop {
-            let (pid, body) = {
+            let (pid, start) = {
                 let mut state = self.state.lock();
                 let Some(pid) = state.running else { break };
-                (pid, state.procs[pid].body.take())
+                let slot = &mut state.procs[pid];
+                (pid, slot.body.take().map(|body| (body, Arc::clone(&slot.clock))))
             };
             if fibers.len() <= pid {
                 fibers.resize_with(pid + 1, || None);
             }
-            if let Some(body) = body {
-                let ctx = SimContext { core: Arc::clone(self), pid };
+            if let Some((body, clock)) = start {
+                let ctx = SimContext { core: Arc::clone(self), pid, clock };
                 fibers[pid] = Some(Fiber::new(Box::new(move || Self::run_process(body, ctx))));
             }
             let fiber = fibers[pid].as_mut().expect("a granted process is on a fiber");
@@ -616,7 +652,9 @@ impl Simulation {
         let state = self.core.state.lock();
         let result = match &state.panic_message {
             Some(msg) => Err(msg.clone()),
-            None => Ok(state.procs.iter().map(|p| p.clock).max().unwrap_or(SimTime::ZERO)),
+            None => Ok(SimTime::from_nanos(
+                state.procs.iter().map(|p| p.clock.load(Ordering::Relaxed)).max().unwrap_or(0),
+            )),
         };
         (result, state.stats)
     }
@@ -678,12 +716,15 @@ impl std::fmt::Debug for Simulation {
 pub struct SimContext {
     pub(crate) core: Arc<Core>,
     pub(crate) pid: Pid,
+    /// The process's clock, which only a grant moves: the process reads it
+    /// while it runs, when no grant can happen, so it needs no lock.
+    clock: Arc<AtomicU64>,
 }
 
 impl SimContext {
     /// Current virtual time of this process.
     pub fn now(&self) -> SimTime {
-        self.core.state.lock().procs[self.pid].clock
+        SimTime::from_nanos(self.clock.load(Ordering::Relaxed))
     }
 
     /// Name of this process.
@@ -698,9 +739,7 @@ impl SimContext {
 
     /// Advances virtual time by `dur`, yielding to earlier processes.
     pub fn sleep(&self, dur: SimDuration) {
-        let state = self.core.state.lock();
-        let until = state.procs[self.pid].clock + dur;
-        self.core.yield_at(state, self.pid, until);
+        self.sleep_until(self.now() + dur);
     }
 
     /// Advances virtual time to `at` (no-op if already later), yielding.

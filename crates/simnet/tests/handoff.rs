@@ -8,6 +8,7 @@ use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::explore::Fnv;
 use shmcaffe_simnet::resource::{BandwidthResource, LinkModel};
 use shmcaffe_simnet::{SimContext, SimDuration, Simulation};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,24 +52,32 @@ impl Rng {
 
 const DONE: u64 = 999_999;
 
-/// The seeded 16-process scenario of the golden test: every process mixes
-/// `sleep`, `yield_now`, channel `send` / `recv_timeout` / `try_recv`,
+/// The seeded scenario of the golden tests: every one of `procs` processes
+/// mixes `sleep`, `yield_now`, channel `send` / `recv_timeout` / `try_recv`,
 /// dynamic `ctx.spawn` and transfers over one contended link, then closes
 /// with a blocking `recv` ring. Each return from a scheduler call appends
 /// `(pid, virtual time, outcome)` to the log; exactly one process runs at a
 /// time, so the log order is the grant order.
-fn fingerprint_scenario(seed: u64) -> u64 {
-    const PROCS: usize = 16;
+///
+/// The first `early` processes play 6 rounds instead of 60 and leave
+/// without waiting for their predecessor's DONE, so their pids finish
+/// while later ones still run (their successors still get a DONE).
+///
+/// Returns the hash of the log and the number of timed waits a send pulled
+/// forward (woken after parking, before the deadline).
+fn fingerprint_scenario(seed: u64, procs: usize, early: usize) -> (u64, usize) {
+    let pulled = Arc::new(AtomicUsize::new(0));
     let log: Arc<Mutex<Vec<(usize, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     let link = BandwidthResource::new("link", LinkModel::new(1e9, SimDuration::from_micros(2)));
     let inbox: Vec<SimChannel<u64>> =
-        (0..PROCS).map(|i| SimChannel::new(&format!("inbox{i}"))).collect();
+        (0..procs).map(|i| SimChannel::new(&format!("inbox{i}"))).collect();
     let mut sim = Simulation::new();
-    for i in 0..PROCS {
-        let log = Arc::clone(&log);
+    for i in 0..procs {
+        let (log, pulled) = (Arc::clone(&log), Arc::clone(&pulled));
         let link = link.clone();
         let mine = inbox[i].clone();
-        let next = inbox[(i + 1) % PROCS].clone();
+        let next = inbox[(i + 1) % procs].clone();
+        let (rounds, waits) = if i < early { (6, false) } else { (60, true) };
         sim.spawn(&format!("p{i}"), move |ctx| {
             let mut rng = Rng(seed ^ (i as u64).wrapping_mul(0xa076_1d64_78bd_642f));
             let note = |ctx: &SimContext, outcome: u64| {
@@ -77,8 +86,8 @@ fn fingerprint_scenario(seed: u64) -> u64 {
             let mut children = 0u64;
             // The predecessor may finish first: its DONE can arrive while
             // this process is still in its rounds.
-            let mut done_seen = false;
-            for round in 0..60u64 {
+            let mut done_seen = !waits;
+            for round in 0..rounds {
                 match rng.below(8) {
                     0 | 1 => {
                         ctx.sleep(SimDuration::from_micros(1 + rng.below(40)));
@@ -94,7 +103,12 @@ fn fingerprint_scenario(seed: u64) -> u64 {
                     }
                     4 => {
                         let timeout = SimDuration::from_micros(1 + rng.below(30));
+                        let parked_at = ctx.now();
                         let got = mine.recv_timeout(&ctx, timeout);
+                        if got.is_some() && ctx.now() > parked_at && ctx.now() < parked_at + timeout
+                        {
+                            pulled.fetch_add(1, Ordering::Relaxed);
+                        }
                         done_seen |= got == Some(DONE);
                         note(&ctx, 3 + got.map_or(0, |v| v + 1));
                     }
@@ -146,7 +160,7 @@ fn fingerprint_scenario(seed: u64) -> u64 {
         h.write_u64(at);
         h.write_u64(outcome);
     }
-    h.finish()
+    (h.finish(), pulled.load(Ordering::Relaxed))
 }
 
 /// The grant sequence of the seeded scenario, hashed, against a literal
@@ -154,13 +168,27 @@ fn fingerprint_scenario(seed: u64) -> u64 {
 /// hand-off rewrite (and anything after it) must not reorder a single grant.
 #[test]
 fn schedule_fingerprint_matches_the_pre_handoff_scheduler() {
-    let hash = within_watchdog(|| fingerprint_scenario(7));
+    let (hash, _) = within_watchdog(|| fingerprint_scenario(7, 16, 0));
     assert_eq!(hash, GOLDEN_FINGERPRINT_SEED_7, "grant order changed: {hash:#018x}");
-    let other = within_watchdog(|| fingerprint_scenario(8));
+    let (other, _) = within_watchdog(|| fingerprint_scenario(8, 16, 0));
     assert_ne!(other, hash, "the fingerprint must depend on the seed");
 }
 
 const GOLDEN_FINGERPRINT_SEED_7: u64 = 0x7f51_a726_25e2_4506;
+
+/// The same scenario over 80 processes, the first 16 of which leave early:
+/// pids (children included) span several 64-bit words, low pids finish
+/// while high ones still run, and sends pull timed waits forward. The
+/// literal was captured on the commit before dispatch kept its wake keys
+/// in a dense array and `SimContext::now` stopped taking the state lock.
+#[test]
+fn schedule_fingerprint_of_eighty_processes_matches_the_scanning_dispatch() {
+    let (hash, pulled) = within_watchdog(|| fingerprint_scenario(7, 80, 16));
+    assert!(pulled > 0, "the scenario must pull timed waits forward");
+    assert_eq!(hash, GOLDEN_FINGERPRINT_80_PROCS, "grant order changed: {hash:#018x}");
+}
+
+const GOLDEN_FINGERPRINT_80_PROCS: u64 = 0x981f_dfd4_fd34_b07d;
 
 /// 32 processes mixing sleeps and channel traffic: every grant that is not
 /// a self-grant costs exactly one fiber switch, and the counters are a
