@@ -136,25 +136,36 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
 }
 
-/// Whether `fresh` reproduces `recorded`; the error names the first
-/// differing line (1-based, or where the shorter text ends) and shows both
-/// versions of it.
+/// How many differing lines a failed check names; the rest are counted.
+const NAMED_DIFFS: usize = 24;
+
+/// Whether `fresh` reproduces `recorded`; the error names every differing
+/// line (1-based, up to [`NAMED_DIFFS`] of them, `<end of file>` where one
+/// text is shorter) and shows both versions of each.
 fn reproduces(recorded: &str, fresh: &str) -> Result<(), String> {
     if recorded == fresh {
         return Ok(());
     }
-    let at = fresh.lines().zip(recorded.lines()).take_while(|(a, b)| a == b).count();
-    let line = |text: &str| text.lines().nth(at).unwrap_or("<end of file>").to_string();
-    let (recorded, measured) = (line(recorded), line(fresh));
+    let (recorded, fresh): (Vec<&str>, Vec<&str>) =
+        (recorded.lines().collect(), fresh.lines().collect());
+    let eof = "<end of file>";
+    let differing: Vec<String> = (0..recorded.len().max(fresh.len()))
+        .map(|i| (i + 1, recorded.get(i).unwrap_or(&eof), fresh.get(i).unwrap_or(&eof)))
+        .filter(|(_, r, m)| r != m)
+        .map(|(at, r, m)| format!("\n  line {at}:\n    recorded: {r}\n    measured: {m}"))
+        .collect();
+    let named = differing[..differing.len().min(NAMED_DIFFS)].concat();
+    let more = differing.len().saturating_sub(NAMED_DIFFS);
+    let more = if more > 0 { format!("\n  ... and {more} more") } else { String::new() };
     Err(format!(
-        "differs from this run at line {}:\n  recorded: {recorded}\n  measured: {measured}",
-        at + 1
+        "differs from this run at {} line(s) (line ends aside):{named}{more}",
+        differing.len()
     ))
 }
 
 /// Records `doc` as `BENCH_<name>.json` at the repo root or, with `check`,
 /// leaves the file alone and compares this run against it. Prints the
-/// outcome — a failed write or, under `check`, the first line at which the
+/// outcome — a failed write or, under `check`, the lines at which the
 /// checked-in file differs from this run go to stderr — and returns
 /// whether it succeeded.
 pub fn record_or_check(name: &str, doc: &Json, check: bool) -> bool {
@@ -205,18 +216,36 @@ mod tests {
     }
 
     #[test]
-    fn a_perturbed_record_fails_the_check_and_names_the_line() {
-        let doc = Json::obj(vec![("a", Json::Int(1)), ("ms", Json::str("33.799"))]);
+    fn a_perturbed_record_fails_the_check_and_names_every_line() {
+        let doc = Json::obj(vec![
+            ("a", Json::Int(1)),
+            ("ms", Json::str("33.799")),
+            ("gap", Json::str("-0.539")),
+        ]);
         let fresh = doc.render();
         assert_eq!(reproduces(&fresh, &fresh), Ok(()));
-        let diff = reproduces(&fresh.replace("33.799", "33.798"), &fresh).unwrap_err();
-        assert!(diff.contains("at line 3:"), "{diff}");
-        assert!(diff.contains("recorded:   \"ms\": \"33.798\""), "{diff}");
+        let recorded = fresh.replace("33.799", "33.798").replace("-0.539", "-0.542");
+        let diff = reproduces(&recorded, &fresh).unwrap_err();
+        assert!(diff.contains("at 2 line(s) (line ends aside):"), "{diff}");
+        assert!(diff.contains("line 3:\n    recorded:   \"ms\": \"33.798\""), "{diff}");
         assert!(diff.contains("measured:   \"ms\": \"33.799\""), "{diff}");
-        // A missing or truncated record differs where it ends.
+        assert!(diff.contains("line 4:\n    recorded:   \"gap\": \"-0.542\""), "{diff}");
+        assert!(diff.contains("measured:   \"gap\": \"-0.539\""), "{diff}");
+        // A missing or truncated record differs from where it ends.
         let diff = reproduces("{\n", &fresh).unwrap_err();
-        assert!(diff.contains("at line 2:") && diff.contains("recorded: <end of file>"), "{diff}");
+        assert!(diff.contains("line 2:\n    recorded: <end of file>"), "{diff}");
         assert!(!record_or_check("no_such_record", &doc, true), "no record to reproduce");
+    }
+
+    #[test]
+    fn a_failed_check_names_a_bounded_number_of_lines() {
+        let recorded: String = (0..100).map(|i| format!("{i}\n")).collect();
+        let fresh: String = (0..100).map(|i| format!("{}\n", i + 1)).collect();
+        let diff = reproduces(&recorded, &fresh).unwrap_err();
+        assert!(diff.contains("at 100 line(s) (line ends aside):"), "{diff}");
+        assert_eq!(diff.matches("recorded:").count(), NAMED_DIFFS, "{diff}");
+        assert!(diff.ends_with(&format!("... and {} more", 100 - NAMED_DIFFS)), "{diff}");
+        assert!(reproduces("a\n", "a").unwrap_err().contains("at 0 line(s) (line ends aside):"));
     }
 
     #[test]

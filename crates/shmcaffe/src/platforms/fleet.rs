@@ -9,12 +9,14 @@
 //! once: the report shell and its collection ([`run_fleet`], [`Sink`]), a
 //! rank's report, loss average and evaluation cadence ([`StepLog`]), the
 //! gradient averaging of the synchronous platforms
-//! ([`average_gradients`]) and the cluster-size check ([`check_fit`]).
+//! ([`average_gradients`]), the cluster-size check ([`check_fit`]) and the
+//! fault-plan check that builds the fabric ([`fault_fabric`]).
 
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-use shmcaffe_simnet::topology::ClusterSpec;
+use shmcaffe_simnet::fault::FaultPlan;
+use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
 use shmcaffe_simnet::{SimContext, Simulation};
 
 use crate::report::{EvalPoint, RankOutcome, TrainingReport, WorkerReport};
@@ -178,4 +180,27 @@ pub(crate) fn check_fit(
         "{workers} workers{extra} do not fit {} GPU slots",
         spec.total_gpus()
     )))
+}
+
+/// The fabric of a fleet of `workers` ranks, faulted by `plan` if there is
+/// one. A plan must be valid and crash only ranks the fleet has: a crash
+/// that can never fire would only mislead whoever reads the plan.
+///
+/// # Errors
+///
+/// Returns [`PlatformError::BadConfig`] naming the invalid field or the
+/// out-of-range rank.
+pub(crate) fn fault_fabric(
+    spec: ClusterSpec,
+    workers: usize,
+    plan: Option<&FaultPlan>,
+) -> Result<Fabric, PlatformError> {
+    let Some(plan) = plan else { return Ok(Fabric::new(spec)) };
+    plan.validate().map_err(PlatformError::BadConfig)?;
+    if let Some(rank) = plan.crashed_ranks().into_iter().find(|&r| r >= workers) {
+        return Err(PlatformError::BadConfig(format!(
+            "the fault plan crashes rank {rank} of a {workers}-worker fleet"
+        )));
+    }
+    Ok(Fabric::with_faults(spec, plan.clone()))
 }

@@ -10,14 +10,14 @@ use std::sync::Arc;
 
 use shmcaffe_mpi::MpiWorld;
 use shmcaffe_simnet::fault::FaultPlan;
-use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
+use shmcaffe_simnet::topology::ClusterSpec;
 
 use crate::report::TrainingReport;
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
 
 use super::caffe::SsgdConfig;
-use super::fleet::{average_gradients, check_fit, run_fleet, weights_of, StepLog};
+use super::fleet::{average_gradients, check_fit, fault_fabric, run_fleet, weights_of, StepLog};
 
 /// MPICaffe: every rank computes gradients, an `MPI_Allreduce` aggregates
 /// them, and every rank applies the identical update.
@@ -54,13 +54,7 @@ impl MpiCaffe {
         check_fit(&self.spec, self.workers, 0)?;
         self.cfg.validate()?;
         let spec = ClusterSpec { memory_servers: 0, ..self.spec };
-        let fabric = match &self.fault_plan {
-            Some(plan) => {
-                plan.validate().map_err(PlatformError::BadConfig)?;
-                Fabric::with_faults(spec, plan.clone())
-            }
-            None => Fabric::new(spec),
-        };
+        let fabric = fault_fabric(spec, self.workers, self.fault_plan.as_ref())?;
         let mpi = MpiWorld::new(fabric.clone(), self.workers);
         let factory = Arc::new(factory);
         let cfg = self.cfg;
@@ -121,6 +115,7 @@ mod tests {
     use crate::trainer::ModeledTrainerFactory;
     use shmcaffe_models::{CnnModel, WorkloadModel};
     use shmcaffe_simnet::jitter::JitterModel;
+    use shmcaffe_simnet::SimTime;
 
     fn factory() -> ModeledTrainerFactory {
         ModeledTrainerFactory::new(
@@ -153,6 +148,17 @@ mod tests {
         assert!(matches!(
             platform.with_fault_plan(plan).run(factory()),
             Err(PlatformError::BadConfig(msg)) if msg.contains("op_failure_prob")
+        ));
+    }
+
+    #[test]
+    fn a_plan_crashing_a_missing_rank_is_a_bad_config() {
+        let plan = FaultPlan::new(1).crash_worker(2, SimTime::from_millis(50));
+        let cfg = SsgdConfig { max_iters: 2, ..Default::default() };
+        let platform = MpiCaffe::new(ClusterSpec::paper_testbed(1), 2, cfg);
+        assert!(matches!(
+            platform.with_fault_plan(plan).run(factory()),
+            Err(PlatformError::BadConfig(msg)) if msg.contains("rank 2")
         ));
     }
 

@@ -1,12 +1,12 @@
 //! ShmCaffe-A: the pure asynchronous platform (SEASGD on every worker).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use shmcaffe_mpi::{MpiData, MpiWorld};
 use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::fault::FaultPlan;
-use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
+use shmcaffe_simnet::topology::ClusterSpec;
 use shmcaffe_simnet::SimDuration;
 use shmcaffe_smb::progress::ProgressBoard;
 use shmcaffe_smb::{ShmKey, SmbClient, SmbPair, SmbServer, SmbServerConfig};
@@ -19,7 +19,7 @@ use crate::seasgd::{
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
 
-use super::fleet::{check_fit, run_fleet, weights_of};
+use super::fleet::{check_fit, fault_fabric, run_fleet, weights_of};
 
 /// The asynchronous ShmCaffe platform (paper "ShmCaffe-A").
 ///
@@ -65,9 +65,12 @@ impl ShmCaffeA {
     /// Injects a deterministic fault plan into the fabric: partitions (a
     /// node cut off for a window is one) and corruption hit the SMB
     /// transport, memory-server crashes force fail-over, and worker
-    /// crashes kill SEASGD ranks mid-run. In fault mode the platform
-    /// replaces its final MPI barrier with progress-board polling so that
-    /// survivors complete even when a peer never arrives.
+    /// crashes kill SEASGD ranks mid-run. The run ends the same way with or
+    /// without a plan: the last rank to file its report waits out the
+    /// leases of the ranks that crashed for good, reads the final model
+    /// (unless every rank crashed) and stops the background loops. A plan
+    /// that crashes a rank the platform does not have is a configuration
+    /// error.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -110,16 +113,7 @@ impl ShmCaffeA {
             }
         }
 
-        let fabric = match &self.fault_plan {
-            Some(plan) => {
-                plan.validate().map_err(PlatformError::BadConfig)?;
-                Fabric::with_faults(self.spec, plan.clone())
-            }
-            None => Fabric::new(self.spec),
-        };
-        let fault_mode = self.fault_plan.is_some();
-        let crashed_ranks: Arc<Vec<usize>> =
-            Arc::new(self.fault_plan.as_ref().map(FaultPlan::crashed_ranks).unwrap_or_default());
+        let fabric = fault_fabric(self.spec, self.workers, self.fault_plan.as_ref())?;
         let rdma = RdmaFabric::new(fabric.clone());
         let pair = match self.standby_replication {
             Some(_) => Some(SmbPair::new(rdma.clone(), self.server_config)?),
@@ -132,17 +126,13 @@ impl ShmCaffeA {
         let mpi = MpiWorld::new(fabric.clone(), self.workers);
         let factory = Arc::new(factory);
         let cfg = self.cfg;
-        // Crashed ranks rejoin from the checkpoint instead of staying dead;
-        // the collector then waits for them and leaves their lease
-        // reclamation to their own rejoin acknowledgements.
+        // Crashed ranks rejoin from the checkpoint instead of staying dead,
+        // and reclaim their leases through their own rejoin
+        // acknowledgements.
         let rejoin_mode = cfg.checkpoint_every > 0 && cfg.rejoin_delay.is_some();
         let n_workers = self.workers;
-        // In fault mode the first crash-free rank collects the final model
-        // (without faults no rank crashes, so that is rank 0).
-        let collector = (0..n_workers).find(|r| !crashed_ranks.contains(r));
-        // Ranks yet to file their report; the last one stops the background
-        // processes when no rank collects.
-        let unfiled = Arc::new(AtomicUsize::new(n_workers));
+        // Ranks yet to file their report, and ranks that crashed for good.
+        let books = Arc::new(Mutex::new((n_workers, 0usize)));
 
         let mut final_report = run_fleet("ShmCaffe-A", n_workers, |sim, sink| {
             if let (Some(p), Some(interval)) = (&pair, self.standby_replication) {
@@ -176,8 +166,7 @@ impl ShmCaffeA {
                 let node = mpi.node_of(rank);
                 let factory = Arc::clone(&factory);
                 let sink = sink.clone();
-                let crashed_ranks = Arc::clone(&crashed_ranks);
-                let unfiled = Arc::clone(&unfiled);
+                let books = Arc::clone(&books);
                 let crash_at = fabric.fault_injector().and_then(|i| i.crash_time(rank));
                 sim.spawn(&format!("shmcaffe_a_w{rank}"), move |ctx| {
                     let mut trainer = factory.make(rank, n_workers);
@@ -252,7 +241,7 @@ impl ShmCaffeA {
                     let harness = SeasgdHarness {
                         client: client.clone(),
                         buffers: SeasgdBuffers { wg, dw },
-                        board: board.clone(),
+                        board,
                         cfg,
                         rank,
                         target_iters: cfg.max_iters as u64,
@@ -262,63 +251,39 @@ impl ShmCaffeA {
                     let mut outcome = run_worker(&ctx, harness, &mut trainer)
                         .expect("smb operations on live segments succeed");
 
-                    // Collect the final averaged model after all workers are
-                    // done. The SMB read happens *before* taking the report
-                    // mutex: holding a real lock across a virtual-time block
-                    // would deadlock the cooperative scheduler.
-                    let final_w = if fault_mode {
-                        // No final MPI barrier: a crashed peer would never
-                        // arrive. The first surviving rank instead waits on the
-                        // progress board, reaps leases of dead workers, and
-                        // reads the final model.
-                        (!outcome.report.crashed && collector == Some(rank)).then(|| {
-                            loop {
-                                let snap =
-                                    board.snapshot(&client, &ctx).expect("board outlives workers");
-                                // In rejoin mode every rank eventually reaches
-                                // the board again (a rejoiner finishes its
-                                // second incarnation; an aborted rejoin
-                                // announces itself); otherwise only survivors.
-                                let awaited_done = (0..n_workers)
-                                    .filter(|r| rejoin_mode || !crashed_ranks.contains(r))
-                                    .all(|r| snap.is_done(r));
-                                if awaited_done {
-                                    break;
-                                }
-                                ctx.sleep(SimDuration::from_millis(10));
-                            }
-                            // Evict the crashed ranks' leased buffers before the
-                            // final read; their heartbeats stopped at crash time,
-                            // so waiting out the lease timeout is enough. A
-                            // rejoining rank reclaims (frees + acks) its own
-                            // stale state and holds a live lease again, so its
-                            // eviction is skipped.
-                            let evict_expected = if rejoin_mode { 0 } else { crashed_ranks.len() };
-                            let mut evicted = 0usize;
-                            while evicted < evict_expected {
-                                evicted += client.server().evict_stale(&ctx).len();
-                                if evicted < evict_expected {
-                                    ctx.sleep(SimDuration::from_millis(50));
-                                }
-                            }
-                            let mut w = vec![0.0f32; param_len];
-                            client.read(&ctx, &wg, &mut w).expect("sizes match");
-                            w
-                        })
-                    } else {
-                        comm.barrier(&ctx);
-                        (rank == 0).then(|| {
-                            let mut w = vec![0.0f32; param_len];
-                            client.read(&ctx, &wg, &mut w).expect("sizes match");
-                            w
-                        })
+                    // The last rank to file ends the run. Every rank's
+                    // `finish` has settled its pushes by now, so a read after
+                    // the last filing sees every fold the books do not count
+                    // as dropped. Ranks that crashed for good are counted on
+                    // the way; the SMB calls below happen *after* the lock is
+                    // released: holding a real lock across a virtual-time
+                    // block would deadlock the cooperative scheduler.
+                    let (last, dead) = {
+                        let (unfiled, dead) = &mut *books.lock();
+                        *dead += usize::from(outcome.report.crashed && !outcome.report.rejoined);
+                        *unfiled -= 1;
+                        (*unfiled == 0, *dead)
                     };
-                    // The run is over once the final model is read — or, when
-                    // every rank crashed, once the last rank is done: let the
-                    // replicator and scrubber loops exit at their next wakeup
-                    // so the simulation can terminate.
-                    let last = unfiled.fetch_sub(1, Ordering::Relaxed) == 1;
-                    if final_w.is_some() || (collector.is_none() && last) {
+                    let mut final_w = None;
+                    if last {
+                        // A dead rank's heartbeats stopped at its crash, so
+                        // waiting out the lease timeout evicts its leased
+                        // buffer. A rejoined rank reclaimed its own stale
+                        // state and holds a live lease again.
+                        let mut evicted = 0usize;
+                        while !rejoin_mode && evicted < dead {
+                            evicted += client.server().evict_stale(&ctx).len();
+                            if evicted < dead {
+                                ctx.sleep(SimDuration::from_millis(50));
+                            }
+                        }
+                        if dead < n_workers {
+                            let mut w = vec![0.0f32; param_len];
+                            client.read(&ctx, &wg, &mut w).expect("sizes match");
+                            final_w = Some(w);
+                        }
+                        // Let the replicator and scrubber loops exit at their
+                        // next wakeup so the simulation can terminate.
                         match &pair {
                             Some(p) => {
                                 p.stop_replicator();
@@ -357,7 +322,7 @@ mod tests {
     use crate::trainer::ModeledTrainerFactory;
     use shmcaffe_models::WorkloadModel;
     use shmcaffe_simnet::jitter::JitterModel;
-    use shmcaffe_simnet::SimDuration;
+    use shmcaffe_simnet::{SimDuration, SimTime};
 
     fn quick_cfg(iters: usize) -> ShmCaffeConfig {
         ShmCaffeConfig {
@@ -420,6 +385,31 @@ mod tests {
             platform.with_fault_plan(plan).run(quick_factory()),
             Err(PlatformError::BadConfig(msg)) if msg.contains("op_failure_prob")
         ));
+    }
+
+    #[test]
+    fn a_plan_crashing_a_missing_rank_is_a_bad_config() {
+        let plan = FaultPlan::new(1).crash_worker(5, SimTime::from_millis(50));
+        let platform = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 2, quick_cfg(5));
+        assert!(matches!(
+            platform.with_fault_plan(plan).run(quick_factory()),
+            Err(PlatformError::BadConfig(msg)) if msg.contains("rank 5")
+        ));
+    }
+
+    /// A crash planned after the rank's last iteration never fires, so
+    /// nothing waits out a lease: the run ends when the fault-free one
+    /// does, on the same final model.
+    #[test]
+    fn a_crash_after_the_last_iteration_costs_nothing() {
+        let platform = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 2, quick_cfg(5));
+        let clean = platform.clone().run(quick_factory()).unwrap();
+        let plan = FaultPlan::new(1).crash_worker(1, SimTime::from_secs(10));
+        let late = platform.with_fault_plan(plan).run(quick_factory()).unwrap();
+        assert_eq!(late.crashed_workers(), 0);
+        assert!(late.final_weights.is_some());
+        assert_eq!(late.final_weights, clean.final_weights);
+        assert_eq!(late.wall, clean.wall);
     }
 
     #[test]

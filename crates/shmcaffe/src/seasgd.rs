@@ -1126,8 +1126,8 @@ pub fn run_worker<T: Trainer>(
             let meta_ok = client.checkpoint_read(ctx, &ckpt.meta, &mut meta, &ckpt_retry).is_ok();
             if !meta_ok || meta[1] != 1.0 {
                 // No valid checkpoint to rejoin from: announce the aborted
-                // attempt on the board (so survivors stop waiting for this
-                // rank) and stay dead.
+                // attempt on the board as done (the `MasterFinished` and
+                // `FirstFinisher` policies read it) and stay dead.
                 board.publish(&client, ctx, rank, iter, true)?;
                 break;
             }

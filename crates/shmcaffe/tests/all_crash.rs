@@ -1,12 +1,11 @@
 //! Every rank in the crash plan: ShmCaffe-A must still terminate.
 //!
-//! The first crash-free rank is the collector that reads the final model
-//! and stops the background processes — the standby replicator and the
-//! page scrubbers — which otherwise loop in virtual time. When every rank
-//! crashes there is no collector: the last rank to file its report stops
-//! them instead, and the report carries no final weights. Each run sits
-//! behind a wall-clock watchdog so a regression fails here instead of
-//! hanging the suite.
+//! The last rank to file its report ends every run: it stops the
+//! background processes — the standby replicator and the page scrubbers —
+//! which otherwise loop in virtual time, and reads the final model unless
+//! every rank crashed for good, as here, so the report carries no final
+//! weights. Each run sits behind a wall-clock watchdog so a regression
+//! fails here instead of hanging the suite.
 
 mod watchdog;
 
@@ -46,7 +45,7 @@ fn all_crash(
 fn assert_every_rank_crashed(report: &TrainingReport) {
     assert_eq!(report.workers.len(), 2);
     assert!(report.workers.iter().all(|w| w.crashed), "{:?}", report.workers);
-    assert!(report.final_weights.is_none(), "no collector, so no final model");
+    assert!(report.final_weights.is_none(), "every rank is dead, so no final model");
 }
 
 #[test]

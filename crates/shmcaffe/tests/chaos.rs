@@ -44,8 +44,8 @@ fn crash_plan() -> FaultPlan {
     FaultPlan::new(9).crash_worker(CRASH_RANK, SimTime::from_millis(120))
 }
 
-/// Short lease so the ~300 ms that remain after the crash are enough for
-/// the collector to evict the dead worker's buffer.
+/// Short lease, so the last rank to file evicts the dead worker's buffer
+/// soon after the survivors finish.
 fn short_leases() -> SmbServerConfig {
     SmbServerConfig { lease_timeout: SimDuration::from_millis(100), ..Default::default() }
 }
@@ -76,7 +76,7 @@ fn shmcaffe_a_survives_worker_crash() {
         assert_eq!(w.iters, MAX_ITERS as u64, "rank {} shortchanged", w.rank);
     }
 
-    // The collector still recovers the final model.
+    // The last rank to file still reads the final model.
     assert!(faulted.final_weights.is_some());
 
     // Convergence is preserved: each survivor's final loss is within 10%
@@ -216,12 +216,12 @@ fn corrupted_runs_are_bit_identical_given_the_seed() {
     }
 }
 
-/// A DRAM decay late in the run, when rank 0 is the collector. On seed 9 at
-/// 3000 ms it poisons a page of `W_g`, and the collector's final plain
-/// read of `W_g` hits it. A plain op repairs a poisoned page once, so the
-/// run ends with the final weights instead of
-/// `WorkerFailed(.. Corrupted { key: ShmKey(1) ..})`, and the collector's
-/// ledger, taken after that read, books the detection and the repair.
+/// A DRAM decay late in the run. On seed 9 at 3000 ms it poisons a page of
+/// `W_g`, and the final plain read of `W_g` by the last rank to file hits
+/// it. A plain op repairs a poisoned page once, so the run ends with the
+/// final weights instead of `WorkerFailed(.. Corrupted { key: ShmKey(1)
+/// ..})`, and that rank's ledger, taken after the read, books the
+/// detection and the repair.
 #[test]
 fn late_dram_decay_on_w_g_is_repaired_by_the_final_read() {
     let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
@@ -252,9 +252,51 @@ fn late_dram_decay_on_w_g_is_repaired_by_the_final_read() {
     for w in &report.workers {
         assert_eq!(w.iters, 10, "rank {}", w.rank);
     }
-    // The repair happens in the collector's final read: its ledger counts.
+    // The repair happens in the last rank's final read: its ledger counts.
     assert!(report.total_corruptions_detected() >= 1, "the poisoned page is booked");
     assert!(report.total_corruptions_repaired() >= 1, "and so is its repair");
+}
+
+/// A DRAM decay at 2900 ms on the primary, whose scrubber poisons a page of
+/// the progress board; the repair installs the standby's copy, which lags
+/// by up to one replication pass, so the board rolls back to ranks still
+/// short of their budget. On these ten seeds the rolled-back board never
+/// shows every rank done again. The run still ends: the last rank to file
+/// its report ends it, whatever the board holds.
+#[test]
+fn a_rolled_back_board_does_not_hold_the_run_open() {
+    for seed in [1, 3, 10, 11, 12, 15, 20, 21, 23, 24] {
+        let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };
+        let plan =
+            FaultPlan::new(seed).decay_dram(NodeId(spec.gpu_nodes), SimTime::from_millis(2900));
+        let cfg = ShmCaffeConfig {
+            max_iters: 10,
+            progress_every: 2,
+            checkpoint_every: 2,
+            jitter: JitterModel::NONE,
+            seed,
+            ..Default::default()
+        };
+        let scrubbed = SmbServerConfig {
+            page_elems: 1024,
+            scrub_interval: SimDuration::from_millis(25),
+            ..Default::default()
+        };
+        let workload = WorkloadModel::from_cnn(CnnModel::InceptionV1);
+        let report = within_watchdog(move || {
+            ShmCaffeA::new(spec, N_WORKERS, cfg)
+                .with_server_config(scrubbed)
+                .with_standby(SimDuration::from_millis(20))
+                .with_fault_plan(plan)
+                .run(ModeledTrainerFactory::new(workload, JitterModel::NONE, seed))
+        })
+        .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        assert!(report.final_weights.is_some(), "seed {seed}");
+        assert!(report.workers.iter().all(|w| w.iters == 10), "seed {seed}: {:?}", report.workers);
+        // The rollback still happens: one page detected, one repaired.
+        let books = (report.total_corruptions_detected(), report.total_corruptions_repaired());
+        assert_eq!(books, (1, 1), "seed {seed}");
+    }
 }
 
 #[test]

@@ -105,7 +105,7 @@ fn fleet_survives_memory_server_crash_and_worker_rejoins() {
     assert!(faulted.total_faults() > 0, "someone must have hit the dead primary");
     assert!(faulted.total_retries() > 0, "failover recovers via the retry loop");
 
-    // The collector recovered the final model from the standby.
+    // The last rank to file read the final model from the standby.
     assert!(faulted.final_weights.is_some());
 
     // Convergence is preserved across the failover: final loss within 10%
@@ -205,12 +205,12 @@ impl TrainerFactory for Uneven {
     }
 }
 
-/// The standby's copy of the progress board follows every replication
-/// pass. Rank 1 has published its done flag by the time the primary
-/// crashes at 400 ms; the collector, rank 0, then polls the promoted
-/// standby's board until every rank reads done. Were the board's slot
-/// stores left unversioned, replication would ship the board once, and
-/// the standby would show rank 1 unfinished forever.
+/// A fail-over between two ranks of uneven speed: rank 1 has finished by
+/// the time the primary crashes at 400 ms, and rank 0 trains on against
+/// the promoted standby, files last and reads the final model from it.
+/// The run does not end on the progress board, so whether the standby's
+/// board follows every replication pass is checked in the `smb` crate, by
+/// `progress.rs::the_promoted_standby_holds_the_last_passs_board`.
 #[test]
 fn a_board_written_after_the_first_pass_survives_the_fail_over() {
     let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(2) };

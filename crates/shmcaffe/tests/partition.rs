@@ -131,7 +131,7 @@ fn split_brain_partition_fences_stale_primary_and_reconciles() {
     assert!(faulted.reconcile_discarded >= 1, "divergent segments must be discarded");
     assert!(faulted.reconcile_resynced >= 1, "discarded segments must be resynced");
 
-    // The collector recovered the final model from the promoted standby.
+    // The last rank to file read the final model from the promoted standby.
     assert!(faulted.final_weights.is_some());
 
     // Convergence is preserved: a bounded number of lost/stale increments

@@ -100,6 +100,16 @@ fn fingerprint(r: &TrainingReport) -> u64 {
     h.finish()
 }
 
+/// FNV-1a over the final model alone: pinned beside a fingerprint that
+/// moves with timing, it shows whether the model moved too.
+fn weights_fingerprint(r: &TrainingReport) -> u64 {
+    let mut h = Fnv::new();
+    for v in r.final_weights.as_deref().expect("the run reads W_g") {
+        h.write_u64(u64::from(v.to_bits()));
+    }
+    h.finish()
+}
+
 fn check(report: &TrainingReport, evals: usize, golden: u64) {
     assert_eq!(report.evals.len(), evals, "{}: the trajectory is covered", report.platform);
     let got = fingerprint(report);
@@ -143,11 +153,17 @@ fn shm_cfg() -> ShmCaffeConfig {
     ShmCaffeConfig { max_iters: 12, progress_every: 3, eval_every: 4, ..Default::default() }
 }
 
+/// Re-captured (from `0xc358_3895_07fb_81c7`) when the run stopped ending
+/// on a final MPI barrier after which rank 0 read `W_g`: the last rank to
+/// file reads it instead, so `wall` moved 126,653,573 → 126,649,569 ns.
+/// The final weights (pinned alone, captured before that change), every
+/// worker's numbers and the trajectory are unchanged.
 #[test]
 fn shmcaffe_a_four_workers_update_interval_two() {
     let cfg = ShmCaffeConfig { update_interval: 2, ..shm_cfg() };
-    let report = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 4, cfg).run(mlp_factory());
-    check(&report.unwrap(), 3, 0xc358_3895_07fb_81c7);
+    let report = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 4, cfg).run(mlp_factory()).unwrap();
+    assert_eq!(weights_fingerprint(&report), 0x4528_c1a7_ee3d_14eb);
+    check(&report, 3, 0x406a_d168_17ee_72b3);
 }
 
 /// Re-captured (from `0xe24b_f771_43aa_ede1`) when
@@ -172,6 +188,11 @@ fn shmcaffe_h_two_groups_of_two() {
 /// board's slot stores started bumping its version, so replication keeps
 /// the standby's board current: after the fail-over the collector reads
 /// the ranks' latest progress instead of the first pass's copy.
+/// Re-captured once more (from `0x1299_3079_6cca_c40b`) when the collector
+/// that polled the board every 10 ms went: the last rank to file reads
+/// `W_g`, so `wall` moved 416,346,030 → 413,635,820 ns. The final weights
+/// (pinned alone, captured before that change), every worker's numbers
+/// and the fault ledgers are unchanged.
 #[test]
 fn shmcaffe_a_standby_rejoin_and_primary_crash() {
     let spec = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(1) };
@@ -198,5 +219,6 @@ fn shmcaffe_a_standby_rejoin_and_primary_crash() {
         .unwrap();
     assert_eq!((report.crashed_workers(), report.rejoined_workers()), (1, 1));
     assert!(report.total_faults() > 0 && report.total_retries() > 0);
-    check(&report, 0, 0x1299_3079_6cca_c40b);
+    assert_eq!(weights_fingerprint(&report), 0xc651_6a3b_0878_d1c8);
+    check(&report, 0, 0x602b_20f2_ab41_d3a7);
 }

@@ -287,7 +287,7 @@ fn a_dropped_exchange_keeps_the_tiles_that_landed() {
     assert_eq!((pushes.partition_buffered, pushes.partition_dropped), (0, 0), "{pushes:?}");
 
     // S(0) = 1 (W_g) + 1 (W_x); rank 0 drifts by −1.5 per iteration.
-    let wg = report.final_weights.expect("the collector reads W_g");
+    let wg = report.final_weights.expect("the last rank to file reads W_g");
     let wx = &drifters.finals()[0];
     let expected = 2.0 - 1.5 * ITERS as f32;
     let kept = wg.iter().zip(wx).filter(|(g, x)| (*g + *x - expected).abs() < 1e-3).count();
@@ -329,7 +329,7 @@ fn failed_reads_degrade_and_the_books_close_before_the_final_read() {
             assert_eq!(report.workers[0].iters, ITERS as u64, "{at}");
 
             // S(0) = 1 (W_g) + 1 (W_x); rank 0 drifts by −1.5 per iteration.
-            let wg = report.final_weights.expect("the collector reads W_g");
+            let wg = report.final_weights.expect("the last rank to file reads W_g");
             let wx = &drifters.finals()[0];
             let expected = 2.0 - 1.5 * ITERS as f32;
             // At most the dropped elements are off: none when none dropped.
