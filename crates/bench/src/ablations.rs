@@ -22,7 +22,7 @@ use crate::experiments::{
 use crate::table::{ms, pct, Table};
 use shmcaffe::config::ShmCaffeConfig;
 use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, SsgdConfig};
-use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers};
+use shmcaffe::seasgd::{create_wg, join, seed_wg, ElasticExchanger};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe_models::{CnnModel, WorkloadModel};
 use shmcaffe_rdma::RdmaFabric;
@@ -30,7 +30,7 @@ use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
 use shmcaffe_simnet::{SimDuration, Simulation};
-use shmcaffe_smb::{ShmKey, SmbClient, SmbCluster};
+use shmcaffe_smb::{ShmKey, SmbClient, SmbServer, SmbServerConfig};
 
 const ITERS: usize = 100;
 
@@ -132,7 +132,11 @@ fn multi_smb_servers() -> Table {
     );
     let exchange_ms = |servers: usize| -> f64 {
         let spec = ClusterSpec { memory_servers: servers, ..ClusterSpec::paper_testbed(4) };
-        let cluster = SmbCluster::new(RdmaFabric::new(Fabric::new(spec))).expect("servers exist");
+        let rdma = RdmaFabric::new(Fabric::new(spec));
+        let smb_servers: Vec<SmbServer> = (0..servers)
+            .map(|k| SmbServer::with_config_at(rdma.clone(), SmbServerConfig::default(), k))
+            .collect::<Result<_, _>>()
+            .expect("servers exist");
         let trainers = factory(CnnModel::ResNet50, JitterModel::NONE);
         let cfg = ShmCaffeConfig { jitter: JitterModel::NONE, ..Default::default() };
         let rounds = 20usize;
@@ -141,38 +145,22 @@ fn multi_smb_servers() -> Table {
 
         let mut sim = Simulation::new();
         for rank in 0..16usize {
-            let cluster = cluster.clone();
+            let smb_servers = smb_servers.clone();
             let trainers = trainers.clone();
             let totals = std::sync::Arc::clone(&totals);
             let key_ch = key_ch.clone();
             sim.spawn(&format!("w{rank}"), move |ctx| {
                 let mut trainer = trainers.make(rank, 16);
                 let (param_len, wire) = (trainer.param_len(), trainer.wire_bytes());
-                let bounds = cluster.bounds(param_len);
-                let lane_wire =
-                    |k: usize| wire * (bounds[k + 1] - bounds[k]) as u64 / param_len as u64;
-                let clients: Vec<SmbClient> = cluster
-                    .servers()
-                    .iter()
-                    .map(|s| SmbClient::new(s.clone(), NodeId(rank / 4)))
-                    .collect();
-                // The Fig. 2 handshake, once per shard: rank 0 creates and
-                // seeds its slice of W_g, everyone else attaches by key.
+                let clients: Vec<SmbClient> =
+                    smb_servers.into_iter().map(|s| SmbClient::new(s, NodeId(rank / 4))).collect();
+                // The Fig. 2 handshake over every lane: rank 0 creates and
+                // seeds W_g, everyone else attaches by key.
                 let wg_keys = if rank == 0 {
                     let mut w0 = vec![0.0f32; param_len];
                     trainer.read_weights(&mut w0);
-                    let keys: Vec<ShmKey> = clients
-                        .iter()
-                        .enumerate()
-                        .map(|(k, c)| {
-                            let (lo, hi) = (bounds[k], bounds[k + 1]);
-                            let key =
-                                c.create(&ctx, "W_g", hi - lo, Some(lane_wire(k))).expect("fresh");
-                            let wg = c.alloc(&ctx, key).expect("created");
-                            c.write(&ctx, &wg, &w0[lo..hi]).expect("sizes match");
-                            key
-                        })
-                        .collect();
+                    let keys = create_wg(&ctx, &clients, "W_g", param_len, wire).expect("fresh");
+                    seed_wg(&ctx, &clients, &keys, &w0).expect("sizes match");
                     for _ in 1..16 {
                         key_ch.send(&ctx, keys.clone());
                     }
@@ -180,18 +168,8 @@ fn multi_smb_servers() -> Table {
                 } else {
                     key_ch.recv(&ctx)
                 };
-                let lanes = clients
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, c)| {
-                        let wg = c.alloc(&ctx, wg_keys[k]).expect("created");
-                        let dw_key = c
-                            .create(&ctx, &format!("dW_{rank}"), wg.len(), Some(lane_wire(k)))
-                            .expect("unique");
-                        let dw = c.alloc(&ctx, dw_key).expect("created");
-                        (c, SeasgdBuffers { wg, dw })
-                    })
-                    .collect();
+                let lanes = join(&ctx, &clients, &wg_keys, &format!("dW_{rank}"), None)
+                    .expect("created; unique names");
                 let mut ex =
                     ElasticExchanger::spawn_sharded(&ctx, lanes, wire, &cfg, &format!("w{rank}"));
                 let mut total = SimDuration::ZERO;

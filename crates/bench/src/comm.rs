@@ -18,7 +18,7 @@ use crate::anchor::{Anchor, Figure};
 use crate::experiments::Measurements;
 use crate::table::Table;
 use parking_lot::Mutex;
-use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers};
+use shmcaffe::seasgd::{create_wg, join, seed_wg, ElasticExchanger};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe::ShmCaffeConfig;
 use shmcaffe_models::{CnnModel, WorkloadModel};
@@ -26,7 +26,7 @@ use shmcaffe_rdma::RdmaFabric;
 use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
 use shmcaffe_simnet::Simulation;
-use shmcaffe_smb::{SmbClient, SmbCluster};
+use shmcaffe_smb::{SmbClient, SmbServer, SmbServerConfig};
 use std::sync::Arc;
 
 /// Exchanges discarded before measuring: the first fills the pipeline
@@ -47,12 +47,15 @@ const TARGET_RATIO: f64 = 0.30;
 type Run = [f64; 4];
 
 /// Runs one worker for `WARMUP + MEASURED` iterations against `shards`
-/// memory servers, the weights vector striped over them at
-/// `SmbCluster::bounds`.
+/// memory servers, the weights vector striped over them by
+/// `seasgd::stripe`.
 fn measure(workload: &WorkloadModel, shards: usize, pipelined: bool) -> Run {
     let spec = ClusterSpec { memory_servers: shards, ..ClusterSpec::paper_testbed(1) };
     let rdma = RdmaFabric::new(Fabric::new(spec));
-    let cluster = SmbCluster::new(rdma).expect("fresh fabric");
+    let servers: Vec<SmbServer> = (0..shards)
+        .map(|k| SmbServer::with_config_at(rdma.clone(), SmbServerConfig::default(), k))
+        .collect::<Result<_, _>>()
+        .expect("fresh fabric");
     let cfg = ShmCaffeConfig {
         pipelined_exchange: pipelined,
         jitter: JitterModel::NONE,
@@ -72,23 +75,11 @@ fn measure(workload: &WorkloadModel, shards: usize, pipelined: bool) -> Run {
             trainer.read_weights(&mut w0);
 
             // Per-shard clients and segments, in parameter order.
-            let bounds = cluster.bounds(param_len);
-            let mut parts = Vec::with_capacity(cluster.len());
-            for (k, server) in cluster.servers().iter().enumerate() {
-                let (lo, hi) = (bounds[k], bounds[k + 1]);
-                let lane_wire = wire * (hi - lo) as u64 / param_len as u64;
-                let client = SmbClient::new(server.clone(), NodeId(0));
-                let wg_key = client
-                    .create(&ctx, &format!("W_g.s{k}"), hi - lo, Some(lane_wire))
-                    .expect("unique names");
-                let wg = client.alloc(&ctx, wg_key).expect("just created");
-                client.write(&ctx, &wg, &w0[lo..hi]).expect("sizes match");
-                let dw_key = client
-                    .create(&ctx, &format!("dW.s{k}"), hi - lo, Some(lane_wire))
-                    .expect("unique names");
-                let dw = client.alloc(&ctx, dw_key).expect("just created");
-                parts.push((client, SeasgdBuffers { wg, dw }));
-            }
+            let lanes: Vec<SmbClient> =
+                servers.into_iter().map(|s| SmbClient::new(s, NodeId(0))).collect();
+            let keys = create_wg(&ctx, &lanes, "W_g", param_len, wire).expect("unique names");
+            seed_wg(&ctx, &lanes, &keys, &w0).expect("sizes match");
+            let parts = join(&ctx, &lanes, &keys, "dW", None).expect("unique names");
 
             let mut ex = ElasticExchanger::spawn_sharded(&ctx, parts, wire, &cfg, "bench");
             let mut sums = Run::default();

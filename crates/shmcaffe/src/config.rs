@@ -52,20 +52,12 @@ pub struct ShmCaffeConfig {
     /// write + range accumulate) immediately, overlapping with the
     /// remaining mixing and with compute. Off = the paper's monolithic
     /// read→mix→push exchange: one chunk, one SMB stream, `W_g` read after
-    /// the update. Both produce bit-identical weights (the chunk grid is
-    /// fixed and the mixing is elementwise).
+    /// the update. Both produce bit-identical weights: the chunk grid
+    /// ([`crate::seasgd::EXCHANGE_CHUNKS`] tiles of the vector, cut at the
+    /// lane bounds) depends on the parameter length, the lane count and
+    /// this flag alone, and the mixing is elementwise.
     pub pipelined_exchange: bool,
-    /// Chunk size of the pipelined exchange, in f32 elements. `0` = auto:
-    /// size the grid so [`DEFAULT_EXCHANGE_CHUNKS`] chunks cover the
-    /// model. The grid is derived only from `param_len` and this knob —
-    /// never from timing — so it is part of the deterministic contract.
-    pub exchange_chunk_elems: usize,
 }
-
-/// Number of chunks the auto grid (`exchange_chunk_elems == 0`) targets —
-/// in the paper's ~8–32 sweet spot: enough chunks to overlap read, mix and
-/// push, few enough that per-chunk control latency stays negligible.
-pub const DEFAULT_EXCHANGE_CHUNKS: usize = 16;
 
 impl Default for ShmCaffeConfig {
     fn default() -> Self {
@@ -81,7 +73,6 @@ impl Default for ShmCaffeConfig {
             checkpoint_every: 0,
             rejoin_delay: None,
             pipelined_exchange: true,
-            exchange_chunk_elems: 0,
         }
     }
 }
@@ -144,7 +135,6 @@ mod tests {
         assert_eq!(c.moving_rate, 0.2);
         assert_eq!(c.update_interval, 1);
         assert!(c.pipelined_exchange, "chunked pipeline is the default path");
-        assert_eq!(c.exchange_chunk_elems, 0, "auto chunk grid by default");
         assert!(c.validate().is_ok());
     }
 

@@ -181,8 +181,8 @@ pub fn run_group_member<T: Trainer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seasgd::PushStats;
-    use crate::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
+    use crate::seasgd::{create_wg, join, PushStats};
+    use crate::trainer::{ModeledTrainerFactory, TrainerFactory};
     use parking_lot::Mutex;
     use shmcaffe_collectives::IntraNodeGroup;
     use shmcaffe_models::{CnnModel, WorkloadModel};
@@ -191,7 +191,7 @@ mod tests {
     use shmcaffe_simnet::jitter::JitterModel;
     use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
     use shmcaffe_simnet::{SimDuration, Simulation};
-    use shmcaffe_smb::{ClientFaultStats, SmbServer};
+    use shmcaffe_smb::{ClientFaultStats, ShmKey, SmbServer};
     use std::sync::Arc;
 
     /// Runs `n_groups` x `group_size` hybrid workers; returns outcomes
@@ -226,8 +226,7 @@ mod tests {
         // process; workers wait on a readiness channel. (The platform layer
         // exercises the MPI key-broadcast variant instead.)
         let mut sim = Simulation::new();
-        let wg_key: Arc<Mutex<Option<(shmcaffe_smb::ShmKey, shmcaffe_smb::ShmKey)>>> =
-            Arc::new(Mutex::new(None));
+        let wg_key: Arc<Mutex<Option<(ShmKey, ShmKey)>>> = Arc::new(Mutex::new(None));
         let ready = shmcaffe_simnet::channel::SimChannel::<()>::new("setup_ready");
         {
             let server = server.clone();
@@ -236,9 +235,9 @@ mod tests {
             let wire = workload.wire_bytes;
             sim.spawn("setup", move |ctx| {
                 let client = SmbClient::new(server, NodeId(0));
-                let wg = client
-                    .create(&ctx, "W_g", WorkloadModel::DEFAULT_PARAM_ELEMS, Some(wire))
-                    .unwrap();
+                let lanes = std::slice::from_ref(&client);
+                let len = WorkloadModel::DEFAULT_PARAM_ELEMS;
+                let wg = create_wg(&ctx, lanes, "W_g", len, wire).unwrap()[0];
                 let (_board, bkey) =
                     ProgressBoard::create(&client, &ctx, "ctrl", n_groups).unwrap();
                 *wg_key.lock() = Some((wg, bkey));
@@ -257,21 +256,19 @@ mod tests {
                 let outcomes = Arc::clone(&outcomes);
                 let wg_key = Arc::clone(&wg_key);
                 let ready = ready.clone();
-                let wire = workload.wire_bytes;
                 sim.spawn(&format!("g{g}m{m}"), move |ctx| {
                     let global_rank = g * group_size + m;
                     let mut trainer = factory.make(global_rank, n_groups * group_size);
                     let root = if m == 0 {
                         ready.recv(&ctx);
                         let (wgk, bk) = wg_key.lock().expect("setup ran");
-                        let client = SmbClient::new(server, NodeId(g));
-                        let wg = client.alloc(&ctx, wgk).unwrap();
-                        let dw_key = client
-                            .create(&ctx, &format!("dW_grp{g}"), trainer.param_len(), Some(wire))
-                            .unwrap();
-                        let dw = client.alloc(&ctx, dw_key).unwrap();
+                        let lanes = [SmbClient::new(server, NodeId(g))];
+                        let (client, buffers) =
+                            join(&ctx, &lanes, &[wgk], &format!("dW_grp{g}"), None)
+                                .unwrap()
+                                .remove(0);
                         let board = ProgressBoard::attach(&client, &ctx, bk, n_groups).unwrap();
-                        Some(RootHarness { client, buffers: SeasgdBuffers { wg, dw }, board })
+                        Some(RootHarness { client, buffers, board })
                     } else {
                         None
                     };

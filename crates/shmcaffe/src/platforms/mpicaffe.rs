@@ -115,6 +115,7 @@ mod tests {
     use crate::trainer::ModeledTrainerFactory;
     use shmcaffe_models::{CnnModel, WorkloadModel};
     use shmcaffe_simnet::jitter::JitterModel;
+    use shmcaffe_simnet::topology::NodeId;
     use shmcaffe_simnet::SimTime;
 
     fn factory() -> ModeledTrainerFactory {
@@ -159,6 +160,18 @@ mod tests {
         assert!(matches!(
             platform.with_fault_plan(plan).run(factory()),
             Err(PlatformError::BadConfig(msg)) if msg.contains("rank 2")
+        ));
+    }
+
+    /// MPICaffe's fabric has no memory server, so no plan may crash one.
+    #[test]
+    fn a_plan_crashing_a_memory_server_is_a_bad_config() {
+        let plan = FaultPlan::new(1).crash_memory_server(NodeId(1), SimTime::from_millis(50));
+        let cfg = SsgdConfig { max_iters: 2, ..Default::default() };
+        let platform = MpiCaffe::new(ClusterSpec::paper_testbed(1), 2, cfg);
+        assert!(matches!(
+            platform.with_fault_plan(plan).run(factory()),
+            Err(PlatformError::BadConfig(msg)) if msg.contains("node1")
         ));
     }
 

@@ -14,7 +14,7 @@ use shmcaffe_smb::{ShmKey, SmbClient, SmbPair, SmbServer, SmbServerConfig};
 use crate::config::ShmCaffeConfig;
 use crate::report::TrainingReport;
 use crate::seasgd::{
-    run_worker, CheckpointPlan, SeasgdBuffers, SeasgdHarness, CHECKPOINT_META_LEN,
+    create_wg, join, run_worker, seed_wg, CheckpointPlan, SeasgdHarness, CHECKPOINT_META_LEN,
 };
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
@@ -179,11 +179,11 @@ impl ShmCaffeA {
 
                     // Fig. 2 handshake: master creates, broadcasts keys
                     // (ShmKey(0) = "no such segment" — real keys start at 1).
+                    let lanes = std::slice::from_ref(&client);
                     let (wg_key, board_key, ckpt_keys) = if rank == 0 {
-                        let wg_key = client
-                            .create(&ctx, "W_g", param_len, Some(wire))
+                        let wg_keys = create_wg(&ctx, lanes, "W_g", param_len, wire)
                             .expect("fresh server has no duplicate segments");
-                        let (board, board_key) =
+                        let (_board, board_key) =
                             ProgressBoard::create(&client, &ctx, "control_info", n_workers)
                                 .expect("fresh server has no duplicate segments");
                         // Checkpoint segments for the center variable. Unleased:
@@ -198,31 +198,29 @@ impl ShmCaffeA {
                             (w, meta)
                         });
                         // Seed the global weights with the master's parameters.
-                        let wg = client.alloc(&ctx, wg_key).expect("key just created");
-                        let w0 = weights_of(&mut trainer);
-                        client.write(&ctx, &wg, &w0).expect("sizes match");
-                        let _ = board;
+                        seed_wg(&ctx, lanes, &wg_keys, &weights_of(&mut trainer))
+                            .expect("sizes match");
                         let (ck_w, ck_m) = ckpt_keys.map_or((0, 0), |(w, m)| (w.0, m.0));
                         comm.broadcast(
                             &ctx,
                             0,
-                            Some(MpiData::U64s(vec![wg_key.0, board_key.0, ck_w, ck_m])),
+                            Some(MpiData::U64s(vec![wg_keys[0].0, board_key.0, ck_w, ck_m])),
                         );
-                        (wg_key, board_key, ckpt_keys)
+                        (wg_keys[0], board_key, ckpt_keys)
                     } else {
                         let keys = comm.broadcast(&ctx, 0, None).into_u64s();
                         let ckpt_keys = (keys[2] != 0).then(|| (ShmKey(keys[2]), ShmKey(keys[3])));
                         (ShmKey(keys[0]), ShmKey(keys[1]), ckpt_keys)
                     };
 
-                    let wg = client.alloc(&ctx, wg_key).expect("master created the segment");
                     // The private increment buffer is leased to this rank: if
                     // the rank crashes and stops heartbeating, the server's
                     // eviction reclaims it.
-                    let dw_key = client
-                        .create_owned(&ctx, &format!("dW_{rank}"), param_len, Some(wire), rank)
-                        .expect("per-rank names are unique");
-                    let dw = client.alloc(&ctx, dw_key).expect("key just created");
+                    let (_, buffers) =
+                        join(&ctx, lanes, &[wg_key], &format!("dW_{rank}"), Some(rank))
+                            .expect("master created W_g; per-rank names are unique")
+                            .remove(0);
+                    let wg = buffers.wg;
                     let board = ProgressBoard::attach(&client, &ctx, board_key, n_workers)
                         .expect("board sized for n_workers");
                     let checkpoint = ckpt_keys.map(|(w_key, m_key)| CheckpointPlan {
@@ -240,7 +238,7 @@ impl ShmCaffeA {
 
                     let harness = SeasgdHarness {
                         client: client.clone(),
-                        buffers: SeasgdBuffers { wg, dw },
+                        buffers,
                         board,
                         cfg,
                         rank,
@@ -322,6 +320,7 @@ mod tests {
     use crate::trainer::ModeledTrainerFactory;
     use shmcaffe_models::WorkloadModel;
     use shmcaffe_simnet::jitter::JitterModel;
+    use shmcaffe_simnet::topology::NodeId;
     use shmcaffe_simnet::{SimDuration, SimTime};
 
     fn quick_cfg(iters: usize) -> ShmCaffeConfig {
@@ -395,6 +394,27 @@ mod tests {
             platform.with_fault_plan(plan).run(quick_factory()),
             Err(PlatformError::BadConfig(msg)) if msg.contains("rank 5")
         ));
+    }
+
+    /// A plan must fault the fabric's own memory server: a crash on a GPU
+    /// node, or a decay or partition on a node the fabric does not have,
+    /// names the node in a `BadConfig` instead of faulting the wrong one.
+    #[test]
+    fn a_plan_naming_a_node_the_fabric_lacks_is_a_bad_config() {
+        let at = SimTime::from_millis(50);
+        let platform = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 2, quick_cfg(5));
+        let groups = vec![vec![NodeId(0)], vec![NodeId(99)]];
+        for (plan, node) in [
+            (FaultPlan::new(1).crash_memory_server(NodeId(0), at), "node0"),
+            (FaultPlan::new(1).decay_dram(NodeId(99), at), "node99"),
+            (FaultPlan::new(1).partition(groups, at, None), "node99"),
+        ] {
+            let err = platform.clone().with_fault_plan(plan).run(quick_factory()).unwrap_err();
+            assert!(
+                matches!(&err, PlatformError::BadConfig(msg) if msg.contains(node)),
+                "{node}: {err:?}"
+            );
+        }
     }
 
     /// A crash planned after the rank's last iteration never fires, so

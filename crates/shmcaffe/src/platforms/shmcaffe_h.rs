@@ -12,7 +12,7 @@ use shmcaffe_smb::{ShmKey, SmbClient, SmbServer};
 use crate::config::ShmCaffeConfig;
 use crate::hybrid::{run_group_member, HybridHarness, RootHarness};
 use crate::report::TrainingReport;
-use crate::seasgd::SeasgdBuffers;
+use crate::seasgd::{create_wg, join, seed_wg};
 use crate::trainer::{Trainer, TrainerFactory};
 use crate::PlatformError;
 
@@ -103,34 +103,32 @@ impl ShmCaffeH {
                             // segments and seeds the global weights (Fig. 4:
                             // the master-worker role is played by the root of
                             // Master Worker Group 1).
+                            let lanes = std::slice::from_ref(&client);
                             let (wg_key, board_key) = if g == 0 {
-                                let wg_key = client
-                                    .create(&ctx, "W_g", param_len, Some(wire))
+                                let wg_keys = create_wg(&ctx, lanes, "W_g", param_len, wire)
                                     .expect("fresh server");
                                 let (_board, board_key) =
                                     ProgressBoard::create(&client, &ctx, "control_info", groups)
                                         .expect("fresh server");
-                                let wg = client.alloc(&ctx, wg_key).expect("just created");
-                                let w0 = weights_of(&mut trainer);
-                                client.write(&ctx, &wg, &w0).expect("sizes match");
+                                seed_wg(&ctx, lanes, &wg_keys, &weights_of(&mut trainer))
+                                    .expect("sizes match");
                                 comm.broadcast(
                                     &ctx,
                                     0,
-                                    Some(MpiData::U64s(vec![wg_key.0, board_key.0])),
+                                    Some(MpiData::U64s(vec![wg_keys[0].0, board_key.0])),
                                 );
-                                (wg_key, board_key)
+                                (wg_keys[0], board_key)
                             } else {
                                 let keys = comm.broadcast(&ctx, 0, None).into_u64s();
                                 (ShmKey(keys[0]), ShmKey(keys[1]))
                             };
-                            let wg = client.alloc(&ctx, wg_key).expect("created by master root");
-                            let dw_key = client
-                                .create(&ctx, &format!("dW_grp{g}"), param_len, Some(wire))
-                                .expect("per-group names are unique");
-                            let dw = client.alloc(&ctx, dw_key).expect("just created");
+                            let (_, buffers) =
+                                join(&ctx, lanes, &[wg_key], &format!("dW_grp{g}"), None)
+                                    .expect("created by master root; per-group names are unique")
+                                    .remove(0);
                             let board = ProgressBoard::attach(&client, &ctx, board_key, groups)
                                 .expect("board sized for groups");
-                            RootHarness { client, buffers: SeasgdBuffers { wg, dw }, board }
+                            RootHarness { client, buffers, board }
                         });
 
                         let harness = HybridHarness {

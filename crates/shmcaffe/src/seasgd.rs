@@ -24,16 +24,21 @@
 //! 5. **T4** trains one minibatch and **T5** applies the local SGD update
 //!    (eq. 2), overlapping with the update thread's remaining pushes.
 //!
-//! The grid is derived only from `param_len` and the
-//! [`ShmCaffeConfig::exchange_chunk_elems`] knob — never from timing — and
-//! the mixing is elementwise, so the chunked stream produces **bit-identical
-//! weights** to the monolithic exchange (`pipelined_exchange: false`, which
-//! runs the same loop with a single whole-vector tile per shard — hence
-//! one reader, one stream: the paper's protocol).
-//! When the buffers stripe across several memory servers
+//! The grid is derived only from the parameter length, the lane count and
+//! `pipelined_exchange` ([`EXCHANGE_CHUNKS`] tiles, or one per lane) —
+//! never from timing — and the mixing is elementwise, so the chunked
+//! stream produces **bit-identical weights** to the monolithic exchange
+//! (`pipelined_exchange: false`, which runs the same loop with a single
+//! whole-vector tile per lane — hence one reader, one stream: the paper's
+//! protocol). When `W_g` stripes across several memory servers
 //! ([`ElasticExchanger::spawn_sharded`]), the grid is additionally cut at
-//! shard boundaries and every tile streams down its own shard's lane, so
-//! tiles on different servers transfer in parallel.
+//! the lane bounds and every tile streams down its own lane, so tiles on
+//! different servers transfer in parallel.
+//!
+//! `W_g`'s layout lives here: [`stripe`] is the one rule that cuts the
+//! vector into lanes, and [`create_wg`], [`seed_wg`] and [`join`] are the
+//! Fig. 2 bring-up over a participant's lanes, one step each, so every
+//! site that stands SEASGD up cuts `W_g` the same way.
 //!
 //! The `W_g` read depends on no gradient — only the mix does — so a caller
 //! with work to do between "gradients computed" and "weights updated" may
@@ -67,16 +72,16 @@
 //! asynchronous worker ([`run_worker`]) and the Hybrid-SGD group root
 //! ([`crate::hybrid`]) share one implementation.
 
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use shmcaffe_simnet::channel::SimChannel;
 use shmcaffe_simnet::{SimContext, SimDuration, SimTime};
 use shmcaffe_smb::progress::ProgressBoard;
-use shmcaffe_smb::{RetryPolicy, SmbBuffer, SmbClient, SmbError};
+use shmcaffe_smb::{RetryPolicy, ShmKey, SmbBuffer, SmbClient, SmbError};
 
-use crate::config::{ShmCaffeConfig, DEFAULT_EXCHANGE_CHUNKS};
+use crate::config::ShmCaffeConfig;
 use crate::platforms::fleet::StepLog;
 use crate::report::{RankOutcome, WorkerReport};
 use crate::trainer::Trainer;
@@ -99,10 +104,92 @@ pub struct SeasgdBuffers {
 /// of what the server ever delivers and a fifth buys little but a thread.
 pub const READ_STREAMS: usize = 4;
 
+/// Lane `k`'s stripe of a `len`-element vector that costs `wire` bytes on
+/// the wire, striped over `lanes` lanes: its elements
+/// `k·len/lanes .. (k+1)·len/lanes` (contiguous, near-equal, in parameter
+/// order) and its share of the wire bytes, `wire·(hi−lo)/len`. The one
+/// placement rule of `W_g`: the bring-up cuts the segments with it and the
+/// exchanger cuts its grid with it.
+pub fn stripe(len: usize, wire: u64, lanes: usize, k: usize) -> (Range<usize>, u64) {
+    let (lo, hi) = (k * len / lanes, (k + 1) * len / lanes);
+    let share = u128::from(wire) * (hi - lo) as u128 / len.max(1) as u128;
+    (lo..hi, share as u64)
+}
+
+/// Fig. 2's first step on every lane: creates lane `k`'s [`stripe`] of
+/// `W_g`, named `name`, on `lanes[k]`'s server. Returns the SHM keys in
+/// lane order, for the master to broadcast.
+///
+/// # Errors
+///
+/// Propagates the first failed create.
+pub fn create_wg(
+    ctx: &SimContext,
+    lanes: &[SmbClient],
+    name: &str,
+    len: usize,
+    wire: u64,
+) -> Result<Vec<ShmKey>, SmbError> {
+    let create = |(k, client): (usize, &SmbClient)| {
+        let (span, share) = stripe(len, wire, lanes.len(), k);
+        client.create(ctx, name, span.len(), Some(share))
+    };
+    lanes.iter().enumerate().map(create).collect()
+}
+
+/// Seeds `W_g` with the initial weights `w0`: on every lane, allocates the
+/// segment `keys[k]` and writes lane `k`'s [`stripe`] of `w0` into it.
+///
+/// # Errors
+///
+/// Propagates the first failed alloc or write.
+pub fn seed_wg(
+    ctx: &SimContext,
+    lanes: &[SmbClient],
+    keys: &[ShmKey],
+    w0: &[f32],
+) -> Result<(), SmbError> {
+    for (k, (client, &key)) in lanes.iter().zip(keys).enumerate() {
+        let (span, _) = stripe(w0.len(), 0, lanes.len(), k);
+        let wg = client.alloc(ctx, key)?;
+        client.write(ctx, &wg, &w0[span])?;
+    }
+    Ok(())
+}
+
+/// Fig. 2's last step on every lane: allocates `W_g` by its broadcast key,
+/// then creates and allocates this participant's private ΔW, named
+/// `dw_name`, as long and as wide on the wire as the lane's `W_g` —
+/// leased to rank `owner`, so the server evicts it when the rank stops
+/// heartbeating, or unleased. Returns the lanes, in parameter order, that
+/// [`ElasticExchanger::spawn_sharded`] takes.
+///
+/// # Errors
+///
+/// Propagates the first failed alloc or create.
+pub fn join(
+    ctx: &SimContext,
+    lanes: &[SmbClient],
+    keys: &[ShmKey],
+    dw_name: &str,
+    owner: Option<usize>,
+) -> Result<Vec<(SmbClient, SeasgdBuffers)>, SmbError> {
+    let join_lane = |(client, &key): (&SmbClient, &ShmKey)| {
+        let wg = client.alloc(ctx, key)?;
+        let dw_key = match owner {
+            Some(rank) => client.create_owned(ctx, dw_name, wg.len(), Some(wg.wire_bytes), rank)?,
+            None => client.create(ctx, dw_name, wg.len(), Some(wg.wire_bytes))?,
+        };
+        let dw = client.alloc(ctx, dw_key)?;
+        Ok((client.clone(), SeasgdBuffers { wg, dw }))
+    };
+    lanes.iter().zip(keys).map(join_lane).collect()
+}
+
 /// One tile of the fixed exchange chunk grid.
 #[derive(Debug, Clone, Copy)]
 struct GridChunk {
-    /// Index of the shard lane the tile lives on.
+    /// Index of the lane the tile lives on.
     lane: usize,
     /// Reader connection of the lane the tile's read rides: the tile's
     /// index within its lane modulo [`READ_STREAMS`].
@@ -115,34 +202,31 @@ struct GridChunk {
     len: usize,
 }
 
-/// Builds the deterministic chunk grid: cut the parameter vector at every
-/// multiple of the chunk size and additionally at every shard boundary.
-/// The grid depends only on lengths and the config knob — never on timing —
-/// which is what makes the chunked and monolithic paths bit-identical.
-fn exchange_grid(lane_lens: &[usize], cfg: &ShmCaffeConfig) -> Vec<GridChunk> {
-    let param_len: usize = lane_lens.iter().sum();
-    let chunk_elems = if !cfg.pipelined_exchange {
-        // Monolithic: one whole-vector tile (one per shard when striped).
-        param_len.max(1)
-    } else if cfg.exchange_chunk_elems > 0 {
-        cfg.exchange_chunk_elems
-    } else {
-        param_len.div_ceil(DEFAULT_EXCHANGE_CHUNKS).max(1)
-    };
+/// Tiles the pipelined exchange cuts the parameter vector into — in the
+/// paper's ~8–32 sweet spot: enough to overlap read, mix and push, few
+/// enough that per-tile control latency stays negligible.
+pub const EXCHANGE_CHUNKS: usize = 16;
+
+/// Builds the deterministic chunk grid of a `param_len`-element vector
+/// over `lanes` lanes: cut at every multiple of the tile size
+/// (`param_len / EXCHANGE_CHUNKS` rounded up when `pipelined`, the whole
+/// vector otherwise) and additionally at every lane bound of [`stripe`].
+/// The grid depends only on these three — never on timing — which is what
+/// makes the chunked and monolithic paths bit-identical.
+fn exchange_grid(param_len: usize, lanes: usize, pipelined: bool) -> Vec<GridChunk> {
+    let tile = if pipelined { param_len.div_ceil(EXCHANGE_CHUNKS) } else { param_len }.max(1);
     let mut grid = Vec::new();
-    let mut lane_start = 0usize;
-    for (lane, &lane_len) in lane_lens.iter().enumerate() {
-        let mut off = 0usize;
+    for lane in 0..lanes {
+        let (span, _) = stripe(param_len, 0, lanes, lane);
+        let mut global_off = span.start;
         let mut stream = 0usize;
-        while off < lane_len {
-            let global_off = lane_start + off;
-            let next_line = (global_off / chunk_elems + 1) * chunk_elems;
-            let len = (next_line - global_off).min(lane_len - off);
-            grid.push(GridChunk { lane, stream, local_off: off, global_off, len });
-            off += len;
+        while global_off < span.end {
+            let len = ((global_off / tile + 1) * tile).min(span.end) - global_off;
+            let local_off = global_off - span.start;
+            grid.push(GridChunk { lane, stream, local_off, global_off, len });
+            global_off += len;
             stream = (stream + 1) % READ_STREAMS;
         }
-        lane_start += lane_len;
     }
     grid
 }
@@ -411,13 +495,17 @@ impl ElasticExchanger {
         Self::spawn_sharded(ctx, vec![(client, buffers)], wire_bytes, cfg, label)
     }
 
-    /// Spawns a striped exchanger over several memory-server shards: the
-    /// chunk grid is additionally cut at shard boundaries and every tile's
-    /// read/push rides its own shard's lane (up to [`READ_STREAMS`] reader
-    /// processes and one update thread per shard), so tiles on different
+    /// Spawns a striped exchanger over several memory-server lanes: the
+    /// chunk grid is additionally cut at the lane bounds and every tile's
+    /// read/push rides its own lane (up to [`READ_STREAMS`] reader
+    /// processes and one update thread per lane), so tiles on different
     /// servers stream in parallel. `parts` are `(client, buffers)` pairs in
-    /// parameter order; the shard slice lengths come from the buffers
-    /// themselves.
+    /// parameter order, as [`join`] returns them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane's `W_g` is not the [`stripe`] of the whole vector
+    /// that its position gives it.
     pub fn spawn_sharded(
         ctx: &SimContext,
         parts: Vec<(SmbClient, SeasgdBuffers)>,
@@ -425,9 +513,12 @@ impl ElasticExchanger {
         cfg: &ShmCaffeConfig,
         label: &str,
     ) -> Self {
-        let lane_lens: Vec<usize> = parts.iter().map(|(_, b)| b.wg.len()).collect();
-        let param_len: usize = lane_lens.iter().sum();
-        let grid = exchange_grid(&lane_lens, cfg);
+        let param_len: usize = parts.iter().map(|(_, b)| b.wg.len()).sum();
+        for (k, (_, b)) in parts.iter().enumerate() {
+            let (span, _) = stripe(param_len, 0, parts.len(), k);
+            assert_eq!(b.wg.len(), span.len(), "lane {k} must hold its stripe of W_g");
+        }
+        let grid = exchange_grid(param_len, parts.len(), cfg.pipelined_exchange);
         // Per-worker retry seed, so identical runs retry identically;
         // deadlines are sized to outlast short fault windows.
         let retry_seed =
@@ -1224,6 +1315,7 @@ pub fn run_worker<T: Trainer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platforms::fleet::weights_of;
     use crate::termination::TerminationPolicy;
     use crate::trainer::{ModeledTrainer, ModeledTrainerFactory, TrainerFactory};
     use parking_lot::Mutex;
@@ -1237,58 +1329,88 @@ mod tests {
     use shmcaffe_smb::{ShmKey, SmbServer};
     use std::sync::Arc;
 
-    #[test]
-    fn grid_covers_every_element_exactly_once() {
-        for (lanes, cfg) in [
-            (vec![1_000_000], ShmCaffeConfig::default()),
-            (vec![1_000_000], ShmCaffeConfig { exchange_chunk_elems: 7, ..Default::default() }),
-            (
-                vec![999_999],
-                ShmCaffeConfig { exchange_chunk_elems: 1_000_000, ..Default::default() },
-            ),
-            (vec![1], ShmCaffeConfig::default()),
-            (
-                vec![300_000, 300_000, 400_001],
-                ShmCaffeConfig { exchange_chunk_elems: 123_457, ..Default::default() },
-            ),
-            (
-                vec![500_000, 500_000],
-                ShmCaffeConfig { pipelined_exchange: false, ..Default::default() },
-            ),
-        ] {
-            let grid = exchange_grid(&lanes, &cfg);
-            let total: usize = lanes.iter().sum();
-            let mut next = 0usize;
-            let mut lane_start = 0usize;
-            let mut lane = 0usize;
-            for c in &grid {
-                assert_eq!(c.global_off, next, "tiles are contiguous");
-                while c.global_off >= lane_start + lanes[lane] {
-                    lane_start += lanes[lane];
-                    lane += 1;
-                }
-                assert_eq!(c.lane, lane, "tile assigned to the lane holding it");
-                assert_eq!(c.local_off, c.global_off - lane_start);
-                assert!(
-                    c.local_off + c.len <= lanes[lane],
-                    "tile never straddles a shard boundary"
-                );
-                assert!(c.len > 0);
-                next += c.len;
+    /// The layout of `W_g` over `lanes` lanes as a pure function of the
+    /// length and the mode: the lanes are [`stripe`]'s, contiguous and
+    /// near-equal; every element lies in exactly one tile, in parameter
+    /// order; no tile crosses a lane bound; each lane's wire share is its
+    /// proportional part of the wire, rounded down; a lane's tiles ride its
+    /// reader connections round-robin; and a single lane is cut into at
+    /// most [`EXCHANGE_CHUNKS`] tiles when pipelined (exactly that many
+    /// when they divide the length) and one otherwise.
+    fn check_layout(len: usize, lanes: usize, pipelined: bool) {
+        let case = format!("len {len}, {lanes} lanes, pipelined {pipelined}");
+        let grid = exchange_grid(len, lanes, pipelined);
+        let wire = 4 * len as u64 + 1_234_567;
+        let (mut next, mut shares) = (0usize, 0u64);
+        for k in 0..lanes {
+            let (span, share) = stripe(len, wire, lanes, k);
+            assert_eq!(span.start, next, "{case}: lane {k} starts where the last one ended");
+            assert!(len / lanes <= span.len() && span.len() <= len.div_ceil(lanes), "{case}");
+            let proportional = u128::from(wire) * span.len() as u128;
+            let (share, of) = (u128::from(share), len.max(1) as u128);
+            assert!(share * of <= proportional && proportional < (share + 1) * of, "{case}");
+            shares += share as u64;
+            let tiles: Vec<&GridChunk> = grid.iter().filter(|c| c.lane == k).collect();
+            let mut off = span.start;
+            for (j, c) in tiles.iter().enumerate() {
+                assert_eq!((c.global_off, c.local_off), (off, off - span.start), "{case}");
+                assert!(c.len > 0 && off + c.len <= span.end, "{case}: tile crosses a lane bound");
+                assert_eq!(c.stream, j % READ_STREAMS, "{case}");
+                off += c.len;
             }
-            assert_eq!(next, total, "grid covers the whole vector");
+            assert_eq!(off, span.end, "{case}: lane {k}'s tiles cover its stripe");
+            if !pipelined {
+                assert_eq!(tiles.len(), usize::from(!span.is_empty()), "{case}: one tile a lane");
+            }
+            next = span.end;
+        }
+        assert_eq!(next, len, "{case}: the lanes cover the vector");
+        assert!(shares <= wire && (len == 0 || wire - shares < lanes as u64), "{case}");
+        let mut off = 0;
+        for c in &grid {
+            assert_eq!(c.global_off, off, "{case}: every element in exactly one tile, in order");
+            off += c.len;
+        }
+        assert_eq!(off, len, "{case}");
+        if lanes == 1 && pipelined {
+            assert!(grid.len() <= EXCHANGE_CHUNKS, "{case}: {} tiles", grid.len());
+            if len > 0 && len.is_multiple_of(EXCHANGE_CHUNKS) {
+                assert_eq!(grid.len(), EXCHANGE_CHUNKS, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_layout_holds_at_the_edge_lengths() {
+        // Empty, one element, fewer elements than lanes, primes, tile-size
+        // multiples and a paper-sized vector.
+        let lengths = [0, 1, 2, 3, 7, 16, 17, 31, 4096, 9_973, 1 << 20, 999_983, 1_000_000];
+        for len in lengths {
+            for lanes in 1..=4 {
+                for pipelined in [true, false] {
+                    check_layout(len, lanes, pipelined);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn any_length_lays_out_w_g_cleanly(
+            len in 0usize..1_000_001,
+            lanes in 1usize..5,
+            pipelined in 0u8..2,
+        ) {
+            check_layout(len, lanes, pipelined == 1);
         }
     }
 
     #[test]
     fn default_grid_targets_the_paper_chunk_count() {
-        let grid = exchange_grid(&[13_375_000], &ShmCaffeConfig::default());
-        assert_eq!(grid.len(), DEFAULT_EXCHANGE_CHUNKS);
-        let mono = exchange_grid(
-            &[13_375_000],
-            &ShmCaffeConfig { pipelined_exchange: false, ..Default::default() },
-        );
-        assert_eq!(mono.len(), 1);
+        assert_eq!(exchange_grid(13_375_000, 1, true).len(), EXCHANGE_CHUNKS);
+        assert_eq!(exchange_grid(13_375_000, 1, false).len(), 1);
     }
 
     /// Assembles the full master/slave handshake and runs `n` workers.
@@ -1316,10 +1438,10 @@ mod tests {
             sim.spawn(&format!("worker{rank}"), move |ctx| {
                 let mut trainer = factory.make(rank, n_workers);
                 let client = SmbClient::new(server, node);
+                let lanes = std::slice::from_ref(&client);
+                let (param_len, wire) = (trainer.param_len(), trainer.wire_bytes());
                 let (wg_key, board_key) = if rank == 0 {
-                    let wg_key = client
-                        .create(&ctx, "W_g", trainer.param_len(), Some(trainer.wire_bytes()))
-                        .unwrap();
+                    let wg_key = create_wg(&ctx, lanes, "W_g", param_len, wire).unwrap()[0];
                     let (_board, board_key) =
                         ProgressBoard::create(&client, &ctx, "ctrl", n_workers).unwrap();
                     comm.broadcast(&ctx, 0, Some(MpiData::U64s(vec![wg_key.0, board_key.0])));
@@ -1328,20 +1450,12 @@ mod tests {
                     let keys = comm.broadcast(&ctx, 0, None).into_u64s();
                     (ShmKey(keys[0]), ShmKey(keys[1]))
                 };
-                let wg = client.alloc(&ctx, wg_key).unwrap();
-                let dw_key = client
-                    .create(
-                        &ctx,
-                        &format!("dW_{rank}"),
-                        trainer.param_len(),
-                        Some(trainer.wire_bytes()),
-                    )
-                    .unwrap();
-                let dw = client.alloc(&ctx, dw_key).unwrap();
+                let (_, buffers) =
+                    join(&ctx, lanes, &[wg_key], &format!("dW_{rank}"), None).unwrap().remove(0);
                 let board = ProgressBoard::attach(&client, &ctx, board_key, n_workers).unwrap();
                 let harness = SeasgdHarness {
                     client,
-                    buffers: SeasgdBuffers { wg, dw },
+                    buffers,
                     board,
                     cfg,
                     rank,
@@ -1505,15 +1619,10 @@ mod tests {
             sim.spawn("solo", move |ctx| {
                 let mut trainer = factory.make(0, 1);
                 let (param_len, wire) = (trainer.param_len(), trainer.wire_bytes());
-                let client = SmbClient::new(server, NodeId(0));
-                let wg_key = client.create(&ctx, "W_g", param_len, Some(wire)).unwrap();
-                let wg = client.alloc(&ctx, wg_key).unwrap();
-                let mut w0 = vec![0.0f32; param_len];
-                trainer.read_weights(&mut w0);
-                client.write(&ctx, &wg, &w0).unwrap();
-                let dw_key = client.create(&ctx, "dW_0", param_len, Some(wire)).unwrap();
-                let dw = client.alloc(&ctx, dw_key).unwrap();
-                let buffers = SeasgdBuffers { wg, dw };
+                let lanes = [SmbClient::new(server, NodeId(0))];
+                let keys = create_wg(&ctx, &lanes, "W_g", param_len, wire).unwrap();
+                seed_wg(&ctx, &lanes, &keys, &weights_of(&mut trainer)).unwrap();
+                let (client, buffers) = join(&ctx, &lanes, &keys, "dW_0", None).unwrap().remove(0);
                 let mut ex =
                     ElasticExchanger::spawn(&ctx, client, buffers, param_len, wire, &cfg, "solo");
                 let r = body(&ctx, &mut ex, &mut trainer, &fabric);
@@ -1602,7 +1711,7 @@ mod tests {
 
     #[test]
     fn start_window_is_idempotent_and_off_where_the_protocol_reads_late() {
-        let n_tiles = DEFAULT_EXCHANGE_CHUNKS;
+        let n_tiles = EXCHANGE_CHUNKS;
         let cfg = quiet(ShmCaffeConfig::default());
         let ((first, second, bytes), _) =
             solo(cfg, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {

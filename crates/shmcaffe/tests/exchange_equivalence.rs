@@ -1,16 +1,17 @@
 //! Bit-identity of the pipelined chunked exchange (DESIGN.md §5g).
 //!
-//! The chunk grid is derived only from `param_len` and the
-//! `exchange_chunk_elems` knob — never from timing — and the elastic
+//! The chunk grid is derived only from the parameter length, the lane
+//! count and `pipelined_exchange` — never from timing — and the elastic
 //! mixing is elementwise, so *any* chunking of the exchange must produce
 //! exactly the same weights as the monolithic read→mix→push path: same
-//! bits, for every chunk size and every thread count — and for every way
-//! the striped read window can be filled: fewer tiles than reader
-//! connections, one tile, one element per tile, several lanes. These tests
-//! run a real single-worker SEASGD loop against live SMB servers and
-//! compare the final mixed weights `W_x` bit-for-bit — and, for one
-//! paper-sized input, against a pinned hash, so a change that moves the
-//! monolithic and the chunked exchange together is caught too.
+//! bits, for every parameter length and every thread count — and for
+//! every way the striped read window can be filled: fewer tiles than
+//! reader connections, one tile, one element per tile, a misaligned last
+//! tile, several lanes. These tests run a real single-worker SEASGD loop
+//! against live SMB servers and compare the final mixed weights `W_x`
+//! bit-for-bit — and, for one paper-sized input, against a pinned hash, so
+//! a change that moves the monolithic and the chunked exchange together is
+//! caught too.
 //!
 //! The thread count is the pool's configured one: every exchange runs in
 //! simulated processes, on the simulation's own thread, where a caller's
@@ -19,7 +20,10 @@
 //! runs the suite at `SHMCAFFE_THREADS=1` and `=4`.
 
 use proptest::prelude::*;
-use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers, READ_STREAMS};
+use shmcaffe::seasgd::{
+    create_wg, join, seed_wg, stripe, ElasticExchanger, SeasgdBuffers, EXCHANGE_CHUNKS,
+    READ_STREAMS,
+};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe::ShmCaffeConfig;
 use shmcaffe_models::{CnnModel, WorkloadModel};
@@ -28,7 +32,7 @@ use shmcaffe_simnet::fault::FaultPlan;
 use shmcaffe_simnet::jitter::JitterModel;
 use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
 use shmcaffe_simnet::{SimContext, SimDuration, SimTime, Simulation};
-use shmcaffe_smb::{RetryPolicy, SmbClient, SmbCluster, SmbPair, SmbServerConfig};
+use shmcaffe_smb::{RetryPolicy, SmbClient, SmbPair, SmbServer, SmbServerConfig};
 use shmcaffe_tensor::parallel;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -36,46 +40,40 @@ use std::sync::Mutex;
 const ITERS: usize = 3;
 const PARAM_LEN: usize = WorkloadModel::DEFAULT_PARAM_ELEMS;
 
-/// Runs a single worker for [`ITERS`] compute/exchange rounds and returns
-/// the final mixed weights. `chunk_elems = None` selects the monolithic
-/// exchange; `Some(n)` the pipelined one with an `n`-element grid.
-fn final_weights(chunk_elems: Option<usize>) -> Vec<f32> {
-    final_weights_sharded(1, chunk_elems)
+/// Runs a single worker with a `len`-element parameter vector for
+/// [`ITERS`] compute/exchange rounds and returns the final mixed weights:
+/// the monolithic exchange, or the pipelined one when `pipelined`.
+fn final_weights(len: usize, pipelined: bool) -> Vec<f32> {
+    final_weights_sharded(1, len, pipelined)
 }
 
-/// One exchanger lane per client, in parameter order: lane `k` holds
-/// `bounds[k]..bounds[k + 1]` of the vector in its own `W_g`/`ΔW` segments,
-/// `W_g` seeded from `w0`.
-fn seeded_lanes(
+/// `W_g` bring-up for one worker over `clients` as lanes, in parameter
+/// order: each lane holds its [`stripe`] of the vector in its own
+/// `W_g`/`ΔW` segments, `W_g` seeded from the trainer's weights.
+fn seeded_lanes<T: Trainer>(
     ctx: &SimContext,
-    clients: Vec<SmbClient>,
-    bounds: &[usize],
-    wire: u64,
-    w0: &[f32],
+    clients: &[SmbClient],
+    trainer: &mut T,
 ) -> Vec<(SmbClient, SeasgdBuffers)> {
-    let lane = |(k, client): (usize, SmbClient)| {
-        let (lo, hi) = (bounds[k], bounds[k + 1]);
-        let lane_wire = wire * (hi - lo) as u64 / w0.len() as u64;
-        let create = |name: &str| {
-            let key = client.create(ctx, name, hi - lo, Some(lane_wire));
-            client.alloc(ctx, key.expect("unique names")).expect("just created")
-        };
-        let (wg, dw) = (create("W_g"), create("dW_0"));
-        client.write(ctx, &wg, &w0[lo..hi]).expect("sizes match");
-        (client, SeasgdBuffers { wg, dw })
-    };
-    clients.into_iter().enumerate().map(lane).collect()
+    let mut w0 = vec![0.0f32; trainer.param_len()];
+    trainer.read_weights(&mut w0);
+    let keys = create_wg(ctx, clients, "W_g", w0.len(), trainer.wire_bytes()).expect("fresh");
+    seed_wg(ctx, clients, &keys, &w0).expect("sizes match");
+    join(ctx, clients, &keys, "dW_0", None).expect("unique names")
 }
 
 /// [`final_weights`] with the buffers striped over `shards` memory servers
-/// (one exchanger lane each, split at [`SmbCluster::bounds`]).
-fn final_weights_sharded(shards: usize, chunk_elems: Option<usize>) -> Vec<f32> {
-    let workload = WorkloadModel::custom("equiv", 4_000_000, SimDuration::from_millis(5));
+/// (one exchanger lane each).
+fn final_weights_sharded(shards: usize, len: usize, pipelined: bool) -> Vec<f32> {
+    let workload = WorkloadModel {
+        param_elems: len,
+        ..WorkloadModel::custom("equiv", 4_000_000, SimDuration::from_millis(5))
+    };
     run_worker(
         ModeledTrainerFactory::new(workload, JitterModel::NONE, 99),
         ITERS,
         shards,
-        chunk_elems,
+        pipelined,
     )
 }
 
@@ -85,13 +83,16 @@ fn run_worker(
     factory: ModeledTrainerFactory,
     iters: usize,
     shards: usize,
-    chunk_elems: Option<usize>,
+    pipelined: bool,
 ) -> Vec<f32> {
     let spec = ClusterSpec { memory_servers: shards, ..ClusterSpec::paper_testbed(1) };
-    let cluster = SmbCluster::new(RdmaFabric::new(Fabric::new(spec))).expect("fresh fabric");
+    let rdma = RdmaFabric::new(Fabric::new(spec));
+    let servers: Vec<SmbServer> = (0..shards)
+        .map(|k| SmbServer::with_config_at(rdma.clone(), SmbServerConfig::default(), k))
+        .collect::<Result<_, _>>()
+        .expect("one memory server per shard");
     let cfg = ShmCaffeConfig {
-        pipelined_exchange: chunk_elems.is_some(),
-        exchange_chunk_elems: chunk_elems.unwrap_or(0),
+        pipelined_exchange: pipelined,
         jitter: JitterModel::NONE,
         ..Default::default()
     };
@@ -102,13 +103,10 @@ fn run_worker(
         let out = Arc::clone(&out);
         sim.spawn("worker", move |ctx| {
             let mut trainer = factory.make(0, 1);
-            let param_len = trainer.param_len();
             let wire = trainer.wire_bytes();
-            let mut w0 = vec![0.0f32; param_len];
-            trainer.read_weights(&mut w0);
-            let clients =
-                cluster.servers().iter().map(|s| SmbClient::new(s.clone(), NodeId(0))).collect();
-            let parts = seeded_lanes(&ctx, clients, &cluster.bounds(param_len), wire, &w0);
+            let clients: Vec<SmbClient> =
+                servers.into_iter().map(|s| SmbClient::new(s, NodeId(0))).collect();
+            let parts = seeded_lanes(&ctx, &clients, &mut trainer);
 
             let mut ex = ElasticExchanger::spawn_sharded(&ctx, parts, wire, &cfg, "equiv");
             for _ in 0..iters {
@@ -123,7 +121,7 @@ fn run_worker(
     }
     sim.run();
     let weights = out.lock().expect("simulation finished").clone();
-    assert_eq!(weights.len(), PARAM_LEN, "worker must have produced weights");
+    assert!(!weights.is_empty(), "worker must have produced weights");
     weights
 }
 
@@ -142,7 +140,7 @@ fn assert_bit_identical(a: &[f32], b: &[f32], what: &str) {
 /// The oracle PRs used to quote from a CLI: six exchanges of the
 /// Inception_v1 workload (53.5 MB on the wire, 257 ms compute, factory seed
 /// 20180707) on one server end on these exact weights — monolithic and on
-/// the default chunk grid, at any thread count. The other tests compare the
+/// the pipelined grid, at any thread count. The other tests compare the
 /// modes with each other; this one pins them, so a change to the mixing
 /// arithmetic or the chunk grid that moves both alike still fails.
 #[test]
@@ -156,46 +154,56 @@ fn inception_exchange_ends_on_the_pinned_weights() {
             })
     };
     let workload = WorkloadModel::from_cnn(CnnModel::InceptionV1);
-    for chunk in [None, Some(0)] {
+    for pipelined in [false, true] {
         let factory = ModeledTrainerFactory::new(workload.clone(), JitterModel::NONE, 20180707);
-        let weights = run_worker(factory, 6, 1, chunk);
-        assert_eq!(fnv1a(&weights), 0x961c2cb69b5e3e0d, "chunk_elems={chunk:?}");
+        let weights = run_worker(factory, 6, 1, pipelined);
+        assert_eq!(weights.len(), PARAM_LEN);
+        assert_eq!(fnv1a(&weights), 0x961c2cb69b5e3e0d, "pipelined={pipelined}");
     }
 }
 
-/// The paper-shaped grids: one element per tile, an odd size that
-/// misaligns with every boundary, the whole vector in one tile, and a
-/// tile larger than the vector (degenerate monolithic); then the grids
-/// that leave reader connections idle — two and three tiles for
-/// [`READ_STREAMS`] connections — and one with a tile more than a full
-/// round of them. All must match the monolithic exchange bit-for-bit.
+/// The paper-shaped grids, picked by parameter length (a pipelined grid
+/// cuts [`EXCHANGE_CHUNKS`] tiles of `len / EXCHANGE_CHUNKS` rounded up):
+/// one tile, then two and three — fewer than the [`READ_STREAMS`] reader
+/// connections — and five, a tile more than a full round of them, all of
+/// one element; every tile one element; a misaligned last tile; and the
+/// default 16-tile grid. All must match the monolithic exchange
+/// bit-for-bit.
 #[test]
-fn boundary_chunk_sizes_match_monolithic_bitwise() {
-    let few = [PARAM_LEN.div_ceil(2), PARAM_LEN.div_ceil(READ_STREAMS - 1)];
-    let round_and_one = PARAM_LEN / (READ_STREAMS + 1);
-    let mono = final_weights(None);
-    for chunk in [1usize, 1023, PARAM_LEN, PARAM_LEN + 1000, few[0], few[1], round_and_one] {
-        let chunked = final_weights(Some(chunk));
-        assert_bit_identical(&mono, &chunked, &format!("chunk_elems={chunk}"));
+fn boundary_grids_match_monolithic_bitwise() {
+    let round_and_one = READ_STREAMS + 1;
+    for (len, tiles, last) in [
+        (1, 1, 1),
+        (2, 2, 1),
+        (3, 3, 1),
+        (round_and_one, round_and_one, 1),
+        (EXCHANGE_CHUNKS, EXCHANGE_CHUNKS, 1),
+        (1000, 16, 55),
+        (PARAM_LEN, 16, 256),
+    ] {
+        let tile = len.div_ceil(EXCHANGE_CHUNKS);
+        assert_eq!((len.div_ceil(tile), len - (tiles - 1) * tile), (tiles, last), "len {len}");
+        let mono = final_weights(len, false);
+        assert_eq!(mono.len(), len);
+        assert_bit_identical(&mono, &final_weights(len, true), &format!("len={len}"));
     }
 }
 
 /// Multi-lane grids (`spawn_sharded`): every lane runs its own striped
-/// window, the grid is additionally cut at the shard boundaries, and the
+/// window, the grid is additionally cut at the lane bounds, and the
 /// weights still match the single-server monolithic exchange bit-for-bit —
-/// monolithic per lane, one element per tile, fewer tiles per lane than
-/// connections, and the default grid.
+/// monolithic per lane and pipelined, with one-element tiles, a misaligned
+/// grid, and the default one.
 #[test]
 fn multi_lane_grids_match_monolithic_bitwise() {
-    let mono = final_weights(None);
-    for shards in [2usize, 3] {
-        for chunk in [None, Some(1), Some(PARAM_LEN / 5), Some(0)] {
-            let sharded = final_weights_sharded(shards, chunk);
-            assert_bit_identical(
-                &mono,
-                &sharded,
-                &format!("shards={shards} chunk_elems={chunk:?}"),
-            );
+    for len in [5, 1000, PARAM_LEN] {
+        let mono = final_weights(len, false);
+        for shards in [2usize, 3] {
+            for pipelined in [false, true] {
+                let sharded = final_weights_sharded(shards, len, pipelined);
+                let what = format!("len={len} shards={shards} pipelined={pipelined}");
+                assert_bit_identical(&mono, &sharded, &what);
+            }
         }
     }
 }
@@ -251,12 +259,9 @@ fn sharded_failover_run(compute_ms: u64, crash_at: Option<SimTime>) -> ShardedRu
             let mut trainer = factory.make(0, 1);
             let param_len = trainer.param_len();
             let wire = trainer.wire_bytes();
-            let mut w0 = vec![0.0f32; param_len];
-            trainer.read_weights(&mut w0);
-            let bounds: Vec<usize> = (0..=PAIRS).map(|k| k * param_len / PAIRS).collect();
-            let clients =
+            let clients: Vec<SmbClient> =
                 pairs.iter().map(|p| SmbClient::with_failover(p.clone(), NodeId(0))).collect();
-            let parts = seeded_lanes(&ctx, clients, &bounds, wire, &w0);
+            let parts = seeded_lanes(&ctx, &clients, &mut trainer);
 
             let mut ex = ElasticExchanger::spawn_sharded(&ctx, parts.clone(), wire, &cfg, "fo");
             for _ in 0..20 {
@@ -272,8 +277,9 @@ fn sharded_failover_run(compute_ms: u64, crash_at: Option<SimTime>) -> ShardedRu
             let retry = RetryPolicy::with_seed(1);
             let mut wg = vec![0.0f32; param_len];
             for (k, (client, bufs)) in parts.iter().enumerate() {
+                let (span, _) = stripe(param_len, wire, PAIRS, k);
                 client
-                    .read_retrying(&ctx, &bufs.wg, &mut wg[bounds[k]..bounds[k + 1]], &retry)
+                    .read_retrying(&ctx, &bufs.wg, &mut wg[span], &retry)
                     .expect("the shard's current primary serves the read");
             }
             for pair in &pairs {
@@ -357,15 +363,16 @@ fn a_process_ignores_the_callers_thread_override() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any chunk size at all — aligned, prime, pathological — over one,
-    /// two or three lanes yields the same bits as the monolithic exchange.
+    /// Any parameter length at all — aligned, prime, pathological — over
+    /// one, two or three lanes yields the same bits as the monolithic
+    /// exchange.
     #[test]
-    fn any_chunk_size_matches_monolithic_bitwise(
-        chunk in 1usize..PARAM_LEN + 65,
+    fn any_length_matches_monolithic_bitwise(
+        len in 3usize..PARAM_LEN + 65,
         shards in 1usize..4,
     ) {
-        let mono = final_weights(None);
-        let chunked = final_weights_sharded(shards, Some(chunk));
-        assert_bit_identical(&mono, &chunked, &format!("chunk_elems={chunk} shards={shards}"));
+        let mono = final_weights(len, false);
+        let chunked = final_weights_sharded(shards, len, true);
+        assert_bit_identical(&mono, &chunked, &format!("len={len} shards={shards}"));
     }
 }

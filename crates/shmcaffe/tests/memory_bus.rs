@@ -10,7 +10,7 @@
 //! already busy all the time; this test pins that ordering so the
 //! evidence stays attached to the code.
 
-use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers};
+use shmcaffe::seasgd::{create_wg, join, seed_wg, ElasticExchanger};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe::ShmCaffeConfig;
 use shmcaffe_models::{CnnModel, WorkloadModel};
@@ -35,7 +35,7 @@ fn vgg16_exchange_is_bound_by_the_memory_servers_dram_bus() {
         7,
     ));
     let cfg = ShmCaffeConfig { jitter: JitterModel::NONE, seed: 7, ..Default::default() };
-    let wg_keys = SimChannel::<ShmKey>::new("wg_key");
+    let wg_keys = SimChannel::<Vec<ShmKey>>::new("wg_key");
 
     let mut sim = Simulation::new();
     for rank in 0..WORKERS {
@@ -43,27 +43,21 @@ fn vgg16_exchange_is_bound_by_the_memory_servers_dram_bus() {
         sim.spawn(&format!("w{rank}"), move |ctx| {
             let mut trainer = factory.make(rank, WORKERS);
             let (param_len, wire) = (trainer.param_len(), trainer.wire_bytes());
-            let client = SmbClient::new(server, NodeId(0));
-            let wg_key = if rank == 0 {
-                let key = client.create(&ctx, "W_g", param_len, Some(wire)).expect("fresh server");
-                let wg = client.alloc(&ctx, key).expect("just created");
+            let lanes = [SmbClient::new(server, NodeId(0))];
+            let wg_keys = if rank == 0 {
+                let keys = create_wg(&ctx, &lanes, "W_g", param_len, wire).expect("fresh server");
                 let mut w0 = vec![0.0f32; param_len];
                 trainer.read_weights(&mut w0);
-                client.write(&ctx, &wg, &w0).expect("sizes match");
-                (1..WORKERS).for_each(|_| wg_keys.send(&ctx, key));
-                key
+                seed_wg(&ctx, &lanes, &keys, &w0).expect("sizes match");
+                (1..WORKERS).for_each(|_| wg_keys.send(&ctx, keys.clone()));
+                keys
             } else {
                 wg_keys.recv(&ctx)
             };
-            let wg = client.alloc(&ctx, wg_key).expect("master created it");
-            let dw_key = client
-                .create(&ctx, &format!("dW_{rank}"), param_len, Some(wire))
-                .expect("per-rank names are unique");
-            let dw = client.alloc(&ctx, dw_key).expect("just created");
-            let name = format!("w{rank}");
-            let buffers = SeasgdBuffers { wg, dw };
+            let parts = join(&ctx, &lanes, &wg_keys, &format!("dW_{rank}"), None)
+                .expect("master created W_g; per-rank names are unique");
             let mut ex =
-                ElasticExchanger::spawn(&ctx, client, buffers, param_len, wire, &cfg, &name);
+                ElasticExchanger::spawn_sharded(&ctx, parts, wire, &cfg, &format!("w{rank}"));
             for _ in 0..ITERS {
                 trainer.compute_gradients(&ctx);
                 trainer.apply_update(&ctx);

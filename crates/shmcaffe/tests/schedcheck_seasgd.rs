@@ -9,7 +9,7 @@
 //! interleaving. The budget is deliberately tiny: this is a smoke-depth
 //! model check of the real protocol stack, not a full certification.
 
-use shmcaffe::seasgd::{ElasticExchanger, SeasgdBuffers};
+use shmcaffe::seasgd::{create_wg, join, seed_wg, ElasticExchanger};
 use shmcaffe::trainer::{ModeledTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe::ShmCaffeConfig;
 use shmcaffe_models::WorkloadModel;
@@ -20,7 +20,8 @@ use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
 use shmcaffe_simnet::{ExploreBounds, SimDuration, Simulation};
 use shmcaffe_smb::{ShmKey, SmbClient, SmbServer};
 
-const PARAM_LEN: usize = 64;
+/// Two elements: the pipelined grid cuts them into two one-element tiles.
+const PARAM_LEN: usize = 2;
 const WORKERS: usize = 2;
 
 fn setup(sim: &mut Simulation) {
@@ -31,16 +32,11 @@ fn setup(sim: &mut Simulation) {
         ..WorkloadModel::custom("slice", 1_000, SimDuration::from_millis(1))
     };
     let factory = ModeledTrainerFactory::new(workload, JitterModel::NONE, 7);
-    let cfg = ShmCaffeConfig {
-        pipelined_exchange: true,
-        exchange_chunk_elems: PARAM_LEN / 2, // two tiles per exchange
-        jitter: JitterModel::NONE,
-        ..Default::default()
-    };
+    let cfg = ShmCaffeConfig { jitter: JitterModel::NONE, ..Default::default() };
 
     // Worker 0 creates W_g and hands the key to worker 1 over a channel —
     // the same creation→use happens-before edge production startup has.
-    let wg_handoff = SimChannel::<ShmKey>::new("wg_key");
+    let wg_handoff = SimChannel::<Vec<ShmKey>>::new("wg_key");
     // Each worker signals here once its `finish` has returned.
     let finished = SimChannel::<usize>::new("finished");
     for rank in 0..WORKERS {
@@ -52,31 +48,20 @@ fn setup(sim: &mut Simulation) {
             let mut trainer = factory.make(rank, WORKERS);
             let param_len = trainer.param_len();
             let wire = trainer.wire_bytes();
-            let client = SmbClient::new(server, NodeId(rank));
-            let wg_key = if rank == 0 {
-                let key = client.create(&ctx, "W_g", param_len, Some(wire)).unwrap();
-                let wg = client.alloc(&ctx, key).unwrap();
+            let lanes = [SmbClient::new(server, NodeId(rank))];
+            let wg_keys = if rank == 0 {
+                let keys = create_wg(&ctx, &lanes, "W_g", param_len, wire).unwrap();
                 let mut w0 = vec![0.0f32; param_len];
                 trainer.read_weights(&mut w0);
-                client.write(&ctx, &wg, &w0).unwrap();
-                handoff.send(&ctx, key);
-                key
+                seed_wg(&ctx, &lanes, &keys, &w0).unwrap();
+                handoff.send(&ctx, keys.clone());
+                keys
             } else {
                 handoff.recv(&ctx)
             };
-            let wg = client.alloc(&ctx, wg_key).unwrap();
-            let dw_key = client.create(&ctx, &format!("dW_{rank}"), param_len, Some(wire)).unwrap();
-            let dw = client.alloc(&ctx, dw_key).unwrap();
+            let parts = join(&ctx, &lanes, &wg_keys, &format!("dW_{rank}"), None).unwrap();
 
-            let mut ex = ElasticExchanger::spawn(
-                &ctx,
-                client,
-                SeasgdBuffers { wg, dw },
-                param_len,
-                wire,
-                &cfg,
-                "slice",
-            );
+            let mut ex = ElasticExchanger::spawn_sharded(&ctx, parts, wire, &cfg, "slice");
             let _loss = trainer.compute_gradients(&ctx);
             trainer.apply_update(&ctx);
             ex.exchange(&ctx, &mut trainer).expect("fault-free fabric");

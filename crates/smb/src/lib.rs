@@ -58,11 +58,9 @@ pub mod progress;
 mod replica;
 mod retry;
 mod server;
-pub mod sharded;
 
 pub use client::{ClientFaultStats, SmbBuffer, SmbClient};
 pub use error::SmbError;
 pub use replica::SmbPair;
 pub use retry::{RetryPolicy, BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_JITTER, MAX_BACKOFF};
 pub use server::{ShmKey, SmbServer, SmbServerConfig, TOMBSTONE_HORIZON};
-pub use sharded::SmbCluster;

@@ -263,7 +263,7 @@ impl SmbPair {
     }
 
     /// Segments the demoted primary (discarded, resynced) during
-    /// partition-heal reconciliation (see [`SmbPair::reconcile_demoted`]).
+    /// partition-heal reconciliation (see [`SmbPair::run_replicator`]).
     pub fn reconcile_counts(&self) -> (u64, u64) {
         (
             self.inner.reconcile_discarded.load(Ordering::Relaxed),
@@ -339,12 +339,11 @@ impl SmbPair {
     }
 
     /// Whether the still-serving primary's node has crashed according to
-    /// the fabric's fault plan. Clients consult this to route plain
-    /// (non-retrying) operations away from a dead primary proactively —
-    /// those paths transfer infallibly and must never target a crashed
-    /// endpoint. Always `false` once promoted (the primary no longer
-    /// serves) or when the fabric has no fault plan.
-    pub fn primary_crashed(&self, ctx: &SimContext) -> bool {
+    /// the fabric's fault plan: a dead primary makes promotion legal at
+    /// once, without waiting out its authority lease. Always `false` once
+    /// promoted (the primary no longer serves) or when the fabric has no
+    /// fault plan.
+    fn primary_crashed(&self, ctx: &SimContext) -> bool {
         !self.promoted() && crashed(ctx, &self.inner.primary)
     }
 
@@ -541,8 +540,9 @@ impl SmbPair {
     /// becomes legally promotable while the primary is still alive. If the
     /// standby is promoted out from under a live primary, the loop turns
     /// into the demoted primary's reconciliation watch: it waits for the
-    /// partition to heal and then runs one [`SmbPair::reconcile_demoted`]
-    /// pass. Spawn this as its own simulation process.
+    /// partition to heal and then runs one reconciliation pass: the
+    /// demoted primary discards what the promoted standby does not hold and
+    /// resyncs what it lacks. Spawn this as its own simulation process.
     pub fn run_replicator(&self, ctx: &SimContext, interval: SimDuration) {
         loop {
             ctx.sleep(interval);
@@ -617,7 +617,7 @@ impl SmbPair {
     ///
     /// Returns [`SmbError::Unavailable`] when the standby→primary path
     /// faults mid-pass; the counts recorded so far stand.
-    pub fn reconcile_demoted(&self, ctx: &SimContext) -> Result<(u64, u64), SmbError> {
+    fn reconcile_demoted(&self, ctx: &SimContext) -> Result<(u64, u64), SmbError> {
         let demoted = &self.inner.primary;
         let source = &self.inner.standby;
         let rdma = demoted.rdma();

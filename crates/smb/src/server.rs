@@ -1297,6 +1297,22 @@ mod tests {
         SmbServer::with_config(rdma, cfg).unwrap()
     }
 
+    /// A server stands on the memory-server endpoint it is given: the
+    /// `k`-th exists for `k` below the fabric's count, and a fabric without
+    /// one hosts no server.
+    #[test]
+    fn a_server_needs_its_memory_endpoint() {
+        let cfg = SmbServerConfig::default();
+        let two = ClusterSpec { memory_servers: 2, ..ClusterSpec::paper_testbed(1) };
+        let rdma = RdmaFabric::new(Fabric::new(two));
+        assert!(SmbServer::with_config_at(rdma.clone(), cfg, 1).is_ok());
+        let past = SmbServer::with_config_at(rdma, cfg, 2);
+        assert!(matches!(past, Err(SmbError::NoMemoryServer)));
+        let none = ClusterSpec { memory_servers: 0, ..ClusterSpec::paper_testbed(1) };
+        let lone = SmbServer::new(RdmaFabric::new(Fabric::new(none)));
+        assert!(matches!(lone, Err(SmbError::NoMemoryServer)));
+    }
+
     /// Seeded payload: a fixed LCG mapped to modest magnitudes of both
     /// signs, so accumulates stay finite.
     fn payload(seed: u32, n: usize) -> Vec<f32> {
