@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use shmcaffe_simnet::fault::FaultPlan;
-use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
+use shmcaffe_simnet::topology::{ClusterSpec, Fabric};
 use shmcaffe_simnet::{SimContext, Simulation};
 
 use crate::report::{EvalPoint, RankOutcome, TrainingReport, WorkerReport};
@@ -183,43 +183,25 @@ pub(crate) fn check_fit(
 }
 
 /// The fabric of a fleet of `workers` ranks, faulted by `plan` if there is
-/// one. A plan must be valid and name only what the fleet has: ranks it
-/// crashes below `workers`, memory servers it crashes or decays among
-/// `spec`'s memory-server endpoints, partitioned nodes among its
-/// endpoints. A fault that can never fire would only mislead whoever reads
-/// the plan, and one on the wrong node would fault that node instead.
+/// one. A plan must pass [`FaultPlan::validate`] on `spec`, which checks
+/// its nodes, and crash only ranks below `workers`: ranks belong to the
+/// fleet, not the fabric. A fault that can never fire would only mislead
+/// whoever reads the plan.
 ///
 /// # Errors
 ///
-/// Returns [`PlatformError::BadConfig`] naming the invalid field, the
-/// out-of-range rank or the node.
+/// Returns [`PlatformError::BadConfig`] naming the invalid entry or the
+/// out-of-range rank.
 pub(crate) fn fault_fabric(
     spec: ClusterSpec,
     workers: usize,
     plan: Option<&FaultPlan>,
 ) -> Result<Fabric, PlatformError> {
     let Some(plan) = plan else { return Ok(Fabric::new(spec)) };
-    plan.validate().map_err(PlatformError::BadConfig)?;
+    plan.validate(&spec).map_err(PlatformError::BadConfig)?;
     if let Some(rank) = plan.crashed_ranks().into_iter().find(|&r| r >= workers) {
         return Err(PlatformError::BadConfig(format!(
             "the fault plan crashes rank {rank} of a {workers}-worker fleet"
-        )));
-    }
-    let endpoints = spec.gpu_nodes + spec.memory_servers;
-    let crashes = plan.memory_server_crashes.iter().map(|c| (c.node, "crash"));
-    let decays = plan.dram_decays.iter().map(|d| (d.node, "DRAM decay"));
-    let not_a_server = |&(node, _): &(NodeId, _)| !(spec.gpu_nodes..endpoints).contains(&node.0);
-    if let Some((node, fault)) = crashes.chain(decays).find(not_a_server) {
-        return Err(PlatformError::BadConfig(format!(
-            "the fault plan schedules a memory-server {fault} on {node}, which is not one of the \
-             fabric's {} memory servers",
-            spec.memory_servers
-        )));
-    }
-    let partitioned = plan.partitions.iter().flat_map(|p| p.groups.iter().flatten());
-    if let Some(node) = partitioned.copied().find(|n| n.0 >= endpoints) {
-        return Err(PlatformError::BadConfig(format!(
-            "the fault plan partitions {node} off a fabric of {endpoints} endpoints"
         )));
     }
     Ok(Fabric::with_faults(spec, plan.clone()))

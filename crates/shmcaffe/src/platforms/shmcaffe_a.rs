@@ -69,8 +69,10 @@ impl ShmCaffeA {
     /// without a plan: the last rank to file its report waits out the
     /// leases of the ranks that crashed for good, reads the final model
     /// (unless every rank crashed) and stops the background loops. A plan
-    /// that crashes a rank the platform does not have is a configuration
-    /// error.
+    /// is a configuration error if it crashes a rank the platform does not
+    /// have, crashes a memory server with no standby configured, or
+    /// schedules DRAM decays or torn writes without the server's CRC page
+    /// grid ([`SmbServerConfig::page_elems`]) to detect them.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -114,6 +116,24 @@ impl ShmCaffeA {
         }
 
         let fabric = fault_fabric(self.spec, self.workers, self.fault_plan.as_ref())?;
+        if let Some(plan) = &self.fault_plan {
+            // With no standby a crashed memory server takes W_g with it,
+            // and the next transfer that touches it aborts the run.
+            if self.standby_replication.is_none() && !plan.memory_server_crashes.is_empty() {
+                return Err(PlatformError::BadConfig(
+                    "a memory-server crash needs a standby to fail over to".to_string(),
+                ));
+            }
+            // Without the CRC page grid nothing detects them: a decay
+            // never fires and a torn write lands silently.
+            let silent = plan.torn_write_prob > 0.0 || !plan.dram_decays.is_empty();
+            if silent && self.server_config.page_elems == 0 {
+                return Err(PlatformError::BadConfig(
+                    "DRAM decays and torn writes need the CRC page grid (page_elems > 0)"
+                        .to_string(),
+                ));
+            }
+        }
         let rdma = RdmaFabric::new(fabric.clone());
         let pair = match self.standby_replication {
             Some(_) => Some(SmbPair::new(rdma.clone(), self.server_config)?),
@@ -413,6 +433,37 @@ mod tests {
             assert!(
                 matches!(&err, PlatformError::BadConfig(msg) if msg.contains(node)),
                 "{node}: {err:?}"
+            );
+        }
+    }
+
+    /// A memory-server crash with no standby to fail over to is refused
+    /// before the run, not met by a transfer to the dead server.
+    #[test]
+    fn a_memory_server_crash_without_a_standby_is_a_bad_config() {
+        let plan = FaultPlan::new(1).crash_memory_server(NodeId(1), SimTime::from_millis(50));
+        let platform = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 2, quick_cfg(20));
+        let err = platform.with_fault_plan(plan).run(quick_factory()).unwrap_err();
+        assert!(
+            matches!(&err, PlatformError::BadConfig(msg) if msg.contains("standby")),
+            "{err:?}"
+        );
+    }
+
+    /// Without the CRC page grid a DRAM decay never fires and a torn write
+    /// lands unseen, so a plan scheduling either is refused.
+    #[test]
+    fn corruption_the_server_cannot_detect_is_a_bad_config() {
+        let decays = [30, 60, 90, 120].into_iter().fold(FaultPlan::new(1), |plan, ms| {
+            plan.decay_dram(NodeId(1), SimTime::from_millis(ms))
+        });
+        let torn = FaultPlan::new(1).with_torn_write_prob(0.3);
+        let platform = ShmCaffeA::new(ClusterSpec::paper_testbed(1), 2, quick_cfg(20));
+        for plan in [decays, torn] {
+            let err = platform.clone().with_fault_plan(plan).run(quick_factory()).unwrap_err();
+            assert!(
+                matches!(&err, PlatformError::BadConfig(msg) if msg.contains("page grid")),
+                "{err:?}"
             );
         }
     }

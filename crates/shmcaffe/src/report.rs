@@ -58,9 +58,9 @@ pub struct WorkerReport {
     /// end-to-end corruptions.
     pub smb: ClientFaultStats,
     /// What the exchanger's update threads did with this worker's weight
-    /// increments (dropped, buffered while partitioned, dropped past
-    /// [`crate::seasgd::PARTITION_STALENESS_CAP`], replayed),
-    /// summed over the incarnations of a rejoined worker.
+    /// increments (dropped, owed while partitioned, still owed at the
+    /// finish and so dropped, replayed), summed over the incarnations of a
+    /// rejoined worker.
     pub pushes: PushStats,
     /// Per-exchange time spent waiting for the previous exchange's ΔW
     /// pushes to drain (T.A5 gate), ms. Under the pipelined exchange this
@@ -244,7 +244,8 @@ impl TrainingReport {
         self.workers.iter().map(|w| w.pushes.partition_buffered).sum()
     }
 
-    /// Total increments dropped past the partition staleness cap.
+    /// Total increments owed while partitioned and still unreplayed when
+    /// their exchanger finished, so dropped, across the fleet.
     pub fn total_partition_dropped(&self) -> u64 {
         self.workers.iter().map(|w| w.pushes.partition_dropped).sum()
     }

@@ -49,24 +49,26 @@
 //! conserves `W_g + ΣW_x` whatever `W_g` value it mixed against and
 //! folding is elementwise:
 //!
-//! - **Read.** A `W_g` tile read that fails — a partition, a corruption,
-//!   a spent retry budget — degrades its lane like a stale one: the tiles
-//!   mix against the last-known `W_g`, and the lane reads again at the
-//!   next exchange. A failed read never ends the worker.
+//! - **Read.** Every tile is read every exchange. A `W_g` tile read that
+//!   fails — a partition, a corruption, a spent retry budget — leaves that
+//!   tile stale: it mixes against its last-known `W_g`, and the tiles after
+//!   it read on. The reader probes for a partition before each read and
+//!   answers a cut-off read stale without touching the wire. A failed read
+//!   never ends the worker.
 //! - **Push.** A tile that landed in `W_g` is a valid increment on its
 //!   own and stays there when a later push of its exchange fails. The
 //!   first failed push decides what becomes of the exchange's other tiles:
-//!   cut off by a partition, the lane owes them to `W_g` in one lane-sized
-//!   sum that it pushes once after the heal (for at most
-//!   [`PARTITION_STALENESS_CAP`] exchanges; past that they are dropped);
-//!   on any other failure they are dropped. Across a memory-server
-//!   fail-over the lane re-pushes, in fold order, every fold the promoted
-//!   standby's copy of `W_g` does not hold yet.
+//!   if the client sees a partition, the lane owes them to `W_g` in one
+//!   lane-sized sum that it pushes once after the first exchange whose
+//!   pushes all land; on any other failure they are dropped. Across a
+//!   memory-server fail-over the lane re-pushes, in fold order, every fold
+//!   the promoted standby's copy of `W_g` does not hold yet.
 //!
 //! [`ElasticExchanger::finish`] settles before it returns the books
-//! ([`PushStats`]): every push handed over has landed or been booked, and
-//! a fail-over redo still due has run, so a `W_g` read after it sees every
-//! fold the books do not count as dropped.
+//! ([`PushStats`]): every push handed over has landed or been booked, a
+//! fail-over redo still due has run, and what is still owed is dropped and
+//! booked, so a `W_g` read after it sees every fold the books do not count
+//! as dropped.
 //!
 //! [`ElasticExchanger`] packages steps 1–4 so that both the pure
 //! asynchronous worker ([`run_worker`]) and the Hybrid-SGD group root
@@ -245,8 +247,8 @@ enum ReadReply {
     /// The tile was read; `buf` holds fresh `W_g` data.
     Fresh { chunk: usize, buf: Vec<f32> },
     /// The read failed — a partition, a corruption or a spent retry
-    /// budget: keep the stale local `W_g` tile (degraded mode — same
-    /// contract as the monolithic read). Poisoned bytes never reach ΔW.
+    /// budget: the tile keeps its last-known `W_g`. Poisoned bytes never
+    /// reach ΔW.
     Stale { chunk: usize, buf: Vec<f32> },
 }
 
@@ -278,13 +280,6 @@ struct UpdateDone {
 /// hundreds of milliseconds, so only a genuinely wedged thread trips this.
 const EXCHANGE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 
-/// Degraded-mode staleness cap: for how many exchanges an update thread
-/// cut off from the memory server by a network partition owes the tiles
-/// that did not land, to replay after the heal. Beyond it they are dropped
-/// with accounting (elastic averaging re-derives the lost force from the
-/// next `W_x − W_g` difference).
-pub const PARTITION_STALENESS_CAP: usize = 16;
-
 /// Throughput of the worker-local weight-mixing pass (T2/T5 memory traffic
 /// over W_x, W_g, ΔW), in bytes/s: GDDR5X copy throughput.
 const LOCAL_MIX_BPS: f64 = 25.0e9;
@@ -293,9 +288,9 @@ const LOCAL_MIX_BPS: f64 = 25.0e9;
 /// pushes failed, counted once per exchange and lane (the tiles that
 /// landed before the failure stay in `W_g` in every case): the rest
 /// dropped, or — while a network partition cut the worker off from the
-/// memory server (paper-style minority-side behaviour) — owed, dropped
-/// past [`PARTITION_STALENESS_CAP`], and replayed after the heal. The
-/// books close when [`ElasticExchanger::finish`] returns them. Failed
+/// memory server (paper-style minority-side behaviour) — owed and replayed
+/// after the heal. The books close when [`ElasticExchanger::finish`]
+/// returns them, dropping what is still owed. Failed
 /// `W_g` reads are not booked here: they move no mass, and the client's
 /// fault counters count their attempts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -304,11 +299,10 @@ pub struct PushStats {
     /// failing without a partition.
     pub dropped_updates: u64,
     /// Exchanges whose unlanded tiles were owed for replay after the
-    /// partition heals (at most [`PARTITION_STALENESS_CAP`] at once per
-    /// lane).
+    /// partition heals.
     pub partition_buffered: u64,
-    /// Exchanges whose unlanded tiles were dropped because the cap was
-    /// reached or were still owed when the exchanger finished.
+    /// Owed exchanges still unreplayed when [`ElasticExchanger::finish`]
+    /// closed the books, and so dropped.
     pub partition_dropped: u64,
     /// Owed exchanges replayed into `W_g`.
     pub reconciled_updates: u64,
@@ -363,12 +357,10 @@ struct Reader {
     redo_reply: SimChannel<bool>,
 }
 
-/// One shard lane: the client, channels, and grid bookkeeping for a
-/// single memory server's slice of the parameter vector.
+/// One shard lane: the channels and grid bookkeeping for a single memory
+/// server's slice of the parameter vector. Its SMB traffic goes through
+/// the lane's reader and update threads.
 struct Lane {
-    /// Client handle kept for zero-cost partition probes; all actual SMB
-    /// traffic goes through the lane's reader and update threads.
-    client: SmbClient,
     /// The lane's reader connections, indexed by [`GridChunk::stream`]
     /// (`min(READ_STREAMS, n_chunks)` of them: a one-tile lane has one).
     readers: Vec<Reader>,
@@ -379,16 +371,14 @@ struct Lane {
 }
 
 /// The process behind one reader connection: T1, one tile at a time. The
-/// zero-cost partition probe runs *before* each read: with a whole window
-/// of reads queued behind the one a partition swallows, each would
-/// otherwise burn its own retry budget before the main thread saw the
-/// first `Stale` and stopped issuing. A read that began before the lane's
+/// zero-cost partition probe runs *before* each read, so a read the
+/// partition cuts off answers `Stale` without touching the wire instead of
+/// burning its own retry budget. A read that began before the lane's
 /// update thread ran its fail-over redo (`redone`) and ended with the pair
 /// promoted may miss folds that died with the old primary: the reader asks
 /// the update thread to redo them and, if it re-pushed any, reads again.
-/// Every read error answers `Stale`: the tile mixes against the last-known
-/// `W_g`, which conserves mass as well as a fresh one, and the lane
-/// re-probes at the next exchange.
+/// Every read error answers `Stale`: the tile mixes against its last-known
+/// `W_g`, which conserves mass as well as a fresh one.
 fn serve_reads(
     rctx: &SimContext,
     client: &SmbClient,
@@ -442,17 +432,6 @@ pub struct ElasticExchanger {
     /// Recycled ΔW tile buffers, ping-ponged through the done channel so
     /// steady-state exchanges are allocation-free.
     dw_pool: Vec<Vec<f32>>,
-    /// Per-lane: a partition swallowed a tile read — stop issuing reads on
-    /// the lane and keep the whole stale `W_g` slice (same degraded
-    /// contract as the monolithic read, and it keeps a partitioned
-    /// exchange from burning one retry budget per tile). Sticky across
-    /// exchanges: a stale lane is re-probed (zero cost) at the next
-    /// exchange and resumes reading once the partition heals, instead of
-    /// re-paying the full read-retry budget every iteration of an outage.
-    lane_stale: Vec<bool>,
-    /// Per-tile: a read was issued this exchange (the window runs ahead of
-    /// the mixer, so a lane can go stale with reads still in flight).
-    read_issued: Vec<bool>,
     /// Per-lane: T.A5 gates still to consume from the previous exchange.
     gate_left: Vec<usize>,
     wg: Vec<f32>,
@@ -568,7 +547,7 @@ impl ElasticExchanger {
             {
                 let mut pusher = Pusher {
                     log,
-                    client: client.clone(),
+                    client,
                     bufs: buffers,
                     retry: retry.clone(),
                     stats: PushStats::default(),
@@ -584,10 +563,9 @@ impl ElasticExchanger {
                     update_thread(&uctx, &mut pusher, &tiles, &upd_req, &upd_done);
                 });
             }
-            lanes.push(Lane { client, readers, upd_req, upd_done, n_chunks });
+            lanes.push(Lane { readers, upd_req, upd_done, n_chunks });
         }
         let n_lanes = lanes.len();
-        let n_tiles = grid.len();
         ElasticExchanger {
             lanes,
             grid,
@@ -600,8 +578,6 @@ impl ElasticExchanger {
             next_read: 0,
             read_pool: Vec::new(),
             dw_pool: Vec::new(),
-            lane_stale: vec![false; n_lanes],
-            read_issued: vec![false; n_tiles],
             gate_left: vec![0; n_lanes],
             wg: vec![0.0; param_len],
             wx: vec![0.0; param_len],
@@ -641,20 +617,14 @@ impl ElasticExchanger {
         }
     }
 
-    /// Issues the stream-read for tile `k` to its reader connection,
-    /// unless the lane went stale.
+    /// Issues the stream-read for tile `k` to its reader connection.
     fn issue_read(&mut self, ctx: &SimContext, k: usize) {
         let c = self.grid[k];
-        if self.lane_stale[c.lane] {
-            self.read_issued[k] = false;
-            return;
-        }
         let mut buf = self.read_pool.pop().unwrap_or_default();
         buf.resize(c.len, 0.0);
         self.lanes[c.lane].readers[c.stream]
             .req
             .send(ctx, ReadRequest::Read { chunk: k, local_off: c.local_off, buf });
-        self.read_issued[k] = true;
     }
 
     /// Advances the read window in grid order — the gate rule: the gate
@@ -680,8 +650,8 @@ impl ElasticExchanger {
     }
 
     /// Receives tile `k`'s read reply and installs it into the local `W_g`
-    /// copy (a stale tile keeps the last-known data and marks its lane).
-    /// Returns the time blocked.
+    /// copy (a stale tile keeps its last-known data). Returns the time
+    /// blocked.
     fn recv_read(&mut self, ctx: &SimContext, k: usize) -> Result<SimDuration, PlatformError> {
         let c = self.grid[k];
         let t0 = ctx.now();
@@ -701,30 +671,19 @@ impl ElasticExchanger {
         }
         if fresh {
             self.wg[c.global_off..c.global_off + c.len].copy_from_slice(&buf[..c.len]);
-        } else {
-            self.lane_stale[c.lane] = true;
         }
         self.read_pool.push(buf);
         Ok(blocked)
     }
 
     /// Start-of-exchange bookkeeping, once per exchange however it is
-    /// reached: re-probe stale lanes and arm the T.A5 gates of the previous
-    /// exchange's pushes.
-    fn open_window(&mut self, ctx: &SimContext) {
+    /// reached: arm the T.A5 gates of the previous exchange's pushes.
+    fn open_window(&mut self) {
         if self.window_open {
             return;
         }
         self.window_open = true;
         self.next_read = 0;
-        for (s, lane) in self.lane_stale.iter_mut().zip(&self.lanes) {
-            // Sticky staleness: while the probe still sees the partition,
-            // skip the lane's reads outright (mix against the stale W_g);
-            // once it heals, resume the read stream.
-            if *s && !lane.client.partitioned_from_server(ctx) {
-                *s = false;
-            }
-        }
         // Per-tile lazy gating: tile k's gate is consumed right before its
         // read is issued, so this exchange's stream overlaps the previous
         // exchange's tail instead of barriering on it.
@@ -752,7 +711,7 @@ impl ElasticExchanger {
         if self.window_open || !self.early_start {
             return Ok(());
         }
-        self.open_window(ctx);
+        self.open_window();
         self.advance_window(ctx, None)
     }
 
@@ -767,7 +726,8 @@ impl ElasticExchanger {
     ///
     /// Reports an update thread or reader that stopped answering, or a
     /// protocol slip on their channels. SMB failures are settled, not
-    /// returned: a failed read degrades its lane, a failed push is booked.
+    /// returned: a failed read leaves its tile stale, a failed push is
+    /// booked.
     pub fn exchange<T: Trainer + ?Sized>(
         &mut self,
         ctx: &SimContext,
@@ -776,7 +736,7 @@ impl ElasticExchanger {
         let start = ctx.now();
         let mut read = SimDuration::ZERO;
         let mut mix = SimDuration::ZERO;
-        self.open_window(ctx);
+        self.open_window();
         // Issuing reads takes no virtual time: whatever the window costs
         // the worker is time blocked on a T.A5 gate.
         let mut wait = SimDuration::ZERO;
@@ -786,9 +746,7 @@ impl ElasticExchanger {
             let t0 = ctx.now();
             self.advance_window(ctx, Some(k))?;
             wait += ctx.now() - t0;
-            if self.read_issued[k] {
-                read += self.recv_read(ctx, k)?;
-            }
+            read += self.recv_read(ctx, k)?;
             let c = self.grid[k];
             let r = c.global_off..c.global_off + c.len;
             let mut dbuf = self.dw_pool.pop().unwrap_or_default();
@@ -849,7 +807,7 @@ impl ElasticExchanger {
     /// update thread that does not answer within `EXCHANGE_TIMEOUT` is
     /// left out of the books.
     pub fn finish(mut self, ctx: &SimContext) -> PushStats {
-        self.open_window(ctx);
+        self.open_window();
         for k in self.next_read..self.grid.len() {
             if self.gate(ctx, k, true).is_err() {
                 break;
@@ -885,12 +843,12 @@ struct Fold {
 /// The settling rule: eqs. 5–7 fold ΔW element by element, so every tile
 /// that landed is a valid increment on its own and stays in `W_g`. The
 /// first failed push of an exchange ([`Pusher::fail`]) decides what
-/// becomes of the tiles that did not land: cut off by a partition, they
-/// are owed — added to one lane-sized sum ([`Pusher::settle`]) that
-/// [`Pusher::replay`] pushes once after the heal — while fewer than
-/// [`PARTITION_STALENESS_CAP`] exchanges are owed; past the cap, or after
-/// any other failure, they are dropped with accounting. What is still
-/// owed when the lane shuts down is dropped too.
+/// becomes of the tiles that did not land: if the client sees a
+/// partition, they are owed — added to one lane-sized sum
+/// ([`Pusher::settle`]) that [`Pusher::replay`] pushes once after the
+/// first exchange whose pushes all land; after any other failure they are
+/// dropped with accounting. What is still owed when the lane shuts down is
+/// dropped too.
 ///
 /// The fail-over rule: the standby's copy of `W_g` holds exactly the folds
 /// up to [`shmcaffe_smb::SmbPair::replicated_version`], frozen at
@@ -1002,21 +960,17 @@ impl Pusher {
     }
 
     /// Books an exchange at its first failed push and says whether its
-    /// unlanded tiles are owed: cut off by a partition with fewer than
-    /// [`PARTITION_STALENESS_CAP`] exchanges owed, yes; past the cap, or
-    /// after any other failure, they are dropped.
+    /// unlanded tiles are owed: if the client sees a partition, yes; after
+    /// any other failure they are dropped.
     fn fail(&mut self, ctx: &SimContext) -> bool {
-        if !self.client.partitioned_from_server(ctx) {
-            self.stats.dropped_updates += 1;
-            false
-        } else if self.owed_exchanges < PARTITION_STALENESS_CAP as u64 {
+        let owed = self.client.partitioned_from_server(ctx);
+        if owed {
             self.owed_exchanges += 1;
             self.stats.partition_buffered += 1;
-            true
         } else {
-            self.stats.partition_dropped += 1;
-            false
+            self.stats.dropped_updates += 1;
         }
+        owed
     }
 
     /// Settles an unlanded increment at lane offset `off` as its exchange's
@@ -1066,8 +1020,8 @@ impl Pusher {
 ///
 /// One rule settles an exchange (see [`Pusher`]): tiles that landed stay
 /// in `W_g`; at the first failed push, [`Pusher::fail`] decides whether the
-/// rest are owed (a partition, under the staleness cap) or dropped, and no
-/// later tile of the exchange is tried. An exchange with no failed push
+/// rest are owed (a partition) or dropped, and no later tile of the
+/// exchange is tried. An exchange with no failed push
 /// replays the owed sum. At shutdown the lane closes its books and
 /// answers them.
 fn update_thread(
@@ -1326,7 +1280,7 @@ mod tests {
     use shmcaffe_simnet::jitter::JitterModel;
     use shmcaffe_simnet::topology::{ClusterSpec, Fabric, NodeId};
     use shmcaffe_simnet::Simulation;
-    use shmcaffe_smb::{ShmKey, SmbServer};
+    use shmcaffe_smb::{ShmKey, SmbServer, SmbServerConfig};
     use std::sync::Arc;
 
     /// The layout of `W_g` over `lanes` lanes as a pure function of the
@@ -1480,6 +1434,10 @@ mod tests {
         ShmCaffeConfig { jitter: JitterModel::NONE, ..cfg }
     }
 
+    fn unpaged() -> SmbServerConfig {
+        SmbServerConfig::default()
+    }
+
     #[test]
     fn single_worker_completes_budget() {
         let cfg = quiet(ShmCaffeConfig { max_iters: 20, progress_every: 5, ..Default::default() });
@@ -1596,21 +1554,23 @@ mod tests {
         );
     }
 
-    /// Runs `body` as the only worker of a one-node cluster: `W_g` holds
-    /// the trainer's initial weights, the exchanger is spawned and torn
-    /// down around it. `body` also gets the fabric, for its link counters
-    /// and fault injector. Returns what `body` returned and the books
+    /// Runs `body` as the only worker of a one-node cluster whose lone
+    /// memory server runs `server_cfg`: `W_g` holds the trainer's initial
+    /// weights, the exchanger is spawned and torn down around it. `body`
+    /// also gets the server, for `W_g` and the fabric's link counters and
+    /// fault injector. Returns what `body` returned and the books
     /// [`ElasticExchanger::finish`] closed.
     fn solo<R: Send + 'static>(
         cfg: ShmCaffeConfig,
         workload: WorkloadModel,
         plan: FaultPlan,
-        body: impl FnOnce(&SimContext, &mut ElasticExchanger, &mut ModeledTrainer, &Fabric) -> R
+        server_cfg: SmbServerConfig,
+        body: impl FnOnce(&SimContext, &mut ElasticExchanger, &mut ModeledTrainer, &SmbServer) -> R
             + Send
             + 'static,
     ) -> (R, PushStats) {
         let fabric = Fabric::with_faults(ClusterSpec::paper_testbed(1), plan);
-        let server = SmbServer::new(RdmaFabric::new(fabric.clone())).unwrap();
+        let server = SmbServer::with_config(RdmaFabric::new(fabric), server_cfg).unwrap();
         let factory = ModeledTrainerFactory::new(workload, JitterModel::NONE, cfg.seed);
         let out = Arc::new(Mutex::new(None));
         let mut sim = Simulation::new();
@@ -1619,13 +1579,13 @@ mod tests {
             sim.spawn("solo", move |ctx| {
                 let mut trainer = factory.make(0, 1);
                 let (param_len, wire) = (trainer.param_len(), trainer.wire_bytes());
-                let lanes = [SmbClient::new(server, NodeId(0))];
+                let lanes = [SmbClient::new(server.clone(), NodeId(0))];
                 let keys = create_wg(&ctx, &lanes, "W_g", param_len, wire).unwrap();
                 seed_wg(&ctx, &lanes, &keys, &weights_of(&mut trainer)).unwrap();
                 let (client, buffers) = join(&ctx, &lanes, &keys, "dW_0", None).unwrap().remove(0);
                 let mut ex =
                     ElasticExchanger::spawn(&ctx, client, buffers, param_len, wire, &cfg, "solo");
-                let r = body(&ctx, &mut ex, &mut trainer, &fabric);
+                let r = body(&ctx, &mut ex, &mut trainer, &server);
                 *out.lock() = Some((r, ex.finish(&ctx)));
             });
         }
@@ -1641,8 +1601,8 @@ mod tests {
     /// The worker node's receive HCA: every `W_g` read of the solo worker
     /// crosses it and nothing else does (the memory server's own HCA is
     /// half-duplex, so its counters mix reads with pushes).
-    fn worker_rx(fabric: &Fabric) -> &shmcaffe_simnet::resource::BandwidthResource {
-        fabric.hca_rx(NodeId(0))
+    fn worker_rx(server: &SmbServer) -> &shmcaffe_simnet::resource::BandwidthResource {
+        server.rdma().fabric().hca_rx(NodeId(0))
     }
 
     /// What crosses the memory server's HCA per steady-state Inception_v1
@@ -1655,9 +1615,8 @@ mod tests {
     fn striped_window_reads_at_line_rate_with_the_same_bytes() {
         let cfg = quiet(ShmCaffeConfig::default());
         let ((phases, bytes), _) =
-            solo(cfg, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
-                let mem =
-                    fabric.hca_tx(fabric.memory_server().expect("testbed has a memory server"));
+            solo(cfg, inception(), FaultPlan::new(1), unpaged(), |ctx, ex, trainer, server| {
+                let mem = server.rdma().fabric().hca_tx(server.node());
                 let mut iteration = || {
                     ex.exchange(ctx, trainer).unwrap();
                     trainer.compute_gradients(ctx);
@@ -1687,7 +1646,7 @@ mod tests {
         // A reply for the wrong tile on tile 0's connection: the exchange
         // must refuse it in a release build too, and leave W_g alone.
         let ((err, wg), _) =
-            solo(cfg, workload.clone(), FaultPlan::new(1), |ctx, ex, trainer, _| {
+            solo(cfg, workload.clone(), FaultPlan::new(1), unpaged(), |ctx, ex, trainer, _| {
                 let poison = vec![f32::NAN; ex.grid[0].len];
                 ex.lanes[0].readers[0].reply.send(ctx, ReadReply::Fresh { chunk: 5, buf: poison });
                 (ex.exchange(ctx, trainer).unwrap_err(), ex.global_weights().to_vec())
@@ -1696,7 +1655,7 @@ mod tests {
         assert!(wg.iter().all(|v| !v.is_nan()), "the mis-ordered tile must not be installed");
 
         // Same for the T.A5 gate: a done for the wrong tile.
-        let (err, _) = solo(cfg, workload, FaultPlan::new(1), |ctx, ex, trainer, _| {
+        let (err, _) = solo(cfg, workload, FaultPlan::new(1), unpaged(), |ctx, ex, trainer, _| {
             ex.exchange(ctx, trainer).unwrap();
             ctx.sleep(SimDuration::from_millis(50));
             // Swap the lane's first two dones.
@@ -1714,7 +1673,7 @@ mod tests {
         let n_tiles = EXCHANGE_CHUNKS;
         let cfg = quiet(ShmCaffeConfig::default());
         let ((first, second, bytes), _) =
-            solo(cfg, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
+            solo(cfg, inception(), FaultPlan::new(1), unpaged(), |ctx, ex, trainer, server| {
                 ex.exchange(ctx, trainer).unwrap();
                 // Pushes of the exchange above are still streaming: only
                 // the tiles whose gate is already open may go out.
@@ -1725,9 +1684,9 @@ mod tests {
                 ctx.sleep(SimDuration::from_millis(200));
                 ex.start_window(ctx).unwrap();
                 let second = ex.next_read;
-                let before = worker_rx(fabric).total_bytes();
+                let before = worker_rx(server).total_bytes();
                 ex.exchange(ctx, trainer).unwrap();
-                (first, second, worker_rx(fabric).total_bytes() - before)
+                (first, second, worker_rx(server).total_bytes() - before)
             });
         assert!(0 < first && first < n_tiles, "window opened on the open gates only: {first}");
         assert_eq!(second, first, "a second start before the exchange does nothing");
@@ -1736,13 +1695,13 @@ mod tests {
 
         let late = ShmCaffeConfig { pipelined_exchange: false, ..cfg };
         let (started, _) =
-            solo(late, inception(), FaultPlan::new(1), |ctx, ex, trainer, fabric| {
+            solo(late, inception(), FaultPlan::new(1), unpaged(), |ctx, ex, trainer, server| {
                 ex.exchange(ctx, trainer).unwrap();
                 ctx.sleep(SimDuration::from_millis(300));
-                let before = worker_rx(fabric).transfer_count();
+                let before = worker_rx(server).transfer_count();
                 ex.start_window(ctx).unwrap();
                 ctx.sleep(SimDuration::from_millis(100));
-                ex.window_open || worker_rx(fabric).transfer_count() != before
+                ex.window_open || worker_rx(server).transfer_count() != before
             });
         assert!(!started, "no early start under the monolithic exchange");
     }
@@ -1761,24 +1720,24 @@ mod tests {
         );
         let cfg = quiet(ShmCaffeConfig::default());
         let workload = WorkloadModel::custom("owed", 1_000_000, SimDuration::from_millis(1));
-        let ((folds, tiles), stats) = solo(cfg, workload, plan, |ctx, ex, trainer, _| {
-            let server = ex.lanes[0].client.server();
-            let wg = server.lookup("W_g").expect("solo creates W_g");
-            // W_g's version counts folds; every push of an exchange is
-            // settled well within the second before the next one.
-            let mut folds_at = |ms: u64| {
-                ctx.sleep_until(SimTime::from_millis(ms));
-                let before = server.version(wg).unwrap();
-                ex.exchange(ctx, trainer).unwrap();
-                ctx.sleep(SimDuration::from_millis(900));
-                server.version(wg).unwrap() - before
-            };
-            for ms in [100, 1000, 2000, 3000] {
-                folds_at(ms);
-            }
-            let folds = folds_at(4000);
-            (folds, ex.grid.len() as u64)
-        });
+        let ((folds, tiles), stats) =
+            solo(cfg, workload, plan, unpaged(), |ctx, ex, trainer, server| {
+                let wg = server.lookup("W_g").expect("solo creates W_g");
+                // W_g's version counts folds; every push of an exchange is
+                // settled well within the second before the next one.
+                let mut folds_at = |ms: u64| {
+                    ctx.sleep_until(SimTime::from_millis(ms));
+                    let before = server.version(wg).unwrap();
+                    ex.exchange(ctx, trainer).unwrap();
+                    ctx.sleep(SimDuration::from_millis(900));
+                    server.version(wg).unwrap() - before
+                };
+                for ms in [100, 1000, 2000, 3000] {
+                    folds_at(ms);
+                }
+                let folds = folds_at(4000);
+                (folds, ex.grid.len() as u64)
+            });
         assert_eq!(stats.partition_buffered, 3, "{stats:?}");
         assert_eq!(stats.reconciled_updates, stats.partition_buffered, "{stats:?}");
         assert_eq!((stats.dropped_updates, stats.partition_dropped), (0, 0), "{stats:?}");
@@ -1799,30 +1758,60 @@ mod tests {
         );
         let cfg = quiet(ShmCaffeConfig::default());
         let full = INCEPTION_EXCHANGE_WIRE_BYTES / 2;
-        solo(cfg, inception(), plan, move |ctx, ex, trainer, fabric| {
-            let injector = fabric.fault_injector().expect("plan installed");
+        solo(cfg, inception(), plan, unpaged(), move |ctx, ex, trainer, server| {
+            let injector = server.rdma().fabric().fault_injector().expect("plan installed");
             let mut exchange_at = |ms: u64| {
                 ctx.sleep_until(SimTime::from_millis(ms));
-                let before = worker_rx(fabric).total_bytes();
+                let before = worker_rx(server).total_bytes();
                 let blocked = ex.exchange(ctx, trainer).unwrap();
-                (blocked, worker_rx(fabric).total_bytes() - before, ex.lane_stale[0])
+                (blocked, worker_rx(server).total_bytes() - before)
             };
 
-            let (blocked, bytes, stale) = exchange_at(100);
+            let (blocked, bytes) = exchange_at(100);
             // 1.2 x the 500 ms retry deadline is the contract; the probe
             // makes it far less: no queued read ever starts its retries.
             assert!(blocked < SimDuration::from_millis(600), "blocked {blocked}");
-            assert!(stale, "the first Stale reply marks the lane");
             assert!(0 < bytes && bytes < full, "reads in flight land, queued ones do not: {bytes}");
             assert_eq!(injector.stats().partition_hits, 0, "Stale without touching the wire");
 
-            let (_, bytes, stale) = exchange_at(250);
-            assert!(stale && bytes == 0, "a stale lane issues no read: {bytes} bytes");
+            let (_, bytes) = exchange_at(250);
+            assert_eq!(bytes, 0, "every read of a cut-off exchange is answered Stale");
             assert_eq!(injector.stats().partition_hits, 0);
 
-            let (_, bytes, stale) = exchange_at(450);
-            assert!(!stale, "the probe sees the heal");
-            assert_eq!(bytes, full, "reading resumes with the whole grid");
+            let (_, bytes) = exchange_at(450);
+            assert_eq!(bytes, full, "the probe sees the heal: the whole grid reads again");
         });
+    }
+
+    #[test]
+    fn a_failed_read_leaves_the_next_tile_fresh() {
+        // A bit of W_g's first page flips after exchange 1 folded tile 0
+        // and before it folded tile 1. The lone paged server cannot repair
+        // the page, so exchange 2's read of tile 0 fails without a
+        // partition, with tile 1's gate still closed. Every later tile
+        // still reads fresh W_g in that exchange.
+        let cfg = quiet(ShmCaffeConfig::default());
+        let workload = WorkloadModel::custom("poison", 1_000_000, SimDuration::from_millis(1));
+        // One CRC page per tile.
+        let tile = WorkloadModel::DEFAULT_PARAM_ELEMS / EXCHANGE_CHUNKS;
+        let paged = SmbServerConfig { page_elems: tile, ..SmbServerConfig::default() };
+        let (wg, _) = solo(cfg, workload, FaultPlan::new(1), paged, |ctx, ex, trainer, server| {
+            let wg = server.lookup("W_g").expect("solo creates W_g");
+            // W_g starts at 0 and W_x at 1, so exchange 1 folds
+            // ΔW = 0.2 · (1 − 0) into every element.
+            trainer.write_weights(&vec![1.0; trainer.param_len()]);
+            let v0 = server.version(wg).unwrap();
+            ex.exchange(ctx, trainer).unwrap();
+            while server.version(wg).unwrap() == v0 {
+                ctx.sleep(SimDuration::from_micros(1));
+            }
+            assert_eq!(server.version(wg).unwrap(), v0 + 1, "only tile 0 has landed");
+            server.inject_bit_flip(wg, 0, 30).unwrap();
+            ex.exchange(ctx, trainer).unwrap();
+            assert_eq!(server.poisoned_pages(wg), [0], "tile 0's read met the flip");
+            ex.global_weights().to_vec()
+        });
+        assert!(wg[..tile].iter().all(|&v| v == 0.0), "tile 0 keeps its last-known W_g");
+        assert!(wg[tile..].iter().all(|&v| v == 0.2), "the tiles after it read fresh W_g");
     }
 }

@@ -27,7 +27,7 @@ use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::topology::NodeId;
+use crate::topology::{ClusterSpec, NodeId};
 use crate::{SimDuration, SimTime};
 
 /// Virtual time a fallible operation spends detecting a fault before
@@ -123,7 +123,7 @@ impl PartitionFault {
 ///
 /// ```rust
 /// use shmcaffe_simnet::fault::FaultPlan;
-/// use shmcaffe_simnet::topology::NodeId;
+/// use shmcaffe_simnet::topology::{ClusterSpec, NodeId};
 /// use shmcaffe_simnet::{SimDuration, SimTime};
 ///
 /// let plan = FaultPlan::new(42)
@@ -134,7 +134,7 @@ impl PartitionFault {
 ///         Some(SimTime::from_millis(12)),
 ///     )
 ///     .crash_worker(2, SimTime::from_millis(50));
-/// assert!(plan.validate().is_ok());
+/// assert!(plan.validate(&ClusterSpec::paper_testbed(1)).is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -246,13 +246,17 @@ impl FaultPlan {
         self.wire_flip_prob > 0.0 || self.torn_write_prob > 0.0 || !self.dram_decays.is_empty()
     }
 
-    /// Checks internal consistency (window ordering, probabilities in
-    /// range, partition groups).
+    /// Checks the plan against the cluster it is to fault: probabilities
+    /// in range, partition groups and windows, partitions only over
+    /// endpoints of `spec`, and memory-server crashes and DRAM decays only
+    /// on `spec`'s memory servers. Worker ranks belong to the platform
+    /// that runs them, so it checks [`FaultPlan::crashed_ranks`] itself.
     ///
     /// # Errors
     ///
     /// Returns a description of the first invalid entry.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self, spec: &ClusterSpec) -> Result<(), String> {
+        let endpoints = spec.gpu_nodes + spec.memory_servers;
         if !(0.0..=1.0).contains(&self.op_failure_prob) {
             return Err(format!("op_failure_prob {} out of [0, 1]", self.op_failure_prob));
         }
@@ -274,12 +278,28 @@ impl FaultPlan {
                 if !seen.insert(*node) {
                     return Err(format!("partition groups overlap on {node}"));
                 }
+                if node.0 >= endpoints {
+                    return Err(format!(
+                        "partition names {node} off a fabric of {endpoints} endpoints"
+                    ));
+                }
             }
             if let Some(heal) = p.heal_at {
                 if heal <= p.from {
                     return Err("partition heals before it starts".to_string());
                 }
             }
+        }
+        let crashes = self.memory_server_crashes.iter().map(|c| (c.node, "crash"));
+        let decays = self.dram_decays.iter().map(|d| (d.node, "DRAM decay"));
+        let not_a_server =
+            |&(node, _): &(NodeId, _)| !(spec.gpu_nodes..endpoints).contains(&node.0);
+        if let Some((node, fault)) = crashes.chain(decays).find(not_a_server) {
+            return Err(format!(
+                "memory-server {fault} on {node}, which is not one of the fabric's {} memory \
+                 servers",
+                spec.memory_servers
+            ));
         }
         Ok(())
     }
@@ -354,15 +374,10 @@ impl fmt::Debug for FaultInjector {
 }
 
 impl FaultInjector {
-    /// Builds an injector from a plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails [`FaultPlan::validate`].
-    pub fn new(plan: FaultPlan) -> Self {
-        if let Err(msg) = plan.validate() {
-            panic!("invalid fault plan: {msg}");
-        }
+    /// Builds an injector from a plan that passed [`FaultPlan::validate`]
+    /// ([`Fabric::with_faults`](crate::topology::Fabric::with_faults)
+    /// checks it).
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(plan.seed);
         let corrupt_rng = ChaCha8Rng::seed_from_u64(plan.seed ^ CORRUPTION_STREAM_SALT);
         let decays_claimed = vec![false; plan.dram_decays.len()];
@@ -574,23 +589,28 @@ impl std::error::Error for FaultError {}
 mod tests {
     use super::*;
 
+    /// GPU nodes 0–7 and the memory server on node 8.
+    fn testbed() -> ClusterSpec {
+        ClusterSpec::paper_testbed(8)
+    }
+
     #[test]
     fn plan_builder_and_validation() {
         let plan = FaultPlan::new(7)
             .with_op_failure_prob(0.25)
             .partition(vec![vec![NodeId(0)], vec![NodeId(1)]], SimTime::from_millis(1), None)
             .crash_worker(3, SimTime::from_millis(6));
-        assert!(plan.validate().is_ok());
+        assert!(plan.validate(&testbed()).is_ok());
         assert_eq!(plan.crashed_ranks(), vec![3]);
 
         let bad = FaultPlan::new(0).with_op_failure_prob(1.5);
-        assert!(bad.validate().is_err());
+        assert!(bad.validate(&testbed()).is_err());
         let empty_window = FaultPlan::new(0).partition(
             vec![vec![NodeId(0)], vec![NodeId(1)]],
             SimTime::from_millis(2),
             Some(SimTime::from_millis(2)),
         );
-        assert!(empty_window.validate().is_err());
+        assert!(empty_window.validate(&testbed()).is_err());
     }
 
     #[test]
@@ -667,25 +687,32 @@ mod tests {
             SimTime::from_millis(5),
             Some(SimTime::from_millis(10)),
         );
-        assert!(ok.validate().is_ok());
+        assert!(ok.validate(&testbed()).is_ok());
 
         let one_group = FaultPlan::new(1).partition(vec![vec![NodeId(0)]], SimTime::ZERO, None);
-        assert!(one_group.validate().is_err());
+        assert!(one_group.validate(&testbed()).is_err());
         let empty_group =
             FaultPlan::new(1).partition(vec![vec![NodeId(0)], vec![]], SimTime::ZERO, None);
-        assert!(empty_group.validate().is_err());
+        assert!(empty_group.validate(&testbed()).is_err());
         let overlap = FaultPlan::new(1).partition(
             vec![vec![NodeId(0)], vec![NodeId(0)]],
             SimTime::ZERO,
             None,
         );
-        assert!(overlap.validate().is_err());
+        assert!(overlap.validate(&testbed()).is_err());
         let heals_early = FaultPlan::new(1).partition(
             vec![vec![NodeId(0)], vec![NodeId(1)]],
             SimTime::from_millis(5),
             Some(SimTime::from_millis(5)),
         );
-        assert!(heals_early.validate().is_err());
+        assert!(heals_early.validate(&testbed()).is_err());
+        let off_the_fabric = FaultPlan::new(1).partition(
+            vec![vec![NodeId(0)], vec![NodeId(9)]],
+            SimTime::ZERO,
+            None,
+        );
+        let err = off_the_fabric.validate(&testbed()).unwrap_err();
+        assert!(err.contains("node9"), "{err}");
     }
 
     #[test]
@@ -747,11 +774,17 @@ mod tests {
             .with_wire_flip_prob(0.1)
             .with_torn_write_prob(0.05)
             .decay_dram(NodeId(8), SimTime::from_millis(40));
-        assert!(plan.validate().is_ok());
+        assert!(plan.validate(&testbed()).is_ok());
         assert!(plan.has_corruption_faults());
         assert!(!FaultPlan::new(3).has_corruption_faults());
-        assert!(FaultPlan::new(3).with_wire_flip_prob(1.5).validate().is_err());
-        assert!(FaultPlan::new(3).with_torn_write_prob(-0.1).validate().is_err());
+        assert!(FaultPlan::new(3).with_wire_flip_prob(1.5).validate(&testbed()).is_err());
+        assert!(FaultPlan::new(3).with_torn_write_prob(-0.1).validate(&testbed()).is_err());
+        for plan in [
+            FaultPlan::new(3).decay_dram(NodeId(0), SimTime::ZERO),
+            FaultPlan::new(3).crash_memory_server(NodeId(9), SimTime::ZERO),
+        ] {
+            assert!(plan.validate(&testbed()).is_err(), "{plan:?}: not a memory server");
+        }
     }
 
     #[test]

@@ -112,8 +112,13 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if the plan fails [`FaultPlan::validate`].
+    /// Panics if the plan fails [`FaultPlan::validate`] on `spec` — a
+    /// memory-server crash or DRAM decay on a node that is not one of its
+    /// memory servers, say — so a bad plan stops here, not mid-run.
     pub fn with_faults(spec: ClusterSpec, plan: FaultPlan) -> Self {
+        if let Err(msg) = plan.validate(&spec) {
+            panic!("invalid fault plan: {msg}");
+        }
         Self::build(spec, Some(FaultInjector::new(plan)))
     }
 
@@ -165,11 +170,6 @@ impl Fabric {
     /// The `i`-th memory server's endpoint id, if it exists.
     pub fn memory_server_at(&self, i: usize) -> Option<NodeId> {
         (i < self.inner.spec.memory_servers).then(|| NodeId(self.inner.spec.gpu_nodes + i))
-    }
-
-    /// Number of memory servers on this fabric.
-    pub fn memory_server_count(&self) -> usize {
-        self.inner.spec.memory_servers
     }
 
     /// Which endpoint hosts a given worker rank under the paper's layout
@@ -429,6 +429,14 @@ mod tests {
         // Node 0 sends and receives concurrently: 1 s total.
         let end = sim.run();
         assert!((end.as_secs_f64() - 1.0).abs() < 0.01, "{}", end.as_secs_f64());
+    }
+
+    #[test]
+    #[should_panic(expected = "memory-server crash on node0")]
+    fn a_plan_crashing_a_gpu_node_fails_at_construction() {
+        use crate::fault::FaultPlan;
+        let plan = FaultPlan::new(1).crash_memory_server(NodeId(0), crate::SimTime::ZERO);
+        Fabric::with_faults(ClusterSpec::paper_testbed(1), plan);
     }
 
     #[test]
