@@ -5,7 +5,8 @@
 //! * `allreduce` uses the ring reduce-scatter + allgather algorithm MVAPICH
 //!   selects for large messages — the cost model behind MPICaffe's
 //!   `MPI_Allreduce` gradient aggregation: `2·(N−1)/N · P` bytes on every
-//!   link.
+//!   link. Chunks travel the ring by move: each step forwards the buffer
+//!   it received instead of copying a fresh one.
 
 use shmcaffe_simnet::SimContext;
 
@@ -93,6 +94,16 @@ impl Comm {
 
     /// [`Comm::allreduce`] with an explicit total wire size (the logical
     /// size of the full vector; per-step chunks are `wire_bytes / N`).
+    ///
+    /// The ring forwards buffers instead of copying them. In the
+    /// reduce-scatter, the chunk a rank sends at step s+1 is the one it
+    /// reduced at step s, so it sums its own chunk into the *received*
+    /// buffer (`d + v`, the order a sum into `data` would take) and sends
+    /// that same buffer on. In the all-gather, each received buffer is
+    /// copied into `data` and forwarded as the next step's payload. The
+    /// one payload allocation per call is the copy of the rank's own
+    /// first chunk; messages, their order and their wire sizes are those
+    /// of a ring that copies every step.
     pub fn allreduce_wire(
         &mut self,
         ctx: &SimContext,
@@ -107,33 +118,35 @@ impl Comm {
         let next = (rank + 1) % size;
         let prev = (rank + size - 1) % size;
         let n = data.len();
-        // Chunk boundaries (chunk c = [starts[c], starts[c+1])).
-        let starts: Vec<usize> = (0..=size).map(|c| c * n / size).collect();
+        let chunk = |c: usize| c * n / size..(c + 1) * n / size;
         let chunk_wire = wire_bytes / size as u64;
 
-        // Phase 1: reduce-scatter. After step s, each rank holds the full
-        // sum of one chunk.
+        // Phase 1: reduce-scatter. Step s sends chunk rank − s and reduces
+        // chunk rank − s − 1, which step s+1 sends on. After the last step
+        // the payload is the full sum of chunk rank + 1.
+        let mut payload = data[chunk(rank)].to_vec();
         for step in 0..size - 1 {
-            let send_chunk = (rank + size - step) % size;
-            let recv_chunk = (rank + size - step - 1) % size;
-            let payload = data[starts[send_chunk]..starts[send_chunk + 1]].to_vec();
             self.send_wire(ctx, next, TAG_RING_RS, MpiData::F32s(payload), chunk_wire);
-            let (_, incoming) = self.recv_f32s(ctx, Some(prev), TAG_RING_RS);
-            let dst = &mut data[starts[recv_chunk]..starts[recv_chunk + 1]];
-            assert_eq!(incoming.len(), dst.len(), "ring chunk mismatch");
-            for (d, v) in dst.iter_mut().zip(incoming.iter()) {
-                *d += v;
+            let (_, mut incoming) = self.recv_f32s(ctx, Some(prev), TAG_RING_RS);
+            let own = &data[chunk((rank + size - step - 1) % size)];
+            assert_eq!(incoming.len(), own.len(), "ring chunk mismatch");
+            #[allow(
+                clippy::assign_op_pattern,
+                reason = "`d + v` is the operand order of a sum into `data`: NaN payloads match too"
+            )]
+            for (v, d) in incoming.iter_mut().zip(own) {
+                *v = *d + *v;
             }
+            payload = incoming;
         }
-        // Phase 2: allgather the reduced chunks around the ring.
+        data[chunk((rank + 1) % size)].copy_from_slice(&payload);
+        // Phase 2: all-gather. Step s sends chunk rank + 1 − s and receives
+        // chunk rank − s, which step s+1 sends on.
         for step in 0..size - 1 {
-            let send_chunk = (rank + 1 + size - step) % size;
-            let recv_chunk = (rank + size - step) % size;
-            let payload = data[starts[send_chunk]..starts[send_chunk + 1]].to_vec();
             self.send_wire(ctx, next, TAG_RING_AG, MpiData::F32s(payload), chunk_wire);
             let (_, incoming) = self.recv_f32s(ctx, Some(prev), TAG_RING_AG);
-            let dst = &mut data[starts[recv_chunk]..starts[recv_chunk + 1]];
-            dst.copy_from_slice(&incoming);
+            data[chunk((rank + size - step) % size)].copy_from_slice(&incoming);
+            payload = incoming;
         }
         data
     }

@@ -8,17 +8,20 @@
 //! given program — independent of OS thread scheduling.
 //!
 //! A run takes one fresh OS thread, and every process is a fiber on it
-//! (DESIGN.md §5k): the run loop resumes whichever process [`Core::dispatch`]
-//! granted, and a process that yields to another switches back to the run
-//! loop. A switch is the only hand-off — no OS wait, no wake-up.
+//! (DESIGN.md §5k). A process that yields to another switches straight to
+//! the fiber [`Core::dispatch`] granted, under the one state lock the
+//! yield takes; the granted process and the run loop read the grant and
+//! the abort flag without locking again. The run loop only starts
+//! processes on fibers and drives the abort unwind.
+//! A switch is the only hand-off — no OS wait, no wake-up.
 
 use parking_lot::{Mutex, MutexGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::explore::{ChoiceKind, ChoiceRecord, SchedEvent, StepRecord};
-use crate::fiber::Fiber;
+use crate::fiber;
 use crate::trace::TraceEntry;
 use crate::{AccessKind, SimDuration, SimTime};
 
@@ -51,7 +54,8 @@ struct ProcSlot {
     /// grant forward.
     timed_wait: bool,
     /// The process's closure until its first grant, when the run loop puts
-    /// it on a fiber (dropped unrun if the run ends first).
+    /// it on a fiber (dropped unrun if the run ends first). A granted
+    /// process still holding it is the one kind the run loop resumes.
     body: Option<Body>,
     /// This process's vector clock (one component per pid), advanced along
     /// synchronization edges for the happens-before race detector.
@@ -70,9 +74,6 @@ struct SchedState {
     /// [`SchedState::set_status`] keeps it in step with `procs`.
     wake_keys: Vec<u64>,
     unfinished: usize,
-    /// The process [`Core::dispatch`] last granted the running slot, if it
-    /// made a grant: the one the run loop resumes.
-    running: Option<Pid>,
     panic_message: Option<String>,
     stats: SchedStats,
 }
@@ -119,10 +120,15 @@ pub struct SchedStats {
     /// Grants that went straight back to the process that had just yielded
     /// (it was itself the earliest runnable); these switch no stack.
     pub self_grants: u64,
-    /// Fiber resumes by the run loop: one per grant to another process,
-    /// plus one per suspended process when a panic or deadlock aborts the
-    /// run and it is resumed to unwind.
+    /// Grants to another process than the one giving up the slot (the
+    /// run's first grant included): `grants − self_grants`, one fiber
+    /// switch each.
     pub switches: u64,
+    /// Fiber resumes by the run loop: one per process it starts on a fiber
+    /// and one per suspended process it resumes to unwind when a panic or
+    /// deadlock aborts the run. Every other switch goes straight from the
+    /// process giving up the slot to the granted one.
+    pub loop_resumes: u64,
 }
 
 /// Recording/forcing state for one explored run (see [`crate::explore`]).
@@ -147,8 +153,19 @@ struct ExploreState {
     diverged: Option<String>,
 }
 
+/// [`Core::granted`] when the last dispatch made no grant.
+const NO_GRANT: usize = usize::MAX;
+
 pub(crate) struct Core {
     state: Mutex<SchedState>,
+    /// The process the last [`Core::dispatch`] granted, or [`NO_GRANT`].
+    /// Written under the state lock; the run loop reads it without. Like
+    /// `aborted`, it publishes no other data and every access is on the
+    /// run's one thread, so `Relaxed` suffices.
+    granted: AtomicUsize,
+    /// Set with the first panic or deadlock ([`Core::abort`]); a process
+    /// that is switched back to reads it without the lock.
+    aborted: AtomicBool,
     /// Fast-path flag mirroring "explore state armed".
     exploring: AtomicBool,
     explore: Mutex<ExploreState>,
@@ -168,10 +185,11 @@ impl Core {
                 procs: Vec::new(),
                 wake_keys: Vec::new(),
                 unfinished: 0,
-                running: None,
                 panic_message: None,
                 stats: SchedStats::default(),
             }),
+            granted: AtomicUsize::new(NO_GRANT),
+            aborted: AtomicBool::new(false),
             exploring: AtomicBool::new(false),
             explore: Mutex::new(ExploreState::default()),
             probe: Mutex::new(None),
@@ -312,11 +330,12 @@ impl Core {
         }
     }
 
-    /// Picks the next process to run and grants it the running slot
-    /// (recording it as [`SchedState::running`], the fiber the run loop
-    /// resumes next). Must be called with the state lock held and no
-    /// process currently `Running`; `from` is the process giving up the
-    /// slot (`None` for the initial dispatch by the run loop).
+    /// Picks the next process to run, grants it the running slot and
+    /// returns it (also recording it in [`Core::granted`]), or `None` if
+    /// every process finished or the run aborted. Must be called with the
+    /// state lock held and no process currently `Running`; `from` is the
+    /// process giving up the slot (`None` for the initial dispatch by the
+    /// run loop).
     ///
     /// The pick is the minimum `(wake time, pid)` of the dense key array
     /// (DESIGN.md §5k). The grant is the one place a process clock moves:
@@ -324,10 +343,10 @@ impl Core {
     ///
     /// Once a panic or deadlock is recorded (see [`Core::abort`]), no
     /// further grants are made.
-    fn dispatch(&self, state: &mut SchedState, from: Option<Pid>) {
-        state.running = None;
+    fn dispatch(&self, state: &mut SchedState, from: Option<Pid>) -> Option<Pid> {
+        self.granted.store(NO_GRANT, Ordering::Relaxed);
         if state.panic_message.is_some() {
-            return;
+            return None;
         }
         match state.earliest() {
             Some((at, pid)) => {
@@ -352,11 +371,14 @@ impl Core {
                 let clock = slot.clock.load(Ordering::Relaxed).max(at.as_nanos());
                 slot.clock.store(clock, Ordering::Relaxed);
                 slot.timed_wait = false;
-                state.running = Some(pid);
                 state.stats.grants += 1;
                 if from == Some(pid) {
                     state.stats.self_grants += 1;
+                } else {
+                    state.stats.switches += 1;
                 }
+                self.granted.store(pid, Ordering::Relaxed);
+                Some(pid)
             }
             None if state.unfinished > 0 => {
                 let blocked: Vec<&str> = state
@@ -366,40 +388,44 @@ impl Core {
                     .map(|p| p.name.as_str())
                     .collect();
                 let msg = format!("simulation deadlock: blocked processes {blocked:?}");
-                Self::abort(state, msg);
+                self.abort(state, msg);
+                None
             }
             // Every process finished.
-            None => {}
+            None => None,
         }
     }
 
     /// Records the first panic or deadlock. No grant follows it: the run
     /// loop stops and resumes every suspended process once more, and each
     /// unwinds from its yield ("simulation aborted").
-    fn abort(state: &mut SchedState, msg: String) {
+    fn abort(&self, state: &mut SchedState, msg: String) {
         state.panic_message.get_or_insert(msg);
+        self.aborted.store(true, Ordering::Relaxed);
     }
 
     /// Hands the running slot from `pid` (whose new status the caller has
     /// just written) to the next process and suspends `pid`'s fiber until
     /// it is granted again. When `pid` is itself the earliest runnable
-    /// this returns without switching.
+    /// this returns without switching. A granted process already on a
+    /// fiber is switched to directly; one that has not started is started
+    /// by the run loop, which `pid` switches back to.
     ///
     /// # Panics
     ///
     /// Panics (to unwind the simulated process) if the simulation aborted.
     fn switch(&self, mut state: MutexGuard<'_, SchedState>, pid: Pid) {
-        self.dispatch(&mut state, Some(pid));
-        if state.running == Some(pid) {
-            return;
-        }
-        let mut aborted = state.panic_message.is_some();
+        let next = self.dispatch(&mut state, Some(pid));
         drop(state);
-        if !aborted {
-            crate::fiber::suspend();
-            aborted = self.state.lock().panic_message.is_some();
+        match next {
+            Some(next) if next == pid => return,
+            // A process not on a fiber yet is started by the run loop.
+            Some(next) if !fiber::switch_to(next) => fiber::suspend(),
+            // Switched and back again, or no grant: only an abort leaves a
+            // yielding process without one.
+            _ => {}
         }
-        if aborted {
+        if self.aborted.load(Ordering::Relaxed) {
             panic!("simulation aborted");
         }
     }
@@ -455,8 +481,9 @@ impl Core {
     }
 
     /// A process's whole life on its fiber: runs `body`, catching a panic
-    /// (which aborts the run), then hands the running slot on.
-    fn run_process(body: Body, ctx: SimContext) {
+    /// (which aborts the run), then hands the running slot on and returns
+    /// the grant, which its fiber switches to as it finishes.
+    fn run_process(body: Body, ctx: SimContext) -> Option<Pid> {
         let (core, pid) = (Arc::clone(&ctx.core), ctx.pid);
         let result = catch_unwind(AssertUnwindSafe(|| body(ctx)));
         let panic_msg = result.err().map(|e| {
@@ -469,9 +496,9 @@ impl Core {
         state.set_status(pid, Status::Finished);
         state.unfinished -= 1;
         if let Some(msg) = panic_msg {
-            Self::abort(&mut state, msg);
+            core.abort(&mut state, msg);
         }
-        core.dispatch(&mut state, Some(pid));
+        core.dispatch(&mut state, Some(pid))
     }
 
     fn register(&self, name: &str, initial_clock: SimTime, body: Body) -> Pid {
@@ -539,45 +566,45 @@ impl Core {
         state.procs[child].vclock = parent_clock;
     }
 
-    /// The run loop, on the run's own thread: resumes the granted process
-    /// until no grant is left, then — after a panic or deadlock — resumes
-    /// every suspended process once more so that it unwinds, and drops the
-    /// closures of processes that never started. A fiber's stack is
-    /// unmapped as soon as its process finishes.
+    /// The run loop, on the run's own thread. Every grant to a process
+    /// already on a fiber switches straight to it, so a grant comes back
+    /// here only for a process that has not started: the loop puts it on a
+    /// fiber and resumes it, until no grant is left. Then — after a panic
+    /// or deadlock — it resumes every suspended process once more so that
+    /// it unwinds, and drops the closures of processes that never started.
+    /// The fiber layer unmaps a finished process's stack as soon as the
+    /// context its fiber switched to runs.
     fn run_loop(self: &Arc<Self>) {
-        let mut fibers: Vec<Option<Fiber>> = Vec::new();
-        let mut switches = 0;
+        let mut loop_resumes = 0;
         self.dispatch(&mut self.state.lock(), None);
         loop {
-            let (pid, start) = {
+            let pid = self.granted.load(Ordering::Relaxed);
+            if pid == NO_GRANT {
+                break;
+            }
+            let (body, clock) = {
                 let mut state = self.state.lock();
-                let Some(pid) = state.running else { break };
                 let slot = &mut state.procs[pid];
-                (pid, slot.body.take().map(|body| (body, Arc::clone(&slot.clock))))
+                let body = slot.body.take().expect("only an unstarted process is granted here");
+                (body, Arc::clone(&slot.clock))
             };
-            if fibers.len() <= pid {
-                fibers.resize_with(pid + 1, || None);
-            }
-            if let Some((body, clock)) = start {
-                let ctx = SimContext { core: Arc::clone(self), pid, clock };
-                fibers[pid] = Some(Fiber::new(Box::new(move || Self::run_process(body, ctx))));
-            }
-            let fiber = fibers[pid].as_mut().expect("a granted process is on a fiber");
-            switches += 1;
-            if fiber.resume() {
-                fibers[pid] = None;
-            }
+            let ctx = SimContext { core: Arc::clone(self), pid, clock };
+            fiber::spawn(pid, Box::new(move || Self::run_process(body, ctx)));
+            loop_resumes += 1;
+            fiber::resume(pid);
         }
-        for slot in &mut fibers {
-            if let Some(fiber) = slot {
-                switches += 1;
-                let finished = fiber.resume();
-                debug_assert!(finished, "an aborted process unwinds without yielding");
-                *slot = None;
+        let procs = self.state.lock().procs.len();
+        for pid in 0..procs {
+            if let Some((back, finished)) = fiber::resume(pid) {
+                loop_resumes += 1;
+                debug_assert!(
+                    back == pid && finished,
+                    "an aborted process unwinds without yielding"
+                );
             }
         }
         let mut state = self.state.lock();
-        state.stats.switches = switches;
+        state.stats.loop_resumes = loop_resumes;
         let unstarted: Vec<Body> = state.procs.iter_mut().filter_map(|p| p.body.take()).collect();
         drop(state);
         drop(unstarted);

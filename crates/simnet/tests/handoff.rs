@@ -1,7 +1,7 @@
 //! The scheduler's fiber hand-off: grant order is untouched (golden
 //! schedule fingerprint), exactly one fiber switch per grant to another
-//! process (`SchedStats`), and the abort paths still unwind every
-//! suspended process.
+//! process and no trip through the run loop for it (`SchedStats`), and the
+//! abort paths still unwind every suspended process.
 
 use parking_lot::Mutex;
 use shmcaffe_simnet::channel::SimChannel;
@@ -191,8 +191,9 @@ fn schedule_fingerprint_of_eighty_processes_matches_the_scanning_dispatch() {
 const GOLDEN_FINGERPRINT_80_PROCS: u64 = 0x981f_dfd4_fd34_b07d;
 
 /// 32 processes mixing sleeps and channel traffic: every grant that is not
-/// a self-grant costs exactly one fiber switch, and the counters are a
-/// pure function of the schedule.
+/// a self-grant costs exactly one fiber switch, the run loop resumes a
+/// fiber only to start its process, and the counters are a pure function
+/// of the schedule.
 #[test]
 fn one_switch_per_grant_and_stats_repeat() {
     let run = || {
@@ -228,6 +229,9 @@ fn one_switch_per_grant_and_stats_repeat() {
     let b = within_watchdog(run);
     assert_eq!(a, b, "scheduler counters must repeat exactly");
     assert_eq!(a.switches, a.grants - a.self_grants, "{a:?}");
+    // 32 processes start and none unwinds: no steady-state grant passes
+    // through the run loop.
+    assert!(a.loop_resumes <= 32, "{a:?}");
     assert!(a.self_grants > 0, "scenario should exercise the self-grant fast path: {a:?}");
     assert!(a.grants > 32 * 20, "{a:?}");
 }

@@ -12,6 +12,14 @@ It then prints, per function, the self share (samples whose innermost
 frame is that function) and the inclusive share (samples with that
 function anywhere on the stack), highest inclusive first.
 
+A sample whose innermost frame is in libc also counts, self and inclusive,
+in a row `[libc] <- caller`, named after the return address in the word
+at the stack pointer, or `[libc] <- ?` when that word is not code. These
+rows split libc's self share by direct caller. The word is the return
+address only inside a leaf routine that has pushed nothing (memcpy,
+memset); inside malloc or free it is mostly a saved register or a local,
+so their samples land in `?` or name libc itself.
+
 The chain is only whole in a build with `-C force-frame-pointers=yes`
 (scripts/hotspots.sh makes one). A frame in code built without frame
 pointers (libc, the prebuilt std) ends the walk early, so inclusive shares
@@ -100,11 +108,17 @@ class Maps:
         self.ranges.sort()
         self.starts = [r[0] for r in self.ranges]
 
-    def name(self, addr):
+    def path(self, addr):
+        """The file mapped executable at `addr`, or None."""
         i = bisect.bisect_right(self.starts, addr) - 1
         if i < 0 or addr >= self.ranges[i][1]:
+            return None
+        return self.ranges[i][2]
+
+    def name(self, addr):
+        path = self.path(addr)
+        if path is None:
             return "[anonymous]"
-        path = self.ranges[i][2]
         name = Symbols.of(path).name(addr - self.bases.get(path, 0))
         return name or f"[{os.path.basename(path)}]"
 
@@ -125,8 +139,13 @@ def sim_threads(pid):
     return out
 
 
+def is_libc(path):
+    return path is not None and os.path.basename(path).startswith(("libc.so", "libc-"))
+
+
 def sample(tid, mem):
-    """Stops `tid`, returns its stack as return addresses (innermost first)."""
+    """Stops `tid`, returns its stack as return addresses (innermost first)
+    and the word at its stack pointer (None if unreadable)."""
     if not ptrace(PTRACE_SEIZE, tid):
         return None
     try:
@@ -141,6 +160,10 @@ def sample(tid, mem):
             return None
         stack = [regs[REG_RIP]]
         fp, sp = regs[REG_RBP], regs[REG_RSP]
+        try:
+            top = struct.unpack("<Q", os.pread(mem, 8, sp))[0]
+        except (OSError, struct.error):
+            top = None
         # Code without frame pointers may leave anything in rbp: stop at a
         # pointer that is not into the user half of the address space.
         while len(stack) < MAX_DEPTH and sp <= fp < USER_TOP and fp % 8 == 0:
@@ -154,7 +177,7 @@ def sample(tid, mem):
             if saved_fp <= fp:
                 break
             sp, fp = fp, saved_fp
-        return stack
+        return stack, top
     finally:
         ptrace(PTRACE_DETACH, tid)
 
@@ -173,11 +196,16 @@ def run_child(exe, workload, seed, self_counts, incl_counts):
                 maps = Maps(child.pid)
                 mem = os.open(f"/proc/{child.pid}/mem", os.O_RDONLY)
             for tid in threads:
-                stack = sample(tid, mem)
-                if not stack:
+                got = sample(tid, mem)
+                if not got:
                     continue
+                stack, top = got
                 samples += 1
                 names = [maps.name(addr) for addr in stack]
+                if is_libc(maps.path(stack[0])):
+                    code = top is not None and maps.path(top) is not None
+                    names.append(f"[libc] <- {maps.name(top - 1) if code else '?'}")
+                    self_counts[names[-1]] += 1
                 self_counts[names[0]] += 1
                 for name in set(names):
                     incl_counts[name] += 1

@@ -12,6 +12,12 @@
 # `simnet-run` threads are sampled: the idle pool worker and the main
 # thread's setup are left out. Needs python3 and nm, not perf or gdb.
 #
+# libc is stripped, so its samples are also split by direct caller, read
+# from the return address at the stack pointer: `[libc] <- <caller>` rows.
+# The split holds for leaf routines (memcpy, memset), which push nothing;
+# for malloc and free the word is rarely the return address, and their
+# samples land in `[libc] <- ?` or name libc itself.
+#
 # The benchmark's traced pass (`--trace 1`) cannot attribute host time
 # below the trainer until its span stack is keyed by process (ROADMAP
 # 6(f)); this sampler is how the host-cost tables in EXPERIMENTS.md were

@@ -51,14 +51,19 @@
 #      and process trampoline, and the `mmap` / `mprotect` / `munmap`
 #      calls that map each 2 MiB stack above its guard page. Miri cannot
 #      run the assembly (or a foreign mmap), so it is not run here.
-#      What covers it instead: every simulation of the tier-1 suite runs
-#      on it, at SHMCAFFE_THREADS=1 and =4 — the golden grant-order
-#      fingerprint and the abort / deadlock unwinding tests
-#      (crates/simnet/tests/handoff.rs), the guard-page, thread-local and
-#      nested-run tests (crates/simnet/tests/fibers.rs), the pinned
-#      training, exchange and timing checksums — and so do the
-#      race-detector suites (scripts/race.sh) and the schedcheck
-#      explorer suites, which run thousands of short simulations.
+#      What covers it instead: fiber.rs's own unit tests of the direct
+#      hand-off (`a_ring_of_direct_hand_offs_comes_back_once`,
+#      `a_fiber_finishing_after_a_direct_switch_comes_back_as_itself`,
+#      `switch_to_refuses_unstarted_finished_running_and_absent_fibers`,
+#      which also count the stacks left mapped), and every simulation of
+#      the tier-1 suite, at SHMCAFFE_THREADS=1 and =4 — the golden
+#      grant-order fingerprint, the one-switch-per-grant stats and the
+#      abort / deadlock unwinding tests (crates/simnet/tests/handoff.rs),
+#      the guard-page, thread-local and nested-run tests
+#      (crates/simnet/tests/fibers.rs), the pinned training, exchange and
+#      timing checksums — and so do the race-detector suites
+#      (scripts/race.sh) and the schedcheck explorer suites, which run
+#      thousands of short simulations.
 #
 # Miri needs a nightly toolchain component; this gate degrades to a skip
 # (exit 0) when it is not installed so offline/stable environments still
