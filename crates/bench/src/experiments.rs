@@ -5,7 +5,7 @@
 //! Tables V/VI average "the training time during 1000 iterations".
 
 use shmcaffe::config::ShmCaffeConfig;
-use shmcaffe::platforms::{CaffeMpi, CaffeSsgd, MpiCaffe, ShmCaffeA, ShmCaffeH, SsgdConfig};
+use shmcaffe::platforms::{Exchange, ShmCaffeA, ShmCaffeH, Ssgd, SsgdConfig};
 use shmcaffe::report::TrainingReport;
 use shmcaffe::trainer::{ModeledTrainerFactory, TrainerFactory};
 use shmcaffe::PlatformError;
@@ -48,6 +48,17 @@ impl Platform {
             Platform::MpiCaffe => "MPICaffe",
             Platform::ShmCaffeA => "ShmCaffe-A",
             Platform::ShmCaffeH => "ShmCaffe-H",
+        }
+    }
+
+    /// The exchange of an SSGD baseline; `None` for the two ShmCaffe
+    /// platforms.
+    pub fn exchange(self) -> Option<Exchange> {
+        match self {
+            Platform::Caffe => Some(Exchange::Nccl),
+            Platform::CaffeMpi => Some(Exchange::Star),
+            Platform::MpiCaffe => Some(Exchange::Ring),
+            Platform::ShmCaffeA | Platform::ShmCaffeH => None,
         }
     }
 
@@ -131,12 +142,12 @@ pub fn run_platform<F: TrainerFactory>(
 ) -> Result<TrainingReport, PlatformError> {
     let testbed = |nodes: usize| ClusterSpec::paper_testbed(nodes.max(1));
     let spec = testbed(n.div_ceil(4));
-    match platform {
-        Platform::Caffe => CaffeSsgd::new(spec, n, ssgd).run(factory),
-        Platform::CaffeMpi => CaffeMpi::new(spec, n, ssgd).run(factory),
-        Platform::MpiCaffe => MpiCaffe::new(spec, n, ssgd).run(factory),
-        Platform::ShmCaffeA => ShmCaffeA::new(spec, n, shm).run(factory),
-        Platform::ShmCaffeH => ShmCaffeH::new(testbed(n), n, group_size, shm).run(factory),
+    match platform.exchange() {
+        Some(exchange) => Ssgd::new(exchange, spec, n, ssgd).run(factory),
+        None if platform == Platform::ShmCaffeH => {
+            ShmCaffeH::new(testbed(n), n, group_size, shm).run(factory)
+        }
+        None => ShmCaffeA::new(spec, n, shm).run(factory),
     }
 }
 

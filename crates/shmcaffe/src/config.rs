@@ -105,7 +105,7 @@ impl ShmCaffeConfig {
 
 /// Baseline-platform calibration (see DESIGN.md §1 and EXPERIMENTS.md for
 /// provenance; BVLC Caffe's host-overhead constants live in
-/// `platforms/caffe.rs`).
+/// `platforms/ssgd.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineConfig {
     /// Effective MPI point-to-point bandwidth as a fraction of the RDMA
@@ -122,6 +122,16 @@ pub struct BaselineConfig {
 impl Default for BaselineConfig {
     fn default() -> Self {
         BaselineConfig { mpi_efficiency: 0.25 }
+    }
+}
+
+impl BaselineConfig {
+    /// The modelled wire size of an MPI transfer of `bytes` logical bytes:
+    /// the copy and protocol overhead inflates it by `1 / mpi_efficiency`.
+    /// Every MPI baseline (Caffe-MPI, MPICaffe, Downpour) prices its
+    /// messages through this one rule.
+    pub fn mpi_wire_bytes(&self, bytes: u64) -> u64 {
+        (bytes as f64 / self.mpi_efficiency) as u64
     }
 }
 

@@ -11,9 +11,10 @@
 //!   among the GPUs of one node, asynchronous SEASGD between node groups.
 //! * [`platforms`] — runnable platforms returning a [`report::TrainingReport`]:
 //!   [`platforms::ShmCaffeA`] (pure asynchronous), [`platforms::ShmCaffeH`]
-//!   (hybrid), and the baselines [`platforms::CaffeSsgd`] (BVLC Caffe
-//!   multi-GPU), [`platforms::CaffeMpi`] (Inspur-style star parameter
-//!   exchange) and [`platforms::MpiCaffe`] (MPI_Allreduce SSGD).
+//!   (hybrid), and the three SSGD baselines as one platform,
+//!   [`platforms::Ssgd`], whose [`platforms::Exchange`] is BVLC Caffe's
+//!   multi-GPU NCCL all-reduce, an Inspur-style star parameter exchange
+//!   (Caffe-MPI) or an MPI_Allreduce ring ([`platforms::MpiCaffe`]).
 //! * [`termination`] — the three termination-alignment criteria of §III-E.
 //! * [`trainer`] — the [`trainer::Trainer`] abstraction: real CPU training
 //!   ([`trainer::RealTrainer`]) for convergence experiments, calibrated

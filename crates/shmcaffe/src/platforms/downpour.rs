@@ -98,8 +98,7 @@ impl DownpourAsgd {
                     let ctx = &ctx;
                     // The server seeds W from a replica's initial weights.
                     let mut seed_trainer = factory.make(0, n.max(1));
-                    let wire_eff =
-                        (seed_trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
+                    let wire_eff = cfg.baseline.mpi_wire_bytes(seed_trainer.wire_bytes());
                     let mut weights = weights_of(&mut seed_trainer);
                     let mut done = 0usize;
                     // The server update is memory-bound; charge a light pass.
@@ -144,8 +143,7 @@ impl DownpourAsgd {
                 sim.spawn(&format!("downpour_w{worker}"), move |ctx| {
                     let ctx = &ctx;
                     let mut trainer = factory.make(worker, n);
-                    let wire_eff =
-                        (trainer.wire_bytes() as f64 / cfg.baseline.mpi_efficiency) as u64;
+                    let wire_eff = cfg.baseline.mpi_wire_bytes(trainer.wire_bytes());
                     let mut grads = vec![0.0f32; trainer.param_len()];
                     let mut log = StepLog::new(worker, cfg.eval_every);
 

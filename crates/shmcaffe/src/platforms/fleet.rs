@@ -3,14 +3,16 @@
 //! Each platform's iteration is the same task graph — compute gradients,
 //! synchronise, update — and only the synchronisation differs (NCCL or MPI
 //! all-reduce, star gather/scatter, parameter-server pull/push, the SEASGD
-//! exchange). The six per-rank loops stay written out, one per platform,
-//! because that difference decides *where* the update sits and what counts
-//! as communication; what they share is bookkeeping, and it lives here
-//! once: the report shell and its collection ([`run_fleet`], [`Sink`]), a
-//! rank's report, loss average and evaluation cadence ([`StepLog`]), the
-//! gradient averaging of the synchronous platforms
-//! ([`average_gradients`]), the cluster-size check ([`check_fit`]) and the
-//! fault-plan check that builds the fabric ([`fault_fabric`]).
+//! exchange). Four per-rank loops stay written out — SSGD (whose exchange
+//! step owns the update, so its three baselines share it), Downpour, the
+//! SEASGD worker and the hybrid group member — because the synchronisation
+//! decides *where* the update sits and what counts as communication; what
+//! they share is bookkeeping, and it lives here once: the report shell and
+//! its collection ([`run_fleet`], [`Sink`]), a rank's report, loss average
+//! and evaluation cadence ([`StepLog`]), the gradient averaging of the
+//! synchronous platforms ([`average_gradients`]), the cluster-size check
+//! ([`check_fit`]) and the fault-plan check that builds the fabric
+//! ([`fault_fabric`]).
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -135,7 +137,8 @@ impl StepLog {
 }
 
 /// The synchronous-SGD gradient step: hand the trainer's gradients to
-/// `reduce` (the platform's sum all-reduce over its `n` ranks), scale the
+/// `reduce` (the sum over the `n` ranks: an all-reduce, or the star
+/// master's gather), scale the
 /// sum to the mean and install it back. `grads` is the rank's staging
 /// buffer, recycled across iterations.
 pub(crate) fn average_gradients<T: Trainer + ?Sized>(

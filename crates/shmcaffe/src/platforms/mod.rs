@@ -4,29 +4,29 @@
 //! |---|---|---|
 //! | [`ShmCaffeA`] | the contribution (async) | SEASGD over the SMB server |
 //! | [`ShmCaffeH`] | the contribution (hybrid) | intra-node SSGD + inter-node SEASGD |
-//! | [`CaffeSsgd`] | baseline | BVLC Caffe 1.0: single-process multi-GPU NCCL SSGD |
-//! | [`CaffeMpi`] | baseline | Inspur Caffe-MPI: star-topology gradient gather / weight scatter over MPI |
-//! | [`MpiCaffe`] | baseline | the authors' MPI_Allreduce SSGD port |
+//! | [`Ssgd`] with [`Exchange::Nccl`] | baseline (Caffe) | BVLC Caffe 1.0: single-process multi-GPU NCCL SSGD |
+//! | [`Ssgd`] with [`Exchange::Star`] | baseline (Caffe-MPI) | Inspur Caffe-MPI: star-topology gradient gather / weight scatter over MPI |
+//! | [`Ssgd`] with [`Exchange::Ring`] ([`MpiCaffe`]) | baseline (MPICaffe) | the authors' MPI_Allreduce SSGD port |
+//! | [`DownpourAsgd`] | related work (§II) | parameter-server ASGD over MPI |
 //!
 //! Every platform consumes a [`crate::trainer::TrainerFactory`] and returns
-//! a [`crate::report::TrainingReport`]. Each keeps its own per-rank loop —
-//! they differ in where the update sits and what counts as communication —
-//! over one shared set of books (the private `fleet` module).
+//! a [`crate::report::TrainingReport`]. There are four per-rank loops —
+//! SSGD, Downpour, the SEASGD worker and the hybrid group member — because
+//! they differ in where the update sits and what counts as communication;
+//! the three SSGD baselines share one loop and differ only in their
+//! [`Exchange`]. All four keep one set of books (the private `fleet`
+//! module).
 
-mod caffe;
-mod caffe_mpi;
 mod downpour;
 pub(crate) mod fleet;
-mod mpicaffe;
 mod shmcaffe_a;
 mod shmcaffe_h;
+mod ssgd;
 
-pub use caffe::{CaffeSsgd, SsgdConfig};
-pub use caffe_mpi::CaffeMpi;
 pub use downpour::{DownpourAsgd, DownpourConfig};
-pub use mpicaffe::MpiCaffe;
 pub use shmcaffe_a::ShmCaffeA;
 pub use shmcaffe_h::ShmCaffeH;
+pub use ssgd::{Exchange, MpiCaffe, Ssgd, SsgdConfig};
 
 use shmcaffe_simnet::{SimTime, Simulation};
 

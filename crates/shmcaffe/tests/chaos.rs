@@ -3,11 +3,12 @@
 //! The elastic-averaging platform (ShmCaffe-A) must survive — the server
 //! evicts the dead worker's leased buffer, the survivors complete their
 //! full budget, and the final loss matches a fault-free run — while the
-//! synchronous SSGD platform must abort with an error rather than hang.
+//! synchronous SSGD platform, over each of its three exchanges, must abort
+//! with an error rather than hang.
 
 mod watchdog;
 
-use shmcaffe::platforms::{MpiCaffe, ShmCaffeA, SsgdConfig};
+use shmcaffe::platforms::{Exchange, ShmCaffeA, Ssgd, SsgdConfig};
 use shmcaffe::trainer::ModeledTrainerFactory;
 use shmcaffe::{PlatformError, ShmCaffeConfig, TrainingReport};
 use shmcaffe_models::{CnnModel, WorkloadModel};
@@ -299,15 +300,25 @@ fn a_rolled_back_board_does_not_hold_the_run_open() {
     }
 }
 
+/// A dead rank blocks every exchange: the ring's neighbours, the star
+/// master waiting on a dead slave, the NCCL clique. Each must abort.
 #[test]
 fn synchronous_platform_aborts_instead_of_hanging() {
-    let err = MpiCaffe::new(
-        ClusterSpec::paper_testbed(1),
-        N_WORKERS,
-        SsgdConfig { max_iters: MAX_ITERS, ..Default::default() },
-    )
-    .with_fault_plan(crash_plan())
-    .run(factory())
-    .expect_err("SSGD cannot survive a dead rank");
-    assert!(matches!(err, PlatformError::WorkerFailed(_)), "expected WorkerFailed, got {err:?}");
+    for exchange in [Exchange::Ring, Exchange::Star, Exchange::Nccl] {
+        let result = within_watchdog(move || {
+            Ssgd::new(
+                exchange,
+                ClusterSpec::paper_testbed(1),
+                N_WORKERS,
+                SsgdConfig { max_iters: MAX_ITERS, ..Default::default() },
+            )
+            .with_fault_plan(crash_plan())
+            .run(factory())
+        });
+        let Err(err) = result else { panic!("{exchange:?}: SSGD cannot survive a dead rank") };
+        assert!(
+            matches!(err, PlatformError::WorkerFailed(_)),
+            "{exchange:?}: expected WorkerFailed, got {err:?}"
+        );
+    }
 }

@@ -1,9 +1,10 @@
-//! Behavioural oracle for the six platform run loops: one small seeded run
-//! per platform, fingerprinted worker by worker. The literals were captured
-//! on the commit *before* the per-rank bookkeeping moved into
-//! `platforms/fleet.rs` (PR 19; the `op_matrix.rs` pattern of PR 15), so any
-//! change to what a rank records, when it evaluates, how gradients are
-//! averaged or in which order its synchronisation step runs moves them.
+//! Behavioural oracle for the platform run loops: one small seeded run per
+//! platform — each of the SSGD loop's three exchanges counts as one —
+//! fingerprinted worker by worker. The literals were captured on the
+//! commit *before* the per-rank bookkeeping moved into `platforms/fleet.rs`
+//! (PR 19; the `op_matrix.rs` pattern of PR 15), so any change to what a
+//! rank records, when it evaluates, how gradients are averaged or in which
+//! order its synchronisation step runs moves them.
 //!
 //! Every baseline and SEASGD platform trains a real MLP proxy with jitter
 //! on and `eval_every > 0` — a `ModeledTrainer` never evaluates, so only a
@@ -14,7 +15,7 @@
 use std::sync::Arc;
 
 use shmcaffe::platforms::{
-    CaffeMpi, CaffeSsgd, DownpourAsgd, DownpourConfig, MpiCaffe, ShmCaffeA, ShmCaffeH, SsgdConfig,
+    DownpourAsgd, DownpourConfig, Exchange, MpiCaffe, ShmCaffeA, ShmCaffeH, Ssgd, SsgdConfig,
 };
 use shmcaffe::trainer::{ModeledTrainerFactory, RealTrainerFactory};
 use shmcaffe::{ShmCaffeConfig, TrainingReport};
@@ -126,13 +127,15 @@ fn ssgd() -> SsgdConfig {
 
 #[test]
 fn caffe_ssgd_four_gpus() {
-    let report = CaffeSsgd::new(ClusterSpec::paper_testbed(1), 4, ssgd()).run(mlp_factory());
+    let spec = ClusterSpec::paper_testbed(1);
+    let report = Ssgd::new(Exchange::Nccl, spec, 4, ssgd()).run(mlp_factory());
     check(&report.unwrap(), 3, 0xc997_e26b_cf14_841d);
 }
 
 #[test]
 fn caffe_mpi_four_workers() {
-    let report = CaffeMpi::new(ClusterSpec::paper_testbed(1), 4, ssgd()).run(mlp_factory());
+    let spec = ClusterSpec::paper_testbed(1);
+    let report = Ssgd::new(Exchange::Star, spec, 4, ssgd()).run(mlp_factory());
     check(&report.unwrap(), 3, 0x1c93_33be_a10e_4355);
 }
 

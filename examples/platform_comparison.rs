@@ -8,9 +8,7 @@
 use shmcaffe_repro::models::CnnModel;
 use shmcaffe_repro::models::WorkloadModel;
 use shmcaffe_repro::platform::config::ShmCaffeConfig;
-use shmcaffe_repro::platform::platforms::{
-    CaffeMpi, CaffeSsgd, MpiCaffe, ShmCaffeA, ShmCaffeH, SsgdConfig,
-};
+use shmcaffe_repro::platform::platforms::{Exchange, ShmCaffeA, ShmCaffeH, Ssgd, SsgdConfig};
 use shmcaffe_repro::platform::report::TrainingReport;
 use shmcaffe_repro::platform::trainer::ModeledTrainerFactory;
 use shmcaffe_repro::simnet::jitter::JitterModel;
@@ -46,9 +44,10 @@ fn main() {
     let ssgd = SsgdConfig { max_iters: ITERS, ..Default::default() };
     let shm = ShmCaffeConfig { max_iters: ITERS, progress_every: 25, ..Default::default() };
 
-    describe("Caffe", &CaffeSsgd::new(spec, GPUS, ssgd).run(factory()).expect("runs"));
-    describe("Caffe-MPI", &CaffeMpi::new(spec, GPUS, ssgd).run(factory()).expect("runs"));
-    describe("MPICaffe", &MpiCaffe::new(spec, GPUS, ssgd).run(factory()).expect("runs"));
+    for exchange in [Exchange::Nccl, Exchange::Star, Exchange::Ring] {
+        let report = Ssgd::new(exchange, spec, GPUS, ssgd).run(factory()).expect("runs");
+        describe(exchange.platform(), &report);
+    }
     describe("ShmCaffe-A", &ShmCaffeA::new(spec, GPUS, shm).run(factory()).expect("runs"));
     describe("ShmCaffe-H", &ShmCaffeH::new(spec, 2, 4, shm).run(factory()).expect("runs"));
 

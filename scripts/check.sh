@@ -21,9 +21,10 @@
 # (BENCH_paper.json: the paper's figures, the scoreboard, the exchange
 # table, the fault sweep and the ablations) is re-run by its one driver and
 # must reproduce exactly, and kernel_bench --smoke bounds the conv task
-# grid on the host clock. The whole-stack benchmark package is also built
-# from its own manifest, as the benchmark pipeline builds it, and its own
-# tests run from there.
+# grid on the host clock. Every example under examples/ runs once and must
+# exit 0. The whole-stack benchmark package is also built from its own
+# manifest, as the benchmark pipeline builds it, and its own tests run
+# from there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,6 +87,15 @@ SHMCAFFE_THREADS=1 timeout 1800 cargo test -q --workspace
 
 echo "== tier-1 suite, SHMCAFFE_THREADS=4 =="
 SHMCAFFE_THREADS=4 timeout 1800 cargo test -q --workspace
+
+echo "== examples: each release example runs once and exits 0 =="
+# Clippy only compiles them; a panic at run time shows here.
+cargo build -q --release --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    ./target/release/examples/"$name" > /dev/null ||
+        { echo "FAIL: example $name exited nonzero" >&2; exit 1; }
+done
 
 echo "== kernel-bench smoke: in-image conv task grid must not regress (host-aware floor) =="
 cargo build -q --release -p shmcaffe-bench --bin kernel_bench

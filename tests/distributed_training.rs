@@ -8,9 +8,7 @@ use shmcaffe_repro::dnn::data::SyntheticBlobs;
 use shmcaffe_repro::dnn::SolverConfig;
 use shmcaffe_repro::models::proxies;
 use shmcaffe_repro::platform::config::ShmCaffeConfig;
-use shmcaffe_repro::platform::platforms::{
-    CaffeMpi, CaffeSsgd, MpiCaffe, ShmCaffeA, ShmCaffeH, SsgdConfig,
-};
+use shmcaffe_repro::platform::platforms::{Exchange, ShmCaffeA, ShmCaffeH, Ssgd, SsgdConfig};
 use shmcaffe_repro::platform::trainer::{RealTrainerFactory, Trainer, TrainerFactory};
 use shmcaffe_repro::simnet::jitter::JitterModel;
 use shmcaffe_repro::simnet::topology::ClusterSpec;
@@ -72,50 +70,23 @@ fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
 }
 
 #[test]
-fn mpicaffe_matches_reference_ssgd() {
+fn every_exchange_matches_reference_ssgd() {
     let reference = reference_ssgd_weights();
-    let report = MpiCaffe::new(
-        ClusterSpec::paper_testbed(1),
-        WORKERS,
-        SsgdConfig { max_iters: ITERS, ..Default::default() },
-    )
-    .run(factory())
-    .expect("platform runs");
-    let got = report.final_weights.expect("rank 0 records weights");
-    // Ring summation order differs from the reference loop: allow float
-    // noise but nothing more.
-    let diff = max_abs_diff(&reference, &got);
-    assert!(diff < 1e-4, "MPICaffe diverged from reference SSGD by {diff}");
-}
-
-#[test]
-fn caffe_mpi_star_matches_reference_ssgd() {
-    let reference = reference_ssgd_weights();
-    let report = CaffeMpi::new(
-        ClusterSpec::paper_testbed(2),
-        WORKERS,
-        SsgdConfig { max_iters: ITERS, ..Default::default() },
-    )
-    .run(factory())
-    .expect("platform runs");
-    let got = report.final_weights.expect("rank 0 records weights");
-    let diff = max_abs_diff(&reference, &got);
-    assert!(diff < 1e-4, "Caffe-MPI diverged from reference SSGD by {diff}");
-}
-
-#[test]
-fn caffe_nccl_matches_reference_ssgd() {
-    let reference = reference_ssgd_weights();
-    let report = CaffeSsgd::new(
-        ClusterSpec::paper_testbed(1),
-        WORKERS,
-        SsgdConfig { max_iters: ITERS, ..Default::default() },
-    )
-    .run(factory())
-    .expect("platform runs");
-    let got = report.final_weights.expect("gpu 0 records weights");
-    let diff = max_abs_diff(&reference, &got);
-    assert!(diff < 1e-4, "Caffe diverged from reference SSGD by {diff}");
+    for (exchange, nodes) in [(Exchange::Ring, 1), (Exchange::Star, 2), (Exchange::Nccl, 1)] {
+        let report = Ssgd::new(
+            exchange,
+            ClusterSpec::paper_testbed(nodes),
+            WORKERS,
+            SsgdConfig { max_iters: ITERS, ..Default::default() },
+        )
+        .run(factory())
+        .expect("platform runs");
+        let got = report.final_weights.expect("rank 0 records weights");
+        // The ring's summation order differs from the reference loop:
+        // allow float noise but nothing more.
+        let diff = max_abs_diff(&reference, &got);
+        assert!(diff < 1e-4, "{exchange:?} diverged from reference SSGD by {diff}");
+    }
 }
 
 #[test]
@@ -132,7 +103,8 @@ fn hybrid_single_group_with_zero_alpha_equals_plain_ssgd() {
     let h = ShmCaffeH::new(ClusterSpec::paper_testbed(1), 1, WORKERS, cfg)
         .run(factory())
         .expect("platform runs");
-    let ssgd = CaffeSsgd::new(
+    let ssgd = Ssgd::new(
+        Exchange::Nccl,
         ClusterSpec::paper_testbed(1),
         WORKERS,
         SsgdConfig { max_iters: ITERS, ..Default::default() },
@@ -168,9 +140,9 @@ fn all_platforms_converge_on_easy_task() {
     let spec = ClusterSpec::paper_testbed(1);
 
     let finals = vec![
-        ("Caffe", CaffeSsgd::new(spec, 4, ssgd_cfg).run(easy()).unwrap()),
-        ("Caffe-MPI", CaffeMpi::new(spec, 4, ssgd_cfg).run(easy()).unwrap()),
-        ("MPICaffe", MpiCaffe::new(spec, 4, ssgd_cfg).run(easy()).unwrap()),
+        ("Caffe", Ssgd::new(Exchange::Nccl, spec, 4, ssgd_cfg).run(easy()).unwrap()),
+        ("Caffe-MPI", Ssgd::new(Exchange::Star, spec, 4, ssgd_cfg).run(easy()).unwrap()),
+        ("MPICaffe", Ssgd::new(Exchange::Ring, spec, 4, ssgd_cfg).run(easy()).unwrap()),
         ("ShmCaffe-A", ShmCaffeA::new(spec, 4, shm_cfg).run(easy()).unwrap()),
         (
             "ShmCaffe-H",
