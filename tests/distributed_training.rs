@@ -69,24 +69,38 @@ fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
 }
 
-#[test]
-fn every_exchange_matches_reference_ssgd() {
+/// Runs the SSGD platform over `exchange` on `nodes` nodes and checks its
+/// final weights against the hand-driven reference.
+fn assert_matches_reference_ssgd(exchange: Exchange, nodes: usize) {
     let reference = reference_ssgd_weights();
-    for (exchange, nodes) in [(Exchange::Ring, 1), (Exchange::Star, 2), (Exchange::Nccl, 1)] {
-        let report = Ssgd::new(
-            exchange,
-            ClusterSpec::paper_testbed(nodes),
-            WORKERS,
-            SsgdConfig { max_iters: ITERS, ..Default::default() },
-        )
-        .run(factory())
-        .expect("platform runs");
-        let got = report.final_weights.expect("rank 0 records weights");
-        // The ring's summation order differs from the reference loop:
-        // allow float noise but nothing more.
-        let diff = max_abs_diff(&reference, &got);
-        assert!(diff < 1e-4, "{exchange:?} diverged from reference SSGD by {diff}");
-    }
+    let report = Ssgd::new(
+        exchange,
+        ClusterSpec::paper_testbed(nodes),
+        WORKERS,
+        SsgdConfig { max_iters: ITERS, ..Default::default() },
+    )
+    .run(factory())
+    .expect("platform runs");
+    let got = report.final_weights.expect("rank 0 records weights");
+    // The ring's summation order differs from the reference loop: allow
+    // float noise but nothing more.
+    let diff = max_abs_diff(&reference, &got);
+    assert!(diff < 1e-4, "{exchange:?} diverged from reference SSGD by {diff}");
+}
+
+#[test]
+fn mpicaffe_matches_reference_ssgd() {
+    assert_matches_reference_ssgd(Exchange::Ring, 1);
+}
+
+#[test]
+fn caffe_mpi_star_matches_reference_ssgd() {
+    assert_matches_reference_ssgd(Exchange::Star, 2);
+}
+
+#[test]
+fn caffe_nccl_matches_reference_ssgd() {
+    assert_matches_reference_ssgd(Exchange::Nccl, 1);
 }
 
 #[test]
