@@ -198,9 +198,18 @@ impl<T: Send + 'static> SimChannel<T> {
     /// the receiver parks as blocked, so the deadlock detector sees it;
     /// with one it parks as a timed wait and gives up at the deadline.
     fn take(&self, ctx: &SimContext, deadline: Option<SimTime>) -> Option<T> {
+        let mut timed_wait = false;
         loop {
             {
                 let mut st = self.state.lock();
+                // Scrub our waiter registration after a timed wait: if we
+                // were woken by the deadline (not a sender), a stale entry
+                // would soak up a future wake meant for a live receiver.
+                if timed_wait {
+                    if let Some(i) = st.waiters.iter().position(|&p| p == ctx.pid()) {
+                        st.waiters.remove(i);
+                    }
+                }
                 if let Some(i) = self.pick_index(ctx, &st, deadline) {
                     let env = st.queue.remove(i).expect("candidate index in range");
                     drop(st);
@@ -218,17 +227,12 @@ impl<T: Send + 'static> SimChannel<T> {
             }
             // Park until a sender wakes us (or the deadline passes); loop in
             // case another receiver stole the message first.
-            let Some(deadline) = deadline else {
-                ctx.core.block(ctx.pid());
-                continue;
-            };
-            ctx.core.block_until(ctx.pid(), deadline);
-            // Scrub our waiter registration: if we were woken by the
-            // deadline (not a sender), a stale entry would soak up a
-            // future wake meant for a live receiver.
-            let mut st = self.state.lock();
-            if let Some(i) = st.waiters.iter().position(|&p| p == ctx.pid()) {
-                st.waiters.remove(i);
+            match deadline {
+                None => ctx.core.block(ctx.pid()),
+                Some(deadline) => {
+                    ctx.core.block_until(ctx.pid(), deadline);
+                    timed_wait = true;
+                }
             }
         }
     }

@@ -6,8 +6,17 @@
 //! This single abstraction models the paper's InfiniBand HCAs (7 GB/s), the
 //! switch backplane, per-node PCIe buses (~12 GB/s) and the SMB server's
 //! accumulate engine.
+//!
+//! A resource's books — when it next falls free, and its byte, busy-time
+//! and transfer totals — are four `AtomicU64`s, written with plain
+//! `Relaxed` loads and stores and no lock (DESIGN.md §5k, "where a
+//! resource's books live"). Only the process holding the running slot
+//! books a transfer, and every process of a run is a fiber on the run's
+//! one OS thread, so no two bookings ever interleave; a read after
+//! [`crate::Simulation::run`] returns is ordered after the whole run by
+//! the join of that thread.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::{SimContext, SimDuration, SimTime};
@@ -33,12 +42,32 @@ impl LinkModel {
     }
 }
 
+/// The books of one resource, in nanoseconds and counts.
+///
+/// Each update is a load and a store, never a read-modify-write: nothing
+/// else can run between the two (module docs), and a locked `fetch_add`
+/// would cost as much as the lock these replaced.
 #[derive(Debug, Default)]
-struct ResourceState {
-    busy_until: SimTime,
-    total_bytes: u64,
-    total_busy: SimDuration,
-    transfers: u64,
+struct Books {
+    busy_until: AtomicU64,
+    total_bytes: AtomicU64,
+    total_busy: AtomicU64,
+    transfers: AtomicU64,
+}
+
+impl Books {
+    fn busy_until(&self) -> SimTime {
+        SimTime::from_nanos(self.busy_until.load(Relaxed))
+    }
+
+    /// Books one service interval of `service` ending at `end`.
+    fn book(&self, end: SimTime, bytes: u64, service: SimDuration) {
+        let busy = SimDuration::from_nanos(self.total_busy.load(Relaxed)) + service;
+        self.busy_until.store(end.as_nanos(), Relaxed);
+        self.total_bytes.store(self.total_bytes.load(Relaxed) + bytes, Relaxed);
+        self.total_busy.store(busy.as_nanos(), Relaxed);
+        self.transfers.store(self.transfers.load(Relaxed) + 1, Relaxed);
+    }
 }
 
 /// A FIFO bandwidth resource shared by simulated processes.
@@ -67,7 +96,7 @@ struct ResourceState {
 pub struct BandwidthResource {
     name: Arc<str>,
     model: LinkModel,
-    state: Arc<Mutex<ResourceState>>,
+    books: Arc<Books>,
 }
 
 impl std::fmt::Debug for BandwidthResource {
@@ -98,11 +127,7 @@ impl TransferReport {
 impl BandwidthResource {
     /// Creates a resource with the given model.
     pub fn new(name: &str, model: LinkModel) -> Self {
-        BandwidthResource {
-            name: name.into(),
-            model,
-            state: Arc::new(Mutex::new(ResourceState::default())),
-        }
+        BandwidthResource { name: name.into(), model, books: Arc::default() }
     }
 
     /// The resource's link model.
@@ -125,33 +150,26 @@ impl BandwidthResource {
     /// Reserves the resource without transferring bytes (control messages,
     /// fixed-cost operations). Blocks for queueing + `service` + latency.
     pub fn occupy(&self, ctx: &SimContext, service: SimDuration) -> TransferReport {
-        let now = ctx.now();
-        let (start, end) = {
-            let mut st = self.state.lock();
-            let start = now.max(st.busy_until);
-            let end = start + service;
-            st.busy_until = end;
-            st.total_busy += service;
-            st.transfers += 1;
-            (start, end)
-        };
+        let start = ctx.now().max(self.books.busy_until());
+        let end = start + service;
+        self.books.book(end, 0, service);
         ctx.sleep_until(end + self.model.latency);
         TransferReport { start, end }
     }
 
     /// Total bytes moved so far.
     pub fn total_bytes(&self) -> u64 {
-        self.state.lock().total_bytes
+        self.books.total_bytes.load(Relaxed)
     }
 
     /// Total busy (service) time accumulated so far.
     pub fn total_busy(&self) -> SimDuration {
-        self.state.lock().total_busy
+        SimDuration::from_nanos(self.books.total_busy.load(Relaxed))
     }
 
     /// Number of transfers serviced so far.
     pub fn transfer_count(&self) -> u64 {
-        self.state.lock().transfers
+        self.books.transfers.load(Relaxed)
     }
 
     /// Utilisation over `[0, horizon]`: busy time divided by the horizon.
@@ -189,39 +207,28 @@ pub fn transfer_path_stream(
     stream_bps: Option<f64>,
 ) -> TransferReport {
     assert!(!path.is_empty(), "transfer path must contain at least one resource");
+    assert!(stream_bps.is_none_or(|bps| bps > 0.0), "stream_bps must be positive");
     let now = ctx.now();
     let min_bw = path.iter().map(|r| r.model.bandwidth_bps).fold(f64::INFINITY, f64::min);
     let service = SimDuration::from_secs_f64(bytes as f64 / min_bw);
     let max_latency = path.iter().map(|r| r.model.latency).max().unwrap_or(SimDuration::ZERO);
 
-    // Only one simulated process executes at a time, so locking resources
-    // sequentially cannot deadlock or race. A shared (half-duplex) resource
-    // may appear twice in the path; its occupancy is charged once, at its
+    // Only the running process books (module docs), so reading every hop
+    // and then booking every hop cannot race. A shared (half-duplex)
+    // resource may appear twice in the path; it is booked once, at its
     // first position (paths are a handful of hops, so the scan is free).
-    let mut start = now;
-    for r in path {
-        start = start.max(r.state.lock().busy_until);
-    }
+    let start = path.iter().fold(now, |t, r| t.max(r.books.busy_until()));
     let end = start + service;
     for (i, r) in path.iter().enumerate() {
-        if path[..i].iter().any(|earlier| Arc::ptr_eq(&earlier.state, &r.state)) {
-            continue;
+        if !path[..i].iter().any(|earlier| Arc::ptr_eq(&earlier.books, &r.books)) {
+            r.books.book(end, bytes, service);
         }
-        let mut st = r.state.lock();
-        st.busy_until = end;
-        st.total_bytes += bytes;
-        st.total_busy += service;
-        st.transfers += 1;
     }
+    // Paced streams flow concurrently: completion is governed by the
+    // stream's own rate from *arrival*, or by aggregate link saturation
+    // (the accumulated service backlog), whichever is later.
     let complete = match stream_bps {
-        Some(bps) => {
-            assert!(bps > 0.0, "stream_bps must be positive");
-            // Paced streams flow concurrently: completion is governed by
-            // the stream's own rate from *arrival*, or by aggregate link
-            // saturation (the accumulated service backlog), whichever is
-            // later.
-            end.max(now + SimDuration::from_secs_f64(bytes as f64 / bps))
-        }
+        Some(bps) => end.max(now + SimDuration::from_secs_f64(bytes as f64 / bps)),
         None => end,
     };
     ctx.sleep_until(complete + max_latency);
@@ -391,14 +398,61 @@ mod tests {
         // A half-duplex endpoint appears as both tx and rx.
         let mut sim = Simulation::new();
         let shared = BandwidthResource::new("hd", gbps(1.0));
-        let s1 = shared.clone();
-        let s2 = shared.clone();
+        let (s1, s2) = (shared.clone(), shared.clone());
         sim.spawn("p", move |ctx| {
             transfer_path_stream(&ctx, &[&s1, &s2], 1_000_000_000, None);
+            assert_eq!(s1.total_bytes(), 1_000_000_000);
+            assert_eq!(s1.total_busy().as_secs_f64(), 1.0);
+            assert_eq!(s1.transfer_count(), 1);
+            // Booked busy until the one transfer's end, 1 s.
+            assert_eq!(s2.transfer(&ctx, 0).start.as_secs_f64(), 1.0);
         });
+        assert_eq!(sim.run().as_secs_f64(), 1.0);
+    }
+
+    #[test]
+    fn rejected_stream_rate_leaves_the_books_untouched() {
+        let link = BandwidthResource::new("l", gbps(1.0));
+        let mut sim = Simulation::new();
+        let l = link.clone();
+        sim.spawn("p", move |ctx| {
+            ctx.sleep(SimDuration::from_millis(1));
+            transfer_path_stream(&ctx, &[&l, &l], 1_000_000_000, Some(0.0));
+        });
+        let err = sim.run_result().expect_err("a zero stream rate is rejected");
+        assert!(err.contains("stream_bps must be positive"), "{err}");
+        assert_eq!(link.total_bytes(), 0);
+        assert_eq!(link.total_busy(), SimDuration::ZERO);
+        assert_eq!(link.transfer_count(), 0);
+        // Nor was the link booked busy: a transfer at 0 starts at once.
+        let mut sim = Simulation::new();
+        let l = link.clone();
+        sim.spawn("q", move |ctx| assert_eq!(l.transfer(&ctx, 0).start, SimTime::ZERO));
+        sim.run();
+    }
+
+    #[test]
+    fn books_read_after_the_run_match_the_books_inside_it() {
+        let link = BandwidthResource::new("l", LinkModel::new(1e9, SimDuration::from_micros(3)));
+        let seen = std::sync::Arc::new(PMutex::new((0, SimDuration::ZERO, 0)));
+        let mut sim = Simulation::new();
+        for i in 0..4u64 {
+            let (l, seen) = (link.clone(), std::sync::Arc::clone(&seen));
+            sim.spawn(&format!("p{i}"), move |ctx| {
+                l.transfer(&ctx, 1_000_000 * (i + 1));
+                l.occupy(&ctx, SimDuration::from_micros(7 * i));
+                transfer_path_stream(&ctx, &[&l], 4096, Some(1e8));
+                *seen.lock() = (l.total_bytes(), l.total_busy(), l.transfer_count());
+            });
+        }
         let end = sim.run();
-        assert_eq!(end.as_secs_f64(), 1.0);
-        assert_eq!(shared.total_bytes(), 1_000_000_000);
-        assert_eq!(shared.transfer_count(), 1);
+        let (bytes, busy, count) = *seen.lock();
+        assert_eq!(bytes, 10_000_000 + 4 * 4096);
+        assert_eq!(count, 12);
+        assert_eq!(
+            (link.total_bytes(), link.total_busy(), link.transfer_count()),
+            (bytes, busy, count)
+        );
+        assert_eq!(link.utilization(end), busy.as_secs_f64() / end.as_secs_f64());
     }
 }

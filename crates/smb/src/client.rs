@@ -250,7 +250,7 @@ impl SmbClient {
     /// only then fail over.
     ///
     /// [`FaultError::NodeCrashed`]: shmcaffe_simnet::fault::FaultError::NodeCrashed
-    fn active(&self, ctx: &SimContext) -> SmbServer {
+    fn active(&self, ctx: &SimContext) -> &SmbServer {
         if let Route::Replicated(pair) = &self.route {
             if pair.primary_unserviceable(ctx, self.local) {
                 pair.fail_over(ctx, self.local);
@@ -262,11 +262,11 @@ impl SmbClient {
 
     /// [`SmbClient::active`] without the proactive crash check: routes by
     /// the pair's current promotion state only.
-    fn active_raw(&self, ctx: &SimContext) -> SmbServer {
+    fn active_raw(&self, ctx: &SimContext) -> &SmbServer {
         match &self.route {
             Route::Single(s) => {
                 let _ = ctx;
-                s.clone()
+                s
             }
             Route::Replicated(pair) => pair.active_server(ctx),
         }
@@ -664,15 +664,15 @@ impl SmbClient {
         gate: Gate<'_>,
         key: ShmKey,
         inbound: bool,
-    ) -> Result<SmbServer, SmbError> {
+    ) -> Result<&SmbServer, SmbError> {
         match gate {
             Gate::Stall => Ok(self.active(ctx)),
             Gate::FailFast(_) => {
                 let server = self.active_raw(ctx);
-                let (from, to) = self.ends(&server, inbound);
+                let (from, to) = self.ends(server, inbound);
                 match server.rdma().fabric().fault_check(ctx, from, to) {
                     Ok(()) => Ok(server),
-                    Err(fault) => Err(self.unavailable(&server, key, fault)),
+                    Err(fault) => Err(self.unavailable(server, key, fault)),
                 }
             }
         }
@@ -730,11 +730,11 @@ impl SmbClient {
             let kind = AccessKind::AtomicRead;
             server.rdma().read_wire(ctx, self.local, &mr, offset, out, verb_bytes, kind, site)?;
             if let Some(bytes) = path_bytes {
-                self.stream(ctx, &server, true, bytes);
+                self.stream(ctx, server, true, bytes);
             }
             match op.gate {
                 Gate::Stall => Ok(()),
-                Gate::FailFast(_) => self.verify_inbound(&server, buf.key, out),
+                Gate::FailFast(_) => self.verify_inbound(server, buf.key, out),
             }
         })
     }
@@ -763,7 +763,7 @@ impl SmbClient {
             let (verb_bytes, path_bytes) = Self::price(op, wire_bytes, data.len(), buf);
             let delivery = match op.gate {
                 Gate::Stall => Ok(data.len()),
-                Gate::FailFast(_) => self.outbound_delivery(&server, buf.key, data),
+                Gate::FailFast(_) => self.outbound_delivery(server, buf.key, data),
             };
             if let Ok(delivered) = delivery {
                 if delivered > 0 {
@@ -780,7 +780,7 @@ impl SmbClient {
             // A flipped payload crossed the wire before the server's
             // checksum rejected it: full wire time burns, nothing lands.
             if let Some(bytes) = path_bytes {
-                self.stream(ctx, &server, false, bytes);
+                self.stream(ctx, server, false, bytes);
             }
             delivery?;
             server.bump_version(ctx, buf.key);

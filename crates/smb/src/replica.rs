@@ -376,13 +376,13 @@ impl SmbPair {
     /// replicate→promote→access happens-before chain for *every* process
     /// that touches the standby (workers and their update threads each
     /// have their own clock, so the acquire happens per call).
-    pub fn active_server(&self, ctx: &SimContext) -> SmbServer {
+    pub fn active_server(&self, ctx: &SimContext) -> &SmbServer {
         self.fence_footprint(ctx, AccessKind::AtomicRead);
         if self.inner.promote_done.load(Ordering::Acquire) {
             self.inner.promote_edge.lock().acquire(ctx);
-            self.inner.standby.clone()
+            &self.inner.standby
         } else {
-            self.inner.primary.clone()
+            &self.inner.primary
         }
     }
 
