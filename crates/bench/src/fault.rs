@@ -6,7 +6,9 @@
 //! 1. **Transient-fault sweep** — ShmCaffe-A under a per-operation failure
 //!    probability of 0/1/5/10% on the SMB transport. The retry layer rides
 //!    the faults out; the table shows the wall-clock cost, fault/retry
-//!    counts, dropped elastic updates, and worst recovery latency.
+//!    counts, the elastic updates still owed when a worker finished (and
+//!    so dropped: a failed push is owed, never dropped on the spot), and
+//!    worst recovery latency.
 //! 2. **Worker-crash matrix** — one rank of eight killed mid-run on every
 //!    platform that accepts a fault plan. SEASGD survives with its
 //!    remaining workers (lease eviction + survivor completion);
@@ -14,7 +16,8 @@
 //! 3. **Failover sweep** — a replicated memory-server pair whose primary
 //!    is crashed at varying points of the run. Clients fail over to the
 //!    standby; the table records the recovery cost in virtual time and
-//!    the elastic updates dropped while the crash was being detected.
+//!    the elastic updates still owed, and so dropped, at the end of the
+//!    run.
 //! 4. **Partition sweep** — an asymmetric network partition isolates the
 //!    primary (plus one worker node) from the standby at 25/50/75% of the
 //!    run, healing 200 ms later. The primary's authority lease lapses and
@@ -69,7 +72,7 @@ pub fn figure(_: &mut Measurements) -> Figure {
             format!("{:.3}", report.wall.as_secs_f64()),
             report.total_faults().to_string(),
             report.total_retries().to_string(),
-            report.total_dropped_updates().to_string(),
+            report.total_partition_dropped().to_string(),
             format!("{:.2}", report.max_recovery_ms()),
         ]);
     }
@@ -163,7 +166,7 @@ pub fn figure(_: &mut Measurements) -> Figure {
             format!("{:.2}", report.max_recovery_ms()),
             report.total_faults().to_string(),
             report.total_retries().to_string(),
-            report.total_dropped_updates().to_string(),
+            report.total_partition_dropped().to_string(),
         ]);
     }
     // Partition sweep: the primary (with the workers of node 0) is severed

@@ -234,23 +234,26 @@ impl TrainingReport {
         self.workers.iter().map(|w| w.smb.max_recovery_ms).fold(0.0, f64::max)
     }
 
-    /// Total dropped weight increments across the fleet.
+    /// Always 0: every failed push is owed (see
+    /// [`crate::seasgd::PushStats::dropped_updates`]). Kept only because
+    /// the whole-stack benchmark package reads it.
     pub fn total_dropped_updates(&self) -> u64 {
         self.workers.iter().map(|w| w.pushes.dropped_updates).sum()
     }
 
-    /// Total increments buffered while partitioned, across the fleet.
+    /// Total exchanges whose unlanded increments were owed after a failed
+    /// push, across the fleet.
     pub fn total_partition_buffered(&self) -> u64 {
         self.workers.iter().map(|w| w.pushes.partition_buffered).sum()
     }
 
-    /// Total increments owed while partitioned and still unreplayed when
-    /// their exchanger finished, so dropped, across the fleet.
+    /// Total owed exchanges still unreplayed when their exchanger
+    /// finished, so dropped, across the fleet.
     pub fn total_partition_dropped(&self) -> u64 {
         self.workers.iter().map(|w| w.pushes.partition_dropped).sum()
     }
 
-    /// Total buffered increments replayed after partitions healed.
+    /// Total owed exchanges replayed into `W_g`, across the fleet.
     pub fn total_reconciled_updates(&self) -> u64 {
         self.workers.iter().map(|w| w.pushes.reconciled_updates).sum()
     }

@@ -56,16 +56,17 @@
 //!   answers a cut-off read stale without touching the wire. A failed read
 //!   never ends the worker.
 //! - **Push.** A tile that landed in `W_g` is a valid increment on its
-//!   own and stays there when a later push of its exchange fails. The
-//!   first failed push decides what becomes of the exchange's other tiles:
-//!   if the client sees a partition, the lane owes them to `W_g` in one
+//!   own and stays there when a later push of its exchange fails. A failed
+//!   push has folded nothing (the server verifies both operands before its
+//!   engine adds), so from the first failed push on, whatever failed it,
+//!   the lane owes the exchange's unlanded tiles to `W_g` in one
 //!   lane-sized sum that it pushes once after the first exchange whose
-//!   pushes all land; on any other failure they are dropped. Across a
-//!   memory-server fail-over the lane re-pushes, in fold order, every fold
-//!   the promoted standby's copy of `W_g` does not hold yet.
+//!   pushes all land. Across a memory-server fail-over the lane re-pushes,
+//!   in fold order, every fold the promoted standby's copy of `W_g` does
+//!   not hold yet.
 //!
 //! [`ElasticExchanger::finish`] settles before it returns the books
-//! ([`PushStats`]): every push handed over has landed or been booked, a
+//! ([`PushStats`]): every push handed over has landed or been owed, a
 //! fail-over redo still due has run, and what is still owed is dropped and
 //! booked, so a `W_g` read after it sees every fold the books do not count
 //! as dropped.
@@ -286,28 +287,26 @@ const LOCAL_MIX_BPS: f64 = 25.0e9;
 
 /// What one exchanger's update threads did with the exchanges whose
 /// pushes failed, counted once per exchange and lane (the tiles that
-/// landed before the failure stay in `W_g` in every case): the rest
-/// dropped, or — while a network partition cut the worker off from the
-/// memory server (paper-style minority-side behaviour) — owed and replayed
-/// after the heal. The books close when [`ElasticExchanger::finish`]
-/// returns them, dropping what is still owed. Failed
-/// `W_g` reads are not booked here: they move no mass, and the client's
-/// fault counters count their attempts.
+/// landed before the failure stay in `W_g` in every case): the rest owed,
+/// whatever failed the push — a network partition (paper-style
+/// minority-side behaviour), a spent retry budget, a refused source — and
+/// replayed once an exchange's pushes all land. The books close when
+/// [`ElasticExchanger::finish`] returns them, dropping what is still
+/// owed. Failed `W_g` reads are not booked here: they move no mass, and
+/// the client's fault counters count their attempts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PushStats {
-    /// Exchanges whose unlanded tiles were dropped after a push that kept
-    /// failing without a partition.
+    /// Never written: every failed push is owed. Kept only because the
+    /// whole-stack benchmark package reads it.
     pub dropped_updates: u64,
-    /// Exchanges whose unlanded tiles were owed for replay after the
-    /// partition heals.
+    /// Exchanges whose unlanded tiles were owed for replay.
     pub partition_buffered: u64,
     /// Owed exchanges still unreplayed when [`ElasticExchanger::finish`]
     /// closed the books, and so dropped.
     pub partition_dropped: u64,
     /// Owed exchanges replayed into `W_g`.
     pub reconciled_updates: u64,
-    /// Elements of the unlanded tiles that never reached `W_g`, summed
-    /// over the exchanges booked in `dropped_updates` and
+    /// Elements of the unlanded tiles of the exchanges booked in
     /// `partition_dropped`: the most components of `W_g + ΣW_x` the drops
     /// can leave short.
     pub dropped_elems: u64,
@@ -315,7 +314,6 @@ pub struct PushStats {
 
 impl AddAssign for PushStats {
     fn add_assign(&mut self, other: PushStats) {
-        self.dropped_updates += other.dropped_updates;
         self.partition_buffered += other.partition_buffered;
         self.partition_dropped += other.partition_dropped;
         self.reconciled_updates += other.reconciled_updates;
@@ -800,7 +798,7 @@ impl ElasticExchanger {
 
     /// Settles, stops and closes the books: first the T.A5 gates of the
     /// last exchange (every tile it handed over has landed or been
-    /// booked), then each update thread runs any fail-over redo still due,
+    /// owed), then each update thread runs any fail-over redo still due,
     /// books what it still owes as dropped and answers its books; the
     /// readers and update threads stop. So when this returns, `W_g` holds
     /// every fold the returned [`PushStats`] does not count as dropped. An
@@ -841,14 +839,13 @@ struct Fold {
 /// partitions and a memory-server fail-over.
 ///
 /// The settling rule: eqs. 5–7 fold ΔW element by element, so every tile
-/// that landed is a valid increment on its own and stays in `W_g`. The
-/// first failed push of an exchange ([`Pusher::fail`]) decides what
-/// becomes of the tiles that did not land: if the client sees a
-/// partition, they are owed — added to one lane-sized sum
-/// ([`Pusher::settle`]) that [`Pusher::replay`] pushes once after the
-/// first exchange whose pushes all land; after any other failure they are
-/// dropped with accounting. What is still owed when the lane shuts down is
-/// dropped too.
+/// that landed is a valid increment on its own and stays in `W_g`, and a
+/// tile that did not land is mass `W_g` is owed, whatever stopped it — a
+/// failed push has folded nothing. From the first failed push of an
+/// exchange on, its unlanded tiles are added to one lane-sized sum
+/// ([`Pusher::push_or_owe`]) that [`Pusher::replay`] pushes once after the
+/// first exchange whose pushes all land. What is still owed when the lane
+/// shuts down is dropped with accounting.
 ///
 /// The fail-over rule: the standby's copy of `W_g` holds exactly the folds
 /// up to [`shmcaffe_smb::SmbPair::replicated_version`], frozen at
@@ -857,8 +854,8 @@ struct Fold {
 /// versions above the replicated one. Once the lane sees the pair
 /// promoted, before anything else of its lands on the promoted member, the
 /// folds above the frozen version are re-pushed there in log order —
-/// those died with the old primary. Folds the redo cannot push are
-/// settled by the same rule, as one exchange.
+/// those died with the old primary. Folds the redo cannot push are owed
+/// by the same rule, as one exchange.
 struct Pusher {
     client: SmbClient,
     bufs: SeasgdBuffers,
@@ -877,9 +874,9 @@ struct Pusher {
     /// Recycled [`Fold::data`] buffers, so steady-state logging does not
     /// allocate.
     free: Vec<Vec<f32>>,
-    /// The sum of the increments owed to `W_g` while a partition cuts this
-    /// worker off from the memory server, replayed as one push once it
-    /// heals. Lane-sized, allocated at the first partition.
+    /// The sum of the increments owed to `W_g` since the first failed
+    /// push, replayed as one push after an exchange whose pushes all land.
+    /// Lane-sized, allocated at the first failed push.
     owed: Vec<f32>,
     /// Exchanges whose unlanded tiles are in [`Pusher::owed`].
     owed_exchanges: u64,
@@ -941,47 +938,35 @@ impl Pusher {
     /// re-pushes the logged folds above the frozen replicated version in
     /// log order (the pushes find the log taken and do not recurse). Past
     /// the first failed push the rest are not tried: they and the failed
-    /// one are settled as one exchange ([`Pusher::fail`]).
+    /// one are owed as one exchange ([`Pusher::push_or_owe`]).
     fn redo(&mut self, ctx: &SimContext) {
         let Some(pair) = self.client.pair().filter(|p| p.promoted()) else { return };
         let Some(log) = self.log.take() else { return };
         let floor = pair.replicated_version(self.bufs.wg.key);
-        let mut owing: Option<bool> = None;
+        let mut failed = false;
         for fold in log.iter().filter(|f| f.version > floor) {
             self.repushed = true;
-            if owing.is_none() && self.push(ctx, fold.off, &fold.data).is_ok() {
-                continue;
-            }
-            let owed = *owing.get_or_insert_with(|| self.fail(ctx));
-            self.settle(owed, fold.off, &fold.data);
+            failed = self.push_or_owe(ctx, failed, fold.off, &fold.data);
         }
         self.free = Vec::new();
         self.redone.store(true, Ordering::Release);
     }
 
-    /// Books an exchange at its first failed push and says whether its
-    /// unlanded tiles are owed: if the client sees a partition, yes; after
-    /// any other failure they are dropped.
-    fn fail(&mut self, ctx: &SimContext) -> bool {
-        let owed = self.client.partitioned_from_server(ctx);
-        if owed {
+    /// Pushes one increment of an exchange at lane offset `off` unless a
+    /// push of the exchange has `failed` already, and owes it to `W_g` if
+    /// it does not land; the first failed push books the exchange as owed.
+    /// Returns whether the exchange has failed.
+    fn push_or_owe(&mut self, ctx: &SimContext, failed: bool, off: usize, data: &[f32]) -> bool {
+        if !failed {
+            if self.push(ctx, off, data).is_ok() {
+                return false;
+            }
             self.owed_exchanges += 1;
             self.stats.partition_buffered += 1;
-        } else {
-            self.stats.dropped_updates += 1;
         }
-        owed
-    }
-
-    /// Settles an unlanded increment at lane offset `off` as its exchange's
-    /// [`Pusher::fail`] decided: owed, or dropped with its elements booked.
-    fn settle(&mut self, owed: bool, off: usize, data: &[f32]) {
-        if owed {
-            self.owe(off, data);
-            self.owed_elems += data.len() as u64;
-        } else {
-            self.stats.dropped_elems += data.len() as u64;
-        }
+        self.owe(off, data);
+        self.owed_elems += data.len() as u64;
+        true
     }
 
     /// Adds an increment at lane offset `off` to the owed sum.
@@ -1019,11 +1004,9 @@ impl Pusher {
 /// remaining reads/mixing and with T4/T5 compute.
 ///
 /// One rule settles an exchange (see [`Pusher`]): tiles that landed stay
-/// in `W_g`; at the first failed push, [`Pusher::fail`] decides whether the
-/// rest are owed (a partition) or dropped, and no later tile of the
-/// exchange is tried. An exchange with no failed push
-/// replays the owed sum. At shutdown the lane closes its books and
-/// answers them.
+/// in `W_g`; from the first failed push on, the rest are owed and no later
+/// tile of the exchange is tried. An exchange with no failed push replays
+/// the owed sum. At shutdown the lane closes its books and answers them.
 fn update_thread(
     uctx: &SimContext,
     p: &mut Pusher,
@@ -1031,9 +1014,8 @@ fn update_thread(
     upd_req: &SimChannel<UpdateRequest>,
     upd_done: &SimChannel<UpdateDone>,
 ) {
-    // `None` until a push of this exchange fails; then whether its
-    // unlanded tiles are owed.
-    let mut owing: Option<bool> = None;
+    // Whether a push of this exchange has failed.
+    let mut failed = false;
     let mut pos = 0usize;
     loop {
         let (chunk, buf) = match upd_req.recv(uctx) {
@@ -1053,17 +1035,9 @@ fn update_thread(
                 return;
             }
         };
-        let off = tiles[pos].local_off;
-        if owing.is_none() && p.push(uctx, off, &buf).is_err() {
-            // A push that cannot go through within the retry budget is
-            // settled, not fatal: elastic averaging re-derives a dropped
-            // force from the next W_x − W_g difference, whereas dying here
-            // would take the whole worker down.
-            owing = Some(p.fail(uctx));
-        }
-        if let Some(owed) = owing {
-            p.settle(owed, off, &buf);
-        }
+        // A push that cannot go through within the retry budget is owed,
+        // not fatal: dying here would take the whole worker down.
+        failed = p.push_or_owe(uctx, failed, tiles[pos].local_off, &buf);
         // The done is the next exchange's T.A5 gate for this tile and
         // carries the buffer back for recycling — sent even on failure so
         // the main thread never wedges.
@@ -1071,7 +1045,7 @@ fn update_thread(
         pos += 1;
         if pos == tiles.len() {
             pos = 0;
-            if owing.take().is_none() {
+            if !std::mem::take(&mut failed) {
                 p.replay(uctx);
             }
         }
@@ -1740,8 +1714,7 @@ mod tests {
             });
         assert_eq!(stats.partition_buffered, 3, "{stats:?}");
         assert_eq!(stats.reconciled_updates, stats.partition_buffered, "{stats:?}");
-        assert_eq!((stats.dropped_updates, stats.partition_dropped), (0, 0), "{stats:?}");
-        assert_eq!(stats.dropped_elems, 0, "{stats:?}");
+        assert_eq!((stats.partition_dropped, stats.dropped_elems), (0, 0), "{stats:?}");
         assert_eq!(folds, tiles + 1, "the heal exchange's tiles plus one fold of the owed sum");
     }
 

@@ -219,7 +219,9 @@ struct ShardedRun {
     promoted: Vec<bool>,
     /// Per lane: transport faults its client observed.
     faults: Vec<u64>,
-    dropped: u64,
+    /// The books' drops: owed exchanges and their elements dropped at
+    /// `finish`.
+    dropped: (u64, u64),
     end_ns: u64,
 }
 
@@ -273,7 +275,8 @@ fn sharded_failover_run(compute_ms: u64, crash_at: Option<SimTime>) -> ShardedRu
             // Every push has landed once `finish` returns: read W_g back
             // shard by shard (shard 0 from whichever server is its primary
             // by now).
-            let dropped = ex.finish(&ctx).dropped_updates;
+            let books = ex.finish(&ctx);
+            let dropped = (books.partition_dropped, books.dropped_elems);
             let retry = RetryPolicy::with_seed(1);
             let mut wg = vec![0.0f32; param_len];
             for (k, (client, bufs)) in parts.iter().enumerate() {
@@ -315,7 +318,7 @@ fn sharded_lanes_fail_over_per_shard() {
     assert_eq!(crashed.promoted, [true, false], "only the crashed shard's pair promotes");
     assert!(crashed.faults[0] > 0, "lane 0 must have hit the dead primary");
     assert_eq!(crashed.faults[1], 0, "lane 1 never sees the fault");
-    assert_eq!((clean.dropped, crashed.dropped), (0, 0));
+    assert_eq!((clean.dropped, crashed.dropped), ((0, 0), (0, 0)));
     assert_bit_identical(&clean.wx, &crashed.wx, "mixed weights across the fail-over");
     assert_bit_identical(&clean.wg, &crashed.wg, "W_g in both shards across the fail-over");
     assert!(clean.wg != vec![0.0; PARAM_LEN], "the exchanges moved W_g");
@@ -332,7 +335,7 @@ fn sharded_lanes_fail_over_between_back_to_back_exchanges() {
     for at in [60, 100] {
         let crashed = sharded_failover_run(5, Some(SimTime::from_millis(at)));
         assert_eq!(crashed.promoted, [true, false], "crash at {at} ms");
-        assert_eq!(crashed.dropped, 0, "crash at {at} ms");
+        assert_eq!(crashed.dropped, (0, 0), "crash at {at} ms");
         assert_bit_identical(&clean.wx, &crashed.wx, &format!("mixed weights, crash at {at} ms"));
         assert_bit_identical(&clean.wg, &crashed.wg, &format!("W_g, crash at {at} ms"));
     }

@@ -186,7 +186,8 @@ fn a_long_replication_pass_does_not_fence_a_healthy_primary() {
     assert_eq!((report.reconcile_discarded, report.reconcile_resynced), (0, 0));
     for w in &report.workers {
         assert_eq!(w.iters, MAX_ITERS as u64);
-        assert_eq!(w.pushes.dropped_updates, 0, "rank {}", w.rank);
+        let drops = (w.pushes.partition_dropped, w.pushes.dropped_elems);
+        assert_eq!(drops, (0, 0), "rank {}", w.rank);
         assert_eq!(w.smb.fenced, 0, "rank {}", w.rank);
     }
 }
@@ -278,7 +279,8 @@ fn rejoin_without_a_primary_crash_terminates() {
         assert_eq!((report.crashed_workers(), report.rejoined_workers()), (1, 1));
         for w in &report.workers {
             assert_eq!(w.iters, ITERS as u64, "op failures {op_failures}: rank {}", w.rank);
-            assert_eq!(w.pushes.dropped_updates, 0, "op failures {op_failures}: rank {}", w.rank);
+            let drops = (w.pushes.partition_dropped, w.pushes.dropped_elems);
+            assert_eq!(drops, (0, 0), "op failures {op_failures}: rank {}", w.rank);
         }
         assert!(report.final_weights.is_some());
     }

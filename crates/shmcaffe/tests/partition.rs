@@ -174,7 +174,8 @@ fn partition_runs_are_bit_identical_given_the_seed() {
 /// degraded mode, not turned into a failed run. `progress_every` at the
 /// budget keeps plain board ops out of the window, so the exchange meets it.
 /// Every worker owes more than sixteen exchanges and drops none: each
-/// lane's owed sum replays after the heal.
+/// lane's owed sum replays after the heal — a push whose partition heals
+/// inside the attempt's detection latency included.
 #[test]
 fn isolated_memory_server_is_ridden_out_in_degraded_mode() {
     const ITERS: usize = 60;
@@ -206,4 +207,6 @@ fn isolated_memory_server_is_ridden_out_in_degraded_mode() {
         report.total_partition_buffered(),
         "every owed exchange replays after the heal"
     );
+    let dropped: u64 = report.workers.iter().map(|w| w.pushes.dropped_elems).sum();
+    assert_eq!(dropped, 0, "no unlanded element is dropped");
 }

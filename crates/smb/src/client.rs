@@ -191,11 +191,10 @@ impl SmbClient {
 
     /// Whether this client's node is currently severed from the server it
     /// would route an operation to by a seeded network partition (in
-    /// either direction). Retrying operations that exhaust their budget
-    /// inside a partition window surface a summarized
-    /// [`SmbError::Timeout`] that hides the cause; degraded-mode callers
-    /// (SEASGD partition buffering) use this probe to distinguish a
-    /// partition outage — worth buffering through — from other loss.
+    /// either direction). A zero-cost probe: its one caller, the SEASGD
+    /// `W_g` reader, asks it before each read and answers a cut-off read
+    /// stale without touching the wire, instead of spending the read's
+    /// retry budget on a partition window.
     pub fn partitioned_from_server(&self, ctx: &SimContext) -> bool {
         let server = self.server();
         let node = server.node();

@@ -323,6 +323,48 @@ fn an_accumulate_never_folds_a_repaired_source() {
     sim.run();
 }
 
+/// A failed accumulate has folded nothing, whatever failed it: the
+/// destination's bytes and version are as before the call. A gate that
+/// fails every attempt spends the budget before the engine runs
+/// ([`SmbError::Timeout`]); a poisoned destination page on a lone server
+/// fails the engine's operand check before it adds
+/// ([`SmbError::Unrepairable`]). So a caller may owe a failed increment to
+/// the destination and push it again without folding it twice.
+#[test]
+fn a_failed_accumulate_has_not_folded() {
+    let gated = paged_single(Some(FaultPlan::new(4).with_op_failure_prob(1.0)));
+    unfolded_after_failure(gated, false, |e| matches!(e, SmbError::Timeout { .. }));
+    let poisoned = paged_single(None);
+    unfolded_after_failure(poisoned, true, |e| matches!(e, SmbError::Unrepairable { page: 0, .. }));
+}
+
+/// Runs one range accumulate on `s` — after poisoning the
+/// destination's first page when `poison` — and asserts that it fails as
+/// `expected` says and leaves the destination as it was.
+fn unfolded_after_failure(s: SmbServer, poison: bool, expected: fn(&SmbError) -> bool) {
+    let mut sim = Simulation::new();
+    sim.spawn("w", move |ctx| {
+        let client = SmbClient::new(s.clone(), NodeId(0));
+        let policy = RetryPolicy { max_attempts: 4, ..RetryPolicy::with_seed(4) };
+        let wg = client.alloc(&ctx, client.create(&ctx, "wg", ELEMS, None).unwrap()).unwrap();
+        let dw = client.alloc(&ctx, client.create(&ctx, "dw", ELEMS, None).unwrap()).unwrap();
+        let base: Vec<f32> = (0..ELEMS).map(|i| i as f32 + 0.5).collect();
+        client.write(&ctx, &wg, &base).unwrap();
+        client.write(&ctx, &dw, &[1.0; ELEMS]).unwrap();
+        if poison {
+            s.inject_bit_flip(wg.key, 1, 3).unwrap();
+            assert_eq!(s.scrub_pass(&ctx), 1, "the flip poisons the first page");
+        }
+        let bytes = || s.rdma().with_region(&wg.mr, |b| b.to_vec()).unwrap();
+        let (before, version) = (bytes(), s.version(wg.key).unwrap());
+        let folded = client.accumulate_range_retrying(&ctx, &dw, &wg, 0, ELEMS, &policy);
+        assert!(folded.as_ref().is_err_and(expected), "{folded:?}");
+        assert_eq!(bytes(), before, "a failed accumulate must not touch W_g");
+        assert_eq!(s.version(wg.key).unwrap(), version, "nor bump its version");
+    });
+    sim.run();
+}
+
 /// Plan-driven torn writes through the retrying path degrade to page
 /// atomicity: after repair, every page reads back as either the old or the
 /// new generation in full — the delivered prefix keeps what landed whole,

@@ -111,4 +111,7 @@ echo "== race detector: SMB seeded-race/failover/fence-chain/repair + SEASGD cha
 echo "== miri (skips when not installed) =="
 ./scripts/miri.sh
 
+echo "== code size: code lines per crate (scripts/loc.sh), the net-LOC measure every PR reports =="
+./scripts/loc.sh
+
 echo "check.sh: all gates passed"

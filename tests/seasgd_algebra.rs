@@ -247,8 +247,7 @@ fn failover_into_a_partition_loses_no_increment() {
     assert!(report.wall > SimTime::from_millis(655), "the run outlasts the heal");
     let pushes = worker.pushes;
     assert!(pushes.partition_buffered > 0, "the partition backlogs exchanges");
-    assert_eq!(pushes.dropped_updates, 0);
-    assert_eq!(pushes.partition_dropped, 0);
+    assert_eq!((pushes.partition_dropped, pushes.dropped_elems), (0, 0));
     assert_eq!(pushes.reconciled_updates, pushes.partition_buffered, "the backlog replays whole");
 
     // S(0) = 1 (W_g) + 1 (W_x); rank 0 drifts by −1.5 per iteration.
@@ -260,15 +259,15 @@ fn failover_into_a_partition_loses_no_increment() {
     }
 }
 
-/// A push that fails for any reason but a partition settles its exchange
-/// by one rule: the tiles that landed stay in `W_g` — eqs. 5–7 fold ΔW
-/// element by element, so each is a valid increment alone — and the rest
-/// are dropped and booked. Under seed 25 of a 42 % op-failure plan one
-/// push runs out of attempts after 8 of the 16 tiles landed: those
-/// components keep the mass identity exactly, the other half are short by
-/// the one dropped increment, and the books count those elements.
+/// A push that fails for any reason settles its exchange by one rule: the
+/// tiles that landed stay in `W_g` — eqs. 5–7 fold ΔW element by element,
+/// so each is a valid increment alone — and the rest are owed, since a
+/// failed push has folded nothing. Under seed 25 of a 42 % op-failure plan
+/// one push runs out of attempts after 8 of the 16 tiles landed: the other
+/// 8 are owed, the next exchange whose pushes all land replays them, and
+/// every component keeps the mass identity exactly.
 #[test]
-fn a_dropped_exchange_keeps_the_tiles_that_landed() {
+fn a_failed_exchange_is_owed_and_replayed_whole() {
     const ITERS: usize = 30;
     let plan = FaultPlan::new(25).with_op_failure_prob(0.42);
     let cfg = ShmCaffeConfig {
@@ -283,16 +282,20 @@ fn a_dropped_exchange_keeps_the_tiles_that_landed() {
         .run(drifters.clone())
         .expect("retried op failures are ridden out");
     let pushes = report.workers[0].pushes;
-    assert_eq!(pushes.dropped_updates, 1, "{pushes:?}");
-    assert_eq!((pushes.partition_buffered, pushes.partition_dropped), (0, 0), "{pushes:?}");
+    let books = (
+        pushes.partition_buffered,
+        pushes.reconciled_updates,
+        pushes.partition_dropped,
+        pushes.dropped_elems,
+    );
+    assert_eq!(books, (1, 1, 0, 0), "{pushes:?}");
 
     // S(0) = 1 (W_g) + 1 (W_x); rank 0 drifts by −1.5 per iteration.
     let wg = report.final_weights.expect("the last rank to file reads W_g");
     let wx = &drifters.finals()[0];
     let expected = 2.0 - 1.5 * ITERS as f32;
     let kept = wg.iter().zip(wx).filter(|(g, x)| (*g + *x - expected).abs() < 1e-3).count();
-    assert_eq!(kept, wg.len() / 2, "the 8 tiles that landed keep their increment");
-    assert_eq!(kept as u64, wg.len() as u64 - pushes.dropped_elems, "{pushes:?}");
+    assert_eq!(kept, wg.len(), "the 8 tiles that landed and the 8 replayed keep their increment");
 }
 
 /// One settling rule for both halves of an exchange, and books that close
@@ -372,7 +375,8 @@ fn a_primary_crash_at_any_instant_loses_no_increment() {
             let at = format!("{workers} worker(s), crash at {crash_us} µs");
             for w in &report.workers {
                 assert_eq!(w.iters, ITERS as u64, "{at}");
-                assert_eq!((w.pushes.dropped_updates, w.pushes.partition_dropped), (0, 0), "{at}");
+                let drops = (w.pushes.partition_dropped, w.pushes.dropped_elems);
+                assert_eq!(drops, (0, 0), "{at}");
             }
             // S(0) = 1 (W_g) + 1 per worker; rank r drifts by r − 1.5 per
             // iteration.
@@ -430,7 +434,8 @@ fn a_split_brain_partition_loses_no_increment() {
             assert!(report.fenced_rejections > 0, "{at}: the stale primary fenced itself");
             for w in &report.workers {
                 assert_eq!(w.iters, ITERS as u64, "{at}");
-                assert_eq!((w.pushes.dropped_updates, w.pushes.partition_dropped), (0, 0), "{at}");
+                let drops = (w.pushes.partition_dropped, w.pushes.dropped_elems);
+                assert_eq!(drops, (0, 0), "{at}");
             }
             let drift: f32 = (0..workers).map(|r| r as f32 - 1.5).sum::<f32>() * ITERS as f32;
             let expected = 1.0 + workers as f32 + drift;
